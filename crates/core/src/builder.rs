@@ -1,0 +1,673 @@
+//! [`DatabaseBuilder`]: configuration, the one parse → route → index build
+//! path, and the per-shard index build that compaction replays.
+
+use crate::shard::{shard_of, split_corpus, Shard};
+use crate::update::{spawn_merge_worker, UpdateGauges};
+use crate::{
+    Corpus, Database, DocId, Error, Event, EventJournal, IndexTelemetry, MetricsRegistry, PathId,
+    PathTable, PlanOptions, Pool, PoolTelemetry, ProbabilityModel, Strategy, SymbolTable,
+    TraceConfig, Tracer, ValueMode, WeightMap, XmlError, XmlIndex,
+};
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+use xseq_schema::WorkloadRecorder;
+
+/// Which sequencing strategy the database uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sequencing {
+    /// Canonical depth-first (ViST's ordering).
+    DepthFirst,
+    /// The paper's performance-oriented `g_best`: probability-ordered
+    /// constraint sequences, with probabilities estimated by sampling.
+    Probability,
+}
+
+/// Builder for a [`Database`].
+#[derive(Debug)]
+pub struct DatabaseBuilder {
+    sequencing: Sequencing,
+    value_mode: ValueMode,
+    plan: PlanOptions,
+    sample_cap: usize,
+    boosts: Vec<(String, f64)>,
+    registry: Arc<MetricsRegistry>,
+    trace: Option<TraceConfig>,
+    spot_check_rate: f64,
+    threads: usize,
+    shards: usize,
+    compact_threshold: Option<usize>,
+    memtable_limit: usize,
+    tier_ratio: usize,
+    background_merge: Option<Duration>,
+    profiling: bool,
+    event_capacity: usize,
+}
+
+/// The build-time configuration a [`Database`] retains so
+/// [`Database::compact`] can replay the exact original build pipeline over
+/// the surviving documents.
+#[derive(Debug, Clone)]
+pub(crate) struct BuildConfig {
+    pub(crate) sequencing: Sequencing,
+    pub(crate) plan: PlanOptions,
+    pub(crate) sample_cap: usize,
+    pub(crate) boosts: Vec<(String, f64)>,
+    pub(crate) compact_threshold: Option<usize>,
+    pub(crate) memtable_limit: usize,
+    pub(crate) tier_ratio: usize,
+}
+
+impl Default for DatabaseBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl DatabaseBuilder {
+    /// A builder with the paper's defaults: probability sequencing, exact
+    /// value interning.
+    pub fn new() -> Self {
+        DatabaseBuilder {
+            sequencing: Sequencing::Probability,
+            value_mode: ValueMode::Intern,
+            plan: PlanOptions::default(),
+            sample_cap: 0,
+            boosts: Vec::new(),
+            registry: Arc::new(MetricsRegistry::new()),
+            trace: None,
+            spot_check_rate: 0.0,
+            threads: 1,
+            shards: 0,
+            compact_threshold: None,
+            memtable_limit: xseq_index::DEFAULT_MEMTABLE_LIMIT,
+            tier_ratio: xseq_index::DEFAULT_TIER_RATIO,
+            background_merge: None,
+            profiling: true,
+            event_capacity: 256,
+        }
+    }
+
+    /// Sets how many flight-recorder events [`Database::events`] retains
+    /// (default 256, clamped to at least 2).  The journal is always on —
+    /// recording an event is a handful of relaxed atomics — so this only
+    /// trades memory for history depth.
+    pub fn event_capacity(mut self, capacity: usize) -> Self {
+        self.event_capacity = capacity;
+        self
+    }
+
+    /// Enables or disables the workload profiler (on by default): every
+    /// executed query is classified into its schema node classes `C` (the
+    /// concrete data paths it searched), and per-class frequency, result
+    /// cardinality and latency accumulate into
+    /// [`Database::workload_profile`] — the observed input for deriving
+    /// `w(C)` (Eq. 6) from live traffic instead of operator guesses.
+    pub fn profiling(mut self, on: bool) -> Self {
+        self.profiling = on;
+        self
+    }
+
+    /// Enables auto-compaction: whenever a shard's outstanding update
+    /// volume (delta sequences + tombstones) reaches `threshold`, the next
+    /// [`Database::insert_document`] / [`Database::remove_document`]
+    /// compacts that shard automatically.  Off by default (compaction is
+    /// manual).  A `threshold` of 0 is clamped to 1.
+    pub fn auto_compact(mut self, threshold: usize) -> Self {
+        self.compact_threshold = Some(threshold.max(1));
+        self
+    }
+
+    /// Caps how many sequences the tiered delta's raw memtable absorbs
+    /// before it is cut into a frozen L0 run (default
+    /// [`xseq_index::DEFAULT_MEMTABLE_LIMIT`], clamped to ≥ 1).  Smaller
+    /// limits bound the youngest segment a query has to rebuild lazily;
+    /// larger ones amortize the cut cost over more inserts.
+    pub fn memtable_limit(mut self, limit: usize) -> Self {
+        self.memtable_limit = limit.max(1);
+        self
+    }
+
+    /// Sets the LSM size ratio of the tiered delta: when any tier
+    /// accumulates this many runs they merge into a single run of the next
+    /// tier (default [`xseq_index::DEFAULT_TIER_RATIO`], clamped to ≥ 2).
+    /// Merges resolve tombstones as they fold runs together.
+    pub fn tier_ratio(mut self, ratio: usize) -> Self {
+        self.tier_ratio = ratio.max(2);
+        self
+    }
+
+    /// Moves tier merges off the foreground update path onto a background
+    /// `xseq-exec` worker: a ticker fires every `period`, drains every
+    /// shard's due merges, and reports liveness through the
+    /// `health.merge.*` watchdog gauges (ticked by the foreground update
+    /// path, or manually via [`Database::tick_merge_watchdog`]).  Without
+    /// this call merges run inline at the end of each insert.  In-flight
+    /// queries are never disturbed either way: they hold an epoch-stamped
+    /// snapshot of the segment list, and a merge only swaps the published
+    /// list.
+    pub fn background_merge(mut self, period: Duration) -> Self {
+        self.background_merge = Some(period);
+        self
+    }
+
+    /// Sets the worker count for ingest (parallel parse, sequencing, and
+    /// index freeze) and for [`Database::query_batch`].  1 (the default)
+    /// runs everything in place with no thread traffic.
+    ///
+    /// The shard count follows the thread count unless
+    /// [`DatabaseBuilder::shards`] pins it.  Shards build side by side,
+    /// each on its `threads / shards` share of the workers; a shard's
+    /// index is bit-identical to a single-threaded build over its
+    /// documents at any thread count.  More shards partition the documents
+    /// differently, so a database is answer-identical (not trie-identical)
+    /// across shard counts.
+    pub fn threads(mut self, n: usize) -> Self {
+        self.threads = n.max(1);
+        self
+    }
+
+    /// Sets the number of independent index shards (0, the default, follows
+    /// the thread count).  Documents are hash-routed to shards by id; each
+    /// shard owns its own symbol/path tables, frozen trie, delta segment
+    /// and tombstones, so shards share nothing on the hot path.  Every
+    /// query runs one pipeline over the shards and k-way merges their
+    /// sorted results — answers, aggregate stats and integrity verdicts
+    /// are identical at any shard count over the same corpus.
+    pub fn shards(mut self, n: usize) -> Self {
+        self.shards = n;
+        self
+    }
+
+    /// The effective shard count: an explicit [`DatabaseBuilder::shards`]
+    /// wins, otherwise one shard per worker thread.
+    fn resolved_shards(&self) -> usize {
+        if self.shards == 0 {
+            self.threads
+        } else {
+            self.shards
+        }
+    }
+
+    /// Enables sampled post-query integrity spot checks: after roughly
+    /// `rate` of all queries (deterministic fixed-point sampling, no RNG)
+    /// the index's structural invariants are re-verified and the report
+    /// lands in [`QueryOutcome::integrity`](crate::QueryOutcome::integrity)
+    /// — rendered by [`QueryOutcome::explain`](crate::QueryOutcome::explain).
+    /// Off by default (`rate = 0.0`); the spot check is the cheap
+    /// structure-only pass, not the full per-sequence round-trip of
+    /// [`Database::verify_integrity`].
+    pub fn integrity_spot_check(mut self, rate: f64) -> Self {
+        self.spot_check_rate = rate.clamp(0.0, 1.0);
+        self
+    }
+
+    /// Enables per-query tracing with the given policy: every
+    /// [`Database::query_xpath_full`] call records a span tree, slow
+    /// queries land in [`Database::slow_queries`], and a
+    /// [`TraceConfig::sample_rate`] fraction of all queries in
+    /// [`Database::recent_traces`].  Without this call queries run
+    /// untraced, at zero tracing cost.
+    pub fn trace_config(mut self, config: TraceConfig) -> Self {
+        self.trace = Some(config);
+        self
+    }
+
+    /// Shares an external registry (e.g. [`MetricsRegistry::global`])
+    /// instead of the private one each builder creates.
+    pub fn metrics_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
+        self.registry = registry;
+        self
+    }
+
+    /// Chooses the sequencing strategy.
+    pub fn sequencing(mut self, s: Sequencing) -> Self {
+        self.sequencing = s;
+        self
+    }
+
+    /// Chooses how attribute/text values become designators.
+    pub fn value_mode(mut self, m: ValueMode) -> Self {
+        self.value_mode = m;
+        self
+    }
+
+    /// Caps how many documents the probability estimator samples
+    /// (0 = all).
+    pub fn sample_cap(mut self, cap: usize) -> Self {
+        self.sample_cap = cap;
+        self
+    }
+
+    /// Overrides the planner caps.
+    pub fn plan_options(mut self, plan: PlanOptions) -> Self {
+        self.plan = plan;
+        self
+    }
+
+    /// Boosts the sequencing weight `w(C)` of the node addressed by a simple
+    /// slash path (e.g. `"/site/item/location"`) — the paper's tunable
+    /// mechanism for frequently queried, highly selective elements.
+    pub fn boost(mut self, path: &str, weight: f64) -> Self {
+        self.boosts.push((path.to_owned(), weight));
+        self
+    }
+
+    /// Parses and indexes the given XML documents.
+    ///
+    /// Documents are hash-routed to shards by their would-be id **before**
+    /// parsing, so each shard parses its own subset into its own interners
+    /// — shards run side by side on the pool and share nothing.  Within a
+    /// shard, parsing fans out in chunks across the shard's share of the
+    /// workers and is identical to a serial parse.
+    pub fn build_from_xml<'a>(
+        self,
+        xmls: impl IntoIterator<Item = &'a str>,
+    ) -> Result<Database, Error> {
+        let nshards = self.resolved_shards();
+        let mut shard_xmls: Vec<Vec<&str>> = vec![Vec::new(); nshards];
+        let mut doc_map = Vec::new();
+        let mut global_ids: Vec<Vec<DocId>> = vec![Vec::new(); nshards];
+        for (gid, xml) in xmls.into_iter().enumerate() {
+            let s = shard_of(gid as DocId, nshards);
+            doc_map.push((s as u32, shard_xmls[s].len() as DocId));
+            global_ids[s].push(gid as DocId);
+            shard_xmls[s].push(xml);
+        }
+        if doc_map.is_empty() {
+            return Err(Error::EmptyDatabase);
+        }
+        // The routing loop grew these by doubling; they live as long as the
+        // database does.
+        doc_map.shrink_to_fit();
+        global_ids.iter_mut().for_each(Vec::shrink_to_fit);
+        let inner = shard_pool(self.threads, nshards);
+        let (mode, registry) = (self.value_mode, &self.registry);
+        let tasks: Vec<_> = shard_xmls
+            .iter()
+            .map(|xmls| move || parse_shard(xmls, mode, registry, &inner))
+            .collect();
+        let mut corpora = Vec::with_capacity(nshards);
+        let mut first_err: Option<(DocId, XmlError)> = None;
+        for (r, gids) in Pool::new(self.threads)
+            .run(tasks)
+            .into_iter()
+            .zip(&global_ids)
+        {
+            match r {
+                Ok(corpus) => corpora.push(corpus),
+                // Each shard reports its earliest failing document (its
+                // subset is in document order), so the minimum over shards
+                // is the earliest error in global document order — exactly
+                // what a sequential parse of the whole input reports.
+                Err((local, e)) => {
+                    // the routing loop pushed one gid per xml
+                    let gid = gids[local];
+                    if first_err.as_ref().is_none_or(|(g, _)| gid < *g) {
+                        first_err = Some((gid, e));
+                    }
+                }
+            }
+        }
+        if let Some((_, e)) = first_err {
+            return Err(e.into());
+        }
+        self.finish_build(corpora, doc_map, global_ids)
+    }
+
+    /// Indexes an already-built corpus.
+    ///
+    /// With more than one shard, the corpus is split by re-interning each
+    /// document into its shard's fresh symbol/path tables (arena order is
+    /// parse-encounter order, so stateful re-interning replays a
+    /// from-scratch parse of the shard's subset exactly).
+    pub fn build_from_corpus(self, corpus: Corpus) -> Result<Database, Error> {
+        if corpus.is_empty() {
+            return Err(Error::EmptyDatabase);
+        }
+        let nshards = self.resolved_shards();
+        if nshards == 1 {
+            // One shard holds every document under the tables it already
+            // has: move the corpus in instead of re-interning a copy.
+            let len = corpus.len();
+            let doc_map = (0..len).map(|g| (0u32, g as DocId)).collect();
+            let global_ids = vec![(0..len as DocId).collect()];
+            return self.finish_build(vec![corpus], doc_map, global_ids);
+        }
+        let pool = Pool::new(self.threads);
+        let (corpora, doc_map, global_ids) = split_corpus(&corpus, nshards, &pool);
+        self.finish_build(corpora, doc_map, global_ids)
+    }
+
+    /// Builds one index per shard corpus — side by side on the pool, each
+    /// through [`build_shard_index`] on its share of the workers — and
+    /// assembles the [`Database`].
+    fn finish_build(
+        self,
+        corpora: Vec<Corpus>,
+        doc_map: Vec<(u32, DocId)>,
+        global_ids: Vec<Vec<DocId>>,
+    ) -> Result<Database, Error> {
+        // Register every pipeline phase up front so a fresh database's
+        // snapshot already lists them (at zero).
+        let parse_hist = self.registry.histogram("query.parse");
+        let pool_tel = PoolTelemetry::register(&self.registry);
+        let config = BuildConfig {
+            sequencing: self.sequencing,
+            plan: self.plan,
+            sample_cap: self.sample_cap,
+            boosts: self.boosts,
+            compact_threshold: self.compact_threshold,
+            memtable_limit: self.memtable_limit,
+            tier_ratio: self.tier_ratio,
+        };
+        let pool = Pool::new(self.threads);
+        let nshards = corpora.len();
+        let inner = shard_pool(self.threads, nshards);
+        let (registry, config_ref) = (&self.registry, &config);
+        let tasks: Vec<_> = corpora
+            .into_iter()
+            .map(|mut corpus| {
+                move || {
+                    let index = build_shard_index(config_ref, &mut corpus, registry, &inner);
+                    (corpus, index)
+                }
+            })
+            .collect();
+        let shards: Vec<Shard> = pool
+            .run(tasks)
+            .into_iter()
+            .zip(global_ids)
+            .map(|((corpus, index), global_ids)| Shard {
+                corpus,
+                index,
+                global_ids,
+            })
+            .collect();
+        // Register the update-path phases up front too.
+        let update_insert_hist = self.registry.histogram("update.insert");
+        let update_remove_hist = self.registry.histogram("update.remove");
+        let compact_hist = self.registry.histogram("index.compact");
+        let merge_hist = self.registry.histogram("index.merge");
+        let update_gauges = UpdateGauges::register(&self.registry, nshards);
+        // Workload metrics are registered even when profiling is off, so a
+        // snapshot always lists the family (at zero).
+        let workload_queries = self.registry.counter("workload.queries");
+        let workload_unclassified = self.registry.counter("workload.unclassified");
+        let workload_classes = self.registry.gauge("workload.classes");
+        // The flight recorder is always on; the slow-query threshold arms
+        // from the trace config (and is runtime-tunable either way).
+        let events = Arc::new(EventJournal::new(self.event_capacity));
+        let slow_threshold_ns = self.trace.as_ref().map_or(u64::MAX, |c| {
+            c.slow_threshold.as_nanos().min(u64::MAX as u128) as u64
+        });
+        events.record(
+            Event::new("ingest.build")
+                .attr("docs", doc_map.len() as u64)
+                .attr(
+                    "paths",
+                    shards
+                        .iter()
+                        .map(|sh| sh.corpus.paths.len() as u64)
+                        .sum::<u64>(),
+                )
+                .attr("threads", pool.threads() as u64)
+                .attr("shards", nshards as u64),
+        );
+        // Tiered update path: publish the per-shard delta handles for the
+        // merge worker, and (optionally) start it under watchdog
+        // supervision.
+        let merge_handles = Arc::new(Mutex::new(
+            shards.iter().map(|sh| sh.index.delta_handle()).collect(),
+        ));
+        let (merge_watchdog, merge_ticker) = match self.background_merge {
+            None => (None, None),
+            Some(period) => {
+                let (watchdog, ticker) = spawn_merge_worker(
+                    period,
+                    &self.registry,
+                    &events,
+                    &merge_handles,
+                    &merge_hist,
+                    &update_gauges,
+                );
+                (Some(watchdog), Some(ticker))
+            }
+        };
+        Ok(Database {
+            shards,
+            doc_map,
+            workload: self.profiling.then(WorkloadRecorder::new),
+            workload_queries,
+            workload_unclassified,
+            workload_classes,
+            registry: self.registry,
+            parse_hist,
+            pool_tel,
+            tracer: self.trace.map(|c| Arc::new(Tracer::new(c))),
+            // 32.32 fixed point: `rate` of all queries fire the spot check.
+            spot_step: (self.spot_check_rate * (1u64 << 32) as f64) as u64,
+            spot_accum: AtomicU64::new(0),
+            pool,
+            config,
+            update_insert_hist,
+            update_remove_hist,
+            compact_hist,
+            merge_hist,
+            update_gauges,
+            merge_handles,
+            merge_ticker,
+            merge_watchdog,
+            events,
+            slow_threshold_ns: AtomicU64::new(slow_threshold_ns),
+        })
+    }
+}
+
+/// The workers each of `nshards` shards gets when they build (or parse)
+/// side by side on a pool of `threads`.
+pub(crate) fn shard_pool(threads: usize, nshards: usize) -> Pool {
+    Pool::new(threads / nshards)
+}
+
+/// Parses one shard's documents into a fresh corpus; on failure returns
+/// the failing document's position in `xmls` with its error.
+///
+/// On a pool with workers, parsing fans out in chunks: each worker interns
+/// into a private clone of the symbol table, and the per-chunk deltas are
+/// absorbed back in document order, replaying the sequential
+/// first-occurrence interning exactly — the corpus (ids, interners,
+/// documents) is identical to a serial parse.
+fn parse_shard(
+    xmls: &[&str],
+    mode: ValueMode,
+    registry: &MetricsRegistry,
+    pool: &Pool,
+) -> Result<Corpus, (usize, XmlError)> {
+    let mut corpus = Corpus::new(mode);
+    corpus.attach_parse_histogram(registry.histogram("xml.parse"));
+    if pool.is_sequential() {
+        for (i, xml) in xmls.iter().enumerate() {
+            corpus.parse_and_push(xml).map_err(|e| (i, e))?;
+        }
+        return Ok(corpus);
+    }
+    let base_names = corpus.symbols.designator_count();
+    let base_values = corpus.symbols.values.len();
+    let chunk = pool.chunk_for(xmls.len());
+    let chunks = {
+        let base = &corpus.symbols;
+        // Workers stop at their first parse error; the serial merge below
+        // surfaces the earliest error in document order, exactly like the
+        // sequential loop.
+        pool.map_chunks(xmls, chunk, |_, slice| {
+            let mut local = base.clone();
+            let mut docs = Vec::with_capacity(slice.len());
+            for xml in slice {
+                let t0 = std::time::Instant::now();
+                match xseq_xml::parse_document(xml, &mut local) {
+                    Ok(doc) => docs.push((doc, t0.elapsed())),
+                    Err(e) => return (local, docs, Some(e)),
+                }
+            }
+            (local, docs, None)
+        })
+    };
+    for (local, docs, err) in chunks {
+        let remap = corpus.symbols.absorb_delta(&local, base_names, base_values);
+        for (mut doc, parse_time) in docs {
+            if !remap.is_identity() {
+                doc.remap_symbols(|s| remap.symbol(s));
+            }
+            if let Some(h) = &corpus.parse_histogram {
+                h.record_duration(parse_time);
+            }
+            corpus.push(doc);
+        }
+        if let Some(e) = err {
+            return Err((corpus.len(), e));
+        }
+    }
+    Ok(corpus)
+}
+
+/// The one per-shard index build, shared by the initial build and
+/// [`Database::compact`] — so a compacted shard is bit-identical to a fresh
+/// build over its survivors.  Derives the sequencing strategy from the
+/// corpus, then runs the parallel build on `pool` (bit-identical to the
+/// sequential build at any width, which a width-1 pool literally is).
+/// Later inserts through `corpus` record `xml.parse` into `registry`.
+pub(crate) fn build_shard_index(
+    config: &BuildConfig,
+    corpus: &mut Corpus,
+    registry: &MetricsRegistry,
+    pool: &Pool,
+) -> XmlIndex {
+    corpus.attach_parse_histogram(registry.histogram("xml.parse"));
+    let strategy = match config.sequencing {
+        Sequencing::DepthFirst => Strategy::DepthFirst,
+        Sequencing::Probability => {
+            let model =
+                ProbabilityModel::estimate(&corpus.docs, &mut corpus.paths, config.sample_cap);
+            let mut weights = WeightMap::default();
+            for (path, w) in &config.boosts {
+                if let Some(p) = resolve_simple_path(path, &corpus.symbols, &corpus.paths) {
+                    weights.set(p, *w);
+                }
+            }
+            Strategy::Probability(model.priorities(&corpus.paths, &weights))
+        }
+    };
+    let index = XmlIndex::build_parallel(
+        &corpus.docs,
+        &mut corpus.paths,
+        strategy,
+        config.plan,
+        Some(IndexTelemetry::register(registry)),
+        pool,
+    );
+    index.configure_delta(config.memtable_limit, config.tier_ratio);
+    index
+}
+
+/// Resolves `/a/b/c` to an interned path id, if every step exists.
+fn resolve_simple_path(path: &str, symbols: &SymbolTable, paths: &PathTable) -> Option<PathId> {
+    let mut cur = PathId::ROOT;
+    for step in path.split('/').filter(|s| !s.is_empty()) {
+        let d = symbols.lookup_designator(step)?;
+        cur = paths.child(cur, xseq_xml::Symbol::elem(d))?;
+    }
+    Some(cur)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::*;
+
+    #[test]
+    fn quickstart_flow() {
+        let db = DatabaseBuilder::new()
+            .build_from_xml([
+                "<project><research><loc>newyork</loc></research></project>",
+                "<project><develop><loc>boston</loc></develop></project>",
+            ])
+            .unwrap();
+        assert_eq!(db.len(), 2);
+        assert_eq!(
+            db.query_xpath("/project//loc[text='boston']").unwrap(),
+            vec![1]
+        );
+        assert_eq!(db.query_xpath("//loc").unwrap(), vec![0, 1]);
+        assert_eq!(db.query_xpath("/project/research").unwrap(), vec![0]);
+    }
+
+    #[test]
+    fn depth_first_database() {
+        let db = DatabaseBuilder::new()
+            .sequencing(Sequencing::DepthFirst)
+            .build_from_xml(["<a><b/></a>", "<a><c/></a>"])
+            .unwrap();
+        assert_eq!(db.query_xpath("/a/b").unwrap(), vec![0]);
+    }
+
+    #[test]
+    fn empty_database_is_an_error() {
+        assert_eq!(
+            DatabaseBuilder::new().build_from_xml([]).err(),
+            Some(Error::EmptyDatabase)
+        );
+    }
+
+    #[test]
+    fn bad_xml_and_bad_query_errors() {
+        let err = DatabaseBuilder::new().build_from_xml(["<a>"]).unwrap_err();
+        assert!(matches!(err, Error::Xml(_)));
+        let db = DatabaseBuilder::new().build_from_xml(["<a/>"]).unwrap();
+        assert!(matches!(db.query_xpath("a"), Err(Error::Query(_))));
+    }
+
+    #[test]
+    fn boost_changes_sequences_not_answers() {
+        let xmls = ["<p><a><x/></a><b/></p>", "<p><a/><b/></p>", "<p><b/></p>"];
+        let plain = DatabaseBuilder::new().build_from_xml(xmls).unwrap();
+        let boosted = DatabaseBuilder::new()
+            .boost("/p/a/x", 100.0)
+            .build_from_xml(xmls)
+            .unwrap();
+        for q in ["/p/a", "/p/b", "/p/a/x", "//x"] {
+            assert_eq!(
+                plain.query_xpath(q).unwrap(),
+                boosted.query_xpath(q).unwrap(),
+                "{q}"
+            );
+        }
+    }
+
+    #[test]
+    fn shared_registry_across_databases() {
+        let reg = std::sync::Arc::new(MetricsRegistry::new());
+        let db1 = DatabaseBuilder::new()
+            .metrics_registry(reg.clone())
+            .build_from_xml(["<a><b/></a>"])
+            .unwrap();
+        let db2 = DatabaseBuilder::new()
+            .metrics_registry(reg.clone())
+            .build_from_xml(["<a><c/></a>"])
+            .unwrap();
+        db1.query_xpath("/a/b").unwrap();
+        db2.query_xpath("/a/c").unwrap();
+        assert_eq!(reg.snapshot().histogram("index.search").unwrap().count, 2);
+    }
+
+    #[test]
+    fn hashed_value_mode() {
+        let db = DatabaseBuilder::new()
+            .value_mode(ValueMode::Hashed { range: 64 })
+            .build_from_xml(["<a><l>boston</l></a>", "<a><l>newyork</l></a>"])
+            .unwrap();
+        let hits = db.query_xpath("/a/l[text='boston']").unwrap();
+        // hashed designators may collide, but boston's own document is
+        // always included
+        assert!(hits.contains(&0));
+    }
+}

@@ -1,0 +1,214 @@
+//! The diagnostics surface: the flight recorder, the continuous phase
+//! profile, and the one-call diagnostics bundle (DESIGN.md §13).
+
+use crate::stats::DatabaseStats;
+use crate::{Database, EventJournal, PhaseNode, PhaseProfile, Sequencing, Trace};
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+/// The continuous profiler's phase tree ([`Database::phase_profile`]):
+/// every span-timer histogram the pipeline maintains, attributed to a
+/// stable two-frame stack (`area;phase`).  Attribution is per phase, not a
+/// strict partition — a compaction replays ingest phases, so nested time
+/// appears under both stacks.
+pub const PHASE_TREE: &[PhaseNode] = &[
+    PhaseNode {
+        metric: "xml.parse",
+        stack: &["ingest", "xml.parse"],
+    },
+    PhaseNode {
+        metric: "sequence.encode",
+        stack: &["ingest", "sequence.encode"],
+    },
+    PhaseNode {
+        metric: "query.parse",
+        stack: &["query", "query.parse"],
+    },
+    PhaseNode {
+        metric: "index.plan",
+        stack: &["query", "index.plan"],
+    },
+    PhaseNode {
+        metric: "index.search",
+        stack: &["query", "index.search"],
+    },
+    PhaseNode {
+        metric: "update.insert",
+        stack: &["update", "update.insert"],
+    },
+    PhaseNode {
+        metric: "update.remove",
+        stack: &["update", "update.remove"],
+    },
+    PhaseNode {
+        metric: "index.merge",
+        stack: &["update", "index.merge"],
+    },
+    PhaseNode {
+        metric: "index.compact",
+        stack: &["update", "index.compact"],
+    },
+];
+
+/// What [`Database::diagnostics`] wrote: the bundle directory and every
+/// artifact file name inside it, in write order (`manifest.json` last).
+#[derive(Debug, Clone)]
+pub struct DiagnosticsReport {
+    /// The bundle directory.
+    pub dir: PathBuf,
+    /// File names written inside [`DiagnosticsReport::dir`].
+    pub files: Vec<&'static str>,
+}
+
+/// Renders the diagnostics bundle's `heap.json`: whole-database byte
+/// attribution plus one entry per shard.
+fn heap_json(stats: &DatabaseStats) -> String {
+    let mut out = format!(
+        "{{\"corpus_bytes\":{},\"index_bytes\":{},\"total_bytes\":{},\"shards\":[",
+        stats.memory.corpus_bytes,
+        stats.memory.index_bytes,
+        stats.memory.total_bytes()
+    );
+    for (i, sh) in stats.shards.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"shard\":{},\"docs\":{},\"corpus_bytes\":{},\"index_bytes\":{},\"total_bytes\":{}}}",
+            i,
+            sh.docs,
+            sh.memory.corpus_bytes,
+            sh.memory.index_bytes,
+            sh.memory.total_bytes()
+        );
+    }
+    out.push_str("]}");
+    out
+}
+
+/// Serializes traces as one JSON array of Chrome trace-event objects.
+fn traces_json(traces: &[Arc<Trace>]) -> String {
+    let mut out = String::from("[");
+    for (i, t) in traces.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&xseq_telemetry::to_chrome_json(t));
+    }
+    out.push(']');
+    out
+}
+
+impl Database {
+    /// The flight recorder: a bounded, always-on journal of
+    /// severity-levelled lifecycle events — builds, inserts, removals,
+    /// compactions, configuration changes, integrity violations and slow
+    /// queries — exportable as JSON Lines via [`EventJournal::to_jsonl`].
+    /// Share the `Arc` with a [`xseq_telemetry::Watchdog`] or an
+    /// [`AnomalyDetector`](crate::AnomalyDetector) to interleave their alerts into this timeline.
+    pub fn events(&self) -> &Arc<EventJournal> {
+        &self.events
+    }
+
+    /// The continuous phase profile: cumulative wall-time attribution per
+    /// pipeline phase, folded from the span-timer histograms every path
+    /// already maintains — always on, sampling-free, and free to read.
+    /// Render with [`PhaseProfile::to_collapsed`] for flamegraph or
+    /// speedscope.
+    pub fn phase_profile(&self) -> PhaseProfile {
+        PhaseProfile::from_snapshot(&self.metrics(), PHASE_TREE)
+    }
+
+    /// Writes a self-contained diagnostics bundle into `dir` (created if
+    /// missing): Prometheus and JSON metric snapshots, the stats report,
+    /// the workload profile, heap attribution, recent and slow traces as
+    /// Chrome trace JSON, the flight-recorder journal as JSON Lines, the
+    /// collapsed phase profile, and a build/config manifest.  One call
+    /// captures everything a bug report needs; `repro --diag DIR` wraps it
+    /// on the command line and `cargo xtask diagcheck DIR` validates it.
+    pub fn diagnostics(&self, dir: impl AsRef<Path>) -> std::io::Result<DiagnosticsReport> {
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
+        // stats() first: it refreshes the memory.* gauges the metric
+        // exporters below then see.
+        let stats = self.stats();
+        let snap = self.metrics();
+        let mut artifacts: Vec<(&'static str, String)> = vec![
+            ("metrics.prom", xseq_telemetry::to_prometheus(&snap)),
+            ("metrics.json", xseq_telemetry::to_json(&snap)),
+            ("stats.txt", stats.render()),
+            ("workload.json", stats.workload.to_json()),
+            ("heap.json", heap_json(&stats)),
+            ("traces_recent.json", traces_json(&self.recent_traces())),
+            ("traces_slow.json", traces_json(&self.slow_queries())),
+            ("events.jsonl", self.events.to_jsonl()),
+            ("profile.collapsed", self.phase_profile().to_collapsed()),
+        ];
+        let manifest = self.manifest_json(&artifacts);
+        artifacts.push(("manifest.json", manifest));
+        let mut files = Vec::with_capacity(artifacts.len());
+        for (name, contents) in &artifacts {
+            std::fs::write(dir.join(name), contents)?;
+            files.push(*name);
+        }
+        Ok(DiagnosticsReport {
+            dir: dir.to_path_buf(),
+            files,
+        })
+    }
+
+    /// The bundle manifest: build/config provenance plus the artifact
+    /// listing (itself included).
+    fn manifest_json(&self, artifacts: &[(&'static str, String)]) -> String {
+        let sequencing = match self.config.sequencing {
+            Sequencing::DepthFirst => "depth_first",
+            Sequencing::Probability => "probability",
+        };
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "{{\"version\":\"{}\",\"sequencing\":\"{}\",\"threads\":{},\"shards\":{},\"docs\":{},\"paths\":{}",
+            env!("CARGO_PKG_VERSION"),
+            sequencing,
+            self.pool.threads(),
+            self.shards.len(),
+            self.doc_map.len(),
+            self.shards.iter().map(|sh| sh.corpus.paths.len()).sum::<usize>()
+        );
+        match self.config.compact_threshold {
+            Some(t) => {
+                let _ = write!(out, ",\"compact_threshold\":{t}");
+            }
+            None => out.push_str(",\"compact_threshold\":null"),
+        }
+        let _ = write!(
+            out,
+            ",\"tracing\":{},\"profiling\":{}",
+            self.tracer.is_some(),
+            self.workload.is_some()
+        );
+        match self.slow_query_threshold() {
+            Some(t) => {
+                let _ = write!(out, ",\"slow_threshold_ns\":{}", t.as_nanos());
+            }
+            None => out.push_str(",\"slow_threshold_ns\":null"),
+        }
+        let _ = write!(out, ",\"event_capacity\":{}", self.events.capacity());
+        out.push_str(",\"files\":[");
+        for (i, name) in artifacts
+            .iter()
+            .map(|(n, _)| *n)
+            .chain(["manifest.json"])
+            .enumerate()
+        {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{name}\"");
+        }
+        out.push_str("]}");
+        out
+    }
+}

@@ -70,6 +70,20 @@ pub use xseq_storage as storage;
 pub use xseq_telemetry as telemetry;
 pub use xseq_xml as xml;
 
+mod builder;
+mod diag;
+// `query` already names the re-exported `xseq-query` crate.
+#[path = "query.rs"]
+mod query_path;
+mod shard;
+mod stats;
+mod update;
+
+pub use builder::{DatabaseBuilder, Sequencing};
+pub use diag::{DiagnosticsReport, PHASE_TREE};
+pub use stats::{DatabaseStats, MemoryStats, ShardStats};
+pub use update::CompactionReport;
+
 pub use xseq_exec::{Pool, Ticker};
 pub use xseq_index::{
     DeltaView, IndexStats, IndexTelemetry, IntegrityReport, InvariantClass, MergeOutcome,
@@ -90,11 +104,12 @@ pub use xseq_xml::{
     ValueMode, XmlError,
 };
 
+use builder::BuildConfig;
+use shard::Shard;
 use std::fmt;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
+use update::{MergeHandles, UpdateGauges};
 use xseq_schema::WorkloadRecorder;
 use xseq_telemetry::{Counter, Gauge, Histogram};
 
@@ -133,969 +148,21 @@ impl From<ParseError> for Error {
     }
 }
 
-/// Which sequencing strategy the database uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sequencing {
-    /// Canonical depth-first (ViST's ordering).
-    DepthFirst,
-    /// The paper's performance-oriented `g_best`: probability-ordered
-    /// constraint sequences, with probabilities estimated by sampling.
-    Probability,
-}
-
-/// Builder for a [`Database`].
-#[derive(Debug)]
-pub struct DatabaseBuilder {
-    sequencing: Sequencing,
-    value_mode: ValueMode,
-    plan: PlanOptions,
-    sample_cap: usize,
-    boosts: Vec<(String, f64)>,
-    registry: Arc<MetricsRegistry>,
-    trace: Option<TraceConfig>,
-    spot_check_rate: f64,
-    threads: usize,
-    shards: usize,
-    compact_threshold: Option<usize>,
-    memtable_limit: usize,
-    tier_ratio: usize,
-    background_merge: Option<Duration>,
-    profiling: bool,
-    event_capacity: usize,
-}
-
-/// The build-time configuration a [`Database`] retains so
-/// [`Database::compact`] can replay the exact original build pipeline over
-/// the surviving documents.
-#[derive(Debug, Clone)]
-struct BuildConfig {
-    sequencing: Sequencing,
-    plan: PlanOptions,
-    sample_cap: usize,
-    boosts: Vec<(String, f64)>,
-    compact_threshold: Option<usize>,
-    memtable_limit: usize,
-    tier_ratio: usize,
-}
-
-impl Default for DatabaseBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DatabaseBuilder {
-    /// A builder with the paper's defaults: probability sequencing, exact
-    /// value interning.
-    pub fn new() -> Self {
-        DatabaseBuilder {
-            sequencing: Sequencing::Probability,
-            value_mode: ValueMode::Intern,
-            plan: PlanOptions::default(),
-            sample_cap: 0,
-            boosts: Vec::new(),
-            registry: Arc::new(MetricsRegistry::new()),
-            trace: None,
-            spot_check_rate: 0.0,
-            threads: 1,
-            shards: 0,
-            compact_threshold: None,
-            memtable_limit: xseq_index::DEFAULT_MEMTABLE_LIMIT,
-            tier_ratio: xseq_index::DEFAULT_TIER_RATIO,
-            background_merge: None,
-            profiling: true,
-            event_capacity: 256,
-        }
-    }
-
-    /// Sets how many flight-recorder events [`Database::events`] retains
-    /// (default 256, clamped to at least 2).  The journal is always on —
-    /// recording an event is a handful of relaxed atomics — so this only
-    /// trades memory for history depth.
-    pub fn event_capacity(mut self, capacity: usize) -> Self {
-        self.event_capacity = capacity;
-        self
-    }
-
-    /// Enables or disables the workload profiler (on by default): every
-    /// executed query is classified into its schema node classes `C` (the
-    /// concrete data paths it searched), and per-class frequency, result
-    /// cardinality and latency accumulate into
-    /// [`Database::workload_profile`] — the observed input for deriving
-    /// `w(C)` (Eq. 6) from live traffic instead of operator guesses.
-    pub fn profiling(mut self, on: bool) -> Self {
-        self.profiling = on;
-        self
-    }
-
-    /// Enables auto-compaction: whenever the outstanding update volume
-    /// (delta sequences + tombstones) reaches `threshold`, the next
-    /// [`Database::insert_document`] / [`Database::remove_document`]
-    /// triggers a [`Database::compact`] automatically.  Off by default
-    /// (compaction is manual).  A `threshold` of 0 is clamped to 1.
-    pub fn auto_compact(mut self, threshold: usize) -> Self {
-        self.compact_threshold = Some(threshold.max(1));
-        self
-    }
-
-    /// Caps how many sequences the tiered delta's raw memtable absorbs
-    /// before it is cut into a frozen L0 run (default
-    /// [`xseq_index::DEFAULT_MEMTABLE_LIMIT`], clamped to ≥ 1).  Smaller
-    /// limits bound the youngest segment a query has to rebuild lazily;
-    /// larger ones amortize the cut cost over more inserts.
-    pub fn memtable_limit(mut self, limit: usize) -> Self {
-        self.memtable_limit = limit.max(1);
-        self
-    }
-
-    /// Sets the LSM size ratio of the tiered delta: when any tier
-    /// accumulates this many runs they merge into a single run of the next
-    /// tier (default [`xseq_index::DEFAULT_TIER_RATIO`], clamped to ≥ 2).
-    /// Merges resolve tombstones as they fold runs together.
-    pub fn tier_ratio(mut self, ratio: usize) -> Self {
-        self.tier_ratio = ratio.max(2);
-        self
-    }
-
-    /// Moves tier merges off the foreground update path onto a background
-    /// `xseq-exec` worker: a ticker fires every `period`, drains every
-    /// shard's due merges, and reports liveness through the
-    /// `health.merge.*` watchdog gauges (ticked by the foreground update
-    /// path, or manually via [`Database::tick_merge_watchdog`]).  Without
-    /// this call merges run inline at the end of each insert.  In-flight
-    /// queries are never disturbed either way: they hold an epoch-stamped
-    /// snapshot of the segment list, and a merge only swaps the published
-    /// list.
-    pub fn background_merge(mut self, period: Duration) -> Self {
-        self.background_merge = Some(period);
-        self
-    }
-
-    /// Sets the worker count for ingest (parallel parse, sequencing, and
-    /// index freeze) and for [`Database::query_batch`].  1 (the default)
-    /// runs everything in place with no thread traffic.
-    ///
-    /// The shard count follows the thread count unless
-    /// [`DatabaseBuilder::shards`] pins it.  At `shards(1)` the built index
-    /// is bit-identical to a single-threaded build at any thread count; a
-    /// sharded build partitions documents instead, and is answer-identical
-    /// (not trie-identical) to the single-shard build.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
-        self
-    }
-
-    /// Sets the number of independent index shards (0, the default, follows
-    /// the thread count).  Documents are hash-routed to shards by id; each
-    /// shard owns its own symbol/path tables, frozen trie, delta segment,
-    /// tombstones and query-context pool, so shards share nothing on the
-    /// hot path.  Queries fan out across shards and k-way merge their
-    /// sorted results — answers, aggregate stats and integrity verdicts
-    /// are identical to a single-shard build over the same corpus.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
-    }
-
-    /// The effective shard count: an explicit [`DatabaseBuilder::shards`]
-    /// wins, otherwise one shard per worker thread.
-    fn resolved_shards(&self) -> usize {
-        if self.shards == 0 {
-            self.threads.max(1)
-        } else {
-            self.shards
-        }
-    }
-
-    /// Enables sampled post-query integrity spot checks: after roughly
-    /// `rate` of all queries (deterministic fixed-point sampling, no RNG)
-    /// the index's structural invariants are re-verified and the report
-    /// lands in [`QueryOutcome::integrity`] — rendered by
-    /// [`QueryOutcome::explain`].  Off by default (`rate = 0.0`); the spot
-    /// check is the cheap structure-only pass, not the full per-sequence
-    /// round-trip of [`Database::verify_integrity`].
-    pub fn integrity_spot_check(mut self, rate: f64) -> Self {
-        self.spot_check_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Enables per-query tracing with the given policy: every
-    /// [`Database::query_xpath_full`] call records a span tree, slow
-    /// queries land in [`Database::slow_queries`], and a
-    /// [`TraceConfig::sample_rate`] fraction of all queries in
-    /// [`Database::recent_traces`].  Without this call queries run
-    /// untraced, at zero tracing cost.
-    pub fn trace_config(mut self, config: TraceConfig) -> Self {
-        self.trace = Some(config);
-        self
-    }
-
-    /// Shares an external registry (e.g. [`MetricsRegistry::global`])
-    /// instead of the private one each builder creates.
-    pub fn metrics_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.registry = registry;
-        self
-    }
-
-    /// Chooses the sequencing strategy.
-    pub fn sequencing(mut self, s: Sequencing) -> Self {
-        self.sequencing = s;
-        self
-    }
-
-    /// Chooses how attribute/text values become designators.
-    pub fn value_mode(mut self, m: ValueMode) -> Self {
-        self.value_mode = m;
-        self
-    }
-
-    /// Caps how many documents the probability estimator samples
-    /// (0 = all).
-    pub fn sample_cap(mut self, cap: usize) -> Self {
-        self.sample_cap = cap;
-        self
-    }
-
-    /// Overrides the planner caps.
-    pub fn plan_options(mut self, plan: PlanOptions) -> Self {
-        self.plan = plan;
-        self
-    }
-
-    /// Boosts the sequencing weight `w(C)` of the node addressed by a simple
-    /// slash path (e.g. `"/site/item/location"`) — the paper's tunable
-    /// mechanism for frequently queried, highly selective elements.
-    pub fn boost(mut self, path: &str, weight: f64) -> Self {
-        self.boosts.push((path.to_owned(), weight));
-        self
-    }
-
-    /// Parses and indexes the given XML documents.
-    ///
-    /// With [`DatabaseBuilder::threads`] above 1, parsing fans out across
-    /// the pool: each worker interns into a private clone of the symbol
-    /// table, and the per-chunk deltas are absorbed back in document order,
-    /// replaying the sequential first-occurrence interning exactly — the
-    /// corpus (ids, interners, documents) is identical to a serial parse.
-    pub fn build_from_xml<'a>(
-        self,
-        xmls: impl IntoIterator<Item = &'a str>,
-    ) -> Result<Database, Error> {
-        if self.resolved_shards() > 1 {
-            return self.build_from_xml_sharded(xmls.into_iter().collect());
-        }
-        let mut corpus = Corpus::new(self.value_mode);
-        corpus.attach_parse_histogram(self.registry.histogram("xml.parse"));
-        let pool = Pool::new(self.threads);
-        if pool.is_sequential() {
-            for xml in xmls {
-                corpus.parse_and_push(xml)?;
-            }
-            return self.build_from_corpus(corpus);
-        }
-        let xmls: Vec<&str> = xmls.into_iter().collect();
-        let base_names = corpus.symbols.designator_count();
-        let base_values = corpus.symbols.values.len();
-        let chunk = pool.chunk_for(xmls.len());
-        let chunks = {
-            let base = &corpus.symbols;
-            // Workers stop at their first parse error; the serial merge
-            // below surfaces the earliest error in document order, exactly
-            // like the sequential loop.
-            pool.map_chunks(&xmls, chunk, |_, slice| {
-                let mut local = base.clone();
-                let mut docs = Vec::with_capacity(slice.len());
-                for xml in slice {
-                    let t0 = std::time::Instant::now();
-                    match xseq_xml::parse_document(xml, &mut local) {
-                        Ok(doc) => docs.push((doc, t0.elapsed())),
-                        Err(e) => return (local, docs, Some(e)),
-                    }
-                }
-                (local, docs, None)
-            })
-        };
-        for (local, docs, err) in chunks {
-            let remap = corpus.symbols.absorb_delta(&local, base_names, base_values);
-            for (mut doc, parse_time) in docs {
-                if !remap.is_identity() {
-                    doc.remap_symbols(|s| remap.symbol(s));
-                }
-                if let Some(h) = &corpus.parse_histogram {
-                    h.record_duration(parse_time);
-                }
-                corpus.push(doc);
-            }
-            if let Some(e) = err {
-                return Err(e.into());
-            }
-        }
-        self.build_from_corpus(corpus)
-    }
-
-    /// [`DatabaseBuilder::build_from_xml`] for a sharded build: documents
-    /// are hash-routed by their would-be id **before** parsing, then each
-    /// shard parses its own subset into its own interners on one worker —
-    /// the parse phase itself is shared-nothing.
-    fn build_from_xml_sharded(self, xmls: Vec<&str>) -> Result<Database, Error> {
-        if xmls.is_empty() {
-            return Err(Error::EmptyDatabase);
-        }
-        let nshards = self.resolved_shards();
-        let mut shard_xmls: Vec<Vec<&str>> = vec![Vec::new(); nshards];
-        let mut doc_map = Vec::with_capacity(xmls.len());
-        let mut global_ids: Vec<Vec<DocId>> = vec![Vec::new(); nshards];
-        for (gid, xml) in xmls.iter().enumerate() {
-            let s = shard_of(gid as DocId, nshards);
-            doc_map.push((s as u32, shard_xmls[s].len() as DocId));
-            global_ids[s].push(gid as DocId);
-            shard_xmls[s].push(xml);
-        }
-        let pool = Pool::new(self.threads);
-        let parse_hist = self.registry.histogram("xml.parse");
-        let mode = self.value_mode;
-        let tasks: Vec<_> = shard_xmls
-            .into_iter()
-            .zip(global_ids.iter())
-            .map(|(sx, gids)| {
-                let hist = parse_hist.clone();
-                move || {
-                    let mut corpus = Corpus::new(mode);
-                    corpus.attach_parse_histogram(hist);
-                    for (i, xml) in sx.iter().enumerate() {
-                        if let Err(e) = corpus.parse_and_push(xml) {
-                            // gids[i] exists for every input: the routing
-                            // loop pushed one gid per xml
-                            return Err((gids[i], e));
-                        }
-                    }
-                    Ok(corpus)
-                }
-            })
-            .collect();
-        let mut corpora = Vec::with_capacity(nshards);
-        let mut first_err: Option<(DocId, XmlError)> = None;
-        for r in pool.run(tasks) {
-            match r {
-                Ok(c) => corpora.push(c),
-                // Workers stop at their first parse error (their own subset
-                // is in document order), so the minimum over shards is the
-                // earliest error in global document order — exactly what
-                // the sequential loop reports.
-                Err((gid, e)) => {
-                    if first_err.as_ref().is_none_or(|(g, _)| gid < *g) {
-                        first_err = Some((gid, e));
-                    }
-                }
-            }
-        }
-        if let Some((_, e)) = first_err {
-            return Err(e.into());
-        }
-        self.finish_build(corpora, doc_map, global_ids)
-    }
-
-    /// Indexes an already-built corpus.
-    ///
-    /// With more than one shard, the corpus is split by re-interning each
-    /// document into its shard's fresh symbol/path tables (arena order is
-    /// parse-encounter order, so stateful re-interning replays a
-    /// from-scratch parse of the shard's subset exactly).
-    pub fn build_from_corpus(self, corpus: Corpus) -> Result<Database, Error> {
-        if corpus.is_empty() {
-            return Err(Error::EmptyDatabase);
-        }
-        let nshards = self.resolved_shards();
-        if nshards <= 1 {
-            let len = corpus.len();
-            let doc_map = (0..len).map(|g| (0u32, g as DocId)).collect();
-            let global_ids = vec![(0..len as DocId).collect()];
-            return self.finish_build(vec![corpus], doc_map, global_ids);
-        }
-        let pool = Pool::new(self.threads);
-        let (corpora, doc_map, global_ids) = split_corpus(&corpus, nshards, &pool);
-        self.finish_build(corpora, doc_map, global_ids)
-    }
-
-    /// Builds one index per shard corpus and assembles the [`Database`].
-    /// Single-shard builds use the parallel (bit-identical) index build on
-    /// the pool; sharded builds run one sequential index build per shard,
-    /// fanned out across the pool — the shard-per-core model.
-    fn finish_build(
-        self,
-        corpora: Vec<Corpus>,
-        doc_map: Vec<(u32, DocId)>,
-        global_ids: Vec<Vec<DocId>>,
-    ) -> Result<Database, Error> {
-        // Register every pipeline phase up front so a fresh database's
-        // snapshot already lists them (at zero), and later inserts through
-        // the shard corpora keep recording xml.parse.
-        let parse_hist = self.registry.histogram("query.parse");
-        let pool_tel = PoolTelemetry::register(&self.registry);
-        let config = BuildConfig {
-            sequencing: self.sequencing,
-            plan: self.plan,
-            sample_cap: self.sample_cap,
-            boosts: self.boosts,
-            compact_threshold: self.compact_threshold,
-            memtable_limit: self.memtable_limit,
-            tier_ratio: self.tier_ratio,
-        };
-        let pool = Pool::new(self.threads);
-        let nshards = corpora.len();
-        let shards: Vec<Shard> = if nshards == 1 {
-            let mut corpus = corpora
-                .into_iter()
-                .next()
-                .expect("finish_build callers pass exactly nshards corpora");
-            corpus.attach_parse_histogram(self.registry.histogram("xml.parse"));
-            let strategy = compute_strategy(&config, &mut corpus);
-            let index = XmlIndex::build_parallel(
-                &corpus.docs,
-                &mut corpus.paths,
-                strategy,
-                config.plan,
-                Some(IndexTelemetry::register(&self.registry)),
-                &pool,
-            );
-            let gids = global_ids
-                .into_iter()
-                .next()
-                .expect("finish_build callers pass exactly nshards id lists");
-            vec![Shard::new(corpus, index, gids)]
-        } else {
-            let registry = &self.registry;
-            let config_ref = &config;
-            let tasks: Vec<_> = corpora
-                .into_iter()
-                .enumerate()
-                .map(|(s, mut corpus)| {
-                    move || {
-                        corpus.attach_parse_histogram(registry.histogram("xml.parse"));
-                        let strategy = compute_strategy(config_ref, &mut corpus);
-                        let index = XmlIndex::build_instrumented(
-                            &corpus.docs,
-                            &mut corpus.paths,
-                            strategy,
-                            config_ref.plan,
-                            Some(IndexTelemetry::register_shard(registry, s, nshards)),
-                        );
-                        (corpus, index)
-                    }
-                })
-                .collect();
-            pool.run(tasks)
-                .into_iter()
-                .zip(global_ids)
-                .map(|((corpus, index), gids)| Shard::new(corpus, index, gids))
-                .collect()
-        };
-        // Register the update-path phases up front so a fresh database's
-        // snapshot already lists them (at zero).
-        let update_insert_hist = self.registry.histogram("update.insert");
-        let update_remove_hist = self.registry.histogram("update.remove");
-        let compact_hist = self.registry.histogram("index.compact");
-        // Workload metrics are registered even when profiling is off, so a
-        // snapshot always lists the family (at zero).
-        let workload_queries = self.registry.counter("workload.queries");
-        let workload_unclassified = self.registry.counter("workload.unclassified");
-        let workload_classes = self.registry.gauge("workload.classes");
-        // The flight recorder is always on; the slow-query threshold arms
-        // from the trace config (and is runtime-tunable either way).
-        let events = Arc::new(EventJournal::new(self.event_capacity));
-        let slow_threshold_ns = self.trace.as_ref().map_or(u64::MAX, |c| {
-            c.slow_threshold.as_nanos().min(u64::MAX as u128) as u64
-        });
-        events.record(
-            Event::new("ingest.build")
-                .attr("docs", doc_map.len() as u64)
-                .attr(
-                    "paths",
-                    shards
-                        .iter()
-                        .map(|sh| sh.corpus.paths.len() as u64)
-                        .sum::<u64>(),
-                )
-                .attr("threads", pool.threads() as u64)
-                .attr("shards", nshards as u64),
-        );
-        // Tiered update path: apply the LSM knobs per shard, publish the
-        // per-shard delta handles for the merge worker, and (optionally)
-        // start the background merge ticker under watchdog supervision.
-        let merge_hist = self.registry.histogram("index.merge");
-        for sh in &shards {
-            sh.index
-                .configure_delta(config.memtable_limit, config.tier_ratio);
-        }
-        let merge_handles: Arc<Mutex<Vec<Arc<TieredDelta>>>> = Arc::new(Mutex::new(
-            shards.iter().map(|sh| sh.index.delta_handle()).collect(),
-        ));
-        let (merge_watchdog, merge_ticker) = match self.background_merge {
-            None => (None, None),
-            Some(period) => {
-                let watchdog = Arc::new(
-                    Watchdog::new(self.registry.clone(), MERGE_STALL_TICKS).events(events.clone()),
-                );
-                let worker = watchdog.register("merge");
-                let handles = merge_handles.clone();
-                let registry = self.registry.clone();
-                let journal = events.clone();
-                let hist = merge_hist.clone();
-                let ticker = Ticker::spawn_named("xseq-merge", period, move || {
-                    worker.set_active(true);
-                    // Clone the handle list out and drop the guard before
-                    // merging: compaction swaps handles under this lock and
-                    // must never wait on a long merge.
-                    let deltas: Vec<Arc<TieredDelta>> = {
-                        let guard = handles.lock().unwrap_or_else(|p| p.into_inner());
-                        guard.clone()
-                    };
-                    let nshards = deltas.len();
-                    let mut merges = 0;
-                    for (s, delta) in deltas.iter().enumerate() {
-                        merges += drain_shard_merges(s, nshards, delta, &registry, &journal, &hist);
-                        worker.beat();
-                    }
-                    if merges > 0 {
-                        refresh_aggregate_gauges(&deltas, &registry);
-                    }
-                    worker.set_active(false);
-                });
-                (Some(watchdog), Some(ticker))
-            }
-        };
-        Ok(Database {
-            shards,
-            doc_map,
-            workload: self.profiling.then(WorkloadRecorder::new),
-            workload_queries,
-            workload_unclassified,
-            workload_classes,
-            registry: self.registry,
-            parse_hist,
-            pool_tel,
-            tracer: self.trace.map(|c| Arc::new(Tracer::new(c))),
-            // 32.32 fixed point: `rate` of all queries fire the spot check.
-            spot_step: (self.spot_check_rate * (1u64 << 32) as f64) as u64,
-            spot_accum: AtomicU64::new(0),
-            pool,
-            config,
-            update_insert_hist,
-            update_remove_hist,
-            compact_hist,
-            merge_hist,
-            merge_handles,
-            merge_ticker,
-            merge_watchdog,
-            events,
-            slow_threshold_ns: AtomicU64::new(slow_threshold_ns),
-        })
-    }
-}
-
-/// Watchdog patience for the background merge worker: flagged stalled
-/// after this many foreground ticks with a frozen heartbeat while active.
-const MERGE_STALL_TICKS: u64 = 3;
-
-/// Drains every size-ratio-triggered merge currently due in one shard's
-/// tiered delta, recording each as an `index.merge` latency sample
-/// bracketed by `compact.tier.start` / `compact.tier.finish`
-/// flight-recorder events, then refreshes the shard's occupancy gauges.
-/// Returns the number of merges performed.  Shared by the background
-/// ticker and the inline (foreground) drain in [`Database::insert_document`].
-fn drain_shard_merges(
-    s: usize,
-    nshards: usize,
-    delta: &TieredDelta,
-    registry: &MetricsRegistry,
-    events: &EventJournal,
-    hist: &Arc<Histogram>,
-) -> usize {
-    let mut merges = 0;
-    while delta.merge_due() {
-        events.record(
-            Event::new("compact.tier.start")
-                .severity(Severity::Debug)
-                .attr("shard", s as u64),
-        );
-        let t0 = Instant::now();
-        let outcome = delta.maybe_merge();
-        let total_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        // None: another thread merged (or cleared) first — `merge_due` is
-        // advisory.  Record the abort and stop; the winner owns the drain.
-        let Some(out) = outcome else {
-            events.record(
-                Event::new("compact.tier.finish")
-                    .severity(Severity::Debug)
-                    .attr("shard", s as u64)
-                    .attr("runs", 0u64),
-            );
-            break;
-        };
-        hist.record(total_ns);
-        merges += 1;
-        events.record(
-            Event::new("compact.tier.finish")
-                .severity(Severity::Debug)
-                .attr("shard", s as u64)
-                .attr("tier", u64::from(out.tier))
-                .attr("runs", out.runs_merged as u64)
-                .attr("docs", out.docs_in as u64)
-                .attr("dropped", out.docs_dropped as u64)
-                .attr("total_ns", total_ns),
-        );
-    }
-    if merges > 0 {
-        let seqs = delta.sequence_count() as i64;
-        let runs = delta.run_count() as i64;
-        if nshards <= 1 {
-            registry.gauge("index.delta.sequences").set(seqs);
-            registry.gauge("index.delta.runs").set(runs);
-        } else {
-            registry
-                .gauge(&format!("index.shard{s}.delta.sequences"))
-                .set(seqs);
-            registry
-                .gauge(&format!("index.shard{s}.delta.runs"))
-                .set(runs);
-        }
-    }
-    merges
-}
-
-/// Re-derives the aggregate `index.delta.*` / `index.tombstones` gauges
-/// from the per-shard delta handles — the multi-shard convention: shards
-/// own their `index.shardN.*` family, whoever mutates maintains the sums.
-/// A no-op with one shard (the plain gauges are the shard's own).
-fn refresh_aggregate_gauges(deltas: &[Arc<TieredDelta>], registry: &MetricsRegistry) {
-    if deltas.len() <= 1 {
-        return;
-    }
-    let mut seqs = 0usize;
-    let mut runs = 0usize;
-    let mut tombs = 0usize;
-    for d in deltas.iter() {
-        seqs += d.sequence_count();
-        runs += d.run_count();
-        tombs += d.tombstones().len();
-    }
-    registry.gauge("index.delta.sequences").set(seqs as i64);
-    registry.gauge("index.delta.runs").set(runs as i64);
-    registry.gauge("index.tombstones").set(tombs as i64);
-}
-
-/// Derives the sequencing strategy the way the original build did — shared
-/// by [`DatabaseBuilder::build_from_corpus`] and [`Database::compact`], so
-/// compaction replays the identical strategy computation over the surviving
-/// documents.
-fn compute_strategy(config: &BuildConfig, corpus: &mut Corpus) -> Strategy {
-    match config.sequencing {
-        Sequencing::DepthFirst => Strategy::DepthFirst,
-        Sequencing::Probability => {
-            let model =
-                ProbabilityModel::estimate(&corpus.docs, &mut corpus.paths, config.sample_cap);
-            let mut weights = WeightMap::default();
-            for (path, w) in &config.boosts {
-                if let Some(p) = resolve_simple_path(path, &corpus.symbols, &corpus.paths) {
-                    weights.set(p, *w);
-                }
-            }
-            Strategy::Probability(model.priorities(&corpus.paths, &weights))
-        }
-    }
-}
-
-/// Routes a global document id to its shard: the splitmix64 finalizer over
-/// the id, reduced mod the shard count — uniform, stateless and
-/// deterministic, so the same corpus always shards the same way.
-fn shard_of(global: DocId, nshards: usize) -> usize {
-    if nshards <= 1 {
-        return 0;
-    }
-    let mut z = (global as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    // PANIC-FREE: nshards > 1 here, so the modulus is never zero
-    ((z ^ (z >> 31)) % nshards as u64) as usize
-}
-
-/// Re-interns one symbol from `old`'s tables into `fresh`'s — the shared
-/// primitive behind corpus splitting and compaction.  Interned values
-/// resolve and re-intern; hashed value ids are stateless (`h(s) mod
-/// range`), so the original id is already what a fresh parse would mint.
-fn reintern_symbol(s: xml::Symbol, old: &SymbolTable, fresh: &mut SymbolTable) -> xml::Symbol {
-    if let Some(d) = s.as_elem() {
-        xml::Symbol::elem(fresh.designator(old.name(d)))
-    } else {
-        let v = s.as_value().expect("a symbol is an element or a value");
-        match old.values.resolve(v) {
-            Some(text) => xml::Symbol::value(fresh.values.intern(text)),
-            None => s,
-        }
-    }
-}
-
-/// Splits a corpus into per-shard corpora by hash-routing each document and
-/// re-interning it into its shard's fresh tables (arena order = parse
-/// encounter order, so the shard corpus is bit-identical to parsing the
-/// subset from scratch).  One worker per shard; every worker scans the
-/// routing table and claims only its own documents, so the split itself is
-/// shared-nothing.  Returns the shard corpora, the global→(shard, local)
-/// map, and the per-shard local→global lists.
-#[allow(clippy::type_complexity)]
-fn split_corpus(
-    corpus: &Corpus,
-    nshards: usize,
-    pool: &Pool,
-) -> (Vec<Corpus>, Vec<(u32, DocId)>, Vec<Vec<DocId>>) {
-    let mode = corpus.symbols.values.mode();
-    let routes: Vec<usize> = (0..corpus.docs.len())
-        .map(|g| shard_of(g as DocId, nshards))
-        .collect();
-    let mut doc_map = Vec::with_capacity(corpus.docs.len());
-    let mut counts = vec![0u32; nshards];
-    for &s in &routes {
-        doc_map.push((s as u32, counts[s] as DocId));
-        counts[s] += 1;
-    }
-    let routes = &routes;
-    let tasks: Vec<_> = (0..nshards)
-        .map(|s| {
-            move || {
-                let mut shard = Corpus::new(mode);
-                let mut gids = Vec::new();
-                for (gid, doc) in corpus.docs.iter().enumerate() {
-                    if routes[gid] != s {
-                        continue;
-                    }
-                    let mut doc = doc.clone();
-                    doc.remap_symbols(|sym| {
-                        reintern_symbol(sym, &corpus.symbols, &mut shard.symbols)
-                    });
-                    shard.push(doc);
-                    gids.push(gid as DocId);
-                }
-                (shard, gids)
-            }
-        })
-        .collect();
-    let (corpora, global_ids) = pool.run(tasks).into_iter().unzip();
-    (corpora, doc_map, global_ids)
-}
-
-/// Re-resolves a tree pattern built against `from`'s symbol tables into
-/// `to`'s id space.  `None` when a named element or interned value is
-/// absent from `to` — the pattern is provably empty for that shard (the
-/// same short-circuit the per-shard read-only query parse uses).
-fn rebind_pattern(p: &TreePattern, from: &SymbolTable, to: &SymbolTable) -> Option<TreePattern> {
-    let rebind = |label: PatternLabel| -> Option<PatternLabel> {
-        match label {
-            PatternLabel::Elem(d) => Some(PatternLabel::Elem(to.lookup_designator(from.name(d))?)),
-            PatternLabel::AnyElem => Some(PatternLabel::AnyElem),
-            PatternLabel::Value(v) => match from.values.resolve(v) {
-                Some(text) => Some(PatternLabel::Value(to.values.lookup(text)?)),
-                // Hashed mode: value ids are stateless, every table agrees.
-                None => Some(PatternLabel::Value(v)),
-            },
-        }
-    };
-    let root = p.root_id();
-    let mut out = TreePattern::with_root_axis(rebind(p.label(root))?, p.axis(root));
-    // `add` appends children after their parents, so a pass in id order
-    // sees every parent first and reproduces the original node ids.
-    for n in p.node_ids().skip(1) {
-        let parent = p
-            .parent(n)
-            .expect("every non-root pattern node has a parent");
-        out.add(parent, p.axis(n), rebind(p.label(n))?);
-    }
-    Some(out)
-}
-
-/// One independent index shard: its own corpus (symbol/path tables and
-/// documents, locally id'd), its own two-segment index, the local→global
-/// id map, and a small pool of reusable query contexts.  Shards share
-/// nothing on the query hot path.
-#[derive(Debug)]
-struct Shard {
-    corpus: Corpus,
-    index: XmlIndex,
-    /// Local doc id → global doc id, ascending (locals are dense and
-    /// assigned in global-id order, so mapping a sorted local result list
-    /// keeps it sorted).
-    global_ids: Vec<DocId>,
-    /// Reusable [`QueryContext`]s for scatter workers; the lock is a leaf,
-    /// held only for a pop/push and never across a search.
-    ctx_pool: Mutex<Vec<QueryContext>>,
-}
-
-/// Cap on pooled contexts per shard — enough for every plausible worker
-/// count without hoarding scratch memory.
-const CTX_POOL_CAP: usize = 16;
-
-impl Shard {
-    fn new(corpus: Corpus, index: XmlIndex, global_ids: Vec<DocId>) -> Self {
-        Shard {
-            corpus,
-            index,
-            global_ids,
-            ctx_pool: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Checks a context out of the shard's pool (fresh when empty or the
-    /// lock is poisoned); the guard drops before any search work.
-    fn checkout_ctx(&self) -> QueryContext {
-        self.ctx_pool
-            .lock()
-            .ok()
-            .and_then(|mut pool| pool.pop())
-            .unwrap_or_default()
-    }
-
-    /// Returns a context to the pool for the next scatter worker.
-    fn checkin_ctx(&self, ctx: QueryContext) {
-        if let Ok(mut pool) = self.ctx_pool.lock() {
-            if pool.len() < CTX_POOL_CAP {
-                pool.push(ctx);
-            }
-        }
-    }
-
-    /// Rewrites a sorted list of this shard's local doc ids to global ids
-    /// (ascending map, so the list stays sorted).
-    fn globalize(&self, docs: &mut [DocId]) {
-        for d in docs {
-            // PANIC-FREE: the shard's trie stores only local ids this shard
-            // minted, and global_ids holds one entry per local id
-            *d = self.global_ids[*d as usize];
-        }
-    }
-
-    /// Outstanding delta sequences + tombstones in this shard.
-    fn pending_updates(&self) -> usize {
-        self.index.pending_updates()
-    }
-}
-
-/// Merges sorted, disjoint per-shard global doc-id lists into one sorted
-/// list — the gather half of a scatter query.  Shards partition the id
-/// space, so there are no duplicates to collapse.
-fn kway_merge(lists: Vec<Vec<DocId>>) -> Vec<DocId> {
-    if lists.len() == 1 {
-        // PANIC-FREE: the length was just checked
-        return lists.into_iter().next().expect("one list");
-    }
-    let total = lists.iter().map(Vec::len).sum();
-    let mut heads = vec![0usize; lists.len()];
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<(usize, DocId)> = None;
-        for (i, list) in lists.iter().enumerate() {
-            // PANIC-FREE: heads and lists are the same length by
-            // construction, and get() bounds-checks the head itself
-            if let Some(&d) = list.get(heads[i]) {
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((i, d));
-                }
-            }
-        }
-        let Some((i, d)) = best else {
-            return out;
-        };
-        // PANIC-FREE: i comes from the enumerate above
-        heads[i] += 1;
-        out.push(d);
-    }
-}
-
-/// Folds one shard's outcome counters into the gathered aggregate: stats
-/// and phase times sum, per-variant descents append, classes union (their
-/// ids live in per-shard path spaces).  Docs are merged separately by
-/// [`kway_merge`].
-fn absorb_shard_outcome(acc: &mut QueryOutcome, shard: QueryOutcome) {
-    acc.stats.instantiations += shard.stats.instantiations;
-    acc.stats.variants += shard.stats.variants;
-    acc.stats.search.candidates += shard.stats.search.candidates;
-    acc.stats.search.cover_rejections += shard.stats.search.cover_rejections;
-    acc.stats.search.completions += shard.stats.search.completions;
-    acc.stats.search.link_probes += shard.stats.search.link_probes;
-    acc.stats.search.scratch_reuses += shard.stats.search.scratch_reuses;
-    acc.stats.plan_ns += shard.stats.plan_ns;
-    acc.stats.encode_ns += shard.stats.encode_ns;
-    acc.stats.search_ns += shard.stats.search_ns;
-    acc.stats.pool_hits += shard.stats.pool_hits;
-    acc.stats.pool_misses += shard.stats.pool_misses;
-    acc.classes.extend(shard.classes);
-    acc.descents.extend(shard.descents);
-}
-
-/// Renders the diagnostics bundle's `heap.json`: whole-database byte
-/// attribution plus one entry per shard.
-fn heap_json(stats: &DatabaseStats) -> String {
-    use fmt::Write as _;
-    let mut out = format!(
-        "{{\"corpus_bytes\":{},\"index_bytes\":{},\"total_bytes\":{},\"shards\":[",
-        stats.memory.corpus_bytes,
-        stats.memory.index_bytes,
-        stats.memory.total_bytes()
-    );
-    for (i, sh) in stats.shards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"shard\":{},\"docs\":{},\"corpus_bytes\":{},\"index_bytes\":{},\"total_bytes\":{}}}",
-            i,
-            sh.docs,
-            sh.memory.corpus_bytes,
-            sh.memory.index_bytes,
-            sh.memory.total_bytes()
-        );
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Serializes traces as one JSON array of Chrome trace-event objects.
-fn traces_json(traces: &[Arc<Trace>]) -> String {
-    let mut out = String::from("[");
-    for (i, t) in traces.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&xseq_telemetry::to_chrome_json(t));
-    }
-    out.push(']');
-    out
-}
-
-/// Resolves `/a/b/c` to an interned path id, if every step exists.
-fn resolve_simple_path(path: &str, symbols: &SymbolTable, paths: &PathTable) -> Option<PathId> {
-    let mut cur = PathId::ROOT;
-    for step in path.split('/').filter(|s| !s.is_empty()) {
-        let d = symbols.lookup_designator(step)?;
-        cur = paths.child(cur, xseq_xml::Symbol::elem(d))?;
-    }
-    Some(cur)
-}
-
 /// A corpus plus its constraint-sequence index: the top-level handle.
 ///
-/// Since the shard-per-core refactor a database is **N independent
-/// shards** ([`DatabaseBuilder::shards`], default = thread count):
-/// documents are hash-routed to shards by id, each shard owns its own
-/// symbol/path tables, frozen trie, delta segment, tombstones and query
-/// scratch, and queries scatter across shards and k-way merge their
-/// sorted results.  Global doc ids stay dense; a global→(shard, local)
-/// map preserves the single-shard numbering exactly.
+/// A database is **N ≥ 1 independent shards**
+/// ([`DatabaseBuilder::shards`], default = thread count): documents are
+/// hash-routed to shards by id, each shard owns its own symbol/path
+/// tables, frozen trie, delta segment and tombstones, and every query
+/// runs one pipeline over the shards and k-way merges their sorted
+/// results.  Global doc ids stay dense; a global→(shard, local) map keeps
+/// the numbering independent of the shard count.
 ///
 /// A built database is `Send + Sync` and all query entry points take
 /// `&self`: queries never intern (symbols absent from a shard's tables
 /// prove the query empty *for that shard*), so any number of threads may
 /// share one database — [`Database::query_batch`] does exactly that on
-/// the builder's pool.  Mutation ([`Database::insert_xml`]) still
+/// the builder's pool.  Mutation ([`Database::insert_document`]) still
 /// requires `&mut self`.
 #[derive(Debug)]
 pub struct Database {
@@ -1138,9 +205,11 @@ pub struct Database {
     /// `index.merge` — per-tier-merge latency (its own family, so merge
     /// time never double-counts under `index.compact`).
     merge_hist: Arc<Histogram>,
+    /// The overlay occupancy gauges (`index.delta.*`, `index.tombstones`).
+    update_gauges: UpdateGauges,
     /// Per-shard tiered-delta handles shared with the background merge
-    /// worker; compaction swaps a rebuilt shard's handle in under the lock.
-    merge_handles: Arc<Mutex<Vec<Arc<TieredDelta>>>>,
+    /// worker.
+    merge_handles: MergeHandles,
     /// The background merge worker, when the builder enabled
     /// [`DatabaseBuilder::background_merge`]; dropping the database stops
     /// and joins it.
@@ -1157,185 +226,6 @@ pub struct Database {
     slow_threshold_ns: AtomicU64,
 }
 
-/// What one [`Database::compact`] did: sizes before/after, and the doc-id
-/// renumbering it applied.
-///
-/// Compaction renumbers documents densely (tombstoned ids disappear, the
-/// survivors close ranks in order) — exactly the ids a from-scratch build
-/// over the surviving documents would assign.  `remap[old]` gives the new
-/// id of old document `old`, or `None` if it was tombstoned.
-#[derive(Debug, Clone)]
-pub struct CompactionReport {
-    /// Documents (frozen + delta) before compaction.
-    pub docs_before: usize,
-    /// Surviving documents after compaction.
-    pub docs_after: usize,
-    /// Tombstones dropped for good.
-    pub tombstones_dropped: usize,
-    /// Delta sequences folded into the frozen segment.
-    pub delta_merged: usize,
-    /// Old id → new id (`None` for tombstoned documents).
-    pub remap: Vec<Option<DocId>>,
-}
-
-/// The continuous profiler's phase tree ([`Database::phase_profile`]):
-/// every span-timer histogram the pipeline maintains, attributed to a
-/// stable two-frame stack (`area;phase`).  Attribution is per phase, not a
-/// strict partition — a compaction replays ingest phases, so nested time
-/// appears under both stacks.
-pub const PHASE_TREE: &[PhaseNode] = &[
-    PhaseNode {
-        metric: "xml.parse",
-        stack: &["ingest", "xml.parse"],
-    },
-    PhaseNode {
-        metric: "sequence.encode",
-        stack: &["ingest", "sequence.encode"],
-    },
-    PhaseNode {
-        metric: "query.parse",
-        stack: &["query", "query.parse"],
-    },
-    PhaseNode {
-        metric: "index.plan",
-        stack: &["query", "index.plan"],
-    },
-    PhaseNode {
-        metric: "index.search",
-        stack: &["query", "index.search"],
-    },
-    PhaseNode {
-        metric: "update.insert",
-        stack: &["update", "update.insert"],
-    },
-    PhaseNode {
-        metric: "update.remove",
-        stack: &["update", "update.remove"],
-    },
-    PhaseNode {
-        metric: "index.merge",
-        stack: &["update", "index.merge"],
-    },
-    PhaseNode {
-        metric: "index.compact",
-        stack: &["update", "index.compact"],
-    },
-];
-
-/// What [`Database::diagnostics`] wrote: the bundle directory and every
-/// artifact file name inside it, in write order (`manifest.json` last).
-#[derive(Debug, Clone)]
-pub struct DiagnosticsReport {
-    /// The bundle directory.
-    pub dir: PathBuf,
-    /// File names written inside [`DiagnosticsReport::dir`].
-    pub files: Vec<&'static str>,
-}
-
-/// Modelled heap attribution of one database ([`Database::stats`]): bytes
-/// per component under the [`HeapSize`] accounting rules (capacity-based,
-/// validated against a counting allocator within 5%).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoryStats {
-    /// Corpus heap: interners (names, values, paths) plus document arenas.
-    pub corpus_bytes: usize,
-    /// Index heap: both trie segments, tombstones, the wildcard dictionary
-    /// and the strategy's priority tables.
-    pub index_bytes: usize,
-}
-
-impl MemoryStats {
-    /// Total modelled footprint — the `memory.total.bytes` gauge.
-    pub fn total_bytes(&self) -> usize {
-        self.corpus_bytes + self.index_bytes
-    }
-}
-
-/// One shard's slice of a [`DatabaseStats`] report.
-#[derive(Debug, Clone)]
-pub struct ShardStats {
-    /// Documents routed to this shard (tombstoned ids included until
-    /// compaction).
-    pub docs: usize,
-    /// Paths interned by this shard's own table, counting ε.
-    pub paths: usize,
-    /// The shard's index shape report.
-    pub index: xseq_index::IndexStats,
-    /// The shard's modelled heap attribution.
-    pub memory: MemoryStats,
-}
-
-/// The database-wide observability report of [`Database::stats`].
-#[derive(Debug, Clone)]
-pub struct DatabaseStats {
-    /// Indexed documents (tombstoned ids included until compaction).
-    pub docs: usize,
-    /// Interned designator paths, counting ε — summed over shard tables,
-    /// so shared prefixes count once per shard that interned them.
-    pub paths: usize,
-    /// Deep index shape statistics (frozen ∪ delta walk), aggregated over
-    /// every shard.
-    pub index: xseq_index::IndexStats,
-    /// Modelled heap attribution per component, summed over shards.
-    pub memory: MemoryStats,
-    /// Cumulative `storage.pool.*` counters from the registry.
-    pub pool: PoolStats,
-    /// Snapshot of the workload profiler (empty when profiling is off).
-    pub workload: WorkloadProfile,
-    /// Per-shard breakdown (one entry for a single-shard database).
-    pub shards: Vec<ShardStats>,
-}
-
-impl DatabaseStats {
-    /// Renders the full report as an indented text block.
-    pub fn render(&self) -> String {
-        use fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "database: {} docs | {} paths | {} shard(s)",
-            self.docs,
-            self.paths,
-            self.shards.len()
-        );
-        out.push_str(&self.index.render());
-        if self.shards.len() > 1 {
-            for (i, sh) in self.shards.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "  shard {i}: {} docs | {} paths | frozen {} seq | delta {} seq | tombstones {} | {} B",
-                    sh.docs,
-                    sh.paths,
-                    sh.index.frozen.sequences,
-                    sh.index.delta.sequences,
-                    sh.index.tombstones,
-                    sh.memory.total_bytes()
-                );
-            }
-        }
-        let _ = writeln!(
-            out,
-            "  memory: corpus {} B + index {} B = {} B",
-            self.memory.corpus_bytes,
-            self.memory.index_bytes,
-            self.memory.total_bytes()
-        );
-        let _ = writeln!(
-            out,
-            "  pool: {} hits, {} misses, {} evictions",
-            self.pool.hits, self.pool.misses, self.pool.evictions
-        );
-        let _ = writeln!(
-            out,
-            "  workload: {} queries over {} classes ({} unclassified)",
-            self.workload.queries(),
-            self.workload.len(),
-            self.workload.unclassified()
-        );
-        out
-    }
-}
-
 // Compile-time guarantee behind the concurrency model: one frozen database
 // is shareable across threads as-is.
 const _: () = {
@@ -1344,479 +234,11 @@ const _: () = {
 };
 
 impl Database {
-    /// Answers an XPath-subset query with document ids.
-    pub fn query_xpath(&self, expr: &str) -> Result<Vec<DocId>, Error> {
-        Ok(self.query_xpath_full(expr)?.docs)
-    }
-
-    /// Like [`Database::query_xpath`] but returns the work counters too —
-    /// and, when the database was built with
-    /// [`DatabaseBuilder::trace_config`], the query's span tree in
-    /// [`QueryOutcome::trace`].
-    pub fn query_xpath_full(&self, expr: &str) -> Result<QueryOutcome, Error> {
-        self.query_xpath_ctx(expr, &mut QueryContext::new(), true)
-    }
-
-    /// The first shard, for single-shard accessors.
+    /// The first shard: builders reject empty corpora, so a database always
+    /// holds at least one.
     fn shard0(&self) -> &Shard {
-        // PANIC-FREE: builders reject empty corpora, so a database always
-        // holds at least one shard
+        // PANIC-FREE: see above — `shards` is never empty
         &self.shards[0]
-    }
-
-    /// One query against a caller-owned [`QueryContext`] (scratch reuse);
-    /// the batch path runs one context per worker.  When profiling is on,
-    /// the executed query lands in the workload profiler: its classes are
-    /// the concrete data paths the search descended
-    /// ([`QueryOutcome::classes`]), its latency the wall time of the whole
-    /// parse → plan → search pipeline.
-    fn query_xpath_ctx(
-        &self,
-        expr: &str,
-        ctx: &mut QueryContext,
-        scatter: bool,
-    ) -> Result<QueryOutcome, Error> {
-        // ORDERING: config — advisory read; no memory is published through it.
-        let slow_ns = self.slow_threshold_ns.load(Ordering::Relaxed);
-        if self.workload.is_none() && slow_ns == u64::MAX {
-            return self.query_xpath_inner(expr, ctx, scatter);
-        }
-        let t0 = Instant::now();
-        let out = self.query_xpath_inner(expr, ctx, scatter)?;
-        let elapsed_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        if let Some(recorder) = &self.workload {
-            recorder.record(&out.classes, out.docs.len() as u64, elapsed_ns);
-            self.workload_queries.inc();
-            if out.classes.is_empty() {
-                self.workload_unclassified.inc();
-            }
-            self.workload_classes.set(recorder.class_count() as i64);
-        }
-        if elapsed_ns >= slow_ns {
-            self.events.record(
-                Event::new("query.slow")
-                    .severity(Severity::Warn)
-                    .message(expr)
-                    .attr("total_ns", elapsed_ns)
-                    .attr("docs", out.docs.len() as u64),
-            );
-        }
-        Ok(out)
-    }
-
-    /// [`Database::query_xpath_ctx`] without the profiling wrapper.
-    ///
-    /// `scatter` allows a multi-shard query to fan out across the worker
-    /// pool; batch workers pass `false` (their parallelism already comes
-    /// from the batch level, and nested fan-out would oversubscribe).
-    fn query_xpath_inner(
-        &self,
-        expr: &str,
-        ctx: &mut QueryContext,
-        scatter: bool,
-    ) -> Result<QueryOutcome, Error> {
-        if self.shards.len() > 1 {
-            return self.query_sharded(expr, scatter);
-        }
-        let sh = self.shard0();
-        let Some(tracer) = self.tracer.clone() else {
-            let pattern = xseq_query::parse_xpath_readonly_instrumented(
-                expr,
-                &sh.corpus.symbols,
-                &self.parse_hist,
-            )?;
-            // None: the expression names a symbol no indexed document
-            // contains — provably empty, no descent needed.
-            let mut out = match &pattern {
-                Some(p) => sh.index.query_with(p, &sh.corpus.paths, ctx),
-                None => QueryOutcome::default(),
-            };
-            self.maybe_spot_check(&mut out);
-            return Ok(out);
-        };
-        let mut active = tracer.begin(expr);
-        let pool0 = (self.pool_tel.hits.get(), self.pool_tel.misses.get());
-        let pattern = match xseq_query::parse_xpath_readonly_traced(
-            expr,
-            &sh.corpus.symbols,
-            &self.parse_hist,
-            &mut active,
-        ) {
-            Ok(p) => p,
-            Err(e) => {
-                // a failed parse still finishes its trace: the time was
-                // spent, and a slow failure is still a slow query
-                active.root_attr("error", e.to_string());
-                tracer.finish(active);
-                return Err(e.into());
-            }
-        };
-        let mut out = match &pattern {
-            Some(p) => sh.index.query_traced(p, &sh.corpus.paths, &mut active),
-            None => QueryOutcome::default(),
-        };
-        out.stats.pool_hits = self.pool_tel.hits.get().saturating_sub(pool0.0);
-        out.stats.pool_misses = self.pool_tel.misses.get().saturating_sub(pool0.1);
-        active.root_attr("docs", out.docs.len() as u64);
-        active.root_attr("candidates", out.stats.search.candidates);
-        active.root_attr("pool_hits", out.stats.pool_hits);
-        active.root_attr("pool_misses", out.stats.pool_misses);
-        self.maybe_spot_check(&mut out);
-        if let Some(report) = &out.integrity {
-            active.root_attr("integrity", report.summary());
-        }
-        out.trace = Some(tracer.finish(active));
-        Ok(out)
-    }
-
-    /// One shard's share of a scatter query: the expression re-resolves
-    /// against the shard's own interners (an absent symbol proves the
-    /// shard empty — `Ok(None)`, no descent), the shard's index answers
-    /// with local ids, and the result list rewrites to global ids.
-    fn query_shard(&self, sh: &Shard, expr: &str) -> Result<Option<QueryOutcome>, ParseError> {
-        let Some(pattern) = xseq_query::parse_xpath_readonly_instrumented(
-            expr,
-            &sh.corpus.symbols,
-            &self.parse_hist,
-        )?
-        else {
-            return Ok(None);
-        };
-        let mut ctx = sh.checkout_ctx();
-        let mut out = sh.index.query_with(&pattern, &sh.corpus.paths, &mut ctx);
-        sh.checkin_ctx(ctx);
-        sh.globalize(&mut out.docs);
-        Ok(Some(out))
-    }
-
-    /// A query over every shard: scatter (on the pool when `scatter` is
-    /// set and the pool has workers, else a sequential shard loop), then
-    /// gather — sorted per-shard doc lists k-way merge, counters sum.
-    fn query_sharded(&self, expr: &str, scatter: bool) -> Result<QueryOutcome, Error> {
-        if let Some(tracer) = self.tracer.clone() {
-            return self.query_sharded_traced(expr, &tracer);
-        }
-        let per_shard: Vec<Result<Option<QueryOutcome>, ParseError>> =
-            if scatter && !self.pool.is_sequential() {
-                let tasks: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|sh| move || self.query_shard(sh, expr))
-                    .collect();
-                self.pool.run(tasks)
-            } else {
-                self.shards
-                    .iter()
-                    .map(|sh| self.query_shard(sh, expr))
-                    .collect()
-            };
-        let mut out = QueryOutcome::default();
-        let mut lists = Vec::with_capacity(per_shard.len());
-        for r in per_shard {
-            if let Some(mut shard_out) = r? {
-                lists.push(std::mem::take(&mut shard_out.docs));
-                absorb_shard_outcome(&mut out, shard_out);
-            }
-        }
-        out.docs = kway_merge(lists);
-        out.classes.sort_unstable();
-        out.classes.dedup();
-        self.maybe_spot_check(&mut out);
-        Ok(out)
-    }
-
-    /// The traced variant of [`Database::query_sharded`]: shards run
-    /// sequentially under one span tree (per-shard parse and descent spans
-    /// nest below the root, which carries the shard count).
-    fn query_sharded_traced(
-        &self,
-        expr: &str,
-        tracer: &Arc<Tracer>,
-    ) -> Result<QueryOutcome, Error> {
-        let mut active = tracer.begin(expr);
-        active.root_attr("shards", self.shards.len() as u64);
-        let pool0 = (self.pool_tel.hits.get(), self.pool_tel.misses.get());
-        let mut out = QueryOutcome::default();
-        let mut lists = Vec::with_capacity(self.shards.len());
-        for sh in &self.shards {
-            let pattern = match xseq_query::parse_xpath_readonly_traced(
-                expr,
-                &sh.corpus.symbols,
-                &self.parse_hist,
-                &mut active,
-            ) {
-                Ok(p) => p,
-                Err(e) => {
-                    // a failed parse still finishes its trace: the time was
-                    // spent, and a slow failure is still a slow query
-                    active.root_attr("error", e.to_string());
-                    tracer.finish(active);
-                    return Err(e.into());
-                }
-            };
-            if let Some(p) = &pattern {
-                let mut shard_out = sh.index.query_traced(p, &sh.corpus.paths, &mut active);
-                sh.globalize(&mut shard_out.docs);
-                lists.push(std::mem::take(&mut shard_out.docs));
-                absorb_shard_outcome(&mut out, shard_out);
-            }
-        }
-        out.docs = kway_merge(lists);
-        out.classes.sort_unstable();
-        out.classes.dedup();
-        out.stats.pool_hits = self.pool_tel.hits.get().saturating_sub(pool0.0);
-        out.stats.pool_misses = self.pool_tel.misses.get().saturating_sub(pool0.1);
-        active.root_attr("docs", out.docs.len() as u64);
-        active.root_attr("candidates", out.stats.search.candidates);
-        active.root_attr("pool_hits", out.stats.pool_hits);
-        active.root_attr("pool_misses", out.stats.pool_misses);
-        self.maybe_spot_check(&mut out);
-        if let Some(report) = &out.integrity {
-            active.root_attr("integrity", report.summary());
-        }
-        out.trace = Some(tracer.finish(active));
-        Ok(out)
-    }
-
-    /// Answers many XPath queries on the builder's worker pool, returning
-    /// one result per expression in input order.  Equivalent to (and, on a
-    /// sequential pool, literally) a serial `query_xpath` loop; workers
-    /// share the database read-only and reuse one [`QueryContext`] per
-    /// chunk.  On a sharded database each worker walks the shards
-    /// sequentially — the parallelism already comes from the batch level.
-    pub fn query_batch(&self, exprs: &[&str]) -> Vec<Result<Vec<DocId>, Error>> {
-        let chunk = self.pool.chunk_for(exprs.len());
-        self.pool
-            .map_chunks(exprs, chunk, |_, slice| {
-                let mut ctx = QueryContext::new();
-                slice
-                    .iter()
-                    .map(|expr| Ok(self.query_xpath_ctx(expr, &mut ctx, false)?.docs))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    /// Fires the sampled post-query integrity spot check when the
-    /// fixed-point accumulator crosses an integer boundary (exactly `rate`
-    /// of all queries, deterministically — concurrent queries each claim a
-    /// disjoint accumulator window, so the rate holds under sharing too).
-    fn maybe_spot_check(&self, out: &mut QueryOutcome) {
-        if self.spot_step == 0 {
-            return;
-        }
-        // ORDERING: sample — a pure sampling accumulator; each query claims
-        // its window with the RMW alone and no other memory is published
-        // through it.
-        let prev = self.spot_accum.fetch_add(self.spot_step, Ordering::Relaxed);
-        if (prev.wrapping_add(self.spot_step) >> 32) != (prev >> 32) {
-            let report = self.verify_structure_all();
-            self.record_integrity_violation(&report);
-            out.integrity = Some(report);
-        }
-    }
-
-    /// The cheap structure-only verification pass over every shard, merged
-    /// into one report (the spot check's work).
-    fn verify_structure_all(&self) -> IntegrityReport {
-        let mut report = IntegrityReport::default();
-        for sh in &self.shards {
-            report.merge(sh.index.verify_structure());
-        }
-        report
-    }
-
-    /// Flight-records an `integrity.violation` event when a verification
-    /// report is not clean (shared by the spot check and the full pass).
-    fn record_integrity_violation(&self, report: &IntegrityReport) {
-        if report.is_clean() {
-            return;
-        }
-        self.events.record(
-            Event::new("integrity.violation")
-                .severity(Severity::Error)
-                .message(report.summary())
-                .attr("violations", report.violations.len() as u64),
-        );
-    }
-
-    /// Full integrity verification of the index: preorder-label nesting and
-    /// subtree extents, path-link order and coverage, sibling-cover
-    /// bookkeeping, the end-node registry, and every distinct stored
-    /// constraint sequence's `f2` validity (Eq. 3) and Theorem 1 round-trip.
-    ///
-    /// Exhaustive — intended for `repro --verify`, tests, and offline
-    /// checks, not the query hot path (see
-    /// [`DatabaseBuilder::integrity_spot_check`] for the sampled in-band
-    /// variant).
-    pub fn verify_integrity(&mut self) -> IntegrityReport {
-        let mut report = IntegrityReport::default();
-        for sh in &mut self.shards {
-            report.merge(sh.index.verify_integrity(&mut sh.corpus.paths));
-        }
-        self.record_integrity_violation(&report);
-        report
-    }
-
-    /// The tracer behind this database's per-query tracing, if enabled.
-    pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.tracer.as_ref()
-    }
-
-    /// The slow-query log: every query whose wall time met
-    /// [`TraceConfig::slow_threshold`], oldest first, each with its full
-    /// span tree, the serialized query expression (the trace name), and
-    /// metric deltas as root-span attributes.  Empty when tracing is off.
-    pub fn slow_queries(&self) -> Vec<Arc<Trace>> {
-        self.tracer
-            .as_ref()
-            .map_or_else(Vec::new, |t| t.slow_queries())
-    }
-
-    /// The head-sampled recent traces, oldest first.  Empty when tracing is
-    /// off.
-    pub fn recent_traces(&self) -> Vec<Arc<Trace>> {
-        self.tracer
-            .as_ref()
-            .map_or_else(Vec::new, |t| t.recent_traces())
-    }
-
-    /// The flight recorder: a bounded, always-on journal of
-    /// severity-levelled lifecycle events — builds, inserts, removals,
-    /// compactions, configuration changes, integrity violations and slow
-    /// queries — exportable as JSON Lines via [`EventJournal::to_jsonl`].
-    /// Share the `Arc` with a [`xseq_telemetry::Watchdog`] or an
-    /// [`AnomalyDetector`] to interleave their alerts into this timeline.
-    pub fn events(&self) -> &Arc<EventJournal> {
-        &self.events
-    }
-
-    /// Runtime-tunes the slow-query threshold: any query at least this
-    /// slow records a `query.slow` flight-recorder event, and when tracing
-    /// is on the tracer's slow-log threshold moves in lockstep.  Works
-    /// with or without tracing (untraced databases start disarmed); the
-    /// change itself is recorded as a `config.slow_query_threshold` event.
-    pub fn set_slow_query_threshold(&self, threshold: Duration) {
-        let ns = threshold.as_nanos().min(u64::MAX as u128) as u64;
-        // ORDERING: config — advisory value read per query; no memory is
-        // published through it.
-        self.slow_threshold_ns.store(ns, Ordering::Relaxed);
-        if let Some(tracer) = &self.tracer {
-            tracer.set_slow_threshold(threshold);
-        }
-        self.events
-            .record(Event::new("config.slow_query_threshold").attr("threshold_ns", ns));
-    }
-
-    /// The current slow-query threshold, or `None` when disarmed (the
-    /// default for untraced databases).
-    pub fn slow_query_threshold(&self) -> Option<Duration> {
-        // ORDERING: config — advisory read.
-        let ns = self.slow_threshold_ns.load(Ordering::Relaxed);
-        (ns != u64::MAX).then(|| Duration::from_nanos(ns))
-    }
-
-    /// The continuous phase profile: cumulative wall-time attribution per
-    /// pipeline phase, folded from the span-timer histograms every path
-    /// already maintains — always on, sampling-free, and free to read.
-    /// Render with [`PhaseProfile::to_collapsed`] for flamegraph or
-    /// speedscope.
-    pub fn phase_profile(&self) -> PhaseProfile {
-        PhaseProfile::from_snapshot(&self.metrics(), PHASE_TREE)
-    }
-
-    /// Writes a self-contained diagnostics bundle into `dir` (created if
-    /// missing): Prometheus and JSON metric snapshots, the stats report,
-    /// the workload profile, heap attribution, recent and slow traces as
-    /// Chrome trace JSON, the flight-recorder journal as JSON Lines, the
-    /// collapsed phase profile, and a build/config manifest.  One call
-    /// captures everything a bug report needs; `repro --diag DIR` wraps it
-    /// on the command line and `cargo xtask diagcheck DIR` validates it.
-    pub fn diagnostics(&self, dir: impl AsRef<Path>) -> std::io::Result<DiagnosticsReport> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        // stats() first: it refreshes the memory.* gauges the metric
-        // exporters below then see.
-        let stats = self.stats();
-        let snap = self.metrics();
-        let mut artifacts: Vec<(&'static str, String)> = vec![
-            ("metrics.prom", xseq_telemetry::to_prometheus(&snap)),
-            ("metrics.json", xseq_telemetry::to_json(&snap)),
-            ("stats.txt", stats.render()),
-            ("workload.json", stats.workload.to_json()),
-            ("heap.json", heap_json(&stats)),
-            ("traces_recent.json", traces_json(&self.recent_traces())),
-            ("traces_slow.json", traces_json(&self.slow_queries())),
-            ("events.jsonl", self.events.to_jsonl()),
-            ("profile.collapsed", self.phase_profile().to_collapsed()),
-        ];
-        let manifest = self.manifest_json(&artifacts);
-        artifacts.push(("manifest.json", manifest));
-        let mut files = Vec::with_capacity(artifacts.len());
-        for (name, contents) in &artifacts {
-            std::fs::write(dir.join(name), contents)?;
-            files.push(*name);
-        }
-        Ok(DiagnosticsReport {
-            dir: dir.to_path_buf(),
-            files,
-        })
-    }
-
-    /// The bundle manifest: build/config provenance plus the artifact
-    /// listing (itself included).
-    fn manifest_json(&self, artifacts: &[(&'static str, String)]) -> String {
-        use fmt::Write as _;
-        let sequencing = match self.config.sequencing {
-            Sequencing::DepthFirst => "depth_first",
-            Sequencing::Probability => "probability",
-        };
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"version\":\"{}\",\"sequencing\":\"{}\",\"threads\":{},\"shards\":{},\"docs\":{},\"paths\":{}",
-            env!("CARGO_PKG_VERSION"),
-            sequencing,
-            self.pool.threads(),
-            self.shards.len(),
-            self.doc_map.len(),
-            self.shards.iter().map(|sh| sh.corpus.paths.len()).sum::<usize>()
-        );
-        match self.config.compact_threshold {
-            Some(t) => {
-                let _ = write!(out, ",\"compact_threshold\":{t}");
-            }
-            None => out.push_str(",\"compact_threshold\":null"),
-        }
-        let _ = write!(
-            out,
-            ",\"tracing\":{},\"profiling\":{}",
-            self.tracer.is_some(),
-            self.workload.is_some()
-        );
-        match self.slow_query_threshold() {
-            Some(t) => {
-                let _ = write!(out, ",\"slow_threshold_ns\":{}", t.as_nanos());
-            }
-            None => out.push_str(",\"slow_threshold_ns\":null"),
-        }
-        let _ = write!(out, ",\"event_capacity\":{}", self.events.capacity());
-        out.push_str(",\"files\":[");
-        for (i, name) in artifacts
-            .iter()
-            .map(|(n, _)| *n)
-            .chain(["manifest.json"])
-            .enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\"");
-        }
-        out.push_str("]}");
-        out
     }
 
     /// A point-in-time snapshot of every pipeline metric: the `xml.parse`,
@@ -1838,525 +260,14 @@ impl Database {
         PoolTelemetry::register(&self.registry)
     }
 
-    /// A snapshot of the accumulated workload profile: per-class query
-    /// frequency, result cardinality and latency for every schema node
-    /// class touched so far — the Eq. 6 input for deriving `w(C)` from
-    /// live traffic.  Empty when the builder disabled
-    /// [`DatabaseBuilder::profiling`].
-    pub fn workload_profile(&self) -> WorkloadProfile {
-        self.workload
-            .as_ref()
-            .map(WorkloadRecorder::snapshot)
-            .unwrap_or_default()
-    }
-
-    /// Hands off the accumulated profile and starts a fresh epoch (e.g.
-    /// feed the returned profile to a re-sequencing pass while new traffic
-    /// accumulates separately).  Empty when profiling is off.
-    pub fn take_workload_profile(&self) -> WorkloadProfile {
-        self.workload
-            .as_ref()
-            .map(WorkloadRecorder::take)
-            .unwrap_or_default()
-    }
-
-    /// The database-wide observability report: deep index shape statistics
-    /// (a read-only walk over frozen ∪ delta), modelled heap attribution,
-    /// cumulative pool counters and the current workload profile.
-    ///
-    /// As a side effect the `memory.corpus.bytes`, `memory.index.bytes`
-    /// and `memory.total.bytes` gauges are refreshed, so a metrics
-    /// snapshot taken after `stats()` carries the attribution too.
-    pub fn stats(&self) -> DatabaseStats {
-        let shards: Vec<ShardStats> = self
-            .shards
-            .iter()
-            .map(|sh| ShardStats {
-                docs: sh.corpus.len(),
-                paths: sh.corpus.paths.len(),
-                index: sh.index.stats(),
-                memory: MemoryStats {
-                    corpus_bytes: sh.corpus.heap_bytes(),
-                    index_bytes: sh.index.heap_bytes(),
-                },
-            })
-            .collect();
-        let mut shard_iter = shards.iter();
-        let mut index = shard_iter
-            .next()
-            .map(|sh| sh.index.clone())
-            .unwrap_or_default();
-        for sh in shard_iter {
-            index.merge(&sh.index);
-        }
-        let memory = MemoryStats {
-            corpus_bytes: shards.iter().map(|s| s.memory.corpus_bytes).sum(),
-            index_bytes: shards.iter().map(|s| s.memory.index_bytes).sum(),
-        };
-        self.registry
-            .gauge("memory.corpus.bytes")
-            .set(memory.corpus_bytes as i64);
-        self.registry
-            .gauge("memory.index.bytes")
-            .set(memory.index_bytes as i64);
-        self.registry
-            .gauge("memory.total.bytes")
-            .set(memory.total_bytes() as i64);
-        DatabaseStats {
-            docs: self.doc_map.len(),
-            paths: shards.iter().map(|s| s.paths).sum(),
-            index,
-            memory,
-            pool: PoolStats {
-                hits: self.pool_tel.hits.get(),
-                misses: self.pool_tel.misses.get(),
-                evictions: self.pool_tel.evictions.get(),
-            },
-            workload: self.workload_profile(),
-            shards,
-        }
-    }
-
-    /// Answers a pre-built tree pattern.  The pattern's labels are bound
-    /// to shard 0's symbol tables (see [`Database::corpus_mut`]); for the
-    /// other shards each label is re-bound to the local interner, and a
-    /// shard lacking any label provably matches nothing and is skipped.
-    pub fn query_pattern(&self, pattern: &TreePattern) -> QueryOutcome {
-        if self.shards.len() == 1 {
-            let sh = self.shard0();
-            return sh.index.query(pattern, &sh.corpus.paths);
-        }
-        let mut acc = QueryOutcome::default();
-        let mut lists = Vec::with_capacity(self.shards.len());
-        let from = &self.shard0().corpus.symbols;
-        for (s, sh) in self.shards.iter().enumerate() {
-            let local = if s == 0 {
-                Some(pattern.clone())
-            } else {
-                rebind_pattern(pattern, from, &sh.corpus.symbols)
-            };
-            let Some(local) = local else { continue };
-            let mut out = sh.index.query(&local, &sh.corpus.paths);
-            sh.globalize(&mut out.docs);
-            lists.push(std::mem::take(&mut out.docs));
-            absorb_shard_outcome(&mut acc, out);
-        }
-        acc.docs = kway_merge(lists);
-        acc.classes.sort_unstable();
-        acc.classes.dedup();
-        acc
-    }
-
     /// The worker pool shared by ingest and [`Database::query_batch`].
     pub fn pool(&self) -> Pool {
         self.pool
     }
 
-    /// Adds one document through the update path: the XML is parsed into
-    /// the shared corpus (new element names and values intern *here*, never
-    /// at query time), sequenced with the index's strategy, and appended to
-    /// the in-memory **delta segment** — the frozen trie is untouched, and
-    /// the very next query sees the document (queries run over
-    /// *frozen ∪ delta − tombstones*).
-    ///
-    /// Returns the new document's id.  When the builder enabled
-    /// [`DatabaseBuilder::auto_compact`] and this insert crosses the
-    /// threshold, a [`Database::compact`] runs inline and the returned id
-    /// is the **post-compaction** id.
-    pub fn insert_document(&mut self, xml: &str) -> Result<DocId, Error> {
-        let id = self.insert_one(xml)?;
-        if let Some(remap) = self.auto_compact_if_needed() {
-            let new_id =
-                remap[id as usize].expect("freshly inserted document survives its own compaction");
-            return Ok(new_id);
-        }
-        Ok(id)
-    }
-
-    /// The shared insert kernel: routes the document to its shard by the
-    /// global-id hash, parses into that shard's corpus (new element names
-    /// and values intern *there*, never at query time), and appends to the
-    /// shard's delta segment.  No auto-compaction check.
-    fn insert_one(&mut self, xml: &str) -> Result<DocId, Error> {
-        let timer = SpanTimer::new(self.update_insert_hist.clone());
-        let global = self.doc_map.len() as DocId;
-        let s = shard_of(global, self.shards.len());
-        // PANIC-FREE: shard_of reduces modulo self.shards.len()
-        let sh = &mut self.shards[s];
-        let local = sh.corpus.parse_and_push(xml)?;
-        // PANIC-FREE: parse_and_push returned local as the freshly pushed
-        // document's index
-        let doc = &sh.corpus.docs[local as usize];
-        sh.index.insert_delta(doc, local, &mut sh.corpus.paths);
-        sh.global_ids.push(global);
-        self.doc_map.push((s as u32, local));
-        if self.merge_ticker.is_none() {
-            // Inline mode: fold due merges right here, keeping the run
-            // count logarithmic without a background worker.  Only this
-            // shard's memtable was cut, so only it can be due.
-            let sh = &self.shards[s];
-            drain_shard_merges(
-                s,
-                self.shards.len(),
-                sh.index.delta(),
-                &self.registry,
-                &self.events,
-                &self.merge_hist,
-            );
-        } else {
-            self.tick_merge_watchdog();
-        }
-        self.refresh_update_gauges();
-        let total_ns = timer.finish();
-        self.events.record(
-            Event::new("ingest.insert")
-                .severity(Severity::Debug)
-                .attr("doc", global as u64)
-                .attr("shard", s as u64)
-                .attr("total_ns", total_ns),
-        );
-        Ok(global)
-    }
-
-    /// [`Database::insert_document`] for a batch: all documents join the
-    /// delta segment, then a single auto-compaction check runs at the end,
-    /// so the returned ids are consistent with each other.  On a parse
-    /// error the documents before it remain inserted.
-    pub fn insert_documents<'a>(
-        &mut self,
-        xmls: impl IntoIterator<Item = &'a str>,
-    ) -> Result<Vec<DocId>, Error> {
-        let mut ids = Vec::new();
-        for xml in xmls {
-            ids.push(self.insert_one(xml)?);
-        }
-        if let Some(remap) = self.auto_compact_if_needed() {
-            for id in &mut ids {
-                *id = remap[*id as usize]
-                    .expect("freshly inserted documents survive their own compaction");
-            }
-        }
-        Ok(ids)
-    }
-
-    /// Removes a document: its id is tombstoned and stops appearing in any
-    /// query result immediately; [`Database::compact`] later drops the
-    /// document (and its sequences) for good.  Returns `false` when `id`
-    /// does not exist or was already removed.
-    pub fn remove_document(&mut self, id: DocId) -> bool {
-        let Some(&(s, local)) = self.doc_map.get(id as usize) else {
-            return false;
-        };
-        let timer = SpanTimer::new(self.update_remove_hist.clone());
-        // PANIC-FREE: doc_map entries name the shard that minted them
-        let fresh = self.shards[s as usize].index.remove_doc(local);
-        let total_ns = timer.finish();
-        if fresh {
-            self.tick_merge_watchdog();
-            self.refresh_update_gauges();
-            self.events.record(
-                Event::new("ingest.remove")
-                    .severity(Severity::Debug)
-                    .attr("doc", id as u64)
-                    .attr("shard", u64::from(s))
-                    .attr("total_ns", total_ns),
-            );
-            self.auto_compact_if_needed();
-        }
-        fresh
-    }
-
-    /// Runs the configured auto-compaction policy: with one shard the
-    /// whole database compacts once total pending updates reach the
-    /// threshold (the historical behaviour); with several, each shard is
-    /// checked **independently** and only the shards over the threshold
-    /// compact — the per-shard schedulability the shard split buys.
-    /// Returns the global remap when anything compacted.
-    fn auto_compact_if_needed(&mut self) -> Option<Vec<Option<DocId>>> {
-        let threshold = self.config.compact_threshold?;
-        let due: Vec<usize> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(_, sh)| sh.pending_updates() >= threshold)
-            .map(|(s, _)| s)
-            .collect();
-        if self.shards.len() == 1 {
-            let total: usize = self.shards.iter().map(Shard::pending_updates).sum();
-            if total >= threshold {
-                return Some(self.compact().remap);
-            }
-            return None;
-        }
-        if due.is_empty() {
-            return None;
-        }
-        Some(self.compact_shards(&due).remap)
-    }
-
-    /// Drains every pending tier merge across all shards on the calling
-    /// thread, returning the number of merges performed.  This is exactly
-    /// what the background worker does once per period; call it directly
-    /// to quiesce the tiered delta deterministically (tests and benchmarks
-    /// do).  Queries holding an older [`DeltaView`] keep their segment set
-    /// — a merge only swaps the published list.
-    pub fn run_pending_merges(&self) -> usize {
-        let nshards = self.shards.len();
-        let mut merges = 0;
-        for (s, sh) in self.shards.iter().enumerate() {
-            merges += drain_shard_merges(
-                s,
-                nshards,
-                sh.index.delta(),
-                &self.registry,
-                &self.events,
-                &self.merge_hist,
-            );
-        }
-        if merges > 0 {
-            self.refresh_update_gauges();
-        }
-        merges
-    }
-
-    /// Advances the background-merge watchdog one tick and returns the
-    /// names of any workers currently flagged stalled (empty without
-    /// [`DatabaseBuilder::background_merge`]).  The foreground update path
-    /// ticks automatically on every insert/remove; call this from an
-    /// external supervision loop when the database is otherwise idle.
-    pub fn tick_merge_watchdog(&self) -> Vec<String> {
-        self.merge_watchdog
-            .as_ref()
-            .map_or_else(Vec::new, |w| w.tick())
-    }
-
-    /// True when a background merge worker is running.
-    pub fn has_background_merge(&self) -> bool {
-        self.merge_ticker.is_some()
-    }
-
-    /// Folds the delta segment and tombstones back into a single frozen
-    /// segment by replaying the original build pipeline — parallel
-    /// part-sort → k-way merge → `bulk_load_presorted` → `freeze_parallel`
-    /// — over the **surviving** documents.
-    ///
-    /// The surviving documents are re-interned into fresh symbol/path
-    /// tables in document order (a document's arena order is its parse
-    /// encounter order, so stateful re-interning replays the original
-    /// first-occurrence interning exactly), the sequencing strategy is
-    /// re-derived the way [`DatabaseBuilder`] derived it, and ids renumber
-    /// densely — the result is **bit-identical** to building a fresh
-    /// database from the survivors' XML.  `verify_integrity()` and the
-    /// Theorem 1/2 invariants therefore keep holding after any update
-    /// history.
-    pub fn compact(&mut self) -> CompactionReport {
-        let all: Vec<usize> = (0..self.shards.len()).collect();
-        self.compact_shards(&all)
-    }
-
-    /// [`Database::compact`] for one shard — the independently schedulable
-    /// unit the shard split buys: only shard `s`'s delta and tombstones
-    /// fold into its frozen segment; every other shard's structures are
-    /// untouched.  Global doc ids still renumber densely across the whole
-    /// database (the returned remap covers every document), so callers
-    /// can compact shards one at a time between query waves.
-    pub fn compact_shard(&mut self, s: usize) -> CompactionReport {
-        assert!(s < self.shards.len(), "shard index out of range");
-        self.compact_shards(&[s])
-    }
-
-    /// The shared compaction kernel: rebuilds each selected shard from its
-    /// surviving documents, then renumbers global ids densely by walking
-    /// the old global order (survivors keep their relative order, so the
-    /// per-shard local→global maps stay ascending and merged query results
-    /// stay sorted).
-    fn compact_shards(&mut self, which: &[usize]) -> CompactionReport {
-        let timer = SpanTimer::new(self.compact_hist.clone());
-        let nshards = self.shards.len();
-        let docs_before = self.doc_map.len();
-        let tombstones_dropped: usize = which
-            .iter()
-            .map(|&s| self.shards[s].index.tombstones().len())
-            .sum();
-        let delta_merged: usize = which
-            .iter()
-            .map(|&s| self.shards[s].index.delta().sequence_count())
-            .sum();
-        self.events.record(
-            Event::new("compact.start")
-                .attr("docs", docs_before as u64)
-                .attr("tombstones", tombstones_dropped as u64)
-                .attr("delta", delta_merged as u64),
-        );
-        let mut local_remaps: Vec<Option<Vec<Option<DocId>>>> = vec![None; nshards];
-        for &s in which {
-            // PANIC-FREE: compact_shard bounds-checks and compact
-            // enumerates 0..nshards
-            let sh = &mut self.shards[s];
-            let mode = sh.corpus.symbols.values.mode();
-            let mut symbols = SymbolTable::with_value_mode(mode);
-            let locals = sh.corpus.docs.len();
-            let mut remap: Vec<Option<DocId>> = vec![None; locals];
-            let mut docs = Vec::with_capacity(locals);
-            {
-                let old = &sh.corpus.symbols;
-                let tombstones = sh.index.tombstones();
-                for (id, doc) in sh.corpus.docs.iter().enumerate() {
-                    if tombstones.contains(id as DocId) {
-                        continue;
-                    }
-                    let mut doc = doc.clone();
-                    // Arena order = parse encounter order, so interning
-                    // through the fresh tables here replays a from-scratch
-                    // parse.
-                    doc.remap_symbols(|sym| reintern_symbol(sym, old, &mut symbols));
-                    remap[id] = Some(docs.len() as DocId);
-                    docs.push(doc);
-                }
-            }
-            let mut fresh = Corpus::new(mode);
-            fresh.symbols = symbols;
-            for doc in docs {
-                fresh.push(doc);
-            }
-            fresh.attach_parse_histogram(self.registry.histogram("xml.parse"));
-            let strategy = compute_strategy(&self.config, &mut fresh);
-            let index = if nshards == 1 {
-                XmlIndex::build_parallel(
-                    &fresh.docs,
-                    &mut fresh.paths,
-                    strategy,
-                    self.config.plan,
-                    Some(IndexTelemetry::register(&self.registry)),
-                    &self.pool,
-                )
-            } else {
-                // Shards are rebuilt the same way finish_build built them,
-                // so a compacted shard stays bit-identical to a fresh
-                // build over its survivors.
-                XmlIndex::build_instrumented(
-                    &fresh.docs,
-                    &mut fresh.paths,
-                    strategy,
-                    self.config.plan,
-                    Some(IndexTelemetry::register_shard(&self.registry, s, nshards)),
-                )
-            };
-            sh.corpus = fresh;
-            sh.index = index;
-            sh.index
-                .configure_delta(self.config.memtable_limit, self.config.tier_ratio);
-            local_remaps[s] = Some(remap);
-            if nshards == 1 {
-                self.registry.gauge("index.delta.sequences").set(0);
-                self.registry.gauge("index.delta.runs").set(0);
-                self.registry.gauge("index.tombstones").set(0);
-            } else {
-                self.registry
-                    .gauge(&format!("index.shard{s}.delta.sequences"))
-                    .set(0);
-                self.registry
-                    .gauge(&format!("index.shard{s}.delta.runs"))
-                    .set(0);
-                self.registry
-                    .gauge(&format!("index.shard{s}.tombstones"))
-                    .set(0);
-            }
-        }
-        // Swap the rebuilt shards' fresh delta handles in for the
-        // background merge worker (the old handles die with the last
-        // in-flight snapshot).
-        {
-            let mut handles = self.merge_handles.lock().unwrap_or_else(|p| p.into_inner());
-            for &s in which {
-                // PANIC-FREE: handles is built with one entry per shard
-                handles[s] = self.shards[s].index.delta_handle();
-            }
-        }
-        // Dense global renumbering: walk the old global order.  A shard's
-        // locals appear in ascending global order (routing is sticky and
-        // locals mint sequentially), so pushing survivors in walk order
-        // rebuilds each shard's global_ids aligned with its local ids.
-        let old_map = std::mem::take(&mut self.doc_map);
-        let mut remap: Vec<Option<DocId>> = vec![None; docs_before];
-        for sh in &mut self.shards {
-            sh.global_ids.clear();
-        }
-        for (g, (s, local)) in old_map.into_iter().enumerate() {
-            let su = s as usize;
-            let new_local = match &local_remaps[su] {
-                // An untouched shard keeps every local id.
-                None => Some(local),
-                // PANIC-FREE: the shard's remap is sized to its old corpus
-                Some(lr) => lr[local as usize],
-            };
-            let Some(new_local) = new_local else { continue };
-            let new_global = self.doc_map.len() as DocId;
-            // PANIC-FREE: su comes from a doc_map entry naming its shard
-            debug_assert_eq!(new_local as usize, self.shards[su].global_ids.len());
-            self.shards[su].global_ids.push(new_global);
-            self.doc_map.push((s, new_local));
-            remap[g] = Some(new_global);
-        }
-        self.refresh_update_gauges();
-        let total_ns = timer.finish();
-        self.events.record(
-            Event::new("compact.finish")
-                .attr("docs", self.doc_map.len() as u64)
-                .attr("dropped", tombstones_dropped as u64)
-                .attr("merged", delta_merged as u64)
-                .attr("total_ns", total_ns),
-        );
-        CompactionReport {
-            docs_before,
-            docs_after: self.doc_map.len(),
-            tombstones_dropped,
-            delta_merged,
-            remap,
-        }
-    }
-
-    /// Re-derives the aggregate `index.delta.sequences` and
-    /// `index.tombstones` gauges from the shards.  With one shard the
-    /// index telemetry sets the plain gauges itself; with several, each
-    /// shard only sets its `index.shardN.*` family (gauges are `set`, so
-    /// shards sharing one would clobber each other) and this sums them.
-    fn refresh_update_gauges(&self) {
-        if self.shards.len() <= 1 {
-            return;
-        }
-        let delta: usize = self
-            .shards
-            .iter()
-            .map(|sh| sh.index.delta().sequence_count())
-            .sum();
-        let runs: usize = self
-            .shards
-            .iter()
-            .map(|sh| sh.index.delta().run_count())
-            .sum();
-        let tomb: usize = self
-            .shards
-            .iter()
-            .map(|sh| sh.index.tombstones().len())
-            .sum();
-        self.registry
-            .gauge("index.delta.sequences")
-            .set(delta as i64);
-        self.registry.gauge("index.delta.runs").set(runs as i64);
-        self.registry.gauge("index.tombstones").set(tomb as i64);
-    }
-
-    /// Adds one more document.  Alias of [`Database::insert_document`] —
-    /// the historical name, kept for compatibility; both use the delta
-    /// path.
-    pub fn insert_xml(&mut self, xml: &str) -> Result<DocId, Error> {
-        self.insert_document(xml)
-    }
-
-    /// The underlying index — shard 0's.  With `shards(1)` (the
-    /// historical configuration) this is the whole database's index; with
-    /// more, use [`Database::shard_index`] to reach the others.
+    /// The underlying index — shard 0's.  With `shards(1)` this is the
+    /// whole database's index; with more, use [`Database::shard_index`] to
+    /// reach the others.
     pub fn index(&self) -> &XmlIndex {
         &self.shard0().index
     }
@@ -2371,7 +282,7 @@ impl Database {
     /// Mutable access to shard 0's corpus, e.g. for interning query
     /// symbols when hand-building a [`TreePattern`].
     pub fn corpus_mut(&mut self) -> &mut Corpus {
-        // PANIC-FREE: finish_build always creates at least one shard
+        // PANIC-FREE: `shards` is never empty (see `shard0`)
         &mut self.shards[0].corpus
     }
 
@@ -2385,19 +296,6 @@ impl Database {
         &self.shards[s].index
     }
 
-    /// Shard `s`'s corpus.
-    pub fn shard_corpus(&self, s: usize) -> &Corpus {
-        &self.shards[s].corpus
-    }
-
-    /// Where global document `id` lives: `(shard, local id)`, or `None`
-    /// for an id this database never minted.
-    pub fn doc_location(&self, id: DocId) -> Option<(usize, DocId)> {
-        self.doc_map
-            .get(id as usize)
-            .map(|&(s, local)| (s as usize, local))
-    }
-
     /// Number of indexed documents.
     pub fn len(&self) -> usize {
         self.doc_map.len()
@@ -2406,820 +304,5 @@ impl Database {
     /// True when the database holds no documents (never, post-build).
     pub fn is_empty(&self) -> bool {
         self.doc_map.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quickstart_flow() {
-        let db = DatabaseBuilder::new()
-            .build_from_xml([
-                "<project><research><loc>newyork</loc></research></project>",
-                "<project><develop><loc>boston</loc></develop></project>",
-            ])
-            .unwrap();
-        assert_eq!(db.len(), 2);
-        assert_eq!(
-            db.query_xpath("/project//loc[text='boston']").unwrap(),
-            vec![1]
-        );
-        assert_eq!(db.query_xpath("//loc").unwrap(), vec![0, 1]);
-        assert_eq!(db.query_xpath("/project/research").unwrap(), vec![0]);
-    }
-
-    #[test]
-    fn depth_first_database() {
-        let db = DatabaseBuilder::new()
-            .sequencing(Sequencing::DepthFirst)
-            .build_from_xml(["<a><b/></a>", "<a><c/></a>"])
-            .unwrap();
-        assert_eq!(db.query_xpath("/a/b").unwrap(), vec![0]);
-    }
-
-    #[test]
-    fn empty_database_is_an_error() {
-        assert_eq!(
-            DatabaseBuilder::new().build_from_xml([]).err(),
-            Some(Error::EmptyDatabase)
-        );
-    }
-
-    #[test]
-    fn bad_xml_and_bad_query_errors() {
-        let err = DatabaseBuilder::new().build_from_xml(["<a>"]).unwrap_err();
-        assert!(matches!(err, Error::Xml(_)));
-        let db = DatabaseBuilder::new().build_from_xml(["<a/>"]).unwrap();
-        assert!(matches!(db.query_xpath("a"), Err(Error::Query(_))));
-    }
-
-    #[test]
-    fn insert_then_query() {
-        let mut db = DatabaseBuilder::new()
-            .build_from_xml(["<a><b/></a>"])
-            .unwrap();
-        let id = db.insert_xml("<a><c/></a>").unwrap();
-        assert_eq!(id, 1);
-        assert_eq!(db.query_xpath("/a/c").unwrap(), vec![1]);
-    }
-
-    #[test]
-    fn boost_changes_sequences_not_answers() {
-        let xmls = ["<p><a><x/></a><b/></p>", "<p><a/><b/></p>", "<p><b/></p>"];
-        let plain = DatabaseBuilder::new().build_from_xml(xmls).unwrap();
-        let boosted = DatabaseBuilder::new()
-            .boost("/p/a/x", 100.0)
-            .build_from_xml(xmls)
-            .unwrap();
-        for q in ["/p/a", "/p/b", "/p/a/x", "//x"] {
-            assert_eq!(
-                plain.query_xpath(q).unwrap(),
-                boosted.query_xpath(q).unwrap(),
-                "{q}"
-            );
-        }
-    }
-
-    #[test]
-    fn metrics_contain_every_pipeline_phase() {
-        let db = DatabaseBuilder::new()
-            .build_from_xml(["<a><b>x</b></a>", "<a><c/></a>"])
-            .unwrap();
-        db.query_xpath("/a/b").unwrap();
-        let snap = db.metrics();
-        for phase in [
-            "xml.parse",
-            "sequence.encode",
-            "query.parse",
-            "index.plan",
-            "index.search",
-            "storage.pool",
-        ] {
-            assert!(snap.has_prefix(phase), "missing phase {phase}");
-        }
-        // ingestion and the query each left latency samples behind
-        assert_eq!(snap.histogram("xml.parse").unwrap().count, 2);
-        assert_eq!(snap.histogram("query.parse").unwrap().count, 1);
-        assert_eq!(snap.histogram("index.plan").unwrap().count, 1);
-        assert_eq!(snap.histogram("index.search").unwrap().count, 1);
-        // sequence.encode sampled at build (2 docs) and at query (1)
-        assert_eq!(snap.histogram("sequence.encode").unwrap().count, 3);
-        assert!(snap.counter("index.search.candidates") > 0);
-    }
-
-    #[test]
-    fn query_phases_accumulate_and_delta() {
-        let mut db = DatabaseBuilder::new()
-            .build_from_xml(["<a><b/></a>"])
-            .unwrap();
-        let before = db.metrics();
-        db.query_xpath("/a/b").unwrap();
-        db.query_xpath("//b").unwrap();
-        let delta = db.metrics().delta(&before);
-        assert_eq!(delta.histogram("index.search").unwrap().count, 2);
-        assert_eq!(delta.histogram("query.parse").unwrap().count, 2);
-        // insert_xml keeps recording xml.parse through the same histogram
-        db.insert_xml("<a><c/></a>").unwrap();
-        assert_eq!(db.metrics().histogram("xml.parse").unwrap().count, 2);
-    }
-
-    #[test]
-    fn shared_registry_across_databases() {
-        let reg = std::sync::Arc::new(MetricsRegistry::new());
-        let db1 = DatabaseBuilder::new()
-            .metrics_registry(reg.clone())
-            .build_from_xml(["<a><b/></a>"])
-            .unwrap();
-        let db2 = DatabaseBuilder::new()
-            .metrics_registry(reg.clone())
-            .build_from_xml(["<a><c/></a>"])
-            .unwrap();
-        db1.query_xpath("/a/b").unwrap();
-        db2.query_xpath("/a/c").unwrap();
-        assert_eq!(reg.snapshot().histogram("index.search").unwrap().count, 2);
-    }
-
-    #[test]
-    fn pool_telemetry_reaches_database_registry() {
-        use xseq_storage::{write_paged_trie, MemStore, PagedTrie};
-        let mut db = DatabaseBuilder::new()
-            .build_from_xml(["<a><b/></a>", "<a><c/></a>"])
-            .unwrap();
-        let mut store = MemStore::new();
-        write_paged_trie(db.index().trie(), &mut store).unwrap();
-        let paged = PagedTrie::open(store, 4).unwrap();
-        paged.attach_pool_telemetry(db.pool_telemetry());
-        let pattern = parse_xpath("/a/b", &mut db.corpus_mut().symbols).unwrap();
-        let strategy = db.index().strategy().clone();
-        for qdoc in xseq_index::instantiate(
-            &pattern,
-            &db.corpus().paths,
-            db.index().data_paths(),
-            db.index().options(),
-        ) {
-            let qs = xseq_index::QuerySequence::from_document(
-                &qdoc,
-                &mut db.corpus_mut().paths,
-                &strategy,
-            );
-            let _ = xseq_index::tree_search(&paged, &qs);
-        }
-        let snap = db.metrics();
-        assert!(snap.counter("storage.pool.misses") > 0);
-        let st = paged.pool_stats();
-        assert_eq!(
-            st.hits + st.misses,
-            snap.counter("storage.pool.hits") + snap.counter("storage.pool.misses")
-        );
-        assert!(st.hit_ratio().is_some());
-    }
-
-    #[test]
-    fn traced_query_lands_in_slow_log() {
-        let db = DatabaseBuilder::new()
-            .trace_config(TraceConfig {
-                sample_rate: 1.0,
-                slow_threshold: std::time::Duration::ZERO,
-                recent_capacity: 8,
-                slow_capacity: 8,
-            })
-            .build_from_xml(["<a><b>x</b></a>", "<a><c/></a>"])
-            .unwrap();
-        let out = db.query_xpath_full("/a/b").unwrap();
-        let trace = out.trace.clone().expect("tracing is on");
-        assert!(trace.slow && trace.sampled);
-        let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
-        for n in [
-            "query",
-            "query.parse",
-            "index.plan",
-            "sequence.encode",
-            "trie.descent",
-            "search.link_probes",
-        ] {
-            assert!(names.contains(&n), "{n} missing from {names:?}");
-        }
-        // every child is bracketed by its parent
-        for s in &trace.spans {
-            if let Some(p) = s.parent {
-                let parent = trace.span(p);
-                assert!(parent.start_ns <= s.start_ns && s.end_ns <= parent.end_ns);
-            }
-        }
-        let slow = db.slow_queries();
-        assert_eq!(slow.len(), 1);
-        assert_eq!(slow[0].name, "/a/b", "serialized query retained");
-        assert_eq!(slow[0].id, trace.id);
-        let json = slow[0].to_chrome_json();
-        assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(
-            out.explain().contains("trie.descent"),
-            "explain shows spans"
-        );
-        assert_eq!(db.recent_traces().len(), 1);
-        assert!(db.tracer().unwrap().stats().started >= 1);
-    }
-
-    #[test]
-    fn untraced_database_has_no_tracing_surface() {
-        let db = DatabaseBuilder::new().build_from_xml(["<a/>"]).unwrap();
-        let out = db.query_xpath_full("/a").unwrap();
-        assert!(out.trace.is_none());
-        assert!(db.slow_queries().is_empty());
-        assert!(db.recent_traces().is_empty());
-        assert!(db.tracer().is_none());
-    }
-
-    #[test]
-    fn failed_parse_still_traces() {
-        let db = DatabaseBuilder::new()
-            .trace_config(TraceConfig {
-                sample_rate: 0.0,
-                slow_threshold: std::time::Duration::ZERO,
-                recent_capacity: 4,
-                slow_capacity: 4,
-            })
-            .build_from_xml(["<a/>"])
-            .unwrap();
-        assert!(db.query_xpath("not an xpath").is_err());
-        let slow = db.slow_queries();
-        assert_eq!(slow.len(), 1);
-        assert!(slow[0].root().attrs.iter().any(|(k, _)| *k == "error"));
-    }
-
-    #[test]
-    fn verify_integrity_is_clean_for_built_databases() {
-        // Single document, then a few more — both strategies.
-        for seq in [Sequencing::DepthFirst, Sequencing::Probability] {
-            let mut db = DatabaseBuilder::new()
-                .sequencing(seq)
-                .build_from_xml(["<a><b>x</b></a>"])
-                .unwrap();
-            let report = db.verify_integrity();
-            assert!(report.is_clean(), "{seq:?} single doc: {}", report.render());
-            db.insert_xml("<a><c/><c><d/></c></a>").unwrap();
-            db.insert_xml("<a><b>y</b><c/></a>").unwrap();
-            let report = db.verify_integrity();
-            assert!(report.is_clean(), "{seq:?} grown: {}", report.render());
-            assert!(report.sequences_checked >= 2);
-        }
-    }
-
-    #[test]
-    fn spot_check_fires_at_the_configured_rate() {
-        let db = DatabaseBuilder::new()
-            .integrity_spot_check(0.5)
-            .build_from_xml(["<a><b/></a>"])
-            .unwrap();
-        let mut fired = 0;
-        for _ in 0..10 {
-            let out = db.query_xpath_full("/a/b").unwrap();
-            if let Some(report) = &out.integrity {
-                assert!(report.is_clean(), "{}", report.render());
-                assert!(out.explain().contains("integrity: clean"));
-                fired += 1;
-            }
-        }
-        assert_eq!(fired, 5, "fixed-point sampling is exact");
-    }
-
-    #[test]
-    fn spot_check_is_off_by_default() {
-        let db = DatabaseBuilder::new().build_from_xml(["<a/>"]).unwrap();
-        for _ in 0..5 {
-            assert!(db.query_xpath_full("/a").unwrap().integrity.is_none());
-        }
-    }
-
-    #[test]
-    fn spot_check_reaches_traced_queries() {
-        let db = DatabaseBuilder::new()
-            .integrity_spot_check(1.0)
-            .trace_config(TraceConfig {
-                sample_rate: 1.0,
-                slow_threshold: std::time::Duration::ZERO,
-                recent_capacity: 4,
-                slow_capacity: 4,
-            })
-            .build_from_xml(["<a><b/></a>"])
-            .unwrap();
-        let out = db.query_xpath_full("/a/b").unwrap();
-        assert!(out.integrity.as_ref().is_some_and(|r| r.is_clean()));
-        let trace = out.trace.expect("tracing is on");
-        assert!(
-            trace.root().attrs.iter().any(|(k, _)| *k == "integrity"),
-            "spot-check summary lands on the trace root"
-        );
-    }
-
-    #[test]
-    fn insert_remove_query_union_semantics() {
-        let mut db = DatabaseBuilder::new()
-            .build_from_xml(["<a><b/></a>", "<a><b/><c/></a>"])
-            .unwrap();
-        let id = db.insert_document("<a><b/><d/></a>").unwrap();
-        assert_eq!(id, 2);
-        // union: frozen hits + delta hits
-        assert_eq!(db.query_xpath("/a/b").unwrap(), vec![0, 1, 2]);
-        assert_eq!(db.query_xpath("/a/d").unwrap(), vec![2]);
-        assert_eq!(db.index().delta().sequence_count(), 1);
-        // tombstone filters immediately, from either segment
-        assert!(db.remove_document(1));
-        assert!(!db.remove_document(1), "double remove is a no-op");
-        assert!(!db.remove_document(99), "unknown id is a no-op");
-        assert_eq!(db.query_xpath("/a/b").unwrap(), vec![0, 2]);
-        assert!(db.remove_document(2));
-        assert_eq!(db.query_xpath("/a/d").unwrap(), Vec::<DocId>::new());
-        let report = db.verify_integrity();
-        assert!(report.is_clean(), "{}", report.render());
-    }
-
-    #[test]
-    fn compact_is_bit_identical_to_rebuild_over_survivors() {
-        for seq in [Sequencing::DepthFirst, Sequencing::Probability] {
-            let mut db = DatabaseBuilder::new()
-                .sequencing(seq)
-                .build_from_xml([
-                    "<p><r><l>boston</l></r></p>",
-                    "<p><d><l>newyork</l></d></p>",
-                    "<p><r><l>austin</l></r></p>",
-                ])
-                .unwrap();
-            db.insert_document("<p><r><l>seattle</l></r><z/></p>")
-                .unwrap();
-            db.insert_document("<q><x/></q>").unwrap();
-            assert!(db.remove_document(1));
-            assert!(db.remove_document(3));
-            let report = db.compact();
-            assert_eq!(report.docs_before, 5);
-            assert_eq!(report.docs_after, 3);
-            assert_eq!(report.tombstones_dropped, 2);
-            assert_eq!(report.delta_merged, 2);
-            assert_eq!(
-                report.remap,
-                vec![Some(0), None, Some(1), None, Some(2)],
-                "{seq:?}: survivors renumber densely in order"
-            );
-            assert!(db.index().delta().is_empty());
-            assert!(db.index().tombstones().is_empty());
-            // Bit-identity with a from-scratch build over the survivors.
-            let reference = DatabaseBuilder::new()
-                .sequencing(seq)
-                .build_from_xml([
-                    "<p><r><l>boston</l></r></p>",
-                    "<p><r><l>austin</l></r></p>",
-                    "<q><x/></q>",
-                ])
-                .unwrap();
-            assert!(
-                db.index().trie().identical_to(reference.index().trie()),
-                "{seq:?}: compacted trie diverges from rebuild"
-            );
-            assert_eq!(db.index().data_paths(), reference.index().data_paths());
-            assert_eq!(db.corpus().paths.len(), reference.corpus().paths.len());
-            assert_eq!(
-                db.corpus().symbols.designator_count(),
-                reference.corpus().symbols.designator_count()
-            );
-            assert_eq!(
-                db.corpus().symbols.values.len(),
-                reference.corpus().symbols.values.len()
-            );
-            for q in ["/p/r/l", "//l[text='austin']", "/q/x", "/p/z"] {
-                assert_eq!(
-                    db.query_xpath(q).unwrap(),
-                    reference.query_xpath(q).unwrap(),
-                    "{seq:?}: {q}"
-                );
-            }
-            let report = db.verify_integrity();
-            assert!(report.is_clean(), "{seq:?}: {}", report.render());
-        }
-    }
-
-    #[test]
-    fn auto_compaction_threshold_fires_and_remaps() {
-        let mut db = DatabaseBuilder::new()
-            .sequencing(Sequencing::DepthFirst)
-            .auto_compact(3)
-            .build_from_xml(["<a><b/></a>"])
-            .unwrap();
-        // threshold 3: two updates stay in the overlay…
-        let a = db.insert_document("<a><x/></a>").unwrap();
-        assert_eq!(a, 1);
-        assert!(db.remove_document(0));
-        assert_eq!(db.index().pending_updates(), 2);
-        // …the third triggers compaction; the fresh insert survives and is
-        // renumbered (doc 0 dropped, so the two inserts become 0 and 1).
-        let b = db.insert_document("<a><y/></a>").unwrap();
-        assert_eq!(b, 1, "post-compaction id");
-        assert_eq!(db.index().pending_updates(), 0);
-        assert!(db.index().delta().is_empty());
-        assert_eq!(db.len(), 2);
-        assert_eq!(db.query_xpath("/a/x").unwrap(), vec![0]);
-        assert_eq!(db.query_xpath("/a/y").unwrap(), vec![1]);
-    }
-
-    #[test]
-    fn insert_documents_batch_compacts_once() {
-        let mut db = DatabaseBuilder::new()
-            .sequencing(Sequencing::DepthFirst)
-            .auto_compact(2)
-            .build_from_xml(["<a><b/></a>"])
-            .unwrap();
-        let ids = db
-            .insert_documents(["<a><c/></a>", "<a><d/></a>", "<a><e/></a>"])
-            .unwrap();
-        // All three joined the delta, then one compaction ran at the end.
-        assert_eq!(ids, vec![1, 2, 3]);
-        assert!(db.index().delta().is_empty());
-        assert_eq!(db.query_xpath("/a/e").unwrap(), vec![3]);
-    }
-
-    #[test]
-    fn readonly_query_sees_names_interned_by_insert() {
-        let mut db = DatabaseBuilder::new()
-            .build_from_xml(["<a><b/></a>"])
-            .unwrap();
-        // "z" is unknown: the read-only parse proves the query empty.
-        assert_eq!(db.query_xpath("/a/z").unwrap(), Vec::<DocId>::new());
-        // Inserting a document interns "z" into the merged symbol view;
-        // queries (still read-only) now resolve it.
-        let id = db.insert_document("<a><z/></a>").unwrap();
-        assert_eq!(db.query_xpath("/a/z").unwrap(), vec![id]);
-    }
-
-    #[test]
-    fn update_metrics_and_gauges_track_the_overlay() {
-        let mut db = DatabaseBuilder::new()
-            .build_from_xml(["<a><b/></a>"])
-            .unwrap();
-        let snap = db.metrics();
-        for name in ["update.insert", "update.remove", "index.compact"] {
-            assert!(snap.has_prefix(name), "missing {name}");
-        }
-        db.insert_document("<a><c/></a>").unwrap();
-        db.insert_document("<a><d/></a>").unwrap();
-        db.remove_document(0);
-        let snap = db.metrics();
-        assert_eq!(snap.histogram("update.insert").unwrap().count, 2);
-        assert_eq!(snap.histogram("update.remove").unwrap().count, 1);
-        assert_eq!(snap.gauge("index.delta.sequences"), Some(2));
-        assert_eq!(snap.gauge("index.tombstones"), Some(1));
-        db.compact();
-        let snap = db.metrics();
-        assert_eq!(snap.histogram("index.compact").unwrap().count, 1);
-        assert_eq!(snap.gauge("index.delta.sequences"), Some(0));
-        assert_eq!(snap.gauge("index.tombstones"), Some(0));
-    }
-
-    #[test]
-    fn inline_tier_merges_fold_runs_and_keep_answers() {
-        let mut db = DatabaseBuilder::new()
-            .sequencing(Sequencing::DepthFirst)
-            .memtable_limit(1)
-            .tier_ratio(2)
-            .build_from_xml(["<a><b/></a>"])
-            .unwrap();
-        for i in 0..8 {
-            db.insert_document(&format!("<a><b/><c{i}/></a>")).unwrap();
-        }
-        // limit 1 / ratio 2 is a binary counter: 8 single-sequence runs
-        // cascade into popcount(8) = 1 published run.
-        assert_eq!(db.index().delta().run_count(), 1);
-        assert_eq!(db.index().delta().sequence_count(), 8);
-        let snap = db.metrics();
-        assert!(
-            snap.histogram("index.merge").unwrap().count >= 7,
-            "7 binary-counter merges expected, saw {}",
-            snap.histogram("index.merge").unwrap().count
-        );
-        assert_eq!(snap.gauge("index.delta.runs"), Some(1));
-        let names: Vec<&str> = db.events().events().iter().map(|e| e.name).collect();
-        assert!(names.contains(&"compact.tier.start"), "{names:?}");
-        assert!(names.contains(&"compact.tier.finish"), "{names:?}");
-        assert_eq!(db.query_xpath("/a/b").unwrap().len(), 9);
-        assert_eq!(db.query_xpath("/a/c3").unwrap(), vec![4]);
-        assert!(db.verify_integrity().is_clean());
-    }
-
-    #[test]
-    fn background_merge_worker_folds_runs() {
-        let mut db = DatabaseBuilder::new()
-            .sequencing(Sequencing::DepthFirst)
-            .memtable_limit(1)
-            .tier_ratio(2)
-            .background_merge(std::time::Duration::from_millis(1))
-            .build_from_xml(["<a><b/></a>"])
-            .unwrap();
-        assert!(db.has_background_merge());
-        for i in 0..8 {
-            db.insert_document(&format!("<a><c{i}/></a>")).unwrap();
-        }
-        // The worker fires every 1 ms; wait for it to quiesce the tiers.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while db.index().delta().merge_due() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(!db.index().delta().merge_due(), "worker never caught up");
-        assert!(db.index().delta().run_count() <= 2);
-        assert_eq!(db.index().delta().sequence_count(), 8);
-        let snap = db.metrics();
-        assert!(snap.counter("health.merge.heartbeat") > 0, "worker beats");
-        assert!(db.tick_merge_watchdog().is_empty(), "worker not stalled");
-        assert_eq!(db.query_xpath("/a/c5").unwrap(), vec![6]);
-        assert!(db.verify_integrity().is_clean());
-    }
-
-    #[test]
-    fn merge_time_has_its_own_phase_family() {
-        let mut db = DatabaseBuilder::new()
-            .sequencing(Sequencing::DepthFirst)
-            .memtable_limit(1)
-            .tier_ratio(2)
-            .build_from_xml(["<a><b/></a>"])
-            .unwrap();
-        for i in 0..4 {
-            db.insert_document(&format!("<a><c{i}/></a>")).unwrap();
-        }
-        db.compact();
-        let snap = db.metrics();
-        let merges = snap.histogram("index.merge").unwrap().count;
-        assert!(merges >= 3, "binary-counter merges before compaction");
-        // Merge latency lives in its own family: compaction's single
-        // sample does not absorb (double-count) the merge spans.
-        assert_eq!(snap.histogram("index.compact").unwrap().count, 1);
-        let collapsed = db.phase_profile().to_collapsed();
-        assert!(
-            collapsed
-                .lines()
-                .any(|l| l.starts_with("update;index.merge ")),
-            "merge frame missing:\n{collapsed}"
-        );
-        assert!(
-            collapsed
-                .lines()
-                .any(|l| l.starts_with("update;index.compact ")),
-            "compact frame missing:\n{collapsed}"
-        );
-        let profile = db.phase_profile();
-        let merge_entry = profile
-            .entries
-            .iter()
-            .find(|e| e.stack.last() == Some(&"index.merge"))
-            .expect("index.merge is in PHASE_TREE");
-        assert_eq!(merge_entry.samples, merges, "one sample per tier merge");
-    }
-
-    #[test]
-    fn compaction_replays_the_tier_knobs() {
-        let mut db = DatabaseBuilder::new()
-            .sequencing(Sequencing::DepthFirst)
-            .memtable_limit(2)
-            .tier_ratio(2)
-            .build_from_xml(["<a><b/></a>"])
-            .unwrap();
-        assert_eq!(db.index().delta().memtable_limit(), 2);
-        db.insert_document("<a><c/></a>").unwrap();
-        db.insert_document("<a><d/></a>").unwrap();
-        assert_eq!(db.index().delta().run_count(), 1, "cut at limit 2");
-        db.compact();
-        assert_eq!(db.index().delta().memtable_limit(), 2, "knobs survive");
-        assert_eq!(db.index().delta().tier_ratio(), 2);
-        db.insert_document("<a><e/></a>").unwrap();
-        db.insert_document("<a><f/></a>").unwrap();
-        assert_eq!(db.index().delta().run_count(), 1, "cut again post-compact");
-        assert_eq!(db.query_xpath("/a/f").unwrap(), vec![4]);
-    }
-
-    #[test]
-    fn compact_on_pristine_database_is_a_clean_rebuild() {
-        let mut db = DatabaseBuilder::new()
-            .build_from_xml(["<a><b/></a>", "<a><c/></a>"])
-            .unwrap();
-        let before = db.query_xpath("//b").unwrap();
-        let report = db.compact();
-        assert_eq!(report.docs_before, 2);
-        assert_eq!(report.docs_after, 2);
-        assert_eq!(db.query_xpath("//b").unwrap(), before);
-        assert!(db.verify_integrity().is_clean());
-    }
-
-    #[test]
-    fn hashed_value_mode_survives_compaction() {
-        let mut db = DatabaseBuilder::new()
-            .value_mode(ValueMode::Hashed { range: 64 })
-            .build_from_xml(["<a><l>boston</l></a>", "<a><l>newyork</l></a>"])
-            .unwrap();
-        db.insert_document("<a><l>austin</l></a>").unwrap();
-        db.remove_document(1);
-        db.compact();
-        // Hashed ids are stateless, so the surviving values still match.
-        assert!(db.query_xpath("/a/l[text='boston']").unwrap().contains(&0));
-        assert!(db.query_xpath("/a/l[text='austin']").unwrap().contains(&1));
-        assert!(db.verify_integrity().is_clean());
-    }
-
-    #[test]
-    fn chars_value_mode_survives_compaction() {
-        let mut db = DatabaseBuilder::new()
-            .value_mode(ValueMode::Chars)
-            .build_from_xml(["<a><l>bo</l></a>", "<a><l>ny</l></a>"])
-            .unwrap();
-        db.insert_document("<a><l>at</l></a>").unwrap();
-        db.remove_document(0);
-        db.compact();
-        let reference = DatabaseBuilder::new()
-            .value_mode(ValueMode::Chars)
-            .build_from_xml(["<a><l>ny</l></a>", "<a><l>at</l></a>"])
-            .unwrap();
-        assert!(db.index().trie().identical_to(reference.index().trie()));
-        assert!(db.verify_integrity().is_clean());
-    }
-
-    #[test]
-    fn hashed_value_mode() {
-        let db = DatabaseBuilder::new()
-            .value_mode(ValueMode::Hashed { range: 64 })
-            .build_from_xml(["<a><l>boston</l></a>", "<a><l>newyork</l></a>"])
-            .unwrap();
-        let hits = db.query_xpath("/a/l[text='boston']").unwrap();
-        // hashed designators may collide, but boston's own document is
-        // always included
-        assert!(hits.contains(&0));
-    }
-
-    /// The scripted history: a mix of classified hits, a provably-empty
-    /// query (no classes → unclassified), and repeats.
-    const WORKLOAD_SCRIPT: [&str; 6] = [
-        "/project//loc",
-        "/project/research",
-        "/project//loc",
-        "/nosuchroot",
-        "//loc[text='boston']",
-        "/project/research/loc",
-    ];
-
-    fn workload_db() -> Database {
-        DatabaseBuilder::new()
-            .build_from_xml([
-                "<project><research><loc>newyork</loc></research></project>",
-                "<project><develop><loc>boston</loc></develop></project>",
-                "<project><research><loc>boston</loc><fund/></research></project>",
-            ])
-            .unwrap()
-    }
-
-    #[test]
-    fn workload_profile_is_reproduced_by_replaying_the_history() {
-        let db = workload_db();
-        // replay: rebuild the profile from the outcomes themselves
-        let mut replay = WorkloadProfile::new();
-        for expr in WORKLOAD_SCRIPT {
-            let out = db.query_xpath_full(expr).unwrap();
-            replay.record(&out.classes, out.docs.len() as u64, 1);
-        }
-        let live = db.workload_profile();
-        // Latency is wall time (nondeterministic); every other field of the
-        // profile must match the replay exactly.
-        assert_eq!(live.queries(), replay.queries());
-        assert_eq!(live.queries(), WORKLOAD_SCRIPT.len() as u64);
-        assert_eq!(live.unclassified(), replay.unclassified());
-        assert!(live.unclassified() >= 1, "/nosuchroot is unclassified");
-        assert_eq!(live.len(), replay.len());
-        assert!(live.len() >= 2, "research and loc classes are distinct");
-        for (class, stats) in replay.iter() {
-            let l = live.class(class).expect("replayed class exists live");
-            assert_eq!(l.queries, stats.queries, "class {class:?} frequency");
-            assert_eq!(l.results, stats.results, "class {class:?} cardinality");
-            assert!(l.latency_ns > 0, "live profile carries wall time");
-            assert_eq!(live.frequency(class), replay.frequency(class));
-        }
-        // and the profile round-trips through JSON
-        let back = WorkloadProfile::from_json(&live.to_json()).unwrap();
-        assert_eq!(back.queries(), live.queries());
-        assert_eq!(back.len(), live.len());
-    }
-
-    #[test]
-    fn workload_metrics_track_the_profiler() {
-        let db = workload_db();
-        for expr in WORKLOAD_SCRIPT {
-            db.query_xpath(expr).unwrap();
-        }
-        let snap = db.metrics();
-        assert_eq!(
-            snap.counter("workload.queries"),
-            WORKLOAD_SCRIPT.len() as u64
-        );
-        assert_eq!(
-            snap.counter("workload.unclassified"),
-            db.workload_profile().unclassified()
-        );
-        assert_eq!(
-            snap.gauge("workload.classes"),
-            Some(db.workload_profile().len() as i64)
-        );
-    }
-
-    #[test]
-    fn profiling_off_keeps_the_family_at_zero() {
-        let db = DatabaseBuilder::new()
-            .profiling(false)
-            .build_from_xml(["<a><b/></a>"])
-            .unwrap();
-        db.query_xpath("/a/b").unwrap();
-        assert!(db.workload_profile().is_empty());
-        assert_eq!(db.workload_profile().queries(), 0);
-        // the family still exists in the snapshot, pinned at zero
-        let snap = db.metrics();
-        assert_eq!(snap.counter("workload.queries"), 0);
-        assert_eq!(snap.gauge("workload.classes"), Some(0));
-    }
-
-    #[test]
-    fn take_workload_profile_starts_a_fresh_epoch() {
-        let db = workload_db();
-        db.query_xpath("/project//loc").unwrap();
-        let epoch1 = db.take_workload_profile();
-        assert_eq!(epoch1.queries(), 1);
-        assert!(db.workload_profile().is_empty());
-        db.query_xpath("/project/research").unwrap();
-        assert_eq!(db.workload_profile().queries(), 1);
-    }
-
-    #[test]
-    fn explain_carries_the_stats_tail() {
-        let db = workload_db();
-        let out = db.query_xpath_full("/project//loc").unwrap();
-        let text = out.explain();
-        assert!(text.contains("stats:"), "missing stats tail: {text}");
-        assert!(text.contains("results 3"), "cardinality in tail: {text}");
-        assert!(text.contains("classes ["), "class ids in tail: {text}");
-        assert!(
-            text.contains("descents/variant ["),
-            "descent counts in tail: {text}"
-        );
-        assert!(!out.classes.is_empty());
-        assert!(out.descents.iter().sum::<u64>() > 0);
-    }
-
-    #[test]
-    fn stats_report_shape_memory_and_workload() {
-        let db = workload_db();
-        db.query_xpath("/project//loc").unwrap();
-        let stats = db.stats();
-        assert_eq!(stats.docs, 3);
-        assert!(stats.paths >= 5, "ε, project, research, develop, loc, …");
-        assert!(stats.index.frozen.nodes > 0);
-        assert_eq!(stats.index.frozen.sequences, 3);
-        assert!(stats.memory.corpus_bytes > 0);
-        assert!(stats.memory.index_bytes > 0);
-        assert_eq!(
-            stats.memory.total_bytes(),
-            stats.memory.corpus_bytes + stats.memory.index_bytes
-        );
-        assert_eq!(stats.workload.queries(), 1);
-        // stats() refreshed the memory gauges
-        let snap = db.metrics();
-        assert_eq!(
-            snap.gauge("memory.corpus.bytes"),
-            Some(stats.memory.corpus_bytes as i64)
-        );
-        assert_eq!(
-            snap.gauge("memory.index.bytes"),
-            Some(stats.memory.index_bytes as i64)
-        );
-        assert_eq!(
-            snap.gauge("memory.total.bytes"),
-            Some(stats.memory.total_bytes() as i64)
-        );
-        let text = stats.render();
-        for needle in [
-            "database: 3 docs",
-            "memory:",
-            "pool:",
-            "workload: 1 queries",
-        ] {
-            assert!(text.contains(needle), "render misses {needle:?}:\n{text}");
-        }
-    }
-
-    #[test]
-    fn stats_see_the_delta_overlay() {
-        let mut db = workload_db();
-        db.insert_document("<project><audit/></project>").unwrap();
-        db.remove_document(0);
-        let stats = db.stats();
-        assert_eq!(stats.index.delta.sequences, 1);
-        assert_eq!(stats.index.tombstones, 1);
-        db.compact();
-        let stats = db.stats();
-        assert_eq!(stats.index.delta.sequences, 0);
-        assert_eq!(stats.index.tombstones, 0);
-        assert_eq!(stats.docs, 3);
     }
 }

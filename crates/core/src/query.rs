@@ -1,0 +1,535 @@
+//! The query path: one pipeline for any shard count, traced or not
+//! (DESIGN.md §10.3, §15.2), plus the integrity checks and the tracing /
+//! slow-query surface that ride on it.
+
+use crate::shard::{gather, rebind_pattern};
+use crate::{
+    Database, DocId, Error, Event, IntegrityReport, QueryContext, QueryOutcome, Severity, Trace,
+    Tracer, TreePattern,
+};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+impl Database {
+    /// Answers an XPath-subset query with document ids.
+    pub fn query_xpath(&self, expr: &str) -> Result<Vec<DocId>, Error> {
+        Ok(self.query_xpath_full(expr)?.docs)
+    }
+
+    /// Like [`Database::query_xpath`] but returns the work counters too —
+    /// and, when the database was built with
+    /// [`DatabaseBuilder::trace_config`](crate::DatabaseBuilder::trace_config),
+    /// the query's span tree in [`QueryOutcome::trace`].
+    pub fn query_xpath_full(&self, expr: &str) -> Result<QueryOutcome, Error> {
+        self.query_xpath_ctx(expr, &mut QueryContext::new(), false)
+    }
+
+    /// One query against a caller-owned [`QueryContext`] (scratch reuse);
+    /// the batch path runs one context per worker.  When profiling is on,
+    /// the executed query lands in the workload profiler: its classes are
+    /// the concrete data paths the search descended
+    /// ([`QueryOutcome::classes`]), its latency the wall time of the whole
+    /// parse → plan → search pipeline.
+    fn query_xpath_ctx(
+        &self,
+        expr: &str,
+        ctx: &mut QueryContext,
+        batch_worker: bool,
+    ) -> Result<QueryOutcome, Error> {
+        // ORDERING: config — advisory read; no memory is published through it.
+        let slow_ns = self.slow_threshold_ns.load(Ordering::Relaxed);
+        if self.workload.is_none() && slow_ns == u64::MAX {
+            return self.run_query(expr, ctx, batch_worker);
+        }
+        let t0 = Instant::now();
+        let out = self.run_query(expr, ctx, batch_worker)?;
+        let elapsed_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        if let Some(recorder) = &self.workload {
+            recorder.record(&out.classes, out.docs.len() as u64, elapsed_ns);
+            self.workload_queries.inc();
+            if out.classes.is_empty() {
+                self.workload_unclassified.inc();
+            }
+            self.workload_classes.set(recorder.class_count() as i64);
+        }
+        if elapsed_ns >= slow_ns {
+            self.events.record(
+                Event::new("query.slow")
+                    .severity(Severity::Warn)
+                    .message(expr)
+                    .attr("total_ns", elapsed_ns)
+                    .attr("docs", out.docs.len() as u64),
+            );
+        }
+        Ok(out)
+    }
+
+    /// The query pipeline: begin the trace (when tracing is on), let every
+    /// shard [`answer`](crate::shard::Shard::answer), [`gather`], attach
+    /// the pool deltas and root attributes, spot-check, finish the trace.
+    /// Shard count and tracing are data here, not control flow.
+    ///
+    /// The one selection is *where* the shards answer.  They fan out on
+    /// the worker pool — each task with a fresh [`QueryContext`] — exactly
+    /// when that can pay: there is more than one shard, the pool has
+    /// workers, the query is untraced (a span tree is single-threaded),
+    /// and the caller is not itself a `query_batch` worker (its
+    /// parallelism already comes from the batch level, and nested fan-out
+    /// would oversubscribe).  Otherwise they answer in turn on the
+    /// caller's thread and context.
+    fn run_query(
+        &self,
+        expr: &str,
+        ctx: &mut QueryContext,
+        batch_worker: bool,
+    ) -> Result<QueryOutcome, Error> {
+        let mut trace = self.tracer.as_deref().map(|t| (t, t.begin(expr)));
+        let pool0 = (self.pool_tel.hits.get(), self.pool_tel.misses.get());
+        let fan_out =
+            self.shards.len() > 1 && !self.pool.is_sequential() && trace.is_none() && !batch_worker;
+        let answers: Result<Vec<Option<QueryOutcome>>, _> = if fan_out {
+            let tasks: Vec<_> = self
+                .shards
+                .iter()
+                .map(|sh| move || sh.answer(expr, &mut QueryContext::new(), None, &self.parse_hist))
+                .collect();
+            self.pool.run(tasks).into_iter().collect()
+        } else {
+            self.shards
+                .iter()
+                .map(|sh| {
+                    let active = trace.as_mut().map(|(_, active)| active);
+                    sh.answer(expr, ctx, active, &self.parse_hist)
+                })
+                .collect()
+        };
+        let answers = match answers {
+            Ok(answers) => answers,
+            Err(e) => {
+                // a failed parse still finishes its trace: the time was
+                // spent, and a slow failure is still a slow query
+                if let Some((tracer, mut active)) = trace {
+                    active.root_attr("error", e.to_string());
+                    tracer.finish(active);
+                }
+                return Err(e.into());
+            }
+        };
+        // A shard that answered `None` is provably empty: nothing to gather.
+        let mut out = gather(answers.into_iter().flatten());
+        out.stats.pool_hits = self.pool_tel.hits.get().saturating_sub(pool0.0);
+        out.stats.pool_misses = self.pool_tel.misses.get().saturating_sub(pool0.1);
+        self.maybe_spot_check(&mut out);
+        if let Some((tracer, mut active)) = trace {
+            active.root_attr("shards", self.shards.len() as u64);
+            active.root_attr("docs", out.docs.len() as u64);
+            active.root_attr("candidates", out.stats.search.candidates);
+            active.root_attr("pool_hits", out.stats.pool_hits);
+            active.root_attr("pool_misses", out.stats.pool_misses);
+            if let Some(report) = &out.integrity {
+                active.root_attr("integrity", report.summary());
+            }
+            out.trace = Some(tracer.finish(active));
+        }
+        Ok(out)
+    }
+
+    /// Answers many XPath queries on the builder's worker pool, returning
+    /// one result per expression in input order.  Equivalent to (and, on a
+    /// sequential pool, literally) a serial `query_xpath` loop; workers
+    /// share the database read-only and each reuses one [`QueryContext`]
+    /// for its whole chunk, across queries and across shards.
+    pub fn query_batch(&self, exprs: &[&str]) -> Vec<Result<Vec<DocId>, Error>> {
+        let chunk = self.pool.chunk_for(exprs.len());
+        self.pool
+            .map_chunks(exprs, chunk, |_, slice| {
+                let mut ctx = QueryContext::new();
+                slice
+                    .iter()
+                    .map(|expr| Ok(self.query_xpath_ctx(expr, &mut ctx, true)?.docs))
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
+    /// Answers a pre-built tree pattern.  The pattern's labels are bound
+    /// to shard 0's symbol tables (see [`Database::corpus_mut`]); each
+    /// shard re-binds them to its own interners, and a shard lacking any
+    /// label provably matches nothing and is skipped.
+    pub fn query_pattern(&self, pattern: &TreePattern) -> QueryOutcome {
+        let from = &self.corpus().symbols;
+        let mut ctx = QueryContext::new();
+        gather(self.shards.iter().filter_map(|sh| {
+            let local = rebind_pattern(pattern, from, &sh.corpus.symbols)?;
+            Some(sh.search(&local, &mut ctx, None))
+        }))
+    }
+
+    /// Fires the sampled post-query integrity spot check when the
+    /// fixed-point accumulator crosses an integer boundary (exactly `rate`
+    /// of all queries, deterministically — concurrent queries each claim a
+    /// disjoint accumulator window, so the rate holds under sharing too).
+    fn maybe_spot_check(&self, out: &mut QueryOutcome) {
+        if self.spot_step == 0 {
+            return;
+        }
+        // ORDERING: sample — a pure sampling accumulator; each query claims
+        // its window with the RMW alone and no other memory is published
+        // through it.
+        let prev = self.spot_accum.fetch_add(self.spot_step, Ordering::Relaxed);
+        if (prev.wrapping_add(self.spot_step) >> 32) != (prev >> 32) {
+            // The cheap structure-only pass over every shard, merged.
+            let mut report = IntegrityReport::default();
+            for sh in &self.shards {
+                report.merge(sh.index.verify_structure());
+            }
+            self.record_integrity_violation(&report);
+            out.integrity = Some(report);
+        }
+    }
+
+    /// Flight-records an `integrity.violation` event when a verification
+    /// report is not clean (shared by the spot check and the full pass).
+    fn record_integrity_violation(&self, report: &IntegrityReport) {
+        if report.is_clean() {
+            return;
+        }
+        self.events.record(
+            Event::new("integrity.violation")
+                .severity(Severity::Error)
+                .message(report.summary())
+                .attr("violations", report.violations.len() as u64),
+        );
+    }
+
+    /// Full integrity verification of the index: preorder-label nesting and
+    /// subtree extents, path-link order and coverage, sibling-cover
+    /// bookkeeping, the end-node registry, and every distinct stored
+    /// constraint sequence's `f2` validity (Eq. 3) and Theorem 1 round-trip.
+    ///
+    /// Exhaustive — intended for `repro --verify`, tests, and offline
+    /// checks, not the query hot path (see
+    /// [`DatabaseBuilder::integrity_spot_check`](crate::DatabaseBuilder::integrity_spot_check)
+    /// for the sampled in-band variant).
+    pub fn verify_integrity(&mut self) -> IntegrityReport {
+        let mut report = IntegrityReport::default();
+        for sh in &mut self.shards {
+            report.merge(sh.index.verify_integrity(&mut sh.corpus.paths));
+        }
+        self.record_integrity_violation(&report);
+        report
+    }
+
+    /// The tracer behind this database's per-query tracing, if enabled.
+    pub fn tracer(&self) -> Option<&Arc<Tracer>> {
+        self.tracer.as_ref()
+    }
+
+    /// The slow-query log: every query whose wall time met
+    /// [`TraceConfig::slow_threshold`](crate::TraceConfig::slow_threshold),
+    /// oldest first, each with its full span tree, the serialized query
+    /// expression (the trace name), and metric deltas as root-span
+    /// attributes.  Empty when tracing is off.
+    pub fn slow_queries(&self) -> Vec<Arc<Trace>> {
+        self.tracer
+            .as_ref()
+            .map_or_else(Vec::new, |t| t.slow_queries())
+    }
+
+    /// The head-sampled recent traces, oldest first.  Empty when tracing is
+    /// off.
+    pub fn recent_traces(&self) -> Vec<Arc<Trace>> {
+        self.tracer
+            .as_ref()
+            .map_or_else(Vec::new, |t| t.recent_traces())
+    }
+
+    /// Runtime-tunes the slow-query threshold: any query at least this
+    /// slow records a `query.slow` flight-recorder event, and when tracing
+    /// is on the tracer's slow-log threshold moves in lockstep.  Works
+    /// with or without tracing (untraced databases start disarmed); the
+    /// change itself is recorded as a `config.slow_query_threshold` event.
+    pub fn set_slow_query_threshold(&self, threshold: Duration) {
+        let ns = threshold.as_nanos().min(u64::MAX as u128) as u64;
+        // ORDERING: config — advisory value read per query; no memory is
+        // published through it.
+        self.slow_threshold_ns.store(ns, Ordering::Relaxed);
+        if let Some(tracer) = &self.tracer {
+            tracer.set_slow_threshold(threshold);
+        }
+        self.events
+            .record(Event::new("config.slow_query_threshold").attr("threshold_ns", ns));
+    }
+
+    /// The current slow-query threshold, or `None` when disarmed (the
+    /// default for untraced databases).
+    pub fn slow_query_threshold(&self) -> Option<Duration> {
+        // ORDERING: config — advisory read.
+        let ns = self.slow_threshold_ns.load(Ordering::Relaxed);
+        (ns != u64::MAX).then(|| Duration::from_nanos(ns))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::*;
+
+    #[test]
+    fn metrics_contain_every_pipeline_phase() {
+        let db = DatabaseBuilder::new()
+            .build_from_xml(["<a><b>x</b></a>", "<a><c/></a>"])
+            .unwrap();
+        db.query_xpath("/a/b").unwrap();
+        let snap = db.metrics();
+        for phase in [
+            "xml.parse",
+            "sequence.encode",
+            "query.parse",
+            "index.plan",
+            "index.search",
+            "storage.pool",
+        ] {
+            assert!(snap.has_prefix(phase), "missing phase {phase}");
+        }
+        // ingestion and the query each left latency samples behind
+        assert_eq!(snap.histogram("xml.parse").unwrap().count, 2);
+        assert_eq!(snap.histogram("query.parse").unwrap().count, 1);
+        assert_eq!(snap.histogram("index.plan").unwrap().count, 1);
+        assert_eq!(snap.histogram("index.search").unwrap().count, 1);
+        // sequence.encode sampled at build (2 docs) and at query (1)
+        assert_eq!(snap.histogram("sequence.encode").unwrap().count, 3);
+        assert!(snap.counter("index.search.candidates") > 0);
+    }
+
+    #[test]
+    fn query_phases_accumulate_and_delta() {
+        let mut db = DatabaseBuilder::new()
+            .build_from_xml(["<a><b/></a>"])
+            .unwrap();
+        let before = db.metrics();
+        db.query_xpath("/a/b").unwrap();
+        db.query_xpath("//b").unwrap();
+        let delta = db.metrics().delta(&before);
+        assert_eq!(delta.histogram("index.search").unwrap().count, 2);
+        assert_eq!(delta.histogram("query.parse").unwrap().count, 2);
+        // insert_document keeps recording xml.parse through the same histogram
+        db.insert_document("<a><c/></a>").unwrap();
+        assert_eq!(db.metrics().histogram("xml.parse").unwrap().count, 2);
+    }
+
+    #[test]
+    fn pool_telemetry_reaches_database_registry() {
+        use xseq_storage::{write_paged_trie, MemStore, PagedTrie};
+        let mut db = DatabaseBuilder::new()
+            .build_from_xml(["<a><b/></a>", "<a><c/></a>"])
+            .unwrap();
+        let mut store = MemStore::new();
+        write_paged_trie(db.index().trie(), &mut store).unwrap();
+        let paged = PagedTrie::open(store, 4).unwrap();
+        paged.attach_pool_telemetry(db.pool_telemetry());
+        let pattern = parse_xpath("/a/b", &mut db.corpus_mut().symbols).unwrap();
+        let strategy = db.index().strategy().clone();
+        for qdoc in xseq_index::instantiate(
+            &pattern,
+            &db.corpus().paths,
+            db.index().data_paths(),
+            db.index().options(),
+        ) {
+            let qs = xseq_index::QuerySequence::from_document(
+                &qdoc,
+                &mut db.corpus_mut().paths,
+                &strategy,
+            );
+            let _ = xseq_index::tree_search(&paged, &qs);
+        }
+        let snap = db.metrics();
+        assert!(snap.counter("storage.pool.misses") > 0);
+        let st = paged.pool_stats();
+        assert_eq!(
+            st.hits + st.misses,
+            snap.counter("storage.pool.hits") + snap.counter("storage.pool.misses")
+        );
+        assert!(st.hit_ratio().is_some());
+    }
+
+    #[test]
+    fn traced_query_lands_in_slow_log() {
+        let db = DatabaseBuilder::new()
+            .trace_config(TraceConfig {
+                sample_rate: 1.0,
+                slow_threshold: std::time::Duration::ZERO,
+                recent_capacity: 8,
+                slow_capacity: 8,
+            })
+            .build_from_xml(["<a><b>x</b></a>", "<a><c/></a>"])
+            .unwrap();
+        let out = db.query_xpath_full("/a/b").unwrap();
+        let trace = out.trace.clone().expect("tracing is on");
+        assert!(trace.slow && trace.sampled);
+        let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
+        for n in [
+            "query",
+            "query.parse",
+            "index.plan",
+            "sequence.encode",
+            "trie.descent",
+            "search.link_probes",
+        ] {
+            assert!(names.contains(&n), "{n} missing from {names:?}");
+        }
+        // every child is bracketed by its parent
+        for s in &trace.spans {
+            if let Some(p) = s.parent {
+                let parent = trace.span(p);
+                assert!(parent.start_ns <= s.start_ns && s.end_ns <= parent.end_ns);
+            }
+        }
+        let slow = db.slow_queries();
+        assert_eq!(slow.len(), 1);
+        assert_eq!(slow[0].name, "/a/b", "serialized query retained");
+        assert_eq!(slow[0].id, trace.id);
+        let json = slow[0].to_chrome_json();
+        assert!(json.contains("\"traceEvents\""));
+        assert!(json.contains("\"ph\":\"X\""));
+        assert!(
+            out.explain().contains("trie.descent"),
+            "explain shows spans"
+        );
+        assert_eq!(db.recent_traces().len(), 1);
+        assert!(db.tracer().unwrap().stats().started >= 1);
+    }
+
+    #[test]
+    fn untraced_database_has_no_tracing_surface() {
+        let db = DatabaseBuilder::new().build_from_xml(["<a/>"]).unwrap();
+        let out = db.query_xpath_full("/a").unwrap();
+        assert!(out.trace.is_none());
+        assert!(db.slow_queries().is_empty());
+        assert!(db.recent_traces().is_empty());
+        assert!(db.tracer().is_none());
+    }
+
+    #[test]
+    fn failed_parse_still_traces() {
+        let db = DatabaseBuilder::new()
+            .trace_config(TraceConfig {
+                sample_rate: 0.0,
+                slow_threshold: std::time::Duration::ZERO,
+                recent_capacity: 4,
+                slow_capacity: 4,
+            })
+            .build_from_xml(["<a/>"])
+            .unwrap();
+        assert!(db.query_xpath("not an xpath").is_err());
+        let slow = db.slow_queries();
+        assert_eq!(slow.len(), 1);
+        assert!(slow[0].root().attrs.iter().any(|(k, _)| *k == "error"));
+    }
+
+    #[test]
+    fn verify_integrity_is_clean_for_built_databases() {
+        // Single document, then a few more — both strategies.
+        for seq in [Sequencing::DepthFirst, Sequencing::Probability] {
+            let mut db = DatabaseBuilder::new()
+                .sequencing(seq)
+                .build_from_xml(["<a><b>x</b></a>"])
+                .unwrap();
+            let report = db.verify_integrity();
+            assert!(report.is_clean(), "{seq:?} single doc: {}", report.render());
+            db.insert_document("<a><c/><c><d/></c></a>").unwrap();
+            db.insert_document("<a><b>y</b><c/></a>").unwrap();
+            let report = db.verify_integrity();
+            assert!(report.is_clean(), "{seq:?} grown: {}", report.render());
+            assert!(report.sequences_checked >= 2);
+        }
+    }
+
+    #[test]
+    fn spot_check_fires_at_the_configured_rate() {
+        let db = DatabaseBuilder::new()
+            .integrity_spot_check(0.5)
+            .build_from_xml(["<a><b/></a>"])
+            .unwrap();
+        let mut fired = 0;
+        for _ in 0..10 {
+            let out = db.query_xpath_full("/a/b").unwrap();
+            if let Some(report) = &out.integrity {
+                assert!(report.is_clean(), "{}", report.render());
+                assert!(out.explain().contains("integrity: clean"));
+                fired += 1;
+            }
+        }
+        assert_eq!(fired, 5, "fixed-point sampling is exact");
+    }
+
+    #[test]
+    fn spot_check_is_off_by_default() {
+        let db = DatabaseBuilder::new().build_from_xml(["<a/>"]).unwrap();
+        for _ in 0..5 {
+            assert!(db.query_xpath_full("/a").unwrap().integrity.is_none());
+        }
+    }
+
+    #[test]
+    fn spot_check_reaches_traced_queries() {
+        let db = DatabaseBuilder::new()
+            .integrity_spot_check(1.0)
+            .trace_config(TraceConfig {
+                sample_rate: 1.0,
+                slow_threshold: std::time::Duration::ZERO,
+                recent_capacity: 4,
+                slow_capacity: 4,
+            })
+            .build_from_xml(["<a><b/></a>"])
+            .unwrap();
+        let out = db.query_xpath_full("/a/b").unwrap();
+        assert!(out.integrity.as_ref().is_some_and(|r| r.is_clean()));
+        let trace = out.trace.expect("tracing is on");
+        assert!(
+            trace.root().attrs.iter().any(|(k, _)| *k == "integrity"),
+            "spot-check summary lands on the trace root"
+        );
+    }
+
+    #[test]
+    fn batch_worker_context_reaches_every_shard() {
+        let xmls: Vec<String> = (0..30).map(|i| format!("<a><b/><c{i}/></a>")).collect();
+        let db = DatabaseBuilder::new()
+            .threads(2)
+            .shards(3)
+            .build_from_xml(xmls.iter().map(String::as_str))
+            .unwrap();
+        // What a `query_batch` worker does per expression: its own context
+        // goes down the shard walk.  One variant and no overlay means one
+        // search per shard, so a cold context per shard would count no
+        // reuse; the worker's arrives warm at the second and third shard.
+        let mut ctx = QueryContext::new();
+        let out = db.query_xpath_ctx("/a/b", &mut ctx, true).unwrap();
+        assert_eq!(out.docs.len(), 30);
+        assert!(
+            out.stats.search.scratch_reuses > 0,
+            "{:?}",
+            out.stats.search
+        );
+        // …and the batch over real workers answers like the serial loop.
+        for docs in db.query_batch(&["/a/b"; 8]) {
+            assert_eq!(docs.unwrap(), out.docs);
+        }
+    }
+
+    #[test]
+    fn readonly_query_sees_names_interned_by_insert() {
+        let mut db = DatabaseBuilder::new()
+            .build_from_xml(["<a><b/></a>"])
+            .unwrap();
+        // "z" is unknown: the read-only parse proves the query empty.
+        assert_eq!(db.query_xpath("/a/z").unwrap(), Vec::<DocId>::new());
+        // Inserting a document interns "z" into the merged symbol view;
+        // queries (still read-only) now resolve it.
+        let id = db.insert_document("<a><z/></a>").unwrap();
+        assert_eq!(db.query_xpath("/a/z").unwrap(), vec![id]);
+    }
+}

@@ -1,0 +1,247 @@
+//! Shards: hash routing, the per-shard vertical slice, and the gather half
+//! of a query (DESIGN.md §15).  A [`Database`](crate::Database) is N ≥ 1 of
+//! these; nothing here (or above) treats N = 1 specially.
+
+use crate::{
+    Corpus, DocId, ParseError, PatternLabel, Pool, QueryContext, QueryOutcome, SymbolTable,
+    TreePattern, XmlIndex,
+};
+use xseq_telemetry::{ActiveTrace, Histogram};
+use xseq_xml::Symbol;
+
+/// Routes a global document id to its shard: the splitmix64 finalizer over
+/// the id, reduced mod the shard count — uniform, stateless and
+/// deterministic, so the same corpus always shards the same way.
+pub(crate) fn shard_of(global: DocId, nshards: usize) -> usize {
+    let mut z = (global as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    // PANIC-FREE: a database holds at least one shard, so the modulus is
+    // never zero
+    ((z ^ (z >> 31)) % nshards as u64) as usize
+}
+
+/// Re-interns one symbol from `old`'s tables into `fresh`'s — the shared
+/// primitive behind corpus splitting and compaction.  Interned values
+/// resolve and re-intern; hashed value ids are stateless (`h(s) mod
+/// range`), so the original id is already what a fresh parse would mint.
+pub(crate) fn reintern_symbol(s: Symbol, old: &SymbolTable, fresh: &mut SymbolTable) -> Symbol {
+    if let Some(d) = s.as_elem() {
+        Symbol::elem(fresh.designator(old.name(d)))
+    } else {
+        let v = s.as_value().expect("a symbol is an element or a value");
+        match old.values.resolve(v) {
+            Some(text) => Symbol::value(fresh.values.intern(text)),
+            None => s,
+        }
+    }
+}
+
+/// Splits a corpus into per-shard corpora by hash-routing each document and
+/// re-interning it into its shard's fresh tables (arena order = parse
+/// encounter order, so the shard corpus is bit-identical to parsing the
+/// subset from scratch).  One worker per shard; every worker scans the
+/// routing table and claims only its own documents, so the split itself is
+/// shared-nothing.  Returns the shard corpora, the global→(shard, local)
+/// map, and the per-shard local→global lists.
+#[allow(clippy::type_complexity)]
+pub(crate) fn split_corpus(
+    corpus: &Corpus,
+    nshards: usize,
+    pool: &Pool,
+) -> (Vec<Corpus>, Vec<(u32, DocId)>, Vec<Vec<DocId>>) {
+    let mode = corpus.symbols.values.mode();
+    let routes: Vec<usize> = (0..corpus.docs.len())
+        .map(|g| shard_of(g as DocId, nshards))
+        .collect();
+    let mut doc_map = Vec::with_capacity(corpus.docs.len());
+    let mut counts = vec![0u32; nshards];
+    for &s in &routes {
+        doc_map.push((s as u32, counts[s] as DocId));
+        counts[s] += 1;
+    }
+    let routes = &routes;
+    let tasks: Vec<_> = (0..nshards)
+        .map(|s| {
+            move || {
+                let mut shard = Corpus::new(mode);
+                let mut gids = Vec::new();
+                for (gid, doc) in corpus.docs.iter().enumerate() {
+                    if routes[gid] != s {
+                        continue;
+                    }
+                    let mut doc = doc.clone();
+                    doc.remap_symbols(|sym| {
+                        reintern_symbol(sym, &corpus.symbols, &mut shard.symbols)
+                    });
+                    shard.push(doc);
+                    gids.push(gid as DocId);
+                }
+                (shard, gids)
+            }
+        })
+        .collect();
+    let (corpora, global_ids) = pool.run(tasks).into_iter().unzip();
+    (corpora, doc_map, global_ids)
+}
+
+/// Re-resolves a tree pattern built against `from`'s symbol tables into
+/// `to`'s id space.  `None` when a named element or interned value is
+/// absent from `to` — the pattern is provably empty for that shard (the
+/// same short-circuit the per-shard read-only query parse uses).  Rebinding
+/// a pattern onto its own tables reproduces it.
+pub(crate) fn rebind_pattern(
+    p: &TreePattern,
+    from: &SymbolTable,
+    to: &SymbolTable,
+) -> Option<TreePattern> {
+    let rebind = |label: PatternLabel| -> Option<PatternLabel> {
+        match label {
+            PatternLabel::Elem(d) => Some(PatternLabel::Elem(to.lookup_designator(from.name(d))?)),
+            PatternLabel::AnyElem => Some(PatternLabel::AnyElem),
+            PatternLabel::Value(v) => match from.values.resolve(v) {
+                Some(text) => Some(PatternLabel::Value(to.values.lookup(text)?)),
+                // Hashed mode: value ids are stateless, every table agrees.
+                None => Some(PatternLabel::Value(v)),
+            },
+        }
+    };
+    let root = p.root_id();
+    let mut out = TreePattern::with_root_axis(rebind(p.label(root))?, p.axis(root));
+    // `add` appends children after their parents, so a pass in id order
+    // sees every parent first and reproduces the original node ids.
+    for n in p.node_ids().skip(1) {
+        let parent = p
+            .parent(n)
+            .expect("every non-root pattern node has a parent");
+        out.add(parent, p.axis(n), rebind(p.label(n))?);
+    }
+    Some(out)
+}
+
+/// One independent index shard: its own corpus (symbol/path tables and
+/// documents, locally id'd), its own frozen + overlay index, and the
+/// local→global id map.  Shards share nothing on the query hot path, and a
+/// shard holds no lock of its own: query scratch is the caller's
+/// [`QueryContext`].
+#[derive(Debug)]
+pub(crate) struct Shard {
+    pub(crate) corpus: Corpus,
+    pub(crate) index: XmlIndex,
+    /// Local doc id → global doc id, ascending (locals are dense and
+    /// assigned in global-id order, so mapping a sorted local result list
+    /// keeps it sorted).
+    pub(crate) global_ids: Vec<DocId>,
+}
+
+impl Shard {
+    /// This shard's share of an XPath query — the one place the pipeline's
+    /// parse and search stages are called.  The expression re-resolves
+    /// against the shard's own interners, read-only: a symbol absent from
+    /// them proves the shard empty — `Ok(None)`, no descent.
+    pub(crate) fn answer(
+        &self,
+        expr: &str,
+        ctx: &mut QueryContext,
+        mut trace: Option<&mut ActiveTrace>,
+        parse_hist: &Histogram,
+    ) -> Result<Option<QueryOutcome>, ParseError> {
+        let pattern = xseq_query::parse_xpath_readonly_instrumented(
+            expr,
+            &self.corpus.symbols,
+            parse_hist,
+            trace.as_deref_mut(),
+        )?;
+        Ok(pattern.map(|p| self.search(&p, ctx, trace)))
+    }
+
+    /// Answers a pattern already bound to this shard's tables: the shard's
+    /// index answers with local ids, and the sorted result list rewrites to
+    /// global ids (an ascending map, so it stays sorted).
+    pub(crate) fn search(
+        &self,
+        pattern: &TreePattern,
+        ctx: &mut QueryContext,
+        trace: Option<&mut ActiveTrace>,
+    ) -> QueryOutcome {
+        let mut out = self
+            .index
+            .query_with(pattern, &self.corpus.paths, ctx, trace);
+        for d in &mut out.docs {
+            // PANIC-FREE: the shard's trie stores only local ids this shard
+            // minted, and global_ids holds one entry per local id
+            *d = self.global_ids[*d as usize];
+        }
+        out
+    }
+}
+
+/// Merges sorted, disjoint per-shard global doc-id lists into one sorted
+/// list.  Shards partition the id space, so there are no duplicates to
+/// collapse; a single list comes back untouched.
+fn kway_merge(lists: Vec<Vec<DocId>>) -> Vec<DocId> {
+    if lists.len() == 1 {
+        // PANIC-FREE: the length was just checked
+        return lists.into_iter().next().expect("one list");
+    }
+    let total = lists.iter().map(Vec::len).sum();
+    let mut heads = vec![0usize; lists.len()];
+    let mut out = Vec::with_capacity(total);
+    loop {
+        let mut best: Option<(usize, DocId)> = None;
+        for (i, list) in lists.iter().enumerate() {
+            // PANIC-FREE: heads and lists are the same length by
+            // construction, and get() bounds-checks the head itself
+            if let Some(&d) = list.get(heads[i]) {
+                if best.is_none_or(|(_, bd)| d < bd) {
+                    best = Some((i, d));
+                }
+            }
+        }
+        let Some((i, d)) = best else {
+            return out;
+        };
+        // PANIC-FREE: i comes from the enumerate above
+        heads[i] += 1;
+        out.push(d);
+    }
+}
+
+/// Folds one shard's outcome counters into the gathered aggregate: stats
+/// and phase times sum, per-variant descents append, classes union (their
+/// ids live in per-shard path spaces).  Docs are merged separately by
+/// [`kway_merge`].
+fn absorb_shard_outcome(acc: &mut QueryOutcome, shard: QueryOutcome) {
+    acc.stats.instantiations += shard.stats.instantiations;
+    acc.stats.variants += shard.stats.variants;
+    acc.stats.search.candidates += shard.stats.search.candidates;
+    acc.stats.search.cover_rejections += shard.stats.search.cover_rejections;
+    acc.stats.search.completions += shard.stats.search.completions;
+    acc.stats.search.link_probes += shard.stats.search.link_probes;
+    acc.stats.search.scratch_reuses += shard.stats.search.scratch_reuses;
+    acc.stats.plan_ns += shard.stats.plan_ns;
+    acc.stats.encode_ns += shard.stats.encode_ns;
+    acc.stats.search_ns += shard.stats.search_ns;
+    acc.classes.extend(shard.classes);
+    acc.descents.extend(shard.descents);
+}
+
+/// The gather half of every query: folds the outcomes of the shards that
+/// answered (in shard order) into one — sorted doc lists k-way merge,
+/// counters sum, classes union.  No outcomes (every shard provably empty)
+/// gather to the empty outcome.
+pub(crate) fn gather(answered: impl IntoIterator<Item = QueryOutcome>) -> QueryOutcome {
+    let mut answered = answered.into_iter();
+    let Some(mut acc) = answered.next() else {
+        return QueryOutcome::default();
+    };
+    let mut lists = vec![std::mem::take(&mut acc.docs)];
+    for mut out in answered {
+        lists.push(std::mem::take(&mut out.docs));
+        absorb_shard_outcome(&mut acc, out);
+    }
+    acc.docs = kway_merge(lists);
+    acc.classes.sort_unstable();
+    acc.classes.dedup();
+    acc
+}

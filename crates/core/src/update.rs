@@ -1,0 +1,858 @@
+//! The update path: insert / remove through the per-shard tiered overlay,
+//! tier merges (inline or on the background worker), per-shard compaction,
+//! and the overlay occupancy gauges (DESIGN.md §11, §15.3–15.4, §16).
+
+use crate::builder::{build_shard_index, shard_pool};
+use crate::shard::{reintern_symbol, shard_of};
+use crate::{
+    Corpus, Database, DocId, Error, Event, EventJournal, MetricsRegistry, Severity, SpanTimer,
+    Ticker, TieredDelta, Watchdog,
+};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+use xseq_telemetry::{Gauge, Histogram};
+
+/// Watchdog patience for the background merge worker: flagged stalled
+/// after this many foreground ticks with a frozen heartbeat while active.
+const MERGE_STALL_TICKS: u64 = 3;
+
+/// The per-shard tiered-delta handles the background merge worker drains;
+/// compaction swaps a rebuilt shard's handle in under the lock.
+pub(crate) type MergeHandles = Arc<Mutex<Vec<Arc<TieredDelta>>>>;
+
+/// The overlay occupancy gauges and their one owner.  Gauges are `set`, not
+/// added, so indexes sharing one would clobber each other — whoever sees
+/// every shard's overlay sets them, nobody else does: the plain names
+/// (`index.delta.sequences`, `index.delta.runs`, `index.tombstones`) carry
+/// the sums over all shards, and a database of more than one shard also
+/// publishes each shard's own values as `index.shard<i>.*`.
+#[derive(Debug, Clone)]
+pub(crate) struct UpdateGauges {
+    total: [Arc<Gauge>; 3],
+    /// Empty with one shard, whose values the totals already are.
+    per_shard: Vec<[Arc<Gauge>; 3]>,
+}
+
+impl UpdateGauges {
+    pub(crate) fn register(registry: &MetricsRegistry, nshards: usize) -> Self {
+        let family = |prefix: &str| {
+            ["delta.sequences", "delta.runs", "tombstones"]
+                .map(|name| registry.gauge(&format!("{prefix}.{name}")))
+        };
+        UpdateGauges {
+            total: family("index"),
+            per_shard: if nshards > 1 {
+                (0..nshards)
+                    .map(|s| family(&format!("index.shard{s}")))
+                    .collect()
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    /// Re-derives every gauge from the shards' overlays, in shard order.
+    pub(crate) fn refresh<'a>(&self, deltas: impl Iterator<Item = &'a TieredDelta>) {
+        let mut sums = [0i64; 3];
+        for (s, delta) in deltas.enumerate() {
+            let values = [
+                delta.sequence_count(),
+                delta.run_count(),
+                delta.tombstones().len(),
+            ];
+            for (i, v) in values.into_iter().enumerate() {
+                sums[i] += v as i64;
+                if let Some(shard) = self.per_shard.get(s) {
+                    shard[i].set(v as i64);
+                }
+            }
+        }
+        for (gauge, sum) in self.total.iter().zip(sums) {
+            gauge.set(sum);
+        }
+    }
+}
+
+/// Drains every size-ratio-triggered merge currently due in one shard's
+/// tiered delta, recording each as an `index.merge` latency sample
+/// bracketed by `compact.tier.start` / `compact.tier.finish`
+/// flight-recorder events.  Returns the number of merges performed.
+/// Shared by the background worker and the inline (foreground) drain in
+/// [`Database::insert_document`].
+fn drain_shard_merges(
+    s: usize,
+    delta: &TieredDelta,
+    events: &EventJournal,
+    hist: &Histogram,
+) -> usize {
+    let mut merges = 0;
+    while delta.merge_due() {
+        events.record(
+            Event::new("compact.tier.start")
+                .severity(Severity::Debug)
+                .attr("shard", s as u64),
+        );
+        let t0 = Instant::now();
+        let outcome = delta.maybe_merge();
+        let total_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        // None: another thread merged (or cleared) first — `merge_due` is
+        // advisory.  Record the abort and stop; the winner owns the drain.
+        let Some(out) = outcome else {
+            events.record(
+                Event::new("compact.tier.finish")
+                    .severity(Severity::Debug)
+                    .attr("shard", s as u64)
+                    .attr("runs", 0u64),
+            );
+            break;
+        };
+        hist.record(total_ns);
+        merges += 1;
+        events.record(
+            Event::new("compact.tier.finish")
+                .severity(Severity::Debug)
+                .attr("shard", s as u64)
+                .attr("tier", u64::from(out.tier))
+                .attr("runs", out.runs_merged as u64)
+                .attr("docs", out.docs_in as u64)
+                .attr("dropped", out.docs_dropped as u64)
+                .attr("total_ns", total_ns),
+        );
+    }
+    merges
+}
+
+/// Starts the background merge worker under watchdog supervision: every
+/// `period` it drains each shard's due merges, beating the watchdog per
+/// shard, and re-derives the occupancy gauges when anything merged.
+pub(crate) fn spawn_merge_worker(
+    period: Duration,
+    registry: &Arc<MetricsRegistry>,
+    events: &Arc<EventJournal>,
+    handles: &MergeHandles,
+    hist: &Arc<Histogram>,
+    gauges: &UpdateGauges,
+) -> (Arc<Watchdog>, Ticker) {
+    let watchdog =
+        Arc::new(Watchdog::new(registry.clone(), MERGE_STALL_TICKS).events(events.clone()));
+    let worker = watchdog.register("merge");
+    let (events, handles, hist, gauges) = (
+        events.clone(),
+        handles.clone(),
+        hist.clone(),
+        gauges.clone(),
+    );
+    let ticker = Ticker::spawn_named("xseq-merge", period, move || {
+        worker.set_active(true);
+        // Clone the handle list out and drop the guard before merging:
+        // compaction swaps handles under this lock and must never wait on
+        // a long merge.
+        let deltas: Vec<Arc<TieredDelta>> = {
+            let guard = handles.lock().unwrap_or_else(|p| p.into_inner());
+            guard.clone()
+        };
+        let mut merges = 0;
+        for (s, delta) in deltas.iter().enumerate() {
+            merges += drain_shard_merges(s, delta, &events, &hist);
+            worker.beat();
+        }
+        if merges > 0 {
+            gauges.refresh(deltas.iter().map(|d| &**d));
+        }
+        worker.set_active(false);
+    });
+    (watchdog, ticker)
+}
+
+/// What one [`Database::compact`] did: sizes before/after, and the doc-id
+/// renumbering it applied.
+///
+/// Compaction renumbers documents densely (tombstoned ids disappear, the
+/// survivors close ranks in order) — exactly the ids a from-scratch build
+/// over the surviving documents would assign.  `remap[old]` gives the new
+/// id of old document `old`, or `None` if it was tombstoned.
+#[derive(Debug, Clone)]
+pub struct CompactionReport {
+    /// Documents (frozen + delta) before compaction.
+    pub docs_before: usize,
+    /// Surviving documents after compaction.
+    pub docs_after: usize,
+    /// Tombstones dropped for good.
+    pub tombstones_dropped: usize,
+    /// Delta sequences folded into the frozen segment.
+    pub delta_merged: usize,
+    /// Old id → new id (`None` for tombstoned documents).
+    pub remap: Vec<Option<DocId>>,
+}
+
+impl Database {
+    /// Adds one document through the update path: the XML is parsed into
+    /// its shard's corpus (new element names and values intern *here*,
+    /// never at query time), sequenced with the index's strategy, and
+    /// appended to the in-memory **delta segment** — the frozen trie is
+    /// untouched, and the very next query sees the document (queries run
+    /// over *frozen ∪ delta − tombstones*).
+    ///
+    /// Returns the new document's id.  When the builder enabled
+    /// [`DatabaseBuilder::auto_compact`](crate::DatabaseBuilder::auto_compact)
+    /// and this insert crosses the threshold, a compaction runs inline and
+    /// the returned id is the **post-compaction** id.
+    pub fn insert_document(&mut self, xml: &str) -> Result<DocId, Error> {
+        let id = self.insert_one(xml)?;
+        if let Some(remap) = self.auto_compact_if_needed() {
+            let new_id =
+                remap[id as usize].expect("freshly inserted document survives its own compaction");
+            return Ok(new_id);
+        }
+        Ok(id)
+    }
+
+    /// The shared insert kernel: routes the document to its shard by the
+    /// global-id hash, parses into that shard's corpus, and appends to the
+    /// shard's delta segment.  No auto-compaction check.
+    fn insert_one(&mut self, xml: &str) -> Result<DocId, Error> {
+        let timer = SpanTimer::new(self.update_insert_hist.clone());
+        let global = self.doc_map.len() as DocId;
+        let s = shard_of(global, self.shards.len());
+        // PANIC-FREE: shard_of reduces modulo self.shards.len()
+        let sh = &mut self.shards[s];
+        let local = sh.corpus.parse_and_push(xml)?;
+        // PANIC-FREE: parse_and_push returned local as the freshly pushed
+        // document's index
+        let doc = &sh.corpus.docs[local as usize];
+        sh.index.insert_delta(doc, local, &mut sh.corpus.paths);
+        sh.global_ids.push(global);
+        self.doc_map.push((s as u32, local));
+        if self.merge_ticker.is_none() {
+            // Inline mode: fold due merges right here, keeping the run
+            // count logarithmic without a background worker.  Only this
+            // shard's memtable was cut, so only it can be due.
+            drain_shard_merges(s, sh.index.delta(), &self.events, &self.merge_hist);
+        } else {
+            self.tick_merge_watchdog();
+        }
+        self.refresh_update_gauges();
+        let total_ns = timer.finish();
+        self.events.record(
+            Event::new("ingest.insert")
+                .severity(Severity::Debug)
+                .attr("doc", global as u64)
+                .attr("shard", s as u64)
+                .attr("total_ns", total_ns),
+        );
+        Ok(global)
+    }
+
+    /// [`Database::insert_document`] for a batch: all documents join the
+    /// delta segment, then a single auto-compaction check runs at the end,
+    /// so the returned ids are consistent with each other.  On a parse
+    /// error the documents before it remain inserted.
+    pub fn insert_documents<'a>(
+        &mut self,
+        xmls: impl IntoIterator<Item = &'a str>,
+    ) -> Result<Vec<DocId>, Error> {
+        let mut ids = Vec::new();
+        for xml in xmls {
+            ids.push(self.insert_one(xml)?);
+        }
+        if let Some(remap) = self.auto_compact_if_needed() {
+            for id in &mut ids {
+                *id = remap[*id as usize]
+                    .expect("freshly inserted documents survive their own compaction");
+            }
+        }
+        Ok(ids)
+    }
+
+    /// Removes a document: its id is tombstoned and stops appearing in any
+    /// query result immediately; [`Database::compact`] later drops the
+    /// document (and its sequences) for good.  Returns `false` when `id`
+    /// does not exist or was already removed.
+    pub fn remove_document(&mut self, id: DocId) -> bool {
+        let Some(&(s, local)) = self.doc_map.get(id as usize) else {
+            return false;
+        };
+        let timer = SpanTimer::new(self.update_remove_hist.clone());
+        // PANIC-FREE: doc_map entries name the shard that minted them
+        let fresh = self.shards[s as usize].index.remove_doc(local);
+        let total_ns = timer.finish();
+        if fresh {
+            self.tick_merge_watchdog();
+            self.refresh_update_gauges();
+            self.events.record(
+                Event::new("ingest.remove")
+                    .severity(Severity::Debug)
+                    .attr("doc", id as u64)
+                    .attr("shard", u64::from(s))
+                    .attr("total_ns", total_ns),
+            );
+            self.auto_compact_if_needed();
+        }
+        fresh
+    }
+
+    /// Runs the configured auto-compaction policy: each shard is checked
+    /// **independently** and only the shards whose pending updates reach
+    /// the threshold compact — one hot shard never stalls the others.
+    /// Returns the global remap when anything compacted.
+    fn auto_compact_if_needed(&mut self) -> Option<Vec<Option<DocId>>> {
+        let threshold = self.config.compact_threshold?;
+        let due: Vec<usize> = (0..self.shards.len())
+            .filter(|&s| self.shards[s].index.pending_updates() >= threshold)
+            .collect();
+        if due.is_empty() {
+            return None;
+        }
+        Some(self.compact_shards(&due).remap)
+    }
+
+    /// Drains every pending tier merge across all shards on the calling
+    /// thread, returning the number of merges performed.  This is exactly
+    /// what the background worker does once per period; call it directly
+    /// to quiesce the tiered delta deterministically (tests and benchmarks
+    /// do).  Queries holding an older [`DeltaView`](crate::DeltaView) keep
+    /// their segment set — a merge only swaps the published list.
+    pub fn run_pending_merges(&self) -> usize {
+        let mut merges = 0;
+        for (s, sh) in self.shards.iter().enumerate() {
+            merges += drain_shard_merges(s, sh.index.delta(), &self.events, &self.merge_hist);
+        }
+        if merges > 0 {
+            self.refresh_update_gauges();
+        }
+        merges
+    }
+
+    /// Advances the background-merge watchdog one tick and returns the
+    /// names of any workers currently flagged stalled (empty without
+    /// [`DatabaseBuilder::background_merge`](crate::DatabaseBuilder::background_merge)).
+    /// The foreground update path ticks automatically on every
+    /// insert/remove; call this from an external supervision loop when the
+    /// database is otherwise idle.
+    pub fn tick_merge_watchdog(&self) -> Vec<String> {
+        self.merge_watchdog
+            .as_ref()
+            .map_or_else(Vec::new, |w| w.tick())
+    }
+
+    /// True when a background merge worker is running.
+    pub fn has_background_merge(&self) -> bool {
+        self.merge_ticker.is_some()
+    }
+
+    /// Folds the delta segment and tombstones back into a single frozen
+    /// segment by replaying the original build pipeline — parallel
+    /// part-sort → k-way merge → `bulk_load_presorted` → `freeze_parallel`
+    /// — over the **surviving** documents.
+    ///
+    /// The surviving documents are re-interned into fresh symbol/path
+    /// tables in document order (a document's arena order is its parse
+    /// encounter order, so stateful re-interning replays the original
+    /// first-occurrence interning exactly), the sequencing strategy is
+    /// re-derived the way [`DatabaseBuilder`](crate::DatabaseBuilder)
+    /// derived it, and ids renumber densely — the result is
+    /// **bit-identical** to building a fresh database from the survivors'
+    /// XML.  `verify_integrity()` and the Theorem 1/2 invariants therefore
+    /// keep holding after any update history.
+    pub fn compact(&mut self) -> CompactionReport {
+        let all: Vec<usize> = (0..self.shards.len()).collect();
+        self.compact_shards(&all)
+    }
+
+    /// [`Database::compact`] for one shard — the independently schedulable
+    /// unit the shard split buys: only shard `s`'s delta and tombstones
+    /// fold into its frozen segment; every other shard's structures are
+    /// untouched.  Global doc ids still renumber densely across the whole
+    /// database (the returned remap covers every document), so callers
+    /// can compact shards one at a time between query waves.
+    pub fn compact_shard(&mut self, s: usize) -> CompactionReport {
+        assert!(s < self.shards.len(), "shard index out of range");
+        self.compact_shards(&[s])
+    }
+
+    /// The shared compaction kernel: rebuilds each selected shard from its
+    /// surviving documents, then renumbers global ids densely by walking
+    /// the old global order (survivors keep their relative order, so the
+    /// per-shard local→global maps stay ascending and merged query results
+    /// stay sorted).
+    fn compact_shards(&mut self, which: &[usize]) -> CompactionReport {
+        let timer = SpanTimer::new(self.compact_hist.clone());
+        let nshards = self.shards.len();
+        let docs_before = self.doc_map.len();
+        let tombstones_dropped: usize = which
+            .iter()
+            .map(|&s| self.shards[s].index.tombstones().len())
+            .sum();
+        let delta_merged: usize = which
+            .iter()
+            .map(|&s| self.shards[s].index.delta().sequence_count())
+            .sum();
+        self.events.record(
+            Event::new("compact.start")
+                .attr("docs", docs_before as u64)
+                .attr("tombstones", tombstones_dropped as u64)
+                .attr("delta", delta_merged as u64),
+        );
+        let pool = shard_pool(self.pool.threads(), nshards);
+        let mut local_remaps: Vec<Option<Vec<Option<DocId>>>> = vec![None; nshards];
+        for &s in which {
+            let sh = &mut self.shards[s];
+            let mut fresh = Corpus::new(sh.corpus.symbols.values.mode());
+            let mut remap: Vec<Option<DocId>> = vec![None; sh.corpus.docs.len()];
+            let tombstones = sh.index.tombstones();
+            for (id, doc) in sh.corpus.docs.iter().enumerate() {
+                if tombstones.contains(id as DocId) {
+                    continue;
+                }
+                let mut doc = doc.clone();
+                // Arena order = parse encounter order, so interning through
+                // the fresh tables here replays a from-scratch parse.
+                doc.remap_symbols(|sym| {
+                    reintern_symbol(sym, &sh.corpus.symbols, &mut fresh.symbols)
+                });
+                remap[id] = Some(fresh.push(doc));
+            }
+            sh.index = build_shard_index(&self.config, &mut fresh, &self.registry, &pool);
+            sh.corpus = fresh;
+            local_remaps[s] = Some(remap);
+        }
+        // Swap the rebuilt shards' fresh delta handles in for the
+        // background merge worker (the old handles die with the last
+        // in-flight snapshot).
+        {
+            let mut handles = self.merge_handles.lock().unwrap_or_else(|p| p.into_inner());
+            for &s in which {
+                handles[s] = self.shards[s].index.delta_handle();
+            }
+        }
+        // Dense global renumbering: walk the old global order.  A shard's
+        // locals appear in ascending global order (routing is sticky and
+        // locals mint sequentially), so pushing survivors in walk order
+        // rebuilds each shard's global_ids aligned with its local ids.
+        let old_map = std::mem::take(&mut self.doc_map);
+        let mut remap: Vec<Option<DocId>> = vec![None; docs_before];
+        for sh in &mut self.shards {
+            sh.global_ids.clear();
+        }
+        for (g, (s, local)) in old_map.into_iter().enumerate() {
+            let su = s as usize;
+            let new_local = match &local_remaps[su] {
+                // An untouched shard keeps every local id.
+                None => Some(local),
+                Some(lr) => lr[local as usize],
+            };
+            let Some(new_local) = new_local else { continue };
+            let new_global = self.doc_map.len() as DocId;
+            debug_assert_eq!(new_local as usize, self.shards[su].global_ids.len());
+            self.shards[su].global_ids.push(new_global);
+            self.doc_map.push((s, new_local));
+            remap[g] = Some(new_global);
+        }
+        self.refresh_update_gauges();
+        let total_ns = timer.finish();
+        self.events.record(
+            Event::new("compact.finish")
+                .attr("docs", self.doc_map.len() as u64)
+                .attr("dropped", tombstones_dropped as u64)
+                .attr("merged", delta_merged as u64)
+                .attr("total_ns", total_ns),
+        );
+        CompactionReport {
+            docs_before,
+            docs_after: self.doc_map.len(),
+            tombstones_dropped,
+            delta_merged,
+            remap,
+        }
+    }
+
+    /// Re-derives the overlay occupancy gauges (see [`UpdateGauges`]) after
+    /// anything on this thread changed an overlay.
+    fn refresh_update_gauges(&self) {
+        self.update_gauges
+            .refresh(self.shards.iter().map(|sh| sh.index.delta()));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::*;
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn insert_then_query() {
+        let mut db = DatabaseBuilder::new()
+            .build_from_xml(["<a><b/></a>"])
+            .unwrap();
+        let id = db.insert_document("<a><c/></a>").unwrap();
+        assert_eq!(id, 1);
+        assert_eq!(db.query_xpath("/a/c").unwrap(), vec![1]);
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let elements = |levels: usize| format!("{}{}", "<a>".repeat(levels), "</a>".repeat(levels));
+        let predicates = |levels: usize| format!("/a{}{}", "[a".repeat(levels), "]".repeat(levels));
+        let (xml_limit, xpath_limit) = (xml::parser::MAX_DEPTH, query::MAX_DEPTH);
+        let mut db = DatabaseBuilder::new()
+            .build_from_xml(["<a><b/></a>"])
+            .unwrap();
+        // At the limits: the document indexes, the query answers.
+        let deep = db.insert_document(&elements(xml_limit)).unwrap();
+        assert_eq!(db.query_xpath(&predicates(xpath_limit)).unwrap(), [deep]);
+        assert!(db.verify_integrity().is_clean());
+        // One past, and far past: typed errors, and the process survives.
+        for levels in [xml_limit + 1, 100_000] {
+            let err = db.insert_document(&elements(levels)).unwrap_err();
+            assert!(
+                matches!(err, Error::Xml(XmlError::TooDeep { limit, .. }) if limit == xml_limit),
+                "{err}"
+            );
+            let err = DatabaseBuilder::new()
+                .build_from_xml([elements(levels).as_str()])
+                .unwrap_err();
+            assert!(matches!(err, Error::Xml(XmlError::TooDeep { .. })), "{err}");
+        }
+        for levels in [xpath_limit + 1, 100_000] {
+            let err = db.query_xpath(&predicates(levels)).unwrap_err();
+            assert!(
+                matches!(err, Error::Query(ParseError::TooDeep { limit, .. }) if limit == xpath_limit),
+                "{err}"
+            );
+        }
+        assert_eq!(db.len(), 2, "a rejected document leaves nothing behind");
+    }
+
+    #[test]
+    fn insert_remove_query_union_semantics() {
+        let mut db = DatabaseBuilder::new()
+            .build_from_xml(["<a><b/></a>", "<a><b/><c/></a>"])
+            .unwrap();
+        let id = db.insert_document("<a><b/><d/></a>").unwrap();
+        assert_eq!(id, 2);
+        // union: frozen hits + delta hits
+        assert_eq!(db.query_xpath("/a/b").unwrap(), vec![0, 1, 2]);
+        assert_eq!(db.query_xpath("/a/d").unwrap(), vec![2]);
+        assert_eq!(db.index().delta().sequence_count(), 1);
+        // tombstone filters immediately, from either segment
+        assert!(db.remove_document(1));
+        assert!(!db.remove_document(1), "double remove is a no-op");
+        assert!(!db.remove_document(99), "unknown id is a no-op");
+        assert_eq!(db.query_xpath("/a/b").unwrap(), vec![0, 2]);
+        assert!(db.remove_document(2));
+        assert_eq!(db.query_xpath("/a/d").unwrap(), Vec::<DocId>::new());
+        let report = db.verify_integrity();
+        assert!(report.is_clean(), "{}", report.render());
+    }
+
+    #[test]
+    fn compact_is_bit_identical_to_rebuild_over_survivors() {
+        for seq in [Sequencing::DepthFirst, Sequencing::Probability] {
+            let mut db = DatabaseBuilder::new()
+                .sequencing(seq)
+                .build_from_xml([
+                    "<p><r><l>boston</l></r></p>",
+                    "<p><d><l>newyork</l></d></p>",
+                    "<p><r><l>austin</l></r></p>",
+                ])
+                .unwrap();
+            db.insert_document("<p><r><l>seattle</l></r><z/></p>")
+                .unwrap();
+            db.insert_document("<q><x/></q>").unwrap();
+            assert!(db.remove_document(1));
+            assert!(db.remove_document(3));
+            let report = db.compact();
+            assert_eq!(report.docs_before, 5);
+            assert_eq!(report.docs_after, 3);
+            assert_eq!(report.tombstones_dropped, 2);
+            assert_eq!(report.delta_merged, 2);
+            assert_eq!(
+                report.remap,
+                vec![Some(0), None, Some(1), None, Some(2)],
+                "{seq:?}: survivors renumber densely in order"
+            );
+            assert!(db.index().delta().is_empty());
+            assert!(db.index().tombstones().is_empty());
+            // Bit-identity with a from-scratch build over the survivors.
+            let reference = DatabaseBuilder::new()
+                .sequencing(seq)
+                .build_from_xml([
+                    "<p><r><l>boston</l></r></p>",
+                    "<p><r><l>austin</l></r></p>",
+                    "<q><x/></q>",
+                ])
+                .unwrap();
+            assert!(
+                db.index().trie().identical_to(reference.index().trie()),
+                "{seq:?}: compacted trie diverges from rebuild"
+            );
+            assert_eq!(db.index().data_paths(), reference.index().data_paths());
+            assert_eq!(db.corpus().paths.len(), reference.corpus().paths.len());
+            assert_eq!(
+                db.corpus().symbols.designator_count(),
+                reference.corpus().symbols.designator_count()
+            );
+            assert_eq!(
+                db.corpus().symbols.values.len(),
+                reference.corpus().symbols.values.len()
+            );
+            for q in ["/p/r/l", "//l[text='austin']", "/q/x", "/p/z"] {
+                assert_eq!(
+                    db.query_xpath(q).unwrap(),
+                    reference.query_xpath(q).unwrap(),
+                    "{seq:?}: {q}"
+                );
+            }
+            let report = db.verify_integrity();
+            assert!(report.is_clean(), "{seq:?}: {}", report.render());
+        }
+    }
+
+    #[test]
+    fn auto_compaction_threshold_fires_and_remaps() {
+        let mut db = DatabaseBuilder::new()
+            .sequencing(Sequencing::DepthFirst)
+            .auto_compact(3)
+            .build_from_xml(["<a><b/></a>"])
+            .unwrap();
+        // threshold 3: two updates stay in the overlay…
+        let a = db.insert_document("<a><x/></a>").unwrap();
+        assert_eq!(a, 1);
+        assert!(db.remove_document(0));
+        assert_eq!(db.index().pending_updates(), 2);
+        // …the third triggers compaction; the fresh insert survives and is
+        // renumbered (doc 0 dropped, so the two inserts become 0 and 1).
+        let b = db.insert_document("<a><y/></a>").unwrap();
+        assert_eq!(b, 1, "post-compaction id");
+        assert_eq!(db.index().pending_updates(), 0);
+        assert!(db.index().delta().is_empty());
+        assert_eq!(db.len(), 2);
+        assert_eq!(db.query_xpath("/a/x").unwrap(), vec![0]);
+        assert_eq!(db.query_xpath("/a/y").unwrap(), vec![1]);
+    }
+
+    #[test]
+    fn insert_documents_batch_compacts_once() {
+        let mut db = DatabaseBuilder::new()
+            .sequencing(Sequencing::DepthFirst)
+            .auto_compact(2)
+            .build_from_xml(["<a><b/></a>"])
+            .unwrap();
+        let ids = db
+            .insert_documents(["<a><c/></a>", "<a><d/></a>", "<a><e/></a>"])
+            .unwrap();
+        // All three joined the delta, then one compaction ran at the end.
+        assert_eq!(ids, vec![1, 2, 3]);
+        assert!(db.index().delta().is_empty());
+        assert_eq!(db.query_xpath("/a/e").unwrap(), vec![3]);
+    }
+
+    #[test]
+    fn update_metrics_and_gauges_track_the_overlay() {
+        for shards in [1usize, 3] {
+            let mut db = DatabaseBuilder::new()
+                .shards(shards)
+                .build_from_xml(["<a><b/></a>"])
+                .unwrap();
+            let snap = db.metrics();
+            for name in ["update.insert", "update.remove", "index.compact"] {
+                assert!(snap.has_prefix(name), "missing {name}");
+            }
+            db.insert_document("<a><c/></a>").unwrap();
+            db.insert_document("<a><d/></a>").unwrap();
+            db.remove_document(0);
+            let snap = db.metrics();
+            assert_eq!(snap.histogram("update.insert").unwrap().count, 2);
+            assert_eq!(snap.histogram("update.remove").unwrap().count, 1);
+            // The plain names carry the sums at any shard count…
+            assert_eq!(snap.gauge("index.delta.sequences"), Some(2));
+            assert_eq!(snap.gauge("index.tombstones"), Some(1));
+            // …and only a multi-shard database publishes the per-shard
+            // family, which adds up to them.
+            assert_eq!(snap.has_prefix("index.shard"), shards > 1);
+            if shards > 1 {
+                let family = |name: &str| -> i64 {
+                    (0..shards)
+                        .map(|s| snap.gauge(&format!("index.shard{s}.{name}")).unwrap())
+                        .sum()
+                };
+                assert_eq!(family("delta.sequences"), 2);
+                assert_eq!(family("tombstones"), 1);
+            }
+            db.compact();
+            let snap = db.metrics();
+            assert_eq!(snap.histogram("index.compact").unwrap().count, 1);
+            for name in [
+                "index.delta.sequences",
+                "index.delta.runs",
+                "index.tombstones",
+            ] {
+                assert_eq!(snap.gauge(name), Some(0), "{name} at {shards} shard(s)");
+            }
+        }
+    }
+
+    #[test]
+    fn inline_tier_merges_fold_runs_and_keep_answers() {
+        let mut db = DatabaseBuilder::new()
+            .sequencing(Sequencing::DepthFirst)
+            .memtable_limit(1)
+            .tier_ratio(2)
+            .build_from_xml(["<a><b/></a>"])
+            .unwrap();
+        for i in 0..8 {
+            db.insert_document(&format!("<a><b/><c{i}/></a>")).unwrap();
+        }
+        // limit 1 / ratio 2 is a binary counter: 8 single-sequence runs
+        // cascade into popcount(8) = 1 published run.
+        assert_eq!(db.index().delta().run_count(), 1);
+        assert_eq!(db.index().delta().sequence_count(), 8);
+        let snap = db.metrics();
+        assert!(
+            snap.histogram("index.merge").unwrap().count >= 7,
+            "7 binary-counter merges expected, saw {}",
+            snap.histogram("index.merge").unwrap().count
+        );
+        assert_eq!(snap.gauge("index.delta.runs"), Some(1));
+        let names: Vec<&str> = db.events().events().iter().map(|e| e.name).collect();
+        assert!(names.contains(&"compact.tier.start"), "{names:?}");
+        assert!(names.contains(&"compact.tier.finish"), "{names:?}");
+        assert_eq!(db.query_xpath("/a/b").unwrap().len(), 9);
+        assert_eq!(db.query_xpath("/a/c3").unwrap(), vec![4]);
+        assert!(db.verify_integrity().is_clean());
+    }
+
+    #[test]
+    fn background_merge_worker_folds_runs() {
+        let mut db = DatabaseBuilder::new()
+            .sequencing(Sequencing::DepthFirst)
+            .memtable_limit(1)
+            .tier_ratio(2)
+            .background_merge(std::time::Duration::from_millis(1))
+            .build_from_xml(["<a><b/></a>"])
+            .unwrap();
+        assert!(db.has_background_merge());
+        for i in 0..8 {
+            db.insert_document(&format!("<a><c{i}/></a>")).unwrap();
+        }
+        // The worker fires every 1 ms; wait for it to quiesce the tiers.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while db.index().delta().merge_due() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(!db.index().delta().merge_due(), "worker never caught up");
+        assert!(db.index().delta().run_count() <= 2);
+        assert_eq!(db.index().delta().sequence_count(), 8);
+        let snap = db.metrics();
+        assert!(snap.counter("health.merge.heartbeat") > 0, "worker beats");
+        assert!(db.tick_merge_watchdog().is_empty(), "worker not stalled");
+        assert_eq!(db.query_xpath("/a/c5").unwrap(), vec![6]);
+        assert!(db.verify_integrity().is_clean());
+    }
+
+    #[test]
+    fn merge_time_has_its_own_phase_family() {
+        let mut db = DatabaseBuilder::new()
+            .sequencing(Sequencing::DepthFirst)
+            .memtable_limit(1)
+            .tier_ratio(2)
+            .build_from_xml(["<a><b/></a>"])
+            .unwrap();
+        for i in 0..4 {
+            db.insert_document(&format!("<a><c{i}/></a>")).unwrap();
+        }
+        db.compact();
+        let snap = db.metrics();
+        let merges = snap.histogram("index.merge").unwrap().count;
+        assert!(merges >= 3, "binary-counter merges before compaction");
+        // Merge latency lives in its own family: compaction's single
+        // sample does not absorb (double-count) the merge spans.
+        assert_eq!(snap.histogram("index.compact").unwrap().count, 1);
+        let collapsed = db.phase_profile().to_collapsed();
+        assert!(
+            collapsed
+                .lines()
+                .any(|l| l.starts_with("update;index.merge ")),
+            "merge frame missing:\n{collapsed}"
+        );
+        assert!(
+            collapsed
+                .lines()
+                .any(|l| l.starts_with("update;index.compact ")),
+            "compact frame missing:\n{collapsed}"
+        );
+        let profile = db.phase_profile();
+        let merge_entry = profile
+            .entries
+            .iter()
+            .find(|e| e.stack.last() == Some(&"index.merge"))
+            .expect("index.merge is in PHASE_TREE");
+        assert_eq!(merge_entry.samples, merges, "one sample per tier merge");
+    }
+
+    #[test]
+    fn compaction_replays_the_tier_knobs() {
+        let mut db = DatabaseBuilder::new()
+            .sequencing(Sequencing::DepthFirst)
+            .memtable_limit(2)
+            .tier_ratio(2)
+            .build_from_xml(["<a><b/></a>"])
+            .unwrap();
+        assert_eq!(db.index().delta().memtable_limit(), 2);
+        db.insert_document("<a><c/></a>").unwrap();
+        db.insert_document("<a><d/></a>").unwrap();
+        assert_eq!(db.index().delta().run_count(), 1, "cut at limit 2");
+        db.compact();
+        assert_eq!(db.index().delta().memtable_limit(), 2, "knobs survive");
+        assert_eq!(db.index().delta().tier_ratio(), 2);
+        db.insert_document("<a><e/></a>").unwrap();
+        db.insert_document("<a><f/></a>").unwrap();
+        assert_eq!(db.index().delta().run_count(), 1, "cut again post-compact");
+        assert_eq!(db.query_xpath("/a/f").unwrap(), vec![4]);
+    }
+
+    #[test]
+    fn compact_on_pristine_database_is_a_clean_rebuild() {
+        let mut db = DatabaseBuilder::new()
+            .build_from_xml(["<a><b/></a>", "<a><c/></a>"])
+            .unwrap();
+        let before = db.query_xpath("//b").unwrap();
+        let report = db.compact();
+        assert_eq!(report.docs_before, 2);
+        assert_eq!(report.docs_after, 2);
+        assert_eq!(db.query_xpath("//b").unwrap(), before);
+        assert!(db.verify_integrity().is_clean());
+    }
+
+    #[test]
+    fn hashed_value_mode_survives_compaction() {
+        let mut db = DatabaseBuilder::new()
+            .value_mode(ValueMode::Hashed { range: 64 })
+            .build_from_xml(["<a><l>boston</l></a>", "<a><l>newyork</l></a>"])
+            .unwrap();
+        db.insert_document("<a><l>austin</l></a>").unwrap();
+        db.remove_document(1);
+        db.compact();
+        // Hashed ids are stateless, so the surviving values still match.
+        assert!(db.query_xpath("/a/l[text='boston']").unwrap().contains(&0));
+        assert!(db.query_xpath("/a/l[text='austin']").unwrap().contains(&1));
+        assert!(db.verify_integrity().is_clean());
+    }
+
+    #[test]
+    fn chars_value_mode_survives_compaction() {
+        let mut db = DatabaseBuilder::new()
+            .value_mode(ValueMode::Chars)
+            .build_from_xml(["<a><l>bo</l></a>", "<a><l>ny</l></a>"])
+            .unwrap();
+        db.insert_document("<a><l>at</l></a>").unwrap();
+        db.remove_document(0);
+        db.compact();
+        let reference = DatabaseBuilder::new()
+            .value_mode(ValueMode::Chars)
+            .build_from_xml(["<a><l>ny</l></a>", "<a><l>at</l></a>"])
+            .unwrap();
+        assert!(db.index().trie().identical_to(reference.index().trie()));
+        assert!(db.verify_integrity().is_clean());
+    }
+}

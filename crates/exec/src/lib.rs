@@ -332,13 +332,10 @@ impl Ticker {
                     }
                 }
             });
-        let handle = match handle {
-            Ok(h) => Some(h),
-            // OS refused a thread: degrade to a dead ticker (no cadence)
-            // rather than poisoning startup — callers drive ticks at their
-            // own risk of staleness, and stop()/drop stay no-ops.
-            Err(_) => None,
-        };
+        // OS refused a thread: degrade to a dead ticker (no cadence) rather
+        // than poisoning startup — callers drive ticks at their own risk of
+        // staleness, and stop()/drop stay no-ops.
+        let handle = handle.ok();
         Ticker { stop, handle }
     }
 

@@ -46,7 +46,7 @@
 //! the surviving documents — see DESIGN.md §11/§16 for why that is
 //! bit-identical to a from-scratch rebuild.
 //!
-//! [`check_updates`] and [`check_updates_tiered`] wire the overlay into the
+//! [`check_updates_tiered`] wires the overlay into the
 //! `xseq-telemetry::sched` deterministic interleaving checker (the same
 //! harness that model-checks `BoundedRing`): scripted per-thread op lists —
 //! now including [`UpdateOp::Merge`] and [`UpdateOp::Compact`] — run under
@@ -680,7 +680,7 @@ impl xseq_telemetry::HeapSize for Tombstones {
 }
 
 /// One scripted operation against the update overlay, for
-/// [`check_updates`] / [`check_updates_tiered`].
+/// [`check_updates_tiered`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateOp {
     /// Insert a synthetic document with this id into the overlay.
@@ -714,10 +714,10 @@ fn synthetic_doc(id: DocId, symbols: &mut SymbolTable) -> Document {
     doc
 }
 
-/// Model-checks the update overlay under deterministic interleavings with
-/// aggressive tiering knobs (`memtable_limit = 2`, `tier_ratio = 2`, so
-/// cuts and merges fire inside even short scripts) — the same way
-/// `check_ring` model-checks `BoundedRing`.
+/// Model-checks the update overlay under deterministic interleavings — the
+/// same way `check_ring` model-checks `BoundedRing` — with explicit tiering
+/// knobs (aggressive ones, e.g. `memtable_limit = 2`, `tier_ratio = 2`, make
+/// cuts and merges fire inside even short scripts).
 ///
 /// `threads[i]` is thread *i*'s op script.  Every schedule (exhaustive when
 /// the interleaving count is at most `limit`, a seeded sample otherwise)
@@ -725,16 +725,8 @@ fn synthetic_doc(id: DocId, symbols: &mut SymbolTable) -> Document {
 /// discipline makes writer ops atomic units, and op-grain snapshots are
 /// exactly what [`TieredDelta::delta_view`] hands a reader — against both
 /// the real [`TieredDelta`] and a reference set model.  Any `Query` op (and
-/// a final drain) must observe *exactly* the visible set; the first
-/// divergence fails with the offending schedule attached.
-///
-/// Returns the number of schedules checked.
-pub fn check_updates(threads: &[Vec<UpdateOp>], limit: usize, seed: u64) -> Result<usize, String> {
-    check_updates_tiered(threads, limit, seed, 2, 2)
-}
-
-/// [`check_updates`] with explicit tiering knobs, checking the full reader
-/// invariant set on every `Query`:
+/// a final drain) checks the full reader invariant set; the first
+/// divergence fails with the offending schedule attached:
 ///
 /// 1. **Differential**: the observed doc set equals the reference model's
 ///    *(frozen ∪ inserted) − removed*.
@@ -747,6 +739,8 @@ pub fn check_updates(threads: &[Vec<UpdateOp>], limit: usize, seed: u64) -> Resu
 ///    mutating op strictly advances the overlay epoch.
 /// 5. **Frozen segments**: every segment of every snapshot is frozen
 ///    (labels + path links valid).
+///
+/// Returns the number of schedules checked.
 pub fn check_updates_tiered(
     threads: &[Vec<UpdateOp>],
     limit: usize,
@@ -1101,7 +1095,7 @@ mod tests {
             vec![UpdateOp::Insert(0), UpdateOp::Query, UpdateOp::Insert(2)],
             vec![UpdateOp::Insert(1), UpdateOp::Remove(0), UpdateOp::Query],
         ];
-        let checked = check_updates(&threads, 1 << 14, 0).expect("no divergence");
+        let checked = check_updates_tiered(&threads, 1 << 14, 0, 2, 2).expect("no divergence");
         assert_eq!(checked, 20, "C(6,3) arrival orders");
     }
 
@@ -1118,7 +1112,7 @@ mod tests {
             vec![UpdateOp::Insert(2), UpdateOp::Query, UpdateOp::Remove(9)],
         ];
         // Beyond the limit the checker falls back to seeded sampling.
-        let checked = check_updates(&threads, 64, 42).expect("no divergence");
+        let checked = check_updates_tiered(&threads, 64, 42, 2, 2).expect("no divergence");
         assert_eq!(checked, 64);
     }
 
@@ -1128,7 +1122,7 @@ mod tests {
             vec![UpdateOp::Insert(0), UpdateOp::Insert(2), UpdateOp::Merge],
             vec![UpdateOp::Remove(0), UpdateOp::Query, UpdateOp::Compact],
         ];
-        let checked = check_updates(&threads, 1 << 14, 0).expect("no divergence");
+        let checked = check_updates_tiered(&threads, 1 << 14, 0, 2, 2).expect("no divergence");
         assert_eq!(checked, 20, "C(6,3) arrival orders");
     }
 }

@@ -32,8 +32,8 @@ pub mod trie;
 pub mod verify;
 
 pub use delta::{
-    check_updates, check_updates_tiered, DeltaRun, DeltaView, MergeOutcome, TieredDelta,
-    Tombstones, UpdateOp, DEFAULT_MEMTABLE_LIMIT, DEFAULT_TIER_RATIO,
+    check_updates_tiered, DeltaRun, DeltaView, MergeOutcome, TieredDelta, Tombstones, UpdateOp,
+    DEFAULT_MEMTABLE_LIMIT, DEFAULT_TIER_RATIO,
 };
 pub use plan::{instantiate, PlanOptions};
 pub use search::{
@@ -98,16 +98,10 @@ pub struct QueryOutcome {
 }
 
 impl QueryOutcome {
-    fn absorb(&mut self, docs: &[DocId], st: SearchStats) {
-        self.stats.variants += 1;
-        self.descents.push(0);
-        self.absorb_segment(docs, st);
-    }
-
-    /// Folds one more *segment's* search of the current variant into the
-    /// outcome: stats sum, docs union — but `variants` does not bump, so a
-    /// two-segment (frozen + delta) index still reports one variant per
-    /// searched query sequence.
+    /// Folds one *segment's* search of the current variant into the
+    /// outcome: stats sum, docs union — `variants` bumps once per searched
+    /// query sequence (where its `descents` entry opens), not per segment,
+    /// so a frozen + overlay index still reports one variant each.
     fn absorb_segment(&mut self, docs: &[DocId], st: SearchStats) {
         if let Some(last) = self.descents.last_mut() {
             *last += st.candidates;
@@ -470,10 +464,6 @@ impl XmlIndex {
         }
         self.data_paths.extend(seq.elems().iter().copied());
         self.delta.insert(&seq, id);
-        if let Some(tel) = &self.telemetry {
-            tel.delta_sequences.set(self.delta.sequence_count() as i64);
-            tel.delta_runs.set(self.delta.run_count() as i64);
-        }
     }
 
     /// Tombstones a document id: it stops appearing in query results
@@ -481,13 +471,7 @@ impl XmlIndex {
     /// and compaction drops it for good.  Returns `false` when `id` was
     /// already tombstoned.
     pub fn remove_doc(&mut self, id: DocId) -> bool {
-        let fresh = self.delta.remove(id);
-        if fresh {
-            if let Some(tel) = &self.telemetry {
-                tel.tombstones.set(self.delta.tombstones().len() as i64);
-            }
-        }
-        fresh
+        self.delta.remove(id)
     }
 
     /// The tiered update overlay (post-build insertions + tombstones).
@@ -522,18 +506,6 @@ impl XmlIndex {
         self.delta.maybe_merge()
     }
 
-    /// Re-publishes the overlay gauges (`index.delta.sequences`,
-    /// `index.delta.runs`, `index.tombstones`) from current state — called
-    /// after background merges, which shrink the overlay outside the
-    /// insert/remove paths that normally maintain them.
-    pub fn refresh_delta_gauges(&self) {
-        if let Some(tel) = &self.telemetry {
-            tel.delta_sequences.set(self.delta.sequence_count() as i64);
-            tel.delta_runs.set(self.delta.run_count() as i64);
-            tel.tombstones.set(self.delta.tombstones().len() as i64);
-        }
-    }
-
     /// A snapshot of the tombstoned document ids.
     pub fn tombstones(&self) -> Arc<Tombstones> {
         self.delta.tombstones()
@@ -556,44 +528,24 @@ impl XmlIndex {
     /// Takes `&self` and a shared path table: queries never intern, so any
     /// number of threads may query one frozen index concurrently.
     pub fn query(&self, pattern: &TreePattern, paths: &PathTable) -> QueryOutcome {
-        self.run_query(
-            pattern,
-            paths,
-            Mode::TreeSearch,
-            None,
-            &mut QueryContext::new(),
-        )
+        self.query_with(pattern, paths, &mut QueryContext::new(), None)
     }
 
     /// [`XmlIndex::query`] against a caller-owned [`QueryContext`], reusing
-    /// its scratch buffers across calls.
+    /// its scratch buffers across calls, and with optional span emission:
+    /// under a `trace` the planning and per-variant encoding/descent phases
+    /// land as spans under its current span, carrying candidate counts, the
+    /// trie root range `(n⊢, n⊣)`, the chosen plan, and the inner-loop work
+    /// (sibling-cover checks, path-link binary searches, completions) as
+    /// marker events.
     pub fn query_with(
         &self,
         pattern: &TreePattern,
         paths: &PathTable,
         ctx: &mut QueryContext,
+        trace: Option<&mut ActiveTrace>,
     ) -> QueryOutcome {
-        self.run_query(pattern, paths, Mode::TreeSearch, None, ctx)
-    }
-
-    /// [`XmlIndex::query`] with span emission: the planning and per-variant
-    /// encoding/descent phases land as spans under `trace`'s current span,
-    /// carrying candidate counts, the trie root range `(n⊢, n⊣)`, the chosen
-    /// plan, and the inner-loop work (sibling-cover checks, path-link binary
-    /// searches, completions) as marker events.
-    pub fn query_traced(
-        &self,
-        pattern: &TreePattern,
-        paths: &PathTable,
-        trace: &mut ActiveTrace,
-    ) -> QueryOutcome {
-        self.run_query(
-            pattern,
-            paths,
-            Mode::TreeSearch,
-            Some(trace),
-            &mut QueryContext::new(),
-        )
+        self.run_query(pattern, paths, Mode::TreeSearch, trace, ctx)
     }
 
     /// The paper's Algorithm 1 verbatim: left-to-right constraint
@@ -631,6 +583,12 @@ impl XmlIndex {
         mut trace: Option<&mut ActiveTrace>,
         ctx: &mut QueryContext,
     ) -> QueryOutcome {
+        type Search = fn(&SequenceTrie, &QuerySequence, &mut SearchScratch) -> SearchStats;
+        let (mode_name, search): (&str, Search) = match mode {
+            Mode::TreeSearch => ("tree_search", tree_search_with),
+            Mode::Ordered => ("ordered", constraint_search_with),
+            Mode::Naive => ("naive", naive_search_with),
+        };
         let mut outcome = QueryOutcome::default();
         let plan_span = trace.as_mut().map(|tr| tr.start_span("index.plan"));
         let t_plan = Instant::now();
@@ -645,112 +603,68 @@ impl XmlIndex {
             tr.root_attr("n⊢", lo as u64);
             tr.root_attr("n⊣", hi as u64);
             tr.root_attr("strategy", self.strategy.short_name());
-            tr.root_attr(
-                "mode",
-                match mode {
-                    Mode::TreeSearch => "tree_search",
-                    Mode::Ordered => "ordered",
-                    Mode::Naive => "naive",
-                },
-            );
+            tr.root_attr("mode", mode_name);
         }
         // One epoch-stamped overlay snapshot for the whole query: every
         // variant searches the same pinned segment set, however many merges
         // swap runs underneath while the query runs.
         let delta_view = self.delta.delta_view();
+        // The frozen trie first, then every pinned overlay segment.
+        let segments: Vec<&SequenceTrie> = std::iter::once(&self.trie)
+            .chain(delta_view.segments())
+            .collect();
         // Phase timings accumulate in plain locals; the registry (if any) is
         // touched exactly once, after the loop.
         let mut encode_ns = 0u64;
         let mut search_ns = 0u64;
         let mut traced_variants = 0usize;
         for qdoc in &concrete {
-            match mode {
-                Mode::TreeSearch => {
-                    let mut tr = if traced_variants < TRACE_VARIANT_CAP {
-                        trace.as_deref_mut()
+            // The order-free search subsumes isomorphism expansion (see the
+            // `tree_search` docs); the ordered matchers search every variant.
+            let expanded;
+            let variants = match mode {
+                Mode::TreeSearch => std::slice::from_ref(qdoc),
+                Mode::Ordered | Mode::Naive => {
+                    expanded = isomorphic_variants(qdoc, self.options.max_isomorphs);
+                    expanded.as_slice()
+                }
+            };
+            for variant in variants {
+                let mut tr = if traced_variants < TRACE_VARIANT_CAP {
+                    trace.as_deref_mut()
+                } else {
+                    None
+                };
+                if tr.is_some() {
+                    traced_variants += 1;
+                }
+                let enc = tr.as_mut().map(|t| t.start_span("sequence.encode"));
+                let t0 = Instant::now();
+                let qs = QuerySequence::from_document_readonly(variant, paths, &self.strategy);
+                encode_ns += elapsed_ns(t0);
+                if let (Some(t), Some(sp)) = (tr.as_mut(), enc) {
+                    t.end_span(sp);
+                }
+                // A query path absent from the table matches no data — the
+                // variant is provably empty, skip the descent.
+                let Some(qs) = qs else { continue };
+                outcome.classes.extend_from_slice(&qs.paths);
+                outcome.stats.variants += 1;
+                outcome.descents.push(0);
+                for (i, segment) in segments.iter().enumerate() {
+                    let name = if i == 0 {
+                        "trie.descent"
                     } else {
-                        None
+                        "trie.descent.delta"
                     };
-                    if tr.is_some() {
-                        traced_variants += 1;
-                    }
-                    let enc = tr.as_mut().map(|t| t.start_span("sequence.encode"));
+                    let descent = tr.as_mut().map(|t| t.start_span(name));
                     let t0 = Instant::now();
-                    let qs = QuerySequence::from_document_readonly(qdoc, paths, &self.strategy);
-                    encode_ns += elapsed_ns(t0);
-                    if let (Some(t), Some(sp)) = (tr.as_mut(), enc) {
-                        t.end_span(sp);
-                    }
-                    // A query path absent from the table matches no data —
-                    // the variant is provably empty, skip the descent.
-                    let Some(qs) = qs else { continue };
-                    outcome.classes.extend_from_slice(&qs.paths);
-                    let descent = tr.as_mut().map(|t| t.start_span("trie.descent"));
-                    let t0 = Instant::now();
-                    let st = search::tree_search_with(&self.trie, &qs, &mut ctx.scratch);
+                    let st = search(segment, &qs, &mut ctx.scratch);
                     search_ns += elapsed_ns(t0);
                     if let (Some(t), Some(sp)) = (tr.as_mut(), descent) {
                         record_descent(t, sp, &st, ctx.scratch.docs.len());
                     }
-                    outcome.absorb(&ctx.scratch.docs, st);
-                    for segment in delta_view.segments() {
-                        let descent = tr.as_mut().map(|t| t.start_span("trie.descent.delta"));
-                        let t0 = Instant::now();
-                        let st = search::tree_search_with(segment, &qs, &mut ctx.scratch);
-                        search_ns += elapsed_ns(t0);
-                        if let (Some(t), Some(sp)) = (tr.as_mut(), descent) {
-                            record_descent(t, sp, &st, ctx.scratch.docs.len());
-                        }
-                        outcome.absorb_segment(&ctx.scratch.docs, st);
-                    }
-                }
-                Mode::Ordered | Mode::Naive => {
-                    for variant in isomorphic_variants(qdoc, self.options.max_isomorphs) {
-                        let mut tr = if traced_variants < TRACE_VARIANT_CAP {
-                            trace.as_deref_mut()
-                        } else {
-                            None
-                        };
-                        if tr.is_some() {
-                            traced_variants += 1;
-                        }
-                        let enc = tr.as_mut().map(|t| t.start_span("sequence.encode"));
-                        let t0 = Instant::now();
-                        let qs =
-                            QuerySequence::from_document_readonly(&variant, paths, &self.strategy);
-                        encode_ns += elapsed_ns(t0);
-                        if let (Some(t), Some(sp)) = (tr.as_mut(), enc) {
-                            t.end_span(sp);
-                        }
-                        let Some(qs) = qs else { continue };
-                        outcome.classes.extend_from_slice(&qs.paths);
-                        let descent = tr.as_mut().map(|t| t.start_span("trie.descent"));
-                        let t0 = Instant::now();
-                        let st = if matches!(mode, Mode::Ordered) {
-                            constraint_search_with(&self.trie, &qs, &mut ctx.scratch)
-                        } else {
-                            naive_search_with(&self.trie, &qs, &mut ctx.scratch)
-                        };
-                        search_ns += elapsed_ns(t0);
-                        if let (Some(t), Some(sp)) = (tr.as_mut(), descent) {
-                            record_descent(t, sp, &st, ctx.scratch.docs.len());
-                        }
-                        outcome.absorb(&ctx.scratch.docs, st);
-                        for segment in delta_view.segments() {
-                            let descent = tr.as_mut().map(|t| t.start_span("trie.descent.delta"));
-                            let t0 = Instant::now();
-                            let st = if matches!(mode, Mode::Ordered) {
-                                constraint_search_with(segment, &qs, &mut ctx.scratch)
-                            } else {
-                                naive_search_with(segment, &qs, &mut ctx.scratch)
-                            };
-                            search_ns += elapsed_ns(t0);
-                            if let (Some(t), Some(sp)) = (tr.as_mut(), descent) {
-                                record_descent(t, sp, &st, ctx.scratch.docs.len());
-                            }
-                            outcome.absorb_segment(&ctx.scratch.docs, st);
-                        }
-                    }
+                    outcome.absorb_segment(&ctx.scratch.docs, st);
                 }
             }
         }
@@ -1081,9 +995,9 @@ mod tests {
         let star = q.add(q.root_id(), Axis::Child, PatternLabel::AnyElem);
         q.add(star, Axis::Child, PatternLabel::Elem(l));
         let mut ctx = QueryContext::new();
-        let first = index.query_with(&q, &pt, &mut ctx);
+        let first = index.query_with(&q, &pt, &mut ctx, None);
         assert_eq!(first.docs, vec![0, 1]);
-        let again = index.query_with(&q, &pt, &mut ctx);
+        let again = index.query_with(&q, &pt, &mut ctx, None);
         assert_eq!(again.docs, vec![0, 1]);
         assert!(
             again.stats.search.scratch_reuses > 0,

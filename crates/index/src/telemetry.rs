@@ -5,10 +5,16 @@
 //! paper's inner loops (candidate inspection, the ancestor walk) stay free
 //! of atomic traffic and the instrumentation overhead is a handful of
 //! atomic adds per query.
+//!
+//! Every handle here is additive (histograms and counters), so any number
+//! of indexes — the shards of one database — share one family and sum into
+//! the correct aggregate.  Occupancy *gauges* (`index.delta.*`,
+//! `index.tombstones`) are `set`, not added, so they belong to whoever sees
+//! all the indexes: the `Database` layer owns them.
 
 use crate::QueryStats;
 use std::sync::Arc;
-use xseq_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
+use xseq_telemetry::{Counter, Histogram, MetricsRegistry};
 
 /// Arc'd handles to the index-side metrics of a [`MetricsRegistry`].
 #[derive(Debug, Clone)]
@@ -33,15 +39,6 @@ pub struct IndexTelemetry {
     pub completions: Arc<Counter>,
     /// `index.search.link_probes` — path-link binary searches performed.
     pub link_probes: Arc<Counter>,
-    /// `index.delta.sequences` — sequences currently in the tiered update
-    /// overlay, all segments (0 when compacted).
-    pub delta_sequences: Arc<Gauge>,
-    /// `index.delta.runs` — frozen runs currently published by the overlay
-    /// (the memtable excluded; background merges keep this logarithmic).
-    pub delta_runs: Arc<Gauge>,
-    /// `index.tombstones` — document ids currently tombstoned
-    /// (0 when compacted).
-    pub tombstones: Arc<Gauge>,
 }
 
 impl IndexTelemetry {
@@ -57,29 +54,7 @@ impl IndexTelemetry {
             cover_rejections: registry.counter("index.search.cover_rejections"),
             completions: registry.counter("index.search.completions"),
             link_probes: registry.counter("index.search.link_probes"),
-            delta_sequences: registry.gauge("index.delta.sequences"),
-            delta_runs: registry.gauge("index.delta.runs"),
-            tombstones: registry.gauge("index.tombstones"),
         }
-    }
-
-    /// [`IndexTelemetry::register`] for shard `s` of an `n`-shard database.
-    ///
-    /// Phase histograms and work counters keep their shared names — they
-    /// are additive, so concurrent shards summing into one family is the
-    /// correct aggregate — but the occupancy **gauges** move to per-shard
-    /// names (`index.shard3.delta.sequences`, `index.shard3.tombstones`):
-    /// gauges are `set`, and shards setting one shared gauge would clobber
-    /// each other.  The database maintains the aggregate gauges itself.
-    /// With `n <= 1` this is exactly [`IndexTelemetry::register`].
-    pub fn register_shard(registry: &MetricsRegistry, s: usize, n: usize) -> Self {
-        let mut tel = Self::register(registry);
-        if n > 1 {
-            tel.delta_sequences = registry.gauge(&format!("index.shard{s}.delta.sequences"));
-            tel.delta_runs = registry.gauge(&format!("index.shard{s}.delta.runs"));
-            tel.tombstones = registry.gauge(&format!("index.shard{s}.tombstones"));
-        }
-        tel
     }
 
     /// Flushes one query's accumulated stats into the registry handles.

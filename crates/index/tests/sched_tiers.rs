@@ -1,10 +1,10 @@
-//! Interleaving model checks for the **tiered** segment-list swap, using
-//! the `xseq-telemetry::sched` harness that validated `BoundedRing`, the
-//! exec pool's chunk queue, and the flat delta overlay (`sched_delta.rs`).
+//! Interleaving model checks for the update overlay and its **tiered**
+//! segment-list swap, using the `xseq-telemetry::sched` harness that
+//! validated `BoundedRing` and the exec pool's chunk queue.
 //!
-//! `xseq_index::check_updates_tiered` replays scripted op lists — now
-//! including [`UpdateOp::Merge`] (one background tier merge) and
-//! [`UpdateOp::Compact`] — over every interleaving (or a seeded sample of
+//! `xseq_index::check_updates_tiered` replays scripted op lists —
+//! insert/remove/query plus [`UpdateOp::Merge`] (one background tier
+//! merge) and [`UpdateOp::Compact`] — over every interleaving (or a seeded sample of
 //! a too-large space) with aggressive tiering knobs, so memtable cuts and
 //! run merges fire *inside* the schedules.  Every `Query` op snapshots the
 //! overlay through `delta_view()` and checks the full reader invariant
@@ -15,6 +15,10 @@
 //!
 //! Schedule counts are pinned: a drop means the interleaving space
 //! silently shrank and coverage regressed.
+//!
+//! The last three scripts are the writer/reader-only spaces (no scripted
+//! merge thread) at the default `2, 2` knobs; the unit tests in `delta.rs`
+//! cover the small exhaustive spaces.
 
 use xseq_index::{check_updates_tiered, UpdateOp};
 
@@ -89,4 +93,47 @@ fn deep_tier_cascade_under_interleaved_reads() {
     let checked = check_updates_tiered(&threads, usize::MAX, 2, 1, 2)
         .expect("cascading merges consistent in every interleaving");
     assert_eq!(checked, 1260, "full space enumerated");
+}
+
+#[test]
+fn exhaustive_two_writers_with_reader() {
+    // One inserting thread, one removing thread, one querying thread:
+    // C(7; 3,2,2) = 210 schedules, small enough to enumerate fully.
+    let threads = vec![
+        vec![Insert(0), Insert(1), Insert(2)],
+        vec![Remove(1), Remove(3)],
+        vec![Query, Query],
+    ];
+    let checked =
+        check_updates_tiered(&threads, usize::MAX, 0, 2, 2).expect("all interleavings consistent");
+    assert_eq!(checked, 210, "full space enumerated");
+}
+
+#[test]
+fn sampled_mixed_scripts_hold() {
+    // Three threads mixing all three op kinds, including a remove that can
+    // race ahead of its insert (tombstones are permanent until compaction,
+    // so the remove must win in every interleaving).
+    let threads = vec![
+        vec![Insert(0), Remove(2), Insert(1), Query],
+        vec![Insert(2), Query, Remove(0), Insert(3)],
+        vec![Query, Insert(4), Remove(4), Query],
+    ];
+    let checked = check_updates_tiered(&threads, 512, 0x5eed, 2, 2)
+        .expect("sampled interleavings consistent");
+    assert_eq!(checked, 512, "sample budget exhausted");
+}
+
+#[test]
+fn remove_only_and_insert_only_threads() {
+    // Degenerate scripts: every op of one kind on its own thread.  Queries
+    // interleave against a window where any subset of inserts/removes has
+    // landed; the checker's model must match at every cut.
+    let threads = vec![
+        vec![Insert(0), Insert(1), Insert(2), Insert(3)],
+        vec![Remove(0), Remove(1), Remove(2), Remove(3)],
+        vec![Query, Query, Query],
+    ];
+    let checked = check_updates_tiered(&threads, 2_000, 7, 2, 2).expect("all windows consistent");
+    assert!(checked > 0);
 }

@@ -50,7 +50,19 @@ pub enum ParseError {
     },
     /// The expression was empty.
     Empty,
+    /// Predicates nest deeper than the parser's fixed bound ([`MAX_DEPTH`]).
+    TooDeep {
+        /// Byte offset of the predicate that crossed the bound.
+        offset: usize,
+        /// The bound.
+        limit: usize,
+    },
 }
+
+/// Deepest predicate nesting (`a[b[c[…]]]`) the parser accepts.  Predicate
+/// parsing recurses once per level, so untrusted input must not choose the
+/// stack depth; the paper's queries nest two levels at most.
+pub const MAX_DEPTH: usize = 64;
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -64,6 +76,9 @@ impl fmt::Display for ParseError {
                 None => write!(f, "unexpected end of input, expected {expected}"),
             },
             ParseError::Empty => write!(f, "empty path expression"),
+            ParseError::TooDeep { offset, limit } => {
+                write!(f, "predicates nest deeper than {limit} at byte {offset}")
+            }
         }
     }
 }
@@ -76,6 +91,7 @@ pub fn parse_xpath(input: &str, symbols: &mut SymbolTable) -> Result<TreePattern
     let mut p = Parser {
         chars: input.char_indices().collect(),
         pos: 0,
+        depth: 0,
         symbols: Syms::Interning(symbols),
     };
     p.parse_query()
@@ -102,6 +118,7 @@ pub fn parse_xpath_readonly(
     let mut p = Parser {
         chars: input.char_indices().collect(),
         pos: 0,
+        depth: 0,
         symbols: Syms::Readonly {
             table: symbols,
             missing: false,
@@ -114,69 +131,33 @@ pub fn parse_xpath_readonly(
     })
 }
 
-/// [`parse_xpath_readonly`] with its latency (ns) recorded into `sink`.
+/// [`parse_xpath_readonly`] as the pipeline's `query.parse` phase: its
+/// latency (ns) is recorded into `sink` — failed parses too, the time was
+/// spent either way — and, under a `trace`, it emits a `query.parse` span
+/// attributed with the expression length and the pattern's node count; a
+/// provably-empty query (unknown symbol) is marked `unknown_symbol`.
 pub fn parse_xpath_readonly_instrumented(
     input: &str,
     symbols: &SymbolTable,
     sink: &xseq_telemetry::Histogram,
+    mut trace: Option<&mut xseq_telemetry::ActiveTrace>,
 ) -> Result<Option<TreePattern>, ParseError> {
+    let span = trace.as_deref_mut().map(|tr| {
+        let span = tr.start_span("query.parse");
+        tr.attr(span, "expr_len", input.len() as u64);
+        span
+    });
     let t0 = std::time::Instant::now();
     let r = parse_xpath_readonly(input, symbols);
     sink.record_duration(t0.elapsed());
-    r
-}
-
-/// [`parse_xpath_readonly_instrumented`] that additionally emits a
-/// `query.parse` span into `trace`; a provably-empty query (unknown symbol)
-/// is marked with an `unknown_symbol` attribute on the span.
-pub fn parse_xpath_readonly_traced(
-    input: &str,
-    symbols: &SymbolTable,
-    sink: &xseq_telemetry::Histogram,
-    trace: &mut xseq_telemetry::ActiveTrace,
-) -> Result<Option<TreePattern>, ParseError> {
-    let span = trace.start_span("query.parse");
-    trace.attr(span, "expr_len", input.len() as u64);
-    let r = parse_xpath_readonly_instrumented(input, symbols, sink);
-    match &r {
-        Ok(Some(pattern)) => trace.attr(span, "pattern_nodes", pattern.len() as u64),
-        Ok(None) => trace.attr(span, "unknown_symbol", 1u64),
-        Err(_) => {}
+    if let (Some(tr), Some(span)) = (trace, span) {
+        match &r {
+            Ok(Some(pattern)) => tr.attr(span, "pattern_nodes", pattern.len() as u64),
+            Ok(None) => tr.attr(span, "unknown_symbol", 1u64),
+            Err(_) => {}
+        }
+        tr.end_span(span);
     }
-    trace.end_span(span);
-    r
-}
-
-/// [`parse_xpath`] with its latency (ns) recorded into `sink` — the
-/// pipeline's `query.parse` phase.  Failed parses are recorded too: the
-/// time was spent either way.
-pub fn parse_xpath_instrumented(
-    input: &str,
-    symbols: &mut SymbolTable,
-    sink: &xseq_telemetry::Histogram,
-) -> Result<TreePattern, ParseError> {
-    let t0 = std::time::Instant::now();
-    let r = parse_xpath(input, symbols);
-    sink.record_duration(t0.elapsed());
-    r
-}
-
-/// [`parse_xpath_instrumented`] that additionally emits a `query.parse`
-/// span into `trace`, attributed with the expression length and (on
-/// success) the pattern's node count.
-pub fn parse_xpath_traced(
-    input: &str,
-    symbols: &mut SymbolTable,
-    sink: &xseq_telemetry::Histogram,
-    trace: &mut xseq_telemetry::ActiveTrace,
-) -> Result<TreePattern, ParseError> {
-    let span = trace.start_span("query.parse");
-    trace.attr(span, "expr_len", input.len() as u64);
-    let r = parse_xpath_instrumented(input, symbols, sink);
-    if let Ok(pattern) = &r {
-        trace.attr(span, "pattern_nodes", pattern.len() as u64);
-    }
-    trace.end_span(span);
     r
 }
 
@@ -273,6 +254,8 @@ impl Syms<'_> {
 struct Parser<'a> {
     chars: Vec<(usize, char)>,
     pos: usize,
+    /// Open `[` predicates around the current position (the recursion depth).
+    depth: usize,
     symbols: Syms<'a>,
 }
 
@@ -394,8 +377,16 @@ impl<'a> Parser<'a> {
             if self.peek() != Some('[') {
                 return Ok(());
             }
+            if self.depth == MAX_DEPTH {
+                return Err(ParseError::TooDeep {
+                    offset: self.offset(),
+                    limit: MAX_DEPTH,
+                });
+            }
             self.pos += 1;
+            self.depth += 1;
             self.parse_predicate_body(pattern, node)?;
+            self.depth -= 1;
             self.skip_ws();
             if self.bump() != Some(']') {
                 return Err(self.err("']'"));
@@ -711,6 +702,32 @@ mod tests {
         let q = parse_xpath("/a[b[c[d='x']]]/e", &mut s).unwrap();
         // a, b, c, d, 'x', e
         assert_eq!(q.len(), 6);
+    }
+
+    #[test]
+    fn predicate_nesting_is_bounded_at_max_depth() {
+        // a[a[a[…]]] with `levels` brackets
+        let nested = |levels: usize| format!("/a{}{}", "[a".repeat(levels), "]".repeat(levels));
+        let mut s = st();
+        let q = parse_xpath(&nested(MAX_DEPTH), &mut s).unwrap();
+        assert_eq!(q.len(), MAX_DEPTH + 1);
+        assert!(parse_xpath_readonly(&nested(MAX_DEPTH), &s)
+            .unwrap()
+            .is_some());
+        let too_deep = Err(ParseError::TooDeep {
+            offset: 2 + 2 * MAX_DEPTH,
+            limit: MAX_DEPTH,
+        });
+        assert_eq!(parse_xpath(&nested(MAX_DEPTH + 1), &mut s), too_deep);
+        assert_eq!(
+            parse_xpath_readonly(&nested(MAX_DEPTH + 1), &s).map(|_| ()),
+            too_deep.map(|_| ())
+        );
+        // far past the limit: still an error, never a stack overflow
+        assert!(matches!(
+            parse_xpath_readonly(&format!("/a{}", "[a".repeat(200_000)), &s),
+            Err(ParseError::TooDeep { .. })
+        ));
     }
 
     #[test]

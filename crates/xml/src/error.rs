@@ -40,6 +40,14 @@ pub enum XmlError {
         /// Byte offset of the `&`.
         offset: usize,
     },
+    /// Elements nest deeper than the parser's fixed bound
+    /// ([`crate::parser::MAX_DEPTH`]).
+    TooDeep {
+        /// Byte offset of the element that crossed the bound.
+        offset: usize,
+        /// The bound.
+        limit: usize,
+    },
     /// A document tree operation referenced a node that does not exist.
     NodeOutOfBounds {
         /// The offending node id.
@@ -75,6 +83,9 @@ impl fmt::Display for XmlError {
             }
             XmlError::BadEntity { offset } => {
                 write!(f, "unrecognised entity reference at byte {offset}")
+            }
+            XmlError::TooDeep { offset, limit } => {
+                write!(f, "elements nest deeper than {limit} at byte {offset}")
             }
             XmlError::NodeOutOfBounds { node } => {
                 write!(f, "node id {node} out of bounds")

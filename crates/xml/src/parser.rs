@@ -17,11 +17,17 @@ use crate::document::Document;
 use crate::error::XmlError;
 use crate::symbol::SymbolTable;
 
+/// Deepest element nesting [`parse_document`] accepts.  `parse_element`
+/// recurses once per level, so untrusted input must not choose the stack
+/// depth; the paper's datasets nest a dozen levels at most.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parses one XML document into a [`Document`] against the shared interners.
 pub fn parse_document(input: &str, symbols: &mut SymbolTable) -> Result<Document, XmlError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
         symbols,
     };
     p.skip_misc()?;
@@ -40,6 +46,8 @@ pub fn parse_document(input: &str, symbols: &mut SymbolTable) -> Result<Document
 struct Parser<'a, 'b> {
     bytes: &'a [u8],
     pos: usize,
+    /// Open elements above the one being parsed (the recursion depth).
+    depth: usize,
     symbols: &'b mut SymbolTable,
 }
 
@@ -222,6 +230,12 @@ impl<'a, 'b> Parser<'a, 'b> {
     /// Parses `<name attr="v" ...> content </name>` into the document under
     /// `parent` (or as the root when `parent` is `None`).
     fn parse_element(&mut self, doc: &mut Document, parent: Option<u32>) -> Result<(), XmlError> {
+        if self.depth == MAX_DEPTH {
+            return Err(XmlError::TooDeep {
+                offset: self.pos,
+                limit: MAX_DEPTH,
+            });
+        }
         self.expect(b'<', "'<'")?;
         let name = self.read_name()?;
         let sym = self.symbols.elem(name);
@@ -303,7 +317,9 @@ impl<'a, 'b> Parser<'a, 'b> {
                 return Ok(());
             } else if self.peek() == Some(b'<') {
                 self.flush_text(doc, node, &mut text);
+                self.depth += 1;
                 self.parse_element(doc, Some(node))?;
+                self.depth -= 1;
             } else if self.peek() == Some(b'&') {
                 self.read_entity(&mut text)?;
             } else {
@@ -462,6 +478,26 @@ mod tests {
         assert!(matches!(
             parse_document("<a>&nope;</a>", &mut symbols),
             Err(XmlError::BadEntity { .. })
+        ));
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |levels: usize| format!("{}{}", "<a>".repeat(levels), "</a>".repeat(levels));
+        let mut symbols = st();
+        let doc = parse_document(&nested(MAX_DEPTH), &mut symbols).unwrap();
+        assert_eq!(doc.len(), MAX_DEPTH);
+        assert_eq!(
+            parse_document(&nested(MAX_DEPTH + 1), &mut symbols),
+            Err(XmlError::TooDeep {
+                offset: 3 * MAX_DEPTH,
+                limit: MAX_DEPTH
+            })
+        );
+        // far past the limit: still an error, never a stack overflow
+        assert!(matches!(
+            parse_document(&"<a>".repeat(200_000), &mut symbols),
+            Err(XmlError::TooDeep { .. })
         ));
     }
 

@@ -11,6 +11,10 @@
 //!   the atomic-ordering audit, and hot-path panic-freedom.  Prints a
 //!   per-rule timing table; `--json` writes the findings document CI
 //!   uploads as an artifact.
+//! * `loc` — non-blank, non-comment, non-test source lines and `pub fn`
+//!   count per crate (same lexer/scanner as `analyze`), held under the
+//!   ratchet in `crates/xtask/loc_ceiling.txt`: exits 1 when a listed
+//!   crate exceeds either ceiling.
 //! * `promlint <file|->` — validate a Prometheus text-format exposition
 //!   (as written by `Snapshot::to_prometheus`) with the dep-free linter
 //!   from `xseq-telemetry`: TYPE declarations, name grammar, histogram
@@ -28,6 +32,7 @@ mod diagcheck;
 mod graph;
 mod lexer;
 mod lint;
+mod loc;
 mod lockorder;
 mod panicfree;
 mod scan;
@@ -41,6 +46,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         None | Some("lint") => run_lint(),
         Some("analyze") => run_analyze(&args[1..]),
+        Some("loc") => run_loc(),
         Some("promlint") => run_promlint(args.get(1).map(String::as_str)),
         Some("diagcheck") => run_diagcheck(args.get(1).map(String::as_str)),
         Some("help" | "--help" | "-h") => {
@@ -177,13 +183,46 @@ fn run_analyze(args: &[String]) -> ExitCode {
     }
 }
 
+fn run_loc() -> ExitCode {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let ceiling_path = root.join(loc::CEILING_FILE);
+    let measured = lint::scan_repo(&root).and_then(|files| {
+        let text = std::fs::read_to_string(&ceiling_path)
+            .map_err(|e| format!("{}: {e}", ceiling_path.display()))?;
+        Ok((loc::measure(&files), loc::parse_ceilings(&text)?))
+    });
+    let (sizes, ceilings) = match measured {
+        Ok(m) => m,
+        Err(err) => {
+            eprintln!("xtask loc: {err}");
+            return ExitCode::from(2);
+        }
+    };
+    print!("{}", loc::render(&sizes, &ceilings));
+    let over = loc::over_ceiling(&sizes, &ceilings);
+    if over.is_empty() {
+        println!("xtask loc: under every ceiling");
+        return ExitCode::SUCCESS;
+    }
+    for line in &over {
+        eprintln!("{line}");
+    }
+    eprintln!(
+        "xtask loc: {} ceiling(s) exceeded — shrink the crate, or raise {} in a change that says why",
+        over.len(),
+        loc::CEILING_FILE
+    );
+    ExitCode::FAILURE
+}
+
 fn usage() {
     println!(
-        "usage: cargo xtask [lint | analyze [--json <path>] | promlint <file|-> | diagcheck <dir>]\n\n\
+        "usage: cargo xtask [lint | analyze [--json <path>] | loc | promlint <file|-> | diagcheck <dir>]\n\n\
          subcommands:\n  \
          lint        run the xseq-check lint pass over crates/*/src (default)\n  \
          analyze     token-aware static analysis: lint + lock-order +\n              \
          atomic-ordering + hot-path panic-freedom (--json writes findings)\n  \
+         loc         source lines and pub fns per crate vs loc_ceiling.txt\n  \
          promlint    validate a Prometheus text exposition (file or stdin)\n  \
          diagcheck   validate a diagnostics bundle directory\n  \
          help        show this message\n\n\

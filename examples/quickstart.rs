@@ -78,7 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // dynamic insertion
-    let id = db.insert_xml("<project><research><location>tokyo</location></research></project>")?;
+    let id =
+        db.insert_document("<project><research><location>tokyo</location></research></project>")?;
     println!();
     println!(
         "inserted doc {id}; //location[text='tokyo'] -> {:?}",

@@ -1,5 +1,7 @@
 //! Full-stack query equivalence: generated corpora, XPath front end,
-//! both sequencing strategies, checked against the brute-force oracle.
+//! both sequencing strategies, checked against the brute-force oracle —
+//! at one shard and at three, traced and untraced: the one query pipeline
+//! under the oracle on both of its data axes.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -7,10 +9,14 @@ use xseq::datagen::{
     random_query_tree, SyntheticDataset, SyntheticParams, XmarkGenerator, XmarkOptions,
 };
 use xseq::xml::matcher::structure_match;
+use xseq::xml::Symbol;
 use xseq::{
-    parse_xpath, Axis, Corpus, DatabaseBuilder, Document, PatternLabel, Sequencing, TreePattern,
-    ValueMode,
+    parse_xpath, Axis, Corpus, DatabaseBuilder, Document, PatternLabel, Sequencing, TraceConfig,
+    TreePattern, ValueMode,
 };
+
+/// The shard counts every corpus is indexed at.
+const SHARDS: [usize; 2] = [1, 3];
 
 fn oracle(pattern: &TreePattern, docs: &[Document]) -> Vec<u32> {
     docs.iter()
@@ -22,11 +28,20 @@ fn oracle(pattern: &TreePattern, docs: &[Document]) -> Vec<u32> {
 
 /// Turns a sampled subtree into an exact child-axis pattern.
 fn pattern_of(doc: &Document) -> TreePattern {
+    pattern_in(doc, |sym| sym)
+}
+
+/// [`pattern_of`] with every symbol passed through `bind` first — e.g.
+/// re-interned into the tables a database resolves patterns against.
+fn pattern_in(doc: &Document, mut bind: impl FnMut(Symbol) -> Symbol) -> TreePattern {
     let root = doc.root().expect("non-empty");
-    let label = |d: &Document, n: u32| match (d.sym(n).as_elem(), d.sym(n).as_value()) {
-        (Some(e), _) => PatternLabel::Elem(e),
-        (_, Some(v)) => PatternLabel::Value(v),
-        _ => unreachable!(),
+    let mut label = |d: &Document, n: u32| {
+        let sym = bind(d.sym(n));
+        match (sym.as_elem(), sym.as_value()) {
+            (Some(e), _) => PatternLabel::Elem(e),
+            (_, Some(v)) => PatternLabel::Value(v),
+            _ => unreachable!(),
+        }
     };
     let mut q = TreePattern::root(label(doc, root));
     let mut map = vec![0u32; doc.len()];
@@ -50,26 +65,40 @@ fn synthetic_corpus_random_queries_match_oracle() {
         prob_floor_pct: 30,
     };
     for sequencing in [Sequencing::DepthFirst, Sequencing::Probability] {
-        let mut corpus = Corpus::new(ValueMode::Intern);
-        let ds = SyntheticDataset::generate(&params, 120, 17, &mut corpus.symbols);
-        corpus.docs = ds.docs;
-        let docs_copy = corpus.docs.clone();
-        let db = DatabaseBuilder::new()
-            .sequencing(sequencing)
-            .build_from_corpus(corpus)
-            .unwrap();
+        for shards in SHARDS {
+            let mut corpus = Corpus::new(ValueMode::Intern);
+            let ds = SyntheticDataset::generate(&params, 120, 17, &mut corpus.symbols);
+            corpus.docs = ds.docs;
+            let docs_copy = corpus.docs.clone();
+            let symbols = corpus.symbols.clone();
+            let mut db = DatabaseBuilder::new()
+                .sequencing(sequencing)
+                .shards(shards)
+                .build_from_corpus(corpus)
+                .unwrap();
 
-        let mut rng = StdRng::seed_from_u64(5);
-        for i in 0..60 {
-            let src = &docs_copy[i % docs_copy.len()];
-            let q = pattern_of(&random_query_tree(src, 2 + i % 5, &mut rng));
-            let got = db.query_pattern(&q).docs;
-            let expect = oracle(&q, &docs_copy);
-            assert_eq!(got, expect, "{sequencing:?} query #{i}");
-            assert!(
-                got.contains(&((i % docs_copy.len()) as u32)),
-                "source doc matches itself"
-            );
+            let mut rng = StdRng::seed_from_u64(5);
+            for i in 0..60 {
+                let src = &docs_copy[i % docs_copy.len()];
+                let tree = random_query_tree(src, 2 + i % 5, &mut rng);
+                // `query_pattern` resolves labels against shard 0's tables,
+                // which match the corpus' own only at one shard.
+                let q = pattern_in(&tree, |sym| {
+                    let to = &mut db.corpus_mut().symbols;
+                    match (sym.as_elem(), sym.as_value()) {
+                        (Some(e), _) => to.elem(symbols.name(e)),
+                        (_, Some(v)) => to.val(symbols.values.resolve(v).expect("interned")),
+                        _ => unreachable!(),
+                    }
+                });
+                let got = db.query_pattern(&q).docs;
+                let expect = oracle(&pattern_of(&tree), &docs_copy);
+                assert_eq!(got, expect, "{sequencing:?} {shards} shard(s) query #{i}");
+                assert!(
+                    got.contains(&((i % docs_copy.len()) as u32)),
+                    "source doc matches itself"
+                );
+            }
         }
     }
 }
@@ -80,10 +109,18 @@ fn xmark_corpus_xpath_queries_match_oracle() {
     corpus.docs =
         XmarkGenerator::new(23, XmarkOptions::default()).generate(300, &mut corpus.symbols);
     let docs_copy = corpus.docs.clone();
-    let mut db = DatabaseBuilder::new()
-        .sequencing(Sequencing::Probability)
-        .build_from_corpus(corpus)
-        .unwrap();
+    let build = |shards: usize, traced: bool| {
+        let mut builder = DatabaseBuilder::new()
+            .sequencing(Sequencing::Probability)
+            .shards(shards);
+        if traced {
+            builder = builder.trace_config(TraceConfig::default());
+        }
+        let mut corpus = Corpus::new(ValueMode::Intern);
+        corpus.docs =
+            XmarkGenerator::new(23, XmarkOptions::default()).generate(300, &mut corpus.symbols);
+        builder.build_from_corpus(corpus).unwrap()
+    };
 
     let queries = [
         "/site/item",
@@ -95,11 +132,28 @@ fn xmark_corpus_xpath_queries_match_oracle() {
         "/site/*/age",
         "//bidder[date][personref]",
     ];
-    for expr in queries {
-        let pattern = parse_xpath(expr, &mut db.corpus_mut().symbols).unwrap();
-        let got = db.query_pattern(&pattern).docs;
-        let expect = oracle(&pattern, &docs_copy);
-        assert_eq!(got, expect, "{expr}");
+    for shards in SHARDS {
+        let (mut untraced, traced) = (build(shards, false), build(shards, true));
+        for expr in queries {
+            let pattern = parse_xpath(expr, &mut corpus.symbols).unwrap();
+            let expect = oracle(&pattern, &docs_copy);
+            let plain = untraced.query_xpath_full(expr).unwrap();
+            assert_eq!(plain.docs, expect, "{expr} at {shards} shard(s)");
+            assert!(plain.trace.is_none());
+            // Tracing observes the pipeline; it must not change what it does.
+            let observed = traced.query_xpath_full(expr).unwrap();
+            assert_eq!(observed.docs, expect, "{expr} traced at {shards} shard(s)");
+            assert_eq!(observed.stats.search, plain.stats.search, "{expr}");
+            assert!(observed.trace.is_some());
+            // The pre-built-pattern entry (bound to shard 0's tables) takes
+            // the same gather.
+            let bound = parse_xpath(expr, &mut untraced.corpus_mut().symbols).unwrap();
+            assert_eq!(
+                untraced.query_pattern(&bound).docs,
+                expect,
+                "{expr} as a pattern"
+            );
+        }
     }
 }
 

@@ -53,7 +53,7 @@ fn insert_refreshes_index() {
         .unwrap()
         .is_empty());
     let id = db
-        .insert_xml("<project><research><location>tokyo</location></research></project>")
+        .insert_document("<project><research><location>tokyo</location></research></project>")
         .unwrap();
     assert_eq!(
         db.query_xpath("//location[text='tokyo']").unwrap(),

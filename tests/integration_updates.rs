@@ -403,15 +403,13 @@ fn query_batch_fleets_agree_while_background_merges_race() {
         .build_from_xml(xmls[..4].iter().map(String::as_str))
         .expect("initial corpus parses");
     assert!(db.has_background_merge(), "worker is wired");
-    let mut next_victim: DocId = 0;
     for round in 0..4 {
         // A burst of inserts piles up tier-0 runs faster than the worker
         // folds them; a remove keeps tombstone resolution in the race.
         for xml in &xmls[4 + round * 5..4 + (round + 1) * 5] {
             db.insert_document(xml).expect("pending document parses");
         }
-        db.remove_document(next_victim);
-        next_victim += 1;
+        db.remove_document(round as DocId);
         let expected: Vec<Vec<DocId>> = exprs
             .iter()
             .map(|e| db.query_xpath(e).expect("query parses"))
