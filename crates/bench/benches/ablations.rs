@@ -3,14 +3,11 @@
 //! * the sibling-cover constraint check (Algorithm 1) vs naïve matching —
 //!   what query equivalence costs at match time;
 //! * selectivity-ordered order-free search vs sequence-ordered Algorithm 1;
-//! * bulk (sorted) loading vs one-by-one insertion;
 //! * buffer-pool capacity vs paged-query latency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xseq::datagen::{SyntheticDataset, SyntheticParams};
-use xseq::index::{
-    constraint_search, naive_search, tree_search, QuerySequence, SequenceTrie, XmlIndex,
-};
+use xseq::index::{constraint_search, naive_search, tree_search, QuerySequence, XmlIndex};
 use xseq::sequence::{sequence_document, Strategy};
 use xseq::storage::{write_paged_trie, MemStore, PagedTrie};
 use xseq::{PlanOptions, SymbolTable, ValueMode};
@@ -73,44 +70,6 @@ fn bench_matchers(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_loading(c: &mut Criterion) {
-    let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
-    let ds = SyntheticDataset::generate(&SyntheticParams::fig14a(), 10_000, 4, &mut symbols);
-    let mut paths = xseq::PathTable::new();
-    let seqs: Vec<_> = ds
-        .docs
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            (
-                sequence_document(d, &mut paths, &Strategy::DepthFirst),
-                i as u32,
-            )
-        })
-        .collect();
-
-    let mut group = c.benchmark_group("load_ablation");
-    group.bench_function("incremental_insert", |b| {
-        b.iter(|| {
-            let mut trie = SequenceTrie::new();
-            for (s, id) in &seqs {
-                trie.insert(s, *id);
-            }
-            trie.freeze();
-            trie.node_count()
-        })
-    });
-    group.bench_function("bulk_sorted_load", |b| {
-        b.iter(|| {
-            let mut trie = SequenceTrie::new();
-            trie.bulk_load(seqs.clone());
-            trie.freeze();
-            trie.node_count()
-        })
-    });
-    group.finish();
-}
-
 fn bench_pool_capacity(c: &mut Criterion) {
     let (_paths, index, queries) = setup();
     let mut group = c.benchmark_group("pool_capacity");
@@ -133,6 +92,6 @@ fn bench_pool_capacity(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_secs(1));
-    targets = bench_matchers, bench_loading, bench_pool_capacity
+    targets = bench_matchers, bench_pool_capacity
 }
 criterion_main!(benches);

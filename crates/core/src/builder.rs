@@ -28,8 +28,6 @@ pub enum Sequencing {
 pub struct DatabaseBuilder {
     sequencing: Sequencing,
     value_mode: ValueMode,
-    plan: PlanOptions,
-    sample_cap: usize,
     boosts: Vec<(String, f64)>,
     registry: Arc<MetricsRegistry>,
     trace: Option<TraceConfig>,
@@ -41,8 +39,12 @@ pub struct DatabaseBuilder {
     tier_ratio: usize,
     background_merge: Option<Duration>,
     profiling: bool,
-    event_capacity: usize,
 }
+
+/// Flight-recorder events [`Database::events`] retains.  The journal is
+/// always on — recording an event is a handful of relaxed atomics — so this
+/// only trades memory for history depth.
+const EVENT_CAPACITY: usize = 256;
 
 /// The build-time configuration a [`Database`] retains so
 /// [`Database::compact`] can replay the exact original build pipeline over
@@ -50,8 +52,6 @@ pub struct DatabaseBuilder {
 #[derive(Debug, Clone)]
 pub(crate) struct BuildConfig {
     pub(crate) sequencing: Sequencing,
-    pub(crate) plan: PlanOptions,
-    pub(crate) sample_cap: usize,
     pub(crate) boosts: Vec<(String, f64)>,
     pub(crate) compact_threshold: Option<usize>,
     pub(crate) memtable_limit: usize,
@@ -71,8 +71,6 @@ impl DatabaseBuilder {
         DatabaseBuilder {
             sequencing: Sequencing::Probability,
             value_mode: ValueMode::Intern,
-            plan: PlanOptions::default(),
-            sample_cap: 0,
             boosts: Vec::new(),
             registry: Arc::new(MetricsRegistry::new()),
             trace: None,
@@ -84,17 +82,7 @@ impl DatabaseBuilder {
             tier_ratio: xseq_index::DEFAULT_TIER_RATIO,
             background_merge: None,
             profiling: true,
-            event_capacity: 256,
         }
-    }
-
-    /// Sets how many flight-recorder events [`Database::events`] retains
-    /// (default 256, clamped to at least 2).  The journal is always on —
-    /// recording an event is a handful of relaxed atomics — so this only
-    /// trades memory for history depth.
-    pub fn event_capacity(mut self, capacity: usize) -> Self {
-        self.event_capacity = capacity;
-        self
     }
 
     /// Enables or disables the workload profiler (on by default): every
@@ -232,19 +220,6 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Caps how many documents the probability estimator samples
-    /// (0 = all).
-    pub fn sample_cap(mut self, cap: usize) -> Self {
-        self.sample_cap = cap;
-        self
-    }
-
-    /// Overrides the planner caps.
-    pub fn plan_options(mut self, plan: PlanOptions) -> Self {
-        self.plan = plan;
-        self
-    }
-
     /// Boosts the sequencing weight `w(C)` of the node addressed by a simple
     /// slash path (e.g. `"/site/item/location"`) — the paper's tunable
     /// mechanism for frequently queried, highly selective elements.
@@ -354,8 +329,6 @@ impl DatabaseBuilder {
         let pool_tel = PoolTelemetry::register(&self.registry);
         let config = BuildConfig {
             sequencing: self.sequencing,
-            plan: self.plan,
-            sample_cap: self.sample_cap,
             boosts: self.boosts,
             compact_threshold: self.compact_threshold,
             memtable_limit: self.memtable_limit,
@@ -397,7 +370,7 @@ impl DatabaseBuilder {
         let workload_classes = self.registry.gauge("workload.classes");
         // The flight recorder is always on; the slow-query threshold arms
         // from the trace config (and is runtime-tunable either way).
-        let events = Arc::new(EventJournal::new(self.event_capacity));
+        let events = Arc::new(EventJournal::new(EVENT_CAPACITY));
         let slow_threshold_ns = self.trace.as_ref().map_or(u64::MAX, |c| {
             c.slow_threshold.as_nanos().min(u64::MAX as u128) as u64
         });
@@ -547,8 +520,8 @@ pub(crate) fn build_shard_index(
     let strategy = match config.sequencing {
         Sequencing::DepthFirst => Strategy::DepthFirst,
         Sequencing::Probability => {
-            let model =
-                ProbabilityModel::estimate(&corpus.docs, &mut corpus.paths, config.sample_cap);
+            // The estimator samples every document (cap 0).
+            let model = ProbabilityModel::estimate(&corpus.docs, &mut corpus.paths, 0);
             let mut weights = WeightMap::default();
             for (path, w) in &config.boosts {
                 if let Some(p) = resolve_simple_path(path, &corpus.symbols, &corpus.paths) {
@@ -562,7 +535,7 @@ pub(crate) fn build_shard_index(
         &corpus.docs,
         &mut corpus.paths,
         strategy,
-        config.plan,
+        PlanOptions::default(),
         Some(IndexTelemetry::register(registry)),
         pool,
     );

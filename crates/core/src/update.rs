@@ -341,9 +341,9 @@ impl Database {
     }
 
     /// Folds the delta segment and tombstones back into a single frozen
-    /// segment by replaying the original build pipeline — parallel
-    /// part-sort → k-way merge → `bulk_load_presorted` → `freeze_parallel`
-    /// — over the **surviving** documents.
+    /// segment by replaying the original build pipeline — chunk-parallel
+    /// sequencing → `bulk_load` → `freeze` (one sort, one preorder build, one
+    /// labeling) — over the **surviving** documents.
     ///
     /// The surviving documents are re-interned into fresh symbol/path
     /// tables in document order (a document's arena order is its parse

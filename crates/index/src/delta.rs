@@ -10,10 +10,11 @@
 //! * **Inserts** append `(sequence, doc)` pairs to a raw **memtable** — an
 //!   `O(1)` amortized push, no trie work at all.  When the memtable reaches
 //!   `memtable_limit` entries it is *cut*: its sequences become a frozen
-//!   tier-0 [`DeltaRun`] (a small [`SequenceTrie`] with its own
-//!   preorder-range space, labels and path links valid), and the memtable
-//!   restarts empty.  The raw sequences are retained alongside each run so
-//!   later merges replay them without walking tries.
+//!   tier-0 [`DeltaRun`] (a small [`SequenceTrie`] built like the main
+//!   segment — sorted run, preorder nodes, labels and path links — with its
+//!   own preorder-range space), and the memtable restarts empty.  The raw
+//!   sequences are retained alongside each run so later merges replay them
+//!   without walking tries.
 //! * **Merges** fire when a tier accumulates `tier_ratio` runs: the runs'
 //!   raw sequences are concatenated in insertion order — dropping documents
 //!   tombstoned at merge time (*tombstone resolution*) — and rebuilt as a
@@ -82,8 +83,9 @@ pub struct DeltaRun {
 }
 
 impl DeltaRun {
-    /// Builds a frozen run from raw sequences (insertion order preserved —
-    /// the arena layout is deterministic in the input order).
+    /// Builds a frozen run from raw sequences.  `seqs` keeps insertion
+    /// order for later merges; the trie is canonical — it depends only on
+    /// the `(sequence, doc)` multiset and each sequence's document order.
     fn build(seqs: Vec<(Sequence, DocId)>, tier: u32) -> DeltaRun {
         let trie = build_mem_view(&seqs);
         DeltaRun { trie, seqs, tier }
@@ -128,12 +130,11 @@ struct Memtable {
     view: Option<Arc<SequenceTrie>>,
 }
 
-/// Builds the memtable's frozen view trie from its raw sequences.
+/// Builds a frozen trie over raw sequences — a memtable view or a run —
+/// the way every trie is built ([`SequenceTrie::freeze`]).
 fn build_mem_view(seqs: &[(Sequence, DocId)]) -> SequenceTrie {
     let mut trie = SequenceTrie::new();
-    for (seq, doc) in seqs {
-        SequenceTrie::insert(&mut trie, seq, *doc);
-    }
+    SequenceTrie::bulk_load(&mut trie, seqs.to_vec());
     SequenceTrie::freeze(&mut trie);
     trie
 }

@@ -49,7 +49,7 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-use xseq_sequence::{isomorphic_variants, sequence_document, Sequence, Strategy};
+use xseq_sequence::{isomorphic_variants, sequence_document, Strategy};
 use xseq_telemetry::{ActiveTrace, SpanId, Trace};
 use xseq_xml::{DocId, Document, PathId, PathTable, TreePattern};
 
@@ -274,9 +274,9 @@ pub struct XmlIndex {
 impl XmlIndex {
     /// Builds an index over `docs` with the given sequencing strategy.
     ///
-    /// Sequences every document, bulk-loads the trie (sorted insertion) and
-    /// freezes it (labels + path links), so the index is immediately
-    /// queryable.
+    /// Sequences every document, loads the sequences into the trie and
+    /// freezes it (sort, preorder nodes, labels + path links), so the index
+    /// is immediately queryable.
     pub fn build(
         docs: &[Document],
         paths: &mut PathTable,
@@ -324,12 +324,11 @@ impl XmlIndex {
     /// Documents are sequenced in parallel chunks; each worker interns new
     /// paths into a private clone of the path table, and the per-chunk
     /// deltas are absorbed back in chunk (= document) order, which replays
-    /// the sequential first-occurrence interning exactly.  The sorted
-    /// sequence list comes from parallel per-part stable sorts merged with
-    /// earlier parts winning ties (≡ one global stable sort), and labels and
-    /// path links come from [`SequenceTrie::freeze_parallel`] — so the
-    /// frozen index is bit-identical to the sequential build at any thread
-    /// count.
+    /// the sequential first-occurrence interning exactly.  The sequences
+    /// then take the sequential build's [`SequenceTrie::bulk_load`] +
+    /// [`SequenceTrie::freeze`] — sorting, node creation and labeling are a
+    /// small serial tail (DESIGN.md §10.2) — so the frozen index is
+    /// bit-identical to the sequential build at any thread count.
     pub fn build_parallel(
         docs: &[Document],
         paths: &mut PathTable,
@@ -369,7 +368,6 @@ impl XmlIndex {
         };
         // Serial barrier: absorb interning deltas in chunk order and remap
         // each chunk's sequences onto the global path ids.
-        let mut flat: Vec<(Sequence, DocId)> = Vec::with_capacity(docs.len());
         for (local, mut seqs, encode_ns) in chunks {
             let remap = paths.absorb_delta(&local, base_len);
             for (seq, _) in &mut seqs {
@@ -385,41 +383,9 @@ impl XmlIndex {
                     tel.encode.record_duration(d);
                 }
             }
-            flat.append(&mut seqs);
+            index.trie.bulk_load(seqs);
         }
-        // Parallel per-part stable sorts; each part keeps its documents in
-        // doc order on equal sequences.
-        let part = flat.len().div_ceil(pool.threads()).max(1);
-        let bounds: Vec<(usize, usize)> = (0..flat.len())
-            .step_by(part)
-            .map(|s| (s, (s + part).min(flat.len())))
-            .collect();
-        pool.run(
-            flat.chunks_mut(part)
-                .map(|p| move || p.sort_by(|a, b| a.0.elems().cmp(b.0.elems())))
-                .collect(),
-        );
-        // K-way merge, earliest part winning ties: parts hold ascending doc
-        // ids, so this reproduces one global stable sort over `flat`.
-        let mut cur: Vec<usize> = bounds.iter().map(|&(s, _)| s).collect();
-        let mut merged: Vec<(Sequence, DocId)> = Vec::with_capacity(flat.len());
-        loop {
-            let mut best: Option<usize> = None;
-            for (pi, &(_, end)) in bounds.iter().enumerate() {
-                if cur[pi] < end {
-                    best = match best {
-                        Some(b) if flat[cur[b]].0.elems() <= flat[cur[pi]].0.elems() => Some(b),
-                        _ => Some(pi),
-                    };
-                }
-            }
-            let Some(b) = best else { break };
-            let id = flat[cur[b]].1;
-            merged.push((std::mem::take(&mut flat[cur[b]].0), id));
-            cur[b] += 1;
-        }
-        index.trie.bulk_load_presorted(merged);
-        index.trie.freeze_parallel(pool);
+        index.trie.freeze();
         index
     }
 
@@ -431,20 +397,6 @@ impl XmlIndex {
     /// The attached registry wiring, if any.
     pub fn telemetry(&self) -> Option<&IndexTelemetry> {
         self.telemetry.as_ref()
-    }
-
-    /// Inserts one more document (dynamic maintenance).  Labels are
-    /// invalidated; call [`XmlIndex::refresh`] (or let the next build step)
-    /// before querying again.
-    pub fn insert(&mut self, doc: &Document, id: DocId, paths: &mut PathTable) {
-        let seq = sequence_document(doc, paths, &self.strategy);
-        self.data_paths.extend(seq.elems().iter().copied());
-        self.trie.insert(&seq, id);
-    }
-
-    /// Recomputes labels and path links after insertions.
-    pub fn refresh(&mut self) {
-        self.trie.freeze();
     }
 
     /// Appends one document to the **update overlay** — an `O(1)` amortized
@@ -900,22 +852,6 @@ mod tests {
         q2.add(q2.root_id(), Axis::Child, PatternLabel::Elem(ad));
         let out2 = index.query(&q2, &pt);
         assert_eq!(out2.docs, vec![0, 2]);
-    }
-
-    #[test]
-    fn incremental_insert_and_refresh() {
-        let (mut st, mut pt, docs) = corpus(&["<p><a/></p>"]);
-        let mut index =
-            XmlIndex::build(&docs, &mut pt, Strategy::DepthFirst, PlanOptions::default());
-        let doc2 = parse_document("<p><b/></p>", &mut st).unwrap();
-        index.insert(&doc2, 1, &mut pt);
-        index.refresh();
-
-        let pd = st.designator("p");
-        let bd = st.designator("b");
-        let mut q = TreePattern::root(PatternLabel::Elem(pd));
-        q.add(q.root_id(), Axis::Child, PatternLabel::Elem(bd));
-        assert_eq!(index.query(&q, &pt).docs, vec![1]);
     }
 
     #[test]

@@ -397,7 +397,7 @@ fn tree_go<V: TrieView + ?Sized>(
         if e.serial > tip_max {
             break;
         }
-        try_candidate(e.node, matched, used, out, stats);
+        try_candidate(e.serial, matched, used, out, stats);
         idx += 1;
     }
     // (2) candidates on the chain above the tip, strictly below the anchor.
@@ -475,14 +475,15 @@ fn go<V: TrieView + ?Sized>(
                 let anchor = matched[pp as usize];
                 // PANIC-FREE: same bound — pp < i <= len of each table
                 if trie.embeds_identical(anchor)
-                    && trie.nearest_ancestor_with_path(e.node, q.paths[pp as usize]) != Some(anchor)
+                    && trie.nearest_ancestor_with_path(e.serial, q.paths[pp as usize])
+                        != Some(anchor)
                 {
                     stats.cover_rejections += 1;
                     continue;
                 }
             }
         }
-        matched.push(e.node);
+        matched.push(e.serial);
         go(
             trie,
             q,

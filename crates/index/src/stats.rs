@@ -13,7 +13,7 @@
 //! with the rest of the observability surface.
 
 use crate::delta::TieredDelta;
-use crate::trie::{SequenceTrie, NIL};
+use crate::trie::{SequenceTrie, TrieNodeId};
 use crate::XmlIndex;
 use std::fmt::Write as _;
 use xseq_telemetry::{bucket_bounds, bucket_of};
@@ -38,8 +38,7 @@ pub struct SegmentStats {
     pub root_fanout: usize,
     /// Preorder-range width distribution: `range_width_buckets[b]` counts
     /// real nodes whose subtree width `n⊣ − n⊢ + 1` falls in power-of-two
-    /// bucket `b` (see [`bucket_of`]).  Empty when the segment is not
-    /// frozen.
+    /// bucket `b` (see [`bucket_of`]).
     pub range_width_buckets: Vec<u64>,
     /// Stored-sequence length distribution: `seq_len_counts[l]` counts end
     /// nodes at depth `l` — the lengths the sequencing strategy produced.
@@ -59,52 +58,40 @@ pub struct SegmentStats {
 }
 
 impl SegmentStats {
-    /// Collects the statistics of one trie by a read-only walk.
-    // PANIC-FREE: depths and the frozen tables are sized to the arena,
-    // and the walk only visits arena-minted node ids
+    /// Collects the statistics of one frozen trie.  Nodes are in preorder
+    /// and every parent precedes its children, so depth and fan-out come
+    /// from `parent[]` in one forward pass.
+    // PANIC-FREE: the per-node tables are sized to the node count, node
+    // ids run 0..n and every parent is a smaller id
     pub fn collect(trie: &SequenceTrie) -> SegmentStats {
+        let f = trie.frozen();
+        let n = trie.node_count() + 1;
         let mut s = SegmentStats {
             nodes: trie.node_count(),
             sequences: trie.sequence_count(),
+            link_paths: f.links.len(),
+            link_entries: f.links.values().map(Vec::len).sum(),
+            end_nodes: f.end_nodes.len(),
             ..SegmentStats::default()
         };
-        let mut depths = vec![0u32; trie.arena_len()];
-        let mut stack = vec![trie.root()];
-        while let Some(n) = stack.pop() {
-            let depth = depths[n as usize] as usize;
-            let mut fanout = 0usize;
-            let mut c = trie.first_child(n);
-            while c != NIL {
-                depths[c as usize] = depth as u32 + 1;
-                fanout += 1;
-                stack.push(c);
-                c = trie.next_sibling(c);
-            }
-            if n == trie.root() {
-                s.root_fanout = fanout;
-            } else {
-                bump(&mut s.depth_counts, depth);
-                s.max_depth = s.max_depth.max(depth);
-                bump(&mut s.fanout_counts, fanout);
-            }
+        let mut depths = vec![0usize; n];
+        let mut fanout = vec![0usize; n];
+        for i in 1..n {
+            let p = SequenceTrie::parent(trie, i as TrieNodeId) as usize;
+            depths[i] = depths[p] + 1;
+            fanout[p] += 1;
         }
-        if trie.is_frozen() {
-            let f = trie.frozen();
-            for n in 1..trie.arena_len() {
-                let width = u64::from(f.max_desc[n] - f.serial[n]) + 1;
-                bump(&mut s.range_width_buckets, bucket_of(width));
-                if f.embeds_identical[n] {
-                    s.sibling_cover_nodes += 1;
-                }
-            }
-            s.link_paths = f.links.len();
-            s.link_entries = f.links.values().map(Vec::len).sum();
-            s.end_nodes = f.end_nodes.len();
-            for &(_, node) in &f.end_nodes {
-                bump(&mut s.seq_len_counts, depths[node as usize] as usize);
-            }
+        s.root_fanout = fanout[0];
+        for i in 1..n {
+            bump(&mut s.depth_counts, depths[i]);
+            s.max_depth = s.max_depth.max(depths[i]);
+            bump(&mut s.fanout_counts, fanout[i]);
+            let width = u64::from(f.max_desc[i] - i as u32) + 1;
+            bump(&mut s.range_width_buckets, bucket_of(width));
+            s.sibling_cover_nodes += usize::from(f.embeds_identical[i]);
         }
-        for (_, docs) in trie.doc_lists() {
+        for (end, docs) in trie.doc_lists() {
+            bump(&mut s.seq_len_counts, depths[end as usize]);
             s.doc_ids += docs.len();
         }
         s

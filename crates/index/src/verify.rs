@@ -39,8 +39,8 @@ use xseq_xml::PathTable;
 pub enum InvariantClass {
     /// The trie has unfrozen insertions; labels and links are stale.
     NotFrozen,
-    /// Preorder serials are not a permutation, or a label range is not
-    /// properly nested in its parent / overlaps a sibling (Figure 8).
+    /// A parent does not precede its child in preorder, or a label range is
+    /// not properly nested in its parent / overlaps a sibling (Figure 8).
     PreorderNesting,
     /// `n⊣` disagrees with a from-scratch subtree-extent recomputation.
     SubtreeExtent,
@@ -226,18 +226,17 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
         return report;
     }
     let f = trie.frozen();
-    let n = trie.arena_len();
+    let n = trie.node_count() + 1;
     report.nodes_checked = n;
 
-    // Array shapes: the labels must cover the arena exactly.
-    if f.serial.len() != n || f.max_desc.len() != n || f.embeds_identical.len() != n {
+    // Array shapes: the labels must cover every node exactly.
+    if f.max_desc.len() != n || f.embeds_identical.len() != n {
         report.push(Violation {
             class: InvariantClass::PreorderNesting,
             node: None,
             serial: None,
             detail: format!(
-                "label arrays cover {}/{}/{} nodes of an arena of {n}",
-                f.serial.len(),
+                "label arrays cover {}/{} nodes of a trie of {n}",
                 f.max_desc.len(),
                 f.embeds_identical.len()
             ),
@@ -245,28 +244,27 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
         return report; // indexing below would be unsound
     }
 
-    // Serials are a permutation of 0..n.
-    let mut seen = vec![false; n];
-    for (i, &s) in f.serial.iter().enumerate() {
-        // PANIC-FREE: the || short-circuits, so seen (len n) is only
-        // indexed once s < n holds
-        if (s as usize) >= n || seen[s as usize] {
+    // Preorder: node id ≡ serial, so the virtual root (serial 0) has no
+    // parent and every other node's parent is a smaller id.
+    let root = trie.root();
+    for i in 0..n as TrieNodeId {
+        let parent = trie.parent(i);
+        if (i == root && parent != NIL) || (i != root && parent >= i) {
             report.push(Violation {
                 class: InvariantClass::PreorderNesting,
-                node: Some(i as TrieNodeId),
-                serial: Some(s),
-                detail: format!("serial {s} out of range or duplicated (arena of {n})"),
+                node: Some(i),
+                serial: Some(i),
+                detail: format!("parent {parent} does not precede node {i} in preorder"),
             });
-        } else {
-            // PANIC-FREE: else branch of the s >= n test, so s < n
-            seen[s as usize] = true;
         }
     }
+    if !report.is_clean() {
+        return report; // the parent walks below would be unsound
+    }
 
-    // Virtual root: serial 0, range spanning the whole arena.
-    let root = trie.root();
+    // Virtual root: range spanning the whole trie.
     let (rs, rm) = trie.label(root);
-    if rs != 0 || rm as usize != n - 1 {
+    if rm as usize != n - 1 {
         report.push(Violation {
             class: InvariantClass::PreorderNesting,
             node: Some(root),
@@ -275,10 +273,16 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
         });
     }
 
-    // Per node: self-consistency, nesting in the parent, disjoint sibling
-    // ranges, and the subtree extent recomputed from the children.
-    for i in 0..n as TrieNodeId {
+    // Per real node: self-consistency, nesting in the parent, disjoint
+    // sibling ranges (children arrive in ascending serial, so each is
+    // compared with its previous sibling), and the subtree extent
+    // recomputed from the children.
+    let mut extent: Vec<u32> = (0..n as u32).collect();
+    let mut last_child = vec![NIL; n];
+    for i in 1..n as TrieNodeId {
         let (s, m) = trie.label(i);
+        let parent = trie.parent(i);
+        let (ps, pm) = trie.label(parent);
         if s > m || (m as usize) >= n {
             report.push(Violation {
                 class: InvariantClass::PreorderNesting,
@@ -286,32 +290,32 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
                 serial: Some(s),
                 detail: format!("degenerate range ({s}, {m})"),
             });
-            continue;
+        } else if !(ps < s && m <= pm) {
+            report.push(Violation {
+                class: InvariantClass::PreorderNesting,
+                node: Some(i),
+                serial: Some(s),
+                detail: format!("range ({s}, {m}) not nested in parent {parent}'s ({ps}, {pm})"),
+            });
         }
-        let parent = trie.parent(i);
-        if parent != NIL {
-            let (ps, pm) = trie.label(parent);
-            if !(ps < s && m <= pm) {
-                report.push(Violation {
-                    class: InvariantClass::PreorderNesting,
-                    node: Some(i),
-                    serial: Some(s),
-                    detail: format!(
-                        "range ({s}, {m}) not nested in parent {parent}'s ({ps}, {pm})"
-                    ),
-                });
-            }
+        // PANIC-FREE: parent < i < n was checked above; both tables have n
+        // entries
+        extent[parent as usize] = extent[parent as usize].max(m);
+        // PANIC-FREE: same bound
+        let prev = std::mem::replace(&mut last_child[parent as usize], i);
+        if prev != NIL && s <= trie.label(prev).1 {
+            report.push(Violation {
+                class: InvariantClass::PreorderNesting,
+                node: Some(i),
+                serial: Some(s),
+                detail: format!("sibling ranges of nodes {prev} and {i} overlap"),
+            });
         }
-        // Children: extent recomputation + pairwise disjointness.
-        let mut extent = s;
-        let mut ranges: Vec<(u32, u32, TrieNodeId)> = Vec::new();
-        let mut c = trie.first_child(i);
-        while c != NIL {
-            let (cs, cm) = trie.label(c);
-            extent = extent.max(cm);
-            ranges.push((cs, cm, c));
-            c = trie.next_sibling(c);
-        }
+    }
+    for i in 0..n as TrieNodeId {
+        let (s, m) = trie.label(i);
+        // PANIC-FREE: i < n and extent was sized to n
+        let extent = extent[i as usize];
         if extent != m {
             report.push(Violation {
                 class: InvariantClass::SubtreeExtent,
@@ -320,24 +324,11 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
                 detail: format!("n⊣ is {m} but the subtree extends to {extent}"),
             });
         }
-        ranges.sort_unstable();
-        for w in ranges.windows(2) {
-            // PANIC-FREE: windows(2) yields exactly two entries
-            let (_, am, an) = w[0];
-            let (bs, _, bn) = w[1];
-            if bs <= am {
-                report.push(Violation {
-                    class: InvariantClass::PreorderNesting,
-                    node: Some(bn),
-                    serial: Some(bs),
-                    detail: format!("sibling ranges of nodes {an} and {bn} overlap"),
-                });
-            }
-        }
     }
 
     // Path links: strict serial order, cached labels in agreement, and
-    // exactly-once coverage of every real node under its own path.
+    // exactly-once coverage of every real node under its own path.  An
+    // entry's serial is the node it stands for.
     report.links_checked = f.links.len();
     let mut covered = vec![0u32; n];
     for (&path, entries) in &f.links {
@@ -347,7 +338,7 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
             if a.serial >= b.serial {
                 report.push(Violation {
                     class: InvariantClass::LinkOrder,
-                    node: Some(b.node),
+                    node: Some(b.serial),
                     serial: Some(b.serial),
                     detail: format!(
                         "link of path {path:?} not strictly ascending: {} then {}",
@@ -357,37 +348,38 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
             }
         }
         for (idx, e) in entries.iter().enumerate() {
-            if (e.node as usize) >= n {
+            let node = e.serial;
+            if (node as usize) >= n {
                 report.push(Violation {
                     class: InvariantClass::LinkCoverage,
-                    node: Some(e.node),
-                    serial: Some(e.serial),
-                    detail: format!("link of path {path:?} points outside the arena"),
+                    node: Some(node),
+                    serial: Some(node),
+                    detail: format!("link of path {path:?} points outside the trie"),
                 });
                 continue;
             }
-            // PANIC-FREE: e.node < n — the out-of-arena case continued
-            covered[e.node as usize] += 1;
-            let (s, m) = trie.label(e.node);
-            if e.serial != s || e.max_desc != m {
+            // PANIC-FREE: node < n — the out-of-trie case continued
+            covered[node as usize] += 1;
+            let m = trie.label(node).1;
+            if e.max_desc != m {
                 report.push(Violation {
                     class: InvariantClass::LinkOrder,
-                    node: Some(e.node),
-                    serial: Some(s),
+                    node: Some(node),
+                    serial: Some(node),
                     detail: format!(
-                        "link entry caches ({}, {}) but the node is labeled ({s}, {m})",
-                        e.serial, e.max_desc
+                        "link entry caches ({node}, {}) but the node is labeled ({node}, {m})",
+                        e.max_desc
                     ),
                 });
             }
-            if trie.path(e.node) != path {
+            if trie.path(node) != path {
                 report.push(Violation {
                     class: InvariantClass::LinkCoverage,
-                    node: Some(e.node),
-                    serial: Some(s),
+                    node: Some(node),
+                    serial: Some(node),
                     detail: format!(
                         "node carries path {:?} but sits in the link of {path:?}",
-                        trie.path(e.node)
+                        trie.path(node)
                     ),
                 });
             }
@@ -396,14 +388,14 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
             // entry starts inside its range.
             let expected = entries
                 .get(idx + 1)
-                .is_some_and(|next| next.serial <= e.max_desc && next.serial > e.serial);
-            // PANIC-FREE: e.node < n — the out-of-arena case continued
-            let actual = f.embeds_identical[e.node as usize];
+                .is_some_and(|next| next.serial <= e.max_desc && next.serial > node);
+            // PANIC-FREE: node < n — the out-of-trie case continued
+            let actual = f.embeds_identical[node as usize];
             if actual != expected {
                 report.push(Violation {
                     class: InvariantClass::SiblingCover,
-                    node: Some(e.node),
-                    serial: Some(s),
+                    node: Some(node),
+                    serial: Some(node),
                     detail: format!(
                         "embeds_identical is {actual} but recomputation says {expected}"
                     ),
@@ -418,7 +410,7 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
             report.push(Violation {
                 class: InvariantClass::LinkCoverage,
                 node: Some(i),
-                serial: Some(trie.label(i).0),
+                serial: Some(i),
                 detail: format!(
                     "node appears {times} times across the path links (expected exactly once)"
                 ),
@@ -426,16 +418,17 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
         }
     }
 
-    // End-node registry: strictly ascending serials, in exact agreement
-    // with the document-id lists, totalling the inserted sequence count.
+    // End-node registry: strictly ascending nodes inside the trie, one
+    // non-empty document-id list each, totalling the inserted sequence
+    // count.
     for w in f.end_nodes.windows(2) {
         // PANIC-FREE: windows(2) yields exactly two entries
         let (a, b) = (w[0], w[1]);
-        if a.0 >= b.0 {
+        if a >= b {
             report.push(Violation {
                 class: InvariantClass::EndNodes,
-                node: Some(b.1),
-                serial: Some(b.0),
+                node: Some(b),
+                serial: Some(b),
                 detail: "end-node registry not strictly ascending by serial".into(),
             });
         }
@@ -445,22 +438,12 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
     for (node, docs) in trie.doc_lists() {
         total_docs += docs.len();
         end_count += 1;
-        if docs.is_empty() {
+        if docs.is_empty() || (node as usize) >= n {
             report.push(Violation {
                 class: InvariantClass::EndNodes,
                 node: Some(node),
-                serial: Some(trie.label(node).0),
-                detail: "empty document-id list".into(),
-            });
-        }
-        let s = trie.label(node).0;
-        if !f.end_nodes.iter().any(|&(es, en)| en == node && es == s) {
-            report.push(Violation {
-                class: InvariantClass::EndNodes,
-                node: Some(node),
-                serial: Some(s),
-                detail: "end node missing from the registry (or registered under a stale serial)"
-                    .into(),
+                serial: Some(node),
+                detail: "empty document-id list, or an end node outside the trie".into(),
             });
         }
     }
@@ -504,10 +487,10 @@ pub fn verify_trie(
     if report.has(InvariantClass::NotFrozen) {
         return report;
     }
-    // Deterministic order for reproducible reports.
-    let mut ends: Vec<TrieNodeId> = trie.doc_lists().map(|(n, _)| n).collect();
-    ends.sort_unstable();
-    for end in ends {
+    for (end, docs) in trie.doc_lists() {
+        if end as usize > trie.node_count() {
+            continue; // reported by the structure pass; nothing to walk
+        }
         // The stored sequence is the root-to-end-node path of the trie.
         let mut elems = Vec::new();
         let mut cur = end;
@@ -527,15 +510,13 @@ pub fn verify_trie(
                 xseq_sequence::SequenceIssue::ReencodeMismatch { .. }
                 | xseq_sequence::SequenceIssue::StructuralMismatch => InvariantClass::RoundTrip,
             };
-            let serial = trie.is_frozen().then(|| trie.label(end).0);
             report.push(Violation {
                 class,
                 node: Some(end),
-                serial,
+                serial: Some(end),
                 detail: format!(
-                    "stored sequence of {} element(s), docs {:?}: {issue}",
-                    seq.len(),
-                    trie.docs_at(end)
+                    "stored sequence of {} element(s), docs {docs:?}: {issue}",
+                    seq.len()
                 ),
             });
         }
@@ -635,7 +616,7 @@ mod tests {
             .iter()
             .enumerate()
             .skip(1)
-            .find(|&(i, &m)| f.serial[i] == m)
+            .find(|&(i, &m)| i as u32 == m)
             .map(|(i, _)| i)
             .expect("some leaf exists");
         f.max_desc[leaf] = f.max_desc.len() as u32 + 10;

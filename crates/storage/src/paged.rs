@@ -12,6 +12,12 @@
 //! docs_start…       document ids    (u32)
 //! ```
 //!
+//! A frozen trie is in preorder, so a node's id *is* its serial: record `i`
+//! of the node section carries serial `i`, and the `node` word of link
+//! entries and end-node records repeats the serial.  Readers ignore those
+//! two words; they stay on the page so the layout (`XSEQPG01`) and every
+//! page count derived from it are unchanged.
+//!
 //! The link *directory* (the path dictionary) is loaded into memory at open
 //! time — it plays the role of a catalog and is small; node records, link
 //! entries, end nodes and document lists are fetched through the buffer
@@ -71,11 +77,11 @@ pub fn write_paged_trie<S: PageStore>(trie: &SequenceTrie, store: &mut S) -> io:
             entries.extend_from_slice(link);
         }
     }
-    let mut ends: Vec<(u32, TrieNodeId, u32, u32)> = Vec::with_capacity(frozen.end_nodes.len());
+    let mut ends: Vec<(TrieNodeId, u32, u32)> = Vec::with_capacity(frozen.end_nodes.len());
     let mut docs: Vec<DocId> = Vec::new();
-    for &(serial, node) in &frozen.end_nodes {
+    for &node in &frozen.end_nodes {
         let list = trie.docs_at(node);
-        ends.push((serial, node, docs.len() as u32, list.len() as u32));
+        ends.push((node, docs.len() as u32, list.len() as u32));
         docs.extend_from_slice(list);
     }
 
@@ -110,13 +116,12 @@ pub fn write_paged_trie<S: PageStore>(trie: &SequenceTrie, store: &mut S) -> io:
     // ---- node records ----
     let mut writer = SectionWriter::new(store, nodes_start);
     for n in 0..node_count as TrieNodeId {
-        let (serial, max) = trie.label(n);
         let flags = u32::from(frozen.embeds_identical[n as usize]);
         writer.record(NODE_REC, NODES_PER_PAGE, |page, off| {
             put_u32(page, off, trie.path(n).0);
             put_u32(page, off + 4, trie.parent(n));
-            put_u32(page, off + 8, serial);
-            put_u32(page, off + 12, max);
+            put_u32(page, off + 8, n);
+            put_u32(page, off + 12, frozen.max_desc[n as usize]);
             put_u32(page, off + 16, flags);
         })?;
     }
@@ -137,15 +142,15 @@ pub fn write_paged_trie<S: PageStore>(trie: &SequenceTrie, store: &mut S) -> io:
         writer.record(ENTRY_REC, ENTRIES_PER_PAGE, |page, off| {
             put_u32(page, off, e.serial);
             put_u32(page, off + 4, e.max_desc);
-            put_u32(page, off + 8, e.node);
+            put_u32(page, off + 8, e.serial);
         })?;
     }
     writer.flush()?;
 
     let mut writer = SectionWriter::new(store, ends_start);
-    for &(serial, node, doc_off, doc_len) in &ends {
+    for &(node, doc_off, doc_len) in &ends {
         writer.record(END_REC, ENDS_PER_PAGE, |page, off| {
-            put_u32(page, off, serial);
+            put_u32(page, off, node);
             put_u32(page, off + 4, node);
             put_u32(page, off + 8, doc_off);
             put_u32(page, off + 12, doc_len);
@@ -232,29 +237,53 @@ pub struct PagedTrie<S: PageStore> {
 
 impl<S: PageStore> PagedTrie<S> {
     /// Opens a paged trie, loading the header and link directory.
+    ///
+    /// The header is untrusted input: a wrong magic, a trie without its
+    /// root, section starts that are not ascending inside the store, a
+    /// record count that does not fit its section, or a directory entry
+    /// reaching outside the entries section is `InvalidData` — so no count
+    /// read from the file sizes an allocation or a page lookup unchecked.
+    // PANIC-FREE: `h` holds ten words, `sec` runs 0..5 and PER_PAGE has five
+    // entries, so every index below is in bounds
     pub fn open(store: S, pool_capacity: usize) -> io::Result<Self> {
+        const PER_PAGE: [usize; 5] = [
+            NODES_PER_PAGE,
+            DIR_PER_PAGE,
+            ENTRIES_PER_PAGE,
+            ENDS_PER_PAGE,
+            DOCS_PER_PAGE,
+        ];
+        let invalid = |what| Err(io::Error::new(io::ErrorKind::InvalidData, what));
         let mut pool = BufferPool::new(store, pool_capacity);
-        let (magic, node_count, dir_count, end_count, starts) = pool.with_page(0, |p| {
+        // Words 0..5: node, directory, entry, end and doc counts; 5..10:
+        // the start pages of their sections.
+        let (magic, h): (u64, [u32; 10]) = pool.with_page(0, |p| {
             (
                 get_u64(p, 0),
-                get_u32(p, 8),
-                get_u32(p, 12),
-                get_u32(p, 20),
-                [
-                    get_u32(p, 28),
-                    get_u32(p, 32),
-                    get_u32(p, 36),
-                    get_u32(p, 40),
-                    get_u32(p, 44),
-                ],
+                std::array::from_fn(|i| get_u32(p, 8 + 4 * i)),
             )
         })?;
         if magic != MAGIC {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
+            return invalid("bad magic");
         }
-        let mut dir = HashMap::with_capacity(dir_count as usize);
-        for i in 0..dir_count as usize {
-            let (pg, off) = locate(starts[1], i, DIR_REC, DIR_PER_PAGE);
+        if h[0] == 0 {
+            return invalid("paged trie without a root node");
+        }
+        for sec in 0..5 {
+            let start = h[5 + sec];
+            let next = if sec < 4 {
+                h[6 + sec]
+            } else {
+                pool.store().page_count()
+            };
+            let pages = (h[sec] as usize).div_ceil(PER_PAGE[sec]);
+            if start == 0 || start >= next || pages > (next - start) as usize {
+                return invalid("paged trie section outside the store");
+            }
+        }
+        let mut dir = HashMap::with_capacity(h[1] as usize);
+        for i in 0..h[1] as usize {
+            let (pg, off) = locate(h[6], i, DIR_REC, DIR_PER_PAGE);
             let (p, s, l) = pool.with_page(pg, |page| {
                 (
                     get_u32(page, off),
@@ -262,18 +291,21 @@ impl<S: PageStore> PagedTrie<S> {
                     get_u32(page, off + 8),
                 )
             })?;
+            if s.checked_add(l).is_none_or(|end| end > h[2]) {
+                return invalid("link directory entry outside the entries section");
+            }
             dir.insert(PathId(p), (s, l));
         }
         // catalog loading is setup cost, not query cost
         pool.clear();
         Ok(PagedTrie {
             pool: Mutex::new(pool),
-            node_count,
-            end_count,
-            nodes_start: starts[0],
-            entries_start: starts[2],
-            ends_start: starts[3],
-            docs_start: starts[4],
+            node_count: h[0],
+            end_count: h[3],
+            nodes_start: h[5],
+            entries_start: h[7],
+            ends_start: h[8],
+            docs_start: h[9],
             dir,
         })
     }
@@ -301,33 +333,34 @@ impl<S: PageStore> PagedTrie<S> {
         self.node_count as usize - 1
     }
 
+    /// Reads record `idx` of the section at `start` through the pool:
+    /// `read` gets the record's page and byte offset.
     // PANIC-FREE: the pool mutex poisons only if a holder panicked (the
     // process is already unwinding); with_page fails only on store I/O
     // errors, which the storage layer treats as fatal by design
-    fn node_field(&self, n: TrieNodeId, field: usize) -> u32 {
-        let (pg, off) = locate(self.nodes_start, n as usize, NODE_REC, NODES_PER_PAGE);
-        self.pool
-            .lock()
-            .expect("pool mutex poisoned")
-            .with_page(pg, |p| get_u32(p, off + field))
+    fn record<R>(
+        &self,
+        (start, rec, per_page): (PageId, usize, usize),
+        idx: usize,
+        read: impl FnOnce(&[u8; PAGE_SIZE], usize) -> R,
+    ) -> R {
+        let (pg, off) = locate(start, idx, rec, per_page);
+        let mut pool = self.pool.lock().expect("pool mutex poisoned");
+        pool.with_page(pg, |p| read(p, off))
             .expect("paged trie I/O")
     }
 
-    // PANIC-FREE: same pool-poison / fatal-I/O argument as node_field
-    fn end_record(&self, i: usize) -> (u32, TrieNodeId, u32, u32) {
-        let (pg, off) = locate(self.ends_start, i, END_REC, ENDS_PER_PAGE);
-        self.pool
-            .lock()
-            .expect("pool mutex poisoned")
-            .with_page(pg, |p| {
-                (
-                    get_u32(p, off),
-                    get_u32(p, off + 4),
-                    get_u32(p, off + 8),
-                    get_u32(p, off + 12),
-                )
-            })
-            .expect("paged trie I/O")
+    fn node_field(&self, n: TrieNodeId, field: usize) -> u32 {
+        let nodes = (self.nodes_start, NODE_REC, NODES_PER_PAGE);
+        self.record(nodes, n as usize, |p, off| get_u32(p, off + field))
+    }
+
+    /// End record `i` as `(serial, doc_off, doc_len)`.
+    fn end_record(&self, i: usize) -> (u32, u32, u32) {
+        let ends = (self.ends_start, END_REC, ENDS_PER_PAGE);
+        self.record(ends, i, |p, off| {
+            (get_u32(p, off), get_u32(p, off + 8), get_u32(p, off + 12))
+        })
     }
 }
 
@@ -336,14 +369,11 @@ impl<S: PageStore> TrieView for PagedTrie<S> {
         0
     }
 
-    // PANIC-FREE: same pool-poison / fatal-I/O argument as node_field
     fn label(&self, n: TrieNodeId) -> (u32, u32) {
-        let (pg, off) = locate(self.nodes_start, n as usize, NODE_REC, NODES_PER_PAGE);
-        self.pool
-            .lock()
-            .expect("pool mutex poisoned")
-            .with_page(pg, |p| (get_u32(p, off + 8), get_u32(p, off + 12)))
-            .expect("paged trie I/O")
+        let nodes = (self.nodes_start, NODE_REC, NODES_PER_PAGE);
+        self.record(nodes, n as usize, |p, off| {
+            (get_u32(p, off + 8), get_u32(p, off + 12))
+        })
     }
 
     fn path(&self, n: TrieNodeId) -> PathId {
@@ -363,28 +393,17 @@ impl<S: PageStore> TrieView for PagedTrie<S> {
     }
 
     // PANIC-FREE: callers iterate idx < link_len(path), which also
-    // guarantees `dir` contains the path; I/O failure is fatal by design
+    // guarantees `dir` contains the path
     fn link_entry(&self, path: PathId, idx: usize) -> LinkEntry {
         let (start, len) = self.dir[&path];
         assert!(idx < len as usize, "link index out of range");
-        let (pg, off) = locate(
-            self.entries_start,
-            start as usize + idx,
-            ENTRY_REC,
-            ENTRIES_PER_PAGE,
-        );
-        self.pool
-            .lock()
-            .expect("pool mutex poisoned")
-            .with_page(pg, |p| LinkEntry {
-                serial: get_u32(p, off),
-                max_desc: get_u32(p, off + 4),
-                node: get_u32(p, off + 8),
-            })
-            .expect("paged trie I/O")
+        let entries = (self.entries_start, ENTRY_REC, ENTRIES_PER_PAGE);
+        self.record(entries, start as usize + idx, |p, off| LinkEntry {
+            serial: get_u32(p, off),
+            max_desc: get_u32(p, off + 4),
+        })
     }
 
-    // PANIC-FREE: same pool-poison / fatal-I/O argument as node_field
     fn collect_docs_in_range(&self, lo: u32, hi: u32, out: &mut Vec<DocId>) {
         // binary search the first end record with serial >= lo
         let n = self.end_count as usize;
@@ -400,19 +419,13 @@ impl<S: PageStore> TrieView for PagedTrie<S> {
         }
         let mut i = a;
         while i < n {
-            let (serial, _, doc_off, doc_len) = self.end_record(i);
+            let (serial, doc_off, doc_len) = self.end_record(i);
             if serial > hi {
                 break;
             }
+            let docs = (self.docs_start, 4, DOCS_PER_PAGE);
             for k in 0..doc_len as usize {
-                let (pg, off) = locate(self.docs_start, doc_off as usize + k, 4, DOCS_PER_PAGE);
-                let d = self
-                    .pool
-                    .lock()
-                    .expect("pool mutex poisoned")
-                    .with_page(pg, |p| get_u32(p, off))
-                    .expect("paged trie I/O");
-                out.push(d);
+                out.push(self.record(docs, doc_off as usize + k, get_u32));
             }
             i += 1;
         }
@@ -614,6 +627,69 @@ mod tests {
         let mut store = MemStore::new();
         store.write_page(0, &new_page()).unwrap();
         assert!(PagedTrie::open(store, 4).is_err());
+    }
+
+    /// The fixture's page file, page by page, for the corruption tests.
+    fn pages_of(fx: &Fx) -> Vec<crate::page::Page> {
+        let mut store = MemStore::new();
+        let total = write_paged_trie(&fx.trie, &mut store).unwrap();
+        let mut pages = vec![new_page(); total as usize];
+        for (id, page) in pages.iter_mut().enumerate() {
+            store.read_page(id as PageId, page).unwrap();
+        }
+        pages
+    }
+
+    fn open_pages(pages: &[crate::page::Page]) -> io::Result<PagedTrie<MemStore>> {
+        let mut store = MemStore::new();
+        for (id, page) in pages.iter().enumerate() {
+            store.write_page(id as PageId, page).unwrap();
+        }
+        PagedTrie::open(store, 4)
+    }
+
+    #[test]
+    fn open_rejects_corrupt_or_truncated_files() {
+        let mut fx = Fx::new();
+        fx.load();
+        let good = pages_of(&fx);
+        assert!(open_pages(&good).is_ok());
+        let dir_start = get_u32(&good[0], 32) as usize;
+        // Each edit is (page, byte offset, new word).
+        let corrupt = |edits: &[(usize, usize, u32)]| {
+            let mut bad = good.clone();
+            for &(page, off, v) in edits {
+                put_u32(&mut bad[page], off, v);
+            }
+            bad
+        };
+        let zeroed_counts = [(0, 8, 0), (0, 12, 0), (0, 16, 0), (0, 20, 0), (0, 24, 0)];
+        let cases = [
+            ("node_count = 0", corrupt(&[(0, 8, 0)])),
+            ("every count zeroed", corrupt(&zeroed_counts)),
+            ("dir_count = u32::MAX", corrupt(&[(0, 12, u32::MAX)])),
+            (
+                "doc_count past the last page",
+                corrupt(&[(0, 24, u32::MAX)]),
+            ),
+            ("nodes_start = 0", corrupt(&[(0, 28, 0)])),
+            (
+                "entries_start past ends_start",
+                corrupt(&[(0, 36, 1 << 20)]),
+            ),
+            (
+                "directory entry past the entries",
+                corrupt(&[(dir_start, 8, u32::MAX)]),
+            ),
+            (
+                "store truncated by one page",
+                good[..good.len() - 1].to_vec(),
+            ),
+        ];
+        for (what, bad) in cases {
+            let err = open_pages(&bad).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+        }
     }
 
     #[test]
