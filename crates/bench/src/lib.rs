@@ -1,38 +1,56 @@
 //! # xseq-bench — the paper's evaluation, experiment by experiment
 //!
-//! One function per table/figure of Section 6.  Each regenerates the
-//! corresponding workload with the seeded generators, runs the same
-//! engines the paper ran, and prints a markdown table with the same rows
-//! and series the paper reports.  The `repro` binary dispatches on
-//! experiment name; `repro all` runs the lot.
+//! One experiment per table/figure of Section 6, over the seeded
+//! generators and the engines the paper ran.  Each is two functions:
+//! `*_rows` *returns* the table's rows and a printer renders them as the
+//! markdown table the paper reports; `repro` dispatches on [`EXPERIMENTS`].
 //!
-//! Absolute numbers will differ from a 2005 1.8 GHz Windows machine — the
-//! *shapes* (who wins, by what factor, where curves bend) are the
-//! reproduction target, recorded in `EXPERIMENTS.md`.
+//! Sizes and counts — trie nodes, result sizes, pages, disk accesses — are
+//! exact under the seeded generators and pinned by `tests/golden.rs`.
+//! Wall-clock columns depend on the host: their *shapes* (who wins, by what
+//! factor, where curves bend) are the reproduction target, recorded in
+//! `EXPERIMENTS.md`; speed itself is `benchmark/`'s job (`BENCHMARK.json`).
 #![forbid(unsafe_code)]
 
-pub mod regress;
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use xseq::baselines::{NodeIndex, PathIndex, VistIndex};
 use xseq::datagen::{
     self, queries, random_query_tree, DblpGenerator, SyntheticDataset, SyntheticParams,
     XmarkGenerator, XmarkOptions,
 };
-use xseq::index::{tree_search, QuerySequence, XmlIndex};
+use xseq::index::{
+    constraint_search, naive_search, tree_search, QuerySequence, SearchStats, XmlIndex,
+};
 use xseq::schema::{ProbabilityModel, WeightMap};
 use xseq::sequence::Strategy;
 use xseq::storage::{write_paged_trie, MemStore, PagedTrie};
 use xseq::xml::matcher::structure_match;
 use xseq::{
-    parse_xpath, AnomalyDetector, Axis, Corpus, Database, DatabaseBuilder, Document,
-    IndexTelemetry, MetricsRegistry, PatternLabel, PlanOptions, PoolTelemetry, SymbolTable,
-    TreePattern, ValueMode,
+    parse_xpath, AnomalyDetector, Axis, Corpus, DatabaseBuilder, DocId, Document, IndexTelemetry,
+    MetricsRegistry, PatternLabel, PlanOptions, PoolTelemetry, SymbolTable, TreePattern, ValueMode,
 };
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// One experiment: its `repro` name and the printer that runs it at a scale.
+pub type Experiment = (&'static str, fn(f64));
+
+/// Experiment registry, in the order `repro all` runs them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("fig14a", |scale| fig14(SyntheticParams::fig14a(), scale)),
+    ("fig14b", |scale| fig14(SyntheticParams::fig14b(), scale)),
+    ("fig15", fig15),
+    ("table5", |scale| xmark_table(true, scale)),
+    ("table6", |scale| xmark_table(false, scale)),
+    ("table7", table7),
+    ("table8", table8),
+    ("fig16a", fig16a),
+    ("fig16b", fig16b),
+    ("fig16c", |scale| fig16cd(0, scale)),
+    ("fig16d", |scale| fig16cd(25, scale)),
+    ("ablations", ablations),
+];
 
 /// Index-side handles into the process-wide registry (`repro --metrics`
 /// snapshots it after each experiment).
@@ -46,7 +64,7 @@ fn global_pool_telemetry() -> PoolTelemetry {
 }
 
 /// Scales every dataset-size parameter (1.0 = defaults).
-pub fn scaled(n: usize, scale: f64) -> usize {
+fn scaled(n: usize, scale: f64) -> usize {
     ((n as f64 * scale) as usize).max(100)
 }
 
@@ -55,8 +73,37 @@ fn cs_strategy(docs: &[Document], paths: &mut xseq::PathTable, sample: usize) ->
     Strategy::Probability(model.priorities(paths, &WeightMap::default()))
 }
 
+/// A constraint-sequenced (CS) index over `docs`, its strategy estimated
+/// against the same `paths`, reporting into the process-wide registry.
+fn cs_index(docs: &[Document], paths: &mut xseq::PathTable) -> XmlIndex {
+    let strategy = cs_strategy(docs, paths, 2000);
+    let mut index = XmlIndex::build(docs, paths, strategy, PlanOptions::default());
+    index.attach_telemetry(global_index_telemetry());
+    index
+}
+
+/// Trie nodes of an index over `docs` — the size metric of Figures 14/15
+/// and Tables 5/6.  `strategy` sees the index's own `PathTable` first: the
+/// probability strategy's `PriorityMap` is keyed by path ids, so
+/// estimation and build must share one table.
+fn index_nodes(
+    docs: &[Document],
+    strategy: impl FnOnce(&mut xseq::PathTable) -> Strategy,
+) -> usize {
+    let mut paths = xseq::PathTable::new();
+    let strategy = strategy(&mut paths);
+    XmlIndex::build(docs, &mut paths, strategy, PlanOptions::default()).node_count()
+}
+
+/// Runs `f`; returns its result and the elapsed wall time in milliseconds.
+fn timed_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t = Instant::now();
+    let out = f();
+    (out, t.elapsed().as_secs_f64() * 1e3)
+}
+
 /// Builds an exact child-axis pattern from a sampled subtree.
-pub fn pattern_of(doc: &Document) -> TreePattern {
+fn pattern_of(doc: &Document) -> TreePattern {
     let root = doc
         .root()
         .expect("pattern_of requires a non-empty sampled document");
@@ -78,7 +125,7 @@ pub fn pattern_of(doc: &Document) -> TreePattern {
 }
 
 /// Random exact query patterns of roughly `len` nodes drawn from the data.
-pub fn random_patterns(docs: &[Document], len: usize, count: usize, seed: u64) -> Vec<TreePattern> {
+fn random_patterns(docs: &[Document], len: usize, count: usize, seed: u64) -> Vec<TreePattern> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..count)
         .map(|i| {
@@ -88,11 +135,77 @@ pub fn random_patterns(docs: &[Document], len: usize, count: usize, seed: u64) -
         .collect()
 }
 
+/// Every concrete instantiation of `pattern` searched against the paged
+/// trie; returns the sorted, deduplicated union.
+fn paged_query(
+    paged: &PagedTrie<MemStore>,
+    index: &XmlIndex,
+    pattern: &TreePattern,
+    paths: &mut xseq::PathTable,
+) -> Vec<DocId> {
+    let mut docs = Vec::new();
+    for qdoc in xseq::index::instantiate(pattern, paths, index.data_paths(), index.options()) {
+        let qseq = QuerySequence::from_document(&qdoc, paths, index.strategy());
+        docs.extend(tree_search(paged, &qseq).0);
+    }
+    docs.sort_unstable();
+    docs.dedup();
+    docs
+}
+
+/// Depth-first vs constraint (CS) index size over one corpus: a row of
+/// Figures 14/15 and of Tables 5/6.  Every field is exact under the seeded
+/// generators.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DfCsRow {
+    /// Documents (records) indexed.
+    pub docs: usize,
+    /// Nodes across the documents, i.e. total sequence elements.
+    pub doc_nodes: usize,
+    /// Trie nodes under depth-first sequencing.
+    pub df_nodes: usize,
+    /// Trie nodes under constraint (CS) sequencing.
+    pub cs_nodes: usize,
+}
+
+impl DfCsRow {
+    fn of(docs: &[Document]) -> Self {
+        DfCsRow {
+            docs: docs.len(),
+            doc_nodes: docs.iter().map(Document::len).sum(),
+            df_nodes: index_nodes(docs, |_| Strategy::DepthFirst),
+            cs_nodes: index_nodes(docs, |paths| cs_strategy(docs, paths, 2000)),
+        }
+    }
+
+    fn cs_over_df(&self) -> f64 {
+        self.cs_nodes as f64 / self.df_nodes as f64
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Figure 14: index size vs dataset size, four sequencing strategies
 // ---------------------------------------------------------------------------
 
-/// Shared body for Figures 14(a) and 14(b).
+/// Figure 14's rows for one dataset (`SyntheticParams::fig14a()` is
+/// `L3F5A25I0P40`, `fig14b()` is `L5F3A40I0P5`) at five growth steps: the
+/// DF and CS sizes, and the trie nodes under `[Random, Breadth-first]`.
+pub fn fig14_rows(params: &SyntheticParams, scale: f64) -> Vec<(DfCsRow, [usize; 2])> {
+    let base = scaled(20_000, scale);
+    let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
+    let mut ds = SyntheticDataset::generate(params, base, 14, &mut symbols);
+    let mut rows = Vec::new();
+    for step in 1..=5 {
+        if step > 1 {
+            ds.extend(base, 14 + step as u64);
+        }
+        let random = index_nodes(&ds.docs, |_| Strategy::Random { seed: 5 });
+        let breadth_first = index_nodes(&ds.docs, |_| Strategy::BreadthFirst);
+        rows.push((DfCsRow::of(&ds.docs), [random, breadth_first]));
+    }
+    rows
+}
+
 fn fig14(params: SyntheticParams, scale: f64) {
     println!("## Figure 14 — index size, dataset {}", params.name());
     println!();
@@ -100,90 +213,52 @@ fn fig14(params: SyntheticParams, scale: f64) {
         "| documents | avg seq len | Random | Breadth-first | Depth-first | Constraint (CS) |"
     );
     println!("|---|---|---|---|---|---|");
-    let base = scaled(20_000, scale);
-    let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
-    let mut ds = SyntheticDataset::generate(&params, base, 14, &mut symbols);
-    for step in 1..=5 {
-        if step > 1 {
-            ds.extend(base, 14 + step as u64);
-        }
-        let n = ds.docs.len();
-        let mut sizes = Vec::new();
-        for strategy in [
-            Strategy::Random { seed: 5 },
-            Strategy::BreadthFirst,
-            Strategy::DepthFirst,
-        ] {
-            let mut paths = xseq::PathTable::new();
-            let index = XmlIndex::build(&ds.docs, &mut paths, strategy, PlanOptions::default());
-            sizes.push(index.node_count());
-        }
-        {
-            // the probability strategy's PriorityMap is keyed by path ids,
-            // so estimation and build must share one PathTable
-            let mut paths = xseq::PathTable::new();
-            let cs = cs_strategy(&ds.docs, &mut paths, 2000);
-            let index = XmlIndex::build(&ds.docs, &mut paths, cs, PlanOptions::default());
-            sizes.push(index.node_count());
-        }
+    for (r, [random, breadth_first]) in fig14_rows(&params, scale) {
         println!(
-            "| {} | {:.1} | {} | {} | {} | {} |",
-            n,
-            ds.avg_len(),
-            sizes[0],
-            sizes[1],
-            sizes[2],
-            sizes[3]
+            "| {} | {:.1} | {random} | {breadth_first} | {} | {} |",
+            r.docs,
+            r.doc_nodes as f64 / r.docs as f64,
+            r.df_nodes,
+            r.cs_nodes
         );
     }
     println!();
-}
-
-/// Figure 14(a): dataset `L3F5A25I0P40`.
-pub fn fig14a(scale: f64) {
-    fig14(SyntheticParams::fig14a(), scale);
-}
-
-/// Figure 14(b): dataset `L5F3A40I0P5`.
-pub fn fig14b(scale: f64) {
-    fig14(SyntheticParams::fig14b(), scale);
 }
 
 // ---------------------------------------------------------------------------
 // Figure 15: impact of identical sibling nodes on index size
 // ---------------------------------------------------------------------------
 
-/// Figure 15: `L3F5A25I?P40`, `I` from 0% to 100%, DF vs CS.
-pub fn fig15(scale: f64) {
+/// Figure 15's rows: `L3F5A25I?P40` at each `I` (percentage of identical
+/// sibling nodes) from 0 to 100.
+pub fn fig15_rows(scale: f64) -> Vec<(u8, DfCsRow)> {
+    let n = scaled(30_000, scale);
+    [0u8, 20, 40, 60, 80, 100]
+        .into_iter()
+        .map(|identical_pct| {
+            let params = SyntheticParams {
+                identical_pct,
+                ..SyntheticParams::fig14a()
+            };
+            let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
+            let ds = SyntheticDataset::generate(&params, n, 15, &mut symbols);
+            (identical_pct, DfCsRow::of(&ds.docs))
+        })
+        .collect()
+}
+
+fn fig15(scale: f64) {
     println!("## Figure 15 — impact of identical sibling nodes (L3F5A25I?P40)");
     println!();
     println!("| I (%) | avg seq len | Depth-first | Constraint (CS) | CS/DF |");
     println!("|---|---|---|---|---|");
-    let n = scaled(30_000, scale);
-    for i_pct in [0u8, 20, 40, 60, 80, 100] {
-        let params = SyntheticParams {
-            identical_pct: i_pct,
-            ..SyntheticParams::fig14a()
-        };
-        let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
-        let ds = SyntheticDataset::generate(&params, n, 15, &mut symbols);
-        let mut paths = xseq::PathTable::new();
-        let df = XmlIndex::build(
-            &ds.docs,
-            &mut paths,
-            Strategy::DepthFirst,
-            PlanOptions::default(),
-        );
-        let mut paths_cs = xseq::PathTable::new();
-        let cs_strat = cs_strategy(&ds.docs, &mut paths_cs, 2000);
-        let cs = XmlIndex::build(&ds.docs, &mut paths_cs, cs_strat, PlanOptions::default());
+    for (identical_pct, r) in fig15_rows(scale) {
         println!(
-            "| {} | {:.1} | {} | {} | {:.2} |",
-            i_pct,
-            ds.avg_len(),
-            df.node_count(),
-            cs.node_count(),
-            cs.node_count() as f64 / df.node_count() as f64
+            "| {identical_pct} | {:.1} | {} | {} | {:.2} |",
+            r.doc_nodes as f64 / r.docs as f64,
+            r.df_nodes,
+            r.cs_nodes,
+            r.cs_over_df()
         );
     }
     println!();
@@ -193,136 +268,141 @@ pub fn fig15(scale: f64) {
 // Tables 5 and 6: XMark index sizes
 // ---------------------------------------------------------------------------
 
-fn xmark_table(title: &str, identical: bool, scale: f64) {
-    println!("## {title}");
+/// The rows of Table 5 (`identical_siblings`) or Table 6 (without): XMark
+/// index size at five corpus sizes.
+pub fn xmark_size_rows(identical_siblings: bool, scale: f64) -> Vec<DfCsRow> {
+    (1..=5)
+        .map(|step| {
+            let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
+            let docs = XmarkGenerator::new(8, XmarkOptions { identical_siblings })
+                .generate(scaled(10_000 * step, scale), &mut symbols);
+            DfCsRow::of(&docs)
+        })
+        .collect()
+}
+
+fn xmark_table(identical: bool, scale: f64) {
+    let (number, siblings) = if identical { (5, "") } else { (6, "no ") };
+    println!("## Table {number} — XMark index size ({siblings}identical sibling nodes)");
     println!();
     println!("| Records | Nodes | DF | CS | CS/DF |");
     println!("|---|---|---|---|---|");
-    for step in 1..=5 {
-        let n = scaled(10_000 * step, scale);
-        let mut corpus = Corpus::new(ValueMode::Intern);
-        corpus.docs = XmarkGenerator::new(
-            8,
-            XmarkOptions {
-                identical_siblings: identical,
-            },
-        )
-        .generate(n, &mut corpus.symbols);
-        let nodes = corpus.total_nodes();
-        let mut paths = xseq::PathTable::new();
-        let df = XmlIndex::build(
-            &corpus.docs,
-            &mut paths,
-            Strategy::DepthFirst,
-            PlanOptions::default(),
-        );
-        let mut paths_cs = xseq::PathTable::new();
-        let strat = cs_strategy(&corpus.docs, &mut paths_cs, 2000);
-        let cs = XmlIndex::build(&corpus.docs, &mut paths_cs, strat, PlanOptions::default());
+    for r in xmark_size_rows(identical, scale) {
         println!(
             "| {} | {} | {} | {} | {:.2} |",
-            n,
-            nodes,
-            df.node_count(),
-            cs.node_count(),
-            cs.node_count() as f64 / df.node_count() as f64
+            r.docs,
+            r.doc_nodes,
+            r.df_nodes,
+            r.cs_nodes,
+            r.cs_over_df()
         );
     }
     println!();
-}
-
-/// Table 5: XMark index size with identical sibling nodes.
-pub fn table5(scale: f64) {
-    xmark_table(
-        "Table 5 — XMark index size (identical sibling nodes)",
-        true,
-        scale,
-    );
-}
-
-/// Table 6: XMark index size without identical sibling nodes.
-pub fn table6(scale: f64) {
-    xmark_table(
-        "Table 6 — XMark index size (no identical sibling nodes)",
-        false,
-        scale,
-    );
 }
 
 // ---------------------------------------------------------------------------
 // Table 7: query performance on XMark
 // ---------------------------------------------------------------------------
 
+/// One query of Table 7.
+#[derive(Debug, Clone)]
+pub struct Table7Row {
+    /// `Q1`..`Q3`.
+    pub name: &'static str,
+    /// Pattern nodes of the parsed query.
+    pub query_len: usize,
+    /// Matching records (the paged and in-memory tries agree).
+    pub results: usize,
+    /// Buffer-pool misses answering the query from a cold pool.
+    pub disk_accesses: u64,
+    /// Elapsed in-memory query time, milliseconds (host-dependent).
+    pub ms: f64,
+}
+
+/// Table 7: the indexed corpus and one row per query.
+#[derive(Debug, Clone)]
+pub struct Table7 {
+    /// XMark records indexed.
+    pub records: usize,
+    /// Trie nodes of the CS index.
+    pub trie_nodes: usize,
+    /// 4 KiB pages the paged trie occupies.
+    pub pages: u32,
+    /// Q3 with its constants instantiated from the generated data (the
+    /// paper's person11304 existed in *their* XMark instance).
+    pub q3: String,
+    /// Q1–Q3.
+    pub rows: Vec<Table7Row>,
+}
+
 /// Table 7: Q1–Q3 on XMark — query length, result size, disk accesses,
-/// elapsed time.
-pub fn table7(scale: f64) {
-    println!("## Table 7 — query performance on XMark");
-    println!();
-    let n = scaled(60_000, scale);
+/// elapsed time.  Asserts that the paged trie answers like the in-memory
+/// one.
+pub fn table7_rows(scale: f64) -> Table7 {
+    let records = scaled(60_000, scale);
     let mut corpus = Corpus::new(ValueMode::Intern);
-    corpus.docs = XmarkGenerator::new(8, XmarkOptions::default()).generate(n, &mut corpus.symbols);
-    let strat = cs_strategy(&corpus.docs, &mut corpus.paths, 2000);
-    let mut index = XmlIndex::build(
-        &corpus.docs,
-        &mut corpus.paths,
-        strat,
-        PlanOptions::default(),
-    );
-    index.attach_telemetry(global_index_telemetry());
+    corpus.docs =
+        XmarkGenerator::new(8, XmarkOptions::default()).generate(records, &mut corpus.symbols);
+    let index = cs_index(&corpus.docs, &mut corpus.paths);
 
     let mut store = MemStore::new();
     let pages = write_paged_trie(index.trie(), &mut store).expect("in-memory store");
     let paged = PagedTrie::open(store, 4096).expect("valid layout");
     paged.attach_pool_telemetry(global_pool_telemetry());
-    println!(
-        "{n} records, {} trie nodes, paged into {pages} × 4 KiB pages",
-        index.node_count()
-    );
-    println!();
 
-    // Q3's constants are instantiated from the generated data (the paper's
-    // person11304 existed in *their* XMark instance).
     let (q3_person, q3_date) =
         datagen::xmark::q3_constants(&corpus.docs, &corpus.symbols).expect("closed auctions exist");
     let q3 = format!("//closed_auction[seller/person='{q3_person}']/date[text='{q3_date}']");
-    let qs: Vec<(&str, String)> = vec![
-        ("Q1", queries::XMARK_Q1.to_string()),
-        ("Q2", queries::XMARK_Q2.to_string()),
-        ("Q3", q3),
-    ];
-
-    println!("| query | query length | result size | # disk accesses | time (ms) |");
-    println!("|---|---|---|---|---|");
-    for (name, expr) in &qs {
+    let rows = [
+        ("Q1", queries::XMARK_Q1),
+        ("Q2", queries::XMARK_Q2),
+        ("Q3", q3.as_str()),
+    ]
+    .into_iter()
+    .map(|(name, expr)| {
         let pattern = parse_xpath(expr, &mut corpus.symbols).expect("paper query parses");
-        let t0 = Instant::now();
-        let outcome = index.query(&pattern, &corpus.paths);
-        let elapsed = t0.elapsed();
+        let (outcome, ms) = timed_ms(|| index.query(&pattern, &corpus.paths));
 
         paged.reset_pool();
-        let concrete =
-            xseq::index::instantiate(&pattern, &corpus.paths, index.data_paths(), index.options());
-        let mut disk_docs = Vec::new();
-        for qdoc in &concrete {
-            let qseq = QuerySequence::from_document(qdoc, &mut corpus.paths, index.strategy());
-            let (docs, _) = tree_search(&paged, &qseq);
-            disk_docs.extend(docs);
-        }
-        disk_docs.sort_unstable();
-        disk_docs.dedup();
+        let disk_docs = paged_query(&paged, &index, &pattern, &mut corpus.paths);
         assert_eq!(disk_docs, outcome.docs, "paged agrees with memory");
+        Table7Row {
+            name,
+            query_len: pattern.len(),
+            results: outcome.docs.len(),
+            disk_accesses: paged.pool_stats().misses,
+            ms,
+        }
+    })
+    .collect();
+    Table7 {
+        records,
+        trie_nodes: index.node_count(),
+        pages,
+        q3,
+        rows,
+    }
+}
 
+fn table7(scale: f64) {
+    println!("## Table 7 — query performance on XMark");
+    println!();
+    let t = table7_rows(scale);
+    println!(
+        "{} records, {} trie nodes, paged into {} × 4 KiB pages",
+        t.records, t.trie_nodes, t.pages
+    );
+    println!();
+    println!("| query | query length | result size | # disk accesses | time (ms) |");
+    println!("|---|---|---|---|---|");
+    for r in &t.rows {
         println!(
             "| {} | {} | {} | {} | {:.2} |",
-            name,
-            pattern.len(),
-            outcome.docs.len(),
-            paged.pool_stats().misses,
-            elapsed.as_secs_f64() * 1e3
+            r.name, r.query_len, r.results, r.disk_accesses, r.ms
         );
     }
     println!();
-    println!("(Q3 instantiated as: {})", qs[2].1);
+    println!("(Q3 instantiated as: {})", t.q3);
     println!();
 }
 
@@ -330,64 +410,87 @@ pub fn table7(scale: f64) {
 // Table 8: query performance on DBLP, engine comparison
 // ---------------------------------------------------------------------------
 
-/// Table 8: Q1–Q4 on DBLP — path index vs node index vs CS (plus ViST).
-pub fn table8(scale: f64) {
-    println!("## Table 8 — query performance on DBLP (ms)");
-    println!();
-    let n = scaled(100_000, scale);
+/// One query of Table 8.
+#[derive(Debug, Clone)]
+pub struct Table8Row {
+    /// `Q1`..`Q4`.
+    pub name: &'static str,
+    /// The XPath expression.
+    pub expr: &'static str,
+    /// Matching records — one number, because the four engines are
+    /// asserted to return the identical id list.
+    pub results: usize,
+    /// Elapsed milliseconds for the path index, node index, ViST and CS,
+    /// in that order (host-dependent).
+    pub ms: [f64; 4],
+}
+
+/// Table 8: the indexed corpus and one row per query.
+#[derive(Debug, Clone)]
+pub struct Table8 {
+    /// DBLP records indexed.
+    pub records: usize,
+    /// Document nodes across the records.
+    pub nodes: usize,
+    /// Q1–Q4.
+    pub rows: Vec<Table8Row>,
+}
+
+/// Table 8: Q1–Q4 on DBLP — path index vs node index vs ViST vs CS.
+/// Asserts that all four engines return the same documents.
+pub fn table8_rows(scale: f64) -> Table8 {
+    let records = scaled(100_000, scale);
     let mut corpus = Corpus::new(ValueMode::Intern);
-    corpus.docs = DblpGenerator::new(7).generate(n, &mut corpus.symbols);
-    println!(
-        "{n} records, avg {:.1} nodes/record",
-        corpus.total_nodes() as f64 / n as f64
-    );
-    println!();
+    corpus.docs = DblpGenerator::new(7).generate(records, &mut corpus.symbols);
 
     let path_idx = PathIndex::build(&corpus.docs, &mut corpus.paths);
     let node_idx = NodeIndex::build(&corpus.docs);
     let vist = VistIndex::build(&corpus.docs, &mut corpus.paths);
-    let strat = cs_strategy(&corpus.docs, &mut corpus.paths, 2000);
-    let mut cs = XmlIndex::build(
-        &corpus.docs,
-        &mut corpus.paths,
-        strat,
-        PlanOptions::default(),
-    );
-    cs.attach_telemetry(global_index_telemetry());
+    let cs = cs_index(&corpus.docs, &mut corpus.paths);
 
+    let rows = queries::DBLP_QUERIES
+        .iter()
+        .map(|&(name, expr)| {
+            let pattern = parse_xpath(expr, &mut corpus.symbols).expect("paper query parses");
+
+            let ((r1, _), t1) = timed_ms(|| path_idx.query(&pattern, &corpus.docs, &corpus.paths));
+            let ((r2, _), t2) = timed_ms(|| node_idx.query(&pattern, &corpus.docs));
+            let ((r3, _), t3) = timed_ms(|| vist.query(&pattern, &corpus.docs, &mut corpus.paths));
+            let (r4, t4) = timed_ms(|| cs.query(&pattern, &corpus.paths).docs);
+            assert_eq!(r1, r2);
+            assert_eq!(r2, r3);
+            assert_eq!(r3, r4);
+            Table8Row {
+                name,
+                expr,
+                results: r4.len(),
+                ms: [t1, t2, t3, t4],
+            }
+        })
+        .collect();
+    Table8 {
+        records,
+        nodes: corpus.total_nodes(),
+        rows,
+    }
+}
+
+fn table8(scale: f64) {
+    println!("## Table 8 — query performance on DBLP (ms)");
+    println!();
+    let t = table8_rows(scale);
+    println!(
+        "{} records, avg {:.1} nodes/record",
+        t.records,
+        t.nodes as f64 / t.records as f64
+    );
+    println!();
     println!("| query | results | paths | nodes | ViST | CS | expression |");
     println!("|---|---|---|---|---|---|---|");
-    for (name, expr) in queries::DBLP_QUERIES {
-        let pattern = parse_xpath(expr, &mut corpus.symbols).expect("paper query parses");
-
-        let t = Instant::now();
-        let (r1, _) = path_idx.query(&pattern, &corpus.docs, &corpus.paths);
-        let t1 = t.elapsed().as_secs_f64() * 1e3;
-
-        let t = Instant::now();
-        let (r2, _) = node_idx.query(&pattern, &corpus.docs);
-        let t2 = t.elapsed().as_secs_f64() * 1e3;
-
-        let t = Instant::now();
-        let (r3, _) = vist.query(&pattern, &corpus.docs, &mut corpus.paths);
-        let t3 = t.elapsed().as_secs_f64() * 1e3;
-
-        let t = Instant::now();
-        let r4 = cs.query(&pattern, &corpus.paths).docs;
-        let t4 = t.elapsed().as_secs_f64() * 1e3;
-
-        assert_eq!(r1, r2);
-        assert_eq!(r2, r3);
-        assert_eq!(r3, r4);
+    for r in &t.rows {
         println!(
             "| {} | {} | {:.2} | {:.2} | {:.2} | {:.2} | `{}` |",
-            name,
-            r4.len(),
-            t1,
-            t2,
-            t3,
-            t4,
-            expr
+            r.name, r.results, r.ms[0], r.ms[1], r.ms[2], r.ms[3], r.expr
         );
     }
     println!();
@@ -398,8 +501,8 @@ pub fn table8(scale: f64) {
 // ---------------------------------------------------------------------------
 
 /// Figure 16(a): CS vs ViST query time as the dataset grows
-/// (`L3F5A25I10P40`, query length 5).
-pub fn fig16a(scale: f64) {
+/// (`L3F5A25I10P40`, query length 5).  Both columns are wall-clock.
+fn fig16a(scale: f64) {
     println!("## Figure 16(a) — CS vs ViST, scaling dataset (L3F5A25I10P40, query length 5)");
     println!();
     println!("| documents | ViST (µs/query) | CS (µs/query) | speedup |");
@@ -411,20 +514,14 @@ pub fn fig16a(scale: f64) {
         if step > 1 {
             ds.extend(ds.docs.len(), 16 + step as u64); // double each step
         }
-        let (v, c) = cs_vs_vist(&ds.docs, 5, 30);
-        println!(
-            "| {} | {:.1} | {:.1} | {:.1}× |",
-            ds.docs.len(),
-            v,
-            c,
-            v / c.max(0.001)
-        );
+        cs_vs_vist_row(ds.docs.len(), &ds.docs, 5, 30);
     }
     println!();
 }
 
-/// Figure 16(b): CS vs ViST as query length grows (fixed dataset).
-pub fn fig16b(scale: f64) {
+/// Figure 16(b): CS vs ViST as query length grows (fixed dataset).  Both
+/// columns are wall-clock.
+fn fig16b(scale: f64) {
     println!("## Figure 16(b) — CS vs ViST, query length sweep (L3F5A25I10P40)");
     println!();
     println!("| query length | ViST (µs/query) | CS (µs/query) | speedup |");
@@ -433,51 +530,56 @@ pub fn fig16b(scale: f64) {
     let n = scaled(200_000, scale);
     let ds = SyntheticDataset::generate(&SyntheticParams::fig16(), n, 16, &mut symbols);
     for len in [2usize, 4, 6, 8, 10, 12] {
-        let (v, c) = cs_vs_vist(&ds.docs, len, 20);
-        println!(
-            "| {} | {:.1} | {:.1} | {:.1}× |",
-            len,
-            v,
-            c,
-            v / c.max(0.001)
-        );
+        cs_vs_vist_row(len, &ds.docs, len, 20);
     }
     println!();
 }
 
-/// Shared CS-vs-ViST timing: mean microseconds per query.
-fn cs_vs_vist(docs: &[Document], len: usize, count: usize) -> (f64, f64) {
+/// One row of Figure 16(a)/(b): `count` random queries of `len` nodes
+/// against ViST and CS (asserted to agree), mean microseconds per query.
+fn cs_vs_vist_row(label: usize, docs: &[Document], len: usize, count: usize) {
     let mut paths = xseq::PathTable::new();
     let vist = VistIndex::build(docs, &mut paths);
     let mut paths_cs = xseq::PathTable::new();
-    let strat = cs_strategy(docs, &mut paths_cs, 2000);
-    let mut cs = XmlIndex::build(docs, &mut paths_cs, strat, PlanOptions::default());
-    cs.attach_telemetry(global_index_telemetry());
+    let cs = cs_index(docs, &mut paths_cs);
     let patterns = random_patterns(docs, len, count, 4242);
 
-    let t = Instant::now();
-    let mut vist_results = 0usize;
-    for q in &patterns {
-        vist_results += vist.query(q, docs, &mut paths).0.len();
-    }
-    let tv = t.elapsed().as_secs_f64() * 1e6 / patterns.len() as f64;
-
-    let t = Instant::now();
-    let mut cs_results = 0usize;
-    for q in &patterns {
-        cs_results += cs.query(q, &paths_cs).docs.len();
-    }
-    let tc = t.elapsed().as_secs_f64() * 1e6 / patterns.len() as f64;
+    let (vist_results, vist_ms) = timed_ms(|| {
+        let hits = patterns
+            .iter()
+            .map(|q| vist.query(q, docs, &mut paths).0.len());
+        hits.sum::<usize>()
+    });
+    let (cs_results, cs_ms) = timed_ms(|| {
+        let hits = patterns.iter().map(|q| cs.query(q, &paths_cs).docs.len());
+        hits.sum::<usize>()
+    });
     assert_eq!(vist_results, cs_results, "engines agree");
-    (tv, tc)
+    let us_per_query = 1e3 / patterns.len() as f64;
+    let (tv, tc) = (vist_ms * us_per_query, cs_ms * us_per_query);
+    println!(
+        "| {label} | {tv:.1} | {tc:.1} | {:.1}× |",
+        tv / tc.max(0.001)
+    );
 }
 
-/// Figure 16(c)/(d) shared body: I/O cost (pages) and time vs query length.
-fn fig16cd(title: &str, identical_pct: u8, scale: f64) {
-    println!("## {title}");
-    println!();
-    println!("| query length | I/O cost (pages) | time (µs/query) |");
-    println!("|---|---|---|");
+/// One row of Figure 16(c)/(d).
+#[derive(Debug, Clone)]
+pub struct IoRow {
+    /// Query length in pattern nodes.
+    pub query_len: usize,
+    /// Queries run at this length.
+    pub queries: usize,
+    /// Pages read over all of them, each from a cold pool (the table
+    /// prints `pages / queries`).
+    pub pages: u64,
+    /// Mean microseconds per query (host-dependent).
+    pub us_per_query: f64,
+}
+
+/// Figure 16(c) (`identical_pct` 0) and 16(d) (25): I/O cost and time vs
+/// query length on `L3F5A25I?P40`.
+pub fn fig16cd_rows(identical_pct: u8, scale: f64) -> Vec<IoRow> {
     let n = scaled(100_000, scale);
     let params = SyntheticParams {
         identical_pct,
@@ -486,543 +588,154 @@ fn fig16cd(title: &str, identical_pct: u8, scale: f64) {
     let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
     let ds = SyntheticDataset::generate(&params, n, 18, &mut symbols);
     let mut paths = xseq::PathTable::new();
-    let strat = cs_strategy(&ds.docs, &mut paths, 2000);
-    let mut index = XmlIndex::build(&ds.docs, &mut paths, strat, PlanOptions::default());
-    index.attach_telemetry(global_index_telemetry());
+    let index = cs_index(&ds.docs, &mut paths);
     let mut store = MemStore::new();
     write_paged_trie(index.trie(), &mut store).expect("in-memory store");
     let paged = PagedTrie::open(store, 1 << 20).expect("valid layout");
     paged.attach_pool_telemetry(global_pool_telemetry());
 
-    for len in [2usize, 4, 6, 8, 10, 12] {
-        let patterns = random_patterns(&ds.docs, len, 20, 777);
-        let mut total_pages = 0u64;
-        let t = Instant::now();
-        for q in &patterns {
-            let concrete = xseq::index::instantiate(q, &paths, index.data_paths(), index.options());
-            paged.reset_pool();
-            for qdoc in &concrete {
-                let qseq = QuerySequence::from_document(qdoc, &mut paths, index.strategy());
-                let _ = tree_search(&paged, &qseq);
+    [2usize, 4, 6, 8, 10, 12]
+        .into_iter()
+        .map(|query_len| {
+            let patterns = random_patterns(&ds.docs, query_len, 20, 777);
+            let mut pages = 0u64;
+            let t = Instant::now();
+            for q in &patterns {
+                paged.reset_pool();
+                paged_query(&paged, &index, q, &mut paths);
+                pages += paged.pool_stats().misses;
             }
-            total_pages += paged.pool_stats().misses;
-        }
-        let per_query = t.elapsed().as_secs_f64() * 1e6 / patterns.len() as f64;
+            IoRow {
+                query_len,
+                queries: patterns.len(),
+                pages,
+                us_per_query: t.elapsed().as_secs_f64() * 1e6 / patterns.len() as f64,
+            }
+        })
+        .collect()
+}
+
+fn fig16cd(identical_pct: u8, scale: f64) {
+    let (panel, siblings) = match identical_pct {
+        0 => ('c', "no identical siblings".to_string()),
+        i => ('d', format!("identical siblings, I={i}")),
+    };
+    println!("## Figure 16({panel}) — I/O and time vs query length ({siblings})");
+    println!();
+    println!("| query length | I/O cost (pages) | time (µs/query) |");
+    println!("|---|---|---|");
+    for r in fig16cd_rows(identical_pct, scale) {
         println!(
             "| {} | {:.1} | {:.1} |",
-            len,
-            total_pages as f64 / patterns.len() as f64,
-            per_query
+            r.query_len,
+            r.pages as f64 / r.queries as f64,
+            r.us_per_query
         );
     }
     println!();
 }
 
-/// Figure 16(c): no identical sibling nodes.
-pub fn fig16c(scale: f64) {
-    fig16cd(
-        "Figure 16(c) — I/O and time vs query length (no identical siblings)",
-        0,
-        scale,
-    );
-}
-
-/// Figure 16(d): with identical sibling nodes.
-pub fn fig16d(scale: f64) {
-    fig16cd(
-        "Figure 16(d) — I/O and time vs query length (identical siblings, I=25)",
-        25,
-        scale,
-    );
-}
-
 // ---------------------------------------------------------------------------
-// Scaling: ingest and batch-query throughput vs worker threads
+// Ablations: what each design choice DESIGN.md calls out costs and saves
 // ---------------------------------------------------------------------------
 
-/// Upper bound of the thread series [`scaling`] sweeps (`repro --threads N`).
-static THREAD_CAP: AtomicUsize = AtomicUsize::new(8);
-
-/// Caps the [`scaling`] thread series at `n` (clamped to at least 1).
-pub fn set_thread_cap(n: usize) {
-    // ORDERING: config — standalone cell, written once before experiments run
-    THREAD_CAP.store(n.max(1), Ordering::Relaxed);
-}
-
-/// Upper bound of the shard series [`scaling`] sweeps (`repro --shards N`).
-static SHARD_CAP: AtomicUsize = AtomicUsize::new(8);
-
-/// Caps the [`scaling`] shard series at `n` (clamped to at least 1).
-pub fn set_shard_cap(n: usize) {
-    // ORDERING: config — standalone cell, written once before experiments run
-    SHARD_CAP.store(n.max(1), Ordering::Relaxed);
-}
-
-/// Throughput series over the parallel ingest pipeline and the shared-read
-/// batch query path: one XMark corpus, indexed and queried at 1/2/4/8
-/// worker threads (capped by [`set_thread_cap`]).
-///
-/// Records one gauge per thread count — `ingest.docs_per_s.tN` and
-/// `query.qps.tN` — which `--bench-label` tracks and `--baseline` gates
-/// with the tolerant [`regress::THROUGHPUT_THRESHOLD`].  The gate holds
-/// each (thread count, phase) cell against its own baseline; it does not
-/// demand a speedup slope, so a single-core CI host (where the series is
-/// flat) still passes as long as absolute throughput holds up.
-pub fn scaling(scale: f64) {
-    println!("## Scaling — ingest and batch-query throughput vs worker threads");
+/// `repro ablations`: the matchers and the buffer pool, each against its
+/// alternative, with exact work counters beside the host-dependent times.
+/// The corpus is `L3F5A25I100P40` — every node has an identical sibling,
+/// so the sibling-cover check has work to do — under a depth-first index,
+/// queried with 50 sequences of 2–7 nodes sampled from the documents.
+/// Naïve matching has false alarms (and false dismissals where sibling
+/// order differs); Algorithm 1 without isomorphic expansion is sound but
+/// still order-sensitive; the order-free tree search is sound and complete.
+fn ablations(scale: f64) {
+    println!("## Ablations — matchers and buffer-pool capacity (L3F5A25I100P40, depth-first)");
     println!();
-    let n = scaled(20_000, scale);
     let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
-    let docs = XmarkGenerator::new(8, XmarkOptions::default()).generate(n, &mut symbols);
-    // The paper's XMark queries, cycled into a batch large enough that the
-    // per-query cost dominates the batch dispatch overhead.
-    let exprs: Vec<&str> = queries::XMARK_QUERIES
-        .iter()
-        .map(|(_, q)| *q)
-        .cycle()
-        .take(600)
-        .collect();
-    let cap = THREAD_CAP.load(Ordering::Relaxed); // ORDERING: config — advisory read
-    println!(
-        "{n} records, {} queries per batch, threads ≤ {cap}",
-        exprs.len()
+    let params = SyntheticParams {
+        identical_pct: 100,
+        ..SyntheticParams::fig14a()
+    };
+    let ds = SyntheticDataset::generate(&params, scaled(20_000, scale), 9, &mut symbols);
+    let mut paths = xseq::PathTable::new();
+    let index = XmlIndex::build(
+        &ds.docs,
+        &mut paths,
+        Strategy::DepthFirst,
+        PlanOptions::default(),
     );
-    println!();
-    println!("| threads | ingest (docs/s) | batch queries (q/s) | speedup vs t1 |");
-    println!("|---|---|---|---|");
-    let registry = MetricsRegistry::global();
-    let mut expect_hits: Option<usize> = None;
-    let mut t1: Option<(f64, f64)> = None; // 1-thread (ingest, qps) reference
-    for t in [1usize, 2, 4, 8] {
-        if t > cap {
-            continue;
-        }
-        // Best of two passes per thread count: wall-clock throughput on a
-        // loaded host swings far more than the latency histograms do, and
-        // the faster pass is the one that measured the code, not the
-        // scheduler.  The corpus is rebuilt from the same documents and
-        // interners each pass, so every run ingests identical input.
-        let mut ingest = 0f64;
-        let mut qps = 0f64;
-        for _ in 0..2 {
-            let corpus = Corpus {
-                symbols: symbols.clone(),
-                paths: xseq::PathTable::new(),
-                docs: docs.clone(),
-                parse_histogram: None,
-            };
-            let t0 = Instant::now();
-            // shards(1): this series is the historical single-shard one,
-            // kept under the same `tN` keys so old baselines stay
-            // comparable; the shard series below records `sN.tN` keys.
-            let db = DatabaseBuilder::new()
-                .threads(t)
-                .shards(1)
-                .build_from_corpus(corpus)
-                .expect("xmark corpus indexes");
-            ingest = ingest.max(docs.len() as f64 / t0.elapsed().as_secs_f64());
-
-            let t0 = Instant::now();
-            let mut hits = 0usize;
-            for r in db.query_batch(&exprs) {
-                hits += r.expect("paper query parses").len();
-            }
-            qps = qps.max(exprs.len() as f64 / t0.elapsed().as_secs_f64());
-            match expect_hits {
-                None => expect_hits = Some(hits),
-                Some(h) => assert_eq!(h, hits, "answers diverged at {t} threads"),
-            }
-        }
-
-        registry
-            .gauge(&format!("ingest.docs_per_s.t{t}"))
-            .set(ingest as i64);
-        registry.gauge(&format!("query.qps.t{t}")).set(qps as i64);
-        // Derived speedup gauges (tN vs t1, ×100 so 250 = 2.5×).  Named
-        // outside the `.docs_per_s.` / `.qps.` throughput grammar on
-        // purpose: the regression gate must hold absolute throughput, not
-        // the slope — a single-core host's flat series is not a failure.
-        let (i1, q1) = *t1.get_or_insert((ingest, qps));
-        registry
-            .gauge(&format!("ingest.speedup_x100.t{t}"))
-            .set((ingest / i1 * 100.0) as i64);
-        registry
-            .gauge(&format!("query.speedup_x100.t{t}"))
-            .set((qps / q1 * 100.0) as i64);
-        println!(
-            "| {t} | {ingest:.0} | {qps:.0} | {:.2}× / {:.2}× |",
-            ingest / i1,
-            qps / q1
-        );
-    }
-    println!();
-
-    // Shard-per-core series: shards = threads (capped by `--shards`), the
-    // configuration ISSUE 9's scatter/gather architecture targets.  Each
-    // cell records `ingest.docs_per_s.sS.tT` / `query.qps.sS.tT` gauges —
-    // new keys, so old baselines skip them and fresh ones gate them with
-    // the same tolerant throughput threshold as the `tN` series.
-    let scap = SHARD_CAP.load(Ordering::Relaxed); // ORDERING: config — advisory read
-    println!("### Sharded — shards = threads (shards ≤ {scap})");
-    println!();
-    println!("| shards × threads | ingest (docs/s) | batch queries (q/s) | speedup vs s1·t1 |");
-    println!("|---|---|---|---|");
-    let mut s1: Option<(f64, f64)> = None; // (s1, t1) reference cell
-    for t in [1usize, 2, 4, 8] {
-        if t > cap {
-            continue;
-        }
-        let s = t.min(scap);
-        let mut ingest = 0f64;
-        let mut qps = 0f64;
-        for _ in 0..2 {
-            let corpus = Corpus {
-                symbols: symbols.clone(),
-                paths: xseq::PathTable::new(),
-                docs: docs.clone(),
-                parse_histogram: None,
-            };
-            let t0 = Instant::now();
-            let db = DatabaseBuilder::new()
-                .threads(t)
-                .shards(s)
-                .build_from_corpus(corpus)
-                .expect("xmark corpus indexes");
-            ingest = ingest.max(docs.len() as f64 / t0.elapsed().as_secs_f64());
-
-            let t0 = Instant::now();
-            let mut hits = 0usize;
-            for r in db.query_batch(&exprs) {
-                hits += r.expect("paper query parses").len();
-            }
-            qps = qps.max(exprs.len() as f64 / t0.elapsed().as_secs_f64());
-            // Shard-merge ≡ sequential, measured on the bench corpus too:
-            // the sharded batch must match the single-shard series' hits.
-            match expect_hits {
-                None => expect_hits = Some(hits),
-                Some(h) => assert_eq!(h, hits, "answers diverged at {s} shards, {t} threads"),
-            }
-        }
-
-        registry
-            .gauge(&format!("ingest.docs_per_s.s{s}.t{t}"))
-            .set(ingest as i64);
-        registry
-            .gauge(&format!("query.qps.s{s}.t{t}"))
-            .set(qps as i64);
-        // Speedup gauges vs the sharded series' own 1×1 cell (×100),
-        // outside the gated throughput grammar like the `tN` ones.
-        let (i1, q1) = *s1.get_or_insert((ingest, qps));
-        registry
-            .gauge(&format!("ingest.speedup_x100.s{s}.t{t}"))
-            .set((ingest / i1 * 100.0) as i64);
-        registry
-            .gauge(&format!("query.speedup_x100.s{s}.t{t}"))
-            .set((qps / q1 * 100.0) as i64);
-        println!(
-            "| {s} × {t} | {ingest:.0} | {qps:.0} | {:.2}× / {:.2}× |",
-            ingest / i1,
-            qps / q1
-        );
-    }
-    println!();
-}
-
-/// Update-path throughput: delta inserts and tombstone removes against a
-/// live XMark database, then a compaction, at 1/2/4/8 worker threads
-/// (capped by [`set_thread_cap`]).
-///
-/// Records `update.docs_per_s.tN` (single-writer insert throughput into
-/// the tiered delta overlay, foreground merges drained inline) and
-/// `update.qps.post_compact.tN` (batch query throughput after the overlay
-/// has been folded back into the frozen segment on the N-thread pool).
-/// A second **tiered series** runs the same inserts with the background
-/// merge worker enabled (`update.docs_per_s.tiered.tN`): inserts pay only
-/// the O(1) memtable push plus cuts, and whatever run-folding the worker
-/// has not absorbed by the end is drained explicitly and recorded as
-/// `update.merge.stall_ns` (the worst case a foreground caller could
-/// stall behind pending merges).  All three series are `--bench-label`
-/// tracked and `--baseline` gated with the tolerant
-/// [`regress::THROUGHPUT_THRESHOLD`].  Correctness rides along: the
-/// post-compaction batch must answer exactly like the pre-compaction
-/// *frozen ∪ delta − tombstones* view did, and background merges must not
-/// change any answer.
-pub fn updates(scale: f64) {
-    println!("## Updates — delta insert and post-compaction query throughput");
-    println!();
-    let nbase = scaled(8_000, scale);
-    let nextra = scaled(2_000, scale).max(1);
-    let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
-    let docs =
-        XmarkGenerator::new(8, XmarkOptions::default()).generate(nbase + nextra, &mut symbols);
-    let extra_xml: Vec<String> = docs[nbase..]
-        .iter()
-        .map(|d| xseq::xml::write_document(d, &symbols))
-        .collect();
-    let exprs: Vec<&str> = queries::XMARK_QUERIES
-        .iter()
-        .map(|(_, q)| *q)
-        .cycle()
-        .take(600)
-        .collect();
-    let cap = THREAD_CAP.load(Ordering::Relaxed); // ORDERING: config — advisory read
-    println!(
-        "{nbase} base records, {nextra} inserts, {} removes, threads ≤ {cap}",
-        nbase / 8
-    );
-    println!();
-    println!(
-        "| threads | insert (docs/s) | tiered insert (docs/s) | compaction (s) | post-compact queries (q/s) | speedup vs t1 |"
-    );
-    println!("|---|---|---|---|---|---|");
-    let registry = MetricsRegistry::global();
-    let mut t1: Option<(f64, f64)> = None; // 1-thread (insert, qps) reference
-    let mut worst_stall_ns = 0u64; // max merge-drain debt across the t series
-    for t in [1usize, 2, 4, 8] {
-        if t > cap {
-            continue;
-        }
-        // Best of two passes, as in `scaling`: wall-clock throughput on a
-        // loaded host swings far more than the latency histograms do.
-        let mut insert_rate = 0f64;
-        let mut compact_secs = f64::MAX;
-        let mut qps = 0f64;
-        for _ in 0..2 {
-            let corpus = Corpus {
-                symbols: symbols.clone(),
-                paths: xseq::PathTable::new(),
-                docs: docs[..nbase].to_vec(),
-                parse_histogram: None,
-            };
-            // shards(1): keeps the `update.*.tN` keys on the historical
-            // single-shard path so old baselines stay comparable.
-            let mut db = DatabaseBuilder::new()
-                .threads(t)
-                .shards(1)
-                .build_from_corpus(corpus)
-                .expect("xmark corpus indexes");
-            let t0 = Instant::now();
-            for xml in &extra_xml {
-                db.insert_document(xml).expect("written xmark doc reparses");
-            }
-            insert_rate = insert_rate.max(extra_xml.len() as f64 / t0.elapsed().as_secs_f64());
-            for id in (0..nbase as u32).step_by(8) {
-                db.remove_document(id);
-            }
-            let before: Vec<_> = db.query_batch(&exprs);
-            let t0 = Instant::now();
-            db.compact();
-            compact_secs = compact_secs.min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            let after: Vec<_> = db.query_batch(&exprs);
-            qps = qps.max(exprs.len() as f64 / t0.elapsed().as_secs_f64());
-            // Survivor ids renumber densely on compaction: map the overlay
-            // answers through the tombstone set before comparing.
-            let mut rank = vec![None; nbase + nextra];
-            let mut next = 0u32;
-            for (id, slot) in rank.iter_mut().enumerate() {
-                if !(id < nbase && id % 8 == 0) {
-                    *slot = Some(next);
-                    next += 1;
-                }
-            }
-            for (b, a) in before.iter().zip(&after) {
-                let b = b.as_ref().expect("paper query parses");
-                let a = a.as_ref().expect("paper query parses");
-                let mapped: Vec<u32> = b
-                    .iter()
-                    .map(|d| rank[*d as usize].expect("no tombstoned doc in overlay answer"))
-                    .collect();
-                assert_eq!(&mapped, a, "compaction changed answers at {t} threads");
-            }
-        }
-
-        // Tiered series: background merge worker on a 1 ms cadence, so
-        // inserts never drain tier merges inline.  Answers must match the
-        // drained overlay exactly (snapshot consistency), and the final
-        // explicit drain bounds the merge debt as `update.merge.stall_ns`.
-        let mut tiered_rate = 0f64;
-        let mut stall_ns = 0u64;
-        for _ in 0..2 {
-            let corpus = Corpus {
-                symbols: symbols.clone(),
-                paths: xseq::PathTable::new(),
-                docs: docs[..nbase].to_vec(),
-                parse_histogram: None,
-            };
-            let mut db = DatabaseBuilder::new()
-                .threads(t)
-                .shards(1)
-                .background_merge(std::time::Duration::from_millis(1))
-                .build_from_corpus(corpus)
-                .expect("xmark corpus indexes");
-            let t0 = Instant::now();
-            for xml in &extra_xml {
-                db.insert_document(xml).expect("written xmark doc reparses");
-            }
-            tiered_rate = tiered_rate.max(extra_xml.len() as f64 / t0.elapsed().as_secs_f64());
-            let racing: Vec<_> = db.query_batch(&exprs);
-            let t0 = Instant::now();
-            db.run_pending_merges();
-            stall_ns = stall_ns.max(t0.elapsed().as_nanos() as u64);
-            let drained: Vec<_> = db.query_batch(&exprs);
-            for (r, d) in racing.iter().zip(&drained) {
-                let r = r.as_ref().expect("paper query parses");
-                let d = d.as_ref().expect("paper query parses");
-                assert_eq!(r, d, "background merges changed answers at {t} threads");
-            }
-        }
-        registry
-            .gauge(&format!("update.docs_per_s.t{t}"))
-            .set(insert_rate as i64);
-        registry
-            .gauge(&format!("update.docs_per_s.tiered.t{t}"))
-            .set(tiered_rate as i64);
-        worst_stall_ns = worst_stall_ns.max(stall_ns);
-        registry
-            .gauge("update.merge.stall_ns")
-            .set(worst_stall_ns as i64);
-        registry
-            .gauge(&format!("update.qps.post_compact.t{t}"))
-            .set(qps as i64);
-        // Derived speedup gauges, as in `scaling` (×100, t1 = 100).
-        let (i1, q1) = *t1.get_or_insert((insert_rate, qps));
-        registry
-            .gauge(&format!("update.insert.speedup_x100.t{t}"))
-            .set((insert_rate / i1 * 100.0) as i64);
-        registry
-            .gauge(&format!("update.query.speedup_x100.t{t}"))
-            .set((qps / q1 * 100.0) as i64);
-        println!(
-            "| {t} | {insert_rate:.0} | {tiered_rate:.0} | {compact_secs:.2} | {qps:.0} | {:.2}× / {:.2}× |",
-            insert_rate / i1,
-            qps / q1
-        );
-    }
-    println!();
-}
-
-// ---------------------------------------------------------------------------
-// Profiler overhead: the zero-overhead guard behind workload profiling
-// ---------------------------------------------------------------------------
-
-/// Median nanoseconds per query of one sequential pass over `exprs`.
-fn median_query_ns(db: &Database, exprs: &[&str]) -> u64 {
-    let mut samples: Vec<u64> = exprs
-        .iter()
-        .map(|e| {
-            let t0 = Instant::now();
-            db.query_xpath(e).expect("paper query parses");
-            t0.elapsed().as_nanos() as u64
+    let mut rng = StdRng::seed_from_u64(9);
+    let queries: Vec<QuerySequence> = (0..50)
+        .map(|i| {
+            let doc = &ds.docs[(i * 401) % ds.docs.len()];
+            let qdoc = random_query_tree(doc, 2 + i % 6, &mut rng);
+            QuerySequence::from_document(&qdoc, &mut paths, &Strategy::DepthFirst)
         })
         .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// Zero-overhead guard for the workload profiler (on by default in
-/// [`DatabaseBuilder`]): two databases over the same XMark corpus, one
-/// profiling and one not, answer the same query batch interleaved; the
-/// best-of-3 medians are compared in-process and recorded for the gate.
-///
-/// Records `query.profiled.p50_ns` / `query.unprofiled.p50_ns` /
-/// `query.observed.p50_ns` (informational, `--metrics` only) and the
-/// **gated** `query.overhead.p50` and `query.overhead.observed.p50`
-/// gauges — each variant's p50 as a per-mille of the unprofiled p50,
-/// clamped below at parity (1000) because instrumentation cannot speed
-/// queries up, so dips are noise.  `regress::compare` holds those keys to
-/// [`regress::PROFILE_OVERHEAD_THRESHOLD`] (3%): profiling — and the full
-/// flight-recorder + anomaly-detector stack — must stay free relative to
-/// the *same run's* unprofiled measurement, which cancels host noise out
-/// of the gated quantity.
-pub fn profile_overhead(scale: f64) {
-    println!("## Profiler overhead — query p50 with the workload profiler on vs off");
-    println!();
-    let n = scaled(30_000, scale);
-    let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
-    let docs = XmarkGenerator::new(8, XmarkOptions::default()).generate(n, &mut symbols);
-    let exprs: Vec<&str> = queries::XMARK_QUERIES
-        .iter()
-        .map(|(_, q)| *q)
-        .cycle()
-        .take(240)
-        .collect();
-    let build = |profiling: bool| {
-        let corpus = Corpus {
-            symbols: symbols.clone(),
-            paths: xseq::PathTable::new(),
-            docs: docs.clone(),
-            parse_histogram: None,
-        };
-        DatabaseBuilder::new()
-            .profiling(profiling)
-            .build_from_corpus(corpus)
-            .expect("xmark corpus indexes")
-    };
-    let on = build(true);
-    let off = build(false);
-    // Third variant: the full observability stack as production runs it —
-    // profiler on, flight recorder live, the slow-query check armed (with
-    // a threshold generous enough that nothing fires, so we measure the
-    // check, not the event traffic) and an anomaly detector ticking
-    // between passes.
-    let observed = build(true);
-    observed.set_slow_query_threshold(std::time::Duration::from_secs(60));
-    let detector = AnomalyDetector::new(
-        observed.metrics_registry().clone(),
-        xseq::SloPolicy::default(),
-    )
-    .events(observed.events().clone())
-    .watch_latency("index.search");
-    // Warm every side, then interleave the measured passes so all see the
-    // same host weather; the min-median is the pass the scheduler left
-    // alone.
-    median_query_ns(&off, &exprs);
-    median_query_ns(&on, &exprs);
-    median_query_ns(&observed, &exprs);
-    let (mut on_ns, mut off_ns, mut obs_ns) = (u64::MAX, u64::MAX, u64::MAX);
-    for _ in 0..3 {
-        off_ns = off_ns.min(median_query_ns(&off, &exprs));
-        on_ns = on_ns.min(median_query_ns(&on, &exprs));
-        obs_ns = obs_ns.min(median_query_ns(&observed, &exprs));
-        detector.tick();
-    }
-    let ratio_x1000 = ((on_ns as f64 / off_ns as f64) * 1000.0) as u64;
-    let obs_x1000 = ((obs_ns as f64 / off_ns as f64) * 1000.0) as u64;
-    let registry = MetricsRegistry::global();
-    registry.gauge("query.profiled.p50_ns").set(on_ns as i64);
-    registry.gauge("query.unprofiled.p50_ns").set(off_ns as i64);
-    registry.gauge("query.observed.p50_ns").set(obs_ns as i64);
-    registry
-        .gauge("query.overhead.p50")
-        .set(ratio_x1000.max(1000) as i64);
-    registry
-        .gauge("query.overhead.observed.p50")
-        .set(obs_x1000.max(1000) as i64);
-    println!("| profiling | query p50 (µs) |");
-    println!("|---|---|");
-    println!("| off | {:.1} |", off_ns as f64 / 1e3);
-    println!("| on | {:.1} |", on_ns as f64 / 1e3);
-    println!("| on + recorder + detector | {:.1} |", obs_ns as f64 / 1e3);
+    let trie = index.trie();
+    println!(
+        "{} documents, {} trie nodes, {} query sequences",
+        ds.docs.len(),
+        index.node_count(),
+        queries.len()
+    );
     println!();
     println!(
-        "overhead: {:+.2}% profiled, {:+.2}% fully observed ({} workload classes accumulated)",
-        (on_ns as f64 / off_ns as f64 - 1.0) * 100.0,
-        (obs_ns as f64 / off_ns as f64 - 1.0) * 100.0,
-        on.workload_profile().len()
+        "| matcher | results | candidates | cover rejections | link probes | time (µs/query) |"
     );
+    println!("|---|---|---|---|---|---|");
+    for (name, (results, st, us)) in [
+        (
+            "naive (no constraint check)",
+            time_searches(&queries, |q| naive_search(trie, q)),
+        ),
+        (
+            "Algorithm 1 (sibling cover)",
+            time_searches(&queries, |q| constraint_search(trie, q)),
+        ),
+        (
+            "tree search (selectivity-ordered)",
+            time_searches(&queries, |q| tree_search(trie, q)),
+        ),
+    ] {
+        println!(
+            "| {name} | {results} | {} | {} | {} | {us:.1} |",
+            st.candidates, st.cover_rejections, st.link_probes
+        );
+    }
     println!();
-    // In-process backstop: a catastrophic slowdown (an accidental lock on
-    // the query path, say) fails the run outright even without a baseline;
-    // the fine-grained 3% gate is `regress::compare`'s job.
-    assert!(
-        on_ns <= off_ns.max(regress::NOISE_FLOOR_NS) * 3 / 2 + regress::NOISE_FLOOR_NS,
-        "profiling overhead out of bounds: on {on_ns} ns vs off {off_ns} ns"
-    );
-    assert!(
-        obs_ns <= off_ns.max(regress::NOISE_FLOOR_NS) * 3 / 2 + regress::NOISE_FLOOR_NS,
-        "observability overhead out of bounds: observed {obs_ns} ns vs off {off_ns} ns"
-    );
+
+    println!("| pool capacity (pages) | results | pool misses | pool hits | time (µs/query) |");
+    println!("|---|---|---|---|---|");
+    for capacity in [8usize, 64, 4096] {
+        let mut store = MemStore::new();
+        write_paged_trie(trie, &mut store).expect("in-memory store");
+        let paged = PagedTrie::open(store, capacity).expect("valid layout");
+        let (results, _, us) = time_searches(&queries, |q| tree_search(&paged, q));
+        let pool = paged.pool_stats();
+        println!(
+            "| {capacity} | {results} | {} | {} | {us:.1} |",
+            pool.misses, pool.hits
+        );
+    }
+    println!();
+}
+
+/// One pass of `search` over `queries`: total results, summed work
+/// counters, mean microseconds per query.
+fn time_searches(
+    queries: &[QuerySequence],
+    search: impl Fn(&QuerySequence) -> (Vec<DocId>, SearchStats),
+) -> (usize, SearchStats, f64) {
+    let mut results = 0usize;
+    let mut stats = SearchStats::default();
+    let t = Instant::now();
+    for q in queries {
+        let (docs, st) = search(q);
+        results += docs.len();
+        stats.absorb(st);
+    }
+    let us = t.elapsed().as_secs_f64() * 1e6 / queries.len() as f64;
+    (results, stats, us)
 }
 
 /// Builds a small, fully instrumented XMark database, drives a
@@ -1088,21 +801,9 @@ pub fn diagnostics_bundle(dir: &str) {
 /// Sanity sweep used by `repro check`: every experiment at tiny scale, with
 /// engine-agreement assertions active throughout.
 pub fn check() {
-    let s = 0.02;
-    fig14a(s);
-    fig14b(s);
-    fig15(s);
-    table5(s);
-    table6(s);
-    table7(s);
-    table8(s);
-    fig16a(s);
-    fig16b(s);
-    fig16c(s);
-    fig16d(s);
-    scaling(s);
-    updates(s);
-    profile_overhead(s);
+    for (_, experiment) in EXPERIMENTS {
+        experiment(0.02);
+    }
     // extra safety: CS answers equal brute force on a fresh corpus
     let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
     let ds = SyntheticDataset::generate(&SyntheticParams::fig16(), 300, 1, &mut symbols);
@@ -1177,7 +878,7 @@ pub fn verify_corpora(scale: f64) -> bool {
                 _ => cs_strategy(&corpus.docs, &mut paths, 2000),
             };
             let index = XmlIndex::build(&corpus.docs, &mut paths, strategy, PlanOptions::default());
-            let report = index.verify_integrity(&mut paths);
+            let report = index.verify_integrity(&paths);
             println!(
                 "| {} | {} | {} | {} | {} | {} | {} |",
                 name,

@@ -214,10 +214,10 @@ impl Database {
     /// checks, not the query hot path (see
     /// [`DatabaseBuilder::integrity_spot_check`](crate::DatabaseBuilder::integrity_spot_check)
     /// for the sampled in-band variant).
-    pub fn verify_integrity(&mut self) -> IntegrityReport {
+    pub fn verify_integrity(&self) -> IntegrityReport {
         let mut report = IntegrityReport::default();
-        for sh in &mut self.shards {
-            report.merge(sh.index.verify_integrity(&mut sh.corpus.paths));
+        for sh in &self.shards {
+            report.merge(sh.index.verify_integrity(&sh.corpus.paths));
         }
         self.record_integrity_violation(&report);
         report
@@ -276,6 +276,18 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use crate::*;
+
+    #[test]
+    fn gather_sums_plan_truncation_across_shards() {
+        let shard = |truncated: u64| {
+            let mut out = QueryOutcome::default();
+            out.stats.plan_truncated = truncated;
+            out
+        };
+        let out = crate::shard::gather([shard(1), shard(0), shard(1)]);
+        assert_eq!(out.stats.plan_truncated, 2);
+        assert!(out.explain().contains("plan TRUNCATED"));
+    }
 
     #[test]
     fn metrics_contain_every_pipeline_phase() {

@@ -213,12 +213,9 @@ fn kway_merge(lists: Vec<Vec<DocId>>) -> Vec<DocId> {
 /// [`kway_merge`].
 fn absorb_shard_outcome(acc: &mut QueryOutcome, shard: QueryOutcome) {
     acc.stats.instantiations += shard.stats.instantiations;
+    acc.stats.plan_truncated += shard.stats.plan_truncated;
     acc.stats.variants += shard.stats.variants;
-    acc.stats.search.candidates += shard.stats.search.candidates;
-    acc.stats.search.cover_rejections += shard.stats.search.cover_rejections;
-    acc.stats.search.completions += shard.stats.search.completions;
-    acc.stats.search.link_probes += shard.stats.search.link_probes;
-    acc.stats.search.scratch_reuses += shard.stats.search.scratch_reuses;
+    acc.stats.search.absorb(shard.stats.search);
     acc.stats.plan_ns += shard.stats.plan_ns;
     acc.stats.encode_ns += shard.stats.encode_ns;
     acc.stats.search_ns += shard.stats.search_ns;

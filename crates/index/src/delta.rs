@@ -183,11 +183,6 @@ impl DeltaView {
         self.tiers.runs.iter().map(Arc::as_ref)
     }
 
-    /// The memtable's frozen view, when the memtable was non-empty.
-    pub fn mem_trie(&self) -> Option<&SequenceTrie> {
-        self.mem.as_deref()
-    }
-
     /// Per-segment document id lists (sorted, deduplicated), in segment
     /// order — the double-visibility probe used by the sched-model harness.
     pub fn segment_docs(&self) -> Vec<Vec<DocId>> {
@@ -999,7 +994,7 @@ mod tests {
         }
         // 8 inserts at limit 2 -> 4 tier-0 runs, memtable empty.
         assert_eq!(delta.run_count(), 4);
-        assert!(delta.delta_view().mem_trie().is_none());
+        assert_eq!(delta.delta_view().segments().count(), 4);
         // Ratio 2: the first merge folds all four tier-0 runs into tier 1.
         let m = delta.maybe_merge().expect("tier 0 is due");
         assert_eq!(

@@ -58,6 +58,11 @@ use xseq_xml::{DocId, Document, PathId, PathTable, TreePattern};
 pub struct QueryStats {
     /// Concrete instantiations produced by the planner.
     pub instantiations: u64,
+    /// Plans cut short by [`PlanOptions::max_assignments`] or
+    /// [`PlanOptions::max_merges`] (0 or 1 per index, summed over shards).
+    /// Nonzero means concrete trees were dropped and the answer may be
+    /// incomplete.
+    pub plan_truncated: u64,
     /// Total sequence variants searched (instantiations × isomorphisms).
     pub variants: u64,
     /// Summed matcher counters.
@@ -106,11 +111,7 @@ impl QueryOutcome {
         if let Some(last) = self.descents.last_mut() {
             *last += st.candidates;
         }
-        self.stats.search.candidates += st.candidates;
-        self.stats.search.cover_rejections += st.cover_rejections;
-        self.stats.search.completions += st.completions;
-        self.stats.search.link_probes += st.link_probes;
-        self.stats.search.scratch_reuses += st.scratch_reuses;
+        self.stats.search.absorb(st);
         self.docs.extend_from_slice(docs);
     }
 
@@ -150,6 +151,9 @@ impl QueryOutcome {
             st.search.completions,
             st.search.link_probes
         );
+        if st.plan_truncated > 0 {
+            out.push_str("  plan TRUNCATED by its caps: the answer may be incomplete\n");
+        }
         let fmt_list = |vals: &mut dyn Iterator<Item = u64>| {
             const SHOWN: usize = 16;
             let mut shown: Vec<String> = Vec::with_capacity(SHOWN + 1);
@@ -442,11 +446,6 @@ impl XmlIndex {
         self.delta.delta_view()
     }
 
-    /// The current overlay epoch (bumped by every insert/remove/merge).
-    pub fn delta_epoch(&self) -> u64 {
-        self.delta.epoch()
-    }
-
     /// Applies tiering knobs (memtable cut threshold, per-tier fan-in) to
     /// the overlay.
     pub fn configure_delta(&self, memtable_limit: usize, tier_ratio: usize) {
@@ -544,9 +543,10 @@ impl XmlIndex {
         let mut outcome = QueryOutcome::default();
         let plan_span = trace.as_mut().map(|tr| tr.start_span("index.plan"));
         let t_plan = Instant::now();
-        let concrete = instantiate(pattern, paths, &self.data_paths, &self.options);
+        let (concrete, truncated) = plan::plan(pattern, paths, &self.data_paths, &self.options);
         outcome.stats.plan_ns = elapsed_ns(t_plan);
         outcome.stats.instantiations = concrete.len() as u64;
+        outcome.stats.plan_truncated = u64::from(truncated);
         if let (Some(tr), Some(sp)) = (trace.as_mut(), plan_span) {
             tr.attr(sp, "instantiations", concrete.len() as u64);
             tr.attr(sp, "plan", self.options.describe());
@@ -556,6 +556,8 @@ impl XmlIndex {
             tr.root_attr("n⊣", hi as u64);
             tr.root_attr("strategy", self.strategy.short_name());
             tr.root_attr("mode", mode_name);
+            // no silent caps: nonzero means the union below may miss answers
+            tr.root_attr("plan_truncated", u64::from(truncated));
         }
         // One epoch-stamped overlay snapshot for the whole query: every
         // variant searches the same pinned segment set, however many merges
@@ -642,24 +644,19 @@ impl XmlIndex {
 
     /// Runs a single pre-built query sequence (no instantiation) — the
     /// primitive used by the synthetic query-performance experiments.
-    /// Searches both segments and applies the tombstone filter, like a full
+    /// Searches every segment and applies the tombstone filter, like a full
     /// query.
     pub fn query_sequence(&self, q: &QuerySequence) -> (Vec<DocId>, SearchStats) {
-        let (mut docs, mut st) = search::tree_search(&self.trie, q);
         let view = self.delta.delta_view();
-        if !view.is_empty() {
-            for segment in view.segments() {
-                let (delta_docs, delta_st) = search::tree_search(segment, q);
-                docs.extend_from_slice(&delta_docs);
-                st.candidates += delta_st.candidates;
-                st.cover_rejections += delta_st.cover_rejections;
-                st.completions += delta_st.completions;
-                st.link_probes += delta_st.link_probes;
-                st.scratch_reuses += delta_st.scratch_reuses;
-            }
-            docs.sort_unstable();
-            docs.dedup();
+        let mut docs = Vec::new();
+        let mut st = SearchStats::default();
+        for segment in std::iter::once(&self.trie).chain(view.segments()) {
+            let (segment_docs, segment_st) = search::tree_search(segment, q);
+            docs.extend_from_slice(&segment_docs);
+            st.absorb(segment_st);
         }
+        docs.sort_unstable();
+        docs.dedup();
         search::filter_tombstones(&mut docs, &self.delta.tombstones());
         (docs, st)
     }
@@ -713,7 +710,7 @@ impl XmlIndex {
     /// validity (Eq. 3) and the Theorem 1 round-trip of every distinct
     /// stored constraint sequence — over the frozen trie *and* every
     /// overlay segment, merged into one report.
-    pub fn verify_integrity(&self, paths: &mut PathTable) -> IntegrityReport {
+    pub fn verify_integrity(&self, paths: &PathTable) -> IntegrityReport {
         let mut report = verify_trie(&self.trie, paths, &self.strategy);
         for segment in self.delta.delta_view().segments() {
             report.merge(verify_trie(segment, paths, &self.strategy));
@@ -916,8 +913,57 @@ mod tests {
             );
             assert_eq!(par.data_paths(), seq.data_paths());
             assert_eq!(pt_par.len(), pt_seq.len(), "path tables diverged");
-            assert!(par.verify_integrity(&mut pt_par).is_clean());
+            assert!(par.verify_integrity(&pt_par).is_clean());
         }
+    }
+
+    #[test]
+    fn truncated_plan_is_visible_in_stats_explain_and_trace() {
+        let (mut st, mut pt, docs) =
+            corpus(&["<p><r><l>boston</l></r></p>", "<p><d><l>boston</l></d></p>"]);
+        // //l has two assignments (p.r.l and p.d.l); a cap of one drops one.
+        let l = st.designator("l");
+        let q = TreePattern::with_root_axis(PatternLabel::Elem(l), Axis::Descendant);
+        let tracer = xseq_telemetry::Tracer::new(Default::default());
+        for (cap, truncated) in [(1usize, true), (2, false)] {
+            let options = PlanOptions {
+                max_assignments: cap,
+                ..Default::default()
+            };
+            let index = XmlIndex::build(&docs, &mut pt, Strategy::DepthFirst, options);
+            let mut active = tracer.begin("query");
+            let out = index.query_with(&q, &pt, &mut QueryContext::new(), Some(&mut active));
+            let trace = tracer.finish(active);
+            assert_eq!(out.stats.plan_truncated, u64::from(truncated), "cap {cap}");
+            assert_eq!(out.explain().contains("plan TRUNCATED"), truncated);
+            let flag = xseq_telemetry::AttrValue::U64(u64::from(truncated));
+            assert!(trace.root().attrs.contains(&("plan_truncated", flag)));
+            assert_eq!(out.docs.len(), cap);
+        }
+    }
+
+    #[test]
+    fn query_sequence_walks_frozen_and_overlay_segments() {
+        let (_st, mut pt, docs) = corpus(&["<p><r/></p>", "<p><r/><d/></p>", "<p><r/></p>"]);
+        let mut index = XmlIndex::build(
+            &docs[..1],
+            &mut pt,
+            Strategy::DepthFirst,
+            PlanOptions::default(),
+        );
+        index.insert_delta(&docs[1], 1, &mut pt);
+        index.insert_delta(&docs[2], 2, &mut pt);
+        let q = QuerySequence::from_document(&docs[0], &mut pt, &Strategy::DepthFirst);
+        let (all, st) = index.query_sequence(&q);
+        assert_eq!(all, vec![0, 1, 2], "frozen ∪ overlay");
+        let (frozen_only, frozen_st) = tree_search(index.trie(), &q);
+        assert_eq!(frozen_only, vec![0]);
+        assert!(
+            st.candidates > frozen_st.candidates,
+            "overlay work is counted"
+        );
+        index.remove_doc(1);
+        assert_eq!(index.query_sequence(&q).0, vec![0, 2], "− tombstones");
     }
 
     #[test]

@@ -60,13 +60,27 @@ impl PlanOptions {
 
 /// Enumerates the concrete query trees of `pattern` against the dictionary
 /// (`data_paths` filters the path table down to paths that actually occur in
-/// indexed data).  Deduplicated; order deterministic.
+/// indexed data).  Deduplicated; order deterministic.  A cap that cut the
+/// enumeration short is reported only by [`plan`].
 pub fn instantiate(
     pattern: &TreePattern,
     paths: &PathTable,
     data_paths: &HashSet<PathId>,
     options: &PlanOptions,
 ) -> Vec<Document> {
+    plan(pattern, paths, data_paths, options).0
+}
+
+/// [`instantiate`], plus whether `max_assignments` or `max_merges` dropped
+/// a concrete tree — in which case the union over the returned trees may
+/// miss answers.  Each enumeration runs to one past its cap, so the flag
+/// is exact: set only when the uncapped enumeration has more.
+pub(crate) fn plan(
+    pattern: &TreePattern,
+    paths: &PathTable,
+    data_paths: &HashSet<PathId>,
+    options: &PlanOptions,
+) -> (Vec<Document>, bool) {
     let mut assignments = Vec::new();
     let mut current = vec![PathId::ROOT; pattern.len()];
     assign(
@@ -76,19 +90,25 @@ pub fn instantiate(
         pattern.root_id(),
         &mut current,
         &mut assignments,
-        options.max_assignments,
+        options.max_assignments.saturating_add(1),
     );
+    let mut truncated = assignments.len() > options.max_assignments;
+    assignments.truncate(options.max_assignments);
 
     let mut out = Vec::new();
     let mut seen = HashSet::new();
     for asg in &assignments {
-        for doc in merge_variants(pattern, paths, asg, options.max_merges) {
+        let mut variants =
+            merge_variants(pattern, paths, asg, options.max_merges.saturating_add(1));
+        truncated |= variants.len() > options.max_merges;
+        variants.truncate(options.max_merges);
+        for doc in variants {
             if seen.insert(shape_key(&doc)) {
                 out.push(doc);
             }
         }
     }
-    out
+    (out, truncated)
 }
 
 /// Depth-first assignment enumeration over pattern nodes (ids are already in
@@ -131,26 +151,16 @@ fn assign(
     };
     for c in candidates {
         current[node as usize] = c;
-        // advance to the next pattern node in preorder
-        match next_node(pattern, node) {
-            None => {
-                out.push(current.clone());
-                if out.len() >= cap {
-                    return;
-                }
+        // advance to the next pattern node in id order (ids are
+        // preorder-compatible)
+        if (node as usize) + 1 < pattern.len() {
+            assign(pattern, paths, data_paths, node + 1, current, out, cap);
+        } else {
+            out.push(current.clone());
+            if out.len() >= cap {
+                return;
             }
-            Some(next) => assign(pattern, paths, data_paths, next, current, out, cap),
         }
-    }
-}
-
-/// The next pattern node in id order (ids are preorder-compatible).
-fn next_node(pattern: &TreePattern, node: PatternNodeId) -> Option<PatternNodeId> {
-    let next = node + 1;
-    if (next as usize) < pattern.len() {
-        Some(next)
-    } else {
-        None
     }
 }
 
@@ -540,19 +550,53 @@ mod tests {
     }
 
     #[test]
-    fn caps_are_respected() {
+    fn assignment_cap_is_respected_and_reported_exactly() {
+        // //x over 20 data paths a.m{i}.x: exactly 20 assignments.
         let mut fx = Fx::new();
         for i in 0..20 {
             fx.add(&format!("a.m{i}.x"));
         }
         let x = fx.d("x");
         let q = TreePattern::with_root_axis(PatternLabel::Elem(x), Axis::Descendant);
-        let opts = PlanOptions {
-            max_assignments: 5,
-            ..Default::default()
-        };
-        let docs = instantiate(&q, &fx.pt, &fx.data, &opts);
-        assert_eq!(docs.len(), 5);
+        for (max_assignments, trees, truncated) in [
+            (5, 5, true),
+            (19, 19, true),
+            (20, 20, false),
+            (21, 20, false),
+        ] {
+            let opts = PlanOptions {
+                max_assignments,
+                ..Default::default()
+            };
+            let (docs, cut) = plan(&q, &fx.pt, &fx.data, &opts);
+            assert_eq!((docs.len(), cut), (trees, truncated), "{}", opts.describe());
+            assert_eq!(instantiate(&q, &fx.pt, &fx.data, &opts).len(), trees);
+        }
+    }
+
+    #[test]
+    fn merge_cap_is_respected_and_reported_exactly() {
+        // a[.//x][.//y][.//z], all three reachable only through b: one
+        // assignment whose merge variants are the 5 set partitions of the
+        // three b-chains.
+        let mut fx = Fx::new();
+        let a = fx.d("a");
+        let mut q = TreePattern::root(PatternLabel::Elem(a));
+        for leaf in ["x", "y", "z"] {
+            fx.add(&format!("a.b.{leaf}"));
+            let d = fx.d(leaf);
+            q.add(q.root_id(), Axis::Descendant, PatternLabel::Elem(d));
+        }
+        for (max_merges, trees, truncated) in
+            [(1, 1, true), (4, 4, true), (5, 5, false), (6, 5, false)]
+        {
+            let opts = PlanOptions {
+                max_merges,
+                ..Default::default()
+            };
+            let (docs, cut) = plan(&q, &fx.pt, &fx.data, &opts);
+            assert_eq!((docs.len(), cut), (trees, truncated), "{}", opts.describe());
+        }
     }
 
     #[test]

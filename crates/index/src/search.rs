@@ -7,7 +7,7 @@
 //! single root-to-leaf trie path, with nested label ranges.
 //!
 //! **Naïve** matching stops there and suffers the Figure 4 false alarms.
-//! **Constraint** matching additionally enforces criterion 2 of
+//! **Constraint** matching additionally enforces condition 2 of
 //! Definition 3: for each query element, the matched node's *closest
 //! same-path trie ancestor* for its query-tree parent path must be exactly
 //! the node matched for that parent — the "not sibling-covered" condition of
@@ -55,6 +55,26 @@ impl QuerySequence {
     /// the parent positions.
     pub fn from_document(doc: &Document, paths: &mut PathTable, strategy: &Strategy) -> Self {
         let (seq, nodes) = sequence_nodes(doc, paths, strategy);
+        Self::with_parents(doc, seq, &nodes)
+    }
+
+    /// [`QuerySequence::from_document`] against a **frozen** path table:
+    /// nothing is interned, so it takes `&PathTable` and can run from many
+    /// query threads at once.  Returns `None` when some query node's path
+    /// is absent from the table — no indexed document contains that path,
+    /// so this concrete query tree provably matches nothing.
+    pub fn from_document_readonly(
+        doc: &Document,
+        paths: &PathTable,
+        strategy: &Strategy,
+    ) -> Option<Self> {
+        let (seq, nodes) = sequence_nodes_readonly(doc, paths, strategy)?;
+        Some(Self::with_parents(doc, seq, &nodes))
+    }
+
+    /// `seq` as emitted from `doc`'s `nodes`, with each element's tree
+    /// parent resolved to its sequence position.
+    fn with_parents(doc: &Document, seq: Sequence, nodes: &[u32]) -> Self {
         let pos_of: HashMap<u32, u32> = nodes
             .iter()
             .enumerate()
@@ -70,34 +90,6 @@ impl QuerySequence {
             paths: seq.0,
             parent_pos,
         }
-    }
-
-    /// [`QuerySequence::from_document`] against a **frozen** path table:
-    /// nothing is interned, so it takes `&PathTable` and can run from many
-    /// query threads at once.  Returns `None` when some query node's path
-    /// is absent from the table — no indexed document contains that path,
-    /// so this concrete query tree provably matches nothing.
-    pub fn from_document_readonly(
-        doc: &Document,
-        paths: &PathTable,
-        strategy: &Strategy,
-    ) -> Option<Self> {
-        let (seq, nodes) = sequence_nodes_readonly(doc, paths, strategy)?;
-        let pos_of: HashMap<u32, u32> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i as u32))
-            .collect();
-        let parent_pos = nodes
-            .iter()
-            // PANIC-FREE: sequencing emits every node, so a parent of an
-            // emitted node is itself a key of pos_of
-            .map(|&n| doc.parent(n).map(|p| pos_of[&p]))
-            .collect();
-        Some(QuerySequence {
-            paths: seq.0,
-            parent_pos,
-        })
     }
 
     /// A raw sequence where each element's parent is its path-parent's most
@@ -147,6 +139,18 @@ pub struct SearchStats {
     /// Buffer allocations avoided because a warm [`SearchScratch`] supplied
     /// already-sized result/alignment vectors.
     pub scratch_reuses: u64,
+}
+
+impl SearchStats {
+    /// Sums `other`'s counters into `self`: the segments of one variant,
+    /// the variants of one query, the shards of one gather.
+    pub fn absorb(&mut self, other: SearchStats) {
+        self.candidates += other.candidates;
+        self.cover_rejections += other.cover_rejections;
+        self.completions += other.completions;
+        self.link_probes += other.link_probes;
+        self.scratch_reuses += other.scratch_reuses;
+    }
 }
 
 /// Reusable per-query buffers for the matchers: the result accumulator and

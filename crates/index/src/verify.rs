@@ -31,7 +31,7 @@
 
 use crate::trie::{SequenceTrie, TrieNodeId, NIL};
 use std::fmt::Write as _;
-use xseq_sequence::{verify_sequence, Sequence, Strategy};
+use xseq_sequence::{verify_sequence, Sequence, SequenceIssue, Strategy};
 use xseq_xml::PathTable;
 
 /// Which invariant a violation breaks, keyed to its paper source.
@@ -478,11 +478,7 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
 /// checks — every distinct stored constraint sequence (one per end node,
 /// reconstructed from its root path) must satisfy `f2` and round-trip
 /// through the Theorem 1 decoder under `strategy`.
-pub fn verify_trie(
-    trie: &SequenceTrie,
-    paths: &mut PathTable,
-    strategy: &Strategy,
-) -> IntegrityReport {
+pub fn verify_trie(trie: &SequenceTrie, paths: &PathTable, strategy: &Strategy) -> IntegrityReport {
     let mut report = verify_trie_structure(trie);
     if report.has(InvariantClass::NotFrozen) {
         return report;
@@ -503,12 +499,12 @@ pub fn verify_trie(
         report.sequences_checked += 1;
         if let Err(issue) = verify_sequence(&seq, paths, strategy) {
             let class = match issue {
-                xseq_sequence::SequenceIssue::NotF2(_)
-                | xseq_sequence::SequenceIssue::MultisetMismatch { .. } => {
+                SequenceIssue::NotF2(_) | SequenceIssue::MultisetMismatch { .. } => {
                     InvariantClass::SequenceF2
                 }
-                xseq_sequence::SequenceIssue::ReencodeMismatch { .. }
-                | xseq_sequence::SequenceIssue::StructuralMismatch => InvariantClass::RoundTrip,
+                SequenceIssue::ReencodeMismatch { .. }
+                | SequenceIssue::StructuralMismatch
+                | SequenceIssue::UnknownPath => InvariantClass::RoundTrip,
             };
             report.push(Violation {
                 class,
@@ -555,12 +551,12 @@ mod tests {
 
     #[test]
     fn clean_trie_verifies_clean() {
-        let (trie, mut pt, _st) = df_trie(&[
+        let (trie, pt, _st) = df_trie(&[
             &["P", "P.A", "P.A.X"],
             &["P", "P.A", "P.A.Y"],
             &["P", "P.B"],
         ]);
-        let report = verify_trie(&trie, &mut pt, &Strategy::DepthFirst);
+        let report = verify_trie(&trie, &pt, &Strategy::DepthFirst);
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.sequences_checked, 3);
         assert!(report.links_checked > 0);
@@ -570,8 +566,8 @@ mod tests {
     fn empty_trie_verifies_clean() {
         let mut trie = SequenceTrie::new();
         trie.freeze();
-        let mut pt = PathTable::new();
-        let report = verify_trie(&trie, &mut pt, &Strategy::DepthFirst);
+        let pt = PathTable::new();
+        let report = verify_trie(&trie, &pt, &Strategy::DepthFirst);
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.nodes_checked, 1, "just the virtual root");
         assert_eq!(report.sequences_checked, 0);
@@ -584,14 +580,14 @@ mod tests {
         let mut trie = SequenceTrie::new();
         let s = seq_of(&mut st, &mut pt, &["P"]);
         trie.insert(&s, 0);
-        let report = verify_trie(&trie, &mut pt, &Strategy::DepthFirst);
+        let report = verify_trie(&trie, &pt, &Strategy::DepthFirst);
         assert!(report.has(InvariantClass::NotFrozen));
         assert_eq!(report.violation_count(), 1);
     }
 
     #[test]
     fn swapped_link_serials_detected_as_link_order() {
-        let (mut trie, mut pt, _st) = df_trie(&[&["P", "P.A", "P.A.X", "P.A"], &["P", "P.B"]]);
+        let (mut trie, pt, _st) = df_trie(&[&["P", "P.A", "P.A.X", "P.A"], &["P", "P.B"]]);
         // Find a link with ≥2 entries and swap the serials of its first two.
         let f = trie.corrupt_frozen().unwrap();
         let link = f
@@ -602,7 +598,7 @@ mod tests {
         let (a, b) = (link[0].serial, link[1].serial);
         link[0].serial = b;
         link[1].serial = a;
-        let report = verify_trie(&trie, &mut pt, &Strategy::DepthFirst);
+        let report = verify_trie(&trie, &pt, &Strategy::DepthFirst);
         assert!(report.has(InvariantClass::LinkOrder), "{}", report.render());
     }
 
@@ -631,10 +627,10 @@ mod tests {
 
     #[test]
     fn flipped_embeds_flag_detected() {
-        let (mut trie, mut pt, _st) = df_trie(&[&["P", "P.A", "P.A.X"]]);
+        let (mut trie, pt, _st) = df_trie(&[&["P", "P.A", "P.A.X"]]);
         let f = trie.corrupt_frozen().unwrap();
         f.embeds_identical[1] = !f.embeds_identical[1];
-        let report = verify_trie(&trie, &mut pt, &Strategy::DepthFirst);
+        let report = verify_trie(&trie, &pt, &Strategy::DepthFirst);
         assert!(
             report.has(InvariantClass::SiblingCover),
             "{}",
@@ -656,7 +652,7 @@ mod tests {
         // End node is the deepest node on the only branch.
         let end = trie.doc_lists().next().unwrap().0;
         trie.corrupt_set_path(end, bogus);
-        let report = verify_trie(&trie, &mut pt, &Strategy::DepthFirst);
+        let report = verify_trie(&trie, &pt, &Strategy::DepthFirst);
         assert!(
             report.has(InvariantClass::SequenceF2) || report.has(InvariantClass::LinkCoverage),
             "{}",

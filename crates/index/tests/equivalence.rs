@@ -196,6 +196,32 @@ proptest! {
     }
 
     #[test]
+    fn capped_plans_are_flagged_or_exact(
+        corpus in corpus_recipe(6, 12, 3),
+        pat in pattern_recipe(5),
+        max_assignments in 1usize..8,
+        max_merges in 1usize..4,
+    ) {
+        // A plan cut short by its caps may miss answers but never invents
+        // one, and says so; a plan that was not cut short is exact.
+        let mut st = SymbolTable::with_value_mode(ValueMode::Intern);
+        let docs = build_corpus(&corpus, &mut st);
+        let q = build_pattern(&pat, &mut st, corpus.alphabet);
+        let mut paths = PathTable::new();
+        let options = PlanOptions { max_assignments, max_merges, ..Default::default() };
+        let index = XmlIndex::build(&docs, &mut paths, SeqStrategy::DepthFirst, options);
+        let out = index.query(&q, &paths);
+        let expect = oracle(&q, &docs);
+        if out.stats.plan_truncated == 0 {
+            prop_assert_eq!(&out.docs, &expect, "pattern {}", q.render(&st));
+            prop_assert!(!out.explain().contains("TRUNCATED"));
+        } else {
+            prop_assert!(out.docs.iter().all(|d| expect.contains(d)), "pattern {}", q.render(&st));
+            prop_assert!(out.explain().contains("plan TRUNCATED"));
+        }
+    }
+
+    #[test]
     fn constraint_results_subset_of_naive(corpus in corpus_recipe(6, 12, 3), pat in pattern_recipe(5)) {
         let mut st = SymbolTable::with_value_mode(ValueMode::Intern);
         let docs = build_corpus(&corpus, &mut st);

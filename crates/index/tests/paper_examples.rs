@@ -65,7 +65,7 @@ fn p(st: &mut SymbolTable, pt: &mut PathTable, spec: &str) -> xseq_xml::PathId {
 fn figure10_sibling_cover_scenario() {
     // The exact scenario of Figure 10 and the surrounding discussion:
     // data ⟨P, PL, PLS, PL, PLB⟩, query ⟨P, PL, PLS, PLB⟩.  The match
-    // reaching node e (PLB) violates criterion 2 because node d (the inner
+    // reaching node e (PLB) violates condition 2 because node d (the inner
     // PL) sibling-covers it.
     let mut st = SymbolTable::with_value_mode(ValueMode::Intern);
     let mut pt = PathTable::new();

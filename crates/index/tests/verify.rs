@@ -70,7 +70,7 @@ fn empty_index_verifies_clean_without_panicking() {
         SeqStrategy::DepthFirst,
         PlanOptions::default(),
     );
-    let report = index.verify_integrity(&mut paths);
+    let report = index.verify_integrity(&paths);
     assert!(report.is_clean(), "{}", report.render());
     assert_eq!(report.sequences_checked, 0);
 }
@@ -90,7 +90,7 @@ fn single_doc_index_verifies_clean() {
         SeqStrategy::DepthFirst,
         PlanOptions::default(),
     );
-    let report = index.verify_integrity(&mut paths);
+    let report = index.verify_integrity(&paths);
     assert!(report.is_clean(), "{}", report.render());
     assert_eq!(report.sequences_checked, 1);
 }
@@ -101,8 +101,8 @@ proptest! {
     /// No false positives: every clean index verifies clean.
     #[test]
     fn clean_indexes_have_zero_violations(recipe in corpus_recipe(8, 20)) {
-        let (index, mut paths) = build_index(&recipe);
-        let report = index.verify_integrity(&mut paths);
+        let (index, paths) = build_index(&recipe);
+        let report = index.verify_integrity(&paths);
         prop_assert!(report.is_clean(), "{}", report.render());
         prop_assert_eq!(report.sequences_checked, index.trie().sequence_count());
     }
@@ -189,7 +189,7 @@ proptest! {
         recipe in corpus_recipe(8, 20),
         pick in any::<u32>(),
     ) {
-        let (mut index, mut paths) = build_index(&recipe);
+        let (mut index, paths) = build_index(&recipe);
         {
             let trie = index.trie_mut();
             let n = (1 + pick as usize % trie.node_count()) as u32;
@@ -203,7 +203,7 @@ proptest! {
             };
             trie.corrupt_set_path(n, other);
         }
-        let report = index.verify_integrity(&mut paths);
+        let report = index.verify_integrity(&paths);
         prop_assert!(!report.is_clean(), "flip must be caught");
         prop_assert!(
             report.has(InvariantClass::SequenceF2)

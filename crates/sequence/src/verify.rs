@@ -26,7 +26,7 @@
 //! [`verify_integrity`]: ../xseq_index/struct.XmlIndex.html#method.verify_integrity
 
 use crate::constraint::{decode_f2, DecodeError};
-use crate::strategy::sequence_document;
+use crate::strategy::sequence_nodes_readonly;
 use crate::{Sequence, Strategy};
 use std::fmt;
 use xseq_xml::{PathId, PathTable};
@@ -54,6 +54,10 @@ pub enum SequenceIssue {
     /// For strategies without a canonical re-encoding: decode →
     /// re-sequence → decode produced a structurally different tree.
     StructuralMismatch,
+    /// The decoded tree has a node whose path the table never interned, so
+    /// it cannot be re-encoded: verification reads the table, it never
+    /// grows it.
+    UnknownPath,
 }
 
 impl fmt::Display for SequenceIssue {
@@ -69,6 +73,9 @@ impl fmt::Display for SequenceIssue {
             SequenceIssue::StructuralMismatch => {
                 write!(f, "double decode is not structurally equal")
             }
+            SequenceIssue::UnknownPath => {
+                write!(f, "decoded tree has a path absent from the path table")
+            }
         }
     }
 }
@@ -76,12 +83,12 @@ impl fmt::Display for SequenceIssue {
 /// Verifies that `seq` is a well-formed `f2` constraint sequence that
 /// round-trips through the Theorem 1 decoder under `strategy`.
 ///
-/// Interns no new paths for well-formed input (every path a decoded tree
-/// re-encodes to is already present); `paths` is `&mut` only because the
-/// re-encoding step shares the strategy emitter's signature.
+/// Read-only: every path a well-formed decoded tree re-encodes to is
+/// already in `paths`, and one that is not is reported as
+/// [`SequenceIssue::UnknownPath`] rather than interned.
 pub fn verify_sequence(
     seq: &Sequence,
-    paths: &mut PathTable,
+    paths: &PathTable,
     strategy: &Strategy,
 ) -> Result<(), SequenceIssue> {
     // 1. Eq. 3: the sequence decodes under the forward-prefix constraint.
@@ -89,7 +96,9 @@ pub fn verify_sequence(
 
     // 2. Definition 1: one element per tree node, as a multiset.
     let mut stored: Vec<PathId> = seq.elems().to_vec();
-    let mut decoded: Vec<PathId> = doc.path_encode(paths);
+    let mut decoded: Vec<PathId> = doc
+        .path_encode_readonly(paths)
+        .ok_or(SequenceIssue::UnknownPath)?;
     stored.sort_unstable();
     decoded.sort_unstable();
     if stored != decoded {
@@ -104,7 +113,8 @@ pub fn verify_sequence(
     }
 
     // 3. Theorem 1: the decoded tree re-encodes to the same sequence.
-    let re = sequence_document(&doc, paths, strategy);
+    let (re, _) =
+        sequence_nodes_readonly(&doc, paths, strategy).ok_or(SequenceIssue::UnknownPath)?;
     if strategy.reencode_is_canonical() {
         if re != *seq {
             let position = re
@@ -130,6 +140,7 @@ pub fn verify_sequence(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::sequence_document;
     use xseq_xml::{Document, SymbolTable, ValueMode};
 
     fn fig3b(st: &mut SymbolTable) -> Document {
@@ -160,7 +171,7 @@ mod tests {
             let mut paths = PathTable::new();
             let seq = sequence_document(&doc, &mut paths, &strategy);
             assert_eq!(
-                verify_sequence(&seq, &mut paths, &strategy),
+                verify_sequence(&seq, &paths, &strategy),
                 Ok(()),
                 "{strategy:?}"
             );
@@ -183,7 +194,7 @@ mod tests {
         let mut paths = PathTable::new();
         let seq = sequence_document(&doc, &mut paths, &Strategy::BreadthFirst);
         assert_eq!(
-            verify_sequence(&seq, &mut paths, &Strategy::BreadthFirst),
+            verify_sequence(&seq, &paths, &Strategy::BreadthFirst),
             Ok(())
         );
     }
@@ -199,7 +210,7 @@ mod tests {
         // with a deep path — no root remains.
         seq.0[0] = *seq.0.last().unwrap();
         assert!(matches!(
-            verify_sequence(&seq, &mut paths, &strategy),
+            verify_sequence(&seq, &paths, &strategy),
             Err(SequenceIssue::NotF2(_))
         ));
     }
@@ -219,7 +230,7 @@ mod tests {
         let pb = paths.intern(&[p, b]);
         let pa = paths.intern(&[p, a]);
         let swapped = Sequence(vec![pp, pb, pa]);
-        let res = verify_sequence(&swapped, &mut paths, &Strategy::DepthFirst);
+        let res = verify_sequence(&swapped, &paths, &Strategy::DepthFirst);
         assert!(
             matches!(res, Err(SequenceIssue::ReencodeMismatch { .. })),
             "{res:?}"

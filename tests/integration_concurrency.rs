@@ -73,7 +73,7 @@ proptest! {
             );
             prop_assert_eq!(pt_seq.len(), pt_par.len(), "path tables diverged");
             prop_assert_eq!(par.data_paths(), seq.data_paths());
-            let report = par.verify_integrity(&mut pt_par);
+            let report = par.verify_integrity(&pt_par);
             prop_assert!(report.is_clean(), "{}", report.render());
         }
     }
@@ -108,7 +108,7 @@ fn threaded_database_build_answers_like_sequential() {
         for threads in [2, 4, 8] {
             // shards(1): trie bit-identity is a single-shard property —
             // the sharded equivalences live in integration_sharding.rs.
-            let mut parallel = DatabaseBuilder::new()
+            let parallel = DatabaseBuilder::new()
                 .sequencing(sequencing)
                 .threads(threads)
                 .shards(1)

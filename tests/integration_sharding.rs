@@ -67,7 +67,7 @@ proptest! {
     ) {
         let xmls = SyntheticDataset::generate_xml(&params(), ndocs, seed);
         for sequencing in [Sequencing::DepthFirst, Sequencing::Probability] {
-            let mut reference = DatabaseBuilder::new()
+            let reference = DatabaseBuilder::new()
                 .sequencing(sequencing)
                 .shards(1)
                 .build_from_xml(xmls.iter().map(String::as_str))
@@ -79,7 +79,7 @@ proptest! {
             let ref_stats = reference.stats();
             prop_assert!(reference.verify_integrity().is_clean());
             for shards in SHARDED {
-                let mut db = DatabaseBuilder::new()
+                let db = DatabaseBuilder::new()
                     .sequencing(sequencing)
                     .threads(threads)
                     .shards(shards)

@@ -146,9 +146,9 @@ proptest! {
                     "strategy {} / {} threads / query doc {}", kind, threads, qid
                 );
             }
-            let live_report = live.verify_integrity(&mut paths);
+            let live_report = live.verify_integrity(&paths);
             prop_assert!(live_report.is_clean(), "live: {}", live_report.render());
-            let ref_report = reference.verify_integrity(&mut ref_paths);
+            let ref_report = reference.verify_integrity(&ref_paths);
             prop_assert!(ref_report.is_clean(), "reference: {}", ref_report.render());
         }
     }
@@ -252,7 +252,6 @@ proptest! {
                     "{:?}: {}", sequencing, q
                 );
             }
-            let mut db = db;
             let report = db.verify_integrity();
             prop_assert!(report.is_clean(), "{sequencing:?}: {}", report.render());
         }
