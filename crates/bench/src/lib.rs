@@ -26,8 +26,8 @@ use xseq::sequence::Strategy;
 use xseq::storage::{write_paged_trie, MemStore, PagedTrie};
 use xseq::xml::matcher::structure_match;
 use xseq::{
-    parse_xpath, AnomalyDetector, Axis, Corpus, DatabaseBuilder, DocId, Document, IndexTelemetry,
-    MetricsRegistry, PatternLabel, PlanOptions, PoolTelemetry, SymbolTable, TreePattern, ValueMode,
+    parse_xpath, Axis, Corpus, DatabaseBuilder, DocId, Document, IndexTelemetry, MetricsRegistry,
+    PatternLabel, PlanOptions, PoolTelemetry, SymbolTable, TreePattern, ValueMode,
 };
 
 use rand::rngs::StdRng;
@@ -740,9 +740,9 @@ fn time_searches(
 
 /// Builds a small, fully instrumented XMark database, drives a
 /// representative mixed workload over it — queries, an insert, a removal,
-/// a compaction, anomaly-detector ticks — then writes a complete
-/// diagnostics bundle into `dir`: the engine behind `repro --diag DIR`
-/// (validated in CI by `cargo xtask diagcheck DIR`).
+/// a compaction — then writes a complete diagnostics bundle into `dir`:
+/// the engine behind `repro --diag DIR` (validated in CI by
+/// `cargo xtask diagcheck DIR`).
 pub fn diagnostics_bundle(dir: &str) {
     use std::time::Duration;
     println!("## Diagnostics bundle — {dir}");
@@ -764,10 +764,6 @@ pub fn diagnostics_bundle(dir: &str) {
         .build_from_corpus(corpus)
         .expect("xmark corpus indexes");
     db.set_slow_query_threshold(Duration::from_millis(50));
-    let detector = AnomalyDetector::new(db.metrics_registry().clone(), xseq::SloPolicy::default())
-        .events(db.events().clone())
-        .watch_latency("index.search")
-        .watch_throughput("workload.queries");
     // The paper's queries plus structural ones that always hit, so the
     // bundle captures real plan/search activity on a small corpus.
     let mut exprs: Vec<&str> = queries::XMARK_QUERIES.iter().map(|(_, q)| *q).collect();
@@ -776,7 +772,6 @@ pub fn diagnostics_bundle(dir: &str) {
         for e in &exprs {
             db.query_xpath(e).expect("paper query parses");
         }
-        detector.tick();
         if round == 2 {
             let id = db
                 .insert_document("<site><people><person><name>diag</name></person></people></site>")

@@ -2,7 +2,7 @@
 //! path, and the per-shard index build that compaction replays.
 
 use crate::shard::{shard_of, split_corpus, Shard};
-use crate::update::{spawn_merge_worker, UpdateGauges};
+use crate::update::{MergeWorker, UpdateGauges};
 use crate::{
     Corpus, Database, DocId, Error, Event, EventJournal, IndexTelemetry, MetricsRegistry, PathId,
     PathTable, PlanOptions, Pool, PoolTelemetry, ProbabilityModel, Strategy, SymbolTable,
@@ -42,8 +42,8 @@ pub struct DatabaseBuilder {
 }
 
 /// Flight-recorder events [`Database::events`] retains.  The journal is
-/// always on — recording an event is a handful of relaxed atomics — so this
-/// only trades memory for history depth.
+/// always on and holds milestones only (builds, merges, compactions, slow
+/// queries), so this only trades memory for history depth.
 const EVENT_CAPACITY: usize = 256;
 
 /// The build-time configuration a [`Database`] retains so
@@ -126,11 +126,11 @@ impl DatabaseBuilder {
     }
 
     /// Moves tier merges off the foreground update path onto a background
-    /// `xseq-exec` worker: a ticker fires every `period`, drains every
-    /// shard's due merges, and reports liveness through the
-    /// `health.merge.*` watchdog gauges (ticked by the foreground update
-    /// path, or manually via [`Database::tick_merge_watchdog`]).  Without
-    /// this call merges run inline at the end of each insert.  In-flight
+    /// `xseq-exec` worker: a ticker fires every `period` and drains every
+    /// shard's due merges; [`Database::stats`] publishes how long the drain
+    /// in progress has been running as the `index.merge.busy_ns` gauge (0
+    /// while the worker is parked).  Without this call merges run inline
+    /// at the end of each insert and no such gauge exists.  In-flight
     /// queries are never disturbed either way: they hold an epoch-stamped
     /// snapshot of the segment list, and a merge only swaps the published
     /// list.
@@ -388,25 +388,20 @@ impl DatabaseBuilder {
                 .attr("shards", nshards as u64),
         );
         // Tiered update path: publish the per-shard delta handles for the
-        // merge worker, and (optionally) start it under watchdog
-        // supervision.
+        // merge worker, and (optionally) start it.
         let merge_handles = Arc::new(Mutex::new(
             shards.iter().map(|sh| sh.index.delta_handle()).collect(),
         ));
-        let (merge_watchdog, merge_ticker) = match self.background_merge {
-            None => (None, None),
-            Some(period) => {
-                let (watchdog, ticker) = spawn_merge_worker(
-                    period,
-                    &self.registry,
-                    &events,
-                    &merge_handles,
-                    &merge_hist,
-                    &update_gauges,
-                );
-                (Some(watchdog), Some(ticker))
-            }
-        };
+        let merge_worker = self.background_merge.map(|period| {
+            MergeWorker::start(
+                period,
+                &self.registry,
+                &events,
+                &merge_handles,
+                &merge_hist,
+                &update_gauges,
+            )
+        });
         Ok(Database {
             shards,
             doc_map,
@@ -429,8 +424,7 @@ impl DatabaseBuilder {
             merge_hist,
             update_gauges,
             merge_handles,
-            merge_ticker,
-            merge_watchdog,
+            merge_worker,
             events,
             slow_threshold_ns: AtomicU64::new(slow_threshold_ns),
         })

@@ -1,55 +1,11 @@
-//! The diagnostics surface: the flight recorder, the continuous phase
-//! profile, and the one-call diagnostics bundle (DESIGN.md §13).
+//! The diagnostics surface: the flight recorder and the one-call
+//! diagnostics bundle (DESIGN.md §13).
 
 use crate::stats::DatabaseStats;
-use crate::{Database, EventJournal, PhaseNode, PhaseProfile, Sequencing, Trace};
+use crate::{Database, EventJournal, Sequencing, Trace};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// The continuous profiler's phase tree ([`Database::phase_profile`]):
-/// every span-timer histogram the pipeline maintains, attributed to a
-/// stable two-frame stack (`area;phase`).  Attribution is per phase, not a
-/// strict partition — a compaction replays ingest phases, so nested time
-/// appears under both stacks.
-pub const PHASE_TREE: &[PhaseNode] = &[
-    PhaseNode {
-        metric: "xml.parse",
-        stack: &["ingest", "xml.parse"],
-    },
-    PhaseNode {
-        metric: "sequence.encode",
-        stack: &["ingest", "sequence.encode"],
-    },
-    PhaseNode {
-        metric: "query.parse",
-        stack: &["query", "query.parse"],
-    },
-    PhaseNode {
-        metric: "index.plan",
-        stack: &["query", "index.plan"],
-    },
-    PhaseNode {
-        metric: "index.search",
-        stack: &["query", "index.search"],
-    },
-    PhaseNode {
-        metric: "update.insert",
-        stack: &["update", "update.insert"],
-    },
-    PhaseNode {
-        metric: "update.remove",
-        stack: &["update", "update.remove"],
-    },
-    PhaseNode {
-        metric: "index.merge",
-        stack: &["update", "index.merge"],
-    },
-    PhaseNode {
-        metric: "index.compact",
-        stack: &["update", "index.compact"],
-    },
-];
 
 /// What [`Database::diagnostics`] wrote: the bundle directory and every
 /// artifact file name inside it, in write order (`manifest.json` last).
@@ -103,40 +59,30 @@ fn traces_json(traces: &[Arc<Trace>]) -> String {
 
 impl Database {
     /// The flight recorder: a bounded, always-on journal of
-    /// severity-levelled lifecycle events — builds, inserts, removals,
+    /// severity-levelled lifecycle milestones — builds, tier merges,
     /// compactions, configuration changes, integrity violations and slow
     /// queries — exportable as JSON Lines via [`EventJournal::to_jsonl`].
-    /// Share the `Arc` with a [`xseq_telemetry::Watchdog`] or an
-    /// [`AnomalyDetector`](crate::AnomalyDetector) to interleave their alerts into this timeline.
+    /// Per-document inserts and removals are not events: the
+    /// `update.insert` / `update.remove` histograms count and time them.
     pub fn events(&self) -> &Arc<EventJournal> {
         &self.events
     }
 
-    /// The continuous phase profile: cumulative wall-time attribution per
-    /// pipeline phase, folded from the span-timer histograms every path
-    /// already maintains — always on, sampling-free, and free to read.
-    /// Render with [`PhaseProfile::to_collapsed`] for flamegraph or
-    /// speedscope.
-    pub fn phase_profile(&self) -> PhaseProfile {
-        PhaseProfile::from_snapshot(&self.metrics(), PHASE_TREE)
-    }
-
     /// Writes a self-contained diagnostics bundle into `dir` (created if
-    /// missing): Prometheus and JSON metric snapshots, the stats report,
-    /// the workload profile, heap attribution, recent and slow traces as
-    /// Chrome trace JSON, the flight-recorder journal as JSON Lines, the
-    /// collapsed phase profile, and a build/config manifest.  One call
-    /// captures everything a bug report needs; `repro --diag DIR` wraps it
-    /// on the command line and `cargo xtask diagcheck DIR` validates it.
+    /// missing), eight files: the metric snapshot as JSON, the stats
+    /// report, the workload profile, heap attribution, recent and slow
+    /// traces as Chrome trace JSON, the flight-recorder journal as JSON
+    /// Lines, and a build/config manifest.  One call captures everything a
+    /// bug report needs; `repro --diag DIR` wraps it on the command line
+    /// and `cargo xtask diagcheck DIR` validates it.
     pub fn diagnostics(&self, dir: impl AsRef<Path>) -> std::io::Result<DiagnosticsReport> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        // stats() first: it refreshes the memory.* gauges the metric
-        // exporters below then see.
+        // stats() first: it refreshes the memory.* and index.merge.busy_ns
+        // gauges the metric snapshot below then sees.
         let stats = self.stats();
         let snap = self.metrics();
         let mut artifacts: Vec<(&'static str, String)> = vec![
-            ("metrics.prom", xseq_telemetry::to_prometheus(&snap)),
             ("metrics.json", xseq_telemetry::to_json(&snap)),
             ("stats.txt", stats.render()),
             ("workload.json", stats.workload.to_json()),
@@ -144,7 +90,6 @@ impl Database {
             ("traces_recent.json", traces_json(&self.recent_traces())),
             ("traces_slow.json", traces_json(&self.slow_queries())),
             ("events.jsonl", self.events.to_jsonl()),
-            ("profile.collapsed", self.phase_profile().to_collapsed()),
         ];
         let manifest = self.manifest_json(&artifacts);
         artifacts.push(("manifest.json", manifest));

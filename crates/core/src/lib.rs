@@ -80,7 +80,7 @@ mod stats;
 mod update;
 
 pub use builder::{DatabaseBuilder, Sequencing};
-pub use diag::{DiagnosticsReport, PHASE_TREE};
+pub use diag::DiagnosticsReport;
 pub use stats::{DatabaseStats, MemoryStats, ShardStats};
 pub use update::CompactionReport;
 
@@ -95,9 +95,8 @@ pub use xseq_schema::{ClassStats, ProbabilityModel, SchemaTree, WeightMap, Workl
 pub use xseq_sequence::{PriorityMap, Sequence, Strategy};
 pub use xseq_storage::{BufferPool, PagedTrie, PoolStats, PoolTelemetry};
 pub use xseq_telemetry::{
-    AnomalyAlert, AnomalyDetector, AnomalyKind, Event, EventJournal, HeapSize, MetricsRegistry,
-    PhaseNode, PhaseProfile, Severity, SloPolicy, Snapshot, SpanTimer, Trace, TraceConfig, TraceId,
-    TraceSpan, Tracer, Watchdog,
+    Event, EventJournal, HeapSize, MetricsRegistry, Severity, Snapshot, SpanTimer, Trace,
+    TraceConfig, TraceId, TraceSpan, Tracer,
 };
 pub use xseq_xml::{
     Axis, Corpus, DocId, Document, PathId, PathTable, PatternLabel, SymbolTable, TreePattern,
@@ -109,7 +108,7 @@ use shard::Shard;
 use std::fmt;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use update::{MergeHandles, UpdateGauges};
+use update::{MergeHandles, MergeWorker, UpdateGauges};
 use xseq_schema::WorkloadRecorder;
 use xseq_telemetry::{Counter, Gauge, Histogram};
 
@@ -213,10 +212,7 @@ pub struct Database {
     /// The background merge worker, when the builder enabled
     /// [`DatabaseBuilder::background_merge`]; dropping the database stops
     /// and joins it.
-    merge_ticker: Option<Ticker>,
-    /// Liveness monitor over the background merge worker
-    /// (`health.merge.*`), ticked by the foreground update path.
-    merge_watchdog: Option<Arc<Watchdog>>,
+    merge_worker: Option<MergeWorker>,
     /// The flight recorder: a bounded journal of severity-levelled
     /// lifecycle events (always on).
     events: Arc<EventJournal>,

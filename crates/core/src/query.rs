@@ -46,12 +46,12 @@ impl Database {
         let out = self.run_query(expr, ctx, batch_worker)?;
         let elapsed_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         if let Some(recorder) = &self.workload {
-            recorder.record(&out.classes, out.docs.len() as u64, elapsed_ns);
+            let classes = recorder.record(&out.classes, out.docs.len() as u64, elapsed_ns);
             self.workload_queries.inc();
             if out.classes.is_empty() {
                 self.workload_unclassified.inc();
             }
-            self.workload_classes.set(recorder.class_count() as i64);
+            self.workload_classes.set(classes as i64);
         }
         if elapsed_ns >= slow_ns {
             self.events.record(
@@ -412,6 +412,27 @@ mod tests {
         );
         assert_eq!(db.recent_traces().len(), 1);
         assert!(db.tracer().unwrap().stats().started >= 1);
+    }
+
+    #[test]
+    fn overlay_snapshot_time_is_attributed() {
+        let mut db = DatabaseBuilder::new()
+            .trace_config(TraceConfig {
+                sample_rate: 1.0,
+                ..TraceConfig::default()
+            })
+            .build_from_xml(["<a><b/></a>"])
+            .unwrap();
+        db.insert_document("<a><b/><c/></a>").unwrap();
+        // The first query after a write re-freezes the memtable view.
+        let out = db.query_xpath_full("/a/b").unwrap();
+        assert_eq!(out.docs, vec![0, 1]);
+        assert!(out.stats.view_ns > 0, "{:?}", out.stats);
+        let trace = out.trace.as_ref().expect("tracing is on");
+        let view = trace.spans.iter().find(|s| s.name == "delta.view");
+        let view = view.expect("delta.view span");
+        assert_eq!(view.parent, Some(telemetry::SpanId(0)), "under the root");
+        assert!(out.explain().contains("  delta.view "), "{}", out.explain());
     }
 
     #[test]

@@ -217,6 +217,7 @@ fn absorb_shard_outcome(acc: &mut QueryOutcome, shard: QueryOutcome) {
     acc.stats.variants += shard.stats.variants;
     acc.stats.search.absorb(shard.stats.search);
     acc.stats.plan_ns += shard.stats.plan_ns;
+    acc.stats.view_ns += shard.stats.view_ns;
     acc.stats.encode_ns += shard.stats.encode_ns;
     acc.stats.search_ns += shard.stats.search_ns;
     acc.classes.extend(shard.classes);

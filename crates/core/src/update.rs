@@ -6,15 +6,12 @@ use crate::builder::{build_shard_index, shard_pool};
 use crate::shard::{reintern_symbol, shard_of};
 use crate::{
     Corpus, Database, DocId, Error, Event, EventJournal, MetricsRegistry, Severity, SpanTimer,
-    Ticker, TieredDelta, Watchdog,
+    Ticker, TieredDelta,
 };
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use xseq_telemetry::{Gauge, Histogram};
-
-/// Watchdog patience for the background merge worker: flagged stalled
-/// after this many foreground ticks with a frozen heartbeat while active.
-const MERGE_STALL_TICKS: u64 = 3;
 
 /// The per-shard tiered-delta handles the background merge worker drains;
 /// compaction swaps a rebuilt shard's handle in under the lock.
@@ -94,7 +91,7 @@ fn drain_shard_merges(
         );
         let t0 = Instant::now();
         let outcome = delta.maybe_merge();
-        let total_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let total_ns = ns_since(t0);
         // None: another thread merged (or cleared) first — `merge_due` is
         // advisory.  Record the abort and stop; the winner owns the drain.
         let Some(out) = outcome else {
@@ -122,46 +119,89 @@ fn drain_shard_merges(
     merges
 }
 
-/// Starts the background merge worker under watchdog supervision: every
-/// `period` it drains each shard's due merges, beating the watchdog per
-/// shard, and re-derives the occupancy gauges when anything merged.
-pub(crate) fn spawn_merge_worker(
-    period: Duration,
-    registry: &Arc<MetricsRegistry>,
-    events: &Arc<EventJournal>,
-    handles: &MergeHandles,
-    hist: &Arc<Histogram>,
-    gauges: &UpdateGauges,
-) -> (Arc<Watchdog>, Ticker) {
-    let watchdog =
-        Arc::new(Watchdog::new(registry.clone(), MERGE_STALL_TICKS).events(events.clone()));
-    let worker = watchdog.register("merge");
-    let (events, handles, hist, gauges) = (
-        events.clone(),
-        handles.clone(),
-        hist.clone(),
-        gauges.clone(),
-    );
-    let ticker = Ticker::spawn_named("xseq-merge", period, move || {
-        worker.set_active(true);
-        // Clone the handle list out and drop the guard before merging:
-        // compaction swaps handles under this lock and must never wait on
-        // a long merge.
-        let deltas: Vec<Arc<TieredDelta>> = {
-            let guard = handles.lock().unwrap_or_else(|p| p.into_inner());
-            guard.clone()
+/// The background merge worker and its liveness reading: `stats()`
+/// publishes how long the drain in progress has been running as
+/// `index.merge.busy_ns` — elapsed time, so a stuck merge grows without
+/// bound in `metrics.json` and a merely busy one reads as milliseconds.
+#[derive(Debug)]
+pub(crate) struct MergeWorker {
+    /// Dropping it stops and joins the worker thread.
+    _ticker: Ticker,
+    epoch: Instant,
+    /// When the drain in progress began, in nanoseconds since `epoch`;
+    /// 0 while the worker is parked between drains.
+    drain_began_ns: Arc<AtomicU64>,
+    busy_gauge: Arc<Gauge>,
+}
+
+impl MergeWorker {
+    /// Starts the worker: every `period` it drains each shard's due merges
+    /// and re-derives the occupancy gauges when anything merged.  (`start`,
+    /// not `spawn`: `xtask analyze` resolves calls by name and would route
+    /// every scoped `s.spawn(..)` on the query path through here.)
+    pub(crate) fn start(
+        period: Duration,
+        registry: &MetricsRegistry,
+        events: &Arc<EventJournal>,
+        handles: &MergeHandles,
+        hist: &Arc<Histogram>,
+        gauges: &UpdateGauges,
+    ) -> Self {
+        let epoch = Instant::now();
+        let drain_began_ns = Arc::new(AtomicU64::new(0));
+        let (began, events, handles, hist, gauges) = (
+            drain_began_ns.clone(),
+            events.clone(),
+            handles.clone(),
+            hist.clone(),
+            gauges.clone(),
+        );
+        let ticker = Ticker::spawn_named("xseq-merge", period, move || {
+            // ORDERING: gauge — a timestamp read only for reporting; no
+            // other memory is published through it.
+            began.store(ns_since(epoch).max(1), Ordering::Relaxed);
+            // Clone the handle list out and drop the guard before merging:
+            // compaction swaps handles under this lock and must never wait
+            // on a long merge.
+            let deltas: Vec<Arc<TieredDelta>> = {
+                let guard = handles.lock().unwrap_or_else(|p| p.into_inner());
+                guard.clone()
+            };
+            let mut merges = 0;
+            for (s, delta) in deltas.iter().enumerate() {
+                merges += drain_shard_merges(s, delta, &events, &hist);
+            }
+            if merges > 0 {
+                gauges.refresh(deltas.iter().map(|d| &**d));
+            }
+            // ORDERING: gauge — see the store above.
+            began.store(0, Ordering::Relaxed);
+        });
+        MergeWorker {
+            _ticker: ticker,
+            epoch,
+            drain_began_ns,
+            busy_gauge: registry.gauge("index.merge.busy_ns"),
+        }
+    }
+
+    /// Refreshes `index.merge.busy_ns`: how long the drain in progress has
+    /// run, 0 while the worker is parked.
+    pub(crate) fn refresh_busy_gauge(&self) {
+        // ORDERING: gauge — advisory read of the reporting timestamp.
+        let began = self.drain_began_ns.load(Ordering::Relaxed);
+        let busy = if began == 0 {
+            0
+        } else {
+            ns_since(self.epoch).saturating_sub(began)
         };
-        let mut merges = 0;
-        for (s, delta) in deltas.iter().enumerate() {
-            merges += drain_shard_merges(s, delta, &events, &hist);
-            worker.beat();
-        }
-        if merges > 0 {
-            gauges.refresh(deltas.iter().map(|d| &**d));
-        }
-        worker.set_active(false);
-    });
-    (watchdog, ticker)
+        self.busy_gauge.set(busy as i64);
+    }
+}
+
+/// Nanoseconds since `epoch`, capped so the value fits a gauge.
+fn ns_since(epoch: Instant) -> u64 {
+    epoch.elapsed().as_nanos().min(i64::MAX as u128) as u64
 }
 
 /// What one [`Database::compact`] did: sizes before/after, and the doc-id
@@ -223,23 +263,14 @@ impl Database {
         sh.index.insert_delta(doc, local, &mut sh.corpus.paths);
         sh.global_ids.push(global);
         self.doc_map.push((s as u32, local));
-        if self.merge_ticker.is_none() {
+        if self.merge_worker.is_none() {
             // Inline mode: fold due merges right here, keeping the run
             // count logarithmic without a background worker.  Only this
             // shard's memtable was cut, so only it can be due.
             drain_shard_merges(s, sh.index.delta(), &self.events, &self.merge_hist);
-        } else {
-            self.tick_merge_watchdog();
         }
         self.refresh_update_gauges();
-        let total_ns = timer.finish();
-        self.events.record(
-            Event::new("ingest.insert")
-                .severity(Severity::Debug)
-                .attr("doc", global as u64)
-                .attr("shard", s as u64)
-                .attr("total_ns", total_ns),
-        );
+        timer.finish();
         Ok(global)
     }
 
@@ -275,17 +306,9 @@ impl Database {
         let timer = SpanTimer::new(self.update_remove_hist.clone());
         // PANIC-FREE: doc_map entries name the shard that minted them
         let fresh = self.shards[s as usize].index.remove_doc(local);
-        let total_ns = timer.finish();
+        timer.finish();
         if fresh {
-            self.tick_merge_watchdog();
             self.refresh_update_gauges();
-            self.events.record(
-                Event::new("ingest.remove")
-                    .severity(Severity::Debug)
-                    .attr("doc", id as u64)
-                    .attr("shard", u64::from(s))
-                    .attr("total_ns", total_ns),
-            );
             self.auto_compact_if_needed();
         }
         fresh
@@ -323,21 +346,9 @@ impl Database {
         merges
     }
 
-    /// Advances the background-merge watchdog one tick and returns the
-    /// names of any workers currently flagged stalled (empty without
-    /// [`DatabaseBuilder::background_merge`](crate::DatabaseBuilder::background_merge)).
-    /// The foreground update path ticks automatically on every
-    /// insert/remove; call this from an external supervision loop when the
-    /// database is otherwise idle.
-    pub fn tick_merge_watchdog(&self) -> Vec<String> {
-        self.merge_watchdog
-            .as_ref()
-            .map_or_else(Vec::new, |w| w.tick())
-    }
-
     /// True when a background merge worker is running.
     pub fn has_background_merge(&self) -> bool {
-        self.merge_ticker.is_some()
+        self.merge_worker.is_some()
     }
 
     /// Folds the delta segment and tombstones back into a single frozen
@@ -743,11 +754,40 @@ mod tests {
         assert!(!db.index().delta().merge_due(), "worker never caught up");
         assert!(db.index().delta().run_count() <= 2);
         assert_eq!(db.index().delta().sequence_count(), 8);
-        let snap = db.metrics();
-        assert!(snap.counter("health.merge.heartbeat") > 0, "worker beats");
-        assert!(db.tick_merge_watchdog().is_empty(), "worker not stalled");
+        assert!(db.metrics().histogram("index.merge").unwrap().count > 0);
         assert_eq!(db.query_xpath("/a/c5").unwrap(), vec![6]);
         assert!(db.verify_integrity().is_clean());
+    }
+
+    #[test]
+    fn stuck_merge_drain_reads_as_growing_busy_time() {
+        let db = DatabaseBuilder::new()
+            .background_merge(Duration::from_millis(1))
+            .build_from_xml(["<a><b/></a>"])
+            .unwrap();
+        let busy_ns = || {
+            db.stats();
+            db.metrics().gauge("index.merge.busy_ns").unwrap()
+        };
+        let poll_until = |done: &dyn Fn(i64) -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                let busy = busy_ns();
+                if done(busy) || Instant::now() > deadline {
+                    return busy;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        // Wedge the worker inside a drain: it stamps the start, then waits
+        // for the handle list this thread holds.
+        let handles = db.merge_handles.lock().unwrap();
+        let stuck = poll_until(&|busy| busy > 0);
+        assert!(stuck > 0, "the wedged drain never showed");
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(busy_ns() > stuck, "busy time is elapsed time: it grows");
+        drop(handles);
+        assert_eq!(poll_until(&|busy| busy == 0), 0, "a finished drain parks");
     }
 
     #[test]
@@ -768,26 +808,6 @@ mod tests {
         // Merge latency lives in its own family: compaction's single
         // sample does not absorb (double-count) the merge spans.
         assert_eq!(snap.histogram("index.compact").unwrap().count, 1);
-        let collapsed = db.phase_profile().to_collapsed();
-        assert!(
-            collapsed
-                .lines()
-                .any(|l| l.starts_with("update;index.merge ")),
-            "merge frame missing:\n{collapsed}"
-        );
-        assert!(
-            collapsed
-                .lines()
-                .any(|l| l.starts_with("update;index.compact ")),
-            "compact frame missing:\n{collapsed}"
-        );
-        let profile = db.phase_profile();
-        let merge_entry = profile
-            .entries
-            .iter()
-            .find(|e| e.stack.last() == Some(&"index.merge"))
-            .expect("index.merge is in PHASE_TREE");
-        assert_eq!(merge_entry.samples, merges, "one sample per tier merge");
     }
 
     #[test]

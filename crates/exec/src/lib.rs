@@ -9,8 +9,7 @@
 //!   can reassemble outputs in *input* order no matter which worker ran
 //!   which chunk.  The queue's op-level state machine is model-checked
 //!   against a reference allocator with the `xseq-telemetry::sched`
-//!   interleaving checker (see `tests/sched.rs`), the same harness that
-//!   validated `BoundedRing`.
+//!   interleaving enumerator (see `tests/sched.rs`).
 //! * [`Pool`] — a scope/join front end over `std::thread::scope`.  Every
 //!   entry point blocks until all spawned work is joined, so borrowed data
 //!   flows into workers without `'static` bounds and panics propagate to
@@ -278,12 +277,10 @@ impl Pool {
 
 /// A background thread invoking a callback once per period until stopped.
 ///
-/// This is the cadence source for the telemetry crate's tick-driven
-/// components (watchdog, metrics journal): they stay deterministic and
-/// thread-free, and a `Ticker` turns their `tick()` into wall-clock
-/// behaviour.  The callback runs once immediately on spawn, then once per
-/// period.  Stopping (explicitly or on drop) joins the thread, so the
-/// callback never outlives the `Ticker`.
+/// This is the cadence source of the background merge worker.  The
+/// callback runs once immediately on spawn, then once per period.
+/// Stopping (explicitly or on drop) joins the thread, so the callback never
+/// outlives the `Ticker`.
 #[derive(Debug)]
 pub struct Ticker {
     stop: Arc<AtomicBool>,
@@ -301,9 +298,9 @@ impl Ticker {
         Self::spawn_named("xseq-ticker", period, f)
     }
 
-    /// [`Ticker::spawn`] with an OS thread name — background workers (the
-    /// merge scheduler, the metrics journal) show up under their own names
-    /// in `ps`/debuggers instead of an anonymous thread id.
+    /// [`Ticker::spawn`] with an OS thread name — a background worker (the
+    /// merge scheduler) shows up under its own name in `ps`/debuggers
+    /// instead of an anonymous thread id.
     pub fn spawn_named<F>(name: &str, period: Duration, mut f: F) -> Ticker
     where
         F: FnMut() + Send + 'static,

@@ -1,5 +1,5 @@
 //! Interleaving model checks for the exec pool's chunked work queue,
-//! using the `xseq-telemetry::sched` harness that validated `BoundedRing`.
+//! using the `xseq-telemetry::sched` interleaving enumerator.
 //!
 //! N logical workers each run a script of `claim` ops; every interleaving
 //! (or a seeded sample of a too-large space) replays against a reference

@@ -48,12 +48,12 @@
 //! bit-identical to a from-scratch rebuild.
 //!
 //! [`check_updates_tiered`] wires the overlay into the
-//! `xseq-telemetry::sched` deterministic interleaving checker (the same
-//! harness that model-checks `BoundedRing`): scripted per-thread op lists —
-//! now including [`UpdateOp::Merge`] and [`UpdateOp::Compact`] — run under
-//! every (or a seeded sample of) arrival orders against a reference set
-//! model, with per-query invariants for torn segment sets, dropped
-//! tombstones and double-visible documents.
+//! `xseq-telemetry::sched` deterministic interleaving enumerator (the
+//! harness the exec pool's chunk queue is checked on): scripted per-thread
+//! op lists — now including [`UpdateOp::Merge`] and [`UpdateOp::Compact`] —
+//! run under every (or a seeded sample of) arrival orders against a
+//! reference set model, with per-query invariants for torn segment sets,
+//! dropped tombstones and double-visible documents.
 
 use crate::trie::SequenceTrie;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -710,10 +710,9 @@ fn synthetic_doc(id: DocId, symbols: &mut SymbolTable) -> Document {
     doc
 }
 
-/// Model-checks the update overlay under deterministic interleavings — the
-/// same way `check_ring` model-checks `BoundedRing` — with explicit tiering
-/// knobs (aggressive ones, e.g. `memtable_limit = 2`, `tier_ratio = 2`, make
-/// cuts and merges fire inside even short scripts).
+/// Model-checks the update overlay under deterministic interleavings with
+/// explicit tiering knobs (aggressive ones, e.g. `memtable_limit = 2`,
+/// `tier_ratio = 2`, make cuts and merges fire inside even short scripts).
 ///
 /// `threads[i]` is thread *i*'s op script.  Every schedule (exhaustive when
 /// the interleaving count is at most `limit`, a seeded sample otherwise)

@@ -69,6 +69,9 @@ pub struct QueryStats {
     pub search: SearchStats,
     /// Wall time of wildcard instantiation (`index.plan`), nanoseconds.
     pub plan_ns: u64,
+    /// Wall time of pinning the overlay snapshot (`delta.view`), ns — the
+    /// first query after a write re-freezes the memtable view here.
+    pub view_ns: u64,
     /// Wall time of query-sequence encoding (`sequence.encode`), ns.
     pub encode_ns: u64,
     /// Wall time of constraint matching (`index.search`), ns.
@@ -119,7 +122,7 @@ impl QueryOutcome {
     /// counters — as a small text report (an EXPLAIN of what the index did).
     pub fn explain(&self) -> String {
         let st = &self.stats;
-        let total = st.plan_ns + st.encode_ns + st.search_ns;
+        let total = st.plan_ns + st.view_ns + st.encode_ns + st.search_ns;
         let pct = |ns: u64| {
             if total == 0 {
                 0.0
@@ -131,6 +134,7 @@ impl QueryOutcome {
         let _ = writeln!(out, "query: {} matching document(s)", self.docs.len());
         for (phase, ns) in [
             ("index.plan", st.plan_ns),
+            ("delta.view", st.view_ns),
             ("sequence.encode", st.encode_ns),
             ("index.search", st.search_ns),
         ] {
@@ -156,17 +160,9 @@ impl QueryOutcome {
         }
         let fmt_list = |vals: &mut dyn Iterator<Item = u64>| {
             const SHOWN: usize = 16;
-            let mut shown: Vec<String> = Vec::with_capacity(SHOWN + 1);
-            let mut truncated = false;
-            for (i, v) in vals.enumerate() {
-                if i == SHOWN {
-                    truncated = true;
-                    break;
-                }
-                shown.push(v.to_string());
-            }
-            if truncated {
-                shown.push("…".into());
+            let mut shown: Vec<String> = vals.take(SHOWN + 1).map(|v| v.to_string()).collect();
+            if let Some(overflow) = shown.get_mut(SHOWN) {
+                *overflow = "…".into();
             }
             format!("[{}]", shown.join(" "))
         };
@@ -561,8 +557,15 @@ impl XmlIndex {
         }
         // One epoch-stamped overlay snapshot for the whole query: every
         // variant searches the same pinned segment set, however many merges
-        // swap runs underneath while the query runs.
+        // swap runs underneath while the query runs.  Timed: after a write
+        // this is where the memtable view re-freezes.
+        let view_span = trace.as_mut().map(|tr| tr.start_span("delta.view"));
+        let t_view = Instant::now();
         let delta_view = self.delta.delta_view();
+        outcome.stats.view_ns = elapsed_ns(t_view);
+        if let (Some(tr), Some(sp)) = (trace.as_mut(), view_span) {
+            tr.end_span(sp);
+        }
         // The frozen trie first, then every pinned overlay segment.
         let segments: Vec<&SequenceTrie> = std::iter::once(&self.trie)
             .chain(delta_view.segments())
@@ -940,6 +943,26 @@ mod tests {
             assert!(trace.root().attrs.contains(&("plan_truncated", flag)));
             assert_eq!(out.docs.len(), cap);
         }
+    }
+
+    #[test]
+    fn explain_cuts_long_lists_and_rows_every_timed_phase() {
+        let mut out = QueryOutcome {
+            descents: (0..16).collect(),
+            ..Default::default()
+        };
+        assert!(out
+            .explain()
+            .contains("descents/variant [0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15]\n"));
+        out.descents.extend([16, 17]);
+        assert!(out.explain().contains(" 14 15 …]\n"), "{}", out.explain());
+        out.stats.view_ns = 750;
+        out.stats.search_ns = 250;
+        let explain = out.explain();
+        assert!(
+            explain.contains("delta.view            750ns  ( 75.0%)"),
+            "{explain}"
+        );
     }
 
     #[test]

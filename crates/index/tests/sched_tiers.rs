@@ -1,6 +1,6 @@
 //! Interleaving model checks for the update overlay and its **tiered**
-//! segment-list swap, using the `xseq-telemetry::sched` harness that
-//! validated `BoundedRing` and the exec pool's chunk queue.
+//! segment-list swap, using the `xseq-telemetry::sched` harness that also
+//! checks the exec pool's chunk queue.
 //!
 //! `xseq_index::check_updates_tiered` replays scripted op lists —
 //! insert/remove/query plus [`UpdateOp::Merge`] (one background tier

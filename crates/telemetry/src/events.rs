@@ -1,13 +1,14 @@
 //! Flight recorder: a bounded journal of structured lifecycle events.
 //!
 //! Metrics say how much, traces say where the time went; the flight
-//! recorder says *what happened* — ingest and compaction lifecycle,
-//! configuration changes, watchdog stalls, integrity violations, slow
-//! queries, anomaly alerts.  Each [`Event`] is a severity-levelled,
-//! structured record with typed [`AttrValue`] attributes; the
-//! [`EventJournal`] retains the most recent events in the same lock-free
-//! [`BoundedRing`] the tracer uses, so recording from the hot path is a
-//! single `force_push` and never blocks on readers.
+//! recorder says *what happened* — builds, tier merges and compactions,
+//! configuration changes, integrity violations, slow queries.  Each
+//! [`Event`] is a severity-levelled, structured record with typed
+//! [`AttrValue`] attributes; the [`EventJournal`] retains the most recent
+//! events in the same bounded buffer the tracer's logs use.  Events
+//! are milestones, not per-document traffic: whatever happens thousands of
+//! times a second belongs in a histogram, or it evicts every milestone from
+//! the journal within milliseconds.
 //!
 //! Event names follow the span-name grammar (`seg(.seg)*`, segments
 //! `[a-z][a-z0-9_]*`), enforced by the xtask lint.  The journal exports as
@@ -16,22 +17,20 @@
 //! `events.jsonl`.
 
 use crate::export::{attr_json, json_string};
-use crate::ring::BoundedRing;
+use crate::retention::Retention;
 use crate::trace::AttrValue;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Event severity, ordered from least to most severe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
-    /// High-volume lifecycle detail (per-document ingest).
+    /// Routine lifecycle detail (tier merges).
     Debug,
     /// Normal operational milestones (builds, compactions, config changes).
     Info,
-    /// Conditions worth an operator's attention (stalls, slow queries,
-    /// anomaly alerts).
+    /// Conditions worth an operator's attention (slow queries).
     Warn,
     /// Invariant violations (integrity check failures).
     Error,
@@ -151,32 +150,23 @@ pub struct EventCounts {
     pub by_severity: [u64; 4],
 }
 
-/// Bounded, lock-free flight-recorder journal.
+/// Bounded flight-recorder journal.
 ///
-/// Writers `force_push` into a [`BoundedRing`] (evicting the oldest event
-/// when full); readers drain the ring into a mutex-guarded buffer, exactly
-/// like the tracer's slow-query log, so concurrent recording never blocks.
-/// Reads are non-destructive: [`events`](Self::events) returns the retained
-/// window oldest-first and can be called repeatedly.
+/// Recording evicts the oldest event when full.  Reads are
+/// non-destructive: [`events`](Self::events) returns the retained window
+/// oldest-first and can be called repeatedly.
 #[derive(Debug)]
 pub struct EventJournal {
-    capacity: usize,
     started: Instant,
     next_seq: AtomicU64,
     by_severity: [AtomicU64; 4],
-    ring: BoundedRing<Arc<Event>>,
-    /// Reader-side overflow: the ring drains here on read.  Only readers
-    /// lock this — the recording path never does.
-    read: Mutex<VecDeque<Arc<Event>>>,
+    retained: Retention<Arc<Event>>,
 }
 
 impl EventJournal {
-    /// A journal retaining the most recent `capacity` events (clamped ≥ 2,
-    /// matching the ring's minimum).
+    /// A journal retaining the most recent `capacity` events (clamped ≥ 1).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(2);
         EventJournal {
-            capacity,
             started: Instant::now(),
             next_seq: AtomicU64::new(1),
             by_severity: [
@@ -185,14 +175,13 @@ impl EventJournal {
                 AtomicU64::new(0),
                 AtomicU64::new(0),
             ],
-            ring: BoundedRing::new(capacity),
-            read: Mutex::new(VecDeque::new()),
+            retained: Retention::new(capacity),
         }
     }
 
     /// The retention capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.retained.capacity()
     }
 
     /// Stamps `event` with its sequence number and journal-relative
@@ -205,7 +194,7 @@ impl EventJournal {
         // PANIC-FREE: Severity::index is 0..4 and by_severity is [_; 4]
         self.by_severity[event.severity.index()].fetch_add(1, Ordering::Relaxed);
         let event = Arc::new(event);
-        self.ring.force_push(event.clone());
+        self.retained.push(event.clone());
         event
     }
 
@@ -227,14 +216,7 @@ impl EventJournal {
     /// The retained events, oldest first (at most
     /// [`capacity`](Self::capacity), the most recent ones).
     pub fn events(&self) -> Vec<Arc<Event>> {
-        let mut buf = self.read.lock().expect("event reader lock");
-        while let Some(e) = self.ring.pop() {
-            buf.push_back(e);
-        }
-        while buf.len() > self.capacity {
-            buf.pop_front();
-        }
-        buf.iter().cloned().collect()
+        self.retained.snapshot()
     }
 
     /// Exports the retained events as JSON Lines: one JSON object per line,

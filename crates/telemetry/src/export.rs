@@ -189,66 +189,6 @@ pub fn render_table(snapshot: &Snapshot) -> String {
     out
 }
 
-/// Renders `snapshot` in the Prometheus text exposition format.
-///
-/// Dots in registry names become underscores (`index.search.candidates` →
-/// `index_search_candidates`); any other character outside
-/// `[a-zA-Z0-9_]` is replaced by `_` as well.  Counters and gauges emit a
-/// `# TYPE` line and one sample.  Histograms emit cumulative
-/// `_bucket{le="…"}` series over the non-empty power-of-two buckets (the
-/// `le` bound is each bucket's inclusive upper value), a final
-/// `le="+Inf"` bucket, and `_sum`/`_count` samples — the shape
-/// [`crate::promlint::lint_prometheus`] validates in CI.
-pub fn to_prometheus(snapshot: &Snapshot) -> String {
-    let mut out = String::new();
-    for (name, value) in &snapshot.metrics {
-        let pname = prometheus_name(name);
-        match value {
-            MetricValue::Counter(v) => {
-                let _ = writeln!(out, "# TYPE {pname} counter\n{pname} {v}");
-            }
-            MetricValue::Gauge(v) => {
-                let _ = writeln!(out, "# TYPE {pname} gauge\n{pname} {v}");
-            }
-            MetricValue::Histogram(h) => {
-                let _ = writeln!(out, "# TYPE {pname} histogram");
-                let mut cumulative = 0u64;
-                for (b, &c) in h.buckets.iter().enumerate() {
-                    if c == 0 {
-                        continue;
-                    }
-                    cumulative += c;
-                    let (_, hi) = crate::metrics::bucket_bounds(b);
-                    let _ = writeln!(out, "{pname}_bucket{{le=\"{hi}\"}} {cumulative}");
-                }
-                let _ = writeln!(out, "{pname}_bucket{{le=\"+Inf\"}} {cumulative}");
-                let _ = writeln!(out, "{pname}_sum {}", h.sum);
-                let _ = writeln!(out, "{pname}_count {}", h.count);
-            }
-        }
-    }
-    out
-}
-
-/// Maps a dotted registry name onto the Prometheus name charset.
-pub fn prometheus_name(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    let starts_ok = matches!(out.chars().next(), Some(c) if c.is_ascii_alphabetic() || c == '_');
-    if !starts_ok {
-        out.insert(0, '_');
-    }
-    out
-}
-
 /// Serializes a [`Trace`] in the Chrome trace-event JSON format.
 ///
 /// The output is an object with a `traceEvents` array of `"X"` (complete)
@@ -434,40 +374,6 @@ mod tests {
             assert!(table.contains(name), "{name} missing from:\n{table}");
         }
         assert!(table.contains("metric"));
-    }
-
-    #[test]
-    fn prometheus_shape() {
-        let text = to_prometheus(&sample_snapshot());
-        assert!(text.contains("# TYPE a_count counter\na_count 3\n"));
-        assert!(text.contains("# TYPE b_gauge gauge\nb_gauge -4\n"));
-        assert!(text.contains("# TYPE c_lat histogram"));
-        // 500 lands in bucket [256,511], 1500 in [1024,2047]; cumulative
-        assert!(text.contains("c_lat_bucket{le=\"511\"} 1\n"), "{text}");
-        assert!(text.contains("c_lat_bucket{le=\"2047\"} 2\n"), "{text}");
-        assert!(text.contains("c_lat_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("c_lat_sum 2000\n"));
-        assert!(text.contains("c_lat_count 2\n"));
-        // the empty histogram still has a complete series
-        assert!(text.contains("d_empty_bucket{le=\"+Inf\"} 0\n"));
-        assert!(text.contains("d_empty_count 0\n"));
-    }
-
-    #[test]
-    fn prometheus_output_passes_the_linter() {
-        let text = to_prometheus(&sample_snapshot());
-        let findings = crate::promlint::lint_prometheus(&text);
-        assert!(findings.is_empty(), "{findings:?}\n{text}");
-    }
-
-    #[test]
-    fn prometheus_name_sanitization() {
-        assert_eq!(
-            prometheus_name("index.search.candidates"),
-            "index_search_candidates"
-        );
-        assert_eq!(prometheus_name("a-b/c"), "a_b_c");
-        assert_eq!(prometheus_name("9lives"), "_9lives");
     }
 
     #[test]

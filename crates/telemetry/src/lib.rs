@@ -14,63 +14,44 @@
 //!   interval measurements.
 //! - [`SpanTimer`] — an RAII guard recording a phase's wall time into a
 //!   histogram on drop.
-//! - [`export::to_json`] / [`export::render_table`] /
-//!   [`export::to_prometheus`] — snapshot exporters, the last in the
-//!   Prometheus text exposition format with [`promlint`] as its
-//!   dep-free CI validator.
+//! - [`export::to_json`] / [`export::render_table`] — snapshot exporters.
 //! - [`HeapSize`] — model-based heap attribution feeding the `memory.*`
 //!   gauge family (domain impls live next to their types).
-//! - [`Watchdog`] / [`MetricsJournal`] — tick-driven liveness flags
-//!   (`health.*`) and a snapshot-delta journal, driven externally (e.g.
-//!   by the `xseq-exec` ticker) so this crate stays thread-free.
 //! - [`Tracer`] / [`ActiveTrace`] / [`Trace`] — hierarchical per-query
-//!   tracing with head sampling and an always-retained slow-query log,
-//!   flushed through a lock-free [`BoundedRing`]; traces export as Chrome
-//!   trace-event JSON ([`export::to_chrome_json`]) or an indented text tree
-//!   ([`export::render_trace`]).
-//! - [`EventJournal`] / [`Event`] — the flight recorder: a bounded,
-//!   lock-free journal of severity-levelled lifecycle events, exportable
-//!   as JSON Lines.
-//! - [`AnomalyDetector`] — online SLO detection: streaming [`P2Quantile`]
-//!   and [`Ewma`] baselines over snapshot deltas, with burn-rate
-//!   hysteresis, `anomaly.*` gauges and flight-recorder alerts.
-//! - [`PhaseProfile`] — continuous phase profiling folded from the span
-//!   timers' histograms, rendered as collapsed stacks for flamegraph
-//!   or speedscope.
+//!   tracing with head sampling and an always-retained slow-query log;
+//!   traces export as Chrome trace-event JSON ([`export::to_chrome_json`])
+//!   or an indented text tree ([`export::render_trace`]).
+//! - [`EventJournal`] / [`Event`] — the flight recorder: a bounded journal
+//!   of severity-levelled lifecycle events, exportable as JSON Lines.
+//! - [`Schedules`] — the deterministic interleaving enumerator the model
+//!   checks in this crate, `xseq-exec` and `xseq-index` run on.
 //!
-//! Everything mutating is lock-free (relaxed atomics), so instrumentation
-//! can sit inside the paper's per-candidate inner loops without changing
-//! the measured behaviour.
+//! Counters, gauges and histograms mutate through relaxed atomics only, so
+//! instrumentation can sit inside the paper's per-candidate inner loops
+//! without changing the measured behaviour.  The two things that retain
+//! history — the flight recorder and the tracer's logs — share one
+//! mutex-guarded bounded buffer, touched once per lifecycle event or
+//! retained trace.
+#![forbid(unsafe_code)]
 
-pub mod anomaly;
 pub mod events;
 pub mod export;
-pub mod health;
 pub mod heap;
 pub mod metrics;
-pub mod profile;
-pub mod promlint;
 pub mod registry;
-pub mod ring;
+mod retention;
 pub mod sched;
 pub mod span;
 pub mod trace;
 
-pub use anomaly::{AnomalyAlert, AnomalyDetector, AnomalyKind, Ewma, P2Quantile, SloPolicy};
 pub use events::{Event, EventCounts, EventJournal, Severity};
-pub use export::{
-    format_ns, prometheus_name, render_table, render_trace, to_chrome_json, to_json, to_prometheus,
-};
-pub use health::{MetricsJournal, Watchdog, WorkerHandle};
+pub use export::{format_ns, render_table, render_trace, to_chrome_json, to_json};
 pub use heap::{hash_table_alloc_bytes, HeapSize};
 pub use metrics::{
     bucket_bounds, bucket_of, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS,
 };
-pub use profile::{PhaseEntry, PhaseNode, PhaseProfile};
-pub use promlint::{lint_prometheus, PromFinding};
 pub use registry::{Metric, MetricValue, MetricsRegistry, Snapshot};
-pub use ring::BoundedRing;
-pub use sched::{check_counter, check_ring, CounterOp, RingOp, Schedules};
+pub use sched::{check_counter, CounterOp, Schedules};
 pub use span::SpanTimer;
 pub use trace::{
     ActiveTrace, AttrValue, SpanId, Trace, TraceConfig, TraceId, TraceSpan, Tracer, TracerStats,

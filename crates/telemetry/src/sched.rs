@@ -1,39 +1,23 @@
-//! Deterministic interleaving checker for the lock-free primitives.
+//! Deterministic interleaving enumerator.
 //!
 //! A loom-style, dependency-free harness: N logical threads each hold a
-//! script of operations against a shared structure, and the checker runs
+//! script of operations against a shared structure, and [`Schedules`] runs
 //! the scripts through **every** interleaving of their operations (or a
-//! seeded sample when the schedule space exceeds a bound), comparing the
-//! real structure against a trivially-correct reference model after every
-//! schedule.  A lost entry, duplicated entry, wrong eviction or broken
-//! FIFO order in any schedule fails with that schedule attached, so the
-//! failure replays deterministically.
+//! seeded sample when the schedule space exceeds a bound).  A checker built
+//! on it compares the real structure against a trivially-correct reference
+//! model after every schedule and fails with the schedule attached, so the
+//! failure replays deterministically.  [`check_counter`] is the one in this
+//! crate; the `exec` chunk queue and the `index` tiered delta run their own
+//! model checks on the same enumerator.
 //!
 //! ## What this does and does not check
 //!
 //! Operations are interleaved *whole*: each schedule executes on one
-//! thread, so this validates the op-level state machine — the
-//! linearizability contract of [`BoundedRing`]'s push/pop/force_push and
-//! of the metric counters — under every arrival order, including the
-//! cursor-wrap and full/empty boundary cases that are hard to hit live.
-//! Instruction-level tearing (two threads inside `push` at once) is
-//! covered separately by the multi-threaded stress tests in `ring.rs`; the
-//! two are complementary.
+//! thread, so this validates the op-level state machine under every
+//! arrival order, not instruction-level tearing — that is what the
+//! multi-threaded tests and the TSan job are for.
 
 use crate::metrics::Counter;
-use crate::ring::BoundedRing;
-use std::collections::VecDeque;
-
-/// One scripted operation against a [`BoundedRing`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RingOp {
-    /// `push(value)` — may fail when full.
-    Push(u64),
-    /// `force_push(value)` — evicts the oldest when full.
-    ForcePush(u64),
-    /// `pop()` — may return nothing when empty.
-    Pop,
-}
 
 /// One scripted operation against a [`Counter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,118 +139,6 @@ impl Schedules {
             }
         }
     }
-}
-
-/// Checks a [`BoundedRing`] of the given capacity against a reference
-/// `VecDeque` model over every interleaving (or a seeded sample) of the
-/// per-thread op scripts.  Returns the number of schedules checked, or the
-/// first divergence with its schedule.
-pub fn check_ring(
-    threads: &[Vec<RingOp>],
-    capacity: usize,
-    limit: usize,
-    seed: u64,
-) -> Result<usize, String> {
-    // mirror BoundedRing::new's minimum so ring and model agree
-    let capacity = capacity.max(2);
-    check_ring_model(threads, capacity, capacity, limit, seed)
-}
-
-/// [`check_ring`] with an independently-sized reference model — the
-/// self-test hook that proves the checker *can* fail (a model of a
-/// different capacity must diverge).
-#[doc(hidden)]
-pub fn check_ring_model(
-    threads: &[Vec<RingOp>],
-    capacity: usize,
-    model_capacity: usize,
-    limit: usize,
-    seed: u64,
-) -> Result<usize, String> {
-    let ops_per_thread: Vec<usize> = threads.iter().map(Vec::len).collect();
-    let schedules = Schedules::new(&ops_per_thread, limit, seed);
-    let mut failure: Option<String> = None;
-    let visited = schedules.for_each(|sched| {
-        if failure.is_some() {
-            return;
-        }
-        if let Err(e) = run_ring_schedule(threads, capacity, model_capacity, sched) {
-            failure = Some(format!("{e} (schedule {sched:?})"));
-        }
-    });
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(visited),
-    }
-}
-
-fn run_ring_schedule(
-    threads: &[Vec<RingOp>],
-    capacity: usize,
-    model_capacity: usize,
-    sched: &[usize],
-) -> Result<(), String> {
-    let ring: BoundedRing<u64> = BoundedRing::new(capacity);
-    let mut model: VecDeque<u64> = VecDeque::new();
-    let mut cursor = vec![0usize; threads.len()];
-    for (step, &t) in sched.iter().enumerate() {
-        let op = threads[t][cursor[t]];
-        cursor[t] += 1;
-        match op {
-            RingOp::Push(v) => {
-                let real = ring.push(v);
-                if model.len() < model_capacity {
-                    model.push_back(v);
-                    if real.is_err() {
-                        return Err(format!("step {step}: push({v}) failed on a non-full ring"));
-                    }
-                } else if real.is_ok() {
-                    return Err(format!("step {step}: push({v}) succeeded on a full ring"));
-                }
-            }
-            RingOp::ForcePush(v) => {
-                let evicted = ring.force_push(v);
-                let expect = if model.len() >= model_capacity {
-                    model.pop_front()
-                } else {
-                    None
-                };
-                model.push_back(v);
-                if evicted != expect {
-                    return Err(format!(
-                        "step {step}: force_push({v}) evicted {evicted:?}, expected {expect:?}"
-                    ));
-                }
-            }
-            RingOp::Pop => {
-                let real = ring.pop();
-                let expect = model.pop_front();
-                if real != expect {
-                    return Err(format!(
-                        "step {step}: pop gave {real:?}, expected {expect:?}"
-                    ));
-                }
-            }
-        }
-        let len = ring.len();
-        if len != model.len().min(capacity) {
-            return Err(format!(
-                "step {step}: ring len {len} vs model {}",
-                model.len()
-            ));
-        }
-    }
-    // Drain: the survivors must match the model exactly, in order — this is
-    // where a lost, duplicated or reordered entry surfaces.
-    let mut drained = Vec::new();
-    while let Some(v) = ring.pop() {
-        drained.push(v);
-    }
-    let expected: Vec<u64> = model.into_iter().collect();
-    if drained != expected {
-        return Err(format!("final drain {drained:?} != model {expected:?}"));
-    }
-    Ok(())
 }
 
 /// Checks a [`Counter`] over every interleaving (or a seeded sample) of the

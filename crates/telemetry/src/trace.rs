@@ -11,23 +11,22 @@
 //! push and two monotonic clock reads — no atomics, no sharing.
 //!
 //! When the operation finishes, [`Tracer::finish`] seals the buffer into an
-//! immutable [`Trace`] and flushes it into lock-free bounded rings
-//! ([`crate::ring::BoundedRing`]):
+//! immutable [`Trace`] and retains it in two bounded logs (latest N,
+//! oldest first):
 //!
 //! * **head sampling** — [`TraceConfig::sample_rate`] of traces, decided at
-//!   trace *start*, land in the *recent traces* ring;
+//!   trace *start*, land in the *recent traces* log;
 //! * **slow-query log** — traces at or above
 //!   [`TraceConfig::slow_threshold`] are *always* retained, regardless of
 //!   the sampling decision, so slow-query forensics never miss.
 //!
-//! Readers ([`Tracer::slow_queries`], [`Tracer::recent_traces`]) drain the
-//! rings into a reader-side buffer; that buffer is mutex-guarded but only
-//! readers touch it, so the query-side flush stays lock-free.
+//! Only a sampled or slow trace takes a log's lock, once, after its query
+//! is done; reads ([`Tracer::slow_queries`], [`Tracer::recent_traces`])
+//! are non-destructive.
 
-use crate::ring::BoundedRing;
-use std::collections::VecDeque;
+use crate::retention::Retention;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Identifies one trace (one traced query/build operation).
@@ -165,14 +164,14 @@ impl Trace {
 /// Tracing policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
-    /// Fraction of operations whose trace is kept in the recent-traces ring
+    /// Fraction of operations whose trace is kept in the recent-traces log
     /// (head sampling, decided at trace start; clamped to `0.0..=1.0`).
     pub sample_rate: f64,
     /// Operations at or above this duration are always retained in the
     /// slow-query log, regardless of sampling.  `Duration::ZERO` retains
     /// everything.
     pub slow_threshold: Duration,
-    /// Capacity of the recent-traces ring.
+    /// Capacity of the recent-traces log.
     pub recent_capacity: usize,
     /// Capacity of the slow-query log.
     pub slow_capacity: usize,
@@ -343,7 +342,7 @@ pub struct TracerStats {
 }
 
 /// The shared side of tracing: id allocation, the head-sampling decision,
-/// and the two retention rings.
+/// and the two retention logs.
 #[derive(Debug)]
 pub struct Tracer {
     config: TraceConfig,
@@ -358,12 +357,8 @@ pub struct Tracer {
     started: AtomicU64,
     sampled_count: AtomicU64,
     slow_count: AtomicU64,
-    recent: BoundedRing<Arc<Trace>>,
-    slow: BoundedRing<Arc<Trace>>,
-    /// Reader-side overflow: rings are drained here on read.  Only readers
-    /// lock these — the query-path flush never does.
-    recent_read: Mutex<VecDeque<Arc<Trace>>>,
-    slow_read: Mutex<VecDeque<Arc<Trace>>>,
+    recent: Retention<Arc<Trace>>,
+    slow: Retention<Arc<Trace>>,
 }
 
 impl Tracer {
@@ -378,10 +373,8 @@ impl Tracer {
             started: AtomicU64::new(0),
             sampled_count: AtomicU64::new(0),
             slow_count: AtomicU64::new(0),
-            recent: BoundedRing::new(config.recent_capacity),
-            slow: BoundedRing::new(config.slow_capacity),
-            recent_read: Mutex::new(VecDeque::new()),
-            slow_read: Mutex::new(VecDeque::new()),
+            recent: Retention::new(config.recent_capacity),
+            slow: Retention::new(config.slow_capacity),
             config,
         }
     }
@@ -449,17 +442,17 @@ impl Tracer {
     }
 
     /// Seals `active` and applies retention: slow traces always enter the
-    /// slow-query log; sampled traces enter the recent ring.  Returns the
+    /// slow-query log; sampled traces enter the recent log.  Returns the
     /// sealed trace either way, so the caller can attach it to its result.
     pub fn finish(&self, active: ActiveTrace) -> Arc<Trace> {
         let trace = Arc::new(active.seal(self.slow_threshold()));
         if trace.slow {
             // ORDERING: counter — independent retention statistic
             self.slow_count.fetch_add(1, Ordering::Relaxed);
-            self.slow.force_push(trace.clone());
+            self.slow.push(trace.clone());
         }
         if trace.sampled {
-            self.recent.force_push(trace.clone());
+            self.recent.push(trace.clone());
         }
         trace
     }
@@ -467,27 +460,12 @@ impl Tracer {
     /// The retained slow queries, oldest first (at most
     /// [`TraceConfig::slow_capacity`], the most recent ones).
     pub fn slow_queries(&self) -> Vec<Arc<Trace>> {
-        Self::read(&self.slow, &self.slow_read, self.config.slow_capacity)
+        self.slow.snapshot()
     }
 
     /// The head-sampled recent traces, oldest first.
     pub fn recent_traces(&self) -> Vec<Arc<Trace>> {
-        Self::read(&self.recent, &self.recent_read, self.config.recent_capacity)
-    }
-
-    fn read(
-        ring: &BoundedRing<Arc<Trace>>,
-        read_buf: &Mutex<VecDeque<Arc<Trace>>>,
-        capacity: usize,
-    ) -> Vec<Arc<Trace>> {
-        let mut buf = read_buf.lock().expect("trace reader lock");
-        while let Some(t) = ring.pop() {
-            buf.push_back(t);
-        }
-        while buf.len() > capacity {
-            buf.pop_front();
-        }
-        buf.iter().cloned().collect()
+        self.recent.snapshot()
     }
 }
 

@@ -1,181 +1,11 @@
-//! Model-checking the lock-free telemetry primitives: every interleaving
-//! (exhaustive where the space is small, seeded sampling beyond) of scripted
-//! producer/consumer threads runs against a reference model — no schedule
-//! may lose, duplicate or reorder an entry.
+//! Model-checking the metric counters: every interleaving (exhaustive
+//! where the space is small, seeded sampling beyond) of scripted threads
+//! runs against the exact sum — no schedule may lose an add or show a
+//! snapshot going backwards.
 
-use std::sync::Arc;
-use xseq_telemetry::sched::check_ring_model;
-use xseq_telemetry::{
-    check_counter, check_ring, CounterOp, MetricsRegistry, RingOp, Schedules, Watchdog,
-};
+use xseq_telemetry::{check_counter, CounterOp};
 
 use CounterOp::{Add, Snapshot};
-use RingOp::{ForcePush, Pop, Push};
-
-#[test]
-fn exhaustive_two_producers_one_consumer() {
-    // 3 + 3 + 3 ops = 1680 schedules: exhaustive.
-    let threads = vec![
-        vec![Push(1), Push(2), Push(3)],
-        vec![Push(10), Push(20), Push(30)],
-        vec![Pop, Pop, Pop],
-    ];
-    let checked = check_ring(&threads, 4, 2_000, 1).expect("no schedule may diverge");
-    assert_eq!(checked, 1680);
-    assert!(Schedules::new(&[3, 3, 3], 2_000, 1).is_exhaustive());
-}
-
-#[test]
-fn exhaustive_full_ring_boundary() {
-    // Capacity 2 (the minimum) with 3 pushes in flight: many schedules hit
-    // the full boundary, many the empty one.
-    let threads = vec![vec![Push(1), Push(2)], vec![Pop, Pop], vec![Push(3)]];
-    let checked = check_ring(&threads, 2, 1_000, 1).unwrap();
-    assert_eq!(checked, 30);
-}
-
-#[test]
-fn capacity_one_is_rounded_up() {
-    // Regression for a real bug the exhaustive checker found: with a single
-    // slot the lap stamps collide (`pos + 1 == pos + capacity`), so a second
-    // push overwrote the unconsumed value and pop span forever.  The ring
-    // now enforces a minimum capacity of 2; the checker must agree with it.
-    let threads = vec![vec![Push(1), Push(2)], vec![Pop, Pop]];
-    check_ring(&threads, 1, 1_000, 1).unwrap();
-}
-
-#[test]
-fn exhaustive_force_push_eviction() {
-    // force_push on a tiny ring: every schedule exercises eviction order.
-    let threads = vec![
-        vec![ForcePush(1), ForcePush(2), ForcePush(3)],
-        vec![ForcePush(10), Pop],
-        vec![Pop],
-    ];
-    let checked = check_ring(&threads, 2, 1_000, 1).unwrap();
-    assert_eq!(checked, 60);
-}
-
-#[test]
-fn sampled_exploration_of_a_large_space() {
-    // 6 × 4 threads = far beyond the limit: 500 seeded samples instead.
-    let threads = vec![
-        vec![Push(1), Push(2), Push(3), ForcePush(4), Push(5), Pop],
-        vec![Push(11), Pop, Push(12), Pop, Push(13), Pop],
-        vec![ForcePush(21), ForcePush(22), Pop, Push(23), Pop, Pop],
-        vec![Pop, Push(31), Pop, ForcePush(32), Push(33), Pop],
-    ];
-    let sched = Schedules::new(&[6, 6, 6, 6], 500, 42);
-    assert!(!sched.is_exhaustive());
-    assert!(sched.count().unwrap() > 1_000_000);
-    let checked = check_ring(&threads, 3, 500, 42).unwrap();
-    assert_eq!(checked, 500);
-}
-
-#[test]
-fn wraparound_laps_under_all_schedules() {
-    // More traffic than capacity × several laps through a capacity-2 ring.
-    let threads = vec![
-        vec![Push(1), Pop, Push(2), Pop],
-        vec![Push(3), Pop, Push(4), Pop],
-    ];
-    let checked = check_ring(&threads, 2, 1_000, 9).unwrap();
-    assert_eq!(checked, 70);
-}
-
-#[test]
-fn checker_detects_a_wrong_model() {
-    // Self-test: a reference model of a different capacity must diverge —
-    // the harness is capable of failing.
-    let threads = vec![vec![Push(1), Push(2), Push(3)], vec![Pop]];
-    let err = check_ring_model(&threads, 2, 3, 1_000, 1).unwrap_err();
-    assert!(
-        err.contains("schedule"),
-        "failure names its schedule: {err}"
-    );
-}
-
-/// Declarative reference for the watchdog's stall/recovery hysteresis,
-/// recomputed from the full observation history: a stall trigger is a
-/// silent run of ≥ `stall_ticks`, a clear is parking or a progress run of
-/// ≥ `recover_ticks`, and the state is whichever trigger came last.
-fn reference_stalled(history: &[(bool, bool)], stall_ticks: u64, recover_ticks: u64) -> bool {
-    let mut stalled = false;
-    let mut silent_run = 0u64;
-    let mut progress_run = 0u64;
-    for &(progressed, active) in history {
-        if progressed {
-            silent_run = 0;
-            progress_run += 1;
-            if stalled && (!active || progress_run >= recover_ticks) {
-                stalled = false;
-            }
-        } else {
-            progress_run = 0;
-            silent_run += 1;
-            if silent_run >= stall_ticks {
-                stalled = true;
-            }
-        }
-    }
-    stalled
-}
-
-#[test]
-fn watchdog_hysteresis_matches_reference_under_all_interleavings() {
-    #[derive(Clone, Copy, Debug)]
-    enum Op {
-        Beat,
-        SetActive(bool),
-        Tick,
-    }
-    // One worker thread (activate, two beats, park) interleaved every way
-    // with five monitor ticks: 126 exhaustive schedules covering stalls
-    // that begin before, between and after the beats.
-    let threads: Vec<Vec<Op>> = vec![
-        vec![
-            Op::SetActive(true),
-            Op::Beat,
-            Op::Beat,
-            Op::SetActive(false),
-        ],
-        vec![Op::Tick; 5],
-    ];
-    let scheds = Schedules::new(&[4, 5], 3_000, 7);
-    assert!(scheds.is_exhaustive());
-    let checked = scheds.for_each(|sched| {
-        let reg = Arc::new(MetricsRegistry::new());
-        let dog = Watchdog::with_hysteresis(reg.clone(), 1, 2);
-        let w = dog.register("model");
-        let mut idx = [0usize; 2];
-        let mut history: Vec<(bool, bool)> = Vec::new();
-        let mut last_beat = 0u64;
-        for &t in sched {
-            let op = threads[t][idx[t]];
-            idx[t] += 1;
-            match op {
-                Op::Beat => w.beat(),
-                Op::SetActive(a) => w.set_active(a),
-                Op::Tick => {
-                    // Observe exactly what the watchdog will observe.
-                    let beat = reg.snapshot().counter("health.model.heartbeat");
-                    let active = reg.gauge("health.model.active").get() > 0;
-                    let progressed = !active || beat != last_beat;
-                    last_beat = beat;
-                    history.push((progressed, active));
-                    dog.tick();
-                    let got = reg.gauge("health.model.stalled").get() == 1;
-                    let want = reference_stalled(&history, 1, 2);
-                    assert_eq!(
-                        got, want,
-                        "schedule {sched:?} diverged; history {history:?}"
-                    );
-                }
-            }
-        }
-    });
-    assert_eq!(checked, 126);
-}
 
 #[test]
 fn counter_snapshots_are_monotone_and_exact() {

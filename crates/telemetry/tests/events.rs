@@ -1,78 +1,7 @@
-//! Integration tests for the flight recorder and the P² estimator:
-//! multi-thread journal retention/ordering (mirroring the slow-log tests)
-//! and property tests of [`P2Quantile`] against exact sorted-sample
-//! quantiles on random streams.
+//! Integration tests for the flight recorder: multi-thread journal
+//! retention/ordering (mirroring the slow-log tests) and the JSONL export.
 
-use proptest::prelude::*;
-use xseq_telemetry::{Event, EventJournal, P2Quantile, Severity};
-
-/// Exact nearest-rank quantile of a sorted sample set.
-fn exact_quantile(sorted: &[f64], p: f64) -> f64 {
-    let n = sorted.len();
-    let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
-    sorted[rank - 1]
-}
-
-/// splitmix64, the repo's standard test PRNG.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-proptest! {
-    /// On uniform random streams the P² estimate lands inside the exact
-    /// quantile envelope `[quantile(p − 0.08), quantile(p + 0.08)]` — the
-    /// algorithm's documented accuracy regime — and always inside the
-    /// observed range.
-    #[test]
-    fn p2_tracks_exact_quantiles_on_random_streams(
-        seed in 0u64..u64::MAX,
-        n in 64usize..600,
-        q_idx in 0usize..3,
-    ) {
-        let p = [0.5, 0.9, 0.99][q_idx];
-        let mut est = P2Quantile::new(p);
-        let mut state = seed;
-        let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = (splitmix64(&mut state) % 1_000_000) as f64;
-            samples.push(v);
-            est.observe(v);
-        }
-        let v = est.value().expect("non-empty stream");
-        let mut sorted = samples;
-        sorted.sort_by(f64::total_cmp);
-        let lo = exact_quantile(&sorted, (p - 0.08).max(0.0));
-        let hi = exact_quantile(&sorted, (p + 0.08).min(1.0));
-        prop_assert!(
-            (sorted[0]..=sorted[sorted.len() - 1]).contains(&v),
-            "p={} estimate {} escaped the observed range", p, v
-        );
-        prop_assert!(
-            (lo..=hi).contains(&v),
-            "p={} n={} estimate {} outside exact envelope [{}, {}]", p, n, v, lo, hi
-        );
-    }
-
-    /// Below five observations the estimator is *exactly* the nearest-rank
-    /// quantile, for any values and any p.
-    #[test]
-    fn p2_is_exact_for_tiny_streams(
-        samples in proptest::collection::vec(0u64..1_000_000, 1..5),
-        p in 0.0f64..1.0,
-    ) {
-        let mut est = P2Quantile::new(p);
-        for &s in &samples {
-            est.observe(s as f64);
-        }
-        let mut sorted: Vec<f64> = samples.iter().map(|&s| s as f64).collect();
-        sorted.sort_by(f64::total_cmp);
-        prop_assert_eq!(est.value(), Some(exact_quantile(&sorted, est.p())));
-    }
-}
+use xseq_telemetry::{Event, EventJournal, Severity};
 
 #[test]
 fn event_journal_retention_under_thread_load() {

@@ -10,7 +10,7 @@ pub fn emit(journal: &EventJournal) {
     journal.record(Event::new("compact.tier.start")); // good: background tier merge
     journal.record(Event::new("compact.tier.finish")); // good: background tier merge
     journal.record(
-        Event::new("anomaly.latency") // good
+        Event::new("query.slow") // good
             .severity(Severity::Warn)
             .message("Event::new(\"Not.A.Name\") inside a string must not fire"),
     );

@@ -4,12 +4,9 @@
 //! Checks, per artifact:
 //!
 //! * every required file is present and readable;
-//! * `metrics.prom` passes the dep-free Prometheus linter;
 //! * every `*.json` artifact parses as exactly one well-formed JSON value
 //!   (a dep-free recursive-descent validator — no serde in this repo);
 //! * `events.jsonl` parses line by line, one JSON object per event;
-//! * `profile.collapsed` is well-formed collapsed-stack output
-//!   (`frame;frame <u64>` per line);
 //! * `manifest.json` carries the provenance keys downstream tooling
 //!   relies on.
 //!
@@ -18,9 +15,8 @@
 
 use std::path::Path;
 
-/// Artifacts every bundle must contain.
+/// The eight artifacts a bundle consists of.
 const REQUIRED: &[&str] = &[
-    "metrics.prom",
     "metrics.json",
     "stats.txt",
     "workload.json",
@@ -28,7 +24,6 @@ const REQUIRED: &[&str] = &[
     "traces_recent.json",
     "traces_slow.json",
     "events.jsonl",
-    "profile.collapsed",
     "manifest.json",
 ];
 
@@ -45,11 +40,6 @@ pub fn check_bundle(dir: &Path) -> Vec<String> {
             }
         };
         match *name {
-            "metrics.prom" => {
-                for f in xseq_telemetry::lint_prometheus(&text) {
-                    findings.push(format!("{name}: {f}"));
-                }
-            }
             "stats.txt" => {
                 if !text.starts_with("database:") {
                     findings.push(format!("{name}: missing the stats header line"));
@@ -62,13 +52,6 @@ pub fn check_bundle(dir: &Path) -> Vec<String> {
                     if !line.starts_with('{') {
                         findings.push(format!("{name}:{}: event is not a JSON object", no + 1));
                     } else if let Err(e) = validate_json(line) {
-                        findings.push(format!("{name}:{}: {e}", no + 1));
-                    }
-                }
-            }
-            "profile.collapsed" => {
-                for (no, line) in text.lines().enumerate() {
-                    if let Err(e) = check_collapsed_line(line) {
                         findings.push(format!("{name}:{}: {e}", no + 1));
                     }
                 }
@@ -99,20 +82,6 @@ pub fn check_bundle(dir: &Path) -> Vec<String> {
         }
     }
     findings
-}
-
-/// One collapsed-stack line: `frame(;frame)* <u64>`.
-fn check_collapsed_line(line: &str) -> Result<(), String> {
-    let Some((stack, value)) = line.rsplit_once(' ') else {
-        return Err("missing the ` <value>` tail".into());
-    };
-    if value.parse::<u64>().is_err() {
-        return Err(format!("value `{value}` is not a u64"));
-    }
-    if stack.is_empty() || stack.split(';').any(|f| f.trim().is_empty()) {
-        return Err(format!("malformed frame stack `{stack}`"));
-    }
-    Ok(())
 }
 
 /// Validates that `text` is exactly one well-formed JSON value — a
@@ -322,23 +291,12 @@ mod tests {
     }
 
     #[test]
-    fn collapsed_lines_are_checked_per_field() {
-        assert_eq!(check_collapsed_line("ingest;xml.parse 12345"), Ok(()));
-        assert_eq!(check_collapsed_line("query 0"), Ok(()));
-        assert!(check_collapsed_line("no-value-tail").is_err());
-        assert!(check_collapsed_line("stack not_a_number").is_err());
-        assert!(check_collapsed_line("bad;;stack 5").is_err());
-        assert!(check_collapsed_line(" 5").is_err());
-    }
-
-    #[test]
     fn bundle_check_reports_missing_and_malformed_artifacts() {
         let dir = std::env::temp_dir().join(format!("xseq-diagcheck-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         // A minimal, fully valid bundle…
         let valid: &[(&str, &str)] = &[
-            ("metrics.prom", ""),
             ("metrics.json", "{\"metrics\":{}}"),
             ("stats.txt", "database: 1 docs | 2 paths | 1 shard(s)\n"),
             ("workload.json", "{\"queries\":0}"),
@@ -349,7 +307,6 @@ mod tests {
             ("traces_recent.json", "[]"),
             ("traces_slow.json", "[]"),
             ("events.jsonl", "{\"seq\":1,\"name\":\"ingest.build\"}\n"),
-            ("profile.collapsed", "ingest;xml.parse 10\n"),
             (
                 "manifest.json",
                 "{\"version\":\"0.1.0\",\"sequencing\":\"probability\",\"shards\":1,\"files\":[]}",
@@ -361,15 +318,13 @@ mod tests {
         assert_eq!(check_bundle(&dir), Vec::<String>::new());
         // …then break three artifacts three different ways.
         std::fs::write(dir.join("heap.json"), "{broken").unwrap();
-        std::fs::write(dir.join("profile.collapsed"), "no tail here x\n").unwrap();
+        std::fs::write(dir.join("stats.txt"), "no header here\n").unwrap();
         std::fs::remove_file(dir.join("events.jsonl")).unwrap();
         let findings = check_bundle(&dir);
         assert_eq!(findings.len(), 3, "{findings:?}");
         assert!(findings.iter().any(|f| f.starts_with("heap.json:")));
         assert!(findings.iter().any(|f| f.starts_with("events.jsonl:")));
-        assert!(findings
-            .iter()
-            .any(|f| f.starts_with("profile.collapsed:1:")));
+        assert!(findings.iter().any(|f| f.starts_with("stats.txt:")));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -4,12 +4,12 @@
 //!
 //! Rules:
 //!
-//! 1. **unsafe-allowlist** — the `unsafe` keyword may appear only in the
-//!    allowlisted modules ([`UNSAFE_ALLOWLIST`]); every other crate root
-//!    must carry `#![forbid(unsafe_code)]`.
-//! 2. **safety-comment** — every `unsafe` site (block or impl), even in
-//!    allowlisted modules, must be preceded by a `SAFETY:` comment within
-//!    the three lines above it (or carry one on the same line).
+//! 1. **no-unsafe** — the `unsafe` keyword may not appear anywhere, and
+//!    every crate root must carry `#![forbid(unsafe_code)]`.
+//! 2. **safety-comment** — an `unsafe` site (block or impl) must be
+//!    preceded by a `SAFETY:` comment within the three lines above it (or
+//!    carry one on the same line): whoever argues rule 1 away for a module
+//!    still owes the proof at every site.
 //! 3. **no-bare-unwrap** — no `.unwrap()` and no empty-message
 //!    `.expect("")` outside `#[cfg(test)]` regions: library code must
 //!    either propagate errors or document the panic with a message.
@@ -26,9 +26,9 @@
 //! 6. **metric-family** — registry metric literals (`histogram`,
 //!    `counter`, `gauge`) must additionally open with a family from
 //!    [`METRIC_FAMILIES`], so the exported namespace (`memory.*`,
-//!    `health.*`, `workload.*`, …) grows deliberately instead of one
-//!    ad-hoc prefix per call site.  Span and event names are exempt —
-//!    they never reach the Prometheus surface.
+//!    `workload.*`, …) grows deliberately instead of one ad-hoc prefix per
+//!    call site.  Span and event names are exempt — they never reach the
+//!    metrics exporters.
 //! 7. **event-name-grammar** — flight-recorder event literals
 //!    (`Event::new("…")`) follow the same `seg(.seg)*` grammar as span
 //!    names, keeping the event taxonomy of DESIGN.md §13 mechanical.
@@ -51,13 +51,6 @@ use crate::scan::SourceFile;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Modules allowed to contain `unsafe` (each site still needs `SAFETY:`).
-pub const UNSAFE_ALLOWLIST: &[&str] = &["crates/telemetry/src/ring.rs"];
-
-/// Crates whose roots may omit `#![forbid(unsafe_code)]` because an
-/// allowlisted module inside them uses `unsafe`.
-pub const UNSAFE_CRATES: &[&str] = &["telemetry"];
-
 /// How many lines above an `unsafe` site a `SAFETY:` comment may sit.
 const SAFETY_WINDOW: u32 = 3;
 
@@ -68,8 +61,7 @@ pub const THREAD_SPAWN_PREFIX: &str = "crates/exec/";
 /// metric literal must be one of these.  Extending the exported namespace
 /// means extending this list in the same change — which is the point.
 pub const METRIC_FAMILIES: &[&str] = &[
-    "anomaly", "health", "index", "ingest", "memory", "query", "sequence", "storage", "update",
-    "workload", "xml",
+    "index", "ingest", "memory", "query", "sequence", "storage", "update", "workload", "xml",
 ];
 
 /// True when a registry metric name opens with a registered family.
@@ -123,7 +115,7 @@ fn str_contents(file: &SourceFile, ix: usize) -> Option<&str> {
 }
 
 /// Lints one file's source.  `rel_path` is the repo-relative path used in
-/// findings and for allowlist decisions.  Test-facing convenience over
+/// findings and for the per-directory rules.  Test-facing convenience over
 /// [`lint_source`].
 #[cfg_attr(not(test), allow(dead_code))]
 pub fn lint_file(rel_path: &str, source: &str) -> Vec<Finding> {
@@ -136,7 +128,6 @@ pub fn lint_source(file: &SourceFile) -> Vec<Finding> {
     let code: Vec<usize> = crate::lexer::code_tokens(&file.tokens)
         .map(|(i, _)| i)
         .collect();
-    let unsafe_allowed = UNSAFE_ALLOWLIST.contains(&file.rel_path.as_str());
 
     // (method, is a registry metric — spans/events skip the family rule,
     //  needs a leading dot — `event` is too generic for a bare match)
@@ -161,19 +152,14 @@ pub fn lint_source(file: &SourceFile) -> Vec<Finding> {
             });
         };
 
-        // Rules 1 + 2: unsafe allowlist and SAFETY: comments (tests too —
+        // Rules 1 + 2: no unsafe, and SAFETY: comments (tests too —
         // unsound test code is still unsound).
         if text == "unsafe" && file.tokens[ix].kind == TokKind::Ident {
-            if !unsafe_allowed {
-                push(
-                    &mut findings,
-                    "unsafe-allowlist",
-                    format!(
-                        "`unsafe` outside the allowlisted modules ({})",
-                        UNSAFE_ALLOWLIST.join(", ")
-                    ),
-                );
-            }
+            push(
+                &mut findings,
+                "no-unsafe",
+                "`unsafe` in a workspace whose every crate forbids it".into(),
+            );
             if !file.has_annotation(line, SAFETY_WINDOW, "SAFETY:") {
                 push(
                     &mut findings,
@@ -333,17 +319,15 @@ pub fn forbid_findings(files: &[SourceFile]) -> Vec<Finding> {
     for file in files {
         let is_root =
             file.rel_path.ends_with("/src/lib.rs") || file.rel_path.ends_with("/src/main.rs");
-        if !is_root || UNSAFE_CRATES.contains(&file.crate_name.as_str()) {
+        if !is_root {
             continue;
         }
         if !file.src.contains("#![forbid(unsafe_code)]") {
             findings.push(Finding {
                 file: file.rel_path.clone(),
                 line: 1,
-                rule: "unsafe-allowlist",
-                message: "crate root of an unsafe-free crate must declare \
-                          #![forbid(unsafe_code)]"
-                    .into(),
+                rule: "no-unsafe",
+                message: "crate root must declare #![forbid(unsafe_code)]".into(),
             });
         }
     }
@@ -390,12 +374,7 @@ mod tests {
     #[test]
     fn bad_unsafe_fixture_fails_both_unsafe_rules() {
         let f = lint_file("crates/demo/src/lib.rs", BAD_UNSAFE);
-        assert!(rules(&f).contains(&"unsafe-allowlist"), "{f:?}");
-        assert!(rules(&f).contains(&"safety-comment"), "{f:?}");
-        // The allowlisted path drops the allowlist finding but still wants
-        // the SAFETY: comment.
-        let f = lint_file("crates/telemetry/src/ring.rs", BAD_UNSAFE);
-        assert!(!rules(&f).contains(&"unsafe-allowlist"), "{f:?}");
+        assert!(rules(&f).contains(&"no-unsafe"), "{f:?}");
         assert!(rules(&f).contains(&"safety-comment"), "{f:?}");
     }
 
@@ -430,7 +409,7 @@ mod tests {
         );
         assert_eq!(rules(&f), vec!["span-name-grammar"], "{f:?}");
         // the observability families of DESIGN.md §12 are registered
-        for fam in ["memory", "health", "workload"] {
+        for fam in ["memory", "workload"] {
             assert!(METRIC_FAMILIES.contains(&fam), "{fam}");
         }
     }

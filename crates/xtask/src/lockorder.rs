@@ -43,14 +43,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 /// Locks absent from the list are leaves (they may be acquired under any
 /// listed lock but must not wrap one).
 pub const CANONICAL_LOCK_ORDER: &[&str] = &[
-    "storage:pool",          // buffer pool — held across page faults in the descent
-    "schema:inner",          // workload recorder — one flush per query, after search
-    "telemetry:workers",     // watchdog roster
-    "telemetry:last",        // metrics journal snapshot cell
-    "telemetry:state",       // anomaly detector state
-    "telemetry:recent_read", // trace ring drain buffer (recent)
-    "telemetry:slow_read",   // trace ring drain buffer (slow log)
-    "telemetry:read",        // flight-recorder drain buffer
+    "storage:pool",    // buffer pool — held across page faults in the descent
+    "schema:inner",    // workload recorder — one flush per query, after search
+    "telemetry:items", // the retention buffer behind the flight recorder and trace logs
 ];
 
 #[derive(Debug, Clone)]

@@ -3,9 +3,9 @@
 //!
 //! Subcommands:
 //!
-//! * `lint` (default) — the xseq-check lint pass: unsafe allowlist +
-//!   SAFETY: comments, no bare `unwrap()`, telemetry-name grammar and
-//!   metric families.  See `lint.rs` for the rules.
+//! * `lint` (default) — the xseq-check lint pass: no `unsafe`, no bare
+//!   `unwrap()`, telemetry-name grammar and metric families.  See
+//!   `lint.rs` for the rules.
 //! * `analyze [--json <path>]` — the token-aware static-analysis pass
 //!   (DESIGN.md §14): the lint rules plus lock-order deadlock detection,
 //!   the atomic-ordering audit, and hot-path panic-freedom.  Prints a
@@ -15,15 +15,9 @@
 //!   count per crate (same lexer/scanner as `analyze`), held under the
 //!   ratchet in `crates/xtask/loc_ceiling.txt`: exits 1 when a listed
 //!   crate exceeds either ceiling.
-//! * `promlint <file|->` — validate a Prometheus text-format exposition
-//!   (as written by `Snapshot::to_prometheus`) with the dep-free linter
-//!   from `xseq-telemetry`: TYPE declarations, name grammar, histogram
-//!   bucket monotonicity.  CI scrapes the observability example's output
-//!   through this.
 //! * `diagcheck <dir>` — validate a diagnostics bundle (as written by
 //!   `Database::diagnostics` / `repro --diag`): presence of every
-//!   artifact, promlint over `metrics.prom`, JSON/JSONL well-formedness,
-//!   collapsed-stack format, manifest provenance keys.
+//!   artifact, JSON/JSONL well-formedness, manifest provenance keys.
 #![forbid(unsafe_code)]
 
 mod analyze;
@@ -37,7 +31,6 @@ mod lockorder;
 mod panicfree;
 mod scan;
 
-use std::io::Read as _;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -47,7 +40,6 @@ fn main() -> ExitCode {
         None | Some("lint") => run_lint(),
         Some("analyze") => run_analyze(&args[1..]),
         Some("loc") => run_loc(),
-        Some("promlint") => run_promlint(args.get(1).map(String::as_str)),
         Some("diagcheck") => run_diagcheck(args.get(1).map(String::as_str)),
         Some("help" | "--help" | "-h") => {
             usage();
@@ -59,40 +51,6 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-fn run_promlint(path: Option<&str>) -> ExitCode {
-    let (label, text) = match path {
-        None | Some("-") => {
-            let mut buf = String::new();
-            if let Err(e) = std::io::stdin().read_to_string(&mut buf) {
-                eprintln!("xtask promlint: stdin: {e}");
-                return ExitCode::from(2);
-            }
-            ("<stdin>".to_string(), buf)
-        }
-        Some(p) => match std::fs::read_to_string(p) {
-            Ok(t) => (p.to_string(), t),
-            Err(e) => {
-                eprintln!("xtask promlint: {p}: {e}");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let findings = xseq_telemetry::lint_prometheus(&text);
-    if findings.is_empty() {
-        let series = text
-            .lines()
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .count();
-        println!("xtask promlint: {label} clean ({series} series)");
-        return ExitCode::SUCCESS;
-    }
-    for f in &findings {
-        eprintln!("{label}: {f}");
-    }
-    eprintln!("xtask promlint: {} finding(s)", findings.len());
-    ExitCode::FAILURE
 }
 
 fn run_diagcheck(dir: Option<&str>) -> ExitCode {
@@ -217,13 +175,12 @@ fn run_loc() -> ExitCode {
 
 fn usage() {
     println!(
-        "usage: cargo xtask [lint | analyze [--json <path>] | loc | promlint <file|-> | diagcheck <dir>]\n\n\
+        "usage: cargo xtask [lint | analyze [--json <path>] | loc | diagcheck <dir>]\n\n\
          subcommands:\n  \
          lint        run the xseq-check lint pass over crates/*/src (default)\n  \
          analyze     token-aware static analysis: lint + lock-order +\n              \
          atomic-ordering + hot-path panic-freedom (--json writes findings)\n  \
          loc         source lines and pub fns per crate vs loc_ceiling.txt\n  \
-         promlint    validate a Prometheus text exposition (file or stdin)\n  \
          diagcheck   validate a diagnostics bundle directory\n  \
          help        show this message\n\n\
          exit codes: 0 clean, 1 findings, 2 usage or I/O error"

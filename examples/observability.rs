@@ -13,22 +13,16 @@
 //! every query additionally records a span tree retained in the slow-query
 //! log.  This example runs a small workload and prints one query's EXPLAIN
 //! (including its span tree), the slow-query log, the flight-recorder
-//! journal, an anomaly-detector transcript, the collapsed phase profile,
-//! the metrics table, an interval delta, and the JSON export.  With
-//! `--diag DIR` it finishes by writing the whole state as one
+//! journal, the metrics table, an interval delta, and the JSON export.
+//! With `--diag DIR` it finishes by writing the whole state as one
 //! self-contained diagnostics bundle (validated in CI by
 //! `cargo xtask diagcheck DIR`).
 
-use std::sync::Arc;
 use std::time::Duration;
-use xseq::exec::Ticker;
 use xseq::index::{tree_search, QuerySequence};
 use xseq::storage::{write_paged_trie, MemStore, PagedTrie};
-use xseq::telemetry::{render_table, to_json, to_prometheus, MetricsJournal, Watchdog};
-use xseq::{
-    AnomalyDetector, DatabaseBuilder, PathId, PathTable, Sequencing, SloPolicy, SymbolTable,
-    TraceConfig,
-};
+use xseq::telemetry::{render_table, to_json};
+use xseq::{DatabaseBuilder, PathId, PathTable, Sequencing, SymbolTable, TraceConfig};
 
 /// Renders a schema node class back into `/a/b[='v']` form for display.
 fn render_class(paths: &PathTable, symbols: &SymbolTable, c: PathId) -> String {
@@ -166,44 +160,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", db.stats().render());
     println!();
 
-    // --- liveness watchdog + metrics journal ------------------------------
-    // A Ticker drives `Watchdog::tick` on a wall-clock cadence in
-    // production; the demo also ticks by hand so the printed transcript is
-    // deterministic.
-    let registry = Arc::clone(db.metrics_registry());
-    let watchdog = Arc::new(Watchdog::new(Arc::clone(&registry), 2));
-    let ingest = watchdog.register("ingest");
-    let journal = MetricsJournal::new(Arc::clone(&registry));
-    let ticker = {
-        let watchdog = Arc::clone(&watchdog);
-        Ticker::spawn(Duration::from_millis(25), move || {
-            watchdog.tick();
-        })
-    };
-    ingest.set_active(true);
-    ingest.beat();
-    watchdog.tick(); // heartbeat observed
-    watchdog.tick(); // one silent tick
-    let stalled = watchdog.tick(); // two silent ticks -> flagged
-    println!("watchdog: stalled after 2 silent ticks: {stalled:?}");
-    ingest.beat();
-    ingest.set_active(false); // park the worker: heartbeats are no longer due
-    watchdog.tick();
-    println!(
-        "watchdog: heartbeat clears the flag; health.workers.stalled = {}",
-        db.metrics().gauge("health.workers.stalled").unwrap_or(0)
-    );
-    drop(ticker); // stops and joins the background thread
-    let _ = journal.tick(); // baseline interval
-    db.query_xpath("//manager")?;
-    print!("metrics journal (one interval):\n{}", journal.tick());
-    println!();
-
     // --- the flight recorder ----------------------------------------------
-    // Every lifecycle event — builds, inserts, removals, compactions,
+    // Every lifecycle milestone — builds, tier merges, compactions,
     // configuration changes, integrity violations, slow queries — lands in
-    // a bounded journal the moment it happens.  Updates exercise it here;
-    // the threshold change below flight-records itself too.
+    // a bounded journal the moment it happens (per-document inserts and
+    // removals are counted by the `update.*` histograms instead).  Updates
+    // exercise it here; the threshold change below flight-records itself.
     db.set_slow_query_threshold(Duration::from_secs(30));
     let id = db.insert_document(
         r#"<project name="ops"><develop><location>berlin</location></develop></project>"#,
@@ -221,52 +183,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!();
 
-    // --- online anomaly / SLO detection -----------------------------------
-    // The detector learns per-metric baselines (a P² p50 estimate for
-    // latency, an EWMA for throughput) from snapshot deltas on a tick
-    // cadence, and raises `anomaly.*` gauges + flight-recorder alerts when
-    // an interval's p99 deviates past the policy's burn-rate thresholds.
-    let detector = AnomalyDetector::new(Arc::clone(&registry), SloPolicy::default())
-        .events(Arc::clone(db.events()))
-        .watch_latency("index.search");
-    let mut alerts = 0;
-    for _ in 0..4 {
-        for q in ["//location", "/project/research", "/project/*/manager"] {
-            for _ in 0..4 {
-                db.query_xpath(q)?;
-            }
-        }
-        alerts += detector.tick().len();
-    }
-    println!(
-        "anomaly detector: 4 intervals judged, {alerts} alert(s), baseline p50 {} ns",
-        db.metrics()
-            .gauge("anomaly.latency.index_search.baseline_ns")
-            .unwrap_or(0)
-    );
-    println!();
-
-    // --- the continuous phase profiler ------------------------------------
-    // Always-on wall-time attribution folded from the span-timer
-    // histograms every path already maintains — no sampling, no profiler
-    // process.  The collapsed form loads directly into flamegraph tooling.
-    println!("collapsed phase profile (frame;frame nanoseconds):");
-    print!("{}", db.phase_profile().to_collapsed());
-    println!();
-
     // --- the full registry ------------------------------------------------
     println!("{}", render_table(&db.metrics()));
     println!("JSON export:\n{}", to_json(&db.metrics()));
-
-    // --- Prometheus text exposition ---------------------------------------
-    // CI scrapes this file with `cargo xtask promlint target/metrics.prom`.
-    let prom = to_prometheus(&db.metrics());
-    std::fs::create_dir_all("target")?;
-    std::fs::write("target/metrics.prom", &prom)?;
-    println!(
-        "prometheus exposition: {} bytes -> target/metrics.prom",
-        prom.len()
-    );
 
     // --- one-command diagnostics bundle -----------------------------------
     if let Some(dir) = diag_dir {
