@@ -24,7 +24,6 @@
 //! All three return exactly the same answers as `xseq_index::XmlIndex`
 //! (verified by cross-engine property tests); they differ — and this is the
 //! paper's story — in how much work it takes.
-#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use xseq_index::{PlanOptions, XmlIndex};

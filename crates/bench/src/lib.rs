@@ -10,7 +10,6 @@
 //! Wall-clock columns depend on the host: their *shapes* (who wins, by what
 //! factor, where curves bend) are the reproduction target, recorded in
 //! `EXPERIMENTS.md`; speed itself is `benchmark/`'s job (`BENCHMARK.json`).
-#![forbid(unsafe_code)]
 
 use std::time::Instant;
 use xseq::baselines::{NodeIndex, PathIndex, VistIndex};

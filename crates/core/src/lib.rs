@@ -34,7 +34,7 @@
 //!   the brute-force ground-truth matcher.
 //! * [`sequence`] — constraints (`f1`, forward prefix `f2`), the Theorem 1
 //!   decoder, sequencing strategies (DF/BF/Random/probability-ordered),
-//!   Prüfer codes, isomorphic expansion.
+//!   isomorphic expansion.
 //! * [`schema`] — occurrence probabilities `p(C|root)` (estimated or
 //!   declared) and query-tuning weights `w(C)` (Eq. 6).
 //! * [`index`] — the trie + path-link index, Algorithm 1 and the order-free
@@ -57,7 +57,6 @@
 //! records `xml.parse`, and paged storage mirrors its page traffic into
 //! `storage.pool.*`.  [`Database::metrics`] returns a [`Snapshot`];
 //! [`QueryOutcome::explain`] renders one query's work breakdown.
-#![forbid(unsafe_code)]
 
 pub use xseq_baselines as baselines;
 pub use xseq_datagen as datagen;

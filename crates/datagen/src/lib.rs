@@ -20,7 +20,6 @@
 //!
 //! All generators take a seed and a shared [`xseq_xml::SymbolTable`] and are fully
 //! deterministic.
-#![forbid(unsafe_code)]
 
 pub mod dblp;
 pub mod queries;

@@ -120,6 +120,25 @@ struct TierList {
     runs: Vec<Arc<DeltaRun>>,
 }
 
+impl TierList {
+    /// The lowest tier holding at least `ratio` runs — the one the next
+    /// merge folds, so merges cascade upward.
+    fn due_tier(&self, ratio: usize) -> Option<u32> {
+        let mut counts: Vec<(u32, usize)> = Vec::new();
+        for run in &self.runs {
+            match counts.iter_mut().find(|(t, _)| *t == run.tier) {
+                Some((_, n)) => *n += 1,
+                None => counts.push((run.tier, 1)),
+            }
+        }
+        counts
+            .into_iter()
+            .filter(|&(_, n)| n >= ratio)
+            .map(|(t, _)| t)
+            .min()
+    }
+}
+
 /// The mutable raw-sequence head of the overlay plus its cached frozen
 /// view.  The view is invalidated (set to `None`) by every insert and
 /// rebuilt lazily on the next snapshot, so a burst of inserts pays for at
@@ -134,8 +153,8 @@ struct Memtable {
 /// the way every trie is built ([`SequenceTrie::freeze`]).
 fn build_mem_view(seqs: &[(Sequence, DocId)]) -> SequenceTrie {
     let mut trie = SequenceTrie::new();
-    SequenceTrie::bulk_load(&mut trie, seqs.to_vec());
-    SequenceTrie::freeze(&mut trie);
+    trie.bulk_load(seqs.to_vec());
+    trie.freeze();
     trie
 }
 
@@ -304,8 +323,7 @@ impl TieredDelta {
         if let Some(seqs) = cut {
             let run = Arc::new(DeltaRun::build(seqs, 0));
             let mut tiers = self.tiers.lock().unwrap_or_else(|p| p.into_inner());
-            let next = Arc::make_mut(&mut tiers);
-            next.runs.push(run);
+            Arc::make_mut(&mut tiers).runs.push(run);
         }
         self.bump_epoch();
     }
@@ -315,7 +333,7 @@ impl TieredDelta {
     pub fn remove(&self, id: DocId) -> bool {
         let fresh = {
             let mut tombs = self.tombs.lock().unwrap_or_else(|p| p.into_inner());
-            Tombstones::insert(Arc::make_mut(&mut tombs), id)
+            Arc::make_mut(&mut tombs).insert(id)
         };
         if fresh {
             self.bump_epoch();
@@ -327,6 +345,13 @@ impl TieredDelta {
     pub fn tombstones(&self) -> Arc<Tombstones> {
         let tombs = self.tombs.lock().unwrap_or_else(|p| p.into_inner());
         Arc::clone(&tombs)
+    }
+
+    /// The published run list (a cheap `Arc` snapshot; the guard covers
+    /// only the clone).
+    fn tier_list(&self) -> Arc<TierList> {
+        let tiers = self.tiers.lock().unwrap_or_else(|p| p.into_inner());
+        Arc::clone(&tiers)
     }
 
     /// An epoch-stamped immutable snapshot of the segment set.
@@ -368,10 +393,7 @@ impl TieredDelta {
         } else {
             None
         };
-        let tiers = {
-            let tiers = self.tiers.lock().unwrap_or_else(|p| p.into_inner());
-            Arc::clone(&tiers)
-        };
+        let tiers = self.tier_list();
         let epoch = self.epoch();
         DeltaView { epoch, tiers, mem }
     }
@@ -387,42 +409,24 @@ impl TieredDelta {
     /// merge aborts and returns `None`.  Returns `None` when no tier is due.
     /// Call in a loop to cascade merges up the tiers.
     pub fn maybe_merge(&self) -> Option<MergeOutcome> {
-        let list = {
-            let tiers = self.tiers.lock().unwrap_or_else(|p| p.into_inner());
-            Arc::clone(&tiers)
-        };
+        let list = self.tier_list();
         let tombs = self.tombstones();
-        let ratio = self.tier_ratio();
-        // Lowest tier with >= ratio runs merges first, cascading upward.
-        let tier = {
-            let mut counts: Vec<(u32, usize)> = Vec::new();
-            for run in &list.runs {
-                match counts.iter_mut().find(|(t, _)| *t == run.tier) {
-                    Some((_, n)) => *n += 1,
-                    None => counts.push((run.tier, 1)),
-                }
-            }
-            counts
-                .into_iter()
-                .filter(|&(_, n)| n >= ratio)
-                .map(|(t, _)| t)
-                .min()?
-        };
+        let tier = list.due_tier(self.tier_ratio())?;
         let candidates: Vec<Arc<DeltaRun>> = list
             .runs
             .iter()
             .filter(|r| r.tier == tier)
             .cloned()
             .collect();
-        let docs_in: usize = candidates.iter().map(|r| r.seqs.len()).sum();
+        let docs_in: usize = candidates.iter().map(|r| r.len()).sum();
         let mut merged_seqs = Vec::with_capacity(docs_in);
-        for run in &candidates {
-            for (seq, doc) in &run.seqs {
-                if !tombs.contains(*doc) {
-                    merged_seqs.push((seq.clone(), *doc));
-                }
-            }
-        }
+        merged_seqs.extend(
+            candidates
+                .iter()
+                .flat_map(|run| &run.seqs)
+                .filter(|(_, doc)| !tombs.contains(*doc))
+                .cloned(),
+        );
         let docs_dropped = docs_in - merged_seqs.len();
         let merged = if merged_seqs.is_empty() {
             None
@@ -497,81 +501,44 @@ impl TieredDelta {
     /// Number of sequences across every segment (memtable + all runs).
     /// Merges may shrink this when they resolve tombstones.
     pub fn sequence_count(&self) -> usize {
-        let mem = {
-            let mem = self.mem.lock().unwrap_or_else(|p| p.into_inner());
-            mem.seqs.len()
-        };
-        let list = {
-            let tiers = self.tiers.lock().unwrap_or_else(|p| p.into_inner());
-            Arc::clone(&tiers)
-        };
-        let mut runs = 0usize;
-        for r in &list.runs {
-            runs += r.seqs.len();
-        }
-        mem + runs
+        let mem = self
+            .mem
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .seqs
+            .len();
+        mem + self.tier_list().runs.iter().map(|r| r.len()).sum::<usize>()
     }
 
     /// Number of published frozen runs (excluding the memtable).
     pub fn run_count(&self) -> usize {
-        let list = {
-            let tiers = self.tiers.lock().unwrap_or_else(|p| p.into_inner());
-            Arc::clone(&tiers)
-        };
-        list.runs.len()
+        self.tier_list().runs.len()
     }
 
     /// True when some tier holds at least `tier_ratio` runs, i.e. the next
     /// [`TieredDelta::maybe_merge`] has work to do.  Advisory: a concurrent
     /// merger or `clear` may win the race and leave nothing due.
     pub fn merge_due(&self) -> bool {
-        let ratio = self.tier_ratio();
-        let list = {
-            let tiers = self.tiers.lock().unwrap_or_else(|p| p.into_inner());
-            Arc::clone(&tiers)
-        };
-        let mut counts: Vec<(u32, usize)> = Vec::new();
-        for run in &list.runs {
-            match counts.iter_mut().find(|(t, _)| *t == run.tier) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((run.tier, 1)),
-            }
-        }
-        counts.into_iter().any(|(_, n)| n >= ratio)
+        self.tier_list().due_tier(self.tier_ratio()).is_some()
     }
 
     /// Total trie nodes across every segment (building the memtable view if
     /// it is stale) — the delta half of the Figure 14 size metric.
     pub fn node_count(&self) -> usize {
-        let view = self.delta_view();
-        let mut n = 0usize;
-        for run in &view.tiers.runs {
-            n += SequenceTrie::node_count(&run.trie);
-        }
-        if let Some(mem) = &view.mem {
-            n += SequenceTrie::node_count(mem);
-        }
-        n
+        self.delta_view()
+            .segments()
+            .map(SequenceTrie::node_count)
+            .sum()
     }
 
     /// All document ids present in the overlay, sorted and deduplicated.
     pub fn doc_ids(&self) -> Vec<DocId> {
-        let mut out: Vec<DocId> = Vec::new();
-        {
+        let mut out: Vec<DocId> = {
             let mem = self.mem.lock().unwrap_or_else(|p| p.into_inner());
-            for &(_, d) in &mem.seqs {
-                out.push(d);
-            }
-        }
-        let list = {
-            let tiers = self.tiers.lock().unwrap_or_else(|p| p.into_inner());
-            Arc::clone(&tiers)
+            mem.seqs.iter().map(|&(_, d)| d).collect()
         };
-        for run in &list.runs {
-            for &(_, d) in &run.seqs {
-                out.push(d);
-            }
-        }
+        let list = self.tier_list();
+        out.extend(list.runs.iter().flat_map(|r| &r.seqs).map(|&(_, d)| d));
         out.sort_unstable();
         out.dedup();
         out
@@ -590,32 +557,26 @@ impl TieredDelta {
             let cap = mem.seqs.capacity();
             (mem.seqs.clone(), cap, mem.view.clone())
         };
-        let list = {
-            let tiers = self.tiers.lock().unwrap_or_else(|p| p.into_inner());
-            Arc::clone(&tiers)
-        };
-        let tombs = {
-            let tombs = self.tombs.lock().unwrap_or_else(|p| p.into_inner());
-            Arc::clone(&tombs)
-        };
-        let mut total = mem_cap * entry;
-        for (s, _) in &mem_seqs {
-            total += s.heap_bytes();
-        }
-        if let Some(v) = &mem_view {
-            total += std::mem::size_of::<SequenceTrie>() + v.heap_bytes();
-        }
-        total += std::mem::size_of::<TierList>()
-            + list.runs.capacity() * std::mem::size_of::<Arc<DeltaRun>>();
-        for r in &list.runs {
-            total +=
-                std::mem::size_of::<DeltaRun>() + r.trie.heap_bytes() + r.seqs.capacity() * entry;
-            for (s, _) in &r.seqs {
-                total += s.heap_bytes();
-            }
-        }
-        total += std::mem::size_of::<Tombstones>() + tombs.heap_bytes();
-        total
+        let list = self.tier_list();
+        let tombs = self.tombstones();
+        let seq_heap =
+            |seqs: &[(Sequence, DocId)]| seqs.iter().map(|(s, _)| s.heap_bytes()).sum::<usize>();
+        let mem = mem_cap * entry
+            + seq_heap(&mem_seqs)
+            + mem_view.map_or(0, |v| std::mem::size_of::<SequenceTrie>() + v.heap_bytes());
+        let runs = std::mem::size_of::<TierList>()
+            + list.runs.capacity() * std::mem::size_of::<Arc<DeltaRun>>()
+            + list
+                .runs
+                .iter()
+                .map(|r| {
+                    std::mem::size_of::<DeltaRun>()
+                        + r.trie.heap_bytes()
+                        + r.seqs.capacity() * entry
+                        + seq_heap(&r.seqs)
+                })
+                .sum::<usize>();
+        mem + runs + std::mem::size_of::<Tombstones>() + tombs.heap_bytes()
     }
 }
 
@@ -641,7 +602,7 @@ impl Tombstones {
         match self.ids.binary_search(&id) {
             Ok(_) => false,
             Err(pos) => {
-                Vec::insert(&mut self.ids, pos, id);
+                self.ids.insert(pos, id);
                 true
             }
         }

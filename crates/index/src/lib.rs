@@ -21,8 +21,6 @@
 //! sibling-cover bookkeeping, stored-sequence `f2`/round-trip) and reports
 //! violations with trie-node/serial coordinates.
 
-#![forbid(unsafe_code)]
-
 pub mod delta;
 pub mod plan;
 pub mod search;

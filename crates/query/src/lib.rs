@@ -29,7 +29,6 @@
 //! `[text='v']` adds a value leaf directly under the current node.  An `@`
 //! before a name is accepted and ignored (attributes are ordinary child
 //! nodes in this data model).
-#![forbid(unsafe_code)]
 
 use std::fmt;
 use xseq_xml::{

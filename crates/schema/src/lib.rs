@@ -28,7 +28,6 @@
 //! [`WorkloadProfile`] accumulates per-class query frequency, result
 //! cardinality, and latency from the live query stream, so a later
 //! compaction can derive the weights instead of guessing them.
-#![forbid(unsafe_code)]
 
 pub mod workload;
 
@@ -41,30 +40,12 @@ use xseq_xml::{Document, PathId, PathTable};
 /// Query-tuning weights `w(C)` keyed by path; default 1.0 (Section 5.2:
 /// "we assign a weight w(C), which reflects the query frequency and
 /// selectivity of node C").
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WeightMap {
     map: HashMap<PathId, f64>,
-    default: f64,
-}
-
-impl Default for WeightMap {
-    fn default() -> Self {
-        WeightMap {
-            map: HashMap::new(),
-            default: 1.0,
-        }
-    }
 }
 
 impl WeightMap {
-    /// A map where every path weighs `default`.
-    pub fn with_default(default: f64) -> Self {
-        WeightMap {
-            map: HashMap::new(),
-            default,
-        }
-    }
-
     /// Boosts (or demotes) one path.
     pub fn set(&mut self, p: PathId, w: f64) {
         self.map.insert(p, w);
@@ -72,7 +53,7 @@ impl WeightMap {
 
     /// The weight of a path.
     pub fn get(&self, p: PathId) -> f64 {
-        self.map.get(&p).copied().unwrap_or(self.default)
+        self.map.get(&p).copied().unwrap_or(1.0)
     }
 }
 
@@ -178,20 +159,6 @@ impl ProbabilityModel {
     /// Estimated `p(C|root)` (0.0 for never-seen paths).
     pub fn root_probability(&self, path: PathId) -> f64 {
         self.root_prob.get(&path).copied().unwrap_or(0.0)
-    }
-
-    /// Estimated `p(C|parent)` = `p(C|root) / p(parent|root)`.
-    pub fn cond_probability(&self, paths: &PathTable, path: PathId) -> f64 {
-        let parent = paths.parent(path);
-        if parent == PathId::ROOT {
-            return self.root_probability(path);
-        }
-        let pp = self.root_probability(parent);
-        if pp == 0.0 {
-            0.0
-        } else {
-            self.root_probability(path) / pp
-        }
     }
 
     /// Number of documents actually sampled.
@@ -359,8 +326,6 @@ mod tests {
         assert_eq!(model.root_probability(pa), 1.0);
         assert_eq!(model.root_probability(pab), 0.5);
         assert_eq!(model.root_probability(pac), 0.25);
-        // conditional = root fraction here because parent prob is 1
-        assert_eq!(model.cond_probability(&pt, pab), 0.5);
         assert_eq!(model.path_count(), 3);
     }
 
@@ -418,7 +383,6 @@ mod tests {
         let model = ProbabilityModel::estimate(&docs, &mut pt, 0);
         let paz = pt.intern(&[a, z]);
         assert_eq!(model.root_probability(paz), 0.0);
-        assert_eq!(model.cond_probability(&pt, paz), 0.0);
     }
 
     #[test]
@@ -451,8 +415,6 @@ mod tests {
     fn weight_map_defaults() {
         let w = WeightMap::default();
         assert_eq!(w.get(PathId(5)), 1.0);
-        let w2 = WeightMap::with_default(0.5);
-        assert_eq!(w2.get(PathId(5)), 0.5);
     }
 
     #[test]

@@ -34,11 +34,6 @@ pub struct ClassStats {
 }
 
 impl ClassStats {
-    /// Mean latency of the class's queries, `None` before the first one.
-    pub fn mean_latency_ns(&self) -> Option<u64> {
-        (self.queries > 0).then(|| self.latency_ns / self.queries)
-    }
-
     /// Mean result cardinality — the selectivity signal for `w(C)`.
     pub fn mean_results(&self) -> Option<f64> {
         (self.queries > 0).then(|| self.results as f64 / self.queries as f64)
@@ -348,7 +343,6 @@ mod tests {
         assert_eq!(c2.latency_ns, 150);
         assert_eq!(w.frequency(p(2)), 2.0 / 3.0);
         assert_eq!(w.frequency(p(9)), 0.0);
-        assert_eq!(c2.mean_latency_ns(), Some(75));
         assert_eq!(w.class(p(1)).and_then(|s| s.mean_results()), Some(5.0));
     }
 

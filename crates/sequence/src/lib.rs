@@ -13,24 +13,18 @@
 //! * [`strategy`] — sequencing strategies: depth-first, breadth-first,
 //!   random, and the probability-ordered `g_best` of Algorithm 2, all run
 //!   through a single constraint-respecting emitter.
-//! * [`prufer`] — Prüfer codes, the alternative "ad hoc" encoding the paper
-//!   discusses (and PRIX builds on), for comparison.
 //! * [`isomorph`] — enumeration of the isomorphic sibling orderings of a
 //!   query tree, the paper's cure for false dismissals (Section 3.3).
 //! * [`verify`] — integrity checking of stored sequences: `f2` validity and
 //!   the Theorem 1 round-trip, used by the index's `verify_integrity`.
 
-#![forbid(unsafe_code)]
-
 pub mod constraint;
 pub mod isomorph;
-pub mod prufer;
 pub mod strategy;
 pub mod verify;
 
 pub use constraint::{decode_f2, forward_prefix, validate_f2, DecodeError};
 pub use isomorph::isomorphic_variants;
-pub use prufer::{prufer_decode, prufer_encode, PruferError};
 pub use strategy::{
     sequence_document, sequence_nodes, sequence_nodes_readonly, PriorityMap, Strategy,
 };

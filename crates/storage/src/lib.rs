@@ -16,7 +16,6 @@
 //!   link directory + entries, end-node registry, document id lists) and
 //!   [`paged::PagedTrie`], which implements `xseq_index::TrieView` so the
 //!   *same* matching code runs over memory and disk.
-#![forbid(unsafe_code)]
 
 pub mod page;
 pub mod paged;

@@ -162,11 +162,6 @@ impl<S: PageStore> BufferPool<S> {
     pub fn store(&self) -> &S {
         &self.store
     }
-
-    /// Mutable access to the wrapped store (loading phase).
-    pub fn store_mut(&mut self) -> &mut S {
-        &mut self.store
-    }
 }
 
 /// Heap attribution for the pool: the frame table (one boxed page per

@@ -11,7 +11,7 @@
 //! the journal within milliseconds.
 //!
 //! Event names follow the span-name grammar (`seg(.seg)*`, segments
-//! `[a-z][a-z0-9_]*`), enforced by the xtask lint.  The journal exports as
+//! `[a-z][a-z0-9_]*`), enforced by `cargo xtask analyze`.  The journal exports as
 //! JSON Lines ([`EventJournal::to_jsonl`]) — one self-describing JSON
 //! object per line — which is what lands in the diagnostics bundle as
 //! `events.jsonl`.

@@ -32,7 +32,6 @@
 //! history — the flight recorder and the tracer's logs — share one
 //! mutex-guarded bounded buffer, touched once per lifecycle event or
 //! retained trace.
-#![forbid(unsafe_code)]
 
 pub mod events;
 pub mod export;

@@ -47,11 +47,6 @@ impl SpanTimer {
         self.armed = false;
         ns
     }
-
-    /// Disarms the guard: nothing is recorded on drop.
-    pub fn cancel(mut self) {
-        self.armed = false;
-    }
 }
 
 impl Drop for SpanTimer {
@@ -82,12 +77,5 @@ mod tests {
         let ns = t.finish();
         assert_eq!(h.count(), 1);
         assert_eq!(h.snapshot().sum, ns);
-    }
-
-    #[test]
-    fn cancel_records_nothing() {
-        let h = Arc::new(Histogram::new());
-        SpanTimer::new(h.clone()).cancel();
-        assert_eq!(h.count(), 0);
     }
 }

@@ -230,13 +230,6 @@ impl ActiveTrace {
         self.id
     }
 
-    /// Whether head sampling selected this trace (the span buffer is filled
-    /// either way: an unsampled trace can still end up in the slow-query
-    /// log).
-    pub fn is_sampled(&self) -> bool {
-        self.sampled
-    }
-
     /// Nanoseconds since the trace started.
     pub fn elapsed_ns(&self) -> u64 {
         self.started.elapsed().as_nanos().min(u64::MAX as u128) as u64
@@ -304,11 +297,6 @@ impl ActiveTrace {
     /// Attaches a typed attribute to the root span.
     pub fn root_attr(&mut self, key: &'static str, value: impl Into<AttrValue>) {
         self.attr(SpanId(0), key, value);
-    }
-
-    /// Number of spans recorded so far.
-    pub fn span_count(&self) -> usize {
-        self.spans.len()
     }
 
     fn seal(mut self, slow_threshold: Duration) -> Trace {

@@ -55,16 +55,6 @@ impl Document {
         }
     }
 
-    /// The root node id, or [`XmlError::EmptyDocument`] when the document
-    /// has no nodes.
-    ///
-    /// Prefer this over `root().unwrap()` when handling caller-supplied
-    /// documents: the error names the condition instead of panicking on a
-    /// bare `Option`.
-    pub fn require_root(&self) -> Result<NodeId, XmlError> {
-        self.root().ok_or(XmlError::EmptyDocument)
-    }
-
     /// Appends a child labelled `sym` under `parent`.
     ///
     /// # Errors
@@ -347,14 +337,6 @@ mod tests {
         for n in doc.node_ids() {
             assert_eq!(paths.depth(enc[n as usize]), doc.depth(n));
         }
-    }
-
-    #[test]
-    fn require_root_distinguishes_empty_documents() {
-        let empty = Document::new();
-        assert_eq!(empty.require_root(), Err(XmlError::EmptyDocument));
-        let (_, doc) = sample();
-        assert_eq!(doc.require_root(), Ok(0));
     }
 
     #[test]

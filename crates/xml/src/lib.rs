@@ -20,7 +20,6 @@
 //!   backtracking **brute-force structure matcher** used as ground truth for
 //!   the query-equivalence theorems and as the verification step of the
 //!   ViST-style baseline.
-#![forbid(unsafe_code)]
 
 pub mod document;
 pub mod error;

@@ -25,6 +25,7 @@ pub const MAX_DEPTH: usize = 256;
 /// Parses one XML document into a [`Document`] against the shared interners.
 pub fn parse_document(input: &str, symbols: &mut SymbolTable) -> Result<Document, XmlError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -44,6 +45,9 @@ pub fn parse_document(input: &str, symbols: &mut SymbolTable) -> Result<Document
 }
 
 struct Parser<'a, 'b> {
+    /// The input, and the same input as bytes: scanning is bytewise,
+    /// decoding goes through `src` so it never re-validates UTF-8.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Open elements above the one being parsed (the recursion depth).
@@ -68,7 +72,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         Ok(b)
     }
 
-    fn expect(&mut self, b: u8, what: &'static str) -> Result<(), XmlError> {
+    fn eat(&mut self, b: u8, what: &'static str) -> Result<(), XmlError> {
         let got = self.bump()?;
         if got != b {
             return Err(XmlError::UnexpectedChar {
@@ -109,18 +113,30 @@ impl<'a, 'b> Parser<'a, 'b> {
     }
 
     fn starts_with(&self, s: &[u8]) -> bool {
-        self.bytes[self.pos..].starts_with(s)
+        self.bytes
+            .get(self.pos..)
+            .is_some_and(|rest| rest.starts_with(s))
     }
 
     fn skip_until(&mut self, end: &[u8]) -> Result<(), XmlError> {
-        while self.pos < self.bytes.len() {
-            if self.bytes[self.pos..].starts_with(end) {
+        while !self.eof() {
+            if self.starts_with(end) {
                 self.pos += end.len();
                 return Ok(());
             }
             self.pos += 1;
         }
         Err(XmlError::UnexpectedEof { offset: self.pos })
+    }
+
+    /// `src[start..end]`, or the `UnexpectedChar` of a range that is off a
+    /// character boundary.
+    fn slice(&self, start: usize, end: usize, expected: &'static str) -> Result<&'a str, XmlError> {
+        self.src.get(start..end).ok_or(XmlError::UnexpectedChar {
+            offset: start,
+            found: '\u{FFFD}',
+            expected,
+        })
     }
 
     fn read_name(&mut self) -> Result<&'a str, XmlError> {
@@ -139,13 +155,12 @@ impl<'a, 'b> Parser<'a, 'b> {
                 expected: "a name",
             });
         }
-        // SAFETY of from_utf8: name bytes are ASCII by construction.
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii name"))
+        self.slice(start, self.pos, "a name")
     }
 
     fn read_entity(&mut self, out: &mut String) -> Result<(), XmlError> {
         let at = self.pos;
-        self.expect(b'&', "'&'")?;
+        self.eat(b'&', "'&'")?;
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b == b';' {
@@ -156,30 +171,24 @@ impl<'a, 'b> Parser<'a, 'b> {
                 return Err(XmlError::BadEntity { offset: at });
             }
         }
-        let name = &self.bytes[start..self.pos];
-        self.expect(b';', "';'")?;
+        let bad = || XmlError::BadEntity { offset: at };
+        let name = self.src.get(start..self.pos).ok_or_else(bad)?;
+        self.eat(b';', "';'")?;
         match name {
-            b"lt" => out.push('<'),
-            b"gt" => out.push('>'),
-            b"amp" => out.push('&'),
-            b"apos" => out.push('\''),
-            b"quot" => out.push('"'),
-            _ if name.first() == Some(&b'#') => {
-                let code = if name.get(1) == Some(&b'x') {
-                    u32::from_str_radix(
-                        std::str::from_utf8(&name[2..])
-                            .map_err(|_| XmlError::BadEntity { offset: at })?,
-                        16,
-                    )
-                } else {
-                    std::str::from_utf8(&name[1..])
-                        .map_err(|_| XmlError::BadEntity { offset: at })?
-                        .parse()
+            "lt" => out.push('<'),
+            "gt" => out.push('>'),
+            "amp" => out.push('&'),
+            "apos" => out.push('\''),
+            "quot" => out.push('"'),
+            _ => {
+                let digits = name.strip_prefix('#').ok_or_else(bad)?;
+                let code = match digits.strip_prefix('x') {
+                    Some(hex) => u32::from_str_radix(hex, 16),
+                    None => digits.parse(),
                 };
-                let code = code.map_err(|_| XmlError::BadEntity { offset: at })?;
-                out.push(char::from_u32(code).ok_or(XmlError::BadEntity { offset: at })?);
+                let code = code.map_err(|_| bad())?;
+                out.push(char::from_u32(code).ok_or_else(bad)?);
             }
-            _ => return Err(XmlError::BadEntity { offset: at }),
         }
         Ok(())
     }
@@ -213,13 +222,8 @@ impl<'a, 'b> Parser<'a, 'b> {
     }
 
     fn next_char(&mut self) -> Result<char, XmlError> {
-        let rest =
-            std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| XmlError::UnexpectedChar {
-                offset: self.pos,
-                found: '\u{FFFD}',
-                expected: "valid UTF-8",
-            })?;
-        let c = rest
+        let c = self
+            .slice(self.pos, self.src.len(), "valid UTF-8")?
             .chars()
             .next()
             .ok_or(XmlError::UnexpectedEof { offset: self.pos })?;
@@ -236,12 +240,13 @@ impl<'a, 'b> Parser<'a, 'b> {
                 limit: MAX_DEPTH,
             });
         }
-        self.expect(b'<', "'<'")?;
+        self.eat(b'<', "'<'")?;
         let name = self.read_name()?;
         let sym = self.symbols.elem(name);
         let node = match parent {
             None => {
                 *doc = Document::with_root(sym);
+                // PANIC-FREE: `with_root` set the root on the line above
                 doc.root().expect("Document::with_root always has a root")
             }
             Some(p) => doc.child(p, sym),
@@ -256,7 +261,7 @@ impl<'a, 'b> Parser<'a, 'b> {
             {
                 b'/' => {
                     self.pos += 1;
-                    self.expect(b'>', "'>'")?;
+                    self.eat(b'>', "'>'")?;
                     return Ok(());
                 }
                 b'>' => {
@@ -266,7 +271,7 @@ impl<'a, 'b> Parser<'a, 'b> {
                 _ => {
                     let aname = self.read_name()?;
                     self.skip_ws();
-                    self.expect(b'=', "'='")?;
+                    self.eat(b'=', "'='")?;
                     self.skip_ws();
                     let aval = self.read_attr_value()?;
                     let asym = self.symbols.elem(aname);
@@ -289,14 +294,8 @@ impl<'a, 'b> Parser<'a, 'b> {
                 self.pos += b"<![CDATA[".len();
                 let start = self.pos;
                 self.skip_until(b"]]>")?;
-                let seg = &self.bytes[start..self.pos - 3];
-                text.push_str(
-                    std::str::from_utf8(seg).map_err(|_| XmlError::UnexpectedChar {
-                        offset: start,
-                        found: '\u{FFFD}',
-                        expected: "valid UTF-8 in CDATA",
-                    })?,
-                );
+                let end = self.pos - b"]]>".len();
+                text.push_str(self.slice(start, end, "valid UTF-8 in CDATA")?);
             } else if self.starts_with(b"<?") {
                 self.flush_text(doc, node, &mut text);
                 self.skip_until(b"?>")?;
@@ -313,7 +312,7 @@ impl<'a, 'b> Parser<'a, 'b> {
                     });
                 }
                 self.skip_ws();
-                self.expect(b'>', "'>'")?;
+                self.eat(b'>', "'>'")?;
                 return Ok(());
             } else if self.peek() == Some(b'<') {
                 self.flush_text(doc, node, &mut text);
@@ -499,6 +498,36 @@ mod tests {
             parse_document(&"<a>".repeat(200_000), &mut symbols),
             Err(XmlError::TooDeep { .. })
         ));
+    }
+
+    #[test]
+    fn large_values_parse_in_linear_time() {
+        // `next_char` used to re-validate the whole remaining input for
+        // every character, so one long value cost O(n²): a 1 MiB text node
+        // took ~20 s in a release build, minutes in a debug one.  Linear,
+        // this document parses in well under 1 % of the bound below.
+        let big = |unit: &str| unit.repeat((1 << 20) / unit.len() + 1);
+        let (attr, text, cdata) = (big("aé€𝄞"), big("é€𝄞b"), big("<€>𝄞&é"));
+        let xml = format!("<r a=\"{attr}\"><t>{text}</t><c><![CDATA[{cdata}]]></c></r>");
+        let mut symbols = st();
+        let t0 = std::time::Instant::now();
+        let doc = parse_document(&xml, &mut symbols).unwrap();
+        let elapsed = t0.elapsed();
+        let root = doc.root().unwrap();
+        let values: Vec<&str> = doc
+            .children(root)
+            .iter()
+            .map(|&holder| {
+                let v = doc.sym(doc.children(holder)[0]).as_value().unwrap();
+                symbols.values.resolve(v).unwrap()
+            })
+            .collect();
+        assert!(values.iter().all(|v| v.len() > 1 << 20));
+        assert_eq!(values, [attr.as_str(), text.as_str(), cdata.as_str()]);
+        assert!(
+            elapsed < std::time::Duration::from_secs(30),
+            "3 × 1 MiB values took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -150,23 +150,6 @@ impl PathTable {
         cur == a
     }
 
-    /// Prefix-or-equal test.
-    pub fn is_prefix(&self, a: PathId, b: PathId) -> bool {
-        a == b || self.is_proper_prefix(a, b)
-    }
-
-    /// The ancestor of `b` at exactly `depth`, if `b` is that deep.
-    pub fn ancestor_at_depth(&self, b: PathId, depth: u16) -> Option<PathId> {
-        if self.depth(b) < depth {
-            return None;
-        }
-        let mut cur = b;
-        while self.depth(cur) > depth {
-            cur = self.parent(cur);
-        }
-        Some(cur)
-    }
-
     /// Materializes a path as a symbol vector (root first).
     // PANIC-FREE: table-minted PathId contract (see `extend`)
     pub fn symbols(&self, p: PathId) -> Vec<Symbol> {
@@ -348,20 +331,8 @@ mod tests {
         assert!(pt.is_proper_prefix(pp, pdl));
         assert!(pt.is_proper_prefix(pd, pdl));
         assert!(!pt.is_proper_prefix(pd, pd));
-        assert!(pt.is_prefix(pd, pd));
         assert!(!pt.is_proper_prefix(pl, pdl));
         assert!(!pt.is_proper_prefix(pdl, pd));
-    }
-
-    #[test]
-    fn ancestor_at_depth() {
-        let (mut st, mut pt) = table();
-        let syms: Vec<_> = ["a", "b", "c", "d"].iter().map(|n| st.elem(n)).collect();
-        let deep = pt.intern(&syms);
-        let ab = pt.lookup(&syms[..2]).unwrap();
-        assert_eq!(pt.ancestor_at_depth(deep, 2), Some(ab));
-        assert_eq!(pt.ancestor_at_depth(ab, 4), None);
-        assert_eq!(pt.ancestor_at_depth(deep, 0), Some(PathId::ROOT));
     }
 
     #[test]

@@ -140,13 +140,6 @@ impl TreePattern {
         0..self.nodes.len() as PatternNodeId
     }
 
-    /// True when the pattern uses no wildcard label or descendant axis, i.e.
-    /// every node's root path is fully determined.
-    pub fn is_exact(&self) -> bool {
-        self.node_ids()
-            .all(|n| self.label(n) != PatternLabel::AnyElem && self.axis(n) == Axis::Child)
-    }
-
     /// Renders the pattern as an XPath-ish string for diagnostics.
     pub fn render(&self, symbols: &SymbolTable) -> String {
         let mut out = String::new();
@@ -202,22 +195,8 @@ mod tests {
         q.add(ln, Axis::Child, PatternLabel::Value(ny));
 
         assert_eq!(q.len(), 4);
-        assert!(q.is_exact());
         assert_eq!(q.children(q.root_id()), &[1]);
         assert_eq!(q.parent(3), Some(2));
-    }
-
-    #[test]
-    fn wildcards_make_pattern_inexact() {
-        let mut st = SymbolTable::default();
-        let p = st.designator("P");
-        let mut q = TreePattern::root(PatternLabel::Elem(p));
-        assert!(q.is_exact());
-        q.add(q.root_id(), Axis::Descendant, PatternLabel::AnyElem);
-        assert!(!q.is_exact());
-
-        let q2 = TreePattern::with_root_axis(PatternLabel::Elem(p), Axis::Descendant);
-        assert!(!q2.is_exact());
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn build(recipe: &DocRecipe, st: &mut SymbolTable) -> Document {
     let elems: Vec<_> = (0..5).map(|i| st.elem(&format!("el{i}"))).collect();
     let mut doc = Document::with_root(elems[0]);
     // ids of element nodes only — parents are drawn from these
-    let mut elem_ids = vec![doc.root().unwrap()];
+    let mut elem_ids = vec![doc.root().expect("with_root sets the root")];
     for i in 1..=recipe.parents.len() {
         let parent = elem_ids[recipe.parents[i - 1] as usize % elem_ids.len()];
         let n = doc.child(parent, elems[(recipe.labels[i] as usize) % elems.len()]);
@@ -47,8 +47,58 @@ fn build(recipe: &DocRecipe, st: &mut SymbolTable) -> Document {
     doc
 }
 
+/// One byte-level edit: `(kind, position, payload)`, each reduced modulo
+/// what the text at hand allows.
+type Edit = (u8, u32, u8);
+
+fn edits() -> impl Strategy<Value = Vec<Edit>> {
+    proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u8>()), 1..=4)
+}
+
+/// Applies 1–4 byte edits — overwrite, delete, insert a syntax character,
+/// truncate, swap — and re-decodes lossily, so the result is a `&str` a
+/// caller could really hand the parser.  (`tests/integration_pipeline.rs`
+/// carries the same mutator for whole records and queries.)
+fn mutate(text: &str, edits: &[Edit]) -> String {
+    const SYNTAX: &[u8] = b"<>/&;\"'=[]!-?";
+    let mut bytes = text.as_bytes().to_vec();
+    for &(kind, pos, payload) in edits {
+        if bytes.is_empty() {
+            break;
+        }
+        let len = bytes.len();
+        let at = pos as usize % len;
+        match kind % 5 {
+            0 => bytes[at] = payload,
+            1 => drop(bytes.remove(at)),
+            2 => bytes.insert(at, SYNTAX[payload as usize % SYNTAX.len()]),
+            3 => bytes.truncate(at),
+            _ => bytes.swap(at, (at + 1 + payload as usize) % len),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn mutated_documents_are_rejected_or_roundtrip(recipe in doc_recipe(20), edits in edits()) {
+        let mut st = SymbolTable::with_value_mode(ValueMode::Intern);
+        let text = write_document(&build(&recipe, &mut st), &st);
+        let mutant = mutate(&text, &edits);
+        // Err is a typed `XmlError` by construction; the property is that
+        // hostile bytes never panic, and that whatever the parser accepts
+        // it accepts consistently.
+        if let Ok(doc) = parse_document(&mutant, &mut st) {
+            let rewritten = write_document(&doc, &st);
+            let again = parse_document(&rewritten, &mut st);
+            prop_assert!(
+                again.as_ref().is_ok_and(|d| doc.structurally_eq(d)),
+                "{mutant:?} -> {rewritten:?} -> {again:?}"
+            );
+        }
+    }
 
     #[test]
     fn write_parse_roundtrip(recipe in doc_recipe(20)) {

@@ -1,219 +1,47 @@
-//! `cargo xtask analyze` — the token-aware static-analysis pass
-//! (DESIGN.md §14).  Orchestrates four rule groups over one shared scan of
+//! `cargo xtask analyze` — the static checks nothing in the toolchain
+//! makes (DESIGN.md §14).  Three rule groups over one scan of
 //! `crates/*/src`:
 //!
-//! * **lint** — the PR 3 style rules, ported to the token stream
-//!   ([`crate::lint`]);
-//! * **lock-order** — deadlock detection over the lock digraph
-//!   ([`crate::lockorder`]);
-//! * **atomic-ordering** — role annotations + publication pairing
-//!   ([`crate::atomics`]);
+//! * **naming** — telemetry span / metric / event names
+//!   ([`crate::lint::lint_source`]);
+//! * **workspace-lints** — every crate manifest inherits the workspace
+//!   lint table, where `unsafe` and bare `unwrap()` are rejected by
+//!   `rustc` and clippy ([`crate::lint::manifest_findings`]);
 //! * **hot-path-panic** — panic-freedom of everything reachable from the
 //!   seed manifest ([`crate::panicfree`]).
-//!
-//! Output: a human table (per-rule finding counts and timings — the
-//! timings are printed so a cost regression shows up in CI logs; the
-//! budget is [`BUDGET_MS`]) and, with `--json`, a machine-readable
-//! findings document for the CI artifact.
 
 use crate::lint::{self, Finding};
+use crate::panicfree;
 use crate::scan::SourceFile;
-use crate::{atomics, lockorder, panicfree};
 use std::path::Path;
-use std::time::Instant;
 
-/// The whole pass must finish inside this budget on the repo (ISSUE 8);
-/// the table prints actuals so CI logs show drift long before the limit.
-pub const BUDGET_MS: f64 = 10_000.0;
-
-/// One rule group's cost and yield.
-#[derive(Debug)]
-pub struct RuleTiming {
-    pub name: &'static str,
-    pub millis: f64,
-    pub findings: usize,
-}
-
-/// The result of an analyze run.
-#[derive(Debug)]
-pub struct Report {
-    /// Files scanned.
-    pub files: usize,
-    /// All findings, sorted by (file, line).
-    pub findings: Vec<Finding>,
-    /// Per-group timings in run order (`scan` first).
-    pub timings: Vec<RuleTiming>,
-    pub total_millis: f64,
-}
-
-fn millis(since: Instant) -> f64 {
-    since.elapsed().as_secs_f64() * 1e3
-}
-
-/// Runs every rule group over an already-scanned corpus — the I/O-free,
-/// untimed core used by the fixture tests.
-#[cfg_attr(not(test), allow(dead_code))]
+/// Runs the source-level rule groups over an already-scanned corpus — the
+/// I/O-free core (the manifest check reads `Cargo.toml`s, so it lives in
+/// [`analyze_repo`]).  Findings come back sorted by (file, line).
 pub fn analyze_files(files: &[SourceFile], seeds: &[String]) -> Vec<Finding> {
     let mut findings: Vec<Finding> = files.iter().flat_map(lint::lint_source).collect();
-    findings.extend(lint::forbid_findings(files));
-    findings.extend(lockorder::check(files));
-    findings.extend(atomics::check(files));
     findings.extend(panicfree::check(files, seeds));
     findings.sort_by(|x, y| (&x.file, x.line).cmp(&(&y.file, y.line)));
     findings
 }
 
-/// Scans the repo under `root` and runs all rule groups, timed.
-pub fn analyze_repo(root: &Path) -> Result<Report, String> {
-    let t_total = Instant::now();
-    let mut timings = Vec::new();
-    let mut findings = Vec::new();
-
-    let t = Instant::now();
+/// Scans the repo under `root` and runs every rule group.
+pub fn analyze_repo(root: &Path) -> Result<Vec<Finding>, String> {
     let files = lint::scan_repo(root)?;
-    timings.push(RuleTiming {
-        name: "scan",
-        millis: millis(t),
-        findings: 0,
-    });
-
     let manifest_path = root.join(panicfree::HOTPATH_MANIFEST);
     let manifest = std::fs::read_to_string(&manifest_path)
         .map_err(|e| format!("{}: {e}", manifest_path.display()))?;
-    let seeds = panicfree::parse_manifest(&manifest);
-
-    type RuleGroup = (&'static str, Box<dyn Fn(&[SourceFile]) -> Vec<Finding>>);
-    let groups: [RuleGroup; 4] = [
-        (
-            "lint",
-            Box::new(|f: &[SourceFile]| {
-                let mut v: Vec<Finding> = f.iter().flat_map(lint::lint_source).collect();
-                v.extend(lint::forbid_findings(f));
-                v
-            }),
-        ),
-        ("lock-order", Box::new(lockorder::check)),
-        ("atomic-ordering", Box::new(atomics::check)),
-        (
-            "hot-path-panic",
-            Box::new(move |f: &[SourceFile]| panicfree::check(f, &seeds)),
-        ),
-    ];
-    for (name, run) in groups {
-        let t = Instant::now();
-        let group = run(&files);
-        timings.push(RuleTiming {
-            name,
-            millis: millis(t),
-            findings: group.len(),
-        });
-        findings.extend(group);
-    }
-
-    findings.sort_by(|x, y| (&x.file, x.line).cmp(&(&y.file, y.line)));
-    Ok(Report {
-        files: files.len(),
-        findings,
-        timings,
-        total_millis: millis(t_total),
-    })
-}
-
-/// The human-readable table: per-rule counts and timings, then findings.
-pub fn render(report: &Report) -> String {
-    let mut out = String::new();
-    out.push_str("rule              findings        ms\n");
-    for t in &report.timings {
-        out.push_str(&format!(
-            "{:<18}{:>8}{:>10.1}\n",
-            t.name, t.findings, t.millis
-        ));
-    }
-    out.push_str(&format!(
-        "{:<18}{:>8}{:>10.1}  (budget {:.0} ms, {} files)\n",
-        "total",
-        report.findings.len(),
-        report.total_millis,
-        BUDGET_MS,
-        report.files
-    ));
-    if !report.findings.is_empty() {
-        out.push('\n');
-        for f in &report.findings {
-            out.push_str(&f.to_string());
-            out.push('\n');
-        }
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The machine-readable findings document (uploaded as a CI artifact).
-pub fn to_json(report: &Report) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"files\": {},\n", report.files));
-    out.push_str(&format!("  \"total_ms\": {:.1},\n", report.total_millis));
-    out.push_str("  \"rules\": [\n");
-    for (i, t) in report.timings.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ms\": {:.1}, \"findings\": {}}}{}\n",
-            t.name,
-            t.millis,
-            t.findings,
-            if i + 1 < report.timings.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ],\n  \"findings\": [\n");
-    for (i, f) in report.findings.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}{}\n",
-            json_escape(&f.file),
-            f.line,
-            f.rule,
-            json_escape(&f.message),
-            if i + 1 < report.findings.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let mut findings = lint::manifest_findings(root)?;
+    findings.extend(analyze_files(&files, &panicfree::parse_manifest(&manifest)));
+    Ok(findings)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const BAD_LOCK: &str = include_str!("../fixtures/bad_lock_cycle.rs");
-    const GOOD_LOCK: &str = include_str!("../fixtures/good_lock_nested.rs");
-    const BAD_RELEASE: &str = include_str!("../fixtures/bad_release_unpaired.rs");
-    const GOOD_HANDOFF: &str = include_str!("../fixtures/good_handoff.rs");
     const BAD_HOTPATH: &str = include_str!("../fixtures/bad_hotpath_unwrap.rs");
     const GOOD_HOTPATH: &str = include_str!("../fixtures/good_hotpath_checked.rs");
-    const BAD_ROLE: &str = include_str!("../fixtures/bad_ordering_role.rs");
-    const BAD_HANDOFF: &str = include_str!("../fixtures/bad_relaxed_handoff.rs");
-    const BAD_RELAXED: &str = include_str!("../fixtures/bad_relaxed.rs");
     const GOOD_CLEAN: &str = include_str!("../fixtures/good_clean.rs");
 
     fn fixture(src: &str) -> Vec<SourceFile> {
@@ -222,55 +50,6 @@ mod tests {
 
     fn seeds() -> Vec<String> {
         vec!["query_batch".to_string()]
-    }
-
-    #[test]
-    fn bad_lock_cycle_reports_both_witness_paths() {
-        let f = lockorder::check(&fixture(BAD_LOCK));
-        let cycle = f
-            .iter()
-            .find(|f| f.message.starts_with("deadlock cycle"))
-            .expect("cycle reported");
-        assert_eq!(cycle.rule, "lock-order");
-        assert!(
-            cycle.message.contains("witness demo:alloc -> demo:free"),
-            "{}",
-            cycle.message
-        );
-        assert!(
-            cycle.message.contains("witness demo:free -> demo:alloc"),
-            "{}",
-            cycle.message
-        );
-        // the two witness acquisition paths carry exact spans
-        assert!(
-            cycle.message.contains("crates/demo/src/lib.rs:13"),
-            "{}",
-            cycle.message
-        );
-        assert!(
-            cycle.message.contains("crates/demo/src/lib.rs:21"),
-            "{}",
-            cycle.message
-        );
-    }
-
-    #[test]
-    fn good_lock_nested_is_clean() {
-        assert!(lockorder::check(&fixture(GOOD_LOCK)).is_empty());
-    }
-
-    #[test]
-    fn bad_release_unpaired_is_flagged_at_the_store() {
-        let f = atomics::check(&fixture(BAD_RELEASE));
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!((f[0].rule, f[0].line), ("atomic-ordering", 14), "{f:?}");
-        assert!(f[0].message.contains("mis-paired `Release`"), "{f:?}");
-    }
-
-    #[test]
-    fn good_handoff_is_clean() {
-        assert!(atomics::check(&fixture(GOOD_HANDOFF)).is_empty());
     }
 
     #[test]
@@ -295,77 +74,24 @@ mod tests {
     }
 
     #[test]
-    fn bad_relaxed_fixture_is_unannotated_under_the_audit() {
-        let f = atomics::check(&fixture(BAD_RELAXED));
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("without an `// ORDERING:"), "{f:?}");
-    }
-
-    #[test]
-    fn bad_ordering_role_mismatch_is_flagged() {
-        let f = atomics::check(&fixture(BAD_ROLE));
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(
-            f[0].message.contains("role `counter` is inconsistent"),
-            "{f:?}"
-        );
-    }
-
-    #[test]
-    fn bad_relaxed_handoff_is_flagged() {
-        let f = atomics::check(&fixture(BAD_HANDOFF));
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("relaxed hand-off"), "{f:?}");
-    }
-
-    #[test]
     fn good_clean_fixture_passes_every_group() {
         let files = fixture(GOOD_CLEAN);
         let f = analyze_files(&files, &[]);
-        // forbid_findings skips: fixture declares #![forbid(unsafe_code)]
         assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn json_document_is_well_formed_enough() {
-        let report = Report {
-            files: 1,
-            findings: vec![Finding {
-                file: "crates/demo/src/lib.rs".into(),
-                line: 3,
-                rule: "lock-order",
-                message: "cycle \"a\" -> b\nwitness".into(),
-            }],
-            timings: vec![RuleTiming {
-                name: "lint",
-                millis: 1.25,
-                findings: 0,
-            }],
-            total_millis: 2.5,
-        };
-        let json = to_json(&report);
-        assert!(json.contains("\"rule\": \"lock-order\""), "{json}");
-        assert!(json.contains("cycle \\\"a\\\" -> b\\nwitness"), "{json}");
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
     }
 
     #[test]
     fn whole_repo_is_clean_under_analyze() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let report = analyze_repo(&root).expect("repo walk succeeds");
+        let findings = analyze_repo(&root).expect("repo walk succeeds");
         assert!(
-            report.findings.is_empty(),
+            findings.is_empty(),
             "analyze must be clean on the repo:\n{}",
-            render(&report)
-        );
-        assert!(
-            report.total_millis < BUDGET_MS,
-            "analyze blew its budget: {:.1} ms",
-            report.total_millis
+            findings
+                .iter()
+                .map(|f| f.to_string())
+                .collect::<Vec<_>>()
+                .join("\n")
         );
     }
 }

@@ -1,5 +1,5 @@
-//! The workspace function index and name-level call graph shared by the
-//! lock-order and hot-path analyses.
+//! The workspace function index and name-level call graph behind the
+//! hot-path analysis.
 //!
 //! Resolution is lexical (no type information), tiered by how much the
 //! call site tells us:
@@ -16,11 +16,10 @@
 //!   would glue every data structure into every hot path.
 //!
 //! The result over-approximates real dispatch (any same-named method may
-//! be the callee), which is the conservative direction for both clients:
-//! more reachability means more code held to the panic-freedom and
-//! lock-order rules.  Turbofish calls (`f::<T>(…)`) are not recognized —
-//! a documented under-approximation that does not occur on the audited
-//! paths.
+//! be the callee), which is the conservative direction: more reachability
+//! means more code held to the panic-freedom rule.  Turbofish calls
+//! (`f::<T>(…)`) are not recognized — a documented under-approximation
+//! that does not occur on the audited paths.
 
 use crate::lexer::TokKind;
 use crate::scan::{Function, SourceFile};
@@ -55,25 +54,12 @@ pub const UBIQUITOUS_METHODS: &[&str] = &[
     "to_string",
 ];
 
-/// Method names that, called with *no arguments*, are the std sync
-/// primitives (`mutex.lock()`, `rwlock.read()`).  They resolve to
-/// nothing: the lock-order pass models the acquisition itself, and
-/// fanning `.lock()` out to every workspace method that happens to be
-/// named `lock` would wire every guard into unrelated crates' locks.
-/// With arguments (`file.read(buf)`) they resolve normally.
-const SYNC_PRIMITIVE_METHODS: &[&str] =
-    &["lock", "read", "write", "try_lock", "try_read", "try_write"];
-
 /// A function's position in the index: (file index, function index).
 pub type FnId = (usize, usize);
 
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
 pub struct CallSite {
-    /// Token index of the callee identifier.
-    pub tok: usize,
-    /// 1-based line.
-    pub line: u32,
     /// Callee name.
     #[cfg_attr(not(test), allow(dead_code))]
     pub name: String,
@@ -151,8 +137,7 @@ impl<'a> FunctionIndex<'a> {
         let body: Vec<usize> = file.body_tokens_of(f).collect();
         let mut out = Vec::new();
         for (k, &ix) in body.iter().enumerate() {
-            let t = &file.tokens[ix];
-            if t.kind != TokKind::Ident {
+            if file.tokens[ix].kind != TokKind::Ident {
                 continue;
             }
             // a call: identifier directly followed by `(`
@@ -167,16 +152,6 @@ impl<'a> FunctionIndex<'a> {
             let targets = match prev {
                 // method call `.name(`
                 Some(".") => {
-                    let empty_args = body.get(k + 2).is_some_and(|&nx| file.text(nx) == ")");
-                    if empty_args && SYNC_PRIMITIVE_METHODS.contains(&name) {
-                        out.push(CallSite {
-                            tok: ix,
-                            line: t.line,
-                            name: name.to_string(),
-                            targets: Vec::new(),
-                        });
-                        continue;
-                    }
                     let mut c = self.candidates(name, None);
                     c.retain(|&id| self.function(id).owner.is_some());
                     if UBIQUITOUS_METHODS.contains(&name) {
@@ -222,8 +197,6 @@ impl<'a> FunctionIndex<'a> {
                 }
             };
             out.push(CallSite {
-                tok: ix,
-                line: t.line,
                 name: name.to_string(),
                 targets,
             });

@@ -1,61 +1,37 @@
-//! The `xseq-check` repo lint pass: mechanical rules the compiler does not
-//! enforce, run as `cargo xtask lint` (and in CI, plus as the first rule
-//! group of `cargo xtask analyze`).
+//! The naming rules of `cargo xtask analyze`, the repo walk every pass
+//! shares, and the manifest opt-in check.
 //!
-//! Rules:
+//! What `rustc` and clippy can check, they check: the root `Cargo.toml`'s
+//! `[workspace.lints]` table denies `unsafe` and bare `unwrap()`,
+//! and the root `clippy.toml` disallows detached thread spawns.  What is
+//! left here is what neither knows about — the telemetry vocabulary:
 //!
-//! 1. **no-unsafe** — the `unsafe` keyword may not appear anywhere, and
-//!    every crate root must carry `#![forbid(unsafe_code)]`.
-//! 2. **safety-comment** — an `unsafe` site (block or impl) must be
-//!    preceded by a `SAFETY:` comment within the three lines above it (or
-//!    carry one on the same line): whoever argues rule 1 away for a module
-//!    still owes the proof at every site.
-//! 3. **no-bare-unwrap** — no `.unwrap()` and no empty-message
-//!    `.expect("")` outside `#[cfg(test)]` regions: library code must
-//!    either propagate errors or document the panic with a message.
-//! 4. **span-name-grammar** — string literals registered as telemetry
-//!    names (`start_span`, `event`, `histogram`, `counter`, `gauge`) must
-//!    match the `phase.name` grammar: dot-separated segments of
-//!    `[a-z][a-z0-9_]*`.
-//! 5. **no-thread-spawn** — `thread::spawn(` may appear only under
-//!    `crates/exec/`: every other crate expresses parallelism through the
-//!    `xseq-exec::Pool`, which keeps thread counts, scoping and the
-//!    sequential fall-back in one audited place.  (Scoped spawns via
-//!    `thread::scope` + `s.spawn` don't match and stay legal — they
-//!    cannot leak past their scope.)
-//! 6. **metric-family** — registry metric literals (`histogram`,
-//!    `counter`, `gauge`) must additionally open with a family from
-//!    [`METRIC_FAMILIES`], so the exported namespace (`memory.*`,
-//!    `workload.*`, …) grows deliberately instead of one ad-hoc prefix per
-//!    call site.  Span and event names are exempt — they never reach the
-//!    metrics exporters.
-//! 7. **event-name-grammar** — flight-recorder event literals
-//!    (`Event::new("…")`) follow the same `seg(.seg)*` grammar as span
-//!    names, keeping the event taxonomy of DESIGN.md §13 mechanical.
+//! * **span-name-grammar** — string literals registered as telemetry
+//!   names (`start_span`, `event`, `histogram`, `counter`, `gauge`) must
+//!   match the `phase.name` grammar: dot-separated segments of
+//!   `[a-z][a-z0-9_]*`.
+//! * **metric-family** — registry metric literals (`histogram`,
+//!   `counter`, `gauge`) must additionally open with a family from
+//!   [`METRIC_FAMILIES`], so the exported namespace (`memory.*`,
+//!   `workload.*`, …) grows deliberately instead of one ad-hoc prefix per
+//!   call site.  Span and event names are exempt — they never reach the
+//!   metrics exporters.
+//! * **event-name-grammar** — flight-recorder event literals
+//!   (`Event::new("…")`) follow the same `seg(.seg)*` grammar as span
+//!   names, keeping the event taxonomy of DESIGN.md §13 mechanical.
+//! * **workspace-lints** — every `crates/*/Cargo.toml` must carry
+//!   `[lints] workspace = true`; a member that does not opt in escapes the
+//!   workspace table silently ([`manifest_findings`]).
 //!
-//! PR 3's `relaxed-annotation` rule graduated into the full
-//! atomic-ordering audit ([`crate::atomics`], `cargo xtask analyze`),
-//! which checks every ordering — not just `Relaxed` — against a declared
-//! role.
-//!
-//! Since PR 8 the linter runs on the real token stream
-//! ([`crate::lexer`] + [`crate::scan`]) instead of masked lines: rule
-//! needles are token patterns, so string/comment contents can never match
-//! by construction, and test-region exemption is the scanner's
-//! `#[cfg(test)]`-to-EOF region.  Only the crate-root
-//! `#![forbid(unsafe_code)]` check stays textual — it is an
-//! exact-attribute presence test.
+//! The rules run on the real token stream ([`crate::lexer`] +
+//! [`crate::scan`]): rule needles are token patterns, so string/comment
+//! contents can never match by construction, and test-region exemption is
+//! the scanner's `#[cfg(test)]`-to-EOF region.
 
 use crate::lexer::TokKind;
 use crate::scan::SourceFile;
 use std::fmt;
 use std::path::{Path, PathBuf};
-
-/// How many lines above an `unsafe` site a `SAFETY:` comment may sit.
-const SAFETY_WINDOW: u32 = 3;
-
-/// The only directory allowed to call `thread::spawn` — the worker pool.
-pub const THREAD_SPAWN_PREFIX: &str = "crates/exec/";
 
 /// Registered metric families: the first dot-segment of every registry
 /// metric literal must be one of these.  Extending the exported namespace
@@ -78,7 +54,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number.
     pub line: u32,
-    /// Rule identifier (e.g. `no-bare-unwrap`).
+    /// Rule identifier (e.g. `hot-path-panic`).
     pub rule: &'static str,
     /// What went wrong.
     pub message: String,
@@ -114,14 +90,6 @@ fn str_contents(file: &SourceFile, ix: usize) -> Option<&str> {
     text.strip_prefix('"').and_then(|t| t.strip_suffix('"'))
 }
 
-/// Lints one file's source.  `rel_path` is the repo-relative path used in
-/// findings and for the per-directory rules.  Test-facing convenience over
-/// [`lint_source`].
-#[cfg_attr(not(test), allow(dead_code))]
-pub fn lint_file(rel_path: &str, source: &str) -> Vec<Finding> {
-    lint_source(&SourceFile::scan(rel_path, source))
-}
-
 /// Token-stream lint over an already-scanned file.
 pub fn lint_source(file: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -142,7 +110,9 @@ pub fn lint_source(file: &SourceFile) -> Vec<Finding> {
     for (k, &ix) in code.iter().enumerate() {
         let text = file.text(ix);
         let line = file.tokens[ix].line;
-        let in_tests = file.in_tests(ix);
+        if file.in_tests(ix) {
+            continue;
+        }
         let push = |findings: &mut Vec<Finding>, rule: &'static str, message: String| {
             findings.push(Finding {
                 file: file.rel_path.clone(),
@@ -152,55 +122,7 @@ pub fn lint_source(file: &SourceFile) -> Vec<Finding> {
             });
         };
 
-        // Rules 1 + 2: no unsafe, and SAFETY: comments (tests too —
-        // unsound test code is still unsound).
-        if text == "unsafe" && file.tokens[ix].kind == TokKind::Ident {
-            push(
-                &mut findings,
-                "no-unsafe",
-                "`unsafe` in a workspace whose every crate forbids it".into(),
-            );
-            if !file.has_annotation(line, SAFETY_WINDOW, "SAFETY:") {
-                push(
-                    &mut findings,
-                    "safety-comment",
-                    format!("`unsafe` without a SAFETY: comment within {SAFETY_WINDOW} lines"),
-                );
-            }
-        }
-
-        if in_tests {
-            continue;
-        }
-
-        // Rule 3: bare unwrap / empty expect.
-        if text == "."
-            && code.get(k + 2).is_some_and(|&p| file.text(p) == "(")
-            && file.text(code[k + 1]) == "unwrap"
-            && code.get(k + 3).is_some_and(|&p| file.text(p) == ")")
-        {
-            push(
-                &mut findings,
-                "no-bare-unwrap",
-                ".unwrap() outside #[cfg(test)]; propagate or .expect(\"why\")".into(),
-            );
-        }
-        if text == "."
-            && code.get(k + 2).is_some_and(|&p| file.text(p) == "(")
-            && file.text(code[k + 1]) == "expect"
-            && code
-                .get(k + 3)
-                .and_then(|&p| str_contents(file, p))
-                .is_some_and(str::is_empty)
-        {
-            push(
-                &mut findings,
-                "no-bare-unwrap",
-                "empty .expect(\"\") outside #[cfg(test)]; say why it cannot fail".into(),
-            );
-        }
-
-        // Rules 4 + 6: telemetry name grammar and metric families.
+        // Telemetry name grammar and metric families.
         if file.tokens[ix].kind == TokKind::Ident {
             if let Some(&(_, is_metric, needs_dot)) = name_sinks.iter().find(|(m, _, _)| *m == text)
             {
@@ -235,7 +157,7 @@ pub fn lint_source(file: &SourceFile) -> Vec<Finding> {
             }
         }
 
-        // Rule 7: flight-recorder event literals follow the span grammar.
+        // Flight-recorder event literals follow the span grammar.
         if text == "Event"
             && k + 5 < code.len()
             && file.text(code[k + 1]) == ":"
@@ -256,41 +178,34 @@ pub fn lint_source(file: &SourceFile) -> Vec<Finding> {
                 }
             }
         }
-
-        // Rule 5: threads are spawned only by the exec worker pool.
-        if text == "thread"
-            && !file.rel_path.starts_with(THREAD_SPAWN_PREFIX)
-            && k + 4 < code.len()
-            && file.text(code[k + 1]) == ":"
-            && file.text(code[k + 2]) == ":"
-            && file.text(code[k + 3]) == "spawn"
-            && file.text(code[k + 4]) == "("
-        {
-            push(
-                &mut findings,
-                "no-thread-spawn",
-                format!(
-                    "thread::spawn outside {THREAD_SPAWN_PREFIX}; go through \
-                     xseq_exec::Pool (or a std::thread::scope) instead"
-                ),
-            );
-        }
     }
     findings
 }
 
-/// Walks `crates/*/src` under `root` and scans every `.rs` file — the
-/// shared corpus for `lint` and the `analyze` passes.
-pub fn scan_repo(root: &Path) -> Result<Vec<SourceFile>, String> {
+/// The crate directories under `root/crates`, sorted.
+fn crate_dirs(root: &Path) -> Result<Vec<PathBuf>, String> {
     let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)
+    let mut dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)
         .map_err(|e| format!("{}: {e}", crates_dir.display()))?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.is_dir())
         .collect();
-    crate_dirs.sort();
+    dirs.sort();
+    Ok(dirs)
+}
+
+fn rel_to(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
+/// Walks `crates/*/src` under `root` and scans every `.rs` file — the
+/// shared corpus of the `analyze` rules and `loc`.
+pub fn scan_repo(root: &Path) -> Result<Vec<SourceFile>, String> {
     let mut out = Vec::new();
-    for crate_dir in crate_dirs {
+    for crate_dir in crate_dirs(root)? {
         let src = crate_dir.join("src");
         if !src.is_dir() {
             continue;
@@ -299,47 +214,48 @@ pub fn scan_repo(root: &Path) -> Result<Vec<SourceFile>, String> {
         collect_rs(&src, &mut files)?;
         files.sort();
         for file in files {
-            let rel = file
-                .strip_prefix(root)
-                .unwrap_or(&file)
-                .to_string_lossy()
-                .replace('\\', "/");
             let source =
                 std::fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;
-            out.push(SourceFile::scan(&rel, &source));
+            out.push(SourceFile::scan(&rel_to(root, &file), &source));
         }
     }
     Ok(out)
 }
 
-/// Crate-root `#![forbid(unsafe_code)]` presence check over a scanned
-/// corpus (textual: it is an exact-attribute test, not a token pattern).
-pub fn forbid_findings(files: &[SourceFile]) -> Vec<Finding> {
+/// True when a crate manifest inherits the workspace lint table: a
+/// `[lints]` section holding `workspace = true`.
+fn inherits_workspace_lints(manifest: &str) -> bool {
+    manifest
+        .lines()
+        .map(|l| l.split('#').next().unwrap_or("").trim())
+        .skip_while(|l| *l != "[lints]")
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .any(|l| l.replace(' ', "") == "workspace=true")
+}
+
+/// The opt-in check behind the workspace lint table (textual: it is a
+/// presence test on a manifest, not a token pattern).  The table's
+/// `unsafe_code` and `clippy::unwrap_used` levels reach a member only
+/// through `[lints] workspace = true`, and Cargo does not complain when a
+/// member leaves it out.
+pub fn manifest_findings(root: &Path) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::new();
-    for file in files {
-        let is_root =
-            file.rel_path.ends_with("/src/lib.rs") || file.rel_path.ends_with("/src/main.rs");
-        if !is_root {
-            continue;
-        }
-        if !file.src.contains("#![forbid(unsafe_code)]") {
+    for crate_dir in crate_dirs(root)? {
+        let manifest = crate_dir.join("Cargo.toml");
+        let text = std::fs::read_to_string(&manifest)
+            .map_err(|e| format!("{}: {e}", manifest.display()))?;
+        if !inherits_workspace_lints(&text) {
             findings.push(Finding {
-                file: file.rel_path.clone(),
+                file: rel_to(root, &manifest),
                 line: 1,
-                rule: "no-unsafe",
-                message: "crate root must declare #![forbid(unsafe_code)]".into(),
+                rule: "workspace-lints",
+                message: "manifest must inherit the workspace lint table: \
+                          add `[lints]` with `workspace = true`"
+                    .into(),
             });
         }
     }
-    findings
-}
-
-/// Lints the whole repo: every `crates/*/src/**.rs` plus the crate-root
-/// forbid check.
-pub fn lint_repo(root: &Path) -> Result<Vec<Finding>, String> {
-    let files = scan_repo(root)?;
-    let mut findings: Vec<Finding> = files.iter().flat_map(lint_source).collect();
-    findings.extend(forbid_findings(&files));
     Ok(findings)
 }
 
@@ -359,32 +275,17 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    const BAD_UNSAFE: &str = include_str!("../fixtures/bad_unsafe.rs");
-    const BAD_UNWRAP: &str = include_str!("../fixtures/bad_unwrap.rs");
     const BAD_SPAN: &str = include_str!("../fixtures/bad_span_name.rs");
     const BAD_FAMILY: &str = include_str!("../fixtures/bad_metric_family.rs");
     const BAD_EVENT: &str = include_str!("../fixtures/bad_event_name.rs");
-    const BAD_SPAWN: &str = include_str!("../fixtures/bad_thread_spawn.rs");
     const GOOD: &str = include_str!("../fixtures/good_clean.rs");
+
+    fn lint_file(rel_path: &str, source: &str) -> Vec<Finding> {
+        lint_source(&SourceFile::scan(rel_path, source))
+    }
 
     fn rules(findings: &[Finding]) -> Vec<&'static str> {
         findings.iter().map(|f| f.rule).collect()
-    }
-
-    #[test]
-    fn bad_unsafe_fixture_fails_both_unsafe_rules() {
-        let f = lint_file("crates/demo/src/lib.rs", BAD_UNSAFE);
-        assert!(rules(&f).contains(&"no-unsafe"), "{f:?}");
-        assert!(rules(&f).contains(&"safety-comment"), "{f:?}");
-    }
-
-    #[test]
-    fn bad_unwrap_fixture_fails_only_outside_tests() {
-        let f = lint_file("crates/demo/src/lib.rs", BAD_UNWRAP);
-        let unwraps: Vec<_> = f.iter().filter(|f| f.rule == "no-bare-unwrap").collect();
-        assert_eq!(unwraps.len(), 2, "{f:?}"); // one .unwrap(), one .expect("")
-                                               // fixture's test module contains .unwrap() that must NOT be flagged
-        assert!(unwraps.iter().all(|f| f.line < 20), "{f:?}");
     }
 
     #[test]
@@ -430,19 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn bad_thread_spawn_fixture_fails_outside_exec() {
-        let f = lint_file("crates/demo/src/lib.rs", BAD_SPAWN);
-        let spawns: Vec<_> = f.iter().filter(|f| f.rule == "no-thread-spawn").collect();
-        // exactly the detached spawn: the scoped s.spawn, the string, the
-        // comment and the test module must not fire
-        assert_eq!(spawns.len(), 1, "{f:?}");
-        assert_eq!(spawns[0].line, 8, "{f:?}");
-        // the worker pool itself is allowed to spawn
-        let f = lint_file("crates/exec/src/lib.rs", BAD_SPAWN);
-        assert!(!rules(&f).contains(&"no-thread-spawn"), "{f:?}");
-    }
-
-    #[test]
     fn good_fixture_is_clean() {
         let f = lint_file("crates/demo/src/lib.rs", GOOD);
         assert!(f.is_empty(), "{f:?}");
@@ -465,26 +353,11 @@ mod tests {
     }
 
     #[test]
-    fn strings_and_comments_never_match_rule_needles() {
-        let src = r##"
-fn f() {
-    let _ = "contains .unwrap() and unsafe and thread::spawn(";
-    // .unwrap() in a comment is fine, as is unsafe
-    /* block with .expect("") too */
-    let _c = '"'; // a quote char literal must not open a string
-    let _ = g(".unwrap()");
-    let _raw = r#"unsafe .unwrap() thread::spawn("#;
-}
-"##;
-        assert!(lint_file("crates/demo/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
     fn delta_module_is_covered_and_obeys_the_rules() {
         // The update overlay (DESIGN.md §11) lives under the normal
         // crates/*/src walk; this pins that the walk actually reaches it,
-        // so the telemetry-name-grammar and no-thread-spawn rules keep
-        // applying to the delta trie as it grows.
+        // so the telemetry-name grammar keeps applying to the delta trie
+        // as it grows.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let delta = root.join("crates/index/src/delta.rs");
         let source = std::fs::read_to_string(&delta).expect("delta module exists");
@@ -498,26 +371,30 @@ fn f() {
         assert!(lint_file("crates/index/src/delta.rs", &poisoned)
             .iter()
             .any(|f| f.rule == "span-name-grammar"));
-        // And a detached spawn would be too (the overlay must express
-        // parallelism through the exec pool).
-        let spawned = format!("fn worse() {{ std::thread::spawn(|| ()); }}\n{source}");
-        assert!(lint_file("crates/index/src/delta.rs", &spawned)
-            .iter()
-            .any(|f| f.rule == "no-thread-spawn"));
     }
 
     #[test]
-    fn whole_repo_is_clean() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let findings = lint_repo(&root).expect("repo walk succeeds");
-        assert!(
-            findings.is_empty(),
-            "repo lint must be clean:\n{}",
-            findings
-                .iter()
-                .map(|f| f.to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
+    fn manifest_opt_in_is_a_lints_section_with_workspace_true() {
+        let head = "[package]\nname = \"demo\"\n\n[dependencies]\n";
+        assert!(inherits_workspace_lints(&format!(
+            "{head}\n[lints]\nworkspace = true\n"
+        )));
+        assert!(inherits_workspace_lints(&format!(
+            "{head}[lints]\n# inherit\nworkspace=true # all of it\n[features]\n"
+        )));
+        // absent, commented out, a crate-local table, or `workspace = true`
+        // under some other section (a dependency's) do not count
+        for tail in [
+            "",
+            "# [lints]\n# workspace = true\n",
+            "[lints.rust]\nunsafe_code = \"forbid\"\n",
+            "[lints]\n[features]\nworkspace = true\n",
+            "[dependencies.rand]\nworkspace = true\n",
+        ] {
+            assert!(
+                !inherits_workspace_lints(&format!("{head}{tail}")),
+                "{tail}"
+            );
+        }
     }
 }

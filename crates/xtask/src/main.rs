@@ -3,14 +3,12 @@
 //!
 //! Subcommands:
 //!
-//! * `lint` (default) — the xseq-check lint pass: no `unsafe`, no bare
-//!   `unwrap()`, telemetry-name grammar and metric families.  See
-//!   `lint.rs` for the rules.
-//! * `analyze [--json <path>]` — the token-aware static-analysis pass
-//!   (DESIGN.md §14): the lint rules plus lock-order deadlock detection,
-//!   the atomic-ordering audit, and hot-path panic-freedom.  Prints a
-//!   per-rule timing table; `--json` writes the findings document CI
-//!   uploads as an artifact.
+//! * `analyze` (default) — the static checks the toolchain does not make
+//!   (DESIGN.md §14): telemetry-name grammar and metric families, the
+//!   workspace-lint opt-in of every crate manifest, and hot-path
+//!   panic-freedom from the seeds in `crates/xtask/hotpath.txt`.  `unsafe`,
+//!   bare `unwrap()` and detached thread spawns are `rustc`'s and clippy's
+//!   (root `Cargo.toml` `[workspace.lints]`, `clippy.toml`).
 //! * `loc` — non-blank, non-comment, non-test source lines and `pub fn`
 //!   count per crate (same lexer/scanner as `analyze`), held under the
 //!   ratchet in `crates/xtask/loc_ceiling.txt`: exits 1 when a listed
@@ -18,16 +16,13 @@
 //! * `diagcheck <dir>` — validate a diagnostics bundle (as written by
 //!   `Database::diagnostics` / `repro --diag`): presence of every
 //!   artifact, JSON/JSONL well-formedness, manifest provenance keys.
-#![forbid(unsafe_code)]
 
 mod analyze;
-mod atomics;
 mod diagcheck;
 mod graph;
 mod lexer;
 mod lint;
 mod loc;
-mod lockorder;
 mod panicfree;
 mod scan;
 
@@ -36,17 +31,17 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        None | Some("lint") => run_lint(),
-        Some("analyze") => run_analyze(&args[1..]),
-        Some("loc") => run_loc(),
-        Some("diagcheck") => run_diagcheck(args.get(1).map(String::as_str)),
-        Some("help" | "--help" | "-h") => {
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args[..] {
+        [] | ["analyze"] => run_analyze(),
+        ["loc"] => run_loc(),
+        ["diagcheck", ref rest @ ..] => run_diagcheck(rest.first().copied()),
+        ["help" | "--help" | "-h"] => {
             usage();
             ExitCode::SUCCESS
         }
-        Some(other) => {
-            eprintln!("xtask: unknown subcommand `{other}`\n");
+        _ => {
+            eprintln!("xtask: unrecognised arguments `{}`\n", args.join(" "));
             usage();
             ExitCode::from(2)
         }
@@ -76,68 +71,24 @@ fn run_diagcheck(dir: Option<&str>) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn run_lint() -> ExitCode {
+fn run_analyze() -> ExitCode {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    match lint::lint_repo(&root) {
+    match analyze::analyze_repo(&root) {
         Ok(findings) if findings.is_empty() => {
-            println!("xtask lint: clean");
+            println!("xtask analyze: clean");
             ExitCode::SUCCESS
         }
         Ok(findings) => {
             for f in &findings {
                 eprintln!("{f}");
             }
-            eprintln!("xtask lint: {} finding(s)", findings.len());
+            eprintln!("xtask analyze: {} finding(s)", findings.len());
             ExitCode::FAILURE
         }
         Err(err) => {
-            eprintln!("xtask lint: {err}");
+            eprintln!("xtask analyze: {err}");
             ExitCode::from(2)
         }
-    }
-}
-
-fn run_analyze(args: &[String]) -> ExitCode {
-    let mut json_path: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => match it.next() {
-                Some(p) => json_path = Some(p),
-                None => {
-                    eprintln!("xtask analyze: --json needs a path\n");
-                    usage();
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("xtask analyze: unknown argument `{other}`\n");
-                usage();
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = match analyze::analyze_repo(&root) {
-        Ok(r) => r,
-        Err(err) => {
-            eprintln!("xtask analyze: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(path, analyze::to_json(&report)) {
-            eprintln!("xtask analyze: {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    print!("{}", analyze::render(&report));
-    if report.findings.is_empty() {
-        println!("xtask analyze: clean");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("xtask analyze: {} finding(s)", report.findings.len());
-        ExitCode::FAILURE
     }
 }
 
@@ -175,11 +126,10 @@ fn run_loc() -> ExitCode {
 
 fn usage() {
     println!(
-        "usage: cargo xtask [lint | analyze [--json <path>] | loc | diagcheck <dir>]\n\n\
+        "usage: cargo xtask [analyze | loc | diagcheck <dir>]\n\n\
          subcommands:\n  \
-         lint        run the xseq-check lint pass over crates/*/src (default)\n  \
-         analyze     token-aware static analysis: lint + lock-order +\n              \
-         atomic-ordering + hot-path panic-freedom (--json writes findings)\n  \
+         analyze     telemetry-name grammar, workspace-lint opt-in and\n              \
+         hot-path panic-freedom over crates/*/src (default)\n  \
          loc         source lines and pub fns per crate vs loc_ceiling.txt\n  \
          diagcheck   validate a diagnostics bundle directory\n  \
          help        show this message\n\n\

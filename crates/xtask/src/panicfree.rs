@@ -3,7 +3,9 @@
 //! The read path must not abort the process: a panic inside
 //! `query_batch` takes down every in-flight query sharing the pool, and a
 //! panic while a buffer-pool or recorder guard is held poisons the lock
-//! for the rest of the process.  This pass closes the seed set from the
+//! for the rest of the process.  Nor may untrusted input: `parse_document`
+//! is a seed, so hostile XML ends in an `XmlError`, never in a panic.
+//! This pass closes the seed set from the
 //! checked-in manifest (`crates/xtask/hotpath.txt`) over the
 //! [`FunctionIndex`](crate::graph::FunctionIndex) call graph and flags, in
 //! every reachable function:

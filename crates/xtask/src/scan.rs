@@ -5,9 +5,9 @@
 //! This is deliberately *not* a parser.  The analyses need three
 //! structural facts the flat token stream lacks:
 //!
-//! 1. **Function extents** — which tokens belong to which `fn`, so lock
-//!    acquisitions, atomic operations and panic sites can be attributed to
-//!    a named function and propagated along the call graph.
+//! 1. **Function extents** — which tokens belong to which `fn`, so panic
+//!    sites can be attributed to a named function and propagated along the
+//!    call graph.
 //! 2. **Owners** — the `impl` type a method lives in, so `Type::method`
 //!    calls resolve precisely while bare `method` calls fall back to
 //!    name-level resolution.
@@ -84,8 +84,7 @@ impl SourceFile {
     }
 
     /// True when some line comment on lines `[line-window, line]` contains
-    /// `needle` — the shared shape of the annotation rules (`SAFETY:`,
-    /// `ORDERING:`, `PANIC-FREE:`).
+    /// `needle` — the shape of an annotation rule (`PANIC-FREE:`).
     pub fn has_annotation(&self, line: u32, window: u32, needle: &str) -> bool {
         self.annotation_text(line, window, needle).is_some()
     }

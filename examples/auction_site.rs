@@ -40,12 +40,13 @@ fn main() {
 
     // serialize to the paged layout for I/O accounting
     let mut store = MemStore::new();
-    let pages = write_paged_trie(index.trie(), &mut store).unwrap();
-    let paged = PagedTrie::open(store, 256).unwrap();
+    let pages = write_paged_trie(index.trie(), &mut store).expect("a MemStore write cannot fail");
+    let paged = PagedTrie::open(store, 256).expect("the header was just written");
     println!("paged index: {pages} pages of 4 KiB\n");
 
     for (name, expr) in queries::XMARK_QUERIES {
-        let pattern = parse_xpath(expr, &mut corpus.symbols).unwrap();
+        let pattern =
+            parse_xpath(expr, &mut corpus.symbols).expect("the built-in XMark queries parse");
         let t0 = std::time::Instant::now();
         let outcome = index.query(&pattern, &corpus.paths);
         let elapsed = t0.elapsed();

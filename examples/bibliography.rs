@@ -68,7 +68,8 @@ fn main() {
         "", "results", "paths(ms)", "nodes(ms)", "vist(ms)", "cs(ms)"
     );
     for (name, expr) in queries::DBLP_QUERIES {
-        let pattern = parse_xpath(expr, &mut corpus.symbols).unwrap();
+        let pattern =
+            parse_xpath(expr, &mut corpus.symbols).expect("the built-in DBLP queries parse");
 
         let t = Instant::now();
         let (r1, _) = path_idx.query(&pattern, &corpus.docs, &corpus.paths);

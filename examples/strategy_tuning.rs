@@ -13,7 +13,7 @@
 use xseq::datagen::{SyntheticDataset, SyntheticParams};
 use xseq::index::XmlIndex;
 use xseq::schema::{ProbabilityModel, WeightMap};
-use xseq::sequence::{sequence_document, Strategy};
+use xseq::sequence::{sequence_document, Sequence, Strategy};
 use xseq::{PlanOptions, SymbolTable, ValueMode};
 
 fn main() {
@@ -78,8 +78,13 @@ fn main() {
     let boosted = Strategy::Probability(model.priorities(&paths, &w));
     let seq_boosted = sequence_document(doc, &mut paths, &boosted);
 
-    let pos_plain = seq_plain.elems().iter().position(|&p| p == rare).unwrap();
-    let pos_boosted = seq_boosted.elems().iter().position(|&p| p == rare).unwrap();
+    let position = |seq: &Sequence| {
+        seq.elems()
+            .iter()
+            .position(|&p| p == rare)
+            .expect("`rare` was picked from this document's own paths")
+    };
+    let (pos_plain, pos_boosted) = (position(&seq_plain), position(&seq_boosted));
     println!("  rare path position without boost: {pos_plain}");
     println!("  rare path position with boost:    {pos_boosted}");
     assert!(pos_boosted <= pos_plain);

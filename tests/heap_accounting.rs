@@ -7,8 +7,10 @@
 //!
 //! It is a separate integration-test binary on purpose: a process-wide
 //! allocator counter cannot tolerate unrelated tests allocating in
-//! parallel, and the library crates `forbid(unsafe_code)` (the counter
-//! needs two `unsafe impl` trampolines around `System`).
+//! parallel, and the workspace lint table denies `unsafe_code` (the
+//! counter needs two `unsafe impl` trampolines around `System`, allowed
+//! for this target alone).
+#![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};

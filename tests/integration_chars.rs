@@ -17,7 +17,7 @@ fn db(seq: Sequencing) -> xseq::Database {
         .sequencing(seq)
         .value_mode(ValueMode::Chars)
         .build_from_xml(DOCS.iter().copied())
-        .unwrap()
+        .expect("DOCS are well-formed")
 }
 
 #[test]

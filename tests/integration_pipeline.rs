@@ -1,7 +1,12 @@
 //! End-to-end pipeline: XML text → parser → database → XPath queries →
 //! dynamic insert → serialization round trip.
 
-use xseq::xml::write_document;
+use proptest::prelude::*;
+use std::sync::OnceLock;
+use xseq::datagen::dblp::DblpGenerator;
+use xseq::datagen::queries::{DBLP_QUERIES, XMARK_QUERIES};
+use xseq::datagen::xmark::{XmarkGenerator, XmarkOptions};
+use xseq::xml::{write_document, SymbolTable};
 use xseq::{DatabaseBuilder, Error, Sequencing, ValueMode};
 
 const PROJECTS: &[&str] = &[
@@ -111,4 +116,89 @@ fn error_paths_are_reported() {
     ));
     let db = DatabaseBuilder::new().build_from_xml(["<a/>"]).unwrap();
     assert!(matches!(db.query_xpath("not-a-path"), Err(Error::Query(_))));
+}
+
+/// Datagen records as XML text: 24 XMark, then 24 DBLP.
+fn records() -> &'static [String] {
+    static RECORDS: OnceLock<Vec<String>> = OnceLock::new();
+    RECORDS.get_or_init(|| {
+        let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
+        let mut docs = XmarkGenerator::new(7, XmarkOptions::default()).generate(24, &mut symbols);
+        docs.extend(DblpGenerator::new(7).generate(24, &mut symbols));
+        docs.iter().map(|d| write_document(d, &symbols)).collect()
+    })
+}
+
+/// One byte-level edit: `(kind, position, payload)`, each reduced modulo
+/// what the text at hand allows.
+type Edit = (u8, u32, u8);
+
+/// A pick (which record or query, modulo how many there are) and the 1–4
+/// edits to apply to it.
+fn mutants(n: usize) -> impl Strategy<Value = Vec<(u32, Vec<Edit>)>> {
+    let edits = proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u8>()), 1..=4);
+    proptest::collection::vec((any::<u32>(), edits), n)
+}
+
+/// Applies 1–4 byte edits — overwrite, delete, insert a syntax character,
+/// truncate, swap — and re-decodes lossily, so the result is a `&str` a
+/// caller could really hand the database.  (`crates/xml/tests/proptests.rs`
+/// carries the same mutator for the parser alone.)
+fn mutate(text: &str, edits: &[Edit]) -> String {
+    const SYNTAX: &[u8] = b"<>/&;\"'=[]!-?";
+    let mut bytes = text.as_bytes().to_vec();
+    for &(kind, pos, payload) in edits {
+        if bytes.is_empty() {
+            break;
+        }
+        let len = bytes.len();
+        let at = pos as usize % len;
+        match kind % 5 {
+            0 => bytes[at] = payload,
+            1 => drop(bytes.remove(at)),
+            2 => bytes.insert(at, SYNTAX[payload as usize % SYNTAX.len()]),
+            3 => bytes.truncate(at),
+            _ => bytes.swap(at, (at + 1 + payload as usize) % len),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Hostile bytes at both front doors: a mutated record is inserted or
+    /// refused with `Error::Xml` and no trace left behind; a mutated paper
+    /// query is answered or refused with `Error::Query`; nothing panics,
+    /// and the index is intact afterwards.
+    #[test]
+    fn mutated_records_and_queries_are_served_or_refused(
+        docs in mutants(32),
+        queries in mutants(16),
+    ) {
+        let records = records();
+        let mut db = DatabaseBuilder::new()
+            .build_from_xml(records.iter().map(String::as_str))
+            .unwrap();
+        for (pick, edits) in &docs {
+            let mutant = mutate(&records[*pick as usize % records.len()], edits);
+            let before = db.len();
+            match db.insert_document(&mutant) {
+                Ok(_) => prop_assert_eq!(db.len(), before + 1, "{mutant:?}"),
+                Err(Error::Xml(_)) => prop_assert_eq!(db.len(), before, "{mutant:?}"),
+                Err(e) => prop_assert!(false, "{e} for {mutant:?}"),
+            }
+        }
+        let paper: Vec<&str> = XMARK_QUERIES.iter().chain(DBLP_QUERIES).map(|&(_, q)| q).collect();
+        for (pick, edits) in &queries {
+            let mutant = mutate(paper[*pick as usize % paper.len()], edits);
+            let answer = db.query_xpath(&mutant);
+            prop_assert!(
+                matches!(answer, Ok(_) | Err(Error::Query(_))),
+                "{answer:?} for {mutant:?}"
+            );
+        }
+        let report = db.verify_integrity();
+        prop_assert!(report.is_clean(), "{}", report.summary());
+    }
 }
