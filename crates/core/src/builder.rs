@@ -139,9 +139,10 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Sets the worker count for ingest (parallel parse, sequencing, and
-    /// index freeze) and for [`Database::query_batch`].  1 (the default)
-    /// runs everything in place with no thread traffic.
+    /// Sets the worker count for ingest (parallel parse and sequence
+    /// emission; path interning, the sort and the freeze are serial) and
+    /// for [`Database::query_batch`].  1 (the default) runs everything in
+    /// place with no thread traffic.
     ///
     /// The shard count follows the thread count unless
     /// [`DatabaseBuilder::shards`] pins it.  Shards build side by side,
@@ -501,8 +502,8 @@ fn parse_shard(
 /// The one per-shard index build, shared by the initial build and
 /// [`Database::compact`] — so a compacted shard is bit-identical to a fresh
 /// build over its survivors.  Derives the sequencing strategy from the
-/// corpus, then runs the parallel build on `pool` (bit-identical to the
-/// sequential build at any width, which a width-1 pool literally is).
+/// corpus, then runs the index's one constructor on `pool` (bit-identical
+/// at any width; a width-1 pool runs it in place).
 /// Later inserts through `corpus` record `xml.parse` into `registry`.
 pub(crate) fn build_shard_index(
     config: &BuildConfig,

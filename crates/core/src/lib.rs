@@ -33,12 +33,14 @@
 //! * [`xml`] — documents, parsing, designators, path encoding, patterns,
 //!   the brute-force ground-truth matcher.
 //! * [`sequence`] — constraints (`f1`, forward prefix `f2`), the Theorem 1
-//!   decoder, sequencing strategies (DF/BF/Random/probability-ordered),
-//!   isomorphic expansion.
+//!   decoder, sequencing strategies (DF/BF/Random/probability-ordered)
+//!   behind one pure emitter, isomorphic expansion.
 //! * [`schema`] — occurrence probabilities `p(C|root)` (estimated or
 //!   declared) and query-tuning weights `w(C)` (Eq. 6).
-//! * [`index`] — the trie + path-link index, Algorithm 1 and the order-free
-//!   `tree_search`, wildcard planning.
+//! * [`index`] — the trie + path-link index and its one constructor
+//!   (interning pass, pooled emission, freeze), Algorithm 1 and the
+//!   order-free `tree_search`, wildcard planning, the tiered update overlay
+//!   (a run is its trie).
 //! * [`query`] — the XPath-subset parser.
 //! * [`storage`] — 4 KiB pages, buffer pool, the disk layout (`TrieView`
 //!   over pages) used for the I/O experiments.

@@ -18,14 +18,13 @@
 //!
 //! Determinism contract: [`Pool::map`], [`Pool::map_chunks`] and
 //! [`Pool::run`] return results in input order, independent of thread
-//! count and scheduling.  Parallel index construction relies on this — the
-//! merge of per-worker interning deltas happens in chunk order, which is
-//! document order.
+//! count and scheduling.  Parallel ingest relies on this — parsing merges
+//! per-worker symbol deltas in chunk order, which is document order, and
+//! the index build concatenates emitted sequences in it.
 //!
 //! The crate also hosts [`Ticker`], the periodic driver behind the
-//! telemetry crate's clock-free watchdog and metrics journal: those are
-//! pure `tick()` state machines, and the one place allowed to own the
-//! background thread that calls them on a cadence is here.
+//! database's background merge worker: the one place allowed to own a
+//! background thread that calls a closure on a cadence is here.
 //!
 //! The root `clippy.toml` disallows `std::thread::spawn` and
 //! `std::thread::Builder::spawn` workspace-wide; the one `#[allow]` is on

@@ -30,8 +30,7 @@ pub mod trie;
 pub mod verify;
 
 pub use delta::{
-    check_updates_tiered, DeltaRun, DeltaView, MergeOutcome, TieredDelta, Tombstones, UpdateOp,
-    DEFAULT_MEMTABLE_LIMIT, DEFAULT_TIER_RATIO,
+    DeltaView, MergeOutcome, TieredDelta, Tombstones, DEFAULT_MEMTABLE_LIMIT, DEFAULT_TIER_RATIO,
 };
 pub use plan::{instantiate, PlanOptions};
 pub use search::{
@@ -47,7 +46,7 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-use xseq_sequence::{isomorphic_variants, sequence_document, Strategy};
+use xseq_sequence::{emit_sequence, isomorphic_variants, sequence_document, Strategy};
 use xseq_telemetry::{ActiveTrace, SpanId, Trace};
 use xseq_xml::{DocId, Document, PathId, PathTable, TreePattern};
 
@@ -270,63 +269,34 @@ pub struct XmlIndex {
 }
 
 impl XmlIndex {
-    /// Builds an index over `docs` with the given sequencing strategy.
-    ///
-    /// Sequences every document, loads the sequences into the trie and
-    /// freezes it (sort, preorder nodes, labels + path links), so the index
-    /// is immediately queryable.
+    /// Builds an index over `docs` with the given sequencing strategy:
+    /// [`XmlIndex::build_parallel`] in place, with no registry wiring.
     pub fn build(
         docs: &[Document],
         paths: &mut PathTable,
         strategy: Strategy,
         options: PlanOptions,
     ) -> Self {
-        Self::build_instrumented(docs, paths, strategy, options, None)
+        let pool = xseq_exec::Pool::default();
+        Self::build_parallel(docs, paths, strategy, options, None, &pool)
     }
 
-    /// [`XmlIndex::build`] with registry wiring: build-time document
-    /// sequencing is sampled into `sequence.encode`, and every later query
-    /// flushes its phase timings and work counters through `telemetry`.
-    pub fn build_instrumented(
-        docs: &[Document],
-        paths: &mut PathTable,
-        strategy: Strategy,
-        options: PlanOptions,
-        telemetry: Option<IndexTelemetry>,
-    ) -> Self {
-        let mut index = XmlIndex {
-            trie: SequenceTrie::new(),
-            strategy,
-            data_paths: HashSet::new(),
-            options,
-            telemetry,
-            delta: Arc::new(TieredDelta::new()),
-        };
-        let mut seqs = Vec::with_capacity(docs.len());
-        for (id, doc) in docs.iter().enumerate() {
-            let t0 = index.telemetry.as_ref().map(|_| Instant::now());
-            let seq = sequence_document(doc, paths, &index.strategy);
-            if let (Some(t), Some(tel)) = (t0, index.telemetry.as_ref()) {
-                tel.encode.record_duration(t.elapsed());
-            }
-            index.data_paths.extend(seq.elems().iter().copied());
-            seqs.push((seq, id as DocId));
-        }
-        index.trie.bulk_load(seqs);
-        index.trie.freeze();
-        index
-    }
-
-    /// [`XmlIndex::build_instrumented`] fanned out across `pool`.
+    /// The one constructor — the paper's pipeline (Sections 2, 4.1) over a
+    /// corpus: path-encode every document, order its nodes under `f2` with
+    /// the strategy, load the sequences into the trie and freeze it (sort,
+    /// preorder nodes, labels + path links), so the index is immediately
+    /// queryable.
     ///
-    /// Documents are sequenced in parallel chunks; each worker interns new
-    /// paths into a private clone of the path table, and the per-chunk
-    /// deltas are absorbed back in chunk (= document) order, which replays
-    /// the sequential first-occurrence interning exactly.  The sequences
-    /// then take the sequential build's [`SequenceTrie::bulk_load`] +
-    /// [`SequenceTrie::freeze`] — sorting, node creation and labeling are a
-    /// small serial tail (DESIGN.md §10.2) — so the frozen index is
-    /// bit-identical to the sequential build at any thread count.
+    /// Interning is one serial pass in document order, so [`PathId`]s are
+    /// first-occurrence ids whatever the pool width; emission is pure in
+    /// `(doc, enc, strategy)` and fans out over `pool`, which returns
+    /// results in input order (and runs in place when it is one wide).  The
+    /// frozen index is therefore bit-identical at any thread count
+    /// (DESIGN.md §10.2).
+    ///
+    /// With `telemetry`, each document's encode + emit time is sampled into
+    /// `sequence.encode`, and every later query flushes its phase timings
+    /// and work counters through it.
     pub fn build_parallel(
         docs: &[Document],
         paths: &mut PathTable,
@@ -335,56 +305,40 @@ impl XmlIndex {
         telemetry: Option<IndexTelemetry>,
         pool: &xseq_exec::Pool,
     ) -> Self {
-        if pool.is_sequential() {
-            return Self::build_instrumented(docs, paths, strategy, options, telemetry);
+        let emitted = {
+            let encoded: Vec<_> = docs
+                .iter()
+                .map(|doc| {
+                    let t0 = Instant::now();
+                    let enc = doc.path_encode(paths);
+                    (doc, enc, t0.elapsed())
+                })
+                .collect();
+            pool.map(&encoded, |id, (doc, enc, interned)| {
+                let t0 = Instant::now();
+                let (seq, _) = emit_sequence(doc, enc, &strategy);
+                ((seq, id as DocId), *interned + t0.elapsed())
+            })
+        };
+        let (seqs, encode_times): (Vec<_>, Vec<_>) = emitted.into_iter().unzip();
+        if let Some(tel) = &telemetry {
+            for took in encode_times {
+                tel.encode.record_duration(took);
+            }
         }
-        let mut index = XmlIndex {
-            trie: SequenceTrie::new(),
+        let mut trie = SequenceTrie::new();
+        trie.bulk_load(seqs);
+        trie.freeze();
+        // The distinct paths of a frozen segment are exactly its link keys.
+        let data_paths = trie.frozen().links.keys().copied().collect();
+        XmlIndex {
+            trie,
             strategy,
-            data_paths: HashSet::new(),
+            data_paths,
             options,
             telemetry,
             delta: Arc::new(TieredDelta::new()),
-        };
-        let base_len = paths.len();
-        let chunk = pool.chunk_for(docs.len());
-        let chunks = {
-            let base: &PathTable = paths;
-            let strategy = &index.strategy;
-            pool.map_chunks(docs, chunk, |ci, slice| {
-                let mut local = base.clone();
-                let mut seqs = Vec::with_capacity(slice.len());
-                let mut encode_ns = Vec::with_capacity(slice.len());
-                for (j, doc) in slice.iter().enumerate() {
-                    let t0 = Instant::now();
-                    let seq = sequence_document(doc, &mut local, strategy);
-                    encode_ns.push(t0.elapsed());
-                    seqs.push((seq, (ci * chunk + j) as DocId));
-                }
-                (local, seqs, encode_ns)
-            })
-        };
-        // Serial barrier: absorb interning deltas in chunk order and remap
-        // each chunk's sequences onto the global path ids.
-        for (local, mut seqs, encode_ns) in chunks {
-            let remap = paths.absorb_delta(&local, base_len);
-            for (seq, _) in &mut seqs {
-                if !remap.is_identity() {
-                    for p in &mut seq.0 {
-                        *p = remap.path(*p);
-                    }
-                }
-                index.data_paths.extend(seq.elems().iter().copied());
-            }
-            if let Some(tel) = &index.telemetry {
-                for d in encode_ns {
-                    tel.encode.record_duration(d);
-                }
-            }
-            index.trie.bulk_load(seqs);
         }
-        index.trie.freeze();
-        index
     }
 
     /// Attaches (or replaces) the registry wiring of an existing index.
@@ -413,7 +367,7 @@ impl XmlIndex {
             tel.encode.record_duration(t.elapsed());
         }
         self.data_paths.extend(seq.elems().iter().copied());
-        self.delta.insert(&seq, id);
+        self.delta.insert(seq, id);
     }
 
     /// Tombstones a document id: it stops appearing in query results
@@ -643,10 +597,10 @@ impl XmlIndex {
         outcome
     }
 
-    /// Runs a single pre-built query sequence (no instantiation) — the
-    /// primitive used by the synthetic query-performance experiments.
-    /// Searches every segment and applies the tombstone filter, like a full
-    /// query.
+    /// Runs a single pre-built query sequence (no instantiation): searches
+    /// every segment and applies the tombstone filter, like a full query.
+    /// Whole-document containment checks (`tests/integration_updates.rs`)
+    /// use it.
     pub fn query_sequence(&self, q: &QuerySequence) -> (Vec<DocId>, SearchStats) {
         let view = self.delta.delta_view();
         let mut docs = Vec::new();

@@ -20,7 +20,7 @@
 use crate::delta::Tombstones;
 use crate::trie::{TrieNodeId, TrieView, NIL};
 use std::collections::HashMap;
-use xseq_sequence::{sequence_nodes, sequence_nodes_readonly, Sequence, Strategy};
+use xseq_sequence::{emit_sequence, Sequence, Strategy};
 use xseq_xml::{DocId, Document, PathId, PathTable};
 
 /// Drops tombstoned document ids from a result list — the *− tombstones*
@@ -54,7 +54,7 @@ impl QuerySequence {
     /// Sequences a concrete query tree with the index's strategy and records
     /// the parent positions.
     pub fn from_document(doc: &Document, paths: &mut PathTable, strategy: &Strategy) -> Self {
-        let (seq, nodes) = sequence_nodes(doc, paths, strategy);
+        let (seq, nodes) = emit_sequence(doc, &doc.path_encode(paths), strategy);
         Self::with_parents(doc, seq, &nodes)
     }
 
@@ -68,7 +68,7 @@ impl QuerySequence {
         paths: &PathTable,
         strategy: &Strategy,
     ) -> Option<Self> {
-        let (seq, nodes) = sequence_nodes_readonly(doc, paths, strategy)?;
+        let (seq, nodes) = emit_sequence(doc, &doc.path_encode_readonly(paths)?, strategy);
         Some(Self::with_parents(doc, seq, &nodes))
     }
 

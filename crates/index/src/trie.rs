@@ -248,18 +248,20 @@ impl SequenceTrie {
     /// documents in arrival order.
     // PANIC-FREE: end nodes are freeze-minted ids and every parent is a
     // smaller id, so the walk stays inside `path`/`parent` and terminates
-    fn stored(&self) -> Vec<(Sequence, DocId)> {
+    pub(crate) fn stored(&self) -> Vec<(Sequence, DocId)> {
         let mut out = Vec::with_capacity(self.docs.len());
+        // The end-to-root chain of the current end node; every pair gets its
+        // own exactly sized copy, reversed.
+        let mut chain = Vec::new();
         for (end, docs) in self.doc_lists() {
-            let mut elems = Vec::new();
+            chain.clear();
             let mut cur = end;
             while cur != 0 {
-                elems.push(self.path[cur as usize]);
+                chain.push(self.path[cur as usize]);
                 cur = self.parent[cur as usize];
             }
-            elems.reverse();
-            let seq = Sequence(elems);
-            out.extend(docs.iter().map(|&doc| (seq.clone(), doc)));
+            let spell = || Sequence(chain.iter().rev().copied().collect());
+            out.extend(docs.iter().map(|&doc| (spell(), doc)));
         }
         out
     }

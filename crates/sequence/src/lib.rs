@@ -25,9 +25,7 @@ pub mod verify;
 
 pub use constraint::{decode_f2, forward_prefix, validate_f2, DecodeError};
 pub use isomorph::isomorphic_variants;
-pub use strategy::{
-    sequence_document, sequence_nodes, sequence_nodes_readonly, PriorityMap, Strategy,
-};
+pub use strategy::{emit_sequence, sequence_document, PriorityMap, Strategy};
 pub use verify::{verify_sequence, SequenceIssue};
 
 use xseq_xml::{PathId, PathTable, SymbolTable};

@@ -165,54 +165,33 @@ impl HeapSize for Strategy {
 /// Interns any new paths into `paths`; the result has exactly one element
 /// per tree node.
 pub fn sequence_document(doc: &Document, paths: &mut PathTable, strategy: &Strategy) -> Sequence {
-    sequence_nodes(doc, paths, strategy).0
+    emit_sequence(doc, &doc.path_encode(paths), strategy).0
 }
 
-/// Like [`sequence_document`], but also returns which tree node produced
-/// each sequence position — the query layer needs this to know, for every
-/// element, the position of its tree parent.
-pub fn sequence_nodes(
+/// The emitter: the constraint sequence of an already path-encoded
+/// document (`enc[node]`, from [`Document::path_encode`] or its read-only
+/// twin) and the tree node behind each sequence position — the query layer
+/// needs the latter to find every element's tree parent.
+///
+/// Pure in `(doc, enc, strategy)`: interning happens strictly before, so
+/// any number of documents can be emitted side by side.
+pub fn emit_sequence(
     doc: &Document,
-    paths: &mut PathTable,
+    enc: &[PathId],
     strategy: &Strategy,
 ) -> (Sequence, Vec<NodeId>) {
     if doc.root().is_none() {
         return (Sequence::default(), Vec::new());
     }
-    let enc = doc.path_encode(paths);
-    let order = emit_order(doc, &enc, strategy);
+    let order = emit_order(doc, enc, strategy);
     // PANIC-FREE: enc has one entry per node and order holds node ids
     let seq = Sequence(order.iter().map(|&n| enc[n as usize]).collect());
     (seq, order)
 }
 
-/// Read-only [`sequence_nodes`]: resolves path encodings against an
-/// immutable [`PathTable`], returning `None` when any node's path was
-/// never interned.
-///
-/// This is the shared-read query path: the table was fully populated at
-/// build time, so a miss proves the document (a query instantiation)
-/// cannot match anything in the index.  When it returns `Some`, the
-/// result is element-for-element identical to [`sequence_nodes`].
-pub fn sequence_nodes_readonly(
-    doc: &Document,
-    paths: &PathTable,
-    strategy: &Strategy,
-) -> Option<(Sequence, Vec<NodeId>)> {
-    if doc.root().is_none() {
-        return Some((Sequence::default(), Vec::new()));
-    }
-    let enc = doc.path_encode_readonly(paths)?;
-    let order = emit_order(doc, &enc, strategy);
-    // PANIC-FREE: enc has one entry per node and order holds node ids
-    let seq = Sequence(order.iter().map(|&n| enc[n as usize]).collect());
-    Some((seq, order))
-}
-
-/// The strategy-driven emission order over an already-encoded document.
-/// Pure in `(doc, enc, strategy)` — interning happens strictly before.
+/// The strategy-driven emission order over a non-empty encoded document.
 fn emit_order(doc: &Document, enc: &[PathId], strategy: &Strategy) -> Vec<NodeId> {
-    // PANIC-FREE: both callers return early when the document is empty
+    // PANIC-FREE: the one caller returns early when the document is empty
     let root = doc
         .root()
         .expect("emit order is only computed for non-empty documents");
@@ -669,25 +648,24 @@ mod tests {
 
     #[test]
     fn readonly_sequencing_matches_interning_sequencing() {
+        // The emitter is pure in the encoding, so the two front doors agree
+        // exactly when the two encoders do: on an interned table
+        // `path_encode_readonly` is `path_encode`, and on a miss it is None.
         let mut stt = st();
         let doc = fig3b(&mut stt);
+        let mut paths = PathTable::new();
+        assert_eq!(doc.path_encode_readonly(&paths), None, "nothing interned");
+        let enc = doc.path_encode(&mut paths);
+        assert_eq!(doc.path_encode_readonly(&paths), Some(enc.clone()));
         for strategy in [
             Strategy::DepthFirst,
             Strategy::Random { seed: 3 },
             Strategy::Probability(PriorityMap::new(0.1)),
         ] {
-            let mut paths = PathTable::new();
-            let (seq, order) = sequence_nodes(&doc, &mut paths, &strategy);
-            let ro = sequence_nodes_readonly(&doc, &paths, &strategy)
-                .expect("all paths were interned by the mutable pass");
-            assert_eq!(ro, (seq, order), "{strategy:?}");
+            let (seq, order) = emit_sequence(&doc, &enc, &strategy);
+            assert_eq!(seq, sequence_document(&doc, &mut paths, &strategy));
+            assert_eq!(order.len(), doc.len(), "{strategy:?}");
         }
-        // Against an empty table, every non-empty document misses.
-        let empty = PathTable::new();
-        assert_eq!(
-            sequence_nodes_readonly(&doc, &empty, &Strategy::DepthFirst),
-            None
-        );
     }
 
     #[test]

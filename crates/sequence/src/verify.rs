@@ -26,7 +26,7 @@
 //! [`verify_integrity`]: ../xseq_index/struct.XmlIndex.html#method.verify_integrity
 
 use crate::constraint::{decode_f2, DecodeError};
-use crate::strategy::sequence_nodes_readonly;
+use crate::strategy::emit_sequence;
 use crate::{Sequence, Strategy};
 use std::fmt;
 use xseq_xml::{PathId, PathTable};
@@ -96,9 +96,10 @@ pub fn verify_sequence(
 
     // 2. Definition 1: one element per tree node, as a multiset.
     let mut stored: Vec<PathId> = seq.elems().to_vec();
-    let mut decoded: Vec<PathId> = doc
+    let enc = doc
         .path_encode_readonly(paths)
         .ok_or(SequenceIssue::UnknownPath)?;
+    let mut decoded = enc.clone();
     stored.sort_unstable();
     decoded.sort_unstable();
     if stored != decoded {
@@ -113,8 +114,7 @@ pub fn verify_sequence(
     }
 
     // 3. Theorem 1: the decoded tree re-encodes to the same sequence.
-    let (re, _) =
-        sequence_nodes_readonly(&doc, paths, strategy).ok_or(SequenceIssue::UnknownPath)?;
+    let (re, _) = emit_sequence(&doc, &enc, strategy);
     if strategy.reencode_is_canonical() {
         if re != *seq {
             let position = re

@@ -27,7 +27,7 @@ impl PathId {
     pub const ROOT: PathId = PathId(0);
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PathEntry {
     parent: PathId,
     last: Symbol,
@@ -38,11 +38,10 @@ struct PathEntry {
 
 /// Interning table of designator paths, structured as a trie.
 ///
-/// `Clone` supports the parallel ingest pipeline: each worker extends a
-/// clone of the shared table and the deltas (entries past the base length)
-/// are merged back in document order, which replays the sequential
-/// first-occurrence interning order exactly.
-#[derive(Debug, Clone)]
+/// Ids are minted in first-occurrence order, so a table is a function of
+/// the order its paths were interned in — every build interns serially, in
+/// document order.
+#[derive(Debug)]
 pub struct PathTable {
     entries: Vec<PathEntry>,
     /// (parent, symbol) -> child path
@@ -184,39 +183,6 @@ impl PathTable {
         (0..self.entries.len() as u32).map(PathId)
     }
 
-    /// Merges the interning delta of `local` — paths allocated past
-    /// `base_len` — into `self`, returning the remap from `local`'s path
-    /// ids into `self`'s.
-    ///
-    /// `local` must be a clone of `self` taken when `self` held exactly
-    /// `base_len` entries, and its symbols must already be in the merged
-    /// namespace (parallel ingest merges symbol deltas before sequencing).
-    /// A path's parent always has a smaller id than the path itself, so a
-    /// single in-order pass over the delta can resolve every parent
-    /// through the remap built so far.  Absorbing per-worker deltas in
-    /// document order replays the sequential first-occurrence interning
-    /// order exactly.
-    pub fn absorb_delta(&mut self, local: &PathTable, base_len: usize) -> PathRemap {
-        let mut map = Vec::with_capacity(local.len() - base_len);
-        for i in base_len..local.len() {
-            let p = PathId(i as u32);
-            let parent = local.parent(p);
-            let parent = if (parent.0 as usize) < base_len {
-                parent
-            } else {
-                map[parent.0 as usize - base_len]
-            };
-            let last = local
-                .last(p)
-                .expect("non-root paths always have a last symbol");
-            map.push(self.extend(parent, last));
-        }
-        PathRemap {
-            base: base_len as u32,
-            map,
-        }
-    }
-
     /// All descendant paths of `p` (excluding `p`), preorder.  Used for `//`
     /// wildcard instantiation.
     pub fn descendants(&self, p: PathId) -> Vec<PathId> {
@@ -248,36 +214,6 @@ impl HeapSize for PathTable {
                 .map(|e| e.children.capacity() * std::mem::size_of::<PathId>())
                 .sum::<usize>()
             + self.lookup.heap_bytes()
-    }
-}
-
-/// Path-id remap produced by [`PathTable::absorb_delta`]: maps a
-/// worker-local path id into the merged table's namespace.  Ids below the
-/// base length are shared and map to themselves.
-#[derive(Debug, Clone)]
-pub struct PathRemap {
-    base: u32,
-    map: Vec<PathId>,
-}
-
-impl PathRemap {
-    /// Maps a local path id into the merged namespace.
-    // PANIC-FREE: the remap covers every id the local table minted, and
-    // `p >= base` implies `p - base < map.len()` by construction
-    pub fn path(&self, p: PathId) -> PathId {
-        if p.0 < self.base {
-            p
-        } else {
-            self.map[(p.0 - self.base) as usize]
-        }
-    }
-
-    /// True when the delta mapped onto the merged table without renumbering.
-    pub fn is_identity(&self) -> bool {
-        self.map
-            .iter()
-            .enumerate()
-            .all(|(i, p)| p.0 == self.base + i as u32)
     }
 }
 
@@ -351,48 +287,6 @@ mod tests {
         expect.sort();
         assert_eq!(ds, expect);
         assert!(pt.descendants(pab).is_empty());
-    }
-
-    #[test]
-    fn absorb_delta_replays_first_occurrence_order() {
-        let (mut st, mut pt) = table();
-        let p = st.elem("P");
-        let a = st.elem("A");
-        let b = st.elem("B");
-        let c = st.elem("C");
-        pt.intern(&[p, a]);
-        let base = pt.len();
-
-        // Two workers extend clones of the shared table in different ways.
-        let mut w0 = pt.clone();
-        let w0_pb = w0.intern(&[p, b]);
-        let w0_pa = w0.intern(&[p, a]); // pre-existing: below base
-        let mut w1 = pt.clone();
-        let w1_pc = w1.intern(&[p, c]);
-        let w1_pb = w1.intern(&[p, b]); // duplicated across workers
-
-        let r0 = pt.absorb_delta(&w0, base);
-        let r1 = pt.absorb_delta(&w1, base);
-        assert!(r0.is_identity(), "first delta keeps its own numbering");
-        assert!(!r1.is_identity(), "second delta renumbers around worker 0");
-        assert_eq!(r0.path(w0_pa), w0_pa);
-        assert_eq!(r1.path(w1_pb), r0.path(w0_pb), "shared path converges");
-        assert_ne!(r1.path(w1_pc), w1_pc, "fresh path renumbered past worker 0");
-
-        // The merged table equals a sequential build in the same doc order.
-        let (mut st2, mut seq) = table();
-        let (p2, a2, b2, c2) = (st2.elem("P"), st2.elem("A"), st2.elem("B"), st2.elem("C"));
-        assert_eq!((p2, a2, b2, c2), (p, a, b, c));
-        seq.intern(&[p2, a2]);
-        seq.intern(&[p2, b2]);
-        seq.intern(&[p2, a2]);
-        seq.intern(&[p2, c2]);
-        seq.intern(&[p2, b2]);
-        assert_eq!(pt.len(), seq.len());
-        for i in 0..pt.len() as u32 {
-            assert_eq!(pt.parent(PathId(i)), seq.parent(PathId(i)));
-            assert_eq!(pt.last(PathId(i)), seq.last(PathId(i)));
-        }
     }
 
     #[test]

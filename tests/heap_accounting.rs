@@ -84,24 +84,58 @@ fn build(docs: usize, seed: u64) -> (Corpus, XmlIndex) {
     (corpus, index)
 }
 
+/// Sequences `docs` fresh documents into the update overlay (the documents
+/// themselves are not kept, so the overlay is most of what grows): memtable
+/// cut every 16, merges drained at ratio 4 after every insert, and no query
+/// — so the memtable is left dirty.
+fn insert_through_overlay(corpus: &mut Corpus, index: &mut XmlIndex, docs: usize, seed: u64) {
+    index.configure_delta(16, 4);
+    let mut generator = DblpGenerator::new(seed);
+    let first_id = index.doc_count();
+    for (i, doc) in generator
+        .generate(docs, &mut corpus.symbols)
+        .iter()
+        .enumerate()
+    {
+        index.insert_delta(doc, (first_id + i) as u32, &mut corpus.paths);
+        while index.maybe_merge().is_some() {}
+    }
+}
+
+fn assert_within_5_percent(what: &str, modelled: usize, measured: usize) {
+    let ratio = modelled as f64 / measured as f64;
+    assert!(
+        (0.95..=1.05).contains(&ratio),
+        "{what}: model {modelled} B vs allocator {measured} B (ratio {ratio:.4})"
+    );
+}
+
 #[test]
 fn modelled_bytes_match_the_allocator_within_5_percent() {
     // Warm up once so lazy one-time allocations (thread-locals, rng
     // tables) are live before the measured window opens.
-    drop(build(8, 1));
+    let (mut corpus, mut index) = build(8, 1);
+    insert_through_overlay(&mut corpus, &mut index, 40, 2);
+    drop((corpus, index));
 
     let before = live();
-    let (corpus, index) = build(300, 42);
-    let after = live();
-    let measured = after - before;
+    let (mut corpus, mut index) = build(300, 42);
+    let measured = live() - before;
     let modelled = corpus.heap_bytes() + index.heap_bytes();
 
-    // keep the structures alive across the `after` reading
+    // keep the structures alive across the second reading
     assert!(corpus.len() == 300 && index.trie().node_count() > 0);
+    assert_within_5_percent("frozen build", modelled, measured);
 
-    let ratio = modelled as f64 / measured as f64;
-    assert!(
-        (0.95..=1.05).contains(&ratio),
-        "model {modelled} B vs allocator {measured} B (ratio {ratio:.4})"
-    );
+    // The overlay on its own window (with the symbols, paths and
+    // dictionary entries it brings): 229 inserts = 14 cuts + 5 left in the
+    // memtable; at ratio 4 twelve of the cuts have merged into three tier-1
+    // runs and two wait in tier 0.
+    let before = live();
+    insert_through_overlay(&mut corpus, &mut index, 229, 43);
+    let measured = live() - before;
+    let grown = corpus.heap_bytes() + index.heap_bytes() - modelled;
+    assert_eq!(index.delta().run_count(), 5);
+    assert_eq!(index.delta().sequence_count(), 229);
+    assert_within_5_percent("overlay inserts", grown, measured);
 }
