@@ -8,7 +8,17 @@
 //!
 //! 1. **Assignments** — a concrete [`PathId`] per pattern node, consistent
 //!    with the axes: `Child` extends the parent path by one matching symbol,
-//!    `Descendant` by any matching dictionary descendant.
+//!    `Descendant` by any matching dictionary descendant.  Candidates are
+//!    looked up, not searched for: the [`PathTable`] chains its paths by
+//!    last symbol and links each path's children, so `/s` is one
+//!    `(parent, s)` probe, `/*` the parent's child links, `//s` the chain
+//!    of `s` and `//*` the table's element-path list — the last two kept
+//!    where the parent's path is a proper prefix — each filtered by the
+//!    index's `data_paths`.  Ids are minted in interning order and each
+//!    list is ordered by id, so candidates are taken in ascending
+//!    [`PathId`] without sorting; that order fixes the order of
+//!    assignments, hence of the concrete trees, hence which of them a cap
+//!    cuts.
 //! 2. **Merge variants** — a `//` edge materializes a chain of intermediate
 //!    nodes; when two sibling chains share a prefix, the data may satisfy
 //!    them through one shared instance or through distinct instances.
@@ -112,7 +122,7 @@ pub(crate) fn plan(
 }
 
 /// Depth-first assignment enumeration over pattern nodes (ids are already in
-/// parents-before-children order).
+/// parents-before-children order), each node's candidates in ascending id.
 // PANIC-FREE: `current` carries one slot per pattern node, and pattern
 // node ids are minted by the pattern builder
 fn assign(
@@ -131,25 +141,28 @@ fn assign(
         None => PathId::ROOT,
         Some(p) => current[p as usize],
     };
-    let label = pattern.label(node);
-    let candidates: Vec<PathId> = match pattern.axis(node) {
-        Axis::Child => paths
-            .children(parent_path)
-            .iter()
-            .copied()
-            .filter(|&c| data_paths.contains(&c) && label_fits(label, paths.last(c)))
-            .collect(),
-        Axis::Descendant => {
-            let mut v: Vec<PathId> = paths
-                .descendants(parent_path)
-                .into_iter()
-                .filter(|&c| data_paths.contains(&c) && label_fits(label, paths.last(c)))
-                .collect();
-            v.sort();
-            v
+    let under = move |c: &PathId| paths.is_proper_prefix(parent_path, *c);
+    let sym = match pattern.label(node) {
+        PatternLabel::Elem(d) => Some(Symbol::elem(d)),
+        PatternLabel::Value(v) => Some(Symbol::value(v)),
+        PatternLabel::AnyElem => None,
+    };
+    // The table's lists read newest first; assignments are enumerated in
+    // ascending id, so the survivors are reversed.
+    let newest_first: Box<dyn Iterator<Item = PathId>> = match (pattern.axis(node), sym) {
+        (Axis::Child, Some(s)) => Box::new(paths.child(parent_path, s).into_iter()),
+        (Axis::Child, None) => Box::new(
+            paths
+                .children(parent_path)
+                .filter(|&c| paths.last(c).is_some_and(Symbol::is_elem)),
+        ),
+        (Axis::Descendant, Some(s)) => Box::new(paths.ending_in(s).filter(under)),
+        (Axis::Descendant, None) => {
+            Box::new(paths.element_paths().iter().rev().copied().filter(under))
         }
     };
-    for c in candidates {
+    let candidates: Vec<PathId> = newest_first.filter(|c| data_paths.contains(c)).collect();
+    for &c in candidates.iter().rev() {
         current[node as usize] = c;
         // advance to the next pattern node in id order (ids are
         // preorder-compatible)
@@ -157,21 +170,10 @@ fn assign(
             assign(pattern, paths, data_paths, node + 1, current, out, cap);
         } else {
             out.push(current.clone());
-            if out.len() >= cap {
-                return;
-            }
         }
-    }
-}
-
-fn label_fits(label: PatternLabel, last: Option<Symbol>) -> bool {
-    let Some(sym) = last else {
-        return false;
-    };
-    match label {
-        PatternLabel::Elem(d) => sym.as_elem() == Some(d),
-        PatternLabel::AnyElem => sym.is_elem(),
-        PatternLabel::Value(v) => sym.as_value() == Some(v),
+        if out.len() >= cap {
+            return;
+        }
     }
 }
 

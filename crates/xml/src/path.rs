@@ -8,10 +8,20 @@
 //!
 //! The set of distinct paths also doubles as the *path dictionary* (a
 //! DataGuide in disguise) that the index layer uses to instantiate the `*`
-//! and `//` wildcards of queries against concrete data paths.
+//! and `//` wildcards of queries against concrete data paths.  The table
+//! keeps that summary as links inside its own arena, written once by
+//! [`PathTable::extend`] and never moved: every path points at the path
+//! interned before it with the same last symbol ([`PathTable::ending_in`] —
+//! "which paths end in `s`" is a chain walk from the newest, not a scan of
+//! the table), the paths ending in an element are listed for `//*`
+//! ([`PathTable::element_paths`]), and the children of a path are a
+//! last-child / previous-sibling list ([`PathTable::children`]).  A new path
+//! becomes the head of its lists, so both read newest first — descending
+//! [`PathId`], since ids are minted in interning order — and minting one
+//! touches no entry but its own and its parent's.
 
 use crate::symbol::Symbol;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use xseq_telemetry::HeapSize;
 
 /// Interned identifier of a root-to-node designator path.
@@ -32,8 +42,12 @@ struct PathEntry {
     parent: PathId,
     last: Symbol,
     depth: u16,
-    /// Child paths, for dictionary enumeration (wildcard instantiation).
-    children: Vec<PathId>,
+    /// The path interned before this one with the same last symbol.  ε is a
+    /// member of neither list, so it ends both.
+    prev_same_last: PathId,
+    /// Child paths, newest first: `last_child`, then its `prev_sibling`s.
+    last_child: PathId,
+    prev_sibling: PathId,
 }
 
 /// Interning table of designator paths, structured as a trie.
@@ -46,6 +60,10 @@ pub struct PathTable {
     entries: Vec<PathEntry>,
     /// (parent, symbol) -> child path
     lookup: HashMap<(PathId, Symbol), PathId>,
+    /// last symbol -> newest path ending in it, the head of its chain
+    by_last: HashMap<Symbol, PathId>,
+    /// Paths whose last symbol is an element, ascending.
+    element_paths: Vec<PathId>,
 }
 
 impl Default for PathTable {
@@ -62,9 +80,13 @@ impl PathTable {
                 parent: PathId::ROOT,
                 last: Symbol::from_raw(u32::MAX), // never read for ROOT
                 depth: 0,
-                children: Vec::new(),
+                prev_same_last: PathId::ROOT,
+                last_child: PathId::ROOT,
+                prev_sibling: PathId::ROOT,
             }],
             lookup: HashMap::new(),
+            by_last: HashMap::new(),
+            element_paths: Vec::new(),
         }
     }
 
@@ -72,19 +94,27 @@ impl PathTable {
     // PANIC-FREE: PathIds are only minted by this table, so `parent`
     // always indexes `entries`; stale ids are a documented caller bug
     pub fn extend(&mut self, parent: PathId, sym: Symbol) -> PathId {
-        if let Some(&p) = self.lookup.get(&(parent, sym)) {
-            return p;
-        }
         let id = PathId(self.entries.len() as u32);
-        let depth = self.entries[parent.0 as usize].depth + 1;
+        match self.lookup.entry((parent, sym)) {
+            Entry::Occupied(known) => return *known.get(),
+            Entry::Vacant(slot) => slot.insert(id),
+        };
+        // `id` becomes the head of its parent's child list and of its
+        // symbol's chain, linking back to the head it replaces: minting a
+        // path writes no entry but its own and its parent's.
+        let up = &mut self.entries[parent.0 as usize];
+        let (depth, prev_sibling) = (up.depth + 1, std::mem::replace(&mut up.last_child, id));
         self.entries.push(PathEntry {
             parent,
             last: sym,
             depth,
-            children: Vec::new(),
+            prev_same_last: self.by_last.insert(sym, id).unwrap_or(PathId::ROOT),
+            last_child: PathId::ROOT,
+            prev_sibling,
         });
-        self.entries[parent.0 as usize].children.push(id);
-        self.lookup.insert((parent, sym), id);
+        if sym.is_elem() {
+            self.element_paths.push(id);
+        }
         id
     }
 
@@ -162,10 +192,34 @@ impl PathTable {
         out
     }
 
-    /// Child paths of `p` in the dictionary (insertion order).
+    /// Child paths of `p` in the dictionary, newest (highest id) first.
     // PANIC-FREE: table-minted PathId contract (see `extend`)
-    pub fn children(&self, p: PathId) -> &[PathId] {
-        &self.entries[p.0 as usize].children
+    pub fn children(&self, p: PathId) -> impl Iterator<Item = PathId> + '_ {
+        self.list(self.entries[p.0 as usize].last_child, |e| e.prev_sibling)
+    }
+
+    /// Every path whose last symbol is `sym`, newest (highest id) first.
+    pub fn ending_in(&self, sym: Symbol) -> impl Iterator<Item = PathId> + '_ {
+        let newest = self.by_last.get(&sym).copied().unwrap_or(PathId::ROOT);
+        self.list(newest, |e| e.prev_same_last)
+    }
+
+    /// Every path whose last symbol is an element, ascending.
+    pub fn element_paths(&self) -> &[PathId] {
+        &self.element_paths
+    }
+
+    /// Walks one of the arena's linked lists from `head` along `prev`.
+    // PANIC-FREE: every link was copied by `extend` from a head it had
+    // minted, so it indexes `entries`; a link only ever points at an
+    // earlier id and ε, which is in no list, ends each, so the walk stops
+    fn list(
+        &self,
+        head: PathId,
+        prev: fn(&PathEntry) -> PathId,
+    ) -> impl Iterator<Item = PathId> + '_ {
+        let some = |p: PathId| (p != PathId::ROOT).then_some(p);
+        std::iter::successors(some(head), move |p| some(prev(&self.entries[p.0 as usize])))
     }
 
     /// Number of interned paths, counting ε.
@@ -182,18 +236,6 @@ impl PathTable {
     pub fn iter(&self) -> impl Iterator<Item = PathId> + '_ {
         (0..self.entries.len() as u32).map(PathId)
     }
-
-    /// All descendant paths of `p` (excluding `p`), preorder.  Used for `//`
-    /// wildcard instantiation.
-    pub fn descendants(&self, p: PathId) -> Vec<PathId> {
-        let mut out = Vec::new();
-        let mut stack: Vec<PathId> = self.children(p).to_vec();
-        while let Some(q) = stack.pop() {
-            out.push(q);
-            stack.extend_from_slice(self.children(q));
-        }
-        out
-    }
 }
 
 impl HeapSize for PathId {
@@ -203,17 +245,15 @@ impl HeapSize for PathId {
     }
 }
 
-/// Heap attribution for the path dictionary: the entry arena, the
-/// per-entry child lists and the `(parent, symbol)` lookup table.
+/// Heap attribution for the path dictionary: the entry arena (which holds
+/// every link), the `(parent, symbol)` lookup table, the chain heads and
+/// the element-path list.
 impl HeapSize for PathTable {
     fn heap_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<PathEntry>()
-            + self
-                .entries
-                .iter()
-                .map(|e| e.children.capacity() * std::mem::size_of::<PathId>())
-                .sum::<usize>()
             + self.lookup.heap_bytes()
+            + self.by_last.heap_bytes()
+            + self.element_paths.heap_bytes()
     }
 }
 
@@ -269,24 +309,6 @@ mod tests {
         assert!(!pt.is_proper_prefix(pd, pd));
         assert!(!pt.is_proper_prefix(pl, pdl));
         assert!(!pt.is_proper_prefix(pdl, pd));
-    }
-
-    #[test]
-    fn descendants_enumeration() {
-        let (mut st, mut pt) = table();
-        let p = st.elem("P");
-        let a = st.elem("A");
-        let b = st.elem("B");
-        let pp = pt.intern(&[p]);
-        let pa = pt.intern(&[p, a]);
-        let pab = pt.intern(&[p, a, b]);
-        let pb = pt.intern(&[p, b]);
-        let mut ds = pt.descendants(pp);
-        ds.sort();
-        let mut expect = vec![pa, pab, pb];
-        expect.sort();
-        assert_eq!(ds, expect);
-        assert!(pt.descendants(pab).is_empty());
     }
 
     #[test]

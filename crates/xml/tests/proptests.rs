@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use xseq_xml::matcher::{find_embedding, structure_match};
 use xseq_xml::{
-    parse_document, write_document, Axis, Document, PathTable, PatternLabel, SymbolTable,
+    parse_document, write_document, Axis, Document, PathId, PathTable, PatternLabel, SymbolTable,
     TreePattern, ValueMode,
 };
 
@@ -120,6 +120,44 @@ proptest! {
             if let Some(p) = doc.parent(n) {
                 prop_assert!(paths.is_proper_prefix(enc[p as usize], enc[n as usize]));
                 prop_assert_eq!(paths.parent(enc[n as usize]), enc[p as usize]);
+            }
+        }
+    }
+
+    #[test]
+    fn dictionary_links_read_as_filters_of_the_table(
+        ops in proptest::collection::vec((any::<u32>(), 0u8..6), 1..40),
+    ) {
+        // The summary the wildcard planner reads — chains by last symbol,
+        // the element-path list, child links — against what it summarises,
+        // after every `extend` (repeats included, which must change nothing).
+        let mut st = SymbolTable::with_value_mode(ValueMode::Intern);
+        let syms: Vec<_> = (0..6)
+            .map(|i| if i < 3 { st.elem(&format!("el{i}")) } else { st.val(&format!("val{i}")) })
+            .collect();
+        let mut paths = PathTable::new();
+        let mut children_of: Vec<Vec<PathId>> = vec![Vec::new()];
+        for (parent, sym) in ops {
+            let parent = PathId(parent % paths.len() as u32);
+            let before = paths.len();
+            let id = paths.extend(parent, syms[sym as usize]);
+            if paths.len() > before {
+                children_of[parent.0 as usize].push(id);
+                children_of.push(Vec::new());
+            }
+            // the linked lists read newest first: descending id
+            let newest_first = |list: Vec<PathId>| list.into_iter().rev().collect::<Vec<_>>();
+            for &s in &syms {
+                let scan: Vec<PathId> = paths.iter().filter(|&p| paths.last(p) == Some(s)).collect();
+                prop_assert_eq!(newest_first(paths.ending_in(s).collect()), scan);
+            }
+            let elems: Vec<PathId> = paths
+                .iter()
+                .filter(|&p| paths.last(p).is_some_and(|s| s.is_elem()))
+                .collect();
+            prop_assert_eq!(paths.element_paths(), &elems[..]);
+            for p in paths.iter() {
+                prop_assert_eq!(&newest_first(paths.children(p).collect()), &children_of[p.0 as usize]);
             }
         }
     }

@@ -20,7 +20,11 @@
 
 use proptest::prelude::*;
 use xseq::datagen::{SyntheticDataset, SyntheticParams};
-use xseq::{DatabaseBuilder, DocId, Error, Sequencing};
+use xseq::xml::matcher::structure_match;
+use xseq::xml::parse_document;
+use xseq::{
+    parse_xpath, Database, DatabaseBuilder, DocId, Document, Error, Sequencing, SymbolTable,
+};
 
 /// Case budget, shrinkable by the CI smoke job via `XSEQ_UPDATE_FUZZ_CASES`.
 fn fuzz_cases(default: u32) -> u32 {
@@ -356,4 +360,82 @@ fn scatter_and_sequential_gather_agree() {
             "{q}"
         );
     }
+}
+
+/// What the brute-force matcher says `db` must answer: `model[id]` is the
+/// live document with that id, parsed into the shadow `symbols`.
+fn assert_matches_oracle(
+    db: &Database,
+    model: &[Option<Document>],
+    symbols: &mut SymbolTable,
+    exprs: &[&str],
+    stage: &str,
+) {
+    for expr in exprs {
+        let pattern = parse_xpath(expr, symbols).expect("the test's own XPath parses");
+        let expect: Vec<DocId> = (0..model.len())
+            .filter(|&id| {
+                model[id]
+                    .as_ref()
+                    .is_some_and(|d| structure_match(&pattern, d))
+            })
+            .map(|id| id as DocId)
+            .collect();
+        let got = db.query_xpath(expr).expect("the test's own XPath parses");
+        assert_eq!(got, expect, "{expr} {stage}");
+    }
+}
+
+/// Every shard's path table keeps its own wildcard summary, maintained by
+/// the same `extend`: at 3 shards a document minting a never-seen element
+/// and value is found by `//` and `*` on the next query wherever the router
+/// put it, is gone once removed, and `compact()` changes neither answer —
+/// all against the brute-force matcher (the single-shard history is
+/// `wildcards_follow_paths_minted_and_dropped_by_updates` in
+/// integration_updates.rs).
+#[test]
+fn wildcards_follow_updates_on_every_shard() {
+    let base: Vec<String> = (0..4)
+        .map(|i| format!("<root><a{}><old>x{i}</old></a{}></root>", i % 3, i % 3))
+        .collect();
+    let exprs = ["//new", "//*[new='v']", "/root/*/new", "//old", "/root/*"];
+    let mut db = DatabaseBuilder::new()
+        .shards(3)
+        .build_from_xml(base.iter().map(String::as_str))
+        .unwrap();
+    let mut symbols = SymbolTable::default();
+    let mut model: Vec<Option<Document>> = base
+        .iter()
+        .map(|x| parse_document(x, &mut symbols).ok())
+        .collect();
+    assert_matches_oracle(&db, &model, &mut symbols, &exprs, "after the build");
+
+    // enough inserts that every shard mints `new` (the router hashes ids)
+    let fresh: Vec<String> = (0..6)
+        .map(|i| format!("<root><c{i}><new>v</new></c{i}></root>"))
+        .collect();
+    let mut ids = Vec::new();
+    for xml in &fresh {
+        ids.push(db.insert_document(xml).unwrap());
+        model.push(parse_document(xml, &mut symbols).ok());
+        assert_matches_oracle(&db, &model, &mut symbols, &exprs, "after an insert");
+    }
+    assert_eq!(db.query_xpath("//*[new='v']").unwrap(), ids);
+    for s in 0..3 {
+        let minted = db.shard_index(s).pending_updates();
+        assert!(minted > 0, "shard {s} took no insert");
+    }
+    db.compact();
+    assert_matches_oracle(&db, &model, &mut symbols, &exprs, "inserted, compacted");
+
+    for &id in &ids[..5] {
+        assert!(db.remove_document(id));
+        model[id as usize] = None;
+    }
+    assert_matches_oracle(&db, &model, &mut symbols, &exprs, "after the removes");
+    assert_eq!(db.query_xpath("/root/*/new").unwrap(), ids[5..]);
+    db.compact();
+    model.retain(Option::is_some);
+    assert_matches_oracle(&db, &model, &mut symbols, &exprs, "removed, compacted");
+    assert!(db.verify_integrity().is_clean());
 }

@@ -30,10 +30,11 @@ use xseq::datagen::{SyntheticDataset, SyntheticParams};
 use xseq::index::QuerySequence;
 use xseq::schema::{ProbabilityModel, WeightMap};
 use xseq::sequence::Strategy;
-use xseq::xml::write_document;
+use xseq::xml::matcher::structure_match;
+use xseq::xml::{parse_document, write_document};
 use xseq::{
-    DatabaseBuilder, DocId, Document, PathTable, PlanOptions, Pool, Sequencing, SymbolTable,
-    ValueMode, XmlIndex,
+    parse_xpath, Database, DatabaseBuilder, DocId, Document, PathTable, PlanOptions, Pool,
+    Sequencing, SymbolTable, ValueMode, XmlIndex,
 };
 
 /// Case budget, shrinkable by the CI smoke job via `XSEQ_UPDATE_FUZZ_CASES`.
@@ -524,5 +525,89 @@ fn concurrent_query_batches_agree_with_every_update_epoch() {
                 assert_eq!(got, expected, "reader diverged after step {step:?}");
             }
         });
+    }
+}
+
+/// What the brute-force matcher says `db` must answer: `model[id]` is the
+/// live document with that id, parsed into the shadow `symbols`.
+fn assert_matches_oracle(
+    db: &Database,
+    model: &[Option<Document>],
+    symbols: &mut SymbolTable,
+    exprs: &[&str],
+    stage: &str,
+) {
+    for expr in exprs {
+        let pattern = parse_xpath(expr, symbols).expect("the test's own XPath parses");
+        let expect: Vec<DocId> = (0..model.len())
+            .filter(|&id| {
+                model[id]
+                    .as_ref()
+                    .is_some_and(|d| structure_match(&pattern, d))
+            })
+            .map(|id| id as DocId)
+            .collect();
+        let got = db.query_xpath(expr).expect("the test's own XPath parses");
+        assert_eq!(got, expect, "{expr} {stage}");
+    }
+}
+
+/// Wildcards are answered from the path table's own summary (chains by
+/// last symbol, the element-path list, child links), which `extend` alone
+/// maintains: a document that mints a never-seen element *and* a never-seen
+/// value is found through `//`, `*` and both on the very next query, stops
+/// being found once removed, and compaction — which re-interns the
+/// survivors into a fresh table — changes neither answer.
+#[test]
+fn wildcards_follow_paths_minted_and_dropped_by_updates() {
+    let base = [
+        "<root><a><old>x</old></a></root>",
+        "<root><b><old>y</old><c><old>x</old></c></b></root>",
+    ];
+    let fresh = "<root><c><new>v</new></c><new>w</new></root>";
+    let exprs = [
+        "//new",
+        "//*[new='v']",
+        "/root/*/new",
+        "//*/new",
+        "//old",
+        "/root/*",
+    ];
+    for sequencing in [Sequencing::DepthFirst, Sequencing::Probability] {
+        let mut db = DatabaseBuilder::new()
+            .sequencing(sequencing)
+            .shards(1)
+            .build_from_xml(base)
+            .unwrap();
+        let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
+        let mut model: Vec<Option<Document>> = base
+            .iter()
+            .map(|x| parse_document(x, &mut symbols).ok())
+            .collect();
+        assert_matches_oracle(&db, &model, &mut symbols, &exprs, "after the build");
+        assert!(db.query_xpath("//new").unwrap().is_empty());
+
+        for round in 0..2 {
+            // a compacted table has forgotten `new`: the second round mints
+            // it again, into the table compaction rebuilt
+            let id = db.insert_document(fresh).unwrap();
+            assert_eq!(id as usize, model.len());
+            model.push(parse_document(fresh, &mut symbols).ok());
+            assert_matches_oracle(&db, &model, &mut symbols, &exprs, "after the insert");
+            for expr in &exprs[..4] {
+                assert_eq!(db.query_xpath(expr).unwrap(), [id], "{expr} round {round}");
+            }
+            db.compact();
+            assert_matches_oracle(&db, &model, &mut symbols, &exprs, "inserted, compacted");
+
+            assert!(db.remove_document(id));
+            model[id as usize] = None;
+            assert_matches_oracle(&db, &model, &mut symbols, &exprs, "after the remove");
+            assert!(db.query_xpath("//*[new='v']").unwrap().is_empty());
+            db.compact();
+            model.retain(Option::is_some);
+            assert_matches_oracle(&db, &model, &mut symbols, &exprs, "removed, compacted");
+        }
+        assert!(db.verify_integrity().is_clean());
     }
 }
