@@ -224,6 +224,10 @@ impl DatabaseBuilder {
     /// Boosts the sequencing weight `w(C)` of the node addressed by a simple
     /// slash path (e.g. `"/site/item/location"`) — the paper's tunable
     /// mechanism for frequently queried, highly selective elements.
+    ///
+    /// `weight` must be finite and non-negative: the emitter orders nodes
+    /// by `p(C|root) · w(C)`, and a NaN product has no place in that order.
+    /// Anything else fails the build with [`Error::InvalidBoost`].
     pub fn boost(mut self, path: &str, weight: f64) -> Self {
         self.boosts.push((path.to_owned(), weight));
         self
@@ -324,6 +328,15 @@ impl DatabaseBuilder {
         doc_map: Vec<(u32, DocId)>,
         global_ids: Vec<Vec<DocId>>,
     ) -> Result<Database, Error> {
+        // The emitter orders nodes by `p · w`: keep any weight without a
+        // place in that order (NaN, ±∞, negative) away from it.
+        let mut boosts = self.boosts.iter();
+        if let Some((path, w)) = boosts.find(|(_, w)| !(w.is_finite() && *w >= 0.0)) {
+            return Err(Error::InvalidBoost {
+                path: path.clone(),
+                weight: w.to_string(),
+            });
+        }
         // Register every pipeline phase up front so a fresh database's
         // snapshot already lists them (at zero).
         let parse_hist = self.registry.histogram("query.parse");
@@ -512,11 +525,17 @@ pub(crate) fn build_shard_index(
     pool: &Pool,
 ) -> XmlIndex {
     corpus.attach_parse_histogram(registry.histogram("xml.parse"));
+    // The one interning pass, in document order: the estimate and the
+    // constructor both read these encodings and neither encodes again.
+    let enc: Vec<Vec<PathId>> = (corpus.docs.iter())
+        .map(|doc| doc.path_encode(&mut corpus.paths))
+        .collect();
     let strategy = match config.sequencing {
         Sequencing::DepthFirst => Strategy::DepthFirst,
         Sequencing::Probability => {
-            // The estimator samples every document (cap 0).
-            let model = ProbabilityModel::estimate(&corpus.docs, &mut corpus.paths, 0);
+            // The estimator samples every document.
+            let sample = corpus.docs.iter().zip(enc.iter().map(Vec::as_slice));
+            let model = ProbabilityModel::estimate_encoded(sample, &corpus.paths);
             let mut weights = WeightMap::default();
             for (path, w) in &config.boosts {
                 if let Some(p) = resolve_simple_path(path, &corpus.symbols, &corpus.paths) {
@@ -526,9 +545,9 @@ pub(crate) fn build_shard_index(
             Strategy::Probability(model.priorities(&corpus.paths, &weights))
         }
     };
-    let index = XmlIndex::build_parallel(
+    let index = XmlIndex::build_encoded(
         &corpus.docs,
-        &mut corpus.paths,
+        &enc,
         strategy,
         PlanOptions::default(),
         Some(IndexTelemetry::register(registry)),
@@ -608,6 +627,33 @@ mod tests {
                 boosted.query_xpath(q).unwrap(),
                 "{q}"
             );
+        }
+    }
+
+    #[test]
+    fn a_boost_weight_outside_the_total_order_is_a_typed_error() {
+        for (w, text) in [
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "inf"),
+            (f64::NEG_INFINITY, "-inf"),
+            (-2.0, "-2"),
+        ] {
+            let want = Error::InvalidBoost {
+                path: "/p/a".into(),
+                weight: text.into(),
+            };
+            let builder = || DatabaseBuilder::new().boost("/p/b", 0.0).boost("/p/a", w);
+            assert_eq!(
+                builder().build_from_xml(["<p><a/></p>"]).err(),
+                Some(want.clone())
+            );
+            let mut corpus = Corpus::new(ValueMode::Intern);
+            corpus.parse_and_push("<p><a/></p>").unwrap();
+            assert_eq!(
+                builder().build_from_corpus(corpus).err(),
+                Some(want.clone())
+            );
+            assert!(want.to_string().contains(text), "{want}");
         }
     }
 

@@ -122,6 +122,14 @@ pub enum Error {
     Query(ParseError),
     /// The database has no documents.
     EmptyDatabase,
+    /// A [`DatabaseBuilder::boost`] weight that is not a finite,
+    /// non-negative number (kept as text, so the error stays `Eq`).
+    InvalidBoost {
+        /// The boosted path, as given.
+        path: String,
+        /// The rejected weight.
+        weight: String,
+    },
 }
 
 impl fmt::Display for Error {
@@ -130,6 +138,12 @@ impl fmt::Display for Error {
             Error::Xml(e) => write!(f, "xml: {e}"),
             Error::Query(e) => write!(f, "query: {e}"),
             Error::EmptyDatabase => write!(f, "no documents to index"),
+            Error::InvalidBoost { path, weight } => {
+                write!(
+                    f,
+                    "boost {path}: weight {weight} is not finite and non-negative"
+                )
+            }
         }
     }
 }

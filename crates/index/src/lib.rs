@@ -281,22 +281,9 @@ impl XmlIndex {
         Self::build_parallel(docs, paths, strategy, options, None, &pool)
     }
 
-    /// The one constructor — the paper's pipeline (Sections 2, 4.1) over a
-    /// corpus: path-encode every document, order its nodes under `f2` with
-    /// the strategy, load the sequences into the trie and freeze it (sort,
-    /// preorder nodes, labels + path links), so the index is immediately
-    /// queryable.
-    ///
-    /// Interning is one serial pass in document order, so [`PathId`]s are
-    /// first-occurrence ids whatever the pool width; emission is pure in
-    /// `(doc, enc, strategy)` and fans out over `pool`, which returns
-    /// results in input order (and runs in place when it is one wide).  The
-    /// frozen index is therefore bit-identical at any thread count
-    /// (DESIGN.md §10.2).
-    ///
-    /// With `telemetry`, each document's encode + emit time is sampled into
-    /// `sequence.encode`, and every later query flushes its phase timings
-    /// and work counters through it.
+    /// [`XmlIndex::build_encoded`] over documents that are not encoded
+    /// yet: path-encodes them first — one serial pass in document order, so
+    /// [`PathId`]s are first-occurrence ids whatever the pool width.
     pub fn build_parallel(
         docs: &[Document],
         paths: &mut PathTable,
@@ -305,21 +292,41 @@ impl XmlIndex {
         telemetry: Option<IndexTelemetry>,
         pool: &xseq_exec::Pool,
     ) -> Self {
-        let emitted = {
-            let encoded: Vec<_> = docs
-                .iter()
-                .map(|doc| {
-                    let t0 = Instant::now();
-                    let enc = doc.path_encode(paths);
-                    (doc, enc, t0.elapsed())
-                })
-                .collect();
-            pool.map(&encoded, |id, (doc, enc, interned)| {
-                let t0 = Instant::now();
-                let (seq, _) = emit_sequence(doc, enc, &strategy);
-                ((seq, id as DocId), *interned + t0.elapsed())
-            })
-        };
+        let enc: Vec<_> = docs.iter().map(|doc| doc.path_encode(paths)).collect();
+        Self::build_encoded(docs, &enc, strategy, options, telemetry, pool)
+    }
+
+    /// The one constructor — the paper's pipeline (Sections 2, 4.1) over a
+    /// path-encoded corpus (`enc[i]` is `docs[i].path_encode(..)`): order
+    /// every document's nodes under `f2` with the strategy, load the
+    /// sequences into the trie and freeze it (sort, preorder nodes, labels
+    /// + path links), so the index is immediately queryable.
+    ///
+    /// Interning happened strictly before — the database's build encodes
+    /// its corpus once and hands the same encodings to the probability
+    /// estimate and to this.  Emission is pure in `(doc, enc, strategy)`
+    /// and fans out over `pool`, which returns results in input order (and
+    /// runs in place when it is one wide), so the frozen index is
+    /// bit-identical at any thread count (DESIGN.md §10.2).
+    ///
+    /// With `telemetry`, each document's emission time is sampled into
+    /// `sequence.encode`, and every later query flushes its phase timings
+    /// and work counters through it.
+    pub fn build_encoded(
+        docs: &[Document],
+        enc: &[Vec<PathId>],
+        strategy: Strategy,
+        options: PlanOptions,
+        telemetry: Option<IndexTelemetry>,
+        pool: &xseq_exec::Pool,
+    ) -> Self {
+        debug_assert_eq!(docs.len(), enc.len(), "one encoding per document");
+        let encoded: Vec<_> = docs.iter().zip(enc).collect();
+        let emitted = pool.map(&encoded, |id, (doc, enc)| {
+            let t0 = Instant::now();
+            let (seq, _) = emit_sequence(doc, enc, &strategy);
+            ((seq, id as DocId), t0.elapsed())
+        });
         let (seqs, encode_times): (Vec<_>, Vec<_>) = emitted.into_iter().unzip();
         if let Some(tel) = &telemetry {
             for took in encode_times {

@@ -33,9 +33,9 @@ pub mod workload;
 
 pub use workload::{ClassStats, WorkloadProfile, WorkloadRecorder};
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use xseq_sequence::PriorityMap;
-use xseq_xml::{Document, PathId, PathTable};
+use xseq_xml::{Document, NodeId, PathId, PathTable};
 
 /// Query-tuning weights `w(C)` keyed by path; default 1.0 (Section 5.2:
 /// "we assign a weight w(C), which reflects the query frequency and
@@ -47,6 +47,11 @@ pub struct WeightMap {
 
 impl WeightMap {
     /// Boosts (or demotes) one path.
+    ///
+    /// `w` must be finite and non-negative: a NaN (or `∞ · 0`) priority has
+    /// no place in the emitter's total order.  `DatabaseBuilder::boost`
+    /// rejects anything else with a typed error; this setter trusts its
+    /// caller.
     pub fn set(&mut self, p: PathId, w: f64) {
         self.map.insert(p, w);
     }
@@ -102,13 +107,27 @@ impl SchemaTree {
     }
 }
 
-/// Probabilities estimated from a document sample.
+/// What a sample has shown of one path.
+#[derive(Debug, Clone, Default)]
+struct Seen {
+    /// Sampled documents containing the path.
+    count: u32,
+    /// Observed with sibling multiplicity ≥ 2 (identical siblings).
+    group: bool,
+    /// Estimation scratch.  The two stamps stand in for a per-document and
+    /// a per-node set: the path was already met in the document being
+    /// counted iff `doc` is that document's number, and then `under` is the
+    /// parent it was last met under.
+    doc: u32,
+    under: NodeId,
+}
+
+/// Probabilities estimated from a document sample: one record per path,
+/// indexed by the dense [`PathId`].
 #[derive(Debug, Clone, Default)]
 pub struct ProbabilityModel {
-    root_prob: HashMap<PathId, f64>,
-    /// Paths observed with sibling multiplicity ≥ 2 (identical siblings).
-    group_paths: HashSet<PathId>,
-    sample_size: usize,
+    seen: Vec<Seen>,
+    sample_size: u32,
 }
 
 impl ProbabilityModel {
@@ -117,96 +136,106 @@ impl ProbabilityModel {
     ///
     /// `sample_cap` bounds how many documents are inspected (0 = all);
     /// sampling takes every ⌈n/cap⌉-th document so it is deterministic.
+    /// Path-encodes the sample (interning its paths in document order),
+    /// then [`ProbabilityModel::estimate_encoded`].
     pub fn estimate(docs: &[Document], paths: &mut PathTable, sample_cap: usize) -> Self {
         let stride = if sample_cap == 0 || docs.len() <= sample_cap {
             1
         } else {
             docs.len().div_ceil(sample_cap)
         };
-        let mut count: HashMap<PathId, usize> = HashMap::new();
-        let mut group_paths = HashSet::new();
-        let mut sampled = 0usize;
-        let mut distinct = HashSet::new();
-        let mut seen_in_doc = HashSet::new();
-        for doc in docs.iter().step_by(stride) {
-            sampled += 1;
-            distinct.clear();
-            let enc = doc.path_encode(paths);
-            for &p in &enc {
-                distinct.insert(p);
-            }
-            for &p in &distinct {
-                *count.entry(p).or_insert(0) += 1;
-            }
-            // identical siblings: a path occurring twice under one parent
-            for n in doc.node_ids() {
-                seen_in_doc.clear();
-                for &c in doc.children(n) {
-                    if !seen_in_doc.insert(enc[c as usize]) {
-                        group_paths.insert(enc[c as usize]);
-                    }
+        let sample: Vec<(&Document, Vec<PathId>)> = (docs.iter().step_by(stride))
+            .map(|doc| (doc, doc.path_encode(paths)))
+            .collect();
+        Self::estimate_encoded(sample.iter().map(|(doc, enc)| (*doc, &enc[..])), paths)
+    }
+
+    /// The estimate over documents that are already path-encoded against
+    /// `paths` (`enc[node]`, from [`Document::path_encode`]) — every given
+    /// document counts.  A build encodes its corpus once and hands the same
+    /// encodings to this and to the index constructor.
+    // PANIC-FREE: `seen` has one slot per interned path, which covers every
+    // id in an encoding against `paths`; enc has one entry per node
+    pub fn estimate_encoded<'a>(
+        sample: impl IntoIterator<Item = (&'a Document, &'a [PathId])>,
+        paths: &PathTable,
+    ) -> Self {
+        let mut seen = vec![Seen::default(); paths.len()];
+        let mut sample_size = 0;
+        for (doc, enc) in sample {
+            sample_size += 1;
+            let mut meet = |node: NodeId, parent: NodeId| {
+                let s = &mut seen[enc[node as usize].0 as usize];
+                if s.doc != sample_size {
+                    (s.doc, s.count) = (sample_size, s.count + 1);
+                } else if s.under == parent {
+                    // identical siblings: a path occurring twice under one
+                    // parent, whose children are met back to back
+                    s.group = true;
                 }
+                s.under = parent;
+            };
+            // the root has no parent, and no node has this one
+            doc.root().into_iter().for_each(|r| meet(r, NodeId::MAX));
+            for n in doc.node_ids() {
+                doc.children(n).iter().for_each(|&c| meet(c, n));
             }
         }
-        let n = sampled.max(1) as f64;
-        ProbabilityModel {
-            root_prob: count.into_iter().map(|(p, c)| (p, c as f64 / n)).collect(),
-            group_paths,
-            sample_size: sampled,
-        }
+        ProbabilityModel { seen, sample_size }
+    }
+
+    /// `p(C|root)` of a path some sampled document contains.
+    fn probability(&self, s: &Seen) -> Option<f64> {
+        (s.count > 0).then(|| f64::from(s.count) / f64::from(self.sample_size))
     }
 
     /// Estimated `p(C|root)` (0.0 for never-seen paths).
     pub fn root_probability(&self, path: PathId) -> f64 {
-        self.root_prob.get(&path).copied().unwrap_or(0.0)
+        let s = self.seen.get(path.0 as usize);
+        s.and_then(|s| self.probability(s)).unwrap_or(0.0)
     }
 
     /// Number of documents actually sampled.
     pub fn sample_size(&self) -> usize {
-        self.sample_size
+        self.sample_size as usize
     }
 
     /// Number of distinct paths with estimates.
     pub fn path_count(&self) -> usize {
-        self.root_prob.len()
+        self.seen.iter().filter(|s| s.count > 0).count()
     }
 
     /// Builds sequencing priorities `p'(C|root) = p(C|root) · w(C)`,
     /// carrying the observed group paths (so the emitter applies subtree
     /// contiguity uniformly across documents) and dictionary-wide block
     /// priorities (so documents order their contiguous blocks identically).
+    // PANIC-FREE: block has one slot per path the model was estimated over,
+    // and a parent's id is below its child's
     pub fn priorities(&self, paths: &PathTable, weights: &WeightMap) -> PriorityMap {
         let mut pm = PriorityMap::new(0.0);
-        for (&p, &prob) in &self.root_prob {
-            pm.insert(p, prob * weights.get(p));
-        }
-        for &p in &self.group_paths {
-            pm.mark_contiguous(p);
-        }
-        // block priority of a path = min weighted priority over every known
-        // path extending it (including itself)
-        let mut block: HashMap<PathId, f64> = HashMap::new();
-        for (&p, &prob) in &self.root_prob {
-            let v = prob * weights.get(p);
-            let mut cur = p;
-            loop {
-                let e = block.entry(cur).or_insert(f64::INFINITY);
-                *e = e.min(v);
-                if cur == PathId::ROOT {
-                    break;
-                }
-                cur = paths.parent(cur);
+        // Block priority of a path = min weighted priority over every seen
+        // path extending it (including itself); NaN = none seen yet, which
+        // `f64::min` ignores.  A path's id is above its parent's, so one
+        // descending sweep has folded a whole subtree before it reads its
+        // root — and every column of `pm` grows once, at the highest id.
+        let mut block = vec![f64::NAN; self.seen.len()];
+        for (i, s) in self.seen.iter().enumerate().rev() {
+            let p = PathId(i as u32);
+            if let Some(prob) = self.probability(s) {
+                let v = prob * weights.get(p);
+                pm.insert(p, v);
+                block[i] = block[i].min(v);
+            }
+            if s.group {
+                pm.mark_contiguous(p);
+            }
+            if !block[i].is_nan() {
+                pm.set_block_priority(p, block[i]);
+                let up = paths.parent(p).0 as usize;
+                block[up] = block[up].min(block[i]);
             }
         }
-        for (p, m) in block {
-            pm.set_block_priority(p, m);
-        }
         pm
-    }
-
-    /// Paths observed with identical siblings.
-    pub fn group_paths(&self) -> &HashSet<PathId> {
-        &self.group_paths
     }
 }
 

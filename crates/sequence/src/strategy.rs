@@ -9,12 +9,40 @@
 //! The probability-ordered strategy is the paper's `g_best`: always emit the
 //! available node whose schema counterpart has the largest weighted root
 //! probability `p'(C|root)` (Eq. 6), so that sequences across a dataset share
-//! the longest possible prefixes.  The identical-sibling rule of Algorithm 2
-//! ("if `c` has identical siblings, sequentialize(`c`)") is enforced by a
-//! recursive emitter shared by all priority-driven strategies.
+//! the longest possible prefixes.  `Random` runs through the same emitter
+//! with a per-node key.
+//!
+//! **The emitter's order.**  A node is *available* once its parent is
+//! emitted.  The next node emitted is the available one with the largest
+//! scheduling key; equal keys (`0.0` and `-0.0` are equal) break by
+//! ascending [`PathId`], then ascending node id — so the relative order of
+//! any two *distinct* paths is the same in every document and query
+//! sequenced with the same priorities, which subsequence matching relies
+//! on.  Selection is a binary heap: `O(n log n)` per document.
+//!
+//! **Blocks.**  A node is a *block* when a sibling has its path (Algorithm
+//! 2's "if `c` has identical siblings, sequentialize(`c`)"; siblings with
+//! one path are found by sorting each child list, `O(k log k)`) or when its
+//! path is a dictionary group path ([`PriorityMap::mark_contiguous`]).  A
+//! block's whole subtree is emitted contiguously — ordered inside by the
+//! same rule — before any node outside it, which keeps the output a valid
+//! `f2` sequence.  Every other node is a *singleton*: emitting it makes its
+//! children available beside everything already waiting.
+//!
+//! **Keys.**  Each node's key is fixed once, when it becomes available.  A
+//! singleton's is its own priority.  A block brings its whole subtree
+//! along, so its key must reflect the block's rarest content — otherwise a
+//! common group node drags near-unique values to the front of every
+//! sequence and prefix sharing collapses.  It is the dictionary-wide
+//! subtree minimum ([`PriorityMap::block_priority`]; document-independent,
+//! so all documents order their blocks identically).  **The fallback**
+//! applies where the dictionary has none — a path minted after the build,
+//! a query tree, every block under `Random`: the minimum priority over the
+//! node's subtree in this document, from a table computed on first need.
 
 use crate::Sequence;
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use xseq_telemetry::HeapSize;
 use xseq_xml::{Document, NodeId, PathId, PathTable};
 
@@ -28,66 +56,79 @@ use xseq_xml::{Document, NodeId, PathId, PathTable};
 /// document-dependent (a doc with one `A` and a doc with two `A`s would
 /// diverge immediately after `A`), destroying exactly the prefix sharing
 /// the probability strategy exists to maximize.
+///
+/// [`PathId`]s are dense, so the three tables are columns indexed by id;
+/// an id past a column's end reads as absent.
 #[derive(Debug, Clone, Default)]
 pub struct PriorityMap {
-    map: HashMap<PathId, f64>,
+    /// `p'(C|root)` per path; NaN marks "no entry".
+    priority: Vec<f64>,
     default: f64,
-    contiguous: std::collections::HashSet<PathId>,
+    contiguous: Vec<bool>,
     /// Per path: the minimum priority over every known path extending it —
-    /// the scheduling priority of a contiguous block rooted there.
-    block: HashMap<PathId, f64>,
+    /// the scheduling priority of a contiguous block rooted there.  NaN
+    /// marks "unknown".
+    block: Vec<f64>,
+}
+
+/// The slot of `p` in a path-indexed column, grown with `absent` to reach it.
+fn slot<T: Copy>(column: &mut Vec<T>, p: PathId, absent: T) -> &mut T {
+    let i = p.0 as usize;
+    if i >= column.len() {
+        column.resize(i + 1, absent);
+    }
+    // PANIC-FREE: the column was just grown past i
+    &mut column[i]
+}
+
+/// `column[p]` unless it is past the end or the NaN "absent" mark.
+fn known(column: &[f64], p: PathId) -> Option<f64> {
+    column.get(p.0 as usize).copied().filter(|v| !v.is_nan())
 }
 
 impl PriorityMap {
     /// Creates a map returning `default` for unknown paths.
     pub fn new(default: f64) -> Self {
         PriorityMap {
-            map: HashMap::new(),
             default,
-            contiguous: std::collections::HashSet::new(),
-            block: HashMap::new(),
+            ..Default::default()
         }
     }
 
-    /// Sets the block (subtree-minimum) priority of a path.
+    /// Sets the block (subtree-minimum) priority of a path; same contract
+    /// as [`PriorityMap::insert`].
     pub fn set_block_priority(&mut self, p: PathId, priority: f64) {
-        self.block.insert(p, priority);
+        *slot(&mut self.block, p, f64::NAN) = priority;
     }
 
     /// The block priority of a path, when known.
     pub fn block_priority(&self, p: PathId) -> Option<f64> {
-        self.block.get(&p).copied()
+        known(&self.block, p)
     }
 
     /// Marks a path as a group path (observed identical siblings): its
     /// subtrees are emitted contiguously in every document.
     pub fn mark_contiguous(&mut self, p: PathId) {
-        self.contiguous.insert(p);
+        *slot(&mut self.contiguous, p, false) = true;
     }
 
     /// True when `p` must be emitted with a contiguous subtree.
     pub fn is_contiguous(&self, p: PathId) -> bool {
-        self.contiguous.contains(&p)
+        self.contiguous.get(p.0 as usize) == Some(&true)
     }
 
     /// Sets the priority of one path.
+    ///
+    /// `priority` must not be NaN: the emitter needs a total order, and a
+    /// NaN here reads back as "no entry" (the default).  The database
+    /// front door rejects the boost weights that could produce one.
     pub fn insert(&mut self, p: PathId, priority: f64) {
-        self.map.insert(p, priority);
+        *slot(&mut self.priority, p, f64::NAN) = priority;
     }
 
     /// The priority of a path.
     pub fn get(&self, p: PathId) -> f64 {
-        self.map.get(&p).copied().unwrap_or(self.default)
-    }
-
-    /// Number of explicit entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no explicit entries exist.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        known(&self.priority, p).unwrap_or(self.default)
     }
 }
 
@@ -142,10 +183,10 @@ impl Strategy {
     }
 }
 
-/// Heap attribution for a priority map: its three path-keyed tables.
+/// Heap attribution for a priority map: its three path-indexed columns.
 impl HeapSize for PriorityMap {
     fn heap_bytes(&self) -> usize {
-        self.map.heap_bytes() + self.contiguous.heap_bytes() + self.block.heap_bytes()
+        self.priority.heap_bytes() + self.contiguous.heap_bytes() + self.block.heap_bytes()
     }
 }
 
@@ -232,20 +273,11 @@ fn emit_order(doc: &Document, enc: &[PathId], strategy: &Strategy) -> Vec<NodeId
             out
         }
         Strategy::Random { seed } => {
-            let pri: Vec<f64> = (0..doc.len() as u64)
-                .map(|n| splitmix64(seed.wrapping_add(0x9e37_79b9).wrapping_mul(31) ^ n) as f64)
-                .collect();
-            // PANIC-FREE: pri has exactly doc.len() entries, one per node
-            emit_with_priority(doc, enc, &|n: NodeId| pri[n as usize])
+            let salt = seed.wrapping_add(0x9e37_79b9).wrapping_mul(31);
+            let key = |n: NodeId, _| splitmix64(salt ^ u64::from(n)) as f64;
+            emit_by_key(doc, enc, root, key, None)
         }
-        Strategy::Probability(map) => emit_with_priority_grouped(
-            doc,
-            enc,
-            // PANIC-FREE: enc has one entry per node id
-            &|n: NodeId| map.get(enc[n as usize]),
-            &|p: PathId| map.is_contiguous(p),
-            &|p: PathId| map.block_priority(p),
-        ),
+        Strategy::Probability(map) => emit_by_key(doc, enc, root, |_, p| map.get(p), Some(map)),
     }
 }
 
@@ -265,128 +297,107 @@ pub fn has_identical_siblings(doc: &Document) -> bool {
     })
 }
 
-/// True if `n` has a sibling with the same label ("identical sibling node").
-fn has_identical_sibling(doc: &Document, n: NodeId) -> bool {
-    match doc.parent(n) {
-        None => false,
-        Some(p) => doc
-            .children(p)
-            .iter()
-            .any(|&s| s != n && doc.sym(s) == doc.sym(n)),
-    }
+/// One available node.  The derived order is the emitter's: the innermost
+/// open block first, then key descending, path id ascending, node id
+/// ascending (node ids are unique, so `is_block` never decides).
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Avail {
+    /// How many blocks are open around the node.  A block is drained before
+    /// anything outside it is emitted, so all waiting nodes of one depth
+    /// belong to one block and the deepest block is the innermost.
+    frame: u32,
+    key: u64,
+    path: Reverse<PathId>,
+    node: Reverse<NodeId>,
+    is_block: bool,
+}
+
+/// An order-preserving image of a scheduling key: `rank(a) > rank(b)` iff
+/// `a > b`, with `-0.0` ranked as `0.0`.  This is `f64::total_cmp`'s bit
+/// trick, so a NaN that slipped past the contract of
+/// [`PriorityMap::insert`] gets a place instead of breaking the heap.
+fn rank(key: f64) -> u64 {
+    let bits = if key == 0.0 { 0 } else { key.to_bits() };
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
 }
 
 /// The constraint-respecting emitter behind `Random` and `Probability`
-/// (paper Algorithm 2).  Emits the subtree of the root; whenever the chosen
-/// node has identical siblings, its whole subtree is emitted contiguously
-/// (recursively) before any sibling may be selected, which keeps the output
-/// a valid `f2` sequence.
-///
-/// Ties (equal priority) break by path id, then node id, so sequences are
-/// deterministic and — crucially for subsequence matching — the relative
-/// order of any two *distinct* paths is identical across every document and
-/// query sequenced with the same priorities.
-fn emit_with_priority(
+/// (paper Algorithm 2; order, blocks and keys as the module docs state).
+/// `priority(node, path)` is a node's own priority; `groups` supplies the
+/// dictionary's group paths and block priorities, when there is one.
+fn emit_by_key(
     doc: &Document,
     enc: &[PathId],
-    priority: &dyn Fn(NodeId) -> f64,
+    root: NodeId,
+    priority: impl Fn(NodeId, PathId) -> f64,
+    groups: Option<&PriorityMap>,
 ) -> Vec<NodeId> {
-    emit_with_priority_grouped(doc, enc, priority, &|_| false, &|_| None)
-}
-
-fn emit_with_priority_grouped(
-    doc: &Document,
-    enc: &[PathId],
-    priority: &dyn Fn(NodeId) -> f64,
-    contiguous: &dyn Fn(PathId) -> bool,
-    block_priority: &dyn Fn(PathId) -> Option<f64>,
-) -> Vec<NodeId> {
-    // A node emitted with a *contiguous subtree* brings its whole block
-    // along, so its scheduling priority must reflect the block's rarest
-    // content (otherwise a common group node drags near-unique values to
-    // the front of every sequence and prefix sharing collapses).  The block
-    // priority comes from the dictionary-wide subtree minimum when known
-    // (doc-independent, so all documents order their blocks identically);
-    // the per-document subtree minimum is the fallback.
-    let mut minp = vec![f64::INFINITY; doc.len()];
-    for &n in doc.preorder().iter().rev() {
-        let mut m = priority(n);
-        for &c in doc.children(n) {
-            // PANIC-FREE: minp has one entry per document node id
-            m = m.min(minp[c as usize]);
-        }
-        // PANIC-FREE: preorder yields ids < doc.len() == minp.len()
-        minp[n as usize] = m;
-    }
-    let eff = move |c: NodeId| {
-        // PANIC-FREE: same per-node table contract as minp above
-        if has_identical_sibling(doc, c) || contiguous(enc[c as usize]) {
-            block_priority(enc[c as usize]).unwrap_or(minp[c as usize])
-        } else {
-            priority(c)
-        }
-    };
     let mut out = Vec::with_capacity(doc.len());
-    // PANIC-FREE: reached only through emit_order's non-empty guard
-    let root = doc
-        .root()
-        .expect("emit order is only computed for non-empty documents");
-    emit_subtree(doc, enc, &eff, contiguous, root, &mut out);
+    let mut heap = BinaryHeap::new();
+    let mut kids: Vec<(PathId, NodeId)> = Vec::new();
+    let mut minp: Vec<f64> = Vec::new();
+    // the root is emitted first and opens no block
+    let mut next = Some((root, 0));
+    while let Some((n, frame)) = next {
+        out.push(n);
+        // Siblings with one label are siblings with one path: sorted by
+        // path, a node with an identical sibling sits next to it.
+        kids.clear();
+        // PANIC-FREE: enc carries one entry per document node id
+        kids.extend(doc.children(n).iter().map(|&c| (enc[c as usize], c)));
+        kids.sort_unstable();
+        for (i, &(path, c)) in kids.iter().enumerate() {
+            let twin = |j: usize| kids.get(j).is_some_and(|k| k.0 == path);
+            let is_block = twin(i + 1)
+                || twin(i.wrapping_sub(1))
+                || groups.is_some_and(|g| g.is_contiguous(path));
+            let key = if !is_block {
+                priority(c, path)
+            } else if let Some(known) = groups.and_then(|g| g.block_priority(path)) {
+                known
+            } else {
+                if minp.is_empty() {
+                    minp = subtree_minima(doc, enc, &priority);
+                }
+                // PANIC-FREE: minp has one entry per document node id
+                minp[c as usize]
+            };
+            heap.push(Avail {
+                frame,
+                key: rank(key),
+                path: Reverse(path),
+                node: Reverse(c),
+                is_block,
+            });
+        }
+        // a block's children wait one frame further in than the block does
+        next = heap
+            .pop()
+            .map(|a| (a.node.0, a.frame + u32::from(a.is_block)));
+    }
     out
 }
 
-// PANIC-FREE: avail indices come from 0..avail.len(); enc carries one
-// entry per document node id
-fn emit_subtree(
+/// The fallback block keys: per node, the minimum priority over its
+/// subtree in this document.
+// PANIC-FREE: enc and minp carry one entry per document node id, and a
+// parent is a node of the same document
+fn subtree_minima(
     doc: &Document,
     enc: &[PathId],
-    priority: &dyn Fn(NodeId) -> f64,
-    contiguous: &dyn Fn(PathId) -> bool,
-    root: NodeId,
-    out: &mut Vec<NodeId>,
-) {
-    out.push(root);
-    // `avail`: nodes of this subtree whose parent is already emitted.
-    let mut avail: Vec<NodeId> = doc.children(root).to_vec();
-    while !avail.is_empty() {
-        // Select the best available node.
-        let mut best = 0;
-        for i in 1..avail.len() {
-            if better(doc, enc, priority, avail[i], avail[best]) {
-                best = i;
-            }
-        }
-        let c = avail.swap_remove(best);
-        if has_identical_sibling(doc, c) || contiguous(enc[c as usize]) {
-            emit_subtree(doc, enc, priority, contiguous, c, out);
-        } else {
-            out.push(c);
-            avail.extend_from_slice(doc.children(c));
+    priority: &impl Fn(NodeId, PathId) -> f64,
+) -> Vec<f64> {
+    let mut minp: Vec<f64> = (doc.node_ids())
+        .map(|n| priority(n, enc[n as usize]))
+        .collect();
+    // The arena only appends, so a child's id is above its parent's: one
+    // descending sweep has folded every subtree before its root is read.
+    for n in (0..doc.len() as NodeId).rev() {
+        if let Some(p) = doc.parent(n) {
+            minp[p as usize] = minp[p as usize].min(minp[n as usize]);
         }
     }
-}
-
-/// Strict "a should be emitted before b" ordering.
-// PANIC-FREE: enc carries one entry per document node id
-fn better(
-    doc: &Document,
-    enc: &[PathId],
-    priority: &dyn Fn(NodeId) -> f64,
-    a: NodeId,
-    b: NodeId,
-) -> bool {
-    let (pa, pb) = (priority(a), priority(b));
-    if pa != pb {
-        return pa > pb;
-    }
-    let (ea, eb) = (enc[a as usize], enc[b as usize]);
-    if ea != eb {
-        return ea < eb;
-    }
-    // Identical path: document sibling order (node id) decides; isomorphism
-    // expansion at query time enumerates the alternatives.
-    let _ = doc;
-    a < b
+    minp
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -666,6 +677,43 @@ mod tests {
             assert_eq!(seq, sequence_document(&doc, &mut paths, &strategy));
             assert_eq!(order.len(), doc.len(), "{strategy:?}");
         }
+    }
+
+    #[test]
+    fn priority_columns_grow_on_write_and_read_absent_past_their_end() {
+        let mut pm = PriorityMap::new(0.5);
+        let absent = |pm: &PriorityMap, p| {
+            (pm.get(p), pm.block_priority(p), pm.is_contiguous(p)) == (0.5, None, false)
+        };
+        assert!(absent(&pm, PathId(9)), "an empty map has no columns at all");
+        pm.insert(PathId(9), 0.0);
+        pm.set_block_priority(PathId(4), -1.0);
+        pm.mark_contiguous(PathId(2));
+        assert_eq!(pm.get(PathId(9)), 0.0);
+        assert_eq!(pm.block_priority(PathId(4)), Some(-1.0));
+        assert!(pm.is_contiguous(PathId(2)));
+        for gap in [0, 3, 8, 10, u32::MAX] {
+            assert!(absent(&pm, PathId(gap)), "path {gap} was never written");
+        }
+        assert!(pm.heap_bytes() >= 10 * 8 + 3 + 5 * 8, "every column counts");
+    }
+
+    #[test]
+    fn rank_orders_keys_as_floats_compare() {
+        let keys = [
+            f64::NEG_INFINITY,
+            -1.0,
+            -1e-300,
+            0.0,
+            1e-300,
+            0.5,
+            1.0,
+            f64::INFINITY,
+        ];
+        for w in keys.windows(2) {
+            assert!(rank(w[0]) < rank(w[1]), "{} < {}", w[0], w[1]);
+        }
+        assert_eq!(rank(-0.0), rank(0.0), "the zeros are one key");
     }
 
     #[test]

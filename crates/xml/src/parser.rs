@@ -16,6 +16,7 @@
 use crate::document::Document;
 use crate::error::XmlError;
 use crate::symbol::SymbolTable;
+use std::borrow::Cow;
 
 /// Deepest element nesting [`parse_document`] accepts.  `parse_element`
 /// recurses once per level, so untrusted input must not choose the stack
@@ -64,10 +65,14 @@ impl<'a, 'b> Parser<'a, 'b> {
         self.bytes.get(self.pos).copied()
     }
 
+    /// The next byte, or the error of an input that ends here.
+    fn peek_or_eof(&self) -> Result<u8, XmlError> {
+        self.peek()
+            .ok_or(XmlError::UnexpectedEof { offset: self.pos })
+    }
+
     fn bump(&mut self) -> Result<u8, XmlError> {
-        let b = self
-            .peek()
-            .ok_or(XmlError::UnexpectedEof { offset: self.pos })?;
+        let b = self.peek_or_eof()?;
         self.pos += 1;
         Ok(b)
     }
@@ -193,7 +198,9 @@ impl<'a, 'b> Parser<'a, 'b> {
         Ok(())
     }
 
-    fn read_attr_value(&mut self) -> Result<String, XmlError> {
+    /// Reads a quoted attribute value: runs between entities are copied
+    /// as slices, and a value without entities is the source slice itself.
+    fn read_attr_value(&mut self) -> Result<Cow<'a, str>, XmlError> {
         let quote = self.bump()?;
         if quote != b'"' && quote != b'\'' {
             return Err(XmlError::UnexpectedChar {
@@ -204,31 +211,30 @@ impl<'a, 'b> Parser<'a, 'b> {
         }
         let mut out = String::new();
         loop {
-            match self
-                .peek()
-                .ok_or(XmlError::UnexpectedEof { offset: self.pos })?
-            {
-                b if b == quote => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'&' => self.read_entity(&mut out)?,
-                _ => {
-                    let c = self.next_char()?;
-                    out.push(c);
-                }
+            let run = self.read_run(quote)?;
+            if self.peek() == Some(b'&') {
+                out.push_str(run);
+                self.read_entity(&mut out)?;
+                continue;
             }
+            self.eat(quote, "a quote")?;
+            return Ok(if out.is_empty() {
+                Cow::Borrowed(run)
+            } else {
+                Cow::Owned(out + run)
+            });
         }
     }
 
-    fn next_char(&mut self) -> Result<char, XmlError> {
-        let c = self
-            .slice(self.pos, self.src.len(), "valid UTF-8")?
-            .chars()
-            .next()
-            .ok_or(XmlError::UnexpectedEof { offset: self.pos })?;
-        self.pos += c.len_utf8();
-        Ok(c)
+    /// Advances to the next `stop` byte, `&` or the end of input and
+    /// returns the characters passed over.  All three are character
+    /// boundaries: a stop byte is ASCII, which no multi-byte sequence holds.
+    fn read_run(&mut self, stop: u8) -> Result<&'a str, XmlError> {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b != stop && b != b'&') {
+            self.pos += 1;
+        }
+        self.slice(start, self.pos, "valid UTF-8")
     }
 
     /// Parses `<name attr="v" ...> content </name>` into the document under
@@ -255,10 +261,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         // Attributes.
         loop {
             self.skip_ws();
-            match self
-                .peek()
-                .ok_or(XmlError::UnexpectedEof { offset: self.pos })?
-            {
+            match self.peek_or_eof()? {
                 b'/' => {
                     self.pos += 1;
                     self.eat(b'>', "'>'")?;
@@ -281,59 +284,64 @@ impl<'a, 'b> Parser<'a, 'b> {
             }
         }
 
-        // Content.
-        let mut text = String::new();
+        // Content.  Text is copied a run at a time, and not at all while one
+        // plain run is all there is: `run` borrows it from the source, and
+        // only an entity or CDATA beside it moves the value into `text`.
+        let (mut run, mut text) = ("", String::new());
         loop {
-            if self.eof() {
-                return Err(XmlError::UnexpectedEof { offset: self.pos });
-            }
-            if self.starts_with(b"<!--") {
-                self.flush_text(doc, node, &mut text);
-                self.skip_until(b"-->")?;
-            } else if self.starts_with(b"<![CDATA[") {
-                self.pos += b"<![CDATA[".len();
-                let start = self.pos;
-                self.skip_until(b"]]>")?;
-                let end = self.pos - b"]]>".len();
-                text.push_str(self.slice(start, end, "valid UTF-8 in CDATA")?);
-            } else if self.starts_with(b"<?") {
-                self.flush_text(doc, node, &mut text);
-                self.skip_until(b"?>")?;
-            } else if self.starts_with(b"</") {
-                self.flush_text(doc, node, &mut text);
-                self.pos += 2;
-                let close_at = self.pos;
-                let cname = self.read_name()?;
-                if cname != name {
-                    return Err(XmlError::MismatchedTag {
-                        offset: close_at,
-                        found: cname.to_owned(),
-                        expected: name.to_owned(),
-                    });
+            match self.peek_or_eof()? {
+                b'<' if self.starts_with(b"<![CDATA[") => {
+                    self.pos += b"<![CDATA[".len();
+                    let start = self.pos;
+                    self.skip_until(b"]]>")?;
+                    let end = self.pos - b"]]>".len();
+                    text.push_str(std::mem::take(&mut run));
+                    text.push_str(self.slice(start, end, "valid UTF-8 in CDATA")?);
                 }
-                self.skip_ws();
-                self.eat(b'>', "'>'")?;
-                return Ok(());
-            } else if self.peek() == Some(b'<') {
-                self.flush_text(doc, node, &mut text);
-                self.depth += 1;
-                self.parse_element(doc, Some(node))?;
-                self.depth -= 1;
-            } else if self.peek() == Some(b'&') {
-                self.read_entity(&mut text)?;
-            } else {
-                text.push(self.next_char()?);
+                b'<' => {
+                    self.flush_text(doc, node, &mut run, &mut text);
+                    if self.starts_with(b"<!--") {
+                        self.skip_until(b"-->")?;
+                    } else if self.starts_with(b"<?") {
+                        self.skip_until(b"?>")?;
+                    } else if self.starts_with(b"</") {
+                        self.pos += 2;
+                        let close_at = self.pos;
+                        let cname = self.read_name()?;
+                        if cname != name {
+                            return Err(XmlError::MismatchedTag {
+                                offset: close_at,
+                                found: cname.to_owned(),
+                                expected: name.to_owned(),
+                            });
+                        }
+                        self.skip_ws();
+                        self.eat(b'>', "'>'")?;
+                        return Ok(());
+                    } else {
+                        self.depth += 1;
+                        self.parse_element(doc, Some(node))?;
+                        self.depth -= 1;
+                    }
+                }
+                b'&' => {
+                    text.push_str(std::mem::take(&mut run));
+                    self.read_entity(&mut text)?;
+                }
+                _ if text.is_empty() => run = self.read_run(b'<')?,
+                _ => text.push_str(self.read_run(b'<')?),
             }
         }
     }
 
     /// Emits accumulated non-whitespace text as a value leaf (or chain).
-    fn flush_text(&mut self, doc: &mut Document, node: u32, text: &mut String) {
-        let trimmed = text.trim();
-        if !trimmed.is_empty() {
-            attach_value(doc, node, trimmed, self.symbols);
+    fn flush_text(&mut self, doc: &mut Document, node: u32, run: &mut &str, text: &mut String) {
+        let value = if text.is_empty() { *run } else { text.as_str() }.trim();
+        if !value.is_empty() {
+            attach_value(doc, node, value, self.symbols);
         }
         text.clear();
+        *run = "";
     }
 }
 
