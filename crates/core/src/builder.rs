@@ -34,7 +34,6 @@ pub struct DatabaseBuilder {
     spot_check_rate: f64,
     threads: usize,
     shards: usize,
-    compact_threshold: Option<usize>,
     memtable_limit: usize,
     tier_ratio: usize,
     background_merge: Option<Duration>,
@@ -53,7 +52,6 @@ const EVENT_CAPACITY: usize = 256;
 pub(crate) struct BuildConfig {
     pub(crate) sequencing: Sequencing,
     pub(crate) boosts: Vec<(String, f64)>,
-    pub(crate) compact_threshold: Option<usize>,
     pub(crate) memtable_limit: usize,
     pub(crate) tier_ratio: usize,
 }
@@ -77,7 +75,6 @@ impl DatabaseBuilder {
             spot_check_rate: 0.0,
             threads: 1,
             shards: 0,
-            compact_threshold: None,
             memtable_limit: xseq_index::DEFAULT_MEMTABLE_LIMIT,
             tier_ratio: xseq_index::DEFAULT_TIER_RATIO,
             background_merge: None,
@@ -93,16 +90,6 @@ impl DatabaseBuilder {
     /// `w(C)` (Eq. 6) from live traffic instead of operator guesses.
     pub fn profiling(mut self, on: bool) -> Self {
         self.profiling = on;
-        self
-    }
-
-    /// Enables auto-compaction: whenever a shard's outstanding update
-    /// volume (delta sequences + tombstones) reaches `threshold`, the next
-    /// [`Database::insert_document`] / [`Database::remove_document`]
-    /// compacts that shard automatically.  Off by default (compaction is
-    /// manual).  A `threshold` of 0 is clamped to 1.
-    pub fn auto_compact(mut self, threshold: usize) -> Self {
-        self.compact_threshold = Some(threshold.max(1));
         self
     }
 
@@ -139,9 +126,10 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Sets the worker count for ingest (parallel parse and sequence
-    /// emission; path interning, the sort and the freeze are serial) and
-    /// for [`Database::query_batch`].  1 (the default) runs everything in
+    /// Sets the worker count: the emission width of a build (each shard
+    /// parses and interns serially, then fans the pure sequence emitter
+    /// out; the sort and the freeze are serial too) and the width of
+    /// [`Database::query_batch`].  1 (the default) runs everything in
     /// place with no thread traffic.
     ///
     /// The shard count follows the thread count unless
@@ -238,8 +226,9 @@ impl DatabaseBuilder {
     /// Documents are hash-routed to shards by their would-be id **before**
     /// parsing, so each shard parses its own subset into its own interners
     /// — shards run side by side on the pool and share nothing.  Within a
-    /// shard, parsing fans out in chunks across the shard's share of the
-    /// workers and is identical to a serial parse.
+    /// shard, parsing is one serial pass in document order at any thread
+    /// count; on malformed input the error returned is the earliest failing
+    /// document's in input order, at any thread and shard count.
     pub fn build_from_xml<'a>(
         self,
         xmls: impl IntoIterator<Item = &'a str>,
@@ -261,11 +250,10 @@ impl DatabaseBuilder {
         // database does.
         doc_map.shrink_to_fit();
         global_ids.iter_mut().for_each(Vec::shrink_to_fit);
-        let inner = shard_pool(self.threads, nshards);
         let (mode, registry) = (self.value_mode, &self.registry);
         let tasks: Vec<_> = shard_xmls
             .iter()
-            .map(|xmls| move || parse_shard(xmls, mode, registry, &inner))
+            .map(|xmls| move || parse_shard(xmls, mode, registry))
             .collect();
         let mut corpora = Vec::with_capacity(nshards);
         let mut first_err: Option<(DocId, XmlError)> = None;
@@ -344,7 +332,6 @@ impl DatabaseBuilder {
         let config = BuildConfig {
             sequencing: self.sequencing,
             boosts: self.boosts,
-            compact_threshold: self.compact_threshold,
             memtable_limit: self.memtable_limit,
             tier_ratio: self.tier_ratio,
         };
@@ -445,69 +432,24 @@ impl DatabaseBuilder {
     }
 }
 
-/// The workers each of `nshards` shards gets when they build (or parse)
-/// side by side on a pool of `threads`.
+/// The workers each of `nshards` shards gets when they build side by side
+/// on a pool of `threads`.
 pub(crate) fn shard_pool(threads: usize, nshards: usize) -> Pool {
     Pool::new(threads / nshards)
 }
 
-/// Parses one shard's documents into a fresh corpus; on failure returns
-/// the failing document's position in `xmls` with its error.
-///
-/// On a pool with workers, parsing fans out in chunks: each worker interns
-/// into a private clone of the symbol table, and the per-chunk deltas are
-/// absorbed back in document order, replaying the sequential
-/// first-occurrence interning exactly — the corpus (ids, interners,
-/// documents) is identical to a serial parse.
+/// Parses one shard's documents, serially and in order, into a fresh
+/// corpus; on failure returns the failing document's position in `xmls`
+/// with its error.
 fn parse_shard(
     xmls: &[&str],
     mode: ValueMode,
     registry: &MetricsRegistry,
-    pool: &Pool,
 ) -> Result<Corpus, (usize, XmlError)> {
     let mut corpus = Corpus::new(mode);
     corpus.attach_parse_histogram(registry.histogram("xml.parse"));
-    if pool.is_sequential() {
-        for (i, xml) in xmls.iter().enumerate() {
-            corpus.parse_and_push(xml).map_err(|e| (i, e))?;
-        }
-        return Ok(corpus);
-    }
-    let base_names = corpus.symbols.designator_count();
-    let base_values = corpus.symbols.values.len();
-    let chunk = pool.chunk_for(xmls.len());
-    let chunks = {
-        let base = &corpus.symbols;
-        // Workers stop at their first parse error; the serial merge below
-        // surfaces the earliest error in document order, exactly like the
-        // sequential loop.
-        pool.map_chunks(xmls, chunk, |_, slice| {
-            let mut local = base.clone();
-            let mut docs = Vec::with_capacity(slice.len());
-            for xml in slice {
-                let t0 = std::time::Instant::now();
-                match xseq_xml::parse_document(xml, &mut local) {
-                    Ok(doc) => docs.push((doc, t0.elapsed())),
-                    Err(e) => return (local, docs, Some(e)),
-                }
-            }
-            (local, docs, None)
-        })
-    };
-    for (local, docs, err) in chunks {
-        let remap = corpus.symbols.absorb_delta(&local, base_names, base_values);
-        for (mut doc, parse_time) in docs {
-            if !remap.is_identity() {
-                doc.remap_symbols(|s| remap.symbol(s));
-            }
-            if let Some(h) = &corpus.parse_histogram {
-                h.record_duration(parse_time);
-            }
-            corpus.push(doc);
-        }
-        if let Some(e) = err {
-            return Err((corpus.len(), e));
-        }
+    for (i, xml) in xmls.iter().enumerate() {
+        corpus.parse_and_push(xml).map_err(|e| (i, e))?;
     }
     Ok(corpus)
 }

@@ -122,12 +122,6 @@ impl Database {
             self.doc_map.len(),
             self.shards.iter().map(|sh| sh.corpus.paths.len()).sum::<usize>()
         );
-        match self.config.compact_threshold {
-            Some(t) => {
-                let _ = write!(out, ",\"compact_threshold\":{t}");
-            }
-            None => out.push_str(",\"compact_threshold\":null"),
-        }
         let _ = write!(
             out,
             ",\"tracing\":{},\"profiling\":{}",

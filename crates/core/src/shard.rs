@@ -3,8 +3,8 @@
 //! these; nothing here (or above) treats N = 1 specially.
 
 use crate::{
-    Corpus, DocId, ParseError, PatternLabel, Pool, QueryContext, QueryOutcome, SymbolTable,
-    TreePattern, XmlIndex,
+    Corpus, DocId, Document, ParseError, PatternLabel, Pool, QueryContext, QueryOutcome,
+    SymbolTable, TreePattern, XmlIndex,
 };
 use xseq_telemetry::{ActiveTrace, Histogram};
 use xseq_xml::Symbol;
@@ -21,29 +21,36 @@ pub(crate) fn shard_of(global: DocId, nshards: usize) -> usize {
     ((z ^ (z >> 31)) % nshards as u64) as usize
 }
 
-/// Re-interns one symbol from `old`'s tables into `fresh`'s — the shared
-/// primitive behind corpus splitting and compaction.  Interned values
-/// resolve and re-intern; hashed value ids are stateless (`h(s) mod
-/// range`), so the original id is already what a fresh parse would mint.
-pub(crate) fn reintern_symbol(s: Symbol, old: &SymbolTable, fresh: &mut SymbolTable) -> Symbol {
-    if let Some(d) = s.as_elem() {
-        Symbol::elem(fresh.designator(old.name(d)))
-    } else {
-        let v = s.as_value().expect("a symbol is an element or a value");
-        match old.values.resolve(v) {
-            Some(text) => Symbol::value(fresh.values.intern(text)),
-            None => s,
+/// Appends a copy of `doc`, re-interned from `old`'s tables into `fresh`'s,
+/// and returns its id there — the one step behind corpus splitting and
+/// compaction.  A document's arena order is its parse encounter order, so
+/// re-interning documents in order replays a from-scratch parse of them
+/// exactly.  The copy is deliberate: it lays the survivors out contiguously.
+pub(crate) fn reintern_into(doc: &Document, old: &SymbolTable, fresh: &mut Corpus) -> DocId {
+    let mut doc = doc.clone();
+    doc.remap_symbols(|s| {
+        if let Some(d) = s.as_elem() {
+            Symbol::elem(fresh.symbols.designator(old.name(d)))
+        } else {
+            let v = s.as_value().expect("a symbol is an element or a value");
+            match old.values.resolve(v) {
+                Some(text) => Symbol::value(fresh.symbols.values.intern(text)),
+                // Hashed value ids are stateless (`h(s) mod range`): the
+                // original id is already what a fresh parse would mint.
+                None => s,
+            }
         }
-    }
+    });
+    fresh.push(doc)
 }
 
 /// Splits a corpus into per-shard corpora by hash-routing each document and
-/// re-interning it into its shard's fresh tables (arena order = parse
-/// encounter order, so the shard corpus is bit-identical to parsing the
-/// subset from scratch).  One worker per shard; every worker scans the
-/// routing table and claims only its own documents, so the split itself is
-/// shared-nothing.  Returns the shard corpora, the global→(shard, local)
-/// map, and the per-shard local→global lists.
+/// re-interning it into its shard's fresh tables ([`reintern_into`]: the
+/// shard corpus is bit-identical to parsing the subset from scratch).  One
+/// worker per shard; every worker scans the routing table and claims only
+/// its own documents, so the split itself is shared-nothing.  Returns the
+/// shard corpora, the global→(shard, local) map, and the per-shard
+/// local→global lists.
 #[allow(clippy::type_complexity)]
 pub(crate) fn split_corpus(
     corpus: &Corpus,
@@ -70,11 +77,7 @@ pub(crate) fn split_corpus(
                     if routes[gid] != s {
                         continue;
                     }
-                    let mut doc = doc.clone();
-                    doc.remap_symbols(|sym| {
-                        reintern_symbol(sym, &corpus.symbols, &mut shard.symbols)
-                    });
-                    shard.push(doc);
+                    reintern_into(doc, &corpus.symbols, &mut shard);
                     gids.push(gid as DocId);
                 }
                 (shard, gids)

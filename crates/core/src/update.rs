@@ -3,7 +3,7 @@
 //! and the overlay occupancy gauges (DESIGN.md §11, §15.3–15.4, §16).
 
 use crate::builder::{build_shard_index, shard_pool};
-use crate::shard::{reintern_symbol, shard_of};
+use crate::shard::{reintern_into, shard_of};
 use crate::{
     Corpus, Database, DocId, Error, Event, EventJournal, MetricsRegistry, Severity, SpanTimer,
     Ticker, TieredDelta,
@@ -56,11 +56,14 @@ impl UpdateGauges {
                 delta.sequence_count(),
                 delta.run_count(),
                 delta.tombstones().len(),
-            ];
-            for (i, v) in values.into_iter().enumerate() {
-                sums[i] += v as i64;
-                if let Some(shard) = self.per_shard.get(s) {
-                    shard[i].set(v as i64);
+            ]
+            .map(|v| v as i64);
+            for (sum, v) in sums.iter_mut().zip(values) {
+                *sum += v;
+            }
+            if let Some(shard) = self.per_shard.get(s) {
+                for (gauge, v) in shard.iter().zip(values) {
+                    gauge.set(v);
                 }
             }
         }
@@ -233,24 +236,10 @@ impl Database {
     /// untouched, and the very next query sees the document (queries run
     /// over *frozen ∪ delta − tombstones*).
     ///
-    /// Returns the new document's id.  When the builder enabled
-    /// [`DatabaseBuilder::auto_compact`](crate::DatabaseBuilder::auto_compact)
-    /// and this insert crosses the threshold, a compaction runs inline and
-    /// the returned id is the **post-compaction** id.
+    /// Returns the new document's id.  An insert never compacts: ids move
+    /// only when the caller runs [`Database::compact`], whose report
+    /// carries the remap.
     pub fn insert_document(&mut self, xml: &str) -> Result<DocId, Error> {
-        let id = self.insert_one(xml)?;
-        if let Some(remap) = self.auto_compact_if_needed() {
-            let new_id =
-                remap[id as usize].expect("freshly inserted document survives its own compaction");
-            return Ok(new_id);
-        }
-        Ok(id)
-    }
-
-    /// The shared insert kernel: routes the document to its shard by the
-    /// global-id hash, parses into that shard's corpus, and appends to the
-    /// shard's delta segment.  No auto-compaction check.
-    fn insert_one(&mut self, xml: &str) -> Result<DocId, Error> {
         let timer = SpanTimer::new(self.update_insert_hist.clone());
         let global = self.doc_map.len() as DocId;
         let s = shard_of(global, self.shards.len());
@@ -274,25 +263,15 @@ impl Database {
         Ok(global)
     }
 
-    /// [`Database::insert_document`] for a batch: all documents join the
-    /// delta segment, then a single auto-compaction check runs at the end,
-    /// so the returned ids are consistent with each other.  On a parse
+    /// [`Database::insert_document`] for a batch, in order.  On a parse
     /// error the documents before it remain inserted.
     pub fn insert_documents<'a>(
         &mut self,
         xmls: impl IntoIterator<Item = &'a str>,
     ) -> Result<Vec<DocId>, Error> {
-        let mut ids = Vec::new();
-        for xml in xmls {
-            ids.push(self.insert_one(xml)?);
-        }
-        if let Some(remap) = self.auto_compact_if_needed() {
-            for id in &mut ids {
-                *id = remap[*id as usize]
-                    .expect("freshly inserted documents survive their own compaction");
-            }
-        }
-        Ok(ids)
+        xmls.into_iter()
+            .map(|xml| self.insert_document(xml))
+            .collect()
     }
 
     /// Removes a document: its id is tombstoned and stops appearing in any
@@ -309,24 +288,8 @@ impl Database {
         timer.finish();
         if fresh {
             self.refresh_update_gauges();
-            self.auto_compact_if_needed();
         }
         fresh
-    }
-
-    /// Runs the configured auto-compaction policy: each shard is checked
-    /// **independently** and only the shards whose pending updates reach
-    /// the threshold compact — one hot shard never stalls the others.
-    /// Returns the global remap when anything compacted.
-    fn auto_compact_if_needed(&mut self) -> Option<Vec<Option<DocId>>> {
-        let threshold = self.config.compact_threshold?;
-        let due: Vec<usize> = (0..self.shards.len())
-            .filter(|&s| self.shards[s].index.pending_updates() >= threshold)
-            .collect();
-        if due.is_empty() {
-            return None;
-        }
-        Some(self.compact_shards(&due).remap)
     }
 
     /// Drains every pending tier merge across all shards on the calling
@@ -415,13 +378,7 @@ impl Database {
                 if tombstones.contains(id as DocId) {
                     continue;
                 }
-                let mut doc = doc.clone();
-                // Arena order = parse encounter order, so interning through
-                // the fresh tables here replays a from-scratch parse.
-                doc.remap_symbols(|sym| {
-                    reintern_symbol(sym, &sh.corpus.symbols, &mut fresh.symbols)
-                });
-                remap[id] = Some(fresh.push(doc));
+                remap[id] = Some(reintern_into(doc, &sh.corpus.symbols, &mut fresh));
             }
             sh.index = build_shard_index(&self.config, &mut fresh, &self.registry, &pool);
             sh.corpus = fresh;
@@ -620,42 +577,22 @@ mod tests {
     }
 
     #[test]
-    fn auto_compaction_threshold_fires_and_remaps() {
+    fn insert_documents_stops_at_the_first_malformed_document() {
         let mut db = DatabaseBuilder::new()
-            .sequencing(Sequencing::DepthFirst)
-            .auto_compact(3)
             .build_from_xml(["<a><b/></a>"])
             .unwrap();
-        // threshold 3: two updates stay in the overlay…
-        let a = db.insert_document("<a><x/></a>").unwrap();
-        assert_eq!(a, 1);
-        assert!(db.remove_document(0));
-        assert_eq!(db.index().pending_updates(), 2);
-        // …the third triggers compaction; the fresh insert survives and is
-        // renumbered (doc 0 dropped, so the two inserts become 0 and 1).
-        let b = db.insert_document("<a><y/></a>").unwrap();
-        assert_eq!(b, 1, "post-compaction id");
-        assert_eq!(db.index().pending_updates(), 0);
-        assert!(db.index().delta().is_empty());
-        assert_eq!(db.len(), 2);
-        assert_eq!(db.query_xpath("/a/x").unwrap(), vec![0]);
-        assert_eq!(db.query_xpath("/a/y").unwrap(), vec![1]);
-    }
-
-    #[test]
-    fn insert_documents_batch_compacts_once() {
-        let mut db = DatabaseBuilder::new()
-            .sequencing(Sequencing::DepthFirst)
-            .auto_compact(2)
-            .build_from_xml(["<a><b/></a>"])
-            .unwrap();
-        let ids = db
-            .insert_documents(["<a><c/></a>", "<a><d/></a>", "<a><e/></a>"])
-            .unwrap();
-        // All three joined the delta, then one compaction ran at the end.
-        assert_eq!(ids, vec![1, 2, 3]);
-        assert!(db.index().delta().is_empty());
-        assert_eq!(db.query_xpath("/a/e").unwrap(), vec![3]);
+        assert_eq!(
+            db.insert_documents(["<a><c/></a>", "<a><d/></a>"]),
+            Ok(vec![1, 2])
+        );
+        let err = db.insert_documents(["<a><e/></a>", "<a>", "<a><f/></a>"]);
+        assert!(matches!(err, Err(Error::Xml(_))), "{err:?}");
+        assert_eq!(
+            db.len(),
+            4,
+            "the one before stays, the one after is not tried"
+        );
+        assert_eq!(db.query_xpath("/a/e"), Ok(vec![3]));
     }
 
     #[test]

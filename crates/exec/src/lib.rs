@@ -18,9 +18,9 @@
 //!
 //! Determinism contract: [`Pool::map`], [`Pool::map_chunks`] and
 //! [`Pool::run`] return results in input order, independent of thread
-//! count and scheduling.  Parallel ingest relies on this — parsing merges
-//! per-worker symbol deltas in chunk order, which is document order, and
-//! the index build concatenates emitted sequences in it.
+//! count and scheduling.  The two fan-outs rely on this — the index build
+//! concatenates emitted sequences in document order, and `query_batch`
+//! returns its answers in the order the expressions were given.
 //!
 //! The crate also hosts [`Ticker`], the periodic driver behind the
 //! database's background merge worker: the one place allowed to own a
@@ -157,10 +157,9 @@ impl Pool {
     /// each), returning one result per chunk in chunk order.
     ///
     /// `f` receives the dense chunk index (`0..len.div_ceil(chunk)`) and
-    /// the chunk slice.  This is the primitive behind parallel ingest:
-    /// chunk order *is* document order, so merging per-chunk interning
-    /// deltas in result order replays the sequential first-occurrence
-    /// order exactly.
+    /// the chunk slice.  This is the primitive behind [`Pool::map`] and
+    /// `query_batch` (which sets up one scratch context per chunk); chunk
+    /// order *is* input order.
     pub fn map_chunks<T, R, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<R>
     where
         T: Sync,

@@ -417,8 +417,8 @@ impl XmlIndex {
         self.delta.tombstones()
     }
 
-    /// Outstanding update volume: overlay sequences plus tombstones — the
-    /// quantity auto-compaction thresholds measure.
+    /// Outstanding update volume: overlay sequences plus tombstones — what
+    /// a caller's compaction policy measures.
     pub fn pending_updates(&self) -> usize {
         self.delta.sequence_count() + self.delta.tombstones().len()
     }

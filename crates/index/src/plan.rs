@@ -71,7 +71,7 @@ impl PlanOptions {
 /// Enumerates the concrete query trees of `pattern` against the dictionary
 /// (`data_paths` filters the path table down to paths that actually occur in
 /// indexed data).  Deduplicated; order deterministic.  A cap that cut the
-/// enumeration short is reported only by [`plan`].
+/// enumeration short is reported only by `plan`.
 pub fn instantiate(
     pattern: &TreePattern,
     paths: &PathTable,

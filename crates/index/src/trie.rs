@@ -269,7 +269,7 @@ impl SequenceTrie {
     /// Builds the trie from everything inserted so far (Section 4.1 steps
     /// 1–3): one stable sort by sequence — ties keep arrival order — then a
     /// longest-common-prefix walk that creates the nodes in preorder, then
-    /// [`label_and_link`].  Idempotent; after further insertions it rebuilds
+    /// `label_and_link`.  Idempotent; after further insertions it rebuilds
     /// from the stored sequences plus the new ones, which equals one
     /// `bulk_load` of the union.
     // PANIC-FREE: `lcp <= elems.len()` by construction of the zip, and

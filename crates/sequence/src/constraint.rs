@@ -74,9 +74,14 @@ pub fn decode_f2(seq: &Sequence, paths: &PathTable) -> Result<Document, DecodeEr
     }
     let elems = seq.elems();
 
-    // Locate the root: the unique depth-1 element.
+    // Locate the root — the unique depth-1 element — and, per path, the
+    // position of its first occurrence; the second slot will hold its
+    // latest occurrence so far.
+    const UNSEEN: usize = usize::MAX;
+    let mut occurs: HashMap<PathId, (usize, usize)> = HashMap::with_capacity(elems.len());
     let mut root_idx = None;
     for (i, &p) in elems.iter().enumerate() {
+        occurs.entry(p).or_insert((i, UNSEEN));
         if paths.depth(p) == 1 {
             if root_idx.is_some() {
                 return Err(DecodeError::MultipleRoots);
@@ -86,19 +91,25 @@ pub fn decode_f2(seq: &Sequence, paths: &PathTable) -> Result<Document, DecodeEr
     }
     let root_idx = root_idx.ok_or(DecodeError::NoRoot)?;
 
-    // Attach every other element to its forward prefix.
+    // Attach every other element to its forward prefix (Definition 2, the
+    // scan [`forward_prefix`] spells out) in one forward pass.
     let mut parent_of = vec![usize::MAX; elems.len()];
     for (i, &p) in elems.iter().enumerate() {
-        if i == root_idx {
-            continue;
+        if i != root_idx {
+            let t = paths.parent(p);
+            if t == PathId::ROOT {
+                // depth-1 handled above
+                return Err(DecodeError::MultipleRoots);
+            }
+            // `t` is not `p`, so with no occurrence before `i` its first
+            // occurrence is the earliest one after `i`.
+            parent_of[i] = match occurs.get(&t) {
+                Some(&(first, UNSEEN)) => first,
+                Some(&(_, latest)) => latest,
+                None => return Err(DecodeError::MissingAncestor { index: i }),
+            };
         }
-        let t = paths.parent(p);
-        if t == PathId::ROOT {
-            // depth-1 handled above
-            return Err(DecodeError::MultipleRoots);
-        }
-        let j = forward_prefix(seq, i, t).ok_or(DecodeError::MissingAncestor { index: i })?;
-        parent_of[i] = j;
+        occurs.entry(p).and_modify(|seen| seen.1 = i);
     }
 
     // Build the document: create nodes in an order where parents come first.
@@ -108,20 +119,15 @@ pub fn decode_f2(seq: &Sequence, paths: &PathTable) -> Result<Document, DecodeEr
     order.sort_by_key(|&i| paths.depth(elems[i]));
 
     let mut doc = Document::new();
-    let mut node_of: HashMap<usize, u32> = HashMap::with_capacity(elems.len());
+    let mut node_of = vec![0u32; elems.len()];
     for &i in &order {
         let sym = paths.last(elems[i]).expect("non-root path");
-        if i == root_idx {
+        node_of[i] = if i == root_idx {
             doc = Document::with_root(sym);
-            node_of.insert(
-                i,
-                doc.root().expect("Document::with_root always has a root"),
-            );
+            doc.root().expect("Document::with_root always has a root")
         } else {
-            let parent_node = node_of[&parent_of[i]];
-            let n = doc.child(parent_node, sym);
-            node_of.insert(i, n);
-        }
+            doc.child(node_of[parent_of[i]], sym)
+        };
     }
     Ok(doc)
 }

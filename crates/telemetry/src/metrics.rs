@@ -258,9 +258,9 @@ impl HistogramSnapshot {
     /// `min`/`max` cannot be un-merged, so the delta keeps `self`'s values;
     /// they remain correct as *bounds* on the interval's samples.
     pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = [0u64; BUCKETS];
-        for (i, dst) in buckets.iter_mut().enumerate() {
-            *dst = self.buckets[i].saturating_sub(earlier.buckets[i]);
+        let mut buckets = self.buckets;
+        for (dst, was) in buckets.iter_mut().zip(&earlier.buckets) {
+            *dst = dst.saturating_sub(*was);
         }
         HistogramSnapshot {
             buckets,

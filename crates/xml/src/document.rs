@@ -176,10 +176,8 @@ impl Document {
         out
     }
 
-    /// Rewrites every node label through `f` — used by parallel ingest to
-    /// move a worker-parsed document from its local symbol namespace into
-    /// the merged one, and by compaction to re-intern surviving documents
-    /// into fresh tables.
+    /// Rewrites every node label through `f` — used by compaction and the
+    /// shard split to re-intern documents into fresh tables.
     ///
     /// Nodes are visited in arena order, which for parsed documents is the
     /// parse encounter order — so a *stateful* `f` that interns into a fresh

@@ -114,9 +114,6 @@ pub enum ValueMode {
 }
 
 /// Interner for attribute/text values.
-///
-/// `Clone` supports parallel ingest: workers intern into clones and the
-/// deltas (ids past the base length) merge back by resolved string.
 #[derive(Debug, Clone)]
 pub struct ValueTable {
     mode: ValueMode,
@@ -250,10 +247,6 @@ fn fnv1a(bytes: &[u8]) -> u32 {
 }
 
 /// Shared interners for one corpus: element names plus values.
-///
-/// `Clone` supports parallel ingest: each worker parses into a clone and
-/// the new names/values are merged back in document order, reproducing the
-/// sequential interning order.
 #[derive(Debug, Clone)]
 pub struct SymbolTable {
     names: HashMap<String, Designator>,
@@ -314,42 +307,6 @@ impl SymbolTable {
         Symbol::value(self.values.intern(s))
     }
 
-    /// Merges the interning delta of `local` — names and values allocated
-    /// past `base_names`/`base_values` — into `self`, returning the id
-    /// remap from `local`'s namespace into `self`'s.
-    ///
-    /// `local` must be a clone of `self` taken when `self` held exactly
-    /// `base_names` names and `base_values` values (ids below the bases
-    /// map to themselves).  Absorbing per-worker deltas **in document
-    /// order** replays the sequential first-occurrence interning order, so
-    /// a parallel ingest ends with a table byte-identical to the
-    /// sequential build's.
-    pub fn absorb_delta(
-        &mut self,
-        local: &SymbolTable,
-        base_names: usize,
-        base_values: usize,
-    ) -> SymbolRemap {
-        let names = (base_names..local.designator_count())
-            .map(|i| self.designator(local.name(Designator(i as u32))))
-            .collect();
-        let values = (base_values..local.values.len())
-            .map(|i| {
-                let s = local
-                    .values
-                    .resolve(ValueId(i as u32))
-                    .expect("interned value ids below len always resolve");
-                self.values.intern(s)
-            })
-            .collect();
-        SymbolRemap {
-            base_names: base_names as u32,
-            base_values: base_values as u32,
-            names,
-            values,
-        }
-    }
-
     /// Renders a symbol for human consumption (used by `Display` impls and
     /// debugging output; hashed values render as `v#<id>`).
     pub fn render(&self, sym: Symbol) -> String {
@@ -397,69 +354,6 @@ impl HeapSize for ValueTable {
 impl HeapSize for SymbolTable {
     fn heap_bytes(&self) -> usize {
         self.names.heap_bytes() + self.names_rev.heap_bytes() + self.values.heap_bytes()
-    }
-}
-
-/// Id remap produced by [`SymbolTable::absorb_delta`]: maps a worker-local
-/// designator/value id into the merged table's namespace.
-///
-/// Ids below the base counts are shared with the merged table and map to
-/// themselves; ids at or past the base index into the per-delta vectors.
-/// Hashed value ids are stateless (the hash is the id) and never appear in
-/// the delta.
-#[derive(Debug, Clone)]
-pub struct SymbolRemap {
-    base_names: u32,
-    base_values: u32,
-    names: Vec<Designator>,
-    values: Vec<ValueId>,
-}
-
-impl SymbolRemap {
-    /// Maps a local designator into the merged namespace.
-    // PANIC-FREE: the remap covers every id the local table minted, and
-    // `d >= base` implies `d - base < names.len()` by construction
-    pub fn designator(&self, d: Designator) -> Designator {
-        if d.0 < self.base_names {
-            d
-        } else {
-            self.names[(d.0 - self.base_names) as usize]
-        }
-    }
-
-    /// Maps a local value id into the merged namespace.
-    pub fn value(&self, v: ValueId) -> ValueId {
-        if v.0 < self.base_values {
-            v
-        } else {
-            match self.values.get((v.0 - self.base_values) as usize) {
-                Some(&mapped) => mapped,
-                // Hashed mode: the interner carries no state, ids are total.
-                None => v,
-            }
-        }
-    }
-
-    /// Maps a packed symbol into the merged namespace.
-    pub fn symbol(&self, s: Symbol) -> Symbol {
-        match (s.as_elem(), s.as_value()) {
-            (Some(d), _) => Symbol::elem(self.designator(d)),
-            (_, Some(v)) => Symbol::value(self.value(v)),
-            _ => unreachable!("a symbol is either an element or a value"),
-        }
-    }
-
-    /// True when the delta was empty and every id maps to itself.
-    pub fn is_identity(&self) -> bool {
-        self.names
-            .iter()
-            .enumerate()
-            .all(|(i, d)| d.0 == self.base_names + i as u32)
-            && self
-                .values
-                .iter()
-                .enumerate()
-                .all(|(i, v)| v.0 == self.base_values + i as u32)
     }
 }
 
@@ -541,45 +435,6 @@ mod tests {
         // repeated 'o' maps to the same id
         assert_eq!(toks[1], toks[4]);
         assert_eq!(t.resolve(toks[0]), Some("b"));
-    }
-
-    #[test]
-    fn absorb_delta_merges_names_and_values_in_order() {
-        let mut global = SymbolTable::default();
-        global.designator("P");
-        global.values.intern("xml");
-        let (base_n, base_v) = (global.designator_count(), global.values.len());
-
-        let mut w0 = global.clone();
-        let w0_a = w0.designator("A");
-        let w0_v = w0.values.intern("boston");
-        let mut w1 = global.clone();
-        let w1_b = w1.designator("B");
-        let w1_a = w1.designator("A"); // duplicated across workers
-        let w1_v = w1.values.intern("boston");
-
-        let r0 = global.absorb_delta(&w0, base_n, base_v);
-        let r1 = global.absorb_delta(&w1, base_n, base_v);
-        assert!(r0.is_identity());
-        assert_eq!(r1.designator(w1_a), r0.designator(w0_a));
-        assert_eq!(r1.value(w1_v), r0.value(w0_v));
-        assert_ne!(r1.designator(w1_b), r1.designator(w1_a));
-        assert_eq!(global.name(r1.designator(w1_b)), "B");
-        // Pre-existing ids map to themselves.
-        assert_eq!(r1.designator(Designator(0)), Designator(0));
-        assert_eq!(
-            r1.symbol(Symbol::value(ValueId(0))),
-            Symbol::value(ValueId(0))
-        );
-    }
-
-    #[test]
-    fn hashed_deltas_are_always_identity() {
-        let mut global = SymbolTable::with_value_mode(ValueMode::Hashed { range: 100 });
-        let w = global.clone();
-        let r = global.absorb_delta(&w, global.designator_count(), global.values.len());
-        let id = ValueId(fnv1a(b"anything") % 100);
-        assert_eq!(r.value(id), id);
     }
 
     #[test]

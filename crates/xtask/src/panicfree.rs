@@ -7,7 +7,7 @@
 //! is a seed, so hostile XML ends in an `XmlError`, never in a panic.
 //! This pass closes the seed set from the
 //! checked-in manifest (`crates/xtask/hotpath.txt`) over the
-//! [`FunctionIndex`](crate::graph::FunctionIndex) call graph and flags, in
+//! [`FunctionIndex`] call graph and flags, in
 //! every reachable function:
 //!
 //! * `.unwrap()` / `.expect(…)`,

@@ -1,4 +1,4 @@
-//! A lightweight item scanner over the [`lexer`](crate::lexer) token
+//! A lightweight item scanner over the [`lexer`] token
 //! stream: brace matching, `impl` owner tracking, and per-function token
 //! ranges — the shared substrate of the `cargo xtask analyze` passes.
 //!

@@ -12,7 +12,7 @@ use xseq::schema::{ProbabilityModel, WeightMap};
 use xseq::sequence::Strategy;
 use xseq::{
     DatabaseBuilder, Document, Error, PathTable, PlanOptions, Pool, Sequencing, SymbolTable,
-    ValueMode, XmlIndex,
+    ValueMode, XmlError, XmlIndex,
 };
 
 /// The four sequencing strategies, each rebuilt against the path table it
@@ -135,6 +135,55 @@ fn threaded_database_build_answers_like_sequential() {
                     parallel.query_xpath(q).unwrap(),
                     "{q}"
                 );
+            }
+        }
+    }
+}
+
+/// Shards parse side by side and each stops at its own first malformed
+/// document; the build must still report the error a serial parse of the
+/// whole input meets first, whichever shards the two bad documents land on.
+#[test]
+fn a_malformed_corpus_reports_its_earliest_error_at_any_width() {
+    const DOCS: usize = 8;
+    // A mismatched tag names the element it closes, so each malformed
+    // document's error says which position it came from.
+    let bad: Vec<String> = (0..DOCS).map(|k| format!("<bad{k}></x>")).collect();
+    for i in 0..DOCS {
+        for j in i + 1..DOCS {
+            let corpus: Vec<&str> = (0..DOCS)
+                .map(|k| {
+                    if k == i || k == j {
+                        bad[k].as_str()
+                    } else {
+                        CORPUS[k % CORPUS.len()]
+                    }
+                })
+                .collect();
+            let build = |threads: usize, shards: usize| {
+                DatabaseBuilder::new()
+                    .threads(threads)
+                    .shards(shards)
+                    .build_from_xml(corpus.iter().copied())
+                    .err()
+            };
+            let want = build(1, 1);
+            assert!(
+                matches!(
+                    &want,
+                    Some(Error::Xml(XmlError::MismatchedTag { expected, .. }))
+                        if *expected == format!("bad{i}")
+                ),
+                "serial build over bad documents {i} and {j}: {want:?}"
+            );
+            for threads in [1, 2, 4] {
+                for shards in [1, 3] {
+                    assert_eq!(
+                        build(threads, shards),
+                        want,
+                        "bad documents {i} and {j} at {threads} threads, {shards} shards"
+                    );
+                }
             }
         }
     }

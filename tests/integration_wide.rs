@@ -13,14 +13,8 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use xseq::DatabaseBuilder;
 
-/// Children under the one parent: the full size in release (CI runs it as
-/// a named step under a job-level timeout), a quarter of it in a debug
-/// `cargo test -q`, where the integrity verifier is the slow part.
-const CHILDREN: usize = if cfg!(debug_assertions) {
-    8_000
-} else {
-    32_000
-};
+/// Children under the one parent, in debug and release alike.
+const CHILDREN: usize = 32_000;
 
 /// No step is anywhere near this; the cubic emitter was far beyond it.
 const BOUND: Duration = Duration::from_secs(60);
