@@ -2,15 +2,14 @@
 //! path, and the per-shard index build that compaction replays.
 
 use crate::shard::{shard_of, split_corpus, Shard};
-use crate::update::{MergeWorker, UpdateGauges};
+use crate::update::UpdateGauges;
 use crate::{
     Corpus, Database, DocId, Error, Event, EventJournal, IndexTelemetry, MetricsRegistry, PathId,
     PathTable, PlanOptions, Pool, PoolTelemetry, ProbabilityModel, Strategy, SymbolTable,
     TraceConfig, Tracer, ValueMode, WeightMap, XmlError, XmlIndex,
 };
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Arc;
 use xseq_schema::WorkloadRecorder;
 
 /// Which sequencing strategy the database uses.
@@ -36,7 +35,6 @@ pub struct DatabaseBuilder {
     shards: usize,
     memtable_limit: usize,
     tier_ratio: usize,
-    background_merge: Option<Duration>,
     profiling: bool,
 }
 
@@ -77,7 +75,6 @@ impl DatabaseBuilder {
             shards: 0,
             memtable_limit: xseq_index::DEFAULT_MEMTABLE_LIMIT,
             tier_ratio: xseq_index::DEFAULT_TIER_RATIO,
-            background_merge: None,
             profiling: true,
         }
     }
@@ -109,20 +106,6 @@ impl DatabaseBuilder {
     /// Merges resolve tombstones as they fold runs together.
     pub fn tier_ratio(mut self, ratio: usize) -> Self {
         self.tier_ratio = ratio.max(2);
-        self
-    }
-
-    /// Moves tier merges off the foreground update path onto a background
-    /// `xseq-exec` worker: a ticker fires every `period` and drains every
-    /// shard's due merges; [`Database::stats`] publishes how long the drain
-    /// in progress has been running as the `index.merge.busy_ns` gauge (0
-    /// while the worker is parked).  Without this call merges run inline
-    /// at the end of each insert and no such gauge exists.  In-flight
-    /// queries are never disturbed either way: they hold an epoch-stamped
-    /// snapshot of the segment list, and a merge only swaps the published
-    /// list.
-    pub fn background_merge(mut self, period: Duration) -> Self {
-        self.background_merge = Some(period);
         self
     }
 
@@ -371,7 +354,7 @@ impl DatabaseBuilder {
         let workload_classes = self.registry.gauge("workload.classes");
         // The flight recorder is always on; the slow-query threshold arms
         // from the trace config (and is runtime-tunable either way).
-        let events = Arc::new(EventJournal::new(EVENT_CAPACITY));
+        let events = EventJournal::new(EVENT_CAPACITY);
         let slow_threshold_ns = self.trace.as_ref().map_or(u64::MAX, |c| {
             c.slow_threshold.as_nanos().min(u64::MAX as u128) as u64
         });
@@ -388,21 +371,6 @@ impl DatabaseBuilder {
                 .attr("threads", pool.threads() as u64)
                 .attr("shards", nshards as u64),
         );
-        // Tiered update path: publish the per-shard delta handles for the
-        // merge worker, and (optionally) start it.
-        let merge_handles = Arc::new(Mutex::new(
-            shards.iter().map(|sh| sh.index.delta_handle()).collect(),
-        ));
-        let merge_worker = self.background_merge.map(|period| {
-            MergeWorker::start(
-                period,
-                &self.registry,
-                &events,
-                &merge_handles,
-                &merge_hist,
-                &update_gauges,
-            )
-        });
         Ok(Database {
             shards,
             doc_map,
@@ -424,8 +392,6 @@ impl DatabaseBuilder {
             compact_hist,
             merge_hist,
             update_gauges,
-            merge_handles,
-            merge_worker,
             events,
             slow_threshold_ns: AtomicU64::new(slow_threshold_ns),
         })

@@ -64,7 +64,7 @@ impl Database {
     /// queries — exportable as JSON Lines via [`EventJournal::to_jsonl`].
     /// Per-document inserts and removals are not events: the
     /// `update.insert` / `update.remove` histograms count and time them.
-    pub fn events(&self) -> &Arc<EventJournal> {
+    pub fn events(&self) -> &EventJournal {
         &self.events
     }
 
@@ -78,8 +78,8 @@ impl Database {
     pub fn diagnostics(&self, dir: impl AsRef<Path>) -> std::io::Result<DiagnosticsReport> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        // stats() first: it refreshes the memory.* and index.merge.busy_ns
-        // gauges the metric snapshot below then sees.
+        // stats() first: it refreshes the memory.* gauges the metric
+        // snapshot below then sees.
         let stats = self.stats();
         let snap = self.metrics();
         let mut artifacts: Vec<(&'static str, String)> = vec![

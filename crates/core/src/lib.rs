@@ -85,7 +85,7 @@ pub use diag::DiagnosticsReport;
 pub use stats::{DatabaseStats, MemoryStats, ShardStats};
 pub use update::CompactionReport;
 
-pub use xseq_exec::{Pool, Ticker};
+pub use xseq_exec::Pool;
 pub use xseq_index::{
     DeltaView, IndexStats, IndexTelemetry, IntegrityReport, InvariantClass, MergeOutcome,
     PlanOptions, QueryContext, QueryOutcome, QueryStats, SearchStats, SegmentStats, TieredDelta,
@@ -109,7 +109,7 @@ use shard::Shard;
 use std::fmt;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use update::{MergeHandles, MergeWorker, UpdateGauges};
+use update::UpdateGauges;
 use xseq_schema::WorkloadRecorder;
 use xseq_telemetry::{Counter, Gauge, Histogram};
 
@@ -221,16 +221,9 @@ pub struct Database {
     merge_hist: Arc<Histogram>,
     /// The overlay occupancy gauges (`index.delta.*`, `index.tombstones`).
     update_gauges: UpdateGauges,
-    /// Per-shard tiered-delta handles shared with the background merge
-    /// worker.
-    merge_handles: MergeHandles,
-    /// The background merge worker, when the builder enabled
-    /// [`DatabaseBuilder::background_merge`]; dropping the database stops
-    /// and joins it.
-    merge_worker: Option<MergeWorker>,
     /// The flight recorder: a bounded journal of severity-levelled
     /// lifecycle events (always on).
-    events: Arc<EventJournal>,
+    events: EventJournal,
     /// Queries at least this slow record a `query.slow` event;
     /// `u64::MAX` disables the check.  Runtime-tunable through
     /// [`Database::set_slow_query_threshold`].
@@ -238,10 +231,12 @@ pub struct Database {
 }
 
 // Compile-time guarantee behind the concurrency model: one frozen database
-// is shareable across threads as-is.
+// — and each index in it, overlay included — is shareable across threads
+// as-is.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Database>();
+    assert_send_sync::<XmlIndex>();
 };
 
 impl Database {

@@ -138,10 +138,7 @@ impl Database {
     ///
     /// As a side effect the `memory.corpus.bytes`, `memory.index.bytes`
     /// and `memory.total.bytes` gauges are refreshed, so a metrics
-    /// snapshot taken after `stats()` carries the attribution too — and,
-    /// with [`DatabaseBuilder::background_merge`](crate::DatabaseBuilder::background_merge),
-    /// `index.merge.busy_ns`: how long the merge worker's drain in progress
-    /// has been running (0 while it is parked).
+    /// snapshot taken after `stats()` carries the attribution too.
     pub fn stats(&self) -> DatabaseStats {
         let shards: Vec<ShardStats> = self
             .shards
@@ -177,9 +174,6 @@ impl Database {
         self.registry
             .gauge("memory.total.bytes")
             .set(memory.total_bytes() as i64);
-        if let Some(worker) = &self.merge_worker {
-            worker.refresh_busy_gauge();
-        }
         DatabaseStats {
             docs: self.doc_map.len(),
             paths: shards.iter().map(|s| s.paths).sum(),

@@ -1,21 +1,16 @@
 //! The update path: insert / remove through the per-shard tiered overlay,
-//! tier merges (inline or on the background worker), per-shard compaction,
-//! and the overlay occupancy gauges (DESIGN.md §11, §15.3–15.4, §16).
+//! inline tier merges, per-shard compaction, and the overlay occupancy
+//! gauges (DESIGN.md §11, §15.3–15.4, §16).
 
 use crate::builder::{build_shard_index, shard_pool};
 use crate::shard::{reintern_into, shard_of};
 use crate::{
     Corpus, Database, DocId, Error, Event, EventJournal, MetricsRegistry, Severity, SpanTimer,
-    Ticker, TieredDelta,
+    TieredDelta, XmlIndex,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 use xseq_telemetry::{Gauge, Histogram};
-
-/// The per-shard tiered-delta handles the background merge worker drains;
-/// compaction swaps a rebuilt shard's handle in under the lock.
-pub(crate) type MergeHandles = Arc<Mutex<Vec<Arc<TieredDelta>>>>;
 
 /// The overlay occupancy gauges and their one owner.  Gauges are `set`, not
 /// added, so indexes sharing one would clobber each other — whoever sees
@@ -23,7 +18,7 @@ pub(crate) type MergeHandles = Arc<Mutex<Vec<Arc<TieredDelta>>>>;
 /// (`index.delta.sequences`, `index.delta.runs`, `index.tombstones`) carry
 /// the sums over all shards, and a database of more than one shard also
 /// publishes each shard's own values as `index.shard<i>.*`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct UpdateGauges {
     total: [Arc<Gauge>; 3],
     /// Empty with one shard, whose values the totals already are.
@@ -74,38 +69,27 @@ impl UpdateGauges {
 }
 
 /// Drains every size-ratio-triggered merge currently due in one shard's
-/// tiered delta, recording each as an `index.merge` latency sample
-/// bracketed by `compact.tier.start` / `compact.tier.finish`
-/// flight-recorder events.  Returns the number of merges performed.
-/// Shared by the background worker and the inline (foreground) drain in
-/// [`Database::insert_document`].
+/// overlay, recording each as an `index.merge` latency sample bracketed by
+/// `compact.tier.start` / `compact.tier.finish` flight-recorder events.
+/// Returns the number of merges performed.
 fn drain_shard_merges(
     s: usize,
-    delta: &TieredDelta,
+    index: &mut XmlIndex,
     events: &EventJournal,
     hist: &Histogram,
 ) -> usize {
     let mut merges = 0;
-    while delta.merge_due() {
+    while index.delta().merge_due() {
         events.record(
             Event::new("compact.tier.start")
                 .severity(Severity::Debug)
                 .attr("shard", s as u64),
         );
         let t0 = Instant::now();
-        let outcome = delta.maybe_merge();
-        let total_ns = ns_since(t0);
-        // None: another thread merged (or cleared) first — `merge_due` is
-        // advisory.  Record the abort and stop; the winner owns the drain.
-        let Some(out) = outcome else {
-            events.record(
-                Event::new("compact.tier.finish")
-                    .severity(Severity::Debug)
-                    .attr("shard", s as u64)
-                    .attr("runs", 0u64),
-            );
+        let Some(out) = index.maybe_merge() else {
             break;
         };
+        let total_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         hist.record(total_ns);
         merges += 1;
         events.record(
@@ -120,91 +104,6 @@ fn drain_shard_merges(
         );
     }
     merges
-}
-
-/// The background merge worker and its liveness reading: `stats()`
-/// publishes how long the drain in progress has been running as
-/// `index.merge.busy_ns` — elapsed time, so a stuck merge grows without
-/// bound in `metrics.json` and a merely busy one reads as milliseconds.
-#[derive(Debug)]
-pub(crate) struct MergeWorker {
-    /// Dropping it stops and joins the worker thread.
-    _ticker: Ticker,
-    epoch: Instant,
-    /// When the drain in progress began, in nanoseconds since `epoch`;
-    /// 0 while the worker is parked between drains.
-    drain_began_ns: Arc<AtomicU64>,
-    busy_gauge: Arc<Gauge>,
-}
-
-impl MergeWorker {
-    /// Starts the worker: every `period` it drains each shard's due merges
-    /// and re-derives the occupancy gauges when anything merged.  (`start`,
-    /// not `spawn`: `xtask analyze` resolves calls by name and would route
-    /// every scoped `s.spawn(..)` on the query path through here.)
-    pub(crate) fn start(
-        period: Duration,
-        registry: &MetricsRegistry,
-        events: &Arc<EventJournal>,
-        handles: &MergeHandles,
-        hist: &Arc<Histogram>,
-        gauges: &UpdateGauges,
-    ) -> Self {
-        let epoch = Instant::now();
-        let drain_began_ns = Arc::new(AtomicU64::new(0));
-        let (began, events, handles, hist, gauges) = (
-            drain_began_ns.clone(),
-            events.clone(),
-            handles.clone(),
-            hist.clone(),
-            gauges.clone(),
-        );
-        let ticker = Ticker::spawn_named("xseq-merge", period, move || {
-            // ORDERING: gauge — a timestamp read only for reporting; no
-            // other memory is published through it.
-            began.store(ns_since(epoch).max(1), Ordering::Relaxed);
-            // Clone the handle list out and drop the guard before merging:
-            // compaction swaps handles under this lock and must never wait
-            // on a long merge.
-            let deltas: Vec<Arc<TieredDelta>> = {
-                let guard = handles.lock().unwrap_or_else(|p| p.into_inner());
-                guard.clone()
-            };
-            let mut merges = 0;
-            for (s, delta) in deltas.iter().enumerate() {
-                merges += drain_shard_merges(s, delta, &events, &hist);
-            }
-            if merges > 0 {
-                gauges.refresh(deltas.iter().map(|d| &**d));
-            }
-            // ORDERING: gauge — see the store above.
-            began.store(0, Ordering::Relaxed);
-        });
-        MergeWorker {
-            _ticker: ticker,
-            epoch,
-            drain_began_ns,
-            busy_gauge: registry.gauge("index.merge.busy_ns"),
-        }
-    }
-
-    /// Refreshes `index.merge.busy_ns`: how long the drain in progress has
-    /// run, 0 while the worker is parked.
-    pub(crate) fn refresh_busy_gauge(&self) {
-        // ORDERING: gauge — advisory read of the reporting timestamp.
-        let began = self.drain_began_ns.load(Ordering::Relaxed);
-        let busy = if began == 0 {
-            0
-        } else {
-            ns_since(self.epoch).saturating_sub(began)
-        };
-        self.busy_gauge.set(busy as i64);
-    }
-}
-
-/// Nanoseconds since `epoch`, capped so the value fits a gauge.
-fn ns_since(epoch: Instant) -> u64 {
-    epoch.elapsed().as_nanos().min(i64::MAX as u128) as u64
 }
 
 /// What one [`Database::compact`] did: sizes before/after, and the doc-id
@@ -252,12 +151,9 @@ impl Database {
         sh.index.insert_delta(doc, local, &mut sh.corpus.paths);
         sh.global_ids.push(global);
         self.doc_map.push((s as u32, local));
-        if self.merge_worker.is_none() {
-            // Inline mode: fold due merges right here, keeping the run
-            // count logarithmic without a background worker.  Only this
-            // shard's memtable was cut, so only it can be due.
-            drain_shard_merges(s, sh.index.delta(), &self.events, &self.merge_hist);
-        }
+        // Fold due merges right here, keeping the run count logarithmic.
+        // Only this shard's memtable was cut, so only it can be due.
+        drain_shard_merges(s, &mut sh.index, &self.events, &self.merge_hist);
         self.refresh_update_gauges();
         timer.finish();
         Ok(global)
@@ -292,26 +188,20 @@ impl Database {
         fresh
     }
 
-    /// Drains every pending tier merge across all shards on the calling
-    /// thread, returning the number of merges performed.  This is exactly
-    /// what the background worker does once per period; call it directly
-    /// to quiesce the tiered delta deterministically (tests and benchmarks
-    /// do).  Queries holding an older [`DeltaView`](crate::DeltaView) keep
-    /// their segment set — a merge only swaps the published list.
-    pub fn run_pending_merges(&self) -> usize {
+    /// Drains every pending tier merge across all shards, returning the
+    /// number of merges performed.  Inserts already drain their own
+    /// shard's merges, so this finds work only after the tier knobs
+    /// changed; tests and benchmarks call it to quiesce the overlay
+    /// deterministically.
+    pub fn run_pending_merges(&mut self) -> usize {
         let mut merges = 0;
-        for (s, sh) in self.shards.iter().enumerate() {
-            merges += drain_shard_merges(s, sh.index.delta(), &self.events, &self.merge_hist);
+        for (s, sh) in self.shards.iter_mut().enumerate() {
+            merges += drain_shard_merges(s, &mut sh.index, &self.events, &self.merge_hist);
         }
         if merges > 0 {
             self.refresh_update_gauges();
         }
         merges
-    }
-
-    /// True when a background merge worker is running.
-    pub fn has_background_merge(&self) -> bool {
-        self.merge_worker.is_some()
     }
 
     /// Folds the delta segment and tombstones back into a single frozen
@@ -384,15 +274,6 @@ impl Database {
             sh.corpus = fresh;
             local_remaps[s] = Some(remap);
         }
-        // Swap the rebuilt shards' fresh delta handles in for the
-        // background merge worker (the old handles die with the last
-        // in-flight snapshot).
-        {
-            let mut handles = self.merge_handles.lock().unwrap_or_else(|p| p.into_inner());
-            for &s in which {
-                handles[s] = self.shards[s].index.delta_handle();
-            }
-        }
         // Dense global renumbering: walk the old global order.  A shard's
         // locals appear in ascending global order (routing is sticky and
         // locals mint sequentially), so pushing survivors in walk order
@@ -445,7 +326,6 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use crate::*;
-    use std::time::{Duration, Instant};
 
     #[test]
     fn insert_then_query() {
@@ -668,63 +548,6 @@ mod tests {
         assert_eq!(db.query_xpath("/a/b").unwrap().len(), 9);
         assert_eq!(db.query_xpath("/a/c3").unwrap(), vec![4]);
         assert!(db.verify_integrity().is_clean());
-    }
-
-    #[test]
-    fn background_merge_worker_folds_runs() {
-        let mut db = DatabaseBuilder::new()
-            .sequencing(Sequencing::DepthFirst)
-            .memtable_limit(1)
-            .tier_ratio(2)
-            .background_merge(std::time::Duration::from_millis(1))
-            .build_from_xml(["<a><b/></a>"])
-            .unwrap();
-        assert!(db.has_background_merge());
-        for i in 0..8 {
-            db.insert_document(&format!("<a><c{i}/></a>")).unwrap();
-        }
-        // The worker fires every 1 ms; wait for it to quiesce the tiers.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while db.index().delta().merge_due() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(!db.index().delta().merge_due(), "worker never caught up");
-        assert!(db.index().delta().run_count() <= 2);
-        assert_eq!(db.index().delta().sequence_count(), 8);
-        assert!(db.metrics().histogram("index.merge").unwrap().count > 0);
-        assert_eq!(db.query_xpath("/a/c5").unwrap(), vec![6]);
-        assert!(db.verify_integrity().is_clean());
-    }
-
-    #[test]
-    fn stuck_merge_drain_reads_as_growing_busy_time() {
-        let db = DatabaseBuilder::new()
-            .background_merge(Duration::from_millis(1))
-            .build_from_xml(["<a><b/></a>"])
-            .unwrap();
-        let busy_ns = || {
-            db.stats();
-            db.metrics().gauge("index.merge.busy_ns").unwrap()
-        };
-        let poll_until = |done: &dyn Fn(i64) -> bool| {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                let busy = busy_ns();
-                if done(busy) || Instant::now() > deadline {
-                    return busy;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        };
-        // Wedge the worker inside a drain: it stamps the start, then waits
-        // for the handle list this thread holds.
-        let handles = db.merge_handles.lock().unwrap();
-        let stuck = poll_until(&|busy| busy > 0);
-        assert!(stuck > 0, "the wedged drain never showed");
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(busy_ns() > stuck, "busy time is elapsed time: it grows");
-        drop(handles);
-        assert_eq!(poll_until(&|busy| busy == 0), 0, "a finished drain parks");
     }
 
     #[test]

@@ -22,18 +22,13 @@
 //! concatenates emitted sequences in document order, and `query_batch`
 //! returns its answers in the order the expressions were given.
 //!
-//! The crate also hosts [`Ticker`], the periodic driver behind the
-//! database's background merge worker: the one place allowed to own a
-//! background thread that calls a closure on a cadence is here.
-//!
-//! The root `clippy.toml` disallows `std::thread::spawn` and
-//! `std::thread::Builder::spawn` workspace-wide; the one `#[allow]` is on
-//! [`Ticker::spawn_named`].  Everything else goes through the pool.
+//! Every thread the library starts is scoped and joined: the root
+//! `clippy.toml` disallows `std::thread::spawn` and
+//! `std::thread::Builder::spawn` workspace-wide, with no `#[allow]`
+//! anywhere, so nothing outlives the call that spawned it.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A wait-free chunk allocator over the index range `0..len`.
 ///
@@ -263,85 +258,6 @@ impl Pool {
     }
 }
 
-/// A background thread invoking a callback once per period until stopped.
-///
-/// This is the cadence source of the background merge worker.  The
-/// callback runs once immediately on spawn, then once per period.
-/// Stopping (explicitly or on drop) joins the thread, so the callback never
-/// outlives the `Ticker`.
-#[derive(Debug)]
-pub struct Ticker {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Ticker {
-    /// Spawns a thread running `f` now and then every `period` until
-    /// [`Ticker::stop`] or drop.  The period is polled in small slices so
-    /// stopping takes milliseconds even with long periods.
-    pub fn spawn<F>(period: Duration, f: F) -> Ticker
-    where
-        F: FnMut() + Send + 'static,
-    {
-        Self::spawn_named("xseq-ticker", period, f)
-    }
-
-    /// [`Ticker::spawn`] with an OS thread name — a background worker (the
-    /// merge scheduler) shows up under its own name in `ps`/debuggers
-    /// instead of an anonymous thread id.
-    #[allow(clippy::disallowed_methods)] // the workspace's one detached spawn
-    pub fn spawn_named<F>(name: &str, period: Duration, mut f: F) -> Ticker
-    where
-        F: FnMut() + Send + 'static,
-    {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name(name.to_owned())
-            .spawn(move || {
-                loop {
-                    // ORDERING: latch — standalone shutdown flag; the join
-                    // below is the only ordering anyone relies on.
-                    if stop_flag.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    f();
-                    let mut remaining = period;
-                    while remaining > Duration::ZERO {
-                        // ORDERING: latch — same standalone shutdown flag as above
-                        if stop_flag.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        let slice = remaining.min(Duration::from_millis(5));
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
-                    }
-                }
-            });
-        // OS refused a thread: degrade to a dead ticker (no cadence) rather
-        // than poisoning startup — callers drive ticks at their own risk of
-        // staleness, and stop()/drop stay no-ops.
-        let handle = handle.ok();
-        Ticker { stop, handle }
-    }
-
-    /// Signals the thread to stop and joins it.  Idempotent; also runs on
-    /// drop.
-    pub fn stop(&mut self) {
-        // ORDERING: latch — the join right after provides the happens-before edge
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Ticker {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,30 +348,6 @@ mod tests {
         assert!(pool.is_sequential());
         assert_eq!(pool.map(&[1, 2, 3], |_, &x| x + 1), vec![2, 3, 4]);
         assert_eq!(pool.run(vec![|| 5]), vec![5]);
-    }
-
-    #[test]
-    fn ticker_fires_and_stops_cleanly() {
-        let fired = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::clone(&fired);
-        let mut ticker = Ticker::spawn(Duration::from_millis(1), move || {
-            // relaxed: test-only liveness counter
-            seen.fetch_add(1, Ordering::Relaxed);
-        });
-        // the first invocation is immediate; wait for at least one more
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        // relaxed: test-only liveness counter
-        while fired.load(Ordering::Relaxed) < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        ticker.stop();
-        // relaxed: read after the join inside stop()
-        let at_stop = fired.load(Ordering::Relaxed);
-        assert!(at_stop >= 2, "ticker fired {at_stop} time(s)");
-        std::thread::sleep(Duration::from_millis(10));
-        // relaxed: no concurrent writer remains after the join
-        assert_eq!(fired.load(Ordering::Relaxed), at_stop, "fired after stop");
-        ticker.stop(); // idempotent
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub struct QueryStats {
     pub search: SearchStats,
     /// Wall time of wildcard instantiation (`index.plan`), nanoseconds.
     pub plan_ns: u64,
-    /// Wall time of pinning the overlay snapshot (`delta.view`), ns — the
+    /// Wall time of taking the overlay view (`delta.view`), ns — the
     /// first query after a write re-freezes the memtable view here.
     pub view_ns: u64,
     /// Wall time of query-sequence encoding (`sequence.encode`), ns.
@@ -249,11 +249,12 @@ impl QueryContext {
 /// Since the update subsystem (DESIGN.md §11, tiered in §16) an index is
 /// the bulk-built frozen trie plus a tiered [`TieredDelta`] overlay fed by
 /// [`XmlIndex::insert_delta`] — a raw-sequence memtable, frozen runs and
-/// merged tiers — with removed documents tracked in its copy-on-write
-/// [`Tombstones`] set.  Every query snapshots the overlay once
+/// merged tiers — with removed documents tracked in its [`Tombstones`]
+/// set.  Every query borrows the overlay once
 /// ([`TieredDelta::delta_view`]) and runs over *frozen ∪ segments −
 /// tombstones*; compaction (at the `Database` layer) folds the overlay
-/// back into a single frozen segment.
+/// back into a single frozen segment.  Writes take `&mut self`, queries
+/// `&self`.
 #[derive(Debug)]
 pub struct XmlIndex {
     trie: SequenceTrie,
@@ -263,9 +264,8 @@ pub struct XmlIndex {
     data_paths: HashSet<PathId>,
     options: PlanOptions,
     telemetry: Option<IndexTelemetry>,
-    /// The tiered update overlay (post-build insertions + tombstones),
-    /// shared by `Arc` with the background merge worker.
-    delta: Arc<TieredDelta>,
+    /// The tiered update overlay (post-build insertions + tombstones).
+    delta: TieredDelta,
 }
 
 impl XmlIndex {
@@ -344,7 +344,7 @@ impl XmlIndex {
             data_paths,
             options,
             telemetry,
-            delta: Arc::new(TieredDelta::new()),
+            delta: TieredDelta::new(),
         }
     }
 
@@ -378,7 +378,7 @@ impl XmlIndex {
     }
 
     /// Tombstones a document id: it stops appearing in query results
-    /// immediately, background merges resolve it out of the runs they fold,
+    /// immediately, merges resolve it out of the runs they fold,
     /// and compaction drops it for good.  Returns `false` when `id` was
     /// already tombstoned.
     pub fn remove_doc(&mut self, id: DocId) -> bool {
@@ -390,14 +390,9 @@ impl XmlIndex {
         &self.delta
     }
 
-    /// A shared handle onto the overlay, for the background merge worker.
-    pub fn delta_handle(&self) -> Arc<TieredDelta> {
-        Arc::clone(&self.delta)
-    }
-
-    /// An epoch-stamped immutable snapshot of the overlay's segment set —
-    /// what every query pins for its whole run.
-    pub fn delta_view(&self) -> DeltaView {
+    /// A borrowed view of the overlay's segment set — what every query
+    /// holds for its whole run.
+    pub fn delta_view(&self) -> DeltaView<'_> {
         self.delta.delta_view()
     }
 
@@ -408,12 +403,12 @@ impl XmlIndex {
     }
 
     /// Attempts one overlay tier merge — see [`TieredDelta::maybe_merge`].
-    pub fn maybe_merge(&self) -> Option<MergeOutcome> {
+    pub fn maybe_merge(&mut self) -> Option<MergeOutcome> {
         self.delta.maybe_merge()
     }
 
-    /// A snapshot of the tombstoned document ids.
-    pub fn tombstones(&self) -> Arc<Tombstones> {
+    /// The tombstoned document ids.
+    pub fn tombstones(&self) -> &Tombstones {
         self.delta.tombstones()
     }
 
@@ -514,10 +509,9 @@ impl XmlIndex {
             // no silent caps: nonzero means the union below may miss answers
             tr.root_attr("plan_truncated", u64::from(truncated));
         }
-        // One epoch-stamped overlay snapshot for the whole query: every
-        // variant searches the same pinned segment set, however many merges
-        // swap runs underneath while the query runs.  Timed: after a write
-        // this is where the memtable view re-freezes.
+        // One overlay view for the whole query: every variant searches the
+        // same segment set, which no write can change while it is borrowed.
+        // Timed: after a write this is where the memtable view re-freezes.
         let view_span = trace.as_mut().map(|tr| tr.start_span("delta.view"));
         let t_view = Instant::now();
         let delta_view = self.delta.delta_view();
@@ -525,7 +519,7 @@ impl XmlIndex {
         if let (Some(tr), Some(sp)) = (trace.as_mut(), view_span) {
             tr.end_span(sp);
         }
-        // The frozen trie first, then every pinned overlay segment.
+        // The frozen trie first, then every overlay segment.
         let segments: Vec<&SequenceTrie> = std::iter::once(&self.trie)
             .chain(delta_view.segments())
             .collect();
@@ -597,7 +591,7 @@ impl XmlIndex {
         outcome.docs.dedup();
         outcome.classes.sort_unstable();
         outcome.classes.dedup();
-        search::filter_tombstones(&mut outcome.docs, &self.delta.tombstones());
+        search::filter_tombstones(&mut outcome.docs, self.delta.tombstones());
         if let Some(tel) = &self.telemetry {
             tel.observe(&outcome.stats);
         }
@@ -619,7 +613,7 @@ impl XmlIndex {
         }
         docs.sort_unstable();
         docs.dedup();
-        search::filter_tombstones(&mut docs, &self.delta.tombstones());
+        search::filter_tombstones(&mut docs, self.delta.tombstones());
         (docs, st)
     }
 
@@ -658,8 +652,7 @@ impl XmlIndex {
     /// sampled post-query spot checks.
     ///
     /// Covers **every segment**: the frozen trie and each overlay segment
-    /// (runs + memtable view) of one consistent snapshot, merged into one
-    /// report.
+    /// (runs + memtable view), merged into one report.
     pub fn verify_structure(&self) -> IntegrityReport {
         let mut report = verify_trie_structure(&self.trie);
         for segment in self.delta.delta_view().segments() {

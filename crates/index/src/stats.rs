@@ -12,7 +12,6 @@
 //! histograms ([`bucket_of`]/[`bucket_bounds`]), so the report composes
 //! with the rest of the observability surface.
 
-use crate::delta::TieredDelta;
 use crate::trie::{SequenceTrie, TrieNodeId};
 use crate::XmlIndex;
 use std::fmt::Write as _;
@@ -259,8 +258,7 @@ impl IndexStats {
 
 /// Collects [`IndexStats`] over every segment of an index: the frozen trie
 /// in the `frozen` slot, and the overlay's segments — tier runs plus the
-/// memtable view, from one consistent snapshot — merged into the `delta`
-/// slot.
+/// memtable view — merged into the `delta` slot.
 pub fn index_stats(index: &XmlIndex) -> IndexStats {
     let mut delta = SegmentStats::default();
     for segment in index.delta().delta_view().segments() {
@@ -272,15 +270,6 @@ pub fn index_stats(index: &XmlIndex) -> IndexStats {
         delta,
         tombstones: index.tombstones().len(),
         data_paths: index.data_paths().len(),
-    }
-}
-
-/// Heap attribution for the tiered overlay: memtable raw sequences, the
-/// cached memtable view, every run's trie + retained sequences, and the
-/// tombstone set.
-impl xseq_telemetry::HeapSize for TieredDelta {
-    fn heap_bytes(&self) -> usize {
-        self.heap_bytes_now()
     }
 }
 

@@ -97,23 +97,34 @@ proptest! {
         // a survivor.
         let spared = |d: usize| (d / limit) % 2 == 1 && d % limit == limit - 1;
         let tombstoned = |d: DocId| (tombstone_bits >> d) & 1 == 1 && !spared(d as usize);
-        let delta = TieredDelta::new();
+        let mut delta = TieredDelta::new();
         delta.configure(limit, 2);
-        for id in 0..total {
+        // After every step — a remove, an insert (and the cut it may make),
+        // a merge — the segments minus the tombstone set hold exactly the
+        // model's live set, and no tombstone has gone missing.
+        let mut removed: Vec<DocId> = Vec::new();
+        let check_live = |delta: &TieredDelta, inserted: usize, removed: &[DocId]| {
+            let held = check_segments(&delta.delta_view(), &picks)?;
+            let tombs = delta.tombstones();
+            prop_assert!(removed.iter().all(|&d| tombs.contains(d)), "a tombstone was dropped");
+            let live: Vec<DocId> = held.into_iter().filter(|&d| !tombs.contains(d)).collect();
+            let want: Vec<DocId> = (0..inserted as DocId).filter(|d| !removed.contains(d)).collect();
+            prop_assert_eq!(live, want, "segments − tombstones ≠ the live set");
+            Ok(())
+        };
+        for (id, &pick) in picks.iter().enumerate().take(total) {
             if id == tombstones_after.min(total - 1) {
                 for d in (0..total as DocId).filter(|&d| tombstoned(d)) {
                     delta.remove(d);
+                    removed.push(d);
+                    check_live(&delta, id, &removed)?;
                 }
             }
-            delta.insert(pool_sequence(picks[id]), id as DocId);
-            while delta.maybe_merge().is_some() {}
+            delta.insert(pool_sequence(pick), id as DocId);
+            check_live(&delta, id + 1, &removed)?;
             // Mid-stream: several runs across tiers plus a dirty memtable.
-            let held = check_segments(&delta.delta_view(), &picks)?;
-            for d in 0..=id as DocId {
-                prop_assert!(
-                    held.contains(&d) || delta.tombstones().contains(d),
-                    "live document {} fell out of the overlay", d
-                );
+            while delta.maybe_merge().is_some() {
+                check_live(&delta, id + 1, &removed)?;
             }
         }
 

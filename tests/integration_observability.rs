@@ -1,7 +1,6 @@
 //! Integration tests for the observability stack: the flight recorder on
-//! the database lifecycle, the runtime-tunable slow-query threshold, the
-//! background merge worker's liveness reading, and the one-command
-//! diagnostics bundle.
+//! the database lifecycle, the runtime-tunable slow-query threshold, and
+//! the one-command diagnostics bundle.
 
 use std::time::Duration;
 use xseq::datagen::{XmarkGenerator, XmarkOptions};
@@ -122,40 +121,6 @@ fn milestones_survive_an_insert_stream() {
     ] {
         assert!(names.contains(&expected), "missing {expected} in {names:?}");
     }
-}
-
-/// A healthy background merge worker under a plain insert stream is not an
-/// alarm: the old watchdog counted foreground operations instead of time
-/// and flagged it stalled dozens of times over this very stream.
-#[test]
-fn busy_merge_worker_is_not_a_stall() {
-    let xml = xmark_xml(10_001);
-    let mut db = DatabaseBuilder::new()
-        .background_merge(Duration::from_millis(1))
-        .build_from_xml([xml[0].as_str()])
-        .expect("corpus indexes");
-    for (i, doc) in xml[1..].iter().enumerate() {
-        db.insert_document(doc).expect("record parses");
-        if i % 1_000 == 999 {
-            db.stats();
-            let busy = db.metrics().gauge("index.merge.busy_ns");
-            let busy = busy.expect("registered with background_merge");
-            assert!((0..1_000_000_000).contains(&busy), "busy for {busy} ns");
-        }
-    }
-    let counts = db.events().counts();
-    assert_eq!(counts.by_severity[2], 0, "no Warn event: {counts:?}");
-    assert!(
-        db.metrics()
-            .histogram("index.merge")
-            .expect("registered")
-            .count
-            > 0
-    );
-    // Inline merges have no worker to be busy, hence no gauge.
-    let inline = small_db();
-    inline.stats();
-    assert_eq!(inline.metrics().gauge("index.merge.busy_ns"), None);
 }
 
 #[test]

@@ -372,18 +372,18 @@ proptest! {
     }
 }
 
-/// Snapshot consistency: `query_batch` fleets racing **background tier
-/// merges** (ISSUE 10 satellite).
+/// Shared first reads: `query_batch` fleets that start on a **dirty
+/// memtable** after inline cuts and merges.
 ///
-/// The database runs with aggressive tiering knobs and a 1 ms background
-/// merge worker, so inserts never drain merges inline and the worker keeps
-/// splicing runs while the reader fleet is in flight.  Epoch-stamped
-/// snapshots make every merge invisible to answers: each fleet batch must
-/// equal the serial pre-fleet answers, `verify_integrity` must pass on the
-/// intermediate (mid-merge-history) segment sets, and the fully quiesced
-/// database — pending merges drained — must agree once more.
+/// The database runs with aggressive tiering knobs, so every burst of
+/// inserts cuts tier-0 runs and folds tiers inline, and leaves memtables
+/// holding sequences no reader has frozen a view of yet.  The fleet's
+/// readers race to build those views (the overlay's one `OnceLock`): each
+/// fleet batch must equal the serial answers taken after it,
+/// `verify_integrity` must pass on every intermediate segment set, and the
+/// quiesced database — pending merges drained — must agree once more.
 #[test]
-fn query_batch_fleets_agree_while_background_merges_race() {
+fn query_batch_fleets_agree_from_a_dirty_memtable_after_inline_merges() {
     let params = SyntheticParams {
         max_height: 4,
         max_fanout: 3,
@@ -399,50 +399,54 @@ fn query_batch_fleets_agree_while_background_merges_race() {
         .threads(4)
         .memtable_limit(2)
         .tier_ratio(2)
-        .background_merge(std::time::Duration::from_millis(1))
         .build_from_xml(xmls[..4].iter().map(String::as_str))
         .expect("initial corpus parses");
-    assert!(db.has_background_merge(), "worker is wired");
+    let mut dirty_rounds = 0;
     for round in 0..4 {
-        // A burst of inserts piles up tier-0 runs faster than the worker
-        // folds them; a remove keeps tombstone resolution in the race.
+        // A burst of inserts cuts runs and merges tiers inline; a remove
+        // keeps tombstone resolution in play.
         for xml in &xmls[4 + round * 5..4 + (round + 1) * 5] {
             db.insert_document(xml).expect("pending document parses");
         }
         db.remove_document(round as DocId);
+        // Reader fleet first: 4 threads × repeated batches, the first of
+        // them racing to freeze the dirty memtables' views.
+        let batches: Vec<Vec<Vec<DocId>>> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| (0..8).map(|_| db.query_batch(&exprs)).collect::<Vec<_>>()))
+                .collect();
+            (readers.into_iter())
+                .flat_map(|reader| reader.join().expect("reader thread"))
+                .map(|batch| {
+                    (batch.into_iter())
+                        .map(|r| r.expect("query parses"))
+                        .collect()
+                })
+                .collect()
+        });
+        // Nothing wrote since the inserts: the memtables now are the ones
+        // the fleet started on.
+        let dirty = (0..db.shard_count()).any(|s| {
+            let index = db.shard_index(s);
+            index.delta_view().segment_count() > index.delta().run_count()
+        });
+        dirty_rounds += usize::from(dirty);
         let expected: Vec<Vec<DocId>> = exprs
             .iter()
             .map(|e| db.query_xpath(e).expect("query parses"))
             .collect();
-        // Reader fleet: 4 threads × repeated batches, racing the merge
-        // worker's splices.  Every batch must see exactly `expected`.
-        std::thread::scope(|s| {
-            let readers: Vec<_> = (0..4)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut batches = Vec::new();
-                        for _ in 0..8 {
-                            batches.push(db.query_batch(&exprs));
-                        }
-                        batches
-                    })
-                })
-                .collect();
-            for reader in readers {
-                for batch in reader.join().expect("reader thread") {
-                    let got: Vec<Vec<DocId>> = batch
-                        .into_iter()
-                        .map(|r| r.expect("query parses"))
-                        .collect();
-                    assert_eq!(got, expected, "reader diverged in round {round}");
-                }
-            }
-        });
-        // Integrity of the intermediate segment set, whatever merge state
-        // the worker left it in.
+        for got in batches {
+            assert_eq!(got, expected, "reader diverged in round {round}");
+        }
         let report = db.verify_integrity();
         assert!(report.is_clean(), "round {round}: {}", report.render());
     }
+    // Rounds 0–2 leave some shard's memtable at an odd count; round 3's
+    // twenty inserts happen to leave every shard even.
+    assert!(
+        dirty_rounds >= 3,
+        "only {dirty_rounds} fleets started dirty"
+    );
     // Quiesce: drain the merge debt and re-check — folding runs must not
     // change a single answer.
     let expected: Vec<Vec<DocId>> = exprs
@@ -464,9 +468,9 @@ fn query_batch_fleets_agree_while_background_merges_race() {
 /// Rust's borrow rules make a *torn* read statically impossible —
 /// `insert_document`/`compact` take `&mut Database`, so readers only ever
 /// hold a reference to a fully pre- or fully post-update database (the
-/// logical interleavings of the delta structures themselves are model
-/// checked exhaustively in `xseq_index::check_updates`).  What this test
-/// pins is the epoch contract that rests on that: after *every* update
+/// overlay's own cut, merge and remove steps are checked against a bulk
+/// load in `crates/index/tests/merge_runs.rs`).  What this test pins is
+/// the contract that rests on that: after *every* update
 /// step, a fleet of scoped-thread readers issuing `query_batch` (itself
 /// fanning out on the pool) all agree exactly with a serial query loop
 /// over the post-update state — no reader observes a stale delta, a
