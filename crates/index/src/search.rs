@@ -128,13 +128,16 @@ impl QuerySequence {
 /// Counters describing one search's work, for the performance experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Candidate link entries examined.
+    /// Candidate link entries examined.  In [`tree_search`] every entry of
+    /// the seed's link counts, except those skipped inside an already
+    /// collected range.
     pub candidates: u64,
     /// Candidates rejected by the sibling-cover (constraint) check.
     pub cover_rejections: u64,
     /// Match completions (alignments reaching the end of the query).
     pub completions: u64,
-    /// Path-link binary searches performed (`link_lower_bound` calls).
+    /// Path-link binary searches performed (`link_lower_bound` calls),
+    /// including [`tree_search`]'s jumps past an already collected range.
     pub link_probes: u64,
     /// Buffer allocations avoided because a warm [`SearchScratch`] supplied
     /// already-sized result/alignment vectors.
@@ -164,6 +167,7 @@ pub struct SearchScratch {
     pub docs: Vec<DocId>,
     matched: Vec<TrieNodeId>,
     used: Vec<TrieNodeId>,
+    collected: Collected,
 }
 
 impl SearchScratch {
@@ -179,6 +183,7 @@ impl SearchScratch {
             self.docs.capacity() > 0,
             self.matched.capacity() > 0,
             self.used.capacity() > 0,
+            self.collected.0.capacity() > 0,
         ]
         .iter()
         .filter(|&&w| w)
@@ -186,7 +191,44 @@ impl SearchScratch {
         self.docs.clear();
         self.matched.clear();
         self.used.clear();
+        self.collected.0.clear();
         warm
+    }
+}
+
+/// The serial ranges `[n⊢, n⊣]` one [`tree_search`] has collected documents
+/// from: ascending and disjoint.  Trie subtrees are laminar, so a new range
+/// either lies past the last one — the common case, since links are scanned
+/// in ascending serial order — or swallows a run of earlier ones.
+#[derive(Debug, Default)]
+struct Collected(Vec<(u32, u32)>);
+
+impl Collected {
+    /// The upper end of the collected range holding serial `s`, if any.
+    fn covering(&self, s: u32) -> Option<u32> {
+        let &(lo, hi) = self.0.last()?;
+        if s > hi {
+            return None;
+        }
+        if s >= lo {
+            return Some(hi);
+        }
+        let i = self.0.partition_point(|&(lo, _)| lo <= s);
+        let &(_, hi) = self.0.get(i.checked_sub(1)?)?;
+        (s <= hi).then_some(hi)
+    }
+
+    /// Records `[lo, hi]`, which no collected range covers: the ranges that
+    /// start inside it nest in it, so they are replaced by it.
+    fn insert(&mut self, lo: u32, hi: u32) {
+        if self.0.last().is_none_or(|&(_, last)| last < lo) {
+            self.0.push((lo, hi));
+            return;
+        }
+        let a = self.0.partition_point(|&(l, _)| l < lo);
+        let b = self.0.partition_point(|&(l, _)| l <= hi);
+        // PANIC-FREE: l < lo implies l <= hi, so a <= b <= len
+        self.0.splice(a..b, [(lo, hi)]);
     }
 }
 
@@ -252,6 +294,20 @@ pub fn naive_search_with<V: TrieView + ?Sized>(
 /// constraint sequence of a containing document admits such an assignment
 /// regardless of emission order, so this search is complete for every valid
 /// strategy and needs no isomorphic query expansion at all.
+///
+/// Being order-free, the search starts where the query is rarest — the
+/// paper's "Impact 2", highly selective elements early shrink the search
+/// space.  The *seed* is the query leaf with the shortest path link (ties
+/// to the lowest position); a parents-first order would place it last.
+/// For each entry `r` of the seed's link, each query ancestor of the seed
+/// has exactly one possible match: the nearest trie ancestor carrying its
+/// path, found by one upward walk from `r`.  The walk stops at the topmost
+/// ancestor that anchors another query branch; above it `f2` guarantees the
+/// chain.  The other elements are then placed parents first, most selective
+/// first, below the tip or on the chain above it.  Every result of a branch
+/// lies in the subtree of its tip, so a branch whose tip lies in a range
+/// already collected is skipped, and a link scan jumps past such a range
+/// with one probe.  DESIGN.md §5.0 gives the argument.
 pub fn tree_search<V: TrieView + ?Sized>(trie: &V, q: &QuerySequence) -> (Vec<DocId>, SearchStats) {
     let mut scratch = SearchScratch::new();
     let stats = tree_search_with(trie, q, &mut scratch);
@@ -270,151 +326,189 @@ pub fn tree_search_with<V: TrieView + ?Sized>(
         scratch_reuses: scratch.begin(),
         ..Default::default()
     };
-    if q.is_empty() {
-        return stats;
-    }
-    // Because the search is order-free, we are free to process the most
-    // *selective* elements first (shortest path links), subject only to
-    // parents-before-children — exactly the paper's "Impact 2": highly
-    // selective elements early shrink the search space.
-    let n = q.len();
     let lens: Vec<usize> = q.paths.iter().map(|&p| trie.link_len(p)).collect();
-    if lens.contains(&0) {
-        return stats; // some required path never occurs in the data
+    if q.is_empty() || lens.contains(&0) {
+        return stats; // no query, or a path that never occurs in the data
     }
-    let mut order = Vec::with_capacity(n);
-    let mut placed = vec![false; n];
-    for _ in 0..n {
-        let mut best: Option<usize> = None;
-        for e in 0..n {
-            if placed[e] {
-                continue;
-            }
-            let ready = match q.parent_pos[e] {
-                None => true,
-                Some(pp) => placed[pp as usize],
-            };
-            if ready && best.is_none_or(|b| lens[e] < lens[b]) {
-                best = Some(e);
-            }
-        }
-        let Some(e) = best else {
-            // Unreachable: parent_pos forms a forest, so an unplaced
-            // element whose parent is placed (or absent) always exists.
-            // Degrade to an empty result rather than panic on the query
-            // path.
-            debug_assert!(false, "query element order is not a forest");
-            return stats;
-        };
-        placed[e] = true;
-        order.push(e);
-    }
-
-    let SearchScratch {
-        docs,
-        matched,
-        used,
-    } = scratch;
-    matched.resize(n, NIL);
-    used.reserve(n);
-    tree_go(
+    let Some((order, ascent)) = seed_order(q, &lens) else {
+        // Unreachable: parent_pos forms a forest, so it has a leaf and
+        // every element is reached parents first.  Degrade to an empty
+        // result rather than panic on the query path.
+        debug_assert!(false, "query parents do not form a forest");
+        return stats;
+    };
+    scratch.matched.resize(q.len(), NIL);
+    scratch.used.reserve(q.len());
+    let walk = Walk {
         trie,
         q,
-        &order,
-        0,
-        trie.root(),
-        matched,
-        used,
-        docs,
-        &mut stats,
-    );
-    docs.sort_unstable();
-    docs.dedup();
+        lens: &lens,
+        order: &order,
+        ascent: &ascent,
+    };
+    walk.go(0, trie.root(), scratch, &mut stats);
+    scratch.docs.sort_unstable();
+    scratch.docs.dedup();
     stats
 }
 
-/// One step of the order-free search: processing slot `k` selects element
-/// `order[k]` (the order puts parents first and selective elements early);
-/// `tip` is the deepest matched trie node.
-#[allow(clippy::too_many_arguments)]
-fn tree_go<V: TrieView + ?Sized>(
-    trie: &V,
-    q: &QuerySequence,
-    order: &[usize],
-    k: usize,
-    tip: TrieNodeId,
-    matched: &mut Vec<TrieNodeId>,
-    used: &mut Vec<TrieNodeId>,
-    out: &mut Vec<DocId>,
-    stats: &mut SearchStats,
-) {
-    if k == order.len() {
-        stats.completions += 1;
-        let (ts, tm) = trie.label(tip);
-        trie.collect_docs_in_range(ts, tm, out);
-        return;
+/// The order of [`tree_search`]: the seed, then every element off its
+/// ancestor chain, parents first and most selective first; and the seed's
+/// ancestors its upward walk matches, nearest first, up to the topmost one
+/// anchoring another query branch.  `None` when `parent_pos` is not a
+/// forest.
+// PANIC-FREE: elements are positions below n = q.len() = parent_pos.len(),
+// and the first loop checks every parent position against n
+fn seed_order(q: &QuerySequence, lens: &[usize]) -> Option<(Vec<usize>, Vec<usize>)> {
+    let n = lens.len();
+    let mut leaf = vec![true; n];
+    for &pp in q.parent_pos.iter().flatten() {
+        *leaf.get_mut(pp as usize)? = false;
     }
-    let i = order[k];
-    let path = q.paths[i];
-    let (anchor, anchor_path) = match q.parent_pos[i] {
-        None => (trie.root(), None),
-        Some(pp) => (matched[pp as usize], Some(q.paths[pp as usize])),
-    };
-    let (anchor_serial, _) = trie.label(anchor);
-    let (tip_serial, tip_max) = trie.label(tip);
+    // A leaf, not the rarest element: the query root's link is the one node
+    // every document shares, and seeding there prunes nothing.
+    let seed = (0..n).filter(|&e| leaf[e]).min_by_key(|&e| lens[e])?;
+    let mut placed = vec![false; n];
+    placed[seed] = true;
+    let mut ascent = Vec::new();
+    let mut cur = seed;
+    while let Some(pp) = q.parent_pos[cur] {
+        cur = pp as usize;
+        if std::mem::replace(&mut placed[cur], true) {
+            return None; // a cycle
+        }
+        ascent.push(cur);
+    }
+    let anchors_branch = |a: usize| (0..n).any(|e| !placed[e] && q.parent_pos[e] == Some(a as u32));
+    let top = ascent.iter().rposition(|&a| anchors_branch(a));
+    ascent.truncate(top.map_or(0, |t| t + 1));
+    let mut order = vec![seed];
+    while let Some(e) = (0..n)
+        .filter(|&e| !placed[e] && q.parent_pos[e].is_none_or(|pp| placed[pp as usize]))
+        .min_by_key(|&e| lens[e])
+    {
+        placed[e] = true;
+        order.push(e);
+    }
+    (!placed.contains(&false)).then_some((order, ascent))
+}
 
-    // A valid candidate must: carry `path`; be a strict descendant of
-    // `anchor`; satisfy the closest-ancestor constraint; be unused; and be
-    // chain-comparable with `tip` (an ancestor of it, or a descendant).
-    let try_candidate = |r: TrieNodeId,
-                         matched: &mut Vec<TrieNodeId>,
-                         used: &mut Vec<TrieNodeId>,
-                         out: &mut Vec<DocId>,
-                         stats: &mut SearchStats| {
+/// The fixed inputs of one [`tree_search_with`] call.
+struct Walk<'a, V: ?Sized> {
+    trie: &'a V,
+    q: &'a QuerySequence,
+    /// Each element's link length.
+    lens: &'a [usize],
+    /// The seed, then the elements off its ancestor chain, parents first.
+    order: &'a [usize],
+    /// The seed's ancestors its upward walk matches, nearest first.
+    ascent: &'a [usize],
+}
+
+impl<V: TrieView + ?Sized> Walk<'_, V> {
+    /// Slot `k` of the search: matches element `order[k]` below `tip`, the
+    /// deepest matched trie node, or on the chain above it.
+    // PANIC-FREE: order holds positions below q.len() = matched.len() =
+    // lens.len(), and an element's parent is placed before it (seed_order)
+    fn go(&self, k: usize, tip: TrieNodeId, sc: &mut SearchScratch, stats: &mut SearchStats) {
+        let trie = self.trie;
+        let (_, tip_max) = trie.label(tip);
+        let Some(&i) = self.order.get(k) else {
+            stats.completions += 1;
+            sc.collected.insert(tip, tip_max);
+            trie.collect_docs_in_range(tip, tip_max, &mut sc.docs);
+            return;
+        };
+        let path = self.q.paths[i];
+        // The seed's parent is not placed before it: its walk up matches it.
+        let anchor = self.q.parent_pos[i].filter(|_| k > 0).map(|pp| pp as usize);
+        let anchor_node = anchor.map_or(trie.root(), |a| sc.matched[a]);
+
+        // (1) candidates below the tip: link range (tip⊢, tip⊣], jumping
+        // past every collected range — all it holds is already found.
+        let len = self.lens[i];
+        stats.link_probes += 1;
+        let mut idx = trie.link_lower_bound(path, tip);
+        while idx < len {
+            let e = trie.link_entry(path, idx);
+            if e.serial > tip_max {
+                break;
+            }
+            if let Some(hi) = sc.collected.covering(e.serial) {
+                stats.link_probes += 1;
+                idx = trie.link_lower_bound(path, hi);
+                continue;
+            }
+            self.try_candidate(k, anchor, e.serial, e.serial, sc, stats);
+            idx += 1;
+        }
+        // (2) candidates on the chain above the tip, strictly below the
+        // anchor.  They keep the tip, so none is left once its range is.
+        let mut cur = trie.parent(tip);
+        while cur != NIL && cur > anchor_node {
+            if trie.path(cur) == path {
+                if sc.collected.covering(tip).is_some() {
+                    break;
+                }
+                self.try_candidate(k, anchor, cur, tip, sc, stats);
+            }
+            cur = trie.parent(cur);
+        }
+    }
+
+    /// Places trie node `r` for element `order[k]` unless it is used or
+    /// sibling-covered, and searches on with `new_tip` the deepest node.
+    /// The seed's slot first matches the seed's ancestors from `r` upward.
+    // PANIC-FREE: as in `go`
+    fn try_candidate(
+        &self,
+        k: usize,
+        anchor: Option<usize>,
+        r: TrieNodeId,
+        new_tip: TrieNodeId,
+        sc: &mut SearchScratch,
+        stats: &mut SearchStats,
+    ) {
+        let trie = self.trie;
         stats.candidates += 1;
-        if used.contains(&r) {
+        if sc.used.contains(&r) {
             return;
         }
-        if let Some(ap) = anchor_path {
-            if trie.embeds_identical(anchor)
-                && trie.nearest_ancestor_with_path(r, ap) != Some(anchor)
+        if let Some(a) = anchor {
+            let m = sc.matched[a];
+            if trie.embeds_identical(m)
+                && trie.nearest_ancestor_with_path(r, self.q.paths[a]) != Some(m)
             {
                 stats.cover_rejections += 1;
                 return;
             }
         }
-        let (rs, _) = trie.label(r);
-        let new_tip = if rs > tip_serial { r } else { tip };
-        matched[i] = r;
-        used.push(r);
-        tree_go(trie, q, order, k + 1, new_tip, matched, used, out, stats);
-        used.pop();
-        matched[i] = NIL;
-    };
-
-    // (1) candidates below the tip: link range (tip⊢, tip⊣].
-    let len = trie.link_len(path);
-    stats.link_probes += 1;
-    let mut idx = trie.link_lower_bound(path, tip_serial);
-    while idx < len {
-        let e = trie.link_entry(path, idx);
-        if e.serial > tip_max {
-            break;
+        let base = sc.used.len();
+        sc.matched[self.order[k]] = r;
+        sc.used.push(r);
+        if k > 0 || self.climb(r, sc) {
+            self.go(k + 1, new_tip, sc, stats);
         }
-        try_candidate(e.serial, matched, used, out, stats);
-        idx += 1;
+        sc.used.truncate(base);
     }
-    // (2) candidates on the chain above the tip, strictly below the anchor.
-    let mut cur = trie.parent(tip);
-    while cur != NIL {
-        let (cs, _) = trie.label(cur);
-        if cs <= anchor_serial {
-            break;
+
+    /// Matches the seed's ancestors upward from its match `r`.  Below a
+    /// match `m(a)`, the cover condition holds iff `m(a)` is the nearest
+    /// ancestor of `m(b)` carrying `a`'s path, so that node is the only
+    /// candidate.  `false` when one is missing, which `f2` rules out.
+    // PANIC-FREE: ascent holds positions below q.len() = matched.len()
+    fn climb(&self, r: TrieNodeId, sc: &mut SearchScratch) -> bool {
+        let mut cur = r;
+        for &a in self.ascent {
+            let Some(m) = self.trie.nearest_ancestor_with_path(cur, self.q.paths[a]) else {
+                debug_assert!(false, "f2: a query parent's path labels a trie ancestor");
+                return false;
+            };
+            sc.matched[a] = m;
+            sc.used.push(m);
+            cur = m;
         }
-        if trie.path(cur) == path {
-            try_candidate(cur, matched, used, out, stats);
-        }
-        cur = trie.parent(cur);
+        true
     }
 }
 

@@ -481,6 +481,11 @@ impl TrieView for SequenceTrie {
         // guarantees the links map contains the path
         self.frozen().links[&path][idx]
     }
+    fn link_lower_bound(&self, path: PathId, s: u32) -> usize {
+        // one map lookup, not one per bisection step
+        let link = self.frozen().links.get(&path);
+        link.map_or(0, |link| link.partition_point(|e| e.serial <= s))
+    }
     fn collect_docs_in_range(&self, lo: u32, hi: u32, out: &mut Vec<DocId>) {
         SequenceTrie::collect_docs_in_range(self, lo, hi, out)
     }
