@@ -18,7 +18,7 @@
 //! anchor node *embeds identical siblings*; otherwise it holds vacuously.
 
 use crate::delta::Tombstones;
-use crate::trie::{TrieNodeId, TrieView, NIL};
+use crate::trie::{gallop, TrieNodeId, TrieView, NIL};
 use std::collections::HashMap;
 use xseq_sequence::{emit_sequence, Sequence, Strategy};
 use xseq_xml::{DocId, Document, PathId, PathTable};
@@ -136,8 +136,9 @@ pub struct SearchStats {
     pub cover_rejections: u64,
     /// Match completions (alignments reaching the end of the query).
     pub completions: u64,
-    /// Path-link binary searches performed (`link_lower_bound` calls),
-    /// including [`tree_search`]'s jumps past an already collected range.
+    /// Path-link probes: one binary search (`link_lower_bound`) per link
+    /// scan, plus one per jump of [`tree_search`] past an already collected
+    /// range — a gallop forward from where the scan stands.
     pub link_probes: u64,
     /// Buffer allocations avoided because a warm [`SearchScratch`] supplied
     /// already-sized result/alignment vectors.
@@ -156,10 +157,11 @@ impl SearchStats {
     }
 }
 
-/// Reusable per-query buffers for the matchers: the result accumulator and
-/// the alignment stacks.  One search leaves its sorted, deduplicated
-/// result in [`SearchScratch::docs`]; passing the same scratch to the next
-/// search reuses the capacity instead of allocating (counted in
+/// Reusable per-query buffers for the matchers: the result accumulator, the
+/// alignment stacks, the collected ranges and the bitmap that orders a dense
+/// answer.  One search leaves its sorted, deduplicated result in
+/// [`SearchScratch::docs`]; passing the same scratch to the next search
+/// reuses the capacity instead of allocating (counted in
 /// [`SearchStats::scratch_reuses`]).
 #[derive(Debug, Default)]
 pub struct SearchScratch {
@@ -168,6 +170,7 @@ pub struct SearchScratch {
     matched: Vec<TrieNodeId>,
     used: Vec<TrieNodeId>,
     collected: Collected,
+    bits: Vec<u64>,
 }
 
 impl SearchScratch {
@@ -184,6 +187,7 @@ impl SearchScratch {
             self.matched.capacity() > 0,
             self.used.capacity() > 0,
             self.collected.0.capacity() > 0,
+            self.bits.capacity() > 0,
         ]
         .iter()
         .filter(|&&w| w)
@@ -196,10 +200,11 @@ impl SearchScratch {
     }
 }
 
-/// The serial ranges `[n⊢, n⊣]` one [`tree_search`] has collected documents
-/// from: ascending and disjoint.  Trie subtrees are laminar, so a new range
+/// The serial ranges `[n⊢, n⊣]` one [`tree_search`]'s completions have
+/// reached: ascending and disjoint.  Trie subtrees are laminar, so a new range
 /// either lies past the last one — the common case, since links are scanned
-/// in ascending serial order — or swallows a run of earlier ones.
+/// in ascending serial order — or swallows a run of earlier ones.  The
+/// documents are read once, from the final list, when the search ends.
 #[derive(Debug, Default)]
 struct Collected(Vec<(u32, u32)>);
 
@@ -306,8 +311,15 @@ pub fn naive_search_with<V: TrieView + ?Sized>(
 /// chain.  The other elements are then placed parents first, most selective
 /// first, below the tip or on the chain above it.  Every result of a branch
 /// lies in the subtree of its tip, so a branch whose tip lies in a range
-/// already collected is skipped, and a link scan jumps past such a range
-/// with one probe.  DESIGN.md §5.0 gives the argument.
+/// already collected is skipped, and a link scan gallops past such a range
+/// from where it stands, which counts as one probe.  DESIGN.md §5.0 gives the
+/// argument.
+///
+/// The answer costs what it holds: a completion only records its range, and
+/// the maximal ranges are read at the end in one sweep of the end nodes
+/// ([`TrieView::collect_docs_in_ranges`]).  They are disjoint and a document
+/// ends at one end node, so no id is read twice; a dense answer is then
+/// ordered through a bitmap instead of a sort (DESIGN.md §5.1).
 pub fn tree_search<V: TrieView + ?Sized>(trie: &V, q: &QuerySequence) -> (Vec<DocId>, SearchStats) {
     let mut scratch = SearchScratch::new();
     let stats = tree_search_with(trie, q, &mut scratch);
@@ -347,9 +359,38 @@ pub fn tree_search_with<V: TrieView + ?Sized>(
         ascent: &ascent,
     };
     walk.go(0, trie.root(), scratch, &mut stats);
-    scratch.docs.sort_unstable();
-    scratch.docs.dedup();
+    trie.collect_docs_in_ranges(&scratch.collected.0, &mut scratch.docs);
+    sort_docs(&mut scratch.docs, &mut scratch.bits);
     stats
+}
+
+/// Sorts and deduplicates `docs`.  A dense answer — at least 64 ids, with a
+/// bitmap up to the largest no longer than four words per id — is set into
+/// `bits` and read back in order, in time linear in the answer; any other is
+/// sorted.  The rule depends only on density, so `bits` never exceeds 32
+/// bytes per result id, and a sparse answer allocates none.
+// PANIC-FREE: every id is at most max, so id / 64 < max / 64 + 1 = bits.len()
+fn sort_docs(docs: &mut Vec<DocId>, bits: &mut Vec<u64>) {
+    let n = docs.len();
+    let words = docs.iter().max().map_or(0, |&max| max as usize / 64 + 1);
+    if n < 64 || words > 4 * n {
+        docs.sort_unstable();
+        docs.dedup();
+        return;
+    }
+    bits.clear();
+    bits.resize(words, 0);
+    for &d in docs.iter() {
+        bits[d as usize / 64] |= 1 << (d % 64);
+    }
+    docs.clear();
+    for (w, &word) in bits.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            docs.push(w as DocId * 64 + rest.trailing_zeros());
+            rest &= rest - 1;
+        }
+    }
 }
 
 /// The order of [`tree_search`]: the seed, then every element off its
@@ -416,7 +457,6 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
         let Some(&i) = self.order.get(k) else {
             stats.completions += 1;
             sc.collected.insert(tip, tip_max);
-            trie.collect_docs_in_range(tip, tip_max, &mut sc.docs);
             return;
         };
         let path = self.q.paths[i];
@@ -425,7 +465,8 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
         let anchor_node = anchor.map_or(trie.root(), |a| sc.matched[a]);
 
         // (1) candidates below the tip: link range (tip⊢, tip⊣], jumping
-        // past every collected range — all it holds is already found.
+        // past every collected range — all it holds is already found.  The
+        // entries it holds follow this one, so the jump gallops from here.
         let len = self.lens[i];
         stats.link_probes += 1;
         let mut idx = trie.link_lower_bound(path, tip);
@@ -436,7 +477,7 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
             }
             if let Some(hi) = sc.collected.covering(e.serial) {
                 stats.link_probes += 1;
-                idx = trie.link_lower_bound(path, hi);
+                idx = gallop(idx + 1, len, |j| trie.link_entry(path, j).serial <= hi);
                 continue;
             }
             self.try_candidate(k, anchor, e.serial, e.serial, sc, stats);

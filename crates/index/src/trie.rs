@@ -27,9 +27,10 @@
 //! live updates go through the tiered overlay in [`delta`](crate::delta)).
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use xseq_sequence::Sequence;
 use xseq_telemetry::{hash_table_alloc_bytes, HeapSize};
-use xseq_xml::{DocId, PathId};
+use xseq_xml::{DocId, PathId, PathIdHasher};
 
 /// A trie node: its preorder serial `n⊢` (the virtual root is 0).
 pub type TrieNodeId = u32;
@@ -55,8 +56,10 @@ pub struct Frozen {
     /// Per node: does its range contain another node with the same path?
     /// (Nodes that "embed identical siblings" in Algorithm 1's sense.)
     pub embeds_identical: Vec<bool>,
-    /// Horizontal path links, ascending by serial.
-    pub links: HashMap<PathId, Vec<LinkEntry>>,
+    /// Horizontal path links, ascending by serial; probed on every link
+    /// entry a search reads, so keyed with the multiplicative
+    /// [`PathIdHasher`].
+    pub links: HashMap<PathId, Vec<LinkEntry>, BuildHasherDefault<PathIdHasher>>,
     /// Nodes owning document id lists, ascending.
     pub end_nodes: Vec<TrieNodeId>,
 }
@@ -85,6 +88,15 @@ pub trait TrieView {
     /// Appends the doc ids of end nodes with serial in `[lo, hi]`.
     fn collect_docs_in_range(&self, lo: u32, hi: u32, out: &mut Vec<DocId>);
 
+    /// Appends the doc ids of end nodes inside `ranges`, range by range, as
+    /// [`TrieView::collect_docs_in_range`] would.  The ranges are ascending
+    /// and disjoint, so an implementation may sweep its end nodes once.
+    fn collect_docs_in_ranges(&self, ranges: &[(u32, u32)], out: &mut Vec<DocId>) {
+        for &(lo, hi) in ranges {
+            self.collect_docs_in_range(lo, hi, out);
+        }
+    }
+
     /// Walks up from `n` to the nearest proper ancestor whose path is `t`
     /// (the "closest same-path ancestor" used by the sibling-cover check).
     fn nearest_ancestor_with_path(&self, n: TrieNodeId, t: PathId) -> Option<TrieNodeId> {
@@ -112,6 +124,33 @@ pub trait TrieView {
         }
         lo
     }
+}
+
+/// The first index in `from..len` at which `below` is false, for a `below`
+/// that holds on a prefix of `0..len` reaching at least `from`.  Steps double
+/// from `from` and the last step is bisected, so the cost is logarithmic in
+/// the distance moved, not in `len`: a cursor that usually moves a few places
+/// pays a few probes.
+pub(crate) fn gallop(from: usize, len: usize, below: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi, mut step) = (from, len, 1);
+    while from + step - 1 < len {
+        let probe = from + step - 1;
+        if !below(probe) {
+            hi = probe;
+            break;
+        }
+        lo = probe + 1;
+        step *= 2;
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// The trie over constraint sequences: flat arrays in preorder, node id ≡
@@ -410,7 +449,7 @@ fn label_and_link(path: &[PathId], parent: &[TrieNodeId]) -> Frozen {
         let p = parent[i] as usize;
         max_desc[p] = max_desc[p].max(max_desc[i]);
     }
-    let mut links: HashMap<PathId, Vec<LinkEntry>> = HashMap::new();
+    let mut links: HashMap<PathId, Vec<LinkEntry>, _> = HashMap::default();
     for i in 1..n {
         links.entry(path[i]).or_default().push(LinkEntry {
             serial: i as u32,
@@ -488,6 +527,20 @@ impl TrieView for SequenceTrie {
     }
     fn collect_docs_in_range(&self, lo: u32, hi: u32, out: &mut Vec<DocId>) {
         SequenceTrie::collect_docs_in_range(self, lo, hi, out)
+    }
+    /// One cursor gallops over the end nodes from range to range, so a range
+    /// costs the log of the distance moved, not of the whole array.
+    // PANIC-FREE: gallop only calls `below` on indices < end_nodes.len(), and
+    // returns a <= at <= end_nodes.len() < doc_off.len(); doc_off is
+    // ascending and bounded by docs.len()
+    fn collect_docs_in_ranges(&self, ranges: &[(u32, u32)], out: &mut Vec<DocId>) {
+        let ends = &self.frozen().end_nodes;
+        let mut at = 0;
+        for &(lo, hi) in ranges {
+            let a = gallop(at, ends.len(), |i| ends[i] < lo);
+            at = gallop(a, ends.len(), |i| ends[i] <= hi);
+            out.extend_from_slice(&self.docs[self.doc_off[a] as usize..self.doc_off[at] as usize]);
+        }
     }
 }
 

@@ -1,0 +1,210 @@
+//! Result assembly: how `tree_search` turns its completions into an answer.
+//!
+//! A completion only records its range; the maximal ranges are read at the
+//! end through `TrieView::collect_docs_in_ranges` (one galloping sweep on a
+//! `SequenceTrie`, range by range on a `PagedTrie`), and the ids are ordered
+//! through a bitmap when the answer is dense.  Each step must give exactly
+//! what the per-range reads and `sort_unstable` + `dedup` give.
+
+use proptest::prelude::*;
+use xseq_index::{
+    tree_search, tree_search_with, QuerySequence, SearchScratch, SequenceTrie, TrieView,
+};
+use xseq_sequence::Sequence;
+use xseq_storage::{write_paged_trie, MemStore, PagedTrie};
+use xseq_xml::{DocId, PathId, PathTable, SymbolTable, ValueMode};
+
+/// Up to `max` short sequences over a 4-path alphabet, element `i` arriving
+/// as document `i`: prefixes, repeated paths on one chain and duplicate
+/// sequences are all common, so end nodes sit at every depth.
+fn corpus(max: usize) -> impl Strategy<Value = Vec<Vec<u32>>> {
+    proptest::collection::vec(proptest::collection::vec(1u32..5, 0..7), 1..max)
+}
+
+fn frozen(seqs: &[Vec<u32>]) -> SequenceTrie {
+    let mut trie = SequenceTrie::new();
+    for (doc, s) in seqs.iter().enumerate() {
+        trie.insert(
+            &Sequence(s.iter().map(|&p| PathId(p)).collect()),
+            doc as DocId,
+        );
+    }
+    trie.freeze();
+    trie
+}
+
+fn paged(trie: &SequenceTrie, pool: usize) -> PagedTrie<MemStore> {
+    let mut store = MemStore::new();
+    write_paged_trie(trie, &mut store).expect("a frozen trie writes");
+    PagedTrie::open(store, pool).expect("a written trie opens")
+}
+
+/// Ascending, disjoint ranges from `(gap, width)` steps: each starts `gap`
+/// past the previous end (at `gap` for the first) and spans `width` more
+/// serials, so ranges are empty of end nodes, single nodes, or run past the
+/// last serial.  With `root`, the one range is the root's.
+fn ranges(trie: &SequenceTrie, steps: &[(u32, u32)], root: bool) -> Vec<(u32, u32)> {
+    if root {
+        return vec![trie.root_range()];
+    }
+    let mut next = 0;
+    let mut out = Vec::new();
+    for &(gap, width) in steps {
+        let lo = next + gap;
+        out.push((lo, lo + width));
+        next = lo + width + 1;
+    }
+    out
+}
+
+/// The query `/p` over a trie where every id in `ids` ends under the one `p`
+/// node: its answer is every id, sorted and deduplicated.
+fn one_node_answer(ids: &[DocId]) -> (SequenceTrie, QuerySequence) {
+    let mut trie = SequenceTrie::new();
+    for (i, &doc) in ids.iter().enumerate() {
+        // three end nodes, `p` and two children, each with ids in arrival order
+        let seq = match i % 3 {
+            0 => vec![PathId(1)],
+            k => vec![PathId(1), PathId(1 + k as u32)],
+        };
+        trie.insert(&Sequence(seq), doc);
+    }
+    trie.freeze();
+    let q = QuerySequence {
+        paths: vec![PathId(1)],
+        parent_pos: vec![None],
+    };
+    (trie, q)
+}
+
+/// `sort_docs`'s rule: at least 64 ids, and a bitmap up to the largest of at
+/// most four words per id.
+fn dense(ids: &[DocId]) -> bool {
+    let max = ids.iter().max().map_or(0, |&m| m as usize);
+    ids.len() >= 64 && max / 64 < 4 * ids.len()
+}
+
+/// `tree_search` over `ids` equals `sort_unstable` + `dedup`, and a warm
+/// scratch counts the bitmap as reused exactly when the answer was dense
+/// (docs, matched, used and the collected ranges are always warm).
+fn assert_ordered(ids: &[DocId]) -> Result<(), TestCaseError> {
+    let (trie, q) = one_node_answer(ids);
+    let mut want = ids.to_vec();
+    want.sort_unstable();
+    want.dedup();
+    let mut scratch = SearchScratch::new();
+    tree_search_with(&trie, &q, &mut scratch);
+    prop_assert_eq!(&scratch.docs, &want);
+    let again = tree_search_with(&trie, &q, &mut scratch);
+    prop_assert_eq!(&scratch.docs, &want);
+    prop_assert_eq!(
+        again.scratch_reuses,
+        4 + u64::from(dense(ids)),
+        "bitmap for {} ids",
+        ids.len()
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn one_sweep_equals_range_by_range(
+        seqs in corpus(24),
+        steps in proptest::collection::vec((0u32..4, 0u32..6), 0..6),
+        root in proptest::bool::weighted(0.15),
+        pool in 1usize..16,
+    ) {
+        let trie = frozen(&seqs);
+        let ranges = ranges(&trie, &steps, root);
+        let mut want = Vec::new();
+        for &(lo, hi) in &ranges {
+            trie.collect_docs_in_range(lo, hi, &mut want);
+        }
+        let mut got = Vec::new();
+        TrieView::collect_docs_in_ranges(&trie, &ranges, &mut got);
+        prop_assert_eq!(&got, &want, "in memory, ranges {:?}", ranges);
+        got.clear();
+        paged(&trie, pool).collect_docs_in_ranges(&ranges, &mut got);
+        prop_assert_eq!(&got, &want, "paged, ranges {:?}", ranges);
+    }
+
+    #[test]
+    fn fewer_than_64_ids_are_sorted(ids in proptest::collection::vec(0u32..200, 1..64)) {
+        assert_ordered(&ids)?;
+    }
+
+    #[test]
+    fn dense_ids_are_ordered_through_the_bitmap(
+        n in 64usize..400,
+        spread in 1u32..5,
+        dups in 0usize..40,
+    ) {
+        // ids up to ≈ 64 · spread · n / 4: inside the rule for spread ≤ 4
+        let top = (n as u32 * 16 * spread).max(1);
+        let mut ids: Vec<DocId> = (0..n as u32).map(|i| i.wrapping_mul(2_654_435_761) % top).collect();
+        let copies: Vec<DocId> = ids.iter().step_by(7).take(dups).copied().collect();
+        ids.extend(copies);
+        assert_ordered(&ids)?;
+    }
+
+    #[test]
+    fn the_four_words_per_id_boundary(n in 64usize..300, past in proptest::bool::weighted(0.5), low in 0u32..64) {
+        // The largest id fills word 4n − 1 (the bitmap is exactly 4n words)
+        // or word 4n (one word too many, so the ids are sorted).
+        let word = 4 * n as u32 - u32::from(!past);
+        let mut ids: Vec<DocId> = (0..n as u32 - 1).map(|i| i * 37 % (word * 64)).collect();
+        ids.push(word * 64 + low);
+        prop_assert_eq!(dense(&ids), !past);
+        assert_ordered(&ids)?;
+    }
+
+    #[test]
+    fn sparse_ids_near_the_top_allocate_no_bitmap(n in 64usize..200, step in 1u32..50_000) {
+        let ids: Vec<DocId> = (0..n as u32).map(|i| u32::MAX - i * step).collect();
+        prop_assert!(!dense(&ids));
+        assert_ordered(&ids)?;
+    }
+}
+
+#[test]
+fn a_chain_candidate_above_the_tip_swallows_earlier_ranges() {
+    // Query p(a, b).  The seed is the leaf `a`, whose link is ⟨p, a⟩ and
+    // ⟨p, b, a⟩, and `p` is matched by the upward walk.  Below the tip
+    // ⟨p, b, a⟩, `b` has two candidates, each completing into its own range;
+    // above it, the `b` node on the chain keeps the tip, so its completion's
+    // range is the tip's and swallows both.  Every document is then read
+    // once, from the one range left.
+    let mut st = SymbolTable::with_value_mode(ValueMode::Intern);
+    let mut pt = PathTable::new();
+    let [p, a, b, c] = ["p", "a", "b", "c"].map(|s| st.elem(s));
+    let [p, a, b, c] = [vec![p], vec![p, a], vec![p, b], vec![p, c]].map(|s| pt.intern(&s));
+    let seqs = [
+        vec![p, b, a, b],
+        vec![p, b, a, c, b],
+        vec![p, b, a],
+        vec![p, a],
+    ];
+    let mut trie = SequenceTrie::new();
+    for (doc, s) in seqs.iter().enumerate() {
+        trie.insert(&Sequence(s.clone()), doc as DocId);
+    }
+    trie.freeze();
+    let q = QuerySequence {
+        paths: vec![p, a, b],
+        parent_pos: vec![None, Some(0), Some(0)],
+    };
+    let (docs, stats) = tree_search(&trie, &q);
+    assert_eq!(docs, [0, 1, 2]);
+    // The counts of the search that read every completion's range: the two
+    // seed entries plus three `b` candidates under the second; one scan of
+    // `a`'s link plus one of `b`'s per seed entry.
+    assert_eq!(
+        (stats.candidates, stats.completions, stats.link_probes),
+        (5, 3, 3),
+        "{stats:?}"
+    );
+    let (paged_docs, paged_stats) = tree_search(&paged(&trie, 2), &q);
+    assert_eq!((paged_docs, paged_stats), (docs, stats));
+}

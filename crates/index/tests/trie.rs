@@ -113,7 +113,7 @@ proptest! {
         let n = want.path.len();
         prop_assert_eq!(trie.node_count() + 1, n);
         let f = trie.frozen();
-        let mut links: HashMap<PathId, Vec<LinkEntry>> = HashMap::new();
+        let mut links: HashMap<PathId, Vec<LinkEntry>, _> = HashMap::default();
         for i in 0..n {
             let id = i as TrieNodeId;
             prop_assert_eq!(trie.path(id), want.path[i]);

@@ -34,10 +34,11 @@ use crate::page::{get_u32, get_u64, locate, new_page, put_u32, put_u64, PageId, 
 use crate::pool::BufferPool;
 use crate::store::PageStore;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::io;
 use std::sync::Mutex;
 use xseq_index::{LinkEntry, SequenceTrie, TrieNodeId, TrieView};
-use xseq_xml::{DocId, PathId};
+use xseq_xml::{DocId, PathId, PathIdHasher};
 
 const MAGIC: u64 = 0x3130_4750_5145_5358; // "XSEQPG01" LE
 
@@ -232,7 +233,9 @@ pub struct PagedTrie<S: PageStore> {
     ends_start: PageId,
     docs_start: PageId,
     /// In-memory link directory (the catalog): path → (entry start, len).
-    dir: HashMap<PathId, (u32, u32)>,
+    /// Probed on every link entry a search reads, so keyed with the
+    /// multiplicative [`PathIdHasher`].
+    dir: HashMap<PathId, (u32, u32), BuildHasherDefault<PathIdHasher>>,
 }
 
 impl<S: PageStore> PagedTrie<S> {
@@ -281,7 +284,7 @@ impl<S: PageStore> PagedTrie<S> {
                 return invalid("paged trie section outside the store");
             }
         }
-        let mut dir = HashMap::with_capacity(h[1] as usize);
+        let mut dir = HashMap::with_capacity_and_hasher(h[1] as usize, Default::default());
         for i in 0..h[1] as usize {
             let (pg, off) = locate(h[6], i, DIR_REC, DIR_PER_PAGE);
             let (p, s, l) = pool.with_page(pg, |page| {
@@ -393,10 +396,10 @@ impl<S: PageStore> TrieView for PagedTrie<S> {
     }
 
     // PANIC-FREE: callers iterate idx < link_len(path), which also
-    // guarantees `dir` contains the path
+    // guarantees `dir` contains the path and bounds idx by its length
     fn link_entry(&self, path: PathId, idx: usize) -> LinkEntry {
         let (start, len) = self.dir[&path];
-        assert!(idx < len as usize, "link index out of range");
+        debug_assert!(idx < len as usize, "link index out of range");
         let entries = (self.entries_start, ENTRY_REC, ENTRIES_PER_PAGE);
         self.record(entries, start as usize + idx, |p, off| LinkEntry {
             serial: get_u32(p, off),

@@ -33,7 +33,7 @@ pub mod writer;
 pub use document::{Document, NodeId};
 pub use error::XmlError;
 pub use parser::parse_document;
-pub use path::{PathId, PathTable};
+pub use path::{PathId, PathIdHasher, PathTable};
 pub use pattern::{Axis, PatternLabel, PatternNodeId, TreePattern};
 pub use symbol::{Designator, Symbol, SymbolTable, ValueId, ValueMode, ValueTable};
 pub use writer::write_document;

@@ -22,6 +22,7 @@
 
 use crate::symbol::Symbol;
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::Hasher;
 use xseq_telemetry::HeapSize;
 
 /// Interned identifier of a root-to-node designator path.
@@ -35,6 +36,40 @@ pub struct PathId(pub u32);
 impl PathId {
     /// The empty path ε.
     pub const ROOT: PathId = PathId(0);
+}
+
+/// A multiplicative [`Hasher`] for [`PathId`] keys, for maps built with
+/// [`BuildHasherDefault<PathIdHasher>`](std::hash::BuildHasherDefault).
+///
+/// Each word is folded in as `(h ⋘ 5 ⊕ w) · K` with `K` the 64-bit golden
+/// ratio, so one `PathId` hashes in one multiplication.  The low bits, which
+/// pick the bucket, are a bijection of the id's low bits — dense ids spread
+/// evenly — and the high bits, which a swiss table keeps as its tag, mix every
+/// bit.  Path ids are minted by a [`PathTable`] in interning order, never
+/// chosen by an input, so the flooding resistance SipHash buys is not needed.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct PathIdHasher(u64);
+
+impl PathIdHasher {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for PathIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.fold(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.fold(u64::from(n));
+    }
 }
 
 #[derive(Debug)]
@@ -321,5 +356,16 @@ mod tests {
         assert_eq!(pt.depth(plv), 3);
         assert_eq!(pt.last(plv), Some(v));
         assert!(pt.last(plv).unwrap().is_value());
+    }
+
+    #[test]
+    fn dense_path_ids_hash_to_distinct_buckets_and_tags() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<PathIdHasher>::default();
+        let hashes: Vec<u64> = (0..1024).map(|i| build.hash_one(PathId(i))).collect();
+        let buckets: std::collections::HashSet<u64> = hashes.iter().map(|h| h & 1023).collect();
+        assert_eq!(buckets.len(), 1024, "the low bits are a bijection");
+        let tags: std::collections::HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+        assert_eq!(tags.len(), 128, "every 7-bit tag is used");
     }
 }
