@@ -18,7 +18,7 @@
 use crate::Sequence;
 use std::collections::HashMap;
 use std::fmt;
-use xseq_xml::{Document, PathId, PathTable};
+use xseq_xml::{Document, NodeId, PathId, PathTable};
 
 /// Why a sequence failed to decode as a constraint sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,24 +112,23 @@ pub fn decode_f2(seq: &Sequence, paths: &PathTable) -> Result<Document, DecodeEr
         occurs.entry(p).and_modify(|seen| seen.1 = i);
     }
 
-    // Build the document: create nodes in an order where parents come first.
+    // Build the document's columns in an order where parents come first.
     // Parent elements always have strictly smaller path depth, so sorting
-    // positions by depth gives a valid creation order.
+    // positions by depth gives a valid arena order, with the root first.
     let mut order: Vec<usize> = (0..elems.len()).collect();
     order.sort_by_key(|&i| paths.depth(elems[i]));
 
-    let mut doc = Document::new();
-    let mut node_of = vec![0u32; elems.len()];
-    for &i in &order {
-        let sym = paths.last(elems[i]).expect("non-root path");
-        node_of[i] = if i == root_idx {
-            doc = Document::with_root(sym);
-            doc.root().expect("Document::with_root always has a root")
-        } else {
-            doc.child(node_of[parent_of[i]], sym)
-        };
+    let mut node_of = vec![0 as NodeId; elems.len()];
+    let mut sym = Vec::with_capacity(order.len());
+    let mut parent = Vec::with_capacity(order.len());
+    for (node, &i) in order.iter().enumerate() {
+        node_of[i] = node as NodeId;
+        sym.push(paths.last(elems[i]).expect("non-root path"));
+        // the root's parent_of is usize::MAX, past every node
+        let up = node_of.get(parent_of[i]).copied();
+        parent.push(up.unwrap_or(Document::NO_PARENT));
     }
-    Ok(doc)
+    Ok(Document::from_parents(sym, parent).expect("a depth order puts every parent first"))
 }
 
 /// Validates that `seq` is a well-formed `f2` constraint sequence: it decodes

@@ -2,75 +2,135 @@
 //!
 //! A [`Document`] is the paper's unit of indexing: one record (a DBLP
 //! publication, an XMark substructure, a synthetic tree).  Nodes are stored
-//! in a flat arena in **preorder**, labelled by [`Symbol`]s; values appear as
-//! leaf nodes exactly as the paper draws them (Figure 1: `boston` is a child
-//! node of `L`).
+//! in a flat arena, labelled by [`Symbol`]s; values appear as leaf nodes
+//! exactly as the paper draws them (Figure 1: `boston` is a child node of
+//! `L`).
 
 use crate::error::XmlError;
 use crate::path::{PathId, PathTable};
 use crate::symbol::Symbol;
+use xseq_telemetry::HeapSize;
 
 /// Index of a node within one [`Document`]'s arena.
 pub type NodeId = u32;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Node {
-    sym: Symbol,
-    parent: Option<NodeId>,
-    children: Vec<NodeId>,
-}
-
 /// One XML record, modelled as an unordered labelled tree.
 ///
-/// Construction keeps the arena in preorder (parents before children), which
-/// the sequencing layer relies on for cheap traversals.
+/// The tree is four flat columns over the node arena: each node's label
+/// (`sym`), its parent (`parent`, [`Document::NO_PARENT`] for the root) and
+/// its children in compressed-row form — node `n`'s children are
+/// `kids[kid_off[n]..kid_off[n + 1]]`, in document order.  Every constructor
+/// keeps a parent's id below its children's, so one pass in arena order sees
+/// each parent before its children; for every parsed or generated document
+/// arena order is preorder.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Document {
-    nodes: Vec<Node>,
+    sym: Vec<Symbol>,
+    parent: Vec<NodeId>,
+    /// `len() + 1` row offsets into `kids` (empty for an empty document).
+    kid_off: Vec<u32>,
+    kids: Vec<NodeId>,
 }
 
 impl Document {
+    /// The root's entry in the parent column.
+    pub const NO_PARENT: NodeId = NodeId::MAX;
+
     /// Creates an empty document (no root yet).
     pub fn new() -> Self {
-        Document { nodes: Vec::new() }
+        Document::default()
     }
 
     /// Creates a document with a root node.
     pub fn with_root(sym: Symbol) -> Self {
-        let mut d = Document::new();
-        d.nodes.push(Node {
+        Document {
+            sym: vec![sym],
+            parent: vec![Self::NO_PARENT],
+            kid_off: vec![0, 0],
+            kids: Vec::new(),
+        }
+    }
+
+    /// Builds a document from its label and parent columns in arena order:
+    /// node `i` is labelled `sym[i]` and hangs under `parent[i]`.  Node 0 is
+    /// the root (`parent[0]` is [`Document::NO_PARENT`]) and every other
+    /// node's parent is an earlier node.  The child rows are a counting sort
+    /// of `parent` in two linear passes, so each list is ascending — the
+    /// document [`Document::add_child`] builds appending the nodes in order.
+    ///
+    /// # Errors
+    /// [`XmlError::NodeOutOfBounds`] naming the first parent that is not an
+    /// earlier node (or a root entry other than `NO_PARENT`), or the first
+    /// node missing from one column when the two differ in length.
+    pub fn from_parents(sym: Vec<Symbol>, parent: Vec<NodeId>) -> Result<Document, XmlError> {
+        let n = sym.len();
+        if parent.len() != n {
+            let node = n.min(parent.len()) as NodeId;
+            return Err(XmlError::NodeOutOfBounds { node });
+        }
+        if n == 0 {
+            return Ok(Document::new());
+        }
+        // Pass 1 counts node p's children in kid_off[p + 2]; the prefix sum
+        // then leaves p's row start in kid_off[p + 1], and pass 2 advances
+        // that cursor to p's row end, which is p + 1's row start.
+        let mut kid_off = vec![0u32; n + 1];
+        for (i, &p) in parent.iter().enumerate() {
+            match p as usize {
+                // PANIC-FREE: p < i ≤ n − 1, so p + 2 ≤ n < kid_off.len()
+                up if up < i => kid_off[up + 2] += 1,
+                _ if i == 0 && p == Self::NO_PARENT => {}
+                _ => return Err(XmlError::NodeOutOfBounds { node: p }),
+            }
+        }
+        let mut total = 0;
+        for off in &mut kid_off {
+            total += *off;
+            *off = total;
+        }
+        let mut kids = vec![0; n - 1];
+        for (i, &p) in parent.iter().enumerate().skip(1) {
+            // PANIC-FREE: p + 1 < i + 1 ≤ n < kid_off.len(), and the cursor
+            // stays below p's row end ≤ n − 1 = kids.len()
+            let cursor = &mut kid_off[p as usize + 1];
+            kids[*cursor as usize] = i as NodeId;
+            *cursor += 1;
+        }
+        Ok(Document {
             sym,
-            parent: None,
-            children: Vec::new(),
-        });
-        d
+            parent,
+            kid_off,
+            kids,
+        })
     }
 
     /// The root node id, if the document is non-empty.
     pub fn root(&self) -> Option<NodeId> {
-        if self.nodes.is_empty() {
-            None
-        } else {
-            Some(0)
-        }
+        (!self.sym.is_empty()).then_some(0)
     }
 
     /// Appends a child labelled `sym` under `parent`.
     ///
+    /// This is for incremental builders (generators, query trees, tests):
+    /// it shifts the child rows of every node after `parent`, so it costs
+    /// O(nodes after `parent`).  Bulk builders collect the two columns and
+    /// call [`Document::from_parents`] once.
+    ///
     /// # Errors
     /// Returns [`XmlError::NodeOutOfBounds`] if `parent` does not exist.
     pub fn add_child(&mut self, parent: NodeId, sym: Symbol) -> Result<NodeId, XmlError> {
-        if parent as usize >= self.nodes.len() {
+        let Some(&at) = self.kid_off.get(parent as usize + 1) else {
             return Err(XmlError::NodeOutOfBounds { node: parent });
+        };
+        let id = self.sym.len() as NodeId;
+        self.sym.push(sym);
+        self.parent.push(parent);
+        // PANIC-FREE: at is a row offset, at most kids.len()
+        self.kids.insert(at as usize, id);
+        for off in self.kid_off.iter_mut().skip(parent as usize + 1) {
+            *off += 1;
         }
-        let id = self.nodes.len() as NodeId;
-        self.nodes.push(Node {
-            sym,
-            parent: Some(parent),
-            children: Vec::new(),
-        });
-        // PANIC-FREE: parent < nodes.len() was checked at entry
-        self.nodes[parent as usize].children.push(id);
+        self.kid_off.push(self.kids.len() as u32);
         Ok(id)
     }
 
@@ -89,36 +149,40 @@ impl Document {
     // caller bug the accessor contract documents as out of scope
     #[inline]
     pub fn sym(&self, n: NodeId) -> Symbol {
-        self.nodes[n as usize].sym
+        self.sym[n as usize]
     }
 
     /// The parent of a node (`None` for the root).
     // PANIC-FREE: same arena-minted NodeId contract as `sym`
     #[inline]
     pub fn parent(&self, n: NodeId) -> Option<NodeId> {
-        self.nodes[n as usize].parent
+        let p = self.parent[n as usize];
+        (p != Self::NO_PARENT).then_some(p)
     }
 
     /// Children of a node, in document order.
-    // PANIC-FREE: same arena-minted NodeId contract as `sym`
+    // PANIC-FREE: same arena-minted NodeId contract as `sym`; a node's row
+    // offsets are ascending and end at most at kids.len()
     #[inline]
     pub fn children(&self, n: NodeId) -> &[NodeId] {
-        &self.nodes[n as usize].children
+        let n = n as usize;
+        &self.kids[self.kid_off[n] as usize..self.kid_off[n + 1] as usize]
     }
 
     /// Number of nodes (elements + values).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.sym.len()
     }
 
     /// True for a document without a root.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.sym.is_empty()
     }
 
-    /// Iterates node ids in arena (preorder-compatible) order.
+    /// Iterates node ids in arena order, which visits every parent before
+    /// its children.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        0..self.nodes.len() as NodeId
+        0..self.sym.len() as NodeId
     }
 
     /// Preorder traversal from the root (depth-first, children in document
@@ -126,17 +190,12 @@ impl Document {
     /// *not* necessarily `0..len` because siblings may have been appended
     /// after a subtree was extended, so we walk the tree properly.
     pub fn preorder(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.nodes.len());
-        let Some(root) = self.root() else {
-            return out;
-        };
-        let mut stack = vec![root];
+        let mut out = Vec::with_capacity(self.len());
+        let mut stack: Vec<NodeId> = self.root().into_iter().collect();
         while let Some(n) = stack.pop() {
             out.push(n);
             // push children reversed so the leftmost is visited first
-            for &c in self.children(n).iter().rev() {
-                stack.push(c);
-            }
+            stack.extend(self.children(n).iter().rev());
         }
         out
     }
@@ -161,17 +220,16 @@ impl Document {
     /// [`PathTable`], returning `paths[node] = PathId`.
     ///
     /// This is the paper's node encoding: node `n` is represented by the
-    /// designator path from the root to `n`.
+    /// designator path from the root to `n`.  Nodes are visited in arena
+    /// order, so new paths are minted in it — which is preorder for every
+    /// parsed and generated document.
     pub fn path_encode(&self, paths: &mut PathTable) -> Vec<PathId> {
-        let mut out = vec![PathId::ROOT; self.nodes.len()];
-        for n in self.preorder() {
-            // PANIC-FREE: preorder yields ids < nodes.len() == out.len()
-            let parent_path = match self.parent(n) {
-                Some(p) => out[p as usize],
-                None => PathId::ROOT,
-            };
-            // PANIC-FREE: same preorder id bound as above
-            out[n as usize] = paths.extend(parent_path, self.sym(n));
+        let mut out = Vec::with_capacity(self.len());
+        for (&sym, &p) in self.sym.iter().zip(&self.parent) {
+            // a parent precedes its child, so its path is already in `out`;
+            // the root's NO_PARENT is past every index
+            let up = out.get(p as usize).copied().unwrap_or(PathId::ROOT);
+            out.push(paths.extend(up, sym));
         }
         out
     }
@@ -183,8 +241,8 @@ impl Document {
     /// parse encounter order — so a *stateful* `f` that interns into a fresh
     /// table replays the original first-occurrence interning order exactly.
     pub fn remap_symbols(&mut self, mut f: impl FnMut(Symbol) -> Symbol) {
-        for node in &mut self.nodes {
-            node.sym = f(node.sym);
+        for sym in &mut self.sym {
+            *sym = f(*sym);
         }
     }
 
@@ -197,29 +255,12 @@ impl Document {
     /// (and therefore any query built from it) cannot match any indexed
     /// document.
     pub fn path_encode_readonly(&self, paths: &PathTable) -> Option<Vec<PathId>> {
-        let mut out = vec![PathId::ROOT; self.nodes.len()];
-        for n in self.preorder() {
-            // PANIC-FREE: preorder yields ids < nodes.len() == out.len()
-            let parent_path = match self.parent(n) {
-                Some(p) => out[p as usize],
-                None => PathId::ROOT,
-            };
-            // PANIC-FREE: same preorder id bound as above
-            out[n as usize] = paths.child(parent_path, self.sym(n))?;
+        let mut out = Vec::with_capacity(self.len());
+        for (&sym, &p) in self.sym.iter().zip(&self.parent) {
+            let up = out.get(p as usize).copied().unwrap_or(PathId::ROOT);
+            out.push(paths.child(up, sym)?);
         }
         Some(out)
-    }
-
-    /// True if `a` is a proper ancestor of `b` in this document.
-    pub fn is_ancestor(&self, a: NodeId, b: NodeId) -> bool {
-        let mut cur = self.parent(b);
-        while let Some(p) = cur {
-            if p == a {
-                return true;
-            }
-            cur = self.parent(p);
-        }
-        false
     }
 
     /// Structural (unordered) equality: same shape and labels regardless of
@@ -235,16 +276,13 @@ impl Document {
     }
 }
 
-/// Heap attribution for a document: the node arena plus every node's child
-/// list.
-impl xseq_telemetry::HeapSize for Document {
+/// Heap attribution for a document: its four columns.
+impl HeapSize for Document {
     fn heap_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<Node>()
-            + self
-                .nodes
-                .iter()
-                .map(|n| n.children.capacity() * std::mem::size_of::<NodeId>())
-                .sum::<usize>()
+        self.sym.heap_bytes()
+            + self.parent.heap_bytes()
+            + self.kid_off.heap_bytes()
+            + self.kids.heap_bytes()
     }
 }
 
@@ -335,17 +373,6 @@ mod tests {
         for n in doc.node_ids() {
             assert_eq!(paths.depth(enc[n as usize]), doc.depth(n));
         }
-    }
-
-    #[test]
-    fn ancestor_test() {
-        let (_, doc) = sample();
-        let root = doc.root().unwrap();
-        for n in doc.node_ids().skip(1) {
-            assert!(doc.is_ancestor(root, n));
-        }
-        assert!(!doc.is_ancestor(root, root));
-        assert!(!doc.is_ancestor(3, 1));
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   distinguished, as in ViST);
 //! * non-whitespace text content becomes a value-designator leaf.
 
-use crate::document::Document;
+use crate::document::{Document, NodeId};
 use crate::error::XmlError;
-use crate::symbol::SymbolTable;
+use crate::symbol::{Symbol, SymbolTable, ValueMode};
 use std::borrow::Cow;
 
 /// Deepest element nesting [`parse_document`] accepts.  `parse_element`
@@ -24,6 +24,10 @@ use std::borrow::Cow;
 pub const MAX_DEPTH: usize = 256;
 
 /// Parses one XML document into a [`Document`] against the shared interners.
+///
+/// Nodes are numbered in the order their start tags (or values) are met,
+/// which is preorder, and the document is built once from the label and
+/// parent columns the scan collects.
 pub fn parse_document(input: &str, symbols: &mut SymbolTable) -> Result<Document, XmlError> {
     let mut p = Parser {
         src: input,
@@ -31,18 +35,19 @@ pub fn parse_document(input: &str, symbols: &mut SymbolTable) -> Result<Document
         pos: 0,
         depth: 0,
         symbols,
+        sym: Vec::new(),
+        parent: Vec::new(),
     };
     p.skip_misc()?;
     if p.eof() {
         return Err(XmlError::EmptyDocument);
     }
-    let mut doc = Document::new();
-    p.parse_element(&mut doc, None)?;
+    p.parse_element(Document::NO_PARENT)?;
     p.skip_misc()?;
     if !p.eof() {
         return Err(XmlError::TrailingContent { offset: p.pos });
     }
-    Ok(doc)
+    Document::from_parents(p.sym, p.parent)
 }
 
 struct Parser<'a, 'b> {
@@ -54,6 +59,9 @@ struct Parser<'a, 'b> {
     /// Open elements above the one being parsed (the recursion depth).
     depth: usize,
     symbols: &'b mut SymbolTable,
+    /// The document's label and parent columns, in arena order.
+    sym: Vec<Symbol>,
+    parent: Vec<NodeId>,
 }
 
 impl<'a, 'b> Parser<'a, 'b> {
@@ -237,9 +245,17 @@ impl<'a, 'b> Parser<'a, 'b> {
         self.slice(start, self.pos, "valid UTF-8")
     }
 
-    /// Parses `<name attr="v" ...> content </name>` into the document under
-    /// `parent` (or as the root when `parent` is `None`).
-    fn parse_element(&mut self, doc: &mut Document, parent: Option<u32>) -> Result<(), XmlError> {
+    /// Appends a node labelled `sym` under `parent` to the columns.
+    fn push(&mut self, parent: NodeId, sym: Symbol) -> NodeId {
+        let id = self.sym.len() as NodeId;
+        self.sym.push(sym);
+        self.parent.push(parent);
+        id
+    }
+
+    /// Parses `<name attr="v" ...> content </name>` into the columns under
+    /// `parent` ([`Document::NO_PARENT`] for the root).
+    fn parse_element(&mut self, parent: NodeId) -> Result<(), XmlError> {
         if self.depth == MAX_DEPTH {
             return Err(XmlError::TooDeep {
                 offset: self.pos,
@@ -249,14 +265,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         self.eat(b'<', "'<'")?;
         let name = self.read_name()?;
         let sym = self.symbols.elem(name);
-        let node = match parent {
-            None => {
-                *doc = Document::with_root(sym);
-                // PANIC-FREE: `with_root` set the root on the line above
-                doc.root().expect("Document::with_root always has a root")
-            }
-            Some(p) => doc.child(p, sym),
-        };
+        let node = self.push(parent, sym);
 
         // Attributes.
         loop {
@@ -278,8 +287,8 @@ impl<'a, 'b> Parser<'a, 'b> {
                     self.skip_ws();
                     let aval = self.read_attr_value()?;
                     let asym = self.symbols.elem(aname);
-                    let anode = doc.child(node, asym);
-                    attach_value(doc, anode, &aval, self.symbols);
+                    let anode = self.push(node, asym);
+                    self.attach_value(anode, &aval);
                 }
             }
         }
@@ -299,7 +308,7 @@ impl<'a, 'b> Parser<'a, 'b> {
                     text.push_str(self.slice(start, end, "valid UTF-8 in CDATA")?);
                 }
                 b'<' => {
-                    self.flush_text(doc, node, &mut run, &mut text);
+                    self.flush_text(node, &mut run, &mut text);
                     if self.starts_with(b"<!--") {
                         self.skip_until(b"-->")?;
                     } else if self.starts_with(b"<?") {
@@ -320,7 +329,7 @@ impl<'a, 'b> Parser<'a, 'b> {
                         return Ok(());
                     } else {
                         self.depth += 1;
-                        self.parse_element(doc, Some(node))?;
+                        self.parse_element(node)?;
                         self.depth -= 1;
                     }
                 }
@@ -335,31 +344,29 @@ impl<'a, 'b> Parser<'a, 'b> {
     }
 
     /// Emits accumulated non-whitespace text as a value leaf (or chain).
-    fn flush_text(&mut self, doc: &mut Document, node: u32, run: &mut &str, text: &mut String) {
+    fn flush_text(&mut self, node: NodeId, run: &mut &str, text: &mut String) {
         let value = if text.is_empty() { *run } else { text.as_str() }.trim();
         if !value.is_empty() {
-            attach_value(doc, node, value, self.symbols);
+            self.attach_value(node, value);
         }
         text.clear();
         *run = "";
     }
-}
 
-/// Attaches a value under `node` per the symbol table's [`ValueMode`]: a
-/// single leaf for `Intern`/`Hashed`, or a terminated per-character chain
-/// for `Chars` (the paper's second value representation).
-fn attach_value(doc: &mut Document, node: u32, value: &str, symbols: &mut SymbolTable) {
-    match symbols.values.mode() {
-        xseq_mode
-        @ (crate::symbol::ValueMode::Intern | crate::symbol::ValueMode::Hashed { .. }) => {
-            let _ = xseq_mode;
-            let vsym = symbols.val(value);
-            doc.child(node, vsym);
-        }
-        crate::symbol::ValueMode::Chars => {
-            let mut cur = node;
-            for v in symbols.values.chain(value) {
-                cur = doc.child(cur, crate::symbol::Symbol::value(v));
+    /// Attaches a value under `node` per the symbol table's [`ValueMode`]: a
+    /// single leaf for `Intern`/`Hashed`, or a terminated per-character
+    /// chain for `Chars` (the paper's second value representation).
+    fn attach_value(&mut self, node: NodeId, value: &str) {
+        match self.symbols.values.mode() {
+            ValueMode::Intern | ValueMode::Hashed { .. } => {
+                let vsym = self.symbols.val(value);
+                self.push(node, vsym);
+            }
+            ValueMode::Chars => {
+                let mut cur = node;
+                for v in self.symbols.values.chain(value) {
+                    cur = self.push(cur, Symbol::value(v));
+                }
             }
         }
     }
@@ -368,7 +375,6 @@ fn attach_value(doc: &mut Document, node: u32, value: &str, symbols: &mut Symbol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::symbol::{SymbolTable, ValueMode};
 
     fn st() -> SymbolTable {
         SymbolTable::with_value_mode(ValueMode::Intern)

@@ -22,7 +22,7 @@
 
 use crate::symbol::Symbol;
 use std::collections::hash_map::{Entry, HashMap};
-use std::hash::Hasher;
+use std::hash::{BuildHasherDefault, Hasher};
 use xseq_telemetry::HeapSize;
 
 /// Interned identifier of a root-to-node designator path.
@@ -47,6 +47,9 @@ impl PathId {
 /// evenly — and the high bits, which a swiss table keeps as its tag, mix every
 /// bit.  Path ids are minted by a [`PathTable`] in interning order, never
 /// chosen by an input, so the flooding resistance SipHash buys is not needed.
+/// The same holds for the [`Symbol`]s beside them in the table's own keys:
+/// a symbol table mints them as counters too, and a hashed value's id is
+/// bounded by its configured range.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PathIdHasher(u64);
 
@@ -72,6 +75,10 @@ impl Hasher for PathIdHasher {
     }
 }
 
+/// The table's maps are keyed by ids a table minted, so they hash with
+/// [`PathIdHasher`].
+type MintedKeys = BuildHasherDefault<PathIdHasher>;
+
 #[derive(Debug)]
 struct PathEntry {
     parent: PathId,
@@ -94,9 +101,9 @@ struct PathEntry {
 pub struct PathTable {
     entries: Vec<PathEntry>,
     /// (parent, symbol) -> child path
-    lookup: HashMap<(PathId, Symbol), PathId>,
+    lookup: HashMap<(PathId, Symbol), PathId, MintedKeys>,
     /// last symbol -> newest path ending in it, the head of its chain
-    by_last: HashMap<Symbol, PathId>,
+    by_last: HashMap<Symbol, PathId, MintedKeys>,
     /// Paths whose last symbol is an element, ascending.
     element_paths: Vec<PathId>,
 }
@@ -119,8 +126,8 @@ impl PathTable {
                 last_child: PathId::ROOT,
                 prev_sibling: PathId::ROOT,
             }],
-            lookup: HashMap::new(),
-            by_last: HashMap::new(),
+            lookup: HashMap::default(),
+            by_last: HashMap::default(),
             element_paths: Vec::new(),
         }
     }

@@ -8,7 +8,7 @@
 //! interning and the value schemes.
 
 use std::collections::HashMap;
-use xseq_telemetry::HeapSize;
+use xseq_telemetry::{hash_table_alloc_bytes, HeapSize};
 
 /// An interned element or attribute name.
 ///
@@ -114,11 +114,17 @@ pub enum ValueMode {
 }
 
 /// Interner for attribute/text values.
+///
+/// Each distinct value is stored twice but allocated once: as a boxed key
+/// of the lookup map, and as a slice of one shared arena that
+/// [`ValueTable::resolve`] reads — value `v` is `arena[offs[v]..offs[v + 1]]`.
 #[derive(Debug, Clone)]
 pub struct ValueTable {
     mode: ValueMode,
-    map: HashMap<String, ValueId>,
-    rev: Vec<String>,
+    map: HashMap<Box<str>, ValueId>,
+    arena: String,
+    /// Where each value starts in `arena`, then where the last one ends.
+    offs: Vec<usize>,
 }
 
 impl ValueTable {
@@ -127,7 +133,8 @@ impl ValueTable {
         ValueTable {
             mode,
             map: HashMap::new(),
-            rev: Vec::new(),
+            arena: String::new(),
+            offs: vec![0],
         }
     }
 
@@ -148,9 +155,10 @@ impl ValueTable {
                 if let Some(&id) = self.map.get(s) {
                     return id;
                 }
-                let id = ValueId(self.rev.len() as u32);
-                self.map.insert(s.to_owned(), id);
-                self.rev.push(s.to_owned());
+                let id = ValueId(self.len() as u32);
+                self.map.insert(s.into(), id);
+                self.arena.push_str(s);
+                self.offs.push(self.arena.len());
                 id
             }
             // PANIC-FREE: the divisor is clamped to at least 1
@@ -206,19 +214,22 @@ impl ValueTable {
     /// Recovers the string for a designator (`Intern` and `Chars` modes).
     pub fn resolve(&self, v: ValueId) -> Option<&str> {
         match self.mode {
-            ValueMode::Intern | ValueMode::Chars => self.rev.get(v.0 as usize).map(String::as_str),
+            ValueMode::Intern | ValueMode::Chars => {
+                let i = v.0 as usize;
+                self.arena.get(*self.offs.get(i)?..*self.offs.get(i + 1)?)
+            }
             ValueMode::Hashed { .. } => None,
         }
     }
 
     /// Number of distinct interned values (0 in `Hashed` mode).
     pub fn len(&self) -> usize {
-        self.rev.len()
+        self.offs.len() - 1
     }
 
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.rev.is_empty()
+        self.len() == 0
     }
 }
 
@@ -342,11 +353,15 @@ impl HeapSize for Symbol {
     }
 }
 
-/// Heap attribution for the value interner: the string → id table plus the
-/// reverse strings.
+/// Heap attribution for the value interner: the string → id table, its
+/// boxed keys — every value once, so as many bytes as the arena holds — and
+/// the arena with its end offsets.
 impl HeapSize for ValueTable {
     fn heap_bytes(&self) -> usize {
-        self.map.heap_bytes() + self.rev.heap_bytes()
+        hash_table_alloc_bytes(self.map.capacity(), size_of::<(Box<str>, ValueId)>())
+            + self.arena.len()
+            + self.arena.heap_bytes()
+            + self.offs.heap_bytes()
     }
 }
 
