@@ -212,6 +212,7 @@ impl DatabaseBuilder {
     /// shard, parsing is one serial pass in document order at any thread
     /// count; on malformed input the error returned is the earliest failing
     /// document's in input order, at any thread and shard count.
+    #[expect(clippy::indexing_slicing, reason = "shard_of(..) < nshards; one gid pushed per xml")]
     pub fn build_from_xml<'a>(
         self,
         xmls: impl IntoIterator<Item = &'a str>,
@@ -400,6 +401,7 @@ impl DatabaseBuilder {
 
 /// The workers each of `nshards` shards gets when they build side by side
 /// on a pool of `threads`.
+#[expect(clippy::integer_division_remainder_used, reason = "nshards >= 1: a built shard count")]
 pub(crate) fn shard_pool(threads: usize, nshards: usize) -> Pool {
     Pool::new(threads / nshards)
 }

@@ -60,6 +60,18 @@
 //! `storage.pool.*`.  [`Database::metrics`] returns a [`Snapshot`];
 //! [`QueryOutcome::explain`] renders one query's work breakdown.
 
+// Panic-freedom, checked by clippy (DESIGN.md §14): every suppression is an
+// `#[expect(…, reason = "…")]` carrying its proof.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::integer_division_remainder_used
+)]
+
 pub use xseq_baselines as baselines;
 pub use xseq_datagen as datagen;
 pub use xseq_exec as exec;
@@ -242,8 +254,8 @@ const _: () = {
 impl Database {
     /// The first shard: builders reject empty corpora, so a database always
     /// holds at least one.
+    #[expect(clippy::indexing_slicing, reason = "builders reject empty corpora")]
     fn shard0(&self) -> &Shard {
-        // PANIC-FREE: see above — `shards` is never empty
         &self.shards[0]
     }
 
@@ -287,8 +299,8 @@ impl Database {
 
     /// Mutable access to shard 0's corpus, e.g. for interning query
     /// symbols when hand-building a [`TreePattern`].
+    #[expect(clippy::indexing_slicing, reason = "`shards` is never empty (see `shard0`)")]
     pub fn corpus_mut(&mut self) -> &mut Corpus {
-        // PANIC-FREE: `shards` is never empty (see `shard0`)
         &mut self.shards[0].corpus
     }
 
@@ -298,6 +310,10 @@ impl Database {
     }
 
     /// Shard `s`'s index.
+    ///
+    /// # Panics
+    /// Panics if `s` is not below [`Database::shard_count`].
+    #[expect(clippy::indexing_slicing, reason = "`s < shard_count()` is documented")]
     pub fn shard_index(&self, s: usize) -> &XmlIndex {
         &self.shards[s].index
     }

@@ -12,12 +12,11 @@ use xseq_xml::Symbol;
 /// Routes a global document id to its shard: the splitmix64 finalizer over
 /// the id, reduced mod the shard count — uniform, stateless and
 /// deterministic, so the same corpus always shards the same way.
+#[expect(clippy::integer_division_remainder_used, reason = "a database has at least one shard")]
 pub(crate) fn shard_of(global: DocId, nshards: usize) -> usize {
     let mut z = (global as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    // PANIC-FREE: a database holds at least one shard, so the modulus is
-    // never zero
     ((z ^ (z >> 31)) % nshards as u64) as usize
 }
 
@@ -26,6 +25,7 @@ pub(crate) fn shard_of(global: DocId, nshards: usize) -> usize {
 /// compaction.  A document's arena order is its parse encounter order, so
 /// re-interning documents in order replays a from-scratch parse of them
 /// exactly.  The copy is deliberate: it lays the survivors out contiguously.
+#[expect(clippy::expect_used, reason = "a symbol that is not an element is a value")]
 pub(crate) fn reintern_into(doc: &Document, old: &SymbolTable, fresh: &mut Corpus) -> DocId {
     let mut doc = doc.clone();
     doc.remap_symbols(|s| {
@@ -52,6 +52,7 @@ pub(crate) fn reintern_into(doc: &Document, old: &SymbolTable, fresh: &mut Corpu
 /// shard corpora, the global→(shard, local) map, and the per-shard
 /// local→global lists.
 #[allow(clippy::type_complexity)]
+#[expect(clippy::indexing_slicing, reason = "routes has a slot per doc; shard_of < nshards")]
 pub(crate) fn split_corpus(
     corpus: &Corpus,
     nshards: usize,
@@ -93,6 +94,7 @@ pub(crate) fn split_corpus(
 /// absent from `to` — the pattern is provably empty for that shard (the
 /// same short-circuit the per-shard read-only query parse uses).  Rebinding
 /// a pattern onto its own tables reproduces it.
+#[expect(clippy::expect_used, reason = "only the root, which the loop skips, has no parent")]
 pub(crate) fn rebind_pattern(
     p: &TreePattern,
     from: &SymbolTable,
@@ -161,6 +163,7 @@ impl Shard {
     /// Answers a pattern already bound to this shard's tables: the shard's
     /// index answers with local ids, and the sorted result list rewrites to
     /// global ids (an ascending map, so it stays sorted).
+    #[expect(clippy::indexing_slicing, reason = "global_ids maps every local id the trie holds")]
     pub(crate) fn search(
         &self,
         pattern: &TreePattern,
@@ -171,8 +174,6 @@ impl Shard {
             .index
             .query_with(pattern, &self.corpus.paths, ctx, trace);
         for d in &mut out.docs {
-            // PANIC-FREE: the shard's trie stores only local ids this shard
-            // minted, and global_ids holds one entry per local id
             *d = self.global_ids[*d as usize];
         }
         out
@@ -182,9 +183,10 @@ impl Shard {
 /// Merges sorted, disjoint per-shard global doc-id lists into one sorted
 /// list.  Shards partition the id space, so there are no duplicates to
 /// collapse; a single list comes back untouched.
+#[expect(clippy::indexing_slicing, reason = "heads has one slot per list; i enumerates lists")]
+#[expect(clippy::expect_used, reason = "the length was just checked")]
 fn kway_merge(lists: Vec<Vec<DocId>>) -> Vec<DocId> {
     if lists.len() == 1 {
-        // PANIC-FREE: the length was just checked
         return lists.into_iter().next().expect("one list");
     }
     let total = lists.iter().map(Vec::len).sum();
@@ -193,8 +195,6 @@ fn kway_merge(lists: Vec<Vec<DocId>>) -> Vec<DocId> {
     loop {
         let mut best: Option<(usize, DocId)> = None;
         for (i, list) in lists.iter().enumerate() {
-            // PANIC-FREE: heads and lists are the same length by
-            // construction, and get() bounds-checks the head itself
             if let Some(&d) = list.get(heads[i]) {
                 if best.is_none_or(|(_, bd)| d < bd) {
                     best = Some((i, d));
@@ -204,7 +204,6 @@ fn kway_merge(lists: Vec<Vec<DocId>>) -> Vec<DocId> {
         let Some((i, d)) = best else {
             return out;
         };
-        // PANIC-FREE: i comes from the enumerate above
         heads[i] += 1;
         out.push(d);
     }

@@ -142,11 +142,10 @@ impl Database {
         let timer = SpanTimer::new(self.update_insert_hist.clone());
         let global = self.doc_map.len() as DocId;
         let s = shard_of(global, self.shards.len());
-        // PANIC-FREE: shard_of reduces modulo self.shards.len()
+        #[expect(clippy::indexing_slicing, reason = "shard_of reduces modulo self.shards.len()")]
         let sh = &mut self.shards[s];
         let local = sh.corpus.parse_and_push(xml)?;
-        // PANIC-FREE: parse_and_push returned local as the freshly pushed
-        // document's index
+        #[expect(clippy::indexing_slicing, reason = "local is the freshly pushed document's index")]
         let doc = &sh.corpus.docs[local as usize];
         sh.index.insert_delta(doc, local, &mut sh.corpus.paths);
         sh.global_ids.push(global);
@@ -179,7 +178,7 @@ impl Database {
             return false;
         };
         let timer = SpanTimer::new(self.update_remove_hist.clone());
-        // PANIC-FREE: doc_map entries name the shard that minted them
+        #[expect(clippy::indexing_slicing, reason = "doc_map names the shard that minted each id")]
         let fresh = self.shards[s as usize].index.remove_doc(local);
         timer.finish();
         if fresh {
@@ -229,6 +228,9 @@ impl Database {
     /// untouched.  Global doc ids still renumber densely across the whole
     /// database (the returned remap covers every document), so callers
     /// can compact shards one at a time between query waves.
+    ///
+    /// # Panics
+    /// Panics if `s` is not below [`Database::shard_count`].
     pub fn compact_shard(&mut self, s: usize) -> CompactionReport {
         assert!(s < self.shards.len(), "shard index out of range");
         self.compact_shards(&[s])
@@ -239,6 +241,12 @@ impl Database {
     /// the old global order (survivors keep their relative order, so the
     /// per-shard local→global maps stay ascending and merged query results
     /// stay sorted).
+    // `which` holds shard indices below nshards (compact passes 0..nshards,
+    // compact_shard asserts it) and local_remaps has nshards entries; a shard's
+    // remap has one entry per document id it enumerates; doc_map entries name
+    // the shard that minted them and a local id below its document count, and
+    // g < docs_before = remap.len().
+    #[expect(clippy::indexing_slicing, reason = "shard indices < nshards; ids index their tables")]
     fn compact_shards(&mut self, which: &[usize]) -> CompactionReport {
         let timer = SpanTimer::new(self.compact_hist.clone());
         let nshards = self.shards.len();

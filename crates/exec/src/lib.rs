@@ -27,6 +27,18 @@
 //! `std::thread::Builder::spawn` workspace-wide, with no `#[allow]`
 //! anywhere, so nothing outlives the call that spawned it.
 
+// Panic-freedom, checked by clippy (DESIGN.md §14): every suppression is an
+// `#[expect(…, reason = "…")]` carrying its proof.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::integer_division_remainder_used
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -155,6 +167,12 @@ impl Pool {
     /// the chunk slice.  This is the primitive behind [`Pool::map`] and
     /// `query_batch` (which sets up one scratch context per chunk); chunk
     /// order *is* input order.
+    // claim() returns start < len and end <= len, so ci < n_chunks; a slot
+    // lock only poisons if f panicked (already unwinding), and once the scope
+    // has joined every worker each chunk index was claimed and stored once.
+    #[expect(clippy::integer_division_remainder_used, reason = "chunk >= 1 (clamped at entry)")]
+    #[expect(clippy::indexing_slicing, reason = "claim() yields start < len and end <= len")]
+    #[expect(clippy::expect_used, reason = "slot locks poison only if f panicked; all are filled")]
     pub fn map_chunks<T, R, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<R>
     where
         T: Sync,
@@ -179,12 +197,8 @@ impl Pool {
             for _ in 0..self.threads.min(n_chunks) {
                 s.spawn(|| {
                     while let Some((start, end)) = queue.claim() {
-                        // PANIC-FREE: chunk >= 1 (clamped at entry)
                         let ci = start / chunk;
-                        // PANIC-FREE: claim() returns start < len, end <= len
                         let result = f(ci, &items[start..end]);
-                        // PANIC-FREE: ci < n_chunks since start < len; the
-                        // lock only poisons if f panicked (already unwinding)
                         *slots[ci].lock().expect("chunk result lock poisoned") = Some(result);
                     }
                 });
@@ -193,11 +207,8 @@ impl Pool {
         slots
             .into_iter()
             .map(|slot| {
-                // PANIC-FREE: the scope joined every worker, so each slot
-                // was filled exactly once and its lock cannot be poisoned
                 slot.into_inner()
                     .expect("chunk result lock poisoned")
-                    // PANIC-FREE: every chunk index was claimed and stored
                     .expect("chunk queue hands every chunk to exactly one worker")
             })
             .collect()
@@ -207,6 +218,12 @@ impl Pool {
     /// scope/join API.  Tasks are claimed one at a time (heterogeneous
     /// tasks balance better unchunked); the call joins all workers before
     /// returning, so tasks may borrow from the caller's stack.
+    // claim() yields each index below n exactly once and both slot vectors
+    // have n entries; slot mutexes are leaf locks no task holds while running,
+    // so they cannot be poisoned, and once the scope has joined every worker
+    // each claimed index has stored its result.
+    #[expect(clippy::indexing_slicing, reason = "claim() yields each i < n once; slots hold n")]
+    #[expect(clippy::expect_used, reason = "leaf locks never poisoned; every claimed slot filled")]
     pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         T: Send,
@@ -227,18 +244,11 @@ impl Pool {
             for _ in 0..self.threads.min(n) {
                 s.spawn(|| {
                     while let Some((i, _)) = queue.claim() {
-                        // PANIC-FREE: claim() yields indices below n and
-                        // task_slots has exactly n entries
                         let slot = task_slots[i].lock();
-                        // PANIC-FREE: slot mutexes are leaf locks no task
-                        // holds while running, so they cannot be poisoned
                         let task = slot
                             .expect("task slot lock poisoned")
                             .take()
-                            // PANIC-FREE: the queue hands index i out once
                             .expect("chunk queue hands every task index out once");
-                        // PANIC-FREE: same n-entry bound and leaf-lock
-                        // argument as the task slot above
                         *out_slots[i].lock().expect("result slot lock poisoned") = Some(task());
                     }
                 });
@@ -247,11 +257,8 @@ impl Pool {
         out_slots
             .into_iter()
             .map(|slot| {
-                // PANIC-FREE: the scope joined every worker, so each slot
-                // was filled exactly once and its lock cannot be poisoned
                 slot.into_inner()
                     .expect("result slot lock poisoned")
-                    // PANIC-FREE: every claimed index stored before join
                     .expect("every claimed task stores its result before the join")
             })
             .collect()

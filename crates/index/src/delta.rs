@@ -389,6 +389,7 @@ mod tests {
     use xseq_xml::PathId;
 
     /// One of three two-element shapes, so runs share and split trie paths.
+    #[expect(clippy::integer_division_remainder_used, reason = "the divisor is the literal 3")]
     fn seq_for(id: DocId) -> Sequence {
         Sequence(vec![PathId(1), PathId(2 + id % 3)])
     }

@@ -21,6 +21,18 @@
 //! sibling-cover bookkeeping, stored-sequence `f2`/round-trip) and reports
 //! violations with trie-node/serial coordinates.
 
+// Panic-freedom, checked by clippy (DESIGN.md §14): every suppression is an
+// `#[expect(…, reason = "…")]` carrying its proof.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::integer_division_remainder_used
+)]
+
 pub mod delta;
 pub mod plan;
 pub mod search;

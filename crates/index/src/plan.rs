@@ -123,8 +123,7 @@ pub(crate) fn plan(
 
 /// Depth-first assignment enumeration over pattern nodes (ids are already in
 /// parents-before-children order), each node's candidates in ascending id.
-// PANIC-FREE: `current` carries one slot per pattern node, and pattern
-// node ids are minted by the pattern builder
+#[expect(clippy::indexing_slicing, reason = "`current` has a slot per builder-minted pattern node")]
 fn assign(
     pattern: &TreePattern,
     paths: &PathTable,
@@ -195,8 +194,8 @@ struct Unit {
 }
 
 /// Enumerates the instance-sharing variants of one assignment.
-// PANIC-FREE: `assignment` carries one path per pattern node; the root
-// assignment is non-ε (assign starts below ε), so its chain is non-empty
+#[expect(clippy::indexing_slicing, reason = "`assignment` carries one path per pattern node")]
+#[expect(clippy::expect_used, reason = "the root path is non-ε, so its chain is non-empty")]
 fn merge_variants(
     pattern: &TreePattern,
     paths: &PathTable,
@@ -234,8 +233,7 @@ fn merge_variants(
 
 /// When pattern node `pn` has just been materialized, collect items for its
 /// pattern children into `acc`, grouped by the first symbol of their chains.
-// PANIC-FREE: assign only pairs a child with a path strictly deeper
-// than its parent's, so the chain slice below never starts past the end
+#[expect(clippy::indexing_slicing, reason = "a child's path is deeper than its parent's")]
 fn collect_child_items(
     pattern: &TreePattern,
     paths: &PathTable,
@@ -261,7 +259,7 @@ fn collect_child_items(
 /// in deterministic symbol order.  Items sharing a first symbol MUST land in
 /// one unit: the partition enumeration below is what decides which of them
 /// share an instance of that symbol.
-// PANIC-FREE: every key removed below was just collected from the map
+#[expect(clippy::expect_used, reason = "every key removed below was just collected from the map")]
 fn flush_units(node: NodeId, mut acc: HashMap<Symbol, Vec<Item>>, units: &mut Vec<Unit>) {
     let mut keys: Vec<Symbol> = acc.keys().copied().collect();
     keys.sort();
@@ -277,9 +275,10 @@ fn flush_units(node: NodeId, mut acc: HashMap<Symbol, Vec<Item>>, units: &mut Ve
 /// partitions of its items (each block shares one instance of the step
 /// symbol; at most one item per block may *end* at this step, because
 /// distinct pattern nodes are distinct instances), and recurse.
-// PANIC-FREE: units hold non-empty item lists with non-empty chains
-// (flush_units groups by first symbol); partition blocks index items;
-// ender_count is sized to the item count
+// units hold non-empty item lists with non-empty chains (flush_units
+// groups by first symbol); partition blocks index items; ender_count is
+// sized to the item count.
+#[expect(clippy::indexing_slicing, reason = "units and chains are non-empty; blocks index items")]
 fn expand(
     pattern: &TreePattern,
     paths: &PathTable,
@@ -356,7 +355,7 @@ fn expand(
 fn partitions(n: usize) -> Vec<Vec<usize>> {
     let mut out = Vec::new();
     let mut current = vec![0usize; n];
-    // PANIC-FREE: rec is only called with i <= n == current.len()
+    #[expect(clippy::indexing_slicing, reason = "rec is only called with i <= n == current.len()")]
     fn rec(
         i: usize,
         n: usize,

@@ -74,6 +74,7 @@ impl QuerySequence {
 
     /// `seq` as emitted from `doc`'s `nodes`, with each element's tree
     /// parent resolved to its sequence position.
+    #[expect(clippy::indexing_slicing, reason = "every node is emitted, so pos_of has each parent")]
     fn with_parents(doc: &Document, seq: Sequence, nodes: &[u32]) -> Self {
         let pos_of: HashMap<u32, u32> = nodes
             .iter()
@@ -82,8 +83,6 @@ impl QuerySequence {
             .collect();
         let parent_pos = nodes
             .iter()
-            // PANIC-FREE: sequencing emits every node, so a parent of an
-            // emitted node is itself a key of pos_of
             .map(|&n| doc.parent(n).map(|p| pos_of[&p]))
             .collect();
         QuerySequence {
@@ -232,7 +231,7 @@ impl Collected {
         }
         let a = self.0.partition_point(|&(l, _)| l < lo);
         let b = self.0.partition_point(|&(l, _)| l <= hi);
-        // PANIC-FREE: l < lo implies l <= hi, so a <= b <= len
+        // l < lo implies l <= hi, so a <= b <= len
         self.0.splice(a..b, [(lo, hi)]);
     }
 }
@@ -369,7 +368,8 @@ pub fn tree_search_with<V: TrieView + ?Sized>(
 /// `bits` and read back in order, in time linear in the answer; any other is
 /// sorted.  The rule depends only on density, so `bits` never exceeds 32
 /// bytes per result id, and a sparse answer allocates none.
-// PANIC-FREE: every id is at most max, so id / 64 < max / 64 + 1 = bits.len()
+#[expect(clippy::indexing_slicing, reason = "id <= max, so id / 64 < bits.len()")]
+#[expect(clippy::integer_division_remainder_used, reason = "the divisor is the literal 64")]
 fn sort_docs(docs: &mut Vec<DocId>, bits: &mut Vec<u64>) {
     let n = docs.len();
     let words = docs.iter().max().map_or(0, |&max| max as usize / 64 + 1);
@@ -398,8 +398,7 @@ fn sort_docs(docs: &mut Vec<DocId>, bits: &mut Vec<u64>) {
 /// ancestors its upward walk matches, nearest first, up to the topmost one
 /// anchoring another query branch.  `None` when `parent_pos` is not a
 /// forest.
-// PANIC-FREE: elements are positions below n = q.len() = parent_pos.len(),
-// and the first loop checks every parent position against n
+#[expect(clippy::indexing_slicing, reason = "positions < n; the first loop checks parents < n")]
 fn seed_order(q: &QuerySequence, lens: &[usize]) -> Option<(Vec<usize>, Vec<usize>)> {
     let n = lens.len();
     let mut leaf = vec![true; n];
@@ -449,8 +448,7 @@ struct Walk<'a, V: ?Sized> {
 impl<V: TrieView + ?Sized> Walk<'_, V> {
     /// Slot `k` of the search: matches element `order[k]` below `tip`, the
     /// deepest matched trie node, or on the chain above it.
-    // PANIC-FREE: order holds positions below q.len() = matched.len() =
-    // lens.len(), and an element's parent is placed before it (seed_order)
+    #[expect(clippy::indexing_slicing, reason = "positions < q.len(); parents are placed first")]
     fn go(&self, k: usize, tip: TrieNodeId, sc: &mut SearchScratch, stats: &mut SearchStats) {
         let trie = self.trie;
         let (_, tip_max) = trie.label(tip);
@@ -500,7 +498,7 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
     /// Places trie node `r` for element `order[k]` unless it is used or
     /// sibling-covered, and searches on with `new_tip` the deepest node.
     /// The seed's slot first matches the seed's ancestors from `r` upward.
-    // PANIC-FREE: as in `go`
+    #[expect(clippy::indexing_slicing, reason = "positions < q.len(); parents are placed first")]
     fn try_candidate(
         &self,
         k: usize,
@@ -537,7 +535,7 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
     /// match `m(a)`, the cover condition holds iff `m(a)` is the nearest
     /// ancestor of `m(b)` carrying `a`'s path, so that node is the only
     /// candidate.  `false` when one is missing, which `f2` rules out.
-    // PANIC-FREE: ascent holds positions below q.len() = matched.len()
+    #[expect(clippy::indexing_slicing, reason = "ascent holds positions below matched.len()")]
     fn climb(&self, r: TrieNodeId, sc: &mut SearchScratch) -> bool {
         let mut cur = r;
         for &a in self.ascent {
@@ -576,6 +574,7 @@ fn search_with<V: TrieView + ?Sized>(
 }
 
 #[allow(clippy::too_many_arguments)]
+#[expect(clippy::indexing_slicing, reason = "i < q.len(); a parent's pp < i <= matched.len()")]
 fn go<V: TrieView + ?Sized>(
     trie: &V,
     q: &QuerySequence,
@@ -592,7 +591,6 @@ fn go<V: TrieView + ?Sized>(
         trie.collect_docs_in_range(v_serial, v_max, out);
         return;
     }
-    // PANIC-FREE: i < q.len() (checked above), so paths[i] is in bounds
     let path = q.paths[i];
     // candidates: serial ∈ (v⊢, v⊣]
     let len = trie.link_len(path);
@@ -606,13 +604,8 @@ fn go<V: TrieView + ?Sized>(
         idx += 1;
         stats.candidates += 1;
         if check {
-            // PANIC-FREE: i < q.len(); pp < i because parents are emitted
-            // before children, and matched holds one entry per element
-            // already placed, so both lookups are in bounds
             if let Some(pp) = q.parent_pos[i] {
-                // PANIC-FREE: same bound — pp < i <= matched.len()
                 let anchor = matched[pp as usize];
-                // PANIC-FREE: same bound — pp < i <= len of each table
                 if trie.embeds_identical(anchor)
                     && trie.nearest_ancestor_with_path(e.serial, q.paths[pp as usize])
                         != Some(anchor)

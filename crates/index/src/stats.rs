@@ -60,8 +60,7 @@ impl SegmentStats {
     /// Collects the statistics of one frozen trie.  Nodes are in preorder
     /// and every parent precedes its children, so depth and fan-out come
     /// from `parent[]` in one forward pass.
-    // PANIC-FREE: the per-node tables are sized to the node count, node
-    // ids run 0..n and every parent is a smaller id
+    #[expect(clippy::indexing_slicing, reason = "tables sized to n; node ids < n, parents smaller")]
     pub fn collect(trie: &SequenceTrie) -> SegmentStats {
         let f = trie.frozen();
         let n = trie.node_count() + 1;
@@ -162,11 +161,11 @@ fn add_counts(a: &mut Vec<u64>, b: &[u64]) {
     }
 }
 
+#[expect(clippy::indexing_slicing, reason = "the resize above guarantees idx < v.len()")]
 fn bump(v: &mut Vec<u64>, idx: usize) {
     if v.len() <= idx {
         v.resize(idx + 1, 0);
     }
-    // PANIC-FREE: the resize above guarantees idx < v.len()
     v[idx] += 1;
 }
 

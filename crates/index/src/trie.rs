@@ -111,6 +111,7 @@ pub trait TrieView {
     }
 
     /// First link index of `path` with serial strictly greater than `s`.
+    #[expect(clippy::integer_division_remainder_used, reason = "the divisor is the literal 2")]
     fn link_lower_bound(&self, path: PathId, s: u32) -> usize {
         let mut lo = 0usize;
         let mut hi = self.link_len(path);
@@ -131,6 +132,7 @@ pub trait TrieView {
 /// from `from` and the last step is bisected, so the cost is logarithmic in
 /// the distance moved, not in `len`: a cursor that usually moves a few places
 /// pays a few probes.
+#[expect(clippy::integer_division_remainder_used, reason = "the divisor is the literal 2")]
 pub(crate) fn gallop(from: usize, len: usize, below: impl Fn(usize) -> bool) -> usize {
     let (mut lo, mut hi, mut step) = (from, len, 1);
     while from + step - 1 < len {
@@ -214,24 +216,23 @@ impl SequenceTrie {
     }
 
     /// The path encoding of a node.
-    // PANIC-FREE: TrieNodeIds are only minted by this trie's freeze
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "TrieNodeIds are minted by this trie's freeze")]
     pub fn path(&self, n: TrieNodeId) -> PathId {
         debug_assert!(self.is_frozen);
         self.path[n as usize]
     }
 
     /// The parent of a node (`NIL` for the virtual root).
-    // PANIC-FREE: freeze-minted TrieNodeId contract (see `path`)
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "freeze-minted TrieNodeId contract (see `path`)")]
     pub fn parent(&self, n: TrieNodeId) -> TrieNodeId {
         debug_assert!(self.is_frozen);
         self.parent[n as usize]
     }
 
     /// Document ids whose sequences end at `n`, in arrival order.
-    // PANIC-FREE: a hit is an index into end_nodes, and doc_off holds one
-    // more offset than there are end nodes, ascending and bounded by docs
+    #[expect(clippy::indexing_slicing, reason = "doc_off has end_nodes.len() + 1 bounded offsets")]
     pub fn docs_at(&self, n: TrieNodeId) -> &[DocId] {
         match self.frozen().end_nodes.binary_search(&n) {
             Ok(i) => &self.docs[self.doc_off[i] as usize..self.doc_off[i + 1] as usize],
@@ -241,8 +242,7 @@ impl SequenceTrie {
 
     /// Every end node of the last freeze with its document id list,
     /// ascending by node.
-    // PANIC-FREE: freeze leaves doc_off ascending and bounded by docs.len(),
-    // and windows(2) yields exactly two offsets
+    #[expect(clippy::indexing_slicing, reason = "doc_off is bounded by docs; windows(2) has two")]
     pub(crate) fn doc_lists(&self) -> impl Iterator<Item = (TrieNodeId, &[DocId])> {
         let ends = self.frozen.end_nodes.iter().zip(self.doc_off.windows(2));
         ends.map(|(&n, w)| (n, &self.docs[w[0] as usize..w[1] as usize]))
@@ -263,6 +263,7 @@ impl SequenceTrie {
     /// node — the stored-sequence equivalent of flipping a designator —
     /// *without* invalidating the freeze or the links.
     #[doc(hidden)]
+    #[expect(clippy::indexing_slicing, reason = "test hook: callers pass a node of this trie")]
     pub fn corrupt_set_path(&mut self, n: TrieNodeId, p: PathId) {
         self.path[n as usize] = p;
     }
@@ -285,8 +286,7 @@ impl SequenceTrie {
     /// The `(sequence, doc)` pairs of the last freeze, read back by walking
     /// each end node's parent chain: ascending by sequence, each sequence's
     /// documents in arrival order.
-    // PANIC-FREE: end nodes are freeze-minted ids and every parent is a
-    // smaller id, so the walk stays inside `path`/`parent` and terminates
+    #[expect(clippy::indexing_slicing, reason = "end nodes are minted ids, parents smaller ones")]
     pub(crate) fn stored(&self) -> Vec<(Sequence, DocId)> {
         let mut out = Vec::with_capacity(self.docs.len());
         // The end-to-root chain of the current end node; every pair gets its
@@ -311,8 +311,7 @@ impl SequenceTrie {
     /// `label_and_link`.  Idempotent; after further insertions it rebuilds
     /// from the stored sequences plus the new ones, which equals one
     /// `bulk_load` of the union.
-    // PANIC-FREE: `lcp <= elems.len()` by construction of the zip, and
-    // `stored` (only called with valid arrays) carries its own proof
+    #[expect(clippy::indexing_slicing, reason = "lcp <= elems.len() by construction of the zip")]
     pub fn freeze(&mut self) {
         if self.is_frozen {
             return;
@@ -383,8 +382,8 @@ impl SequenceTrie {
 
     /// The frozen labels/links; panics if [`SequenceTrie::freeze`] has not
     /// been called since the last insertion.
-    // PANIC-FREE: every index constructor and mutation path re-freezes
-    // before returning, so query-time callers always see a frozen trie
+    // Every index constructor and mutation path re-freezes before returning,
+    // so query-time callers always see a frozen trie.
     pub fn frozen(&self) -> &Frozen {
         assert!(self.is_frozen, "trie must be frozen before querying");
         &self.frozen
@@ -396,7 +395,7 @@ impl SequenceTrie {
     }
 
     /// The label `(n⊢, n⊣)` of a node.
-    // PANIC-FREE: frozen tables cover every node; ids are freeze-minted
+    #[expect(clippy::indexing_slicing, reason = "frozen tables cover every freeze-minted id")]
     pub fn label(&self, n: TrieNodeId) -> (u32, u32) {
         (n, self.frozen().max_desc[n as usize])
     }
@@ -409,8 +408,7 @@ impl SequenceTrie {
 
     /// All document ids in end nodes with serial in `[lo, hi]` — one
     /// contiguous slice of the document array.
-    // PANIC-FREE: partition_point returns indices <= end_nodes.len() <
-    // doc_off.len(), doc_off is ascending and bounded by docs.len()
+    #[expect(clippy::indexing_slicing, reason = "a, b <= end_nodes.len() < doc_off.len()")]
     pub fn collect_docs_in_range(&self, lo: u32, hi: u32, out: &mut Vec<DocId>) {
         let ends = &self.frozen().end_nodes;
         let a = ends.partition_point(|&s| s < lo);
@@ -440,8 +438,7 @@ impl SequenceTrie {
 /// * `embeds_identical` from adjacent link entries — a node's range is a
 ///   contiguous serial interval, so if any same-path node lies inside it
 ///   the next entry of the link does.
-// PANIC-FREE: `parent[i] < i` for every real node (freeze pushes the open
-// chain's tip), all arrays have `path.len()` entries, windows(2) yields two
+#[expect(clippy::indexing_slicing, reason = "parent[i] < i; all arrays have path.len() entries")]
 fn label_and_link(path: &[PathId], parent: &[TrieNodeId]) -> Frozen {
     let n = path.len();
     let mut max_desc: Vec<u32> = (0..n as u32).collect();
@@ -508,16 +505,15 @@ impl TrieView for SequenceTrie {
     fn parent(&self, n: TrieNodeId) -> TrieNodeId {
         SequenceTrie::parent(self, n)
     }
+    #[expect(clippy::indexing_slicing, reason = "frozen tables cover every node")]
     fn embeds_identical(&self, n: TrieNodeId) -> bool {
-        // PANIC-FREE: frozen tables cover every node
         self.frozen().embeds_identical[n as usize]
     }
     fn link_len(&self, path: PathId) -> usize {
         self.frozen().links.get(&path).map(Vec::len).unwrap_or(0)
     }
+    #[expect(clippy::indexing_slicing, reason = "callers keep idx < link_len(path)")]
     fn link_entry(&self, path: PathId, idx: usize) -> LinkEntry {
-        // PANIC-FREE: callers iterate idx < link_len(path), which also
-        // guarantees the links map contains the path
         self.frozen().links[&path][idx]
     }
     fn link_lower_bound(&self, path: PathId, s: u32) -> usize {
@@ -530,9 +526,7 @@ impl TrieView for SequenceTrie {
     }
     /// One cursor gallops over the end nodes from range to range, so a range
     /// costs the log of the distance moved, not of the whole array.
-    // PANIC-FREE: gallop only calls `below` on indices < end_nodes.len(), and
-    // returns a <= at <= end_nodes.len() < doc_off.len(); doc_off is
-    // ascending and bounded by docs.len()
+    #[expect(clippy::indexing_slicing, reason = "gallop stays <= end_nodes.len() < doc_off.len()")]
     fn collect_docs_in_ranges(&self, ranges: &[(u32, u32)], out: &mut Vec<DocId>) {
         let ends = &self.frozen().end_nodes;
         let mut at = 0;

@@ -214,6 +214,7 @@ impl IntegrityReport {
 /// Verifies the frozen trie's labels, links, sibling-cover bookkeeping and
 /// end-node registry — everything that can be checked without decoding
 /// sequences.  Cheap enough for sampled post-query spot checks.
+#[expect(clippy::indexing_slicing, reason = "ids are checked below n; tables have n entries")]
 pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
     let mut report = IntegrityReport::default();
     if !trie.is_frozen() {
@@ -298,10 +299,7 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
                 detail: format!("range ({s}, {m}) not nested in parent {parent}'s ({ps}, {pm})"),
             });
         }
-        // PANIC-FREE: parent < i < n was checked above; both tables have n
-        // entries
         extent[parent as usize] = extent[parent as usize].max(m);
-        // PANIC-FREE: same bound
         let prev = std::mem::replace(&mut last_child[parent as usize], i);
         if prev != NIL && s <= trie.label(prev).1 {
             report.push(Violation {
@@ -314,7 +312,6 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
     }
     for i in 0..n as TrieNodeId {
         let (s, m) = trie.label(i);
-        // PANIC-FREE: i < n and extent was sized to n
         let extent = extent[i as usize];
         if extent != m {
             report.push(Violation {
@@ -333,7 +330,6 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
     let mut covered = vec![0u32; n];
     for (&path, entries) in &f.links {
         for w in entries.windows(2) {
-            // PANIC-FREE: windows(2) yields exactly two entries
             let (a, b) = (&w[0], &w[1]);
             if a.serial >= b.serial {
                 report.push(Violation {
@@ -358,7 +354,6 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
                 });
                 continue;
             }
-            // PANIC-FREE: node < n — the out-of-trie case continued
             covered[node as usize] += 1;
             let m = trie.label(node).1;
             if e.max_desc != m {
@@ -389,7 +384,6 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
             let expected = entries
                 .get(idx + 1)
                 .is_some_and(|next| next.serial <= e.max_desc && next.serial > node);
-            // PANIC-FREE: node < n — the out-of-trie case continued
             let actual = f.embeds_identical[node as usize];
             if actual != expected {
                 report.push(Violation {
@@ -404,7 +398,6 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
         }
     }
     for i in 1..n as TrieNodeId {
-        // PANIC-FREE: i < n and covered was sized to n
         let times = covered[i as usize];
         if times != 1 {
             report.push(Violation {
@@ -422,7 +415,6 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
     // non-empty document-id list each, totalling the inserted sequence
     // count.
     for w in f.end_nodes.windows(2) {
-        // PANIC-FREE: windows(2) yields exactly two entries
         let (a, b) = (w[0], w[1]);
         if a >= b {
             report.push(Violation {

@@ -30,6 +30,18 @@
 //! before a name is accepted and ignored (attributes are ordinary child
 //! nodes in this data model).
 
+// Panic-freedom, checked by clippy (DESIGN.md §14): every suppression is an
+// `#[expect(…, reason = "…")]` carrying its proof.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::integer_division_remainder_used
+)]
+
 use std::fmt;
 use xseq_xml::{
     Axis, Designator, PatternLabel, PatternNodeId, SymbolTable, TreePattern, ValueId, ValueMode,

@@ -29,6 +29,18 @@
 //! cardinality, and latency from the live query stream, so a later
 //! compaction can derive the weights instead of guessing them.
 
+// Panic-freedom, checked by clippy (DESIGN.md §14): every suppression is an
+// `#[expect(…, reason = "…")]` carrying its proof.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::integer_division_remainder_used
+)]
+
 pub mod workload;
 
 pub use workload::{ClassStats, WorkloadProfile, WorkloadRecorder};
@@ -75,6 +87,9 @@ impl SchemaTree {
     }
 
     /// Declares `p(path | parent(path)) = p`.
+    ///
+    /// # Panics
+    /// Panics if `p` is not in `0.0..=1.0`.
     pub fn set_cond(&mut self, path: PathId, p: f64) {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.cond.insert(path, p);
@@ -154,8 +169,7 @@ impl ProbabilityModel {
     /// `paths` (`enc[node]`, from [`Document::path_encode`]) — every given
     /// document counts.  A build encodes its corpus once and hands the same
     /// encodings to this and to the index constructor.
-    // PANIC-FREE: `seen` has one slot per interned path, which covers every
-    // id in an encoding against `paths`; enc has one entry per node
+    #[expect(clippy::indexing_slicing, reason = "`seen` has a slot per path; enc one per node")]
     pub fn estimate_encoded<'a>(
         sample: impl IntoIterator<Item = (&'a Document, &'a [PathId])>,
         paths: &PathTable,
@@ -209,8 +223,7 @@ impl ProbabilityModel {
     /// carrying the observed group paths (so the emitter applies subtree
     /// contiguity uniformly across documents) and dictionary-wide block
     /// priorities (so documents order their contiguous blocks identically).
-    // PANIC-FREE: block has one slot per path the model was estimated over,
-    // and a parent's id is below its child's
+    #[expect(clippy::indexing_slicing, reason = "block covers every path; parent ids are smaller")]
     pub fn priorities(&self, paths: &PathTable, weights: &WeightMap) -> PriorityMap {
         let mut pm = PriorityMap::new(0.0);
         // Block priority of a path = min weighted priority over every seen
@@ -359,6 +372,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::integer_division_remainder_used, reason = "test data cycles by literals")]
     fn estimation_parent_ge_child() {
         // The monotonicity Algorithm 2 relies on: a parent's probability is
         // at least as high as any child's.

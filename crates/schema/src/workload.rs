@@ -428,6 +428,7 @@ mod tests {
     /// Mirrors the slow-log retention test: 8 threads hammer one recorder
     /// and the result equals the sequential replay of all events.
     #[test]
+    #[expect(clippy::integer_division_remainder_used, reason = "test data cycles by literals")]
     fn eight_thread_accumulation_matches_sequential_replay() {
         const THREADS: u32 = 8;
         const PER_THREAD: u32 = 500;

@@ -56,18 +56,26 @@ impl std::error::Error for DecodeError {}
 /// Finds the index of the forward prefix of element `i` for prefix path `t`
 /// (Definition 2): the closest occurrence of `t` before position `i`, or, if
 /// none precedes, the earliest occurrence after `i`.  Returns `None` when `t`
-/// never occurs.
+/// never occurs, or when `i` is past the end of `seq`.
 pub fn forward_prefix(seq: &Sequence, i: usize, t: PathId) -> Option<usize> {
     let elems = seq.elems();
-    if let Some(j) = (0..i).rev().find(|&j| elems[j] == t) {
+    if let Some(j) = elems.get(..i)?.iter().rposition(|&e| e == t) {
         return Some(j);
     }
-    (i + 1..elems.len()).find(|&j| elems[j] == t)
+    let after = elems.get(i + 1..)?.iter().position(|&e| e == t)?;
+    Some(i + 1 + after)
 }
 
 /// Decodes a constraint sequence under `f2` into its unique tree
 /// (Theorem 1).  Node labels are recovered from the last symbol of each
 /// element's path.
+// i and every parent_of entry are positions below elems.len(), and order is
+// a permutation of them; every non-root element has a non-root parent path
+// (checked above), so it is not ε and has a last symbol; a parent
+// occurrence has a smaller depth, so the depth order puts every parent
+// first.
+#[expect(clippy::indexing_slicing, reason = "positions < elems.len(); order permutes them")]
+#[expect(clippy::expect_used, reason = "non-root paths have a last symbol; parents sort first")]
 pub fn decode_f2(seq: &Sequence, paths: &PathTable) -> Result<Document, DecodeError> {
     if seq.is_empty() {
         return Err(DecodeError::Empty);

@@ -18,6 +18,7 @@ use xseq_xml::{Document, NodeId};
 
 /// Enumerates the distinct sibling-order variants of `doc`, up to `cap`
 /// documents.  The original ordering is always the first variant.
+#[expect(clippy::indexing_slicing, reason = "digit i < choice.len() == orderings.len()")]
 pub fn isomorphic_variants(doc: &Document, cap: usize) -> Vec<Document> {
     let Some(root) = doc.root() else {
         return vec![doc.clone()];
@@ -51,13 +52,10 @@ pub fn isomorphic_variants(doc: &Document, cap: usize) -> Vec<Document> {
             if i == choice.len() {
                 return out;
             }
-            // PANIC-FREE: i < choice.len() == orderings.len()
             choice[i] += 1;
-            // PANIC-FREE: same digit bound as the increment above
             if choice[i] < orderings[i].len() {
                 break;
             }
-            // PANIC-FREE: same digit bound as the increment above
             choice[i] = 0;
             i += 1;
         }
@@ -67,6 +65,7 @@ pub fn isomorphic_variants(doc: &Document, cap: usize) -> Vec<Document> {
 
 /// All child orderings of `n` obtained by permuting same-label groups,
 /// bounded by `cap`.
+#[expect(clippy::indexing_slicing, reason = "slots index kids; v permutes kids")]
 fn child_orderings(doc: &Document, n: NodeId, cap: usize) -> Vec<Vec<NodeId>> {
     let kids = doc.children(n);
     // Group positions by label.
@@ -93,13 +92,11 @@ fn child_orderings(doc: &Document, n: NodeId, cap: usize) -> Vec<Vec<NodeId>> {
     for group in groups {
         let mut next: Vec<Vec<NodeId>> = Vec::new();
         'outer: for base in &orders {
-            // PANIC-FREE: group positions index kids, and every base is a
-            // permutation of kids, so they stay in bounds
+            #[expect(clippy::indexing_slicing, reason = "base permutes kids; group indexes kids")]
             let members: Vec<NodeId> = group.iter().map(|&i| base[i]).collect();
             for perm in permutations(&members, cap) {
                 let mut v = base.clone();
                 for (slot, node) in group.iter().zip(&perm) {
-                    // PANIC-FREE: slots index kids; v permutes kids
                     v[*slot] = *node;
                 }
                 next.push(v);
@@ -148,12 +145,11 @@ fn rebuild(
     choice: &[usize],
 ) -> Document {
     let mut out = Document::with_root(doc.sym(root));
-    // PANIC-FREE: with_root seeds the arena with exactly one root node
+    #[expect(clippy::expect_used, reason = "with_root seeds the arena with exactly one root node")]
     let new_root = out.root().expect("Document::with_root always has a root");
     let mut stack = vec![(root, new_root)];
     while let Some((old, new)) = stack.pop() {
-        // PANIC-FREE: orderings/choice carry one entry per document node,
-        // and the stack only holds this document's node ids
+        #[expect(clippy::indexing_slicing, reason = "orderings/choice have one entry per node")]
         let order = &orderings[old as usize][choice[old as usize]];
         for &c in order {
             let nc = out.child(new, doc.sym(c));

@@ -18,6 +18,18 @@
 //! * [`verify`] — integrity checking of stored sequences: `f2` validity and
 //!   the Theorem 1 round-trip, used by the index's `verify_integrity`.
 
+// Panic-freedom, checked by clippy (DESIGN.md §14): every suppression is an
+// `#[expect(…, reason = "…")]` carrying its proof.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::integer_division_remainder_used
+)]
+
 pub mod constraint;
 pub mod isomorph;
 pub mod strategy;
@@ -85,6 +97,7 @@ impl xseq_telemetry::HeapSize for Sequence {
 
 impl std::ops::Index<usize> for Sequence {
     type Output = PathId;
+    #[expect(clippy::indexing_slicing, reason = "`Index` panics out of bounds, like a slice")]
     fn index(&self, i: usize) -> &PathId {
         &self.0[i]
     }

@@ -72,12 +72,12 @@ pub struct PriorityMap {
 }
 
 /// The slot of `p` in a path-indexed column, grown with `absent` to reach it.
+#[expect(clippy::indexing_slicing, reason = "the column was just grown past i")]
 fn slot<T: Copy>(column: &mut Vec<T>, p: PathId, absent: T) -> &mut T {
     let i = p.0 as usize;
     if i >= column.len() {
         column.resize(i + 1, absent);
     }
-    // PANIC-FREE: the column was just grown past i
     &mut column[i]
 }
 
@@ -225,14 +225,14 @@ pub fn emit_sequence(
         return (Sequence::default(), Vec::new());
     }
     let order = emit_order(doc, enc, strategy);
-    // PANIC-FREE: enc has one entry per node and order holds node ids
+    #[expect(clippy::indexing_slicing, reason = "enc has one entry per node; order holds nodes")]
     let seq = Sequence(order.iter().map(|&n| enc[n as usize]).collect());
     (seq, order)
 }
 
 /// The strategy-driven emission order over a non-empty encoded document.
 fn emit_order(doc: &Document, enc: &[PathId], strategy: &Strategy) -> Vec<NodeId> {
-    // PANIC-FREE: the one caller returns early when the document is empty
+    #[expect(clippy::expect_used, reason = "the caller returns early on an empty document")]
     let root = doc
         .root()
         .expect("emit order is only computed for non-empty documents");
@@ -282,11 +282,11 @@ fn emit_order(doc: &Document, enc: &[PathId], strategy: &Strategy) -> Vec<NodeId
 }
 
 /// True if any node of `doc` has two children with the same label.
+#[expect(clippy::indexing_slicing, reason = "i < kids.len(), so i + 1 is a valid range start")]
 pub fn has_identical_siblings(doc: &Document) -> bool {
     doc.node_ids().any(|n| {
         let kids = doc.children(n);
         for (i, &a) in kids.iter().enumerate() {
-            // PANIC-FREE: i < kids.len(), so i + 1 is a valid range start
             for &b in &kids[i + 1..] {
                 if doc.sym(a) == doc.sym(b) {
                     return true;
@@ -325,6 +325,7 @@ fn rank(key: f64) -> u64 {
 /// (paper Algorithm 2; order, blocks and keys as the module docs state).
 /// `priority(node, path)` is a node's own priority; `groups` supplies the
 /// dictionary's group paths and block priorities, when there is one.
+#[expect(clippy::indexing_slicing, reason = "enc and minp have one entry per document node")]
 fn emit_by_key(
     doc: &Document,
     enc: &[PathId],
@@ -343,7 +344,6 @@ fn emit_by_key(
         // Siblings with one label are siblings with one path: sorted by
         // path, a node with an identical sibling sits next to it.
         kids.clear();
-        // PANIC-FREE: enc carries one entry per document node id
         kids.extend(doc.children(n).iter().map(|&c| (enc[c as usize], c)));
         kids.sort_unstable();
         for (i, &(path, c)) in kids.iter().enumerate() {
@@ -359,7 +359,6 @@ fn emit_by_key(
                 if minp.is_empty() {
                     minp = subtree_minima(doc, enc, &priority);
                 }
-                // PANIC-FREE: minp has one entry per document node id
                 minp[c as usize]
             };
             heap.push(Avail {
@@ -380,8 +379,7 @@ fn emit_by_key(
 
 /// The fallback block keys: per node, the minimum priority over its
 /// subtree in this document.
-// PANIC-FREE: enc and minp carry one entry per document node id, and a
-// parent is a node of the same document
+#[expect(clippy::indexing_slicing, reason = "enc, minp: an entry per node; parents are nodes")]
 fn subtree_minima(
     doc: &Document,
     enc: &[PathId],

@@ -17,6 +17,18 @@
 //!   [`paged::PagedTrie`], which implements `xseq_index::TrieView` so the
 //!   *same* matching code runs over memory and disk.
 
+// Panic-freedom, checked by clippy (DESIGN.md §14): every suppression is an
+// `#[expect(…, reason = "…")]` carrying its proof.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::integer_division_remainder_used
+)]
+
 pub mod page;
 pub mod paged;
 pub mod pool;

@@ -10,6 +10,7 @@ pub type PageId = u32;
 pub type Page = Box<[u8; PAGE_SIZE]>;
 
 /// Allocates a zeroed page.
+#[expect(clippy::expect_used, reason = "the vector holds exactly PAGE_SIZE bytes")]
 pub fn new_page() -> Page {
     vec![0u8; PAGE_SIZE]
         .into_boxed_slice()
@@ -18,25 +19,43 @@ pub fn new_page() -> Page {
 }
 
 /// Reads a little-endian `u32` at byte offset `off`.
+///
+/// # Panics
+/// Panics if `off + 4` exceeds [`PAGE_SIZE`].
 #[inline]
+#[expect(clippy::indexing_slicing, reason = "callers pass field offsets inside the page")]
+#[expect(clippy::expect_used, reason = "the range is exactly as long as the array")]
 pub fn get_u32(page: &[u8; PAGE_SIZE], off: usize) -> u32 {
     u32::from_le_bytes(page[off..off + 4].try_into().expect("in bounds"))
 }
 
 /// Writes a little-endian `u32` at byte offset `off`.
+///
+/// # Panics
+/// Panics if `off + 4` exceeds [`PAGE_SIZE`].
 #[inline]
+#[expect(clippy::indexing_slicing, reason = "callers pass field offsets inside the page")]
 pub fn put_u32(page: &mut [u8; PAGE_SIZE], off: usize, v: u32) {
     page[off..off + 4].copy_from_slice(&v.to_le_bytes());
 }
 
 /// Reads a little-endian `u64` at byte offset `off`.
+///
+/// # Panics
+/// Panics if `off + 8` exceeds [`PAGE_SIZE`].
 #[inline]
+#[expect(clippy::indexing_slicing, reason = "callers pass field offsets inside the page")]
+#[expect(clippy::expect_used, reason = "the range is exactly as long as the array")]
 pub fn get_u64(page: &[u8; PAGE_SIZE], off: usize) -> u64 {
     u64::from_le_bytes(page[off..off + 8].try_into().expect("in bounds"))
 }
 
 /// Writes a little-endian `u64` at byte offset `off`.
+///
+/// # Panics
+/// Panics if `off + 8` exceeds [`PAGE_SIZE`].
 #[inline]
+#[expect(clippy::indexing_slicing, reason = "callers pass field offsets inside the page")]
 pub fn put_u64(page: &mut [u8; PAGE_SIZE], off: usize, v: u64) {
     page[off..off + 8].copy_from_slice(&v.to_le_bytes());
 }
@@ -44,9 +63,8 @@ pub fn put_u64(page: &mut [u8; PAGE_SIZE], off: usize, v: u64) {
 /// Addressing helper: which page and offset hold record `idx` of a section
 /// starting at page `base`, with `rec` bytes per record and `per` records
 /// per page.
-// PANIC-FREE: every caller passes one of the *_PER_PAGE constants,
-// all of which are nonzero by construction
 #[inline]
+#[expect(clippy::integer_division_remainder_used, reason = "per is a nonzero *_PER_PAGE constant")]
 pub fn locate(base: PageId, idx: usize, rec: usize, per: usize) -> (PageId, usize) {
     (base + (idx / per) as PageId, (idx % per) * rec)
 }

@@ -43,13 +43,18 @@ use xseq_xml::{DocId, PathId, PathIdHasher};
 const MAGIC: u64 = 0x3130_4750_5145_5358; // "XSEQPG01" LE
 
 const NODE_REC: usize = 20;
+#[expect(clippy::integer_division_remainder_used, reason = "a zero divisor fails const evaluation")]
 const NODES_PER_PAGE: usize = PAGE_SIZE / NODE_REC;
 const DIR_REC: usize = 12;
+#[expect(clippy::integer_division_remainder_used, reason = "a zero divisor fails const evaluation")]
 const DIR_PER_PAGE: usize = PAGE_SIZE / DIR_REC;
 const ENTRY_REC: usize = 12;
+#[expect(clippy::integer_division_remainder_used, reason = "a zero divisor fails const evaluation")]
 const ENTRIES_PER_PAGE: usize = PAGE_SIZE / ENTRY_REC;
 const END_REC: usize = 16;
+#[expect(clippy::integer_division_remainder_used, reason = "a zero divisor fails const evaluation")]
 const ENDS_PER_PAGE: usize = PAGE_SIZE / END_REC;
+#[expect(clippy::integer_division_remainder_used, reason = "a zero divisor fails const evaluation")]
 const DOCS_PER_PAGE: usize = PAGE_SIZE / 4;
 
 /// Serializes a frozen [`SequenceTrie`] into `store`.
@@ -61,6 +66,7 @@ const DOCS_PER_PAGE: usize = PAGE_SIZE / 4;
 /// the frozen trie before anything durable is written.
 ///
 /// Returns the number of pages written.
+#[expect(clippy::indexing_slicing, reason = "keys index links; n < node_count = table lengths")]
 pub fn write_paged_trie<S: PageStore>(trie: &SequenceTrie, store: &mut S) -> io::Result<PageId> {
     let frozen = trie.frozen();
     let node_count = trie.node_count() + 1; // + virtual root
@@ -246,8 +252,7 @@ impl<S: PageStore> PagedTrie<S> {
     /// record count that does not fit its section, or a directory entry
     /// reaching outside the entries section is `InvalidData` — so no count
     /// read from the file sizes an allocation or a page lookup unchecked.
-    // PANIC-FREE: `h` holds ten words, `sec` runs 0..5 and PER_PAGE has five
-    // entries, so every index below is in bounds
+    #[expect(clippy::indexing_slicing, reason = "h has ten words; sec < 5 = PER_PAGE.len()")]
     pub fn open(store: S, pool_capacity: usize) -> io::Result<Self> {
         const PER_PAGE: [usize; 5] = [
             NODES_PER_PAGE,
@@ -314,11 +319,13 @@ impl<S: PageStore> PagedTrie<S> {
     }
 
     /// Buffer-pool counters (misses = disk accesses).
+    #[expect(clippy::expect_used, reason = "the pool mutex poisons only on a holder's panic")]
     pub fn pool_stats(&self) -> crate::pool::PoolStats {
         self.pool.lock().expect("pool mutex poisoned").stats()
     }
 
     /// Mirrors this trie's page traffic into `storage.pool.*` counters.
+    #[expect(clippy::expect_used, reason = "the pool mutex poisons only on a holder's panic")]
     pub fn attach_pool_telemetry(&self, telemetry: crate::pool::PoolTelemetry) {
         self.pool
             .lock()
@@ -327,6 +334,7 @@ impl<S: PageStore> PagedTrie<S> {
     }
 
     /// Cold-starts the pool and zeroes the counters.
+    #[expect(clippy::expect_used, reason = "the pool mutex poisons only on a holder's panic")]
     pub fn reset_pool(&self) {
         self.pool.lock().expect("pool mutex poisoned").clear();
     }
@@ -338,9 +346,10 @@ impl<S: PageStore> PagedTrie<S> {
 
     /// Reads record `idx` of the section at `start` through the pool:
     /// `read` gets the record's page and byte offset.
-    // PANIC-FREE: the pool mutex poisons only if a holder panicked (the
-    // process is already unwinding); with_page fails only on store I/O
-    // errors, which the storage layer treats as fatal by design
+    // The pool mutex poisons only if a holder panicked (the process is already
+    // unwinding); with_page fails only on store I/O errors, which the storage
+    // layer treats as fatal by design.
+    #[expect(clippy::expect_used, reason = "store I/O errors are fatal by design (module docs)")]
     fn record<R>(
         &self,
         (start, rec, per_page): (PageId, usize, usize),
@@ -395,8 +404,7 @@ impl<S: PageStore> TrieView for PagedTrie<S> {
         self.dir.get(&path).map(|&(_, l)| l as usize).unwrap_or(0)
     }
 
-    // PANIC-FREE: callers iterate idx < link_len(path), which also
-    // guarantees `dir` contains the path and bounds idx by its length
+    #[expect(clippy::indexing_slicing, reason = "callers keep idx < link_len(path)")]
     fn link_entry(&self, path: PathId, idx: usize) -> LinkEntry {
         let (start, len) = self.dir[&path];
         debug_assert!(idx < len as usize, "link index out of range");
@@ -407,6 +415,7 @@ impl<S: PageStore> TrieView for PagedTrie<S> {
         })
     }
 
+    #[expect(clippy::integer_division_remainder_used, reason = "the divisor is the literal 2")]
     fn collect_docs_in_range(&self, lo: u32, hi: u32, out: &mut Vec<DocId>) {
         // binary search the first end record with serial >= lo
         let n = self.end_count as usize;

@@ -97,6 +97,7 @@ impl<S: PageStore> BufferPool<S> {
     }
 
     /// Fetches a page, reading through on a miss, and hands it to `f`.
+    #[expect(clippy::expect_used, reason = "eviction runs only when frames.len() >= capacity >= 1")]
     pub fn with_page<R>(
         &mut self,
         id: PageId,

@@ -38,6 +38,7 @@ impl PageStore for MemStore {
         Ok(())
     }
 
+    #[expect(clippy::indexing_slicing, reason = "the loop above grows pages past id")]
     fn write_page(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> io::Result<()> {
         while self.pages.len() <= id as usize {
             self.pages.push(new_page());
@@ -79,6 +80,7 @@ impl FileStore {
     }
 
     /// Opens an existing page file.
+    #[expect(clippy::integer_division_remainder_used, reason = "PAGE_SIZE is a nonzero constant")]
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let len = file.metadata()?.len();

@@ -11,9 +11,10 @@
 //! the journal within milliseconds.
 //!
 //! Event names follow the span-name grammar (`seg(.seg)*`, segments
-//! `[a-z][a-z0-9_]*`), enforced by `cargo xtask analyze`.  The journal exports as
-//! JSON Lines ([`EventJournal::to_jsonl`]) — one self-describing JSON
-//! object per line — which is what lands in the diagnostics bundle as
+//! `[a-z][a-z0-9_]*`), checked over a full pipeline run by
+//! `tests/integration_observability.rs`.  The journal exports as JSON
+//! Lines ([`EventJournal::to_jsonl`]) — one self-describing JSON object per
+//! line — which is what lands in the diagnostics bundle as
 //! `events.jsonl`.
 
 use crate::export::{attr_json, json_string};
@@ -186,12 +187,12 @@ impl EventJournal {
 
     /// Stamps `event` with its sequence number and journal-relative
     /// timestamp, records it, and returns the shared stamped event.
+    #[expect(clippy::indexing_slicing, reason = "Severity::index is 0..4; by_severity is [_; 4]")]
     pub fn record(&self, mut event: Event) -> Arc<Event> {
         // ORDERING: id — sequence uniqueness needs only fetch_add atomicity.
         event.seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         event.elapsed_ns = self.started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         // ORDERING: counter — per-severity tallies are independent statistics.
-        // PANIC-FREE: Severity::index is 0..4 and by_severity is [_; 4]
         self.by_severity[event.severity.index()].fetch_add(1, Ordering::Relaxed);
         let event = Arc::new(event);
         self.retained.push(event.clone());

@@ -169,14 +169,14 @@ pub fn render_table(snapshot: &Snapshot) -> String {
     }
     let mut out = String::new();
     for (i, row) in rows.iter().enumerate() {
-        for (j, cell) in row.iter().enumerate() {
+        for (j, (cell, w)) in row.iter().zip(widths).enumerate() {
             if j > 0 {
                 out.push_str("  ");
             }
             if j == 0 {
-                let _ = write!(out, "{:<w$}", cell, w = widths[j]);
+                let _ = write!(out, "{cell:<w$}");
             } else {
-                let _ = write!(out, "{:>w$}", cell, w = widths[j]);
+                let _ = write!(out, "{cell:>w$}");
             }
         }
         out.push('\n');
@@ -248,6 +248,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
 
 /// Chrome's `ts`/`dur` are microseconds; keep nanosecond precision as a
 /// three-digit fraction.
+#[expect(clippy::integer_division_remainder_used, reason = "the divisor is the literal 1_000")]
 fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }

@@ -138,6 +138,7 @@ impl<K: HeapSize, S> HeapSize for HashSet<K, S> {
 
 /// The number of usable slots hashbrown exposes for a table of `buckets`
 /// slots: all but one below 8 buckets, 7/8 of them at 8 and above.
+#[expect(clippy::integer_division_remainder_used, reason = "the divisor is the literal 8")]
 fn usable_of(buckets: usize) -> usize {
     if buckets < 8 {
         buckets - 1
@@ -204,6 +205,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::integer_division_remainder_used, reason = "the divisor is a size plus one")]
     fn hash_model_matches_reported_capacity() {
         // Whatever capacity the map reports, the model's recovered bucket
         // count must be the one whose usable fraction equals it.

@@ -33,6 +33,18 @@
 //! mutex-guarded bounded buffer, touched once per lifecycle event or
 //! retained trace.
 
+// Panic-freedom, checked by clippy (DESIGN.md §14): every suppression is an
+// `#[expect(…, reason = "…")]` carrying its proof.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::integer_division_remainder_used
+)]
+
 pub mod events;
 pub mod export;
 pub mod heap;

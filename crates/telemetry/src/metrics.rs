@@ -128,10 +128,10 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[expect(clippy::indexing_slicing, reason = "bucket_of returns at most 64 < BUCKETS")]
     pub fn record(&self, v: u64) {
         // ORDERING: counter — each statistic is an independent counter;
         // snapshots are documented as approximate under concurrent recording.
-        // PANIC-FREE: bucket_of returns 64 - leading_zeros <= 64 < BUCKETS
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         // ORDERING: counter — as above, independent statistics.
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -233,6 +233,7 @@ impl HistogramSnapshot {
 
     /// Point estimate of quantile `q`: the midpoint of the containing
     /// bucket, clamped to the observed min/max.
+    #[expect(clippy::integer_division_remainder_used, reason = "the divisor is the literal 2")]
     pub fn quantile(&self, q: f64) -> Option<u64> {
         let (lo, hi) = self.quantile_bounds(q)?;
         Some(lo + (hi - lo) / 2)

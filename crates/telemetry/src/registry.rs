@@ -63,6 +63,7 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different metric kind —
     /// that is a programming error, not a runtime condition.
+    #[expect(clippy::panic, reason = "re-registering a name as another kind is a bug")]
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         match self.get_or_insert(name, || Metric::Counter(Arc::new(Counter::new()))) {
             Metric::Counter(c) => c,
@@ -71,6 +72,9 @@ impl MetricsRegistry {
     }
 
     /// Gets or registers the gauge `name`.
+    ///
+    /// Panics if `name` is already registered as a different metric kind.
+    #[expect(clippy::panic, reason = "re-registering a name as another kind is a bug")]
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         match self.get_or_insert(name, || Metric::Gauge(Arc::new(Gauge::new()))) {
             Metric::Gauge(g) => g,
@@ -79,6 +83,9 @@ impl MetricsRegistry {
     }
 
     /// Gets or registers the histogram `name`.
+    ///
+    /// Panics if `name` is already registered as a different metric kind.
+    #[expect(clippy::panic, reason = "re-registering a name as another kind is a bug")]
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         match self.get_or_insert(name, || Metric::Histogram(Arc::new(Histogram::new()))) {
             Metric::Histogram(h) => h,
@@ -86,6 +93,7 @@ impl MetricsRegistry {
         }
     }
 
+    #[expect(clippy::expect_used, reason = "the lock guards no code that can panic")]
     fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
         if let Some(m) = self.inner.read().expect("registry lock").get(name) {
             return m.clone();
@@ -95,6 +103,7 @@ impl MetricsRegistry {
     }
 
     /// Names of all registered metrics, sorted.
+    #[expect(clippy::expect_used, reason = "the lock guards no code that can panic")]
     pub fn names(&self) -> Vec<String> {
         self.inner
             .read()
@@ -105,6 +114,7 @@ impl MetricsRegistry {
     }
 
     /// A point-in-time copy of every metric's value.
+    #[expect(clippy::expect_used, reason = "the lock guards no code that can panic")]
     pub fn snapshot(&self) -> Snapshot {
         let r = self.inner.read().expect("registry lock");
         let metrics = r

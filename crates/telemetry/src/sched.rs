@@ -71,7 +71,7 @@ impl Schedules {
                 placed += 1;
                 // total *= placed; total /= i — binomial building stays exact
                 total = total.checked_mul(placed)?;
-                // PANIC-FREE: i ranges over 1..=ops, never zero
+                // i ranges over 1..=ops, never zero
                 total /= i;
             }
         }
@@ -86,6 +86,9 @@ impl Schedules {
     /// Runs `f` once per schedule: every interleaving when the space fits
     /// the limit, otherwise `limit` seeded samples.  Returns the number of
     /// schedules visited.
+    // left is the sum of remaining, so while left > 0 some thread has ops left.
+    #[expect(clippy::indexing_slicing, reason = "t < remaining.len(); nonempty is non-empty")]
+    #[expect(clippy::integer_division_remainder_used, reason = "nonempty.len() > 0 while left > 0")]
     pub fn for_each(&self, mut f: impl FnMut(&[usize])) -> usize {
         let total_ops: usize = self.ops_per_thread.iter().sum();
         if self.is_exhaustive() {
@@ -115,6 +118,7 @@ impl Schedules {
         }
     }
 
+    #[expect(clippy::indexing_slicing, reason = "t < remaining.len() by the loop bound")]
     fn enumerate(
         remaining: &mut [usize],
         prefix: &mut Vec<usize>,
@@ -128,13 +132,11 @@ impl Schedules {
             return;
         }
         for t in 0..remaining.len() {
-            // PANIC-FREE: t < remaining.len() by the loop bound
             if remaining[t] > 0 {
                 remaining[t] -= 1;
                 prefix.push(t);
                 Self::enumerate(remaining, prefix, left - 1, f, visited);
                 prefix.pop();
-                // PANIC-FREE: same loop bound — t < remaining.len()
                 remaining[t] += 1;
             }
         }
@@ -145,6 +147,7 @@ impl Schedules {
 /// per-thread op scripts: snapshots must be monotone non-decreasing and the
 /// final value must equal the exact sum of all adds.  Returns the number of
 /// schedules checked.
+#[expect(clippy::indexing_slicing, reason = "a schedule runs thread t threads[t].len() times")]
 pub fn check_counter(threads: &[Vec<CounterOp>], limit: usize, seed: u64) -> Result<usize, String> {
     let ops_per_thread: Vec<usize> = threads.iter().map(Vec::len).collect();
     let total: u64 = threads

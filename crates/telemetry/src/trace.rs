@@ -125,20 +125,19 @@ pub struct Trace {
 
 impl Trace {
     /// The root span.
-    // PANIC-FREE: every trace is minted with its root span at index 0
+    #[expect(clippy::indexing_slicing, reason = "every trace is minted with its root at index 0")]
     pub fn root(&self) -> &TraceSpan {
         &self.spans[0]
     }
 
     /// Looks up a span.
-    // PANIC-FREE: SpanIds are minted by begin_span/event from spans.len(),
-    // so every id indexes an existing span
+    #[expect(clippy::indexing_slicing, reason = "SpanIds are minted from spans.len()")]
     pub fn span(&self, id: SpanId) -> &TraceSpan {
         &self.spans[id.0 as usize]
     }
 
     /// Depth of a span (root = 0).
-    // PANIC-FREE: ids and recorded parents are all arena-minted SpanIds
+    #[expect(clippy::indexing_slicing, reason = "ids and recorded parents are minted SpanIds")]
     pub fn depth(&self, id: SpanId) -> usize {
         let mut d = 0;
         let mut cur = self.spans[id.0 as usize].parent;
@@ -257,6 +256,7 @@ impl ActiveTrace {
     /// Closes `id` — and, to preserve the bracketing invariant, every span
     /// opened inside it that is still open.  Closing a span not on the open
     /// stack (already closed) is a no-op.
+    #[expect(clippy::indexing_slicing, reason = "at < stack.len(); stack holds minted SpanIds")]
     pub fn end_span(&mut self, id: SpanId) {
         let Some(at) = self.stack.iter().rposition(|&s| s == id) else {
             return;
@@ -265,8 +265,6 @@ impl ActiveTrace {
             return; // the root closes only via Tracer::finish
         }
         let now = self.elapsed_ns();
-        // PANIC-FREE: at <= stack.len() from rposition; stack holds only
-        // arena-minted SpanIds
         for &open in &self.stack[at..] {
             self.spans[open.0 as usize].end_ns = now;
         }
@@ -289,7 +287,7 @@ impl ActiveTrace {
     }
 
     /// Attaches a typed attribute to a span.
-    // PANIC-FREE: SpanIds are arena-minted (see span), always in bounds
+    #[expect(clippy::indexing_slicing, reason = "SpanIds are minted from spans.len()")]
     pub fn attr(&mut self, span: SpanId, key: &'static str, value: impl Into<AttrValue>) {
         self.spans[span.0 as usize].attrs.push((key, value.into()));
     }

@@ -62,6 +62,10 @@ impl Document {
     /// [`XmlError::NodeOutOfBounds`] naming the first parent that is not an
     /// earlier node (or a root entry other than `NO_PARENT`), or the first
     /// node missing from one column when the two differ in length.
+    // Pass 1 indexes kid_off[p + 2] only for p < i ≤ n − 1, so p + 2 ≤ n <
+    // kid_off.len(); in pass 2, p + 1 < i + 1 ≤ n < kid_off.len(), and the
+    // cursor stays below p's row end ≤ n − 1 = kids.len().
+    #[expect(clippy::indexing_slicing, reason = "p < i < n bounds kid_off; cursors stay in rows")]
     pub fn from_parents(sym: Vec<Symbol>, parent: Vec<NodeId>) -> Result<Document, XmlError> {
         let n = sym.len();
         if parent.len() != n {
@@ -77,7 +81,6 @@ impl Document {
         let mut kid_off = vec![0u32; n + 1];
         for (i, &p) in parent.iter().enumerate() {
             match p as usize {
-                // PANIC-FREE: p < i ≤ n − 1, so p + 2 ≤ n < kid_off.len()
                 up if up < i => kid_off[up + 2] += 1,
                 _ if i == 0 && p == Self::NO_PARENT => {}
                 _ => return Err(XmlError::NodeOutOfBounds { node: p }),
@@ -90,8 +93,6 @@ impl Document {
         }
         let mut kids = vec![0; n - 1];
         for (i, &p) in parent.iter().enumerate().skip(1) {
-            // PANIC-FREE: p + 1 < i + 1 ≤ n < kid_off.len(), and the cursor
-            // stays below p's row end ≤ n − 1 = kids.len()
             let cursor = &mut kid_off[p as usize + 1];
             kids[*cursor as usize] = i as NodeId;
             *cursor += 1;
@@ -125,7 +126,7 @@ impl Document {
         let id = self.sym.len() as NodeId;
         self.sym.push(sym);
         self.parent.push(parent);
-        // PANIC-FREE: at is a row offset, at most kids.len()
+        // at is a row offset, at most kids.len()
         self.kids.insert(at as usize, id);
         for off in self.kid_off.iter_mut().skip(parent as usize + 1) {
             *off += 1;
@@ -138,22 +139,20 @@ impl Document {
     ///
     /// # Panics
     /// Panics if `parent` does not exist.
+    #[expect(clippy::expect_used, reason = "documented: callers pass ids this document minted")]
     pub fn child(&mut self, parent: NodeId, sym: Symbol) -> NodeId {
-        // PANIC-FREE: the documented contract — builder callers pass ids
-        // this document handed out, so add_child cannot reject them
         self.add_child(parent, sym).expect("parent node must exist")
     }
 
     /// The label of a node.
-    // PANIC-FREE: NodeIds are only minted by this arena; stale ids are a
-    // caller bug the accessor contract documents as out of scope
+    #[expect(clippy::indexing_slicing, reason = "NodeIds are minted by this arena (documented)")]
     #[inline]
     pub fn sym(&self, n: NodeId) -> Symbol {
         self.sym[n as usize]
     }
 
     /// The parent of a node (`None` for the root).
-    // PANIC-FREE: same arena-minted NodeId contract as `sym`
+    #[expect(clippy::indexing_slicing, reason = "same arena-minted NodeId contract as `sym`")]
     #[inline]
     pub fn parent(&self, n: NodeId) -> Option<NodeId> {
         let p = self.parent[n as usize];
@@ -161,8 +160,7 @@ impl Document {
     }
 
     /// Children of a node, in document order.
-    // PANIC-FREE: same arena-minted NodeId contract as `sym`; a node's row
-    // offsets are ascending and end at most at kids.len()
+    #[expect(clippy::indexing_slicing, reason = "arena-minted NodeId; row offsets <= kids.len()")]
     #[inline]
     pub fn children(&self, n: NodeId) -> &[NodeId] {
         let n = n as usize;

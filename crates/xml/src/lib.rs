@@ -21,6 +21,18 @@
 //!   the query-equivalence theorems and as the verification step of the
 //!   ViST-style baseline.
 
+// Panic-freedom, checked by clippy (DESIGN.md §14): every suppression is an
+// `#[expect(…, reason = "…")]` carrying its proof.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::integer_division_remainder_used
+)]
+
 pub mod document;
 pub mod error;
 pub mod matcher;

@@ -45,6 +45,8 @@ pub fn find_embedding(pattern: &TreePattern, doc: &Document) -> Option<Vec<NodeI
     }
 }
 
+#[expect(clippy::indexing_slicing, reason = "k < order.len(); slots per pattern/document node")]
+#[expect(clippy::expect_used, reason = "find_embedding returns early on an empty document")]
 fn assign(
     pattern: &TreePattern,
     doc: &Document,

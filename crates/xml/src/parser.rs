@@ -515,6 +515,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::integer_division_remainder_used, reason = "divides by a literal's length")]
     fn large_values_parse_in_linear_time() {
         // `next_char` used to re-validate the whole remaining input for
         // every character, so one long value cost O(n²): a 1 MiB text node

@@ -133,8 +133,7 @@ impl PathTable {
     }
 
     /// Interns the extension of `parent` by `sym`, returning the child path.
-    // PANIC-FREE: PathIds are only minted by this table, so `parent`
-    // always indexes `entries`; stale ids are a documented caller bug
+    #[expect(clippy::indexing_slicing, reason = "PathIds are minted by this table (documented)")]
     pub fn extend(&mut self, parent: PathId, sym: Symbol) -> PathId {
         let id = PathId(self.entries.len() as u32);
         match self.lookup.entry((parent, sym)) {
@@ -184,14 +183,14 @@ impl PathTable {
     }
 
     /// Parent path (ε's parent is ε).
-    // PANIC-FREE: table-minted PathId contract (see `extend`)
+    #[expect(clippy::indexing_slicing, reason = "table-minted PathId contract (see `extend`)")]
     #[inline]
     pub fn parent(&self, p: PathId) -> PathId {
         self.entries[p.0 as usize].parent
     }
 
     /// Last symbol of a non-empty path.
-    // PANIC-FREE: table-minted PathId contract (see `extend`)
+    #[expect(clippy::indexing_slicing, reason = "table-minted PathId contract (see `extend`)")]
     #[inline]
     pub fn last(&self, p: PathId) -> Option<Symbol> {
         if p == PathId::ROOT {
@@ -202,7 +201,7 @@ impl PathTable {
     }
 
     /// Number of symbols in the path.
-    // PANIC-FREE: table-minted PathId contract (see `extend`)
+    #[expect(clippy::indexing_slicing, reason = "table-minted PathId contract (see `extend`)")]
     #[inline]
     pub fn depth(&self, p: PathId) -> u16 {
         self.entries[p.0 as usize].depth
@@ -222,7 +221,7 @@ impl PathTable {
     }
 
     /// Materializes a path as a symbol vector (root first).
-    // PANIC-FREE: table-minted PathId contract (see `extend`)
+    #[expect(clippy::indexing_slicing, reason = "table-minted PathId contract (see `extend`)")]
     pub fn symbols(&self, p: PathId) -> Vec<Symbol> {
         let mut out = Vec::with_capacity(self.depth(p) as usize);
         let mut cur = p;
@@ -235,7 +234,7 @@ impl PathTable {
     }
 
     /// Child paths of `p` in the dictionary, newest (highest id) first.
-    // PANIC-FREE: table-minted PathId contract (see `extend`)
+    #[expect(clippy::indexing_slicing, reason = "table-minted PathId contract (see `extend`)")]
     pub fn children(&self, p: PathId) -> impl Iterator<Item = PathId> + '_ {
         self.list(self.entries[p.0 as usize].last_child, |e| e.prev_sibling)
     }
@@ -252,9 +251,7 @@ impl PathTable {
     }
 
     /// Walks one of the arena's linked lists from `head` along `prev`.
-    // PANIC-FREE: every link was copied by `extend` from a head it had
-    // minted, so it indexes `entries`; a link only ever points at an
-    // earlier id and ε, which is in no list, ends each, so the walk stops
+    #[expect(clippy::indexing_slicing, reason = "links point at earlier minted ids and end at ε")]
     fn list(
         &self,
         head: PathId,

@@ -75,6 +75,7 @@ impl TreePattern {
     /// Panics if `parent` is out of bounds, or if an element test is added
     /// under a value test (value nodes may only chain further value nodes —
     /// the `Chars` representation).
+    #[expect(clippy::indexing_slicing, reason = "the first assert bounds parent below nodes.len()")]
     pub fn add(&mut self, parent: PatternNodeId, axis: Axis, label: PatternLabel) -> PatternNodeId {
         assert!(
             (parent as usize) < self.nodes.len(),
@@ -112,25 +113,25 @@ impl TreePattern {
     }
 
     /// The node test at `n`.
-    // PANIC-FREE: PatternNodeIds are only minted by this pattern's builder
+    #[expect(clippy::indexing_slicing, reason = "PatternNodeIds are minted by this builder")]
     pub fn label(&self, n: PatternNodeId) -> PatternLabel {
         self.nodes[n as usize].label
     }
 
     /// The axis connecting `n` to its parent (for the root: to the document).
-    // PANIC-FREE: builder-minted PatternNodeId contract (see `label`)
+    #[expect(clippy::indexing_slicing, reason = "builder-minted PatternNodeId (see `label`)")]
     pub fn axis(&self, n: PatternNodeId) -> Axis {
         self.nodes[n as usize].axis
     }
 
     /// The pattern parent of `n`.
-    // PANIC-FREE: builder-minted PatternNodeId contract (see `label`)
+    #[expect(clippy::indexing_slicing, reason = "builder-minted PatternNodeId (see `label`)")]
     pub fn parent(&self, n: PatternNodeId) -> Option<PatternNodeId> {
         self.nodes[n as usize].parent
     }
 
     /// Children of `n` in insertion order.
-    // PANIC-FREE: builder-minted PatternNodeId contract (see `label`)
+    #[expect(clippy::indexing_slicing, reason = "builder-minted PatternNodeId (see `label`)")]
     pub fn children(&self, n: PatternNodeId) -> &[PatternNodeId] {
         &self.nodes[n as usize].children
     }

@@ -149,6 +149,7 @@ impl ValueTable {
     /// Maps a value string to its designator, allocating one if needed.
     /// In `Chars` mode this interns the *whole string* exactly (the chain
     /// construction is the caller's job via [`ValueTable::chain`]).
+    #[expect(clippy::integer_division_remainder_used, reason = "Hashed ranges are clamped to >= 1")]
     pub fn intern(&mut self, s: &str) -> ValueId {
         match self.mode {
             ValueMode::Intern | ValueMode::Chars => {
@@ -161,7 +162,6 @@ impl ValueTable {
                 self.offs.push(self.arena.len());
                 id
             }
-            // PANIC-FREE: the divisor is clamped to at least 1
             ValueMode::Hashed { range } => ValueId(fnv1a(s.as_bytes()) % range.max(1)),
         }
     }
@@ -170,10 +170,10 @@ impl ValueTable {
     /// succeeds (the hash is total); in `Intern` mode it returns `None` for
     /// strings never seen — which lets query layers prove a value-equality
     /// predicate can match nothing.
+    #[expect(clippy::integer_division_remainder_used, reason = "Hashed ranges are clamped to >= 1")]
     pub fn lookup(&self, s: &str) -> Option<ValueId> {
         match self.mode {
             ValueMode::Intern | ValueMode::Chars => self.map.get(s).copied(),
-            // PANIC-FREE: the divisor is clamped to at least 1
             ValueMode::Hashed { range } => Some(ValueId(fnv1a(s.as_bytes()) % range.max(1))),
         }
     }
@@ -299,6 +299,7 @@ impl SymbolTable {
     }
 
     /// The name behind a designator.
+    #[expect(clippy::indexing_slicing, reason = "Designators are minted by this table")]
     pub fn name(&self, d: Designator) -> &str {
         &self.names_rev[d.0 as usize]
     }
@@ -320,6 +321,7 @@ impl SymbolTable {
 
     /// Renders a symbol for human consumption (used by `Display` impls and
     /// debugging output; hashed values render as `v#<id>`).
+    #[expect(clippy::unreachable, reason = "VALUE_BIT: a symbol is an element or a value")]
     pub fn render(&self, sym: Symbol) -> String {
         match (sym.as_elem(), sym.as_value()) {
             (Some(d), _) => self.name(d).to_owned(),

@@ -19,6 +19,7 @@ pub fn write_document(doc: &Document, symbols: &SymbolTable) -> String {
     out
 }
 
+#[expect(clippy::expect_used, reason = "a symbol that is not a value is an element")]
 fn write_node(doc: &Document, symbols: &SymbolTable, n: NodeId, out: &mut String) {
     let sym = doc.sym(n);
     if let Some(v) = sym.as_value() {

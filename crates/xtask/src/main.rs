@@ -3,28 +3,22 @@
 //!
 //! Subcommands:
 //!
-//! * `analyze` (default) — the static checks the toolchain does not make
-//!   (DESIGN.md §14): telemetry-name grammar and metric families, the
-//!   workspace-lint opt-in of every crate manifest, and hot-path
-//!   panic-freedom from the seeds in `crates/xtask/hotpath.txt`.  `unsafe`,
-//!   bare `unwrap()` and detached thread spawns are `rustc`'s and clippy's
-//!   (root `Cargo.toml` `[workspace.lints]`, `clippy.toml`).
 //! * `loc` — non-blank, non-comment, non-test source lines and `pub fn`
-//!   count per crate (same lexer/scanner as `analyze`), held under the
-//!   ratchet in `crates/xtask/loc_ceiling.txt`: exits 1 when a listed
-//!   crate exceeds either ceiling.
+//!   count per crate, held under the ratchet in
+//!   `crates/xtask/loc_ceiling.txt`: exits 1 when a listed crate exceeds
+//!   either ceiling.
 //! * `diagcheck <dir>` — validate a diagnostics bundle (as written by
 //!   `Database::diagnostics` / `repro --diag`): presence of every
 //!   artifact, JSON/JSONL well-formedness, manifest provenance keys.
+//!
+//! Static checks are the compiler's (DESIGN.md §14): `unsafe`, bare
+//! `unwrap()`, detached spawns and, in every library crate, panicking
+//! indexing, `expect`, `panic!` and integer division are rejected by
+//! `rustc` and clippy.  The tests below pin that every crate opts into
+//! those lint levels.
 
-mod analyze;
 mod diagcheck;
-mod graph;
-mod lexer;
-mod lint;
 mod loc;
-mod panicfree;
-mod scan;
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -33,7 +27,11 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
     match args[..] {
-        [] | ["analyze"] => run_analyze(),
+        [] => {
+            eprintln!("xtask: missing subcommand\n");
+            usage();
+            ExitCode::from(2)
+        }
         ["loc"] => run_loc(),
         ["diagcheck", ref rest @ ..] => run_diagcheck(rest.first().copied()),
         ["help" | "--help" | "-h"] => {
@@ -71,31 +69,10 @@ fn run_diagcheck(dir: Option<&str>) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn run_analyze() -> ExitCode {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    match analyze::analyze_repo(&root) {
-        Ok(findings) if findings.is_empty() => {
-            println!("xtask analyze: clean");
-            ExitCode::SUCCESS
-        }
-        Ok(findings) => {
-            for f in &findings {
-                eprintln!("{f}");
-            }
-            eprintln!("xtask analyze: {} finding(s)", findings.len());
-            ExitCode::FAILURE
-        }
-        Err(err) => {
-            eprintln!("xtask analyze: {err}");
-            ExitCode::from(2)
-        }
-    }
-}
-
 fn run_loc() -> ExitCode {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let ceiling_path = root.join(loc::CEILING_FILE);
-    let measured = lint::scan_repo(&root).and_then(|files| {
+    let measured = loc::scan_repo(&root).and_then(|files| {
         let text = std::fs::read_to_string(&ceiling_path)
             .map_err(|e| format!("{}: {e}", ceiling_path.display()))?;
         Ok((loc::measure(&files), loc::parse_ceilings(&text)?))
@@ -126,13 +103,112 @@ fn run_loc() -> ExitCode {
 
 fn usage() {
     println!(
-        "usage: cargo xtask [analyze | loc | diagcheck <dir>]\n\n\
+        "usage: cargo xtask <loc | diagcheck <dir>>\n\n\
          subcommands:\n  \
-         analyze     telemetry-name grammar, workspace-lint opt-in and\n              \
-         hot-path panic-freedom over crates/*/src (default)\n  \
          loc         source lines and pub fns per crate vs loc_ceiling.txt\n  \
          diagcheck   validate a diagnostics bundle directory\n  \
          help        show this message\n\n\
          exit codes: 0 clean, 1 findings, 2 usage or I/O error"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use std::path::Path;
+
+    /// Crates outside the panic lints: CLI and benchmark harnesses, which
+    /// drive the engine from `main`, and this crate.
+    const HARNESS_CRATES: &[&str] = &["baselines", "bench", "datagen", "xtask"];
+
+    /// The lints every library crate root denies (DESIGN.md §14).
+    const DENIED: &[&str] = &[
+        "clippy::indexing_slicing",
+        "clippy::expect_used",
+        "clippy::panic",
+        "clippy::unreachable",
+        "clippy::todo",
+        "clippy::unimplemented",
+        "clippy::integer_division_remainder_used",
+    ];
+
+    /// True when a crate manifest inherits the workspace lint table: a
+    /// `[lints]` section holding `workspace = true`.
+    fn inherits_workspace_lints(manifest: &str) -> bool {
+        manifest
+            .lines()
+            .map(|l| l.split('#').next().unwrap_or("").trim())
+            .skip_while(|l| *l != "[lints]")
+            .skip(1)
+            .take_while(|l| !l.starts_with('['))
+            .any(|l| l.replace(' ', "") == "workspace=true")
+    }
+
+    /// The lints named by a crate root's `#![deny(…)]`, if it has one.
+    fn denied_lints(lib_rs: &str) -> Option<&str> {
+        let start = lib_rs.find("#![deny(")?;
+        let len = lib_rs[start..].find(")]")?;
+        Some(&lib_rs[start..start + len])
+    }
+
+    /// Cargo accepts a member without `[lints]` silently, and a new library
+    /// crate without the deny list escapes the panic lints just as quietly.
+    #[test]
+    fn every_crate_inherits_the_workspace_lints_and_libraries_deny_panics() {
+        let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        for entry in std::fs::read_dir(&crates).unwrap() {
+            let dir = entry.unwrap().path();
+            let name = dir.file_name().unwrap().to_string_lossy().into_owned();
+            let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+            assert!(
+                inherits_workspace_lints(&manifest),
+                "crates/{name}/Cargo.toml must inherit the workspace lint table: \
+                 add `[lints]` with `workspace = true`"
+            );
+            if HARNESS_CRATES.contains(&name.as_str()) {
+                continue;
+            }
+            let lib_rs = std::fs::read_to_string(dir.join("src/lib.rs")).unwrap();
+            let denied = denied_lints(&lib_rs).unwrap_or("");
+            for lint in DENIED {
+                assert!(
+                    denied.contains(lint),
+                    "crates/{name}/src/lib.rs must deny {lint} in its `#![deny(…)]`"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn manifest_opt_in_is_a_lints_section_with_workspace_true() {
+        let head = "[package]\nname = \"demo\"\n\n[dependencies]\n";
+        assert!(inherits_workspace_lints(&format!(
+            "{head}\n[lints]\nworkspace = true\n"
+        )));
+        assert!(inherits_workspace_lints(&format!(
+            "{head}[lints]\n# inherit\nworkspace=true # all of it\n[features]\n"
+        )));
+        // absent, commented out, a crate-local table, or `workspace = true`
+        // under some other section (a dependency's) do not count
+        for tail in [
+            "",
+            "# [lints]\n# workspace = true\n",
+            "[lints.rust]\nunsafe_code = \"forbid\"\n",
+            "[lints]\n[features]\nworkspace = true\n",
+            "[dependencies.rand]\nworkspace = true\n",
+        ] {
+            assert!(
+                !inherits_workspace_lints(&format!("{head}{tail}")),
+                "{tail}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_partial_deny_list_is_found_wanting() {
+        let lib = "//! docs\n#![deny(clippy::indexing_slicing, clippy::panic)]\npub fn f() {}\n";
+        let denied = denied_lints(lib).unwrap();
+        assert!(denied.contains("clippy::panic"));
+        assert!(!DENIED.iter().all(|lint| denied.contains(lint)));
+        assert_eq!(denied_lints("pub fn f() {}"), None);
+    }
 }

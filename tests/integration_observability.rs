@@ -1,6 +1,6 @@
 //! Integration tests for the observability stack: the flight recorder on
-//! the database lifecycle, the runtime-tunable slow-query threshold, and
-//! the one-command diagnostics bundle.
+//! the database lifecycle, the runtime-tunable slow-query threshold, the
+//! one-command diagnostics bundle, and the telemetry name grammar.
 
 use std::time::Duration;
 use xseq::datagen::{XmarkGenerator, XmarkOptions};
@@ -222,4 +222,102 @@ fn sharded_diagnostics_enumerate_every_shard() {
     );
     assert!(metrics.contains("\"index.delta.sequences\""), "{metrics}");
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Registered metric families: the first dot-segment of every registry
+/// metric name must be one of these.  Extending the exported namespace
+/// means extending this list in the same change — which is the point.
+const METRIC_FAMILIES: &[&str] = &[
+    "index", "memory", "query", "sequence", "storage", "update", "workload", "xml",
+];
+
+/// True when `name` matches the telemetry grammar `seg(.seg)*` with
+/// `seg = [a-z][a-z0-9_]*` — metric, span and event names alike.
+fn valid_name(name: &str) -> bool {
+    !name.is_empty()
+        && name.split('.').all(|seg| {
+            let mut chars = seg.chars();
+            matches!(chars.next(), Some('a'..='z'))
+                && chars.all(|c| matches!(c, 'a'..='z' | '0'..='9' | '_'))
+        })
+}
+
+#[test]
+fn span_name_grammar() {
+    for good in [
+        "index.search",
+        "a",
+        "xml.parse",
+        "storage.pool.hits",
+        "a_b.c9",
+    ] {
+        assert!(valid_name(good), "{good}");
+    }
+    for bad in ["", "Index.search", "a..b", "a.", ".a", "a-b", "9a", "a.B"] {
+        assert!(!valid_name(bad), "{bad}");
+    }
+}
+
+/// Every name one database registers through the whole pipeline — build,
+/// traced queries, a batch, an insert, a removal, a compaction and a
+/// diagnostics bundle — follows the grammar, and every metric opens a
+/// registered family.
+#[test]
+fn every_name_a_full_pipeline_registers_follows_the_grammar() {
+    let dir = std::env::temp_dir().join(format!("xseq-names-it-{}", std::process::id()));
+    let mut db = DatabaseBuilder::new()
+        .profiling(true)
+        .trace_config(TraceConfig {
+            sample_rate: 1.0,
+            slow_threshold: Duration::ZERO,
+            ..TraceConfig::default()
+        })
+        .build_from_xml(["<a><b>boston</b></a>", "<a><c/></a>"])
+        .expect("corpus indexes");
+    db.query_xpath("/a/b[text='boston']").expect("query parses");
+    db.query_batch(&["/a/c", "//b", "/a/*"]);
+    let id = db.insert_document("<a><d/></a>").expect("doc parses");
+    db.remove_document(id);
+    db.compact();
+    db.diagnostics(&dir).expect("bundle writes");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+
+    let metrics = db.metrics_registry().names();
+    for name in &metrics {
+        assert!(
+            valid_name(name),
+            "metric name {name:?} violates the grammar"
+        );
+        let family = name.split('.').next().unwrap_or("");
+        assert!(
+            METRIC_FAMILIES.contains(&family),
+            "metric name {name:?} opens a family outside {METRIC_FAMILIES:?}; \
+             extend METRIC_FAMILIES deliberately"
+        );
+    }
+    // Not vacuous: the run reaches every registered family.
+    for family in METRIC_FAMILIES {
+        assert!(
+            metrics.iter().any(|m| m.starts_with(&format!("{family}."))),
+            "no metric of family {family} in {metrics:?}"
+        );
+    }
+    let traces = db.recent_traces();
+    assert!(!traces.is_empty(), "tracing is on at rate 1");
+    for span in traces.iter().flat_map(|t| &t.spans) {
+        assert!(
+            valid_name(span.name),
+            "span name {:?} violates the grammar",
+            span.name
+        );
+    }
+    let events = db.events().events();
+    assert!(!events.is_empty(), "the lifecycle is journaled");
+    for event in &events {
+        assert!(
+            valid_name(event.name),
+            "event name {:?} violates the grammar",
+            event.name
+        );
+    }
 }
