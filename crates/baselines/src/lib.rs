@@ -24,6 +24,18 @@
 //! All three return exactly the same answers as `xseq_index::XmlIndex`
 //! (verified by cross-engine property tests); they differ — and this is the
 //! paper's story — in how much work it takes.
+//!
+//! Beside them live the sequence matchers the paper states but `Database`
+//! does not run: Algorithm 1 ([`constraint_search`]), ViST's naïve matching
+//! ([`naive_search`]), the isomorphic query expansion both need for
+//! completeness ([`isomorphic_variants`], Section 3.3) and the query that
+//! combines them ([`ordered_query`]).
+
+pub mod isomorph;
+pub mod search;
+
+pub use isomorph::isomorphic_variants;
+pub use search::{constraint_search, naive_search, ordered_query};
 
 use std::collections::HashMap;
 use xseq_index::{PlanOptions, XmlIndex};
@@ -457,7 +469,7 @@ impl VistIndex {
         paths: &mut PathTable,
     ) -> (Vec<DocId>, BaselineStats) {
         let mut stats = BaselineStats::default();
-        let naive = self.inner.query_naive(pattern, paths);
+        let naive = ordered_query(&self.inner, pattern, paths, naive_search);
         stats.postings_scanned = naive.stats.search.candidates;
         let mut result = Vec::new();
         for d in naive.docs {
@@ -639,6 +651,51 @@ mod tests {
         assert_eq!(res, vec![0, 1, 2, 3]);
         assert!(stats.join_rows > 0);
         assert!(stats.postings_scanned > 0);
+    }
+
+    #[test]
+    fn sibling_order_mismatch_is_no_false_dismissal() {
+        // Data doc P(L(B), L(S)) with the query's sibling order reversed:
+        // P(L(S), L(B)).  The order-free search needs no isomorphism
+        // expansion; the paper-faithful ordered search needs it — both must
+        // answer correctly.
+        let (mut st, mut pt, docs) = corpus(&["<p><l><b/></l><l><s/></l></p>"]);
+        let index = XmlIndex::build(&docs, &mut pt, Strategy::DepthFirst, PlanOptions::default());
+        let pd = st.designator("p");
+        let ld = st.designator("l");
+        let sd = st.designator("s");
+        let bd = st.designator("b");
+        let mut q = TreePattern::root(PatternLabel::Elem(pd));
+        let l1 = q.add(q.root_id(), Axis::Child, PatternLabel::Elem(ld));
+        q.add(l1, Axis::Child, PatternLabel::Elem(sd));
+        let l2 = q.add(q.root_id(), Axis::Child, PatternLabel::Elem(ld));
+        q.add(l2, Axis::Child, PatternLabel::Elem(bd));
+        let out = index.query(&q, &pt);
+        assert_eq!(out.docs, vec![0]);
+        assert_eq!(out.stats.variants, 1, "tree_search needs no expansion");
+        let ordered = ordered_query(&index, &q, &pt, constraint_search);
+        assert_eq!(ordered.docs, vec![0]);
+        assert!(
+            ordered.stats.variants >= 2,
+            "Algorithm 1 relies on isomorphic expansion here"
+        );
+    }
+
+    #[test]
+    fn naive_query_reports_false_alarms() {
+        let (mut st, mut pt, docs) = corpus(&["<p><l><s/></l><l><b/></l></p>"]);
+        let index = XmlIndex::build(&docs, &mut pt, Strategy::DepthFirst, PlanOptions::default());
+        let pd = st.designator("p");
+        let ld = st.designator("l");
+        let sd = st.designator("s");
+        let bd = st.designator("b");
+        // P(L(S,B)) — not contained.
+        let mut q = TreePattern::root(PatternLabel::Elem(pd));
+        let ln = q.add(q.root_id(), Axis::Child, PatternLabel::Elem(ld));
+        q.add(ln, Axis::Child, PatternLabel::Elem(sd));
+        q.add(ln, Axis::Child, PatternLabel::Elem(bd));
+        assert!(index.query(&q, &pt).docs.is_empty());
+        assert_eq!(ordered_query(&index, &q, &pt, naive_search).docs, vec![0]);
     }
 
     #[test]

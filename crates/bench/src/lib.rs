@@ -12,14 +12,12 @@
 //! `EXPERIMENTS.md`; speed itself is `benchmark/`'s job (`BENCHMARK.json`).
 
 use std::time::Instant;
-use xseq::baselines::{NodeIndex, PathIndex, VistIndex};
+use xseq::baselines::{constraint_search, naive_search, NodeIndex, PathIndex, VistIndex};
 use xseq::datagen::{
     self, queries, random_query_tree, DblpGenerator, SyntheticDataset, SyntheticParams,
     XmarkGenerator, XmarkOptions,
 };
-use xseq::index::{
-    constraint_search, naive_search, tree_search, QuerySequence, SearchStats, XmlIndex,
-};
+use xseq::index::{tree_search, QuerySequence, SearchStats, XmlIndex};
 use xseq::schema::{ProbabilityModel, WeightMap};
 use xseq::sequence::Strategy;
 use xseq::storage::{write_paged_trie, MemStore, PagedTrie};

@@ -34,20 +34,22 @@
 //!   the brute-force ground-truth matcher.
 //! * [`sequence`] — constraints (`f1`, forward prefix `f2`), the Theorem 1
 //!   decoder, sequencing strategies (DF/BF/Random/probability-ordered)
-//!   behind one pure emitter, isomorphic expansion.
+//!   behind one pure emitter.
 //! * [`schema`] — occurrence probabilities `p(C|root)` (estimated or
 //!   declared) and query-tuning weights `w(C)` (Eq. 6).
 //! * [`index`] — the trie + path-link index and its one constructor
-//!   (interning pass, pooled emission, freeze), Algorithm 1 and the
-//!   order-free `tree_search`, wildcard planning, the tiered update overlay
-//!   (a run is its trie).
+//!   (interning pass, pooled emission, freeze), the order-free
+//!   `tree_search` every query runs, wildcard planning, the tiered update
+//!   overlay (a run is its trie).
 //! * [`query`] — the XPath-subset parser.
 //! * [`storage`] — 4 KiB pages, buffer pool, the disk layout (`TrieView`
 //!   over pages) used for the I/O experiments.
 //! * [`telemetry`] — lock-free counters/gauges/latency histograms, the
 //!   named [`MetricsRegistry`] behind [`Database::metrics`], and the
 //!   snapshot exporters (`to_json`, `render_table`).
-//! * [`baselines`] — DataGuide-, XISS- and ViST-style comparators.
+//! * [`baselines`] — DataGuide-, XISS- and ViST-style comparators, and the
+//!   paper's ordered matchers: Algorithm 1, naïve matching and the
+//!   isomorphic query expansion they need.
 //! * [`datagen`] — deterministic synthetic / DBLP-like / XMark-like
 //!   workload generators and the paper's query sets.
 //!
@@ -100,8 +102,8 @@ pub use update::CompactionReport;
 pub use xseq_exec::Pool;
 pub use xseq_index::{
     DeltaView, IndexStats, IndexTelemetry, IntegrityReport, InvariantClass, MergeOutcome,
-    PlanOptions, QueryContext, QueryOutcome, QueryStats, SearchStats, SegmentStats, TieredDelta,
-    Violation, XmlIndex,
+    PlanOptions, QueryOutcome, QueryStats, SearchStats, SegmentStats, TieredDelta, Violation,
+    XmlIndex,
 };
 pub use xseq_query::{parse_xpath, parse_xpath_readonly, ParseError};
 pub use xseq_schema::{ClassStats, ProbabilityModel, SchemaTree, WeightMap, WorkloadProfile};

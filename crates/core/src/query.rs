@@ -4,8 +4,8 @@
 
 use crate::shard::{gather, rebind_pattern};
 use crate::{
-    Database, DocId, Error, Event, IntegrityReport, QueryContext, QueryOutcome, Severity, Trace,
-    Tracer, TreePattern,
+    index::SearchScratch, Database, DocId, Error, Event, IntegrityReport, QueryOutcome, Severity,
+    Trace, Tracer, TreePattern,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -22,11 +22,11 @@ impl Database {
     /// [`DatabaseBuilder::trace_config`](crate::DatabaseBuilder::trace_config),
     /// the query's span tree in [`QueryOutcome::trace`].
     pub fn query_xpath_full(&self, expr: &str) -> Result<QueryOutcome, Error> {
-        self.query_xpath_ctx(expr, &mut QueryContext::new(), false)
+        self.query_xpath_ctx(expr, &mut SearchScratch::new(), false)
     }
 
-    /// One query against a caller-owned [`QueryContext`] (scratch reuse);
-    /// the batch path runs one context per worker.  When profiling is on,
+    /// One query against a caller-owned [`SearchScratch`] (scratch reuse);
+    /// the batch path runs one scratch per worker.  When profiling is on,
     /// the executed query lands in the workload profiler: its classes are
     /// the concrete data paths the search descended
     /// ([`QueryOutcome::classes`]), its latency the wall time of the whole
@@ -34,16 +34,16 @@ impl Database {
     fn query_xpath_ctx(
         &self,
         expr: &str,
-        ctx: &mut QueryContext,
+        scratch: &mut SearchScratch,
         batch_worker: bool,
     ) -> Result<QueryOutcome, Error> {
         // ORDERING: config — advisory read; no memory is published through it.
         let slow_ns = self.slow_threshold_ns.load(Ordering::Relaxed);
         if self.workload.is_none() && slow_ns == u64::MAX {
-            return self.run_query(expr, ctx, batch_worker);
+            return self.run_query(expr, scratch, batch_worker);
         }
         let t0 = Instant::now();
-        let out = self.run_query(expr, ctx, batch_worker)?;
+        let out = self.run_query(expr, scratch, batch_worker)?;
         let elapsed_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         if let Some(recorder) = &self.workload {
             let classes = recorder.record(&out.classes, out.docs.len() as u64, elapsed_ns);
@@ -71,17 +71,17 @@ impl Database {
     /// Shard count and tracing are data here, not control flow.
     ///
     /// The one selection is *where* the shards answer.  They fan out on
-    /// the worker pool — each task with a fresh [`QueryContext`] — exactly
+    /// the worker pool — each task with a fresh [`SearchScratch`] — exactly
     /// when that can pay: there is more than one shard, the pool has
     /// workers, the query is untraced (a span tree is single-threaded),
     /// and the caller is not itself a `query_batch` worker (its
     /// parallelism already comes from the batch level, and nested fan-out
     /// would oversubscribe).  Otherwise they answer in turn on the
-    /// caller's thread and context.
+    /// caller's thread and scratch.
     fn run_query(
         &self,
         expr: &str,
-        ctx: &mut QueryContext,
+        scratch: &mut SearchScratch,
         batch_worker: bool,
     ) -> Result<QueryOutcome, Error> {
         let mut trace = self.tracer.as_deref().map(|t| (t, t.begin(expr)));
@@ -92,7 +92,7 @@ impl Database {
             let tasks: Vec<_> = self
                 .shards
                 .iter()
-                .map(|sh| move || sh.answer(expr, &mut QueryContext::new(), None, &self.parse_hist))
+                .map(|s| move || s.answer(expr, &mut SearchScratch::new(), None, &self.parse_hist))
                 .collect();
             self.pool.run(tasks).into_iter().collect()
         } else {
@@ -100,7 +100,7 @@ impl Database {
                 .iter()
                 .map(|sh| {
                     let active = trace.as_mut().map(|(_, active)| active);
-                    sh.answer(expr, ctx, active, &self.parse_hist)
+                    sh.answer(expr, scratch, active, &self.parse_hist)
                 })
                 .collect()
         };
@@ -138,16 +138,16 @@ impl Database {
     /// Answers many XPath queries on the builder's worker pool, returning
     /// one result per expression in input order.  Equivalent to (and, on a
     /// sequential pool, literally) a serial `query_xpath` loop; workers
-    /// share the database read-only and each reuses one [`QueryContext`]
+    /// share the database read-only and each reuses one [`SearchScratch`]
     /// for its whole chunk, across queries and across shards.
     pub fn query_batch(&self, exprs: &[&str]) -> Vec<Result<Vec<DocId>, Error>> {
         let chunk = self.pool.chunk_for(exprs.len());
         self.pool
             .map_chunks(exprs, chunk, |_, slice| {
-                let mut ctx = QueryContext::new();
+                let mut scratch = SearchScratch::new();
                 slice
                     .iter()
-                    .map(|expr| Ok(self.query_xpath_ctx(expr, &mut ctx, true)?.docs))
+                    .map(|expr| Ok(self.query_xpath_ctx(expr, &mut scratch, true)?.docs))
                     .collect::<Vec<_>>()
             })
             .into_iter()
@@ -161,10 +161,10 @@ impl Database {
     /// label provably matches nothing and is skipped.
     pub fn query_pattern(&self, pattern: &TreePattern) -> QueryOutcome {
         let from = &self.corpus().symbols;
-        let mut ctx = QueryContext::new();
+        let mut scratch = SearchScratch::new();
         gather(self.shards.iter().filter_map(|sh| {
             let local = rebind_pattern(pattern, from, &sh.corpus.symbols)?;
-            Some(sh.search(&local, &mut ctx, None))
+            Some(sh.search(&local, &mut scratch, None))
         }))
     }
 
@@ -276,6 +276,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use crate::*;
+    use xseq_index::SearchScratch;
 
     #[test]
     fn gather_sums_plan_truncation_across_shards() {
@@ -535,12 +536,12 @@ mod tests {
             .shards(3)
             .build_from_xml(xmls.iter().map(String::as_str))
             .unwrap();
-        // What a `query_batch` worker does per expression: its own context
+        // What a `query_batch` worker does per expression: its own scratch
         // goes down the shard walk.  One variant and no overlay means one
-        // search per shard, so a cold context per shard would count no
+        // search per shard, so a cold scratch per shard would count no
         // reuse; the worker's arrives warm at the second and third shard.
-        let mut ctx = QueryContext::new();
-        let out = db.query_xpath_ctx("/a/b", &mut ctx, true).unwrap();
+        let mut scratch = SearchScratch::new();
+        let out = db.query_xpath_ctx("/a/b", &mut scratch, true).unwrap();
         assert_eq!(out.docs.len(), 30);
         assert!(
             out.stats.search.scratch_reuses > 0,

@@ -3,7 +3,7 @@
 //! these; nothing here (or above) treats N = 1 specially.
 
 use crate::{
-    Corpus, DocId, Document, ParseError, PatternLabel, Pool, QueryContext, QueryOutcome,
+    index::SearchScratch, Corpus, DocId, Document, ParseError, PatternLabel, Pool, QueryOutcome,
     SymbolTable, TreePattern, XmlIndex,
 };
 use xseq_telemetry::{ActiveTrace, Histogram};
@@ -128,7 +128,7 @@ pub(crate) fn rebind_pattern(
 /// documents, locally id'd), its own frozen + overlay index, and the
 /// local→global id map.  Shards share nothing on the query hot path, and a
 /// shard holds no lock of its own: query scratch is the caller's
-/// [`QueryContext`].
+/// [`SearchScratch`].
 #[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) corpus: Corpus,
@@ -147,7 +147,7 @@ impl Shard {
     pub(crate) fn answer(
         &self,
         expr: &str,
-        ctx: &mut QueryContext,
+        scratch: &mut SearchScratch,
         mut trace: Option<&mut ActiveTrace>,
         parse_hist: &Histogram,
     ) -> Result<Option<QueryOutcome>, ParseError> {
@@ -157,7 +157,7 @@ impl Shard {
             parse_hist,
             trace.as_deref_mut(),
         )?;
-        Ok(pattern.map(|p| self.search(&p, ctx, trace)))
+        Ok(pattern.map(|p| self.search(&p, scratch, trace)))
     }
 
     /// Answers a pattern already bound to this shard's tables: the shard's
@@ -167,12 +167,12 @@ impl Shard {
     pub(crate) fn search(
         &self,
         pattern: &TreePattern,
-        ctx: &mut QueryContext,
+        scratch: &mut SearchScratch,
         trace: Option<&mut ActiveTrace>,
     ) -> QueryOutcome {
         let mut out = self
             .index
-            .query_with(pattern, &self.corpus.paths, ctx, trace);
+            .query_with(pattern, &self.corpus.paths, scratch, trace);
         for d in &mut out.docs {
             *d = self.global_ids[*d as usize];
         }

@@ -7,9 +7,9 @@
 //!   load balancing (a worker that draws a cheap chunk immediately claims
 //!   another) while keeping results addressable by chunk index, so callers
 //!   can reassemble outputs in *input* order no matter which worker ran
-//!   which chunk.  The queue's op-level state machine is model-checked
-//!   against a reference allocator with the `xseq-telemetry::sched`
-//!   interleaving enumerator (see `tests/sched.rs`).
+//!   which chunk.  Its tests claim from one queue on real threads; the
+//!   claim is one `fetch_add`, so they and the ThreadSanitizer job are its
+//!   whole concurrency check.
 //! * [`Pool`] — a scope/join front end over `std::thread::scope`.  Every
 //!   entry point blocks until all spawned work is joined, so borrowed data
 //!   flows into workers without `'static` bounds and panics propagate to
@@ -295,6 +295,39 @@ mod tests {
         let q = ChunkQueue::new(0, 4);
         assert!(q.is_empty());
         assert_eq!(q.claim(), None);
+    }
+
+    #[test]
+    fn chunk_queue_claims_are_disjoint_across_threads() {
+        // Four threads drain one queue; together their claims must cover
+        // 0..len exactly once, whatever the interleaving.
+        let (len, chunk) = (10_007, 3);
+        let q = ChunkQueue::new(len, chunk);
+        let mut claims: Vec<(usize, usize)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut mine = Vec::new();
+                        while let Some(r) = q.claim() {
+                            mine.push(r);
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        claims.sort_unstable();
+        let mut next = 0;
+        for (start, end) in claims {
+            assert_eq!(start, next, "claims overlap or leave a gap");
+            assert!(end > start && end - start <= chunk);
+            next = end;
+        }
+        assert_eq!(next, len, "claims cover the whole range");
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! The paper's index (Section 4): a trie over constraint sequences with
 //! preorder range labels and horizontal path links ([`trie`]), searched by
-//! constraint subsequence matching ([`search`], Algorithm 1), fed by a query
-//! planner that instantiates wildcards against the path dictionary
-//! ([`plan`]).
+//! the order-free form of constraint subsequence matching
+//! ([`search::tree_search`], DESIGN.md §5.0), fed by a query planner that
+//! instantiates wildcards against the path dictionary ([`plan`]).  The
+//! paper's ordered Algorithm 1 and ViST's naïve matching live beside the
+//! baselines they are compared with, in `xseq-baselines`.
 //!
 //! [`XmlIndex`] packages the pieces behind the interface the paper
 //! advertises in its introduction:
@@ -46,8 +48,7 @@ pub use delta::{
 };
 pub use plan::{instantiate, PlanOptions};
 pub use search::{
-    constraint_search, constraint_search_with, filter_tombstones, naive_search, naive_search_with,
-    tree_search, tree_search_with, QuerySequence, SearchScratch, SearchStats,
+    filter_tombstones, tree_search, tree_search_with, QuerySequence, SearchScratch, SearchStats,
 };
 pub use stats::{index_stats, IndexStats, SegmentStats};
 pub use telemetry::IndexTelemetry;
@@ -58,7 +59,7 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-use xseq_sequence::{emit_sequence, isomorphic_variants, sequence_document, Strategy};
+use xseq_sequence::{emit_sequence, sequence_document, Strategy};
 use xseq_telemetry::{ActiveTrace, SpanId, Trace};
 use xseq_xml::{DocId, Document, PathId, PathTable, TreePattern};
 
@@ -72,7 +73,8 @@ pub struct QueryStats {
     /// Nonzero means concrete trees were dropped and the answer may be
     /// incomplete.
     pub plan_truncated: u64,
-    /// Total sequence variants searched (instantiations × isomorphisms).
+    /// Query sequences searched: one per concrete query tree whose paths
+    /// all occur in the path table.
     pub variants: u64,
     /// Summed matcher counters.
     pub search: SearchStats,
@@ -226,34 +228,6 @@ fn record_descent(tr: &mut ActiveTrace, span: SpanId, st: &SearchStats, docs: us
     let e = tr.event("search.completions");
     tr.attr(e, "count", st.completions);
     tr.end_span(span);
-}
-
-/// Which matching algorithm a query runs.
-#[derive(Debug, Clone, Copy)]
-enum Mode {
-    TreeSearch,
-    Ordered,
-    Naive,
-}
-
-/// Reusable per-query state.
-///
-/// Queries need scratch buffers (the matcher's alignment stack and result
-/// accumulator); a context owns them so a caller running many queries on one
-/// thread — a batch worker, a benchmark loop — pays for the allocations once
-/// and reuses warm buffers afterwards.  Reuse is observable as
-/// [`SearchStats::scratch_reuses`].  Contexts are cheap to create and not
-/// shared between threads: one per worker.
-#[derive(Debug, Default)]
-pub struct QueryContext {
-    scratch: SearchScratch,
-}
-
-impl QueryContext {
-    /// A fresh context with cold buffers.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// The sequence-based XML index.
@@ -441,45 +415,7 @@ impl XmlIndex {
     /// Takes `&self` and a shared path table: queries never intern, so any
     /// number of threads may query one frozen index concurrently.
     pub fn query(&self, pattern: &TreePattern, paths: &PathTable) -> QueryOutcome {
-        self.query_with(pattern, paths, &mut QueryContext::new(), None)
-    }
-
-    /// [`XmlIndex::query`] against a caller-owned [`QueryContext`], reusing
-    /// its scratch buffers across calls, and with optional span emission:
-    /// under a `trace` the planning and per-variant encoding/descent phases
-    /// land as spans under its current span, carrying candidate counts, the
-    /// trie root range `(n⊢, n⊣)`, the chosen plan, and the inner-loop work
-    /// (sibling-cover checks, path-link binary searches, completions) as
-    /// marker events.
-    pub fn query_with(
-        &self,
-        pattern: &TreePattern,
-        paths: &PathTable,
-        ctx: &mut QueryContext,
-        trace: Option<&mut ActiveTrace>,
-    ) -> QueryOutcome {
-        self.run_query(pattern, paths, Mode::TreeSearch, trace, ctx)
-    }
-
-    /// The paper's Algorithm 1 verbatim: left-to-right constraint
-    /// subsequence matching plus isomorphic query expansion.  Complete only
-    /// for order-consistent strategies (canonical depth-first); kept for
-    /// faithfulness experiments and the ViST-style baseline.
-    pub fn query_ordered(&self, pattern: &TreePattern, paths: &PathTable) -> QueryOutcome {
-        self.run_query(
-            pattern,
-            paths,
-            Mode::Ordered,
-            None,
-            &mut QueryContext::new(),
-        )
-    }
-
-    /// Naïve subsequence matching (no constraint check) — the ViST query
-    /// primitive, which suffers false alarms that a ViST-style system must
-    /// repair with joins or per-document post-processing.
-    pub fn query_naive(&self, pattern: &TreePattern, paths: &PathTable) -> QueryOutcome {
-        self.run_query(pattern, paths, Mode::Naive, None, &mut QueryContext::new())
+        self.query_with(pattern, paths, &mut SearchScratch::new(), None)
     }
 
     /// The index shape report: a read-only statistics walk over
@@ -488,20 +424,21 @@ impl XmlIndex {
         stats::index_stats(self)
     }
 
-    fn run_query(
+    /// [`XmlIndex::query`] against a caller-owned [`SearchScratch`], reusing
+    /// its buffers across calls (counted in [`SearchStats::scratch_reuses`]:
+    /// one scratch per thread, e.g. per batch worker), and with optional
+    /// span emission: under a `trace` the planning and per-variant
+    /// encoding/descent phases land as spans under its current span,
+    /// carrying candidate counts, the trie root range `(n⊢, n⊣)`, the chosen
+    /// plan, and the inner-loop work (sibling-cover checks, path-link binary
+    /// searches, completions) as marker events.
+    pub fn query_with(
         &self,
         pattern: &TreePattern,
         paths: &PathTable,
-        mode: Mode,
+        scratch: &mut SearchScratch,
         mut trace: Option<&mut ActiveTrace>,
-        ctx: &mut QueryContext,
     ) -> QueryOutcome {
-        type Search = fn(&SequenceTrie, &QuerySequence, &mut SearchScratch) -> SearchStats;
-        let (mode_name, search): (&str, Search) = match mode {
-            Mode::TreeSearch => ("tree_search", tree_search_with),
-            Mode::Ordered => ("ordered", constraint_search_with),
-            Mode::Naive => ("naive", naive_search_with),
-        };
         let mut outcome = QueryOutcome::default();
         let plan_span = trace.as_mut().map(|tr| tr.start_span("index.plan"));
         let t_plan = Instant::now();
@@ -517,7 +454,6 @@ impl XmlIndex {
             tr.root_attr("n⊢", lo as u64);
             tr.root_attr("n⊣", hi as u64);
             tr.root_attr("strategy", self.strategy.short_name());
-            tr.root_attr("mode", mode_name);
             // no silent caps: nonzero means the union below may miss answers
             tr.root_attr("plan_truncated", u64::from(truncated));
         }
@@ -540,54 +476,44 @@ impl XmlIndex {
         let mut encode_ns = 0u64;
         let mut search_ns = 0u64;
         let mut traced_variants = 0usize;
-        for qdoc in &concrete {
-            // The order-free search subsumes isomorphism expansion (see the
-            // `tree_search` docs); the ordered matchers search every variant.
-            let expanded;
-            let variants = match mode {
-                Mode::TreeSearch => std::slice::from_ref(qdoc),
-                Mode::Ordered | Mode::Naive => {
-                    expanded = isomorphic_variants(qdoc, self.options.max_isomorphs);
-                    expanded.as_slice()
-                }
+        // The order-free search needs no isomorphic expansion (see the
+        // `tree_search` docs): each concrete tree is one variant.
+        for variant in &concrete {
+            let mut tr = if traced_variants < TRACE_VARIANT_CAP {
+                trace.as_deref_mut()
+            } else {
+                None
             };
-            for variant in variants {
-                let mut tr = if traced_variants < TRACE_VARIANT_CAP {
-                    trace.as_deref_mut()
+            if tr.is_some() {
+                traced_variants += 1;
+            }
+            let enc = tr.as_mut().map(|t| t.start_span("sequence.encode"));
+            let t0 = Instant::now();
+            let qs = QuerySequence::from_document_readonly(variant, paths, &self.strategy);
+            encode_ns += elapsed_ns(t0);
+            if let (Some(t), Some(sp)) = (tr.as_mut(), enc) {
+                t.end_span(sp);
+            }
+            // A query path absent from the table matches no data — the
+            // variant is provably empty, skip the descent.
+            let Some(qs) = qs else { continue };
+            outcome.classes.extend_from_slice(&qs.paths);
+            outcome.stats.variants += 1;
+            outcome.descents.push(0);
+            for (i, segment) in segments.iter().enumerate() {
+                let name = if i == 0 {
+                    "trie.descent"
                 } else {
-                    None
+                    "trie.descent.delta"
                 };
-                if tr.is_some() {
-                    traced_variants += 1;
-                }
-                let enc = tr.as_mut().map(|t| t.start_span("sequence.encode"));
+                let descent = tr.as_mut().map(|t| t.start_span(name));
                 let t0 = Instant::now();
-                let qs = QuerySequence::from_document_readonly(variant, paths, &self.strategy);
-                encode_ns += elapsed_ns(t0);
-                if let (Some(t), Some(sp)) = (tr.as_mut(), enc) {
-                    t.end_span(sp);
+                let st = tree_search_with(*segment, &qs, scratch);
+                search_ns += elapsed_ns(t0);
+                if let (Some(t), Some(sp)) = (tr.as_mut(), descent) {
+                    record_descent(t, sp, &st, scratch.docs.len());
                 }
-                // A query path absent from the table matches no data — the
-                // variant is provably empty, skip the descent.
-                let Some(qs) = qs else { continue };
-                outcome.classes.extend_from_slice(&qs.paths);
-                outcome.stats.variants += 1;
-                outcome.descents.push(0);
-                for (i, segment) in segments.iter().enumerate() {
-                    let name = if i == 0 {
-                        "trie.descent"
-                    } else {
-                        "trie.descent.delta"
-                    };
-                    let descent = tr.as_mut().map(|t| t.start_span(name));
-                    let t0 = Instant::now();
-                    let st = search(segment, &qs, &mut ctx.scratch);
-                    search_ns += elapsed_ns(t0);
-                    if let (Some(t), Some(sp)) = (tr.as_mut(), descent) {
-                        record_descent(t, sp, &st, ctx.scratch.docs.len());
-                    }
-                    outcome.absorb_segment(&ctx.scratch.docs, st);
-                }
+                outcome.absorb_segment(&scratch.docs, st);
             }
         }
         outcome.stats.encode_ns = encode_ns;
@@ -819,34 +745,6 @@ mod tests {
     }
 
     #[test]
-    fn sibling_order_mismatch_is_no_false_dismissal() {
-        // Data doc P(L(B), L(S)) with the query's sibling order reversed:
-        // P(L(S), L(B)).  The order-free search needs no isomorphism
-        // expansion; the paper-faithful ordered search needs it — both must
-        // answer correctly.
-        let (mut st, mut pt, docs) = corpus(&["<p><l><b/></l><l><s/></l></p>"]);
-        let index = XmlIndex::build(&docs, &mut pt, Strategy::DepthFirst, PlanOptions::default());
-        let pd = st.designator("p");
-        let ld = st.designator("l");
-        let sd = st.designator("s");
-        let bd = st.designator("b");
-        let mut q = TreePattern::root(PatternLabel::Elem(pd));
-        let l1 = q.add(q.root_id(), Axis::Child, PatternLabel::Elem(ld));
-        q.add(l1, Axis::Child, PatternLabel::Elem(sd));
-        let l2 = q.add(q.root_id(), Axis::Child, PatternLabel::Elem(ld));
-        q.add(l2, Axis::Child, PatternLabel::Elem(bd));
-        let out = index.query(&q, &pt);
-        assert_eq!(out.docs, vec![0]);
-        assert_eq!(out.stats.variants, 1, "tree_search needs no expansion");
-        let ordered = index.query_ordered(&q, &pt);
-        assert_eq!(ordered.docs, vec![0]);
-        assert!(
-            ordered.stats.variants >= 2,
-            "Algorithm 1 relies on isomorphic expansion here"
-        );
-    }
-
-    #[test]
     fn build_parallel_is_bit_identical_to_sequential() {
         let xmls = [
             "<p><r><l>boston</l></r></p>",
@@ -899,7 +797,7 @@ mod tests {
             };
             let index = XmlIndex::build(&docs, &mut pt, Strategy::DepthFirst, options);
             let mut active = tracer.begin("query");
-            let out = index.query_with(&q, &pt, &mut QueryContext::new(), Some(&mut active));
+            let out = index.query_with(&q, &pt, &mut SearchScratch::new(), Some(&mut active));
             let trace = tracer.finish(active);
             assert_eq!(out.stats.plan_truncated, u64::from(truncated), "cap {cap}");
             assert_eq!(out.explain().contains("plan TRUNCATED"), truncated);
@@ -963,31 +861,14 @@ mod tests {
         let mut q = TreePattern::root(PatternLabel::Elem(p));
         let star = q.add(q.root_id(), Axis::Child, PatternLabel::AnyElem);
         q.add(star, Axis::Child, PatternLabel::Elem(l));
-        let mut ctx = QueryContext::new();
-        let first = index.query_with(&q, &pt, &mut ctx, None);
+        let mut scratch = SearchScratch::new();
+        let first = index.query_with(&q, &pt, &mut scratch, None);
         assert_eq!(first.docs, vec![0, 1]);
-        let again = index.query_with(&q, &pt, &mut ctx, None);
+        let again = index.query_with(&q, &pt, &mut scratch, None);
         assert_eq!(again.docs, vec![0, 1]);
         assert!(
             again.stats.search.scratch_reuses > 0,
-            "second query on one context must reuse warm buffers"
+            "second query on one scratch must reuse warm buffers"
         );
-    }
-
-    #[test]
-    fn naive_query_reports_false_alarms() {
-        let (mut st, mut pt, docs) = corpus(&["<p><l><s/></l><l><b/></l></p>"]);
-        let index = XmlIndex::build(&docs, &mut pt, Strategy::DepthFirst, PlanOptions::default());
-        let pd = st.designator("p");
-        let ld = st.designator("l");
-        let sd = st.designator("s");
-        let bd = st.designator("b");
-        // P(L(S,B)) — not contained.
-        let mut q = TreePattern::root(PatternLabel::Elem(pd));
-        let ln = q.add(q.root_id(), Axis::Child, PatternLabel::Elem(ld));
-        q.add(ln, Axis::Child, PatternLabel::Elem(sd));
-        q.add(ln, Axis::Child, PatternLabel::Elem(bd));
-        assert!(index.query(&q, &pt).docs.is_empty());
-        assert_eq!(index.query_naive(&q, &pt).docs, vec![0]);
     }
 }

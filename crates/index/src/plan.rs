@@ -42,9 +42,6 @@ pub struct PlanOptions {
     pub max_assignments: usize,
     /// Maximum merge variants per assignment.
     pub max_merges: usize,
-    /// Maximum isomorphic sibling orderings per concrete tree (used by the
-    /// caller; carried here so one options struct configures the pipeline).
-    pub max_isomorphs: usize,
 }
 
 impl Default for PlanOptions {
@@ -52,7 +49,6 @@ impl Default for PlanOptions {
         PlanOptions {
             max_assignments: 4096,
             max_merges: 256,
-            max_isomorphs: 64,
         }
     }
 }
@@ -62,8 +58,8 @@ impl PlanOptions {
     /// query trace.
     pub fn describe(&self) -> String {
         format!(
-            "assignments<={} merges<={} isomorphs<={}",
-            self.max_assignments, self.max_merges, self.max_isomorphs
+            "assignments<={} merges<={}",
+            self.max_assignments, self.max_merges
         )
     }
 }

@@ -13,8 +13,6 @@
 //! * [`strategy`] — sequencing strategies: depth-first, breadth-first,
 //!   random, and the probability-ordered `g_best` of Algorithm 2, all run
 //!   through a single constraint-respecting emitter.
-//! * [`isomorph`] — enumeration of the isomorphic sibling orderings of a
-//!   query tree, the paper's cure for false dismissals (Section 3.3).
 //! * [`verify`] — integrity checking of stored sequences: `f2` validity and
 //!   the Theorem 1 round-trip, used by the index's `verify_integrity`.
 
@@ -31,12 +29,10 @@
 )]
 
 pub mod constraint;
-pub mod isomorph;
 pub mod strategy;
 pub mod verify;
 
 pub use constraint::{decode_f2, forward_prefix, validate_f2, DecodeError};
-pub use isomorph::isomorphic_variants;
 pub use strategy::{emit_sequence, sequence_document, PriorityMap, Strategy};
 pub use verify::{verify_sequence, SequenceIssue};
 

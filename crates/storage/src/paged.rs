@@ -448,7 +448,8 @@ impl<S: PageStore> TrieView for PagedTrie<S> {
 mod tests {
     use super::*;
     use crate::store::{FileStore, MemStore};
-    use xseq_index::{constraint_search, tree_search, QuerySequence};
+    use xseq_baselines::constraint_search;
+    use xseq_index::{tree_search, QuerySequence};
     use xseq_sequence::Sequence;
     use xseq_xml::{PathTable, Symbol, SymbolTable, ValueMode};
 

@@ -2,9 +2,8 @@
 //! in-memory trie for arbitrary corpora and queries, under any pool size.
 
 use proptest::prelude::*;
-use xseq_index::{
-    constraint_search, naive_search, tree_search, QuerySequence, SequenceTrie, TrieView,
-};
+use xseq_baselines::{constraint_search, naive_search};
+use xseq_index::{tree_search, QuerySequence, SequenceTrie, TrieView};
 use xseq_sequence::{sequence_document, Sequence, Strategy as SeqStrategy};
 use xseq_storage::{write_paged_trie, MemStore, PagedTrie};
 use xseq_xml::{Document, PathTable, SymbolTable, ValueMode};

@@ -23,8 +23,6 @@
 //!   or an indented text tree ([`export::render_trace`]).
 //! - [`EventJournal`] / [`Event`] — the flight recorder: a bounded journal
 //!   of severity-levelled lifecycle events, exportable as JSON Lines.
-//! - [`Schedules`] — the deterministic interleaving enumerator the model
-//!   checks in this crate, `xseq-exec` and `xseq-index` run on.
 //!
 //! Counters, gauges and histograms mutate through relaxed atomics only, so
 //! instrumentation can sit inside the paper's per-candidate inner loops
@@ -51,7 +49,6 @@ pub mod heap;
 pub mod metrics;
 pub mod registry;
 mod retention;
-pub mod sched;
 pub mod span;
 pub mod trace;
 
@@ -62,7 +59,6 @@ pub use metrics::{
     bucket_bounds, bucket_of, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS,
 };
 pub use registry::{Metric, MetricValue, MetricsRegistry, Snapshot};
-pub use sched::{check_counter, CounterOp, Schedules};
 pub use span::SpanTimer;
 pub use trace::{
     ActiveTrace, AttrValue, SpanId, Trace, TraceConfig, TraceId, TraceSpan, Tracer, TracerStats,

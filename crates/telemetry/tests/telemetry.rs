@@ -75,6 +75,38 @@ fn counter_increments_from_many_threads() {
 }
 
 #[test]
+fn counter_reads_are_monotone_while_threads_add() {
+    const WRITERS: u64 = 4;
+    const PER_WRITER: u64 = 50_000;
+    // Writer w adds 1, 2 or 3 at step i; the reader spins until it has
+    // seen every add, and no read may be smaller than the one before.
+    let step = |w: u64, i: u64| 1 + (w + i) % 3;
+    let total: u64 = (0..WRITERS)
+        .flat_map(|w| (0..PER_WRITER).map(move |i| step(w, i)))
+        .sum();
+    let c = MetricsRegistry::new().counter("contended.reads");
+    std::thread::scope(|s| {
+        for w in 0..WRITERS {
+            let c = c.clone();
+            s.spawn(move || {
+                for i in 0..PER_WRITER {
+                    c.add(step(w, i));
+                }
+            });
+        }
+        s.spawn(|| {
+            let mut last = 0;
+            while last < total {
+                let now = c.get();
+                assert!(now >= last, "a read went backwards: {now} after {last}");
+                last = now;
+            }
+        });
+    });
+    assert_eq!(c.get(), total, "no add lost");
+}
+
+#[test]
 fn snapshot_delta_roundtrip() {
     let reg = MetricsRegistry::new();
     let c = reg.counter("w.ops");
