@@ -23,8 +23,8 @@ use xseq::sequence::Strategy;
 use xseq::storage::{write_paged_trie, MemStore, PagedTrie};
 use xseq::xml::matcher::structure_match;
 use xseq::{
-    parse_xpath, Axis, Corpus, DatabaseBuilder, DocId, Document, IndexTelemetry, MetricsRegistry,
-    PatternLabel, PlanOptions, PoolTelemetry, SymbolTable, TreePattern, ValueMode,
+    parse_xpath_readonly, Axis, Corpus, DatabaseBuilder, DocId, Document, IndexTelemetry,
+    MetricsRegistry, PatternLabel, PlanOptions, PoolTelemetry, SymbolTable, TreePattern, ValueMode,
 };
 
 use rand::rngs::StdRng;
@@ -138,12 +138,13 @@ fn paged_query(
     paged: &PagedTrie<MemStore>,
     index: &XmlIndex,
     pattern: &TreePattern,
-    paths: &mut xseq::PathTable,
+    paths: &xseq::PathTable,
 ) -> Vec<DocId> {
     let mut docs = Vec::new();
     for qdoc in xseq::index::instantiate(pattern, paths, index.data_paths(), index.options()) {
-        let qseq = QuerySequence::from_document(&qdoc, paths, index.strategy());
-        docs.extend(tree_search(paged, &qseq).0);
+        // Instantiation yields only trees whose paths are indexed.
+        let qseq = QuerySequence::from_document_readonly(&qdoc, paths, index.strategy());
+        docs.extend(qseq.map_or_else(Vec::new, |q| tree_search(paged, &q).0));
     }
     docs.sort_unstable();
     docs.dedup();
@@ -328,7 +329,7 @@ pub struct Table7 {
     /// Q3 with its constants instantiated from the generated data (the
     /// paper's person11304 existed in *their* XMark instance).
     pub q3: String,
-    /// Q1–Q3.
+    /// Q1–Q3, less any naming a symbol the corpus lacks.
     pub rows: Vec<Table7Row>,
 }
 
@@ -356,20 +357,22 @@ pub fn table7_rows(scale: f64) -> Table7 {
         ("Q3", q3.as_str()),
     ]
     .into_iter()
-    .map(|(name, expr)| {
-        let pattern = parse_xpath(expr, &mut corpus.symbols).expect("paper query parses");
+    .filter_map(|(name, expr)| {
+        // `None`: the corpus lacks a symbol the query names (tiny scales
+        // only), so its answer is provably empty and the row is left out.
+        let pattern = parse_xpath_readonly(expr, &corpus.symbols).expect("paper query parses")?;
         let (outcome, ms) = timed_ms(|| index.query(&pattern, &corpus.paths));
 
         paged.reset_pool();
-        let disk_docs = paged_query(&paged, &index, &pattern, &mut corpus.paths);
+        let disk_docs = paged_query(&paged, &index, &pattern, &corpus.paths);
         assert_eq!(disk_docs, outcome.docs, "paged agrees with memory");
-        Table7Row {
+        Some(Table7Row {
             name,
             query_len: pattern.len(),
             results: outcome.docs.len(),
             disk_accesses: paged.pool_stats().misses,
             ms,
-        }
+        })
     })
     .collect();
     Table7 {
@@ -429,7 +432,7 @@ pub struct Table8 {
     pub records: usize,
     /// Document nodes across the records.
     pub nodes: usize,
-    /// Q1–Q4.
+    /// Q1–Q4, less any naming a symbol the corpus lacks.
     pub rows: Vec<Table8Row>,
 }
 
@@ -447,8 +450,10 @@ pub fn table8_rows(scale: f64) -> Table8 {
 
     let rows = queries::DBLP_QUERIES
         .iter()
-        .map(|&(name, expr)| {
-            let pattern = parse_xpath(expr, &mut corpus.symbols).expect("paper query parses");
+        .filter_map(|&(name, expr)| {
+            // `None`: a symbol the corpus lacks (tiny scales only) proves
+            // the answer empty; the row is left out.
+            let pattern = parse_xpath_readonly(expr, &corpus.symbols).expect("valid XPath")?;
 
             let ((r1, _), t1) = timed_ms(|| path_idx.query(&pattern, &corpus.docs, &corpus.paths));
             let ((r2, _), t2) = timed_ms(|| node_idx.query(&pattern, &corpus.docs));
@@ -457,12 +462,12 @@ pub fn table8_rows(scale: f64) -> Table8 {
             assert_eq!(r1, r2);
             assert_eq!(r2, r3);
             assert_eq!(r3, r4);
-            Table8Row {
+            Some(Table8Row {
                 name,
                 expr,
                 results: r4.len(),
                 ms: [t1, t2, t3, t4],
-            }
+            })
         })
         .collect();
     Table8 {
@@ -599,7 +604,7 @@ pub fn fig16cd_rows(identical_pct: u8, scale: f64) -> Vec<IoRow> {
             let t = Instant::now();
             for q in &patterns {
                 paged.reset_pool();
-                paged_query(&paged, &index, q, &mut paths);
+                paged_query(&paged, &index, q, &paths);
                 pages += paged.pool_stats().misses;
             }
             IoRow {
@@ -663,9 +668,9 @@ fn ablations(scale: f64) {
     let mut rng = StdRng::seed_from_u64(9);
     let queries: Vec<QuerySequence> = (0..50)
         .map(|i| {
-            let doc = &ds.docs[(i * 401) % ds.docs.len()];
-            let qdoc = random_query_tree(doc, 2 + i % 6, &mut rng);
-            QuerySequence::from_document(&qdoc, &mut paths, &Strategy::DepthFirst)
+            let qdoc = random_query_tree(&ds.docs[(i * 401) % ds.docs.len()], 2 + i % 6, &mut rng);
+            QuerySequence::from_document_readonly(&qdoc, &paths, &Strategy::DepthFirst)
+                .expect("a query tree cut from an indexed document has indexed paths")
         })
         .collect();
     let trie = index.trie();

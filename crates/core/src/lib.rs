@@ -59,8 +59,15 @@
 //! records per-phase latency (`query.parse`, `index.plan`,
 //! `sequence.encode`, `index.search`) and work counters, document ingestion
 //! records `xml.parse`, and paged storage mirrors its page traffic into
-//! `storage.pool.*`.  [`Database::metrics`] returns a [`Snapshot`];
-//! [`QueryOutcome::explain`] renders one query's work breakdown.
+//! `storage.pool.*`.  [`Database::metrics`] returns a [`Snapshot`].
+//!
+//! Each phase is timed once, into the [`QueryOutcome`] the query returns:
+//! one [`QueryStep`](index::QueryStep) per parse, plan, overlay view,
+//! variant encoding and segment descent, summed into [`QueryStats`] along
+//! with the wall time.  The histograms, [`QueryOutcome::explain`] (whose
+//! rows, `unattributed` included, sum to the wall time) and — with
+//! [`DatabaseBuilder::trace_config`] — the query's [`Trace`] all read that
+//! one record; the trace is built from it after the query finishes.
 
 // Panic-freedom, checked by clippy (DESIGN.md §14): every suppression is an
 // `#[expect(…, reason = "…")]` carrying its proof.
@@ -105,7 +112,7 @@ pub use xseq_index::{
     PlanOptions, QueryOutcome, QueryStats, SearchStats, SegmentStats, TieredDelta, Violation,
     XmlIndex,
 };
-pub use xseq_query::{parse_xpath, parse_xpath_readonly, ParseError};
+pub use xseq_query::{parse_xpath_readonly, ParseError};
 pub use xseq_schema::{ClassStats, ProbabilityModel, SchemaTree, WeightMap, WorkloadProfile};
 pub use xseq_sequence::{PriorityMap, Sequence, Strategy};
 pub use xseq_storage::{BufferPool, PagedTrie, PoolStats, PoolTelemetry};
@@ -211,8 +218,8 @@ pub struct Database {
     workload_classes: Arc<Gauge>,
     registry: Arc<MetricsRegistry>,
     parse_hist: Arc<Histogram>,
-    /// Registry handles for `storage.pool.*` — read around each traced
-    /// query to attach pool-delta attributes (metric deltas) to its trace.
+    /// Registry handles for `storage.pool.*`, read by
+    /// [`DatabaseStats::pool`].
     pool_tel: PoolTelemetry,
     tracer: Option<Arc<Tracer>>,
     /// Per-query increment of the 32.32 fixed-point sampling accumulator;

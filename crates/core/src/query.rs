@@ -4,12 +4,19 @@
 
 use crate::shard::{gather, rebind_pattern};
 use crate::{
-    index::SearchScratch, Database, DocId, Error, Event, IntegrityReport, QueryOutcome, Severity,
-    Trace, Tracer, TreePattern,
+    index::SearchScratch,
+    telemetry::{AttrValue::*, SpanId},
+    Database, DocId, Error, Event, IntegrityReport, QueryOutcome, Severity, Trace, TraceSpan,
+    Tracer, TreePattern,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// A trace keeps the spans of at most this many variants per shard; the
+/// rest are counted in the root's `untraced_variants` attribute, so a
+/// pathological wildcard query cannot balloon its own trace.
+const TRACE_VARIANT_CAP: usize = 32;
 
 impl Database {
     /// Answers an XPath-subset query with document ids.
@@ -26,11 +33,15 @@ impl Database {
     }
 
     /// One query against a caller-owned [`SearchScratch`] (scratch reuse);
-    /// the batch path runs one scratch per worker.  When profiling is on,
-    /// the executed query lands in the workload profiler: its classes are
-    /// the concrete data paths the search descended
-    /// ([`QueryOutcome::classes`]), its latency the wall time of the whole
-    /// parse → plan → search pipeline.
+    /// the batch path runs one scratch per worker.  When anything reads
+    /// the wall time — the workload profiler, the slow-query threshold,
+    /// the tracer — it is measured once, around the whole parse → plan →
+    /// search → gather pipeline, into [`QueryStats::total_ns`]: the
+    /// profiler files the executed query under the concrete data paths
+    /// the search descended ([`QueryOutcome::classes`]), and the trace is
+    /// built from the finished outcome.
+    ///
+    /// [`QueryStats::total_ns`]: crate::QueryStats::total_ns
     fn query_xpath_ctx(
         &self,
         expr: &str,
@@ -39,100 +50,166 @@ impl Database {
     ) -> Result<QueryOutcome, Error> {
         // ORDERING: config — advisory read; no memory is published through it.
         let slow_ns = self.slow_threshold_ns.load(Ordering::Relaxed);
-        if self.workload.is_none() && slow_ns == u64::MAX {
+        if self.workload.is_none() && slow_ns == u64::MAX && self.tracer.is_none() {
             return self.run_query(expr, scratch, batch_worker);
         }
         let t0 = Instant::now();
-        let out = self.run_query(expr, scratch, batch_worker)?;
-        let elapsed_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let answered = self.run_query(expr, scratch, batch_worker);
+        let total_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let trace = self.trace_query(expr, (t0, total_ns), answered.as_ref());
+        let mut out = answered?;
+        out.stats.total_ns = total_ns;
+        out.trace = trace;
         if let Some(recorder) = &self.workload {
-            let classes = recorder.record(&out.classes, out.docs.len() as u64, elapsed_ns);
+            let classes = recorder.record(&out.classes, out.docs.len() as u64, total_ns);
             self.workload_queries.inc();
             if out.classes.is_empty() {
                 self.workload_unclassified.inc();
             }
             self.workload_classes.set(classes as i64);
         }
-        if elapsed_ns >= slow_ns {
+        if total_ns >= slow_ns {
             self.events.record(
                 Event::new("query.slow")
                     .severity(Severity::Warn)
                     .message(expr)
-                    .attr("total_ns", elapsed_ns)
+                    .attr("total_ns", total_ns)
                     .attr("docs", out.docs.len() as u64),
             );
         }
         Ok(out)
     }
 
-    /// The query pipeline: begin the trace (when tracing is on), let every
-    /// shard [`answer`](crate::shard::Shard::answer), [`gather`], attach
-    /// the pool deltas and root attributes, spot-check, finish the trace.
+    /// The query pipeline: let every shard
+    /// [`answer`](crate::shard::Shard::answer), [`gather`], spot-check.
     /// Shard count and tracing are data here, not control flow.
     ///
     /// The one selection is *where* the shards answer.  They fan out on
     /// the worker pool — each task with a fresh [`SearchScratch`] — exactly
     /// when that can pay: there is more than one shard, the pool has
-    /// workers, the query is untraced (a span tree is single-threaded),
-    /// and the caller is not itself a `query_batch` worker (its
-    /// parallelism already comes from the batch level, and nested fan-out
-    /// would oversubscribe).  Otherwise they answer in turn on the
-    /// caller's thread and scratch.
+    /// workers, the query is untraced (a traced query's phases must
+    /// partition its wall clock, so they run one after another), and the
+    /// caller is not itself a `query_batch` worker (its parallelism
+    /// already comes from the batch level, and nested fan-out would
+    /// oversubscribe).  Otherwise they answer in turn on the caller's
+    /// thread and scratch.
     fn run_query(
         &self,
         expr: &str,
         scratch: &mut SearchScratch,
         batch_worker: bool,
     ) -> Result<QueryOutcome, Error> {
-        let mut trace = self.tracer.as_deref().map(|t| (t, t.begin(expr)));
-        let pool0 = (self.pool_tel.hits.get(), self.pool_tel.misses.get());
-        let fan_out =
-            self.shards.len() > 1 && !self.pool.is_sequential() && trace.is_none() && !batch_worker;
-        let answers: Result<Vec<Option<QueryOutcome>>, _> = if fan_out {
+        let fan_out = self.shards.len() > 1
+            && !self.pool.is_sequential()
+            && self.tracer.is_none()
+            && !batch_worker;
+        let answers: Result<Vec<QueryOutcome>, _> = if fan_out {
             let tasks: Vec<_> = self
                 .shards
                 .iter()
-                .map(|s| move || s.answer(expr, &mut SearchScratch::new(), None, &self.parse_hist))
+                .map(|s| move || s.answer(expr, &mut SearchScratch::new(), &self.parse_hist))
                 .collect();
             self.pool.run(tasks).into_iter().collect()
         } else {
             self.shards
                 .iter()
-                .map(|sh| {
-                    let active = trace.as_mut().map(|(_, active)| active);
-                    sh.answer(expr, scratch, active, &self.parse_hist)
-                })
+                .map(|sh| sh.answer(expr, scratch, &self.parse_hist))
                 .collect()
         };
-        let answers = match answers {
-            Ok(answers) => answers,
+        let mut out = gather(answers?);
+        self.maybe_spot_check(&mut out);
+        Ok(out)
+    }
+
+    /// Turns a finished query's record into its trace (DESIGN.md §8) when
+    /// tracing is on, and hands it to the tracer, which decides what to
+    /// retain.  Each step of the outcome is one span under the root, at its
+    /// real offset from `t0`, the query's start; a descent's matcher
+    /// counters become three zero-length events at its end.  The root
+    /// spans the wall time `total_ns` and names what the steps leave of it
+    /// (`unattributed_ns`).  A failed query still records its trace — the
+    /// time was spent, and a slow failure is still a slow query.
+    fn trace_query(
+        &self,
+        expr: &str,
+        (t0, total_ns): (Instant, u64),
+        answered: Result<&QueryOutcome, &Error>,
+    ) -> Option<Arc<Trace>> {
+        let tracer = self.tracer.as_deref()?;
+        let span = |name, parent, (start_ns, end_ns), attrs| TraceSpan {
+            name,
+            parent,
+            start_ns,
+            end_ns,
+            attrs,
+        };
+        let root = |attrs| span("query", None, (0, total_ns), attrs);
+        let out = match answered {
+            Ok(out) => out,
             Err(e) => {
-                // a failed parse still finishes its trace: the time was
-                // spent, and a slow failure is still a slow query
-                if let Some((tracer, mut active)) = trace {
-                    active.root_attr("error", e.to_string());
-                    tracer.finish(active);
-                }
-                return Err(e.into());
+                let error = vec![("error", e.to_string().into())];
+                return Some(tracer.record(expr, root(error), Vec::new()));
             }
         };
-        // A shard that answered `None` is provably empty: nothing to gather.
-        let mut out = gather(answers.into_iter().flatten());
-        out.stats.pool_hits = self.pool_tel.hits.get().saturating_sub(pool0.0);
-        out.stats.pool_misses = self.pool_tel.misses.get().saturating_sub(pool0.1);
-        self.maybe_spot_check(&mut out);
-        if let Some((tracer, mut active)) = trace {
-            active.root_attr("shards", self.shards.len() as u64);
-            active.root_attr("docs", out.docs.len() as u64);
-            active.root_attr("candidates", out.stats.search.candidates);
-            active.root_attr("pool_hits", out.stats.pool_hits);
-            active.root_attr("pool_misses", out.stats.pool_misses);
-            if let Some(report) = &out.integrity {
-                active.root_attr("integrity", report.summary());
+        let (len, plan) = (expr.len() as u64, self.index().options().describe());
+        let (mut spans, mut variants, mut untraced) = (Vec::new(), 0, 0u64);
+        for step in &out.steps {
+            // Each shard's steps open with its parse.
+            match step.phase {
+                "query.parse" => variants = 0,
+                "sequence.encode" => variants += 1,
+                _ => {}
             }
-            out.trace = Some(tracer.finish(active));
+            if variants > TRACE_VARIANT_CAP {
+                untraced += u64::from(step.phase == "sequence.encode");
+                continue;
+            }
+            let start_ns = step.start.duration_since(t0).as_nanos() as u64;
+            let at = (start_ns, start_ns + step.ns);
+            let (s, descent) = (&step.search, step.phase.starts_with("trie.descent"));
+            let attrs = match (step.phase, step.count) {
+                ("query.parse", 0) => vec![("expr_len", U64(len)), ("unknown_symbol", U64(1))],
+                ("query.parse", n) => vec![("expr_len", U64(len)), ("pattern_nodes", U64(n))],
+                ("index.plan", n) => vec![("instantiations", U64(n)), ("plan", Str(plan.clone()))],
+                (_, n) if descent => vec![("candidates", U64(s.candidates)), ("docs", U64(n))],
+                _ => Vec::new(),
+            };
+            let id = SpanId(1 + spans.len() as u32);
+            spans.push(span(step.phase, Some(SpanId(0)), at, attrs));
+            if descent {
+                let end = (at.1, at.1);
+                let event = |name, key, n| span(name, Some(id), end, vec![(key, U64(n))]);
+                let (rejections, probes) = (s.cover_rejections, s.link_probes);
+                spans.extend([
+                    event("search.sibling_cover_checks", "rejections", rejections),
+                    event("search.link_probes", "count", probes),
+                    event("search.completions", "count", s.completions),
+                ]);
+            }
         }
-        Ok(out)
+        let st = &out.stats;
+        let timed: u64 = out.steps.iter().map(|s| s.ns).sum();
+        let mut attrs = Vec::new();
+        for sh in &self.shards {
+            let (lo, hi) = sh.index.trie().root_range();
+            attrs.extend([("n⊢", U64(lo.into())), ("n⊣", U64(hi.into()))]);
+        }
+        attrs.extend([
+            ("strategy", self.index().strategy().short_name().into()),
+            // no silent caps: nonzero means the union may miss answers
+            ("plan_truncated", U64(st.plan_truncated)),
+            ("shards", U64(self.shards.len() as u64)),
+            ("docs", U64(out.docs.len() as u64)),
+            ("candidates", U64(st.search.candidates)),
+            ("unattributed_ns", U64(total_ns.saturating_sub(timed))),
+        ]);
+        if untraced > 0 {
+            attrs.push(("untraced_variants", U64(untraced)));
+        }
+        if let Some(report) = &out.integrity {
+            attrs.push(("integrity", report.summary().into()));
+        }
+        Some(tracer.record(expr, root(attrs), spans))
     }
 
     /// Answers many XPath queries on the builder's worker pool, returning
@@ -164,7 +241,7 @@ impl Database {
         let mut scratch = SearchScratch::new();
         gather(self.shards.iter().filter_map(|sh| {
             let local = rebind_pattern(pattern, from, &sh.corpus.symbols)?;
-            Some(sh.search(&local, &mut scratch, None))
+            Some(sh.search(&local, &mut scratch))
         }))
     }
 
@@ -231,8 +308,9 @@ impl Database {
     /// The slow-query log: every query whose wall time met
     /// [`TraceConfig::slow_threshold`](crate::TraceConfig::slow_threshold),
     /// oldest first, each with its full span tree, the serialized query
-    /// expression (the trace name), and metric deltas as root-span
-    /// attributes.  Empty when tracing is off.
+    /// expression (the trace name), and the query's totals (documents,
+    /// candidates, unattributed time) as root-span attributes.  Empty when
+    /// tracing is off.
     pub fn slow_queries(&self) -> Vec<Arc<Trace>> {
         self.tracer
             .as_ref()
@@ -336,26 +414,26 @@ mod tests {
     #[test]
     fn pool_telemetry_reaches_database_registry() {
         use xseq_storage::{write_paged_trie, MemStore, PagedTrie};
-        let mut db = DatabaseBuilder::new()
+        let db = DatabaseBuilder::new()
             .build_from_xml(["<a><b/></a>", "<a><c/></a>"])
             .unwrap();
         let mut store = MemStore::new();
         write_paged_trie(db.index().trie(), &mut store).unwrap();
         let paged = PagedTrie::open(store, 4).unwrap();
         paged.attach_pool_telemetry(db.pool_telemetry());
-        let pattern = parse_xpath("/a/b", &mut db.corpus_mut().symbols).unwrap();
-        let strategy = db.index().strategy().clone();
-        for qdoc in xseq_index::instantiate(
-            &pattern,
-            &db.corpus().paths,
-            db.index().data_paths(),
-            db.index().options(),
-        ) {
-            let qs = xseq_index::QuerySequence::from_document(
+        let (corpus, index) = (db.corpus(), db.index());
+        let pattern = parse_xpath_readonly("/a/b", &corpus.symbols)
+            .unwrap()
+            .expect("a and b are indexed");
+        for qdoc in
+            xseq_index::instantiate(&pattern, &corpus.paths, index.data_paths(), index.options())
+        {
+            let qs = xseq_index::QuerySequence::from_document_readonly(
                 &qdoc,
-                &mut db.corpus_mut().paths,
-                &strategy,
-            );
+                &corpus.paths,
+                index.strategy(),
+            )
+            .expect("instantiated paths are in the table");
             let _ = xseq_index::tree_search(&paged, &qs);
         }
         let snap = db.metrics();
@@ -412,7 +490,7 @@ mod tests {
             "explain shows spans"
         );
         assert_eq!(db.recent_traces().len(), 1);
-        assert!(db.tracer().unwrap().stats().started >= 1);
+        assert!(db.tracer().unwrap().stats().recorded >= 1);
     }
 
     #[test]
@@ -434,6 +512,78 @@ mod tests {
         let view = view.expect("delta.view span");
         assert_eq!(view.parent, Some(telemetry::SpanId(0)), "under the root");
         assert!(out.explain().contains("  delta.view "), "{}", out.explain());
+    }
+
+    /// A descent's matcher counters ride on its span as zero-length child
+    /// events at the descent's end.
+    #[test]
+    fn events_are_zero_length_children() {
+        let db = DatabaseBuilder::new()
+            .trace_config(TraceConfig {
+                sample_rate: 1.0,
+                ..TraceConfig::default()
+            })
+            .build_from_xml(["<a><b>x</b></a>", "<a><b/></a>"])
+            .unwrap();
+        let out = db.query_xpath_full("/a/b").unwrap();
+        let trace = out.trace.expect("tracing is on");
+        let descent = trace.spans.iter().position(|s| s.name == "trie.descent");
+        let descent = telemetry::SpanId(descent.expect("one descent") as u32);
+        let parent = trace.span(descent);
+        let events: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.parent == Some(descent))
+            .collect();
+        let names: Vec<&str> = events.iter().map(|e| e.name).collect();
+        assert_eq!(
+            names,
+            [
+                "search.sibling_cover_checks",
+                "search.link_probes",
+                "search.completions"
+            ]
+        );
+        for e in events {
+            assert_eq!((e.start_ns, e.end_ns), (parent.end_ns, parent.end_ns));
+        }
+        let probes = &trace.spans[descent.0 as usize + 2];
+        let count = telemetry::AttrValue::U64(out.stats.search.link_probes);
+        assert_eq!(probes.attrs, vec![("count", count)]);
+    }
+
+    /// The trace half of the index's truncated-plan test: the root names
+    /// a truncated plan, and the variants past the cap are counted, not
+    /// traced.  `//*//*` over a 100-deep chain has 4950 assignments, past
+    /// the default cap of 4096.
+    #[test]
+    fn truncated_plan_is_visible_in_the_trace() {
+        let chain = format!("{}{}", "<a>".repeat(100), "</a>".repeat(100));
+        let db = DatabaseBuilder::new()
+            .trace_config(TraceConfig {
+                sample_rate: 1.0,
+                ..TraceConfig::default()
+            })
+            .build_from_xml([chain.as_str(), "<a/>"])
+            .unwrap();
+        let root_attr = |out: &QueryOutcome, key: &str| {
+            let trace = out.trace.as_ref().expect("tracing is on");
+            let attr = trace.root().attrs.iter().find(|(k, _)| *k == key);
+            attr.map(|(_, v)| v.clone())
+        };
+        let flag = |truncated: u64| Some(telemetry::AttrValue::U64(truncated));
+        let out = db.query_xpath_full("//*//*").unwrap();
+        assert_eq!(out.stats.plan_truncated, 1);
+        assert!(out.explain().contains("plan TRUNCATED"));
+        assert_eq!(root_attr(&out, "plan_truncated"), flag(1));
+        let untraced = out.stats.instantiations - 32;
+        assert_eq!(root_attr(&out, "untraced_variants"), flag(untraced));
+        let trace = out.trace.as_ref().unwrap();
+        let encodes = trace.spans.iter().filter(|s| s.name == "sequence.encode");
+        assert_eq!(encodes.count(), 32, "the variant cap");
+        let out = db.query_xpath_full("/a/a").unwrap();
+        assert_eq!(root_attr(&out, "plan_truncated"), flag(0));
+        assert_eq!(root_attr(&out, "untraced_variants"), None);
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! these; nothing here (or above) treats N = 1 specially.
 
 use crate::{
-    index::SearchScratch, Corpus, DocId, Document, ParseError, PatternLabel, Pool, QueryOutcome,
-    SymbolTable, TreePattern, XmlIndex,
+    index::{QueryStep, SearchScratch},
+    Corpus, DocId, Document, ParseError, PatternLabel, Pool, QueryOutcome, SymbolTable,
+    TreePattern, XmlIndex,
 };
-use xseq_telemetry::{ActiveTrace, Histogram};
+use std::time::Instant;
+use xseq_telemetry::Histogram;
 use xseq_xml::Symbol;
 
 /// Routes a global document id to its shard: the splitmix64 finalizer over
@@ -143,21 +145,28 @@ impl Shard {
     /// This shard's share of an XPath query — the one place the pipeline's
     /// parse and search stages are called.  The expression re-resolves
     /// against the shard's own interners, read-only: a symbol absent from
-    /// them proves the shard empty — `Ok(None)`, no descent.
+    /// them proves the shard empty, and its outcome is the parse alone.
+    /// The parse is timed once, into the `query.parse` histogram (failed
+    /// parses too: the time was spent either way) and the outcome's first
+    /// step.
     pub(crate) fn answer(
         &self,
         expr: &str,
         scratch: &mut SearchScratch,
-        mut trace: Option<&mut ActiveTrace>,
         parse_hist: &Histogram,
-    ) -> Result<Option<QueryOutcome>, ParseError> {
-        let pattern = xseq_query::parse_xpath_readonly_instrumented(
-            expr,
-            &self.corpus.symbols,
-            parse_hist,
-            trace.as_deref_mut(),
-        )?;
-        Ok(pattern.map(|p| self.search(&p, scratch, trace)))
+    ) -> Result<QueryOutcome, ParseError> {
+        let start = Instant::now();
+        let parsed = xseq_query::parse_xpath_readonly(expr, &self.corpus.symbols);
+        let mut step = QueryStep::new("query.parse", start);
+        parse_hist.record(step.ns);
+        let pattern = parsed?;
+        let mut out = pattern
+            .as_ref()
+            .map_or_else(QueryOutcome::default, |p| self.search(p, scratch));
+        step.count = pattern.map_or(0, |p| p.len() as u64);
+        out.stats.parse_ns = step.ns;
+        out.steps.insert(0, step);
+        Ok(out)
     }
 
     /// Answers a pattern already bound to this shard's tables: the shard's
@@ -168,11 +177,8 @@ impl Shard {
         &self,
         pattern: &TreePattern,
         scratch: &mut SearchScratch,
-        trace: Option<&mut ActiveTrace>,
     ) -> QueryOutcome {
-        let mut out = self
-            .index
-            .query_with(pattern, &self.corpus.paths, scratch, trace);
+        let mut out = self.index.query_with(pattern, &self.corpus.paths, scratch);
         for d in &mut out.docs {
             *d = self.global_ids[*d as usize];
         }
@@ -210,26 +216,26 @@ fn kway_merge(lists: Vec<Vec<DocId>>) -> Vec<DocId> {
 }
 
 /// Folds one shard's outcome counters into the gathered aggregate: stats
-/// and phase times sum, per-variant descents append, classes union (their
-/// ids live in per-shard path spaces).  Docs are merged separately by
+/// and phase times sum, steps append, classes union (their ids live in
+/// per-shard path spaces).  Docs are merged separately by
 /// [`kway_merge`].
 fn absorb_shard_outcome(acc: &mut QueryOutcome, shard: QueryOutcome) {
     acc.stats.instantiations += shard.stats.instantiations;
     acc.stats.plan_truncated += shard.stats.plan_truncated;
     acc.stats.variants += shard.stats.variants;
     acc.stats.search.absorb(shard.stats.search);
+    acc.stats.parse_ns += shard.stats.parse_ns;
     acc.stats.plan_ns += shard.stats.plan_ns;
     acc.stats.view_ns += shard.stats.view_ns;
     acc.stats.encode_ns += shard.stats.encode_ns;
     acc.stats.search_ns += shard.stats.search_ns;
     acc.classes.extend(shard.classes);
-    acc.descents.extend(shard.descents);
+    acc.steps.extend(shard.steps);
 }
 
-/// The gather half of every query: folds the outcomes of the shards that
-/// answered (in shard order) into one — sorted doc lists k-way merge,
-/// counters sum, classes union.  No outcomes (every shard provably empty)
-/// gather to the empty outcome.
+/// The gather half of every query: folds the shards' outcomes (in shard
+/// order) into one — sorted doc lists k-way merge, counters sum, classes
+/// union.  No outcomes gather to the empty outcome.
 pub(crate) fn gather(answered: impl IntoIterator<Item = QueryOutcome>) -> QueryOutcome {
     let mut answered = answered.into_iter();
     let Some(mut acc) = answered.next() else {

@@ -306,7 +306,7 @@ mod tests {
             "descent counts in tail: {text}"
         );
         assert!(!out.classes.is_empty());
-        assert!(out.descents.iter().sum::<u64>() > 0);
+        assert!(out.steps.iter().any(|s| s.search.candidates > 0));
     }
 
     #[test]

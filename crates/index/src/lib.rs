@@ -60,7 +60,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use xseq_sequence::{emit_sequence, sequence_document, Strategy};
-use xseq_telemetry::{ActiveTrace, SpanId, Trace};
+use xseq_telemetry::Trace;
 use xseq_xml::{DocId, Document, PathId, PathTable, TreePattern};
 
 /// Aggregated statistics of one pattern query.
@@ -78,6 +78,9 @@ pub struct QueryStats {
     pub variants: u64,
     /// Summed matcher counters.
     pub search: SearchStats,
+    /// Wall time of the XPath parse (`query.parse`), ns — filled in by the
+    /// caller that parsed; 0 for a pre-built pattern.
+    pub parse_ns: u64,
     /// Wall time of wildcard instantiation (`index.plan`), nanoseconds.
     pub plan_ns: u64,
     /// Wall time of taking the overlay view (`delta.view`), ns — the
@@ -87,11 +90,45 @@ pub struct QueryStats {
     pub encode_ns: u64,
     /// Wall time of constraint matching (`index.search`), ns.
     pub search_ns: u64,
-    /// Buffer-pool hits during this query (filled in by callers that route
-    /// the index through paged storage; 0 for the in-memory trie).
-    pub pool_hits: u64,
-    /// Buffer-pool misses (disk accesses) during this query.
-    pub pool_misses: u64,
+    /// Wall time of the whole query, ns — filled in by the `Database` when
+    /// it measures one (profiling, a slow-query threshold or tracing is
+    /// on); 0 otherwise.
+    pub total_ns: u64,
+}
+
+/// One timed step of a query, recorded whether or not anyone traces it:
+/// the phase, the start its own clock read took, its duration, and what
+/// it produced.  A query's steps are the one record its [`QueryStats`]
+/// phase times, `explain()` and its trace are read from.
+#[derive(Debug, Clone, Copy)]
+pub struct QueryStep {
+    /// The phase, by its span name (DESIGN.md §8): `query.parse`,
+    /// `index.plan`, `delta.view`, `sequence.encode`, `trie.descent` (the
+    /// frozen trie) or `trie.descent.delta` (an overlay segment).
+    pub phase: &'static str,
+    /// When it started.
+    pub start: Instant,
+    /// How long it took, nanoseconds.
+    pub ns: u64,
+    /// The matcher's counters (descents; zero otherwise).
+    pub search: SearchStats,
+    /// What it produced: documents matched (descents), concrete trees
+    /// (plan), pattern nodes (parse — 0 when a symbol is unknown, which
+    /// proves the answer empty).
+    pub count: u64,
+}
+
+impl QueryStep {
+    /// A step of `phase` that started at `start` and ends now.
+    pub fn new(phase: &'static str, start: Instant) -> Self {
+        QueryStep {
+            phase,
+            start,
+            ns: elapsed_ns(start),
+            search: SearchStats::default(),
+            count: 0,
+        }
+    }
 }
 
 /// Result of a pattern query.
@@ -101,7 +138,7 @@ pub struct QueryOutcome {
     pub docs: Vec<DocId>,
     /// Work counters.
     pub stats: QueryStats,
-    /// The sealed trace of this query, when it ran under a tracer.
+    /// This query's trace, when it ran under a tracer.
     pub trace: Option<Arc<Trace>>,
     /// Post-query integrity spot check, when one fired (off by default;
     /// enabled via `DatabaseBuilder::integrity_spot_check`).
@@ -111,49 +148,37 @@ pub struct QueryOutcome {
     /// This is the classification the workload profiler accumulates
     /// (Eq. 6's `w(C)` is keyed by exactly these ids).
     pub classes: Vec<PathId>,
-    /// Candidates examined per searched variant, in variant order (frozen
-    /// and delta descents of one variant sum into one entry).
-    pub descents: Vec<u64>,
+    /// Every timed step, in the order it ran (shard after shard).
+    pub steps: Vec<QueryStep>,
 }
 
 impl QueryOutcome {
-    /// Folds one *segment's* search of the current variant into the
-    /// outcome: stats sum, docs union — `variants` bumps once per searched
-    /// query sequence (where its `descents` entry opens), not per segment,
-    /// so a frozen + overlay index still reports one variant each.
-    fn absorb_segment(&mut self, docs: &[DocId], st: SearchStats) {
-        if let Some(last) = self.descents.last_mut() {
-            *last += st.candidates;
-        }
-        self.stats.search.absorb(st);
-        self.docs.extend_from_slice(docs);
-    }
-
     /// Renders this query's work breakdown — phase latencies and matcher
     /// counters — as a small text report (an EXPLAIN of what the index did).
+    /// The rows sum to the wall time: the timed phases plus what none of
+    /// them accounts for, clamped at 0 (so the rows sum to the phases when
+    /// the wall time is unknown, or when parallel shards' phases overlap
+    /// past it).
     pub fn explain(&self) -> String {
         let st = &self.stats;
-        let total = st.plan_ns + st.view_ns + st.encode_ns + st.search_ns;
-        let pct = |ns: u64| {
-            if total == 0 {
-                0.0
-            } else {
-                ns as f64 * 100.0 / total as f64
-            }
-        };
-        let mut out = String::new();
-        let _ = writeln!(out, "query: {} matching document(s)", self.docs.len());
-        for (phase, ns) in [
+        let phases = [
+            ("query.parse", st.parse_ns),
             ("index.plan", st.plan_ns),
             ("delta.view", st.view_ns),
             ("sequence.encode", st.encode_ns),
             ("index.search", st.search_ns),
-        ] {
+        ];
+        let timed: u64 = phases.iter().map(|&(_, ns)| ns).sum();
+        let unattributed = ("unattributed", st.total_ns.saturating_sub(timed));
+        let total = timed + unattributed.1;
+        let mut out = String::new();
+        let _ = writeln!(out, "query: {} matching document(s)", self.docs.len());
+        for (phase, ns) in phases.into_iter().chain([unattributed]) {
+            let pct = ns as f64 * 100.0 / total.max(1) as f64;
             let _ = writeln!(
                 out,
-                "  {phase:<16} {:>10}  ({:>5.1}%)",
+                "  {phase:<16} {:>10}  ({pct:>5.1}%)",
                 xseq_telemetry::format_ns(ns),
-                pct(ns)
             );
         }
         let _ = writeln!(
@@ -169,6 +194,16 @@ impl QueryOutcome {
         if st.plan_truncated > 0 {
             out.push_str("  plan TRUNCATED by its caps: the answer may be incomplete\n");
         }
+        // Candidates per searched variant: its frozen descent opens the
+        // entry, its overlay descents add to it.
+        let mut descents: Vec<u64> = Vec::new();
+        for step in &self.steps {
+            match (step.phase, descents.last_mut()) {
+                ("trie.descent", _) => descents.push(step.search.candidates),
+                ("trie.descent.delta", Some(last)) => *last += step.search.candidates,
+                _ => {}
+            }
+        }
         let fmt_list = |vals: &mut dyn Iterator<Item = u64>| {
             const SHOWN: usize = 16;
             let mut shown: Vec<String> = vals.take(SHOWN + 1).map(|v| v.to_string()).collect();
@@ -182,18 +217,8 @@ impl QueryOutcome {
             "  stats: results {} | classes {} | descents/variant {}",
             self.docs.len(),
             fmt_list(&mut self.classes.iter().map(|c| u64::from(c.0))),
-            fmt_list(&mut self.descents.iter().copied()),
+            fmt_list(&mut descents.into_iter()),
         );
-        let pool_total = st.pool_hits + st.pool_misses;
-        if pool_total > 0 {
-            let _ = writeln!(
-                out,
-                "  storage.pool.hit_ratio {:.3} ({} hits, {} misses)",
-                st.pool_hits as f64 / pool_total as f64,
-                st.pool_hits,
-                st.pool_misses
-            );
-        }
         if let Some(report) = &self.integrity {
             out.push_str(&report.render());
         }
@@ -207,27 +232,6 @@ impl QueryOutcome {
 #[inline]
 fn elapsed_ns(t: Instant) -> u64 {
     t.elapsed().as_nanos().min(u64::MAX as u128) as u64
-}
-
-/// Upper bound on per-variant span groups in one trace; beyond it the
-/// remaining variants run untraced (counted in the `untraced_variants` root
-/// attribute) so a pathological wildcard query cannot balloon its own trace.
-const TRACE_VARIANT_CAP: usize = 32;
-
-/// Attaches one descent's work to its span: candidate/result counts on the
-/// span itself, and the paper's inner-loop quantities (sibling-cover checks,
-/// path-link binary searches, completions) as zero-length marker events —
-/// the hot loops themselves stay uninstrumented.
-fn record_descent(tr: &mut ActiveTrace, span: SpanId, st: &SearchStats, docs: usize) {
-    tr.attr(span, "candidates", st.candidates);
-    tr.attr(span, "docs", docs as u64);
-    let e = tr.event("search.sibling_cover_checks");
-    tr.attr(e, "rejections", st.cover_rejections);
-    let e = tr.event("search.link_probes");
-    tr.attr(e, "count", st.link_probes);
-    let e = tr.event("search.completions");
-    tr.attr(e, "count", st.completions);
-    tr.end_span(span);
 }
 
 /// The sequence-based XML index.
@@ -415,7 +419,7 @@ impl XmlIndex {
     /// Takes `&self` and a shared path table: queries never intern, so any
     /// number of threads may query one frozen index concurrently.
     pub fn query(&self, pattern: &TreePattern, paths: &PathTable) -> QueryOutcome {
-        self.query_with(pattern, paths, &mut SearchScratch::new(), None)
+        self.query_with(pattern, paths, &mut SearchScratch::new())
     }
 
     /// The index shape report: a read-only statistics walk over
@@ -426,103 +430,58 @@ impl XmlIndex {
 
     /// [`XmlIndex::query`] against a caller-owned [`SearchScratch`], reusing
     /// its buffers across calls (counted in [`SearchStats::scratch_reuses`]:
-    /// one scratch per thread, e.g. per batch worker), and with optional
-    /// span emission: under a `trace` the planning and per-variant
-    /// encoding/descent phases land as spans under its current span,
-    /// carrying candidate counts, the trie root range `(n⊢, n⊣)`, the chosen
-    /// plan, and the inner-loop work (sibling-cover checks, path-link binary
-    /// searches, completions) as marker events.
+    /// one scratch per thread, e.g. per batch worker).  Each phase is timed
+    /// once, into a [`QueryStep`] of the outcome: the plan, the overlay
+    /// view, every variant's encoding and every segment's descent.
     pub fn query_with(
         &self,
         pattern: &TreePattern,
         paths: &PathTable,
         scratch: &mut SearchScratch,
-        mut trace: Option<&mut ActiveTrace>,
     ) -> QueryOutcome {
         let mut outcome = QueryOutcome::default();
-        let plan_span = trace.as_mut().map(|tr| tr.start_span("index.plan"));
-        let t_plan = Instant::now();
+        let t0 = Instant::now();
         let (concrete, truncated) = plan::plan(pattern, paths, &self.data_paths, &self.options);
-        outcome.stats.plan_ns = elapsed_ns(t_plan);
-        outcome.stats.instantiations = concrete.len() as u64;
-        outcome.stats.plan_truncated = u64::from(truncated);
-        if let (Some(tr), Some(sp)) = (trace.as_mut(), plan_span) {
-            tr.attr(sp, "instantiations", concrete.len() as u64);
-            tr.attr(sp, "plan", self.options.describe());
-            tr.end_span(sp);
-            let (lo, hi) = self.trie.root_range();
-            tr.root_attr("n⊢", lo as u64);
-            tr.root_attr("n⊣", hi as u64);
-            tr.root_attr("strategy", self.strategy.short_name());
-            // no silent caps: nonzero means the union below may miss answers
-            tr.root_attr("plan_truncated", u64::from(truncated));
-        }
+        let mut plan = QueryStep::new("index.plan", t0);
+        plan.count = concrete.len() as u64;
         // One overlay view for the whole query: every variant searches the
         // same segment set, which no write can change while it is borrowed.
         // Timed: after a write this is where the memtable view re-freezes.
-        let view_span = trace.as_mut().map(|tr| tr.start_span("delta.view"));
-        let t_view = Instant::now();
+        let t0 = Instant::now();
         let delta_view = self.delta.delta_view();
-        outcome.stats.view_ns = elapsed_ns(t_view);
-        if let (Some(tr), Some(sp)) = (trace.as_mut(), view_span) {
-            tr.end_span(sp);
-        }
+        let view = QueryStep::new("delta.view", t0);
+        outcome.stats.instantiations = plan.count;
+        outcome.stats.plan_truncated = u64::from(truncated);
+        outcome.stats.plan_ns = plan.ns;
+        outcome.stats.view_ns = view.ns;
         // The frozen trie first, then every overlay segment.
-        let segments: Vec<&SequenceTrie> = std::iter::once(&self.trie)
-            .chain(delta_view.segments())
+        let segments: Vec<(&str, &SequenceTrie)> = std::iter::once(("trie.descent", &self.trie))
+            .chain(delta_view.segments().map(|s| ("trie.descent.delta", s)))
             .collect();
-        // Phase timings accumulate in plain locals; the registry (if any) is
-        // touched exactly once, after the loop.
-        let mut encode_ns = 0u64;
-        let mut search_ns = 0u64;
-        let mut traced_variants = 0usize;
+        outcome.steps.extend([plan, view]);
         // The order-free search needs no isomorphic expansion (see the
         // `tree_search` docs): each concrete tree is one variant.
         for variant in &concrete {
-            let mut tr = if traced_variants < TRACE_VARIANT_CAP {
-                trace.as_deref_mut()
-            } else {
-                None
-            };
-            if tr.is_some() {
-                traced_variants += 1;
-            }
-            let enc = tr.as_mut().map(|t| t.start_span("sequence.encode"));
             let t0 = Instant::now();
             let qs = QuerySequence::from_document_readonly(variant, paths, &self.strategy);
-            encode_ns += elapsed_ns(t0);
-            if let (Some(t), Some(sp)) = (tr.as_mut(), enc) {
-                t.end_span(sp);
-            }
+            let encode = QueryStep::new("sequence.encode", t0);
+            outcome.stats.encode_ns += encode.ns;
+            outcome.steps.push(encode);
             // A query path absent from the table matches no data — the
             // variant is provably empty, skip the descent.
             let Some(qs) = qs else { continue };
             outcome.classes.extend_from_slice(&qs.paths);
             outcome.stats.variants += 1;
-            outcome.descents.push(0);
-            for (i, segment) in segments.iter().enumerate() {
-                let name = if i == 0 {
-                    "trie.descent"
-                } else {
-                    "trie.descent.delta"
-                };
-                let descent = tr.as_mut().map(|t| t.start_span(name));
+            for &(name, segment) in &segments {
                 let t0 = Instant::now();
-                let st = tree_search_with(*segment, &qs, scratch);
-                search_ns += elapsed_ns(t0);
-                if let (Some(t), Some(sp)) = (tr.as_mut(), descent) {
-                    record_descent(t, sp, &st, scratch.docs.len());
-                }
-                outcome.absorb_segment(&scratch.docs, st);
-            }
-        }
-        outcome.stats.encode_ns = encode_ns;
-        outcome.stats.search_ns = search_ns;
-        if let Some(tr) = trace.as_mut() {
-            let total = outcome.stats.variants as usize;
-            if total > traced_variants {
-                // no silent caps: record how many variants ran untraced
-                tr.root_attr("untraced_variants", (total - traced_variants) as u64);
+                let search = tree_search_with(segment, &qs, scratch);
+                let mut descent = QueryStep::new(name, t0);
+                descent.search = search;
+                descent.count = scratch.docs.len() as u64;
+                outcome.stats.search_ns += descent.ns;
+                outcome.stats.search.absorb(search);
+                outcome.docs.extend_from_slice(&scratch.docs);
+                outcome.steps.push(descent);
             }
         }
         outcome.docs.sort_unstable();
@@ -782,6 +741,8 @@ mod tests {
         }
     }
 
+    /// The trace half — the root's `plan_truncated` attribute — is checked
+    /// where traces are built, in the `xseq` crate.
     #[test]
     fn truncated_plan_is_visible_in_stats_explain_and_trace() {
         let (mut st, mut pt, docs) =
@@ -789,34 +750,39 @@ mod tests {
         // //l has two assignments (p.r.l and p.d.l); a cap of one drops one.
         let l = st.designator("l");
         let q = TreePattern::with_root_axis(PatternLabel::Elem(l), Axis::Descendant);
-        let tracer = xseq_telemetry::Tracer::new(Default::default());
         for (cap, truncated) in [(1usize, true), (2, false)] {
             let options = PlanOptions {
                 max_assignments: cap,
                 ..Default::default()
             };
             let index = XmlIndex::build(&docs, &mut pt, Strategy::DepthFirst, options);
-            let mut active = tracer.begin("query");
-            let out = index.query_with(&q, &pt, &mut SearchScratch::new(), Some(&mut active));
-            let trace = tracer.finish(active);
+            let out = index.query(&q, &pt);
             assert_eq!(out.stats.plan_truncated, u64::from(truncated), "cap {cap}");
             assert_eq!(out.explain().contains("plan TRUNCATED"), truncated);
-            let flag = xseq_telemetry::AttrValue::U64(u64::from(truncated));
-            assert!(trace.root().attrs.contains(&("plan_truncated", flag)));
             assert_eq!(out.docs.len(), cap);
         }
     }
 
     #[test]
     fn explain_cuts_long_lists_and_rows_every_timed_phase() {
+        let descent = |candidates: u64| QueryStep {
+            phase: "trie.descent",
+            start: Instant::now(),
+            ns: 0,
+            search: SearchStats {
+                candidates,
+                ..Default::default()
+            },
+            count: 0,
+        };
         let mut out = QueryOutcome {
-            descents: (0..16).collect(),
+            steps: (0..16).map(descent).collect(),
             ..Default::default()
         };
         assert!(out
             .explain()
             .contains("descents/variant [0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15]\n"));
-        out.descents.extend([16, 17]);
+        out.steps.extend([16, 17].map(descent));
         assert!(out.explain().contains(" 14 15 …]\n"), "{}", out.explain());
         out.stats.view_ns = 750;
         out.stats.search_ns = 250;
@@ -825,6 +791,58 @@ mod tests {
             explain.contains("delta.view            750ns  ( 75.0%)"),
             "{explain}"
         );
+        // With the wall time known, the remainder is a row of its own.
+        out.stats.total_ns = 4000;
+        let explain = out.explain();
+        assert!(
+            explain.contains("delta.view            750ns  ( 18.8%)"),
+            "{explain}"
+        );
+        assert!(
+            explain.contains("unattributed         3.00us  ( 75.0%)"),
+            "{explain}"
+        );
+    }
+
+    #[test]
+    fn steps_record_every_phase_and_sum_to_the_stats() {
+        let (mut st, mut pt, docs) = corpus(&["<p><r/></p>", "<p><d/></p>", "<p><r/></p>"]);
+        let mut index = XmlIndex::build(
+            &docs[..1],
+            &mut pt,
+            Strategy::DepthFirst,
+            PlanOptions::default(),
+        );
+        index.insert_delta(&docs[1], 1, &mut pt);
+        index.insert_delta(&docs[2], 2, &mut pt);
+        // /p/* has two variants (p.r and p.d), each searched in the frozen
+        // trie and the one overlay segment.
+        let p = st.designator("p");
+        let mut q = TreePattern::root(PatternLabel::Elem(p));
+        q.add(q.root_id(), Axis::Child, PatternLabel::AnyElem);
+        let out = index.query(&q, &pt);
+        assert_eq!(out.docs, vec![0, 1, 2]);
+        let phases: Vec<&str> = out.steps.iter().map(|s| s.phase).collect();
+        let variant = ["sequence.encode", "trie.descent", "trie.descent.delta"];
+        let head = ["index.plan", "delta.view"];
+        assert_eq!(phases, [&head[..], &variant, &variant].concat());
+        let sum = |phase: &str| -> u64 {
+            let steps = out.steps.iter().filter(|s| s.phase.starts_with(phase));
+            steps.map(|s| s.ns).sum()
+        };
+        assert_eq!(sum("index.plan"), out.stats.plan_ns);
+        assert_eq!(sum("delta.view"), out.stats.view_ns);
+        assert_eq!(sum("sequence.encode"), out.stats.encode_ns);
+        assert_eq!(sum("trie.descent"), out.stats.search_ns);
+        assert_eq!(out.steps[0].count, 2, "the plan counts its instantiations");
+        let matched: u64 = out.steps.iter().map(|s| s.count).sum::<u64>() - 2;
+        assert_eq!(matched, 3, "each descent counts the documents it matched");
+        // A variant's frozen and overlay descents sum into one entry.
+        let candidates =
+            |i: usize| out.steps[i].search.candidates + out.steps[i + 1].search.candidates;
+        let per_variant = format!("descents/variant [{} {}]", candidates(3), candidates(6));
+        assert!(out.explain().contains(&per_variant), "{}", out.explain());
+        assert!(out.steps.windows(2).all(|w| w[0].start <= w[1].start));
     }
 
     #[test]
@@ -838,7 +856,8 @@ mod tests {
         );
         index.insert_delta(&docs[1], 1, &mut pt);
         index.insert_delta(&docs[2], 2, &mut pt);
-        let q = QuerySequence::from_document(&docs[0], &mut pt, &Strategy::DepthFirst);
+        let q = QuerySequence::from_document_readonly(&docs[0], &pt, &Strategy::DepthFirst)
+            .expect("an indexed document's paths are in the table");
         let (all, st) = index.query_sequence(&q);
         assert_eq!(all, vec![0, 1, 2], "frozen ∪ overlay");
         let (frozen_only, frozen_st) = tree_search(index.trie(), &q);
@@ -862,9 +881,9 @@ mod tests {
         let star = q.add(q.root_id(), Axis::Child, PatternLabel::AnyElem);
         q.add(star, Axis::Child, PatternLabel::Elem(l));
         let mut scratch = SearchScratch::new();
-        let first = index.query_with(&q, &pt, &mut scratch, None);
+        let first = index.query_with(&q, &pt, &mut scratch);
         assert_eq!(first.docs, vec![0, 1]);
-        let again = index.query_with(&q, &pt, &mut scratch, None);
+        let again = index.query_with(&q, &pt, &mut scratch);
         assert_eq!(again.docs, vec![0, 1]);
         assert!(
             again.stats.search.scratch_reuses > 0,

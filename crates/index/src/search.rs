@@ -53,17 +53,11 @@ pub struct QuerySequence {
 
 impl QuerySequence {
     /// Sequences a concrete query tree with the index's strategy and records
-    /// the parent positions.
-    pub fn from_document(doc: &Document, paths: &mut PathTable, strategy: &Strategy) -> Self {
-        let (seq, nodes) = emit_sequence(doc, &doc.path_encode(paths), strategy);
-        Self::with_parents(doc, seq, &nodes)
-    }
-
-    /// [`QuerySequence::from_document`] against a **frozen** path table:
-    /// nothing is interned, so it takes `&PathTable` and can run from many
-    /// query threads at once.  Returns `None` when some query node's path
-    /// is absent from the table — no indexed document contains that path,
-    /// so this concrete query tree provably matches nothing.
+    /// the parent positions, against a **frozen** path table: nothing is
+    /// interned, so it takes `&PathTable` and can run from many query
+    /// threads at once.  Returns `None` when some query node's path is
+    /// absent from the table — no indexed document contains that path, so
+    /// this concrete query tree provably matches nothing.
     pub fn from_document_readonly(
         doc: &Document,
         paths: &PathTable,
@@ -533,7 +527,9 @@ mod query_sequence_tests {
         doc.child(a2, y);
 
         let mut paths = PathTable::new();
-        let qs = QuerySequence::from_document(&doc, &mut paths, &Strategy::DepthFirst);
+        doc.path_encode(&mut paths);
+        let qs = QuerySequence::from_document_readonly(&doc, &paths, &Strategy::DepthFirst)
+            .expect("the document's paths were just interned");
         assert_eq!(qs.len(), 5);
         assert_eq!(qs.parent_pos[0], None, "root has no parent");
         // find the X and Y elements and check their parents carry path PA
@@ -563,8 +559,10 @@ mod query_sequence_tests {
 
     #[test]
     fn empty_document_gives_empty_query_sequence() {
-        let mut paths = PathTable::new();
-        let qs = QuerySequence::from_document(&Document::new(), &mut paths, &Strategy::DepthFirst);
+        let paths = PathTable::new();
+        let qs =
+            QuerySequence::from_document_readonly(&Document::new(), &paths, &Strategy::DepthFirst)
+                .expect("an empty document has no path to miss");
         assert!(qs.is_empty());
     }
 }

@@ -96,21 +96,9 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses an XPath-subset expression into a tree pattern, interning names
-/// and values into `symbols`.
-pub fn parse_xpath(input: &str, symbols: &mut SymbolTable) -> Result<TreePattern, ParseError> {
-    let mut p = Parser {
-        chars: input.char_indices().collect(),
-        pos: 0,
-        depth: 0,
-        symbols: Syms::Interning(symbols),
-    };
-    p.parse_query()
-}
-
-/// [`parse_xpath`] against a **frozen** symbol table: nothing is interned,
-/// so the parse needs only `&SymbolTable` and is safe to run from many
-/// query threads at once.
+/// Parses an XPath-subset expression into a tree pattern against a
+/// **frozen** symbol table: nothing is interned, so the parse needs only
+/// `&SymbolTable` and is safe to run from many query threads at once.
 ///
 /// Returns `Ok(None)` when the expression is syntactically valid but names
 /// a designator or value absent from the table — no indexed document can
@@ -130,46 +118,11 @@ pub fn parse_xpath_readonly(
         chars: input.char_indices().collect(),
         pos: 0,
         depth: 0,
-        symbols: Syms::Readonly {
-            table: symbols,
-            missing: false,
-        },
+        symbols,
+        missing: false,
     };
     let pattern = p.parse_query()?;
-    Ok(match p.symbols {
-        Syms::Readonly { missing: true, .. } => None,
-        _ => Some(pattern),
-    })
-}
-
-/// [`parse_xpath_readonly`] as the pipeline's `query.parse` phase: its
-/// latency (ns) is recorded into `sink` — failed parses too, the time was
-/// spent either way — and, under a `trace`, it emits a `query.parse` span
-/// attributed with the expression length and the pattern's node count; a
-/// provably-empty query (unknown symbol) is marked `unknown_symbol`.
-pub fn parse_xpath_readonly_instrumented(
-    input: &str,
-    symbols: &SymbolTable,
-    sink: &xseq_telemetry::Histogram,
-    mut trace: Option<&mut xseq_telemetry::ActiveTrace>,
-) -> Result<Option<TreePattern>, ParseError> {
-    let span = trace.as_deref_mut().map(|tr| {
-        let span = tr.start_span("query.parse");
-        tr.attr(span, "expr_len", input.len() as u64);
-        span
-    });
-    let t0 = std::time::Instant::now();
-    let r = parse_xpath_readonly(input, symbols);
-    sink.record_duration(t0.elapsed());
-    if let (Some(tr), Some(span)) = (trace, span) {
-        match &r {
-            Ok(Some(pattern)) => tr.attr(span, "pattern_nodes", pattern.len() as u64),
-            Ok(None) => tr.attr(span, "unknown_symbol", 1u64),
-            Err(_) => {}
-        }
-        tr.end_span(span);
-    }
-    r
+    Ok((!p.missing).then_some(pattern))
 }
 
 impl<'a> Parser<'a> {
@@ -192,85 +145,25 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Symbol access for the parser: interning (patterns may introduce new
-/// names) or read-only against a frozen table (the shared-read query path,
-/// where an unknown name proves the query matches no indexed document).
-enum Syms<'a> {
-    Interning(&'a mut SymbolTable),
-    Readonly {
-        table: &'a SymbolTable,
-        /// Set on a lookup miss; the parse continues (so syntax errors
-        /// still surface) but the pattern is discarded by the caller.
-        missing: bool,
-    },
-}
-
-impl Syms<'_> {
-    fn value_mode(&self) -> ValueMode {
-        match self {
-            Syms::Interning(t) => t.values.mode(),
-            Syms::Readonly { table, .. } => table.values.mode(),
-        }
-    }
-
-    fn designator(&mut self, name: &str) -> Designator {
-        match self {
-            Syms::Interning(t) => t.designator(name),
-            Syms::Readonly { table, missing } => {
-                table.lookup_designator(name).unwrap_or_else(|| {
-                    *missing = true;
-                    Designator(u32::MAX)
-                })
-            }
-        }
-    }
-
-    fn value(&mut self, v: &str) -> ValueId {
-        match self {
-            Syms::Interning(t) => t.values.intern(v),
-            Syms::Readonly { table, missing } => table.values.lookup(v).unwrap_or_else(|| {
-                *missing = true;
-                ValueId(u32::MAX)
-            }),
-        }
-    }
-
-    /// Per-character value chain for `Chars` mode (terminated unless
-    /// `prefix_only`); an unmapped character in read-only mode marks the
-    /// query provably empty.
-    fn value_chain(&mut self, v: &str, prefix_only: bool) -> Vec<ValueId> {
-        match self {
-            Syms::Interning(t) => {
-                if prefix_only {
-                    t.values.chain_prefix(v)
-                } else {
-                    t.values.chain(v)
-                }
-            }
-            Syms::Readonly { table, missing } => {
-                let chain = if prefix_only {
-                    table.values.chain_prefix_readonly(v)
-                } else {
-                    table.values.chain_readonly(v)
-                };
-                chain.unwrap_or_else(|| {
-                    *missing = true;
-                    Vec::new()
-                })
-            }
-        }
-    }
-}
-
 struct Parser<'a> {
     chars: Vec<(usize, char)>,
     pos: usize,
     /// Open `[` predicates around the current position (the recursion depth).
     depth: usize,
-    symbols: Syms<'a>,
+    symbols: &'a SymbolTable,
+    /// Set on a symbol lookup miss; the parse continues (so syntax errors
+    /// still surface) but the pattern is discarded.
+    missing: bool,
 }
 
 impl<'a> Parser<'a> {
+    /// Passes a symbol lookup through, noting a miss: a symbol absent from
+    /// the table proves the query empty.
+    fn found<T>(&mut self, lookup: Option<T>) -> Option<T> {
+        self.missing |= lookup.is_none();
+        lookup
+    }
+
     fn eof(&self) -> bool {
         self.pos >= self.chars.len()
     }
@@ -347,7 +240,10 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let name = self.parse_name()?;
-        Ok(PatternLabel::Elem(self.symbols.designator(&name)))
+        let d = self.symbols.lookup_designator(&name);
+        Ok(PatternLabel::Elem(
+            self.found(d).unwrap_or(Designator(u32::MAX)),
+        ))
     }
 
     fn parse_name(&mut self) -> Result<String, ParseError> {
@@ -499,14 +395,22 @@ impl<'a> Parser<'a> {
         value: &str,
         prefix_only: bool,
     ) {
-        match self.symbols.value_mode() {
+        let values = &self.symbols.values;
+        match values.mode() {
             ValueMode::Intern | ValueMode::Hashed { .. } => {
-                let vid = self.symbols.value(value);
+                let vid = self
+                    .found(values.lookup(value))
+                    .unwrap_or(ValueId(u32::MAX));
                 pattern.add(node, Axis::Child, PatternLabel::Value(vid));
             }
             ValueMode::Chars => {
+                let chain = if prefix_only {
+                    values.chain_prefix_readonly(value)
+                } else {
+                    values.chain_readonly(value)
+                };
                 let mut cur = node;
-                for v in self.symbols.value_chain(value, prefix_only) {
+                for v in self.found(chain).unwrap_or_default() {
                     cur = pattern.add(cur, Axis::Child, PatternLabel::Value(v));
                 }
             }
@@ -539,14 +443,28 @@ mod tests {
     use super::*;
     use xseq_xml::ValueMode;
 
-    fn st() -> SymbolTable {
-        SymbolTable::with_value_mode(ValueMode::Intern)
+    /// A table holding `names` and `values`, as indexing real data would.
+    fn st(names: &[&str], values: &[&str]) -> SymbolTable {
+        let mut s = SymbolTable::with_value_mode(ValueMode::Intern);
+        for name in names {
+            s.elem(name);
+        }
+        for value in values {
+            s.values.intern(value);
+        }
+        s
+    }
+
+    fn parse(input: &str, s: &SymbolTable) -> TreePattern {
+        parse_xpath_readonly(input, s)
+            .unwrap()
+            .expect("every symbol is in the table")
     }
 
     #[test]
     fn simple_path() {
-        let mut s = st();
-        let q = parse_xpath("/inproceedings/title", &mut s).unwrap();
+        let s = st(&["inproceedings", "title"], &[]);
+        let q = parse("/inproceedings/title", &s);
         assert_eq!(q.len(), 2);
         assert_eq!(q.axis(0), Axis::Child);
         assert_eq!(q.render(&s), "/inproceedings/title");
@@ -558,8 +476,7 @@ mod tests {
         // unknown at one point parses to `Ok(None)` (provably empty), and
         // once *some* ingest path interns it — never the query path — the
         // same expression resolves to a pattern.
-        let mut s = st();
-        s.elem("a");
+        let mut s = st(&["a"], &[]);
         assert!(parse_xpath_readonly("/a/z", &s).unwrap().is_none());
         s.elem("z");
         let q = parse_xpath_readonly("/a/z", &s)
@@ -574,8 +491,8 @@ mod tests {
 
     #[test]
     fn descendant_root() {
-        let mut s = st();
-        let q = parse_xpath("//author[text='David']", &mut s).unwrap();
+        let s = st(&["author"], &["David"]);
+        let q = parse("//author[text='David']", &s);
         assert_eq!(q.len(), 2);
         assert_eq!(q.axis(0), Axis::Descendant);
         let v = s.values.lookup("David").unwrap();
@@ -584,20 +501,22 @@ mod tests {
 
     #[test]
     fn star_step() {
-        let mut s = st();
-        let q = parse_xpath("/*/author[text='David']", &mut s).unwrap();
+        let s = st(&["author"], &["David"]);
+        let q = parse("/*/author[text='David']", &s);
         assert_eq!(q.label(0), PatternLabel::AnyElem);
         assert_eq!(q.len(), 3);
     }
 
     #[test]
     fn paper_q1_structure() {
-        let mut s = st();
-        let q = parse_xpath(
+        let s = st(
+            &["site", "item", "location", "mail", "date"],
+            &["United States", "07/05/2000"],
+        );
+        let q = parse(
             "/site//item[location='United States']/mail/date[text='07/05/2000']",
-            &mut s,
-        )
-        .unwrap();
+            &s,
+        );
         // nodes: site, item, location, 'United States', mail, date, '07/05/2000'
         assert_eq!(q.len(), 7);
         let site = q.root_id();
@@ -609,8 +528,8 @@ mod tests {
 
     #[test]
     fn paper_q2_structure() {
-        let mut s = st();
-        let q = parse_xpath("/site//person/*/age[text='32']", &mut s).unwrap();
+        let s = st(&["site", "person", "age"], &["32"]);
+        let q = parse("/site//person/*/age[text='32']", &s);
         assert_eq!(q.len(), 5);
         // site → person(desc) → *(child) → age(child) → '32'
         let star = 2;
@@ -619,12 +538,14 @@ mod tests {
 
     #[test]
     fn paper_q3_structure() {
-        let mut s = st();
-        let q = parse_xpath(
+        let s = st(
+            &["closed_auction", "seller", "person", "date"],
+            &["person11304", "12/15/1999"],
+        );
+        let q = parse(
             "//closed_auction[seller/person='person11304']/date[text='12/15/1999']",
-            &mut s,
-        )
-        .unwrap();
+            &s,
+        );
         // closed_auction, seller, person, 'person11304', date, '12/15/1999'
         assert_eq!(q.len(), 6);
         let ca = q.root_id();
@@ -635,8 +556,8 @@ mod tests {
     #[test]
     fn stray_slash_before_predicate() {
         // the paper's /book/[key='Maier']/author
-        let mut s = st();
-        let q = parse_xpath("/book/[key='Maier']/author", &mut s).unwrap();
+        let s = st(&["book", "key", "author"], &["Maier"]);
+        let q = parse("/book/[key='Maier']/author", &s);
         assert_eq!(q.len(), 4);
         let book = q.root_id();
         assert_eq!(q.children(book).len(), 2);
@@ -647,24 +568,24 @@ mod tests {
 
     #[test]
     fn typographic_quotes() {
-        let mut s = st();
-        let q = parse_xpath("/site//item[location=‘United States’]", &mut s).unwrap();
+        let s = st(&["site", "item", "location"], &["United States"]);
+        let q = parse("/site//item[location=‘United States’]", &s);
         let v = s.values.lookup("United States").unwrap();
         assert!(q.node_ids().any(|n| q.label(n) == PatternLabel::Value(v)));
     }
 
     #[test]
     fn descendant_inside_predicate() {
-        let mut s = st();
-        let q = parse_xpath("/a[//b='x']", &mut s).unwrap();
+        let s = st(&["a", "b"], &["x"]);
+        let q = parse("/a[//b='x']", &s);
         assert_eq!(q.len(), 3);
         assert_eq!(q.axis(1), Axis::Descendant);
     }
 
     #[test]
     fn multiple_predicates() {
-        let mut s = st();
-        let q = parse_xpath("/a[b='1'][c='2']/d", &mut s).unwrap();
+        let s = st(&["a", "b", "c", "d"], &["1", "2"]);
+        let q = parse("/a[b='1'][c='2']/d", &s);
         // a, b, '1', c, '2', d
         assert_eq!(q.len(), 6);
         assert_eq!(q.children(q.root_id()).len(), 3);
@@ -672,15 +593,15 @@ mod tests {
 
     #[test]
     fn attribute_syntax_accepted() {
-        let mut s = st();
-        let q = parse_xpath("/item[@id='7']", &mut s).unwrap();
+        let s = st(&["item", "id"], &["7"]);
+        let q = parse("/item[@id='7']", &s);
         assert_eq!(q.len(), 3);
     }
 
     #[test]
     fn existence_predicate_without_value() {
-        let mut s = st();
-        let q = parse_xpath("/a[b/c]", &mut s).unwrap();
+        let s = st(&["a", "b", "c"], &[]);
+        let q = parse("/a[b/c]", &s);
         assert_eq!(q.len(), 3);
         // c has no value child
         assert!(q.children(2).is_empty());
@@ -689,12 +610,14 @@ mod tests {
     #[test]
     fn nested_predicates_paper_section31() {
         // /Project[Research[Loc='newyork']]/Develop[Loc='boston']
-        let mut s = st();
-        let q = parse_xpath(
+        let s = st(
+            &["Project", "Research", "Loc", "Develop"],
+            &["newyork", "boston"],
+        );
+        let q = parse(
             "/Project[Research[Loc='newyork']]/Develop[Loc='boston']",
-            &mut s,
-        )
-        .unwrap();
+            &s,
+        );
         // Project, Research, Loc, 'newyork', Develop, Loc, 'boston'
         assert_eq!(q.len(), 7);
         let root = q.root_id();
@@ -709,8 +632,8 @@ mod tests {
 
     #[test]
     fn deeply_nested_predicates() {
-        let mut s = st();
-        let q = parse_xpath("/a[b[c[d='x']]]/e", &mut s).unwrap();
+        let s = st(&["a", "b", "c", "d", "e"], &["x"]);
+        let q = parse("/a[b[c[d='x']]]/e", &s);
         // a, b, c, d, 'x', e
         assert_eq!(q.len(), 6);
     }
@@ -719,20 +642,16 @@ mod tests {
     fn predicate_nesting_is_bounded_at_max_depth() {
         // a[a[a[…]]] with `levels` brackets
         let nested = |levels: usize| format!("/a{}{}", "[a".repeat(levels), "]".repeat(levels));
-        let mut s = st();
-        let q = parse_xpath(&nested(MAX_DEPTH), &mut s).unwrap();
+        let s = st(&["a"], &[]);
+        let q = parse(&nested(MAX_DEPTH), &s);
         assert_eq!(q.len(), MAX_DEPTH + 1);
-        assert!(parse_xpath_readonly(&nested(MAX_DEPTH), &s)
-            .unwrap()
-            .is_some());
         let too_deep = Err(ParseError::TooDeep {
             offset: 2 + 2 * MAX_DEPTH,
             limit: MAX_DEPTH,
         });
-        assert_eq!(parse_xpath(&nested(MAX_DEPTH + 1), &mut s), too_deep);
         assert_eq!(
             parse_xpath_readonly(&nested(MAX_DEPTH + 1), &s).map(|_| ()),
-            too_deep.map(|_| ())
+            too_deep
         );
         // far past the limit: still an error, never a stack overflow
         assert!(matches!(
@@ -743,71 +662,60 @@ mod tests {
 
     #[test]
     fn errors() {
-        let mut s = st();
-        assert!(parse_xpath("", &mut s).is_err());
-        assert!(parse_xpath("a/b", &mut s).is_err(), "must start with /");
-        assert!(parse_xpath("/a[b='x'", &mut s).is_err(), "unclosed bracket");
-        assert!(parse_xpath("/a[b='x]", &mut s).is_err(), "unclosed quote");
-        assert!(parse_xpath("/a/", &mut s).is_err(), "trailing slash");
+        let s = st(&["a", "b"], &["x"]);
+        assert!(parse_xpath_readonly("", &s).is_err());
+        assert!(
+            parse_xpath_readonly("a/b", &s).is_err(),
+            "must start with /"
+        );
+        assert!(
+            parse_xpath_readonly("/a[b='x'", &s).is_err(),
+            "unclosed bracket"
+        );
+        assert!(
+            parse_xpath_readonly("/a[b='x]", &s).is_err(),
+            "unclosed quote"
+        );
+        assert!(parse_xpath_readonly("/a/", &s).is_err(), "trailing slash");
     }
 
     #[test]
     fn whitespace_tolerated() {
-        let mut s = st();
-        let q = parse_xpath("  /a [ b = 'x' ] / c ", &mut s).unwrap();
+        let s = st(&["a", "b", "c"], &["x"]);
+        let q = parse("  /a [ b = 'x' ] / c ", &s);
         assert_eq!(q.len(), 4);
     }
 
     #[test]
-    fn readonly_parse_matches_interning_parse() {
-        let mut s = st();
-        // intern everything the queries need, as indexing real data would
-        for expr in [
-            "/site//item[location='United States']/mail/date[text='07/05/2000']",
-            "/a[b='1'][c='2']/d",
-            "/*/author[text='David']",
-        ] {
-            parse_xpath(expr, &mut s).unwrap();
-        }
-        for expr in [
-            "/site//item[location='United States']/mail/date[text='07/05/2000']",
-            "/a[b='1'][c='2']/d",
-            "/*/author[text='David']",
-        ] {
-            let interned = parse_xpath(expr, &mut s).unwrap();
-            let readonly = parse_xpath_readonly(expr, &s)
-                .unwrap()
-                .expect("all symbols known");
-            assert_eq!(interned.len(), readonly.len(), "{expr}");
-            for n in interned.node_ids() {
-                assert_eq!(interned.label(n), readonly.label(n), "{expr} node {n}");
-                assert_eq!(interned.axis(n), readonly.axis(n), "{expr} node {n}");
-            }
-        }
-    }
-
-    #[test]
     fn readonly_parse_unknown_symbol_is_none() {
-        let mut s = st();
-        parse_xpath("/a[b='1']", &mut s).unwrap();
+        let s = st(&["a", "b"], &["1"]);
         let before = s.designator_count();
         assert!(parse_xpath_readonly("/a/zzz", &s).unwrap().is_none());
         assert!(parse_xpath_readonly("/a[b='unseen']", &s)
             .unwrap()
             .is_none());
         assert_eq!(s.designator_count(), before, "nothing interned");
-        // syntax errors still surface
+        // syntax errors still surface, past an unknown symbol too
         assert!(parse_xpath_readonly("/a[b='x'", &s).is_err());
+        assert!(parse_xpath_readonly("/zzz[b='x'", &s).is_err());
     }
 
     #[test]
     fn readonly_parse_chars_mode_chains() {
         let mut s = SymbolTable::with_value_mode(ValueMode::Chars);
-        let interned = parse_xpath("/a[text='xy']", &mut s).unwrap();
-        let readonly = parse_xpath_readonly("/a[text='xy']", &s)
+        s.elem("a");
+        let chain = s.values.chain("xy");
+        let q = parse_xpath_readonly("/a[text='xy']", &s)
             .unwrap()
             .expect("chain known");
-        assert_eq!(interned.len(), readonly.len());
+        // a, then the chain x y END
+        assert_eq!(q.len(), 1 + chain.len());
+        let labels: Vec<_> = q.node_ids().skip(1).map(|n| q.label(n)).collect();
+        let expect: Vec<_> = chain.into_iter().map(PatternLabel::Value).collect();
+        assert_eq!(labels, expect);
+        // a prefix test drops the terminator
+        let prefix = parse_xpath_readonly("/a[text^='xy']", &s).unwrap().unwrap();
+        assert_eq!(prefix.len(), q.len() - 1);
         assert!(parse_xpath_readonly("/a[text='xz']", &s).unwrap().is_none());
     }
 }

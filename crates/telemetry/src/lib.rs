@@ -17,9 +17,9 @@
 //! - [`export::to_json`] / [`export::render_table`] — snapshot exporters.
 //! - [`HeapSize`] — model-based heap attribution feeding the `memory.*`
 //!   gauge family (domain impls live next to their types).
-//! - [`Tracer`] / [`ActiveTrace`] / [`Trace`] — hierarchical per-query
-//!   tracing with head sampling and an always-retained slow-query log;
-//!   traces export as Chrome trace-event JSON ([`export::to_chrome_json`])
+//! - [`Tracer`] / [`Trace`] — hierarchical per-query tracing: the caller
+//!   builds a finished operation's span tree and [`Tracer::record`] applies
+//!   head sampling and an always-retained slow-query log; traces export as Chrome trace-event JSON ([`export::to_chrome_json`])
 //!   or an indented text tree ([`export::render_trace`]).
 //! - [`EventJournal`] / [`Event`] — the flight recorder: a bounded journal
 //!   of severity-levelled lifecycle events, exportable as JSON Lines.
@@ -60,6 +60,4 @@ pub use metrics::{
 };
 pub use registry::{Metric, MetricValue, MetricsRegistry, Snapshot};
 pub use span::SpanTimer;
-pub use trace::{
-    ActiveTrace, AttrValue, SpanId, Trace, TraceConfig, TraceId, TraceSpan, Tracer, TracerStats,
-};
+pub use trace::{AttrValue, SpanId, Trace, TraceConfig, TraceId, TraceSpan, Tracer, TracerStats};

@@ -3,7 +3,7 @@
 //! retain through it.
 //!
 //! It is a mutex around a deque on purpose.  The traffic is one push per
-//! lifecycle event and one per sampled-or-slow `Tracer::finish` — at most
+//! lifecycle event and one per sampled-or-slow `Tracer::record` — at most
 //! one uncontended lock beside an operation that costs tens of
 //! microseconds — and the end-to-end path runs with tracing off.
 

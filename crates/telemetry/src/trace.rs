@@ -2,20 +2,19 @@
 //!
 //! Aggregate metrics ([`crate::MetricsRegistry`]) answer "how much work did
 //! the pipeline do"; this module answers "where did *this* query's time
-//! go".  Each traced operation owns an [`ActiveTrace`] — a per-thread span
-//! buffer that the pipeline phases (parse → plan → trie descent →
-//! sibling-cover checks → path-link binary searches → completion) append
-//! [`TraceSpan`]s to, with typed [`AttrValue`] attributes (candidate
-//! counts, trie node ranges `(n⊢, n⊣)`, the chosen plan).  Because the
-//! buffer lives on the querying thread's stack, recording a span is a `Vec`
-//! push and two monotonic clock reads — no atomics, no sharing.
+//! go".  A [`Trace`] is an immutable span tree: each [`TraceSpan`] is one
+//! pipeline phase (parse → plan → trie descent → sibling-cover checks →
+//! path-link binary searches → completion) at its offset from the
+//! operation's start, with typed [`AttrValue`] attributes (candidate
+//! counts, trie node ranges `(n⊢, n⊣)`, the chosen plan).  The operation
+//! builds the tree from its own record *after* it finishes, so tracing
+//! adds no clock reads and no work to the operation itself.
 //!
-//! When the operation finishes, [`Tracer::finish`] seals the buffer into an
-//! immutable [`Trace`] and retains it in two bounded logs (latest N,
-//! oldest first):
+//! [`Tracer::record`] mints the trace and retains it in two bounded logs
+//! (latest N, oldest first):
 //!
-//! * **head sampling** — [`TraceConfig::sample_rate`] of traces, decided at
-//!   trace *start*, land in the *recent traces* log;
+//! * **head sampling** — [`TraceConfig::sample_rate`] of traces, decided
+//!   without looking at the trace, land in the *recent traces* log;
 //! * **slow-query log** — traces at or above
 //!   [`TraceConfig::slow_threshold`] are *always* retained, regardless of
 //!   the sampling decision, so slow-query forensics never miss.
@@ -27,7 +26,7 @@
 use crate::retention::Retention;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Identifies one trace (one traced query/build operation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -76,15 +75,11 @@ impl From<String> for AttrValue {
     }
 }
 
-/// Sentinel for a span that has not ended yet.
-const OPEN: u64 = u64::MAX;
-
 /// One timed phase within a trace.
 ///
 /// Start/end are nanoseconds relative to the trace start.  Spans are stored
-/// in creation order, so a span's parent always precedes it, and a parent's
-/// interval brackets every child's (`finish` closes stragglers so the
-/// invariant holds even for abandoned spans).
+/// in start order, a span's parent precedes it, and a parent's interval
+/// brackets every child's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpan {
     /// Phase name (`query.parse`, `index.plan`, `trie.descent`, …).
@@ -106,7 +101,7 @@ impl TraceSpan {
     }
 }
 
-/// A sealed, immutable span tree for one finished operation.
+/// An immutable span tree for one finished operation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Unique id within the owning [`Tracer`].
@@ -115,7 +110,7 @@ pub struct Trace {
     pub name: String,
     /// Total wall time of the operation, nanoseconds.
     pub total_ns: u64,
-    /// Whether head sampling selected this trace at start.
+    /// Whether head sampling selected this trace.
     pub sampled: bool,
     /// Whether the operation met [`TraceConfig::slow_threshold`].
     pub slow: bool,
@@ -164,7 +159,7 @@ impl Trace {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
     /// Fraction of operations whose trace is kept in the recent-traces log
-    /// (head sampling, decided at trace start; clamped to `0.0..=1.0`).
+    /// (head sampling, blind to the trace's contents; clamped to `0.0..=1.0`).
     pub sample_rate: f64,
     /// Operations at or above this duration are always retained in the
     /// slow-query log, regardless of sampling.  `Duration::ZERO` retains
@@ -187,140 +182,11 @@ impl Default for TraceConfig {
     }
 }
 
-/// The mutable, thread-local side of a trace: a span buffer owned by the
-/// operation being traced.
-///
-/// Spans follow stack discipline: [`ActiveTrace::start_span`] opens a child
-/// of the innermost open span, [`ActiveTrace::end_span`] closes it (and any
-/// children left open above it).  Span 0 is the implicit root covering the
-/// whole operation.
-#[derive(Debug)]
-pub struct ActiveTrace {
-    id: TraceId,
-    name: String,
-    started: Instant,
-    sampled: bool,
-    spans: Vec<TraceSpan>,
-    /// Open spans, innermost last; `stack[0]` is always the root.
-    stack: Vec<SpanId>,
-}
-
-impl ActiveTrace {
-    fn new(id: TraceId, name: String, sampled: bool) -> Self {
-        let root = TraceSpan {
-            name: "query",
-            parent: None,
-            start_ns: 0,
-            end_ns: OPEN,
-            attrs: Vec::new(),
-        };
-        ActiveTrace {
-            id,
-            name,
-            started: Instant::now(),
-            sampled,
-            spans: vec![root],
-            stack: vec![SpanId(0)],
-        }
-    }
-
-    /// This trace's id.
-    pub fn id(&self) -> TraceId {
-        self.id
-    }
-
-    /// Nanoseconds since the trace started.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.started.elapsed().as_nanos().min(u64::MAX as u128) as u64
-    }
-
-    /// The root span's id.
-    pub fn root_span(&self) -> SpanId {
-        SpanId(0)
-    }
-
-    /// Opens a child span of the innermost open span.
-    pub fn start_span(&mut self, name: &'static str) -> SpanId {
-        let id = SpanId(self.spans.len() as u32);
-        self.spans.push(TraceSpan {
-            name,
-            parent: self.stack.last().copied(),
-            start_ns: self.elapsed_ns(),
-            end_ns: OPEN,
-            attrs: Vec::new(),
-        });
-        self.stack.push(id);
-        id
-    }
-
-    /// Closes `id` — and, to preserve the bracketing invariant, every span
-    /// opened inside it that is still open.  Closing a span not on the open
-    /// stack (already closed) is a no-op.
-    #[expect(clippy::indexing_slicing, reason = "at < stack.len(); stack holds minted SpanIds")]
-    pub fn end_span(&mut self, id: SpanId) {
-        let Some(at) = self.stack.iter().rposition(|&s| s == id) else {
-            return;
-        };
-        if at == 0 {
-            return; // the root closes only via Tracer::finish
-        }
-        let now = self.elapsed_ns();
-        for &open in &self.stack[at..] {
-            self.spans[open.0 as usize].end_ns = now;
-        }
-        self.stack.truncate(at);
-    }
-
-    /// Records a zero-length marker span (an instant event) under the
-    /// innermost open span.
-    pub fn event(&mut self, name: &'static str) -> SpanId {
-        let now = self.elapsed_ns();
-        let id = SpanId(self.spans.len() as u32);
-        self.spans.push(TraceSpan {
-            name,
-            parent: self.stack.last().copied(),
-            start_ns: now,
-            end_ns: now,
-            attrs: Vec::new(),
-        });
-        id
-    }
-
-    /// Attaches a typed attribute to a span.
-    #[expect(clippy::indexing_slicing, reason = "SpanIds are minted from spans.len()")]
-    pub fn attr(&mut self, span: SpanId, key: &'static str, value: impl Into<AttrValue>) {
-        self.spans[span.0 as usize].attrs.push((key, value.into()));
-    }
-
-    /// Attaches a typed attribute to the root span.
-    pub fn root_attr(&mut self, key: &'static str, value: impl Into<AttrValue>) {
-        self.attr(SpanId(0), key, value);
-    }
-
-    fn seal(mut self, slow_threshold: Duration) -> Trace {
-        let total = self.elapsed_ns();
-        for span in &mut self.spans {
-            if span.end_ns == OPEN {
-                span.end_ns = total;
-            }
-        }
-        let slow = total as u128 >= slow_threshold.as_nanos();
-        Trace {
-            id: self.id,
-            name: self.name,
-            total_ns: total,
-            sampled: self.sampled,
-            slow,
-            spans: self.spans,
-        }
-    }
-}
-
 /// Retention counters of a [`Tracer`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TracerStats {
-    /// Traces started.
-    pub started: u64,
+    /// Traces recorded.
+    pub recorded: u64,
     /// Traces selected by head sampling.
     pub sampled: u64,
     /// Traces retained in the slow-query log.
@@ -340,7 +206,7 @@ pub struct Tracer {
     /// Fixed-point (32.32) sampling accumulator: each trace adds
     /// `rate · 2³²`; crossing an integer boundary selects the trace.
     sample_accum: AtomicU64,
-    started: AtomicU64,
+    recorded: AtomicU64,
     sampled_count: AtomicU64,
     slow_count: AtomicU64,
     recent: Retention<Arc<Trace>>,
@@ -356,7 +222,7 @@ impl Tracer {
             ),
             next_id: AtomicU64::new(1),
             sample_accum: AtomicU64::new(0),
-            started: AtomicU64::new(0),
+            recorded: AtomicU64::new(0),
             sampled_count: AtomicU64::new(0),
             slow_count: AtomicU64::new(0),
             recent: Retention::new(config.recent_capacity),
@@ -378,7 +244,7 @@ impl Tracer {
     }
 
     /// Retunes the slow-query threshold at runtime.  Takes effect for
-    /// traces finishing after the store; in-flight `finish` calls may use
+    /// traces recorded after the store; concurrent `record` calls may use
     /// either value.
     pub fn set_slow_threshold(&self, threshold: Duration) {
         let ns = threshold.as_nanos().min(u64::MAX as u128) as u64;
@@ -391,24 +257,10 @@ impl Tracer {
     pub fn stats(&self) -> TracerStats {
         TracerStats {
             // ORDERING: counter — advisory reads of independent retention counters
-            started: self.started.load(Ordering::Relaxed),
+            recorded: self.recorded.load(Ordering::Relaxed),
             sampled: self.sampled_count.load(Ordering::Relaxed),
             slow: self.slow_count.load(Ordering::Relaxed),
         }
-    }
-
-    /// Starts a trace, making the head-sampling decision now.
-    pub fn begin(&self, name: impl Into<String>) -> ActiveTrace {
-        // ORDERING: counter — retention counters are independent statistics.
-        self.started.fetch_add(1, Ordering::Relaxed);
-        let sampled = self.decide_sample();
-        if sampled {
-            // ORDERING: counter — independent retention statistic.
-            self.sampled_count.fetch_add(1, Ordering::Relaxed);
-        }
-        // ORDERING: id — uniqueness needs only fetch_add atomicity.
-        let id = TraceId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        ActiveTrace::new(id, name.into(), sampled)
     }
 
     /// Deterministic head sampling: a 32.32 fixed-point accumulator selects
@@ -427,11 +279,38 @@ impl Tracer {
         (prev.wrapping_add(step) >> 32) != (prev >> 32)
     }
 
-    /// Seals `active` and applies retention: slow traces always enter the
-    /// slow-query log; sampled traces enter the recent log.  Returns the
-    /// sealed trace either way, so the caller can attach it to its result.
-    pub fn finish(&self, active: ActiveTrace) -> Arc<Trace> {
-        let trace = Arc::new(active.seal(self.slow_threshold()));
+    /// Mints a finished operation's trace and applies retention: slow
+    /// traces always enter the slow-query log, head-sampled ones the recent
+    /// log.  `root` spans the whole operation (its end is the wall time);
+    /// `children` follow it in start order, their parents given as indices
+    /// into `root` + `children` (the root is `SpanId(0)`).  Returns the
+    /// trace either way, so the caller can attach it to its result.
+    pub fn record(
+        &self,
+        name: impl Into<String>,
+        root: TraceSpan,
+        children: Vec<TraceSpan>,
+    ) -> Arc<Trace> {
+        // ORDERING: counter — retention counters are independent statistics.
+        self.recorded.fetch_add(1, Ordering::Relaxed);
+        let sampled = self.decide_sample();
+        if sampled {
+            // ORDERING: counter — independent retention statistic.
+            self.sampled_count.fetch_add(1, Ordering::Relaxed);
+        }
+        let total_ns = root.end_ns;
+        let mut spans = Vec::with_capacity(1 + children.len());
+        spans.push(root);
+        spans.extend(children);
+        let trace = Arc::new(Trace {
+            // ORDERING: id — uniqueness needs only fetch_add atomicity.
+            id: TraceId(self.next_id.fetch_add(1, Ordering::Relaxed)),
+            name: name.into(),
+            total_ns,
+            sampled,
+            slow: u128::from(total_ns) >= self.slow_threshold().as_nanos(),
+            spans,
+        });
         if trace.slow {
             // ORDERING: counter — independent retention statistic
             self.slow_count.fetch_add(1, Ordering::Relaxed);
@@ -468,45 +347,23 @@ mod tests {
         })
     }
 
-    #[test]
-    fn span_stack_discipline() {
-        let tr = tracer(1.0, u64::MAX);
-        let mut t = tr.begin("q");
-        let a = t.start_span("a");
-        let b = t.start_span("b");
-        t.end_span(b);
-        t.end_span(a);
-        let c = t.start_span("c");
-        t.end_span(c);
-        let sealed = tr.finish(t);
-        assert_eq!(sealed.spans.len(), 4);
-        assert_eq!(sealed.spans[1].parent, Some(SpanId(0)));
-        assert_eq!(sealed.spans[2].parent, Some(a));
-        assert_eq!(sealed.spans[3].parent, Some(SpanId(0)));
-        for s in &sealed.spans {
-            assert!(s.end_ns != OPEN && s.end_ns >= s.start_ns);
-        }
-    }
-
-    #[test]
-    fn abandoned_spans_are_closed_by_parent_end() {
-        let tr = tracer(1.0, u64::MAX);
-        let mut t = tr.begin("q");
-        let a = t.start_span("a");
-        let _b = t.start_span("b"); // never explicitly closed
-        t.end_span(a); // closes b too
-        let sealed = tr.finish(t);
-        let (pa, pb) = (&sealed.spans[1], &sealed.spans[2]);
-        assert!(pb.end_ns <= pa.end_ns, "child bracketed by parent");
+    /// A childless trace of an operation that took `total_ns`.
+    fn record(tr: &Tracer, name: impl Into<String>, total_ns: u64) -> Arc<Trace> {
+        let root = TraceSpan {
+            name: "query",
+            parent: None,
+            start_ns: 0,
+            end_ns: total_ns,
+            attrs: Vec::new(),
+        };
+        tr.record(name, root, Vec::new())
     }
 
     #[test]
     fn slow_retention_ignores_sampling() {
         let tr = tracer(0.0, 0); // sample nothing; everything is "slow"
         for i in 0..6 {
-            let mut t = tr.begin(format!("q{i}"));
-            t.root_attr("i", i as u64);
-            tr.finish(t);
+            record(&tr, format!("q{i}"), i);
         }
         let slow = tr.slow_queries();
         assert_eq!(slow.len(), 4, "capacity bounds the log");
@@ -522,10 +379,10 @@ mod tests {
     fn sampling_rate_is_proportional() {
         let tr = tracer(0.25, u64::MAX);
         for _ in 0..1000 {
-            tr.finish(tr.begin("q"));
+            record(&tr, "q", 1);
         }
         let s = tr.stats();
-        assert_eq!(s.started, 1000);
+        assert_eq!(s.recorded, 1000);
         assert!((249..=251).contains(&s.sampled), "got {}", s.sampled);
     }
 
@@ -534,8 +391,8 @@ mod tests {
         let off = tracer(0.0, u64::MAX);
         let on = tracer(1.0, u64::MAX);
         for _ in 0..10 {
-            off.finish(off.begin("q"));
-            on.finish(on.begin("q"));
+            record(&off, "q", 1);
+            record(&on, "q", 1);
         }
         assert_eq!(off.stats().sampled, 0);
         assert_eq!(on.stats().sampled, 10);
@@ -544,23 +401,23 @@ mod tests {
 
     #[test]
     fn finish_marks_slow_by_threshold() {
-        let tr = tracer(0.0, 1); // 1ns: any real work qualifies
-        let mut t = tr.begin("q");
-        std::hint::black_box(&mut t);
-        let sealed = tr.finish(t);
-        assert!(sealed.slow);
-        assert!(!sealed.sampled);
-        assert_eq!(sealed.total_ns, sealed.root().end_ns);
+        let tr = tracer(0.0, 100);
+        let fast = record(&tr, "fast", 99);
+        let slow = record(&tr, "slow", 100);
+        assert!(!fast.slow && slow.slow, "the threshold itself is slow");
+        assert!(!slow.sampled);
+        assert_eq!(slow.total_ns, slow.root().end_ns);
+        assert_ne!(fast.id, slow.id);
     }
 
     #[test]
     fn slow_threshold_is_runtime_tunable() {
         let tr = tracer(0.0, u64::MAX); // nothing slow at build time
-        tr.finish(tr.begin("q0"));
+        record(&tr, "q0", 1);
         assert!(tr.slow_queries().is_empty());
         tr.set_slow_threshold(Duration::ZERO); // everything is slow now
         assert_eq!(tr.slow_threshold(), Duration::ZERO);
-        tr.finish(tr.begin("q1"));
+        record(&tr, "q1", 1);
         let slow = tr.slow_queries();
         assert_eq!(slow.len(), 1);
         assert_eq!(slow[0].name, "q1");
@@ -569,20 +426,5 @@ mod tests {
             Duration::from_nanos(u64::MAX),
             "build-time config is preserved"
         );
-    }
-
-    #[test]
-    fn events_are_zero_length_children() {
-        let tr = tracer(1.0, u64::MAX);
-        let mut t = tr.begin("q");
-        let s = t.start_span("phase");
-        let e = t.event("marker");
-        t.attr(e, "count", 42u64);
-        t.end_span(s);
-        let sealed = tr.finish(t);
-        let ev = sealed.span(e);
-        assert_eq!(ev.start_ns, ev.end_ns);
-        assert_eq!(ev.parent, Some(s));
-        assert_eq!(ev.attrs, vec![("count", AttrValue::U64(42))]);
     }
 }

@@ -152,74 +152,28 @@ fn snapshot_delta_roundtrip() {
 }
 
 // ---------------------------------------------------------------------------
-// Tracing: span-tree invariants, slow-log retention, exporter golden output.
+// Tracing: retention order and load, exporter golden output.
 // ---------------------------------------------------------------------------
 
+use std::sync::Arc;
 use std::time::Duration;
 use xseq_telemetry::{AttrValue, SpanId, Trace, TraceConfig, TraceId, TraceSpan, Tracer};
 
-/// Span names used by the generated op sequences below.
-const SPAN_NAMES: [&str; 3] = ["alpha", "beta", "gamma"];
-
-proptest! {
-    /// For any interleaving of `start_span` / `end_span` / `event` — with
-    /// `end_span` allowed to target *any* open span, closing whole runs of
-    /// abandoned children at once — the sealed trace is a well-formed tree:
-    /// parents precede their children in storage order and bracket them in
-    /// time, and no span is left open past `total_ns`.
-    #[test]
-    fn sealed_trace_is_a_well_formed_span_tree(
-        ops in proptest::collection::vec((0u8..3, any::<u8>()), 0..60),
-    ) {
-        let tracer = Tracer::new(TraceConfig {
-            sample_rate: 1.0,
-            slow_threshold: Duration::ZERO,
-            recent_capacity: 64,
-            slow_capacity: 64,
-        });
-        let mut active = tracer.begin("proptest");
-        // Mirror of the open-span stack (root at the bottom).
-        let mut stack = vec![active.root_span()];
-        for (op, pick) in ops {
-            match op {
-                0 => stack.push(active.start_span(SPAN_NAMES[pick as usize % 3])),
-                1 => {
-                    if stack.len() > 1 {
-                        let at = 1 + pick as usize % (stack.len() - 1);
-                        active.end_span(stack[at]);
-                        stack.truncate(at);
-                    }
-                }
-                _ => {
-                    active.event(SPAN_NAMES[pick as usize % 3]);
-                }
-            }
-        }
-        let trace = tracer.finish(active);
-
-        prop_assert_eq!(trace.root().parent, None);
-        prop_assert_eq!(trace.root().start_ns, 0);
-        prop_assert_eq!(trace.root().end_ns, trace.total_ns);
-        for (i, span) in trace.spans.iter().enumerate() {
-            prop_assert!(span.start_ns <= span.end_ns);
-            prop_assert!(span.end_ns <= trace.total_ns, "span {i} left open");
-            match span.parent {
-                None => prop_assert_eq!(i, 0, "only the root lacks a parent"),
-                Some(p) => {
-                    // Parents precede children in storage order ...
-                    prop_assert!((p.0 as usize) < i);
-                    // ... and bracket them in time.
-                    let parent = trace.span(p);
-                    prop_assert!(parent.start_ns <= span.start_ns);
-                    prop_assert!(span.end_ns <= parent.end_ns);
-                }
-            }
-        }
-        // Storage order is start order.
-        for w in trace.spans.windows(2) {
-            prop_assert!(w[0].start_ns <= w[1].start_ns);
-        }
-    }
+/// A trace of one operation that took `total_ns`: the root plus `children`.
+fn record(
+    tracer: &Tracer,
+    name: impl Into<String>,
+    total_ns: u64,
+    children: Vec<TraceSpan>,
+) -> Arc<Trace> {
+    let root = TraceSpan {
+        name: "query",
+        parent: None,
+        start_ns: 0,
+        end_ns: total_ns,
+        attrs: Vec::new(),
+    };
+    tracer.record(name, root, children)
 }
 
 /// Draining the ring into the reader buffer keeps finish order: the
@@ -235,9 +189,7 @@ fn ring_flush_preserves_finish_order() {
     });
     let mut ids = Vec::new();
     for i in 0..10 {
-        let active = tracer.begin(format!("q{i}"));
-        ids.push(active.id());
-        tracer.finish(active);
+        ids.push(record(&tracer, format!("q{i}"), 1, Vec::new()).id);
         if i == 5 {
             // An interleaved read must not disturb subsequent ordering.
             tracer.recent_traces();
@@ -266,19 +218,21 @@ fn slow_log_retention_under_thread_load() {
             let tracer = &tracer;
             s.spawn(move || {
                 for i in 0..PER_THREAD {
-                    let mut active = tracer.begin("load");
-                    let sp = active.start_span("work");
-                    active.attr(sp, "thread", t as u64);
-                    active.attr(sp, "i", i as u64);
-                    active.end_span(sp);
-                    tracer.finish(active);
+                    let work = TraceSpan {
+                        name: "work",
+                        parent: Some(SpanId(0)),
+                        start_ns: 0,
+                        end_ns: 1,
+                        attrs: vec![("thread", (t as u64).into()), ("i", (i as u64).into())],
+                    };
+                    record(tracer, "load", 1, vec![work]);
                 }
             });
         }
     });
     let total = (THREADS * PER_THREAD) as u64;
     let stats = tracer.stats();
-    assert_eq!(stats.started, total);
+    assert_eq!(stats.recorded, total);
     assert_eq!(stats.slow, total, "no slow-retention increment lost");
     assert_eq!(stats.sampled, 0, "rate 0.0 samples nothing");
     assert!(tracer.recent_traces().is_empty());

@@ -186,13 +186,6 @@ impl ValueTable {
         out
     }
 
-    /// The chain for a *prefix* query: per-character designators without the
-    /// terminator, so matching continues into any value that starts with
-    /// `s`.
-    pub fn chain_prefix(&mut self, s: &str) -> Vec<ValueId> {
-        tokenize_value_chars(self, s)
-    }
-
     /// Read-only [`ValueTable::chain`]: the per-character chain plus
     /// terminator, or `None` when any character (or the terminator) was
     /// never interned — in which case no indexed value can match.
@@ -202,8 +195,9 @@ impl ValueTable {
         Some(out)
     }
 
-    /// Read-only [`ValueTable::chain_prefix`]: per-character chain without
-    /// the terminator, or `None` on the first never-seen character.
+    /// The chain for a *prefix* query: per-character designators without the
+    /// terminator, so matching continues into any value that starts with
+    /// `s` — or `None` on the first never-seen character.
     pub fn chain_prefix_readonly(&self, s: &str) -> Option<Vec<ValueId>> {
         let mut buf = [0u8; 4];
         s.chars()
@@ -459,7 +453,7 @@ mod tests {
         let mut t = ValueTable::new(ValueMode::Chars);
         let chain = t.chain("bos");
         assert_eq!(t.chain_readonly("bos"), Some(chain));
-        let prefix = t.chain_prefix("bo");
+        let prefix = tokenize_value_chars(&mut t, "bo");
         assert_eq!(t.chain_prefix_readonly("bo"), Some(prefix));
         assert_eq!(t.chain_readonly("box"), None, "x was never interned");
         assert_eq!(t.chain_prefix_readonly("zz"), None);

@@ -8,10 +8,12 @@
 //! Every database owns a metrics registry.  Ingestion records `xml.parse`,
 //! index construction records `sequence.encode`, and each query records
 //! `query.parse` / `index.plan` / `sequence.encode` / `index.search`
-//! latencies plus the matcher's work counters.  Paged storage mirrors its
-//! page traffic into `storage.pool.*` when attached.  With tracing enabled,
-//! every query additionally records a span tree retained in the slow-query
-//! log.  This example runs a small workload and prints one query's EXPLAIN
+//! latencies plus the matcher's work counters.  Each phase is timed once,
+//! into the query's outcome, and EXPLAIN reads the same numbers: its rows,
+//! `unattributed` included, sum to the query's wall time.  Paged storage
+//! mirrors its page traffic into `storage.pool.*` when attached.  With
+//! tracing enabled, every query's span tree is built from that record once
+//! the query finishes and retained in the slow-query log.  This example runs a small workload and prints one query's EXPLAIN
 //! (including its span tree), the slow-query log, the flight-recorder
 //! journal, the metrics table, an interval delta, and the JSON export.
 //! With `--diag DIR` it finishes by writing the whole state as one
@@ -19,10 +21,12 @@
 //! `cargo xtask diagcheck DIR`).
 
 use std::time::Duration;
-use xseq::index::{tree_search, QuerySequence};
+use xseq::index::{instantiate, tree_search, QuerySequence};
 use xseq::storage::{write_paged_trie, MemStore, PagedTrie};
 use xseq::telemetry::{render_table, to_json};
-use xseq::{DatabaseBuilder, PathId, PathTable, Sequencing, SymbolTable, TraceConfig};
+use xseq::{
+    parse_xpath_readonly, DatabaseBuilder, PathId, PathTable, Sequencing, SymbolTable, TraceConfig,
+};
 
 /// Renders a schema node class back into `/a/b[='v']` form for display.
 fn render_class(paths: &PathTable, symbols: &SymbolTable, c: PathId) -> String {
@@ -132,17 +136,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     write_paged_trie(db.index().trie(), &mut store)?;
     let paged = PagedTrie::open(store, 16)?;
     paged.attach_pool_telemetry(db.pool_telemetry());
-    let pattern = xseq::parse_xpath("//location", &mut db.corpus_mut().symbols)?;
-    let concrete = xseq::index::instantiate(
-        &pattern,
-        &db.corpus().paths,
-        db.index().data_paths(),
-        db.index().options(),
-    );
-    let strategy = db.index().strategy().clone();
-    for qdoc in concrete {
-        let qs = QuerySequence::from_document(&qdoc, &mut db.corpus_mut().paths, &strategy);
-        let _ = tree_search(&paged, &qs);
+    let (corpus, index) = (db.corpus(), db.index());
+    // `None` would mean a symbol the corpus lacks: the answer is empty.
+    if let Some(pattern) = parse_xpath_readonly("//location", &corpus.symbols)? {
+        for qdoc in instantiate(&pattern, &corpus.paths, index.data_paths(), index.options()) {
+            // Instantiation yields only trees whose paths are indexed.
+            if let Some(qs) =
+                QuerySequence::from_document_readonly(&qdoc, &corpus.paths, index.strategy())
+            {
+                let _ = tree_search(&paged, &qs);
+            }
+        }
     }
     let pool = paged.pool_stats();
     println!(

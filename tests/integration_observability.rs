@@ -4,8 +4,9 @@
 
 use std::time::Duration;
 use xseq::datagen::{XmarkGenerator, XmarkOptions};
+use xseq::telemetry::{AttrValue, SpanId};
 use xseq::xml::{write_document, SymbolTable, ValueMode};
-use xseq::{DatabaseBuilder, Severity, TraceConfig};
+use xseq::{Database, DatabaseBuilder, Severity, TraceConfig};
 
 fn small_db() -> xseq::Database {
     DatabaseBuilder::new()
@@ -319,5 +320,114 @@ fn every_name_a_full_pipeline_registers_follows_the_grammar() {
             "event name {:?} violates the grammar",
             event.name
         );
+    }
+}
+
+/// A traced query's record reconciles with its wall clock, at 1 and 3
+/// shards over a live overlay (a memtable, a run and a tombstone in every
+/// shard): each phase's spans sum to its `QueryStats` field exactly, every
+/// span lies inside its parent, the root's `unattributed_ns` is its
+/// duration minus the phases, and the rows of `explain()` add up to the
+/// wall time.
+#[test]
+fn traced_phases_reconcile_with_the_wall_clock() {
+    const PHASES: [&str; 6] = [
+        "query.parse",
+        "index.plan",
+        "delta.view",
+        "sequence.encode",
+        "index.search",
+        "unattributed",
+    ];
+    for shards in [1, 3] {
+        let base: Vec<String> = (0..12)
+            .map(|i| format!("<a><b>x{}</b><c/></a>", i % 3))
+            .collect();
+        let mut db = DatabaseBuilder::new()
+            .shards(shards)
+            .memtable_limit(2)
+            .tier_ratio(64)
+            .trace_config(TraceConfig {
+                sample_rate: 1.0,
+                ..TraceConfig::default()
+            })
+            .build_from_xml(base.iter().map(String::as_str))
+            .expect("corpus indexes");
+        let live = |db: &Database, s: usize| {
+            let delta = db.shard_index(s).delta();
+            let memtable = delta.delta_view().segment_count() > delta.run_count();
+            delta.run_count() > 0 && memtable && !db.shard_index(s).tombstones().is_empty()
+        };
+        for i in 0.. {
+            if (0..shards).all(|s| live(&db, s)) {
+                break;
+            }
+            assert!(i < 100, "every shard's overlay comes alive");
+            db.insert_document(&format!("<a><b>y{i}</b><d/></a>"))
+                .expect("doc parses");
+            db.remove_document(i);
+        }
+        for expr in ["/a/b", "//b[text='x1']", "/a/*", "//d", "/a/zzz"] {
+            let what = format!("{expr} at {shards} shard(s)");
+            let out = db.query_xpath_full(expr).expect("query parses");
+            let (st, trace) = (&out.stats, out.trace.as_ref().expect("traced"));
+            let phase = |name: &str| -> u64 {
+                let spans = trace.spans.iter().filter(|s| s.name.starts_with(name));
+                spans.map(|s| s.duration_ns()).sum()
+            };
+            assert_eq!(phase("query.parse"), st.parse_ns, "{what}");
+            assert_eq!(phase("index.plan"), st.plan_ns, "{what}");
+            assert_eq!(phase("delta.view"), st.view_ns, "{what}");
+            assert_eq!(phase("sequence.encode"), st.encode_ns, "{what}");
+            assert_eq!(phase("trie.descent"), st.search_ns, "{what}");
+            let parses = trace.spans.iter().filter(|s| s.name == "query.parse");
+            assert_eq!(parses.count(), shards, "every shard parses: {what}");
+
+            let root = trace.root();
+            assert_eq!((root.end_ns, trace.total_ns), (st.total_ns, st.total_ns));
+            for span in &trace.spans[1..] {
+                let parent = trace.span(span.parent.expect("only the root is parentless"));
+                assert!(
+                    parent.start_ns <= span.start_ns && span.end_ns <= parent.end_ns,
+                    "{} escapes {}: {what}",
+                    span.name,
+                    parent.name
+                );
+            }
+            let phases: u64 = trace.spans[1..]
+                .iter()
+                .filter(|s| s.parent == Some(SpanId(0)))
+                .map(|s| s.duration_ns())
+                .sum();
+            let unattributed = root.duration_ns().checked_sub(phases);
+            let unattributed = unattributed.expect("the phases fit in the wall time");
+            let attr = |key: &str| root.attrs.iter().find(|(k, _)| *k == key);
+            assert_eq!(
+                attr("unattributed_ns"),
+                Some(&("unattributed_ns", AttrValue::U64(unattributed))),
+                "{what}"
+            );
+            assert!(attr("untraced_variants").is_none(), "under the cap: {what}");
+
+            let rows = [
+                st.parse_ns,
+                st.plan_ns,
+                st.view_ns,
+                st.encode_ns,
+                st.search_ns,
+                unattributed,
+            ];
+            assert_eq!(rows.iter().sum::<u64>(), st.total_ns, "{what}");
+            let explain = out.explain();
+            let lines: Vec<&str> = explain.lines().skip(1).take(PHASES.len()).collect();
+            let mut pct = 0.0;
+            for (line, name) in lines.iter().zip(PHASES) {
+                assert!(line.trim_start().starts_with(name), "{line}: {what}");
+                let share = line.split('(').nth(1).and_then(|p| p.split('%').next());
+                let share: f64 = share.and_then(|p| p.trim().parse().ok()).expect("a share");
+                pct += share;
+            }
+            assert!((pct - 100.0).abs() < 0.35, "rows sum to {pct}%: {what}");
+        }
     }
 }
