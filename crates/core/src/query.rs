@@ -215,21 +215,14 @@ impl Database {
     /// Answers many XPath queries on the builder's worker pool, returning
     /// one result per expression in input order.  Equivalent to (and, on a
     /// sequential pool, literally) a serial `query_xpath` loop; workers
-    /// share the database read-only and each reuses one [`SearchScratch`]
-    /// for its whole chunk, across queries and across shards.
+    /// (the caller among them) share the database read-only, claim one
+    /// expression at a time and each reuses one [`SearchScratch`] for every
+    /// expression it claims, across queries and across shards.
     pub fn query_batch(&self, exprs: &[&str]) -> Vec<Result<Vec<DocId>, Error>> {
-        let chunk = self.pool.chunk_for(exprs.len());
         self.pool
-            .map_chunks(exprs, chunk, |_, slice| {
-                let mut scratch = SearchScratch::new();
-                slice
-                    .iter()
-                    .map(|expr| Ok(self.query_xpath_ctx(expr, &mut scratch, true)?.docs))
-                    .collect::<Vec<_>>()
+            .map_with(exprs, SearchScratch::new, |scratch, expr| {
+                Ok(self.query_xpath_ctx(expr, scratch, true)?.docs)
             })
-            .into_iter()
-            .flatten()
-            .collect()
     }
 
     /// Answers a pre-built tree pattern.  The pattern's labels are bound

@@ -3,7 +3,7 @@
 //! these; nothing here (or above) treats N = 1 specially.
 
 use crate::{
-    index::{QueryStep, SearchScratch},
+    index::{union_answers, QueryStep, SearchScratch},
     Corpus, DocId, Document, ParseError, PatternLabel, Pool, QueryOutcome, SymbolTable,
     TreePattern, XmlIndex,
 };
@@ -171,7 +171,9 @@ impl Shard {
 
     /// Answers a pattern already bound to this shard's tables: the shard's
     /// index answers with local ids, and the sorted result list rewrites to
-    /// global ids (an ascending map, so it stays sorted).
+    /// global ids (an ascending map, so it stays sorted).  A strictly
+    /// ascending map of `n` ids ending at `n − 1` is the identity — one
+    /// shard's map always is — and rewrites nothing.
     #[expect(clippy::indexing_slicing, reason = "global_ids maps every local id the trie holds")]
     pub(crate) fn search(
         &self,
@@ -179,46 +181,23 @@ impl Shard {
         scratch: &mut SearchScratch,
     ) -> QueryOutcome {
         let mut out = self.index.query_with(pattern, &self.corpus.paths, scratch);
-        for d in &mut out.docs {
-            *d = self.global_ids[*d as usize];
-        }
-        out
-    }
-}
-
-/// Merges sorted, disjoint per-shard global doc-id lists into one sorted
-/// list.  Shards partition the id space, so there are no duplicates to
-/// collapse; a single list comes back untouched.
-#[expect(clippy::indexing_slicing, reason = "heads has one slot per list; i enumerates lists")]
-#[expect(clippy::expect_used, reason = "the length was just checked")]
-fn kway_merge(lists: Vec<Vec<DocId>>) -> Vec<DocId> {
-    if lists.len() == 1 {
-        return lists.into_iter().next().expect("one list");
-    }
-    let total = lists.iter().map(Vec::len).sum();
-    let mut heads = vec![0usize; lists.len()];
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<(usize, DocId)> = None;
-        for (i, list) in lists.iter().enumerate() {
-            if let Some(&d) = list.get(heads[i]) {
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((i, d));
-                }
+        let ids = &self.global_ids;
+        if ids
+            .last()
+            .is_some_and(|&last| last as usize + 1 != ids.len())
+        {
+            for d in &mut out.docs {
+                *d = ids[*d as usize];
             }
         }
-        let Some((i, d)) = best else {
-            return out;
-        };
-        heads[i] += 1;
-        out.push(d);
+        out
     }
 }
 
 /// Folds one shard's outcome counters into the gathered aggregate: stats
 /// and phase times sum, steps append, classes union (their ids live in
 /// per-shard path spaces).  Docs are merged separately by
-/// [`kway_merge`].
+/// [`union_answers`].
 fn absorb_shard_outcome(acc: &mut QueryOutcome, shard: QueryOutcome) {
     acc.stats.instantiations += shard.stats.instantiations;
     acc.stats.plan_truncated += shard.stats.plan_truncated;
@@ -234,8 +213,8 @@ fn absorb_shard_outcome(acc: &mut QueryOutcome, shard: QueryOutcome) {
 }
 
 /// The gather half of every query: folds the shards' outcomes (in shard
-/// order) into one — sorted doc lists k-way merge, counters sum, classes
-/// union.  No outcomes gather to the empty outcome.
+/// order) into one — sorted doc lists union ([`union_answers`]), counters
+/// sum, classes union.  No outcomes gather to the empty outcome.
 pub(crate) fn gather(answered: impl IntoIterator<Item = QueryOutcome>) -> QueryOutcome {
     let mut answered = answered.into_iter();
     let Some(mut acc) = answered.next() else {
@@ -246,8 +225,65 @@ pub(crate) fn gather(answered: impl IntoIterator<Item = QueryOutcome>) -> QueryO
         lists.push(std::mem::take(&mut out.docs));
         absorb_shard_outcome(&mut acc, out);
     }
-    acc.docs = kway_merge(lists);
+    // Shards partition the id space and filtered their own tombstones.
+    acc.docs = union_answers(lists, &[]);
     acc.classes.sort_unstable();
     acc.classes.dedup();
     acc
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The k-way merge `gather` used before `union_answers`, verbatim.
+    fn kway_merge(lists: Vec<Vec<DocId>>) -> Vec<DocId> {
+        if lists.len() == 1 {
+            return lists.into_iter().next().expect("one list");
+        }
+        let total = lists.iter().map(Vec::len).sum();
+        let mut heads = vec![0usize; lists.len()];
+        let mut out = Vec::with_capacity(total);
+        loop {
+            let mut best: Option<(usize, DocId)> = None;
+            for (i, list) in lists.iter().enumerate() {
+                if let Some(&d) = list.get(heads[i]) {
+                    if best.is_none_or(|(_, bd)| d < bd) {
+                        best = Some((i, d));
+                    }
+                }
+            }
+            let Some((i, d)) = best else {
+                return out;
+            };
+            heads[i] += 1;
+            out.push(d);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn gather_equals_the_kway_merge(
+            ids in proptest::collection::vec(0u32..2000, 0..300),
+            nshards in 2usize..4,
+        ) {
+            // Sorted, distinct per-shard lists partitioning the answer, as
+            // hash routing leaves them.
+            let mut ids = ids;
+            ids.sort_unstable();
+            ids.dedup();
+            let mut lists = vec![Vec::new(); nshards];
+            for &d in &ids {
+                lists[shard_of(d, nshards)].push(d);
+            }
+            let outcomes = lists.iter().map(|docs| QueryOutcome {
+                docs: docs.clone(),
+                ..QueryOutcome::default()
+            });
+            let gathered = gather(outcomes).docs;
+            prop_assert_eq!(&gathered, &kway_merge(lists));
+            prop_assert_eq!(gathered, ids);
+        }
+    }
 }

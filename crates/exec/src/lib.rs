@@ -164,8 +164,7 @@ impl Pool {
     /// each), returning one result per chunk in chunk order.
     ///
     /// `f` receives the dense chunk index (`0..len.div_ceil(chunk)`) and
-    /// the chunk slice.  This is the primitive behind [`Pool::map`] and
-    /// `query_batch` (which sets up one scratch context per chunk); chunk
+    /// the chunk slice.  This is the primitive behind [`Pool::map`]; chunk
     /// order *is* input order.
     // claim() returns start < len and end <= len, so ci < n_chunks; a slot
     // lock only poisons if f panicked (already unwinding), and once the scope
@@ -212,6 +211,51 @@ impl Pool {
                     .expect("chunk queue hands every chunk to exactly one worker")
             })
             .collect()
+    }
+
+    /// Applies `f` to every item, returning results in input order, with one
+    /// `init()` state per worker that `f` reuses for every item the worker
+    /// claims.  Items are claimed one at a time, so a batch of uneven items
+    /// ends within one item of balanced however the claims interleave; the
+    /// calling thread is one of the workers, so a pool of `t` threads spawns
+    /// `t − 1` and a single worker spawns none.
+    pub fn map_with<T, S, R, I, F>(&self, items: &[T], init: I, f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, &T) -> R + Sync,
+    {
+        let workers = self.threads.min(items.len());
+        if workers <= 1 {
+            let mut state = init();
+            return items.iter().map(|item| f(&mut state, item)).collect();
+        }
+        let queue = ChunkQueue::new(items.len(), 1);
+        let work = || {
+            let mut state = init();
+            let mut done = Vec::new();
+            while let Some((i, _)) = queue.claim() {
+                if let Some(item) = items.get(i) {
+                    done.push((i, f(&mut state, item)));
+                }
+            }
+            done
+        };
+        let mut done = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+            let mut done = work();
+            for helper in helpers {
+                match helper.join() {
+                    Ok(theirs) => done.extend(theirs),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            done
+        });
+        // Every index was claimed exactly once: sorted, they are the input.
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Runs every task on the pool, returning results in task order — the
@@ -342,6 +386,44 @@ mod tests {
             });
             assert_eq!(got, expect, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn map_with_keeps_input_order_and_one_state_per_worker() {
+        let items: Vec<u32> = (0..103).collect();
+        let expect: Vec<u64> = items.iter().map(|&x| u64::from(x) * 3 + 1).collect();
+        for threads in [1, 2, 3, 4, 8] {
+            let states = AtomicUsize::new(0);
+            let got = Pool::new(threads).map_with(
+                &items,
+                || {
+                    // relaxed: test-only counter, read after the join
+                    states.fetch_add(1, Ordering::Relaxed);
+                    0usize
+                },
+                |seen: &mut usize, &x| {
+                    *seen += 1;
+                    u64::from(x) * 3 + 1
+                },
+            );
+            assert_eq!(got, expect, "threads={threads}");
+            let states = states.load(Ordering::Relaxed);
+            assert!(
+                (1..=threads).contains(&states),
+                "threads={threads}: {states} states"
+            );
+        }
+        let none: Vec<u32> = Vec::new();
+        assert!(Pool::new(4).map_with(&none, || (), |_, &x| x).is_empty());
+    }
+
+    #[test]
+    fn map_with_runs_on_the_caller_when_one_worker_suffices() {
+        let caller = std::thread::current().id();
+        let ran_on = Pool::new(4).map_with(&[7u8], || (), |_, _| std::thread::current().id());
+        assert_eq!(ran_on, vec![caller]);
+        let ran_on = Pool::new(1).map_with(&[1u8, 2, 3], || (), |_, _| std::thread::current().id());
+        assert!(ran_on.iter().all(|&t| t == caller));
     }
 
     #[test]

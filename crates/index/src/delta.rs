@@ -24,9 +24,8 @@
 //!   where the first of them stood, so the run count stays logarithmic in
 //!   the update volume.
 //! * **Removes** record the document id in the [`Tombstones`] set;
-//!   matches are filtered at result-collection time
-//!   ([`filter_tombstones`](crate::search::filter_tombstones)), after the
-//!   per-segment searches union.  Tombstones are never drained by merges —
+//!   matches are filtered at result-collection time, as the per-segment
+//!   answers union ([`union_answers`](crate::search::union_answers)).  Tombstones are never drained by merges —
 //!   only full compaction clears them — so a tombstoned id stays invisible
 //!   even while older runs still carry it.
 //!

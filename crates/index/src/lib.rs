@@ -48,11 +48,12 @@ pub use delta::{
 };
 pub use plan::{instantiate, PlanOptions};
 pub use search::{
-    filter_tombstones, tree_search, tree_search_with, QuerySequence, SearchScratch, SearchStats,
+    filter_tombstones, tree_search, tree_search_with, union_answers, QuerySequence, SearchScratch,
+    SearchStats,
 };
 pub use stats::{index_stats, IndexStats, SegmentStats};
 pub use telemetry::IndexTelemetry;
-pub use trie::{LinkEntry, SequenceTrie, TrieNodeId, TrieView, NIL};
+pub use trie::{LinkEntry, PathLink, SequenceTrie, TrieNodeId, TrieView, NIL};
 pub use verify::{verify_trie, verify_trie_structure, IntegrityReport, InvariantClass, Violation};
 
 use std::collections::HashSet;
@@ -227,6 +228,19 @@ impl QueryOutcome {
         }
         out
     }
+}
+
+/// A search's answer out of its scratch.  A buffer at least half full moves
+/// out, and the scratch gets an empty one of the same capacity — an
+/// allocation, not a copy, and just as warm for the next search.  A mostly
+/// empty one is copied, so a warm scratch never hands its capacity out
+/// with a short answer.
+fn take_answer(docs: &mut Vec<DocId>) -> Vec<DocId> {
+    let cap = docs.capacity();
+    if docs.len() * 2 < cap {
+        return docs.clone();
+    }
+    std::mem::replace(docs, Vec::with_capacity(cap))
 }
 
 #[inline]
@@ -459,6 +473,8 @@ impl XmlIndex {
             .chain(delta_view.segments().map(|s| ("trie.descent.delta", s)))
             .collect();
         outcome.steps.extend([plan, view]);
+        // Every (variant, segment) answer, unioned at the end.
+        let mut lists = Vec::new();
         // The order-free search needs no isomorphic expansion (see the
         // `tree_search` docs): each concrete tree is one variant.
         for variant in &concrete {
@@ -480,15 +496,13 @@ impl XmlIndex {
                 descent.count = scratch.docs.len() as u64;
                 outcome.stats.search_ns += descent.ns;
                 outcome.stats.search.absorb(search);
-                outcome.docs.extend_from_slice(&scratch.docs);
+                lists.push(take_answer(&mut scratch.docs));
                 outcome.steps.push(descent);
             }
         }
-        outcome.docs.sort_unstable();
-        outcome.docs.dedup();
+        outcome.docs = union_answers(lists, self.delta.tombstones().ids());
         outcome.classes.sort_unstable();
         outcome.classes.dedup();
-        search::filter_tombstones(&mut outcome.docs, self.delta.tombstones());
         if let Some(tel) = &self.telemetry {
             tel.observe(&outcome.stats);
         }
@@ -501,17 +515,14 @@ impl XmlIndex {
     /// use it.
     pub fn query_sequence(&self, q: &QuerySequence) -> (Vec<DocId>, SearchStats) {
         let view = self.delta.delta_view();
-        let mut docs = Vec::new();
+        let mut lists = Vec::new();
         let mut st = SearchStats::default();
         for segment in std::iter::once(&self.trie).chain(view.segments()) {
             let (segment_docs, segment_st) = search::tree_search(segment, q);
-            docs.extend_from_slice(&segment_docs);
+            lists.push(segment_docs);
             st.absorb(segment_st);
         }
-        docs.sort_unstable();
-        docs.dedup();
-        search::filter_tombstones(&mut docs, self.delta.tombstones());
-        (docs, st)
+        (union_answers(lists, self.delta.tombstones().ids()), st)
     }
 
     /// The sequencing strategy in use.

@@ -146,11 +146,7 @@ fn assign(
     // ascending id, so the survivors are reversed.
     let newest_first: Box<dyn Iterator<Item = PathId>> = match (pattern.axis(node), sym) {
         (Axis::Child, Some(s)) => Box::new(paths.child(parent_path, s).into_iter()),
-        (Axis::Child, None) => Box::new(
-            paths
-                .children(parent_path)
-                .filter(|&c| paths.last(c).is_some_and(Symbol::is_elem)),
-        ),
+        (Axis::Child, None) => Box::new(paths.element_children(parent_path).iter().rev().copied()),
         (Axis::Descendant, Some(s)) => Box::new(paths.ending_in(s).filter(under)),
         (Axis::Descendant, None) => {
             Box::new(paths.element_paths().iter().rev().copied().filter(under))

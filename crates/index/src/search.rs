@@ -19,25 +19,91 @@
 //! matching live in `xseq-baselines`.
 
 use crate::delta::Tombstones;
-use crate::trie::{gallop, TrieNodeId, TrieView, NIL};
+use crate::trie::{gallop, PathLink, TrieNodeId, TrieView, NIL};
 use std::collections::HashMap;
 use xseq_sequence::{emit_sequence, Sequence, Strategy};
 use xseq_xml::{DocId, Document, PathId, PathTable};
 
 /// Drops tombstoned document ids from a result list — the *− tombstones*
 /// step of the update model's *frozen ∪ delta − tombstones* query semantics
-/// (see [`delta`](crate::delta)).
+/// (see [`delta`](crate::delta)), one binary search per id.
 ///
-/// Runs once per query, after the per-segment results have been unioned,
-/// sorted and deduplicated, so the matcher inner loops never look at the
-/// tombstone set.  Filtering only ever removes ids the caller deleted, so
-/// Theorem 2's no-false-alarm guarantee is preserved and no false
-/// dismissals are introduced.
+/// Queries take this step inside [`union_answers`], which this function
+/// specifies; the matcher inner loops never look at the tombstone set.
+/// Filtering only ever removes ids the caller deleted, so Theorem 2's
+/// no-false-alarm guarantee is preserved and no false dismissals are
+/// introduced.
 pub fn filter_tombstones(docs: &mut Vec<DocId>, tombstones: &Tombstones) {
     if tombstones.is_empty() || docs.is_empty() {
         return;
     }
     docs.retain(|d| !tombstones.contains(*d));
+}
+
+/// The answer of several searches: the union of sorted, distinct id lists
+/// minus the ascending `tombstones`, with no sort.  One list moves through
+/// untouched, and lists whose id ranges follow one another — an overlay's
+/// segments hold successive inserts — are joined end to end.  Lists whose
+/// ranges overlap are merged two at a time, an id heading both taken once.
+/// The tombstones then drop out in one pass, walked beside the answer, so
+/// each costs the log of the distance the walk moves.  Equals
+/// concatenating, sorting, deduplicating and [`filter_tombstones`].
+pub fn union_answers(mut lists: Vec<Vec<DocId>>, tombstones: &[DocId]) -> Vec<DocId> {
+    lists.retain(|l| !l.is_empty());
+    lists.sort_unstable_by_key(|l| l.first().copied());
+    let mut neighbours = lists.iter().zip(lists.iter().skip(1));
+    if lists.len() > 1 && neighbours.all(|(a, b)| a.last() < b.first()) {
+        lists = vec![lists.concat()];
+    }
+    while lists.len() > 1 {
+        let mut pairs = lists.into_iter();
+        let mut merged = Vec::new();
+        while let Some(a) = pairs.next() {
+            merged.push(match pairs.next() {
+                Some(b) => merge(&a, &b),
+                None => a,
+            });
+        }
+        lists = merged;
+    }
+    let mut out = lists.pop().unwrap_or_default();
+    if !tombstones.is_empty() {
+        let mut dead = Graveyard(tombstones);
+        out.retain(|&d| !dead.holds(d));
+    }
+    out
+}
+
+/// The union of two sorted, distinct lists.
+fn merge(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        if x <= y {
+            out.push(x);
+            i += 1;
+            j += usize::from(x == y);
+        } else {
+            out.push(y);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(a.get(i..).unwrap_or_default());
+    out.extend_from_slice(b.get(j..).unwrap_or_default());
+    out
+}
+
+/// The tombstones not yet passed, asked about ascending document ids.
+struct Graveyard<'a>(&'a [DocId]);
+
+impl Graveyard<'_> {
+    /// Whether `d` is tombstoned; moves past every tombstone below it.
+    fn holds(&mut self, d: DocId) -> bool {
+        let ids = self.0;
+        let passed = gallop(0, ids.len(), |i| ids.get(i).is_some_and(|&t| t < d));
+        self.0 = ids.get(passed..).unwrap_or_default();
+        self.0.first() == Some(&d)
+    }
 }
 
 /// A query sequence with its tree-parent structure: `parent_pos[i]` is the
@@ -267,8 +333,10 @@ impl Collected {
 /// from where it stands, which counts as one probe.  DESIGN.md §5.0 gives the
 /// argument.
 ///
-/// The answer costs what it holds: a completion only records its range, and
-/// the maximal ranges are read at the end in one sweep of the end nodes
+/// The answer costs what it holds: a completion only records its range —
+/// the last slot records it inside its link scan, from the link entry —
+/// and the maximal ranges are read at the end, two `O(1)` ranks of the
+/// end nodes each on the in-memory trie
 /// ([`TrieView::collect_docs_in_ranges`]).  They are disjoint and a document
 /// ends at one end node, so no id is read twice; a dense answer is then
 /// ordered through a bitmap instead of a sort (DESIGN.md §5.1).
@@ -290,11 +358,11 @@ pub fn tree_search_with<V: TrieView + ?Sized>(
         scratch_reuses: scratch.begin(),
         ..Default::default()
     };
-    let lens: Vec<usize> = q.paths.iter().map(|&p| trie.link_len(p)).collect();
-    if q.is_empty() || lens.contains(&0) {
+    let links: Vec<_> = q.paths.iter().map(|&p| trie.link(p)).collect();
+    if q.is_empty() || links.iter().any(PathLink::is_empty) {
         return stats; // no query, or a path that never occurs in the data
     }
-    let Some((order, ascent)) = seed_order(q, &lens) else {
+    let Some((order, ascent)) = seed_order(q, &links) else {
         // Unreachable: parent_pos forms a forest, so it has a leaf and
         // every element is reached parents first.  Degrade to an empty
         // result rather than panic on the query path.
@@ -306,9 +374,9 @@ pub fn tree_search_with<V: TrieView + ?Sized>(
     let walk = Walk {
         trie,
         q,
-        lens: &lens,
-        order: &order,
-        ascent: &ascent,
+        links,
+        order,
+        ascent,
     };
     walk.go(0, trie.root(), scratch, &mut stats);
     trie.collect_docs_in_ranges(&scratch.collected.0, &mut scratch.docs);
@@ -352,15 +420,16 @@ fn sort_docs(docs: &mut Vec<DocId>, bits: &mut Vec<u64>) {
 /// anchoring another query branch.  `None` when `parent_pos` is not a
 /// forest.
 #[expect(clippy::indexing_slicing, reason = "positions < n; the first loop checks parents < n")]
-fn seed_order(q: &QuerySequence, lens: &[usize]) -> Option<(Vec<usize>, Vec<usize>)> {
-    let n = lens.len();
+fn seed_order(q: &QuerySequence, links: &[impl PathLink]) -> Option<(Vec<usize>, Vec<usize>)> {
+    let n = links.len();
+    let len = |e: usize| links[e].len();
     let mut leaf = vec![true; n];
     for &pp in q.parent_pos.iter().flatten() {
         *leaf.get_mut(pp as usize)? = false;
     }
     // A leaf, not the rarest element: the query root's link is the one node
     // every document shares, and seeding there prunes nothing.
-    let seed = (0..n).filter(|&e| leaf[e]).min_by_key(|&e| lens[e])?;
+    let seed = (0..n).filter(|&e| leaf[e]).min_by_key(|&e| len(e))?;
     let mut placed = vec![false; n];
     placed[seed] = true;
     let mut ascent = Vec::new();
@@ -378,7 +447,7 @@ fn seed_order(q: &QuerySequence, lens: &[usize]) -> Option<(Vec<usize>, Vec<usiz
     let mut order = vec![seed];
     while let Some(e) = (0..n)
         .filter(|&e| !placed[e] && q.parent_pos[e].is_none_or(|pp| placed[pp as usize]))
-        .min_by_key(|&e| lens[e])
+        .min_by_key(|&e| len(e))
     {
         placed[e] = true;
         order.push(e);
@@ -387,30 +456,32 @@ fn seed_order(q: &QuerySequence, lens: &[usize]) -> Option<(Vec<usize>, Vec<usiz
 }
 
 /// The fixed inputs of one [`tree_search_with`] call.
-struct Walk<'a, V: ?Sized> {
+struct Walk<'a, V: TrieView + ?Sized> {
     trie: &'a V,
     q: &'a QuerySequence,
-    /// Each element's link length.
-    lens: &'a [usize],
+    /// Each element's link, resolved once.
+    links: Vec<V::Link<'a>>,
     /// The seed, then the elements off its ancestor chain, parents first.
-    order: &'a [usize],
+    order: Vec<usize>,
     /// The seed's ancestors its upward walk matches, nearest first.
-    ascent: &'a [usize],
+    ascent: Vec<usize>,
 }
 
 impl<V: TrieView + ?Sized> Walk<'_, V> {
     /// Slot `k` of the search: matches element `order[k]` below `tip`, the
-    /// deepest matched trie node, or on the chain above it.
-    #[expect(clippy::indexing_slicing, reason = "positions < q.len(); parents are placed first")]
+    /// deepest matched trie node, or on the chain above it.  The last slot
+    /// completes each candidate it accepts in place.
+    #[expect(clippy::indexing_slicing, reason = "k < order.len(); positions < q.len()")]
     fn go(&self, k: usize, tip: TrieNodeId, sc: &mut SearchScratch, stats: &mut SearchStats) {
         let trie = self.trie;
         let (_, tip_max) = trie.label(tip);
-        let Some(&i) = self.order.get(k) else {
-            stats.completions += 1;
-            sc.collected.insert(tip, tip_max);
-            return;
-        };
+        let i = self.order[k];
+        let last = k + 1 == self.order.len();
+        // The seed is the last slot only when no other branch exists, and
+        // then its walk up matches nothing.
+        debug_assert!(k > 0 || !last || self.ascent.is_empty());
         let path = self.q.paths[i];
+        let link = &self.links[i];
         // The seed's parent is not placed before it: its walk up matches it.
         let anchor = self.q.parent_pos[i].filter(|_| k > 0).map(|pp| pp as usize);
         let anchor_node = anchor.map_or(trie.root(), |a| sc.matched[a]);
@@ -418,20 +489,27 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
         // (1) candidates below the tip: link range (tip⊢, tip⊣], jumping
         // past every collected range — all it holds is already found.  The
         // entries it holds follow this one, so the jump gallops from here.
-        let len = self.lens[i];
+        let len = link.len();
         stats.link_probes += 1;
-        let mut idx = trie.link_lower_bound(path, tip);
+        let mut idx = link.lower_bound(tip);
         while idx < len {
-            let e = trie.link_entry(path, idx);
+            let e = link.entry(idx);
             if e.serial > tip_max {
                 break;
             }
             if let Some(hi) = sc.collected.covering(e.serial) {
                 stats.link_probes += 1;
-                idx = gallop(idx + 1, len, |j| trie.link_entry(path, j).serial <= hi);
+                idx = gallop(idx + 1, len, |j| link.entry(j).serial <= hi);
                 continue;
             }
-            self.try_candidate(k, anchor, e.serial, e.serial, sc, stats);
+            if last {
+                // Every used node is the tip or above it, and this entry is
+                // a proper descendant of the tip: it cannot be used.
+                stats.candidates += 1;
+                self.complete(anchor, e.serial, (e.serial, e.max_desc), sc, stats);
+            } else {
+                self.try_candidate(k, anchor, e.serial, e.serial, sc, stats);
+            }
             idx += 1;
         }
         // (2) candidates on the chain above the tip, strictly below the
@@ -442,15 +520,55 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
                 if sc.collected.covering(tip).is_some() {
                     break;
                 }
-                self.try_candidate(k, anchor, cur, tip, sc, stats);
+                if !last {
+                    self.try_candidate(k, anchor, cur, tip, sc, stats);
+                } else {
+                    stats.candidates += 1;
+                    let range = (tip, tip_max);
+                    if !sc.used.contains(&cur) && self.complete(anchor, cur, range, sc, stats) {
+                        break;
+                    }
+                }
             }
             cur = trie.parent(cur);
         }
     }
 
-    /// Places trie node `r` for element `order[k]` unless it is used or
-    /// sibling-covered, and searches on with `new_tip` the deepest node.
-    /// The seed's slot first matches the seed's ancestors from `r` upward.
+    /// Whether trie node `r`, placed under the match of query parent
+    /// `anchor`, is sibling-covered: the anchor embeds identical siblings
+    /// and is not `r`'s nearest ancestor carrying the parent's path.
+    #[expect(clippy::indexing_slicing, reason = "the anchor is a placed position < q.len()")]
+    fn covered(&self, anchor: Option<usize>, r: TrieNodeId, sc: &SearchScratch) -> bool {
+        anchor.is_some_and(|a| {
+            let m = sc.matched[a];
+            self.trie.embeds_identical(m)
+                && self.trie.nearest_ancestor_with_path(r, self.q.paths[a]) != Some(m)
+        })
+    }
+
+    /// The last slot's candidate `r`: unless it is sibling-covered, the
+    /// query completes and its answer is `range`.  `true` when it did.
+    fn complete(
+        &self,
+        anchor: Option<usize>,
+        r: TrieNodeId,
+        (lo, hi): (u32, u32),
+        sc: &mut SearchScratch,
+        stats: &mut SearchStats,
+    ) -> bool {
+        if self.covered(anchor, r, sc) {
+            stats.cover_rejections += 1;
+            return false;
+        }
+        stats.completions += 1;
+        sc.collected.insert(lo, hi);
+        true
+    }
+
+    /// Places trie node `r` for element `order[k]`, which is not the last
+    /// slot, unless it is used or sibling-covered, and searches on with
+    /// `new_tip` the deepest node.  The seed's slot first matches the
+    /// seed's ancestors from `r` upward.
     #[expect(clippy::indexing_slicing, reason = "positions < q.len(); parents are placed first")]
     fn try_candidate(
         &self,
@@ -461,19 +579,13 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
         sc: &mut SearchScratch,
         stats: &mut SearchStats,
     ) {
-        let trie = self.trie;
         stats.candidates += 1;
         if sc.used.contains(&r) {
             return;
         }
-        if let Some(a) = anchor {
-            let m = sc.matched[a];
-            if trie.embeds_identical(m)
-                && trie.nearest_ancestor_with_path(r, self.q.paths[a]) != Some(m)
-            {
-                stats.cover_rejections += 1;
-                return;
-            }
+        if self.covered(anchor, r, sc) {
+            stats.cover_rejections += 1;
+            return;
         }
         let base = sc.used.len();
         sc.matched[self.order[k]] = r;
@@ -491,7 +603,7 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
     #[expect(clippy::indexing_slicing, reason = "ascent holds positions below matched.len()")]
     fn climb(&self, r: TrieNodeId, sc: &mut SearchScratch) -> bool {
         let mut cur = r;
-        for &a in self.ascent {
+        for &a in &self.ascent {
             let Some(m) = self.trie.nearest_ancestor_with_path(cur, self.q.paths[a]) else {
                 debug_assert!(false, "f2: a query parent's path labels a trie ancestor");
                 return false;

@@ -62,6 +62,88 @@ pub struct Frozen {
     pub links: HashMap<PathId, Vec<LinkEntry>, BuildHasherDefault<PathIdHasher>>,
     /// Nodes owning document id lists, ascending.
     pub end_nodes: Vec<TrieNodeId>,
+    /// The end nodes as a bitvector over serials: bit `s % 64` of word
+    /// `s / 64` is set when `s` is an end node.  One word past the last
+    /// serial, so the serial after it has a bit too.
+    pub end_bits: Vec<u64>,
+    /// Per word of `end_bits`: the end nodes in the words before it.  With
+    /// a popcount this ranks any serial in `O(1)`.
+    pub end_rank: Vec<u32>,
+}
+
+impl Frozen {
+    /// The number of end nodes with serial below `s` — the index of the
+    /// first end node at or past `s`.  A serial past the last node ranks
+    /// every end node.
+    #[inline]
+    #[expect(clippy::indexing_slicing, reason = "s <= max_desc.len(), so s / 64 < end_bits.len()")]
+    #[expect(clippy::integer_division_remainder_used, reason = "the divisor is the literal 64")]
+    fn end_index(&self, s: u32) -> usize {
+        let s = (s as usize).min(self.max_desc.len());
+        let below = (1u64 << (s % 64)) - 1;
+        self.end_rank[s / 64] as usize + (self.end_bits[s / 64] & below).count_ones() as usize
+    }
+}
+
+/// The rank directory of [`Frozen::end_bits`] and [`Frozen::end_rank`] for
+/// `end_nodes` in a trie of `nodes` serials.  An end node past the trie
+/// (only a corrupted registry has one) sets no bit.
+#[expect(clippy::integer_division_remainder_used, reason = "the divisor is the literal 64")]
+pub(crate) fn rank_directory(end_nodes: &[TrieNodeId], nodes: usize) -> (Vec<u64>, Vec<u32>) {
+    let mut bits = vec![0u64; nodes / 64 + 1];
+    for &e in end_nodes {
+        if let Some(word) = bits.get_mut(e as usize / 64) {
+            *word |= 1 << (e % 64);
+        }
+    }
+    let mut before = 0;
+    let rank = bits
+        .iter()
+        .map(|w| {
+            let r = before;
+            before += w.count_ones();
+            r
+        })
+        .collect();
+    (bits, rank)
+}
+
+/// A horizontal path link resolved once: its entries, ascending by serial.
+pub trait PathLink {
+    /// Number of entries (0 for a path that never occurs).
+    fn len(&self) -> usize;
+    /// Entry `idx`, for `idx < len()`.
+    fn entry(&self, idx: usize) -> LinkEntry;
+
+    /// True when the path never occurs.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// First index with serial strictly greater than `s`.
+    #[expect(clippy::integer_division_remainder_used, reason = "the divisor is the literal 2")]
+    fn lower_bound(&self, s: u32) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.entry(mid).serial <= s {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+}
+
+impl PathLink for &[LinkEntry] {
+    fn len(&self) -> usize {
+        <[LinkEntry]>::len(self)
+    }
+    #[expect(clippy::indexing_slicing, reason = "callers keep idx < len()")]
+    fn entry(&self, idx: usize) -> LinkEntry {
+        self[idx]
+    }
 }
 
 /// Read access to a frozen trie — everything the matching algorithms need.
@@ -81,10 +163,12 @@ pub trait TrieView {
     fn parent(&self, n: TrieNodeId) -> TrieNodeId;
     /// Whether the node's range contains another node with the same path.
     fn embeds_identical(&self, n: TrieNodeId) -> bool;
-    /// Number of entries in the horizontal link of `path` (0 if absent).
-    fn link_len(&self, path: PathId) -> usize;
-    /// Entry `idx` of the link of `path` (ascending serial order).
-    fn link_entry(&self, path: PathId, idx: usize) -> LinkEntry;
+    /// A resolved horizontal link.
+    type Link<'a>: PathLink
+    where
+        Self: 'a;
+    /// The horizontal link of `path`, looked up once (empty if absent).
+    fn link(&self, path: PathId) -> Self::Link<'_>;
     /// Appends the doc ids of end nodes with serial in `[lo, hi]`.
     fn collect_docs_in_range(&self, lo: u32, hi: u32, out: &mut Vec<DocId>);
 
@@ -110,20 +194,19 @@ pub trait TrieView {
         None
     }
 
+    /// Number of entries in the horizontal link of `path` (0 if absent).
+    fn link_len(&self, path: PathId) -> usize {
+        self.link(path).len()
+    }
+
+    /// Entry `idx` of the link of `path` (ascending serial order).
+    fn link_entry(&self, path: PathId, idx: usize) -> LinkEntry {
+        self.link(path).entry(idx)
+    }
+
     /// First link index of `path` with serial strictly greater than `s`.
-    #[expect(clippy::integer_division_remainder_used, reason = "the divisor is the literal 2")]
     fn link_lower_bound(&self, path: PathId, s: u32) -> usize {
-        let mut lo = 0usize;
-        let mut hi = self.link_len(path);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.link_entry(path, mid).serial <= s {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        self.link(path).lower_bound(s)
     }
 }
 
@@ -232,12 +315,18 @@ impl SequenceTrie {
     }
 
     /// Document ids whose sequences end at `n`, in arrival order.
-    #[expect(clippy::indexing_slicing, reason = "doc_off has end_nodes.len() + 1 bounded offsets")]
     pub fn docs_at(&self, n: TrieNodeId) -> &[DocId] {
-        match self.frozen().end_nodes.binary_search(&n) {
-            Ok(i) => &self.docs[self.doc_off[i] as usize..self.doc_off[i + 1] as usize],
-            Err(_) => &[],
-        }
+        self.docs_in(n, n)
+    }
+
+    /// The ids of the end nodes with serial in `[lo, hi]`: one contiguous
+    /// slice of the document array, bounded by two `O(1)` ranks.
+    #[expect(clippy::indexing_slicing, reason = "a, b <= end_nodes.len() < doc_off.len()")]
+    fn docs_in(&self, lo: u32, hi: u32) -> &[DocId] {
+        let f = self.frozen();
+        let a = f.end_index(lo);
+        let b = f.end_index(hi.saturating_add(1)).max(a);
+        &self.docs[self.doc_off[a] as usize..self.doc_off[b] as usize]
     }
 
     /// Every end node of the last freeze with its document id list,
@@ -354,8 +443,11 @@ impl SequenceTrie {
         end_nodes.shrink_to_fit();
         doc_off.shrink_to_fit();
 
+        let (end_bits, end_rank) = rank_directory(&end_nodes, path.len());
         self.frozen = Frozen {
             end_nodes,
+            end_bits,
+            end_rank,
             ..label_and_link(&path, &parent)
         };
         self.path = path;
@@ -406,14 +498,9 @@ impl SequenceTrie {
         self.label(self.root())
     }
 
-    /// All document ids in end nodes with serial in `[lo, hi]` — one
-    /// contiguous slice of the document array.
-    #[expect(clippy::indexing_slicing, reason = "a, b <= end_nodes.len() < doc_off.len()")]
+    /// Appends all document ids in end nodes with serial in `[lo, hi]`.
     pub fn collect_docs_in_range(&self, lo: u32, hi: u32, out: &mut Vec<DocId>) {
-        let ends = &self.frozen().end_nodes;
-        let a = ends.partition_point(|&s| s < lo);
-        let b = ends.partition_point(|&s| s <= hi).max(a);
-        out.extend_from_slice(&self.docs[self.doc_off[a] as usize..self.doc_off[b] as usize]);
+        out.extend_from_slice(self.docs_in(lo, hi));
     }
 
     /// Approximate in-memory footprint in bytes (node arrays + doc lists +
@@ -424,6 +511,8 @@ impl SequenceTrie {
         let f = &self.frozen;
         self.path.len() * per_node
             + (self.docs.len() + self.doc_off.len() + f.end_nodes.len()) * size_of::<u32>()
+            + f.end_bits.len() * size_of::<u64>()
+            + f.end_rank.len() * size_of::<u32>()
             + f.links.values().map(Vec::len).sum::<usize>() * size_of::<LinkEntry>()
     }
 }
@@ -463,7 +552,7 @@ fn label_and_link(path: &[PathId], parent: &[TrieNodeId]) -> Frozen {
         max_desc,
         embeds_identical,
         links,
-        end_nodes: Vec::new(),
+        ..Frozen::default()
     }
 }
 
@@ -484,6 +573,8 @@ impl HeapSize for SequenceTrie {
             + f.max_desc.capacity() * size_of::<u32>()
             + f.embeds_identical.capacity() * size_of::<bool>()
             + f.end_nodes.capacity() * size_of::<TrieNodeId>()
+            + f.end_bits.capacity() * size_of::<u64>()
+            + f.end_rank.capacity() * size_of::<u32>()
             + hash_table_alloc_bytes(f.links.capacity(), size_of::<(PathId, Vec<LinkEntry>)>())
             + f.links
                 .values()
@@ -509,32 +600,12 @@ impl TrieView for SequenceTrie {
     fn embeds_identical(&self, n: TrieNodeId) -> bool {
         self.frozen().embeds_identical[n as usize]
     }
-    fn link_len(&self, path: PathId) -> usize {
-        self.frozen().links.get(&path).map(Vec::len).unwrap_or(0)
-    }
-    #[expect(clippy::indexing_slicing, reason = "callers keep idx < link_len(path)")]
-    fn link_entry(&self, path: PathId, idx: usize) -> LinkEntry {
-        self.frozen().links[&path][idx]
-    }
-    fn link_lower_bound(&self, path: PathId, s: u32) -> usize {
-        // one map lookup, not one per bisection step
-        let link = self.frozen().links.get(&path);
-        link.map_or(0, |link| link.partition_point(|e| e.serial <= s))
+    type Link<'a> = &'a [LinkEntry];
+    fn link(&self, path: PathId) -> &[LinkEntry] {
+        self.frozen().links.get(&path).map_or(&[], Vec::as_slice)
     }
     fn collect_docs_in_range(&self, lo: u32, hi: u32, out: &mut Vec<DocId>) {
         SequenceTrie::collect_docs_in_range(self, lo, hi, out)
-    }
-    /// One cursor gallops over the end nodes from range to range, so a range
-    /// costs the log of the distance moved, not of the whole array.
-    #[expect(clippy::indexing_slicing, reason = "gallop stays <= end_nodes.len() < doc_off.len()")]
-    fn collect_docs_in_ranges(&self, ranges: &[(u32, u32)], out: &mut Vec<DocId>) {
-        let ends = &self.frozen().end_nodes;
-        let mut at = 0;
-        for &(lo, hi) in ranges {
-            let a = gallop(at, ends.len(), |i| ends[i] < lo);
-            at = gallop(a, ends.len(), |i| ends[i] <= hi);
-            out.extend_from_slice(&self.docs[self.doc_off[a] as usize..self.doc_off[at] as usize]);
-        }
     }
 }
 

@@ -15,6 +15,9 @@
 //! * **Sibling-cover bookkeeping** (Algorithm 1 / Definition 4): the
 //!   `embeds_identical` flag must equal a from-scratch recomputation, or
 //!   the constraint check is skipped exactly where it is needed.
+//! * **End nodes** (Section 4.1 step 1): the registry is ascending, each
+//!   entry owns a non-empty id list, and the rank directory that result
+//!   collection reads ranges through equals the registry bit for bit.
 //! * **Stored sequences** (Eq. 3 / Theorem 1): every root-to-end-node path
 //!   spells a constraint sequence that must satisfy `f2` and round-trip
 //!   sequence → tree → sequence to an identical encoding.
@@ -29,7 +32,7 @@
 //! [`TrieView::link_lower_bound`]: crate::trie::TrieView::link_lower_bound
 //! [`XmlIndex::verify_integrity`]: crate::XmlIndex::verify_integrity
 
-use crate::trie::{SequenceTrie, TrieNodeId, NIL};
+use crate::trie::{rank_directory, SequenceTrie, TrieNodeId, NIL};
 use std::fmt::Write as _;
 use xseq_sequence::{verify_sequence, Sequence, SequenceIssue, Strategy};
 use xseq_xml::PathTable;
@@ -51,7 +54,8 @@ pub enum InvariantClass {
     LinkCoverage,
     /// `embeds_identical` disagrees with recomputation (Definition 4).
     SiblingCover,
-    /// The end-node registry disagrees with the document-id lists.
+    /// The end-node registry disagrees with the document-id lists, or
+    /// its rank directory with it.
     EndNodes,
     /// A stored sequence violates `f2` (Eq. 3).
     SequenceF2,
@@ -449,6 +453,22 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
                 f.end_nodes.len(),
                 end_count
             ),
+        });
+    }
+    // The rank directory must be exactly what freeze derives from the
+    // registry: a wrong bit or count misplaces every answer past it.
+    let (bits, rank) = rank_directory(&f.end_nodes, n);
+    let differs = |w| bits.get(w) != f.end_bits.get(w) || rank.get(w) != f.end_rank.get(w);
+    let words = bits.len().max(f.end_bits.len()).max(f.end_rank.len());
+    if let Some(w) = (0..words).find(|&w| differs(w)) {
+        // anchored at the first serial whose bit differs, else at the word
+        let pair = bits.get(w).zip(f.end_bits.get(w)).filter(|(a, b)| a != b);
+        let serial = (w * 64) as u32 + pair.map_or(0, |(a, b)| (a ^ b).trailing_zeros());
+        report.push(Violation {
+            class: InvariantClass::EndNodes,
+            node: Some(serial),
+            serial: Some(serial),
+            detail: format!("rank directory word {w} disagrees with the end-node registry"),
         });
     }
     if total_docs != trie.sequence_count() {

@@ -1,14 +1,18 @@
-//! Result assembly: how `tree_search` turns its completions into an answer.
+//! Result assembly: how a query turns its completions into an answer.
 //!
 //! A completion only records its range; the maximal ranges are read at the
-//! end through `TrieView::collect_docs_in_ranges` (one galloping sweep on a
-//! `SequenceTrie`, range by range on a `PagedTrie`), and the ids are ordered
-//! through a bitmap when the answer is dense.  Each step must give exactly
-//! what the per-range reads and `sort_unstable` + `dedup` give.
+//! end through `TrieView::collect_docs_in_ranges` (two `O(1)` ranks of the
+//! end-node directory per range on a `SequenceTrie`, a binary search of the
+//! end records on a `PagedTrie`), and the ids are ordered through a bitmap
+//! when the answer is dense.  The (variant, segment) answers of a query are
+//! then unioned without a sort, and the tombstones drop out.  Each step must
+//! give exactly what a walk of the end nodes, `sort_unstable` + `dedup` and
+//! `filter_tombstones` give.
 
 use proptest::prelude::*;
 use xseq_index::{
-    tree_search, tree_search_with, QuerySequence, SearchScratch, SequenceTrie, TrieView,
+    filter_tombstones, tree_search, tree_search_with, union_answers, QuerySequence, SearchScratch,
+    SequenceTrie, Tombstones, TrieNodeId, TrieView,
 };
 use xseq_sequence::Sequence;
 use xseq_storage::{write_paged_trie, MemStore, PagedTrie};
@@ -42,8 +46,9 @@ fn paged(trie: &SequenceTrie, pool: usize) -> PagedTrie<MemStore> {
 /// Ascending, disjoint ranges from `(gap, width)` steps: each starts `gap`
 /// past the previous end (at `gap` for the first) and spans `width` more
 /// serials, so ranges are empty of end nodes, single nodes, or run past the
-/// last serial.  With `root`, the one range is the root's.
-fn ranges(trie: &SequenceTrie, steps: &[(u32, u32)], root: bool) -> Vec<(u32, u32)> {
+/// last serial.  With `root`, the one range is the root's.  A last range
+/// then ends at the last serial (`end` 1) or at `u32::MAX` (`end` 2).
+fn ranges(trie: &SequenceTrie, steps: &[(u32, u32)], root: bool, end: u8) -> Vec<(u32, u32)> {
     if root {
         return vec![trie.root_range()];
     }
@@ -54,7 +59,30 @@ fn ranges(trie: &SequenceTrie, steps: &[(u32, u32)], root: bool) -> Vec<(u32, u3
         out.push((lo, lo + width));
         next = lo + width + 1;
     }
+    match end {
+        1 if next <= trie.node_count() as u32 => out.push((next, trie.node_count() as u32)),
+        2 => out.push((next, u32::MAX)),
+        _ => {}
+    }
     out
+}
+
+/// Each node's documents, found without the end-node directory: the ids of
+/// the inserted sequences that spell the node's root path, in arrival order.
+fn docs_by_walk(trie: &SequenceTrie, seqs: &[Vec<u32>]) -> Vec<Vec<DocId>> {
+    (0..=trie.node_count() as TrieNodeId)
+        .map(|n| {
+            let mut spelled = Vec::new();
+            let mut cur = n;
+            while cur != trie.root() {
+                spelled.push(trie.path(cur).0);
+                cur = trie.parent(cur);
+            }
+            spelled.reverse();
+            let ends_here = seqs.iter().enumerate().filter(|(_, s)| **s == spelled);
+            ends_here.map(|(doc, _)| doc as DocId).collect()
+        })
+        .collect()
 }
 
 /// The query `/p` over a trie where every id in `ids` ends under the one `p`
@@ -110,24 +138,105 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn one_sweep_equals_range_by_range(
+    fn rank_reads_equal_the_end_node_walk(
         seqs in corpus(24),
         steps in proptest::collection::vec((0u32..4, 0u32..6), 0..6),
         root in proptest::bool::weighted(0.15),
+        end in 0u8..3,
+        only_root in proptest::bool::weighted(0.1),
         pool in 1usize..16,
     ) {
+        // With `only_root`, every sequence is empty: the root is the one
+        // end node.
+        let seqs: Vec<Vec<u32>> = if only_root { vec![Vec::new(); seqs.len()] } else { seqs };
         let trie = frozen(&seqs);
-        let ranges = ranges(&trie, &steps, root);
+        let by_node = docs_by_walk(&trie, &seqs);
+        let ends = &trie.frozen().end_nodes;
+        for (n, docs) in by_node.iter().enumerate() {
+            let n = n as TrieNodeId;
+            prop_assert_eq!(trie.docs_at(n), docs.as_slice(), "node {}", n);
+            prop_assert_eq!(!docs.is_empty(), ends.binary_search(&n).is_ok(), "node {}", n);
+        }
+        prop_assert!(trie.docs_at(trie.node_count() as TrieNodeId + 1).is_empty());
+        let ranges = ranges(&trie, &steps, root, end);
+        let paged = paged(&trie, pool);
         let mut want = Vec::new();
         for &(lo, hi) in &ranges {
-            trie.collect_docs_in_range(lo, hi, &mut want);
+            let from = want.len();
+            for docs in by_node.iter().take(hi.saturating_add(1) as usize).skip(lo as usize) {
+                want.extend_from_slice(docs);
+            }
+            let mut got = Vec::new();
+            trie.collect_docs_in_range(lo, hi, &mut got);
+            prop_assert_eq!(&got[..], &want[from..], "in memory, range {:?}", (lo, hi));
+            got.clear();
+            paged.collect_docs_in_range(lo, hi, &mut got);
+            prop_assert_eq!(&got[..], &want[from..], "paged, range {:?}", (lo, hi));
         }
         let mut got = Vec::new();
         TrieView::collect_docs_in_ranges(&trie, &ranges, &mut got);
         prop_assert_eq!(&got, &want, "in memory, ranges {:?}", ranges);
         got.clear();
-        paged(&trie, pool).collect_docs_in_ranges(&ranges, &mut got);
+        paged.collect_docs_in_ranges(&ranges, &mut got);
         prop_assert_eq!(&got, &want, "paged, ranges {:?}", ranges);
+    }
+
+    #[test]
+    fn union_equals_sort_dedup_and_filter(
+        raw in proptest::collection::vec(proptest::collection::vec(0u32..300, 0..40), 0..7),
+        overlap in proptest::bool::weighted(0.3),
+        layout in 0u8..4,
+        tombs in proptest::collection::vec(0u32..600, 0..120),
+        tomb_kind in 0u8..4,
+    ) {
+        // Sorted, distinct lists, empty and single ones included; with
+        // `overlap`, the first list appears twice.
+        let mut lists: Vec<Vec<DocId>> = raw
+            .into_iter()
+            .map(|mut l| {
+                l.sort_unstable();
+                l.dedup();
+                l
+            })
+            .collect();
+        if layout >= 2 {
+            // Successive id ranges, as an overlay's segments hold them, in
+            // reverse order; with `layout` 3 each range also starts with the
+            // id that ends the one before.
+            let mut all = lists.concat();
+            all.sort_unstable();
+            all.dedup();
+            let chunk = all.len() / lists.len().max(1) + 1;
+            lists = all
+                .chunks(chunk)
+                .enumerate()
+                .map(|(i, c)| {
+                    let edge = all.get((i * chunk).wrapping_sub(1)).filter(|_| layout == 3);
+                    edge.into_iter().chain(c).copied().collect()
+                })
+                .rev()
+                .collect();
+        }
+        if overlap && !lists.is_empty() {
+            lists.push(lists[0].clone());
+        }
+        let mut want: Vec<DocId> = lists.concat();
+        want.sort_unstable();
+        want.dedup();
+        // Tombstones: none, none of the answer, many (most past the answer),
+        // or every id of the answer and more.
+        let dead: Vec<DocId> = match tomb_kind {
+            0 => Vec::new(),
+            1 => tombs.into_iter().filter(|t| want.binary_search(t).is_err()).collect(),
+            2 => tombs,
+            _ => want.iter().copied().chain(tombs).collect(),
+        };
+        let mut tombstones = Tombstones::new();
+        for &t in &dead {
+            tombstones.insert(t);
+        }
+        filter_tombstones(&mut want, &tombstones);
+        prop_assert_eq!(union_answers(lists, tombstones.ids()), want);
     }
 
     #[test]

@@ -180,6 +180,40 @@ proptest! {
         );
     }
 
+    /// Flipping one bit of the end-node rank directory must surface as an
+    /// `EndNodes` violation at that serial, and so must a wrong count.
+    #[test]
+    fn corrupted_rank_directory_is_pinpointed(
+        recipe in corpus_recipe(8, 20),
+        pick in any::<u32>(),
+    ) {
+        let (mut index, _paths) = build_index(&recipe);
+        let node = {
+            let trie = index.trie_mut();
+            let n = (pick as usize % (trie.node_count() + 1)) as u32;
+            let f = trie.corrupt_frozen().expect("build() freezes");
+            f.end_bits[n as usize / 64] ^= 1 << (n % 64);
+            n
+        };
+        let report = index.verify_structure();
+        prop_assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.class == InvariantClass::EndNodes && v.node == Some(node)),
+            "flipping the end bit of node {node} must anchor there:\n{}",
+            report.render()
+        );
+        let trie = index.trie_mut();
+        let f = trie.corrupt_frozen().expect("build() freezes");
+        f.end_bits[node as usize / 64] ^= 1 << (node % 64);
+        let last = f.end_rank.len() - 1;
+        f.end_rank[last] += 1;
+        let report = index.verify_structure();
+        prop_assert!(report.has(InvariantClass::EndNodes), "a wrong count:\n{}", report.render());
+        prop_assert_eq!(report.violations.len(), 1, "{}", report.render());
+    }
+
     /// Flipping one designator of a stored sequence (rewriting a trie
     /// node's path) must surface as a sequence-level violation
     /// (`SequenceF2`/`RoundTrip`) or as broken link coverage for the two

@@ -37,7 +37,7 @@ use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::io;
 use std::sync::Mutex;
-use xseq_index::{LinkEntry, SequenceTrie, TrieNodeId, TrieView};
+use xseq_index::{LinkEntry, PathLink, SequenceTrie, TrieNodeId, TrieView};
 use xseq_xml::{DocId, PathId, PathIdHasher};
 
 const MAGIC: u64 = 0x3130_4750_5145_5358; // "XSEQPG01" LE
@@ -376,6 +376,27 @@ impl<S: PageStore> PagedTrie<S> {
     }
 }
 
+/// A link of a [`PagedTrie`], resolved through its directory once: the
+/// trie, the link's first entry and its length.  Entries are read through
+/// the buffer pool.
+#[derive(Debug)]
+pub struct PagedLink<'a, S: PageStore>(&'a PagedTrie<S>, u32, u32);
+
+impl<S: PageStore> PathLink for PagedLink<'_, S> {
+    fn len(&self) -> usize {
+        self.2 as usize
+    }
+
+    fn entry(&self, idx: usize) -> LinkEntry {
+        let entries = (self.0.entries_start, ENTRY_REC, ENTRIES_PER_PAGE);
+        self.0
+            .record(entries, self.1 as usize + idx, |p, off| LinkEntry {
+                serial: get_u32(p, off),
+                max_desc: get_u32(p, off + 4),
+            })
+    }
+}
+
 impl<S: PageStore> TrieView for PagedTrie<S> {
     fn root(&self) -> TrieNodeId {
         0
@@ -400,19 +421,14 @@ impl<S: PageStore> TrieView for PagedTrie<S> {
         self.node_field(n, 16) != 0
     }
 
-    fn link_len(&self, path: PathId) -> usize {
-        self.dir.get(&path).map(|&(_, l)| l as usize).unwrap_or(0)
-    }
+    type Link<'a>
+        = PagedLink<'a, S>
+    where
+        S: 'a;
 
-    #[expect(clippy::indexing_slicing, reason = "callers keep idx < link_len(path)")]
-    fn link_entry(&self, path: PathId, idx: usize) -> LinkEntry {
-        let (start, len) = self.dir[&path];
-        debug_assert!(idx < len as usize, "link index out of range");
-        let entries = (self.entries_start, ENTRY_REC, ENTRIES_PER_PAGE);
-        self.record(entries, start as usize + idx, |p, off| LinkEntry {
-            serial: get_u32(p, off),
-            max_desc: get_u32(p, off + 4),
-        })
+    fn link(&self, path: PathId) -> PagedLink<'_, S> {
+        let (start, len) = self.dir.get(&path).copied().unwrap_or_default();
+        PagedLink(self, start, len)
     }
 
     #[expect(clippy::integer_division_remainder_used, reason = "the divisor is the literal 2")]

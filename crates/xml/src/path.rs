@@ -18,7 +18,10 @@
 //! last-child / previous-sibling list ([`PathTable::children`]).  A new path
 //! becomes the head of its lists, so both read newest first — descending
 //! [`PathId`], since ids are minted in interning order — and minting one
-//! touches no entry but its own and its parent's.
+//! touches no entry but its own and its parent's.  The element children of
+//! each path are also listed apart ([`PathTable::element_children`]), for
+//! `*`: a path whose text varies has a value child per distinct text, and
+//! `*` under it must not walk them.
 
 use crate::symbol::Symbol;
 use std::collections::hash_map::{Entry, HashMap};
@@ -106,6 +109,9 @@ pub struct PathTable {
     by_last: HashMap<Symbol, PathId, MintedKeys>,
     /// Paths whose last symbol is an element, ascending.
     element_paths: Vec<PathId>,
+    /// path -> its children whose last symbol is an element, ascending;
+    /// paths without one are absent
+    element_children: HashMap<PathId, Vec<PathId>, MintedKeys>,
 }
 
 impl Default for PathTable {
@@ -129,6 +135,7 @@ impl PathTable {
             lookup: HashMap::default(),
             by_last: HashMap::default(),
             element_paths: Vec::new(),
+            element_children: HashMap::default(),
         }
     }
 
@@ -155,6 +162,7 @@ impl PathTable {
         });
         if sym.is_elem() {
             self.element_paths.push(id);
+            self.element_children.entry(parent).or_default().push(id);
         }
         id
     }
@@ -239,6 +247,12 @@ impl PathTable {
         self.list(self.entries[p.0 as usize].last_child, |e| e.prev_sibling)
     }
 
+    /// Child paths of `p` whose last symbol is an element, ascending: the
+    /// children [`children`](Self::children) lists, without the values.
+    pub fn element_children(&self, p: PathId) -> &[PathId] {
+        self.element_children.get(&p).map_or(&[], Vec::as_slice)
+    }
+
     /// Every path whose last symbol is `sym`, newest (highest id) first.
     pub fn ending_in(&self, sym: Symbol) -> impl Iterator<Item = PathId> + '_ {
         let newest = self.by_last.get(&sym).copied().unwrap_or(PathId::ROOT);
@@ -285,14 +299,15 @@ impl HeapSize for PathId {
 }
 
 /// Heap attribution for the path dictionary: the entry arena (which holds
-/// every link), the `(parent, symbol)` lookup table, the chain heads and
-/// the element-path list.
+/// every link), the `(parent, symbol)` lookup table, the chain heads, the
+/// element-path list and the element-children lists.
 impl HeapSize for PathTable {
     fn heap_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<PathEntry>()
             + self.lookup.heap_bytes()
             + self.by_last.heap_bytes()
             + self.element_paths.heap_bytes()
+            + self.element_children.heap_bytes()
     }
 }
 

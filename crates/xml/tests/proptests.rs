@@ -129,7 +129,8 @@ proptest! {
         ops in proptest::collection::vec((any::<u32>(), 0u8..6), 1..40),
     ) {
         // The summary the wildcard planner reads — chains by last symbol,
-        // the element-path list, child links — against what it summarises,
+        // the element-path list, child links, element children — against
+        // what it summarises,
         // after every `extend` (repeats included, which must change nothing).
         let mut st = SymbolTable::with_value_mode(ValueMode::Intern);
         let syms: Vec<_> = (0..6)
@@ -158,6 +159,12 @@ proptest! {
             prop_assert_eq!(paths.element_paths(), &elems[..]);
             for p in paths.iter() {
                 prop_assert_eq!(&newest_first(paths.children(p).collect()), &children_of[p.0 as usize]);
+                let elem_children: Vec<PathId> = children_of[p.0 as usize]
+                    .iter()
+                    .copied()
+                    .filter(|&c| paths.last(c).is_some_and(|s| s.is_elem()))
+                    .collect();
+                prop_assert_eq!(paths.element_children(p), &elem_children[..]);
             }
         }
     }
