@@ -56,14 +56,14 @@
 //! ## Observability
 //!
 //! Every database owns a [`MetricsRegistry`]; each [`Database::query_xpath`]
-//! records per-phase latency (`query.parse`, `index.plan`,
-//! `sequence.encode`, `index.search`) and work counters, document ingestion
-//! records `xml.parse`, and paged storage mirrors its page traffic into
+//! records per-phase latency (`query.parse`, `index.plan`, `index.search`)
+//! and work counters, document ingestion records `xml.parse` and
+//! `sequence.encode`, and paged storage mirrors its page traffic into
 //! `storage.pool.*`.  [`Database::metrics`] returns a [`Snapshot`].
 //!
 //! Each phase is timed once, into the [`QueryOutcome`] the query returns:
-//! one [`QueryStep`](index::QueryStep) per parse, plan, overlay view,
-//! variant encoding and segment descent, summed into [`QueryStats`] along
+//! one [`QueryStep`](index::QueryStep) per parse, plan, overlay view and
+//! segment descent, summed into [`QueryStats`] along
 //! with the wall time.  The histograms, [`QueryOutcome::explain`] (whose
 //! rows, `unattributed` included, sum to the wall time) and — with
 //! [`DatabaseBuilder::trace_config`] — the query's [`Trace`] all read that

@@ -13,9 +13,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A trace keeps the spans of at most this many variants per shard; the
-/// rest are counted in the root's `untraced_variants` attribute, so a
-/// pathological wildcard query cannot balloon its own trace.
+/// A trace keeps the spans of at most this many variants per shard — a
+/// variant's frozen `trie.descent` opens it, its overlay descents follow —
+/// and the rest are counted in the root's `untraced_variants` attribute, so
+/// a pathological wildcard query cannot balloon its own trace.
 const TRACE_VARIANT_CAP: usize = 32;
 
 impl Database {
@@ -157,11 +158,11 @@ impl Database {
             // Each shard's steps open with its parse.
             match step.phase {
                 "query.parse" => variants = 0,
-                "sequence.encode" => variants += 1,
+                "trie.descent" => variants += 1,
                 _ => {}
             }
             if variants > TRACE_VARIANT_CAP {
-                untraced += u64::from(step.phase == "sequence.encode");
+                untraced += u64::from(step.phase == "trie.descent");
                 continue;
             }
             let start_ns = step.start.duration_since(t0).as_nanos() as u64;
@@ -383,8 +384,8 @@ mod tests {
         assert_eq!(snap.histogram("query.parse").unwrap().count, 1);
         assert_eq!(snap.histogram("index.plan").unwrap().count, 1);
         assert_eq!(snap.histogram("index.search").unwrap().count, 1);
-        // sequence.encode sampled at build (2 docs) and at query (1)
-        assert_eq!(snap.histogram("sequence.encode").unwrap().count, 3);
+        // sequence.encode sampled at build (2 docs), never at query
+        assert_eq!(snap.histogram("sequence.encode").unwrap().count, 2);
         assert!(snap.counter("index.search.candidates") > 0);
     }
 
@@ -458,7 +459,6 @@ mod tests {
             "query",
             "query.parse",
             "index.plan",
-            "sequence.encode",
             "trie.descent",
             "search.link_probes",
         ] {
@@ -572,8 +572,8 @@ mod tests {
         let untraced = out.stats.instantiations - 32;
         assert_eq!(root_attr(&out, "untraced_variants"), flag(untraced));
         let trace = out.trace.as_ref().unwrap();
-        let encodes = trace.spans.iter().filter(|s| s.name == "sequence.encode");
-        assert_eq!(encodes.count(), 32, "the variant cap");
+        let descents = trace.spans.iter().filter(|s| s.name == "trie.descent");
+        assert_eq!(descents.count(), 32, "the variant cap");
         let out = db.query_xpath_full("/a/a").unwrap();
         assert_eq!(root_attr(&out, "plan_truncated"), flag(0));
         assert_eq!(root_attr(&out, "untraced_variants"), None);

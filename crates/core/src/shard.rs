@@ -206,7 +206,6 @@ fn absorb_shard_outcome(acc: &mut QueryOutcome, shard: QueryOutcome) {
     acc.stats.parse_ns += shard.stats.parse_ns;
     acc.stats.plan_ns += shard.stats.plan_ns;
     acc.stats.view_ns += shard.stats.view_ns;
-    acc.stats.encode_ns += shard.stats.encode_ns;
     acc.stats.search_ns += shard.stats.search_ns;
     acc.classes.extend(shard.classes);
     acc.steps.extend(shard.steps);

@@ -67,15 +67,15 @@ use xseq_xml::{DocId, Document, PathId, PathTable, TreePattern};
 /// Aggregated statistics of one pattern query.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryStats {
-    /// Concrete instantiations produced by the planner.
+    /// Wildcard assignments produced by the planner: one concrete path per
+    /// pattern node.
     pub instantiations: u64,
-    /// Plans cut short by [`PlanOptions::max_assignments`] or
-    /// [`PlanOptions::max_merges`] (0 or 1 per index, summed over shards).
-    /// Nonzero means concrete trees were dropped and the answer may be
-    /// incomplete.
+    /// Plans cut short by [`PlanOptions::max_assignments`], the one cap a
+    /// database query has (0 or 1 per index, summed over shards).  Nonzero
+    /// means assignments were dropped and the answer may be incomplete.
     pub plan_truncated: u64,
-    /// Query sequences searched: one per concrete query tree whose paths
-    /// all occur in the path table.
+    /// Query sequences searched: one per assignment, so always equal to
+    /// `instantiations`.
     pub variants: u64,
     /// Summed matcher counters.
     pub search: SearchStats,
@@ -87,8 +87,6 @@ pub struct QueryStats {
     /// Wall time of taking the overlay view (`delta.view`), ns — the
     /// first query after a write re-freezes the memtable view here.
     pub view_ns: u64,
-    /// Wall time of query-sequence encoding (`sequence.encode`), ns.
-    pub encode_ns: u64,
     /// Wall time of constraint matching (`index.search`), ns.
     pub search_ns: u64,
     /// Wall time of the whole query, ns — filled in by the `Database` when
@@ -104,8 +102,8 @@ pub struct QueryStats {
 #[derive(Debug, Clone, Copy)]
 pub struct QueryStep {
     /// The phase, by its span name (DESIGN.md §8): `query.parse`,
-    /// `index.plan`, `delta.view`, `sequence.encode`, `trie.descent` (the
-    /// frozen trie) or `trie.descent.delta` (an overlay segment).
+    /// `index.plan`, `delta.view`, `trie.descent` (the frozen trie) or
+    /// `trie.descent.delta` (an overlay segment).
     pub phase: &'static str,
     /// When it started.
     pub start: Instant,
@@ -113,7 +111,7 @@ pub struct QueryStep {
     pub ns: u64,
     /// The matcher's counters (descents; zero otherwise).
     pub search: SearchStats,
-    /// What it produced: documents matched (descents), concrete trees
+    /// What it produced: documents matched (descents), assignments
     /// (plan), pattern nodes (parse — 0 when a symbol is unknown, which
     /// proves the answer empty).
     pub count: u64,
@@ -145,7 +143,7 @@ pub struct QueryOutcome {
     /// enabled via `DatabaseBuilder::integrity_spot_check`).
     pub integrity: Option<IntegrityReport>,
     /// The schema node classes `C` this query touched: the distinct
-    /// [`PathId`]s across every searched variant's query sequence, sorted.
+    /// [`PathId`]s its pattern nodes were assigned, sorted.
     /// This is the classification the workload profiler accumulates
     /// (Eq. 6's `w(C)` is keyed by exactly these ids).
     pub classes: Vec<PathId>,
@@ -166,7 +164,6 @@ impl QueryOutcome {
             ("query.parse", st.parse_ns),
             ("index.plan", st.plan_ns),
             ("delta.view", st.view_ns),
-            ("sequence.encode", st.encode_ns),
             ("index.search", st.search_ns),
         ];
         let timed: u64 = phases.iter().map(|&(_, ns)| ns).sum();
@@ -423,8 +420,8 @@ impl XmlIndex {
     }
 
     /// Answers a tree-pattern query by order-free constraint matching
-    /// ([`search::tree_search`]): wildcard instantiation against the path
-    /// dictionary, one search per concrete query tree, union.
+    /// ([`search::tree_search`]): wildcard assignment against the path
+    /// dictionary, one search per assignment, union.
     ///
     /// Sound and complete for every valid sequencing strategy, with no
     /// isomorphism expansion (see the `tree_search` docs for why the
@@ -446,7 +443,14 @@ impl XmlIndex {
     /// its buffers across calls (counted in [`SearchStats::scratch_reuses`]:
     /// one scratch per thread, e.g. per batch worker).  Each phase is timed
     /// once, into a [`QueryStep`] of the outcome: the plan, the overlay
-    /// view, every variant's encoding and every segment's descent.
+    /// view and every segment's descent.
+    ///
+    /// Each wildcard assignment is searched as it is: element `n` of its
+    /// query sequence is pattern node `n` on its assigned path, under its
+    /// pattern parent (ids are parents first).  No concrete tree is built,
+    /// merge-expanded or sequenced — the order-free search reads only paths
+    /// and parents, and a `//` edge's cover condition holds at any length
+    /// (DESIGN.md §5.0).
     pub fn query_with(
         &self,
         pattern: &TreePattern,
@@ -455,9 +459,10 @@ impl XmlIndex {
     ) -> QueryOutcome {
         let mut outcome = QueryOutcome::default();
         let t0 = Instant::now();
-        let (concrete, truncated) = plan::plan(pattern, paths, &self.data_paths, &self.options);
+        let (asgs, truncated) = plan::assignments(pattern, paths, &self.data_paths, &self.options);
+        let parent_pos = pattern.node_ids().map(|n| pattern.parent(n)).collect();
         let mut plan = QueryStep::new("index.plan", t0);
-        plan.count = concrete.len() as u64;
+        plan.count = asgs.len() as u64;
         // One overlay view for the whole query: every variant searches the
         // same segment set, which no write can change while it is borrowed.
         // Timed: after a write this is where the memtable view re-freezes.
@@ -465,6 +470,7 @@ impl XmlIndex {
         let delta_view = self.delta.delta_view();
         let view = QueryStep::new("delta.view", t0);
         outcome.stats.instantiations = plan.count;
+        outcome.stats.variants = plan.count;
         outcome.stats.plan_truncated = u64::from(truncated);
         outcome.stats.plan_ns = plan.ns;
         outcome.stats.view_ns = view.ns;
@@ -475,19 +481,13 @@ impl XmlIndex {
         outcome.steps.extend([plan, view]);
         // Every (variant, segment) answer, unioned at the end.
         let mut lists = Vec::new();
-        // The order-free search needs no isomorphic expansion (see the
-        // `tree_search` docs): each concrete tree is one variant.
-        for variant in &concrete {
-            let t0 = Instant::now();
-            let qs = QuerySequence::from_document_readonly(variant, paths, &self.strategy);
-            let encode = QueryStep::new("sequence.encode", t0);
-            outcome.stats.encode_ns += encode.ns;
-            outcome.steps.push(encode);
-            // A query path absent from the table matches no data — the
-            // variant is provably empty, skip the descent.
-            let Some(qs) = qs else { continue };
+        let mut qs = QuerySequence {
+            paths: Vec::new(),
+            parent_pos,
+        };
+        for assignment in asgs {
+            qs.paths = assignment;
             outcome.classes.extend_from_slice(&qs.paths);
-            outcome.stats.variants += 1;
             for &(name, segment) in &segments {
                 let t0 = Instant::now();
                 let search = tree_search_with(segment, &qs, scratch);
@@ -764,7 +764,6 @@ mod tests {
         for (cap, truncated) in [(1usize, true), (2, false)] {
             let options = PlanOptions {
                 max_assignments: cap,
-                ..Default::default()
             };
             let index = XmlIndex::build(&docs, &mut pt, Strategy::DepthFirst, options);
             let out = index.query(&q, &pt);
@@ -834,7 +833,7 @@ mod tests {
         let out = index.query(&q, &pt);
         assert_eq!(out.docs, vec![0, 1, 2]);
         let phases: Vec<&str> = out.steps.iter().map(|s| s.phase).collect();
-        let variant = ["sequence.encode", "trie.descent", "trie.descent.delta"];
+        let variant = ["trie.descent", "trie.descent.delta"];
         let head = ["index.plan", "delta.view"];
         assert_eq!(phases, [&head[..], &variant, &variant].concat());
         let sum = |phase: &str| -> u64 {
@@ -843,15 +842,15 @@ mod tests {
         };
         assert_eq!(sum("index.plan"), out.stats.plan_ns);
         assert_eq!(sum("delta.view"), out.stats.view_ns);
-        assert_eq!(sum("sequence.encode"), out.stats.encode_ns);
         assert_eq!(sum("trie.descent"), out.stats.search_ns);
-        assert_eq!(out.steps[0].count, 2, "the plan counts its instantiations");
+        assert_eq!(out.steps[0].count, 2, "the plan counts its assignments");
+        assert_eq!(out.stats.variants, out.stats.instantiations);
         let matched: u64 = out.steps.iter().map(|s| s.count).sum::<u64>() - 2;
         assert_eq!(matched, 3, "each descent counts the documents it matched");
         // A variant's frozen and overlay descents sum into one entry.
         let candidates =
             |i: usize| out.steps[i].search.candidates + out.steps[i + 1].search.candidates;
-        let per_variant = format!("descents/variant [{} {}]", candidates(3), candidates(6));
+        let per_variant = format!("descents/variant [{} {}]", candidates(2), candidates(4));
         assert!(out.explain().contains(&per_variant), "{}", out.explain());
         assert!(out.steps.windows(2).all(|w| w[0].start <= w[1].start));
     }
@@ -900,5 +899,59 @@ mod tests {
             again.stats.search.scratch_reuses > 0,
             "second query on one scratch must reuse warm buffers"
         );
+    }
+
+    /// `a[.//x][.//y]`: the two `//` chains may share their `b` or not —
+    /// the shapes the merge variants of a concrete tree spelled out.
+    #[test]
+    fn descendant_branches_match_shared_and_split_instances() {
+        let (mut st, mut pt, docs) = corpus(&[
+            "<a><b><x/><y/></b></a>",
+            "<a><b><x/></b><b><y/></b></a>",
+            "<a><b><x/></b></a>",
+        ]);
+        let index = XmlIndex::build(&docs, &mut pt, Strategy::DepthFirst, PlanOptions::default());
+        let [a, x, y] = ["a", "x", "y"].map(|n| st.designator(n));
+        let mut q = TreePattern::root(PatternLabel::Elem(a));
+        q.add(q.root_id(), Axis::Descendant, PatternLabel::Elem(x));
+        q.add(q.root_id(), Axis::Descendant, PatternLabel::Elem(y));
+        let out = index.query(&q, &pt);
+        assert_eq!(out.docs, vec![0, 1]);
+        assert_eq!((out.stats.instantiations, out.stats.variants), (1, 1));
+        // The classes are the pattern nodes' own paths, not `a.b`.
+        assert_eq!(out.classes.len(), 3);
+    }
+
+    /// `a[b][b]`: two pattern nodes on one path need two instances.
+    #[test]
+    fn identical_pattern_nodes_need_distinct_instances() {
+        let (mut st, mut pt, docs) = corpus(&["<a><b/></a>", "<a><b/><b/></a>"]);
+        let index = XmlIndex::build(&docs, &mut pt, Strategy::DepthFirst, PlanOptions::default());
+        let [a, b] = ["a", "b"].map(|n| st.designator(n));
+        let mut q = TreePattern::root(PatternLabel::Elem(a));
+        q.add(q.root_id(), Axis::Child, PatternLabel::Elem(b));
+        q.add(q.root_id(), Axis::Child, PatternLabel::Elem(b));
+        assert_eq!(index.query(&q, &pt).docs, vec![1]);
+    }
+
+    /// `/a/b[.//x][.//y]` below identical siblings: in the first document
+    /// `x` and `y` sit under different `b`s, so the branch that puts them
+    /// under one `b` is sibling-covered — rejected at the end of a `//`
+    /// edge two steps long.
+    #[test]
+    fn descendant_edges_are_cover_checked_below_identical_siblings() {
+        let (mut st, mut pt, docs) = corpus(&[
+            "<a><b><c><x/></c></b><b><c><y/></c></b></a>",
+            "<a><b><c><x/></c><c><y/></c></b><b/></a>",
+        ]);
+        let index = XmlIndex::build(&docs, &mut pt, Strategy::DepthFirst, PlanOptions::default());
+        let [a, b, x, y] = ["a", "b", "x", "y"].map(|n| st.designator(n));
+        let mut q = TreePattern::root(PatternLabel::Elem(a));
+        let bn = q.add(q.root_id(), Axis::Child, PatternLabel::Elem(b));
+        q.add(bn, Axis::Descendant, PatternLabel::Elem(x));
+        q.add(bn, Axis::Descendant, PatternLabel::Elem(y));
+        let out = index.query(&q, &pt);
+        assert_eq!(out.docs, vec![1]);
+        assert!(out.stats.search.cover_rejections > 0, "{:?}", out.stats);
     }
 }

@@ -1,72 +1,74 @@
-//! Query planning: from a [`TreePattern`] to concrete query trees.
+//! Query planning: from a [`TreePattern`] to concrete paths.
 //!
-//! The trie matches *concrete* constraint sequences, so wildcards must be
-//! instantiated first — the paper: queries with `*` or `//` become
-//! subsequences "once `*` is instantialized to symbol D".  Instantiation
-//! enumerates, against the index's *path dictionary* (the set of distinct
-//! path encodings of the data, a DataGuide in disguise):
+//! The trie matches *concrete* paths, so wildcards must be instantiated
+//! first — the paper: queries with `*` or `//` become subsequences "once
+//! `*` is instantialized to symbol D".  `assignments` enumerates, against
+//! the index's *path dictionary* (the set of distinct path encodings of the
+//! data, a DataGuide in disguise), a concrete [`PathId`] per pattern node,
+//! consistent with the axes: `Child` extends the parent path by one
+//! matching symbol, `Descendant` by any matching dictionary descendant.
+//! Candidates are looked up, not searched for: the [`PathTable`] chains
+//! its paths by last symbol and links each path's children, so `/s` is one
+//! `(parent, s)` probe, `/*` the parent's child links, `//s` the chain of
+//! `s` and `//*` the table's element-path list — the last two kept where
+//! the parent's path is a proper prefix — each filtered by the index's
+//! `data_paths`.  Ids are minted in interning order and each list is
+//! ordered by id, so candidates are taken in ascending [`PathId`] without
+//! sorting; that order fixes the order of assignments, hence which of them
+//! a cap cuts.
 //!
-//! 1. **Assignments** — a concrete [`PathId`] per pattern node, consistent
-//!    with the axes: `Child` extends the parent path by one matching symbol,
-//!    `Descendant` by any matching dictionary descendant.  Candidates are
-//!    looked up, not searched for: the [`PathTable`] chains its paths by
-//!    last symbol and links each path's children, so `/s` is one
-//!    `(parent, s)` probe, `/*` the parent's child links, `//s` the chain
-//!    of `s` and `//*` the table's element-path list — the last two kept
-//!    where the parent's path is a proper prefix — each filtered by the
-//!    index's `data_paths`.  Ids are minted in interning order and each
-//!    list is ordered by id, so candidates are taken in ascending
-//!    [`PathId`] without sorting; that order fixes the order of
-//!    assignments, hence of the concrete trees, hence which of them a cap
-//!    cuts.
-//! 2. **Merge variants** — a `//` edge materializes a chain of intermediate
-//!    nodes; when two sibling chains share a prefix, the data may satisfy
-//!    them through one shared instance or through distinct instances.
-//!    All instance-sharing choices (set partitions per step, with the rule
-//!    that two *pattern* nodes never share an instance) are enumerated, so
-//!    the union over variants equals the embedding semantics of the
-//!    brute-force matcher.
+//! The database searches each assignment as it is: the order-free search
+//! reads only each element's path and its pattern parent, and its cover
+//! condition holds at any edge length (DESIGN.md §5.0).
 //!
-//! Every enumeration is capped ([`PlanOptions`]); realistic queries produce
-//! a handful of variants.
+//! [`instantiate`] goes on to build concrete query *trees*, which the
+//! ordered matchers of `xseq-baselines` need.  A `//` edge materializes a
+//! chain of intermediate nodes; when two sibling chains share a prefix,
+//! the data may satisfy them through one shared instance or through
+//! distinct instances.  All instance-sharing choices (set partitions per
+//! step, with the rule that two *pattern* nodes never share an instance)
+//! are enumerated as **merge variants**, so the union over the trees equals
+//! the embedding semantics of the brute-force matcher.  Merge variants
+//! serve only [`instantiate`].
+//!
+//! Every enumeration is capped; realistic queries produce a handful of
+//! assignments.
 
 use std::collections::{HashMap, HashSet};
 use xseq_xml::{
     Axis, Document, NodeId, PathId, PathTable, PatternLabel, PatternNodeId, Symbol, TreePattern,
 };
 
-/// Caps for the query-planning enumerations.
+/// The cap on merge variants per assignment in [`instantiate`].
+const MAX_MERGES: usize = 256;
+
+/// The cap on query planning.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanOptions {
     /// Maximum wildcard assignments per query.
     pub max_assignments: usize,
-    /// Maximum merge variants per assignment.
-    pub max_merges: usize,
 }
 
 impl Default for PlanOptions {
     fn default() -> Self {
         PlanOptions {
             max_assignments: 4096,
-            max_merges: 256,
         }
     }
 }
 
 impl PlanOptions {
-    /// Compact one-line form of the caps, used as the `plan` attribute of a
+    /// Compact one-line form of the cap, used as the `plan` attribute of a
     /// query trace.
     pub fn describe(&self) -> String {
-        format!(
-            "assignments<={} merges<={}",
-            self.max_assignments, self.max_merges
-        )
+        format!("assignments<={}", self.max_assignments)
     }
 }
 
 /// Enumerates the concrete query trees of `pattern` against the dictionary
 /// (`data_paths` filters the path table down to paths that actually occur in
-/// indexed data).  Deduplicated; order deterministic.  A cap that cut the
+/// indexed data): every merge variant of every assignment, up to 256 per
+/// assignment.  Deduplicated; order deterministic.  A cap that cut the
 /// enumeration short is reported only by `plan`.
 pub fn instantiate(
     pattern: &TreePattern,
@@ -74,40 +76,46 @@ pub fn instantiate(
     data_paths: &HashSet<PathId>,
     options: &PlanOptions,
 ) -> Vec<Document> {
-    plan(pattern, paths, data_paths, options).0
+    plan(pattern, paths, data_paths, options, MAX_MERGES).0
 }
 
-/// [`instantiate`], plus whether `max_assignments` or `max_merges` dropped
-/// a concrete tree — in which case the union over the returned trees may
-/// miss answers.  Each enumeration runs to one past its cap, so the flag
-/// is exact: set only when the uncapped enumeration has more.
-pub(crate) fn plan(
+/// Every assignment of `pattern` up to `max_assignments`, in ascending id
+/// order: one concrete [`PathId`] per pattern node, indexed by pattern node
+/// id.  The flag is set when the cap dropped one; the enumeration runs to
+/// one past the cap, so it is exact.
+pub(crate) fn assignments(
     pattern: &TreePattern,
     paths: &PathTable,
     data_paths: &HashSet<PathId>,
     options: &PlanOptions,
-) -> (Vec<Document>, bool) {
-    let mut assignments = Vec::new();
-    let mut current = vec![PathId::ROOT; pattern.len()];
-    assign(
-        pattern,
-        paths,
-        data_paths,
-        pattern.root_id(),
-        &mut current,
-        &mut assignments,
-        options.max_assignments.saturating_add(1),
-    );
-    let mut truncated = assignments.len() > options.max_assignments;
-    assignments.truncate(options.max_assignments);
+) -> (Vec<Vec<PathId>>, bool) {
+    let (max, root) = (options.max_assignments, pattern.root_id());
+    let (mut out, mut cur) = (Vec::new(), vec![PathId::ROOT; pattern.len()]);
+    let cap = max.saturating_add(1);
+    assign(pattern, paths, data_paths, root, &mut cur, &mut out, cap);
+    let truncated = out.len() > max;
+    out.truncate(max);
+    (out, truncated)
+}
 
+/// [`instantiate`] with its merge cap `max_merges`, plus whether
+/// `max_assignments` or `max_merges` dropped a concrete tree — in which
+/// case the union over the returned trees may miss answers.  Exact, like
+/// `assignments`' flag.
+fn plan(
+    pattern: &TreePattern,
+    paths: &PathTable,
+    data_paths: &HashSet<PathId>,
+    options: &PlanOptions,
+    max_merges: usize,
+) -> (Vec<Document>, bool) {
+    let (assignments, mut truncated) = assignments(pattern, paths, data_paths, options);
     let mut out = Vec::new();
     let mut seen = HashSet::new();
     for asg in &assignments {
-        let mut variants =
-            merge_variants(pattern, paths, asg, options.max_merges.saturating_add(1));
-        truncated |= variants.len() > options.max_merges;
-        variants.truncate(options.max_merges);
+        let mut variants = merge_variants(pattern, paths, asg, max_merges.saturating_add(1));
+        truncated |= variants.len() > max_merges;
+        variants.truncate(max_merges);
         for doc in variants {
             if seen.insert(shape_key(&doc)) {
                 out.push(doc);
@@ -557,13 +565,12 @@ mod tests {
             (20, 20, false),
             (21, 20, false),
         ] {
-            let opts = PlanOptions {
-                max_assignments,
-                ..Default::default()
-            };
-            let (docs, cut) = plan(&q, &fx.pt, &fx.data, &opts);
+            let opts = PlanOptions { max_assignments };
+            let (docs, cut) = plan(&q, &fx.pt, &fx.data, &opts, MAX_MERGES);
             assert_eq!((docs.len(), cut), (trees, truncated), "{}", opts.describe());
             assert_eq!(instantiate(&q, &fx.pt, &fx.data, &opts).len(), trees);
+            let (asgs, cut) = assignments(&q, &fx.pt, &fx.data, &opts);
+            assert_eq!((asgs.len(), cut), (trees, truncated));
         }
     }
 
@@ -580,15 +587,16 @@ mod tests {
             let d = fx.d(leaf);
             q.add(q.root_id(), Axis::Descendant, PatternLabel::Elem(d));
         }
+        let opts = PlanOptions::default();
         for (max_merges, trees, truncated) in
             [(1, 1, true), (4, 4, true), (5, 5, false), (6, 5, false)]
         {
-            let opts = PlanOptions {
-                max_merges,
-                ..Default::default()
-            };
-            let (docs, cut) = plan(&q, &fx.pt, &fx.data, &opts);
-            assert_eq!((docs.len(), cut), (trees, truncated), "{}", opts.describe());
+            let (docs, cut) = plan(&q, &fx.pt, &fx.data, &opts, max_merges);
+            assert_eq!(
+                (docs.len(), cut),
+                (trees, truncated),
+                "merges<={max_merges}"
+            );
         }
     }
 

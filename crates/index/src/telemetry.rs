@@ -19,16 +19,17 @@ use xseq_telemetry::{Counter, Histogram, MetricsRegistry};
 /// Arc'd handles to the index-side metrics of a [`MetricsRegistry`].
 #[derive(Debug, Clone)]
 pub struct IndexTelemetry {
-    /// `index.plan` — wildcard instantiation latency per query (ns).
+    /// `index.plan` — wildcard assignment latency per query (ns).
     pub plan: Arc<Histogram>,
     /// `sequence.encode` — tree-to-sequence encoding latency (ns): one
-    /// sample per document at build time, one aggregate sample per query.
+    /// sample per document sequenced, at build time or by `insert_delta`.
+    /// Queries sequence nothing, so they leave no sample.
     pub encode: Arc<Histogram>,
     /// `index.search` — matching latency per query (ns), all variants.
     pub search: Arc<Histogram>,
-    /// `index.plan.instantiations` — concrete query trees produced.
+    /// `index.plan.instantiations` — wildcard assignments produced.
     pub instantiations: Arc<Counter>,
-    /// `index.search.variants` — sequence variants searched.
+    /// `index.search.variants` — assignments searched.
     pub variants: Arc<Counter>,
     /// `index.search.candidates` — candidate link entries examined.
     pub candidates: Arc<Counter>,
@@ -60,7 +61,6 @@ impl IndexTelemetry {
     /// Flushes one query's accumulated stats into the registry handles.
     pub fn observe(&self, st: &QueryStats) {
         self.plan.record(st.plan_ns);
-        self.encode.record(st.encode_ns);
         self.search.record(st.search_ns);
         self.instantiations.add(st.instantiations);
         self.variants.add(st.variants);

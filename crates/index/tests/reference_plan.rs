@@ -7,7 +7,8 @@
 //! whose last symbol fits the label, and sorted them.  That enumerator is
 //! the reference here, with the merge-variant step it fed kept verbatim, so
 //! the two planners are compared on what callers see: the concrete trees of
-//! [`instantiate`], in order, and `plan_truncated`.
+//! [`instantiate`], in order, and the assignments a database query
+//! searches, with its `plan_truncated`.
 
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -93,28 +94,27 @@ fn reference_assign(
     }
 }
 
+/// The merge cap `instantiate` applies per assignment.
+const MAX_MERGES: usize = 256;
+
 /// The reference plan over the full assignment list: the concrete trees as
-/// order-sensitive shape keys, and whether a cap dropped one.
+/// order-sensitive shape keys.
 fn reference_plan(
     pattern: &TreePattern,
     paths: &PathTable,
     assignments: &[Vec<PathId>],
     options: &PlanOptions,
-) -> (Vec<Vec<u32>>, bool) {
-    let mut truncated = assignments.len() > options.max_assignments;
+) -> Vec<Vec<u32>> {
     let mut out = Vec::new();
     for asg in assignments.iter().take(options.max_assignments) {
-        let mut variants = merge_variants(pattern, paths, asg, options.max_merges + 1);
-        truncated |= variants.len() > options.max_merges;
-        variants.truncate(options.max_merges);
-        for doc in variants {
+        for doc in merge_variants(pattern, paths, asg, MAX_MERGES) {
             let key = shape_key(&doc);
             if !out.contains(&key) {
                 out.push(key);
             }
         }
     }
-    (out, truncated)
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -460,21 +460,24 @@ proptest! {
 
         let exact = assignments.len();
         for max_assignments in [1, exact.max(1), exact + 1] {
-            let options = PlanOptions { max_assignments, ..Default::default() };
-            let (expect, truncated) = reference_plan(&q, &paths, &assignments, &options);
+            let options = PlanOptions { max_assignments };
+            let expect = reference_plan(&q, &paths, &assignments, &options);
             let got = instantiate(&q, &paths, &data_paths, &options);
             prop_assert_eq!(
                 got.iter().map(shape_key).collect::<Vec<_>>(),
                 expect,
                 "{} at {}", q.render(&st), options.describe()
             );
+            // The database plans assignments only: its one cap is theirs.
             let capped = index_with(options, &mut paths);
             prop_assert_eq!(capped.data_paths(), &data_paths);
+            let out = capped.query(&q, &paths);
             prop_assert_eq!(
-                capped.query(&q, &paths).stats.plan_truncated,
-                u64::from(truncated),
+                out.stats.plan_truncated,
+                u64::from(exact > max_assignments),
                 "{} at {}", q.render(&st), options.describe()
             );
+            prop_assert_eq!(out.stats.instantiations as usize, exact.min(max_assignments));
         }
     }
 }

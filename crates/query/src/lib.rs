@@ -115,7 +115,7 @@ pub fn parse_xpath_readonly(
     symbols: &SymbolTable,
 ) -> Result<Option<TreePattern>, ParseError> {
     let mut p = Parser {
-        chars: input.char_indices().collect(),
+        input,
         pos: 0,
         depth: 0,
         symbols,
@@ -145,8 +145,10 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Reads the expression in place: `pos` is a byte offset into `input`, and
+/// names and values are slices of it, so a parse allocates only the pattern.
 struct Parser<'a> {
-    chars: Vec<(usize, char)>,
+    input: &'a str,
     pos: usize,
     /// Open `[` predicates around the current position (the recursion depth).
     depth: usize,
@@ -165,42 +167,35 @@ impl<'a> Parser<'a> {
     }
 
     fn eof(&self) -> bool {
-        self.pos >= self.chars.len()
+        self.pos >= self.input.len()
     }
 
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).map(|&(_, c)| c)
+        self.input.get(self.pos..)?.chars().next()
     }
 
-    fn offset(&self) -> usize {
-        self.chars
-            .get(self.pos)
-            .map(|&(o, _)| o)
-            .unwrap_or_else(|| {
-                self.chars
-                    .last()
-                    .map(|&(o, c)| o + c.len_utf8())
-                    .unwrap_or(0)
-            })
+    /// The text from byte `start` up to the current position.
+    fn since(&self, start: usize) -> &'a str {
+        self.input.get(start..self.pos).unwrap_or_default()
     }
 
     fn bump(&mut self) -> Option<char> {
         let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
+        if let Some(c) = c {
+            self.pos += c.len_utf8();
         }
         c
     }
 
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.pos += 1;
+            self.bump();
         }
     }
 
     fn err(&self, expected: &'static str) -> ParseError {
         ParseError::Unexpected {
-            offset: self.offset(),
+            offset: self.pos,
             found: self.peek(),
             expected,
         }
@@ -240,26 +235,25 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let name = self.parse_name()?;
-        let d = self.symbols.lookup_designator(&name);
+        let d = self.symbols.lookup_designator(name);
         Ok(PatternLabel::Elem(
             self.found(d).unwrap_or(Designator(u32::MAX)),
         ))
     }
 
-    fn parse_name(&mut self) -> Result<String, ParseError> {
-        let mut out = String::new();
+    fn parse_name(&mut self) -> Result<&'a str, ParseError> {
+        let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_alphanumeric() || c == '_' || c == '-' || c == '.' || c == ':' {
-                out.push(c);
-                self.pos += 1;
+                self.bump();
             } else {
                 break;
             }
         }
-        if out.is_empty() {
+        if self.pos == start {
             return Err(self.err("a name"));
         }
-        Ok(out)
+        Ok(self.since(start))
     }
 
     /// Parses zero or more `[...]` predicates attached to `node`.
@@ -286,7 +280,7 @@ impl<'a> Parser<'a> {
             }
             if self.depth == MAX_DEPTH {
                 return Err(ParseError::TooDeep {
-                    offset: self.offset(),
+                    offset: self.pos,
                     limit: MAX_DEPTH,
                 });
             }
@@ -318,7 +312,7 @@ impl<'a> Parser<'a> {
                 self.skip_ws();
                 if let Some(prefix_only) = self.parse_eq_op() {
                     let v = self.parse_value()?;
-                    self.attach_value_test(pattern, node, &v, prefix_only);
+                    self.attach_value_test(pattern, node, v, prefix_only);
                     return Ok(());
                 }
             }
@@ -354,7 +348,7 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         if let Some(prefix_only) = self.parse_eq_op() {
             let v = self.parse_value()?;
-            self.attach_value_test(pattern, cur, &v, prefix_only);
+            self.attach_value_test(pattern, cur, v, prefix_only);
         }
         Ok(())
     }
@@ -417,7 +411,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<String, ParseError> {
+    fn parse_value(&mut self) -> Result<&'a str, ParseError> {
         self.skip_ws();
         let open = self.bump().ok_or_else(|| self.err("a quoted value"))?;
         let close = match open {
@@ -427,14 +421,16 @@ impl<'a> Parser<'a> {
             '’' => '’', // the paper sometimes opens with a right quote
             _ => return Err(self.err("a quoted value")),
         };
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err("closing quote")),
-                Some(c) if c == close => return Ok(out),
-                Some(c) => out.push(c),
+        let start = self.pos;
+        while let Some(c) = self.peek() {
+            if c == close {
+                let value = self.since(start);
+                self.bump();
+                return Ok(value);
             }
+            self.bump();
         }
+        Err(self.err("closing quote"))
     }
 }
 
@@ -677,6 +673,35 @@ mod tests {
             "unclosed quote"
         );
         assert!(parse_xpath_readonly("/a/", &s).is_err(), "trailing slash");
+    }
+
+    /// Names and values are slices of the input, multi-byte characters
+    /// included, and an error names the byte offset it stopped at.
+    #[test]
+    fn non_ascii_input_and_byte_offsets() {
+        let s = st(&["café", "b"], &["crème brûlée"]);
+        let q = parse("/café[b=‘crème brûlée’]", &s);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.render(&s), "/café/b/'crème brûlée'");
+        let err = parse_xpath_readonly("/café[b='x'", &s).unwrap_err();
+        assert_eq!(
+            err,
+            ParseError::Unexpected {
+                offset: "/café[b='x'".len(),
+                found: None,
+                expected: "']'",
+            }
+        );
+        let err = parse_xpath_readonly("/café/ü!", &s).unwrap_err();
+        assert!(matches!(
+            err,
+            ParseError::Unexpected {
+                offset: 9,
+                found: Some('!'),
+                ..
+            }
+        ));
+        assert!(parse_xpath_readonly("/café[b='x", &s).is_err());
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!
 //! Every database owns a metrics registry.  Ingestion records `xml.parse`,
 //! index construction records `sequence.encode`, and each query records
-//! `query.parse` / `index.plan` / `sequence.encode` / `index.search`
-//! latencies plus the matcher's work counters.  Each phase is timed once,
+//! `query.parse` / `index.plan` / `index.search` latencies plus the
+//! matcher's work counters (a query searches its wildcard assignments
+//! directly, so it encodes no sequence).  Each phase is timed once,
 //! into the query's outcome, and EXPLAIN reads the same numbers: its rows,
 //! `unattributed` included, sum to the query's wall time.  Paged storage
 //! mirrors its page traffic into `storage.pool.*` when attached.  With
