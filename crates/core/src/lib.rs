@@ -62,8 +62,8 @@
 //! `storage.pool.*`.  [`Database::metrics`] returns a [`Snapshot`].
 //!
 //! Each phase is timed once, into the [`QueryOutcome`] the query returns:
-//! one [`QueryStep`](index::QueryStep) per parse, plan, overlay view and
-//! segment descent, summed into [`QueryStats`] along
+//! one [`QueryStep`](index::QueryStep) per parse, plan, overlay view,
+//! segment descent and gather, summed into [`QueryStats`] along
 //! with the wall time.  The histograms, [`QueryOutcome::explain`] (whose
 //! rows, `unattributed` included, sum to the wall time) and — with
 //! [`DatabaseBuilder::trace_config`] — the query's [`Trace`] all read that

@@ -9,6 +9,7 @@ use crate::{
     Database, DocId, Error, Event, IntegrityReport, QueryOutcome, Severity, Trace, TraceSpan,
     Tracer, TreePattern,
 };
+use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,6 +19,22 @@ use std::time::{Duration, Instant};
 /// and the rest are counted in the root's `untraced_variants` attribute, so
 /// a pathological wildcard query cannot balloon its own trace.
 const TRACE_VARIANT_CAP: usize = 32;
+
+thread_local! {
+    /// The scratch single queries on this thread reuse, so a query starts
+    /// with warm buffers and its answer bitmap already sized.
+    static SCRATCH: RefCell<SearchScratch> = RefCell::new(SearchScratch::new());
+}
+
+/// Runs `f` with this thread's [`SearchScratch`], or with a fresh one when
+/// that is already borrowed (a query started inside another on this
+/// thread).
+fn with_scratch<R>(f: impl FnOnce(&mut SearchScratch) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut warm) => f(&mut warm),
+        Err(_) => f(&mut SearchScratch::new()),
+    })
+}
 
 impl Database {
     /// Answers an XPath-subset query with document ids.
@@ -30,17 +47,18 @@ impl Database {
     /// [`DatabaseBuilder::trace_config`](crate::DatabaseBuilder::trace_config),
     /// the query's span tree in [`QueryOutcome::trace`].
     pub fn query_xpath_full(&self, expr: &str) -> Result<QueryOutcome, Error> {
-        self.query_xpath_ctx(expr, &mut SearchScratch::new(), false)
+        with_scratch(|scratch| self.query_xpath_ctx(expr, scratch, false))
     }
 
-    /// One query against a caller-owned [`SearchScratch`] (scratch reuse);
-    /// the batch path runs one scratch per worker.  When anything reads
-    /// the wall time — the workload profiler, the slow-query threshold,
-    /// the tracer — it is measured once, around the whole parse → plan →
-    /// search → gather pipeline, into [`QueryStats::total_ns`]: the
-    /// profiler files the executed query under the concrete data paths
-    /// the search descended ([`QueryOutcome::classes`]), and the trace is
-    /// built from the finished outcome.
+    /// One query against a caller-owned [`SearchScratch`] (scratch reuse):
+    /// the thread's own for a single query, one per worker for a batch.
+    /// When anything reads the wall time — the workload profiler, the
+    /// slow-query threshold, the tracer — it is measured once, around the
+    /// whole parse → plan → search → gather pipeline, into
+    /// [`QueryStats::total_ns`]: the profiler files the executed query
+    /// under the concrete data paths the search descended
+    /// ([`QueryOutcome::classes`]), and the trace is built from the
+    /// finished outcome.
     ///
     /// [`QueryStats::total_ns`]: crate::QueryStats::total_ns
     fn query_xpath_ctx(
@@ -161,17 +179,19 @@ impl Database {
                 "trie.descent" => variants += 1,
                 _ => {}
             }
-            if variants > TRACE_VARIANT_CAP {
+            let descent = step.phase.starts_with("trie.descent");
+            if variants > TRACE_VARIANT_CAP && descent {
                 untraced += u64::from(step.phase == "trie.descent");
                 continue;
             }
             let start_ns = step.start.duration_since(t0).as_nanos() as u64;
             let at = (start_ns, start_ns + step.ns);
-            let (s, descent) = (&step.search, step.phase.starts_with("trie.descent"));
+            let s = &step.search;
             let attrs = match (step.phase, step.count) {
                 ("query.parse", 0) => vec![("expr_len", U64(len)), ("unknown_symbol", U64(1))],
                 ("query.parse", n) => vec![("expr_len", U64(len)), ("pattern_nodes", U64(n))],
                 ("index.plan", n) => vec![("instantiations", U64(n)), ("plan", Str(plan.clone()))],
+                ("index.gather", n) => vec![("docs", U64(n))],
                 (_, n) if descent => vec![("candidates", U64(s.candidates)), ("docs", U64(n))],
                 _ => Vec::new(),
             };
@@ -232,11 +252,12 @@ impl Database {
     /// label provably matches nothing and is skipped.
     pub fn query_pattern(&self, pattern: &TreePattern) -> QueryOutcome {
         let from = &self.corpus().symbols;
-        let mut scratch = SearchScratch::new();
-        gather(self.shards.iter().filter_map(|sh| {
-            let local = rebind_pattern(pattern, from, &sh.corpus.symbols)?;
-            Some(sh.search(&local, &mut scratch))
-        }))
+        with_scratch(|scratch| {
+            gather(self.shards.iter().filter_map(|sh| {
+                let local = rebind_pattern(pattern, from, &sh.corpus.symbols)?;
+                Some(sh.search(&local, scratch))
+            }))
+        })
     }
 
     /// Fires the sampled post-query integrity spot check when the
@@ -461,6 +482,7 @@ mod tests {
             "index.plan",
             "trie.descent",
             "search.link_probes",
+            "index.gather",
         ] {
             assert!(names.contains(&n), "{n} missing from {names:?}");
         }
@@ -680,17 +702,19 @@ mod tests {
             .build_from_xml(xmls.iter().map(String::as_str))
             .unwrap();
         // What a `query_batch` worker does per expression: its own scratch
-        // goes down the shard walk.  One variant and no overlay means one
-        // search per shard, so a cold scratch per shard would count no
-        // reuse; the worker's arrives warm at the second and third shard.
+        // goes down the shard walk, warm at the second and third shard and
+        // at the next expression, and answers as a cold one does.
         let mut scratch = SearchScratch::new();
         let out = db.query_xpath_ctx("/a/b", &mut scratch, true).unwrap();
         assert_eq!(out.docs.len(), 30);
-        assert!(
-            out.stats.search.scratch_reuses > 0,
-            "{:?}",
-            out.stats.search
+        let again = db.query_xpath_ctx("/a/b", &mut scratch, true).unwrap();
+        let cold = db.query_xpath_ctx("/a/b", &mut SearchScratch::new(), true);
+        let cold = cold.unwrap();
+        assert_eq!(
+            (&again.docs, again.stats.search),
+            (&cold.docs, cold.stats.search)
         );
+        assert_eq!(again.docs, out.docs);
         // …and the batch over real workers answers like the serial loop.
         for docs in db.query_batch(&["/a/b"; 8]) {
             assert_eq!(docs.unwrap(), out.docs);

@@ -207,13 +207,16 @@ fn absorb_shard_outcome(acc: &mut QueryOutcome, shard: QueryOutcome) {
     acc.stats.plan_ns += shard.stats.plan_ns;
     acc.stats.view_ns += shard.stats.view_ns;
     acc.stats.search_ns += shard.stats.search_ns;
+    acc.stats.gather_ns += shard.stats.gather_ns;
     acc.classes.extend(shard.classes);
     acc.steps.extend(shard.steps);
 }
 
 /// The gather half of every query: folds the shards' outcomes (in shard
 /// order) into one — sorted doc lists union ([`union_answers`]), counters
-/// sum, classes union.  No outcomes gather to the empty outcome.
+/// sum, classes union.  No outcomes gather to the empty outcome, and one
+/// passes through.  The union of several is timed as one more
+/// `index.gather` step, beside the shards' own.
 pub(crate) fn gather(answered: impl IntoIterator<Item = QueryOutcome>) -> QueryOutcome {
     let mut answered = answered.into_iter();
     let Some(mut acc) = answered.next() else {
@@ -224,10 +227,19 @@ pub(crate) fn gather(answered: impl IntoIterator<Item = QueryOutcome>) -> QueryO
         lists.push(std::mem::take(&mut out.docs));
         absorb_shard_outcome(&mut acc, out);
     }
-    // Shards partition the id space and filtered their own tombstones.
-    acc.docs = union_answers(lists, &[]);
     acc.classes.sort_unstable();
     acc.classes.dedup();
+    if let [one] = lists.as_mut_slice() {
+        acc.docs = std::mem::take(one);
+        return acc;
+    }
+    // Shards partition the id space and dropped their own tombstones.
+    let t0 = Instant::now();
+    acc.docs = union_answers(lists);
+    let mut step = QueryStep::new("index.gather", t0);
+    step.count = acc.docs.len() as u64;
+    acc.stats.gather_ns += step.ns;
+    acc.steps.push(step);
     acc
 }
 

@@ -48,8 +48,8 @@ pub use delta::{
 };
 pub use plan::{instantiate, PlanOptions};
 pub use search::{
-    filter_tombstones, tree_search, tree_search_with, union_answers, QuerySequence, SearchScratch,
-    SearchStats,
+    filter_tombstones, tree_search, tree_search_with, union_answers, Answer, QuerySequence,
+    SearchScratch, SearchStats,
 };
 pub use stats::{index_stats, IndexStats, SegmentStats};
 pub use telemetry::IndexTelemetry;
@@ -89,6 +89,10 @@ pub struct QueryStats {
     pub view_ns: u64,
     /// Wall time of constraint matching (`index.search`), ns.
     pub search_ns: u64,
+    /// Wall time of reading the answer out (`index.gather`), ns: each
+    /// index's [`Answer::finish`], plus the union of the shards' answers
+    /// when there is more than one.
+    pub gather_ns: u64,
     /// Wall time of the whole query, ns — filled in by the `Database` when
     /// it measures one (profiling, a slow-query threshold or tracing is
     /// on); 0 otherwise.
@@ -102,8 +106,8 @@ pub struct QueryStats {
 #[derive(Debug, Clone, Copy)]
 pub struct QueryStep {
     /// The phase, by its span name (DESIGN.md §8): `query.parse`,
-    /// `index.plan`, `delta.view`, `trie.descent` (the frozen trie) or
-    /// `trie.descent.delta` (an overlay segment).
+    /// `index.plan`, `delta.view`, `trie.descent` (the frozen trie),
+    /// `trie.descent.delta` (an overlay segment) or `index.gather`.
     pub phase: &'static str,
     /// When it started.
     pub start: Instant,
@@ -111,9 +115,9 @@ pub struct QueryStep {
     pub ns: u64,
     /// The matcher's counters (descents; zero otherwise).
     pub search: SearchStats,
-    /// What it produced: documents matched (descents), assignments
-    /// (plan), pattern nodes (parse — 0 when a symbol is unknown, which
-    /// proves the answer empty).
+    /// What it produced: documents matched (descents), documents answered
+    /// (gather), assignments (plan), pattern nodes (parse — 0 when a
+    /// symbol is unknown, which proves the answer empty).
     pub count: u64,
 }
 
@@ -165,6 +169,7 @@ impl QueryOutcome {
             ("index.plan", st.plan_ns),
             ("delta.view", st.view_ns),
             ("index.search", st.search_ns),
+            ("index.gather", st.gather_ns),
         ];
         let timed: u64 = phases.iter().map(|&(_, ns)| ns).sum();
         let unattributed = ("unattributed", st.total_ns.saturating_sub(timed));
@@ -227,19 +232,6 @@ impl QueryOutcome {
     }
 }
 
-/// A search's answer out of its scratch.  A buffer at least half full moves
-/// out, and the scratch gets an empty one of the same capacity — an
-/// allocation, not a copy, and just as warm for the next search.  A mostly
-/// empty one is copied, so a warm scratch never hands its capacity out
-/// with a short answer.
-fn take_answer(docs: &mut Vec<DocId>) -> Vec<DocId> {
-    let cap = docs.capacity();
-    if docs.len() * 2 < cap {
-        return docs.clone();
-    }
-    std::mem::replace(docs, Vec::with_capacity(cap))
-}
-
 #[inline]
 fn elapsed_ns(t: Instant) -> u64 {
     t.elapsed().as_nanos().min(u64::MAX as u128) as u64
@@ -267,6 +259,9 @@ pub struct XmlIndex {
     telemetry: Option<IndexTelemetry>,
     /// The tiered update overlay (post-build insertions + tombstones).
     delta: TieredDelta,
+    /// One past the largest document id indexed, in any segment: the
+    /// space a query's [`Answer`] bitmap spans.
+    id_space: usize,
 }
 
 impl XmlIndex {
@@ -346,6 +341,7 @@ impl XmlIndex {
             options,
             telemetry,
             delta: TieredDelta::new(),
+            id_space: docs.len(),
         }
     }
 
@@ -375,6 +371,7 @@ impl XmlIndex {
             tel.encode.record_duration(t.elapsed());
         }
         self.data_paths.extend(seq.elems().iter().copied());
+        self.id_space = self.id_space.max(id as usize + 1);
         self.delta.insert(seq, id);
     }
 
@@ -440,10 +437,14 @@ impl XmlIndex {
     }
 
     /// [`XmlIndex::query`] against a caller-owned [`SearchScratch`], reusing
-    /// its buffers across calls (counted in [`SearchStats::scratch_reuses`]:
-    /// one scratch per thread, e.g. per batch worker).  Each phase is timed
-    /// once, into a [`QueryStep`] of the outcome: the plan, the overlay
-    /// view and every segment's descent.
+    /// its buffers across calls (one scratch per thread, e.g. per batch
+    /// worker).  Each phase is timed once, into a [`QueryStep`] of the
+    /// outcome: the plan, the overlay view, every segment's descent and the
+    /// gather.
+    ///
+    /// Every (assignment, segment) search adds its documents to the
+    /// scratch's one [`Answer`], and the gather reads it out once, minus
+    /// the tombstones.
     ///
     /// Each wildcard assignment is searched as it is: element `n` of its
     /// query sequence is pattern node `n` on its assigned path, under its
@@ -478,9 +479,10 @@ impl XmlIndex {
         let segments: Vec<(&str, &SequenceTrie)> = std::iter::once(("trie.descent", &self.trie))
             .chain(delta_view.segments().map(|s| ("trie.descent.delta", s)))
             .collect();
+        // Room for every step, the parse the shard puts first included.
+        outcome.steps.reserve_exact(4 + asgs.len() * segments.len());
         outcome.steps.extend([plan, view]);
-        // Every (variant, segment) answer, unioned at the end.
-        let mut lists = Vec::new();
+        scratch.answer.begin(self.id_space);
         let mut qs = QuerySequence {
             paths: Vec::new(),
             parent_pos,
@@ -490,17 +492,22 @@ impl XmlIndex {
             outcome.classes.extend_from_slice(&qs.paths);
             for &(name, segment) in &segments {
                 let t0 = Instant::now();
-                let search = tree_search_with(segment, &qs, scratch);
+                let (search, added) = search::search_into(segment, &qs, scratch);
                 let mut descent = QueryStep::new(name, t0);
                 descent.search = search;
-                descent.count = scratch.docs.len() as u64;
+                descent.count = added;
                 outcome.stats.search_ns += descent.ns;
                 outcome.stats.search.absorb(search);
-                lists.push(take_answer(&mut scratch.docs));
                 outcome.steps.push(descent);
             }
         }
-        outcome.docs = union_answers(lists, self.delta.tombstones().ids());
+        let t0 = Instant::now();
+        let tombstones = self.delta.tombstones().ids();
+        scratch.answer.finish(tombstones, &mut outcome.docs);
+        let mut gather = QueryStep::new("index.gather", t0);
+        gather.count = outcome.docs.len() as u64;
+        outcome.stats.gather_ns = gather.ns;
+        outcome.steps.push(gather);
         outcome.classes.sort_unstable();
         outcome.classes.dedup();
         if let Some(tel) = &self.telemetry {
@@ -515,14 +522,15 @@ impl XmlIndex {
     /// use it.
     pub fn query_sequence(&self, q: &QuerySequence) -> (Vec<DocId>, SearchStats) {
         let view = self.delta.delta_view();
-        let mut lists = Vec::new();
+        let mut scratch = SearchScratch::new();
+        scratch.answer.begin(self.id_space);
         let mut st = SearchStats::default();
         for segment in std::iter::once(&self.trie).chain(view.segments()) {
-            let (segment_docs, segment_st) = search::tree_search(segment, q);
-            lists.push(segment_docs);
-            st.absorb(segment_st);
+            st.absorb(search::search_into(segment, q, &mut scratch).0);
         }
-        (union_answers(lists, self.delta.tombstones().ids()), st)
+        let (mut docs, tombstones) = (Vec::new(), self.delta.tombstones().ids());
+        scratch.answer.finish(tombstones, &mut docs);
+        (docs, st)
     }
 
     /// The sequencing strategy in use.
@@ -795,10 +803,15 @@ mod tests {
         out.steps.extend([16, 17].map(descent));
         assert!(out.explain().contains(" 14 15 …]\n"), "{}", out.explain());
         out.stats.view_ns = 750;
-        out.stats.search_ns = 250;
+        out.stats.search_ns = 200;
+        out.stats.gather_ns = 50;
         let explain = out.explain();
         assert!(
             explain.contains("delta.view            750ns  ( 75.0%)"),
+            "{explain}"
+        );
+        assert!(
+            explain.contains("index.gather           50ns  (  5.0%)"),
             "{explain}"
         );
         // With the wall time known, the remainder is a row of its own.
@@ -835,7 +848,8 @@ mod tests {
         let phases: Vec<&str> = out.steps.iter().map(|s| s.phase).collect();
         let variant = ["trie.descent", "trie.descent.delta"];
         let head = ["index.plan", "delta.view"];
-        assert_eq!(phases, [&head[..], &variant, &variant].concat());
+        let tail = ["index.gather"];
+        assert_eq!(phases, [&head[..], &variant, &variant, &tail].concat());
         let sum = |phase: &str| -> u64 {
             let steps = out.steps.iter().filter(|s| s.phase.starts_with(phase));
             steps.map(|s| s.ns).sum()
@@ -843,10 +857,16 @@ mod tests {
         assert_eq!(sum("index.plan"), out.stats.plan_ns);
         assert_eq!(sum("delta.view"), out.stats.view_ns);
         assert_eq!(sum("trie.descent"), out.stats.search_ns);
+        assert_eq!(sum("index.gather"), out.stats.gather_ns);
         assert_eq!(out.steps[0].count, 2, "the plan counts its assignments");
         assert_eq!(out.stats.variants, out.stats.instantiations);
-        let matched: u64 = out.steps.iter().map(|s| s.count).sum::<u64>() - 2;
+        let descents = out
+            .steps
+            .iter()
+            .filter(|s| s.phase.starts_with("trie.descent"));
+        let matched: u64 = descents.map(|s| s.count).sum();
         assert_eq!(matched, 3, "each descent counts the documents it matched");
+        assert_eq!(out.steps[6].count, 3, "the gather counts the answer");
         // A variant's frozen and overlay descents sum into one entry.
         let candidates =
             |i: usize| out.steps[i].search.candidates + out.steps[i + 1].search.candidates;
@@ -895,10 +915,10 @@ mod tests {
         assert_eq!(first.docs, vec![0, 1]);
         let again = index.query_with(&q, &pt, &mut scratch);
         assert_eq!(again.docs, vec![0, 1]);
-        assert!(
-            again.stats.search.scratch_reuses > 0,
-            "second query on one scratch must reuse warm buffers"
-        );
+        // A warm scratch answers, and works, as a cold one does.
+        let cold = index.query(&q, &pt);
+        assert_eq!(again.docs, cold.docs);
+        assert_eq!(again.stats.search, cold.stats.search);
     }
 
     /// `a[.//x][.//y]`: the two `//` chains may share their `b` or not —

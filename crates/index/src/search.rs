@@ -28,7 +28,7 @@ use xseq_xml::{DocId, Document, PathId, PathTable};
 /// step of the update model's *frozen ∪ delta − tombstones* query semantics
 /// (see [`delta`](crate::delta)), one binary search per id.
 ///
-/// Queries take this step inside [`union_answers`], which this function
+/// Queries take this step inside [`Answer::finish`], which this function
 /// specifies; the matcher inner loops never look at the tombstone set.
 /// Filtering only ever removes ids the caller deleted, so Theorem 2's
 /// no-false-alarm guarantee is preserved and no false dismissals are
@@ -40,15 +40,13 @@ pub fn filter_tombstones(docs: &mut Vec<DocId>, tombstones: &Tombstones) {
     docs.retain(|d| !tombstones.contains(*d));
 }
 
-/// The answer of several searches: the union of sorted, distinct id lists
-/// minus the ascending `tombstones`, with no sort.  One list moves through
-/// untouched, and lists whose id ranges follow one another — an overlay's
-/// segments hold successive inserts — are joined end to end.  Lists whose
-/// ranges overlap are merged two at a time, an id heading both taken once.
-/// The tombstones then drop out in one pass, walked beside the answer, so
-/// each costs the log of the distance the walk moves.  Equals
-/// concatenating, sorting, deduplicating and [`filter_tombstones`].
-pub fn union_answers(mut lists: Vec<Vec<DocId>>, tombstones: &[DocId]) -> Vec<DocId> {
+/// The union of sorted, distinct id lists, with no sort — the shard
+/// gather, whose shards partition the id space.  One list moves through
+/// untouched, and lists whose id ranges follow one another are joined end
+/// to end.  Lists whose ranges overlap are merged two at a time, an id
+/// heading both taken once.  Equals concatenating, sorting and
+/// deduplicating.
+pub fn union_answers(mut lists: Vec<Vec<DocId>>) -> Vec<DocId> {
     lists.retain(|l| !l.is_empty());
     lists.sort_unstable_by_key(|l| l.first().copied());
     let mut neighbours = lists.iter().zip(lists.iter().skip(1));
@@ -66,12 +64,7 @@ pub fn union_answers(mut lists: Vec<Vec<DocId>>, tombstones: &[DocId]) -> Vec<Do
         }
         lists = merged;
     }
-    let mut out = lists.pop().unwrap_or_default();
-    if !tombstones.is_empty() {
-        let mut dead = Graveyard(tombstones);
-        out.retain(|&d| !dead.holds(d));
-    }
-    out
+    lists.pop().unwrap_or_default()
 }
 
 /// The union of two sorted, distinct lists.
@@ -91,6 +84,159 @@ fn merge(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
     out.extend_from_slice(a.get(i..).unwrap_or_default());
     out.extend_from_slice(b.get(j..).unwrap_or_default());
     out
+}
+
+/// One query's answer, accumulated across its searches: every
+/// (assignment, segment) search adds the documents of its collected ranges,
+/// and [`Answer::finish`] reads the union out once, minus the tombstones,
+/// ascending and distinct.
+///
+/// While the answer is sparse the ids are appended.  Once it is dense — at
+/// least 64 ids added, and a bitmap over the id space of at most four words
+/// per id added — they are set in a bitmap instead, so a document two
+/// searches found costs nothing twice and no sort is needed.  The rule
+/// depends only on density, so a dense answer spans at most 32 bytes of
+/// bitmap per id added, and an answer of a few ids near `u32::MAX`
+/// allocates none.  The finish zeroes each word as it reads it, so the
+/// bitmap stays allocated, and zero, from one query to the next
+/// (DESIGN.md §5.1).
+#[derive(Debug, Default)]
+pub struct Answer {
+    /// Sparse: every id added, in arrival order, repeats included.
+    ids: Vec<DocId>,
+    /// Dense: bit `d % 64` of word `d / 64` for every id added.  All zero
+    /// while the answer is sparse.
+    bits: Vec<u64>,
+    /// Whether the ids are in `bits`; `ids` then only stages a search's.
+    dense: bool,
+    /// Dense: the bits set, so the finish reserves without counting.
+    live: usize,
+    /// Ids added, repeats included: the density rule's count.
+    added: usize,
+    /// One past the largest id, at least the id space [`Answer::begin`] set.
+    bound: usize,
+}
+
+impl Answer {
+    /// Starts an empty answer over the ids below `id_space`.  The space
+    /// sizes the bitmap; an id past it is still taken.
+    pub fn begin(&mut self, id_space: usize) {
+        if self.dense {
+            self.bits.fill(0); // an answer never finished
+        }
+        self.ids.clear();
+        self.dense = false;
+        self.added = 0;
+        self.bound = id_space;
+    }
+
+    /// Adds `ids`, which may repeat ids already added.
+    pub fn add(&mut self, ids: &[DocId]) {
+        self.add_with(|staged| staged.extend_from_slice(ids));
+    }
+
+    /// Adds the ids `read` appends to the vector it is handed — a search's
+    /// ranges, read straight into the answer — and returns how many.  The
+    /// answer is dense exactly while the rule holds for what was added so
+    /// far: ids past the bitmap that break it move the answer back to the
+    /// list.
+    pub(crate) fn add_with(&mut self, read: impl FnOnce(&mut Vec<DocId>)) -> u64 {
+        let from = self.ids.len();
+        read(&mut self.ids);
+        let new = self.ids.get(from..).unwrap_or_default();
+        let Some(&top) = new.iter().max() else {
+            return 0;
+        };
+        let count = new.len();
+        self.added += count;
+        self.bound = self.bound.max(top as usize + 1);
+        let words = self.bound.div_ceil(64);
+        if self.added < 64 || words > 4 * self.added {
+            if self.dense {
+                let mut ids = std::mem::take(&mut self.ids);
+                self.drain_bits(&mut ids);
+                self.ids = ids;
+            }
+            return count as u64;
+        }
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
+        }
+        if !self.dense {
+            self.dense = true;
+            self.live = 0;
+        }
+        // A local slice and count: through `self`, this loop ran ≈ 15 %
+        // slower on answers of 5 000 ids.
+        let (bits, mut live) = (self.bits.as_mut_slice(), self.live);
+        for &d in &self.ids {
+            let (w, bit) = word_and_bit(d);
+            if let Some(word) = bits.get_mut(w) {
+                live += usize::from(*word & bit == 0);
+                *word |= bit;
+            }
+        }
+        self.live = live;
+        self.ids.clear();
+        count as u64
+    }
+
+    /// Whether the ids are set in the bitmap rather than appended.
+    pub fn is_dense(&self) -> bool {
+        self.dense
+    }
+
+    /// Appends the answer to `out`, minus the ascending `tombstones`,
+    /// ascending and distinct, reserving exactly its length; the answer is
+    /// left empty.  A dense answer clears each tombstone's bit and reads
+    /// the words in order; a sparse one is sorted and deduplicated, and
+    /// the tombstones drop out in one pass walked beside it, so each costs
+    /// the log of the distance the walk moves.
+    pub fn finish(&mut self, tombstones: &[DocId], out: &mut Vec<DocId>) {
+        if self.dense {
+            for &t in tombstones {
+                let (w, bit) = word_and_bit(t);
+                let Some(word) = self.bits.get_mut(w) else {
+                    break;
+                };
+                self.live -= usize::from(*word & bit != 0);
+                *word &= !bit;
+            }
+            out.reserve_exact(self.live);
+            self.drain_bits(out);
+            return;
+        }
+        self.ids.sort_unstable();
+        self.ids.dedup();
+        if !tombstones.is_empty() {
+            let mut dead = Graveyard(tombstones);
+            self.ids.retain(|&d| !dead.holds(d));
+        }
+        out.reserve_exact(self.ids.len());
+        out.extend_from_slice(&self.ids);
+        self.ids.clear();
+    }
+
+    /// Appends the bitmap's ids to `out` in order, zeroing each word as it
+    /// reads it, and leaves the answer sparse.
+    fn drain_bits(&mut self, out: &mut Vec<DocId>) {
+        self.dense = false;
+        let words = self.bound.div_ceil(64);
+        let bits = self.bits.iter_mut().take(words);
+        for (w, word) in bits.enumerate() {
+            let mut rest = std::mem::take(word);
+            while rest != 0 {
+                out.push(w as DocId * 64 + rest.trailing_zeros());
+                rest &= rest - 1;
+            }
+        }
+    }
+}
+
+/// The word of an id in a bitmap, and its bit there.
+#[expect(clippy::integer_division_remainder_used, reason = "the divisor is the literal 64")]
+fn word_and_bit(d: DocId) -> (usize, u64) {
+    (d as usize / 64, 1 << (d % 64))
 }
 
 /// The tombstones not yet passed, asked about ascending document ids.
@@ -200,9 +346,6 @@ pub struct SearchStats {
     /// scan, plus one per jump of [`tree_search`] past an already collected
     /// range — a gallop forward from where the scan stands.
     pub link_probes: u64,
-    /// Buffer allocations avoided because a warm [`SearchScratch`] supplied
-    /// already-sized result/alignment vectors.
-    pub scratch_reuses: u64,
 }
 
 impl SearchStats {
@@ -213,50 +356,29 @@ impl SearchStats {
         self.cover_rejections += other.cover_rejections;
         self.completions += other.completions;
         self.link_probes += other.link_probes;
-        self.scratch_reuses += other.scratch_reuses;
     }
 }
 
-/// Reusable per-query buffers for the matchers: the result accumulator, the
-/// alignment stacks, the collected ranges and the bitmap that orders a dense
-/// answer.  One search leaves its sorted, deduplicated result in
-/// [`SearchScratch::docs`]; passing the same scratch to the next search
-/// reuses the capacity instead of allocating (counted in
-/// [`SearchStats::scratch_reuses`]).
+/// Reusable per-query buffers for the matchers: the alignment stacks, the
+/// collected ranges and the query's [`Answer`].  A warm scratch — one per
+/// thread, e.g. per batch worker — reuses their capacity instead of
+/// allocating.  [`tree_search_with`] leaves its sorted, deduplicated result
+/// in [`SearchScratch::docs`]; a database query reads its answer out of the
+/// accumulator once, after its last search.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
-    /// Result accumulator; after a search: sorted, deduplicated doc ids.
+    /// [`tree_search_with`]'s result: sorted, deduplicated doc ids.
     pub docs: Vec<DocId>,
     matched: Vec<TrieNodeId>,
     used: Vec<TrieNodeId>,
     collected: Collected,
-    bits: Vec<u64>,
+    pub(crate) answer: Answer,
 }
 
 impl SearchScratch {
     /// A fresh (cold) scratch.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Clears the buffers (keeping capacity) and counts how many arrive
-    /// warm — allocations the reuse saves.
-    fn begin(&mut self) -> u64 {
-        let warm = [
-            self.docs.capacity() > 0,
-            self.matched.capacity() > 0,
-            self.used.capacity() > 0,
-            self.collected.0.capacity() > 0,
-            self.bits.capacity() > 0,
-        ]
-        .iter()
-        .filter(|&&w| w)
-        .count() as u64;
-        self.docs.clear();
-        self.matched.clear();
-        self.used.clear();
-        self.collected.0.clear();
-        warm
     }
 }
 
@@ -336,10 +458,10 @@ impl Collected {
 /// The answer costs what it holds: a completion only records its range —
 /// the last slot records it inside its link scan, from the link entry —
 /// and the maximal ranges are read at the end, two `O(1)` ranks of the
-/// end nodes each on the in-memory trie
-/// ([`TrieView::collect_docs_in_ranges`]).  They are disjoint and a document
-/// ends at one end node, so no id is read twice; a dense answer is then
-/// ordered through a bitmap instead of a sort (DESIGN.md §5.1).
+/// end nodes each on the in-memory trie ([`TrieView::add_docs_in_ranges`]).
+/// They are disjoint and a document ends at one end node, so no id is read
+/// twice; the [`Answer`] then orders a dense answer through a bitmap
+/// instead of a sort (DESIGN.md §5.1).
 pub fn tree_search<V: TrieView + ?Sized>(trie: &V, q: &QuerySequence) -> (Vec<DocId>, SearchStats) {
     let mut scratch = SearchScratch::new();
     let stats = tree_search_with(trie, q, &mut scratch);
@@ -348,26 +470,41 @@ pub fn tree_search<V: TrieView + ?Sized>(trie: &V, q: &QuerySequence) -> (Vec<Do
 
 /// [`tree_search`] into a caller-provided scratch: the sorted, deduplicated
 /// result is left in `scratch.docs`, and warm buffers are reused instead of
-/// allocated (counted in [`SearchStats::scratch_reuses`]).
+/// allocated.
 pub fn tree_search_with<V: TrieView + ?Sized>(
     trie: &V,
     q: &QuerySequence,
     scratch: &mut SearchScratch,
 ) -> SearchStats {
-    let mut stats = SearchStats {
-        scratch_reuses: scratch.begin(),
-        ..Default::default()
-    };
+    scratch.answer.begin(0);
+    let (stats, _) = search_into(trie, q, scratch);
+    scratch.docs.clear();
+    scratch.answer.finish(&[], &mut scratch.docs);
+    stats
+}
+
+/// The walk of [`tree_search`]: adds the documents of its collected ranges
+/// to `scratch`'s [`Answer`], and returns its counters and how many ids it
+/// added — the documents it matched, none twice.
+pub(crate) fn search_into<V: TrieView + ?Sized>(
+    trie: &V,
+    q: &QuerySequence,
+    scratch: &mut SearchScratch,
+) -> (SearchStats, u64) {
+    let mut stats = SearchStats::default();
+    scratch.matched.clear();
+    scratch.used.clear();
+    scratch.collected.0.clear();
     let links: Vec<_> = q.paths.iter().map(|&p| trie.link(p)).collect();
     if q.is_empty() || links.iter().any(PathLink::is_empty) {
-        return stats; // no query, or a path that never occurs in the data
+        return (stats, 0); // no query, or a path that never occurs in the data
     }
     let Some((order, ascent)) = seed_order(q, &links) else {
         // Unreachable: parent_pos forms a forest, so it has a leaf and
         // every element is reached parents first.  Degrade to an empty
         // result rather than panic on the query path.
         debug_assert!(false, "query parents do not form a forest");
-        return stats;
+        return (stats, 0);
     };
     scratch.matched.resize(q.len(), NIL);
     scratch.used.reserve(q.len());
@@ -379,39 +516,8 @@ pub fn tree_search_with<V: TrieView + ?Sized>(
         ascent,
     };
     walk.go(0, trie.root(), scratch, &mut stats);
-    trie.collect_docs_in_ranges(&scratch.collected.0, &mut scratch.docs);
-    sort_docs(&mut scratch.docs, &mut scratch.bits);
-    stats
-}
-
-/// Sorts and deduplicates `docs`.  A dense answer — at least 64 ids, with a
-/// bitmap up to the largest no longer than four words per id — is set into
-/// `bits` and read back in order, in time linear in the answer; any other is
-/// sorted.  The rule depends only on density, so `bits` never exceeds 32
-/// bytes per result id, and a sparse answer allocates none.
-#[expect(clippy::indexing_slicing, reason = "id <= max, so id / 64 < bits.len()")]
-#[expect(clippy::integer_division_remainder_used, reason = "the divisor is the literal 64")]
-fn sort_docs(docs: &mut Vec<DocId>, bits: &mut Vec<u64>) {
-    let n = docs.len();
-    let words = docs.iter().max().map_or(0, |&max| max as usize / 64 + 1);
-    if n < 64 || words > 4 * n {
-        docs.sort_unstable();
-        docs.dedup();
-        return;
-    }
-    bits.clear();
-    bits.resize(words, 0);
-    for &d in docs.iter() {
-        bits[d as usize / 64] |= 1 << (d % 64);
-    }
-    docs.clear();
-    for (w, &word) in bits.iter().enumerate() {
-        let mut rest = word;
-        while rest != 0 {
-            docs.push(w as DocId * 64 + rest.trailing_zeros());
-            rest &= rest - 1;
-        }
-    }
+    let added = trie.add_docs_in_ranges(&scratch.collected.0, &mut scratch.answer);
+    (stats, added)
 }
 
 /// The order of [`tree_search`]: the seed, then every element off its

@@ -26,6 +26,7 @@
 //! (incremental maintenance of preorder labels is orthogonal to the paper;
 //! live updates go through the tiered overlay in [`delta`](crate::delta)).
 
+use crate::search::Answer;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use xseq_sequence::Sequence;
@@ -172,13 +173,16 @@ pub trait TrieView {
     /// Appends the doc ids of end nodes with serial in `[lo, hi]`.
     fn collect_docs_in_range(&self, lo: u32, hi: u32, out: &mut Vec<DocId>);
 
-    /// Appends the doc ids of end nodes inside `ranges`, range by range, as
-    /// [`TrieView::collect_docs_in_range`] would.  The ranges are ascending
-    /// and disjoint, so an implementation may sweep its end nodes once.
-    fn collect_docs_in_ranges(&self, ranges: &[(u32, u32)], out: &mut Vec<DocId>) {
-        for &(lo, hi) in ranges {
-            self.collect_docs_in_range(lo, hi, out);
-        }
+    /// Adds the doc ids of end nodes inside `ranges` to `answer`, the ids
+    /// [`TrieView::collect_docs_in_range`] reads, and returns how many.
+    /// The ranges are ascending and disjoint, so an implementation may
+    /// sweep its end nodes once.
+    fn add_docs_in_ranges(&self, ranges: &[(u32, u32)], answer: &mut Answer) -> u64 {
+        answer.add_with(|docs| {
+            for &(lo, hi) in ranges {
+                self.collect_docs_in_range(lo, hi, docs);
+            }
+        })
     }
 
     /// Walks up from `n` to the nearest proper ancestor whose path is `t`
@@ -503,17 +507,11 @@ impl SequenceTrie {
         out.extend_from_slice(self.docs_in(lo, hi));
     }
 
-    /// Approximate in-memory footprint in bytes (node arrays + doc lists +
-    /// links), used by the index-size experiments alongside the node count.
+    /// In-memory footprint in bytes, used by the index-size experiments
+    /// alongside the node count: the trie's [`HeapSize`], its one byte
+    /// count.
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let per_node = size_of::<PathId>() + size_of::<TrieNodeId>() + size_of::<u32>() + 1;
-        let f = &self.frozen;
-        self.path.len() * per_node
-            + (self.docs.len() + self.doc_off.len() + f.end_nodes.len()) * size_of::<u32>()
-            + f.end_bits.len() * size_of::<u64>()
-            + f.end_rank.len() * size_of::<u32>()
-            + f.links.values().map(Vec::len).sum::<usize>() * size_of::<LinkEntry>()
+        self.heap_bytes()
     }
 }
 
@@ -557,10 +555,10 @@ fn label_and_link(path: &[PathId], parent: &[TrieNodeId]) -> Frozen {
 }
 
 /// Exact-model heap attribution: the node arrays, doc lists, pending run,
-/// labels and links.  Unlike [`SequenceTrie::approx_bytes`] this charges
-/// *capacity* (what the allocator handed out), models the link map with
-/// [`hash_table_alloc_bytes`], and is validated against a counting
-/// allocator in the core crate's `heap_accounting` test.
+/// labels and links.  It charges *capacity* (what the allocator handed
+/// out), models the link map with [`hash_table_alloc_bytes`], and is
+/// validated against a counting allocator in the core crate's
+/// `heap_accounting` test.
 impl HeapSize for SequenceTrie {
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;

@@ -1,18 +1,18 @@
 //! Result assembly: how a query turns its completions into an answer.
 //!
 //! A completion only records its range; the maximal ranges are read at the
-//! end through `TrieView::collect_docs_in_ranges` (two `O(1)` ranks of the
+//! end through `TrieView::add_docs_in_ranges` (two `O(1)` ranks of the
 //! end-node directory per range on a `SequenceTrie`, a binary search of the
-//! end records on a `PagedTrie`), and the ids are ordered through a bitmap
-//! when the answer is dense.  The (variant, segment) answers of a query are
-//! then unioned without a sort, and the tombstones drop out.  Each step must
-//! give exactly what a walk of the end nodes, `sort_unstable` + `dedup` and
-//! `filter_tombstones` give.
+//! end records on a `PagedTrie`) into the query's one `Answer`, which every
+//! (assignment, segment) search adds to.  It orders the ids through a bitmap
+//! when the answer is dense, and its finish drops the tombstones.  Each step
+//! must give exactly what a walk of the end nodes, `sort_unstable` + `dedup`
+//! and `filter_tombstones` give.
 
 use proptest::prelude::*;
 use xseq_index::{
-    filter_tombstones, tree_search, tree_search_with, union_answers, QuerySequence, SearchScratch,
-    SequenceTrie, Tombstones, TrieNodeId, TrieView,
+    filter_tombstones, tree_search, tree_search_with, union_answers, Answer, QuerySequence,
+    SearchScratch, SequenceTrie, Tombstones, TrieNodeId, TrieView,
 };
 use xseq_sequence::Sequence;
 use xseq_storage::{write_paged_trie, MemStore, PagedTrie};
@@ -105,32 +105,45 @@ fn one_node_answer(ids: &[DocId]) -> (SequenceTrie, QuerySequence) {
     (trie, q)
 }
 
-/// `sort_docs`'s rule: at least 64 ids, and a bitmap up to the largest of at
-/// most four words per id.
-fn dense(ids: &[DocId]) -> bool {
-    let max = ids.iter().max().map_or(0, |&m| m as usize);
-    ids.len() >= 64 && max / 64 < 4 * ids.len()
+/// The density rule: at least 64 ids added, and a bitmap up to the largest
+/// id, or over the id space if that is larger, of at most four words per
+/// id added.
+fn rule(added: usize, bound: usize) -> bool {
+    added >= 64 && bound.div_ceil(64) <= 4 * added
 }
 
-/// `tree_search` over `ids` equals `sort_unstable` + `dedup`, and a warm
-/// scratch counts the bitmap as reused exactly when the answer was dense
-/// (docs, matched, used and the collected ranges are always warm).
+/// The rule for `ids` added at once over an empty id space.
+fn dense(ids: &[DocId]) -> bool {
+    let bound = ids.iter().max().map_or(0, |&m| m as usize + 1);
+    rule(ids.len(), bound)
+}
+
+/// `tree_search` over `ids` equals `sort_unstable` + `dedup` from a cold
+/// scratch and from a warm one, and the answer took the side of the rule
+/// that `dense` names.
 fn assert_ordered(ids: &[DocId]) -> Result<(), TestCaseError> {
     let (trie, q) = one_node_answer(ids);
     let mut want = ids.to_vec();
     want.sort_unstable();
     want.dedup();
     let mut scratch = SearchScratch::new();
-    tree_search_with(&trie, &q, &mut scratch);
+    let cold = tree_search_with(&trie, &q, &mut scratch);
     prop_assert_eq!(&scratch.docs, &want);
-    let again = tree_search_with(&trie, &q, &mut scratch);
+    let warm = tree_search_with(&trie, &q, &mut scratch);
     prop_assert_eq!(&scratch.docs, &want);
+    prop_assert_eq!(warm, cold);
+    let mut answer = Answer::default();
+    answer.begin(0);
+    answer.add(ids);
     prop_assert_eq!(
-        again.scratch_reuses,
-        4 + u64::from(dense(ids)),
+        answer.is_dense(),
+        dense(ids),
         "bitmap for {} ids",
         ids.len()
     );
+    let mut got = Vec::new();
+    answer.finish(&[], &mut got);
+    prop_assert_eq!(got, want);
     Ok(())
 }
 
@@ -173,30 +186,45 @@ proptest! {
             paged.collect_docs_in_range(lo, hi, &mut got);
             prop_assert_eq!(&got[..], &want[from..], "paged, range {:?}", (lo, hi));
         }
+        // The ranges are disjoint and a document ends at one end node, so
+        // no id repeats: the answer adds every id read, and reads them out
+        // in order.
+        let added = want.len() as u64;
+        want.sort_unstable();
+        let mut answer = Answer::default();
         let mut got = Vec::new();
-        TrieView::collect_docs_in_ranges(&trie, &ranges, &mut got);
+        answer.begin(0);
+        prop_assert_eq!(trie.add_docs_in_ranges(&ranges, &mut answer), added);
+        answer.finish(&[], &mut got);
         prop_assert_eq!(&got, &want, "in memory, ranges {:?}", ranges);
         got.clear();
-        paged.collect_docs_in_ranges(&ranges, &mut got);
+        answer.begin(0);
+        prop_assert_eq!(paged.add_docs_in_ranges(&ranges, &mut answer), added);
+        answer.finish(&[], &mut got);
         prop_assert_eq!(&got, &want, "paged, ranges {:?}", ranges);
     }
 
     #[test]
-    fn union_equals_sort_dedup_and_filter(
+    fn answer_equals_sort_dedup_and_filter(
         raw in proptest::collection::vec(proptest::collection::vec(0u32..300, 0..40), 0..7),
         overlap in proptest::bool::weighted(0.3),
         layout in 0u8..4,
+        stride in 0usize..3,
+        space in 0u8..4,
+        far in 0usize..3,
         tombs in proptest::collection::vec(0u32..600, 0..120),
         tomb_kind in 0u8..4,
     ) {
-        // Sorted, distinct lists, empty and single ones included; with
-        // `overlap`, the first list appears twice.
+        // Per-search lists as searches add them: sorted, distinct, empty
+        // and single ones included; with `overlap`, the first list appears
+        // twice.  `stride` spreads the ids: at 1000 the answer stays sparse.
+        let stride = [1, 3, 1000][stride];
         let mut lists: Vec<Vec<DocId>> = raw
             .into_iter()
             .map(|mut l| {
                 l.sort_unstable();
                 l.dedup();
-                l
+                l.into_iter().map(|d| d * stride).collect()
             })
             .collect();
         if layout >= 2 {
@@ -220,9 +248,19 @@ proptest! {
         if overlap && !lists.is_empty() {
             lists.push(lists[0].clone());
         }
+        // A last search far past the others: the bitmap grows, or the
+        // answer moves back to the list.
+        let far = [None, Some(1 << 16), Some(u32::MAX - 5)][far];
+        lists.extend(far.map(|f| vec![3, f]));
         let mut want: Vec<DocId> = lists.concat();
         want.sort_unstable();
         want.dedup();
+        // Shards partition the id space; their union takes the same lists.
+        prop_assert_eq!(union_answers(lists.clone()), want.clone());
+        // The id space the answer starts from: none, below the ids (so
+        // they land above it), exactly theirs, or far past them.
+        let top = want.last().map_or(0, |&m| m as usize + 1);
+        let id_space = [0, top / 2, top, 1 << 22][space as usize];
         // Tombstones: none, none of the answer, many (most past the answer),
         // or every id of the answer and more.
         let dead: Vec<DocId> = match tomb_kind {
@@ -236,7 +274,29 @@ proptest! {
             tombstones.insert(t);
         }
         filter_tombstones(&mut want, &tombstones);
-        prop_assert_eq!(union_answers(lists, tombstones.ids()), want);
+        // Twice through one accumulator: the second answer starts warm and
+        // leaves the first list out, so a bit the first left set shows.
+        let mut answer = Answer::default();
+        for skip in 0..2 {
+            let searches = lists.get(skip..).unwrap_or_default();
+            if skip > 0 {
+                want = searches.concat();
+                want.sort_unstable();
+                want.dedup();
+                filter_tombstones(&mut want, &tombstones);
+            }
+            answer.begin(id_space);
+            let (mut added, mut bound) = (0, id_space);
+            for list in searches {
+                answer.add(list);
+                added += list.len();
+                bound = list.iter().map(|&d| d as usize + 1).fold(bound, usize::max);
+                prop_assert_eq!(answer.is_dense(), rule(added, bound), "after {} ids", added);
+            }
+            let mut got = Vec::new();
+            answer.finish(tombstones.ids(), &mut got);
+            prop_assert_eq!(&got, &want);
+        }
     }
 
     #[test]
@@ -316,4 +376,32 @@ fn a_chain_candidate_above_the_tip_swallows_earlier_ranges() {
     );
     let (paged_docs, paged_stats) = tree_search(&paged(&trie, 2), &q);
     assert_eq!((paged_docs, paged_stats), (docs, stats));
+}
+
+#[test]
+fn an_answer_turns_dense_mid_query_and_back() {
+    let mut answer = Answer::default();
+    answer.begin(1000);
+    let low: Vec<DocId> = (0..63).map(|i| i * 2).collect();
+    answer.add(&low);
+    assert!(!answer.is_dense(), "63 ids are sorted");
+    answer.add(&[500]);
+    assert!(answer.is_dense(), "64 ids over 16 words");
+    answer.add(&[2000, 4]);
+    assert!(answer.is_dense(), "32 words for 66 ids");
+    answer.add(&[u32::MAX - 1]);
+    assert!(!answer.is_dense(), "the bitmap would span 2^26 words");
+    let mut got = Vec::new();
+    answer.finish(&[2, 500, u32::MAX - 1], &mut got);
+    let mut want: Vec<DocId> = low.iter().copied().filter(|&d| d != 2).collect();
+    want.push(2000);
+    assert_eq!(got, want);
+    // The bitmap came back zeroed: a warm dense answer holds only its ids.
+    answer.begin(1000);
+    let odd: Vec<DocId> = (0..64).map(|i| i * 2 + 1).collect();
+    answer.add(&odd);
+    assert!(answer.is_dense());
+    got.clear();
+    answer.finish(&[], &mut got);
+    assert_eq!(got, odd);
 }

@@ -9,17 +9,42 @@
 //! allocator counter cannot tolerate unrelated tests allocating in
 //! parallel, and the workspace lint table denies `unsafe_code` (the
 //! counter needs two `unsafe impl` trampolines around `System`, allowed
-//! for this target alone).
+//! for this target alone).  The tests here take one lock for their whole
+//! run, so they do not count each other either.
+//!
+//! The same counter also bounds what one warm query allocates.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use xseq::datagen::dblp::DblpGenerator;
-use xseq::{Corpus, HeapSize, PlanOptions, Strategy, ValueMode, XmlIndex};
+use xseq::{Corpus, DatabaseBuilder, HeapSize, PlanOptions, Strategy, ValueMode, XmlIndex};
 
 /// Bytes currently live (allocated minus deallocated).
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Bytes this thread has been handed, freed since or not (a `realloc`
+    /// counts its new size).
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Adds `bytes` to this thread's [`ALLOCATED`] (not at all while the
+/// thread is being torn down).
+fn handed_out(bytes: usize) {
+    let _ = ALLOCATED.try_with(|n| n.set(n.get() + bytes));
+}
+
+/// One test of this binary at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 struct CountingAlloc;
 
@@ -32,6 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            handed_out(layout.size());
         }
         p
     }
@@ -47,6 +73,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
             LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            handed_out(layout.size());
         }
         p
     }
@@ -58,6 +85,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if !p.is_null() {
             LIVE.fetch_add(new_size, Ordering::Relaxed);
             LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            handed_out(new_size);
         }
         p
     }
@@ -112,6 +140,7 @@ fn assert_within_5_percent(what: &str, modelled: usize, measured: usize) {
 
 #[test]
 fn modelled_bytes_match_the_allocator_within_5_percent() {
+    let _serial = serial();
     // Warm up once so lazy one-time allocations (thread-locals, rng
     // tables) are live before the measured window opens.
     let (mut corpus, mut index) = build(8, 1);
@@ -138,4 +167,36 @@ fn modelled_bytes_match_the_allocator_within_5_percent() {
     assert_eq!(index.delta().run_count(), 5);
     assert_eq!(index.delta().sequence_count(), 229);
     assert_within_5_percent("overlay inserts", grown, measured);
+}
+
+/// A warm single query allocates its answer and little else: 4 B per id it
+/// returns, plus at most 4 KiB for the parse, the plan, the step record and
+/// the search's own small buffers.  A dense answer is read out of the
+/// thread's scratch once, into a vector of exactly its length — no
+/// answer-sized buffer is allocated beside it.
+#[test]
+fn a_warm_dense_query_allocates_its_answer_and_4_kib() {
+    let _serial = serial();
+    let mut corpus = Corpus::new(ValueMode::Intern);
+    corpus.docs = DblpGenerator::new(1).generate(3000, &mut corpus.symbols);
+    let db = DatabaseBuilder::new()
+        .build_from_corpus(corpus)
+        .expect("a generated corpus indexes");
+    for expr in ["/inproceedings/title", "/article/author"] {
+        let cold = db.query_xpath(expr).expect("the query parses");
+        let before = ALLOCATED.with(Cell::get);
+        let warm = db.query_xpath(expr).expect("the query parses");
+        let allocated = ALLOCATED.with(Cell::get) - before;
+        assert_eq!(warm, cold, "{expr}");
+        let ids = warm.len();
+        assert!(
+            ids >= 64 && 3000usize.div_ceil(64) <= 4 * ids,
+            "{expr}: dense"
+        );
+        let bound = 4 * ids + 4096;
+        assert!(
+            allocated <= bound,
+            "{expr}: {allocated} B allocated for {ids} ids (bound {bound} B)"
+        );
+    }
 }

@@ -331,11 +331,12 @@ fn every_name_a_full_pipeline_registers_follows_the_grammar() {
 /// wall time.
 #[test]
 fn traced_phases_reconcile_with_the_wall_clock() {
-    const PHASES: [&str; 5] = [
+    const PHASES: [&str; 6] = [
         "query.parse",
         "index.plan",
         "delta.view",
         "index.search",
+        "index.gather",
         "unattributed",
     ];
     for shards in [1, 3] {
@@ -383,8 +384,19 @@ fn traced_phases_reconcile_with_the_wall_clock() {
                 "queries sequence nothing: {what}"
             );
             assert_eq!(phase("trie.descent"), st.search_ns, "{what}");
+            assert_eq!(phase("index.gather"), st.gather_ns, "{what}");
             let parses = trace.spans.iter().filter(|s| s.name == "query.parse");
             assert_eq!(parses.count(), shards, "every shard parses: {what}");
+            // Each shard that searched reads its answer out once, and
+            // several shards' answers are unioned once more.
+            let gathers = trace.spans.iter().filter(|s| s.name == "index.gather");
+            let searched = trace
+                .spans
+                .iter()
+                .filter(|s| s.name == "index.plan")
+                .count();
+            let union = usize::from(shards > 1);
+            assert_eq!(gathers.count(), searched + union, "{what}");
 
             let root = trace.root();
             assert_eq!((root.end_ns, trace.total_ns), (st.total_ns, st.total_ns));
@@ -417,6 +429,7 @@ fn traced_phases_reconcile_with_the_wall_clock() {
                 st.plan_ns,
                 st.view_ns,
                 st.search_ns,
+                st.gather_ns,
                 unattributed,
             ];
             assert_eq!(rows.iter().sum::<u64>(), st.total_ns, "{what}");
