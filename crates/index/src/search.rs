@@ -97,8 +97,11 @@ fn merge(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
 /// searches found costs nothing twice and no sort is needed.  The rule
 /// depends only on density, so a dense answer spans at most 32 bytes of
 /// bitmap per id added, and an answer of a few ids near `u32::MAX`
-/// allocates none.  The finish zeroes each word as it reads it, so the
-/// bitmap stays allocated, and zero, from one query to the next
+/// allocates none.  A trie hands a search's ranges over as spans of its
+/// document array with the bound of its ids, so the rule is settled once
+/// per search, from the span lengths, and the ids are then read once:
+/// set as bits, or appended.  The finish zeroes each word as it reads it,
+/// so the bitmap stays allocated, and zero, from one query to the next
 /// (DESIGN.md §5.1).
 #[derive(Debug, Default)]
 pub struct Answer {
@@ -107,7 +110,7 @@ pub struct Answer {
     /// Dense: bit `d % 64` of word `d / 64` for every id added.  All zero
     /// while the answer is sparse.
     bits: Vec<u64>,
-    /// Whether the ids are in `bits`; `ids` then only stages a search's.
+    /// Whether the ids are in `bits`.
     dense: bool,
     /// Dense: the bits set, so the finish reserves without counting.
     live: usize,
@@ -115,6 +118,10 @@ pub struct Answer {
     added: usize,
     /// One past the largest id, at least the id space [`Answer::begin`] set.
     bound: usize,
+    /// The spans of a trie read, kept from one search to the next.
+    pub(crate) spans: Vec<(u32, u32)>,
+    /// The ids of a range-by-range read, kept from one search to the next.
+    pub(crate) staged: Vec<DocId>,
 }
 
 impl Answer {
@@ -130,26 +137,40 @@ impl Answer {
         self.bound = id_space;
     }
 
-    /// Adds `ids`, which may repeat ids already added.
-    pub fn add(&mut self, ids: &[DocId]) {
-        self.add_with(|staged| staged.extend_from_slice(ids));
+    /// Adds `ids`, which may repeat ids already added, and returns how
+    /// many.
+    pub fn add(&mut self, ids: &[DocId]) -> u64 {
+        let bound = ids.iter().max().map_or(0, |&top| top as usize + 1);
+        self.add_spans(ids, &[(0, ids.len() as u32)], bound)
     }
 
-    /// Adds the ids `read` appends to the vector it is handed — a search's
-    /// ranges, read straight into the answer — and returns how many.  The
-    /// answer is dense exactly while the rule holds for what was added so
-    /// far: ids past the bitmap that break it move the answer back to the
-    /// list.
-    pub(crate) fn add_with(&mut self, read: impl FnOnce(&mut Vec<DocId>)) -> u64 {
-        let from = self.ids.len();
-        read(&mut self.ids);
-        let new = self.ids.get(from..).unwrap_or_default();
-        let Some(&top) = new.iter().max() else {
+    /// Adds `docs[a..b]` for every span `(a, b)`, ids below `id_bound`, and
+    /// returns how many.  The count comes from the span lengths, so the
+    /// rule is settled before any id is read: the answer is dense exactly
+    /// while the rule holds for what was added so far, and ids past the
+    /// bitmap that break it move the answer back to the list.  An id at or
+    /// past `id_bound` is still taken, by a second pass with the bound it
+    /// shows.
+    pub(crate) fn add_spans(
+        &mut self,
+        docs: &[DocId],
+        spans: &[(u32, u32)],
+        id_bound: usize,
+    ) -> u64 {
+        let count: usize = spans
+            .iter()
+            .map(|&(a, b)| b.saturating_sub(a) as usize)
+            .sum();
+        if count == 0 {
             return 0;
+        }
+        let read = || {
+            spans
+                .iter()
+                .map(|&(a, b)| docs.get(a as usize..b as usize).unwrap_or_default())
         };
-        let count = new.len();
         self.added += count;
-        self.bound = self.bound.max(top as usize + 1);
+        self.bound = self.bound.max(id_bound);
         let words = self.bound.div_ceil(64);
         if self.added < 64 || words > 4 * self.added {
             if self.dense {
@@ -157,26 +178,42 @@ impl Answer {
                 self.drain_bits(&mut ids);
                 self.ids = ids;
             }
+            self.ids.reserve(count);
+            read().for_each(|ids| self.ids.extend_from_slice(ids));
             return count as u64;
         }
         if self.bits.len() < words {
             self.bits.resize(words, 0);
         }
-        if !self.dense {
-            self.dense = true;
-            self.live = 0;
-        }
         // A local slice and count: through `self`, this loop ran ≈ 15 %
         // slower on answers of 5 000 ids.
-        let (bits, mut live) = (self.bits.as_mut_slice(), self.live);
-        for &d in &self.ids {
-            let (w, bit) = word_and_bit(d);
-            if let Some(word) = bits.get_mut(w) {
-                live += usize::from(*word & bit == 0);
-                *word |= bit;
+        let bits = self.bits.get_mut(..words).unwrap_or_default();
+        let (mut live, mut past) = (if self.dense { self.live } else { 0 }, 0);
+        let staged = if self.dense { &[][..] } else { &self.ids[..] };
+        for ids in std::iter::once(staged).chain(read()) {
+            for &d in ids {
+                let (w, bit) = word_and_bit(d);
+                match bits.get_mut(w) {
+                    Some(word) => {
+                        live += usize::from(*word & bit == 0);
+                        *word |= bit;
+                    }
+                    None => past = past.max(d as usize + 1),
+                }
             }
         }
+        self.dense = true;
         self.live = live;
+        if past > 0 {
+            // Only a bound too low shows an id past it.  The bits go back
+            // to the list, which still holds what it staged, and the spans
+            // are added again with the bound they showed.
+            let mut ids = std::mem::take(&mut self.ids);
+            self.drain_bits(&mut ids);
+            self.ids = ids;
+            self.added -= count;
+            return self.add_spans(docs, spans, past);
+        }
         self.ids.clear();
         count as u64
     }
@@ -359,16 +396,17 @@ impl SearchStats {
     }
 }
 
-/// Reusable per-query buffers for the matchers: the alignment stacks, the
-/// collected ranges and the query's [`Answer`].  A warm scratch — one per
-/// thread, e.g. per batch worker — reuses their capacity instead of
-/// allocating.  [`tree_search_with`] leaves its sorted, deduplicated result
-/// in [`SearchScratch::docs`]; a database query reads its answer out of the
-/// accumulator once, after its last search.
+/// Reusable per-query buffers for the matchers: the search order, the
+/// alignment stacks, the collected ranges and the query's [`Answer`].  A
+/// warm scratch — one per thread, e.g. per batch worker — reuses their
+/// capacity instead of allocating.  [`tree_search_with`] leaves its sorted,
+/// deduplicated result in [`SearchScratch::docs`]; a database query reads
+/// its answer out of the accumulator once, after its last search.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     /// [`tree_search_with`]'s result: sorted, deduplicated doc ids.
     pub docs: Vec<DocId>,
+    order: SeedOrder,
     matched: Vec<TrieNodeId>,
     used: Vec<TrieNodeId>,
     collected: Collected,
@@ -388,34 +426,39 @@ impl SearchScratch {
 /// in ascending serial order — or swallows a run of earlier ones.  The
 /// documents are read once, from the final list, when the search ends.
 #[derive(Debug, Default)]
-struct Collected(Vec<(u32, u32)>);
+struct Collected {
+    ranges: Vec<(u32, u32)>,
+    /// The last slot's scan: the ranges past its tip, set aside while it
+    /// appends its own.
+    aside: Vec<(u32, u32)>,
+}
 
 impl Collected {
     /// The upper end of the collected range holding serial `s`, if any.
     fn covering(&self, s: u32) -> Option<u32> {
-        let &(lo, hi) = self.0.last()?;
+        let &(lo, hi) = self.ranges.last()?;
         if s > hi {
             return None;
         }
         if s >= lo {
             return Some(hi);
         }
-        let i = self.0.partition_point(|&(lo, _)| lo <= s);
-        let &(_, hi) = self.0.get(i.checked_sub(1)?)?;
+        let i = self.ranges.partition_point(|&(lo, _)| lo <= s);
+        let &(_, hi) = self.ranges.get(i.checked_sub(1)?)?;
         (s <= hi).then_some(hi)
     }
 
     /// Records `[lo, hi]`, which no collected range covers: the ranges that
     /// start inside it nest in it, so they are replaced by it.
     fn insert(&mut self, lo: u32, hi: u32) {
-        if self.0.last().is_none_or(|&(_, last)| last < lo) {
-            self.0.push((lo, hi));
+        if self.ranges.last().is_none_or(|&(_, last)| last < lo) {
+            self.ranges.push((lo, hi));
             return;
         }
-        let a = self.0.partition_point(|&(l, _)| l < lo);
-        let b = self.0.partition_point(|&(l, _)| l <= hi);
+        let a = self.ranges.partition_point(|&(l, _)| l < lo);
+        let b = self.ranges.partition_point(|&(l, _)| l <= hi);
         // l < lo implies l <= hi, so a <= b <= len
-        self.0.splice(a..b, [(lo, hi)]);
+        self.ranges.splice(a..b, [(lo, hi)]);
     }
 }
 
@@ -455,13 +498,17 @@ impl Collected {
 /// from where it stands, which counts as one probe.  DESIGN.md §5.0 gives the
 /// argument.
 ///
-/// The answer costs what it holds: a completion only records its range —
-/// the last slot records it inside its link scan, from the link entry —
-/// and the maximal ranges are read at the end, two `O(1)` ranks of the
-/// end nodes each on the in-memory trie ([`TrieView::add_docs_in_ranges`]).
-/// They are disjoint and a document ends at one end node, so no id is read
-/// twice; the [`Answer`] then orders a dense answer through a bitmap
-/// instead of a sort (DESIGN.md §5.1).
+/// The answer costs what it holds.  A completion only records its range.
+/// The last slot's link scan is one loop that takes each completion's
+/// range from its link entry and checks coverage against the last range
+/// collected (DESIGN.md §5.0).  The maximal ranges are read at the end
+/// ([`TrieView::add_docs_in_ranges`]): on the in-memory trie each is a span
+/// of the document array, two `O(1)` ranks of the end nodes, and adjacent
+/// spans join.  They are disjoint and a document ends at one end node, so
+/// no id is read twice.  The [`Answer`] settles its density rule from the
+/// span lengths and the trie's id bound, then sets a dense answer's ids
+/// as bits straight from the document array, with no sort (DESIGN.md
+/// §5.1).
 pub fn tree_search<V: TrieView + ?Sized>(trie: &V, q: &QuerySequence) -> (Vec<DocId>, SearchStats) {
     let mut scratch = SearchScratch::new();
     let stats = tree_search_with(trie, q, &mut scratch);
@@ -494,71 +541,106 @@ pub(crate) fn search_into<V: TrieView + ?Sized>(
     let mut stats = SearchStats::default();
     scratch.matched.clear();
     scratch.used.clear();
-    scratch.collected.0.clear();
+    scratch.collected.ranges.clear();
     let links: Vec<_> = q.paths.iter().map(|&p| trie.link(p)).collect();
     if q.is_empty() || links.iter().any(PathLink::is_empty) {
         return (stats, 0); // no query, or a path that never occurs in the data
     }
-    let Some((order, ascent)) = seed_order(q, &links) else {
+    // Taken out for the walk, which reads it while it writes the rest.
+    let mut order = std::mem::take(&mut scratch.order);
+    if order.plan(q, &links) {
+        scratch.matched.resize(q.len(), NIL);
+        scratch.used.reserve(q.len());
+        let walk = Walk {
+            trie,
+            q,
+            links,
+            order,
+        };
+        walk.go(0, trie.root(), scratch, &mut stats);
+        order = walk.order;
+    } else {
         // Unreachable: parent_pos forms a forest, so it has a leaf and
         // every element is reached parents first.  Degrade to an empty
         // result rather than panic on the query path.
         debug_assert!(false, "query parents do not form a forest");
-        return (stats, 0);
-    };
-    scratch.matched.resize(q.len(), NIL);
-    scratch.used.reserve(q.len());
-    let walk = Walk {
-        trie,
-        q,
-        links,
-        order,
-        ascent,
-    };
-    walk.go(0, trie.root(), scratch, &mut stats);
-    let added = trie.add_docs_in_ranges(&scratch.collected.0, &mut scratch.answer);
+    }
+    scratch.order = order;
+    // Disjoint ranges read no id twice, so the count added is exact.
+    let ranges = &scratch.collected.ranges;
+    debug_assert!(
+        ranges.windows(2).all(|w| matches!(w, [a, b] if a.1 < b.0)),
+        "{ranges:?}"
+    );
+    let added = trie.add_docs_in_ranges(ranges, &mut scratch.answer);
     (stats, added)
 }
 
-/// The order of [`tree_search`]: the seed, then every element off its
-/// ancestor chain, parents first and most selective first; and the seed's
-/// ancestors its upward walk matches, nearest first, up to the topmost one
-/// anchoring another query branch.  `None` when `parent_pos` is not a
-/// forest.
-#[expect(clippy::indexing_slicing, reason = "positions < n; the first loop checks parents < n")]
-fn seed_order(q: &QuerySequence, links: &[impl PathLink]) -> Option<(Vec<usize>, Vec<usize>)> {
-    let n = links.len();
-    let len = |e: usize| links[e].len();
-    let mut leaf = vec![true; n];
-    for &pp in q.parent_pos.iter().flatten() {
-        *leaf.get_mut(pp as usize)? = false;
-    }
-    // A leaf, not the rarest element: the query root's link is the one node
-    // every document shares, and seeding there prunes nothing.
-    let seed = (0..n).filter(|&e| leaf[e]).min_by_key(|&e| len(e))?;
-    let mut placed = vec![false; n];
-    placed[seed] = true;
-    let mut ascent = Vec::new();
-    let mut cur = seed;
-    while let Some(pp) = q.parent_pos[cur] {
-        cur = pp as usize;
-        if std::mem::replace(&mut placed[cur], true) {
-            return None; // a cycle
+/// The order of [`tree_search`], planned into buffers a warm scratch
+/// keeps.
+#[derive(Debug, Default)]
+struct SeedOrder {
+    /// Per element: a leaf while the seed is chosen, then placed.
+    flags: Vec<bool>,
+    /// The seed, then every element off its ancestor chain, parents first
+    /// and most selective first.
+    order: Vec<usize>,
+    /// The seed's ancestors its upward walk matches, nearest first, up to
+    /// the topmost one anchoring another query branch.
+    ascent: Vec<usize>,
+}
+
+impl SeedOrder {
+    /// Plans `q`'s order; `false` when `parent_pos` is not a forest.
+    #[expect(clippy::indexing_slicing, reason = "positions < n; the first loop checks parents < n")]
+    fn plan(&mut self, q: &QuerySequence, links: &[impl PathLink]) -> bool {
+        let n = links.len();
+        let len = |e: usize| links[e].len();
+        let Self {
+            flags,
+            order,
+            ascent,
+        } = self;
+        flags.clear();
+        flags.resize(n, true);
+        for &pp in q.parent_pos.iter().flatten() {
+            let Some(leaf) = flags.get_mut(pp as usize) else {
+                return false;
+            };
+            *leaf = false;
         }
-        ascent.push(cur);
+        // A leaf, not the rarest element: the query root's link is the one
+        // node every document shares, and seeding there prunes nothing.
+        let Some(seed) = (0..n).filter(|&e| flags[e]).min_by_key(|&e| len(e)) else {
+            return false;
+        };
+        let placed = flags;
+        placed.fill(false);
+        placed[seed] = true;
+        ascent.clear();
+        let mut cur = seed;
+        while let Some(pp) = q.parent_pos[cur] {
+            cur = pp as usize;
+            if std::mem::replace(&mut placed[cur], true) {
+                return false; // a cycle
+            }
+            ascent.push(cur);
+        }
+        let anchors_branch =
+            |a: usize| (0..n).any(|e| !placed[e] && q.parent_pos[e] == Some(a as u32));
+        let top = ascent.iter().rposition(|&a| anchors_branch(a));
+        ascent.truncate(top.map_or(0, |t| t + 1));
+        order.clear();
+        order.push(seed);
+        while let Some(e) = (0..n)
+            .filter(|&e| !placed[e] && q.parent_pos[e].is_none_or(|pp| placed[pp as usize]))
+            .min_by_key(|&e| len(e))
+        {
+            placed[e] = true;
+            order.push(e);
+        }
+        !placed.contains(&false)
     }
-    let anchors_branch = |a: usize| (0..n).any(|e| !placed[e] && q.parent_pos[e] == Some(a as u32));
-    let top = ascent.iter().rposition(|&a| anchors_branch(a));
-    ascent.truncate(top.map_or(0, |t| t + 1));
-    let mut order = vec![seed];
-    while let Some(e) = (0..n)
-        .filter(|&e| !placed[e] && q.parent_pos[e].is_none_or(|pp| placed[pp as usize]))
-        .min_by_key(|&e| len(e))
-    {
-        placed[e] = true;
-        order.push(e);
-    }
-    (!placed.contains(&false)).then_some((order, ascent))
 }
 
 /// The fixed inputs of one [`tree_search_with`] call.
@@ -567,10 +649,9 @@ struct Walk<'a, V: TrieView + ?Sized> {
     q: &'a QuerySequence,
     /// Each element's link, resolved once.
     links: Vec<V::Link<'a>>,
-    /// The seed, then the elements off its ancestor chain, parents first.
-    order: Vec<usize>,
-    /// The seed's ancestors its upward walk matches, nearest first.
-    ascent: Vec<usize>,
+    /// The seed, then the elements off its ancestor chain; the seed's
+    /// ascent.
+    order: SeedOrder,
 }
 
 impl<V: TrieView + ?Sized> Walk<'_, V> {
@@ -581,11 +662,11 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
     fn go(&self, k: usize, tip: TrieNodeId, sc: &mut SearchScratch, stats: &mut SearchStats) {
         let trie = self.trie;
         let (_, tip_max) = trie.label(tip);
-        let i = self.order[k];
-        let last = k + 1 == self.order.len();
+        let i = self.order.order[k];
+        let last = k + 1 == self.order.order.len();
         // The seed is the last slot only when no other branch exists, and
         // then its walk up matches nothing.
-        debug_assert!(k > 0 || !last || self.ascent.is_empty());
+        debug_assert!(k > 0 || !last || self.order.ascent.is_empty());
         let path = self.q.paths[i];
         let link = &self.links[i];
         // The seed's parent is not placed before it: its walk up matches it.
@@ -595,28 +676,25 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
         // (1) candidates below the tip: link range (tip⊢, tip⊣], jumping
         // past every collected range — all it holds is already found.  The
         // entries it holds follow this one, so the jump gallops from here.
-        let len = link.len();
-        stats.link_probes += 1;
-        let mut idx = link.lower_bound(tip);
-        while idx < len {
-            let e = link.entry(idx);
-            if e.serial > tip_max {
-                break;
-            }
-            if let Some(hi) = sc.collected.covering(e.serial) {
-                stats.link_probes += 1;
-                idx = gallop(idx + 1, len, |j| link.entry(j).serial <= hi);
-                continue;
-            }
-            if last {
-                // Every used node is the tip or above it, and this entry is
-                // a proper descendant of the tip: it cannot be used.
-                stats.candidates += 1;
-                self.complete(anchor, e.serial, (e.serial, e.max_desc), sc, stats);
-            } else {
+        if last {
+            self.complete_below((tip, tip_max), link, anchor, sc, stats);
+        } else {
+            let len = link.len();
+            stats.link_probes += 1;
+            let mut idx = link.lower_bound(tip);
+            while idx < len {
+                let e = link.entry(idx);
+                if e.serial > tip_max {
+                    break;
+                }
+                if let Some(hi) = sc.collected.covering(e.serial) {
+                    stats.link_probes += 1;
+                    idx = gallop(idx + 1, len, |j| link.entry(j).serial <= hi);
+                    continue;
+                }
                 self.try_candidate(k, anchor, e.serial, e.serial, sc, stats);
+                idx += 1;
             }
-            idx += 1;
         }
         // (2) candidates on the chain above the tip, strictly below the
         // anchor.  They keep the tip, so none is left once its range is.
@@ -638,6 +716,106 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
             }
             cur = trie.parent(cur);
         }
+    }
+
+    /// The last slot's candidates below the tip, in one pass over the link
+    /// range `(tip⊢, tip⊣]`: each entry no collected range covers is a
+    /// completion unless it is sibling-covered, and its range comes from
+    /// the entry.
+    ///
+    /// What the scan needs of the query is fixed for it: the anchor's
+    /// match, and whether it embeds identical siblings (read at the first
+    /// candidate, where the per-candidate check read it first), so the
+    /// ancestor walk runs only when it does.  Every entry scanned lies past
+    /// the ranges collected, which start at or before the tip, and the
+    /// ranges a scan completes follow one another, so the last range is the
+    /// only one that can cover an entry.  Ranges collected under the tip
+    /// before the scan are set aside and merged back as the scan passes
+    /// them; a completion swallows those inside its own range.  A covered
+    /// entry jumps past its range: the entry after it is tried first, the
+    /// first step of [`gallop`], which goes on only when that one is
+    /// covered too.  Counts are kept in locals and added once.
+    #[inline]
+    #[expect(clippy::indexing_slicing, reason = "the anchor is a placed position < q.len()")]
+    fn complete_below(
+        &self,
+        (tip, tip_max): (TrieNodeId, u32),
+        link: &V::Link<'_>,
+        anchor: Option<usize>,
+        sc: &mut SearchScratch,
+        stats: &mut SearchStats,
+    ) {
+        let len = link.len();
+        let mut idx = link.lower_bound(tip);
+        stats.link_probes += 1;
+        if idx == len || link.entry(idx).serial > tip_max {
+            return; // most scans under a deep tip find nothing
+        }
+        let trie = self.trie;
+        let matched = &sc.matched;
+        let mut cover: Option<Option<(TrieNodeId, PathId)>> = None;
+        let Collected { ranges, aside } = &mut sc.collected;
+        let mut ahead = None;
+        if ranges.last().is_some_and(|&(lo, _)| lo > tip) {
+            let from = ranges.partition_point(|&(lo, _)| lo <= tip);
+            aside.clear();
+            aside.extend(ranges.drain(from..));
+            ahead = aside.first().copied();
+        }
+        // The upper end of the last range (0 for none: every serial scanned
+        // is past the tip), and the first range aside the scan has not
+        // passed.
+        let mut reach = ranges.last().map_or(0, |&(_, hi)| hi);
+        let mut next = 0;
+        let (mut candidates, mut rejections, mut completions, mut probes) = (0, 0, 0, 0);
+        while idx < len {
+            let e = link.entry(idx);
+            if e.serial > tip_max {
+                break;
+            }
+            while let Some(r) = ahead.filter(|&(_, hi)| hi < e.serial) {
+                ranges.push(r);
+                reach = r.1;
+                next += 1;
+                ahead = aside.get(next).copied();
+            }
+            let held = (e.serial <= reach).then_some(reach);
+            let set_aside = ahead.filter(|&(lo, _)| lo <= e.serial);
+            if let Some(hi) = held.or(set_aside.map(|(_, hi)| hi)) {
+                probes += 1;
+                idx += 1;
+                if idx < len && link.entry(idx).serial <= hi {
+                    idx = gallop(idx, len, |j| link.entry(j).serial <= hi);
+                }
+                continue;
+            }
+            candidates += 1;
+            idx += 1;
+            let cover = *cover.get_or_insert_with(|| {
+                let m = anchor.map(|a| (matched[a], self.q.paths[a]));
+                m.filter(|&(m, _)| trie.embeds_identical(m))
+            });
+            if let Some((m, parent)) = cover {
+                if trie.nearest_ancestor_with_path(e.serial, parent) != Some(m) {
+                    rejections += 1;
+                    continue;
+                }
+            }
+            completions += 1;
+            while ahead.is_some_and(|(lo, _)| lo <= e.max_desc) {
+                next += 1;
+                ahead = aside.get(next).copied();
+            }
+            ranges.push((e.serial, e.max_desc));
+            reach = e.max_desc;
+        }
+        if ahead.is_some() {
+            ranges.extend_from_slice(aside.get(next..).unwrap_or_default());
+        }
+        stats.candidates += candidates;
+        stats.cover_rejections += rejections;
+        stats.completions += completions;
+        stats.link_probes += probes;
     }
 
     /// Whether trie node `r`, placed under the match of query parent
@@ -694,7 +872,7 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
             return;
         }
         let base = sc.used.len();
-        sc.matched[self.order[k]] = r;
+        sc.matched[self.order.order[k]] = r;
         sc.used.push(r);
         if k > 0 || self.climb(r, sc) {
             self.go(k + 1, new_tip, sc, stats);
@@ -709,7 +887,7 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
     #[expect(clippy::indexing_slicing, reason = "ascent holds positions below matched.len()")]
     fn climb(&self, r: TrieNodeId, sc: &mut SearchScratch) -> bool {
         let mut cur = r;
-        for &a in &self.ascent {
+        for &a in &self.order.ascent {
             let Some(m) = self.trie.nearest_ancestor_with_path(cur, self.q.paths[a]) else {
                 debug_assert!(false, "f2: a query parent's path labels a trie ancestor");
                 return false;

@@ -70,6 +70,9 @@ pub struct Frozen {
     /// Per word of `end_bits`: the end nodes in the words before it.  With
     /// a popcount this ranks any serial in `O(1)`.
     pub end_rank: Vec<u32>,
+    /// One past the largest document id stored (0 when none is), so an
+    /// answer's bitmap is sized before a range is read.
+    pub id_bound: usize,
 }
 
 impl Frozen {
@@ -176,13 +179,17 @@ pub trait TrieView {
     /// Adds the doc ids of end nodes inside `ranges` to `answer`, the ids
     /// [`TrieView::collect_docs_in_range`] reads, and returns how many.
     /// The ranges are ascending and disjoint, so an implementation may
-    /// sweep its end nodes once.
+    /// sweep its end nodes once.  Provided: the ids are read range by
+    /// range into a buffer the answer keeps, then added at once.
     fn add_docs_in_ranges(&self, ranges: &[(u32, u32)], answer: &mut Answer) -> u64 {
-        answer.add_with(|docs| {
-            for &(lo, hi) in ranges {
-                self.collect_docs_in_range(lo, hi, docs);
-            }
-        })
+        let mut ids = std::mem::take(&mut answer.staged);
+        ids.clear();
+        for &(lo, hi) in ranges {
+            self.collect_docs_in_range(lo, hi, &mut ids);
+        }
+        let added = answer.add(&ids);
+        answer.staged = ids;
+        added
     }
 
     /// Walks up from `n` to the nearest proper ancestor whose path is `t`
@@ -324,13 +331,21 @@ impl SequenceTrie {
     }
 
     /// The ids of the end nodes with serial in `[lo, hi]`: one contiguous
-    /// slice of the document array, bounded by two `O(1)` ranks.
-    #[expect(clippy::indexing_slicing, reason = "a, b <= end_nodes.len() < doc_off.len()")]
+    /// slice of the document array.
+    #[expect(clippy::indexing_slicing, reason = "span ends are doc_off entries, within docs")]
     fn docs_in(&self, lo: u32, hi: u32) -> &[DocId] {
-        let f = self.frozen();
+        let (a, b) = self.span(self.frozen(), lo, hi);
+        &self.docs[a as usize..b as usize]
+    }
+
+    /// The span of the document array holding the ids of the end nodes with
+    /// serial in `[lo, hi]`, bounded by two `O(1)` ranks.
+    #[inline]
+    #[expect(clippy::indexing_slicing, reason = "a, b <= end_nodes.len() < doc_off.len()")]
+    fn span(&self, f: &Frozen, lo: u32, hi: u32) -> (u32, u32) {
         let a = f.end_index(lo);
         let b = f.end_index(hi.saturating_add(1)).max(a);
-        &self.docs[self.doc_off[a] as usize..self.doc_off[b] as usize]
+        (self.doc_off[a], self.doc_off[b])
     }
 
     /// Every end node of the last freeze with its document id list,
@@ -442,6 +457,7 @@ impl SequenceTrie {
             prev = elems;
         }
         doc_off.push(docs.len() as u32);
+        let id_bound = docs.iter().max().map_or(0, |&d| d as usize + 1);
         path.shrink_to_fit();
         parent.shrink_to_fit();
         end_nodes.shrink_to_fit();
@@ -452,6 +468,7 @@ impl SequenceTrie {
             end_nodes,
             end_bits,
             end_rank,
+            id_bound,
             ..label_and_link(&path, &parent)
         };
         self.path = path;
@@ -604,6 +621,26 @@ impl TrieView for SequenceTrie {
     }
     fn collect_docs_in_range(&self, lo: u32, hi: u32, out: &mut Vec<DocId>) {
         SequenceTrie::collect_docs_in_range(self, lo, hi, out)
+    }
+    /// Each range is a span of the document array, two ranks each, and a
+    /// span that starts where the last one ends extends it (no end node
+    /// lies between their ranges).  The spans go to the answer unread,
+    /// with the freeze's id bound, so it settles its side of the density
+    /// rule before reading an id.
+    fn add_docs_in_ranges(&self, ranges: &[(u32, u32)], answer: &mut Answer) -> u64 {
+        let f = self.frozen();
+        let mut spans = std::mem::take(&mut answer.spans);
+        spans.clear();
+        for &(lo, hi) in ranges {
+            let (a, b) = self.span(f, lo, hi);
+            match spans.last_mut() {
+                Some(last) if last.1 == a => last.1 = b,
+                _ => spans.push((a, b)),
+            }
+        }
+        let added = answer.add_spans(&self.docs, &spans, f.id_bound);
+        answer.spans = spans;
+        added
     }
 }
 

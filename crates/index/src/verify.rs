@@ -16,8 +16,10 @@
 //!   `embeds_identical` flag must equal a from-scratch recomputation, or
 //!   the constraint check is skipped exactly where it is needed.
 //! * **End nodes** (Section 4.1 step 1): the registry is ascending, each
-//!   entry owns a non-empty id list, and the rank directory that result
-//!   collection reads ranges through equals the registry bit for bit.
+//!   entry owns a non-empty id list, the rank directory that result
+//!   collection reads ranges through equals the registry bit for bit, and
+//!   the id bound an answer sizes its bitmap by is one past the largest
+//!   id stored.
 //! * **Stored sequences** (Eq. 3 / Theorem 1): every root-to-end-node path
 //!   spells a constraint sequence that must satisfy `f2` and round-trip
 //!   sequence → tree → sequence to an identical encoding.
@@ -431,9 +433,14 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
     }
     let mut total_docs = 0usize;
     let mut end_count = 0usize;
+    let mut id_bound = 0usize;
     for (node, docs) in trie.doc_lists() {
         total_docs += docs.len();
         end_count += 1;
+        id_bound = docs
+            .iter()
+            .map(|&d| d as usize + 1)
+            .fold(id_bound, usize::max);
         if docs.is_empty() || (node as usize) >= n {
             report.push(Violation {
                 class: InvariantClass::EndNodes,
@@ -469,6 +476,18 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
             node: Some(serial),
             serial: Some(serial),
             detail: format!("rank directory word {w} disagrees with the end-node registry"),
+        });
+    }
+    // An answer sizes its bitmap from the bound before reading an id.
+    if f.id_bound != id_bound {
+        report.push(Violation {
+            class: InvariantClass::EndNodes,
+            node: None,
+            serial: None,
+            detail: format!(
+                "id bound {} but the document ids stored need {id_bound}",
+                f.id_bound
+            ),
         });
     }
     if total_docs != trie.sequence_count() {
@@ -635,6 +654,15 @@ mod tests {
             "{}",
             report.render()
         );
+    }
+
+    #[test]
+    fn wrong_id_bound_detected() {
+        let (mut trie, _pt, _st) = df_trie(&[&["P", "P.A"], &["P", "P.B"]]);
+        assert_eq!(trie.frozen().id_bound, 2);
+        trie.corrupt_frozen().unwrap().id_bound = 1;
+        let report = verify_trie_structure(&trie);
+        assert!(report.has(InvariantClass::EndNodes), "{}", report.render());
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Result assembly: how a query turns its completions into an answer.
 //!
 //! A completion only records its range; the maximal ranges are read at the
-//! end through `TrieView::add_docs_in_ranges` (two `O(1)` ranks of the
-//! end-node directory per range on a `SequenceTrie`, a binary search of the
-//! end records on a `PagedTrie`) into the query's one `Answer`, which every
-//! (assignment, segment) search adds to.  It orders the ids through a bitmap
-//! when the answer is dense, and its finish drops the tombstones.  Each step
-//! must give exactly what a walk of the end nodes, `sort_unstable` + `dedup`
-//! and `filter_tombstones` give.
+//! end through `TrieView::add_docs_in_ranges` (on a `SequenceTrie`, spans
+//! of the document array from two `O(1)` ranks of the end-node directory
+//! per range, handed over with the trie's id bound; on a `PagedTrie`, a
+//! binary search of the end records and a buffer read range by range) into
+//! the query's one `Answer`, which every (assignment, segment) search adds
+//! to.  It orders the ids through a bitmap when the answer is dense, and
+//! its finish drops the tombstones.  Each step must give exactly what a
+//! walk of the end nodes, `sort_unstable` + `dedup` and
+//! `filter_tombstones` give.
 
 use proptest::prelude::*;
 use xseq_index::{
@@ -158,7 +160,13 @@ proptest! {
         end in 0u8..3,
         only_root in proptest::bool::weighted(0.1),
         pool in 1usize..16,
+        pre in proptest::collection::vec(0u32..300, 64..120),
+        pre_kind in 0u8..3,
+        space in 0u8..4,
     ) {
+        // Before the read the answer holds no id, 50 (sparse, and dense
+        // after a read of 14 or more) or at least 64 below 300 (dense
+        // unless the id space is far past them).
         // With `only_root`, every sequence is empty: the root is the one
         // end node.
         let seqs: Vec<Vec<u32>> = if only_root { vec![Vec::new(); seqs.len()] } else { seqs };
@@ -188,20 +196,45 @@ proptest! {
         }
         // The ranges are disjoint and a document ends at one end node, so
         // no id repeats: the answer adds every id read, and reads them out
-        // in order.
-        let added = want.len() as u64;
+        // in order, beside the ids it already held.
+        let pre = match pre_kind {
+            0 => &pre[..0],
+            1 => &pre[..50],
+            _ => &pre[..],
+        };
+        let read_top = want.iter().map(|&d| d as usize + 1).max().unwrap_or(0);
+        let top = read_top.max(pre.iter().map(|&d| d as usize + 1).max().unwrap_or(0));
+        let id_space = [0, top / 2, top, 1 << 22][space as usize];
+        let pre_bound = pre.iter().map(|&d| d as usize + 1).fold(id_space, usize::max);
+        let added = want.len();
+        want.extend_from_slice(pre);
         want.sort_unstable();
+        want.dedup();
+        // The in-memory read sizes the bitmap by the trie's id bound, the
+        // paged one by the largest id it read.
+        let id_bound = trie.frozen().id_bound;
+        prop_assert_eq!(id_bound, seqs.len());
         let mut answer = Answer::default();
-        let mut got = Vec::new();
-        answer.begin(0);
-        prop_assert_eq!(trie.add_docs_in_ranges(&ranges, &mut answer), added);
-        answer.finish(&[], &mut got);
-        prop_assert_eq!(&got, &want, "in memory, ranges {:?}", ranges);
-        got.clear();
-        answer.begin(0);
-        prop_assert_eq!(paged.add_docs_in_ranges(&ranges, &mut answer), added);
-        answer.finish(&[], &mut got);
-        prop_assert_eq!(&got, &want, "paged, ranges {:?}", ranges);
+        let read_bounds = [("in memory", id_bound), ("paged", read_top)];
+        let mut answers = Vec::new();
+        for (i, (name, read_bound)) in read_bounds.into_iter().enumerate() {
+            answer.begin(id_space);
+            answer.add(pre);
+            prop_assert_eq!(answer.is_dense(), rule(pre.len(), pre_bound), "{}, before", name);
+            let count = if i == 0 {
+                trie.add_docs_in_ranges(&ranges, &mut answer)
+            } else {
+                paged.add_docs_in_ranges(&ranges, &mut answer)
+            };
+            prop_assert_eq!(count, added as u64, "{}, ranges {:?}", name, ranges);
+            let bound = if added > 0 { pre_bound.max(read_bound) } else { pre_bound };
+            prop_assert_eq!(answer.is_dense(), rule(pre.len() + added, bound), "{}, after", name);
+            let mut got = Vec::new();
+            answer.finish(&[], &mut got);
+            prop_assert_eq!(&got, &want, "{}, ranges {:?}", name, ranges);
+            answers.push(got);
+        }
+        prop_assert_eq!(&answers[0], &answers[1]);
     }
 
     #[test]
@@ -376,6 +409,113 @@ fn a_chain_candidate_above_the_tip_swallows_earlier_ranges() {
     );
     let (paged_docs, paged_stats) = tree_search(&paged(&trie, 2), &q);
     assert_eq!((paged_docs, paged_stats), (docs, stats));
+}
+
+#[test]
+fn the_last_scan_merges_back_the_ranges_it_passes() {
+    // Query x(s, y(z)): seed `s`, then `y`, then `z` last under `y`.  Both
+    // documents put `s` under a `y`, and below `s` one goes on through
+    // another `y` to `z`, the other straight to `z`.  The `y` below `s`
+    // completes first, with `z`'s first node; the `y` above `s` keeps `s`
+    // as the tip, so `z`'s scan runs over the same range again and finds
+    // that range already collected.  It passes it, completes `z`'s second
+    // node (whose nearest `y` is the one above), and must keep both.
+    let mut st = SymbolTable::with_value_mode(ValueMode::Intern);
+    let mut pt = PathTable::new();
+    let [x, y, s, z] = ["x", "y", "s", "z"].map(|n| st.elem(n));
+    let [x, y, s, z] = [vec![x], vec![x, y], vec![x, s], vec![x, y, z]].map(|p| pt.intern(&p));
+    let seqs = [vec![x, y, s, y, z], vec![x, y, s, z]];
+    let mut trie = SequenceTrie::new();
+    for (doc, seq) in seqs.iter().enumerate() {
+        trie.insert(&Sequence(seq.clone()), doc as DocId);
+    }
+    trie.freeze();
+    let q = QuerySequence {
+        paths: vec![x, s, y, z],
+        parent_pos: vec![None, Some(0), Some(0), Some(2)],
+    };
+    let (docs, stats) = tree_search(&trie, &q);
+    assert_eq!(docs, [0, 1]);
+    // The seed, the `y` below it and the one above it, and `z`'s two
+    // nodes; one scan per slot and tip, plus the jump past `z`'s first
+    // node under the `y` above.
+    assert_eq!(
+        (stats.candidates, stats.completions, stats.link_probes),
+        (5, 2, 5),
+        "{stats:?}"
+    );
+    let (paged_docs, paged_stats) = tree_search(&paged(&trie, 2), &q);
+    assert_eq!((paged_docs, paged_stats), (docs, stats));
+    // With `z`'s first node below the second, the scan's completion
+    // swallows the range it set aside instead of passing it (a range read
+    // twice would trip the search's disjointness check in a debug build).
+    let mut trie = SequenceTrie::new();
+    trie.insert(&Sequence(vec![x, y, s, z, y, z]), 0);
+    trie.freeze();
+    let (docs, stats) = tree_search(&trie, &q);
+    assert_eq!(docs, [0]);
+    assert_eq!(
+        (stats.candidates, stats.completions, stats.link_probes),
+        (5, 2, 5),
+        "{stats:?}"
+    );
+    let (paged_docs, paged_stats) = tree_search(&paged(&trie, 2), &q);
+    assert_eq!((paged_docs, paged_stats), (docs, stats));
+}
+
+#[test]
+fn an_id_past_a_low_bound_is_still_taken() {
+    // A trie whose id bound is too low (only a corrupted one has such a
+    // bound) still hands over every id: the ids past the bitmap show the
+    // bound, and the read is taken again with it.
+    let seqs: Vec<Vec<u32>> = (0..100).map(|i| vec![1, 2 + i % 3]).collect();
+    let mut trie = frozen(&seqs);
+    trie.corrupt_frozen().expect("frozen").id_bound = 1;
+    let mut answer = Answer::default();
+    for id_space in [0, 10, 1000] {
+        answer.begin(id_space);
+        answer.add(&[7]);
+        assert_eq!(
+            trie.add_docs_in_ranges(&[trie.root_range()], &mut answer),
+            100
+        );
+        assert_eq!(answer.is_dense(), rule(101, id_space.max(100)));
+        let mut got = Vec::new();
+        answer.finish(&[], &mut got);
+        assert_eq!(got, (0..100).collect::<Vec<DocId>>(), "id space {id_space}");
+    }
+    // Ids a low bound let into the list unseen show when the answer turns
+    // dense: the bitmap is sized for them too.
+    let tail: Vec<Vec<u32>> = (0..1010).map(|i| vec![1 + u32::from(i >= 1000)]).collect();
+    let mut tail_trie = frozen(&tail);
+    tail_trie.corrupt_frozen().expect("frozen").id_bound = 0;
+    let (lo, hi) = tail_trie.root_range();
+    answer.begin(0);
+    assert_eq!(tail_trie.add_docs_in_ranges(&[(2, hi)], &mut answer), 10);
+    assert!(!answer.is_dense());
+    answer.add(&(0..64).collect::<Vec<DocId>>());
+    assert!(answer.is_dense(), "74 ids below 1010: 16 words");
+    let mut got = Vec::new();
+    answer.finish(&[], &mut got);
+    let want: Vec<DocId> = (0..64).chain(1000..1010).collect();
+    assert_eq!(got, want, "root range {:?}", (lo, hi));
+    // Sparse after the read: the bound it shows breaks the rule.
+    answer.begin(0);
+    answer.add(&(0..64).map(|i| i * 4).collect::<Vec<DocId>>());
+    assert!(answer.is_dense());
+    let mut far_trie = SequenceTrie::new();
+    far_trie.insert(&Sequence(vec![PathId(1)]), u32::MAX - 1);
+    far_trie.freeze();
+    far_trie.corrupt_frozen().expect("frozen").id_bound = 0;
+    assert_eq!(
+        far_trie.add_docs_in_ranges(&[far_trie.root_range()], &mut answer),
+        1
+    );
+    assert!(!answer.is_dense());
+    let mut got = Vec::new();
+    answer.finish(&[], &mut got);
+    let want: Vec<DocId> = (0..64).map(|i| i * 4).chain([u32::MAX - 1]).collect();
+    assert_eq!(got, want);
 }
 
 #[test]

@@ -12,7 +12,8 @@
 //! for this target alone).  The tests here take one lock for their whole
 //! run, so they do not count each other either.
 //!
-//! The same counter also bounds what one warm query allocates.
+//! The same counter also bounds what one warm query allocates, in bytes
+//! and in allocations.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -30,12 +31,15 @@ thread_local! {
     /// Bytes this thread has been handed, freed since or not (a `realloc`
     /// counts its new size).
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    /// Allocations this thread has asked for, `realloc`s included.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Adds `bytes` to this thread's [`ALLOCATED`] (not at all while the
-/// thread is being torn down).
+/// Adds `bytes` to this thread's [`ALLOCATED`] and one to its
+/// [`ALLOCATIONS`] (not at all while the thread is being torn down).
 fn handed_out(bytes: usize) {
     let _ = ALLOCATED.try_with(|n| n.set(n.get() + bytes));
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
 /// One test of this binary at a time.
@@ -197,6 +201,32 @@ fn a_warm_dense_query_allocates_its_answer_and_4_kib() {
         assert!(
             allocated <= bound,
             "{expr}: {allocated} B allocated for {ids} ids (bound {bound} B)"
+        );
+    }
+}
+
+/// A warm single query allocates for its parse, its plan, its step record,
+/// one resolved-link list per search and its answer, however many ids it
+/// reads.  The search order, the alignment stacks, the collected ranges and
+/// the spans they read come from the thread's scratch.
+#[test]
+fn a_warm_query_allocates_a_bounded_number_of_times() {
+    let _serial = serial();
+    let mut corpus = Corpus::new(ValueMode::Intern);
+    corpus.docs = DblpGenerator::new(1).generate(3000, &mut corpus.symbols);
+    let db = DatabaseBuilder::new()
+        .build_from_corpus(corpus)
+        .expect("a generated corpus indexes");
+    // 22 each before the search order came from the scratch.
+    for (expr, most) in [("/inproceedings/title", 18), ("/article/author", 18)] {
+        let _ = db.query_xpath(expr).expect("the query parses");
+        let before = ALLOCATIONS.with(Cell::get);
+        let warm = db.query_xpath(expr).expect("the query parses");
+        let allocations = ALLOCATIONS.with(Cell::get) - before;
+        assert!(warm.len() >= 64, "{expr}: a dense answer");
+        assert!(
+            allocations <= most,
+            "{expr}: {allocations} allocations (at most {most})"
         );
     }
 }
