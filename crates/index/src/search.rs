@@ -19,7 +19,7 @@
 //! matching live in `xseq-baselines`.
 
 use crate::delta::Tombstones;
-use crate::trie::{gallop, PathLink, TrieNodeId, TrieView, NIL};
+use crate::trie::{gallop, LinkEntry, PathLink, TrieNodeId, TrieView, NIL};
 use std::collections::HashMap;
 use xseq_sequence::{emit_sequence, Sequence, Strategy};
 use xseq_xml::{DocId, Document, PathId, PathTable};
@@ -502,13 +502,13 @@ impl Collected {
 /// The last slot's link scan is one loop that takes each completion's
 /// range from its link entry and checks coverage against the last range
 /// collected (DESIGN.md §5.0).  The maximal ranges are read at the end
-/// ([`TrieView::add_docs_in_ranges`]): on the in-memory trie each is a span
-/// of the document array, two `O(1)` ranks of the end nodes, and adjacent
-/// spans join.  They are disjoint and a document ends at one end node, so
-/// no id is read twice.  The [`Answer`] settles its density rule from the
-/// span lengths and the trie's id bound, then sets a dense answer's ids
-/// as bits straight from the document array, with no sort (DESIGN.md
-/// §5.1).
+/// ([`TrieView::add_docs_in_ranges`]): on the in-memory trie they make
+/// spans of the document array, ranked by the end-node directory only
+/// where an end node lies between two ranges.  They are disjoint and a
+/// document ends at one end node, so no id is read twice.  The [`Answer`]
+/// settles its density rule from the span lengths and the trie's id bound,
+/// then sets a dense answer's ids as bits straight from the document
+/// array, with no sort (DESIGN.md §5.1).
 pub fn tree_search<V: TrieView + ?Sized>(trie: &V, q: &QuerySequence) -> (Vec<DocId>, SearchStats) {
     let mut scratch = SearchScratch::new();
     let stats = tree_search_with(trie, q, &mut scratch);
@@ -542,13 +542,25 @@ pub(crate) fn search_into<V: TrieView + ?Sized>(
     scratch.matched.clear();
     scratch.used.clear();
     scratch.collected.ranges.clear();
-    let links: Vec<_> = q.paths.iter().map(|&p| trie.link(p)).collect();
-    if q.is_empty() || links.iter().any(PathLink::is_empty) {
+    // Each element's link, resolved once: on the stack for a pattern of
+    // up to `INLINE_LINKS` elements, on the heap past that.
+    let mut inline: [Option<V::Link<'_>>; INLINE_LINKS] = Default::default();
+    let mut spilled = Vec::new();
+    let links = if q.len() <= INLINE_LINKS {
+        for (slot, &p) in inline.iter_mut().zip(&q.paths) {
+            *slot = Some(trie.link(p));
+        }
+        inline.get(..q.len()).unwrap_or_default()
+    } else {
+        spilled.extend(q.paths.iter().map(|&p| Some(trie.link(p))));
+        &spilled[..]
+    };
+    if q.is_empty() || links.iter().flatten().any(PathLink::is_empty) {
         return (stats, 0); // no query, or a path that never occurs in the data
     }
     // Taken out for the walk, which reads it while it writes the rest.
     let mut order = std::mem::take(&mut scratch.order);
-    if order.plan(q, &links) {
+    if order.plan(q, links) {
         scratch.matched.resize(q.len(), NIL);
         scratch.used.reserve(q.len());
         let walk = Walk {
@@ -576,6 +588,36 @@ pub(crate) fn search_into<V: TrieView + ?Sized>(
     (stats, added)
 }
 
+/// The elements whose links [`search_into`] resolves without allocating.
+const INLINE_LINKS: usize = 8;
+
+/// The rest of a last-slot scan once no cover check applies and no range
+/// is set aside: each entry of `run` is held by `reach`, the end of the
+/// last range collected, or completes.  The pass has no branch on that:
+/// every entry's range is written, the cursor moves only past a
+/// completion, and `reach` takes the larger end.  That is exact because
+/// trie ranges are laminar: a held entry lies in the last range, so its
+/// range ends within it, and a completion's ends past it.  Returns the
+/// completions and the held runs, one probe each, as the general loop's
+/// gallop past a run counts it.
+#[expect(clippy::indexing_slicing, reason = "w <= the index of the entry read < run.len()")]
+fn hold_or_complete(run: &[LinkEntry], mut reach: u32, ranges: &mut Vec<(u32, u32)>) -> (u64, u64) {
+    let base = ranges.len();
+    ranges.resize(base + run.len(), (0, 0));
+    let out = &mut ranges[base..];
+    let (mut w, mut runs, mut was_held) = (0, 0, false);
+    for e in run {
+        let held = e.serial <= reach;
+        out[w] = (e.serial, e.max_desc);
+        w += usize::from(!held);
+        runs += u64::from(held & !was_held);
+        was_held = held;
+        reach = reach.max(e.max_desc);
+    }
+    ranges.truncate(base + w);
+    (w as u64, runs)
+}
+
 /// The order of [`tree_search`], planned into buffers a warm scratch
 /// keeps.
 #[derive(Debug, Default)]
@@ -593,9 +635,9 @@ struct SeedOrder {
 impl SeedOrder {
     /// Plans `q`'s order; `false` when `parent_pos` is not a forest.
     #[expect(clippy::indexing_slicing, reason = "positions < n; the first loop checks parents < n")]
-    fn plan(&mut self, q: &QuerySequence, links: &[impl PathLink]) -> bool {
+    fn plan(&mut self, q: &QuerySequence, links: &[Option<impl PathLink>]) -> bool {
         let n = links.len();
-        let len = |e: usize| links[e].len();
+        let len = |e: usize| links[e].as_ref().map_or(0, PathLink::len);
         let Self {
             flags,
             order,
@@ -644,17 +686,17 @@ impl SeedOrder {
 }
 
 /// The fixed inputs of one [`tree_search_with`] call.
-struct Walk<'a, V: TrieView + ?Sized> {
+struct Walk<'a, 'l, V: TrieView + ?Sized> {
     trie: &'a V,
     q: &'a QuerySequence,
-    /// Each element's link, resolved once.
-    links: Vec<V::Link<'a>>,
+    /// Each element's link, resolved once; every element has one.
+    links: &'l [Option<V::Link<'a>>],
     /// The seed, then the elements off its ancestor chain; the seed's
     /// ascent.
     order: SeedOrder,
 }
 
-impl<V: TrieView + ?Sized> Walk<'_, V> {
+impl<V: TrieView + ?Sized> Walk<'_, '_, V> {
     /// Slot `k` of the search: matches element `order[k]` below `tip`, the
     /// deepest matched trie node, or on the chain above it.  The last slot
     /// completes each candidate it accepts in place.
@@ -668,7 +710,9 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
         // then its walk up matches nothing.
         debug_assert!(k > 0 || !last || self.order.ascent.is_empty());
         let path = self.q.paths[i];
-        let link = &self.links[i];
+        let Some(link) = &self.links[i] else {
+            return;
+        };
         // The seed's parent is not placed before it: its walk up matches it.
         let anchor = self.q.parent_pos[i].filter(|_| k > 0).map(|pp| pp as usize);
         let anchor_node = anchor.map_or(trie.root(), |a| sc.matched[a]);
@@ -735,6 +779,11 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
     /// entry jumps past its range: the entry after it is tried first, the
     /// first step of [`gallop`], which goes on only when that one is
     /// covered too.  Counts are kept in locals and added once.
+    ///
+    /// Once a completion leaves no cover check to run and no range aside,
+    /// an in-memory link finishes the tip's range in [`hold_or_complete`],
+    /// which has no branch on whether an entry is held: the counts and the
+    /// ranges are those of this loop (DESIGN.md §5.0).
     #[inline]
     #[expect(clippy::indexing_slicing, reason = "the anchor is a placed position < q.len()")]
     fn complete_below(
@@ -767,6 +816,7 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
         // passed.
         let mut reach = ranges.last().map_or(0, |&(_, hi)| hi);
         let mut next = 0;
+        let all = link.entries();
         let (mut candidates, mut rejections, mut completions, mut probes) = (0, 0, 0, 0);
         while idx < len {
             let e = link.entry(idx);
@@ -808,6 +858,17 @@ impl<V: TrieView + ?Sized> Walk<'_, V> {
             }
             ranges.push((e.serial, e.max_desc));
             reach = e.max_desc;
+            if let Some(all) = all.filter(|_| cover.is_none() && ahead.is_none()) {
+                let end = gallop(idx, len, |j| {
+                    all.get(j).is_some_and(|e| e.serial <= tip_max)
+                });
+                let rest = all.get(idx..end).unwrap_or_default();
+                let (done, runs) = hold_or_complete(rest, reach, ranges);
+                candidates += done;
+                completions += done;
+                probes += runs;
+                break;
+            }
         }
         if ahead.is_some() {
             ranges.extend_from_slice(aside.get(next..).unwrap_or_default());

@@ -87,6 +87,31 @@ impl Frozen {
         let below = (1u64 << (s % 64)) - 1;
         self.end_rank[s / 64] as usize + (self.end_bits[s / 64] & below).count_ones() as usize
     }
+
+    /// Whether an end node lies at a serial in `[from, to)`, and if one
+    /// does, the ranks of `from` and `to` ([`Frozen::end_index`]).  When
+    /// both ends fall in one word the test is one masked word, and a gap
+    /// it finds ranks from that word and its count, no third load; across
+    /// words the test is the two ranks.
+    #[inline]
+    #[expect(clippy::indexing_slicing, reason = "from, to <= max_desc.len() < 64 * end_bits.len()")]
+    #[expect(clippy::integer_division_remainder_used, reason = "the divisor is the literal 64")]
+    fn separating(&self, from: u32, to: u32) -> Option<(usize, usize)> {
+        let n = self.max_desc.len();
+        let (from, to) = ((from as usize).min(n), (to as usize).min(n));
+        if from / 64 != to / 64 {
+            let (a, b) = (self.end_index(from as u32), self.end_index(to as u32));
+            return (a != b).then_some((a, b));
+        }
+        let word = self.end_bits[from / 64];
+        let (below_from, below_to) = ((1u64 << (from % 64)) - 1, (1u64 << (to % 64)) - 1);
+        if word & below_to & !below_from == 0 {
+            return None;
+        }
+        let base = self.end_rank[from / 64] as usize;
+        let rank = |below: u64| base + (word & below).count_ones() as usize;
+        Some((rank(below_from), rank(below_to)))
+    }
 }
 
 /// The rank directory of [`Frozen::end_bits`] and [`Frozen::end_rank`] for
@@ -124,6 +149,13 @@ pub trait PathLink {
         self.len() == 0
     }
 
+    /// The entries as one slice, when they are in memory.  A link that
+    /// reads them through pages (the default) returns `None`, and a scan
+    /// reads it entry by entry.
+    fn entries(&self) -> Option<&[LinkEntry]> {
+        None
+    }
+
     /// First index with serial strictly greater than `s`.
     #[expect(clippy::integer_division_remainder_used, reason = "the divisor is the literal 2")]
     fn lower_bound(&self, s: u32) -> usize {
@@ -147,6 +179,9 @@ impl PathLink for &[LinkEntry] {
     #[expect(clippy::indexing_slicing, reason = "callers keep idx < len()")]
     fn entry(&self, idx: usize) -> LinkEntry {
         self[idx]
+    }
+    fn entries(&self) -> Option<&[LinkEntry]> {
+        Some(self)
     }
 }
 
@@ -331,21 +366,13 @@ impl SequenceTrie {
     }
 
     /// The ids of the end nodes with serial in `[lo, hi]`: one contiguous
-    /// slice of the document array.
-    #[expect(clippy::indexing_slicing, reason = "span ends are doc_off entries, within docs")]
+    /// slice of the document array, bounded by two `O(1)` ranks.
+    #[expect(clippy::indexing_slicing, reason = "ranks are <= end_nodes.len() < doc_off.len()")]
     fn docs_in(&self, lo: u32, hi: u32) -> &[DocId] {
-        let (a, b) = self.span(self.frozen(), lo, hi);
-        &self.docs[a as usize..b as usize]
-    }
-
-    /// The span of the document array holding the ids of the end nodes with
-    /// serial in `[lo, hi]`, bounded by two `O(1)` ranks.
-    #[inline]
-    #[expect(clippy::indexing_slicing, reason = "a, b <= end_nodes.len() < doc_off.len()")]
-    fn span(&self, f: &Frozen, lo: u32, hi: u32) -> (u32, u32) {
+        let f = self.frozen();
         let a = f.end_index(lo);
         let b = f.end_index(hi.saturating_add(1)).max(a);
-        (self.doc_off[a], self.doc_off[b])
+        &self.docs[self.doc_off[a] as usize..self.doc_off[b] as usize]
     }
 
     /// Every end node of the last freeze with its document id list,
@@ -622,21 +649,30 @@ impl TrieView for SequenceTrie {
     fn collect_docs_in_range(&self, lo: u32, hi: u32, out: &mut Vec<DocId>) {
         SequenceTrie::collect_docs_in_range(self, lo, hi, out)
     }
-    /// Each range is a span of the document array, two ranks each, and a
-    /// span that starts where the last one ends extends it (no end node
-    /// lies between their ranges).  The spans go to the answer unread,
-    /// with the freeze's id bound, so it settles its side of the density
-    /// rule before reading an id.
+    /// The ranges make spans of the document array.  Between two ranges
+    /// the gap is tested for an end node ([`Frozen::end_bits`]): where
+    /// none lies, the span goes on, and only where one does are the two
+    /// ranks taken, from the word the test read.  So a span costs a rank
+    /// at each end and a masked word per range it joins.  The spans go to
+    /// the answer unread, with the freeze's id bound, so it settles its
+    /// side of the density rule before reading an id.
+    #[expect(clippy::indexing_slicing, reason = "ranks are <= end_nodes.len() < doc_off.len()")]
     fn add_docs_in_ranges(&self, ranges: &[(u32, u32)], answer: &mut Answer) -> u64 {
         let f = self.frozen();
         let mut spans = std::mem::take(&mut answer.spans);
         spans.clear();
-        for &(lo, hi) in ranges {
-            let (a, b) = self.span(f, lo, hi);
-            match spans.last_mut() {
-                Some(last) if last.1 == a => last.1 = b,
-                _ => spans.push((a, b)),
+        if let Some((&(lo, hi), rest)) = ranges.split_first() {
+            // The rank where the open span starts, and the serial past it.
+            let (mut a, mut past) = (f.end_index(lo), hi.saturating_add(1));
+            for &(lo, hi) in rest {
+                if let Some((b, next)) = f.separating(past, lo) {
+                    spans.push((self.doc_off[a], self.doc_off[b]));
+                    a = next;
+                }
+                past = hi.saturating_add(1);
             }
+            let b = f.end_index(past).max(a);
+            spans.push((self.doc_off[a], self.doc_off[b]));
         }
         let added = answer.add_spans(&self.docs, &spans, f.id_bound);
         answer.spans = spans;

@@ -87,6 +87,78 @@ fn docs_by_walk(trie: &SequenceTrie, seqs: &[Vec<u32>]) -> Vec<Vec<DocId>> {
         .collect()
 }
 
+/// Short sequences as in `corpus`, then chains of path 1 of the given
+/// lengths, the longest at least 130: the trie spans more than two words of
+/// serials, and along the chain end nodes lie only where a chain ends.
+fn long_corpus() -> impl Strategy<Value = Vec<Vec<u32>>> {
+    let chains = proptest::collection::vec(0usize..260, 0..12);
+    (corpus(24), chains, 130usize..260).prop_map(|(mut seqs, chains, longest)| {
+        seqs.extend(chains.into_iter().chain([longest]).map(|len| vec![1; len]));
+        seqs
+    })
+}
+
+/// Ascending, disjoint ranges from `(gap kind, gap, width, align)` steps:
+/// each starts a gap past the previous end — none, a few serials, or more
+/// than a word — moved up to bit 0 of the next word with `align & 1`, and
+/// ends `width` later, moved up to bit 63 of its word with `align & 2`.
+fn word_ranges(steps: &[(u8, u32, u32, u8)]) -> Vec<(u32, u32)> {
+    let mut next = 0;
+    let mut out = Vec::new();
+    for &(kind, gap, width, align) in steps {
+        let gap = [0, gap % 6, 64 + gap][usize::from(kind % 3)];
+        let mut lo = next + gap;
+        if align & 1 != 0 {
+            lo = lo.next_multiple_of(64);
+        }
+        let mut hi = lo + width;
+        if align & 2 != 0 {
+            hi = (hi + 1).next_multiple_of(64) - 1;
+        }
+        out.push((lo, hi));
+        next = hi + 1;
+    }
+    out
+}
+
+/// Reading `ranges` into an empty answer, on the in-memory trie (spans
+/// joined across the gaps no end node separates) and on the paged one
+/// (range by range), adds exactly the ids of the end nodes inside them,
+/// walked without the directory.
+fn read_equals_walk(
+    trie: &SequenceTrie,
+    seqs: &[Vec<u32>],
+    ranges: &[(u32, u32)],
+    pool: usize,
+) -> Result<(), TestCaseError> {
+    let by_node = docs_by_walk(trie, seqs);
+    let mut want = Vec::new();
+    for &(lo, hi) in ranges {
+        let inside = by_node
+            .iter()
+            .take(hi.saturating_add(1) as usize)
+            .skip(lo as usize);
+        inside.for_each(|docs| want.extend_from_slice(docs));
+    }
+    let added = want.len() as u64;
+    want.sort_unstable();
+    let paged = paged(trie, pool);
+    let mut answer = Answer::default();
+    for name in ["in memory", "paged"] {
+        answer.begin(0);
+        let count = if name == "paged" {
+            paged.add_docs_in_ranges(ranges, &mut answer)
+        } else {
+            trie.add_docs_in_ranges(ranges, &mut answer)
+        };
+        prop_assert_eq!(count, added, "{}, ranges {:?}", name, ranges);
+        let mut got = Vec::new();
+        answer.finish(&[], &mut got);
+        prop_assert_eq!(&got, &want, "{}, ranges {:?}", name, ranges);
+    }
+    Ok(())
+}
+
 /// The query `/p` over a trie where every id in `ids` ends under the one `p`
 /// node: its answer is every id, sorted and deduplicated.
 fn one_node_answer(ids: &[DocId]) -> (SequenceTrie, QuerySequence) {
@@ -235,6 +307,21 @@ proptest! {
             answers.push(got);
         }
         prop_assert_eq!(&answers[0], &answers[1]);
+    }
+
+    #[test]
+    fn gap_joined_spans_equal_the_end_node_walk(
+        seqs in long_corpus(),
+        steps in proptest::collection::vec((0u8..3, 0u32..140, 0u32..40, 0u8..4), 0..12),
+        pool in 1usize..16,
+    ) {
+        // Gaps inside one word and across words, with and without an end
+        // node in them; ranges ending on bit 63 and starting on bit 0;
+        // ranges holding no end node or past the last serial; one range or
+        // none.
+        let trie = frozen(&seqs);
+        prop_assert!(trie.node_count() >= 130);
+        read_equals_walk(&trie, &seqs, &word_ranges(&steps), pool)?;
     }
 
     #[test]
@@ -461,6 +548,133 @@ fn the_last_scan_merges_back_the_ranges_it_passes() {
     );
     let (paged_docs, paged_stats) = tree_search(&paged(&trie, 2), &q);
     assert_eq!((paged_docs, paged_stats), (docs, stats));
+}
+
+#[test]
+fn every_kind_of_gap_reads_what_the_walk_reads() {
+    // One chain of 300 nodes, so serial = depth, with end nodes (documents)
+    // at the serials below; 64 holds two documents.
+    let ends: [u32; 11] = [5, 6, 63, 64, 64, 100, 127, 128, 131, 256, 300];
+    let seqs: Vec<Vec<u32>> = ends.iter().map(|&len| vec![1; len as usize]).collect();
+    let trie = frozen(&seqs);
+    assert_eq!(trie.node_count(), 300);
+    let ranges = [
+        (0, 3),     // no end node
+        (4, 5),     // adjacent: no gap
+        (7, 20),    // gap [6, 7): one word, an end node
+        (22, 30),   // gap [21, 22): one word, none
+        (31, 63),   // adjacent, ends on bit 63
+        (64, 70),   // starts on bit 0, adjacent
+        (90, 120),  // gap [71, 90): one word, none (100 is inside the range)
+        (129, 129), // gap [121, 129): across words, end nodes
+        (140, 150), // gap [130, 140): one word, an end node
+        (200, 230), // gap [151, 200): across words, none
+        (250, 254), // gap [231, 250): one word, none
+        (257, 260), // gap [255, 257): across words, an end node
+        (270, 280), // gap [261, 270): one word, none
+        (400, 500), // past the last serial; gap [281, 400) holds 300
+    ];
+    // Which kinds of boundary the ranges hold: (same word, end node in
+    // the gap) for every gap, and a range ending on bit 63 followed by one
+    // starting on bit 0.
+    let is_end = |s: u32| ends.contains(&s);
+    let mut kinds = Vec::new();
+    for w in ranges.windows(2) {
+        let (from, to) = (w[0].1 + 1, w[1].0);
+        if from < to {
+            let same_word = from / 64 == (to - 1) / 64;
+            kinds.push((same_word, (from..to).any(is_end)));
+        }
+    }
+    for kind in [(true, true), (true, false), (false, true), (false, false)] {
+        assert!(kinds.contains(&kind), "no gap of kind {kind:?}");
+    }
+    assert!(ranges
+        .windows(2)
+        .any(|w| w[0].1 % 64 == 63 && w[1].0 % 64 == 0));
+    read_equals_walk(&trie, &seqs, &ranges, 2).unwrap();
+    for range in ranges {
+        read_equals_walk(&trie, &seqs, &[range], 2).unwrap();
+    }
+    read_equals_walk(&trie, &seqs, &[], 2).unwrap();
+}
+
+/// `q` answers `want` with the counters `(candidates, cover rejections,
+/// completions, link probes)`, on the in-memory trie and on the paged one,
+/// whose links are read entry by entry and so take the general loop of
+/// the last slot throughout.
+fn assert_search(trie: &SequenceTrie, q: &QuerySequence, want: &[DocId], work: [u64; 4]) {
+    let (docs, stats) = tree_search(trie, q);
+    assert_eq!(docs, want);
+    let got = [
+        stats.candidates,
+        stats.cover_rejections,
+        stats.completions,
+        stats.link_probes,
+    ];
+    assert_eq!(got, work, "{stats:?}");
+    assert_eq!(tree_search(&paged(trie, 2), q), (docs, stats));
+}
+
+#[test]
+fn the_branch_free_pass_equals_the_general_loop() {
+    // Query x(s, y): the seed is `s` (one node), then `y` is the last slot
+    // under the tip `s`, anchored at `x`.  Under `s`, four branches each
+    // complete a `y` whose range holds a run of 1, 2, 5 and 1 more `y`
+    // entries; after them, the link goes on past the tip's range.
+    let [x, s, y, z] = [1, 2, 3, 4];
+    let q = QuerySequence {
+        paths: [x, s, y].map(PathId).to_vec(),
+        parent_pos: vec![None, Some(0), Some(0)],
+    };
+    let branch = |b: u32, tail: &[u32]| [&[x, s, b, y][..], tail].concat();
+    let mut seqs = vec![
+        branch(5, &[]),
+        branch(5, &[y]),
+        branch(6, &[]),
+        branch(6, &[y]),
+        branch(6, &[z, y]),
+        branch(7, &[]),
+        branch(7, &[y, y, y, y]),
+        branch(7, &[z, y]),
+        branch(8, &[]),
+        branch(8, &[y]),
+        vec![x, y],
+        vec![x, y, y],
+    ];
+    let trie = frozen(&seqs);
+    let under_s: Vec<DocId> = (0..10).collect();
+    // The seed, then four completions; one scan of each link, plus one
+    // probe per held run.
+    assert_search(&trie, &q, &under_s, [5, 0, 4, 6]);
+    // A second `x` under the first makes the cover check apply, which
+    // keeps the general loop: the `y` under the inner `x` is rejected.
+    seqs.push(vec![x, s, 9, x, y]);
+    let trie = frozen(&seqs);
+    assert_search(&trie, &q, &under_s, [6, 1, 4, 6]);
+    // A range collected under the tip before the scan is set aside, which
+    // keeps the general loop until the scan passes it.  Query x(s, w(z)),
+    // as in `the_last_scan_merges_back_the_ranges_it_passes`: the `w`
+    // below `s` completes first with its `z`; the `w` above `s` keeps `s`
+    // as the tip, and `z`'s scan under `s` completes two ranges holding
+    // runs of 1 and 2 before it passes the one set aside, last in serial
+    // order (`w`'s path sorts after the other children of `s`).
+    let w = 10;
+    let q = QuerySequence {
+        paths: [x, s, w, z].map(PathId).to_vec(),
+        parent_pos: vec![None, Some(0), Some(0), Some(2)],
+    };
+    let seqs = [
+        vec![x, w, s, w, z],
+        vec![x, w, s, z],
+        vec![x, w, s, z, z],
+        vec![x, w, s, 9, z],
+        vec![x, w, s, 9, z, z, z],
+    ];
+    let trie = frozen(&seqs);
+    // The seed, both `w`, three `z` completions; one scan per slot and
+    // tip, two held runs and the pass over the range set aside.
+    assert_search(&trie, &q, &[0, 1, 2, 3, 4], [6, 0, 3, 7]);
 }
 
 #[test]
