@@ -20,8 +20,8 @@
 //! With `--diag <dir>` (alone or after the named experiments), a fully
 //! instrumented database runs a representative workload and writes a
 //! self-contained diagnostics bundle — metrics, stats, workload profile,
-//! heap attribution, traces, the flight-recorder journal and a build
-//! manifest — into `dir`; `cargo xtask diagcheck <dir>` validates it.
+//! slow-query traces, the flight-recorder journal and a build manifest —
+//! into `dir`; `cargo xtask diagcheck <dir>` validates it.
 
 use std::process::exit;
 use xseq::telemetry::{to_json, MetricsRegistry, Snapshot};

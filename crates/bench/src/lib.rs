@@ -758,14 +758,13 @@ pub fn diagnostics_bundle(dir: &str) {
         parse_histogram: None,
     };
     let mut db = DatabaseBuilder::new()
-        .trace_config(xseq::TraceConfig {
-            sample_rate: 0.25,
-            ..Default::default()
-        })
+        .trace_config(xseq::TraceConfig::default())
         .integrity_spot_check(0.1)
         .build_from_corpus(corpus)
         .expect("xmark corpus indexes");
-    db.set_slow_query_threshold(Duration::from_millis(50));
+    // Every query counts as slow, so the bundle's slow-query log holds the
+    // workload's latest traces and the journal its `query.slow` events.
+    db.set_slow_query_threshold(Duration::ZERO);
     // The paper's queries plus structural ones that always hit, so the
     // bundle captures real plan/search activity on a small corpus.
     let mut exprs: Vec<&str> = queries::XMARK_QUERIES.iter().map(|(_, q)| *q).collect();

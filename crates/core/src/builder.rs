@@ -6,11 +6,12 @@ use crate::update::UpdateGauges;
 use crate::{
     Corpus, Database, DocId, Error, Event, EventJournal, IndexTelemetry, MetricsRegistry, PathId,
     PathTable, PlanOptions, Pool, PoolTelemetry, ProbabilityModel, Strategy, SymbolTable,
-    TraceConfig, Tracer, ValueMode, WeightMap, XmlError, XmlIndex,
+    TraceConfig, ValueMode, WeightMap, XmlError, XmlIndex,
 };
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use xseq_schema::WorkloadRecorder;
+use xseq_telemetry::Tracer;
 
 /// Which sequencing strategy the database uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,10 +164,11 @@ impl DatabaseBuilder {
     }
 
     /// Enables per-query tracing with the given policy: every
-    /// [`Database::query_xpath_full`] call records a span tree, slow
-    /// queries land in [`Database::slow_queries`], and a
-    /// [`TraceConfig::sample_rate`] fraction of all queries in
-    /// [`Database::recent_traces`].  Without this call queries run
+    /// [`Database::query_xpath_full`] call builds its span tree
+    /// ([`QueryOutcome::trace`](crate::QueryOutcome::trace)), and queries
+    /// at or above [`TraceConfig::slow_threshold`] — the armed
+    /// [slow-query threshold](Database::slow_query_threshold) — are kept
+    /// in [`Database::slow_queries`].  Without this call queries run
     /// untraced, at zero tracing cost.
     pub fn trace_config(mut self, config: TraceConfig) -> Self {
         self.trace = Some(config);
@@ -382,7 +384,7 @@ impl DatabaseBuilder {
             registry: self.registry,
             parse_hist,
             pool_tel,
-            tracer: self.trace.map(|c| Arc::new(Tracer::new(c))),
+            tracer: self.trace.map(|c| Tracer::new(c.slow_capacity)),
             // 32.32 fixed point: `rate` of all queries fire the spot check.
             spot_step: (self.spot_check_rate * (1u64 << 32) as f64) as u64,
             spot_accum: AtomicU64::new(0),

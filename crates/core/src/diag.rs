@@ -1,7 +1,6 @@
 //! The diagnostics surface: the flight recorder and the one-call
 //! diagnostics bundle (DESIGN.md §13).
 
-use crate::stats::DatabaseStats;
 use crate::{Database, EventJournal, Sequencing, Trace};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -15,33 +14,6 @@ pub struct DiagnosticsReport {
     pub dir: PathBuf,
     /// File names written inside [`DiagnosticsReport::dir`].
     pub files: Vec<&'static str>,
-}
-
-/// Renders the diagnostics bundle's `heap.json`: whole-database byte
-/// attribution plus one entry per shard.
-fn heap_json(stats: &DatabaseStats) -> String {
-    let mut out = format!(
-        "{{\"corpus_bytes\":{},\"index_bytes\":{},\"total_bytes\":{},\"shards\":[",
-        stats.memory.corpus_bytes,
-        stats.memory.index_bytes,
-        stats.memory.total_bytes()
-    );
-    for (i, sh) in stats.shards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"shard\":{},\"docs\":{},\"corpus_bytes\":{},\"index_bytes\":{},\"total_bytes\":{}}}",
-            i,
-            sh.docs,
-            sh.memory.corpus_bytes,
-            sh.memory.index_bytes,
-            sh.memory.total_bytes()
-        );
-    }
-    out.push_str("]}");
-    out
 }
 
 /// Serializes traces as one JSON array of Chrome trace-event objects.
@@ -69,12 +41,12 @@ impl Database {
     }
 
     /// Writes a self-contained diagnostics bundle into `dir` (created if
-    /// missing), eight files: the metric snapshot as JSON, the stats
-    /// report, the workload profile, heap attribution, recent and slow
-    /// traces as Chrome trace JSON, the flight-recorder journal as JSON
-    /// Lines, and a build/config manifest.  One call captures everything a
-    /// bug report needs; `repro --diag DIR` wraps it on the command line
-    /// and `cargo xtask diagcheck DIR` validates it.
+    /// missing), six files: the metric snapshot as JSON, the stats report
+    /// (heap attribution per shard included), the workload profile, the
+    /// slow-query log as Chrome trace JSON, the flight-recorder journal as
+    /// JSON Lines, and a build/config manifest.  One call captures
+    /// everything a bug report needs; `repro --diag DIR` wraps it on the
+    /// command line and `cargo xtask diagcheck DIR` validates it.
     pub fn diagnostics(&self, dir: impl AsRef<Path>) -> std::io::Result<DiagnosticsReport> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
@@ -86,8 +58,6 @@ impl Database {
             ("metrics.json", xseq_telemetry::to_json(&snap)),
             ("stats.txt", stats.render()),
             ("workload.json", stats.workload.to_json()),
-            ("heap.json", heap_json(&stats)),
-            ("traces_recent.json", traces_json(&self.recent_traces())),
             ("traces_slow.json", traces_json(&self.slow_queries())),
             ("events.jsonl", self.events.to_jsonl()),
         ];

@@ -117,8 +117,8 @@ pub use xseq_schema::{ClassStats, ProbabilityModel, SchemaTree, WeightMap, Workl
 pub use xseq_sequence::{PriorityMap, Sequence, Strategy};
 pub use xseq_storage::{BufferPool, PagedTrie, PoolStats, PoolTelemetry};
 pub use xseq_telemetry::{
-    Event, EventJournal, HeapSize, MetricsRegistry, Severity, Snapshot, SpanTimer, Trace,
-    TraceConfig, TraceId, TraceSpan, Tracer,
+    Event, EventJournal, HeapSize, MetricsRegistry, Severity, Snapshot, Trace, TraceConfig,
+    TraceId, TraceSpan,
 };
 pub use xseq_xml::{
     Axis, Corpus, DocId, Document, PathId, PathTable, PatternLabel, SymbolTable, TreePattern,
@@ -132,7 +132,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use update::UpdateGauges;
 use xseq_schema::WorkloadRecorder;
-use xseq_telemetry::{Counter, Gauge, Histogram};
+use xseq_telemetry::{Counter, Gauge, Histogram, Tracer};
 
 /// Unified error type for the high-level API.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -221,7 +221,8 @@ pub struct Database {
     /// Registry handles for `storage.pool.*`, read by
     /// [`DatabaseStats::pool`].
     pool_tel: PoolTelemetry,
-    tracer: Option<Arc<Tracer>>,
+    /// The slow-query log's owner; `None` when tracing is off.
+    tracer: Option<Tracer>,
     /// Per-query increment of the 32.32 fixed-point sampling accumulator;
     /// 0 disables the spot check entirely.
     spot_step: u64,
@@ -245,8 +246,10 @@ pub struct Database {
     /// The flight recorder: a bounded journal of severity-levelled
     /// lifecycle events (always on).
     events: EventJournal,
-    /// Queries at least this slow record a `query.slow` event;
-    /// `u64::MAX` disables the check.  Runtime-tunable through
+    /// Queries at least this slow record a `query.slow` event and, when
+    /// tracing is on, enter the slow-query log; `u64::MAX` disables the
+    /// check.  The one "slow" cell: armed from
+    /// [`TraceConfig::slow_threshold`], runtime-tunable through
     /// [`Database::set_slow_query_threshold`].
     slow_threshold_ns: AtomicU64,
 }

@@ -7,7 +7,7 @@ use crate::{
     index::SearchScratch,
     telemetry::{AttrValue::*, SpanId},
     Database, DocId, Error, Event, IntegrityReport, QueryOutcome, Severity, Trace, TraceSpan,
-    Tracer, TreePattern,
+    TreePattern,
 };
 use std::cell::RefCell;
 use std::sync::atomic::Ordering;
@@ -75,7 +75,8 @@ impl Database {
         let t0 = Instant::now();
         let answered = self.run_query(expr, scratch, batch_worker);
         let total_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let trace = self.trace_query(expr, (t0, total_ns), answered.as_ref());
+        let slow = total_ns >= slow_ns;
+        let trace = self.trace_query(expr, (t0, total_ns), slow, answered.as_ref());
         let mut out = answered?;
         out.stats.total_ns = total_ns;
         out.trace = trace;
@@ -87,7 +88,7 @@ impl Database {
             }
             self.workload_classes.set(classes as i64);
         }
-        if total_ns >= slow_ns {
+        if slow {
             self.events.record(
                 Event::new("query.slow")
                     .severity(Severity::Warn)
@@ -141,20 +142,23 @@ impl Database {
     }
 
     /// Turns a finished query's record into its trace (DESIGN.md §8) when
-    /// tracing is on, and hands it to the tracer, which decides what to
-    /// retain.  Each step of the outcome is one span under the root, at its
-    /// real offset from `t0`, the query's start; a descent's matcher
-    /// counters become three zero-length events at its end.  The root
-    /// spans the wall time `total_ns` and names what the steps leave of it
-    /// (`unattributed_ns`).  A failed query still records its trace — the
-    /// time was spent, and a slow failure is still a slow query.
+    /// tracing is on, and hands it to the tracer, which retains it when the
+    /// query was `slow`.  Each step of the outcome is one span under the
+    /// root, at its real offset from `t0`, the query's start; a descent's
+    /// matcher counters become three zero-length events at its end.  The
+    /// root spans the wall time `total_ns` and names what its children
+    /// leave of it (`unattributed_ns`, which past the variant cap includes
+    /// the untraced descents), so the trace reconciles on its own.  A
+    /// failed query still records its trace — the time was spent, and a
+    /// slow failure is still a slow query.
     fn trace_query(
         &self,
         expr: &str,
         (t0, total_ns): (Instant, u64),
+        slow: bool,
         answered: Result<&QueryOutcome, &Error>,
     ) -> Option<Arc<Trace>> {
-        let tracer = self.tracer.as_deref()?;
+        let tracer = self.tracer.as_ref()?;
         let span = |name, parent, (start_ns, end_ns), attrs| TraceSpan {
             name,
             parent,
@@ -167,11 +171,12 @@ impl Database {
             Ok(out) => out,
             Err(e) => {
                 let error = vec![("error", e.to_string().into())];
-                return Some(tracer.record(expr, root(error), Vec::new()));
+                return Some(tracer.record(expr, root(error), Vec::new(), slow));
             }
         };
-        let (len, plan) = (expr.len() as u64, self.index().options().describe());
+        let plan = self.index().options().describe();
         let (mut spans, mut variants, mut untraced) = (Vec::new(), 0, 0u64);
+        let mut traced_ns = 0;
         for step in &out.steps {
             // Each shard's steps open with its parse.
             match step.phase {
@@ -188,8 +193,8 @@ impl Database {
             let at = (start_ns, start_ns + step.ns);
             let s = &step.search;
             let attrs = match (step.phase, step.count) {
-                ("query.parse", 0) => vec![("expr_len", U64(len)), ("unknown_symbol", U64(1))],
-                ("query.parse", n) => vec![("expr_len", U64(len)), ("pattern_nodes", U64(n))],
+                ("query.parse", 0) => vec![("unknown_symbol", U64(1))],
+                ("query.parse", n) => vec![("pattern_nodes", U64(n))],
                 ("index.plan", n) => vec![("instantiations", U64(n)), ("plan", Str(plan.clone()))],
                 ("index.gather", n) => vec![("docs", U64(n))],
                 (_, n) if descent => vec![("candidates", U64(s.candidates)), ("docs", U64(n))],
@@ -197,6 +202,7 @@ impl Database {
             };
             let id = SpanId(1 + spans.len() as u32);
             spans.push(span(step.phase, Some(SpanId(0)), at, attrs));
+            traced_ns += step.ns;
             if descent {
                 let end = (at.1, at.1);
                 let event = |name, key, n| span(name, Some(id), end, vec![(key, U64(n))]);
@@ -209,28 +215,20 @@ impl Database {
             }
         }
         let st = &out.stats;
-        let timed: u64 = out.steps.iter().map(|s| s.ns).sum();
-        let mut attrs = Vec::new();
-        for sh in &self.shards {
-            let (lo, hi) = sh.index.trie().root_range();
-            attrs.extend([("n⊢", U64(lo.into())), ("n⊣", U64(hi.into()))]);
-        }
-        attrs.extend([
-            ("strategy", self.index().strategy().short_name().into()),
+        let mut attrs = vec![
             // no silent caps: nonzero means the union may miss answers
             ("plan_truncated", U64(st.plan_truncated)),
-            ("shards", U64(self.shards.len() as u64)),
             ("docs", U64(out.docs.len() as u64)),
             ("candidates", U64(st.search.candidates)),
-            ("unattributed_ns", U64(total_ns.saturating_sub(timed))),
-        ]);
+            ("unattributed_ns", U64(total_ns.saturating_sub(traced_ns))),
+        ];
         if untraced > 0 {
             attrs.push(("untraced_variants", U64(untraced)));
         }
         if let Some(report) = &out.integrity {
             attrs.push(("integrity", report.summary().into()));
         }
-        Some(tracer.record(expr, root(attrs), spans))
+        Some(tracer.record(expr, root(attrs), spans, slow))
     }
 
     /// Answers many XPath queries on the builder's worker pool, returning
@@ -315,44 +313,30 @@ impl Database {
         report
     }
 
-    /// The tracer behind this database's per-query tracing, if enabled.
-    pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.tracer.as_ref()
-    }
-
-    /// The slow-query log: every query whose wall time met
-    /// [`TraceConfig::slow_threshold`](crate::TraceConfig::slow_threshold),
-    /// oldest first, each with its full span tree, the serialized query
-    /// expression (the trace name), and the query's totals (documents,
-    /// candidates, unattributed time) as root-span attributes.  Empty when
-    /// tracing is off.
+    /// The slow-query log: every query whose wall time met the
+    /// [slow-query threshold](Database::slow_query_threshold), oldest
+    /// first, each with its full span tree, the serialized query expression
+    /// (the trace name), and the query's totals (documents, candidates,
+    /// unattributed time) as root-span attributes.  Empty when tracing is
+    /// off.
     pub fn slow_queries(&self) -> Vec<Arc<Trace>> {
         self.tracer
             .as_ref()
             .map_or_else(Vec::new, |t| t.slow_queries())
     }
 
-    /// The head-sampled recent traces, oldest first.  Empty when tracing is
-    /// off.
-    pub fn recent_traces(&self) -> Vec<Arc<Trace>> {
-        self.tracer
-            .as_ref()
-            .map_or_else(Vec::new, |t| t.recent_traces())
-    }
-
     /// Runtime-tunes the slow-query threshold: any query at least this
-    /// slow records a `query.slow` flight-recorder event, and when tracing
-    /// is on the tracer's slow-log threshold moves in lockstep.  Works
-    /// with or without tracing (untraced databases start disarmed); the
-    /// change itself is recorded as a `config.slow_query_threshold` event.
+    /// slow records a `query.slow` flight-recorder event and, when tracing
+    /// is on, lands in the slow-query log — both read this one cell, armed
+    /// from [`TraceConfig::slow_threshold`](crate::TraceConfig::slow_threshold).
+    /// Works with or without tracing (untraced databases start disarmed);
+    /// the change itself is recorded as a `config.slow_query_threshold`
+    /// event.
     pub fn set_slow_query_threshold(&self, threshold: Duration) {
         let ns = threshold.as_nanos().min(u64::MAX as u128) as u64;
         // ORDERING: config — advisory value read per query; no memory is
         // published through it.
         self.slow_threshold_ns.store(ns, Ordering::Relaxed);
-        if let Some(tracer) = &self.tracer {
-            tracer.set_slow_threshold(threshold);
-        }
         self.events
             .record(Event::new("config.slow_query_threshold").attr("threshold_ns", ns));
     }
@@ -465,16 +449,14 @@ mod tests {
     fn traced_query_lands_in_slow_log() {
         let db = DatabaseBuilder::new()
             .trace_config(TraceConfig {
-                sample_rate: 1.0,
                 slow_threshold: std::time::Duration::ZERO,
-                recent_capacity: 8,
                 slow_capacity: 8,
             })
             .build_from_xml(["<a><b>x</b></a>", "<a><c/></a>"])
             .unwrap();
         let out = db.query_xpath_full("/a/b").unwrap();
         let trace = out.trace.clone().expect("tracing is on");
-        assert!(trace.slow && trace.sampled);
+        assert!(trace.slow);
         let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
         for n in [
             "query",
@@ -500,21 +482,12 @@ mod tests {
         let json = slow[0].to_chrome_json();
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"ph\":\"X\""));
-        assert!(
-            out.explain().contains("trie.descent"),
-            "explain shows spans"
-        );
-        assert_eq!(db.recent_traces().len(), 1);
-        assert!(db.tracer().unwrap().stats().recorded >= 1);
     }
 
     #[test]
     fn overlay_snapshot_time_is_attributed() {
         let mut db = DatabaseBuilder::new()
-            .trace_config(TraceConfig {
-                sample_rate: 1.0,
-                ..TraceConfig::default()
-            })
+            .trace_config(TraceConfig::default())
             .build_from_xml(["<a><b/></a>"])
             .unwrap();
         db.insert_document("<a><b/><c/></a>").unwrap();
@@ -534,10 +507,7 @@ mod tests {
     #[test]
     fn events_are_zero_length_children() {
         let db = DatabaseBuilder::new()
-            .trace_config(TraceConfig {
-                sample_rate: 1.0,
-                ..TraceConfig::default()
-            })
+            .trace_config(TraceConfig::default())
             .build_from_xml(["<a><b>x</b></a>", "<a><b/></a>"])
             .unwrap();
         let out = db.query_xpath_full("/a/b").unwrap();
@@ -575,10 +545,7 @@ mod tests {
     fn truncated_plan_is_visible_in_the_trace() {
         let chain = format!("{}{}", "<a>".repeat(100), "</a>".repeat(100));
         let db = DatabaseBuilder::new()
-            .trace_config(TraceConfig {
-                sample_rate: 1.0,
-                ..TraceConfig::default()
-            })
+            .trace_config(TraceConfig::default())
             .build_from_xml([chain.as_str(), "<a/>"])
             .unwrap();
         let root_attr = |out: &QueryOutcome, key: &str| {
@@ -607,17 +574,13 @@ mod tests {
         let out = db.query_xpath_full("/a").unwrap();
         assert!(out.trace.is_none());
         assert!(db.slow_queries().is_empty());
-        assert!(db.recent_traces().is_empty());
-        assert!(db.tracer().is_none());
     }
 
     #[test]
     fn failed_parse_still_traces() {
         let db = DatabaseBuilder::new()
             .trace_config(TraceConfig {
-                sample_rate: 0.0,
                 slow_threshold: std::time::Duration::ZERO,
-                recent_capacity: 4,
                 slow_capacity: 4,
             })
             .build_from_xml(["<a/>"])
@@ -677,9 +640,7 @@ mod tests {
         let db = DatabaseBuilder::new()
             .integrity_spot_check(1.0)
             .trace_config(TraceConfig {
-                sample_rate: 1.0,
                 slow_threshold: std::time::Duration::ZERO,
-                recent_capacity: 4,
                 slow_capacity: 4,
             })
             .build_from_xml(["<a><b/></a>"])

@@ -5,8 +5,8 @@
 use crate::builder::{build_shard_index, shard_pool};
 use crate::shard::{reintern_into, shard_of};
 use crate::{
-    Corpus, Database, DocId, Error, Event, EventJournal, MetricsRegistry, Severity, SpanTimer,
-    TieredDelta, XmlIndex,
+    Corpus, Database, DocId, Error, Event, EventJournal, MetricsRegistry, Severity, TieredDelta,
+    XmlIndex,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -68,9 +68,15 @@ impl UpdateGauges {
     }
 }
 
+/// Nanoseconds since `t0`.
+fn elapsed_ns(t0: Instant) -> u64 {
+    t0.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
+
 /// Drains every size-ratio-triggered merge currently due in one shard's
-/// overlay, recording each as an `index.merge` latency sample bracketed by
-/// `compact.tier.start` / `compact.tier.finish` flight-recorder events.
+/// overlay, recording each as an `index.merge` latency sample and a
+/// `compact.tier.finish` flight-recorder event.  A merge holds the index
+/// `&mut` and cannot fail half-way, so it needs no start event.
 /// Returns the number of merges performed.
 fn drain_shard_merges(
     s: usize,
@@ -80,16 +86,11 @@ fn drain_shard_merges(
 ) -> usize {
     let mut merges = 0;
     while index.delta().merge_due() {
-        events.record(
-            Event::new("compact.tier.start")
-                .severity(Severity::Debug)
-                .attr("shard", s as u64),
-        );
         let t0 = Instant::now();
         let Some(out) = index.maybe_merge() else {
             break;
         };
-        let total_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let total_ns = elapsed_ns(t0);
         hist.record(total_ns);
         merges += 1;
         events.record(
@@ -139,7 +140,15 @@ impl Database {
     /// only when the caller runs [`Database::compact`], whose report
     /// carries the remap.
     pub fn insert_document(&mut self, xml: &str) -> Result<DocId, Error> {
-        let timer = SpanTimer::new(self.update_insert_hist.clone());
+        let t0 = Instant::now();
+        let inserted = self.insert_untimed(xml);
+        // Failed parses are timed too: they spent the time.
+        self.update_insert_hist.record(elapsed_ns(t0));
+        inserted
+    }
+
+    /// [`Database::insert_document`] without its `update.insert` sample.
+    fn insert_untimed(&mut self, xml: &str) -> Result<DocId, Error> {
         let global = self.doc_map.len() as DocId;
         let s = shard_of(global, self.shards.len());
         #[expect(clippy::indexing_slicing, reason = "shard_of reduces modulo self.shards.len()")]
@@ -154,7 +163,6 @@ impl Database {
         // Only this shard's memtable was cut, so only it can be due.
         drain_shard_merges(s, &mut sh.index, &self.events, &self.merge_hist);
         self.refresh_update_gauges();
-        timer.finish();
         Ok(global)
     }
 
@@ -177,10 +185,10 @@ impl Database {
         let Some(&(s, local)) = self.doc_map.get(id as usize) else {
             return false;
         };
-        let timer = SpanTimer::new(self.update_remove_hist.clone());
+        let t0 = Instant::now();
         #[expect(clippy::indexing_slicing, reason = "doc_map names the shard that minted each id")]
         let fresh = self.shards[s as usize].index.remove_doc(local);
-        timer.finish();
+        self.update_remove_hist.record(elapsed_ns(t0));
         if fresh {
             self.refresh_update_gauges();
         }
@@ -248,7 +256,7 @@ impl Database {
     // g < docs_before = remap.len().
     #[expect(clippy::indexing_slicing, reason = "shard indices < nshards; ids index their tables")]
     fn compact_shards(&mut self, which: &[usize]) -> CompactionReport {
-        let timer = SpanTimer::new(self.compact_hist.clone());
+        let t0 = Instant::now();
         let nshards = self.shards.len();
         let docs_before = self.doc_map.len();
         let tombstones_dropped: usize = which
@@ -259,12 +267,6 @@ impl Database {
             .iter()
             .map(|&s| self.shards[s].index.delta().sequence_count())
             .sum();
-        self.events.record(
-            Event::new("compact.start")
-                .attr("docs", docs_before as u64)
-                .attr("tombstones", tombstones_dropped as u64)
-                .attr("delta", delta_merged as u64),
-        );
         let pool = shard_pool(self.pool.threads(), nshards);
         let mut local_remaps: Vec<Option<Vec<Option<DocId>>>> = vec![None; nshards];
         for &s in which {
@@ -306,9 +308,13 @@ impl Database {
             remap[g] = Some(new_global);
         }
         self.refresh_update_gauges();
-        let total_ns = timer.finish();
+        let total_ns = elapsed_ns(t0);
+        self.compact_hist.record(total_ns);
+        // A compaction holds the database `&mut` and cannot fail half-way,
+        // so one event after it says everything a start event would.
         self.events.record(
             Event::new("compact.finish")
+                .attr("docs_before", docs_before as u64)
                 .attr("docs", self.doc_map.len() as u64)
                 .attr("dropped", tombstones_dropped as u64)
                 .attr("merged", delta_merged as u64)
@@ -481,6 +487,9 @@ mod tests {
             "the one before stays, the one after is not tried"
         );
         assert_eq!(db.query_xpath("/a/e"), Ok(vec![3]));
+        // The failed parse spent its time too: 3 inserts + 1 failure.
+        let inserts = db.metrics().histogram("update.insert").unwrap().count;
+        assert_eq!(inserts, 4);
     }
 
     #[test]
@@ -551,7 +560,6 @@ mod tests {
         );
         assert_eq!(snap.gauge("index.delta.runs"), Some(1));
         let names: Vec<&str> = db.events().events().iter().map(|e| e.name).collect();
-        assert!(names.contains(&"compact.tier.start"), "{names:?}");
         assert!(names.contains(&"compact.tier.finish"), "{names:?}");
         assert_eq!(db.query_xpath("/a/b").unwrap().len(), 9);
         assert_eq!(db.query_xpath("/a/c3").unwrap(), vec![4]);

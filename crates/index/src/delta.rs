@@ -24,8 +24,10 @@
 //!   where the first of them stood, so the run count stays logarithmic in
 //!   the update volume.
 //! * **Removes** record the document id in the [`Tombstones`] set;
-//!   matches are filtered at result-collection time, as the per-segment
-//!   answers union ([`union_answers`](crate::search::union_answers)).  Tombstones are never drained by merges —
+//!   matches are filtered once per query, when every segment has added its
+//!   documents into the query's one [`Answer`](crate::search::Answer) and
+//!   [`Answer::finish`](crate::search::Answer::finish) drops the
+//!   tombstoned ids.  Tombstones are never drained by merges —
 //!   only full compaction clears them — so a tombstoned id stays invisible
 //!   even while older runs still carry it.
 //!

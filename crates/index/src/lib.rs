@@ -225,9 +225,6 @@ impl QueryOutcome {
         if let Some(report) = &self.integrity {
             out.push_str(&report.render());
         }
-        if let Some(trace) = &self.trace {
-            out.push_str(&trace.render());
-        }
         out
     }
 }

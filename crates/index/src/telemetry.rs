@@ -29,8 +29,6 @@ pub struct IndexTelemetry {
     pub search: Arc<Histogram>,
     /// `index.plan.instantiations` — wildcard assignments produced.
     pub instantiations: Arc<Counter>,
-    /// `index.search.variants` — assignments searched.
-    pub variants: Arc<Counter>,
     /// `index.search.candidates` — candidate link entries examined.
     pub candidates: Arc<Counter>,
     /// `index.search.cover_rejections` — candidates rejected by the
@@ -50,7 +48,6 @@ impl IndexTelemetry {
             encode: registry.histogram("sequence.encode"),
             search: registry.histogram("index.search"),
             instantiations: registry.counter("index.plan.instantiations"),
-            variants: registry.counter("index.search.variants"),
             candidates: registry.counter("index.search.candidates"),
             cover_rejections: registry.counter("index.search.cover_rejections"),
             completions: registry.counter("index.search.completions"),
@@ -63,7 +60,6 @@ impl IndexTelemetry {
         self.plan.record(st.plan_ns);
         self.search.record(st.search_ns);
         self.instantiations.add(st.instantiations);
-        self.variants.add(st.variants);
         self.candidates.add(st.search.candidates);
         self.cover_rejections.add(st.search.cover_rejections);
         self.completions.add(st.search.completions);

@@ -236,11 +236,10 @@ pub fn to_chrome_json(trace: &Trace) -> String {
         out,
         "],\"displayTimeUnit\":\"ns\",\
          \"otherData\":{{\"trace_id\":{},\"query\":{},\"total_ns\":{},\
-         \"sampled\":{},\"slow\":{}}}}}",
+         \"slow\":{}}}}}",
         trace.id.0,
         json_string(&trace.name),
         trace.total_ns,
-        trace.sampled,
         trace.slow,
     );
     out
@@ -259,56 +258,6 @@ pub(crate) fn attr_json(value: &AttrValue) -> String {
         AttrValue::I64(v) => v.to_string(),
         AttrValue::F64(v) => json_f64(*v),
         AttrValue::Str(s) => json_string(s),
-    }
-}
-
-/// Renders a [`Trace`] as an indented text span tree:
-///
-/// ```text
-/// trace #17 "//a/b" — 1.20ms (slow)
-///   query 1.20ms
-///     query.parse 10.00us
-///     index.search 1.10ms [candidates=12]
-/// ```
-pub fn render_trace(trace: &Trace) -> String {
-    let mut out = format!(
-        "trace #{} {} — {}{}{}\n",
-        trace.id.0,
-        json_string(&trace.name),
-        format_ns(trace.total_ns),
-        if trace.slow { " (slow)" } else { "" },
-        if trace.sampled { " (sampled)" } else { "" },
-    );
-    for (i, span) in trace.spans.iter().enumerate() {
-        let depth = trace.depth(crate::trace::SpanId(i as u32));
-        let _ = write!(
-            out,
-            "{}{} {}",
-            "  ".repeat(depth + 1),
-            span.name,
-            format_ns(span.duration_ns())
-        );
-        if !span.attrs.is_empty() {
-            out.push_str(" [");
-            for (j, (key, value)) in span.attrs.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{key}={}", attr_text(value));
-            }
-            out.push(']');
-        }
-        out.push('\n');
-    }
-    out
-}
-
-fn attr_text(value: &AttrValue) -> String {
-    match value {
-        AttrValue::U64(v) => v.to_string(),
-        AttrValue::I64(v) => v.to_string(),
-        AttrValue::F64(v) => format!("{v:.4}"),
-        AttrValue::Str(s) => s.clone(),
     }
 }
 

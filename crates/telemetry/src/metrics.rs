@@ -167,11 +167,6 @@ impl Histogram {
             max: self.max.load(Ordering::Relaxed),
         }
     }
-
-    /// Point estimate of quantile `q` (see [`HistogramSnapshot::quantile`]).
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        self.snapshot().quantile(q)
-    }
 }
 
 /// An immutable copy of a [`Histogram`]'s state.
@@ -190,17 +185,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot.
-    pub fn empty() -> Self {
-        HistogramSnapshot {
-            buckets: [0; BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
     /// Mean sample value, `None` when empty.
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum as f64 / self.count as f64)
@@ -321,7 +305,7 @@ mod tests {
     #[test]
     fn quantiles_of_empty_histogram_are_none() {
         let h = Histogram::new();
-        assert_eq!(h.quantile(0.5), None);
+        assert_eq!(h.snapshot().quantile(0.5), None);
         assert_eq!(h.snapshot().quantile_bounds(0.99), None);
     }
 

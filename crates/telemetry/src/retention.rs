@@ -1,9 +1,9 @@
 //! The one retention buffer: keep the latest `capacity` items, oldest
-//! first.  The flight recorder and the tracer's recent and slow logs all
+//! first.  The flight recorder and the tracer's slow-query log both
 //! retain through it.
 //!
 //! It is a mutex around a deque on purpose.  The traffic is one push per
-//! lifecycle event and one per sampled-or-slow `Tracer::record` — at most
+//! lifecycle event and one per slow `Tracer::record` — at most
 //! one uncontended lock beside an operation that costs tens of
 //! microseconds — and the end-to-end path runs with tracing off.
 

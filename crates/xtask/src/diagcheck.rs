@@ -15,13 +15,11 @@
 
 use std::path::Path;
 
-/// The eight artifacts a bundle consists of.
+/// The six artifacts a bundle consists of.
 const REQUIRED: &[&str] = &[
     "metrics.json",
     "stats.txt",
     "workload.json",
-    "heap.json",
-    "traces_recent.json",
     "traces_slow.json",
     "events.jsonl",
     "manifest.json",
@@ -63,14 +61,6 @@ pub fn check_bundle(dir: &Path) -> Vec<String> {
                         if !text.contains(key) {
                             findings.push(format!("{name}: missing the {key} key"));
                         }
-                    }
-                }
-            },
-            "heap.json" => match validate_json(&text) {
-                Err(e) => findings.push(format!("{name}: {e}")),
-                Ok(()) => {
-                    if !text.contains("\"shards\"") {
-                        findings.push(format!("{name}: missing the per-shard breakdown"));
                     }
                 }
             },
@@ -300,11 +290,6 @@ mod tests {
             ("metrics.json", "{\"metrics\":{}}"),
             ("stats.txt", "database: 1 docs | 2 paths | 1 shard(s)\n"),
             ("workload.json", "{\"queries\":0}"),
-            (
-                "heap.json",
-                "{\"corpus_bytes\":1,\"index_bytes\":2,\"total_bytes\":3,\"shards\":[{\"shard\":0,\"docs\":1,\"corpus_bytes\":1,\"index_bytes\":2,\"total_bytes\":3}]}",
-            ),
-            ("traces_recent.json", "[]"),
             ("traces_slow.json", "[]"),
             ("events.jsonl", "{\"seq\":1,\"name\":\"ingest.build\"}\n"),
             (
@@ -317,12 +302,12 @@ mod tests {
         }
         assert_eq!(check_bundle(&dir), Vec::<String>::new());
         // …then break three artifacts three different ways.
-        std::fs::write(dir.join("heap.json"), "{broken").unwrap();
+        std::fs::write(dir.join("traces_slow.json"), "[{broken").unwrap();
         std::fs::write(dir.join("stats.txt"), "no header here\n").unwrap();
         std::fs::remove_file(dir.join("events.jsonl")).unwrap();
         let findings = check_bundle(&dir);
         assert_eq!(findings.len(), 3, "{findings:?}");
-        assert!(findings.iter().any(|f| f.starts_with("heap.json:")));
+        assert!(findings.iter().any(|f| f.starts_with("traces_slow.json:")));
         assert!(findings.iter().any(|f| f.starts_with("events.jsonl:")));
         assert!(findings.iter().any(|f| f.starts_with("stats.txt:")));
         std::fs::remove_dir_all(&dir).unwrap();

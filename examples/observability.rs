@@ -14,8 +14,9 @@
 //! `unattributed` included, sum to the query's wall time.  Paged storage
 //! mirrors its page traffic into `storage.pool.*` when attached.  With
 //! tracing enabled, every query's span tree is built from that record once
-//! the query finishes and retained in the slow-query log.  This example runs a small workload and prints one query's EXPLAIN
-//! (including its span tree), the slow-query log, the flight-recorder
+//! the query finishes, and slow ones are retained in the slow-query log.
+//! This example runs a small workload and prints one query's EXPLAIN, the
+//! slow-query log with its Chrome trace export, the flight-recorder
 //! journal, the metrics table, an interval delta, and the JSON export.
 //! With `--diag DIR` it finishes by writing the whole state as one
 //! self-contained diagnostics bundle (validated in CI by
@@ -67,7 +68,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut db = DatabaseBuilder::new()
         .sequencing(Sequencing::Probability)
         .trace_config(TraceConfig {
-            sample_rate: 1.0,               // demo: trace every query
             slow_threshold: Duration::ZERO, // demo: retain every query as "slow"
             ..TraceConfig::default()
         })

@@ -1,6 +1,8 @@
 //! Integration tests for the observability stack: the flight recorder on
 //! the database lifecycle, the runtime-tunable slow-query threshold, the
-//! one-command diagnostics bundle, and the telemetry name grammar.
+//! one-command diagnostics bundle, the telemetry name grammar, and three
+//! incident drills that answer DESIGN.md §13's questions from the bundle's
+//! text alone.
 
 use std::time::Duration;
 use xseq::datagen::{XmarkGenerator, XmarkOptions};
@@ -26,7 +28,7 @@ fn lifecycle_lands_in_the_flight_recorder() {
     db.remove_document(id);
     db.compact();
     let names: Vec<&str> = db.events().events().iter().map(|e| e.name).collect();
-    for expected in ["ingest.build", "compact.start", "compact.finish"] {
+    for expected in ["ingest.build", "compact.finish"] {
         assert!(names.contains(&expected), "missing {expected} in {names:?}");
     }
     // Per-document traffic is counted and timed by histograms, not journaled.
@@ -114,12 +116,7 @@ fn milestones_survive_an_insert_stream() {
     }
     db.compact();
     let names: Vec<&str> = db.events().events().iter().map(|e| e.name).collect();
-    for expected in [
-        "ingest.build",
-        "compact.tier.finish",
-        "compact.start",
-        "compact.finish",
-    ] {
+    for expected in ["ingest.build", "compact.tier.finish", "compact.finish"] {
         assert!(names.contains(&expected), "missing {expected} in {names:?}");
     }
 }
@@ -130,7 +127,6 @@ fn diagnostics_bundle_is_complete_and_self_describing() {
     let _ = std::fs::remove_dir_all(&dir);
     let mut db = DatabaseBuilder::new()
         .trace_config(TraceConfig {
-            sample_rate: 1.0,
             slow_threshold: Duration::ZERO,
             ..TraceConfig::default()
         })
@@ -147,8 +143,6 @@ fn diagnostics_bundle_is_complete_and_self_describing() {
             "metrics.json",
             "stats.txt",
             "workload.json",
-            "heap.json",
-            "traces_recent.json",
             "traces_slow.json",
             "events.jsonl",
             "manifest.json",
@@ -179,11 +173,6 @@ fn diagnostics_bundle_is_complete_and_self_describing() {
     ] {
         assert!(manifest.contains(key), "manifest misses {key}: {manifest}");
     }
-    let heap = std::fs::read_to_string(dir.join("heap.json")).expect("heap reads");
-    assert!(
-        heap.contains("\"shards\":[{\"shard\":0,"),
-        "heap.json misses the per-shard breakdown: {heap}"
-    );
     // The journal artifact carries the same events the live journal holds.
     let jsonl = std::fs::read_to_string(dir.join("events.jsonl")).expect("journal reads");
     assert_eq!(jsonl.lines().count(), db.events().events().len());
@@ -207,10 +196,6 @@ fn sharded_diagnostics_enumerate_every_shard() {
     assert!(stats.contains("3 shard(s)"), "{stats}");
     for s in 0..3 {
         assert!(stats.contains(&format!("shard {s}:")), "{stats}");
-    }
-    let heap = std::fs::read_to_string(dir.join("heap.json")).expect("heap reads");
-    for s in 0..3 {
-        assert!(heap.contains(&format!("{{\"shard\":{s},")), "{heap}");
     }
     let manifest = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest reads");
     assert!(manifest.contains("\"shards\":3"), "{manifest}");
@@ -269,7 +254,6 @@ fn every_name_a_full_pipeline_registers_follows_the_grammar() {
     let mut db = DatabaseBuilder::new()
         .profiling(true)
         .trace_config(TraceConfig {
-            sample_rate: 1.0,
             slow_threshold: Duration::ZERO,
             ..TraceConfig::default()
         })
@@ -303,8 +287,11 @@ fn every_name_a_full_pipeline_registers_follows_the_grammar() {
             "no metric of family {family} in {metrics:?}"
         );
     }
-    let traces = db.recent_traces();
-    assert!(!traces.is_empty(), "tracing is on at rate 1");
+    let traces = db.slow_queries();
+    assert!(
+        !traces.is_empty(),
+        "every traced query is slow at threshold 0"
+    );
     for span in traces.iter().flat_map(|t| &t.spans) {
         assert!(
             valid_name(span.name),
@@ -347,10 +334,7 @@ fn traced_phases_reconcile_with_the_wall_clock() {
             .shards(shards)
             .memtable_limit(2)
             .tier_ratio(64)
-            .trace_config(TraceConfig {
-                sample_rate: 1.0,
-                ..TraceConfig::default()
-            })
+            .trace_config(TraceConfig::default())
             .build_from_xml(base.iter().map(String::as_str))
             .expect("corpus indexes");
         let live = |db: &Database, s: usize| {
@@ -445,4 +429,326 @@ fn traced_phases_reconcile_with_the_wall_clock() {
             assert!((pct - 100.0).abs() < 0.35, "rows sum to {pct}%: {what}");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Incident drills: each builds one query shape, writes the diagnostics
+// bundle, and answers its question from the bundle's text alone — the
+// Chrome JSON of `traces_slow.json`, `metrics.json` and `events.jsonl` —
+// never from a live type (DESIGN.md §13).  They assert work counts, which
+// are deterministic, and never which phase is largest by time.
+// ---------------------------------------------------------------------------
+
+/// A JSON value as the bundle spells it; numbers keep their digits.
+#[derive(Debug)]
+enum Json {
+    Lit,
+    Num(String),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    fn parse(text: &str) -> Json {
+        let (b, mut i) = (text.as_bytes(), 0);
+        let v = Json::value(b, &mut i);
+        assert!(text[i..].trim().is_empty(), "trailing data at byte {i}");
+        v
+    }
+
+    fn value(b: &[u8], i: &mut usize) -> Json {
+        while b[*i].is_ascii_whitespace() {
+            *i += 1;
+        }
+        let start = *i;
+        *i += 1;
+        match b[start] {
+            b'{' | b'[' => {
+                let close = if b[start] == b'{' { b'}' } else { b']' };
+                let mut items = Vec::new();
+                loop {
+                    while b[*i].is_ascii_whitespace() || b[*i] == b',' {
+                        *i += 1;
+                    }
+                    if b[*i] == close {
+                        *i += 1;
+                        break;
+                    }
+                    let key = match close {
+                        b'}' => match Json::value(b, i) {
+                            Json::Str(k) => {
+                                *i += 1; // the `:`
+                                k
+                            }
+                            other => panic!("object key {other:?}"),
+                        },
+                        _ => String::new(),
+                    };
+                    items.push((key, Json::value(b, i)));
+                }
+                if close == b'}' {
+                    Json::Obj(items)
+                } else {
+                    Json::Arr(items.into_iter().map(|(_, v)| v).collect())
+                }
+            }
+            b'"' => {
+                let mut out = Vec::new();
+                while b[*i] != b'"' {
+                    if b[*i] == b'\\' {
+                        *i += 1;
+                        out.push(match b[*i] {
+                            b'n' => b'\n',
+                            b't' => b'\t',
+                            b'r' => b'\r',
+                            c => c,
+                        });
+                    } else {
+                        out.push(b[*i]);
+                    }
+                    *i += 1;
+                }
+                *i += 1;
+                Json::Str(String::from_utf8(out).expect("utf-8"))
+            }
+            b't' | b'f' | b'n' => {
+                while b[*i].is_ascii_alphabetic() {
+                    *i += 1;
+                }
+                Json::Lit
+            }
+            _ => {
+                while *i < b.len() && matches!(b[*i], b'0'..=b'9' | b'.' | b'-' | b'e' | b'+') {
+                    *i += 1;
+                }
+                Json::Num(String::from_utf8(b[start..*i].to_vec()).expect("ascii"))
+            }
+        }
+    }
+
+    fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    fn at(&self, key: &str) -> &Json {
+        self.get(key)
+            .unwrap_or_else(|| panic!("no `{key}` in {self:?}"))
+    }
+
+    fn items(&self) -> &[Json] {
+        match self {
+            Json::Arr(items) => items,
+            other => panic!("not an array: {other:?}"),
+        }
+    }
+
+    fn str(&self) -> &str {
+        match self {
+            Json::Str(s) => s,
+            other => panic!("not a string: {other:?}"),
+        }
+    }
+
+    fn u64(&self) -> u64 {
+        match self {
+            Json::Num(n) => n.parse().unwrap_or_else(|_| panic!("not a count: {n}")),
+            other => panic!("not a number: {other:?}"),
+        }
+    }
+
+    /// A Chrome `ts` / `dur`: microseconds with a three-digit nanosecond
+    /// fraction, read back exactly.
+    fn ns(&self) -> u64 {
+        match self {
+            Json::Num(n) => n.replace('.', "").parse().expect("µs.ns"),
+            other => panic!("not a number: {other:?}"),
+        }
+    }
+}
+
+/// The three artifacts a drill reads.
+struct Bundle {
+    traces: Json,
+    metrics: Json,
+    events: Vec<Json>,
+}
+
+impl Bundle {
+    /// Writes `db`'s diagnostics bundle and reads it back as text.
+    fn write(db: &Database, drill: &str) -> Bundle {
+        let dir = std::env::temp_dir().join(format!("xseq-drill-{drill}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        db.diagnostics(&dir).expect("bundle writes");
+        let read = |name: &str| std::fs::read_to_string(dir.join(name)).expect("artifact reads");
+        let bundle = Bundle {
+            traces: Json::parse(&read("traces_slow.json")),
+            metrics: Json::parse(&read("metrics.json")),
+            events: read("events.jsonl").lines().map(Json::parse).collect(),
+        };
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+        bundle
+    }
+
+    /// The one retained trace of `expr`, as its Chrome trace events.
+    fn trace(&self, expr: &str) -> &[Json] {
+        let mut found = self
+            .traces
+            .items()
+            .iter()
+            .filter(|t| t.at("otherData").at("query").str() == expr);
+        let trace = found
+            .next()
+            .unwrap_or_else(|| panic!("no slow trace of {expr}"));
+        assert!(found.next().is_none(), "{expr} ran once");
+        trace.at("traceEvents").items()
+    }
+
+    /// A counter's or gauge's value in `metrics.json`.
+    fn metric(&self, name: &str) -> u64 {
+        self.metrics.at(name).at("value").u64()
+    }
+}
+
+/// The events of `trace` named `name`.
+fn named<'a>(trace: &'a [Json], name: &str) -> Vec<&'a Json> {
+    trace
+        .iter()
+        .filter(|e| e.at("name").str() == name)
+        .collect()
+}
+
+/// An attribute of a trace event.
+fn arg(event: &Json, key: &str) -> u64 {
+    event.at("args").at(key).u64()
+}
+
+/// The reconciliation a reader can do with the artifact alone: the root's
+/// children — every span but the zero-length `search.*` events riding on a
+/// descent — plus the root's `unattributed_ns` sum to the root's duration.
+fn assert_reconciles(trace: &[Json]) {
+    let (root, rest) = trace.split_first().expect("a root span");
+    assert_eq!(root.at("name").str(), "query");
+    let mut children = 0;
+    for span in rest {
+        if span.at("name").str().starts_with("search.") {
+            assert_eq!(span.at("dur").ns(), 0, "events are zero-length");
+        } else {
+            children += span.at("dur").ns();
+        }
+    }
+    let unattributed = arg(root, "unattributed_ns");
+    assert_eq!(children + unattributed, root.at("dur").ns(), "{root:?}");
+}
+
+/// A database at one shard whose every query is traced and retained.
+fn drill_builder() -> DatabaseBuilder {
+    DatabaseBuilder::new().shards(1).trace_config(TraceConfig {
+        slow_threshold: Duration::ZERO,
+        ..TraceConfig::default()
+    })
+}
+
+/// Planning-heavy: `//*//*` over a 40-deep chain plans one assignment per
+/// (ancestor, descendant) pair, 780 of them, past the trace's variant cap.
+/// The artifact still accounts for every one: traced descents plus the
+/// root's `untraced_variants`.
+#[test]
+fn drill_planning_heavy_query() {
+    let chain = format!("{}{}", "<a>".repeat(40), "</a>".repeat(40));
+    let db = drill_builder()
+        .build_from_xml([chain.as_str(), "<a/>"])
+        .expect("corpus indexes");
+    db.query_xpath("//*//*").expect("query parses");
+    let bundle = Bundle::write(&db, "plan");
+    let trace = bundle.trace("//*//*");
+    let plan = named(trace, "index.plan");
+    assert_eq!(plan.len(), 1, "one shard plans once");
+    let instantiations = arg(plan[0], "instantiations");
+    assert_eq!(instantiations, 40 * 39 / 2);
+    assert_eq!(arg(&trace[0], "plan_truncated"), 0);
+    let descents = named(trace, "trie.descent").len() as u64;
+    let untraced = arg(&trace[0], "untraced_variants");
+    assert_eq!(descents + untraced, instantiations);
+    assert_eq!(bundle.metric("index.plan.instantiations"), instantiations);
+    assert_reconciles(trace);
+}
+
+/// Answer-heavy over an overlay: 126 inserts at memtable limit 2 and tier
+/// ratio 4 leave 63 cuts folded into runs by base-4 carries — 3 + 3 + 3 =
+/// 9 runs after 15 + 3 merges, an empty memtable — and 13 tombstones.
+/// Every overlay run is one `trie.descent.delta`, the gather answers what
+/// the root says, and the gauges and merge events match the build.
+#[test]
+fn drill_answer_heavy_query_over_an_overlay() {
+    let base = ["<a><b/></a>"; 4];
+    let mut db = drill_builder()
+        .memtable_limit(2)
+        .tier_ratio(4)
+        .build_from_xml(base)
+        .expect("corpus indexes");
+    for i in 0..126 {
+        db.insert_document(&format!("<a><b/><c{}/></a>", i % 5))
+            .expect("doc parses");
+    }
+    for id in (0..130).step_by(10) {
+        assert!(db.remove_document(id), "{id} is live");
+    }
+    db.query_xpath("/a/b").expect("query parses");
+    let bundle = Bundle::write(&db, "overlay");
+    assert_eq!(bundle.metric("index.delta.runs"), 9);
+    assert_eq!(bundle.metric("index.tombstones"), 13);
+    let merges = bundle.events.iter();
+    let merges = merges.filter(|e| e.at("name").str() == "compact.tier.finish");
+    assert_eq!(merges.count(), 15 + 3);
+    let trace = bundle.trace("/a/b");
+    assert_eq!(named(trace, "trie.descent").len(), 1, "one assignment");
+    assert_eq!(named(trace, "trie.descent.delta").len(), 9, "one per run");
+    let gather = named(trace, "index.gather");
+    assert_eq!(gather.len(), 1);
+    assert_eq!(arg(gather[0], "docs"), 130 - 13);
+    assert_eq!(arg(gather[0], "docs"), arg(&trace[0], "docs"));
+    assert_reconciles(trace);
+}
+
+/// Answer-bound: `/article/author` over 300 DBLP records is one concrete
+/// path, so one `trie.descent` does all the work; its `candidates` and
+/// `docs` are the query's, and the registry's work counters agree with
+/// the descent's attributes and events.
+#[test]
+fn drill_answer_bound_query() {
+    let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
+    let xml: Vec<String> = xseq::datagen::DblpGenerator::new(7)
+        .generate(300, &mut symbols)
+        .iter()
+        .map(|doc| write_document(doc, &symbols))
+        .collect();
+    let db = drill_builder()
+        .build_from_xml(xml.iter().map(String::as_str))
+        .expect("corpus indexes");
+    db.query_xpath("/article/author").expect("query parses");
+    let bundle = Bundle::write(&db, "answer");
+    let trace = bundle.trace("/article/author");
+    let descent = named(trace, "trie.descent");
+    assert_eq!(descent.len(), 1, "one assignment, one segment");
+    let docs = arg(descent[0], "docs");
+    assert!(docs > 0, "some records are articles");
+    assert_eq!(docs, arg(&trace[0], "docs"));
+    assert_eq!(arg(named(trace, "index.gather")[0], "docs"), docs);
+    let candidates = arg(descent[0], "candidates");
+    assert_eq!(candidates, arg(&trace[0], "candidates"));
+    assert_eq!(bundle.metric("index.search.candidates"), candidates);
+    let completions = arg(named(trace, "search.completions")[0], "count");
+    assert!(completions > 0);
+    assert_eq!(bundle.metric("index.search.completions"), completions);
+    let probes = arg(named(trace, "search.link_probes")[0], "count");
+    assert!(probes > 0);
+    assert_eq!(bundle.metric("index.search.link_probes"), probes);
+    let rejections = named(trace, "search.sibling_cover_checks");
+    let rejections = arg(rejections[0], "rejections");
+    assert_eq!(bundle.metric("index.search.cover_rejections"), rejections);
+    assert_reconciles(trace);
 }
