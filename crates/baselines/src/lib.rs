@@ -679,6 +679,11 @@ mod tests {
             ordered.stats.variants >= 2,
             "Algorithm 1 relies on isomorphic expansion here"
         );
+        // explain() names the variants only where they differ from the
+        // instantiations, which only an expanding search makes happen
+        let shown = format!("instantiations 1 | variants {} |", ordered.stats.variants);
+        assert!(ordered.explain().contains(&shown), "{}", ordered.explain());
+        assert!(!out.explain().contains("variants"), "{}", out.explain());
     }
 
     #[test]

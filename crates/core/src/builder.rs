@@ -466,17 +466,17 @@ pub(crate) fn build_shard_index(
         pool,
     );
     index.configure_delta(config.memtable_limit, config.tier_ratio);
+    corpus.shrink_to_fit();
     index
 }
 
 /// Resolves `/a/b/c` to an interned path id, if every step exists.
 fn resolve_simple_path(path: &str, symbols: &SymbolTable, paths: &PathTable) -> Option<PathId> {
-    let mut cur = PathId::ROOT;
-    for step in path.split('/').filter(|s| !s.is_empty()) {
-        let d = symbols.lookup_designator(step)?;
-        cur = paths.child(cur, xseq_xml::Symbol::elem(d))?;
-    }
-    Some(cur)
+    let steps = path.split('/').filter(|s| !s.is_empty());
+    let syms: Option<Vec<_>> = steps
+        .map(|s| symbols.lookup_designator(s).map(xseq_xml::Symbol::elem))
+        .collect();
+    paths.lookup(&syms?)
 }
 
 #[cfg(test)]

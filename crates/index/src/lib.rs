@@ -127,7 +127,7 @@ impl QueryStep {
         QueryStep {
             phase,
             start,
-            ns: elapsed_ns(start),
+            ns: start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
             search: SearchStats::default(),
             count: 0,
         }
@@ -184,15 +184,17 @@ impl QueryOutcome {
                 xseq_telemetry::format_ns(ns),
             );
         }
+        // A database query searches one variant per instantiation; only an
+        // expanding search (the baselines' `ordered_query`) has more.
+        let _ = write!(out, "  instantiations {}", st.instantiations);
+        if st.variants != st.instantiations {
+            let _ = write!(out, " | variants {}", st.variants);
+        }
+        let s = &st.search;
         let _ = writeln!(
             out,
-            "  instantiations {} | variants {} | candidates {} | cover rejections {} | completions {} | link probes {}",
-            st.instantiations,
-            st.variants,
-            st.search.candidates,
-            st.search.cover_rejections,
-            st.search.completions,
-            st.search.link_probes
+            " | candidates {} | cover rejections {} | completions {} | link probes {}",
+            s.candidates, s.cover_rejections, s.completions, s.link_probes
         );
         if st.plan_truncated > 0 {
             out.push_str("  plan TRUNCATED by its caps: the answer may be incomplete\n");
@@ -227,11 +229,6 @@ impl QueryOutcome {
         }
         out
     }
-}
-
-#[inline]
-fn elapsed_ns(t: Instant) -> u64 {
-    t.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
 /// The sequence-based XML index.
@@ -857,6 +854,11 @@ mod tests {
         assert_eq!(sum("index.gather"), out.stats.gather_ns);
         assert_eq!(out.steps[0].count, 2, "the plan counts its assignments");
         assert_eq!(out.stats.variants, out.stats.instantiations);
+        assert!(
+            out.explain().contains("instantiations 2 | candidates"),
+            "{}",
+            out.explain()
+        );
         let descents = out
             .steps
             .iter()

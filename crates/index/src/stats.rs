@@ -70,10 +70,10 @@ impl SegmentStats {
             link_paths: f.links.len(),
             link_entries: f.links.values().map(Vec::len).sum(),
             end_nodes: f.end_nodes.len(),
+            sibling_cover_nodes: f.embeds_bits.iter().map(|w| w.count_ones() as usize).sum(),
             ..SegmentStats::default()
         };
-        let mut depths = vec![0usize; n];
-        let mut fanout = vec![0usize; n];
+        let (mut depths, mut fanout) = (vec![0usize; n], vec![0usize; n]);
         for i in 1..n {
             let p = SequenceTrie::parent(trie, i as TrieNodeId) as usize;
             depths[i] = depths[p] + 1;
@@ -86,7 +86,6 @@ impl SegmentStats {
             bump(&mut s.fanout_counts, fanout[i]);
             let width = u64::from(f.max_desc[i] - i as u32) + 1;
             bump(&mut s.range_width_buckets, bucket_of(width));
-            s.sibling_cover_nodes += usize::from(f.embeds_identical[i]);
         }
         for (end, docs) in trie.doc_lists() {
             bump(&mut s.seq_len_counts, depths[end as usize]);

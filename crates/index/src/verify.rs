@@ -34,7 +34,7 @@
 //! [`TrieView::link_lower_bound`]: crate::trie::TrieView::link_lower_bound
 //! [`XmlIndex::verify_integrity`]: crate::XmlIndex::verify_integrity
 
-use crate::trie::{rank_directory, SequenceTrie, TrieNodeId, NIL};
+use crate::trie::{rank_directory, SequenceTrie, TrieNodeId, TrieView, NIL};
 use std::fmt::Write as _;
 use xseq_sequence::{verify_sequence, Sequence, SequenceIssue, Strategy};
 use xseq_xml::PathTable;
@@ -237,7 +237,7 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
     report.nodes_checked = n;
 
     // Array shapes: the labels must cover every node exactly.
-    if f.max_desc.len() != n || f.embeds_identical.len() != n {
+    if f.max_desc.len() != n || f.embeds_bits.len() != (n >> 6) + 1 {
         report.push(Violation {
             class: InvariantClass::PreorderNesting,
             node: None,
@@ -245,7 +245,7 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
             detail: format!(
                 "label arrays cover {}/{} nodes of a trie of {n}",
                 f.max_desc.len(),
-                f.embeds_identical.len()
+                64 * f.embeds_bits.len()
             ),
         });
         return report; // indexing below would be unsound
@@ -390,7 +390,7 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
             let expected = entries
                 .get(idx + 1)
                 .is_some_and(|next| next.serial <= e.max_desc && next.serial > node);
-            let actual = f.embeds_identical[node as usize];
+            let actual = TrieView::embeds_identical(trie, node);
             if actual != expected {
                 report.push(Violation {
                     class: InvariantClass::SiblingCover,
@@ -669,7 +669,7 @@ mod tests {
     fn flipped_embeds_flag_detected() {
         let (mut trie, pt, _st) = df_trie(&[&["P", "P.A", "P.A.X"]]);
         let f = trie.corrupt_frozen().unwrap();
-        f.embeds_identical[1] = !f.embeds_identical[1];
+        f.embeds_bits[0] ^= 1 << 1;
         let report = verify_trie(&trie, &pt, &Strategy::DepthFirst);
         assert!(
             report.has(InvariantClass::SiblingCover),

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
-use xseq_index::{LinkEntry, SequenceTrie, TrieNodeId, NIL};
+use xseq_index::{LinkEntry, SequenceTrie, TrieNodeId, TrieView, NIL};
 use xseq_sequence::Sequence;
 use xseq_xml::{DocId, PathId};
 
@@ -121,13 +121,15 @@ proptest! {
             prop_assert_eq!(trie.label(id), (id, want.max_desc[i]));
             let below = i + 1..=want.max_desc[i] as usize;
             let embeds = below.into_iter().any(|j| want.path[j] == want.path[i]);
-            prop_assert_eq!(f.embeds_identical[i], embeds, "embeds_identical of node {}", i);
+            prop_assert_eq!(TrieView::embeds_identical(&trie, i as u32), embeds, "embeds_identical of node {}", i);
             if i > 0 {
                 let entry = LinkEntry { serial: id, max_desc: want.max_desc[i] };
                 links.entry(want.path[i]).or_default().push(entry);
             }
         }
         prop_assert_eq!(&f.links, &links);
+        // each link is allocated once, at its length
+        prop_assert!(f.links.values().all(|link| link.capacity() == link.len()));
         let ends: Vec<TrieNodeId> = want.ends.iter().map(|(e, _)| *e).collect();
         prop_assert_eq!(&f.end_nodes, &ends);
         for (end, docs) in &want.ends {

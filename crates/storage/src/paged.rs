@@ -123,7 +123,7 @@ pub fn write_paged_trie<S: PageStore>(trie: &SequenceTrie, store: &mut S) -> io:
     // ---- node records ----
     let mut writer = SectionWriter::new(store, nodes_start);
     for n in 0..node_count as TrieNodeId {
-        let flags = u32::from(frozen.embeds_identical[n as usize]);
+        let flags = u32::from(trie.embeds_identical(n));
         writer.record(NODE_REC, NODES_PER_PAGE, |page, off| {
             put_u32(page, off, trie.path(n).0);
             put_u32(page, off + 4, trie.parent(n));
@@ -575,7 +575,7 @@ mod tests {
             assert_eq!(TrieView::parent(&pv, n), fx.trie.parent(n));
             assert_eq!(
                 TrieView::embeds_identical(&pv, n),
-                fx.trie.frozen().embeds_identical[n as usize]
+                fx.trie.embeds_identical(n)
             );
         }
         // links agree

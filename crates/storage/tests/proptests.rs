@@ -62,7 +62,7 @@ proptest! {
             prop_assert_eq!(TrieView::parent(&paged, n), trie.parent(n));
             prop_assert_eq!(
                 TrieView::embeds_identical(&paged, n),
-                trie.frozen().embeds_identical[n as usize]
+                trie.embeds_identical(n)
             );
         }
     }

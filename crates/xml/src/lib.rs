@@ -35,6 +35,7 @@
 
 pub mod document;
 pub mod error;
+mod intern;
 pub mod matcher;
 pub mod parser;
 pub mod path;
@@ -106,6 +107,14 @@ impl Corpus {
             h.record_duration(t.elapsed());
         }
         Ok(self.push(doc))
+    }
+
+    /// Frees the spare capacity of the dictionaries' arenas and lists and of
+    /// the document list, once a build has interned everything it will.
+    pub fn shrink_to_fit(&mut self) {
+        self.symbols.shrink_to_fit();
+        self.paths.shrink_to_fit();
+        self.docs.shrink_to_fit();
     }
 
     /// Number of documents.

@@ -47,6 +47,9 @@ pub fn parse_document(input: &str, symbols: &mut SymbolTable) -> Result<Document
     if !p.eof() {
         return Err(XmlError::TrailingContent { offset: p.pos });
     }
+    // the columns live as long as the document: hand them over at length
+    p.sym.shrink_to_fit();
+    p.parent.shrink_to_fit();
     Document::from_parents(p.sym, p.parent)
 }
 

@@ -23,8 +23,9 @@
 //! `*`: a path whose text varies has a value child per distinct text, and
 //! `*` under it must not walk them.
 
-use crate::symbol::Symbol;
-use std::collections::hash_map::{Entry, HashMap};
+use crate::intern::{IdIndex, Probe};
+use crate::symbol::{Designator, Symbol};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use xseq_telemetry::HeapSize;
 
@@ -82,6 +83,25 @@ impl Hasher for PathIdHasher {
 /// [`PathIdHasher`].
 type MintedKeys = BuildHasherDefault<PathIdHasher>;
 
+/// The [`PathIdHasher`] hash of the key `(parent, last)`.  The chain heads
+/// are keyed by `(ε, last)`.
+fn key_hash((parent, last): (PathId, Symbol)) -> u64 {
+    let mut h = PathIdHasher::default();
+    h.write_u32(parent.0);
+    h.write_u32(last.raw());
+    h.finish()
+}
+
+/// The `(parent, last)` key of path `p`, if the table minted it.
+fn key_of(entries: &[PathEntry], p: u32) -> Option<(PathId, Symbol)> {
+    entries.get(p as usize).map(|e| (e.parent, e.last))
+}
+
+/// The key of the chain path `p` belongs to: `(ε, last)`.
+fn chain_of(entries: &[PathEntry], p: u32) -> Option<(PathId, Symbol)> {
+    key_of(entries, p).map(|(_, last)| (PathId::ROOT, last))
+}
+
 #[derive(Debug)]
 struct PathEntry {
     parent: PathId,
@@ -103,10 +123,15 @@ struct PathEntry {
 #[derive(Debug)]
 pub struct PathTable {
     entries: Vec<PathEntry>,
-    /// (parent, symbol) -> child path
-    lookup: HashMap<(PathId, Symbol), PathId, MintedKeys>,
-    /// last symbol -> newest path ending in it, the head of its chain
-    by_last: HashMap<Symbol, PathId, MintedKeys>,
+    /// Every path but ε, found by its entry's `(parent, last)`.
+    index: IdIndex,
+    /// Element designator -> newest path ending in it (ε: none yet), the
+    /// head of its chain.
+    elem_heads: Vec<PathId>,
+    /// The newest path ending in each value symbol, found by its entry's
+    /// `last`.  Not a column per value id like `elem_heads`: a hashed value's
+    /// id is bounded only by its configured range.
+    value_heads: IdIndex,
     /// Paths whose last symbol is an element, ascending.
     element_paths: Vec<PathId>,
     /// path -> its children whose last symbol is an element, ascending;
@@ -132,8 +157,9 @@ impl PathTable {
                 last_child: PathId::ROOT,
                 prev_sibling: PathId::ROOT,
             }],
-            lookup: HashMap::default(),
-            by_last: HashMap::default(),
+            index: IdIndex::default(),
+            elem_heads: Vec::new(),
+            value_heads: IdIndex::default(),
             element_paths: Vec::new(),
             element_children: HashMap::default(),
         }
@@ -142,24 +168,30 @@ impl PathTable {
     /// Interns the extension of `parent` by `sym`, returning the child path.
     #[expect(clippy::indexing_slicing, reason = "PathIds are minted by this table (documented)")]
     pub fn extend(&mut self, parent: PathId, sym: Symbol) -> PathId {
-        let id = PathId(self.entries.len() as u32);
-        match self.lookup.entry((parent, sym)) {
-            Entry::Occupied(known) => return *known.get(),
-            Entry::Vacant(slot) => slot.insert(id),
+        let (key, entries) = ((parent, sym), &self.entries);
+        let hash = key_hash(key);
+        let vacant = match self.index.probe(hash, |p| key_of(entries, p) == Some(key)) {
+            Probe::Found { id, .. } => return PathId(id),
+            Probe::Vacant(slot) => slot,
         };
+        let id = PathId(self.entries.len() as u32);
         // `id` becomes the head of its parent's child list and of its
         // symbol's chain, linking back to the head it replaces: minting a
-        // path writes no entry but its own and its parent's.
+        // path writes no entry but its own and its parent's, and one head.
+        let prev_same_last = self.replace_head(sym, id);
         let up = &mut self.entries[parent.0 as usize];
         let (depth, prev_sibling) = (up.depth + 1, std::mem::replace(&mut up.last_child, id));
         self.entries.push(PathEntry {
             parent,
             last: sym,
             depth,
-            prev_same_last: self.by_last.insert(sym, id).unwrap_or(PathId::ROOT),
+            prev_same_last,
             last_child: PathId::ROOT,
             prev_sibling,
         });
+        let entries = &self.entries;
+        let rehash = |p| key_of(entries, p).map_or(0, key_hash);
+        self.index.insert(vacant, hash, id.0, rehash);
         if sym.is_elem() {
             self.element_paths.push(id);
             self.element_children.entry(parent).or_default().push(id);
@@ -167,9 +199,39 @@ impl PathTable {
         id
     }
 
+    /// Makes `id` the head of `sym`'s chain and returns the head it
+    /// replaces (ε for the first path ending in `sym`).
+    #[expect(clippy::indexing_slicing, reason = "the column is resized to cover d")]
+    fn replace_head(&mut self, sym: Symbol, id: PathId) -> PathId {
+        if let Some(Designator(d)) = sym.as_elem() {
+            if self.elem_heads.len() <= d as usize {
+                self.elem_heads.resize(d as usize + 1, PathId::ROOT);
+            }
+            return std::mem::replace(&mut self.elem_heads[d as usize], id);
+        }
+        let (entries, chain) = (&self.entries, (PathId::ROOT, sym));
+        let hash = key_hash(chain);
+        match self
+            .value_heads
+            .probe(hash, |p| chain_of(entries, p) == Some(chain))
+        {
+            Probe::Found { slot, id: old } => {
+                self.value_heads.replace(slot, id.0);
+                PathId(old)
+            }
+            Probe::Vacant(slot) => {
+                let rehash = |p| chain_of(entries, p).map_or(0, key_hash);
+                self.value_heads.insert(slot, hash, id.0, rehash);
+                PathId::ROOT
+            }
+        }
+    }
+
     /// Looks up the extension of `parent` by `sym` without interning.
     pub fn child(&self, parent: PathId, sym: Symbol) -> Option<PathId> {
-        self.lookup.get(&(parent, sym)).copied()
+        let key = (parent, sym);
+        let is = |p| key_of(&self.entries, p) == Some(key);
+        self.index.find(key_hash(key), is).map(PathId)
     }
 
     /// Interns a whole path given as a symbol slice (root designator first).
@@ -255,8 +317,13 @@ impl PathTable {
 
     /// Every path whose last symbol is `sym`, newest (highest id) first.
     pub fn ending_in(&self, sym: Symbol) -> impl Iterator<Item = PathId> + '_ {
-        let newest = self.by_last.get(&sym).copied().unwrap_or(PathId::ROOT);
-        self.list(newest, |e| e.prev_same_last)
+        let chain = (PathId::ROOT, sym);
+        let is = |p| chain_of(&self.entries, p) == Some(chain);
+        let newest = match sym.as_elem() {
+            Some(d) => self.elem_heads.get(d.0 as usize).copied(),
+            None => self.value_heads.find(key_hash(chain), is).map(PathId),
+        };
+        self.list(newest.unwrap_or(PathId::ROOT), |e| e.prev_same_last)
     }
 
     /// Every path whose last symbol is an element, ascending.
@@ -289,6 +356,16 @@ impl PathTable {
     pub fn iter(&self) -> impl Iterator<Item = PathId> + '_ {
         (0..self.entries.len() as u32).map(PathId)
     }
+
+    /// Frees the spare capacity of the entry arena and the lists.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.entries.shrink_to_fit();
+        self.elem_heads.shrink_to_fit();
+        self.element_paths.shrink_to_fit();
+        self.element_children
+            .values_mut()
+            .for_each(Vec::shrink_to_fit);
+    }
 }
 
 impl HeapSize for PathId {
@@ -299,13 +376,14 @@ impl HeapSize for PathId {
 }
 
 /// Heap attribution for the path dictionary: the entry arena (which holds
-/// every link), the `(parent, symbol)` lookup table, the chain heads, the
+/// every link), the `(parent, symbol)` index, the chain heads, the
 /// element-path list and the element-children lists.
 impl HeapSize for PathTable {
     fn heap_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<PathEntry>()
-            + self.lookup.heap_bytes()
-            + self.by_last.heap_bytes()
+            + self.index.heap_bytes()
+            + self.elem_heads.heap_bytes()
+            + self.value_heads.heap_bytes()
             + self.element_paths.heap_bytes()
             + self.element_children.heap_bytes()
     }

@@ -7,8 +7,8 @@
 //! (option 2, Index-Fabric-style).  This module implements both element-name
 //! interning and the value schemes.
 
-use std::collections::HashMap;
-use xseq_telemetry::{hash_table_alloc_bytes, HeapSize};
+use crate::intern::Strings;
+use xseq_telemetry::HeapSize;
 
 /// An interned element or attribute name.
 ///
@@ -115,16 +115,13 @@ pub enum ValueMode {
 
 /// Interner for attribute/text values.
 ///
-/// Each distinct value is stored twice but allocated once: as a boxed key
-/// of the lookup map, and as a slice of one shared arena that
-/// [`ValueTable::resolve`] reads — value `v` is `arena[offs[v]..offs[v + 1]]`.
+/// Each distinct value is stored once, as a slice of one shared arena that
+/// [`ValueTable::resolve`] reads, and found through an index of value ids
+/// (the crate's open-addressed interner).
 #[derive(Debug, Clone)]
 pub struct ValueTable {
     mode: ValueMode,
-    map: HashMap<Box<str>, ValueId>,
-    arena: String,
-    /// Where each value starts in `arena`, then where the last one ends.
-    offs: Vec<usize>,
+    strings: Strings,
 }
 
 impl ValueTable {
@@ -132,9 +129,7 @@ impl ValueTable {
     pub fn new(mode: ValueMode) -> Self {
         ValueTable {
             mode,
-            map: HashMap::new(),
-            arena: String::new(),
-            offs: vec![0],
+            strings: Strings::default(),
         }
     }
 
@@ -149,19 +144,13 @@ impl ValueTable {
     /// Maps a value string to its designator, allocating one if needed.
     /// In `Chars` mode this interns the *whole string* exactly (the chain
     /// construction is the caller's job via [`ValueTable::chain`]).
+    ///
+    /// # Panics
+    /// When the distinct values' text would pass 4 GiB (`u32` offsets).
     #[expect(clippy::integer_division_remainder_used, reason = "Hashed ranges are clamped to >= 1")]
     pub fn intern(&mut self, s: &str) -> ValueId {
         match self.mode {
-            ValueMode::Intern | ValueMode::Chars => {
-                if let Some(&id) = self.map.get(s) {
-                    return id;
-                }
-                let id = ValueId(self.len() as u32);
-                self.map.insert(s.into(), id);
-                self.arena.push_str(s);
-                self.offs.push(self.arena.len());
-                id
-            }
+            ValueMode::Intern | ValueMode::Chars => ValueId(self.strings.intern(s)),
             ValueMode::Hashed { range } => ValueId(fnv1a(s.as_bytes()) % range.max(1)),
         }
     }
@@ -173,7 +162,7 @@ impl ValueTable {
     #[expect(clippy::integer_division_remainder_used, reason = "Hashed ranges are clamped to >= 1")]
     pub fn lookup(&self, s: &str) -> Option<ValueId> {
         match self.mode {
-            ValueMode::Intern | ValueMode::Chars => self.map.get(s).copied(),
+            ValueMode::Intern | ValueMode::Chars => self.strings.find(s).map(ValueId),
             ValueMode::Hashed { range } => Some(ValueId(fnv1a(s.as_bytes()) % range.max(1))),
         }
     }
@@ -208,17 +197,14 @@ impl ValueTable {
     /// Recovers the string for a designator (`Intern` and `Chars` modes).
     pub fn resolve(&self, v: ValueId) -> Option<&str> {
         match self.mode {
-            ValueMode::Intern | ValueMode::Chars => {
-                let i = v.0 as usize;
-                self.arena.get(*self.offs.get(i)?..*self.offs.get(i + 1)?)
-            }
+            ValueMode::Intern | ValueMode::Chars => self.strings.get(v.0),
             ValueMode::Hashed { .. } => None,
         }
     }
 
     /// Number of distinct interned values (0 in `Hashed` mode).
     pub fn len(&self) -> usize {
-        self.offs.len() - 1
+        self.strings.len()
     }
 
     /// True when nothing has been interned.
@@ -254,8 +240,8 @@ fn fnv1a(bytes: &[u8]) -> u32 {
 /// Shared interners for one corpus: element names plus values.
 #[derive(Debug, Clone)]
 pub struct SymbolTable {
-    names: HashMap<String, Designator>,
-    names_rev: Vec<String>,
+    /// Element and attribute names; a designator is its name's id.
+    names: Strings,
     /// The value interner.
     pub values: ValueTable,
 }
@@ -270,37 +256,39 @@ impl SymbolTable {
     /// Creates a symbol table with the given value-designator mode.
     pub fn with_value_mode(mode: ValueMode) -> Self {
         SymbolTable {
-            names: HashMap::new(),
-            names_rev: Vec::new(),
+            names: Strings::default(),
             values: ValueTable::new(mode),
         }
     }
 
     /// Interns an element/attribute name.
+    ///
+    /// # Panics
+    /// When the distinct names' text would pass 4 GiB (`u32` offsets).
     pub fn designator(&mut self, name: &str) -> Designator {
-        if let Some(&d) = self.names.get(name) {
-            return d;
-        }
-        let d = Designator(self.names_rev.len() as u32);
-        self.names.insert(name.to_owned(), d);
-        self.names_rev.push(name.to_owned());
-        d
+        Designator(self.names.intern(name))
     }
 
     /// Looks up a name without interning.
     pub fn lookup_designator(&self, name: &str) -> Option<Designator> {
-        self.names.get(name).copied()
+        self.names.find(name).map(Designator)
     }
 
-    /// The name behind a designator.
-    #[expect(clippy::indexing_slicing, reason = "Designators are minted by this table")]
+    /// The name behind a designator (empty for one this table never
+    /// minted).
     pub fn name(&self, d: Designator) -> &str {
-        &self.names_rev[d.0 as usize]
+        self.names.get(d.0).unwrap_or_default()
     }
 
     /// Number of distinct element names.
     pub fn designator_count(&self) -> usize {
-        self.names_rev.len()
+        self.names.len()
+    }
+
+    /// Frees the spare capacity of the name and value arenas.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.names.shrink_to_fit();
+        self.values.strings.shrink_to_fit();
     }
 
     /// Convenience: element symbol for a name.
@@ -349,22 +337,18 @@ impl HeapSize for Symbol {
     }
 }
 
-/// Heap attribution for the value interner: the string → id table, its
-/// boxed keys — every value once, so as many bytes as the arena holds — and
-/// the arena with its end offsets.
+/// Heap attribution for the value interner: the arena with its offsets and
+/// the id index — every value once.
 impl HeapSize for ValueTable {
     fn heap_bytes(&self) -> usize {
-        hash_table_alloc_bytes(self.map.capacity(), size_of::<(Box<str>, ValueId)>())
-            + self.arena.len()
-            + self.arena.heap_bytes()
-            + self.offs.heap_bytes()
+        self.strings.heap_bytes()
     }
 }
 
-/// Heap attribution for the symbol interners: names both ways plus values.
+/// Heap attribution for the symbol interners: names plus values.
 impl HeapSize for SymbolTable {
     fn heap_bytes(&self) -> usize {
-        self.names.heap_bytes() + self.names_rev.heap_bytes() + self.values.heap_bytes()
+        self.names.heap_bytes() + self.values.heap_bytes()
     }
 }
 

@@ -2,10 +2,11 @@
 //! path-encoding invariants, and oracle sanity.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use xseq_xml::matcher::{find_embedding, structure_match};
 use xseq_xml::{
-    parse_document, write_document, Axis, Document, PathId, PathTable, PatternLabel, SymbolTable,
-    TreePattern, ValueMode,
+    parse_document, write_document, Axis, Document, PathId, PathTable, PatternLabel, Symbol,
+    SymbolTable, TreePattern, ValueId, ValueMode, ValueTable,
 };
 
 #[derive(Debug, Clone)]
@@ -45,6 +46,36 @@ fn build(recipe: &DocRecipe, st: &mut SymbolTable) -> Document {
         }
     }
     doc
+}
+
+/// Strings of up to three characters over a twelve-letter alphabet with
+/// multi-byte letters and the `Chars` terminator in it, the empty string
+/// included: few enough that keys repeat, enough (1 885) that a few hundred
+/// draws grow an interner through several resizes.
+fn word() -> impl Strategy<Value = String> {
+    const LETTERS: [char; 12] = [
+        'a', 'b', 'z', '0', ' ', 'é', 'ß', '日', '→', '\u{1F}', '😀', 'q',
+    ];
+    proptest::collection::vec(0usize..12, 0..4)
+        .prop_map(|ls| ls.into_iter().map(|l| LETTERS[l]).collect())
+}
+
+/// The reference interner: a `HashMap` minting ids in first-occurrence order.
+#[derive(Default)]
+struct Reference {
+    ids: HashMap<String, u32>,
+    strings: Vec<String>,
+}
+
+impl Reference {
+    fn intern(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.ids.get(s) {
+            return id;
+        }
+        self.strings.push(s.to_owned());
+        self.ids.insert(s.to_owned(), self.strings.len() as u32 - 1);
+        self.strings.len() as u32 - 1
+    }
 }
 
 /// One byte-level edit: `(kind, position, payload)`, each reduced modulo
@@ -232,5 +263,112 @@ proptest! {
             map[n as usize] = q.add(map[p as usize], Axis::Child, label(&doc, n));
         }
         prop_assert!(structure_match(&q, &doc), "partial pattern must still match");
+    }
+
+    /// The value interner ≡ a `HashMap` in every mode: ids in first-occurrence
+    /// order (per character and terminator in `Chars` mode), every id
+    /// resolving to its string, `None` for absent strings, and the bounded
+    /// hash in `Hashed` mode.
+    #[test]
+    fn value_interner_matches_a_hash_map(
+        words in proptest::collection::vec(word(), 0..400),
+        probes in proptest::collection::vec(word(), 0..40),
+        mode in 0u8..3,
+    ) {
+        let mode = [ValueMode::Intern, ValueMode::Chars, ValueMode::Hashed { range: 97 }][mode as usize];
+        let mut table = ValueTable::new(mode);
+        let mut reference = Reference::default();
+        for w in &words {
+            match mode {
+                ValueMode::Intern => prop_assert_eq!(table.intern(w), ValueId(reference.intern(w))),
+                ValueMode::Chars => {
+                    let mut want: Vec<ValueId> =
+                        w.chars().map(|c| ValueId(reference.intern(&c.to_string()))).collect();
+                    want.push(ValueId(reference.intern(ValueTable::END)));
+                    prop_assert_eq!(table.chain(w), want);
+                }
+                ValueMode::Hashed { range } => {
+                    let v = table.intern(w);
+                    prop_assert!(v.0 < range);
+                    prop_assert_eq!(table.lookup(w), Some(v));
+                    prop_assert_eq!(table.resolve(v), None);
+                }
+            }
+        }
+        if matches!(mode, ValueMode::Hashed { .. }) {
+            prop_assert_eq!(table.len(), 0);
+            return Ok(());
+        }
+        prop_assert_eq!(table.len(), reference.strings.len());
+        for (id, s) in reference.strings.iter().enumerate() {
+            prop_assert_eq!(table.resolve(ValueId(id as u32)), Some(s.as_str()));
+            prop_assert_eq!(table.lookup(s), Some(ValueId(id as u32)));
+        }
+        for p in &probes {
+            prop_assert_eq!(table.lookup(p), reference.ids.get(p.as_str()).copied().map(ValueId));
+        }
+        prop_assert_eq!(table.resolve(ValueId(reference.strings.len() as u32)), None);
+    }
+
+    /// The name interner ≡ a `HashMap`: designators in first-occurrence
+    /// order, names read back, `None` for absent names.
+    #[test]
+    fn name_interner_matches_a_hash_map(
+        words in proptest::collection::vec(word(), 0..400),
+        probes in proptest::collection::vec(word(), 0..40),
+    ) {
+        let mut st = SymbolTable::default();
+        let mut reference = Reference::default();
+        for w in &words {
+            prop_assert_eq!(st.designator(w).0, reference.intern(w));
+        }
+        prop_assert_eq!(st.designator_count(), reference.strings.len());
+        for (id, s) in reference.strings.iter().enumerate() {
+            let d = st.lookup_designator(s);
+            prop_assert_eq!(d.map(|d| d.0), Some(id as u32));
+            prop_assert_eq!(st.name(d.unwrap()), s.as_str());
+        }
+        for p in &probes {
+            prop_assert_eq!(st.lookup_designator(p).map(|d| d.0), reference.ids.get(p.as_str()).copied());
+        }
+    }
+
+    /// The path interner ≡ a `HashMap` on `(parent, last)`: ids in
+    /// first-occurrence order across the index's resizes, `child` finding
+    /// exactly the interned extensions, and every path's parent and last
+    /// symbol read back.
+    #[test]
+    fn path_interner_matches_a_hash_map(
+        ops in proptest::collection::vec((any::<u32>(), 0u32..8, any::<bool>()), 0..600),
+        probes in proptest::collection::vec((any::<u32>(), 0u32..8, any::<bool>()), 0..60),
+    ) {
+        let sym = |raw: u32, value: bool| if value {
+            Symbol::value(ValueId(raw))
+        } else {
+            Symbol::elem(xseq_xml::Designator(raw))
+        };
+        let mut paths = PathTable::new();
+        let mut reference: HashMap<(PathId, Symbol), PathId> = HashMap::new();
+        let mut keys = vec![(PathId::ROOT, Symbol::from_raw(u32::MAX))];
+        for (parent, raw, value) in ops {
+            let key = (PathId(parent % paths.len() as u32), sym(raw, value));
+            let next = PathId(keys.len() as u32);
+            let want = *reference.entry(key).or_insert(next);
+            if want == next {
+                keys.push(key);
+            }
+            prop_assert_eq!(paths.extend(key.0, key.1), want);
+        }
+        prop_assert_eq!(paths.len(), keys.len());
+        for (id, &(parent, last)) in keys.iter().enumerate().skip(1) {
+            let p = PathId(id as u32);
+            prop_assert_eq!((paths.parent(p), paths.last(p)), (parent, Some(last)));
+            prop_assert_eq!(paths.child(parent, last), Some(p));
+        }
+        for (parent, raw, value) in probes {
+            // parents past the table included: those have no children
+            let key = (PathId(parent % (2 * paths.len() as u32)), sym(raw, value));
+            prop_assert_eq!(paths.child(key.0, key.1), reference.get(&key).copied());
+        }
     }
 }

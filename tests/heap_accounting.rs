@@ -13,7 +13,8 @@
 //! run, so they do not count each other either.
 //!
 //! The same counter also bounds what one warm query allocates, in bytes
-//! and in allocations.
+//! and in allocations, and a built database is checked to hold its corpus at
+//! the size of its contents.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -22,7 +23,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use xseq::datagen::dblp::DblpGenerator;
-use xseq::{Corpus, DatabaseBuilder, HeapSize, PlanOptions, Strategy, ValueMode, XmlIndex};
+use xseq::datagen::xmark::{XmarkGenerator, XmarkOptions};
+use xseq::xml::{write_document, Designator, ValueId};
+use xseq::{
+    Corpus, DatabaseBuilder, Document, HeapSize, PlanOptions, Strategy, SymbolTable, ValueMode,
+    XmlIndex,
+};
 
 /// Bytes currently live (allocated minus deallocated).
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -171,6 +177,92 @@ fn modelled_bytes_match_the_allocator_within_5_percent() {
     assert_eq!(index.delta().run_count(), 5);
     assert_eq!(index.delta().sequence_count(), 229);
     assert_within_5_percent("overlay inserts", grown, measured);
+}
+
+/// Bytes of an interner's id index over `keys` keys: 4 B a slot, the
+/// smallest power-of-two slot count from 8 up that keeps it at most 7/8 full.
+fn id_index_bytes(keys: usize) -> usize {
+    if keys == 0 {
+        return 0;
+    }
+    let mut slots = 8;
+    while 8 * keys > 7 * slots {
+        slots *= 2;
+    }
+    4 * slots
+}
+
+/// Bytes of an arena of `strings` strings and `text` bytes of text with
+/// its `u32` offsets and its id index, every part at its length.
+fn exact_strings_bytes(strings: usize, text: usize) -> usize {
+    text + 4 * (strings + 1) + id_index_bytes(strings)
+}
+
+/// After a build from XML the corpus is at the size of its contents: the
+/// document list and every document's four columns at their lengths
+/// (16 B per node), the name and value arenas and offsets at their
+/// lengths beside an id index ([`id_index_bytes`]), and the path dictionary
+/// within a fixed number of bytes per path.  The allocator sees what the
+/// model says, within 5 %.
+#[test]
+fn a_built_corpus_is_held_at_the_size_of_its_contents() {
+    let _serial = serial();
+    let mut st = SymbolTable::with_value_mode(ValueMode::Intern);
+    let xmark = XmarkGenerator::new(5, XmarkOptions::default()).generate(2000, &mut st);
+    let dblp = DblpGenerator::new(5).generate(2000, &mut st);
+    let text = |docs: &[Document]| -> Vec<String> {
+        docs.iter().map(|d| write_document(d, &st)).collect()
+    };
+    // (corpus, XML, most bytes per path: 37 and 42 measured; with a
+    // `HashMap` from `(parent, last)` beside the entries the table took 59
+    // and 67 B per path on 20 000-record corpora of the same generators)
+    for (name, xml, per_path) in [("xmark", text(&xmark), 40), ("dblp", text(&dblp), 45)] {
+        let before = live();
+        let db = DatabaseBuilder::new()
+            .build_from_xml(xml.iter().map(String::as_str))
+            .expect("generated XML indexes");
+        let measured = live() - before;
+        assert_within_5_percent(name, db.stats().memory.total_bytes(), measured);
+
+        let corpus = db.corpus();
+        assert_eq!(
+            corpus.docs.capacity(),
+            corpus.docs.len(),
+            "{name}: documents"
+        );
+        for doc in &corpus.docs {
+            assert_eq!(doc.heap_bytes(), 16 * doc.len(), "{name}: document columns");
+        }
+        let values = &corpus.symbols.values;
+        let value_text: usize = (0..values.len() as u32)
+            .map(|v| values.resolve(ValueId(v)).map_or(0, str::len))
+            .sum();
+        let exact = exact_strings_bytes(values.len(), value_text);
+        assert_eq!(
+            values.heap_bytes(),
+            exact,
+            "{name}: value arena, offsets and index"
+        );
+        assert!(
+            values.heap_bytes() - value_text <= 16 * values.len(),
+            "{name}: at most 16 B per value beside its text"
+        );
+        let names = corpus.symbols.designator_count();
+        let name_text: usize = (0..names as u32)
+            .map(|d| corpus.symbols.name(Designator(d)).len())
+            .sum();
+        assert_eq!(
+            corpus.symbols.heap_bytes() - values.heap_bytes(),
+            exact_strings_bytes(names, name_text),
+            "{name}: name arena, offsets and index"
+        );
+        let paths = corpus.paths.len();
+        let path_bytes = corpus.paths.heap_bytes();
+        assert!(
+            path_bytes <= per_path * paths,
+            "{name}: {path_bytes} B for {paths} paths (at most {per_path} B each)"
+        );
+    }
 }
 
 /// A warm single query allocates its answer and little else: 4 B per id it
