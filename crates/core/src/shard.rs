@@ -9,7 +9,7 @@ use crate::{
 };
 use std::time::Instant;
 use xseq_telemetry::Histogram;
-use xseq_xml::Symbol;
+use xseq_xml::{Designator, Symbol, ValueId};
 
 /// Routes a global document id to its shard: the splitmix64 finalizer over
 /// the id, reduced mod the shard count — uniform, stateless and
@@ -22,33 +22,76 @@ pub(crate) fn shard_of(global: DocId, nshards: usize) -> usize {
     ((z ^ (z >> 31)) % nshards as u64) as usize
 }
 
-/// Appends a copy of `doc`, re-interned from `old`'s tables into `fresh`'s,
-/// and returns its id there — the one step behind corpus splitting and
-/// compaction.  A document's arena order is its parse encounter order, so
-/// re-interning documents in order replays a from-scratch parse of them
-/// exactly.  The copy is deliberate: it lays the survivors out contiguously.
-#[expect(clippy::expect_used, reason = "a symbol that is not an element is a value")]
-pub(crate) fn reintern_into(doc: &Document, old: &SymbolTable, fresh: &mut Corpus) -> DocId {
-    let mut doc = doc.clone();
-    doc.remap_symbols(|s| {
-        if let Some(d) = s.as_elem() {
-            Symbol::elem(fresh.symbols.designator(old.name(d)))
-        } else {
-            let v = s.as_value().expect("a symbol is an element or a value");
-            match old.values.resolve(v) {
-                Some(text) => Symbol::value(fresh.symbols.values.intern(text)),
-                // Hashed value ids are stateless (`h(s) mod range`): the
-                // original id is already what a fresh parse would mint.
-                None => s,
-            }
+/// The mark of an old id [`Reintern`] has not met yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// Re-interns documents from one corpus' tables into a fresh corpus by id —
+/// the one step behind corpus splitting and compaction.  Two dense columns
+/// map every old designator and value id to its fresh id.  A fresh id is
+/// minted (by interning the old id's string, once) the first time its old
+/// id is met, so each distinct name and value is hashed once, not once per
+/// node.  Documents are pushed in order and each is read in arena order,
+/// which is its parse encounter order: ids mint exactly where a
+/// from-scratch parse of the pushed documents mints them, and distinct old
+/// ids name distinct strings, so the fresh tables are that parse's tables.
+/// Hashed value ids are stateless (`h(s) mod range`: what a fresh parse
+/// would mint already) and pass through.
+pub(crate) struct Reintern<'a> {
+    old: &'a SymbolTable,
+    names: Vec<u32>,
+    values: Vec<u32>,
+}
+
+impl<'a> Reintern<'a> {
+    /// A remap out of `old`, having met nothing.
+    pub(crate) fn new(old: &'a SymbolTable) -> Self {
+        Reintern {
+            old,
+            names: vec![UNSEEN; old.designator_count()],
+            values: vec![UNSEEN; old.values.len()],
         }
-    });
-    fresh.push(doc)
+    }
+
+    /// Appends a re-interned copy of `doc` to `fresh` and returns its id
+    /// there.  The copy is deliberate: it lays the survivors out
+    /// contiguously (moving them out of the old corpus was measured slower
+    /// to query, DESIGN.md §11.2).  An id the old table never minted keeps
+    /// the string path: a designator re-interns its (empty) name, a value
+    /// passes through.
+    pub(crate) fn push(&mut self, doc: &Document, fresh: &mut Corpus) -> DocId {
+        let (old, symbols) = (self.old, &mut fresh.symbols);
+        let mut doc = doc.clone();
+        doc.remap_symbols(|s| match (s.as_elem(), s.as_value()) {
+            (Some(d), _) => Symbol::elem(Designator(remap(&mut self.names, d.0, || {
+                symbols.designator(old.name(d)).0
+            }))),
+            (_, Some(v)) => Symbol::value(ValueId(remap(&mut self.values, v.0, || {
+                (old.values.resolve(v)).map_or(v.0, |text| symbols.values.intern(text).0)
+            }))),
+            // a symbol is an element or a value
+            (None, None) => s,
+        });
+        fresh.push(doc)
+    }
+}
+
+/// The fresh id `column` maps old id `id` to, minted by `mint` on first
+/// meeting; an id past the column (one the old table never minted, or any
+/// `Hashed` value id) is minted every time.
+fn remap(column: &mut [u32], id: u32, mint: impl FnOnce() -> u32) -> u32 {
+    match column.get_mut(id as usize) {
+        Some(slot) if *slot != UNSEEN => *slot,
+        Some(slot) => {
+            *slot = mint();
+            *slot
+        }
+        None => mint(),
+    }
 }
 
 /// Splits a corpus into per-shard corpora by hash-routing each document and
-/// re-interning it into its shard's fresh tables ([`reintern_into`]: the
-/// shard corpus is bit-identical to parsing the subset from scratch).  One
+/// re-interning it into its shard's fresh tables ([`Reintern`]: the shard
+/// corpus is bit-identical to parsing the subset from scratch).  One
 /// worker per shard; every worker scans the routing table and claims only
 /// its own documents, so the split itself is shared-nothing.  Returns the
 /// shard corpora, the global→(shard, local) map, and the per-shard
@@ -70,17 +113,19 @@ pub(crate) fn split_corpus(
         doc_map.push((s as u32, counts[s] as DocId));
         counts[s] += 1;
     }
-    let routes = &routes;
+    let (routes, counts) = (&routes, &counts);
     let tasks: Vec<_> = (0..nshards)
         .map(|s| {
             move || {
                 let mut shard = Corpus::new(mode);
-                let mut gids = Vec::new();
+                shard.docs.reserve_exact(counts[s] as usize);
+                let mut gids = Vec::with_capacity(counts[s] as usize);
+                let mut remap = Reintern::new(&corpus.symbols);
                 for (gid, doc) in corpus.docs.iter().enumerate() {
                     if routes[gid] != s {
                         continue;
                     }
-                    reintern_into(doc, &corpus.symbols, &mut shard);
+                    remap.push(doc, &mut shard);
                     gids.push(gid as DocId);
                 }
                 (shard, gids)

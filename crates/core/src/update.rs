@@ -3,7 +3,7 @@
 //! gauges (DESIGN.md §11, §15.3–15.4, §16).
 
 use crate::builder::{build_shard_index, shard_pool};
-use crate::shard::{reintern_into, shard_of};
+use crate::shard::{shard_of, Reintern};
 use crate::{
     Corpus, Database, DocId, Error, Event, EventJournal, MetricsRegistry, Severity, TieredDelta,
     XmlIndex,
@@ -217,9 +217,10 @@ impl Database {
     /// labeling) — over the **surviving** documents.
     ///
     /// The surviving documents are re-interned into fresh symbol/path
-    /// tables in document order (a document's arena order is its parse
-    /// encounter order, so stateful re-interning replays the original
-    /// first-occurrence interning exactly), the sequencing strategy is
+    /// tables in document order, by id (a document's arena order is its
+    /// parse encounter order, so minting a fresh id where an old one is
+    /// first met replays the original first-occurrence interning exactly),
+    /// the sequencing strategy is
     /// re-derived the way [`DatabaseBuilder`](crate::DatabaseBuilder)
     /// derived it, and ids renumber densely — the result is
     /// **bit-identical** to building a fresh database from the survivors'
@@ -274,11 +275,16 @@ impl Database {
             let mut fresh = Corpus::new(sh.corpus.symbols.values.mode());
             let mut remap: Vec<Option<DocId>> = vec![None; sh.corpus.docs.len()];
             let tombstones = sh.index.tombstones();
+            // every tombstone names one of the shard's documents
+            fresh
+                .docs
+                .reserve_exact(sh.corpus.docs.len().saturating_sub(tombstones.len()));
+            let mut reintern = Reintern::new(&sh.corpus.symbols);
             for (id, doc) in sh.corpus.docs.iter().enumerate() {
                 if tombstones.contains(id as DocId) {
                     continue;
                 }
-                remap[id] = Some(reintern_into(doc, &sh.corpus.symbols, &mut fresh));
+                remap[id] = Some(reintern.push(doc, &mut fresh));
             }
             sh.index = build_shard_index(&self.config, &mut fresh, &self.registry, &pool);
             sh.corpus = fresh;

@@ -223,30 +223,51 @@ impl ProbabilityModel {
     /// carrying the observed group paths (so the emitter applies subtree
     /// contiguity uniformly across documents) and dictionary-wide block
     /// priorities (so documents order their contiguous blocks identically).
+    ///
+    /// The map is declared monotone ([`PriorityMap::declare_monotone`])
+    /// when the sweep finds it so — always with `w ≡ 1`, since a document
+    /// containing a path contains its parent; a boost may break it.
     #[expect(clippy::indexing_slicing, reason = "block covers every path; parent ids are smaller")]
     pub fn priorities(&self, paths: &PathTable, weights: &WeightMap) -> PriorityMap {
         let mut pm = PriorityMap::new(0.0);
+        let key = |i: usize| {
+            let s = self.seen.get(i)?;
+            Some(self.probability(s)? * weights.get(PathId(i as u32)))
+        };
         // Block priority of a path = min weighted priority over every seen
         // path extending it (including itself); NaN = none seen yet, which
         // `f64::min` ignores.  A path's id is above its parent's, so one
         // descending sweep has folded a whole subtree before it reads its
         // root — and every column of `pm` grows once, at the highest id.
+        // Unseen paths read the default 0.0, so the map is monotone when
+        // every key is ≥ 0.0 (NaN is not) and neither a path's key nor its
+        // block key exceeds its parent's.
         let mut block = vec![f64::NAN; self.seen.len()];
+        let mut monotone = true;
         for (i, s) in self.seen.iter().enumerate().rev() {
             let p = PathId(i as u32);
-            if let Some(prob) = self.probability(s) {
-                let v = prob * weights.get(p);
+            let v = key(i);
+            if let Some(v) = v {
                 pm.insert(p, v);
                 block[i] = block[i].min(v);
+                monotone &= v >= 0.0;
             }
             if s.group {
                 pm.mark_contiguous(p);
             }
+            let up = paths.parent(p);
+            if p != PathId::ROOT && up != PathId::ROOT {
+                let highest = v.unwrap_or(0.0).max(block[i]);
+                monotone &= highest <= key(up.0 as usize).unwrap_or(0.0);
+            }
             if !block[i].is_nan() {
                 pm.set_block_priority(p, block[i]);
-                let up = paths.parent(p).0 as usize;
+                let up = up.0 as usize;
                 block[up] = block[up].min(block[i]);
             }
+        }
+        if monotone {
+            pm.declare_monotone();
         }
         pm
     }

@@ -20,6 +20,20 @@
 //! sequenced with the same priorities, which subsequence matching relies
 //! on.  Selection is a binary heap: `O(n log n)` per document.
 //!
+//! **Sort when monotone.**  When no key rises from a node to its children
+//! ([`PriorityMap::is_monotone`]: always with `w ≡ 1`, because
+//! `p(C|root) = p(C|parent) · p(parent|root)`), the heap pops everything
+//! that waits at one depth of open blocks — a *frame* — in plain sorted
+//! order: a node it takes in sorts after the node just popped (a lower or
+//! equal key, and a larger path id than its parent's).  So each frame is
+//! gathered (the children of the root or block that opens it, plus the
+//! children of every singleton in it), sorted once by (key descending, path
+//! ascending, node ascending), and emitted with each block expanded in
+//! place.  The order is the heap's exactly; the heap stays for maps that
+//! are not monotone (boosts, `Random`).  Identical siblings are still found
+//! by one sort of each child list, so no step is super-linear in the
+//! fan-out of one node.
+//!
 //! **Blocks.**  A node is a *block* when a sibling has its path (Algorithm
 //! 2's "if `c` has identical siblings, sequentialize(`c`)"; siblings with
 //! one path are found by sorting each child list, `O(k log k)`) or when its
@@ -69,6 +83,9 @@ pub struct PriorityMap {
     /// the scheduling priority of a contiguous block rooted there.  NaN
     /// marks "unknown".
     block: Vec<f64>,
+    /// Declared by [`PriorityMap::declare_monotone`]; withdrawn by every
+    /// write of a priority.
+    monotone: bool,
 }
 
 /// The slot of `p` in a path-indexed column, grown with `absent` to reach it.
@@ -98,6 +115,7 @@ impl PriorityMap {
     /// Sets the block (subtree-minimum) priority of a path; same contract
     /// as [`PriorityMap::insert`].
     pub fn set_block_priority(&mut self, p: PathId, priority: f64) {
+        self.monotone = false;
         *slot(&mut self.block, p, f64::NAN) = priority;
     }
 
@@ -123,12 +141,31 @@ impl PriorityMap {
     /// NaN here reads back as "no entry" (the default).  The database
     /// front door rejects the boost weights that could produce one.
     pub fn insert(&mut self, p: PathId, priority: f64) {
+        self.monotone = false;
         *slot(&mut self.priority, p, f64::NAN) = priority;
     }
 
     /// The priority of a path.
     pub fn get(&self, p: PathId) -> f64 {
         known(&self.priority, p).unwrap_or(self.default)
+    }
+
+    /// Declares the map **monotone** along the parent edges of the path
+    /// table it was built for: no path's priority, nor its block priority,
+    /// exceeds its parent path's priority (below the root path), and no
+    /// priority is below the default, so a path minted later never
+    /// outranks its parent either.  With `w ≡ 1` the estimate always is:
+    /// `p(C|root) = p(C|parent) · p(parent|root)`.  The emitter then orders
+    /// each frame by one sort instead of a heap, with the same result (see
+    /// the module docs).  [`PriorityMap::insert`] and
+    /// [`PriorityMap::set_block_priority`] withdraw the declaration.
+    pub fn declare_monotone(&mut self) {
+        self.monotone = true;
+    }
+
+    /// True when the map was declared monotone and not written since.
+    pub fn is_monotone(&self) -> bool {
+        self.monotone
     }
 }
 
@@ -277,6 +314,7 @@ fn emit_order(doc: &Document, enc: &[PathId], strategy: &Strategy) -> Vec<NodeId
             let key = |n: NodeId, _| splitmix64(salt ^ u64::from(n)) as f64;
             emit_by_key(doc, enc, root, key, None)
         }
+        Strategy::Probability(map) if map.is_monotone() => emit_by_sort(doc, enc, root, map),
         Strategy::Probability(map) => emit_by_key(doc, enc, root, |_, p| map.get(p), Some(map)),
     }
 }
@@ -297,20 +335,10 @@ pub fn has_identical_siblings(doc: &Document) -> bool {
     })
 }
 
-/// One available node.  The derived order is the emitter's: the innermost
-/// open block first, then key descending, path id ascending, node id
+/// One available node, ordered as the emitters pick: the greatest first —
+/// key descending (as [`rank`]ed), then path ascending, then node
 /// ascending (node ids are unique, so `is_block` never decides).
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct Avail {
-    /// How many blocks are open around the node.  A block is drained before
-    /// anything outside it is emitted, so all waiting nodes of one depth
-    /// belong to one block and the deepest block is the innermost.
-    frame: u32,
-    key: u64,
-    path: Reverse<PathId>,
-    node: Reverse<NodeId>,
-    is_block: bool,
-}
+type Entry = (u64, Reverse<PathId>, Reverse<NodeId>, bool);
 
 /// An order-preserving image of a scheduling key: `rank(a) > rank(b)` iff
 /// `a > b`, with `-0.0` ranked as `0.0`.  This is `f64::total_cmp`'s bit
@@ -322,10 +350,10 @@ fn rank(key: f64) -> u64 {
 }
 
 /// The constraint-respecting emitter behind `Random` and `Probability`
-/// (paper Algorithm 2; order, blocks and keys as the module docs state).
-/// `priority(node, path)` is a node's own priority; `groups` supplies the
-/// dictionary's group paths and block priorities, when there is one.
-#[expect(clippy::indexing_slicing, reason = "enc and minp have one entry per document node")]
+/// (paper Algorithm 2; order, blocks and keys as the module docs state):
+/// the heap selector.  `priority(node, path)` is a node's own priority;
+/// `groups` supplies the dictionary's group paths and block priorities,
+/// when there is one.
 fn emit_by_key(
     doc: &Document,
     enc: &[PathId],
@@ -333,14 +361,79 @@ fn emit_by_key(
     priority: impl Fn(NodeId, PathId) -> f64,
     groups: Option<&PriorityMap>,
 ) -> Vec<NodeId> {
+    let mut children = available(doc, enc, priority, groups);
     let mut out = Vec::with_capacity(doc.len());
-    let mut heap = BinaryHeap::new();
-    let mut kids: Vec<(PathId, NodeId)> = Vec::new();
-    let mut minp: Vec<f64> = Vec::new();
+    // Each entry waits behind the number of blocks open around it: a block
+    // is drained before anything outside it is emitted, so all waiting
+    // entries of one depth belong to one block, and the deepest is the
+    // innermost.
+    let mut heap: BinaryHeap<(u32, Entry)> = BinaryHeap::new();
+    let mut kids = Vec::new();
     // the root is emitted first and opens no block
     let mut next = Some((root, 0));
     while let Some((n, frame)) = next {
         out.push(n);
+        children(n, &mut kids);
+        heap.extend(kids.drain(..).map(|e| (frame, e)));
+        // a block's children wait one frame further in than the block does
+        next = heap
+            .pop()
+            .map(|(frame, (.., node, is_block))| (node.0, frame + u32::from(is_block)));
+    }
+    out
+}
+
+/// [`emit_by_key`] for a map that [`PriorityMap::is_monotone`]: each frame
+/// is ordered by one sort, and each block in it is expanded in place.
+///
+/// A frame is what the heap holds at one depth of open blocks: the
+/// children of the node that opens it (the root or a block), plus the
+/// children of every singleton in it.  Monotone keys never rise from a
+/// singleton to its children, and a child's path id is above its parent's,
+/// so every entry the heap takes in while draining a frame sorts after the
+/// one it just popped: the heap pops each frame in sorted order.  A popped
+/// block drains its own frame before the heap returns to the outer one,
+/// which is the expansion in place.
+#[expect(clippy::indexing_slicing, reason = "a frame starts at or below the stack's length")]
+fn emit_by_sort(doc: &Document, enc: &[PathId], root: NodeId, map: &PriorityMap) -> Vec<NodeId> {
+    let mut children = available(doc, enc, |_, p| map.get(p), Some(map));
+    let mut out = Vec::with_capacity(doc.len());
+    // the open frames, the innermost on top, each sorted ascending so that
+    // its next node is on top; every node but the root enters once
+    let mut stack: Vec<Entry> = Vec::with_capacity(doc.len());
+    // the root is emitted first and opens the outermost frame
+    let mut next = Some((root, true));
+    while let Some((n, opens)) = next {
+        out.push(n);
+        if opens {
+            let start = stack.len();
+            children(n, &mut stack);
+            let mut i = start;
+            while let Some(&(.., c, is_block)) = stack.get(i) {
+                if !is_block {
+                    children(c.0, &mut stack);
+                }
+                i += 1;
+            }
+            stack[start..].sort_unstable();
+        }
+        next = stack.pop().map(|(.., node, is_block)| (node.0, is_block));
+    }
+    out
+}
+
+/// What both emitters do to a node just emitted: `children(n, into)`
+/// appends an entry for every child of `n` to `into`, with its key and
+/// whether it is a block.
+#[expect(clippy::indexing_slicing, reason = "enc and minp have one entry per document node")]
+fn available<'a>(
+    doc: &'a Document,
+    enc: &'a [PathId],
+    priority: impl Fn(NodeId, PathId) -> f64 + 'a,
+    groups: Option<&'a PriorityMap>,
+) -> impl FnMut(NodeId, &mut Vec<Entry>) + 'a {
+    let (mut kids, mut minp): (Vec<(PathId, NodeId)>, Vec<f64>) = (Vec::new(), Vec::new());
+    move |n, into| {
         // Siblings with one label are siblings with one path: sorted by
         // path, a node with an identical sibling sits next to it.
         kids.clear();
@@ -361,20 +454,9 @@ fn emit_by_key(
                 }
                 minp[c as usize]
             };
-            heap.push(Avail {
-                frame,
-                key: rank(key),
-                path: Reverse(path),
-                node: Reverse(c),
-                is_block,
-            });
+            into.push((rank(key), Reverse(path), Reverse(c), is_block));
         }
-        // a block's children wait one frame further in than the block does
-        next = heap
-            .pop()
-            .map(|a| (a.node.0, a.frame + u32::from(a.is_block)));
     }
-    out
 }
 
 /// The fallback block keys: per node, the minimum priority over its
@@ -383,7 +465,7 @@ fn emit_by_key(
 fn subtree_minima(
     doc: &Document,
     enc: &[PathId],
-    priority: &impl Fn(NodeId, PathId) -> f64,
+    priority: impl Fn(NodeId, PathId) -> f64,
 ) -> Vec<f64> {
     let mut minp: Vec<f64> = (doc.node_ids())
         .map(|n| priority(n, enc[n as usize]))

@@ -6,13 +6,19 @@
 //! (`has_identical_sibling`), look priorities up in hash tables, compute the
 //! per-document subtree minima up front.  It was cubic in fan-out.  It is
 //! also the plainest statement of Algorithm 2's order, so it stays here as
-//! the oracle: the heap emitter must return its order element for element,
-//! on every tree, priority table and seed.
+//! the oracle: the emitter must return its order element for element, on
+//! every tree, priority table and seed.  Arbitrary tables are not monotone
+//! along parent paths, so they take the heap; the priorities a database
+//! estimates are, so they take the one-sort-per-frame path, and those are
+//! generated from trees here too.
 
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
+use std::time::{Duration, Instant};
+use xseq_schema::{ProbabilityModel, WeightMap};
 use xseq_sequence::{decode_f2, emit_sequence, validate_f2, PriorityMap, Strategy as SeqStrategy};
-use xseq_xml::{Document, NodeId, PathId, PathTable, SymbolTable, ValueMode};
+use xseq_xml::{parse_document, Document, NodeId, PathId, PathTable, SymbolTable, ValueMode};
 
 /// The hash-table form of a [`PriorityMap`].
 #[derive(Debug, Default)]
@@ -233,6 +239,59 @@ fn check(
     Ok(())
 }
 
+/// The hash-table form of a map over the first `paths` path ids — every
+/// path the documents checked against it are encoded with.
+fn reference_of(map: &PriorityMap, paths: usize) -> RefPriorities {
+    let mut reference = RefPriorities::default();
+    for p in (0..paths as u32).map(PathId) {
+        reference.map.insert(p, map.get(p));
+        if map.is_contiguous(p) {
+            reference.contiguous.insert(p);
+        }
+        if let Some(v) = map.block_priority(p) {
+            reference.block.insert(p, v);
+        }
+    }
+    reference
+}
+
+/// The same priorities without the monotone declaration, which sends the
+/// emitter down the heap.
+fn heap_twin(map: &PriorityMap) -> PriorityMap {
+    let mut twin = map.clone();
+    twin.insert(PathId::ROOT, map.get(PathId::ROOT));
+    assert!(!twin.is_monotone(), "a write withdraws the declaration");
+    twin
+}
+
+/// Estimates priorities on the first `sampled` documents (encoding them),
+/// weighted by `weights`, then encodes the rest — their new paths are
+/// unseen and read 0.0 — and checks every document against the reference
+/// selector and the two emitters against each other.
+fn check_estimated(
+    docs: &[Document],
+    sampled: usize,
+    weights: &WeightMap,
+) -> Result<PriorityMap, TestCaseError> {
+    let mut paths = PathTable::new();
+    let model = ProbabilityModel::estimate(&docs[..sampled], &mut paths, 0);
+    let map = model.priorities(&paths, weights);
+    let encs: Vec<Vec<PathId>> = docs.iter().map(|d| d.path_encode(&mut paths)).collect();
+    let (strategy, heap) = (
+        SeqStrategy::Probability(map.clone()),
+        SeqStrategy::Probability(heap_twin(&map)),
+    );
+    for (doc, enc) in docs.iter().zip(&encs) {
+        let reference = RefStrategy::Probability(reference_of(&map, paths.len()));
+        check(doc, enc, &mut paths, &strategy, &reference)?;
+        prop_assert_eq!(
+            emit_sequence(doc, enc, &heap).1,
+            emit_sequence(doc, enc, &strategy).1
+        );
+    }
+    Ok(map)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -268,6 +327,89 @@ proptest! {
             &SeqStrategy::Random { seed },
             &RefStrategy::Random { seed },
         )?;
+    }
+
+    /// The priorities a database estimates are monotone and take the sort
+    /// path: group paths (identical siblings under a small alphabet), keys
+    /// tied across many paths (a few documents give a few fractions) and
+    /// paths no sampled document has.
+    #[test]
+    fn estimated_priorities_sort_as_the_reference_selects(
+        recipes in proptest::collection::vec(tree_recipe(), 1..6),
+        sampled in 0..6usize,
+    ) {
+        let docs: Vec<Document> = recipes.iter().map(build).collect();
+        let map = check_estimated(&docs, sampled.min(docs.len()), &WeightMap::default())?;
+        prop_assert!(map.is_monotone(), "w ≡ 1 never rises from parent to child");
+    }
+
+    /// Boosts may break monotonicity; whichever emitter a boosted map
+    /// takes, it returns the reference's order.
+    #[test]
+    fn boosted_priorities_emit_as_the_reference_selects(
+        recipes in proptest::collection::vec(tree_recipe(), 1..6),
+        boosts in proptest::collection::vec((0..64u32, 0..4usize), 1..4),
+    ) {
+        let docs: Vec<Document> = recipes.iter().map(build).collect();
+        let mut weights = WeightMap::default();
+        for (p, w) in boosts {
+            weights.set(PathId(p), [0.0, 0.5, 2.0, 8.0][w]);
+        }
+        check_estimated(&docs, docs.len(), &weights)?;
+    }
+}
+
+/// `r(a(b), a(b), c)`, boosted at `r.a.b`: the boost lifts the leaf above
+/// its parent, so the map is not monotone and the heap emits, matching the
+/// reference.
+#[test]
+fn a_boost_above_the_parent_takes_the_heap() {
+    let mut st = SymbolTable::with_value_mode(ValueMode::Intern);
+    let doc = parse_document("<r><a><b/></a><a><b/></a><c/></r>", &mut st).unwrap();
+    let mut paths = PathTable::new();
+    let model = ProbabilityModel::estimate(std::slice::from_ref(&doc), &mut paths, 0);
+    let (r, a, b) = (st.elem("r"), st.elem("a"), st.elem("b"));
+    let mut weights = WeightMap::default();
+    weights.set(paths.lookup(&[r, a, b]).unwrap(), 3.0);
+    assert!(model
+        .priorities(&paths, &WeightMap::default())
+        .is_monotone());
+    assert!(!model.priorities(&paths, &weights).is_monotone());
+    check_estimated(std::slice::from_ref(&doc), 1, &weights).unwrap();
+}
+
+/// A star of 32 000 children (distinct names, or one name with a value
+/// under each) emits by sort within the wide-document bound of
+/// `tests/integration_wide.rs`, and as the heap does: the reference
+/// selector is quadratic in fan-out, so the heap is the oracle here.
+#[test]
+fn a_star_of_32_000_children_sorts_within_the_wide_document_bound() {
+    const CHILDREN: usize = 32_000;
+    const BOUND: Duration = Duration::from_secs(60);
+    for distinct_names in [true, false] {
+        let mut xml = String::from("<r>");
+        for i in 0..CHILDREN {
+            if distinct_names {
+                let _ = write!(xml, "<n{i}/>");
+            } else {
+                let _ = write!(xml, "<e>{i}</e>");
+            }
+        }
+        xml.push_str("</r>");
+        let mut st = SymbolTable::with_value_mode(ValueMode::Intern);
+        let doc = parse_document(&xml, &mut st).unwrap();
+        let mut paths = PathTable::new();
+        let model = ProbabilityModel::estimate(std::slice::from_ref(&doc), &mut paths, 0);
+        let map = model.priorities(&paths, &WeightMap::default());
+        assert!(map.is_monotone());
+        let enc = doc.path_encode(&mut paths);
+        let t0 = Instant::now();
+        let (seq, order) = emit_sequence(&doc, &enc, &SeqStrategy::Probability(map.clone()));
+        let took = t0.elapsed();
+        assert!(took < BOUND, "a star took {took:?} to emit");
+        assert_eq!(seq.len(), doc.len());
+        let heap = emit_sequence(&doc, &enc, &SeqStrategy::Probability(heap_twin(&map)));
+        assert_eq!(order, heap.1, "distinct names {distinct_names}");
     }
 }
 

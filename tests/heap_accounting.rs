@@ -223,46 +223,79 @@ fn a_built_corpus_is_held_at_the_size_of_its_contents() {
             .expect("generated XML indexes");
         let measured = live() - before;
         assert_within_5_percent(name, db.stats().memory.total_bytes(), measured);
-
-        let corpus = db.corpus();
-        assert_eq!(
-            corpus.docs.capacity(),
-            corpus.docs.len(),
-            "{name}: documents"
-        );
-        for doc in &corpus.docs {
-            assert_eq!(doc.heap_bytes(), 16 * doc.len(), "{name}: document columns");
-        }
-        let values = &corpus.symbols.values;
-        let value_text: usize = (0..values.len() as u32)
-            .map(|v| values.resolve(ValueId(v)).map_or(0, str::len))
-            .sum();
-        let exact = exact_strings_bytes(values.len(), value_text);
-        assert_eq!(
-            values.heap_bytes(),
-            exact,
-            "{name}: value arena, offsets and index"
-        );
-        assert!(
-            values.heap_bytes() - value_text <= 16 * values.len(),
-            "{name}: at most 16 B per value beside its text"
-        );
-        let names = corpus.symbols.designator_count();
-        let name_text: usize = (0..names as u32)
-            .map(|d| corpus.symbols.name(Designator(d)).len())
-            .sum();
-        assert_eq!(
-            corpus.symbols.heap_bytes() - values.heap_bytes(),
-            exact_strings_bytes(names, name_text),
-            "{name}: name arena, offsets and index"
-        );
-        let paths = corpus.paths.len();
-        let path_bytes = corpus.paths.heap_bytes();
-        assert!(
-            path_bytes <= per_path * paths,
-            "{name}: {path_bytes} B for {paths} paths (at most {per_path} B each)"
-        );
+        assert_at_the_size_of_its_contents(name, db.corpus(), per_path);
     }
+}
+
+/// The same after an update history: 2 000 records built, 600 inserted,
+/// every third one removed, and `compact()` — the compacted corpus is at
+/// the size of its contents too, and the allocator still sees the model.
+#[test]
+fn a_compacted_corpus_is_held_at_the_size_of_its_contents() {
+    let _serial = serial();
+    let mut st = SymbolTable::with_value_mode(ValueMode::Intern);
+    let xml: Vec<String> = (XmarkGenerator::new(7, XmarkOptions::default())
+        .generate(2600, &mut st))
+    .iter()
+    .map(|d| write_document(d, &st))
+    .collect();
+    let before = live();
+    let mut db = DatabaseBuilder::new()
+        .build_from_xml(xml[..2000].iter().map(String::as_str))
+        .expect("generated XML indexes");
+    for doc in &xml[2000..] {
+        db.insert_document(doc).expect("generated XML indexes");
+    }
+    for id in (0..2600).step_by(3) {
+        assert!(db.remove_document(id));
+    }
+    let report = db.compact();
+    let measured = live() - before;
+    assert_eq!(report.docs_after, 2600 - 867);
+    assert_within_5_percent("compacted", db.stats().memory.total_bytes(), measured);
+    assert_at_the_size_of_its_contents("compacted", db.corpus(), 40);
+}
+
+/// The exact sizes [`a_built_corpus_is_held_at_the_size_of_its_contents`]
+/// states, on one corpus.
+fn assert_at_the_size_of_its_contents(name: &str, corpus: &Corpus, per_path: usize) {
+    assert_eq!(
+        corpus.docs.capacity(),
+        corpus.docs.len(),
+        "{name}: documents"
+    );
+    for doc in &corpus.docs {
+        assert_eq!(doc.heap_bytes(), 16 * doc.len(), "{name}: document columns");
+    }
+    let values = &corpus.symbols.values;
+    let value_text: usize = (0..values.len() as u32)
+        .map(|v| values.resolve(ValueId(v)).map_or(0, str::len))
+        .sum();
+    let exact = exact_strings_bytes(values.len(), value_text);
+    assert_eq!(
+        values.heap_bytes(),
+        exact,
+        "{name}: value arena, offsets and index"
+    );
+    assert!(
+        values.heap_bytes() - value_text <= 16 * values.len(),
+        "{name}: at most 16 B per value beside its text"
+    );
+    let names = corpus.symbols.designator_count();
+    let name_text: usize = (0..names as u32)
+        .map(|d| corpus.symbols.name(Designator(d)).len())
+        .sum();
+    assert_eq!(
+        corpus.symbols.heap_bytes() - values.heap_bytes(),
+        exact_strings_bytes(names, name_text),
+        "{name}: name arena, offsets and index"
+    );
+    let paths = corpus.paths.len();
+    let path_bytes = corpus.paths.heap_bytes();
+    assert!(
+        path_bytes <= per_path * paths,
+        "{name}: {path_bytes} B for {paths} paths (at most {per_path} B each)"
+    );
 }
 
 /// A warm single query allocates its answer and little else: 4 B per id it

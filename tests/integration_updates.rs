@@ -31,10 +31,10 @@ use xseq::index::QuerySequence;
 use xseq::schema::{ProbabilityModel, WeightMap};
 use xseq::sequence::Strategy;
 use xseq::xml::matcher::structure_match;
-use xseq::xml::{parse_document, write_document};
+use xseq::xml::{parse_document, write_document, Designator, PathId, Symbol, ValueId};
 use xseq::{
-    parse_xpath_readonly, Database, DatabaseBuilder, DocId, Document, PathTable, PlanOptions, Pool,
-    Sequencing, SymbolTable, ValueMode, XmlIndex,
+    parse_xpath_readonly, Corpus, Database, DatabaseBuilder, DocId, Document, PathTable,
+    PlanOptions, Pool, Sequencing, SymbolTable, ValueMode, XmlIndex,
 };
 
 /// Case budget, shrinkable by the CI smoke job via `XSEQ_UPDATE_FUZZ_CASES`.
@@ -168,7 +168,9 @@ proptest! {
 
     /// Database level: any insert/remove/compact interleaving, once
     /// compacted, is bit-identical to `build_from_xml` over the surviving
-    /// XML strings — for both database sequencing modes at 1–4 threads.
+    /// XML strings — the trie, and the name, value and path dictionaries
+    /// id for id — for both database sequencing modes, every value mode,
+    /// at 1–4 threads, on documents with identical siblings.
     #[test]
     fn update_histories_compact_to_rebuild(
         seed in 0u64..1_000,
@@ -181,17 +183,22 @@ proptest! {
             max_height: 4,
             max_fanout: 3,
             value_pct: 25,
-            identical_pct: 0,
+            identical_pct: 30,
             prob_floor_pct: 30,
         };
         let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
         let docs = SyntheticDataset::generate(&params, ninitial + npending, seed, &mut symbols).docs;
         let xmls: Vec<String> = docs.iter().map(|d| write_document(d, &symbols)).collect();
-        for sequencing in [Sequencing::DepthFirst, Sequencing::Probability] {
+        let modes = [ValueMode::Intern, ValueMode::Hashed { range: 16 }, ValueMode::Chars];
+        for (sequencing, mode) in [Sequencing::DepthFirst, Sequencing::Probability]
+            .into_iter()
+            .flat_map(|s| modes.map(|m| (s, m)))
+        {
             // shards(1): compact ≡ rebuild bit-identity is a single-shard
             // property — sharded histories live in integration_sharding.rs.
             let mut db = DatabaseBuilder::new()
                 .sequencing(sequencing)
+                .value_mode(mode)
                 .threads(threads)
                 .shards(1)
                 .build_from_xml(xmls[..ninitial].iter().map(String::as_str))
@@ -230,33 +237,53 @@ proptest! {
             let survivors: Vec<&str> = model.iter().map(|(x, _)| *x).collect();
             let reference = DatabaseBuilder::new()
                 .sequencing(sequencing)
+                .value_mode(mode)
                 .build_from_xml(survivors.iter().copied())
                 .unwrap();
             prop_assert!(
                 db.index().trie().identical_to(reference.index().trie()),
-                "{sequencing:?}: compacted trie diverges from rebuild"
+                "{sequencing:?} {mode:?}: compacted trie diverges from rebuild"
             );
             prop_assert_eq!(db.index().data_paths(), reference.index().data_paths());
-            prop_assert_eq!(db.corpus().paths.len(), reference.corpus().paths.len());
             prop_assert_eq!(
-                db.corpus().symbols.designator_count(),
-                reference.corpus().symbols.designator_count()
-            );
-            prop_assert_eq!(
-                db.corpus().symbols.values.len(),
-                reference.corpus().symbols.values.len()
+                dictionaries(db.corpus()),
+                dictionaries(reference.corpus()),
+                "{:?} {:?}: dictionaries diverge from rebuild", sequencing, mode
             );
             for q in ["/e0", "//e1", "//e2", "/e0/e1", "/e0/e2", "//e4"] {
                 prop_assert_eq!(
                     db.query_xpath(q).unwrap(),
                     reference.query_xpath(q).unwrap(),
-                    "{:?}: {}", sequencing, q
+                    "{:?} {:?}: {}", sequencing, mode, q
                 );
             }
             let report = db.verify_integrity();
-            prop_assert!(report.is_clean(), "{sequencing:?}: {}", report.render());
+            prop_assert!(report.is_clean(), "{sequencing:?} {mode:?}: {}", report.render());
         }
     }
+}
+
+/// A corpus' dictionaries in id order: every name, every value (none in
+/// `Hashed` mode), and each path's `(parent, last)`.
+#[allow(clippy::type_complexity)]
+fn dictionaries(corpus: &Corpus) -> (Vec<String>, Vec<String>, Vec<(PathId, Option<Symbol>)>) {
+    let symbols = &corpus.symbols;
+    let names = (0..symbols.designator_count() as u32)
+        .map(|d| symbols.name(Designator(d)).to_owned())
+        .collect();
+    let values = (0..symbols.values.len() as u32)
+        .map(|v| {
+            symbols
+                .values
+                .resolve(ValueId(v))
+                .unwrap_or_default()
+                .to_owned()
+        })
+        .collect();
+    let paths = (corpus.paths.iter())
+        .map(|p| (corpus.paths.parent(p), corpus.paths.last(p)))
+        .collect();
+    (names, values, paths)
 }
 
 proptest! {
