@@ -1,7 +1,7 @@
-//! [`DatabaseBuilder`]: configuration, the one parse → route → index build
-//! path, and the per-shard index build that compaction replays.
+//! [`DatabaseBuilder`]: configuration and the one parse → route → index
+//! build path, which compaction runs over the survivors.
 
-use crate::shard::{shard_of, split_corpus, Shard};
+use crate::shard::{route, split_corpus, Shard};
 use crate::update::UpdateGauges;
 use crate::{
     Corpus, Database, DocId, Error, Event, EventJournal, IndexTelemetry, MetricsRegistry, PathId,
@@ -129,7 +129,7 @@ impl DatabaseBuilder {
     }
 
     /// Sets the number of independent index shards (0, the default, follows
-    /// the thread count).  Documents are hash-routed to shards by id; each
+    /// the thread count).  Documents take the shards in turn by id; each
     /// shard owns its own symbol/path tables, frozen trie, delta segment
     /// and tombstones, so shards share nothing on the hot path.  Every
     /// query runs one pipeline over the shards and k-way merges their
@@ -208,34 +208,25 @@ impl DatabaseBuilder {
 
     /// Parses and indexes the given XML documents.
     ///
-    /// Documents are hash-routed to shards by their would-be id **before**
+    /// Documents are routed to shards by their would-be id **before**
     /// parsing, so each shard parses its own subset into its own interners
     /// — shards run side by side on the pool and share nothing.  Within a
     /// shard, parsing is one serial pass in document order at any thread
     /// count; on malformed input the error returned is the earliest failing
     /// document's in input order, at any thread and shard count.
-    #[expect(clippy::indexing_slicing, reason = "shard_of(..) < nshards; one gid pushed per xml")]
+    #[expect(clippy::indexing_slicing, reason = "route(..) is below nshards")]
     pub fn build_from_xml<'a>(
         self,
         xmls: impl IntoIterator<Item = &'a str>,
     ) -> Result<Database, Error> {
         let nshards = self.resolved_shards();
         let mut shard_xmls: Vec<Vec<&str>> = vec![Vec::new(); nshards];
-        let mut doc_map = Vec::new();
-        let mut global_ids: Vec<Vec<DocId>> = vec![Vec::new(); nshards];
         for (gid, xml) in xmls.into_iter().enumerate() {
-            let s = shard_of(gid as DocId, nshards);
-            doc_map.push((s as u32, shard_xmls[s].len() as DocId));
-            global_ids[s].push(gid as DocId);
-            shard_xmls[s].push(xml);
+            shard_xmls[route(gid as DocId, nshards).0].push(xml);
         }
-        if doc_map.is_empty() {
+        if shard_xmls.iter().all(Vec::is_empty) {
             return Err(Error::EmptyDatabase);
         }
-        // The routing loop grew these by doubling; they live as long as the
-        // database does.
-        doc_map.shrink_to_fit();
-        global_ids.iter_mut().for_each(Vec::shrink_to_fit);
         let (mode, registry) = (self.value_mode, &self.registry);
         let tasks: Vec<_> = shard_xmls
             .iter()
@@ -243,11 +234,7 @@ impl DatabaseBuilder {
             .collect();
         let mut corpora = Vec::with_capacity(nshards);
         let mut first_err: Option<(DocId, XmlError)> = None;
-        for (r, gids) in Pool::new(self.threads)
-            .run(tasks)
-            .into_iter()
-            .zip(&global_ids)
-        {
+        for (s, r) in Pool::new(self.threads).run(tasks).into_iter().enumerate() {
             match r {
                 Ok(corpus) => corpora.push(corpus),
                 // Each shard reports its earliest failing document (its
@@ -255,8 +242,7 @@ impl DatabaseBuilder {
                 // is the earliest error in global document order — exactly
                 // what a sequential parse of the whole input reports.
                 Err((local, e)) => {
-                    // the routing loop pushed one gid per xml
-                    let gid = gids[local];
+                    let gid = (local * nshards + s) as DocId;
                     if first_err.as_ref().is_none_or(|(g, _)| gid < *g) {
                         first_err = Some((gid, e));
                     }
@@ -266,7 +252,7 @@ impl DatabaseBuilder {
         if let Some((_, e)) = first_err {
             return Err(e.into());
         }
-        self.finish_build(corpora, doc_map, global_ids)
+        self.finish_build(corpora)
     }
 
     /// Indexes an already-built corpus.
@@ -274,34 +260,19 @@ impl DatabaseBuilder {
     /// With more than one shard, the corpus is split by re-interning each
     /// document into its shard's fresh symbol/path tables (arena order is
     /// parse-encounter order, so stateful re-interning replays a
-    /// from-scratch parse of the shard's subset exactly).
+    /// from-scratch parse of the shard's subset exactly); one shard takes
+    /// the corpus as it is.
     pub fn build_from_corpus(self, corpus: Corpus) -> Result<Database, Error> {
         if corpus.is_empty() {
             return Err(Error::EmptyDatabase);
         }
-        let nshards = self.resolved_shards();
-        if nshards == 1 {
-            // One shard holds every document under the tables it already
-            // has: move the corpus in instead of re-interning a copy.
-            let len = corpus.len();
-            let doc_map = (0..len).map(|g| (0u32, g as DocId)).collect();
-            let global_ids = vec![(0..len as DocId).collect()];
-            return self.finish_build(vec![corpus], doc_map, global_ids);
-        }
-        let pool = Pool::new(self.threads);
-        let (corpora, doc_map, global_ids) = split_corpus(&corpus, nshards, &pool);
-        self.finish_build(corpora, doc_map, global_ids)
+        let corpora = split_corpus(corpus, self.resolved_shards(), &Pool::new(self.threads));
+        self.finish_build(corpora)
     }
 
-    /// Builds one index per shard corpus — side by side on the pool, each
-    /// through [`build_shard_index`] on its share of the workers — and
-    /// assembles the [`Database`].
-    fn finish_build(
-        self,
-        corpora: Vec<Corpus>,
-        doc_map: Vec<(u32, DocId)>,
-        global_ids: Vec<Vec<DocId>>,
-    ) -> Result<Database, Error> {
+    /// Builds the shards' indexes ([`build_shards`]) and assembles the
+    /// [`Database`].
+    fn finish_build(self, corpora: Vec<Corpus>) -> Result<Database, Error> {
         // The emitter orders nodes by `p · w`: keep any weight without a
         // place in that order (NaN, ±∞, negative) away from it.
         let mut boosts = self.boosts.iter();
@@ -323,27 +294,7 @@ impl DatabaseBuilder {
         };
         let pool = Pool::new(self.threads);
         let nshards = corpora.len();
-        let inner = shard_pool(self.threads, nshards);
-        let (registry, config_ref) = (&self.registry, &config);
-        let tasks: Vec<_> = corpora
-            .into_iter()
-            .map(|mut corpus| {
-                move || {
-                    let index = build_shard_index(config_ref, &mut corpus, registry, &inner);
-                    (corpus, index)
-                }
-            })
-            .collect();
-        let shards: Vec<Shard> = pool
-            .run(tasks)
-            .into_iter()
-            .zip(global_ids)
-            .map(|((corpus, index), global_ids)| Shard {
-                corpus,
-                index,
-                global_ids,
-            })
-            .collect();
+        let shards = build_shards(&config, corpora, &self.registry, pool);
         // Register the update-path phases up front too.
         let update_insert_hist = self.registry.histogram("update.insert");
         let update_remove_hist = self.registry.histogram("update.remove");
@@ -363,7 +314,10 @@ impl DatabaseBuilder {
         });
         events.record(
             Event::new("ingest.build")
-                .attr("docs", doc_map.len() as u64)
+                .attr(
+                    "docs",
+                    shards.iter().map(|sh| sh.corpus.len() as u64).sum::<u64>(),
+                )
                 .attr(
                     "paths",
                     shards
@@ -376,7 +330,6 @@ impl DatabaseBuilder {
         );
         Ok(Database {
             shards,
-            doc_map,
             workload: self.profiling.then(WorkloadRecorder::new),
             workload_queries,
             workload_unclassified,
@@ -401,13 +354,6 @@ impl DatabaseBuilder {
     }
 }
 
-/// The workers each of `nshards` shards gets when they build side by side
-/// on a pool of `threads`.
-#[expect(clippy::integer_division_remainder_used, reason = "nshards >= 1: a built shard count")]
-pub(crate) fn shard_pool(threads: usize, nshards: usize) -> Pool {
-    Pool::new(threads / nshards)
-}
-
 /// Parses one shard's documents, serially and in order, into a fresh
 /// corpus; on failure returns the failing document's position in `xmls`
 /// with its error.
@@ -424,13 +370,45 @@ fn parse_shard(
     Ok(corpus)
 }
 
-/// The one per-shard index build, shared by the initial build and
-/// [`Database::compact`] — so a compacted shard is bit-identical to a fresh
-/// build over its survivors.  Derives the sequencing strategy from the
-/// corpus, then runs the index's one constructor on `pool` (bit-identical
-/// at any width; a width-1 pool runs it in place).
-/// Later inserts through `corpus` record `xml.parse` into `registry`.
-pub(crate) fn build_shard_index(
+/// The one build of every shard, shared by the initial build and
+/// [`Database::compact`] — so a compacted database is bit-identical to a
+/// fresh build over its survivors.  Shard `s` of `corpora` holds the
+/// documents [`route`] sends there; the shards build side by side on
+/// `pool`, each through [`build_shard_index`] on its share of the workers.
+pub(crate) fn build_shards(
+    config: &BuildConfig,
+    corpora: Vec<Corpus>,
+    registry: &MetricsRegistry,
+    pool: Pool,
+) -> Vec<Shard> {
+    let nshards = corpora.len();
+    #[expect(clippy::integer_division_remainder_used, reason = "a database has at least one shard")]
+    let inner = Pool::new(pool.threads() / nshards);
+    let tasks: Vec<_> = corpora
+        .into_iter()
+        .map(|mut corpus| {
+            move || {
+                let index = build_shard_index(config, &mut corpus, registry, &inner);
+                (corpus, index)
+            }
+        })
+        .collect();
+    (pool.run(tasks).into_iter().enumerate())
+        .map(|(s, (corpus, index))| Shard {
+            corpus,
+            index,
+            first: s as DocId,
+            stride: nshards as DocId,
+        })
+        .collect()
+}
+
+/// The one per-shard index build, run by [`build_shards`].  Derives the
+/// sequencing strategy from the corpus, then runs the index's one
+/// constructor on `pool` (bit-identical at any width; a width-1 pool runs
+/// it in place).  Later inserts through `corpus` record `xml.parse` into
+/// `registry`.
+fn build_shard_index(
     config: &BuildConfig,
     corpus: &mut Corpus,
     registry: &MetricsRegistry,

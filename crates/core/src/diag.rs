@@ -89,7 +89,7 @@ impl Database {
             sequencing,
             self.pool.threads(),
             self.shards.len(),
-            self.doc_map.len(),
+            self.len(),
             self.shards.iter().map(|sh| sh.corpus.paths.len()).sum::<usize>()
         );
         let _ = write!(

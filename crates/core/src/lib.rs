@@ -186,12 +186,12 @@ impl From<ParseError> for Error {
 /// A corpus plus its constraint-sequence index: the top-level handle.
 ///
 /// A database is **N ≥ 1 independent shards**
-/// ([`DatabaseBuilder::shards`], default = thread count): documents are
-/// hash-routed to shards by id, each shard owns its own symbol/path
-/// tables, frozen trie, delta segment and tombstones, and every query
-/// runs one pipeline over the shards and k-way merges their sorted
-/// results.  Global doc ids stay dense; a global→(shard, local) map keeps
-/// the numbering independent of the shard count.
+/// ([`DatabaseBuilder::shards`], default = thread count): documents take
+/// the shards in turn by id (document `g` is shard `g mod N`'s local
+/// document `g / N`), each shard owns its own symbol/path tables, frozen
+/// trie, delta segment and tombstones, and every query runs one pipeline
+/// over the shards and merges their sorted results.  Doc ids are dense
+/// and independent of the shard count.
 ///
 /// A built database is `Send + Sync` and all query entry points take
 /// `&self`: queries never intern (symbols absent from a shard's tables
@@ -203,9 +203,6 @@ impl From<ParseError> for Error {
 pub struct Database {
     /// The index shards, each with its own corpus slice and interners.
     shards: Vec<Shard>,
-    /// Global doc id → (shard, local doc id).  Tombstoned ids keep their
-    /// entries until a compaction drops them.
-    doc_map: Vec<(u32, DocId)>,
     /// The live workload profiler (`None` when
     /// [`DatabaseBuilder::profiling`] is off): per schema node class,
     /// query frequency, result cardinality and latency.
@@ -316,7 +313,7 @@ impl Database {
         &mut self.shards[0].corpus
     }
 
-    /// Number of shards the documents are hash-partitioned across.
+    /// Number of shards the documents are partitioned across.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -330,13 +327,14 @@ impl Database {
         &self.shards[s].index
     }
 
-    /// Number of indexed documents.
+    /// Number of indexed documents, removed ones included until a
+    /// compaction drops them.
     pub fn len(&self) -> usize {
-        self.doc_map.len()
+        self.shards.iter().map(|sh| sh.corpus.len()).sum()
     }
 
-    /// True when the database holds no documents (never, post-build).
+    /// True when the database holds no documents.
     pub fn is_empty(&self) -> bool {
-        self.doc_map.is_empty()
+        self.len() == 0
     }
 }

@@ -1,4 +1,4 @@
-//! Shards: hash routing, the per-shard vertical slice, and the gather half
+//! Shards: routing by id, the per-shard vertical slice, and the gather half
 //! of a query (DESIGN.md §15).  A [`Database`](crate::Database) is N ≥ 1 of
 //! these; nothing here (or above) treats N = 1 specially.
 
@@ -11,15 +11,14 @@ use std::time::Instant;
 use xseq_telemetry::Histogram;
 use xseq_xml::{Designator, Symbol, ValueId};
 
-/// Routes a global document id to its shard: the splitmix64 finalizer over
-/// the id, reduced mod the shard count — uniform, stateless and
-/// deterministic, so the same corpus always shards the same way.
+/// Routes global document id `global` to its shard and its local id there:
+/// shard `global mod n`, local `global / n`.  Documents take the shards in
+/// turn, so shard `s` holds globals `s, s + n, s + 2n, …` as locals
+/// `0, 1, 2, …` and [`Shard::global`] is the inverse.
 #[expect(clippy::integer_division_remainder_used, reason = "a database has at least one shard")]
-pub(crate) fn shard_of(global: DocId, nshards: usize) -> usize {
-    let mut z = (global as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    ((z ^ (z >> 31)) % nshards as u64) as usize
+pub(crate) fn route(global: DocId, nshards: usize) -> (usize, DocId) {
+    let n = nshards as DocId;
+    ((global % n) as usize, global / n)
 }
 
 /// The mark of an old id [`Reintern`] has not met yet.
@@ -89,51 +88,32 @@ fn remap(column: &mut [u32], id: u32, mint: impl FnOnce() -> u32) -> u32 {
     }
 }
 
-/// Splits a corpus into per-shard corpora by hash-routing each document and
-/// re-interning it into its shard's fresh tables ([`Reintern`]: the shard
-/// corpus is bit-identical to parsing the subset from scratch).  One
-/// worker per shard; every worker scans the routing table and claims only
-/// its own documents, so the split itself is shared-nothing.  Returns the
-/// shard corpora, the global→(shard, local) map, and the per-shard
-/// local→global lists.
-#[allow(clippy::type_complexity)]
-#[expect(clippy::indexing_slicing, reason = "routes has a slot per doc; shard_of < nshards")]
-pub(crate) fn split_corpus(
-    corpus: &Corpus,
-    nshards: usize,
-    pool: &Pool,
-) -> (Vec<Corpus>, Vec<(u32, DocId)>, Vec<Vec<DocId>>) {
-    let mode = corpus.symbols.values.mode();
-    let routes: Vec<usize> = (0..corpus.docs.len())
-        .map(|g| shard_of(g as DocId, nshards))
-        .collect();
-    let mut doc_map = Vec::with_capacity(corpus.docs.len());
-    let mut counts = vec![0u32; nshards];
-    for &s in &routes {
-        doc_map.push((s as u32, counts[s] as DocId));
-        counts[s] += 1;
+/// Splits a corpus into per-shard corpora by [`route`], re-interning each
+/// document into its shard's fresh tables ([`Reintern`]: the shard corpus
+/// is bit-identical to parsing the subset from scratch).  One worker per
+/// shard, each claiming its own documents by stride, so the split itself
+/// is shared-nothing.  One shard holds every document under the tables the
+/// corpus already has: it is moved in, not re-interned.
+pub(crate) fn split_corpus(corpus: Corpus, nshards: usize, pool: &Pool) -> Vec<Corpus> {
+    if nshards == 1 {
+        return vec![corpus];
     }
-    let (routes, counts) = (&routes, &counts);
+    let (corpus, mode) = (&corpus, corpus.symbols.values.mode());
     let tasks: Vec<_> = (0..nshards)
         .map(|s| {
             move || {
+                let docs = corpus.docs.iter().skip(s).step_by(nshards);
                 let mut shard = Corpus::new(mode);
-                shard.docs.reserve_exact(counts[s] as usize);
-                let mut gids = Vec::with_capacity(counts[s] as usize);
+                shard.docs.reserve_exact(docs.len());
                 let mut remap = Reintern::new(&corpus.symbols);
-                for (gid, doc) in corpus.docs.iter().enumerate() {
-                    if routes[gid] != s {
-                        continue;
-                    }
+                for doc in docs {
                     remap.push(doc, &mut shard);
-                    gids.push(gid as DocId);
                 }
-                (shard, gids)
+                shard
             }
         })
         .collect();
-    let (corpora, global_ids) = pool.run(tasks).into_iter().unzip();
-    (corpora, doc_map, global_ids)
+    pool.run(tasks)
 }
 
 /// Re-resolves a tree pattern built against `from`'s symbol tables into
@@ -172,21 +152,26 @@ pub(crate) fn rebind_pattern(
 }
 
 /// One independent index shard: its own corpus (symbol/path tables and
-/// documents, locally id'd), its own frozen + overlay index, and the
-/// local→global id map.  Shards share nothing on the query hot path, and a
-/// shard holds no lock of its own: query scratch is the caller's
-/// [`SearchScratch`].
+/// documents, locally id'd) and its own frozen + overlay index.  Shards
+/// share nothing on the query hot path, and a shard holds no lock of its
+/// own: query scratch is the caller's [`SearchScratch`].
 #[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) corpus: Corpus,
     pub(crate) index: XmlIndex,
-    /// Local doc id → global doc id, ascending (locals are dense and
-    /// assigned in global-id order, so mapping a sorted local result list
-    /// keeps it sorted).
-    pub(crate) global_ids: Vec<DocId>,
+    /// This shard's position `s` — the global id of its local document 0.
+    pub(crate) first: DocId,
+    /// The shard count `n`, the distance between its documents' global ids.
+    pub(crate) stride: DocId,
 }
 
 impl Shard {
+    /// The global id of local document `local` ([`route`]'s inverse):
+    /// `local · n + s`, ascending in `local`.
+    pub(crate) fn global(&self, local: DocId) -> DocId {
+        local * self.stride + self.first
+    }
+
     /// This shard's share of an XPath query — the one place the pipeline's
     /// parse and search stages are called.  The expression re-resolves
     /// against the shard's own interners, read-only: a symbol absent from
@@ -216,23 +201,17 @@ impl Shard {
 
     /// Answers a pattern already bound to this shard's tables: the shard's
     /// index answers with local ids, and the sorted result list rewrites to
-    /// global ids (an ascending map, so it stays sorted).  A strictly
-    /// ascending map of `n` ids ending at `n − 1` is the identity — one
-    /// shard's map always is — and rewrites nothing.
-    #[expect(clippy::indexing_slicing, reason = "global_ids maps every local id the trie holds")]
+    /// global ids ([`Shard::global`] is ascending, so it stays sorted).  One
+    /// shard's map is the identity and rewrites nothing.
     pub(crate) fn search(
         &self,
         pattern: &TreePattern,
         scratch: &mut SearchScratch,
     ) -> QueryOutcome {
         let mut out = self.index.query_with(pattern, &self.corpus.paths, scratch);
-        let ids = &self.global_ids;
-        if ids
-            .last()
-            .is_some_and(|&last| last as usize + 1 != ids.len())
-        {
+        if self.stride > 1 {
             for d in &mut out.docs {
-                *d = ids[*d as usize];
+                *d = self.global(*d);
             }
         }
         out
@@ -325,13 +304,13 @@ mod tests {
             nshards in 2usize..4,
         ) {
             // Sorted, distinct per-shard lists partitioning the answer, as
-            // hash routing leaves them.
+            // routing leaves them.
             let mut ids = ids;
             ids.sort_unstable();
             ids.dedup();
             let mut lists = vec![Vec::new(); nshards];
             for &d in &ids {
-                lists[shard_of(d, nshards)].push(d);
+                lists[route(d, nshards).0].push(d);
             }
             let outcomes = lists.iter().map(|docs| QueryOutcome {
                 docs: docs.clone(),

@@ -175,7 +175,7 @@ impl Database {
             .gauge("memory.total.bytes")
             .set(memory.total_bytes() as i64);
         DatabaseStats {
-            docs: self.doc_map.len(),
+            docs: self.len(),
             paths: shards.iter().map(|s| s.paths).sum(),
             index,
             memory,

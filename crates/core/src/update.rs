@@ -1,9 +1,9 @@
 //! The update path: insert / remove through the per-shard tiered overlay,
-//! inline tier merges, per-shard compaction, and the overlay occupancy
-//! gauges (DESIGN.md §11, §15.3–15.4, §16).
+//! inline tier merges, compaction as a build over the survivors, and the
+//! overlay occupancy gauges (DESIGN.md §11, §15.3–15.4, §16).
 
-use crate::builder::{build_shard_index, shard_pool};
-use crate::shard::{shard_of, Reintern};
+use crate::builder::build_shards;
+use crate::shard::{route, split_corpus, Reintern};
 use crate::{
     Corpus, Database, DocId, Error, Event, EventJournal, MetricsRegistry, Severity, TieredDelta,
     XmlIndex,
@@ -149,16 +149,15 @@ impl Database {
 
     /// [`Database::insert_document`] without its `update.insert` sample.
     fn insert_untimed(&mut self, xml: &str) -> Result<DocId, Error> {
-        let global = self.doc_map.len() as DocId;
-        let s = shard_of(global, self.shards.len());
-        #[expect(clippy::indexing_slicing, reason = "shard_of reduces modulo self.shards.len()")]
+        let (s, _) = route(self.len() as DocId, self.shards.len());
+        #[expect(clippy::indexing_slicing, reason = "route reduces modulo self.shards.len()")]
         let sh = &mut self.shards[s];
+        // Shards take ids in turn, so the local id is `route`'s.
         let local = sh.corpus.parse_and_push(xml)?;
         #[expect(clippy::indexing_slicing, reason = "local is the freshly pushed document's index")]
         let doc = &sh.corpus.docs[local as usize];
         sh.index.insert_delta(doc, local, &mut sh.corpus.paths);
-        sh.global_ids.push(global);
-        self.doc_map.push((s as u32, local));
+        let global = sh.global(local);
         // Fold due merges right here, keeping the run count logarithmic.
         // Only this shard's memtable was cut, so only it can be due.
         drain_shard_merges(s, &mut sh.index, &self.events, &self.merge_hist);
@@ -182,12 +181,14 @@ impl Database {
     /// document (and its sequences) for good.  Returns `false` when `id`
     /// does not exist or was already removed.
     pub fn remove_document(&mut self, id: DocId) -> bool {
-        let Some(&(s, local)) = self.doc_map.get(id as usize) else {
+        let (s, local) = route(id, self.shards.len());
+        #[expect(clippy::indexing_slicing, reason = "route reduces modulo self.shards.len()")]
+        let sh = &mut self.shards[s];
+        if local as usize >= sh.corpus.len() {
             return false;
-        };
+        }
         let t0 = Instant::now();
-        #[expect(clippy::indexing_slicing, reason = "doc_map names the shard that minted each id")]
-        let fresh = self.shards[s as usize].index.remove_doc(local);
+        let fresh = sh.index.remove_doc(local);
         self.update_remove_hist.record(elapsed_ns(t0));
         if fresh {
             self.refresh_update_gauges();
@@ -217,118 +218,67 @@ impl Database {
     /// labeling) — over the **surviving** documents.
     ///
     /// The surviving documents are re-interned into fresh symbol/path
-    /// tables in document order, by id (a document's arena order is its
-    /// parse encounter order, so minting a fresh id where an old one is
-    /// first met replays the original first-occurrence interning exactly),
-    /// the sequencing strategy is
-    /// re-derived the way [`DatabaseBuilder`](crate::DatabaseBuilder)
-    /// derived it, and ids renumber densely — the result is
-    /// **bit-identical** to building a fresh database from the survivors'
-    /// XML.  `verify_integrity()` and the Theorem 1/2 invariants therefore
-    /// keep holding after any update history.
+    /// tables in id order, by id (a document's arena order is its parse
+    /// encounter order, so minting a fresh id where an old one is first
+    /// met replays the original first-occurrence interning exactly), ids
+    /// renumber densely, and the result takes the builder's own path: it is
+    /// routed to the shards afresh (a document may change shard) and each
+    /// shard's strategy is re-derived the way
+    /// [`DatabaseBuilder`](crate::DatabaseBuilder) derived it.  The
+    /// database is **bit-identical**, shard for shard, to building a fresh
+    /// one from the survivors' XML at the same shard count.
+    /// `verify_integrity()` and the Theorem 1/2 invariants therefore keep
+    /// holding after any update history.
+    // A global id below `docs_before` routes to a shard below nshards and a
+    // local id below that shard's document count.
+    #[expect(clippy::indexing_slicing, reason = "route of a live id names its shard and document")]
     pub fn compact(&mut self) -> CompactionReport {
-        let all: Vec<usize> = (0..self.shards.len()).collect();
-        self.compact_shards(&all)
-    }
-
-    /// [`Database::compact`] for one shard — the independently schedulable
-    /// unit the shard split buys: only shard `s`'s delta and tombstones
-    /// fold into its frozen segment; every other shard's structures are
-    /// untouched.  Global doc ids still renumber densely across the whole
-    /// database (the returned remap covers every document), so callers
-    /// can compact shards one at a time between query waves.
-    ///
-    /// # Panics
-    /// Panics if `s` is not below [`Database::shard_count`].
-    pub fn compact_shard(&mut self, s: usize) -> CompactionReport {
-        assert!(s < self.shards.len(), "shard index out of range");
-        self.compact_shards(&[s])
-    }
-
-    /// The shared compaction kernel: rebuilds each selected shard from its
-    /// surviving documents, then renumbers global ids densely by walking
-    /// the old global order (survivors keep their relative order, so the
-    /// per-shard local→global maps stay ascending and merged query results
-    /// stay sorted).
-    // `which` holds shard indices below nshards (compact passes 0..nshards,
-    // compact_shard asserts it) and local_remaps has nshards entries; a shard's
-    // remap has one entry per document id it enumerates; doc_map entries name
-    // the shard that minted them and a local id below its document count, and
-    // g < docs_before = remap.len().
-    #[expect(clippy::indexing_slicing, reason = "shard indices < nshards; ids index their tables")]
-    fn compact_shards(&mut self, which: &[usize]) -> CompactionReport {
         let t0 = Instant::now();
         let nshards = self.shards.len();
-        let docs_before = self.doc_map.len();
-        let tombstones_dropped: usize = which
-            .iter()
-            .map(|&s| self.shards[s].index.tombstones().len())
+        let docs_before = self.len();
+        let tombstones_dropped: usize = (self.shards.iter())
+            .map(|sh| sh.index.tombstones().len())
             .sum();
-        let delta_merged: usize = which
-            .iter()
-            .map(|&s| self.shards[s].index.delta().sequence_count())
+        let delta_merged: usize = (self.shards.iter())
+            .map(|sh| sh.index.delta().sequence_count())
             .sum();
-        let pool = shard_pool(self.pool.threads(), nshards);
-        let mut local_remaps: Vec<Option<Vec<Option<DocId>>>> = vec![None; nshards];
-        for &s in which {
-            let sh = &mut self.shards[s];
-            let mut fresh = Corpus::new(sh.corpus.symbols.values.mode());
-            let mut remap: Vec<Option<DocId>> = vec![None; sh.corpus.docs.len()];
-            let tombstones = sh.index.tombstones();
-            // every tombstone names one of the shard's documents
-            fresh
-                .docs
-                .reserve_exact(sh.corpus.docs.len().saturating_sub(tombstones.len()));
-            let mut reintern = Reintern::new(&sh.corpus.symbols);
-            for (id, doc) in sh.corpus.docs.iter().enumerate() {
-                if tombstones.contains(id as DocId) {
-                    continue;
-                }
-                remap[id] = Some(reintern.push(doc, &mut fresh));
-            }
-            sh.index = build_shard_index(&self.config, &mut fresh, &self.registry, &pool);
-            sh.corpus = fresh;
-            local_remaps[s] = Some(remap);
-        }
-        // Dense global renumbering: walk the old global order.  A shard's
-        // locals appear in ascending global order (routing is sticky and
-        // locals mint sequentially), so pushing survivors in walk order
-        // rebuilds each shard's global_ids aligned with its local ids.
-        let old_map = std::mem::take(&mut self.doc_map);
-        let mut remap: Vec<Option<DocId>> = vec![None; docs_before];
-        for sh in &mut self.shards {
-            sh.global_ids.clear();
-        }
-        for (g, (s, local)) in old_map.into_iter().enumerate() {
-            let su = s as usize;
-            let new_local = match &local_remaps[su] {
-                // An untouched shard keeps every local id.
-                None => Some(local),
-                Some(lr) => lr[local as usize],
-            };
-            let Some(new_local) = new_local else { continue };
-            let new_global = self.doc_map.len() as DocId;
-            debug_assert_eq!(new_local as usize, self.shards[su].global_ids.len());
-            self.shards[su].global_ids.push(new_global);
-            self.doc_map.push((s, new_local));
-            remap[g] = Some(new_global);
-        }
+        // The survivors in global order, into one fresh corpus: every
+        // tombstone names one of the database's documents.
+        let mut fresh = Corpus::new(self.corpus().symbols.values.mode());
+        fresh
+            .docs
+            .reserve_exact(docs_before.saturating_sub(tombstones_dropped));
+        let mut reinterns: Vec<Reintern> = (self.shards.iter())
+            .map(|sh| Reintern::new(&sh.corpus.symbols))
+            .collect();
+        let remap: Vec<Option<DocId>> = (0..docs_before as DocId)
+            .map(|g| {
+                let (s, local) = route(g, nshards);
+                let sh = &self.shards[s];
+                let alive = !sh.index.tombstones().contains(local);
+                alive.then(|| reinterns[s].push(&sh.corpus.docs[local as usize], &mut fresh))
+            })
+            .collect();
+        drop(reinterns);
+        let corpora = split_corpus(fresh, nshards, &self.pool);
+        self.shards = build_shards(&self.config, corpora, &self.registry, self.pool);
         self.refresh_update_gauges();
         let total_ns = elapsed_ns(t0);
         self.compact_hist.record(total_ns);
         // A compaction holds the database `&mut` and cannot fail half-way,
         // so one event after it says everything a start event would.
+        let docs_after = self.len();
         self.events.record(
             Event::new("compact.finish")
                 .attr("docs_before", docs_before as u64)
-                .attr("docs", self.doc_map.len() as u64)
+                .attr("docs", docs_after as u64)
                 .attr("dropped", tombstones_dropped as u64)
                 .attr("merged", delta_merged as u64)
                 .attr("total_ns", total_ns),
         );
         CompactionReport {
             docs_before,
-            docs_after: self.doc_map.len(),
+            docs_after,
             tombstones_dropped,
             delta_merged,
             remap,
@@ -411,6 +361,31 @@ mod tests {
         assert_eq!(db.query_xpath("/a/d").unwrap(), Vec::<DocId>::new());
         let report = db.verify_integrity();
         assert!(report.is_clean(), "{}", report.render());
+        // Ids at the edges of every shard count's id space, before and
+        // after a compaction.
+        for shards in [1usize, 2, 3, 8] {
+            let mut db = DatabaseBuilder::new()
+                .shards(shards)
+                .build_from_xml(["<a><b/></a>", "<a><c/></a>", "<a><b/></a>"])
+                .unwrap();
+            assert!(db.remove_document(1));
+            for compacted in [false, true] {
+                let len = db.len() as DocId;
+                let answer = db.query_xpath("//a").unwrap();
+                // Past the end on the shard after the last document's, past
+                // the end on the last shard, and past every shard's end.
+                for id in [len, len + shards as DocId - 1, DocId::MAX] {
+                    assert!(
+                        !db.remove_document(id),
+                        "unknown id {id} is a no-op at {shards} shard(s), compacted: {compacted}"
+                    );
+                }
+                assert_eq!(db.len(), len as usize);
+                assert_eq!(db.query_xpath("//a").unwrap(), answer);
+                db.compact();
+            }
+            assert_eq!(db.query_xpath("/a/b").unwrap(), vec![0, 1]);
+        }
     }
 
     #[test]

@@ -229,7 +229,8 @@ fn a_built_corpus_is_held_at_the_size_of_its_contents() {
 
 /// The same after an update history: 2 000 records built, 600 inserted,
 /// every third one removed, and `compact()` — the compacted corpus is at
-/// the size of its contents too, and the allocator still sees the model.
+/// the size of its contents too, and the allocator still sees the model,
+/// at one shard and at several.
 #[test]
 fn a_compacted_corpus_is_held_at_the_size_of_its_contents() {
     let _serial = serial();
@@ -239,21 +240,25 @@ fn a_compacted_corpus_is_held_at_the_size_of_its_contents() {
     .iter()
     .map(|d| write_document(d, &st))
     .collect();
-    let before = live();
-    let mut db = DatabaseBuilder::new()
-        .build_from_xml(xml[..2000].iter().map(String::as_str))
-        .expect("generated XML indexes");
-    for doc in &xml[2000..] {
-        db.insert_document(doc).expect("generated XML indexes");
+    for shards in [1, 2, 3] {
+        let name = format!("compacted at {shards} shard(s)");
+        let before = live();
+        let mut db = DatabaseBuilder::new()
+            .shards(shards)
+            .build_from_xml(xml[..2000].iter().map(String::as_str))
+            .expect("generated XML indexes");
+        for doc in &xml[2000..] {
+            db.insert_document(doc).expect("generated XML indexes");
+        }
+        for id in (0..2600).step_by(3) {
+            assert!(db.remove_document(id));
+        }
+        let report = db.compact();
+        let measured = live() - before;
+        assert_eq!(report.docs_after, 2600 - 867);
+        assert_within_5_percent(&name, db.stats().memory.total_bytes(), measured);
+        assert_at_the_size_of_its_contents(&name, db.corpus(), 40);
     }
-    for id in (0..2600).step_by(3) {
-        assert!(db.remove_document(id));
-    }
-    let report = db.compact();
-    let measured = live() - before;
-    assert_eq!(report.docs_after, 2600 - 867);
-    assert_within_5_percent("compacted", db.stats().memory.total_bytes(), measured);
-    assert_at_the_size_of_its_contents("compacted", db.corpus(), 40);
 }
 
 /// The exact sizes [`a_built_corpus_is_held_at_the_size_of_its_contents`]

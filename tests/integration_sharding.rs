@@ -1,6 +1,6 @@
 //! Differential sharding tests: **shard-merge ≡ sequential** (ISSUE 9).
 //!
-//! A hash-partitioned database is an implementation detail the query
+//! A partitioned database is an implementation detail the query
 //! surface must not leak: for every shard count N and thread count, the
 //! documents a query matches, the aggregate statistics, and the integrity
 //! verdicts must be exactly what the historical single-shard build over
@@ -11,8 +11,8 @@
 //! * **update histories** — random insert/remove/compact interleavings
 //!   applied in lockstep to a sharded and a single-shard database
 //!   (global ids, compaction remaps and answers must stay identical);
-//! * **per-shard compaction** — independently scheduled `compact_shard`
-//!   calls, validated against a from-scratch rebuild over the survivors;
+//! * **compaction** — after any history, every shard's trie is the one a
+//!   fresh build at the same shard count makes over the survivors;
 //! * **`query_batch` fleets** — batch answers against the serial loop.
 //!
 //! The CI update-fuzz smoke job shrinks the case budget through
@@ -50,6 +50,9 @@ fn params() -> SyntheticParams {
 const QUERIES: [&str; 7] = ["/e0", "//e1", "//e2", "/e0/e1", "/e0/e2", "//e4", "//e9"];
 
 const SHARDED: [usize; 3] = [2, 4, 8];
+
+/// Shard counts the compaction oracle draws from.
+const COMPACTED: [usize; 5] = [1, 2, 3, 4, 8];
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -193,91 +196,104 @@ proptest! {
         }
     }
 
-    /// Per-shard compaction: independently scheduled `compact_shard`
-    /// calls keep global ids dense and answers equal to a from-scratch
-    /// single-shard build over the surviving documents.
+    /// Compaction is a fresh build over the survivors, shard for shard:
+    /// after every `compact()` in a random insert/remove/compact history,
+    /// each shard's trie and data paths are those of a `shards(n)` build
+    /// over the surviving documents in surviving-id order, the remap is
+    /// dense and in global order, and the answers are a 1-shard build's.
     #[test]
     fn per_shard_compaction_matches_rebuild_over_survivors(
         seed in 0u64..1_000,
         ninitial in 2usize..6,
         npending in 1usize..6,
         nops in 1usize..12,
-        shard_pick in 0usize..SHARDED.len(),
+        shard_pick in 0usize..COMPACTED.len(),
+        threads in 1usize..=3,
     ) {
-        let shards = SHARDED[shard_pick];
+        let shards = COMPACTED[shard_pick];
         let xmls = SyntheticDataset::generate_xml(&params(), ninitial + npending, seed);
-        let mut db = DatabaseBuilder::new()
-            .sequencing(Sequencing::DepthFirst)
-            .shards(shards)
-            .build_from_xml(xmls[..ninitial].iter().map(String::as_str))
-            .unwrap();
-        // Model: global id → xml, pruned/renumbered through every remap.
-        let mut model: Vec<&str> = xmls[..ninitial].iter().map(String::as_str).collect();
-        let mut alive: Vec<bool> = vec![true; ninitial];
-        let mut pending = xmls[ninitial..].iter();
-        let mut rng = seed ^ 0x51a4d;
-        for _ in 0..nops {
-            match lcg(&mut rng) % 10 {
-                0..=3 => {
-                    if let Some(xml) = pending.next() {
-                        let id = db.insert_document(xml).unwrap() as usize;
-                        prop_assert_eq!(id, model.len(), "ids stay dense");
-                        model.push(xml);
-                        alive.push(true);
-                    }
-                }
-                4..=6 => {
-                    let id = lcg(&mut rng) as usize % model.len();
-                    let did = db.remove_document(id as DocId);
-                    prop_assert_eq!(did, alive[id], "remove reports liveness");
-                    alive[id] = false;
-                }
-                _ => {
-                    let s = lcg(&mut rng) as usize % shards;
-                    let report = db.compact_shard(s);
-                    // Renumber the model through the returned remap: a
-                    // dropped id must be a tombstoned doc of shard s.
-                    let mut next_model = Vec::with_capacity(model.len());
-                    let mut next_alive = Vec::with_capacity(alive.len());
-                    for (g, new) in report.remap.iter().enumerate() {
-                        match new {
-                            Some(n) => {
-                                prop_assert_eq!(*n as usize, next_model.len());
-                                next_model.push(model[g]);
-                                next_alive.push(alive[g]);
-                            }
-                            None => prop_assert!(!alive[g], "only dead docs drop"),
+        for sequencing in [Sequencing::DepthFirst, Sequencing::Probability] {
+            let build = |n: usize, xmls: &[&str]| {
+                DatabaseBuilder::new()
+                    .sequencing(sequencing)
+                    .threads(threads)
+                    .shards(n)
+                    .build_from_xml(xmls.iter().copied())
+                    .unwrap()
+            };
+            // Model: global id → xml, pruned/renumbered through every remap.
+            let mut model: Vec<&str> = xmls[..ninitial].iter().map(String::as_str).collect();
+            let mut db = build(shards, &model);
+            let mut alive: Vec<bool> = vec![true; ninitial];
+            let mut pending = xmls[ninitial..].iter();
+            let mut rng = seed ^ 0x51a4d;
+            for step in 0..=nops {
+                let op = if step == nops { 9 } else { lcg(&mut rng) % 10 };
+                match op {
+                    0..=3 => {
+                        if let Some(xml) = pending.next() {
+                            let id = db.insert_document(xml).unwrap() as usize;
+                            prop_assert_eq!(id, model.len(), "ids stay dense");
+                            model.push(xml);
+                            alive.push(true);
                         }
                     }
-                    model = next_model;
-                    alive = next_alive;
+                    // A compaction that dropped every document leaves
+                    // nothing to remove.
+                    4..=6 if !model.is_empty() => {
+                        let id = lcg(&mut rng) as usize % model.len();
+                        let did = db.remove_document(id as DocId);
+                        prop_assert_eq!(did, alive[id], "remove reports liveness");
+                        alive[id] = false;
+                    }
+                    4..=6 => {}
+                    _ => {
+                        let report = db.compact();
+                        // Renumber the model through the returned remap:
+                        // only dead documents drop, survivors close ranks.
+                        let mut survivors = Vec::with_capacity(model.len());
+                        for (g, new) in report.remap.iter().enumerate() {
+                            match new {
+                                Some(n) => {
+                                    prop_assert!(alive[g], "dead documents drop");
+                                    prop_assert_eq!(*n as usize, survivors.len());
+                                    survivors.push(model[g]);
+                                }
+                                None => prop_assert!(!alive[g], "live documents stay"),
+                            }
+                        }
+                        model = survivors;
+                        alive = vec![true; model.len()];
+                        prop_assert_eq!(db.len(), model.len());
+                        if model.is_empty() {
+                            for q in QUERIES {
+                                prop_assert!(db.query_xpath(q).unwrap().is_empty());
+                            }
+                            continue;
+                        }
+                        let fresh = build(shards, &model);
+                        for s in 0..shards {
+                            let (got, want) = (db.shard_index(s), fresh.shard_index(s));
+                            prop_assert!(
+                                got.trie().identical_to(want.trie()),
+                                "{:?} s{} t{}: shard {} trie", sequencing, shards, threads, s
+                            );
+                            prop_assert_eq!(got.data_paths(), want.data_paths());
+                        }
+                        let reference = build(1, &model);
+                        for q in QUERIES {
+                            prop_assert_eq!(
+                                db.query_xpath(q).unwrap(),
+                                reference.query_xpath(q).unwrap(),
+                                "{:?} s{} after compaction: {}", sequencing, shards, q
+                            );
+                        }
+                    }
                 }
+                prop_assert_eq!(db.len(), model.len());
             }
-            prop_assert_eq!(db.len(), model.len());
+            prop_assert!(db.verify_integrity().is_clean());
         }
-        // Final full compaction, then compare with a fresh single-shard
-        // build over the survivors in surviving-id order.
-        let report = db.compact();
-        let mut survivors = Vec::new();
-        for (g, new) in report.remap.iter().enumerate() {
-            if new.is_some() {
-                survivors.push(model[g]);
-            }
-        }
-        let reference = DatabaseBuilder::new()
-            .sequencing(Sequencing::DepthFirst)
-            .shards(1)
-            .build_from_xml(survivors.iter().copied())
-            .unwrap();
-        prop_assert_eq!(db.len(), reference.len());
-        for q in QUERIES {
-            prop_assert_eq!(
-                db.query_xpath(q).unwrap(),
-                reference.query_xpath(q).unwrap(),
-                "s{} after per-shard compaction: {}", shards, q
-            );
-        }
-        prop_assert!(db.verify_integrity().is_clean());
     }
 
     /// `query_batch` fleets over sharded databases: batch answers equal
@@ -336,6 +352,11 @@ fn empty_shards_are_inert() {
     let report = db.compact();
     assert_eq!(report.docs_after, 10);
     assert_eq!(db.query_xpath("/a/d7").unwrap(), vec![9]);
+    // The next id after a compaction is its length, on whichever shard it
+    // routes to, and answers at once.
+    assert_eq!(db.insert_document("<a><e/></a>").unwrap(), 10);
+    assert_eq!(db.query_xpath("/a/e").unwrap(), vec![10]);
+    assert_eq!(db.query_xpath("//a").unwrap(), (0..11).collect::<Vec<_>>());
 }
 
 /// The scatter path and the sequential fallback agree: the same sharded
@@ -412,7 +433,7 @@ fn wildcards_follow_updates_on_every_shard() {
         .collect();
     assert_matches_oracle(&db, &model, &symbols, &exprs, "after the build");
 
-    // enough inserts that every shard mints `new` (the router hashes ids)
+    // enough inserts that every shard mints `new` (shards take ids in turn)
     let fresh: Vec<String> = (0..6)
         .map(|i| format!("<root><c{i}><new>v</new></c{i}></root>"))
         .collect();

@@ -194,8 +194,8 @@ proptest! {
             .into_iter()
             .flat_map(|s| modes.map(|m| (s, m)))
         {
-            // shards(1): compact ≡ rebuild bit-identity is a single-shard
-            // property — sharded histories live in integration_sharding.rs.
+            // shards(1): the dictionaries are compared through db.corpus(),
+            // shard 0's — sharded histories live in integration_sharding.rs.
             let mut db = DatabaseBuilder::new()
                 .sequencing(sequencing)
                 .value_mode(mode)
@@ -299,10 +299,9 @@ proptest! {
     /// compact, so both databases route every doc to the same shard and
     /// renumber identically; any trace the memtable, a tier-0 run, or a
     /// background merge leaves behind shows up as a trie divergence.
-    /// (Mid-history compacts renumber ids and deliberately leave docs in
-    /// their original shard, so cross-database placement only matches
-    /// rebuild routing for never-renumbered histories; interleaved
-    /// compacts are covered at shards(1) by
+    /// (Interleaved compacts are covered shard for shard by
+    /// `per_shard_compaction_matches_rebuild_over_survivors` in
+    /// integration_sharding.rs, and in every value mode at shards(1) by
     /// `update_histories_compact_to_rebuild` above.)
     #[test]
     fn sharded_update_histories_compact_to_rebuild(
