@@ -110,19 +110,18 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Sets the worker count: the emission width of a build (each shard
-    /// parses and interns serially, then fans the pure sequence emitter
-    /// out; the sort and the freeze are serial too) and the width of
-    /// [`Database::query_batch`].  1 (the default) runs everything in
-    /// place with no thread traffic.
+    /// Sets the worker count: how many shards parse and build at once, and
+    /// the width of [`Database::query_batch`].  A shard's build is one
+    /// thread's work (it parses, interns, emits, sorts and freezes
+    /// serially, in document order), and so is a single query (it answers
+    /// the shards in turn).  1 (the default) runs everything in place with
+    /// no thread traffic.
     ///
     /// The shard count follows the thread count unless
-    /// [`DatabaseBuilder::shards`] pins it.  Shards build side by side,
-    /// each on its `threads / shards` share of the workers; a shard's
-    /// index is bit-identical to a single-threaded build over its
-    /// documents at any thread count.  More shards partition the documents
-    /// differently, so a database is answer-identical (not trie-identical)
-    /// across shard counts.
+    /// [`DatabaseBuilder::shards`] pins it.  More shards partition the
+    /// documents differently, so a database is answer-identical (not
+    /// trie-identical) across shard counts; at a fixed shard count its
+    /// tries are identical at any thread count.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -131,8 +130,9 @@ impl DatabaseBuilder {
     /// Sets the number of independent index shards (0, the default, follows
     /// the thread count).  Documents take the shards in turn by id; each
     /// shard owns its own symbol/path tables, frozen trie, delta segment
-    /// and tombstones, so shards share nothing on the hot path.  Every
-    /// query runs one pipeline over the shards and k-way merges their
+    /// and tombstones, so shards share nothing and build side by side on
+    /// the pool: a shard is the unit of parallel parsing and building.  A
+    /// query answers the shards in turn on its own thread and merges their
     /// sorted results — answers, aggregate stats and integrity verdicts
     /// are identical at any shard count over the same corpus.
     pub fn shards(mut self, n: usize) -> Self {
@@ -210,10 +210,10 @@ impl DatabaseBuilder {
     ///
     /// Documents are routed to shards by their would-be id **before**
     /// parsing, so each shard parses its own subset into its own interners
-    /// — shards run side by side on the pool and share nothing.  Within a
-    /// shard, parsing is one serial pass in document order at any thread
-    /// count; on malformed input the error returned is the earliest failing
-    /// document's in input order, at any thread and shard count.
+    /// — shards run side by side on the pool and share nothing.  A shard
+    /// parses and builds in one serial pass in document order at any
+    /// thread count; on malformed input the error returned is the earliest
+    /// failing document's in input order, at any thread and shard count.
     #[expect(clippy::indexing_slicing, reason = "route(..) is below nshards")]
     pub fn build_from_xml<'a>(
         self,
@@ -374,7 +374,7 @@ fn parse_shard(
 /// [`Database::compact`] — so a compacted database is bit-identical to a
 /// fresh build over its survivors.  Shard `s` of `corpora` holds the
 /// documents [`route`] sends there; the shards build side by side on
-/// `pool`, each through [`build_shard_index`] on its share of the workers.
+/// `pool`, each through [`build_shard_index`] on one thread.
 pub(crate) fn build_shards(
     config: &BuildConfig,
     corpora: Vec<Corpus>,
@@ -382,13 +382,11 @@ pub(crate) fn build_shards(
     pool: Pool,
 ) -> Vec<Shard> {
     let nshards = corpora.len();
-    #[expect(clippy::integer_division_remainder_used, reason = "a database has at least one shard")]
-    let inner = Pool::new(pool.threads() / nshards);
     let tasks: Vec<_> = corpora
         .into_iter()
         .map(|mut corpus| {
             move || {
-                let index = build_shard_index(config, &mut corpus, registry, &inner);
+                let index = build_shard_index(config, &mut corpus, registry);
                 (corpus, index)
             }
         })
@@ -405,14 +403,12 @@ pub(crate) fn build_shards(
 
 /// The one per-shard index build, run by [`build_shards`].  Derives the
 /// sequencing strategy from the corpus, then runs the index's one
-/// constructor on `pool` (bit-identical at any width; a width-1 pool runs
-/// it in place).  Later inserts through `corpus` record `xml.parse` into
-/// `registry`.
+/// constructor, all on the calling thread.  Later inserts through
+/// `corpus` record `xml.parse` into `registry`.
 fn build_shard_index(
     config: &BuildConfig,
     corpus: &mut Corpus,
     registry: &MetricsRegistry,
-    pool: &Pool,
 ) -> XmlIndex {
     corpus.attach_parse_histogram(registry.histogram("xml.parse"));
     // The one interning pass, in document order: the estimate and the
@@ -441,7 +437,6 @@ fn build_shard_index(
         strategy,
         PlanOptions::default(),
         Some(IndexTelemetry::register(registry)),
-        pool,
     );
     index.configure_delta(config.memtable_limit, config.tier_ratio);
     corpus.shrink_to_fit();

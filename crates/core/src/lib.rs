@@ -38,7 +38,7 @@
 //! * [`schema`] — occurrence probabilities `p(C|root)` (estimated or
 //!   declared) and query-tuning weights `w(C)` (Eq. 6).
 //! * [`index`] — the trie + path-link index and its one constructor
-//!   (interning pass, pooled emission, freeze), the order-free
+//!   (interning pass, emission, freeze), the order-free
 //!   `tree_search` every query runs, wildcard planning, the tiered update
 //!   overlay (a run is its trie).
 //! * [`query`] — the XPath-subset parser.

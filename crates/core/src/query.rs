@@ -47,7 +47,7 @@ impl Database {
     /// [`DatabaseBuilder::trace_config`](crate::DatabaseBuilder::trace_config),
     /// the query's span tree in [`QueryOutcome::trace`].
     pub fn query_xpath_full(&self, expr: &str) -> Result<QueryOutcome, Error> {
-        with_scratch(|scratch| self.query_xpath_ctx(expr, scratch, false))
+        with_scratch(|scratch| self.query_xpath_ctx(expr, scratch))
     }
 
     /// One query against a caller-owned [`SearchScratch`] (scratch reuse):
@@ -65,15 +65,14 @@ impl Database {
         &self,
         expr: &str,
         scratch: &mut SearchScratch,
-        batch_worker: bool,
     ) -> Result<QueryOutcome, Error> {
         // ORDERING: config — advisory read; no memory is published through it.
         let slow_ns = self.slow_threshold_ns.load(Ordering::Relaxed);
         if self.workload.is_none() && slow_ns == u64::MAX && self.tracer.is_none() {
-            return self.run_query(expr, scratch, batch_worker);
+            return self.run_query(expr, scratch);
         }
         let t0 = Instant::now();
-        let answered = self.run_query(expr, scratch, batch_worker);
+        let answered = self.run_query(expr, scratch);
         let total_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let slow = total_ns >= slow_ns;
         let trace = self.trace_query(expr, (t0, total_ns), slow, answered.as_ref());
@@ -100,42 +99,17 @@ impl Database {
         Ok(out)
     }
 
-    /// The query pipeline: let every shard
-    /// [`answer`](crate::shard::Shard::answer), [`gather`], spot-check.
-    /// Shard count and tracing are data here, not control flow.
-    ///
-    /// The one selection is *where* the shards answer.  They fan out on
-    /// the worker pool — each task with a fresh [`SearchScratch`] — exactly
-    /// when that can pay: there is more than one shard, the pool has
-    /// workers, the query is untraced (a traced query's phases must
-    /// partition its wall clock, so they run one after another), and the
-    /// caller is not itself a `query_batch` worker (its parallelism
-    /// already comes from the batch level, and nested fan-out would
-    /// oversubscribe).  Otherwise they answer in turn on the caller's
-    /// thread and scratch.
-    fn run_query(
-        &self,
-        expr: &str,
-        scratch: &mut SearchScratch,
-        batch_worker: bool,
-    ) -> Result<QueryOutcome, Error> {
-        let fan_out = self.shards.len() > 1
-            && !self.pool.is_sequential()
-            && self.tracer.is_none()
-            && !batch_worker;
-        let answers: Result<Vec<QueryOutcome>, _> = if fan_out {
-            let tasks: Vec<_> = self
-                .shards
-                .iter()
-                .map(|s| move || s.answer(expr, &mut SearchScratch::new(), &self.parse_hist))
-                .collect();
-            self.pool.run(tasks).into_iter().collect()
-        } else {
-            self.shards
-                .iter()
-                .map(|sh| sh.answer(expr, scratch, &self.parse_hist))
-                .collect()
-        };
+    /// The query pipeline: every shard
+    /// [`answer`](crate::shard::Shard::answer)s in turn, on the caller's
+    /// thread and scratch, then [`gather`] and the spot check.  Shard count
+    /// and tracing are data here, not control flow, and a query is one
+    /// thread's work: its parallelism is the batch ([`Database::query_batch`]).
+    fn run_query(&self, expr: &str, scratch: &mut SearchScratch) -> Result<QueryOutcome, Error> {
+        let answers: Result<Vec<QueryOutcome>, _> = self
+            .shards
+            .iter()
+            .map(|sh| sh.answer(expr, scratch, &self.parse_hist))
+            .collect();
         let mut out = gather(answers?);
         self.maybe_spot_check(&mut out);
         Ok(out)
@@ -240,7 +214,7 @@ impl Database {
     pub fn query_batch(&self, exprs: &[&str]) -> Vec<Result<Vec<DocId>, Error>> {
         self.pool
             .map_with(exprs, SearchScratch::new, |scratch, expr| {
-                Ok(self.query_xpath_ctx(expr, scratch, true)?.docs)
+                Ok(self.query_xpath_ctx(expr, scratch)?.docs)
             })
     }
 
@@ -666,10 +640,10 @@ mod tests {
         // goes down the shard walk, warm at the second and third shard and
         // at the next expression, and answers as a cold one does.
         let mut scratch = SearchScratch::new();
-        let out = db.query_xpath_ctx("/a/b", &mut scratch, true).unwrap();
+        let out = db.query_xpath_ctx("/a/b", &mut scratch).unwrap();
         assert_eq!(out.docs.len(), 30);
-        let again = db.query_xpath_ctx("/a/b", &mut scratch, true).unwrap();
-        let cold = db.query_xpath_ctx("/a/b", &mut SearchScratch::new(), true);
+        let again = db.query_xpath_ctx("/a/b", &mut scratch).unwrap();
+        let cold = db.query_xpath_ctx("/a/b", &mut SearchScratch::new());
         let cold = cold.unwrap();
         assert_eq!(
             (&again.docs, again.stats.search),

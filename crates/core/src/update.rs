@@ -213,9 +213,9 @@ impl Database {
     }
 
     /// Folds the delta segment and tombstones back into a single frozen
-    /// segment by replaying the original build pipeline — chunk-parallel
-    /// sequencing → `bulk_load` → `freeze` (one sort, one preorder build, one
-    /// labeling) — over the **surviving** documents.
+    /// segment by replaying the original build pipeline — sequencing →
+    /// `bulk_load` → `freeze` (one sort, one preorder build, one labeling),
+    /// shards side by side on the pool — over the **surviving** documents.
     ///
     /// The surviving documents are re-interned into fresh symbol/path
     /// tables in id order, by id (a document's arena order is its parse

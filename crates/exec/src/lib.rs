@@ -2,25 +2,23 @@
 //!
 //! A dependency-free scoped worker pool built from two pieces:
 //!
-//! * [`ChunkQueue`] — a wait-free claim counter handing out disjoint
-//!   `[start, end)` ranges of a work list.  Dynamic chunk claiming gives
-//!   load balancing (a worker that draws a cheap chunk immediately claims
-//!   another) while keeping results addressable by chunk index, so callers
-//!   can reassemble outputs in *input* order no matter which worker ran
-//!   which chunk.  Its tests claim from one queue on real threads; the
-//!   claim is one `fetch_add`, so they and the ThreadSanitizer job are its
-//!   whole concurrency check.
+//! * [`ChunkQueue`] — a wait-free claim counter handing out the indices of
+//!   a work list one at a time.  Dynamic claiming gives load balancing (a
+//!   worker that draws a cheap item immediately claims another) while
+//!   keeping results addressable by index, so callers get outputs in
+//!   *input* order no matter which worker ran which item.  Its tests claim
+//!   from one queue on real threads; the claim is one `fetch_add`, so they
+//!   and the ThreadSanitizer job are its whole concurrency check.
 //! * [`Pool`] — a scope/join front end over `std::thread::scope`.  Every
 //!   entry point blocks until all spawned work is joined, so borrowed data
 //!   flows into workers without `'static` bounds and panics propagate to
 //!   the caller.  A pool of one thread (the default) degenerates to plain
 //!   in-place iteration with zero thread or lock traffic.
 //!
-//! Determinism contract: [`Pool::map`], [`Pool::map_chunks`] and
-//! [`Pool::run`] return results in input order, independent of thread
-//! count and scheduling.  The two fan-outs rely on this — the index build
-//! concatenates emitted sequences in document order, and `query_batch`
-//! returns its answers in the order the expressions were given.
+//! Two entry points, one per level of parallelism the database has:
+//! [`Pool::run`] builds the shards side by side, and [`Pool::map_with`]
+//! answers a `query_batch`, one warm per-worker state each.  Both return
+//! results in input order, independent of thread count and scheduling.
 //!
 //! Every thread the library starts is scoped and joined: the root
 //! `clippy.toml` disallows `std::thread::spawn` and
@@ -42,47 +40,39 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// A wait-free chunk allocator over the index range `0..len`.
+/// A wait-free claim counter over the index range `0..len`.
 ///
-/// Each [`ChunkQueue::claim`] hands out the next untouched `[start, end)`
-/// range of at most `chunk` items; ranges are disjoint, in ascending
-/// order of issue, and together cover the whole range exactly once.
-/// `start` is always a multiple of `chunk`, so `start / chunk` is a dense
-/// chunk index usable as a result slot.
+/// Each [`ChunkQueue::claim`] hands out the next unclaimed index; indices
+/// are issued in ascending order, and together the claims cover the whole
+/// range exactly once.
 #[derive(Debug)]
 pub struct ChunkQueue {
     cursor: AtomicUsize,
     len: usize,
-    chunk: usize,
 }
 
 impl ChunkQueue {
-    /// A queue over `len` items handed out `chunk` at a time (`chunk` is
-    /// clamped to at least 1).
-    pub fn new(len: usize, chunk: usize) -> Self {
+    /// A queue over `len` items.
+    pub fn new(len: usize) -> Self {
         ChunkQueue {
             cursor: AtomicUsize::new(0),
             len,
-            chunk: chunk.max(1),
         }
     }
 
-    /// Claims the next chunk, or `None` when the range is exhausted.
+    /// Claims the next index, or `None` when the range is exhausted.
     ///
     /// Safe to call from any number of threads; each index in `0..len` is
     /// handed out exactly once.  Callers are expected to stop on the first
     /// `None` (the pool's workers do), which bounds the cursor overshoot
     /// to one claim per caller.
-    pub fn claim(&self) -> Option<(usize, usize)> {
+    pub fn claim(&self) -> Option<usize> {
         // ORDERING: cursor — the fetch_add RMW is the whole synchronization
         // story; it alone makes claims disjoint.  Results computed from a claim
         // travel back to the caller through the scope join (a full
         // happens-before edge), never through this counter.
-        let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
-        if start >= self.len {
-            return None;
-        }
-        Some((start, (start + self.chunk).min(self.len)))
+        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (i < self.len).then_some(i)
     }
 
     /// Total number of items governed by the queue.
@@ -126,93 +116,6 @@ impl Pool {
         self.threads
     }
 
-    /// True when the pool executes in place on the calling thread.
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
-    }
-
-    /// The default chunk size for `len` items: roughly four chunks per
-    /// worker, so a straggler chunk costs at most ~1/4 of one worker's
-    /// share of the wall clock.
-    pub fn chunk_for(&self, len: usize) -> usize {
-        len.div_ceil(self.threads * 4).max(1)
-    }
-
-    /// Applies `f` to every item, returning results in input order.
-    ///
-    /// `f` receives the item's index alongside the item.  Work is claimed
-    /// in chunks of [`Pool::chunk_for`] via a [`ChunkQueue`].
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let chunk = self.chunk_for(items.len());
-        let per_chunk = self.map_chunks(items, chunk, |ci, slice| {
-            let base = ci * chunk;
-            slice
-                .iter()
-                .enumerate()
-                .map(|(j, item)| f(base + j, item))
-                .collect::<Vec<R>>()
-        });
-        per_chunk.into_iter().flatten().collect()
-    }
-
-    /// Applies `f` to contiguous chunks of `items` (at most `chunk` items
-    /// each), returning one result per chunk in chunk order.
-    ///
-    /// `f` receives the dense chunk index (`0..len.div_ceil(chunk)`) and
-    /// the chunk slice.  This is the primitive behind [`Pool::map`]; chunk
-    /// order *is* input order.
-    // claim() returns start < len and end <= len, so ci < n_chunks; a slot
-    // lock only poisons if f panicked (already unwinding), and once the scope
-    // has joined every worker each chunk index was claimed and stored once.
-    #[expect(clippy::integer_division_remainder_used, reason = "chunk >= 1 (clamped at entry)")]
-    #[expect(clippy::indexing_slicing, reason = "claim() yields start < len and end <= len")]
-    #[expect(clippy::expect_used, reason = "slot locks poison only if f panicked; all are filled")]
-    pub fn map_chunks<T, R, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        let chunk = chunk.max(1);
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let n_chunks = items.len().div_ceil(chunk);
-        if self.threads == 1 || n_chunks == 1 {
-            return items
-                .chunks(chunk)
-                .enumerate()
-                .map(|(ci, slice)| f(ci, slice))
-                .collect();
-        }
-        let queue = ChunkQueue::new(items.len(), chunk);
-        let slots: Vec<Mutex<Option<R>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..self.threads.min(n_chunks) {
-                s.spawn(|| {
-                    while let Some((start, end)) = queue.claim() {
-                        let ci = start / chunk;
-                        let result = f(ci, &items[start..end]);
-                        *slots[ci].lock().expect("chunk result lock poisoned") = Some(result);
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("chunk result lock poisoned")
-                    .expect("chunk queue hands every chunk to exactly one worker")
-            })
-            .collect()
-    }
-
     /// Applies `f` to every item, returning results in input order, with one
     /// `init()` state per worker that `f` reuses for every item the worker
     /// claims.  Items are claimed one at a time, so a batch of uneven items
@@ -231,11 +134,11 @@ impl Pool {
             let mut state = init();
             return items.iter().map(|item| f(&mut state, item)).collect();
         }
-        let queue = ChunkQueue::new(items.len(), 1);
+        let queue = ChunkQueue::new(items.len());
         let work = || {
             let mut state = init();
             let mut done = Vec::new();
-            while let Some((i, _)) = queue.claim() {
+            while let Some(i) = queue.claim() {
                 if let Some(item) = items.get(i) {
                     done.push((i, f(&mut state, item)));
                 }
@@ -259,9 +162,9 @@ impl Pool {
     }
 
     /// Runs every task on the pool, returning results in task order — the
-    /// scope/join API.  Tasks are claimed one at a time (heterogeneous
-    /// tasks balance better unchunked); the call joins all workers before
-    /// returning, so tasks may borrow from the caller's stack.
+    /// scope/join API.  Tasks are claimed one at a time; the call joins
+    /// all workers before returning, so tasks may borrow from the caller's
+    /// stack.
     // claim() yields each index below n exactly once and both slot vectors
     // have n entries; slot mutexes are leaf locks no task holds while running,
     // so they cannot be poisoned, and once the scope has joined every worker
@@ -280,19 +183,19 @@ impl Pool {
         if self.threads == 1 || n == 1 {
             return tasks.into_iter().map(|task| task()).collect();
         }
-        let queue = ChunkQueue::new(n, 1);
+        let queue = ChunkQueue::new(n);
         let task_slots: Vec<Mutex<Option<F>>> =
             tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let out_slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|s| {
             for _ in 0..self.threads.min(n) {
                 s.spawn(|| {
-                    while let Some((i, _)) = queue.claim() {
+                    while let Some(i) = queue.claim() {
                         let slot = task_slots[i].lock();
                         let task = slot
                             .expect("task slot lock poisoned")
                             .take()
-                            .expect("chunk queue hands every task index out once");
+                            .expect("the queue hands every task index out once");
                         *out_slots[i].lock().expect("result slot lock poisoned") = Some(task());
                     }
                 });
@@ -317,26 +220,30 @@ mod tests {
 
     #[test]
     fn chunk_queue_partitions_the_range() {
-        let q = ChunkQueue::new(10, 3);
+        let q = ChunkQueue::new(4);
         let mut got = Vec::new();
-        while let Some(r) = q.claim() {
-            got.push(r);
+        while let Some(i) = q.claim() {
+            got.push(i);
         }
-        assert_eq!(got, vec![(0, 3), (3, 6), (6, 9), (9, 10)]);
+        assert_eq!(got, vec![0, 1, 2, 3]);
         assert_eq!(q.claim(), None, "exhausted queues stay exhausted");
     }
 
     #[test]
-    fn chunk_queue_clamps_chunk_to_one() {
-        let q = ChunkQueue::new(2, 0);
-        assert_eq!(q.claim(), Some((0, 1)));
-        assert_eq!(q.claim(), Some((1, 2)));
-        assert_eq!(q.claim(), None);
+    fn chunk_queue_overshoot_stays_exhausted() {
+        // Callers that keep claiming past the end move the cursor on but
+        // never see an index again.
+        let q = ChunkQueue::new(2);
+        assert_eq!((q.claim(), q.claim()), (Some(0), Some(1)));
+        for _ in 0..100 {
+            assert_eq!(q.claim(), None);
+        }
+        assert_eq!(q.len(), 2);
     }
 
     #[test]
     fn empty_queue_yields_nothing() {
-        let q = ChunkQueue::new(0, 4);
+        let q = ChunkQueue::new(0);
         assert!(q.is_empty());
         assert_eq!(q.claim(), None);
     }
@@ -345,15 +252,15 @@ mod tests {
     fn chunk_queue_claims_are_disjoint_across_threads() {
         // Four threads drain one queue; together their claims must cover
         // 0..len exactly once, whatever the interleaving.
-        let (len, chunk) = (10_007, 3);
-        let q = ChunkQueue::new(len, chunk);
-        let mut claims: Vec<(usize, usize)> = std::thread::scope(|s| {
+        let len = 10_007;
+        let q = ChunkQueue::new(len);
+        let mut claims: Vec<usize> = std::thread::scope(|s| {
             let workers: Vec<_> = (0..4)
                 .map(|_| {
                     s.spawn(|| {
                         let mut mine = Vec::new();
-                        while let Some(r) = q.claim() {
-                            mine.push(r);
+                        while let Some(i) = q.claim() {
+                            mine.push(i);
                         }
                         mine
                     })
@@ -365,27 +272,11 @@ mod tests {
                 .collect()
         });
         claims.sort_unstable();
-        let mut next = 0;
-        for (start, end) in claims {
-            assert_eq!(start, next, "claims overlap or leave a gap");
-            assert!(end > start && end - start <= chunk);
-            next = end;
-        }
-        assert_eq!(next, len, "claims cover the whole range");
-    }
-
-    #[test]
-    fn map_preserves_input_order_at_every_thread_count() {
-        let items: Vec<u32> = (0..103).collect();
-        let expect: Vec<u64> = items.iter().map(|&x| u64::from(x) * 3 + 1).collect();
-        for threads in [1, 2, 3, 4, 8] {
-            let pool = Pool::new(threads);
-            let got = pool.map(&items, |i, &x| {
-                assert_eq!(i as u32, x, "index argument matches position");
-                u64::from(x) * 3 + 1
-            });
-            assert_eq!(got, expect, "threads={threads}");
-        }
+        assert_eq!(
+            claims,
+            (0..len).collect::<Vec<_>>(),
+            "claims overlap or leave a gap"
+        );
     }
 
     #[test]
@@ -427,14 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_sees_contiguous_slices_in_order() {
-        let items: Vec<usize> = (0..25).collect();
-        let pool = Pool::new(4);
-        let spans = pool.map_chunks(&items, 7, |ci, slice| (ci, slice[0], slice.len()));
-        assert_eq!(spans, vec![(0, 0, 7), (1, 7, 7), (2, 14, 7), (3, 21, 4)]);
-    }
-
-    #[test]
     fn run_joins_all_tasks_in_task_order() {
         let started = AtomicUsize::new(0);
         let tasks: Vec<_> = (0..17usize)
@@ -457,7 +340,7 @@ mod tests {
     fn every_item_is_processed_exactly_once() {
         let pool = Pool::new(8);
         let items: Vec<usize> = (0..1000).collect();
-        let seen: Vec<usize> = pool.map(&items, |_, &x| x);
+        let seen: Vec<usize> = pool.map_with(&items, || (), |_, &x| x);
         let unique: HashSet<usize> = seen.iter().copied().collect();
         assert_eq!(unique.len(), 1000);
     }
@@ -467,18 +350,11 @@ mod tests {
         // Nothing observable to assert beyond behavior: the threads==1
         // paths return before any scope is created.
         let pool = Pool::default();
-        assert!(pool.is_sequential());
-        assert_eq!(pool.map(&[1, 2, 3], |_, &x| x + 1), vec![2, 3, 4]);
+        assert_eq!(pool.threads(), 1);
+        assert_eq!(
+            pool.map_with(&[1, 2, 3], || (), |_, &x| x + 1),
+            vec![2, 3, 4]
+        );
         assert_eq!(pool.run(vec![|| 5]), vec![5]);
-    }
-
-    #[test]
-    fn chunk_for_balances_roughly_four_per_worker() {
-        let pool = Pool::new(4);
-        assert_eq!(pool.chunk_for(0), 1);
-        assert_eq!(pool.chunk_for(16), 1);
-        assert_eq!(pool.chunk_for(160), 10);
-        let sequential = Pool::new(1);
-        assert_eq!(sequential.chunk_for(100), 25);
     }
 }

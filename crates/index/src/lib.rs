@@ -160,8 +160,7 @@ impl QueryOutcome {
     /// counters — as a small text report (an EXPLAIN of what the index did).
     /// The rows sum to the wall time: the timed phases plus what none of
     /// them accounts for, clamped at 0 (so the rows sum to the phases when
-    /// the wall time is unknown, or when parallel shards' phases overlap
-    /// past it).
+    /// the wall time is unknown).
     pub fn explain(&self) -> String {
         let st = &self.stats;
         let phases = [
@@ -259,31 +258,18 @@ pub struct XmlIndex {
 }
 
 impl XmlIndex {
-    /// Builds an index over `docs` with the given sequencing strategy:
-    /// [`XmlIndex::build_parallel`] in place, with no registry wiring.
+    /// Builds an index over `docs` with the given sequencing strategy, with
+    /// no registry wiring: path-encodes them first — one serial pass in
+    /// document order, so [`PathId`]s are first-occurrence ids — then runs
+    /// [`XmlIndex::build_encoded`].
     pub fn build(
         docs: &[Document],
         paths: &mut PathTable,
         strategy: Strategy,
         options: PlanOptions,
     ) -> Self {
-        let pool = xseq_exec::Pool::default();
-        Self::build_parallel(docs, paths, strategy, options, None, &pool)
-    }
-
-    /// [`XmlIndex::build_encoded`] over documents that are not encoded
-    /// yet: path-encodes them first — one serial pass in document order, so
-    /// [`PathId`]s are first-occurrence ids whatever the pool width.
-    pub fn build_parallel(
-        docs: &[Document],
-        paths: &mut PathTable,
-        strategy: Strategy,
-        options: PlanOptions,
-        telemetry: Option<IndexTelemetry>,
-        pool: &xseq_exec::Pool,
-    ) -> Self {
         let enc: Vec<_> = docs.iter().map(|doc| doc.path_encode(paths)).collect();
-        Self::build_encoded(docs, &enc, strategy, options, telemetry, pool)
+        Self::build_encoded(docs, &enc, strategy, options, None)
     }
 
     /// The one constructor — the paper's pipeline (Sections 2, 4.1) over a
@@ -295,9 +281,8 @@ impl XmlIndex {
     /// Interning happened strictly before — the database's build encodes
     /// its corpus once and hands the same encodings to the probability
     /// estimate and to this.  Emission is pure in `(doc, enc, strategy)`
-    /// and fans out over `pool`, which returns results in input order (and
-    /// runs in place when it is one wide), so the frozen index is
-    /// bit-identical at any thread count (DESIGN.md §10.2).
+    /// and runs on the calling thread in document order; parallelism lives
+    /// one level up, where shards build side by side (DESIGN.md §10.2).
     ///
     /// With `telemetry`, each document's emission time is sampled into
     /// `sequence.encode`, and every later query flushes its phase timings
@@ -308,21 +293,18 @@ impl XmlIndex {
         strategy: Strategy,
         options: PlanOptions,
         telemetry: Option<IndexTelemetry>,
-        pool: &xseq_exec::Pool,
     ) -> Self {
         debug_assert_eq!(docs.len(), enc.len(), "one encoding per document");
-        let encoded: Vec<_> = docs.iter().zip(enc).collect();
-        let emitted = pool.map(&encoded, |id, (doc, enc)| {
-            let t0 = Instant::now();
-            let (seq, _) = emit_sequence(doc, enc, &strategy);
-            ((seq, id as DocId), t0.elapsed())
-        });
-        let (seqs, encode_times): (Vec<_>, Vec<_>) = emitted.into_iter().unzip();
-        if let Some(tel) = &telemetry {
-            for took in encode_times {
-                tel.encode.record_duration(took);
-            }
-        }
+        let seqs: Vec<_> = (docs.iter().zip(enc).enumerate())
+            .map(|(id, (doc, enc))| {
+                let t0 = Instant::now();
+                let (seq, _) = emit_sequence(doc, enc, &strategy);
+                if let Some(tel) = &telemetry {
+                    tel.encode.record_duration(t0.elapsed());
+                }
+                (seq, id as DocId)
+            })
+            .collect();
         let mut trie = SequenceTrie::new();
         trie.bulk_load(seqs);
         trie.freeze();
@@ -714,44 +696,6 @@ mod tests {
         q2.add(q2.root_id(), Axis::Child, PatternLabel::Elem(ad));
         let out2 = index.query(&q2, &pt);
         assert_eq!(out2.docs, vec![0, 2]);
-    }
-
-    #[test]
-    fn build_parallel_is_bit_identical_to_sequential() {
-        let xmls = [
-            "<p><r><l>boston</l></r></p>",
-            "<p><d><l>boston</l></d></p>",
-            "<p><r><l>newyork</l></r></p>",
-            "<p><l><b/></l><l><s/></l></p>",
-            "<q><a/><b><c/></b></q>",
-            "<p/>",
-            "<p><r><l>boston</l></r><r><l>austin</l></r></p>",
-        ];
-        let (_, mut pt_seq, docs) = corpus(&xmls);
-        let seq = XmlIndex::build(
-            &docs,
-            &mut pt_seq,
-            Strategy::DepthFirst,
-            PlanOptions::default(),
-        );
-        for threads in [2, 4, 8] {
-            let (_, mut pt_par, docs) = corpus(&xmls);
-            let par = XmlIndex::build_parallel(
-                &docs,
-                &mut pt_par,
-                Strategy::DepthFirst,
-                PlanOptions::default(),
-                None,
-                &xseq_exec::Pool::new(threads),
-            );
-            assert!(
-                par.trie().identical_to(seq.trie()),
-                "parallel build ({threads} threads) diverged"
-            );
-            assert_eq!(par.data_paths(), seq.data_paths());
-            assert_eq!(pt_par.len(), pt_seq.len(), "path tables diverged");
-            assert!(par.verify_integrity(&pt_par).is_clean());
-        }
     }
 
     /// The trace half — the root's `plan_truncated` attribute — is checked

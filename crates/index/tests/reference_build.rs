@@ -5,13 +5,11 @@
 //! sequence into the trie, label and link it (Section 4.1).  Written out
 //! naively that is one `sequence_document` per document, interning as it
 //! goes, then `SequenceTrie::bulk_load` and `freeze`.  `XmlIndex` has one
-//! constructor, which splits the first step into a serial interning pass
-//! and a pure emission fanned over a pool; this test is the reference it
-//! must stay bit-identical to — trie, path table and wildcard dictionary —
-//! for every strategy at every pool width.
+//! constructor, which splits the first step into an interning pass and a
+//! pure emission; this test is the reference it must stay bit-identical to
+//! — trie, path table and wildcard dictionary — for every strategy.
 
 use std::collections::HashSet;
-use xseq_exec::Pool;
 use xseq_index::{PlanOptions, SequenceTrie, XmlIndex};
 use xseq_schema::{ProbabilityModel, WeightMap};
 use xseq_sequence::{sequence_document, PriorityMap, Strategy};
@@ -80,7 +78,7 @@ fn strategy(
 }
 
 #[test]
-fn constructor_is_the_naive_three_steps_at_every_width() {
+fn constructor_is_the_naive_three_steps() {
     let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
     let docs = corpus(&mut symbols);
     for sample_cap in [None, Some(9)] {
@@ -105,22 +103,13 @@ fn constructor_is_the_naive_three_steps_at_every_width() {
             reference.bulk_load(seqs);
             reference.freeze();
 
-            for width in [1, 2, 4, 8] {
-                let mut paths = PathTable::new();
-                let strat = strategy(kind, &docs, &mut paths, sample_cap);
-                let index = XmlIndex::build_parallel(
-                    &docs,
-                    &mut paths,
-                    strat,
-                    PlanOptions::default(),
-                    None,
-                    &Pool::new(width),
-                );
-                let case = format!("strategy {kind}, sample cap {sample_cap:?}, width {width}");
-                assert!(index.trie().identical_to(&reference), "trie: {case}");
-                assert_eq!(paths.len(), ref_paths.len(), "path table: {case}");
-                assert_eq!(index.data_paths(), &ref_data_paths, "dictionary: {case}");
-            }
+            let mut paths = PathTable::new();
+            let strat = strategy(kind, &docs, &mut paths, sample_cap);
+            let index = XmlIndex::build(&docs, &mut paths, strat, PlanOptions::default());
+            let case = format!("strategy {kind}, sample cap {sample_cap:?}");
+            assert!(index.trie().identical_to(&reference), "trie: {case}");
+            assert_eq!(paths.len(), ref_paths.len(), "path table: {case}");
+            assert_eq!(index.data_paths(), &ref_data_paths, "dictionary: {case}");
         }
     }
 }

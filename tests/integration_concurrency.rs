@@ -1,18 +1,21 @@
-//! Parallel ingest determinism and shared-read query execution.
+//! Build determinism and shared-read query execution.
 //!
-//! The parallel pipeline's contract is *bit-identical output*: for any
-//! corpus, any thread count, and every sequencing strategy, the frozen
-//! index (trie arena, labels, path links, end nodes) must equal the
-//! sequential build's, and concurrent readers of one database must see
-//! exactly the answers a serial query loop produces.
+//! The build's contract is *bit-identical output*: for any corpus and
+//! every sequencing strategy, the frozen index (trie arena, labels, path
+//! links, end nodes) must equal the paper's naive three steps, a database
+//! must build the same trie at any thread count, and concurrent readers
+//! of one database must see exactly the answers a serial query loop
+//! produces.
 
 use proptest::prelude::*;
+use std::collections::HashSet;
 use xseq::datagen::{SyntheticDataset, SyntheticParams};
+use xseq::index::SequenceTrie;
 use xseq::schema::{ProbabilityModel, WeightMap};
-use xseq::sequence::Strategy;
+use xseq::sequence::{sequence_document, Strategy};
 use xseq::{
-    DatabaseBuilder, Document, Error, PathTable, PlanOptions, Pool, Sequencing, SymbolTable,
-    ValueMode, XmlError, XmlIndex,
+    DatabaseBuilder, DocId, Document, Error, PathId, PathTable, PlanOptions, Sequencing,
+    SymbolTable, ValueMode, XmlError, XmlIndex,
 };
 
 /// The four sequencing strategies, each rebuilt against the path table it
@@ -32,15 +35,16 @@ fn strategy(kind: usize, docs: &[Document], paths: &mut PathTable) -> Strategy {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Arbitrary corpus × all 4 strategies × 1–8 threads: the parallel
-    /// build is byte-equal to the sequential one and passes the full
-    /// integrity verifier.  (`identical_pct` stays 0 — breadth-first
-    /// sequencing is only defined without identical siblings.)
+    /// Arbitrary corpus × all 4 strategies: the index's constructor is
+    /// byte-equal to the naive three steps (`sequence_document` per
+    /// document, interning as it goes, then `bulk_load` and `freeze`) and
+    /// passes the full integrity verifier.  (`identical_pct` stays 0 —
+    /// breadth-first sequencing is only defined without identical
+    /// siblings.)
     #[test]
-    fn parallel_build_is_bit_identical(
+    fn build_is_the_naive_three_steps_on_arbitrary_corpora(
         seed in 0u64..1_000,
         ndocs in 1usize..40,
-        threads in 1usize..=8,
         max_fanout in 1u16..4,
     ) {
         let params = SyntheticParams {
@@ -53,27 +57,24 @@ proptest! {
         let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
         let docs = SyntheticDataset::generate(&params, ndocs, seed, &mut symbols).docs;
         for kind in 0..4 {
-            let mut pt_seq = PathTable::new();
-            let strat = strategy(kind, &docs, &mut pt_seq);
-            let seq = XmlIndex::build(&docs, &mut pt_seq, strat, PlanOptions::default());
+            let mut pt_ref = PathTable::new();
+            let strat = strategy(kind, &docs, &mut pt_ref);
+            let seqs: Vec<_> = (docs.iter().enumerate())
+                .map(|(id, doc)| (sequence_document(doc, &mut pt_ref, &strat), id as DocId))
+                .collect();
+            let ref_data_paths: HashSet<PathId> =
+                seqs.iter().flat_map(|(seq, _)| seq.elems().iter().copied()).collect();
+            let mut reference = SequenceTrie::new();
+            reference.bulk_load(seqs);
+            reference.freeze();
 
-            let mut pt_par = PathTable::new();
-            let strat = strategy(kind, &docs, &mut pt_par);
-            let par = XmlIndex::build_parallel(
-                &docs,
-                &mut pt_par,
-                strat,
-                PlanOptions::default(),
-                None,
-                &Pool::new(threads),
-            );
-            prop_assert!(
-                par.trie().identical_to(seq.trie()),
-                "strategy {} diverged at {} threads", kind, threads
-            );
-            prop_assert_eq!(pt_seq.len(), pt_par.len(), "path tables diverged");
-            prop_assert_eq!(par.data_paths(), seq.data_paths());
-            let report = par.verify_integrity(&pt_par);
+            let mut pt = PathTable::new();
+            let strat = strategy(kind, &docs, &mut pt);
+            let index = XmlIndex::build(&docs, &mut pt, strat, PlanOptions::default());
+            prop_assert!(index.trie().identical_to(&reference), "strategy {} diverged", kind);
+            prop_assert_eq!(pt.len(), pt_ref.len(), "path tables diverged");
+            prop_assert_eq!(index.data_paths(), &ref_data_paths);
+            let report = index.verify_integrity(&pt);
             prop_assert!(report.is_clean(), "{}", report.render());
         }
     }
@@ -119,7 +120,7 @@ fn threaded_database_build_answers_like_sequential() {
                 "{sequencing:?} at {threads} threads"
             );
             assert!(parallel.verify_integrity().is_clean());
-            // ingest telemetry survives the fan-out: one sample per doc
+            // ingest telemetry: one parse sample per doc
             let snap = parallel.metrics();
             assert_eq!(
                 snap.histogram("xml.parse").unwrap().count,

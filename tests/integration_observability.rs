@@ -310,12 +310,14 @@ fn every_name_a_full_pipeline_registers_follows_the_grammar() {
     }
 }
 
-/// A traced query's record reconciles with its wall clock, at 1 and 3
-/// shards over a live overlay (a memtable, a run and a tombstone in every
-/// shard): each phase's spans sum to its `QueryStats` field exactly, every
-/// span lies inside its parent, the root's `unattributed_ns` is its
-/// duration minus the phases, and the rows of `explain()` add up to the
-/// wall time.
+/// A query's record reconciles with its wall clock, at 1 and 3 shards over
+/// a live overlay (a memtable, a run and a tombstone in every shard): its
+/// steps follow one another without overlap, each traced phase's spans sum
+/// to its `QueryStats` field exactly, every span lies inside its parent,
+/// the root's `unattributed_ns` is its duration minus the phases, and the
+/// rows of `explain()` add up to the wall time.  The third input, untraced
+/// at 4 threads over 3 shards, checks that a query is one thread's work
+/// whatever the pool width: its steps are ordered and disjoint too.
 #[test]
 fn traced_phases_reconcile_with_the_wall_clock() {
     const PHASES: [&str; 6] = [
@@ -326,15 +328,21 @@ fn traced_phases_reconcile_with_the_wall_clock() {
         "index.gather",
         "unattributed",
     ];
-    for shards in [1, 3] {
+    for (shards, threads, traced) in [(1, 1, true), (3, 1, true), (3, 4, false)] {
         let base: Vec<String> = (0..12)
             .map(|i| format!("<a><b>x{}</b><c/></a>", i % 3))
             .collect();
-        let mut db = DatabaseBuilder::new()
+        let builder = DatabaseBuilder::new()
+            .threads(threads)
             .shards(shards)
             .memtable_limit(2)
-            .tier_ratio(64)
-            .trace_config(TraceConfig::default())
+            .tier_ratio(64);
+        let builder = if traced {
+            builder.trace_config(TraceConfig::default())
+        } else {
+            builder
+        };
+        let mut db = builder
             .build_from_xml(base.iter().map(String::as_str))
             .expect("corpus indexes");
         let live = |db: &Database, s: usize| {
@@ -352,9 +360,36 @@ fn traced_phases_reconcile_with_the_wall_clock() {
             db.remove_document(i);
         }
         for expr in ["/a/b", "//b[text='x1']", "/a/*", "//d", "/a/zzz"] {
-            let what = format!("{expr} at {shards} shard(s)");
+            let what = format!("{expr} at {shards} shard(s), {threads} thread(s)");
             let out = db.query_xpath_full(expr).expect("query parses");
-            let (st, trace) = (&out.stats, out.trace.as_ref().expect("traced"));
+            for pair in out.steps.windows(2) {
+                let (prev, next) = (&pair[0], &pair[1]);
+                assert!(
+                    next.start >= prev.start + Duration::from_nanos(prev.ns),
+                    "{} starts before {} ends: {what}",
+                    next.phase,
+                    prev.phase
+                );
+            }
+            let st = &out.stats;
+            let phases = st.parse_ns + st.plan_ns + st.view_ns + st.search_ns + st.gather_ns;
+            let unattributed = st.total_ns.checked_sub(phases);
+            let unattributed = unattributed.expect("the phases fit in the wall time");
+            let explain = out.explain();
+            let lines: Vec<&str> = explain.lines().skip(1).take(PHASES.len()).collect();
+            let mut pct = 0.0;
+            for (line, name) in lines.iter().zip(PHASES) {
+                assert!(line.trim_start().starts_with(name), "{line}: {what}");
+                let share = line.split('(').nth(1).and_then(|p| p.split('%').next());
+                let share: f64 = share.and_then(|p| p.trim().parse().ok()).expect("a share");
+                pct += share;
+            }
+            assert!((pct - 100.0).abs() < 0.35, "rows sum to {pct}%: {what}");
+
+            let Some(trace) = out.trace.as_ref() else {
+                assert!(!traced, "traced: {what}");
+                continue;
+            };
             let phase = |name: &str| -> u64 {
                 let spans = trace.spans.iter().filter(|s| s.name.starts_with(name));
                 spans.map(|s| s.duration_ns()).sum()
@@ -393,13 +428,12 @@ fn traced_phases_reconcile_with_the_wall_clock() {
                     parent.name
                 );
             }
-            let phases: u64 = trace.spans[1..]
+            let traced_phases: u64 = trace.spans[1..]
                 .iter()
                 .filter(|s| s.parent == Some(SpanId(0)))
                 .map(|s| s.duration_ns())
                 .sum();
-            let unattributed = root.duration_ns().checked_sub(phases);
-            let unattributed = unattributed.expect("the phases fit in the wall time");
+            assert_eq!(traced_phases, phases, "{what}");
             let attr = |key: &str| root.attrs.iter().find(|(k, _)| *k == key);
             assert_eq!(
                 attr("unattributed_ns"),
@@ -407,26 +441,6 @@ fn traced_phases_reconcile_with_the_wall_clock() {
                 "{what}"
             );
             assert!(attr("untraced_variants").is_none(), "under the cap: {what}");
-
-            let rows = [
-                st.parse_ns,
-                st.plan_ns,
-                st.view_ns,
-                st.search_ns,
-                st.gather_ns,
-                unattributed,
-            ];
-            assert_eq!(rows.iter().sum::<u64>(), st.total_ns, "{what}");
-            let explain = out.explain();
-            let lines: Vec<&str> = explain.lines().skip(1).take(PHASES.len()).collect();
-            let mut pct = 0.0;
-            for (line, name) in lines.iter().zip(PHASES) {
-                assert!(line.trim_start().starts_with(name), "{line}: {what}");
-                let share = line.split('(').nth(1).and_then(|p| p.split('%').next());
-                let share: f64 = share.and_then(|p| p.trim().parse().ok()).expect("a share");
-                pct += share;
-            }
-            assert!((pct - 100.0).abs() < 0.35, "rows sum to {pct}%: {what}");
         }
     }
 }

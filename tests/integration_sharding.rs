@@ -359,9 +359,10 @@ fn empty_shards_are_inert() {
     assert_eq!(db.query_xpath("//a").unwrap(), (0..11).collect::<Vec<_>>());
 }
 
-/// The scatter path and the sequential fallback agree: the same sharded
-/// database queried with a parallel pool and with one thread returns
-/// identical answers.
+/// Shards built side by side and one after another make the same
+/// database: at 4 shards, `threads(4)` and `threads(1)` build identical
+/// tries shard for shard, and every query (which answers the shards in
+/// turn at any width) returns identical answers.
 #[test]
 fn scatter_and_sequential_gather_agree() {
     let xmls = SyntheticDataset::generate_xml(&params(), 12, 7);
@@ -375,6 +376,10 @@ fn scatter_and_sequential_gather_agree() {
         .shards(4)
         .build_from_xml(xmls.iter().map(String::as_str))
         .unwrap();
+    for s in 0..4 {
+        let (a, b) = (parallel.shard_index(s), sequential.shard_index(s));
+        assert!(a.trie().identical_to(b.trie()), "shard {s} trie");
+    }
     for q in QUERIES {
         assert_eq!(
             parallel.query_xpath(q).unwrap(),

@@ -34,7 +34,7 @@ use xseq::xml::matcher::structure_match;
 use xseq::xml::{parse_document, write_document, Designator, PathId, Symbol, ValueId};
 use xseq::{
     parse_xpath_readonly, Corpus, Database, DatabaseBuilder, DocId, Document, PathTable,
-    PlanOptions, Pool, Sequencing, SymbolTable, ValueMode, XmlIndex,
+    PlanOptions, Sequencing, SymbolTable, ValueMode, XmlIndex,
 };
 
 /// Case budget, shrinkable by the CI smoke job via `XSEQ_UPDATE_FUZZ_CASES`.
@@ -74,13 +74,12 @@ proptest! {
 
     /// Index level: *frozen ∪ delta − tombstones* answers and verifies
     /// exactly like a from-scratch rebuild over the survivors, for all four
-    /// strategies at 1–4 threads.
+    /// strategies.
     #[test]
     fn updates_match_from_scratch_rebuild(
         seed in 0u64..1_000,
         nbase in 1usize..10,
         nextra in 1usize..6,
-        threads in 1usize..=4,
         max_fanout in 1u16..4,
         remove_bits in any::<u64>(),
     ) {
@@ -99,14 +98,7 @@ proptest! {
             // Live: base build, then delta inserts, then tombstones.
             let mut paths = PathTable::new();
             let strat = strategy(kind, &docs[..nbase], &mut paths);
-            let mut live = XmlIndex::build_parallel(
-                &docs[..nbase],
-                &mut paths,
-                strat,
-                PlanOptions::default(),
-                None,
-                &Pool::new(threads),
-            );
+            let mut live = XmlIndex::build(&docs[..nbase], &mut paths, strat, PlanOptions::default());
             for (i, d) in docs[nbase..].iter().enumerate() {
                 live.insert_delta(d, (nbase + i) as DocId, &mut paths);
             }
@@ -144,7 +136,7 @@ proptest! {
                 let ref_hits = containment_query(&reference, qdoc, &ref_paths);
                 prop_assert_eq!(
                     mapped, ref_hits,
-                    "strategy {} / {} threads / query doc {}", kind, threads, qid
+                    "strategy {} / query doc {}", kind, qid
                 );
             }
             let live_report = live.verify_integrity(&paths);
