@@ -308,8 +308,10 @@ impl XmlIndex {
         let mut trie = SequenceTrie::new();
         trie.bulk_load(seqs);
         trie.freeze();
-        // The distinct paths of a frozen segment are exactly its link keys.
-        let data_paths = trie.frozen().links.keys().copied().collect();
+        // The distinct paths of a frozen segment are exactly its linked paths.
+        let links = &trie.frozen().links;
+        let mut data_paths = HashSet::with_capacity(links.path_count());
+        data_paths.extend(links.iter().map(|(p, _)| p));
         XmlIndex {
             trie,
             strategy,

@@ -67,8 +67,8 @@ impl SegmentStats {
         let mut s = SegmentStats {
             nodes: trie.node_count(),
             sequences: trie.sequence_count(),
-            link_paths: f.links.len(),
-            link_entries: f.links.values().map(Vec::len).sum(),
+            link_paths: f.links.path_count(),
+            link_entries: f.links.entries.len(),
             end_nodes: f.end_nodes.len(),
             sibling_cover_nodes: f.embeds_bits.iter().map(|w| w.count_ones() as usize).sum(),
             ..SegmentStats::default()

@@ -27,11 +27,9 @@
 //! live updates go through the tiered overlay in [`delta`](crate::delta)).
 
 use crate::search::Answer;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use xseq_sequence::Sequence;
-use xseq_telemetry::{hash_table_alloc_bytes, HeapSize};
-use xseq_xml::{DocId, PathId, PathIdHasher};
+use xseq_telemetry::HeapSize;
+use xseq_xml::{DocId, PathId};
 
 /// A trie node: its preorder serial `n⊢` (the virtual root is 0).
 pub type TrieNodeId = u32;
@@ -59,10 +57,8 @@ pub struct Frozen {
     /// sense.)  Laid out like `end_bits` and read through
     /// [`TrieView::embeds_identical`].
     pub embeds_bits: Vec<u64>,
-    /// Horizontal path links, ascending by serial; probed on every link
-    /// entry a search reads, so keyed with the multiplicative
-    /// [`PathIdHasher`].
-    pub links: HashMap<PathId, Vec<LinkEntry>, BuildHasherDefault<PathIdHasher>>,
+    /// Horizontal path links, each ascending by serial, in one arena.
+    pub links: Links,
     /// Nodes owning document id lists, ascending.
     pub end_nodes: Vec<TrieNodeId>,
     /// The end nodes as a bitvector over serials: bit `s % 64` of word
@@ -137,6 +133,139 @@ pub(crate) fn rank_directory(end_nodes: &[TrieNodeId], nodes: usize) -> (Vec<u64
         })
         .collect();
     (bits, rank)
+}
+
+/// The horizontal path links of a frozen trie as one arena: every entry in
+/// one array, grouped by path in ascending path order and ascending by
+/// serial within a path, and a directory of offsets into it.  The directory
+/// has two forms, chosen by the freeze:
+///
+/// * **dense** (`keys` empty): `off` is indexed by [`PathId`] and the link
+///   of `p` is `entries[off[p]..off[p + 1]]`; an id past the directory has
+///   none.  A trie whose largest path id is at most four times its node
+///   count takes this form, so the directory costs at most 16 B per node;
+/// * **sparse**: `keys` holds the paths that have a link, strictly
+///   ascending, the link of `keys[i]` is `entries[off[i]..off[i + 1]]`, and
+///   a lookup bisects `keys`.  A memtable view's or small run's few nodes
+///   under a large table's ids take this form, so building one costs
+///   nothing per id of the table.
+///
+/// Reads go through [`Links::get`], which returns an empty link for a
+/// directory that does not fit the arena rather than panic; the verifier
+/// reports such a directory.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Links {
+    /// Every link entry, grouped by path.
+    pub entries: Vec<LinkEntry>,
+    /// The offsets of the groups in `entries`, one past the last group
+    /// included, so the last is `entries.len()`.
+    pub off: Vec<u32>,
+    /// The sparse form's paths, one per group; empty in the dense form.
+    pub keys: Vec<PathId>,
+}
+
+impl Links {
+    /// Groups the nodes of a preorder trie by path (the virtual root, node
+    /// 0, has none) with one counting sort of the serials: a group per path
+    /// id where the ids are dense, else one per path present, found by
+    /// bisecting the sorted distinct paths.  No hashing, and one
+    /// allocation per array.
+    #[expect(clippy::indexing_slicing, reason = "every node's slot < groups; nodes < n")]
+    fn group(path: &[PathId], max_desc: &[u32]) -> Links {
+        let n = path.len();
+        let top = path.iter().map(|p| p.0 as usize + 1).max().unwrap_or(0);
+        let mut keys = Vec::new();
+        if top > 4 * n {
+            keys = path[1..].to_vec();
+            keys.sort_unstable();
+            keys.dedup();
+            keys.shrink_to_fit();
+        }
+        let groups = if keys.is_empty() { top } else { keys.len() };
+        let dir = Links {
+            keys,
+            ..Links::default()
+        };
+        let slot = |p: PathId| dir.slot(p).unwrap_or(0);
+        // Count each group's entries at `off[g + 1]`, sum so that `off[g]`
+        // is where group `g` starts, place each serial at its group's
+        // cursor, which leaves `off[g]` at the group's end — the next
+        // group's start — and shift the directory back by one.
+        let mut off = vec![0u32; groups + 1];
+        path.iter().skip(1).for_each(|&p| off[slot(p) + 1] += 1);
+        for g in 1..off.len() {
+            off[g] += off[g - 1];
+        }
+        let entry = |s: u32| LinkEntry {
+            serial: s,
+            max_desc: max_desc[s as usize],
+        };
+        let mut entries = vec![entry(0); n.saturating_sub(1)];
+        for (s, &p) in (0..n as u32).zip(path).skip(1) {
+            let at = &mut off[slot(p)];
+            entries[*at as usize] = entry(s);
+            *at += 1;
+        }
+        off.rotate_right(1);
+        off[0] = 0;
+        Links {
+            entries,
+            off,
+            ..dir
+        }
+    }
+
+    /// The directory slot of `p`: its id in the dense form, its rank among
+    /// the keys in the sparse one (`None` when it has no link).
+    #[inline]
+    fn slot(&self, p: PathId) -> Option<usize> {
+        if self.keys.is_empty() {
+            Some(p.0 as usize)
+        } else {
+            self.keys.binary_search(&p).ok()
+        }
+    }
+
+    /// The link of `p`, ascending by serial; empty when no node carries
+    /// `p`.
+    #[inline]
+    pub fn get(&self, p: PathId) -> &[LinkEntry] {
+        self.slot(p).and_then(|g| self.group_at(g)).unwrap_or(&[])
+    }
+
+    /// Group `g` of the arena, when the directory has it and fits.
+    #[inline]
+    fn group_at(&self, g: usize) -> Option<&[LinkEntry]> {
+        let (a, b) = (*self.off.get(g)?, *self.off.get(g + 1)?);
+        self.entries.get(a as usize..b as usize)
+    }
+
+    /// Every non-empty link with its path, ascending by path.
+    pub fn iter(&self) -> impl Iterator<Item = (PathId, &[LinkEntry])> {
+        (0..self.off.len().saturating_sub(1)).filter_map(|g| {
+            let path = if self.keys.is_empty() {
+                PathId(g as u32)
+            } else {
+                *self.keys.get(g)?
+            };
+            self.group_at(g)
+                .filter(|link| !link.is_empty())
+                .map(|link| (path, link))
+        })
+    }
+
+    /// The number of paths with a link.
+    pub(crate) fn path_count(&self) -> usize {
+        self.iter().count()
+    }
+
+    /// The whole arena as the one list it is: the `benchmark/` package sums
+    /// `frozen().links.values()` for `index.trie.link_entries`, a read of
+    /// the map this arena replaced.  ROADMAP item 15 moves that metric to
+    /// [`IndexStats`](crate::IndexStats) and deletes this.
+    pub fn values(&self) -> std::iter::Once<&Vec<LinkEntry>> {
+        std::iter::once(&self.entries)
+    }
 }
 
 /// A horizontal path link resolved once: its entries, ascending by serial.
@@ -565,10 +694,10 @@ impl SequenceTrie {
 /// * `n⊣` by one reverse sweep — every descendant has a larger id, so a
 ///   node's value is final before it is folded into its parent;
 /// * links by grouping nodes per path in ascending id, which is ascending
-///   serial, each at its length when the trie's path ids are dense;
-/// * `embeds_bits` from adjacent link entries, as each is pushed — a
-///   node's range is a contiguous serial interval, so if any same-path node
-///   lies inside it the next entry of the link does.
+///   serial, into one arena ([`Links`]);
+/// * `embeds_bits` from adjacent entries of each link — a node's range is
+///   a contiguous serial interval, so if any same-path node lies inside it
+///   the next entry of the link does.
 #[expect(clippy::indexing_slicing, reason = "parent[i] < i; all arrays have path.len() entries")]
 fn label_and_link(path: &[PathId], parent: &[TrieNodeId]) -> Frozen {
     let n = path.len();
@@ -577,32 +706,13 @@ fn label_and_link(path: &[PathId], parent: &[TrieNodeId]) -> Frozen {
         let p = parent[i] as usize;
         max_desc[p] = max_desc[p].max(max_desc[i]);
     }
-    // Entries per path id, counted where the ids are dense: a link starts at
-    // up to four entries, as a pushed one does, and its first growth goes
-    // straight to its length, so it ends exact after at most two
-    // allocations.  (Allocating every link at its length at its first entry
-    // built as fast, but the queries the benchmark times after a database
-    // is dropped ran ≈ 10 % slower.)  A memtable view's few nodes under a
-    // large table's ids skip the column and grow their links as pushed.
-    let top = path.iter().map(|p| p.0 as usize + 1).max().unwrap_or(0);
-    let mut counts = vec![0u32; if top <= 4 * n { top } else { 0 }];
-    if !counts.is_empty() {
-        path.iter().skip(1).for_each(|p| counts[p.0 as usize] += 1);
-    }
-    let mut links: HashMap<PathId, Vec<LinkEntry>, _> = HashMap::default();
+    let links = Links::group(path, &max_desc);
     let mut embeds_bits = vec![0u64; (n >> 6) + 1];
-    for (serial, (&p, &max_desc)) in (0..).zip(path.iter().zip(&max_desc)).skip(1) {
-        let count = counts.get(p.0 as usize).map_or(0, |&c| c as usize);
-        let start = count.min(4);
-        let link = links.entry(p).or_insert_with(|| Vec::with_capacity(start));
-        if link.len() == link.capacity() {
-            link.reserve_exact(count.saturating_sub(link.len()));
-        }
-        if let Some(prev) = link.last() {
-            let (s, inside) = (prev.serial as usize, serial <= prev.max_desc);
+    for (_, link) in links.iter() {
+        for w in link.windows(2) {
+            let (s, inside) = (w[0].serial as usize, w[1].serial <= w[0].max_desc);
             embeds_bits[s >> 6] |= u64::from(inside) << (s & 63);
         }
-        link.push(LinkEntry { serial, max_desc });
     }
     Frozen {
         max_desc,
@@ -613,10 +723,9 @@ fn label_and_link(path: &[PathId], parent: &[TrieNodeId]) -> Frozen {
 }
 
 /// Exact-model heap attribution: the node arrays, doc lists, pending run,
-/// labels and links.  It charges *capacity* (what the allocator handed
-/// out), models the link map with [`hash_table_alloc_bytes`], and is
-/// validated against a counting allocator in the core crate's
-/// `heap_accounting` test.
+/// labels and the link arena with its directory.  It charges *capacity*
+/// (what the allocator handed out) and is validated against a counting
+/// allocator in the core crate's `heap_accounting` test.
 impl HeapSize for SequenceTrie {
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -631,11 +740,9 @@ impl HeapSize for SequenceTrie {
             + f.end_nodes.capacity() * size_of::<TrieNodeId>()
             + f.end_bits.capacity() * size_of::<u64>()
             + f.end_rank.capacity() * size_of::<u32>()
-            + hash_table_alloc_bytes(f.links.capacity(), size_of::<(PathId, Vec<LinkEntry>)>())
-            + f.links
-                .values()
-                .map(|v| v.capacity() * size_of::<LinkEntry>())
-                .sum::<usize>()
+            + f.links.entries.capacity() * size_of::<LinkEntry>()
+            + f.links.off.capacity() * size_of::<u32>()
+            + f.links.keys.capacity() * size_of::<PathId>()
     }
 }
 
@@ -658,7 +765,7 @@ impl TrieView for SequenceTrie {
     }
     type Link<'a> = &'a [LinkEntry];
     fn link(&self, path: PathId) -> &[LinkEntry] {
-        self.frozen().links.get(&path).map_or(&[], Vec::as_slice)
+        self.frozen().links.get(path)
     }
     fn collect_docs_in_range(&self, lo: u32, hi: u32, out: &mut Vec<DocId>) {
         SequenceTrie::collect_docs_in_range(self, lo, hi, out)
@@ -787,7 +894,7 @@ mod tests {
         trie.insert(&s3, 2);
         trie.freeze();
         let pa = fx.p("P.A");
-        let link = &trie.frozen().links[&pa];
+        let link = trie.frozen().links.get(pa);
         // two P.A trie nodes: the shared second-position one and s3's third
         assert_eq!(link.len(), 2);
         assert!(link.windows(2).all(|w| w[0].serial < w[1].serial));
@@ -806,7 +913,7 @@ mod tests {
         trie.insert(&s, 0);
         trie.freeze();
         let pl = fx.p("P.L");
-        let link = &trie.frozen().links[&pl];
+        let link = trie.frozen().links.get(pl);
         assert_eq!(link.len(), 2);
         // ranges nest: first PL covers the second
         let (a, b) = (link[0], link[1]);
@@ -825,9 +932,9 @@ mod tests {
         trie.freeze();
         let pl = fx.p("P.L");
         let plb = fx.p("P.L.B");
-        let link_plb = &trie.frozen().links[&plb];
+        let link_plb = trie.frozen().links.get(plb);
         let b_node = link_plb[0].serial;
-        let link_pl = &trie.frozen().links[&pl];
+        let link_pl = trie.frozen().links.get(pl);
         // PLB's nearest PL ancestor is the *second* PL
         assert_eq!(
             trie.nearest_ancestor_with_path(b_node, pl),
@@ -854,7 +961,7 @@ mod tests {
 
         // only the P.A subtree
         let pa = fx.p("P.A");
-        let first_pa = trie.frozen().links[&pa][0];
+        let first_pa = trie.frozen().links.get(pa)[0];
         out.clear();
         trie.collect_docs_in_range(first_pa.serial, first_pa.max_desc, &mut out);
         out.sort();

@@ -8,8 +8,9 @@
 //!   `(n⊢, n⊣)` is properly nested inside its parent's, sibling ranges are
 //!   disjoint, and `n⊣` equals the largest serial in `n`'s subtree — the
 //!   descent test `x⊢ ∈ (y⊢, y⊣]` is only sound under all three.
-//! * **Path links** (Section 4.1, Figure 9): every horizontal link is
-//!   strictly sorted by serial and contains each trie node exactly once —
+//! * **Path links** (Section 4.1, Figure 9): the arena's directory fits
+//!   the arena, every horizontal link is strictly sorted by serial and
+//!   contains each trie node exactly once —
 //!   [`TrieView::link_lower_bound`]'s binary search silently returns wrong
 //!   candidates otherwise.
 //! * **Sibling-cover bookkeeping** (Algorithm 1 / Definition 4): the
@@ -49,6 +50,10 @@ pub enum InvariantClass {
     PreorderNesting,
     /// `n⊣` disagrees with a from-scratch subtree-extent recomputation.
     SubtreeExtent,
+    /// The link arena's directory does not fit the arena: an offset below
+    /// its predecessor, a last offset other than the arena's length, or
+    /// sparse keys that are not strictly ascending, one per group.
+    LinkDirectory,
     /// A horizontal path link is not strictly sorted by serial, or an
     /// entry's cached label disagrees with the node's label (Figure 9).
     LinkOrder,
@@ -72,6 +77,7 @@ impl InvariantClass {
             InvariantClass::NotFrozen => "not_frozen",
             InvariantClass::PreorderNesting => "preorder_nesting",
             InvariantClass::SubtreeExtent => "subtree_extent",
+            InvariantClass::LinkDirectory => "link_directory",
             InvariantClass::LinkOrder => "link_order",
             InvariantClass::LinkCoverage => "link_coverage",
             InvariantClass::SiblingCover => "sibling_cover",
@@ -87,6 +93,7 @@ impl InvariantClass {
             InvariantClass::NotFrozen => "Section 4.1 (index construction)",
             InvariantClass::PreorderNesting => "Section 4.1 step 2, Figure 8",
             InvariantClass::SubtreeExtent => "Section 4.1 step 2, Figure 8",
+            InvariantClass::LinkDirectory => "Section 4.1 step 3, Figure 9",
             InvariantClass::LinkOrder => "Section 4.1 step 3, Figure 9",
             InvariantClass::LinkCoverage => "Section 4.1 step 3, Figure 9",
             InvariantClass::SiblingCover => "Algorithm 1 / Definition 4",
@@ -329,92 +336,41 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
         }
     }
 
-    // Path links: strict serial order, cached labels in agreement, and
-    // exactly-once coverage of every real node under its own path.  An
-    // entry's serial is the node it stands for.
-    report.links_checked = f.links.len();
-    let mut covered = vec![0u32; n];
-    for (&path, entries) in &f.links {
-        for w in entries.windows(2) {
-            let (a, b) = (&w[0], &w[1]);
-            if a.serial >= b.serial {
-                report.push(Violation {
-                    class: InvariantClass::LinkOrder,
-                    node: Some(b.serial),
-                    serial: Some(b.serial),
-                    detail: format!(
-                        "link of path {path:?} not strictly ascending: {} then {}",
-                        a.serial, b.serial
-                    ),
-                });
-            }
-        }
-        for (idx, e) in entries.iter().enumerate() {
-            let node = e.serial;
-            if (node as usize) >= n {
-                report.push(Violation {
-                    class: InvariantClass::LinkCoverage,
-                    node: Some(node),
-                    serial: Some(node),
-                    detail: format!("link of path {path:?} points outside the trie"),
-                });
-                continue;
-            }
-            covered[node as usize] += 1;
-            let m = trie.label(node).1;
-            if e.max_desc != m {
-                report.push(Violation {
-                    class: InvariantClass::LinkOrder,
-                    node: Some(node),
-                    serial: Some(node),
-                    detail: format!(
-                        "link entry caches ({node}, {}) but the node is labeled ({node}, {m})",
-                        e.max_desc
-                    ),
-                });
-            }
-            if trie.path(node) != path {
-                report.push(Violation {
-                    class: InvariantClass::LinkCoverage,
-                    node: Some(node),
-                    serial: Some(node),
-                    detail: format!(
-                        "node carries path {:?} but sits in the link of {path:?}",
-                        trie.path(node)
-                    ),
-                });
-            }
-            // Sibling-cover recomputation: with the link in ascending serial
-            // order, the node embeds an identical-path node iff the next
-            // entry starts inside its range.
-            let expected = entries
-                .get(idx + 1)
-                .is_some_and(|next| next.serial <= e.max_desc && next.serial > node);
-            let actual = TrieView::embeds_identical(trie, node);
-            if actual != expected {
-                report.push(Violation {
-                    class: InvariantClass::SiblingCover,
-                    node: Some(node),
-                    serial: Some(node),
-                    detail: format!(
-                        "embeds_identical is {actual} but recomputation says {expected}"
-                    ),
-                });
-            }
-        }
-    }
-    for i in 1..n as TrieNodeId {
-        let times = covered[i as usize];
-        if times != 1 {
-            report.push(Violation {
-                class: InvariantClass::LinkCoverage,
-                node: Some(i),
-                serial: Some(i),
-                detail: format!(
-                    "node appears {times} times across the path links (expected exactly once)"
-                ),
-            });
-        }
+    // Path links: a directory that fits the arena, strict serial order,
+    // cached labels in agreement, and exactly-once coverage of every real
+    // node under its own path.  An entry's serial is the node it stands
+    // for.  Links read through a malformed directory are wrong slices, so
+    // the per-link checks need a well-formed one.
+    let (off, keys, len) = (&f.links.off, &f.links.keys, f.links.entries.len());
+    let from_zero = off.first().is_none_or(|&o| o == 0);
+    let rising = off.windows(2).all(|w| w.first() <= w.get(1));
+    let to_len = off.last().map_or(0, |&o| o as usize) == len;
+    let key_each = keys.is_empty() || keys.len() + 1 == off.len();
+    let ascending = keys.windows(2).all(|w| w.first() < w.get(1));
+    let faults = [
+        (!from_zero, "the first offset is not 0"),
+        (!rising, "an offset falls below the one before"),
+        (!to_len, "the last offset is not the arena's length"),
+        (!key_each, "the sparse keys are not one per group"),
+        (!ascending, "the sparse keys are not ascending"),
+    ];
+    let faulty = faults
+        .iter()
+        .filter(|(bad, _)| *bad)
+        .map(|&(_, detail)| Violation {
+            class: InvariantClass::LinkDirectory,
+            node: None,
+            serial: None,
+            detail: format!(
+                "{detail} ({} offsets, {} keys, {len} entries)",
+                off.len(),
+                keys.len()
+            ),
+        });
+    let clean = report.violations.len();
+    faulty.for_each(|v| report.push(v));
+    if report.violations.len() == clean {
+        check_links(trie, &mut report);
     }
 
     // End-node registry: strictly ascending nodes inside the trie, one
@@ -503,6 +459,98 @@ pub fn verify_trie_structure(trie: &SequenceTrie) -> IntegrityReport {
         });
     }
     report
+}
+
+/// The per-link checks of [`verify_trie_structure`] over a well-formed
+/// directory: order, cached labels, sibling-cover flags and coverage.
+#[expect(clippy::indexing_slicing, reason = "node ids are checked below n; windows(2) has two")]
+fn check_links(trie: &SequenceTrie, report: &mut IntegrityReport) {
+    let f = trie.frozen();
+    let n = trie.node_count() + 1;
+    report.links_checked = f.links.path_count();
+    let mut covered = vec![0u32; n];
+    for (path, entries) in f.links.iter() {
+        for w in entries.windows(2) {
+            let (a, b) = (&w[0], &w[1]);
+            if a.serial >= b.serial {
+                report.push(Violation {
+                    class: InvariantClass::LinkOrder,
+                    node: Some(b.serial),
+                    serial: Some(b.serial),
+                    detail: format!(
+                        "link of path {path:?} not strictly ascending: {} then {}",
+                        a.serial, b.serial
+                    ),
+                });
+            }
+        }
+        for (idx, e) in entries.iter().enumerate() {
+            let node = e.serial;
+            if (node as usize) >= n {
+                report.push(Violation {
+                    class: InvariantClass::LinkCoverage,
+                    node: Some(node),
+                    serial: Some(node),
+                    detail: format!("link of path {path:?} points outside the trie"),
+                });
+                continue;
+            }
+            covered[node as usize] += 1;
+            let m = trie.label(node).1;
+            if e.max_desc != m {
+                report.push(Violation {
+                    class: InvariantClass::LinkOrder,
+                    node: Some(node),
+                    serial: Some(node),
+                    detail: format!(
+                        "link entry caches ({node}, {}) but the node is labeled ({node}, {m})",
+                        e.max_desc
+                    ),
+                });
+            }
+            if trie.path(node) != path {
+                report.push(Violation {
+                    class: InvariantClass::LinkCoverage,
+                    node: Some(node),
+                    serial: Some(node),
+                    detail: format!(
+                        "node carries path {:?} but sits in the link of {path:?}",
+                        trie.path(node)
+                    ),
+                });
+            }
+            // Sibling-cover recomputation: with the link in ascending serial
+            // order, the node embeds an identical-path node iff the next
+            // entry starts inside its range.
+            let expected = entries
+                .get(idx + 1)
+                .is_some_and(|next| next.serial <= e.max_desc && next.serial > node);
+            let actual = TrieView::embeds_identical(trie, node);
+            if actual != expected {
+                report.push(Violation {
+                    class: InvariantClass::SiblingCover,
+                    node: Some(node),
+                    serial: Some(node),
+                    detail: format!(
+                        "embeds_identical is {actual} but recomputation says {expected}"
+                    ),
+                });
+            }
+        }
+    }
+    for i in 1..n as TrieNodeId {
+        let times = covered[i as usize];
+        if times != 1 {
+            report.push(Violation {
+                class: InvariantClass::LinkCoverage,
+                node: Some(i),
+                serial: Some(i),
+                detail: format!(
+                    "node appears {times} times across the path links (expected exactly once)"
+                ),
+            });
+        }
+    }
 }
 
 /// Full verification: [`verify_trie_structure`] plus the sequence-level
@@ -621,14 +669,12 @@ mod tests {
         let (mut trie, pt, _st) = df_trie(&[&["P", "P.A", "P.A.X", "P.A"], &["P", "P.B"]]);
         // Find a link with ≥2 entries and swap the serials of its first two.
         let f = trie.corrupt_frozen().unwrap();
-        let link = f
-            .links
-            .values_mut()
-            .find(|v| v.len() >= 2)
-            .expect("P.A has two trie nodes");
-        let (a, b) = (link[0].serial, link[1].serial);
-        link[0].serial = b;
-        link[1].serial = a;
+        let at = f.links.off.windows(2).find(|w| w[1] - w[0] >= 2);
+        let i = at.expect("P.A has two trie nodes")[0] as usize;
+        let link = &mut f.links.entries;
+        let (a, b) = (link[i].serial, link[i + 1].serial);
+        link[i].serial = b;
+        link[i + 1].serial = a;
         let report = verify_trie(&trie, &pt, &Strategy::DepthFirst);
         assert!(report.has(InvariantClass::LinkOrder), "{}", report.render());
     }

@@ -113,7 +113,7 @@ proptest! {
         let n = want.path.len();
         prop_assert_eq!(trie.node_count() + 1, n);
         let f = trie.frozen();
-        let mut links: HashMap<PathId, Vec<LinkEntry>, _> = HashMap::default();
+        let mut links: BTreeMap<PathId, Vec<LinkEntry>> = BTreeMap::new();
         for i in 0..n {
             let id = i as TrieNodeId;
             prop_assert_eq!(trie.path(id), want.path[i]);
@@ -127,9 +127,18 @@ proptest! {
                 links.entry(want.path[i]).or_default().push(entry);
             }
         }
-        prop_assert_eq!(&f.links, &links);
-        // each link is allocated once, at its length
-        prop_assert!(f.links.values().all(|link| link.capacity() == link.len()));
+        // every path's link is the reference group, and the arena holds
+        // nothing else
+        for (&p, link) in &links {
+            prop_assert_eq!(f.links.get(p), link.as_slice(), "link of {:?}", p);
+        }
+        let got: BTreeMap<PathId, Vec<LinkEntry>> =
+            f.links.iter().map(|(p, link)| (p, link.to_vec())).collect();
+        prop_assert_eq!(&got, &links);
+        // the arena and its directory are allocated once, at their length
+        prop_assert_eq!(f.links.entries.capacity(), f.links.entries.len());
+        prop_assert_eq!(f.links.off.capacity(), f.links.off.len());
+        prop_assert_eq!(f.links.keys.capacity(), f.links.keys.len());
         let ends: Vec<TrieNodeId> = want.ends.iter().map(|(e, _)| *e).collect();
         prop_assert_eq!(&f.end_nodes, &ends);
         for (end, docs) in &want.ends {
@@ -147,7 +156,47 @@ proptest! {
         prop_assert_eq!(got, in_range);
     }
 
-    /// (c) `freeze → insert k more → freeze` equals one `bulk_load` of the
+    /// (c) Path ids far above four per node — a memtable view's few nodes
+    /// under a large table's ids — take the sparse directory.  Shifting
+    /// every id by one constant keeps the trie's shape, so each link reads
+    /// as the dense trie's at the shifted id, ids that no node carries
+    /// read empty, and a refreeze is identical to one bulk load.
+    #[test]
+    fn the_sparse_directory_reads_as_the_dense_one(
+        seqs in sequences(24),
+        split in 0usize..25,
+    ) {
+        const SHIFT: u32 = 1 << 20;
+        let shifted: Vec<(Sequence, DocId)> = seqs
+            .iter()
+            .map(|(s, d)| (Sequence(s.elems().iter().map(|p| PathId(p.0 + SHIFT)).collect()), *d))
+            .collect();
+        let (dense, sparse) = (frozen(seqs), frozen(shifted.clone()));
+        let (fd, fs) = (&dense.frozen().links, &sparse.frozen().links);
+        prop_assert!(fd.keys.is_empty(), "a 4-path alphabet is dense");
+        prop_assert_eq!(fs.keys.is_empty(), dense.node_count() == 0);
+        prop_assert_eq!(&sparse.frozen().max_desc, &dense.frozen().max_desc);
+        prop_assert_eq!(&sparse.frozen().embeds_bits, &dense.frozen().embeds_bits);
+        for p in 0..8 {
+            prop_assert_eq!(fs.get(PathId(p + SHIFT)), fd.get(PathId(p)), "link of {}", p);
+        }
+        for absent in [0, 1, 4, SHIFT - 1, SHIFT, SHIFT + 5, SHIFT + 9, u32::MAX] {
+            prop_assert!(fs.get(PathId(absent)).is_empty(), "{} reads empty", absent);
+        }
+        prop_assert!(fd.get(PathId(u32::MAX)).is_empty());
+        prop_assert_eq!(fs.iter().count(), fd.iter().count());
+        prop_assert_eq!(fs.entries.capacity(), fs.entries.len());
+        prop_assert_eq!(fs.keys.capacity(), fs.keys.len());
+        let split = split.min(shifted.len());
+        let mut refrozen = frozen(shifted[..split].to_vec());
+        for (seq, doc) in &shifted[split..] {
+            refrozen.insert(seq, *doc);
+        }
+        refrozen.freeze();
+        prop_assert!(refrozen.identical_to(&sparse));
+    }
+
+    /// (d) `freeze → insert k more → freeze` equals one `bulk_load` of the
     /// union — with duplicates of indexed sequences, and with `k = 0`.
     #[test]
     fn refreeze_equals_bulk_load_of_the_union(seqs in sequences(24), split in 0usize..25) {

@@ -5,9 +5,12 @@
 //! positives, no false negatives).
 
 use proptest::prelude::*;
-use xseq_index::{InvariantClass, PlanOptions, XmlIndex};
+use xseq_index::{
+    verify_trie_structure, InvariantClass, PlanOptions, SequenceTrie, TrieView, XmlIndex,
+};
+use xseq_sequence::Sequence;
 use xseq_sequence::Strategy as SeqStrategy;
-use xseq_xml::{Document, PathTable, SymbolTable, ValueMode};
+use xseq_xml::{Document, PathId, PathTable, SymbolTable, ValueMode};
 
 /// Each doc: node `i` (1-based) attaches under `parents[i-1] % i` with
 /// label `labels[i] % alphabet` — the same compact recipe the sequencing
@@ -95,6 +98,33 @@ fn single_doc_index_verifies_clean() {
     assert_eq!(report.sequences_checked, 1);
 }
 
+/// A sparse directory's keys swapped out of order are `LinkDirectory`, and
+/// bisecting them reads links without a panic.
+#[test]
+fn out_of_order_sparse_keys_are_reported() {
+    let seq = |ids: &[u32]| Sequence(ids.iter().map(|&p| PathId(1_000 + p)).collect());
+    let mut trie = SequenceTrie::new();
+    trie.bulk_load(vec![(seq(&[1, 2, 3]), 0), (seq(&[1, 4]), 1)]);
+    trie.freeze();
+    assert!(verify_trie_structure(&trie).is_clean());
+    let f = trie.corrupt_frozen().expect("frozen");
+    assert_eq!(
+        f.links.keys.len(),
+        4,
+        "ids far above four per node are sparse"
+    );
+    f.links.keys.swap(1, 2);
+    let report = verify_trie_structure(&trie);
+    assert!(
+        report.has(InvariantClass::LinkDirectory),
+        "{}",
+        report.render()
+    );
+    for p in 1_000..1_006 {
+        let _ = TrieView::link(&trie, PathId(p)).len();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -104,7 +134,10 @@ proptest! {
         let (index, paths) = build_index(&recipe);
         let report = index.verify_integrity(&paths);
         prop_assert!(report.is_clean(), "{}", report.render());
-        prop_assert_eq!(report.sequences_checked, index.trie().sequence_count());
+        // one check per distinct stored sequence: documents with equal
+        // sequences share an end node
+        let distinct = index.trie().frozen().end_nodes.len();
+        prop_assert_eq!(report.sequences_checked, distinct);
     }
 
     /// Swapping two adjacent path-link serials must surface as `LinkOrder`
@@ -120,20 +153,23 @@ proptest! {
                 .trie_mut()
                 .corrupt_frozen()
                 .expect("build() freezes");
-            let mut eligible: Vec<_> = f
+            // The arena's groups of two or more entries, as ranges of it.
+            let eligible: Vec<_> = f
                 .links
-                .values_mut()
-                .filter(|v| v.len() >= 2)
+                .off
+                .windows(2)
+                .map(|w| w[0] as usize..w[1] as usize)
+                .filter(|link| link.len() >= 2)
                 .collect();
             if eligible.is_empty() {
                 None
             } else {
-                let idx = pick as usize % eligible.len();
-                let link = &mut eligible[idx];
-                let i = pick as usize % (link.len() - 1);
-                let (a, b) = (link[i].serial, link[i + 1].serial);
-                link[i].serial = b;
-                link[i + 1].serial = a;
+                let link = &eligible[pick as usize % eligible.len()];
+                let i = link.start + pick as usize % (link.len() - 1);
+                let entries = &mut f.links.entries;
+                let (a, b) = (entries[i].serial, entries[i + 1].serial);
+                entries[i].serial = b;
+                entries[i + 1].serial = a;
                 Some(a.min(b))
             }
         };
@@ -150,6 +186,34 @@ proptest! {
             "LinkOrder must anchor at the out-of-order serial {low}:\n{}",
             report.render()
         );
+    }
+
+    /// An offset of the link directory moved out of order, or past the
+    /// arena, must surface as `LinkDirectory`; every link still reads
+    /// without a panic, and a query over the broken index answers.
+    #[test]
+    fn broken_link_offset_is_reported(
+        recipe in corpus_recipe(8, 20),
+        pick in any::<u32>(),
+    ) {
+        let (mut index, _paths) = build_index(&recipe);
+        let top = {
+            let f = index.trie_mut().corrupt_frozen().expect("build() freezes");
+            let off = &mut f.links.off;
+            // any offset but the first: below its predecessor, or past the end
+            let g = 1 + pick as usize % (off.len() - 1);
+            off[g] = match off[g - 1] {
+                0 => f.links.entries.len() as u32 + 1,
+                prev => prev - 1,
+            };
+            off.len() as u32
+        };
+        let report = index.verify_structure();
+        prop_assert!(report.has(InvariantClass::LinkDirectory), "{}", report.render());
+        let trie = index.trie();
+        for p in 0..top + 2 {
+            let _ = TrieView::link(trie, PathId(p)).len();
+        }
     }
 
     /// Widening a child's preorder range past its parent must surface as

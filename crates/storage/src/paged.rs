@@ -66,23 +66,21 @@ const DOCS_PER_PAGE: usize = PAGE_SIZE / 4;
 /// the frozen trie before anything durable is written.
 ///
 /// Returns the number of pages written.
-#[expect(clippy::indexing_slicing, reason = "keys index links; n < node_count = table lengths")]
+#[expect(clippy::indexing_slicing, reason = "n < node_count = max_desc.len()")]
 pub fn write_paged_trie<S: PageStore>(trie: &SequenceTrie, store: &mut S) -> io::Result<PageId> {
     let frozen = trie.frozen();
     let node_count = trie.node_count() + 1; // + virtual root
 
     // ---- gather sections ----
-    // directory sorted by path id for binary search / deterministic layout
-    let mut dir: Vec<(PathId, u32, u32)> = Vec::with_capacity(frozen.links.len());
-    let mut entries: Vec<LinkEntry> = Vec::new();
-    {
-        let mut paths: Vec<PathId> = frozen.links.keys().copied().collect();
-        paths.sort();
-        for p in paths {
-            let link = &frozen.links[&p];
-            dir.push((p, entries.len() as u32, link.len() as u32));
-            entries.extend_from_slice(link);
-        }
+    // The in-memory arena is the entry section: its links in ascending path
+    // order, so the directory is its non-empty groups and is sorted by path
+    // id for binary search / deterministic layout.
+    let entries = &frozen.links.entries;
+    let mut dir: Vec<(PathId, u32, u32)> = Vec::new();
+    let mut start = 0;
+    for (p, link) in frozen.links.iter() {
+        dir.push((p, start, link.len() as u32));
+        start += link.len() as u32;
     }
     let mut ends: Vec<(TrieNodeId, u32, u32)> = Vec::with_capacity(frozen.end_nodes.len());
     let mut docs: Vec<DocId> = Vec::new();
@@ -145,7 +143,7 @@ pub fn write_paged_trie<S: PageStore>(trie: &SequenceTrie, store: &mut S) -> io:
     writer.flush()?;
 
     let mut writer = SectionWriter::new(store, entries_start);
-    for e in &entries {
+    for e in entries {
         writer.record(ENTRY_REC, ENTRIES_PER_PAGE, |page, off| {
             put_u32(page, off, e.serial);
             put_u32(page, off + 4, e.max_desc);
@@ -579,10 +577,10 @@ mod tests {
             );
         }
         // links agree
-        for (path, link) in &fx.trie.frozen().links {
-            assert_eq!(pv.link_len(*path), link.len());
+        for (path, link) in fx.trie.frozen().links.iter() {
+            assert_eq!(pv.link_len(path), link.len());
             for (i, e) in link.iter().enumerate() {
-                assert_eq!(pv.link_entry(*path, i), *e);
+                assert_eq!(pv.link_entry(path, i), *e);
             }
         }
     }
