@@ -4,9 +4,9 @@
 use crate::shard::{route, split_corpus, Shard};
 use crate::update::UpdateGauges;
 use crate::{
-    Corpus, Database, DocId, Error, Event, EventJournal, IndexTelemetry, MetricsRegistry, PathId,
-    PathTable, PlanOptions, Pool, PoolTelemetry, ProbabilityModel, Strategy, SymbolTable,
-    TraceConfig, ValueMode, WeightMap, XmlError, XmlIndex,
+    Corpus, Database, DocId, Document, Error, Event, EventJournal, IndexTelemetry, MetricsRegistry,
+    PathColumn, PathId, PathTable, PlanOptions, Pool, PoolTelemetry, ProbabilityModel, Strategy,
+    SymbolTable, TraceConfig, ValueMode, WeightMap, XmlError, XmlIndex,
 };
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -255,17 +255,26 @@ impl DatabaseBuilder {
         self.finish_build(corpora)
     }
 
-    /// Indexes an already-built corpus.
+    /// Indexes an already-built corpus.  Its documents may be in any
+    /// parent-before-child arena order; one that is not in preorder is
+    /// indexed, and kept, in its preorder layout
+    /// ([`Document::into_preorder`]).
     ///
     /// With more than one shard, the corpus is split by re-interning each
     /// document into its shard's fresh symbol/path tables (arena order is
     /// parse-encounter order, so stateful re-interning replays a
     /// from-scratch parse of the shard's subset exactly); one shard takes
     /// the corpus as it is.
-    pub fn build_from_corpus(self, corpus: Corpus) -> Result<Database, Error> {
+    pub fn build_from_corpus(self, mut corpus: Corpus) -> Result<Database, Error> {
         if corpus.is_empty() {
             return Err(Error::EmptyDatabase);
         }
+        // A database keeps its documents as path encodings, which decode
+        // to the preorder layout: a document in another parent-before-child
+        // order is laid out in preorder once, here.
+        corpus.docs = (corpus.docs.into_iter())
+            .map(Document::into_preorder)
+            .collect();
         let corpora = split_corpus(corpus, self.resolved_shards(), &Pool::new(self.threads));
         self.finish_build(corpora)
     }
@@ -316,7 +325,7 @@ impl DatabaseBuilder {
             Event::new("ingest.build")
                 .attr(
                     "docs",
-                    shards.iter().map(|sh| sh.corpus.len() as u64).sum::<u64>(),
+                    shards.iter().map(|sh| sh.docs.len() as u64).sum::<u64>(),
                 )
                 .attr(
                     "paths",
@@ -386,14 +395,15 @@ pub(crate) fn build_shards(
         .into_iter()
         .map(|mut corpus| {
             move || {
-                let index = build_shard_index(config, &mut corpus, registry);
-                (corpus, index)
+                let (docs, index) = build_shard_index(config, &mut corpus, registry);
+                (corpus, docs, index)
             }
         })
         .collect();
     (pool.run(tasks).into_iter().enumerate())
-        .map(|(s, (corpus, index))| Shard {
+        .map(|(s, (corpus, docs, index))| Shard {
             corpus,
+            docs,
             index,
             first: s as DocId,
             stride: nshards as DocId,
@@ -403,24 +413,28 @@ pub(crate) fn build_shards(
 
 /// The one per-shard index build, run by [`build_shards`].  Derives the
 /// sequencing strategy from the corpus, then runs the index's one
-/// constructor, all on the calling thread.  Later inserts through
-/// `corpus` record `xml.parse` into `registry`.
+/// constructor, all on the calling thread.  Returns the documents as their
+/// path column, and drops `corpus.docs`: the column is what the shard
+/// keeps of them.  Later inserts through `corpus` record `xml.parse` into
+/// `registry`.
 fn build_shard_index(
     config: &BuildConfig,
     corpus: &mut Corpus,
     registry: &MetricsRegistry,
-) -> XmlIndex {
+) -> (PathColumn, XmlIndex) {
     corpus.attach_parse_histogram(registry.histogram("xml.parse"));
-    // The one interning pass, in document order: the estimate and the
-    // constructor both read these encodings and neither encodes again.
-    let enc: Vec<Vec<PathId>> = (corpus.docs.iter())
-        .map(|doc| doc.path_encode(&mut corpus.paths))
-        .collect();
+    // The one interning pass, in document order, into one column: the
+    // estimate and the constructor both read its slices and neither
+    // encodes again.
+    let mut enc = PathColumn::with_capacity(corpus.len(), corpus.total_nodes());
+    for doc in &corpus.docs {
+        enc.push(doc, &mut corpus.paths);
+    }
     let strategy = match config.sequencing {
         Sequencing::DepthFirst => Strategy::DepthFirst,
         Sequencing::Probability => {
             // The estimator samples every document.
-            let sample = corpus.docs.iter().zip(enc.iter().map(Vec::as_slice));
+            let sample = corpus.docs.iter().zip(enc.iter());
             let model = ProbabilityModel::estimate_encoded(sample, &corpus.paths);
             let mut weights = WeightMap::default();
             for (path, w) in &config.boosts {
@@ -439,8 +453,10 @@ fn build_shard_index(
         Some(IndexTelemetry::register(registry)),
     );
     index.configure_delta(config.memtable_limit, config.tier_ratio);
+    // Dropped, not cleared: clearing would keep the list's allocation.
+    corpus.docs = Vec::new();
     corpus.shrink_to_fit();
-    index
+    (enc, index)
 }
 
 /// Resolves `/a/b/c` to an interned path id, if every step exists.

@@ -121,8 +121,8 @@ pub use xseq_telemetry::{
     TraceId, TraceSpan,
 };
 pub use xseq_xml::{
-    Axis, Corpus, DocId, Document, PathId, PathTable, PatternLabel, SymbolTable, TreePattern,
-    ValueMode, XmlError,
+    Axis, Corpus, DocId, Document, PathColumn, PathId, PathTable, PatternLabel, SymbolTable,
+    TreePattern, ValueMode, XmlError,
 };
 
 use builder::BuildConfig;
@@ -287,11 +287,6 @@ impl Database {
         PoolTelemetry::register(&self.registry)
     }
 
-    /// The worker pool shared by ingest and [`Database::query_batch`].
-    pub fn pool(&self) -> Pool {
-        self.pool
-    }
-
     /// The underlying index — shard 0's.  With `shards(1)` this is the
     /// whole database's index; with more, use [`Database::shard_index`] to
     /// reach the others.
@@ -299,9 +294,11 @@ impl Database {
         &self.shard0().index
     }
 
-    /// Shard 0's corpus.  With `shards(1)` this is the whole database's
-    /// corpus; its symbol tables are the binding context for
-    /// [`Database::query_pattern`] patterns.
+    /// Shard 0's corpus: its symbol and path tables.  With `shards(1)`
+    /// these are the whole database's tables; its symbol tables are the
+    /// binding context for [`Database::query_pattern`] patterns.  Its
+    /// `docs` list is empty — a shard keeps its documents as a
+    /// [`PathColumn`] — so read a document through [`Database::document`].
     pub fn corpus(&self) -> &Corpus {
         &self.shard0().corpus
     }
@@ -330,7 +327,18 @@ impl Database {
     /// Number of indexed documents, removed ones included until a
     /// compaction drops them.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|sh| sh.corpus.len()).sum()
+        self.shards.iter().map(|sh| sh.docs.len()).sum()
+    }
+
+    /// Document `id`, decoded from its shard's path column against the
+    /// shard's path table ([`Document::from_path_encoding`]): its labels
+    /// are that shard's symbols — [`Database::corpus`]'s at `shards(1)` —
+    /// and its arena is in preorder.  `None` for an id past the end or a
+    /// removed document.
+    pub fn document(&self, id: DocId) -> Option<Document> {
+        let (s, local) = shard::route(id, self.shards.len());
+        let sh = self.shards.get(s)?;
+        (!sh.index.tombstones().contains(local)).then(|| sh.document(local))?
     }
 
     /// True when the database holds no documents.

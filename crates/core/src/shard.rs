@@ -4,7 +4,7 @@
 
 use crate::{
     index::{union_answers, QueryStep, SearchScratch},
-    Corpus, DocId, Document, ParseError, PatternLabel, Pool, QueryOutcome, SymbolTable,
+    Corpus, DocId, Document, ParseError, PathColumn, PatternLabel, Pool, QueryOutcome, SymbolTable,
     TreePattern, XmlIndex,
 };
 use std::time::Instant;
@@ -51,15 +51,12 @@ impl<'a> Reintern<'a> {
         }
     }
 
-    /// Appends a re-interned copy of `doc` to `fresh` and returns its id
-    /// there.  The copy is deliberate: it lays the survivors out
-    /// contiguously (moving them out of the old corpus was measured slower
-    /// to query, DESIGN.md §11.2).  An id the old table never minted keeps
-    /// the string path: a designator re-interns its (empty) name, a value
+    /// Re-interns `doc` into `fresh`'s tables, appends it to `fresh` and
+    /// returns its id there.  An id the old table never minted keeps the
+    /// string path: a designator re-interns its (empty) name, a value
     /// passes through.
-    pub(crate) fn push(&mut self, doc: &Document, fresh: &mut Corpus) -> DocId {
+    pub(crate) fn push(&mut self, mut doc: Document, fresh: &mut Corpus) -> DocId {
         let (old, symbols) = (self.old, &mut fresh.symbols);
-        let mut doc = doc.clone();
         doc.remap_symbols(|s| match (s.as_elem(), s.as_value()) {
             (Some(d), _) => Symbol::elem(Designator(remap(&mut self.names, d.0, || {
                 symbols.designator(old.name(d)).0
@@ -107,7 +104,7 @@ pub(crate) fn split_corpus(corpus: Corpus, nshards: usize, pool: &Pool) -> Vec<C
                 shard.docs.reserve_exact(docs.len());
                 let mut remap = Reintern::new(&corpus.symbols);
                 for doc in docs {
-                    remap.push(doc, &mut shard);
+                    remap.push(doc.clone(), &mut shard);
                 }
                 shard
             }
@@ -151,13 +148,17 @@ pub(crate) fn rebind_pattern(
     Some(out)
 }
 
-/// One independent index shard: its own corpus (symbol/path tables and
-/// documents, locally id'd) and its own frozen + overlay index.  Shards
-/// share nothing on the query hot path, and a shard holds no lock of its
-/// own: query scratch is the caller's [`SearchScratch`].
+/// One independent index shard: its own corpus (symbol/path tables), its
+/// documents (locally id'd, as one path column) and its own frozen +
+/// overlay index.  Shards share nothing on the query hot path, and a shard
+/// holds no lock of its own: query scratch is the caller's
+/// [`SearchScratch`].
 #[derive(Debug)]
 pub(crate) struct Shard {
+    /// The symbol and path tables; its document list is empty once built.
     pub(crate) corpus: Corpus,
+    /// The documents, as their path encodings against `corpus.paths`.
+    pub(crate) docs: PathColumn,
     pub(crate) index: XmlIndex,
     /// This shard's position `s` — the global id of its local document 0.
     pub(crate) first: DocId,
@@ -170,6 +171,12 @@ impl Shard {
     /// `local · n + s`, ascending in `local`.
     pub(crate) fn global(&self, local: DocId) -> DocId {
         local * self.stride + self.first
+    }
+
+    /// Local document `local`, decoded from the column against the table
+    /// that encoded it (removed or not); `None` past the end.
+    pub(crate) fn document(&self, local: DocId) -> Option<Document> {
+        Document::from_path_encoding(self.docs.get(local)?, &self.corpus.paths)
     }
 
     /// This shard's share of an XPath query — the one place the pipeline's

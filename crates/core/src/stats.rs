@@ -11,7 +11,8 @@ use xseq_schema::WorkloadRecorder;
 /// validated against a counting allocator within 5%).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {
-    /// Corpus heap: interners (names, values, paths) plus document arenas.
+    /// Corpus heap: interners (names, values, paths) plus the documents'
+    /// path column.
     pub corpus_bytes: usize,
     /// Index heap: both trie segments, tombstones, the wildcard dictionary
     /// and the strategy's priority tables.
@@ -144,11 +145,11 @@ impl Database {
             .shards
             .iter()
             .map(|sh| ShardStats {
-                docs: sh.corpus.len(),
+                docs: sh.docs.len(),
                 paths: sh.corpus.paths.len(),
                 index: sh.index.stats(),
                 memory: MemoryStats {
-                    corpus_bytes: sh.corpus.heap_bytes(),
+                    corpus_bytes: sh.corpus.heap_bytes() + sh.docs.heap_bytes(),
                     index_bytes: sh.index.heap_bytes(),
                 },
             })

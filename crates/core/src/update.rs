@@ -152,11 +152,12 @@ impl Database {
         let (s, _) = route(self.len() as DocId, self.shards.len());
         #[expect(clippy::indexing_slicing, reason = "route reduces modulo self.shards.len()")]
         let sh = &mut self.shards[s];
+        // Parsed once and encoded once, into the column; the emitter reads
+        // the document beside its slice, and then the document is dropped.
         // Shards take ids in turn, so the local id is `route`'s.
-        let local = sh.corpus.parse_and_push(xml)?;
-        #[expect(clippy::indexing_slicing, reason = "local is the freshly pushed document's index")]
-        let doc = &sh.corpus.docs[local as usize];
-        sh.index.insert_delta(doc, local, &mut sh.corpus.paths);
+        let doc = sh.corpus.parse(xml)?;
+        let local = sh.docs.push(&doc, &mut sh.corpus.paths);
+        (sh.index).insert_encoded(&doc, sh.docs.get(local).unwrap_or_default(), local);
         let global = sh.global(local);
         // Fold due merges right here, keeping the run count logarithmic.
         // Only this shard's memtable was cut, so only it can be due.
@@ -184,7 +185,7 @@ impl Database {
         let (s, local) = route(id, self.shards.len());
         #[expect(clippy::indexing_slicing, reason = "route reduces modulo self.shards.len()")]
         let sh = &mut self.shards[s];
-        if local as usize >= sh.corpus.len() {
+        if local as usize >= sh.docs.len() {
             return false;
         }
         let t0 = Instant::now();
@@ -217,10 +218,11 @@ impl Database {
     /// `bulk_load` → `freeze` (one sort, one preorder build, one labeling),
     /// shards side by side on the pool — over the **surviving** documents.
     ///
-    /// The surviving documents are re-interned into fresh symbol/path
-    /// tables in id order, by id (a document's arena order is its parse
-    /// encounter order, so minting a fresh id where an old one is first
-    /// met replays the original first-occurrence interning exactly), ids
+    /// The surviving documents are decoded from their shards' path
+    /// columns and re-interned into fresh symbol/path tables in id order,
+    /// by id (a document's arena order is its parse encounter order, so
+    /// minting a fresh id where an old one is first met replays the
+    /// original first-occurrence interning exactly), ids
     /// renumber densely, and the result takes the builder's own path: it is
     /// routed to the shards afresh (a document may change shard) and each
     /// shard's strategy is re-derived the way
@@ -230,8 +232,10 @@ impl Database {
     /// `verify_integrity()` and the Theorem 1/2 invariants therefore keep
     /// holding after any update history.
     // A global id below `docs_before` routes to a shard below nshards and a
-    // local id below that shard's document count.
-    #[expect(clippy::indexing_slicing, reason = "route of a live id names its shard and document")]
+    // local id below that shard's document count, whose column decodes
+    // against the table that encoded it.
+    #[expect(clippy::indexing_slicing, reason = "route of a live id names its shard")]
+    #[expect(clippy::expect_used, reason = "a shard's column decodes against its own table")]
     pub fn compact(&mut self) -> CompactionReport {
         let t0 = Instant::now();
         let nshards = self.shards.len();
@@ -242,8 +246,9 @@ impl Database {
         let delta_merged: usize = (self.shards.iter())
             .map(|sh| sh.index.delta().sequence_count())
             .sum();
-        // The survivors in global order, into one fresh corpus: every
-        // tombstone names one of the database's documents.
+        // The survivors in global order, decoded from the columns into one
+        // fresh corpus: every tombstone names one of the database's
+        // documents.
         let mut fresh = Corpus::new(self.corpus().symbols.values.mode());
         fresh
             .docs
@@ -256,7 +261,10 @@ impl Database {
                 let (s, local) = route(g, nshards);
                 let sh = &self.shards[s];
                 let alive = !sh.index.tombstones().contains(local);
-                alive.then(|| reinterns[s].push(&sh.corpus.docs[local as usize], &mut fresh))
+                alive.then(|| {
+                    let doc = sh.document(local).expect("a live id names a document");
+                    reinterns[s].push(doc, &mut fresh)
+                })
             })
             .collect();
         drop(reinterns);

@@ -60,9 +60,9 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-use xseq_sequence::{emit_sequence, sequence_document, Strategy};
+use xseq_sequence::{emit_sequence, Strategy};
 use xseq_telemetry::Trace;
-use xseq_xml::{DocId, Document, PathId, PathTable, TreePattern};
+use xseq_xml::{DocId, Document, PathColumn, PathId, PathTable, TreePattern};
 
 /// Aggregated statistics of one pattern query.
 #[derive(Debug, Clone, Copy, Default)]
@@ -268,15 +268,18 @@ impl XmlIndex {
         strategy: Strategy,
         options: PlanOptions,
     ) -> Self {
-        let enc: Vec<_> = docs.iter().map(|doc| doc.path_encode(paths)).collect();
+        let nodes = docs.iter().map(Document::len).sum();
+        let mut enc = PathColumn::with_capacity(docs.len(), nodes);
+        docs.iter().for_each(|doc| _ = enc.push(doc, paths));
         Self::build_encoded(docs, &enc, strategy, options, None)
     }
 
     /// The one constructor — the paper's pipeline (Sections 2, 4.1) over a
-    /// path-encoded corpus (`enc[i]` is `docs[i].path_encode(..)`): order
-    /// every document's nodes under `f2` with the strategy, load the
-    /// sequences into the trie and freeze it (sort, preorder nodes, labels
-    /// + path links), so the index is immediately queryable.
+    /// path-encoded corpus (document `i` of `enc` is
+    /// `docs[i].path_encode(..)`): order every document's nodes under `f2`
+    /// with the strategy, load the sequences into the trie and freeze it
+    /// (sort, preorder nodes, labels + path links), so the index is
+    /// immediately queryable.
     ///
     /// Interning happened strictly before — the database's build encodes
     /// its corpus once and hands the same encodings to the probability
@@ -289,13 +292,13 @@ impl XmlIndex {
     /// and work counters through it.
     pub fn build_encoded(
         docs: &[Document],
-        enc: &[Vec<PathId>],
+        enc: &PathColumn,
         strategy: Strategy,
         options: PlanOptions,
         telemetry: Option<IndexTelemetry>,
     ) -> Self {
         debug_assert_eq!(docs.len(), enc.len(), "one encoding per document");
-        let seqs: Vec<_> = (docs.iter().zip(enc).enumerate())
+        let seqs: Vec<_> = (docs.iter().zip(enc.iter()).enumerate())
             .map(|(id, (doc, enc))| {
                 let t0 = Instant::now();
                 let (seq, _) = emit_sequence(doc, enc, &strategy);
@@ -343,8 +346,16 @@ impl XmlIndex {
     /// the overlay's memtable — so the very next query sees *frozen ∪
     /// segments*.
     pub fn insert_delta(&mut self, doc: &Document, id: DocId, paths: &mut PathTable) {
+        self.insert_encoded(doc, &doc.path_encode(paths), id);
+    }
+
+    /// [`XmlIndex::insert_delta`] for a document already path-encoded
+    /// against the index's table (`enc` is `doc.path_encode(..)`, e.g. the
+    /// document's slice of a [`PathColumn`]): emits and inserts, and
+    /// interns nothing.
+    pub fn insert_encoded(&mut self, doc: &Document, enc: &[PathId], id: DocId) {
         let t0 = self.telemetry.as_ref().map(|_| Instant::now());
-        let seq = sequence_document(doc, paths, &self.strategy);
+        let (seq, _) = emit_sequence(doc, enc, &self.strategy);
         if let (Some(t), Some(tel)) = (t0, self.telemetry.as_ref()) {
             tel.encode.record_duration(t.elapsed());
         }

@@ -9,6 +9,7 @@
 use crate::error::XmlError;
 use crate::path::{PathId, PathTable};
 use crate::symbol::Symbol;
+use crate::DocId;
 use xseq_telemetry::HeapSize;
 
 /// Index of a node within one [`Document`]'s arena.
@@ -223,13 +224,76 @@ impl Document {
     /// parsed and generated document.
     pub fn path_encode(&self, paths: &mut PathTable) -> Vec<PathId> {
         let mut out = Vec::with_capacity(self.len());
+        self.path_encode_onto(paths, &mut out);
+        out
+    }
+
+    /// [`Document::path_encode`] onto the end of `out`.
+    fn path_encode_onto(&self, paths: &mut PathTable, out: &mut Vec<PathId>) {
+        let base = out.len();
         for (&sym, &p) in self.sym.iter().zip(&self.parent) {
             // a parent precedes its child, so its path is already in `out`;
             // the root's NO_PARENT is past every index
-            let up = out.get(p as usize).copied().unwrap_or(PathId::ROOT);
+            let up = out.get(base + p as usize).copied().unwrap_or(PathId::ROOT);
             out.push(paths.extend(up, sym));
         }
-        out
+    }
+
+    /// Rebuilds the document whose path encoding in arena order is `enc`
+    /// (Theorem 1's decoding, on node encodings): node `n` is labelled by
+    /// the last symbol of `enc[n]` and hangs under the node before it or
+    /// the one of that node's ancestors whose path `enc[n]` extends — in
+    /// preorder there is no other place for it, and each step up passes a
+    /// subtree that is closed for good, so the walk is linear.  For a
+    /// document in preorder — every parsed and generated one, and any after
+    /// [`Document::into_preorder`] — this is the document, column for
+    /// column: `from_path_encoding(&d.path_encode(t), t) == Some(d)`.
+    ///
+    /// `None` when `enc` encodes no preorder document against `paths`: ε or
+    /// an id the table never minted, a first node that is not a root path,
+    /// or a later node whose path extends none of the open nodes' paths.
+    pub fn from_path_encoding(enc: &[PathId], paths: &PathTable) -> Option<Document> {
+        let mut sym = Vec::with_capacity(enc.len());
+        let mut parent: Vec<NodeId> = Vec::with_capacity(enc.len());
+        for (n, &p) in enc.iter().enumerate() {
+            let (up_path, last) = paths.key(p)?;
+            let mut up = n.checked_sub(1);
+            while let Some(u) = up.filter(|&u| enc.get(u) != Some(&up_path)) {
+                up = parent
+                    .get(u)
+                    .filter(|&&q| q != Self::NO_PARENT)
+                    .map(|&q| q as usize);
+            }
+            parent.push(match up {
+                Some(u) => u as NodeId,
+                None if n == 0 && up_path == PathId::ROOT => Self::NO_PARENT,
+                None => return None,
+            });
+            sym.push(last);
+        }
+        Document::from_parents(sym, parent).ok()
+    }
+
+    /// This document laid out in preorder, children in document order: the
+    /// same tree (and `self` itself when its arena already is in preorder),
+    /// whose path encoding [`Document::from_path_encoding`] decodes back to
+    /// it.
+    #[expect(clippy::indexing_slicing, reason = "preorder() lists every node once")]
+    pub fn into_preorder(self) -> Document {
+        let order = self.preorder();
+        if order.iter().copied().eq(self.node_ids()) {
+            return self;
+        }
+        let mut at = vec![Self::NO_PARENT; self.len()];
+        for (i, &n) in order.iter().enumerate() {
+            at[n as usize] = i as NodeId;
+        }
+        let sym = order.iter().map(|&n| self.sym[n as usize]).collect();
+        let parent = (order.iter())
+            .map(|&n| self.parent(n).map_or(Self::NO_PARENT, |p| at[p as usize]))
+            .collect();
+        // a preorder column is topological
+        Document::from_parents(sym, parent).unwrap_or(self)
     }
 
     /// Rewrites every node label through `f` — used by compaction and the
@@ -271,6 +335,78 @@ impl Document {
             (Some(a), Some(b)) => self.len() == other.len() && canon(self, a) == canon(other, b),
             _ => false,
         }
+    }
+}
+
+/// A corpus' documents as their path encodings, one flat column: document
+/// `d` is `enc[off[d]..off[d + 1]]`, entry `n` of it node `n`'s
+/// [`PathId`] in arena order — 4 B per node and 4 B per document, a quarter
+/// of the [`Document`] columns.  A database keeps its documents this way
+/// and decodes one ([`Document::from_path_encoding`]) only when asked;
+/// every document it holds is in preorder, so the decoding is exact.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PathColumn {
+    enc: Vec<PathId>,
+    /// `len() + 1` offsets into `enc`, the first 0.
+    off: Vec<u32>,
+}
+
+impl Default for PathColumn {
+    fn default() -> Self {
+        Self::with_capacity(0, 0)
+    }
+}
+
+impl PathColumn {
+    /// An empty column with room for `docs` documents of `nodes` nodes in
+    /// all, so that filling it to that size leaves both arrays exact.
+    pub fn with_capacity(docs: usize, nodes: usize) -> Self {
+        let mut off = Vec::with_capacity(docs + 1);
+        off.push(0);
+        PathColumn {
+            enc: Vec::with_capacity(nodes),
+            off,
+        }
+    }
+
+    /// Path-encodes `doc` against `paths` onto the end of the column (new
+    /// paths are minted as [`Document::path_encode`] mints them) and
+    /// returns its id.
+    pub fn push(&mut self, doc: &Document, paths: &mut PathTable) -> DocId {
+        doc.path_encode_onto(paths, &mut self.enc);
+        self.off.push(self.enc.len() as u32);
+        self.len() as DocId - 1
+    }
+
+    /// Document `d`'s path encoding, if the column holds it.
+    pub fn get(&self, d: DocId) -> Option<&[PathId]> {
+        let (from, to) = (self.off.get(d as usize)?, self.off.get(d as usize + 1)?);
+        self.enc.get(*from as usize..*to as usize)
+    }
+
+    /// Every document's path encoding, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = &[PathId]> + '_ {
+        self.off.windows(2).map(|w| match *w {
+            [from, to] => self.enc.get(from as usize..to as usize).unwrap_or(&[]),
+            _ => &[],
+        })
+    }
+
+    /// Number of documents.
+    pub fn len(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// True when the column holds no document.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// Heap attribution for the column: its two arrays.
+impl HeapSize for PathColumn {
+    fn heap_bytes(&self) -> usize {
+        self.enc.heap_bytes() + self.off.heap_bytes()
     }
 }
 

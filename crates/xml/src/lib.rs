@@ -43,7 +43,7 @@ pub mod pattern;
 pub mod symbol;
 pub mod writer;
 
-pub use document::{Document, NodeId};
+pub use document::{Document, NodeId, PathColumn};
 pub use error::XmlError;
 pub use parser::parse_document;
 pub use path::{PathId, PathIdHasher, PathTable};
@@ -62,7 +62,11 @@ pub struct Corpus {
     pub symbols: SymbolTable,
     /// Shared path-encoding table.
     pub paths: PathTable,
-    /// The documents (the paper's "records"), indexed by [`DocId`].
+    /// The documents (the paper's "records"), indexed by [`DocId`], while
+    /// something builds from them.  A database's build path-encodes them
+    /// into a [`PathColumn`] and drops them, so in a built database this
+    /// list is empty; the database decodes a document from its column on
+    /// demand.
     pub docs: Vec<Document>,
     /// `xml.parse` latency sink, when attached (see
     /// [`Corpus::attach_parse_histogram`]).
@@ -98,6 +102,13 @@ impl Corpus {
 
     /// Parses an XML string against this corpus' interners and adds it.
     pub fn parse_and_push(&mut self, xml: &str) -> Result<DocId, XmlError> {
+        let doc = self.parse(xml)?;
+        Ok(self.push(doc))
+    }
+
+    /// Parses an XML string against this corpus' interners, recording the
+    /// parse latency like [`Corpus::parse_and_push`], without adding it.
+    pub fn parse(&mut self, xml: &str) -> Result<Document, XmlError> {
         let t0 = self
             .parse_histogram
             .as_ref()
@@ -106,7 +117,7 @@ impl Corpus {
         if let (Some(t), Some(h)) = (t0, self.parse_histogram.as_ref()) {
             h.record_duration(t.elapsed());
         }
-        Ok(self.push(doc))
+        Ok(doc)
     }
 
     /// Frees the spare capacity of the dictionaries' arenas and lists and of

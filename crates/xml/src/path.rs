@@ -227,6 +227,12 @@ impl PathTable {
         }
     }
 
+    /// The `(parent, last)` key of path `p`; `None` for ε and for an id
+    /// this table never minted.
+    pub(crate) fn key(&self, p: PathId) -> Option<(PathId, Symbol)> {
+        key_of(&self.entries, p.0).filter(|_| p != PathId::ROOT)
+    }
+
     /// Looks up the extension of `parent` by `sym` without interning.
     pub fn child(&self, parent: PathId, sym: Symbol) -> Option<PathId> {
         let key = (parent, sym);

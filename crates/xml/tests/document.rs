@@ -10,8 +10,14 @@
 //!   output of all three generators, which is checked here too — it mints
 //!   the ids the preorder reference encoder kept below mints, in the same
 //!   order, so the path table and every id the index holds are unchanged.
+//! * A [`PathColumn`] holds documents as their path encodings, and
+//!   [`Document::from_path_encoding`] decodes every preorder document back
+//!   column for column — the empty one, random ones, generated ones and the
+//!   star below.  [`Document::into_preorder`] lays any other arena out in
+//!   preorder, keeping the tree and its child order.
 //! * No bulk builder reaches the O(n) `add_child`: a 200 000-node star goes
-//!   through `decode_f2` and `parse_document` well inside a stated bound.
+//!   through `decode_f2`, `parse_document` and the path-column decoder well
+//!   inside a stated bound.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -20,7 +26,7 @@ use std::time::{Duration, Instant};
 use xseq_datagen::{DblpGenerator, SyntheticDataset, SyntheticParams};
 use xseq_datagen::{XmarkGenerator, XmarkOptions};
 use xseq_sequence::{decode_f2, Sequence};
-use xseq_xml::{parse_document, write_document, Document, NodeId, PathId, PathTable};
+use xseq_xml::{parse_document, write_document, Document, NodeId, PathColumn, PathId, PathTable};
 use xseq_xml::{Symbol, SymbolTable, ValueMode, XmlError};
 
 /// A random tree in arena order: node `i ≥ 1` hangs under `raw[i − 1] % i`,
@@ -38,6 +44,48 @@ fn columns(max_nodes: usize) -> impl Strategy<Value = (Vec<Symbol>, Vec<NodeId>)
             (sym, parent)
         })
     })
+}
+
+/// A random tree whose arena is in preorder: node `i ≥ 1` hangs under one
+/// of the nodes on the path from the root to node `i − 1`.
+fn preorder_columns(max_nodes: usize) -> impl Strategy<Value = (Vec<Symbol>, Vec<NodeId>)> {
+    columns(max_nodes).prop_map(|(sym, raw)| {
+        let mut open: Vec<NodeId> = Vec::new();
+        let parent = (raw.iter().enumerate())
+            .map(|(i, &r)| {
+                let up = match open.len() {
+                    0 => Document::NO_PARENT,
+                    depth => {
+                        open.truncate(1 + r as usize % depth);
+                        open[open.len() - 1]
+                    }
+                };
+                open.push(i as NodeId);
+                up
+            })
+            .collect();
+        (sym, parent)
+    })
+}
+
+/// Encodes `docs` in order into one column against one table, and asserts
+/// that each slice is the document's own encoding and decodes back to it.
+fn assert_the_column_decodes(docs: &[Document]) {
+    let (mut paths, mut reference) = (PathTable::new(), PathTable::new());
+    let mut column = PathColumn::default();
+    for (d, doc) in docs.iter().enumerate() {
+        assert_eq!(column.push(doc, &mut paths), d as u32);
+    }
+    assert_eq!(column.len(), docs.len());
+    for ((d, doc), enc) in docs.iter().enumerate().zip(column.iter()) {
+        assert_eq!(enc, doc.path_encode(&mut reference));
+        assert_eq!(column.get(d as u32), Some(enc));
+        assert_eq!(
+            Document::from_path_encoding(enc, &paths).as_ref(),
+            Some(doc)
+        );
+    }
+    assert_eq!(column.get(docs.len() as u32), None);
 }
 
 /// The same columns appended one node at a time.
@@ -85,6 +133,7 @@ fn assert_arena_order_encodes_as_preorder(docs: &[Document]) {
 fn assert_arena_is_preorder(docs: &[Document]) {
     for doc in docs {
         assert_eq!(doc.preorder(), doc.node_ids().collect::<Vec<_>>());
+        assert_eq!(&doc.clone().into_preorder(), doc, "already in preorder");
     }
 }
 
@@ -184,6 +233,38 @@ proptest! {
     }
 
     #[test]
+    fn path_columns_decode_to_their_documents(
+        cols in vec(preorder_columns(48), 0..6),
+        empty_at in any::<usize>(),
+    ) {
+        let mut docs: Vec<Document> = cols
+            .into_iter()
+            .map(|(sym, parent)| Document::from_parents(sym, parent).expect("topological"))
+            .collect();
+        assert_arena_is_preorder(&docs);
+        docs.insert(empty_at % (docs.len() + 1), Document::new());
+        assert_the_column_decodes(&docs);
+    }
+
+    #[test]
+    fn into_preorder_lays_out_the_same_tree(cols in columns(48)) {
+        let (sym, parent) = cols;
+        let doc = Document::from_parents(sym, parent).expect("topological");
+        let laid = doc.clone().into_preorder();
+        prop_assert!(laid.structurally_eq(&doc));
+        assert_arena_is_preorder(std::slice::from_ref(&laid));
+        // node i of the layout is the i-th node of the original's preorder,
+        // so labels and child order are kept
+        let order = doc.preorder();
+        for (i, &n) in order.iter().enumerate() {
+            prop_assert_eq!(laid.sym(i as NodeId), doc.sym(n));
+            let up = laid.parent(i as NodeId).map(|p| order[p as usize]);
+            prop_assert_eq!(up, doc.parent(n));
+        }
+        assert_the_column_decodes(&[laid]);
+    }
+
+    #[test]
     fn any_arena_order_encodes_every_node_by_its_path(cols in columns(48)) {
         let (sym, parent) = cols;
         // Off preorder the minting order may differ, never a node's path.
@@ -205,6 +286,27 @@ fn generated_arenas_are_in_preorder_and_encode_as_preorder() {
     for docs in generated(&mut st) {
         assert_arena_is_preorder(&docs);
         assert_arena_order_encodes_as_preorder(&docs);
+        assert_the_column_decodes(&docs);
+    }
+}
+
+#[test]
+fn columns_that_encode_no_preorder_document_decode_to_none() {
+    let mut st = SymbolTable::with_value_mode(ValueMode::Intern);
+    let (r, a, b) = (st.elem("r"), st.elem("a"), st.elem("b"));
+    let mut paths = PathTable::new();
+    let [pr, pa, pb, pab] = [&[r][..], &[r, a], &[r, b], &[r, a, b]].map(|p| paths.intern(p));
+    let decode = |enc: &[PathId]| Document::from_path_encoding(enc, &paths);
+    assert!(decode(&[pr, pa, pab, pb]).is_some());
+    for bad in [
+        &[pr, pr][..],      // a second root
+        &[pa],              // a root of depth 2
+        &[PathId::ROOT],    // the empty path
+        &[pr, pab],         // a node two levels below the open ones
+        &[pr, pa, pb, pab], // `r/a/b` under `r/b`
+        &[pr, PathId(99)],  // an id the table never minted
+    ] {
+        assert_eq!(decode(bad), None, "{bad:?}");
     }
 }
 
@@ -241,11 +343,23 @@ fn a_200_000_node_star_decodes_and_parses_in_linear_time() {
     let parsed = parse_document(&xml, &mut st).expect("well-formed");
     let parse = t0.elapsed();
 
+    let mut column = PathColumn::default();
+    column.push(&parsed, &mut paths);
+    let t0 = Instant::now();
+    let from_column = column
+        .get(0)
+        .and_then(|enc| Document::from_path_encoding(enc, &paths));
+    let from_column_time = t0.elapsed();
+
     assert_eq!(decoded.children(0).len(), STAR - 1);
     assert_eq!(parsed, decoded);
-    eprintln!("{STAR}-node star: decode_f2 {decode:?}, parse_document {parse:?}");
+    assert_eq!(from_column.as_ref(), Some(&parsed));
+    eprintln!(
+        "{STAR}-node star: decode_f2 {decode:?}, parse_document {parse:?}, \
+         from_path_encoding {from_column_time:?}"
+    );
     assert!(
-        decode < BOUND && parse < BOUND,
-        "decode_f2 {decode:?}, parse_document {parse:?}"
+        decode < BOUND && parse < BOUND && from_column_time < BOUND,
+        "decode_f2 {decode:?}, parse_document {parse:?}, from_path_encoding {from_column_time:?}"
     );
 }

@@ -26,8 +26,8 @@ use xseq::datagen::dblp::DblpGenerator;
 use xseq::datagen::xmark::{XmarkGenerator, XmarkOptions};
 use xseq::xml::{write_document, Designator, ValueId};
 use xseq::{
-    Corpus, DatabaseBuilder, Document, HeapSize, PlanOptions, Strategy, SymbolTable, ValueMode,
-    XmlIndex,
+    Corpus, Database, DatabaseBuilder, DocId, Document, HeapSize, PlanOptions, Strategy,
+    SymbolTable, ValueMode, XmlIndex,
 };
 
 /// Bytes currently live (allocated minus deallocated).
@@ -198,9 +198,9 @@ fn exact_strings_bytes(strings: usize, text: usize) -> usize {
     text + 4 * (strings + 1) + id_index_bytes(strings)
 }
 
-/// After a build from XML the corpus is at the size of its contents: the
-/// document list and every document's four columns at their lengths
-/// (16 B per node), the name and value arenas and offsets at their
+/// After a build from XML the corpus is at the size of its contents: no
+/// document list, the documents' path column at its length (4 B per node
+/// and 4 B per document), the name and value arenas and offsets at their
 /// lengths beside an id index ([`id_index_bytes`]), and the path dictionary
 /// within a fixed number of bytes per path.  The allocator sees what the
 /// model says, within 5 %.
@@ -223,7 +223,7 @@ fn a_built_corpus_is_held_at_the_size_of_its_contents() {
             .expect("generated XML indexes");
         let measured = live() - before;
         assert_within_5_percent(name, db.stats().memory.total_bytes(), measured);
-        assert_at_the_size_of_its_contents(name, db.corpus(), per_path);
+        assert_at_the_size_of_its_contents(name, &db, per_path);
     }
 }
 
@@ -257,21 +257,31 @@ fn a_compacted_corpus_is_held_at_the_size_of_its_contents() {
         let measured = live() - before;
         assert_eq!(report.docs_after, 2600 - 867);
         assert_within_5_percent(&name, db.stats().memory.total_bytes(), measured);
-        assert_at_the_size_of_its_contents(&name, db.corpus(), 40);
+        assert_at_the_size_of_its_contents(&name, &db, 40);
     }
 }
 
 /// The exact sizes [`a_built_corpus_is_held_at_the_size_of_its_contents`]
-/// states, on one corpus.
-fn assert_at_the_size_of_its_contents(name: &str, corpus: &Corpus, per_path: usize) {
+/// states, on shard 0 (globals 0, n, 2n, … of `n` shards).
+fn assert_at_the_size_of_its_contents(name: &str, db: &Database, per_path: usize) {
+    let corpus = db.corpus();
     assert_eq!(
         corpus.docs.capacity(),
-        corpus.docs.len(),
-        "{name}: documents"
+        0,
+        "{name}: the document list is dropped"
     );
-    for doc in &corpus.docs {
-        assert_eq!(doc.heap_bytes(), 16 * doc.len(), "{name}: document columns");
-    }
+    // The shard's corpus bytes are its tables' and its path column's.
+    let shard0 = &db.stats().shards[0];
+    let column = shard0.memory.corpus_bytes - corpus.heap_bytes();
+    let nodes: usize = (0..db.len() as DocId)
+        .step_by(db.shard_count())
+        .map(|g| db.document(g).expect("no document is removed").len())
+        .sum();
+    assert_eq!(
+        column,
+        4 * nodes + 4 * (shard0.docs + 1),
+        "{name}: path column"
+    );
     let values = &corpus.symbols.values;
     let value_text: usize = (0..values.len() as u32)
         .map(|v| values.resolve(ValueId(v)).map_or(0, str::len))

@@ -3,7 +3,7 @@
 //! which makes matching *inside* attribute values possible — exact equality
 //! via the chain terminator, starts-with via an unterminated chain (`^=`).
 
-use xseq::{DatabaseBuilder, Sequencing, ValueMode};
+use xseq::{DatabaseBuilder, DocId, Sequencing, ValueMode};
 
 const DOCS: &[&str] = &[
     "<p><loc>boston</loc></p>",
@@ -84,11 +84,9 @@ fn prefix_operator_in_branch_predicates() {
 #[test]
 fn chars_roundtrip_through_writer() {
     let d = db(Sequencing::DepthFirst);
-    let texts: Vec<String> = d
-        .corpus()
-        .docs
-        .iter()
-        .map(|doc| xseq::xml::write_document(doc, &d.corpus().symbols))
+    let texts: Vec<String> = (0..d.len() as DocId)
+        .map(|g| d.document(g).expect("every document is live"))
+        .map(|doc| xseq::xml::write_document(&doc, &d.corpus().symbols))
         .collect();
     assert_eq!(texts[0], "<p><loc>boston</loc></p>");
     // rebuild from serialized text: same answers

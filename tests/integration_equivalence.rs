@@ -11,7 +11,7 @@ use xseq::datagen::{
 use xseq::xml::matcher::structure_match;
 use xseq::xml::Symbol;
 use xseq::{
-    parse_xpath_readonly, Axis, Corpus, DatabaseBuilder, Document, PatternLabel, Sequencing,
+    parse_xpath_readonly, Axis, Corpus, DatabaseBuilder, DocId, Document, PatternLabel, Sequencing,
     TraceConfig, TreePattern, ValueMode,
 };
 
@@ -181,7 +181,9 @@ fn strategies_agree_with_each_other() {
         .unwrap();
 
     let mut rng = StdRng::seed_from_u64(31);
-    let docs = df.corpus().docs.clone();
+    let docs: Vec<Document> = (0..df.len() as DocId)
+        .map(|g| df.document(g).expect("every document is live"))
+        .collect();
     for i in 0..40 {
         let src = &docs[(i * 7) % docs.len()];
         let qt = random_query_tree(src, 2 + i % 6, &mut rng);

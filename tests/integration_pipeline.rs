@@ -7,7 +7,7 @@ use xseq::datagen::dblp::DblpGenerator;
 use xseq::datagen::queries::{DBLP_QUERIES, XMARK_QUERIES};
 use xseq::datagen::xmark::{XmarkGenerator, XmarkOptions};
 use xseq::xml::{write_document, SymbolTable};
-use xseq::{DatabaseBuilder, Error, Sequencing, ValueMode};
+use xseq::{DatabaseBuilder, DocId, Error, Sequencing, ValueMode};
 
 const PROJECTS: &[&str] = &[
     r#"<project><research><manager>tom</manager><location>newyork</location></research>
@@ -74,11 +74,9 @@ fn serialization_round_trip_preserves_answers() {
         .build_from_xml(PROJECTS.iter().copied())
         .unwrap();
     // write out, re-parse, rebuild: same answers
-    let texts: Vec<String> = db
-        .corpus()
-        .docs
-        .iter()
-        .map(|d| write_document(d, &db.corpus().symbols))
+    let texts: Vec<String> = (0..db.len() as DocId)
+        .map(|g| db.document(g).expect("every document is live"))
+        .map(|d| write_document(&d, &db.corpus().symbols))
         .collect();
     let db2 = DatabaseBuilder::new()
         .build_from_xml(texts.iter().map(String::as_str))

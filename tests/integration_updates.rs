@@ -255,6 +255,192 @@ proptest! {
     }
 }
 
+/// What `db.document(g)` must return for every global id `g`: document `g`'s
+/// XML parsed against a shadow of its shard's symbol table (`None` once
+/// removed).  The shadow of shard `s` is a parse, in id order, of the
+/// documents routed to it since its last build or compaction, so it mints
+/// the ids the shard's own table holds.
+struct Shadow<'a> {
+    mode: ValueMode,
+    tables: Vec<SymbolTable>,
+    xml: Vec<&'a str>,
+    docs: Vec<Option<Document>>,
+}
+
+impl<'a> Shadow<'a> {
+    /// The shadow of a fresh `shards`-shard build over `xml`.
+    fn build(xml: &[&'a str], shards: usize, mode: ValueMode) -> Self {
+        let mut shadow = Shadow {
+            mode,
+            tables: (0..shards)
+                .map(|_| SymbolTable::with_value_mode(mode))
+                .collect(),
+            xml: Vec::new(),
+            docs: Vec::new(),
+        };
+        xml.iter().for_each(|x| shadow.insert(x));
+        shadow
+    }
+
+    fn insert(&mut self, xml: &'a str) {
+        let shard = self.docs.len() % self.tables.len();
+        let table = &mut self.tables[shard];
+        let doc = parse_document(xml, table).expect("generated XML parses");
+        self.docs.push(Some(doc));
+        self.xml.push(xml);
+    }
+
+    /// A compaction: the survivors' fresh build, and the remap it implies.
+    fn compact(&mut self) -> Vec<Option<DocId>> {
+        let mut fresh_ids = 0..;
+        let remap = (self.docs.iter())
+            .map(|d| d.as_ref().and_then(|_| fresh_ids.next()))
+            .collect();
+        let survivors: Vec<&str> = (self.xml.iter().zip(&self.docs))
+            .filter_map(|(x, d)| d.as_ref().map(|_| *x))
+            .collect();
+        *self = Shadow::build(&survivors, self.tables.len(), self.mode);
+        remap
+    }
+
+    /// Every stored document decodes to its shadow, column for column; a
+    /// removed id and ids past the end read `None`.
+    fn check(&self, db: &Database, stage: &str) -> Result<(), TestCaseError> {
+        prop_assert_eq!(db.len(), self.docs.len(), "{}", stage);
+        for (g, want) in self.docs.iter().enumerate() {
+            prop_assert_eq!(&db.document(g as DocId), want, "document {} {}", g, stage);
+        }
+        let len = self.docs.len() as DocId;
+        for g in [len, len + self.tables.len() as DocId - 1, DocId::MAX] {
+            prop_assert_eq!(db.document(g), None, "id {} past the end {}", g, stage);
+        }
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(fuzz_cases(8)))]
+
+    /// A database keeps its documents only as path columns: after every
+    /// step of any insert/remove/compact history, at 1–3 shards, in every
+    /// value mode, `document(g)` decodes to exactly the document a parse of
+    /// `g`'s XML against its shard's tables gives — every column equal,
+    /// not only the structure — and compaction renumbers as its remap says.
+    #[test]
+    fn stored_documents_decode_bit_for_bit(
+        seed in 0u64..1_000,
+        ninitial in 1usize..6,
+        npending in 1usize..8,
+        nops in 1usize..16,
+    ) {
+        let params = SyntheticParams {
+            max_height: 4,
+            max_fanout: 3,
+            value_pct: 25,
+            identical_pct: 30,
+            prob_floor_pct: 30,
+        };
+        let mut symbols = SymbolTable::with_value_mode(ValueMode::Intern);
+        let docs = SyntheticDataset::generate(&params, ninitial + npending, seed, &mut symbols).docs;
+        let xmls: Vec<String> = docs.iter().map(|d| write_document(d, &symbols)).collect();
+        let xmls: Vec<&str> = xmls.iter().map(String::as_str).collect();
+        let modes = [ValueMode::Intern, ValueMode::Hashed { range: 16 }, ValueMode::Chars];
+        for (shards, mode) in (1..=3).flat_map(|n| modes.map(|m| (n, m))) {
+            let mut db = DatabaseBuilder::new()
+                .value_mode(mode)
+                .shards(shards)
+                .build_from_xml(xmls[..ninitial].iter().copied())
+                .unwrap();
+            let mut shadow = Shadow::build(&xmls[..ninitial], shards, mode);
+            let stage = |step: &str| format!("after {step} ({mode:?}, {shards} shard(s))");
+            shadow.check(&db, &stage("the build"))?;
+            let mut pending = xmls[ninitial..].iter();
+            let mut rng = seed ^ 0xd0c5;
+            for _ in 0..nops {
+                match lcg(&mut rng) % 10 {
+                    0..=4 => {
+                        if let Some(xml) = pending.next() {
+                            db.insert_document(xml).unwrap();
+                            shadow.insert(xml);
+                        }
+                    }
+                    // a compaction can drop every document
+                    5..=7 if !shadow.docs.is_empty() => {
+                        let id = (lcg(&mut rng) as usize) % shadow.docs.len();
+                        let live = shadow.docs[id].take().is_some();
+                        prop_assert_eq!(db.remove_document(id as DocId), live);
+                    }
+                    5..=7 => {}
+                    _ => {
+                        let report = db.compact();
+                        prop_assert_eq!(report.remap, shadow.compact(), "{}", stage("compact"));
+                    }
+                }
+                shadow.check(&db, &stage("a step"))?;
+            }
+        }
+    }
+}
+
+/// A document whose arena is not in preorder (a sibling appended after its
+/// elder sibling's subtree grew) is indexed and kept in its preorder
+/// layout: the database answers as one built over that layout, trie for
+/// trie, and decodes the document to it.
+#[test]
+fn a_document_out_of_preorder_is_kept_in_its_preorder_layout() {
+    let corpus = |laid_out: bool| {
+        let mut corpus = Corpus::new(ValueMode::Intern);
+        let st = &mut corpus.symbols;
+        let (r, a, b, c, v) = (
+            st.elem("r"),
+            st.elem("a"),
+            st.elem("b"),
+            st.elem("c"),
+            st.val("v"),
+        );
+        // r(a(c(v)), b): c and v are appended after b
+        let mut doc = Document::with_root(r);
+        let na = doc.child(0, a);
+        doc.child(0, b);
+        let nc = doc.child(na, c);
+        doc.child(nc, v);
+        assert_ne!(doc.preorder(), doc.node_ids().collect::<Vec<_>>());
+        let other = parse_document("<r><b><c>v</c></b></r>", st).unwrap();
+        corpus.push(if laid_out { doc.into_preorder() } else { doc });
+        corpus.push(other);
+        corpus
+    };
+    let laid = corpus(true).docs[0].clone();
+    assert!(laid.structurally_eq(&corpus(false).docs[0]));
+    for sequencing in [Sequencing::DepthFirst, Sequencing::Probability] {
+        for shards in [1, 2] {
+            let build = |laid_out| {
+                DatabaseBuilder::new()
+                    .sequencing(sequencing)
+                    .shards(shards)
+                    .build_from_corpus(corpus(laid_out))
+                    .unwrap()
+            };
+            let (db, reference) = (build(false), build(true));
+            for s in 0..shards {
+                assert!(db
+                    .shard_index(s)
+                    .trie()
+                    .identical_to(reference.shard_index(s).trie()));
+            }
+            for q in ["/r/a/c", "//c[text='v']", "/r[a][b]", "/r/b/c", "//*"] {
+                assert_eq!(db.query_xpath(q), reference.query_xpath(q), "{q}");
+            }
+            // at one shard the corpus' own tables are the shard's
+            if shards == 1 {
+                assert_eq!(db.document(0), Some(laid.clone()), "{sequencing:?}");
+            }
+            let stage = format!("{sequencing:?} {shards}");
+            assert_eq!(db.document(0), reference.document(0), "{stage}");
+        }
+    }
+}
+
 /// A corpus' dictionaries in id order: every name, every value (none in
 /// `Hashed` mode), and each path's `(parent, last)`.
 #[allow(clippy::type_complexity)]

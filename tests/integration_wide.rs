@@ -51,7 +51,7 @@ fn builds_inserts_answers_verifies_and_compacts(distinct_names: bool) {
     assert_eq!(db.insert_document(&xml), Ok(1));
     let insert = step();
     for id in 0..2 {
-        assert_eq!(db.corpus().docs[id].len(), nodes);
+        assert_eq!(db.document(id).map(|d| d.len()), Some(nodes));
     }
     assert_eq!(
         db.index().node_count(),
