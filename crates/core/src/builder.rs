@@ -1,11 +1,12 @@
 //! [`DatabaseBuilder`]: configuration and the one parse → route → index
 //! build path, which compaction runs over the survivors.
 
+use crate::exec::Pool;
 use crate::shard::{route, split_corpus, Shard};
 use crate::update::UpdateGauges;
 use crate::{
     Corpus, Database, DocId, Document, Error, Event, EventJournal, IndexTelemetry, MetricsRegistry,
-    PathColumn, PathId, PathTable, PlanOptions, Pool, PoolTelemetry, ProbabilityModel, Strategy,
+    PathColumn, PathId, PathTable, PlanOptions, PoolTelemetry, ProbabilityModel, Strategy,
     SymbolTable, TraceConfig, ValueMode, WeightMap, XmlError, XmlIndex,
 };
 use std::sync::atomic::AtomicU64;

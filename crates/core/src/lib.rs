@@ -31,7 +31,8 @@
 //! ## Crate map
 //!
 //! * [`xml`] — documents, parsing, designators, path encoding, patterns,
-//!   the brute-force ground-truth matcher.
+//!   the XPath-subset parser ([`parse_xpath_readonly`]), the brute-force
+//!   ground-truth matcher.
 //! * [`sequence`] — constraints (`f1`, forward prefix `f2`), the Theorem 1
 //!   decoder, sequencing strategies (DF/BF/Random/probability-ordered)
 //!   behind one pure emitter.
@@ -41,7 +42,6 @@
 //!   (interning pass, emission, freeze), the order-free
 //!   `tree_search` every query runs, wildcard planning, the tiered update
 //!   overlay (a run is its trie).
-//! * [`query`] — the XPath-subset parser.
 //! * [`storage`] — 4 KiB pages, buffer pool, the disk layout (`TrieView`
 //!   over pages) used for the I/O experiments.
 //! * [`telemetry`] — lock-free counters/gauges/latency histograms, the
@@ -52,6 +52,10 @@
 //!   isomorphic query expansion they need.
 //! * [`datagen`] — deterministic synthetic / DBLP-like / XMark-like
 //!   workload generators and the paper's query sets.
+//!
+//! Beside the builder, the query path, shards and updates, this crate holds
+//! the worker pool (the private `exec` module), the only place the library
+//! starts threads.
 //!
 //! ## Observability
 //!
@@ -83,9 +87,7 @@
 
 pub use xseq_baselines as baselines;
 pub use xseq_datagen as datagen;
-pub use xseq_exec as exec;
 pub use xseq_index as index;
-pub use xseq_query as query;
 pub use xseq_schema as schema;
 pub use xseq_sequence as sequence;
 pub use xseq_storage as storage;
@@ -94,11 +96,11 @@ pub use xseq_xml as xml;
 
 mod builder;
 mod diag;
-// `query` already names the re-exported `xseq-query` crate.
-#[path = "query.rs"]
+mod exec;
 mod query_path;
 mod shard;
 mod stats;
+mod tests;
 mod update;
 
 pub use builder::{DatabaseBuilder, Sequencing};
@@ -106,13 +108,11 @@ pub use diag::DiagnosticsReport;
 pub use stats::{DatabaseStats, MemoryStats, ShardStats};
 pub use update::CompactionReport;
 
-pub use xseq_exec::Pool;
 pub use xseq_index::{
     DeltaView, IndexStats, IndexTelemetry, IntegrityReport, InvariantClass, MergeOutcome,
     PlanOptions, QueryOutcome, QueryStats, SearchStats, SegmentStats, TieredDelta, Violation,
     XmlIndex,
 };
-pub use xseq_query::{parse_xpath_readonly, ParseError};
 pub use xseq_schema::{ClassStats, ProbabilityModel, SchemaTree, WeightMap, WorkloadProfile};
 pub use xseq_sequence::{PriorityMap, Sequence, Strategy};
 pub use xseq_storage::{BufferPool, PagedTrie, PoolStats, PoolTelemetry};
@@ -121,11 +121,12 @@ pub use xseq_telemetry::{
     TraceId, TraceSpan,
 };
 pub use xseq_xml::{
-    Axis, Corpus, DocId, Document, PathColumn, PathId, PathTable, PatternLabel, SymbolTable,
-    TreePattern, ValueMode, XmlError,
+    parse_xpath_readonly, Axis, Corpus, DocId, Document, ParseError, PathColumn, PathId, PathTable,
+    PatternLabel, SymbolTable, TreePattern, ValueMode, XmlError,
 };
 
 use builder::BuildConfig;
+use exec::Pool;
 use shard::Shard;
 use std::fmt;
 use std::sync::atomic::AtomicU64;

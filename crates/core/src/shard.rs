@@ -2,9 +2,10 @@
 //! of a query (DESIGN.md §15).  A [`Database`](crate::Database) is N ≥ 1 of
 //! these; nothing here (or above) treats N = 1 specially.
 
+use crate::exec::Pool;
 use crate::{
     index::{union_answers, QueryStep, SearchScratch},
-    Corpus, DocId, Document, ParseError, PathColumn, PatternLabel, Pool, QueryOutcome, SymbolTable,
+    Corpus, DocId, Document, ParseError, PathColumn, PatternLabel, QueryOutcome, SymbolTable,
     TreePattern, XmlIndex,
 };
 use std::time::Instant;
@@ -193,7 +194,7 @@ impl Shard {
         parse_hist: &Histogram,
     ) -> Result<QueryOutcome, ParseError> {
         let start = Instant::now();
-        let parsed = xseq_query::parse_xpath_readonly(expr, &self.corpus.symbols);
+        let parsed = xseq_xml::parse_xpath_readonly(expr, &self.corpus.symbols);
         let mut step = QueryStep::new("query.parse", start);
         parse_hist.record(step.ns);
         let pattern = parsed?;

@@ -319,7 +319,7 @@ mod tests {
     fn hostile_nesting_is_a_typed_error_not_a_stack_overflow() {
         let elements = |levels: usize| format!("{}{}", "<a>".repeat(levels), "</a>".repeat(levels));
         let predicates = |levels: usize| format!("/a{}{}", "[a".repeat(levels), "]".repeat(levels));
-        let (xml_limit, xpath_limit) = (xml::parser::MAX_DEPTH, query::MAX_DEPTH);
+        let (xml_limit, xpath_limit) = (xml::parser::MAX_DEPTH, xml::xpath::MAX_DEPTH);
         let mut db = DatabaseBuilder::new()
             .build_from_xml(["<a><b/></a>"])
             .unwrap();

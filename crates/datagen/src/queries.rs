@@ -3,7 +3,7 @@
 //! Table 4 (XMark) and Table 8 (DBLP) list the path expressions the
 //! evaluation runs; they are reproduced here as constants so the benchmark
 //! harness and the documentation agree on exactly what is measured.  The
-//! strings parse with `xseq_query::parse_xpath`.
+//! strings parse with [`xseq_xml::parse_xpath_readonly`].
 
 /// Table 4, Q1: branching + `//` + two value predicates.  The paper prints
 /// `…/mail/date…`, but the XMark DTD nests `mail` under `mailbox`; the

@@ -7,13 +7,12 @@ use proptest::prelude::*;
 use xseq_datagen::xmark::q3_constants;
 use xseq_datagen::{queries, DblpGenerator, XmarkGenerator, XmarkOptions};
 use xseq_index::{instantiate, tree_search, PlanOptions, QuerySequence, XmlIndex};
-use xseq_query::parse_xpath_readonly;
 use xseq_schema::{ProbabilityModel, WeightMap};
 use xseq_sequence::Strategy as SeqStrategy;
 use xseq_storage::{write_paged_trie, MemStore, PagedTrie};
 use xseq_xml::{
-    matcher::structure_match, Axis, Document, PathTable, PatternLabel, SymbolTable, TreePattern,
-    ValueMode,
+    matcher::structure_match, parse_xpath_readonly, Axis, Document, PathTable, PatternLabel,
+    SymbolTable, TreePattern, ValueMode,
 };
 
 #[derive(Debug, Clone)]

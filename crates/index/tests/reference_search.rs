@@ -16,11 +16,12 @@ use xseq_index::{
     instantiate, tree_search, tree_search_with, PlanOptions, QuerySequence, SearchScratch,
     SearchStats, TrieNodeId, TrieView, XmlIndex, NIL,
 };
-use xseq_query::parse_xpath_readonly;
 use xseq_schema::{ProbabilityModel, WeightMap};
 use xseq_sequence::strategy::has_identical_siblings;
 use xseq_sequence::Strategy as SeqStrategy;
-use xseq_xml::{parse_document, DocId, Document, PathTable, SymbolTable, ValueMode};
+use xseq_xml::{
+    parse_document, parse_xpath_readonly, DocId, Document, PathTable, SymbolTable, ValueMode,
+};
 
 // ---------------------------------------------------------------------
 // The reference: parents first, most selective first, no range skip.

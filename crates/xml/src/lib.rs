@@ -20,6 +20,8 @@
 //!   backtracking **brute-force structure matcher** used as ground truth for
 //!   the query-equivalence theorems and as the verification step of the
 //!   ViST-style baseline.
+//! * **XPath** — the paper's query dialect, parsed into tree patterns
+//!   against a frozen symbol table ([`parse_xpath_readonly`]).
 
 // Panic-freedom, checked by clippy (DESIGN.md §14): every suppression is an
 // `#[expect(…, reason = "…")]` carrying its proof.
@@ -41,7 +43,9 @@ pub mod parser;
 pub mod path;
 pub mod pattern;
 pub mod symbol;
+mod tests;
 pub mod writer;
+pub mod xpath;
 
 pub use document::{Document, NodeId, PathColumn};
 pub use error::XmlError;
@@ -50,6 +54,7 @@ pub use path::{PathId, PathIdHasher, PathTable};
 pub use pattern::{Axis, PatternLabel, PatternNodeId, TreePattern};
 pub use symbol::{Designator, Symbol, SymbolTable, ValueId, ValueMode, ValueTable};
 pub use writer::write_document;
+pub use xpath::{parse_xpath_readonly, ParseError};
 
 /// A corpus couples the shared symbol/path interners with a set of documents.
 ///

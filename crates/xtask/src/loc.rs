@@ -3,13 +3,14 @@
 //! item count are tracked quantities").
 //!
 //! The count is textual, one line at a time, over the region before a
-//! file's first `#[cfg(test)]`: a *line* is a non-blank line that is not a
+//! file's first `#[cfg(test)]` (or `#![cfg(test)]`, which makes the whole
+//! file a test module): a *line* is a non-blank line that is not a
 //! `//` comment and not inside a `/* … */` block opened at the start of a
 //! line, and a *pub fn* is a line whose trimmed text starts with `pub fn `.
 //!
 //! [`CEILING_FILE`] is a ratchet: CI fails when a listed crate exceeds
-//! either number, and a change that shrinks a crate lowers its ceiling in
-//! the same commit.
+//! either number or a crate under `crates/` has no line, and a change that
+//! shrinks a crate lowers its ceiling in the same commit.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -86,7 +87,7 @@ fn count(text: &str) -> CrateSize {
             in_block = !line.contains("*/");
             continue;
         }
-        if line.starts_with("#[cfg(test)]") {
+        if line.starts_with("#[cfg(test)]") || line.starts_with("#![cfg(test)]") {
             break;
         }
         if line.starts_with("/*") {
@@ -151,13 +152,16 @@ pub fn parse_ceilings(text: &str) -> Result<Vec<(String, CrateSize)>, String> {
     Ok(out)
 }
 
-/// One message per ceiling a crate exceeds (or per listed crate that no
-/// longer exists).
+/// One message per ceiling a crate exceeds, per listed crate that no
+/// longer exists, and per crate that has no ceiling.
 pub fn over_ceiling(
     sizes: &BTreeMap<String, CrateSize>,
     ceilings: &[(String, CrateSize)],
 ) -> Vec<String> {
-    let mut out = Vec::new();
+    let mut out: Vec<String> = (sizes.keys())
+        .filter(|name| !ceilings.iter().any(|(listed, _)| listed == *name))
+        .map(|name| format!("{name}: not listed in {CEILING_FILE}"))
+        .collect();
     for (name, max) in ceilings {
         let Some(size) = sizes.get(name) else {
             out.push(format!("{name}: listed in {CEILING_FILE} but not found"));
@@ -227,12 +231,19 @@ mod tests {
 }
 ";
 
+    /// An out-of-line test module: all of it is test code.
+    const TEST_FILE: &str = "\
+//! tests of the crate root
+#![cfg(test)]
+pub fn helper() {}
+";
+
     #[test]
     fn counts_code_lines_and_pub_fns_outside_tests() {
-        let files = [SourceFile {
+        let files = [FIXTURE, TEST_FILE].map(|text| SourceFile {
             crate_name: "demo".to_string(),
-            text: FIXTURE.to_string(),
-        }];
+            text: text.to_string(),
+        });
         let sizes = measure(&files);
         // one, not_public + its body + brace, impl + two + three + brace
         assert_eq!(
@@ -268,5 +279,18 @@ mod tests {
         assert_eq!(over_ceiling(&sizes, &ceilings).len(), 3);
         assert!(parse_ceilings("demo 8").is_err());
         assert!(parse_ceilings("demo x 2").is_err());
+    }
+
+    #[test]
+    fn a_crate_without_a_ceiling_line_is_reported() {
+        let ceilings = parse_ceilings("demo 8 2\n").unwrap();
+        let mut sizes = BTreeMap::new();
+        sizes.insert("demo".to_string(), CrateSize::default());
+        assert!(over_ceiling(&sizes, &ceilings).is_empty());
+        sizes.insert("new".to_string(), CrateSize::default());
+        assert_eq!(
+            over_ceiling(&sizes, &ceilings),
+            [format!("new: not listed in {CEILING_FILE}")]
+        );
     }
 }
