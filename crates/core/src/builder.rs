@@ -10,8 +10,7 @@ use crate::{
     SymbolTable, TraceConfig, ValueMode, WeightMap, XmlError, XmlIndex,
 };
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
-use xseq_schema::WorkloadRecorder;
+use std::sync::{Arc, Mutex};
 use xseq_telemetry::Tracer;
 
 /// Which sequencing strategy the database uses.
@@ -311,11 +310,6 @@ impl DatabaseBuilder {
         let compact_hist = self.registry.histogram("index.compact");
         let merge_hist = self.registry.histogram("index.merge");
         let update_gauges = UpdateGauges::register(&self.registry, nshards);
-        // Workload metrics are registered even when profiling is off, so a
-        // snapshot always lists the family (at zero).
-        let workload_queries = self.registry.counter("workload.queries");
-        let workload_unclassified = self.registry.counter("workload.unclassified");
-        let workload_classes = self.registry.gauge("workload.classes");
         // The flight recorder is always on; the slow-query threshold arms
         // from the trace config (and is runtime-tunable either way).
         let events = EventJournal::new(EVENT_CAPACITY);
@@ -340,10 +334,7 @@ impl DatabaseBuilder {
         );
         Ok(Database {
             shards,
-            workload: self.profiling.then(WorkloadRecorder::new),
-            workload_queries,
-            workload_unclassified,
-            workload_classes,
+            workload: self.profiling.then(Mutex::default),
             registry: self.registry,
             parse_hist,
             pool_tel,

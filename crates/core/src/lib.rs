@@ -35,9 +35,9 @@
 //!   ground-truth matcher.
 //! * [`sequence`] — constraints (`f1`, forward prefix `f2`), the Theorem 1
 //!   decoder, sequencing strategies (DF/BF/Random/probability-ordered)
-//!   behind one pure emitter.
-//! * [`schema`] — occurrence probabilities `p(C|root)` (estimated or
-//!   declared) and query-tuning weights `w(C)` (Eq. 6).
+//!   behind one pure emitter, and (as [`schema`]) the occurrence
+//!   probabilities `p(C|root)` (estimated or declared) and query-tuning
+//!   weights `w(C)` the probability order is built from (Eq. 6).
 //! * [`index`] — the trie + path-link index and its one constructor
 //!   (interning pass, emission, freeze), the order-free
 //!   `tree_search` every query runs, wildcard planning, the tiered update
@@ -55,7 +55,7 @@
 //!
 //! Beside the builder, the query path, shards and updates, this crate holds
 //! the worker pool (the private `exec` module), the only place the library
-//! starts threads.
+//! starts threads, and the [`WorkloadProfile`] queries record into.
 //!
 //! ## Observability
 //!
@@ -88,8 +88,8 @@
 pub use xseq_baselines as baselines;
 pub use xseq_datagen as datagen;
 pub use xseq_index as index;
-pub use xseq_schema as schema;
 pub use xseq_sequence as sequence;
+pub use xseq_sequence::schema;
 pub use xseq_storage as storage;
 pub use xseq_telemetry as telemetry;
 pub use xseq_xml as xml;
@@ -102,19 +102,20 @@ mod shard;
 mod stats;
 mod tests;
 mod update;
+mod workload;
 
 pub use builder::{DatabaseBuilder, Sequencing};
 pub use diag::DiagnosticsReport;
 pub use stats::{DatabaseStats, MemoryStats, ShardStats};
 pub use update::CompactionReport;
+pub use workload::{ClassStats, WorkloadProfile};
 
 pub use xseq_index::{
     DeltaView, IndexStats, IndexTelemetry, IntegrityReport, InvariantClass, MergeOutcome,
     PlanOptions, QueryOutcome, QueryStats, SearchStats, SegmentStats, TieredDelta, Violation,
     XmlIndex,
 };
-pub use xseq_schema::{ClassStats, ProbabilityModel, SchemaTree, WeightMap, WorkloadProfile};
-pub use xseq_sequence::{PriorityMap, Sequence, Strategy};
+pub use xseq_sequence::{PriorityMap, ProbabilityModel, SchemaTree, Sequence, Strategy, WeightMap};
 pub use xseq_storage::{BufferPool, PagedTrie, PoolStats, PoolTelemetry};
 pub use xseq_telemetry::{
     Event, EventJournal, HeapSize, MetricsRegistry, Severity, Snapshot, Trace, TraceConfig,
@@ -130,10 +131,9 @@ use exec::Pool;
 use shard::Shard;
 use std::fmt;
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use update::UpdateGauges;
-use xseq_schema::WorkloadRecorder;
-use xseq_telemetry::{Counter, Gauge, Histogram, Tracer};
+use xseq_telemetry::{Histogram, Tracer};
 
 /// Unified error type for the high-level API.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,6 +144,14 @@ pub enum Error {
     Query(ParseError),
     /// The database has no documents.
     EmptyDatabase,
+    /// The query has more wildcard assignments than
+    /// [`PlanOptions::max_assignments`] allows, so its answer would miss
+    /// documents.  [`XmlIndex::query`] and [`Database::query_pattern`]
+    /// return such partial answers with [`QueryStats::plan_truncated`] set.
+    PlanTruncated {
+        /// The cap the plan passed.
+        cap: usize,
+    },
     /// A [`DatabaseBuilder::boost`] weight that is not a finite,
     /// non-negative number (kept as text, so the error stays `Eq`).
     InvalidBoost {
@@ -160,6 +168,7 @@ impl fmt::Display for Error {
             Error::Xml(e) => write!(f, "xml: {e}"),
             Error::Query(e) => write!(f, "query: {e}"),
             Error::EmptyDatabase => write!(f, "no documents to index"),
+            Error::PlanTruncated { cap } => write!(f, "plan truncated: over {cap} assignments"),
             Error::InvalidBoost { path, weight } => {
                 write!(
                     f,
@@ -204,16 +213,11 @@ impl From<ParseError> for Error {
 pub struct Database {
     /// The index shards, each with its own corpus slice and interners.
     shards: Vec<Shard>,
-    /// The live workload profiler (`None` when
+    /// The live workload profile (`None` when
     /// [`DatabaseBuilder::profiling`] is off): per schema node class,
-    /// query frequency, result cardinality and latency.
-    workload: Option<WorkloadRecorder>,
-    /// `workload.queries` — profiled queries.
-    workload_queries: Arc<Counter>,
-    /// `workload.unclassified` — profiled queries with no searched class.
-    workload_unclassified: Arc<Counter>,
-    /// `workload.classes` — distinct classes seen so far.
-    workload_classes: Arc<Gauge>,
+    /// query frequency, result cardinality and latency.  Queries record
+    /// into it through `&self`, holding the lock for one `record` call.
+    workload: Option<Mutex<WorkloadProfile>>,
     registry: Arc<MetricsRegistry>,
     parse_hist: Arc<Histogram>,
     /// Registry handles for `storage.pool.*`, read by

@@ -79,13 +79,8 @@ impl Database {
         let mut out = answered?;
         out.stats.total_ns = total_ns;
         out.trace = trace;
-        if let Some(recorder) = &self.workload {
-            let classes = recorder.record(&out.classes, out.docs.len() as u64, total_ns);
-            self.workload_queries.inc();
-            if out.classes.is_empty() {
-                self.workload_unclassified.inc();
-            }
-            self.workload_classes.set(classes as i64);
+        if let Some(mut profile) = self.profile() {
+            profile.record(&out.classes, out.docs.len() as u64, total_ns);
         }
         if slow {
             self.events.record(
@@ -104,6 +99,8 @@ impl Database {
     /// thread and scratch, then [`gather`] and the spot check.  Shard count
     /// and tracing are data here, not control flow, and a query is one
     /// thread's work: its parallelism is the batch ([`Database::query_batch`]).
+    /// A plan cut short on any shard fails the query
+    /// ([`Error::PlanTruncated`]) rather than answer it in part.
     fn run_query(&self, expr: &str, scratch: &mut SearchScratch) -> Result<QueryOutcome, Error> {
         let answers: Result<Vec<QueryOutcome>, _> = self
             .shards
@@ -111,6 +108,10 @@ impl Database {
             .map(|sh| sh.answer(expr, scratch, &self.parse_hist))
             .collect();
         let mut out = gather(answers?);
+        if out.stats.plan_truncated > 0 {
+            let cap = self.index().options().max_assignments;
+            return Err(Error::PlanTruncated { cap });
+        }
         self.maybe_spot_check(&mut out);
         Ok(out)
     }
@@ -190,7 +191,7 @@ impl Database {
         }
         let st = &out.stats;
         let mut attrs = vec![
-            // no silent caps: nonzero means the union may miss answers
+            // 0 on every answered query: a truncated plan fails it
             ("plan_truncated", U64(st.plan_truncated)),
             ("docs", U64(out.docs.len() as u64)),
             ("candidates", U64(st.search.candidates)),
@@ -511,13 +512,12 @@ mod tests {
         assert_eq!(probes.attrs, vec![("count", count)]);
     }
 
-    /// The trace half of the index's truncated-plan test: the root names
-    /// a truncated plan, and the variants past the cap are counted, not
-    /// traced.  `//*//*` over a 100-deep chain has 4950 assignments, past
-    /// the default cap of 4096.
+    /// The variants past the trace's cap are counted, not traced.
+    /// `//*//*` over a 40-deep chain has 780 assignments, inside the plan's
+    /// cap of 4096.
     #[test]
-    fn truncated_plan_is_visible_in_the_trace() {
-        let chain = format!("{}{}", "<a>".repeat(100), "</a>".repeat(100));
+    fn trace_counts_the_variants_past_its_cap() {
+        let chain = format!("{}{}", "<a>".repeat(40), "</a>".repeat(40));
         let db = DatabaseBuilder::new()
             .trace_config(TraceConfig::default())
             .build_from_xml([chain.as_str(), "<a/>"])
@@ -527,19 +527,56 @@ mod tests {
             let attr = trace.root().attrs.iter().find(|(k, _)| *k == key);
             attr.map(|(_, v)| v.clone())
         };
-        let flag = |truncated: u64| Some(telemetry::AttrValue::U64(truncated));
+        let flag = |n: u64| Some(telemetry::AttrValue::U64(n));
         let out = db.query_xpath_full("//*//*").unwrap();
-        assert_eq!(out.stats.plan_truncated, 1);
-        assert!(out.explain().contains("plan TRUNCATED"));
-        assert_eq!(root_attr(&out, "plan_truncated"), flag(1));
+        assert_eq!(out.stats.instantiations, 780, "one per pair of chain nodes");
+        assert_eq!(root_attr(&out, "plan_truncated"), flag(0));
         let untraced = out.stats.instantiations - 32;
         assert_eq!(root_attr(&out, "untraced_variants"), flag(untraced));
         let trace = out.trace.as_ref().unwrap();
         let descents = trace.spans.iter().filter(|s| s.name == "trie.descent");
         assert_eq!(descents.count(), 32, "the variant cap");
         let out = db.query_xpath_full("/a/a").unwrap();
-        assert_eq!(root_attr(&out, "plan_truncated"), flag(0));
         assert_eq!(root_attr(&out, "untraced_variants"), None);
+    }
+
+    /// A plan past its cap fails the query at every entry point, traced or
+    /// not, and the failure's trace names the cause.  `//*//*` over a
+    /// 100-deep chain has 4950 assignments, past the default cap of 4096.
+    #[test]
+    fn truncated_plan_is_visible_in_the_trace() {
+        let chain = format!("{}{}", "<a>".repeat(100), "</a>".repeat(100));
+        let xml = [chain.as_str(), "<a/>"];
+        let cause = Error::PlanTruncated { cap: 4096 };
+        let truncated = Err(cause.clone());
+        let traced = DatabaseBuilder::new()
+            .trace_config(TraceConfig {
+                slow_threshold: std::time::Duration::ZERO,
+                slow_capacity: 4,
+            })
+            .build_from_xml(xml)
+            .unwrap();
+        assert_eq!(traced.query_xpath_full("//*//*").map(|_| ()), truncated);
+        let slow = traced.slow_queries();
+        assert_eq!(slow.len(), 1);
+        let error = slow[0].root().attrs.iter().find(|(k, _)| *k == "error");
+        assert_eq!(
+            error.map(|(_, v)| v.clone()),
+            Some(cause.to_string().into())
+        );
+        assert_eq!(
+            traced.workload_profile(),
+            WorkloadProfile::new(),
+            "not profiled"
+        );
+        let untraced = DatabaseBuilder::new().build_from_xml(xml).unwrap();
+        assert_eq!(untraced.query_xpath("//*//*").map(|_| ()), truncated);
+        assert_eq!(untraced.query_batch(&["//*//*"]), vec![Err(cause)]);
+        // The pattern entry point answers in part and says so.
+        let pattern = parse_xpath_readonly("//*//*", &untraced.corpus().symbols);
+        let out = untraced.query_pattern(&pattern.unwrap().expect("a is indexed"));
+        assert_eq!(out.stats.plan_truncated, 1);
+        assert!(out.explain().contains("plan TRUNCATED"));
     }
 
     #[test]

@@ -72,7 +72,8 @@ pub struct QueryStats {
     pub instantiations: u64,
     /// Plans cut short by [`PlanOptions::max_assignments`], the one cap a
     /// database query has (0 or 1 per index, summed over shards).  Nonzero
-    /// means assignments were dropped and the answer may be incomplete.
+    /// means assignments were dropped and the answer may be incomplete; a
+    /// database's XPath queries fail with an error instead.
     pub plan_truncated: u64,
     /// Query sequences searched: one per assignment, so always equal to
     /// `instantiations`.
@@ -711,8 +712,9 @@ mod tests {
         assert_eq!(out2.docs, vec![0, 2]);
     }
 
-    /// The trace half — the root's `plan_truncated` attribute — is checked
-    /// where traces are built, in the `xseq` crate.
+    /// An index answers a truncated plan in part and says so; the `xseq`
+    /// crate's query entry points fail it instead, with the cause on the
+    /// query's trace.
     #[test]
     fn truncated_plan_is_visible_in_stats_explain_and_trace() {
         let (mut st, mut pt, docs) =

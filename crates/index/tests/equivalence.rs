@@ -7,8 +7,7 @@ use proptest::prelude::*;
 use xseq_datagen::xmark::q3_constants;
 use xseq_datagen::{queries, DblpGenerator, XmarkGenerator, XmarkOptions};
 use xseq_index::{instantiate, tree_search, PlanOptions, QuerySequence, XmlIndex};
-use xseq_schema::{ProbabilityModel, WeightMap};
-use xseq_sequence::Strategy as SeqStrategy;
+use xseq_sequence::{ProbabilityModel, Strategy as SeqStrategy, WeightMap};
 use xseq_storage::{write_paged_trie, MemStore, PagedTrie};
 use xseq_xml::{
     matcher::structure_match, parse_xpath_readonly, Axis, Document, PathTable, PatternLabel,

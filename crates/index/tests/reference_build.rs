@@ -11,8 +11,7 @@
 
 use std::collections::HashSet;
 use xseq_index::{PlanOptions, SequenceTrie, XmlIndex};
-use xseq_schema::{ProbabilityModel, WeightMap};
-use xseq_sequence::{sequence_document, PriorityMap, Strategy};
+use xseq_sequence::{sequence_document, PriorityMap, ProbabilityModel, Strategy, WeightMap};
 use xseq_xml::{DocId, Document, PathId, PathTable, SymbolTable, ValueMode};
 
 /// A deterministic corpus without identical siblings (breadth-first

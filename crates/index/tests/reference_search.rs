@@ -16,9 +16,8 @@ use xseq_index::{
     instantiate, tree_search, tree_search_with, PlanOptions, QuerySequence, SearchScratch,
     SearchStats, TrieNodeId, TrieView, XmlIndex, NIL,
 };
-use xseq_schema::{ProbabilityModel, WeightMap};
 use xseq_sequence::strategy::has_identical_siblings;
-use xseq_sequence::Strategy as SeqStrategy;
+use xseq_sequence::{ProbabilityModel, Strategy as SeqStrategy, WeightMap};
 use xseq_xml::{
     parse_document, parse_xpath_readonly, DocId, Document, PathTable, SymbolTable, ValueMode,
 };
@@ -443,7 +442,8 @@ fn first_text(docs: &[Document], st: &SymbolTable, steps: &[&str]) -> Option<Str
 }
 
 /// Every concrete tree of every class, both searches, on the frozen trie
-/// and the overlay; returns how many classes some segment answered.
+/// and the overlay, after checking that each class plans within its cap;
+/// returns how many classes some segment answered.
 fn check_classes(docs: &[Document], st: &SymbolTable, classes: &[String], kind: usize) -> usize {
     let mut paths = PathTable::new();
     let index = index_with(docs, docs.len() - 24, &mut paths, kind);
@@ -453,6 +453,10 @@ fn check_classes(docs: &[Document], st: &SymbolTable, classes: &[String], kind: 
         let Some(pattern) = parse_xpath_readonly(expr, st).expect("class parses") else {
             continue;
         };
+        // A database fails a query whose plan passes its cap, so a class
+        // that did would be a failed operation in every benchmark run.
+        let planned = index.query_with(&pattern, &paths, &mut scratch);
+        assert_eq!(planned.stats.plan_truncated, 0, "{expr} plans in full");
         let mut any = false;
         for qdoc in instantiate(&pattern, &paths, index.data_paths(), index.options()) {
             let strategy = index.strategy();

@@ -13,6 +13,9 @@
 //! * [`strategy`] — sequencing strategies: depth-first, breadth-first,
 //!   random, and the probability-ordered `g_best` of Algorithm 2, all run
 //!   through a single constraint-respecting emitter.
+//! * [`schema`] — what `g_best`'s priorities are built from: occurrence
+//!   probabilities `p(C|root)`, estimated from a document sample or
+//!   declared per schema edge, times query-tuning weights `w(C)` (Eq. 6).
 //! * [`verify`] — integrity checking of stored sequences: `f2` validity and
 //!   the Theorem 1 round-trip, used by the index's `verify_integrity`.
 
@@ -29,10 +32,13 @@
 )]
 
 pub mod constraint;
+pub mod schema;
 pub mod strategy;
+mod tests;
 pub mod verify;
 
 pub use constraint::{decode_f2, forward_prefix, validate_f2, DecodeError};
+pub use schema::{ProbabilityModel, SchemaTree, WeightMap};
 pub use strategy::{emit_sequence, sequence_document, PriorityMap, Strategy};
 pub use verify::{verify_sequence, SequenceIssue};
 

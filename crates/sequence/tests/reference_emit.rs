@@ -16,8 +16,10 @@ use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
-use xseq_schema::{ProbabilityModel, WeightMap};
-use xseq_sequence::{decode_f2, emit_sequence, validate_f2, PriorityMap, Strategy as SeqStrategy};
+use xseq_sequence::{
+    decode_f2, emit_sequence, validate_f2, PriorityMap, ProbabilityModel, Strategy as SeqStrategy,
+    WeightMap,
+};
 use xseq_xml::{parse_document, Document, NodeId, PathId, PathTable, SymbolTable, ValueMode};
 
 /// The hash-table form of a [`PriorityMap`].

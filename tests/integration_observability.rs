@@ -214,7 +214,7 @@ fn sharded_diagnostics_enumerate_every_shard() {
 /// metric name must be one of these.  Extending the exported namespace
 /// means extending this list in the same change — which is the point.
 const METRIC_FAMILIES: &[&str] = &[
-    "index", "memory", "query", "sequence", "storage", "update", "workload", "xml",
+    "index", "memory", "query", "sequence", "storage", "update", "xml",
 ];
 
 /// True when `name` matches the telemetry grammar `seg(.seg)*` with
